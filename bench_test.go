@@ -545,13 +545,10 @@ func BenchmarkDistributedVerification(b *testing.B) {
 	})
 }
 
-// BenchmarkDistThroughput measures the PR 4 tentpole: the same
-// verification round through the legacy transport (one TCP dial + one JSON
-// envelope per message) and the pooled transport (persistent connections,
-// batched binary frames). A 5x5 OSPF grid, one reachability policy from
-// all 25 routers, no caching on either side — the comparison isolates the
-// transport. Persisted to BENCH_dist.json with the acceptance floors
-// (>=5x walks/sec, >=3x fewer bytes/walk) asserted here.
+// BenchmarkDistThroughput measures one verification round through the
+// fleet transport (persistent connections, batched binary frames): a 5x5
+// OSPF grid, one reachability policy from all 25 routers, no caching.
+// Reports absolute walks/s and bytes/walk.
 func BenchmarkDistThroughput(b *testing.B) {
 	const g = 5
 	n, err := network.BuildGridOSPF(1, g, g)
@@ -568,70 +565,30 @@ func BenchmarkDistThroughput(b *testing.B) {
 	for _, r := range n.Routers() {
 		sources = append(sources, r.Name)
 	}
-
-	run := func(b *testing.B, opts dist.TransportOptions) (walksPerSec, bytesPerWalk float64) {
-		coord, nodes, teardown, err := dist.BuildFleet(n, nil, opts)
+	coord, nodes, teardown, err := dist.BuildFleet(n, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer teardown()
+	// Warm up once (the first round pays the dial costs).
+	if _, err := coord.Verify(nodes, policies, sources); err != nil {
+		b.Fatal(err)
+	}
+	var walks, bytes int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := coord.Verify(nodes, policies, sources)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer teardown()
-		// Warm up once (first round pays dial costs on the pooled path).
-		if _, err := coord.Verify(nodes, policies, sources); err != nil {
-			b.Fatal(err)
+		if !stats.Report.OK() {
+			b.Fatal("unexpected violations")
 		}
-		var walks, bytes int
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			stats, err := coord.Verify(nodes, policies, sources)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !stats.Report.OK() {
-				b.Fatal("unexpected violations")
-			}
-			walks += stats.Walks
-			bytes += stats.Bytes
-		}
-		elapsed := time.Since(start)
-		return float64(walks) / elapsed.Seconds(), float64(bytes) / float64(walks)
+		walks += stats.Walks
+		bytes += stats.Bytes
 	}
-
-	var legacyWPS, legacyBPW, pooledWPS, pooledBPW float64
-	b.Run("legacy", func(b *testing.B) {
-		legacyWPS, legacyBPW = run(b, dist.TransportOptions{Legacy: true})
-	})
-	b.Run("pooled", func(b *testing.B) {
-		pooledWPS, pooledBPW = run(b, dist.TransportOptions{})
-	})
-	if legacyWPS == 0 || pooledWPS == 0 {
-		return // sub-benchmarks filtered out
-	}
-	speedup := pooledWPS / legacyWPS
-	byteCut := legacyBPW / pooledBPW
-	once("distthroughput", func() {
-		fmt.Println("\n[tentpole/PR4] distributed verification transport, 5x5 OSPF grid, 25 walks/round")
-		fmt.Printf("  legacy (dial-per-msg, JSON):    %10.0f walks/sec  %7.0f bytes/walk\n", legacyWPS, legacyBPW)
-		fmt.Printf("  pooled (persistent, binary):    %10.0f walks/sec  %7.0f bytes/walk\n", pooledWPS, pooledBPW)
-		fmt.Printf("  throughput %.1fx, wire bytes per walk cut %.1fx\n", speedup, byteCut)
-		artifact, _ := json.MarshalIndent(map[string]interface{}{
-			"benchmark": "BenchmarkDistThroughput",
-			"grid":      g, "walks_per_round": len(sources),
-			"legacy_walks_per_sec": legacyWPS, "legacy_bytes_per_walk": legacyBPW,
-			"pooled_walks_per_sec": pooledWPS, "pooled_bytes_per_walk": pooledBPW,
-			"throughput_speedup": speedup, "bytes_per_walk_reduction": byteCut,
-		}, "", "  ")
-		if err := os.WriteFile("BENCH_dist.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_dist.json:", err, ")")
-		}
-	})
-	if speedup < 5 {
-		b.Errorf("pooled transport throughput %.1fx legacy, want >= 5x (%.0f vs %.0f walks/sec)",
-			speedup, pooledWPS, legacyWPS)
-	}
-	if byteCut < 3 {
-		b.Errorf("pooled transport ships %.1fx fewer bytes/walk, want >= 3x (%.0f vs %.0f)",
-			byteCut, pooledBPW, legacyBPW)
-	}
+	b.ReportMetric(float64(walks)/b.Elapsed().Seconds(), "walks/s")
+	b.ReportMetric(float64(bytes)/float64(walks), "bytes/walk")
 }
 
 // ---------------------------------------------------------------------------

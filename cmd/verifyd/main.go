@@ -169,22 +169,6 @@ func run(violate bool, grid int, seed int64, workers, queries int, queryAddr str
 		stats.Walks, stats.Messages, stats.Batches, stats.Frames, stats.Bytes)
 	fmt.Printf("dist metrics: %s\n", reg)
 
-	// The same round over the legacy transport — one dial and one JSON
-	// envelope per message — to show what pooling and binary batching buy.
-	lcoord, lnodes, lteardown, err := dist.BuildFleet(n, nil, dist.TransportOptions{Legacy: true})
-	if err != nil {
-		return err
-	}
-	lstats, err := lcoord.Verify(lnodes, policies, sources)
-	lteardown()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("legacy transport: %d frames, %d bytes (pooled+binary: %.1fx fewer frames, %.1fx fewer bytes)\n",
-		lstats.Frames, lstats.Bytes,
-		float64(lstats.Frames)/float64(max64(stats.Frames, 1)),
-		float64(lstats.Bytes)/float64(max64(stats.Bytes, 1)))
-
 	views := map[string]dist.LocalView{}
 	for _, r := range n.Routers() {
 		views[r.Name] = dist.LocalViewOf(r)
@@ -299,13 +283,6 @@ func runQueries(eng *serve.Engine, policies []verify.Policy, sources []string, n
 	fmt.Printf("query service: p50 %v, p99 %v; hit ratio %.2f (%d cache hits, %d coalesced, %d walks executed)\n",
 		hist.Quantile(0.5).Round(time.Microsecond), hist.Quantile(0.99).Round(time.Microsecond),
 		st.HitRatio(), st.PlanHits, st.Coalesced, st.Executed)
-}
-
-func max64(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 type serveOpts struct {

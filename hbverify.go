@@ -65,8 +65,7 @@ type Pipeline struct {
 	// Workers bounds the parallel verification walk pool (0 = GOMAXPROCS).
 	Workers int
 	// Metrics collects pipeline instrumentation (inference cache behaviour,
-	// walk counts, latencies). Always non-nil for pipelines built with
-	// NewPipeline.
+	// walk counts, latencies).
 	Metrics *metrics.Registry
 
 	engine *repair.Engine
@@ -136,9 +135,7 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 
 func (p *Pipeline) noteDistDirty(router string) {
 	p.distMu.Lock()
-	if p.distDirty != nil {
-		p.distDirty[router] = struct{}{}
-	}
+	p.distDirty[router] = struct{}{}
 	p.distMu.Unlock()
 }
 
@@ -178,20 +175,88 @@ func (p *Pipeline) checker(w *dataplane.Walker) *verify.Checker {
 	return c
 }
 
-// Verify checks policies against the live data plane. Pipelines built with
-// NewPipeline verify through a persistent walk cache: repeat calls re-walk
-// only the (source, header) pairs whose path crossed a router with FIB or
-// link changes since the last call (Report.Cached counts the rest).
+// Verify checks policies against the live data plane through a persistent
+// walk cache: repeat calls re-walk only the (source, header) pairs whose
+// path crossed a router with FIB or link changes since the last call
+// (Report.Cached counts the rest).
 func (p *Pipeline) Verify(policies []verify.Policy) verify.Report {
-	if p.walkCache == nil {
-		return p.checker(p.Walker()).Check(policies)
-	}
 	if p.live == nil {
 		p.live = p.checker(p.Walker())
 		p.live.Cache = p.walkCache
 	}
 	p.live.Workers = p.Workers
 	return p.live.Check(policies)
+}
+
+// fleetRound is what one distributed round starts from: the lazily-built
+// fleet, the routers dirtied since the previous round (sorted; nil means
+// "no delta information — sync and re-walk everything"), fresh views of
+// exactly those routers, and the local-check round counter.
+type fleetRound struct {
+	coord  *dist.Coordinator
+	nodes  map[string]*dist.Node
+	dirty  []string
+	views  map[string]dist.LocalView
+	rounds int
+}
+
+// beginFleetRound builds the fleet on first use and takes the dirty set,
+// leaving an empty one behind: a router dirtied while the round runs lands
+// in the new set and is synced by the next round, instead of being wiped
+// by a reset at the end of this one. endFleetRound puts the taken set back
+// if the round fails.
+func (p *Pipeline) beginFleetRound() (fleetRound, error) {
+	p.distMu.Lock()
+	if p.distCoord == nil {
+		coord, nodes, teardown, err := dist.BuildFleet(p.Net, nil)
+		if err != nil {
+			p.distMu.Unlock()
+			return fleetRound{}, err
+		}
+		p.distCoord, p.distNodes, p.distTeardown = coord, nodes, teardown
+		// The fleet was just built from the live views: nothing is dirty.
+		p.distDirty = map[string]struct{}{}
+		p.distAllDirty = false
+	}
+	r := fleetRound{coord: p.distCoord, nodes: p.distNodes, rounds: p.localRounds, views: map[string]dist.LocalView{}}
+	taken, all := p.distDirty, p.distAllDirty
+	p.distDirty = map[string]struct{}{}
+	p.distAllDirty = false
+	p.distMu.Unlock()
+
+	if !all {
+		r.dirty = make([]string, 0, len(taken))
+		for name := range taken {
+			r.dirty = append(r.dirty, name)
+		}
+		sort.Strings(r.dirty)
+	}
+	for _, rt := range p.Net.Routers() {
+		if _, dirty := taken[rt.Name]; (all || dirty) && r.nodes[rt.Name] != nil {
+			r.views[rt.Name] = dist.LocalViewOf(rt)
+		}
+	}
+	return r, nil
+}
+
+// endFleetRound merges a failed round's dirty set back so its routers are
+// retried; a successful round has nothing to return.
+func (p *Pipeline) endFleetRound(r fleetRound, err error) {
+	if err == nil {
+		return
+	}
+	p.distMu.Lock()
+	for _, name := range r.dirty {
+		p.distDirty[name] = struct{}{}
+	}
+	p.distAllDirty = p.distAllDirty || r.dirty == nil
+	p.distMu.Unlock()
+}
+
+// fleetOpts are the round's dispatch options: the shared walk cache, the dirty
+// set for clean-result reuse, and the pipeline's metrics registry.
+func (p *Pipeline) fleetOpts(r fleetRound) dist.VerifyOpts {
+	return dist.VerifyOpts{Cache: p.walkCache, Dirty: r.dirty, Metrics: p.Metrics}
 }
 
 // VerifyDistributed checks policies through a per-router TCP fleet (§5)
@@ -203,58 +268,16 @@ func (p *Pipeline) Verify(policies []verify.Policy) verify.Report {
 // round's clean results before anything touches the wire. Metrics land in
 // p.Metrics (dist.* counters, per-node latency timers) and surface through
 // Summary().
-func (p *Pipeline) VerifyDistributed(policies []verify.Policy) (dist.Stats, error) {
-	p.distMu.Lock()
-	if p.distCoord == nil {
-		coord, nodes, teardown, err := dist.BuildFleet(p.Net, nil)
-		if err != nil {
-			p.distMu.Unlock()
-			return dist.Stats{}, err
-		}
-		p.distCoord, p.distNodes, p.distTeardown = coord, nodes, teardown
-		// The fleet was just built from the live views: nothing is dirty.
-		p.distDirty = map[string]struct{}{}
-		p.distAllDirty = false
-	}
-	var dirty []string
-	if p.distAllDirty {
-		dirty = nil // no delta information: sync and re-walk everything
-	} else {
-		dirty = make([]string, 0, len(p.distDirty))
-		for r := range p.distDirty {
-			dirty = append(dirty, r)
-		}
-		sort.Strings(dirty)
-	}
-	coord, nodes := p.distCoord, p.distNodes
-	p.distMu.Unlock()
-
-	views := map[string]dist.LocalView{}
-	for _, r := range p.Net.Routers() {
-		if dirty != nil && len(dirty) == 0 {
-			break // nothing changed: no views needed
-		}
-		if dirty == nil || contains(dirty, r.Name) {
-			if nodes[r.Name] != nil {
-				views[r.Name] = dist.LocalViewOf(r)
-			}
-		}
-	}
-	if _, err := coord.SyncViews(nodes, views, dirty); err != nil {
+func (p *Pipeline) VerifyDistributed(policies []verify.Policy) (stats dist.Stats, err error) {
+	r, err := p.beginFleetRound()
+	if err != nil {
 		return dist.Stats{}, err
 	}
-	stats, err := coord.VerifyWith(nodes, policies, p.Sources, dist.VerifyOpts{
-		Cache:   p.walkCache,
-		Dirty:   dirty,
-		Metrics: p.Metrics,
-	})
-	if err == nil {
-		p.distMu.Lock()
-		p.distDirty = map[string]struct{}{}
-		p.distAllDirty = false
-		p.distMu.Unlock()
+	defer func() { p.endFleetRound(r, err) }()
+	if _, err = r.coord.SyncViews(r.nodes, r.views, r.dirty); err != nil {
+		return dist.Stats{}, err
 	}
-	return stats, err
+	return r.coord.VerifyWith(r.nodes, policies, p.Sources, p.fleetOpts(r))
 }
 
 // localRelabelEvery bounds how many local-check rounds may run between
@@ -273,43 +296,13 @@ const localRelabelEvery = 16
 // re-derives the distance labels, so label drift is bounded. Frames and
 // Bytes in the returned stats cover the whole call: view sync, local
 // reports, label pushes, and any escalated walks.
-func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (dist.Stats, error) {
-	p.distMu.Lock()
-	if p.distCoord == nil {
-		coord, nodes, teardown, err := dist.BuildFleet(p.Net, nil)
-		if err != nil {
-			p.distMu.Unlock()
-			return dist.Stats{}, err
-		}
-		p.distCoord, p.distNodes, p.distTeardown = coord, nodes, teardown
-		p.distDirty = map[string]struct{}{}
-		p.distAllDirty = false
+func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (stats dist.Stats, err error) {
+	r, err := p.beginFleetRound()
+	if err != nil {
+		return dist.Stats{}, err
 	}
-	var dirty []string
-	if p.distAllDirty {
-		dirty = nil // no delta information: sync and re-walk everything
-	} else {
-		dirty = make([]string, 0, len(p.distDirty))
-		for r := range p.distDirty {
-			dirty = append(dirty, r)
-		}
-		sort.Strings(dirty)
-	}
-	coord, nodes := p.distCoord, p.distNodes
-	rounds := p.localRounds
-	p.distMu.Unlock()
-
-	views := map[string]dist.LocalView{}
-	for _, r := range p.Net.Routers() {
-		if dirty != nil && len(dirty) == 0 {
-			break // nothing changed: no views needed
-		}
-		if dirty == nil || contains(dirty, r.Name) {
-			if nodes[r.Name] != nil {
-				views[r.Name] = dist.LocalViewOf(r)
-			}
-		}
-	}
+	defer func() { p.endFleetRound(r, err) }()
+	coord, nodes := r.coord, r.nodes
 
 	classes := make([]netip.Prefix, 0, len(policies))
 	seen := map[netip.Prefix]bool{}
@@ -321,17 +314,13 @@ func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (dist.Stats, erro
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i].String() < classes[j].String() })
 
-	opts := dist.VerifyOpts{Cache: p.walkCache, Dirty: dirty, Metrics: p.Metrics}
-	relabel := coord.LabelEpoch() == 0 || rounds >= localRelabelEvery
+	relabel := coord.LabelEpoch() == 0 || r.rounds >= localRelabelEvery
 	f0, b0 := coord.FleetWire(nodes)
-	var stats dist.Stats
-	var err error
 	if relabel {
-		if _, err = coord.SyncViews(nodes, views, dirty); err != nil {
+		if _, err = coord.SyncViews(nodes, r.views, r.dirty); err != nil {
 			return dist.Stats{}, err
 		}
-		stats, err = coord.VerifyWith(nodes, policies, p.Sources, opts)
-		if err != nil {
+		if stats, err = coord.VerifyWith(nodes, policies, p.Sources, p.fleetOpts(r)); err != nil {
 			return stats, err
 		}
 		if _, err = coord.Relabel(nodes, classes); err != nil {
@@ -339,11 +328,10 @@ func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (dist.Stats, erro
 		}
 		stats.Relabeled = true
 	} else {
-		if _, err = coord.SyncViewsChecked(nodes, views, dirty, 0); err != nil {
+		if _, err = coord.SyncViewsChecked(nodes, r.views, r.dirty, 0); err != nil {
 			return dist.Stats{}, err
 		}
-		stats, err = coord.VerifyLocal(nodes, policies, p.Sources, opts)
-		if err != nil {
+		if stats, err = coord.VerifyLocal(nodes, policies, p.Sources, p.fleetOpts(r)); err != nil {
 			return stats, err
 		}
 	}
@@ -351,8 +339,6 @@ func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (dist.Stats, erro
 	stats.Frames, stats.Bytes = int(f1-f0), int(b1-b0)
 
 	p.distMu.Lock()
-	p.distDirty = map[string]struct{}{}
-	p.distAllDirty = false
 	if relabel {
 		p.localRounds = 1
 	} else {
@@ -360,15 +346,6 @@ func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (dist.Stats, erro
 	}
 	p.distMu.Unlock()
 	return stats, nil
-}
-
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // Close tears down resources the pipeline holds — currently the
@@ -387,14 +364,8 @@ func (p *Pipeline) Close() error {
 }
 
 // Classes returns the current forwarding equivalence classes, maintained
-// incrementally from FIB deltas (nil for pipelines not built with
-// NewPipeline).
-func (p *Pipeline) Classes() []eqclass.Class {
-	if p.eqc == nil {
-		return nil
-	}
-	return p.eqc.Classes()
-}
+// incrementally from FIB deltas.
+func (p *Pipeline) Classes() []eqclass.Class { return p.eqc.Classes() }
 
 // ServeEngine builds a verification query engine over the pipeline's live
 // state: plans execute on the central walker, the plan cache is the

@@ -364,132 +364,19 @@ func NewWalker(topo *topology.Topology, view View) *Walker {
 	return &Walker{Topo: topo, View: view, MaxHops: 64}
 }
 
-// resolveSet maps a next-hop address to the set of adjacent routers the
-// packet may be handed to, performing recursive lookup when the next hop
-// is not on a connected subnet (the standard recursive-route resolution
-// BGP relies on). A recursive lookup through a multipath entry fans out to
-// every member. The set is appended to out (deduplicated by the caller);
-// stuck reports whether some resolution chain dead-ended.
-func (w *Walker) resolveSet(router string, nh netip.Addr, depth int, out []string) (res []string, stuck bool) {
-	r := w.Topo.Router(router)
-	if r == nil {
-		return out, true
-	}
-	// Directly connected?
-	for _, i := range r.Interfaces() {
-		if i.Link != nil && !i.Link.Up() {
-			continue
-		}
-		if i.Prefix.Contains(nh) && i.Addr != nh {
-			if peer := i.Peer(); peer != nil && peer.Addr == nh {
-				return append(out, peer.Router), false
-			}
-			// Next hop inside a stub subnet: local delivery domain.
-			if i.Peer() == nil {
-				return append(out, router), false
-			}
-		}
-	}
-	// The next hop might be this router's own address (self-pointing).
-	if owner := w.Topo.OwnerOf(nh); owner == router {
-		return append(out, router), false
-	}
-	if depth <= 0 {
-		return out, true
-	}
-	// Recursive resolution: look the next hop itself up in the FIB.
-	e, ok := w.View(router, nh)
-	if !ok {
-		return out, true
-	}
-	if e.HopCount() == 0 {
-		// Resolved via a connected route: the owner of nh is adjacent.
-		owner := w.Topo.OwnerOf(nh)
-		if owner == "" {
-			return out, true
-		}
-		return append(out, owner), false
-	}
-	for i := 0; i < e.HopCount(); i++ {
-		h := e.Hop(i)
-		if h == nh {
-			stuck = true
-			continue
-		}
-		var s bool
-		out, s = w.resolveSet(router, h, depth-1, out)
-		stuck = stuck || s
-	}
-	return out, stuck
-}
-
-// Expand computes router's forwarding expansion for dst: local-delivery
-// and no-route checks first, then every ECMP member resolved to its
-// adjacent router. Nexts is sorted and deduplicated; a member resolving to
-// the router itself records local delivery, and one that fails to resolve
-// records a stuck branch.
+// Expand computes router's forwarding expansion for dst: the shared
+// forwarding step (Local.Step) applied to what the topology and the FIB
+// view say that router knows. An unknown router is a stuck branch.
 func (w *Walker) Expand(router string, dst netip.Addr) Expansion {
 	r := w.Topo.Router(router)
 	if r == nil {
 		return Expansion{Stuck: true}
 	}
-	// Local delivery: dst is on a connected subnet of this router.
-	for _, i := range r.Interfaces() {
-		if i.Link != nil && !i.Link.Up() {
-			continue
-		}
-		if i.Prefix.Contains(dst) {
-			// Point-to-point link toward another router: only a real
-			// delivery if the address is an interface address; otherwise
-			// fall through to FIB lookup.
-			if i.Peer() == nil || i.Addr == dst || i.Peer().Addr == dst {
-				return Expansion{Delivered: true}
-			}
-		}
+	l := Local{
+		Router: router, Loopback: r.Loopback, Ifaces: IfacesOf(r),
+		Lookup: func(a netip.Addr) (fib.Entry, bool) { return w.View(router, a) },
 	}
-	if r.Loopback == dst {
-		return Expansion{Delivered: true}
-	}
-	e, ok := w.View(router, dst)
-	if !ok {
-		return Expansion{Dropped: true}
-	}
-	if e.HopCount() == 0 {
-		// Connected/attached route: delivered out of this router.
-		return Expansion{Delivered: true}
-	}
-	var ex Expansion
-	var scratch []string
-	for i := 0; i < e.HopCount(); i++ {
-		res, stuck := w.resolveSet(router, e.Hop(i), 4, scratch[:0])
-		if stuck {
-			ex.Stuck = true
-		}
-		for _, nx := range res {
-			if nx == router {
-				ex.Delivered = true
-				continue
-			}
-			ex.Nexts = append(ex.Nexts, nx)
-		}
-		scratch = res
-	}
-	if len(ex.Nexts) > 1 {
-		sort.Strings(ex.Nexts)
-		w2 := 1
-		for i := 1; i < len(ex.Nexts); i++ {
-			if ex.Nexts[i] != ex.Nexts[w2-1] {
-				ex.Nexts[w2] = ex.Nexts[i]
-				w2++
-			}
-		}
-		ex.Nexts = ex.Nexts[:w2]
-	}
-	if len(ex.Nexts) == 0 && !ex.Delivered && !ex.Dropped && !ex.Stuck {
-		// Every member vanished (cannot normally happen): stuck.
-		ex.Stuck = true
-	}
-	return ex
+	return l.Step(dst).Expansion
 }
 
 // Forward walks a packet for dst starting at source router src. FIBs with

@@ -2,11 +2,9 @@
 //
 //	[4-byte big-endian payload length][payload]
 //
-// and the payload's first byte selects the format: frameV1 (0x01) starts a
-// compact binary message — [version][msgType][body] with varint integers,
-// length-prefixed strings, and raw address bytes — while '{' (the only
-// byte a JSON envelope can start with) marks a legacy JSON envelope, so a
-// new node interoperates with old peers without negotiation. Encoders are
+// and the payload is a compact binary message — [frameV1][msgType][body]
+// with varint integers, length-prefixed strings, and raw address bytes.
+// Receivers drop any payload that does not start with frameV1. Encoders are
 // append-style over caller-owned buffers: the connection pool hands each
 // send the connection's reusable scratch slice, so steady-state encoding
 // allocates nothing.
@@ -28,13 +26,12 @@ import (
 	"hbverify/internal/verify"
 )
 
-// frameV1 is the binary format version byte. It can never collide with the
-// JSON fallback: JSON envelopes always start with '{' (0x7B).
+// frameV1 is the binary format version byte.
 const frameV1 = 0x01
 
 // Binary message types (the byte after the version byte).
 const (
-	mtWalk        byte = 1 // body: WalkMsg
+	// 1 is unassigned: walks only travel in batches.
 	mtWalkBatch   byte = 2 // body: batchID, count, WalkMsg...
 	mtResultBatch byte = 3 // body: batchID, count, WalkMsg...
 	mtViewDelta   byte = 4 // body: viewDelta (FIB installs/removes + ifaces)
@@ -176,7 +173,7 @@ func appendEntry(b []byte, e fib.Entry) []byte {
 	return b
 }
 
-func appendIface(b []byte, i IfaceInfo) []byte {
+func appendIface(b []byte, i dataplane.Iface) []byte {
 	b = appendString(b, i.Name)
 	b = appendAddr(b, i.Addr)
 	b = appendPrefix(b, i.Prefix)
@@ -188,13 +185,13 @@ func appendIface(b []byte, i IfaceInfo) []byte {
 
 // viewDelta updates a node's LocalView in place: FIB installs and removals
 // (entry-level deltas), and optionally a full interface-state replacement
-// (link flips change Step behaviour without touching the FIB).
+// (link flips change forwarding without touching the FIB).
 type viewDelta struct {
 	Router   string
 	Full     bool // replace the whole FIB with Installs
 	Installs []fib.Entry
 	Removes  []netip.Prefix
-	Ifaces   []IfaceInfo // nil = leave interface state alone
+	Ifaces   []dataplane.Iface // nil = leave interface state alone
 	HasIface bool
 	// Sync, when non-zero, asks the node to run its local invariant
 	// checks after applying the delta and answer with an mtLocalViolation
@@ -535,8 +532,8 @@ func (r *wireReader) entry() fib.Entry {
 	return e
 }
 
-func (r *wireReader) iface() IfaceInfo {
-	var i IfaceInfo
+func (r *wireReader) iface() dataplane.Iface {
+	var i dataplane.Iface
 	i.Name = r.string()
 	i.Addr = r.addr()
 	i.Prefix = r.prefix()
@@ -562,7 +559,7 @@ func (r *wireReader) viewDelta() viewDelta {
 	d.HasIface = r.bool()
 	if d.HasIface {
 		n = r.count("ifaces")
-		d.Ifaces = make([]IfaceInfo, 0, n)
+		d.Ifaces = make([]dataplane.Iface, 0, n)
 		for i := 0; i < n; i++ {
 			d.Ifaces = append(d.Ifaces, r.iface())
 		}

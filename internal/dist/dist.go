@@ -9,17 +9,13 @@
 // The transport is pooled and pipelined: every fleet member keeps one
 // persistent connection per peer and writes compact binary frames (see
 // codec.go) carrying whole batches of walks, with correlation IDs routing
-// results back to the submitting Verify call. Legacy mode — one TCP dial
-// and one JSON envelope per message, the original transport — is kept
-// behind TransportOptions.Legacy as the benchmark baseline, and every
-// receive path still accepts JSON frames from old peers.
+// results back to the submitting Verify call. A frame that does not start
+// with the v1 version byte is dropped.
 package dist
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/netip"
 	"sort"
@@ -35,24 +31,13 @@ import (
 	"hbverify/internal/verify"
 )
 
-// IfaceInfo is the node-local slice of topology a router legitimately
-// knows: its own interfaces and who is on the other end.
-type IfaceInfo struct {
-	Name     string
-	Addr     netip.Addr
-	Prefix   netip.Prefix
-	PeerAddr netip.Addr `json:",omitempty"`
-	PeerName string     `json:",omitempty"`
-	Up       bool
-	Stub     bool
-}
-
 // LocalView is everything one verification node needs: identity, local
-// links, and the local FIB.
+// links (the node-local slice of topology a router legitimately knows: its
+// own interfaces and who is on the other end), and the local FIB.
 type LocalView struct {
 	Router   string
 	Loopback netip.Addr
-	Ifaces   []IfaceInfo
+	Ifaces   []dataplane.Iface
 	FIB      map[netip.Prefix]fib.Entry
 
 	// lpmTrie indexes FIB for longest-prefix matching; built by Compile.
@@ -61,17 +46,10 @@ type LocalView struct {
 
 // LocalViewOf extracts a router's local view from a built network.
 func LocalViewOf(r *network.Router) LocalView {
-	v := LocalView{Router: r.Name, Loopback: r.Topo.Loopback, FIB: r.FIB.Snapshot()}
-	for _, i := range r.Topo.Interfaces() {
-		info := IfaceInfo{Name: i.Name, Addr: i.Addr, Prefix: i.Prefix, Stub: i.Link == nil, Up: true}
-		if i.Link != nil {
-			info.Up = i.Link.Up()
-			info.PeerAddr = i.Peer().Addr
-			info.PeerName = i.Peer().Router
-		}
-		v.Ifaces = append(v.Ifaces, info)
+	return LocalView{
+		Router: r.Name, Loopback: r.Topo.Loopback,
+		Ifaces: dataplane.IfacesOf(r.Topo), FIB: r.FIB.Snapshot(),
 	}
-	return v
 }
 
 // Compile (re)builds the longest-prefix-match index over the FIB. It must
@@ -85,55 +63,6 @@ func (v *LocalView) Compile() {
 	v.lpmTrie = t
 }
 
-// StepResult is one local forwarding decision.
-type StepResult struct {
-	// Terminal marks the walk finished at this node.
-	Terminal bool
-	Outcome  dataplane.Outcome
-	// Next is the router to forward the walk to when not terminal.
-	Next string
-}
-
-// Step applies the node's forwarding behaviour to a destination: local
-// delivery, LPM over the local FIB, and recursive next-hop resolution —
-// all using only node-local knowledge.
-func (v *LocalView) Step(dst netip.Addr) StepResult {
-	if dst == v.Loopback {
-		return StepResult{Terminal: true, Outcome: dataplane.Delivered}
-	}
-	for _, i := range v.Ifaces {
-		if !i.Up {
-			continue
-		}
-		if i.Prefix.Contains(dst) {
-			if i.Stub || i.Addr == dst || i.PeerAddr == dst {
-				return StepResult{Terminal: true, Outcome: dataplane.Delivered}
-			}
-		}
-	}
-	e, ok := v.lpm(dst)
-	if !ok {
-		return StepResult{Terminal: true, Outcome: dataplane.Dropped}
-	}
-	if !e.NextHop.IsValid() {
-		return StepResult{Terminal: true, Outcome: dataplane.Delivered}
-	}
-	next, status := v.resolve(e.NextHop, map[netip.Addr]bool{})
-	switch status {
-	case resolveCycle:
-		// Recursive resolution chased its own tail (e.g. two static routes
-		// resolving through each other) — a control-plane loop, not a
-		// missing route.
-		return StepResult{Terminal: true, Outcome: dataplane.Looped}
-	case resolveStuck:
-		return StepResult{Terminal: true, Outcome: dataplane.Stuck}
-	}
-	if next == v.Router {
-		return StepResult{Terminal: true, Outcome: dataplane.Delivered}
-	}
-	return StepResult{Next: next}
-}
-
 func (v *LocalView) lpm(dst netip.Addr) (fib.Entry, bool) {
 	if v.lpmTrie == nil {
 		v.Compile()
@@ -142,180 +71,18 @@ func (v *LocalView) lpm(dst netip.Addr) (fib.Entry, bool) {
 	return e, ok
 }
 
-// maxResolveDepth bounds recursive next-hop resolution. The visited set
-// catches cycles, so the depth bound only cuts off pathologically long
-// acyclic resolution chains.
-const maxResolveDepth = 8
-
-// resolveStatus classifies a failed (or successful) next-hop resolution.
-type resolveStatus int
-
-const (
-	// resolveOK: the next hop resolved to an adjacent router (or self).
-	resolveOK resolveStatus = iota
-	// resolveStuck: no route covers the next hop — a blackhole.
-	resolveStuck
-	// resolveCycle: resolution revisited a next hop — a resolution loop,
-	// reported distinctly from a blackhole.
-	resolveCycle
-)
-
-// resolve recursively resolves nh to an adjacent router using only local
-// knowledge. visited carries the next hops already being resolved on this
-// chain so cycles are detected rather than conflated with blackholes.
-func (v *LocalView) resolve(nh netip.Addr, visited map[netip.Addr]bool) (string, resolveStatus) {
-	if visited[nh] {
-		return "", resolveCycle
-	}
-	visited[nh] = true
-	for _, i := range v.Ifaces {
-		if !i.Up {
-			continue
-		}
-		if i.Prefix.Contains(nh) && i.Addr != nh {
-			if i.PeerAddr == nh {
-				return i.PeerName, resolveOK
-			}
-			if i.Stub {
-				return v.Router, resolveOK
-			}
-		}
-		if i.Addr == nh {
-			return v.Router, resolveOK
-		}
-	}
-	if nh == v.Loopback {
-		return v.Router, resolveOK
-	}
-	if len(visited) > maxResolveDepth {
-		return "", resolveStuck
-	}
-	e, ok := v.lpm(nh)
-	if !ok {
-		return "", resolveStuck
-	}
-	if e.NextHop == nh {
-		// A route that resolves through itself is the one-hop cycle.
-		return "", resolveCycle
-	}
-	if !e.NextHop.IsValid() {
-		// Connected route covers nh: find the interface and its peer.
-		for _, i := range v.Ifaces {
-			if i.Up && i.Prefix.Contains(nh) && i.PeerAddr == nh {
-				return i.PeerName, resolveOK
-			}
-		}
-		return "", resolveStuck
-	}
-	return v.resolve(e.NextHop, visited)
+// step applies the shared forwarding step to dst using only node-local
+// knowledge: the view's own interfaces and an LPM over its own FIB.
+func (v *LocalView) step(dst netip.Addr) dataplane.Step {
+	l := dataplane.Local{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, Lookup: v.lpm}
+	return l.Step(dst)
 }
 
-// Expand computes this router's forwarding expansion for dst using only
-// node-local knowledge — the set-aware analogue of Step, mirroring the
-// central dataplane.Walker.Expand so a distributed set-walk replays to the
-// same result.
+// Expand computes this router's forwarding expansion for dst — the same
+// step the central dataplane.Walker.Expand applies, so a distributed
+// set-walk replays to the same result.
 func (v *LocalView) Expand(dst netip.Addr) dataplane.Expansion {
-	for _, i := range v.Ifaces {
-		if !i.Up {
-			continue
-		}
-		if i.Prefix.Contains(dst) {
-			if i.Stub || i.Addr == dst || i.PeerAddr == dst {
-				return dataplane.Expansion{Delivered: true}
-			}
-		}
-	}
-	if dst == v.Loopback {
-		return dataplane.Expansion{Delivered: true}
-	}
-	e, ok := v.lpm(dst)
-	if !ok {
-		return dataplane.Expansion{Dropped: true}
-	}
-	if e.HopCount() == 0 {
-		return dataplane.Expansion{Delivered: true}
-	}
-	var ex dataplane.Expansion
-	for i := 0; i < e.HopCount(); i++ {
-		res, stuck := v.resolveSet(e.Hop(i), 4, nil)
-		if stuck {
-			ex.Stuck = true
-		}
-		for _, nx := range res {
-			if nx == v.Router {
-				ex.Delivered = true
-				continue
-			}
-			ex.Nexts = append(ex.Nexts, nx)
-		}
-	}
-	if len(ex.Nexts) > 1 {
-		sort.Strings(ex.Nexts)
-		w := 1
-		for i := 1; i < len(ex.Nexts); i++ {
-			if ex.Nexts[i] != ex.Nexts[w-1] {
-				ex.Nexts[w] = ex.Nexts[i]
-				w++
-			}
-		}
-		ex.Nexts = ex.Nexts[:w]
-	}
-	if len(ex.Nexts) == 0 && !ex.Delivered && !ex.Dropped && !ex.Stuck {
-		ex.Stuck = true
-	}
-	return ex
-}
-
-// resolveSet resolves nh to the set of adjacent routers it may hand the
-// packet to, fanning out through multipath entries during recursive
-// resolution. It mirrors the central walker's resolveSet; stuck reports a
-// resolution chain that dead-ended.
-func (v *LocalView) resolveSet(nh netip.Addr, depth int, out []string) (res []string, stuck bool) {
-	for _, i := range v.Ifaces {
-		if !i.Up {
-			continue
-		}
-		if i.Prefix.Contains(nh) && i.Addr != nh {
-			if i.PeerAddr == nh {
-				return append(out, i.PeerName), false
-			}
-			if i.Stub {
-				return append(out, v.Router), false
-			}
-		}
-		if i.Addr == nh {
-			return append(out, v.Router), false
-		}
-	}
-	if nh == v.Loopback {
-		return append(out, v.Router), false
-	}
-	if depth <= 0 {
-		return out, true
-	}
-	e, ok := v.lpm(nh)
-	if !ok {
-		return out, true
-	}
-	if e.HopCount() == 0 {
-		for _, i := range v.Ifaces {
-			if i.Up && i.Prefix.Contains(nh) && i.PeerAddr == nh {
-				return append(out, i.PeerName), false
-			}
-		}
-		return out, true
-	}
-	for i := 0; i < e.HopCount(); i++ {
-		h := e.Hop(i)
-		if h == nh {
-			stuck = true
-			continue
-		}
-		var s bool
-		out, s = v.resolveSet(h, depth-1, out)
-		stuck = stuck || s
-	}
-	return out, stuck
+	return v.step(dst).Expansion
 }
 
 // FrontierHop is one pending stop of a travelling set-walk: a router to
@@ -329,10 +96,10 @@ type FrontierHop struct {
 // set-walk travels the fleet.
 type ExpMsg struct {
 	Router    string
-	Delivered bool     `json:",omitempty"`
-	Dropped   bool     `json:",omitempty"`
-	Stuck     bool     `json:",omitempty"`
-	Nexts     []string `json:",omitempty"`
+	Delivered bool
+	Dropped   bool
+	Stuck     bool
+	Nexts     []string
 }
 
 // WalkMsg is a verification walk in flight between nodes. Multipath FIBs
@@ -359,17 +126,17 @@ type WalkMsg struct {
 	Egress  string
 	// Frontier is the travelling DFS stack: routers discovered but not yet
 	// expanded, top at the end.
-	Frontier []FrontierHop `json:",omitempty"`
+	Frontier []FrontierHop
 	// Exps collects per-router expansions in DFS discovery order.
-	Exps []ExpMsg `json:",omitempty"`
+	Exps []ExpMsg
 	// Egresses, Edges, and Branches mirror the symbolic dataplane.Walk
 	// fields on finished walks whose exploration branched.
-	Egresses []string    `json:",omitempty"`
-	Edges    [][2]string `json:",omitempty"`
-	Branches int         `json:",omitempty"`
+	Egresses []string
+	Edges    [][2]string
+	Branches int
 	// Err carries a transport failure (dead peer, timeout) back to the
 	// coordinator instead of losing the walk silently.
-	Err string `json:",omitempty"`
+	Err string
 }
 
 // AsWalk converts a finished walk message to the dataplane result it
@@ -379,43 +146,6 @@ func (w WalkMsg) AsWalk() dataplane.Walk {
 		Dst: w.Dst, Outcome: w.Outcome, Path: w.Path, Egress: w.Egress,
 		Egresses: w.Egresses, Edges: w.Edges, Branches: w.Branches,
 	}
-}
-
-type envelope struct {
-	Kind string       `json:"kind"`
-	Walk *WalkMsg     `json:"walk,omitempty"`
-	HBG  *hbgEnvelope `json:"hbg,omitempty"`
-}
-
-// writeMsg frames and writes a JSON envelope; it returns the wire size.
-// This is the legacy codec — the pooled transport writes binary frames via
-// the codec in codec.go — kept so old peers remain speakable.
-func writeMsg(w io.Writer, env envelope) (int, error) {
-	b, err := json.Marshal(env)
-	if err != nil {
-		return 0, err
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(b); err != nil {
-		return 0, err
-	}
-	return len(b) + 4, nil
-}
-
-func readMsg(r io.Reader) (envelope, error) {
-	buf, err := readFrame(r)
-	if err != nil {
-		return envelope{}, err
-	}
-	var env envelope
-	if err := json.Unmarshal(buf, &env); err != nil {
-		return envelope{}, err
-	}
-	return env, nil
 }
 
 // idleTimeout bounds how long a server-side read blocks between frames on
@@ -448,21 +178,16 @@ type Node struct {
 }
 
 // StartNode launches a node listening on 127.0.0.1. directory resolves
-// peer node addresses and resultTo is the coordinator's address. Transport
-// options beyond the first are ignored.
-func StartNode(view LocalView, directory func(string) (string, bool), resultTo string, opts ...TransportOptions) (*Node, error) {
+// peer node addresses and resultTo is the coordinator's address.
+func StartNode(view LocalView, directory func(string) (string, bool), resultTo string) (*Node, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	var topt TransportOptions
-	if len(opts) > 0 {
-		topt = opts[0]
-	}
 	wire := &wireStats{}
 	n := &Node{
 		View: view, ln: ln, directory: directory, resultTo: resultTo,
-		wire: wire, pool: newPool(topt, wire), conns: newConnSet(),
+		wire: wire, pool: newPool(wire), conns: newConnSet(),
 	}
 	// Compile the LPM index up front: walk handlers run concurrently and
 	// must not race on the lazy build.
@@ -524,56 +249,31 @@ func (n *Node) serve() {
 	}
 }
 
-// dispatch decodes one inbound frame — binary v1 or legacy JSON — and
-// applies it.
+// dispatch decodes one inbound frame and applies it; anything that is not
+// a well-formed v1 frame is dropped.
 func (n *Node) dispatch(payload []byte) {
-	if len(payload) == 0 {
+	if len(payload) < 2 || payload[0] != frameV1 {
 		return
 	}
-	if payload[0] == frameV1 {
-		if len(payload) < 2 {
-			return
+	r := &wireReader{b: payload[2:]}
+	switch payload[1] {
+	case mtWalkBatch:
+		id, walks := r.walkBatch()
+		if r.err == nil {
+			n.handleWalkBatch(id, walks)
 		}
-		r := &wireReader{b: payload[2:]}
-		switch payload[1] {
-		case mtWalk:
-			w := r.walk()
-			if r.err == nil {
-				n.handleWalk(w)
-			}
-		case mtWalkBatch:
-			id, walks := r.walkBatch()
-			if r.err == nil {
-				n.handleWalkBatch(id, walks)
-			}
-		case mtViewDelta:
-			d := r.viewDelta()
-			if r.err == nil {
-				n.applyViewDelta(d)
-			}
-		case mtLabels:
-			router, nl := r.labels()
-			if r.err == nil {
-				n.applyLabels(router, nl)
-			}
+	case mtViewDelta:
+		d := r.viewDelta()
+		if r.err == nil {
+			n.applyViewDelta(d)
 		}
-		return
-	}
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return
-	}
-	if env.Kind == "walk" && env.Walk != nil {
-		n.handleWalk(*env.Walk)
+	case mtLabels:
+		router, nl := r.labels()
+		if r.err == nil {
+			n.applyLabels(router, nl)
+		}
 	}
 }
-
-// SetResultTo updates the coordinator address (used by tests).
-func (n *Node) SetResultTo(addr string) { n.resultTo = addr }
-
-// HandleWalk applies the local step and forwards or reports; exported for
-// in-process use by the coordinator when seeding walks (legacy mode).
-func (n *Node) HandleWalk(w WalkMsg) { n.handleWalk(w) }
 
 // walkMaxHops bounds the DFS depth of a distributed walk, matching the
 // central walker's default.
@@ -657,15 +357,6 @@ func (n *Node) stepWalk(w WalkMsg) (WalkMsg, string, bool) {
 	return w, "", true
 }
 
-func (n *Node) handleWalk(w WalkMsg) {
-	w, next, terminal := n.stepWalk(w)
-	if terminal {
-		n.sendWalks(n.resultTo, true, []WalkMsg{w}, 0)
-		return
-	}
-	n.sendWalks(next, false, []WalkMsg{w}, 0)
-}
-
 // handleWalkBatch applies the local transfer step to every walk in the
 // batch, then sends one frame per destination: finished walks to the
 // coordinator, continuing walks grouped by next-hop node.
@@ -690,29 +381,11 @@ func (n *Node) handleWalkBatch(batchID int, walks []WalkMsg) {
 	}
 }
 
-// sendWalks ships walks to addr as one binary batch frame, or — in legacy
-// mode — as one JSON envelope per walk over a fresh dial each. Transport
+// sendWalks ships walks to addr as one binary batch frame. Transport
 // failures are counted in the node's wire stats; the coordinator's
 // deadline converts the lost walk into a reported error.
 func (n *Node) sendWalks(addr string, result bool, walks []WalkMsg, batchID int) {
 	if len(walks) == 0 {
-		return
-	}
-	if n.pool.opts.Legacy {
-		kind := "walk"
-		if result {
-			kind = "result"
-		}
-		for i := range walks {
-			w := walks[i]
-			_, _ = n.pool.send(addr, func(b []byte) []byte {
-				payload, err := json.Marshal(envelope{Kind: kind, Walk: &w})
-				if err != nil {
-					return b
-				}
-				return append(b, payload...)
-			})
-		}
 		return
 	}
 	mt := mtWalkBatch
@@ -795,20 +468,15 @@ type Coordinator struct {
 	taintAll   bool
 }
 
-// StartCoordinator launches the result sink. Transport options beyond the
-// first are ignored.
-func StartCoordinator(opts ...TransportOptions) (*Coordinator, error) {
+// StartCoordinator launches the result sink.
+func StartCoordinator() (*Coordinator, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	var topt TransportOptions
-	if len(opts) > 0 {
-		topt = opts[0]
-	}
 	wire := &wireStats{}
 	c := &Coordinator{
-		ln: ln, wire: wire, pool: newPool(topt, wire), conns: newConnSet(),
+		ln: ln, wire: wire, pool: newPool(wire), conns: newConnSet(),
 		pending:    map[int]chan<- WalkMsg{},
 		retained:   map[retKey]WalkMsg{},
 		lastView:   map[string]LocalView{},
@@ -863,37 +531,24 @@ func (c *Coordinator) serve() {
 }
 
 func (c *Coordinator) dispatch(payload []byte) {
-	if len(payload) == 0 {
+	if len(payload) < 2 || payload[0] != frameV1 {
 		return
 	}
-	if payload[0] == frameV1 {
-		if len(payload) < 2 {
+	r := &wireReader{b: payload[2:]}
+	switch payload[1] {
+	case mtResultBatch:
+		_, walks := r.walkBatch()
+		if r.err != nil {
 			return
 		}
-		r := &wireReader{b: payload[2:]}
-		switch payload[1] {
-		case mtResultBatch:
-			_, walks := r.walkBatch()
-			if r.err != nil {
-				return
-			}
-			for _, w := range walks {
-				c.deliver(w)
-			}
-		case mtLocalViolation:
-			rep := r.localReport()
-			if r.err == nil {
-				c.deliverLocal(rep)
-			}
+		for _, w := range walks {
+			c.deliver(w)
 		}
-		return
-	}
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return
-	}
-	if env.Kind == "result" && env.Walk != nil {
-		c.deliver(*env.Walk)
+	case mtLocalViolation:
+		rep := r.localReport()
+		if r.err == nil {
+			c.deliverLocal(rep)
+		}
 	}
 }
 
@@ -965,9 +620,6 @@ type Stats struct {
 
 // VerifyOpts tunes one verification round.
 type VerifyOpts struct {
-	// Legacy seeds walks in-process and lets legacy nodes dial-per-message
-	// — the original transport, kept as the benchmark baseline.
-	Legacy bool
 	// Cache, when set, answers walks from the shared walk cache and stores
 	// fresh results back; cached walks never touch the network.
 	Cache *verify.WalkCache
@@ -976,10 +628,6 @@ type VerifyOpts struct {
 	// reuse retained results whose paths avoid every dirty router; nil
 	// means "no delta information — everything is dirty".
 	Dirty []string
-	// Window bounds in-flight walks (backpressure); default 64.
-	Window int
-	// BatchSize bounds walks per batch frame; default 16.
-	BatchSize int
 	// Timeout bounds the whole round; outstanding walks are failed with an
 	// error instead of hanging Verify. Default 5s.
 	Timeout time.Duration
@@ -993,13 +641,14 @@ type VerifyOpts struct {
 	DropBatch func(src string, walks int) bool
 }
 
+// Round scheduling: walkWindow bounds in-flight walks (backpressure) and
+// walkBatchSize bounds walks per batch frame.
+const (
+	walkWindow    = 64
+	walkBatchSize = 16
+)
+
 func (o VerifyOpts) withDefaults() VerifyOpts {
-	if o.Window <= 0 {
-		o.Window = 64
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 16
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = 5 * time.Second
 	}
@@ -1120,7 +769,7 @@ func (c *Coordinator) VerifyWith(nodes map[string]*Node, policies []verify.Polic
 		j.id = c.nextID
 		w := WalkMsg{WalkID: j.id, Policy: j.policy, Source: j.src, Dst: j.dst, Msgs: 1}
 		ix, ok := open[j.src]
-		if !ok || len(batches[ix].walks) >= opts.BatchSize {
+		if !ok || len(batches[ix].walks) >= walkBatchSize {
 			batches = append(batches, batchSubmit{src: j.src})
 			ix = len(batches) - 1
 			open[j.src] = ix
@@ -1142,7 +791,7 @@ func (c *Coordinator) VerifyWith(nodes map[string]*Node, policies []verify.Polic
 		c.mu.Unlock()
 
 		var (
-			tokens   = make(chan struct{}, opts.Window)
+			tokens   = make(chan struct{}, walkWindow)
 			abort    = make(chan struct{})
 			inflight = opts.Metrics.Gauge("dist.window.inflight")
 			submitAt sync.Map // WalkID -> time.Time
@@ -1166,13 +815,6 @@ func (c *Coordinator) VerifyWith(nodes map[string]*Node, policies []verify.Polic
 					for _, w := range b.walks {
 						w.Done = true
 						c.deliver(w)
-					}
-					continue
-				}
-				if opts.Legacy {
-					nd := nodes[b.src]
-					for _, w := range b.walks {
-						nd.HandleWalk(w)
 					}
 					continue
 				}
@@ -1329,7 +971,7 @@ func prefixBefore(a, b netip.Prefix) bool {
 	return a.Bits() < b.Bits()
 }
 
-func ifacesEqual(a, b []IfaceInfo) bool {
+func ifacesEqual(a, b []dataplane.Iface) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -1451,10 +1093,9 @@ func CentralizedBytes(views map[string]LocalView) (int, error) {
 }
 
 // BuildFleet starts one node per internal router plus a coordinator, and
-// returns a teardown function. Transport options beyond the first are
-// ignored.
-func BuildFleet(n *network.Network, internal func(string) bool, opts ...TransportOptions) (*Coordinator, map[string]*Node, func(), error) {
-	coord, err := StartCoordinator(opts...)
+// returns a teardown function.
+func BuildFleet(n *network.Network, internal func(string) bool) (*Coordinator, map[string]*Node, func(), error) {
+	coord, err := StartCoordinator()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -1475,7 +1116,7 @@ func BuildFleet(n *network.Network, internal func(string) bool, opts ...Transpor
 			continue
 		}
 		view := LocalViewOf(r)
-		node, err := StartNode(view, directory, coord.Addr(), opts...)
+		node, err := StartNode(view, directory, coord.Addr())
 		if err != nil {
 			coord.Close()
 			for _, nd := range nodes {

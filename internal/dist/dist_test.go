@@ -1,10 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"net/netip"
+	"reflect"
 	"testing"
-
-	"net"
 
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
@@ -29,35 +29,30 @@ func startPaper(t *testing.T, opt network.PaperOpts) *network.PaperNet {
 	return pn
 }
 
-func TestLocalViewStepMatchesCentralWalker(t *testing.T) {
+// TestLocalViewExpandMatchesCentralWalker pins the two adaptors of the
+// shared forwarding step against each other on a live network: a node's
+// view of itself and the central walker's view of that router expand every
+// probe address identically.
+func TestLocalViewExpandMatchesCentralWalker(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	tables := map[string]*fib.Table{}
 	for _, r := range pn.Routers() {
 		tables[r.Name] = r.FIB
 	}
 	central := dataplane.NewWalker(pn.Topo, dataplane.TableView(tables))
-	views := map[string]LocalView{}
+	probes := []netip.Addr{dataplane.Representative(pn.P), addr("203.0.113.9")}
 	for _, r := range pn.Routers() {
-		views[r.Name] = LocalViewOf(r)
-	}
-	// Chain local steps and compare with the central walk for P.
-	for _, src := range []string{"r1", "r2", "r3"} {
-		want := central.ForwardPrefix(src, pn.P)
-		cur := src
-		var got dataplane.Outcome
-		var egress string
-		for hops := 0; hops < 16; hops++ {
-			v := views[cur]
-			step := v.Step(dataplane.Representative(pn.P))
-			if step.Terminal {
-				got, egress = step.Outcome, cur
-				break
-			}
-			cur = step.Next
+		probes = append(probes, r.Topo.Loopback)
+		for _, i := range r.Topo.Interfaces() {
+			probes = append(probes, i.Addr)
 		}
-		if got != want.Outcome || (want.Outcome == dataplane.Delivered && egress != want.Egress) {
-			t.Fatalf("src %s: local chain = %v@%s, central = %v@%s",
-				src, got, egress, want.Outcome, want.Egress)
+	}
+	for _, r := range pn.Routers() {
+		v := LocalViewOf(r)
+		for _, dst := range probes {
+			if got, want := v.Expand(dst), central.Expand(r.Name, dst); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s -> %s: local view %+v, central %+v", r.Name, dst, got, want)
+			}
 		}
 	}
 }
@@ -226,45 +221,8 @@ func TestVerifyUnknownSourceFails(t *testing.T) {
 	}
 }
 
-func TestFrameCodec(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err == nil {
-			accepted <- conn
-		}
-	}()
-	c1, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2 := <-accepted
-	defer c2.Close()
-
-	// Round trip a real envelope.
-	want := envelope{Kind: "walk", Walk: &WalkMsg{WalkID: 7, Source: "r1", Dst: addr("10.0.0.1")}}
-	go func() {
-		if _, err := writeMsg(c1, want); err != nil {
-			t.Error(err)
-		}
-	}()
-	got, err := readMsg(c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != "walk" || got.Walk.WalkID != 7 || got.Walk.Dst != addr("10.0.0.1") {
-		t.Fatalf("round trip = %+v", got)
-	}
-
-	// Oversized frames are rejected.
-	go c1.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readMsg(c2); err == nil {
+func TestOversizedFrameRejected(t *testing.T) {
+	if _, err := readFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

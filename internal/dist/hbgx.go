@@ -13,13 +13,11 @@
 //
 // Queries ride the same pooled transport as verification walks: persistent
 // connections, binary provenance frames (mtProv/mtProvResult), write
-// deadlines and bounded retries, with legacy JSON envelopes still accepted
-// and re-speakable via TransportOptions.Legacy.
+// deadlines and bounded retries.
 
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -44,12 +42,7 @@ type ProvQuery struct {
 	Path []capture.IO
 	Hops int
 	Done bool
-	Err  string `json:",omitempty"`
-}
-
-type hbgEnvelope struct {
-	Kind  string     `json:"kind"`
-	Query *ProvQuery `json:"query,omitempty"`
+	Err  string
 }
 
 // HBGNode serves one router's happens-before subgraph.
@@ -70,22 +63,17 @@ type HBGNode struct {
 	wg     sync.WaitGroup
 }
 
-// StartHBGNode launches the node on 127.0.0.1. Transport options beyond
-// the first are ignored.
+// StartHBGNode launches the node on 127.0.0.1.
 func StartHBGNode(router string, sub *hbg.Graph, cross map[uint64]CrossRef,
-	directory func(string) (string, bool), resultTo string, opts ...TransportOptions) (*HBGNode, error) {
+	directory func(string) (string, bool), resultTo string) (*HBGNode, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	var topt TransportOptions
-	if len(opts) > 0 {
-		topt = opts[0]
-	}
 	wire := &wireStats{}
 	n := &HBGNode{
 		Router: router, Sub: sub, Cross: cross, ln: ln, directory: directory, resultTo: resultTo,
-		wire: wire, pool: newPool(topt, wire), conns: newConnSet(),
+		wire: wire, pool: newPool(wire), conns: newConnSet(),
 	}
 	n.wg.Add(1)
 	go n.serve()
@@ -143,26 +131,13 @@ func (n *HBGNode) serve() {
 }
 
 func (n *HBGNode) dispatch(payload []byte) {
-	if len(payload) == 0 {
+	if len(payload) < 2 || payload[0] != frameV1 || payload[1] != mtProv {
 		return
 	}
-	if payload[0] == frameV1 {
-		if len(payload) < 2 || payload[1] != mtProv {
-			return
-		}
-		r := &wireReader{b: payload[2:]}
-		q := r.prov()
-		if r.err == nil {
-			n.HandleQuery(q)
-		}
-		return
-	}
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil || env.HBG == nil {
-		return
-	}
-	if env.Kind == "prov" && env.HBG.Query != nil {
-		n.HandleQuery(*env.HBG.Query)
+	r := &wireReader{b: payload[2:]}
+	q := r.prov()
+	if r.err == nil {
+		n.HandleQuery(q)
 	}
 }
 
@@ -208,24 +183,14 @@ func (n *HBGNode) HandleQuery(q ProvQuery) {
 }
 
 func (n *HBGNode) forward(addr string, q ProvQuery) {
-	n.sendQuery(addr, "prov", mtProv, q)
+	n.sendQuery(addr, mtProv, q)
 }
 
 func (n *HBGNode) reply(q ProvQuery) {
-	n.sendQuery(n.resultTo, "prov-result", mtProvResult, q)
+	n.sendQuery(n.resultTo, mtProvResult, q)
 }
 
-func (n *HBGNode) sendQuery(addr, kind string, mt byte, q ProvQuery) {
-	if n.pool.opts.Legacy {
-		_, _ = n.pool.send(addr, func(b []byte) []byte {
-			payload, err := json.Marshal(envelope{Kind: kind, HBG: &hbgEnvelope{Kind: kind, Query: &q}})
-			if err != nil {
-				return b
-			}
-			return append(b, payload...)
-		})
-		return
-	}
+func (n *HBGNode) sendQuery(addr string, mt byte, q ProvQuery) {
 	_, _ = n.pool.send(addr, func(b []byte) []byte {
 		return appendProv(b, mt, &q)
 	})
@@ -288,26 +253,13 @@ func (c *HBGCoordinator) serve() {
 }
 
 func (c *HBGCoordinator) dispatch(payload []byte) {
-	if len(payload) == 0 {
+	if len(payload) < 2 || payload[0] != frameV1 || payload[1] != mtProvResult {
 		return
 	}
-	if payload[0] == frameV1 {
-		if len(payload) < 2 || payload[1] != mtProvResult {
-			return
-		}
-		r := &wireReader{b: payload[2:]}
-		q := r.prov()
-		if r.err == nil {
-			c.results <- q
-		}
-		return
-	}
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil || env.HBG == nil {
-		return
-	}
-	if env.Kind == "prov-result" && env.HBG.Query != nil {
-		c.results <- *env.HBG.Query
+	r := &wireReader{b: payload[2:]}
+	q := r.prov()
+	if r.err == nil {
+		c.results <- q
 	}
 }
 
@@ -333,9 +285,8 @@ func (c *HBGCoordinator) Trace(nodes map[string]*HBGNode, router string, ioID ui
 // BuildHBGFleet splits a (centrally inferred) graph into per-router nodes.
 // The cross-references come from the graph's cross-router edges — in a
 // real deployment the sender's event ID rides on the wire with each
-// advertisement, which our protocol messages already do. Transport options
-// beyond the first are ignored.
-func BuildHBGFleet(g *hbg.Graph, opts ...TransportOptions) (*HBGCoordinator, map[string]*HBGNode, func(), error) {
+// advertisement, which our protocol messages already do.
+func BuildHBGFleet(g *hbg.Graph) (*HBGCoordinator, map[string]*HBGNode, func(), error) {
 	coord, err := StartHBGCoordinator()
 	if err != nil {
 		return nil, nil, nil, err
@@ -368,7 +319,7 @@ func BuildHBGFleet(g *hbg.Graph, opts ...TransportOptions) (*HBGCoordinator, map
 		return nd.Addr(), true
 	}
 	for r := range routers {
-		node, err := StartHBGNode(r, g.Subgraph(r), cross[r], directory, coord.Addr(), opts...)
+		node, err := StartHBGNode(r, g.Subgraph(r), cross[r], directory, coord.Addr())
 		if err != nil {
 			coord.Close()
 			for _, nd := range nodes {

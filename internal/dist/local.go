@@ -29,73 +29,17 @@ import (
 // ---------------------------------------------------------------------------
 
 // ClassState computes the router's locally-observable forwarding state
-// for one class from its own FIB and interfaces, mirroring Expand's
-// semantics exactly (local delivery first, then LPM, then set
-// resolution) so local checks judge the same state a symbolic walk
-// would traverse.
+// for one class: the shared forwarding step over its own FIB and
+// interfaces — so local checks judge exactly the state a symbolic walk
+// would traverse — plus the covering entry's configured next-hop set.
 func (v *LocalView) ClassState(class netip.Prefix) localck.ClassState {
-	dst := dataplane.Representative(class)
-	var st localck.ClassState
-	st.Canonical = true
-	for _, i := range v.Ifaces {
-		if !i.Up {
-			continue
-		}
-		if i.Prefix.Contains(dst) {
-			if i.Stub || i.Addr == dst || i.PeerAddr == dst {
-				st.Delivered = true
-				return st
-			}
-		}
+	s := v.step(dataplane.Representative(class))
+	st := localck.ClassState{
+		HasRoute: s.HasRoute, Delivered: s.Delivered, Stuck: s.Stuck, SelfLoop: s.Cycle,
+		Nexts: s.Nexts, Hops: s.Entry.HopSet(), Canonical: true,
 	}
-	if dst == v.Loopback {
-		st.Delivered = true
-		return st
-	}
-	e, ok := v.lpm(dst)
-	if !ok {
-		return st
-	}
-	st.HasRoute = true
-	if e.HopCount() == 0 {
-		st.Delivered = true
-		return st
-	}
-	if len(e.NextHops) > 0 {
-		st.Hops = append(st.Hops, e.NextHops...)
-		st.Canonical = localck.CanonicalHops(e.NextHops) && e.NextHops[0] == e.NextHop && len(e.NextHops) >= 2
-	} else {
-		st.Hops = append(st.Hops, e.NextHop)
-	}
-	for i := 0; i < e.HopCount(); i++ {
-		h := e.Hop(i)
-		res, stuck := v.resolveSet(h, 4, nil)
-		if stuck {
-			st.Stuck = true
-		}
-		for _, nx := range res {
-			if nx == v.Router {
-				st.Delivered = true
-				continue
-			}
-			st.Nexts = append(st.Nexts, nx)
-		}
-		// The set resolution conflates resolution cycles with dead ends;
-		// re-run the single-path resolver to surface self-loops distinctly.
-		if _, status := v.resolve(h, map[netip.Addr]bool{}); status == resolveCycle {
-			st.SelfLoop = true
-		}
-	}
-	if len(st.Nexts) > 1 {
-		sort.Strings(st.Nexts)
-		w := 1
-		for i := 1; i < len(st.Nexts); i++ {
-			if st.Nexts[i] != st.Nexts[w-1] {
-				st.Nexts[w] = st.Nexts[i]
-				w++
-			}
-		}
-		st.Nexts = st.Nexts[:w]
+	if hops := s.Entry.NextHops; len(hops) > 0 {
+		st.Canonical = localck.CanonicalHops(hops) && hops[0] == s.Entry.NextHop && len(hops) >= 2
 	}
 	return st
 }

@@ -4,7 +4,7 @@
 // reusable scratch buffer, and writes one length-prefixed frame under a
 // write deadline. A broken connection is redialed with bounded backoff
 // instead of blocking forever, and every frame/byte/retry/error is counted
-// so transports can be compared honestly.
+// so wire cost is measured rather than estimated.
 
 package dist
 
@@ -18,48 +18,16 @@ import (
 	"time"
 )
 
-// Transport timeouts and retry policy. Zero values in TransportOptions fall
-// back to these.
+// Transport timeouts and retry policy: dialTimeout and writeTimeout bound
+// connection setup and frame writes so a dead peer surfaces as an error
+// instead of a hang; a failed send is retried sendRetries times on a fresh
+// connection, sendBackoff apart, before giving up.
 const (
-	defaultDialTimeout  = 2 * time.Second
-	defaultWriteTimeout = 2 * time.Second
-	defaultRetries      = 2
-	defaultBackoff      = 10 * time.Millisecond
+	dialTimeout  = 2 * time.Second
+	writeTimeout = 2 * time.Second
+	sendRetries  = 2
+	sendBackoff  = 10 * time.Millisecond
 )
-
-// TransportOptions tunes the pooled transport shared by nodes and
-// coordinators.
-type TransportOptions struct {
-	// Legacy selects the pre-pool behaviour — one TCP dial and one JSON
-	// envelope per message — used as the benchmark baseline.
-	Legacy bool
-	// DialTimeout / WriteTimeout bound connection setup and frame writes so
-	// a dead peer surfaces as an error instead of a hang.
-	DialTimeout  time.Duration
-	WriteTimeout time.Duration
-	// Retries is how many times a failed send is retried (with Backoff
-	// between attempts) on a fresh connection before giving up.
-	Retries int
-	Backoff time.Duration
-}
-
-func (o TransportOptions) withDefaults() TransportOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = defaultDialTimeout
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = defaultWriteTimeout
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = defaultRetries
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = defaultBackoff
-	}
-	return o
-}
 
 // wireStats counts transport-level traffic. All fields are atomics so the
 // hot path never takes a lock for accounting.
@@ -80,7 +48,6 @@ type peerConn struct {
 
 // pool manages persistent connections keyed by peer address.
 type pool struct {
-	opts  TransportOptions
 	stats *wireStats
 
 	mu     sync.Mutex
@@ -88,8 +55,8 @@ type pool struct {
 	closed bool
 }
 
-func newPool(opts TransportOptions, stats *wireStats) *pool {
-	return &pool{opts: opts.withDefaults(), stats: stats, peers: map[string]*peerConn{}}
+func newPool(stats *wireStats) *pool {
+	return &pool{stats: stats, peers: map[string]*peerConn{}}
 }
 
 func (p *pool) peer(addr string) (*peerConn, error) {
@@ -110,9 +77,6 @@ func (p *pool) peer(addr string) (*peerConn, error) {
 // scratch buffer and returns it) and writes it to addr, redialing with
 // backoff on failure. It returns the payload size written.
 func (p *pool) send(addr string, encode func([]byte) []byte) (int, error) {
-	if p.opts.Legacy {
-		return p.sendLegacy(addr, encode)
-	}
 	pc, err := p.peer(addr)
 	if err != nil {
 		return 0, err
@@ -122,10 +86,10 @@ func (p *pool) send(addr string, encode func([]byte) []byte) (int, error) {
 	payload := encode(pc.buf[:0])
 	pc.buf = payload // keep the (possibly grown) buffer for reuse
 	var lastErr error
-	for attempt := 0; attempt <= p.opts.Retries; attempt++ {
+	for attempt := 0; attempt <= sendRetries; attempt++ {
 		if attempt > 0 {
 			p.stats.retries.Add(1)
-			time.Sleep(p.opts.Backoff)
+			time.Sleep(sendBackoff)
 		}
 		p.mu.Lock()
 		closed := p.closed
@@ -135,7 +99,7 @@ func (p *pool) send(addr string, encode func([]byte) []byte) (int, error) {
 			break
 		}
 		if pc.conn == nil {
-			conn, err := net.DialTimeout("tcp", addr, p.opts.DialTimeout)
+			conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 			if err != nil {
 				lastErr = err
 				continue
@@ -154,26 +118,8 @@ func (p *pool) send(addr string, encode func([]byte) []byte) (int, error) {
 	return 0, fmt.Errorf("dist: send to %s failed: %w", addr, lastErr)
 }
 
-// sendLegacy reproduces the original transport: dial, write one frame,
-// close. Counted through the same wireStats so byte/frame comparisons
-// between the two transports use identical accounting.
-func (p *pool) sendLegacy(addr string, encode func([]byte) []byte) (int, error) {
-	payload := encode(nil)
-	conn, err := net.DialTimeout("tcp", addr, p.opts.DialTimeout)
-	if err != nil {
-		p.stats.errors.Add(1)
-		return 0, err
-	}
-	defer conn.Close()
-	if err := p.writeFrame(conn, payload); err != nil {
-		p.stats.errors.Add(1)
-		return 0, err
-	}
-	return len(payload) + 4, nil
-}
-
 func (p *pool) writeFrame(conn net.Conn, payload []byte) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(p.opts.WriteTimeout)); err != nil {
+	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	var hdr [4]byte
@@ -239,8 +185,7 @@ func (s *connSet) closeAll() {
 	s.mu.Unlock()
 }
 
-// readFrame reads one length-prefixed payload. The caller dispatches on the
-// first payload byte (frameV1 → binary, '{' → legacy JSON envelope).
+// readFrame reads one length-prefixed payload.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

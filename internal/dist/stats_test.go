@@ -112,40 +112,3 @@ func TestStatsWireAccounting(t *testing.T) {
 		t.Fatalf("local round stats = %+v", local)
 	}
 }
-
-// TestStatsWireAccountingLegacy runs the full-round accounting check over
-// the legacy JSON transport: dial-per-message costs more wire but the
-// Frames/Bytes bookkeeping must still match the fleet counter delta.
-func TestStatsWireAccountingLegacy(t *testing.T) {
-	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil, TransportOptions{Legacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
-	policies := []verify.Policy{{Kind: verify.Reachable, Prefix: pn.P}}
-	sources := []string{"r1", "r2", "r3"}
-
-	f0, b0 := coord.FleetWire(nodes)
-	stats, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, b1 := coord.FleetWire(nodes)
-	if stats.Frames != int(f1-f0) || stats.Bytes != int(b1-b0) {
-		t.Fatalf("legacy round: stats frames/bytes %d/%d, wire delta %d/%d", stats.Frames, stats.Bytes, f1-f0, b1-b0)
-	}
-	if stats.Frames == 0 || !stats.Report.OK() {
-		t.Fatalf("legacy stats = %+v", stats)
-	}
-
-	// Retained results survive transport modes: a clean-skip round over
-	// the legacy fleet is still free.
-	clean, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Dirty: []string{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.Frames != 0 || clean.Bytes != 0 || clean.CleanSkipped != 3 {
-		t.Fatalf("legacy clean-skip stats = %+v", clean)
-	}
-}

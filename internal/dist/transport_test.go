@@ -55,7 +55,7 @@ func TestBinaryViewDeltaRoundTrip(t *testing.T) {
 		},
 		Removes:  []netip.Prefix{pfx("172.16.0.0/12")},
 		HasIface: true,
-		Ifaces: []IfaceInfo{
+		Ifaces: []dataplane.Iface{
 			{Name: "eth0", Addr: addr("192.168.1.1"), Prefix: pfx("192.168.1.0/30"),
 				PeerAddr: addr("192.168.1.2"), PeerName: "r2", Up: true},
 			{Name: "lo", Addr: addr("1.1.1.1"), Prefix: pfx("1.1.1.1/32"), Stub: true, Up: false},
@@ -107,59 +107,6 @@ func TestTruncatedBinaryFrameRejected(t *testing.T) {
 		if r.err == nil && cut < len(payload) {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(payload))
 		}
-	}
-}
-
-// TestLegacyAndPooledAgree runs the same round over both transports and
-// requires identical verdicts with the pooled transport spending fewer
-// frames and fewer bytes.
-func TestLegacyAndPooledAgree(t *testing.T) {
-	pn := startPaper(t, network.DefaultPaperOpts())
-	policies := []verify.Policy{
-		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
-		{Kind: verify.NoLoop, Prefix: pn.P},
-		{Kind: verify.NoBlackhole, Prefix: pfx("1.1.1.1/32")},
-	}
-	sources := []string{"r1", "r2", "r3"}
-
-	run := func(topt TransportOptions, vopt VerifyOpts) Stats {
-		t.Helper()
-		coord, nodes, teardown, err := BuildFleet(pn.Network, nil, topt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer teardown()
-		stats, err := coord.VerifyWith(nodes, policies, sources, vopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	legacy := run(TransportOptions{Legacy: true}, VerifyOpts{Legacy: true})
-	pooled := run(TransportOptions{}, VerifyOpts{})
-
-	if legacy.Report.Checked != pooled.Report.Checked ||
-		len(legacy.Report.Violations) != len(pooled.Report.Violations) {
-		t.Fatalf("reports differ: legacy %+v pooled %+v", legacy.Report, pooled.Report)
-	}
-	if len(legacy.Results) != len(pooled.Results) {
-		t.Fatalf("result counts differ: %d vs %d", len(legacy.Results), len(pooled.Results))
-	}
-	for i := range legacy.Results {
-		l, p := legacy.Results[i], pooled.Results[i]
-		if l.Outcome != p.Outcome || l.Egress != p.Egress || !reflect.DeepEqual(l.Path, p.Path) {
-			t.Fatalf("walk %d differs: legacy %+v pooled %+v", i, l, p)
-		}
-	}
-	if pooled.Frames >= legacy.Frames {
-		t.Fatalf("pooled frames %d not below legacy %d", pooled.Frames, legacy.Frames)
-	}
-	if pooled.Bytes >= legacy.Bytes {
-		t.Fatalf("pooled bytes %d not below legacy %d", pooled.Bytes, legacy.Bytes)
-	}
-	// Logical message counts are transport-independent.
-	if pooled.Messages != legacy.Messages {
-		t.Fatalf("messages differ: pooled %d legacy %d", pooled.Messages, legacy.Messages)
 	}
 }
 
