@@ -10,7 +10,6 @@ package hbverify
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -18,10 +17,8 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,7 +37,6 @@ import (
 	"hbverify/internal/network"
 	"hbverify/internal/repair"
 	"hbverify/internal/route"
-	"hbverify/internal/serve"
 	"hbverify/internal/snapshot"
 	"hbverify/internal/stream"
 	"hbverify/internal/topology"
@@ -351,7 +347,7 @@ func BenchmarkBlockingHazard(b *testing.B) {
 		policy := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 		before := verify.NewChecker(w, internalSources).Check(policy)
 		if !block {
-			eng := repair.NewEngine(pn.Network, rules, internalSources)
+			eng := repair.NewEngine(pn.Network, rules, verify.NewChecker(pn.LiveWalker(), internalSources).Check)
 			if _, err := eng.DetectAndRepair(policy); err != nil {
 				b.Fatal(err)
 			}
@@ -1802,538 +1798,5 @@ func BenchmarkScaleConvergence(b *testing.B) {
 	if speedup < 2 {
 		b.Errorf("wheel kernel %.2fx heap on churn events/sec, want >= 2x (%.0f vs %.0f)",
 			speedup, churnWheel, churnHeap)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E20 — tentpole PR9: verification as a query service.
-// ---------------------------------------------------------------------------
-
-// serveK, serveClients, and serveQueries size BenchmarkServeQueries. The
-// defaults are the acceptance size (fat-tree k=8, 80 routers, 30K mixed
-// queries per measured run from 8 concurrent clients); the CI serve-smoke
-// job runs -serve.k=4 -serve.queries=6000.
-var (
-	serveK       = flag.Int("serve.k", 8, "fat-tree arity in BenchmarkServeQueries")
-	serveClients = flag.Int("serve.clients", 8, "concurrent query clients in BenchmarkServeQueries")
-	serveQueries = flag.Int("serve.queries", 30_000,
-		"mixed queries per measured run in BenchmarkServeQueries")
-)
-
-// BenchmarkServeQueries — tentpole PR9: sustained mixed verification
-// queries (reachability, waypoint, isolation over edge-to-edge pairs)
-// against a converged fat-tree whose FIBs churn under the queries' feet.
-// A background writer flips a static on a rotating edge router, driving
-// per-router plan invalidation through the walk cache's epoch/floor
-// machinery. Two engine modes run the same workload: the shared plan
-// cache (queries over one forwarding class share one walk; misses
-// coalesce) versus the plan-per-query baseline (DisableCache: every
-// query pays for its own walk, no coalescing). The >= 5x QPS floor for
-// the cached path is enforced here and the record — QPS both ways, p50
-// and p99 service latency, cache-hit ratio, shed count — is persisted to
-// BENCH_serve.json.
-func BenchmarkServeQueries(b *testing.B) {
-	k := *serveK
-	n, err := network.BuildFatTree(1, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.Start()
-	drainToConvergence(b, n)
-
-	// Edge routers are the query sources; their loopbacks the targets.
-	half := k / 2
-	var edges []string
-	var prefixes []netip.Prefix
-	for p := 0; p < k; p++ {
-		for i := 0; i < half; i++ {
-			edges = append(edges, fmt.Sprintf("p%de%d", p, i))
-			prefixes = append(prefixes, route.MustPrefix(fmt.Sprintf("9.1.%d.%d/32", p, i+1)))
-		}
-	}
-	pipe := NewPipeline(n, edges)
-	defer pipe.Close()
-
-	// The mixed workload: one query kind per ordered edge pair, so every
-	// query maps to a distinct (source, probe) plan and repeat passes over
-	// the pool are the cache's steady state.
-	var queries []serve.Query
-	for si, src := range edges {
-		for di, pfx := range prefixes {
-			if si == di {
-				continue
-			}
-			switch (si + di) % 3 {
-			case 0:
-				queries = append(queries, serve.Reachability(src, pfx))
-			case 1:
-				// The destination pod's first aggregation router is on
-				// every inter-pod path into that pod.
-				queries = append(queries, serve.Waypoint(src, pfx, fmt.Sprintf("p%da0", di/half)))
-			default:
-				queries = append(queries, serve.Isolation(src, pfx, "core0"))
-			}
-		}
-	}
-
-	// Churn: flip a static on a rotating edge router every ~200us. Each
-	// flip fires the FIB OnChange hook and invalidates exactly the plans
-	// whose walk crossed that router.
-	churnStop := make(chan struct{})
-	var churnFlips atomic.Int64
-	var churnWG sync.WaitGroup
-	churnWG.Add(1)
-	go func() {
-		defer churnWG.Done()
-		rt := route.Route{
-			Prefix:  netip.MustParsePrefix("55.0.0.0/24"),
-			Proto:   route.ProtoStatic,
-			NextHop: netip.MustParseAddr("10.255.255.1"),
-		}
-		for i := 0; ; i++ {
-			select {
-			case <-churnStop:
-				return
-			default:
-			}
-			f := n.Router(edges[i%len(edges)]).FIB
-			if i%2 == 0 {
-				f.Offer(rt)
-			} else {
-				f.Withdraw(route.ProtoStatic, rt.Prefix)
-			}
-			churnFlips.Add(1)
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	defer func() {
-		close(churnStop)
-		churnWG.Wait()
-	}()
-
-	drive := func(b *testing.B, eng *serve.Engine) (qps float64, stats serve.Stats) {
-		clients := *serveClients
-		per := *serveQueries / clients
-		for i := 0; i < b.N; i++ {
-			before := eng.Stats()
-			var wg sync.WaitGroup
-			start := time.Now()
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for q := 0; q < per; q++ {
-						if _, err := eng.Query(queries[(c*per+q)%len(queries)]); err != nil &&
-							!errors.Is(err, serve.ErrOverloaded) {
-							b.Errorf("query: %v", err)
-							return
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			after := eng.Stats()
-			stats = serve.Stats{
-				Queries:   after.Queries - before.Queries,
-				PlanHits:  after.PlanHits - before.PlanHits,
-				Coalesced: after.Coalesced - before.Coalesced,
-				Executed:  after.Executed - before.Executed,
-				Rejected:  after.Rejected - before.Rejected,
-			}
-			qps = float64(stats.Queries) / elapsed.Seconds()
-			b.ReportMetric(qps, "queries/sec")
-		}
-		return qps, stats
-	}
-
-	var cachedQPS, baselineQPS float64
-	var cachedStats, baselineStats serve.Stats
-	var p50, p99 time.Duration
-	b.Run("plan-cache", func(b *testing.B) {
-		eng := pipe.ServeEngine(nil)
-		defer eng.Close()
-		cachedQPS, cachedStats = drive(b, eng)
-		hist := eng.Metrics().Histogram("serve.query.latency")
-		p50, p99 = hist.Quantile(0.5), hist.Quantile(0.99)
-	})
-	b.Run("plan-per-query", func(b *testing.B) {
-		eng := serve.New(serve.Config{
-			Executor:     serve.WalkerExecutor{W: pipe.Walker()},
-			Metrics:      metrics.NewRegistry(),
-			DisableCache: true,
-		})
-		defer eng.Close()
-		baselineQPS, baselineStats = drive(b, eng)
-	})
-	if cachedQPS == 0 || baselineQPS == 0 {
-		return // sub-benchmarks filtered out
-	}
-	speedup := cachedQPS / baselineQPS
-
-	once("servequeries", func() {
-		fmt.Printf("\n[tentpole/PR9] query service: fat-tree k=%d (%d routers), %d clients, %d mixed queries/run, FIB churn every 200us\n",
-			k, len(n.Routers()), *serveClients, *serveQueries)
-		fmt.Printf("  plan-cache:     %10.0f queries/sec  hit ratio %.3f (%d hits, %d coalesced, %d walks, %d shed)\n",
-			cachedQPS, cachedStats.HitRatio(), cachedStats.PlanHits, cachedStats.Coalesced,
-			cachedStats.Executed, cachedStats.Rejected)
-		fmt.Printf("  plan-per-query: %10.0f queries/sec  (%d walks executed)\n",
-			baselineQPS, baselineStats.Executed)
-		fmt.Printf("  service latency p50 %v, p99 %v; churn flips during run: %d\n",
-			p50, p99, churnFlips.Load())
-		fmt.Printf("  sustained QPS %.1fx plan-per-query\n", speedup)
-		artifact, _ := json.MarshalIndent(map[string]interface{}{
-			"benchmark": "BenchmarkServeQueries",
-			"fattree_k": k, "routers": len(n.Routers()),
-			"clients": *serveClients, "queries_per_run": *serveQueries,
-			"cached_queries_per_sec":   cachedQPS,
-			"baseline_queries_per_sec": baselineQPS,
-			"qps_speedup":              speedup,
-			"cache_hit_ratio":          cachedStats.HitRatio(),
-			"plan_hits":                cachedStats.PlanHits,
-			"coalesced":                cachedStats.Coalesced,
-			"walks_executed":           cachedStats.Executed,
-			"shed":                     cachedStats.Rejected,
-			"p50_micros":               p50.Microseconds(),
-			"p99_micros":               p99.Microseconds(),
-			"churn_flips":              churnFlips.Load(),
-			"floors":                   map[string]float64{"qps_speedup_min": 5},
-		}, "", "  ")
-		if err := os.WriteFile("BENCH_serve.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_serve.json:", err, ")")
-		}
-	})
-	if speedup < 5 {
-		b.Errorf("plan-cache path sustains %.1fx plan-per-query QPS, want >= 5x (%.0f vs %.0f queries/sec)",
-			speedup, cachedQPS, baselineQPS)
-	}
-}
-
-var distQueryCount = flag.Int("distquery.n", 2000,
-	"sequential queries per mode in BenchmarkDistQueryLatency")
-
-// BenchmarkDistQueryLatency — query latency with plans executed as
-// single-walk fleet rounds (serve.DistExecutor: one correlation-isolated
-// round per plan through the TCP coordinator) versus central walks
-// (serve.WalkerExecutor over the live FIBs). Both engines run
-// plan-per-query (DisableCache, unbounded queue) and the queries run
-// sequentially, so the p50/p99 spread is pure executor cost: frame
-// round-trips per hop for the fleet against in-process map lookups for
-// the walker. Folded into BENCH_serve.json under "dist_query".
-func BenchmarkDistQueryLatency(b *testing.B) {
-	const k = 4
-	n, err := network.BuildFatTree(1, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.Start()
-	drainToConvergence(b, n)
-
-	half := k / 2
-	var edges []string
-	var prefixes []netip.Prefix
-	for p := 0; p < k; p++ {
-		for i := 0; i < half; i++ {
-			edges = append(edges, fmt.Sprintf("p%de%d", p, i))
-			prefixes = append(prefixes, route.MustPrefix(fmt.Sprintf("9.1.%d.%d/32", p, i+1)))
-		}
-	}
-	var queries []serve.Query
-	for si, src := range edges {
-		for di, pfx := range prefixes {
-			if si != di {
-				queries = append(queries, serve.Reachability(src, pfx))
-			}
-		}
-	}
-
-	coord, nodes, teardown, err := dist.BuildFleet(n, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer teardown()
-
-	drive := func(b *testing.B, eng *serve.Engine) (p50, p99 time.Duration) {
-		for i := 0; i < b.N; i++ {
-			for q := 0; q < *distQueryCount; q++ {
-				if _, err := eng.Query(queries[q%len(queries)]); err != nil {
-					b.Fatalf("query: %v", err)
-				}
-			}
-		}
-		hist := eng.Metrics().Histogram("serve.query.latency")
-		p50, p99 = hist.Quantile(0.5), hist.Quantile(0.99)
-		b.ReportMetric(float64(p99.Microseconds()), "p99-us")
-		return p50, p99
-	}
-
-	var distP50, distP99, walkP50, walkP99 time.Duration
-	b.Run("fleet-round", func(b *testing.B) {
-		eng := serve.New(serve.Config{
-			Executor:     &serve.DistExecutor{Coord: coord, Nodes: nodes},
-			Metrics:      metrics.NewRegistry(),
-			DisableCache: true,
-			MaxQueue:     -1,
-		})
-		defer eng.Close()
-		distP50, distP99 = drive(b, eng)
-	})
-	b.Run("central-walk", func(b *testing.B) {
-		tables := map[string]*fib.Table{}
-		for _, r := range n.Routers() {
-			tables[r.Name] = r.FIB
-		}
-		eng := serve.New(serve.Config{
-			Executor:     serve.WalkerExecutor{W: dataplane.NewWalker(n.Topo, dataplane.TableView(tables))},
-			Metrics:      metrics.NewRegistry(),
-			DisableCache: true,
-			MaxQueue:     -1,
-		})
-		defer eng.Close()
-		walkP50, walkP99 = drive(b, eng)
-	})
-	if distP99 == 0 || walkP99 == 0 {
-		return // sub-benchmarks filtered out
-	}
-
-	once("distquerylatency", func() {
-		fmt.Printf("\n[satellite] dist query latency: fat-tree k=%d (%d routers), %d sequential queries per mode\n",
-			k, len(n.Routers()), *distQueryCount)
-		fmt.Printf("  fleet-round:  p50 %v, p99 %v\n", distP50, distP99)
-		fmt.Printf("  central-walk: p50 %v, p99 %v\n", walkP50, walkP99)
-		record := map[string]interface{}{
-			"benchmark": "BenchmarkDistQueryLatency",
-			"fattree_k": k, "routers": len(n.Routers()), "queries_per_mode": *distQueryCount,
-			"fleet_p50_micros":   distP50.Microseconds(),
-			"fleet_p99_micros":   distP99.Microseconds(),
-			"central_p50_micros": walkP50.Microseconds(),
-			"central_p99_micros": walkP99.Microseconds(),
-		}
-		// Fold into BENCH_serve.json next to the query-service record.
-		merged := map[string]interface{}{}
-		if prev, err := os.ReadFile("BENCH_serve.json"); err == nil {
-			_ = json.Unmarshal(prev, &merged)
-		}
-		merged["dist_query"] = record
-		artifact, _ := json.MarshalIndent(merged, "", "  ")
-		if err := os.WriteFile("BENCH_serve.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_serve.json:", err, ")")
-		}
-	})
-}
-
-var (
-	localckK       = flag.Int("localck.k", 8, "fat-tree arity in BenchmarkLocalCheck")
-	localckUpdates = flag.Int("localck.updates", 8,
-		"churn updates (link flap half-cycles) per measured run in BenchmarkLocalCheck")
-)
-
-// BenchmarkLocalCheck — tentpole PR10: per-update wire cost of the
-// local-check verification mode against per-walk distributed rounds. A
-// converged fat-tree takes single-link churn (the p0e1–p0a0 link flaps;
-// each half-cycle is one update batch), and after every update two fleets
-// verify the same six policies (Reachable/NoLoop/NoBlackhole over the
-// p0e0 and far-pod edge loopbacks) from every edge router. The per-walk
-// fleet ships view deltas and re-walks every check whose retained path
-// crossed a dirty router; the local-check fleet ships the same deltas
-// with sync IDs and certifies every pair from per-router invariant
-// checks — the flap narrows and widens ECMP sets but never breaks
-// label monotonicity for the measured classes, so quiet updates cost
-// only the delta and report frames. Floors: >= 10x fewer bytes/update
-// and >= 5x fewer frames/update, enforced here and persisted with the
-// record to BENCH_localck.json.
-func BenchmarkLocalCheck(b *testing.B) {
-	k := *localckK
-	updates := *localckUpdates
-	if updates%2 != 0 {
-		b.Fatalf("-localck.updates must be even (flap half-cycles), got %d", updates)
-	}
-	n, err := network.BuildFatTree(1, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.Start()
-	drainToConvergence(b, n)
-
-	half := k / 2
-	var edgeSources []string
-	for p := 0; p < k; p++ {
-		for i := 0; i < half; i++ {
-			edgeSources = append(edgeSources, fmt.Sprintf("p%de%d", p, i))
-		}
-	}
-	classes := []netip.Prefix{
-		route.MustPrefix("9.1.0.1/32"),                    // p0e0 loopback
-		route.MustPrefix(fmt.Sprintf("9.1.%d.1/32", k-1)), // p{k-1}e0 loopback
-	}
-	var policies []verify.Policy
-	for _, c := range classes {
-		policies = append(policies,
-			verify.Policy{Kind: verify.Reachable, Prefix: c},
-			verify.Policy{Kind: verify.NoLoop, Prefix: c},
-			verify.Policy{Kind: verify.NoBlackhole, Prefix: c})
-	}
-
-	// Dirty tracking shared by both fleets: every FIB change and link flip
-	// marks its router, exactly as the pipeline's hooks do.
-	var dirtyMu sync.Mutex
-	dirtySet := map[string]bool{}
-	for _, r := range n.Routers() {
-		name := r.Name
-		r.FIB.OnChange(func(fib.Update) {
-			dirtyMu.Lock()
-			dirtySet[name] = true
-			dirtyMu.Unlock()
-		})
-	}
-	n.OnLinkChange(func(a, bb string, up bool) {
-		dirtyMu.Lock()
-		dirtySet[a] = true
-		dirtySet[bb] = true
-		dirtyMu.Unlock()
-	})
-	takeDirty := func() []string {
-		dirtyMu.Lock()
-		defer dirtyMu.Unlock()
-		out := make([]string, 0, len(dirtySet))
-		for r := range dirtySet {
-			out = append(out, r)
-		}
-		dirtySet = map[string]bool{}
-		sort.Strings(out)
-		return out
-	}
-
-	walkCoord, walkNodes, walkDown, err := dist.BuildFleet(n, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer walkDown()
-	localCoord, localNodes, localDown, err := dist.BuildFleet(n, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer localDown()
-	if _, err := localCoord.Relabel(localNodes, classes); err != nil {
-		b.Fatal(err)
-	}
-	takeDirty() // fleets were built from the converged views: start clean
-
-	type tally struct {
-		frames, bytes int64
-		walks, checks int
-	}
-	var walkT, localT tally
-	var certified, escalated, violations int
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		walkT, localT = tally{}, tally{}
-		certified, escalated, violations = 0, 0, 0
-		for u := 0; u < updates; u++ {
-			if _, err := n.SetLinkUp("p0e1", "p0a0", u%2 != 0); err != nil {
-				b.Fatal(err)
-			}
-			drainToConvergence(b, n)
-			dirty := takeDirty()
-			views := map[string]dist.LocalView{}
-			for _, r := range dirty {
-				if rt := n.Router(r); rt != nil {
-					views[r] = dist.LocalViewOf(rt)
-				}
-			}
-
-			// Per-walk round: sync deltas, then re-walk everything the
-			// dirty set touches.
-			f0, b0 := walkCoord.FleetWire(walkNodes)
-			if _, err := walkCoord.SyncViews(walkNodes, views, dirty); err != nil {
-				b.Fatal(err)
-			}
-			wstats, err := walkCoord.VerifyWith(walkNodes, policies, edgeSources, dist.VerifyOpts{Dirty: dirty})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !wstats.Report.OK() {
-				b.Fatalf("update %d: per-walk round found violations: %+v", u, wstats.Report.Violations)
-			}
-			f1, b1 := walkCoord.FleetWire(walkNodes)
-			walkT.frames += f1 - f0
-			walkT.bytes += b1 - b0
-			walkT.walks += wstats.Walks
-			walkT.checks += wstats.Report.Checked
-
-			// Local-check round: same deltas with sync IDs, certification
-			// from per-router invariants, walks only on escalation.
-			f0, b0 = localCoord.FleetWire(localNodes)
-			if _, err := localCoord.SyncViewsChecked(localNodes, views, dirty, 0); err != nil {
-				b.Fatal(err)
-			}
-			lstats, err := localCoord.VerifyLocal(localNodes, policies, edgeSources, dist.VerifyOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !lstats.Report.OK() {
-				b.Fatalf("update %d: local-check round found violations: %+v", u, lstats.Report.Violations)
-			}
-			if lstats.Report.Checked != wstats.Report.Checked {
-				b.Fatalf("update %d: local-check checked %d, per-walk %d",
-					u, lstats.Report.Checked, wstats.Report.Checked)
-			}
-			f1, b1 = localCoord.FleetWire(localNodes)
-			localT.frames += f1 - f0
-			localT.bytes += b1 - b0
-			localT.walks += lstats.Walks
-			localT.checks += lstats.Report.Checked
-			certified += lstats.LocalCertified
-			escalated += lstats.Escalated
-			violations += lstats.LocalViolations
-		}
-	}
-	b.StopTimer()
-
-	walkBytesPer := float64(walkT.bytes) / float64(updates)
-	walkFramesPer := float64(walkT.frames) / float64(updates)
-	localBytesPer := float64(localT.bytes) / float64(updates)
-	localFramesPer := float64(localT.frames) / float64(updates)
-	bytesRatio := walkBytesPer / localBytesPer
-	framesRatio := walkFramesPer / localFramesPer
-	b.ReportMetric(localBytesPer, "local-bytes/update")
-	b.ReportMetric(bytesRatio, "bytes-ratio")
-
-	once("localcheck", func() {
-		fmt.Printf("\n[tentpole/PR10] local-check mode: fat-tree k=%d (%d routers), %d edge sources, %d checks/round, %d updates (p0e1-p0a0 flaps)\n",
-			k, len(n.Routers()), len(edgeSources), len(policies)*len(edgeSources), updates)
-		fmt.Printf("  per-walk rounds:    %8.0f bytes/update, %6.1f frames/update (%d walks total)\n",
-			walkBytesPer, walkFramesPer, walkT.walks)
-		fmt.Printf("  local-check rounds: %8.0f bytes/update, %6.1f frames/update (%d certified, %d escalated, %d violations)\n",
-			localBytesPer, localFramesPer, certified, escalated, violations)
-		fmt.Printf("  wire reduction: %.1fx fewer bytes, %.1fx fewer frames per update\n", bytesRatio, framesRatio)
-		artifact, _ := json.MarshalIndent(map[string]interface{}{
-			"benchmark": "BenchmarkLocalCheck",
-			"fattree_k": k, "routers": len(n.Routers()),
-			"edge_sources": len(edgeSources), "updates": updates,
-			"checks_per_round":          len(policies) * len(edgeSources),
-			"perwalk_bytes_per_update":  walkBytesPer,
-			"perwalk_frames_per_update": walkFramesPer,
-			"local_bytes_per_update":    localBytesPer,
-			"local_frames_per_update":   localFramesPer,
-			"bytes_ratio":               bytesRatio,
-			"frames_ratio":              framesRatio,
-			"local_certified":           certified,
-			"escalated":                 escalated,
-			"local_violations":          violations,
-			"floors":                    map[string]float64{"bytes_ratio_min": 10, "frames_ratio_min": 5},
-		}, "", "  ")
-		if err := os.WriteFile("BENCH_localck.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_localck.json:", err, ")")
-		}
-	})
-	if bytesRatio < 10 {
-		b.Errorf("local-check mode ships %.1fx fewer bytes/update than per-walk rounds, want >= 10x (%.0f vs %.0f)",
-			bytesRatio, walkBytesPer, localBytesPer)
-	}
-	if framesRatio < 5 {
-		b.Errorf("local-check mode ships %.1fx fewer frames/update than per-walk rounds, want >= 5x (%.1f vs %.1f)",
-			framesRatio, walkFramesPer, localFramesPer)
 	}
 }

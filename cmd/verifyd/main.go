@@ -31,9 +31,7 @@ import (
 
 	"hbverify"
 	"hbverify/internal/config"
-	"hbverify/internal/dataplane"
 	"hbverify/internal/dist"
-	"hbverify/internal/fib"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
@@ -149,15 +147,13 @@ func run(violate bool, grid int, seed int64, workers, queries int, queryAddr str
 		sources = []string{"r1", "r2", "r3"}
 	}
 
-	coord, nodes, teardown, err := dist.BuildFleet(n, nil)
-	if err != nil {
-		return err
-	}
-	defer teardown()
-	fmt.Printf("fleet: %d nodes + coordinator %s\n", len(nodes), coord.Addr())
-
-	reg := metrics.NewRegistry()
-	stats, err := coord.VerifyWith(nodes, policies, sources, dist.VerifyOpts{Metrics: reg})
+	// One pipeline runs the suite in every mode: through the router fleet
+	// first (cold: every walk travels), then on the central worker pool over
+	// the same walk cache.
+	pipe := hbverify.NewPipeline(n, sources)
+	defer pipe.Close()
+	pipe.Workers = workers
+	stats, err := pipe.VerifyDistributed(policies)
 	if err != nil {
 		return err
 	}
@@ -165,9 +161,8 @@ func run(violate bool, grid int, seed int64, workers, queries int, queryAddr str
 	for _, v := range stats.Report.Violations {
 		fmt.Println("  violation:", v)
 	}
-	fmt.Printf("overhead: %d walks, %d messages, %d batches, %d frames, %d bytes on the wire\n",
+	fmt.Printf("overhead: %d checks, %d messages, %d batches, %d frames, %d bytes on the wire\n",
 		stats.Walks, stats.Messages, stats.Batches, stats.Frames, stats.Bytes)
-	fmt.Printf("dist metrics: %s\n", reg)
 
 	views := map[string]dist.LocalView{}
 	for _, r := range n.Routers() {
@@ -179,39 +174,18 @@ func run(violate bool, grid int, seed int64, workers, queries int, queryAddr str
 	}
 	fmt.Printf("centralized alternative would ship %d bytes of FIB state\n", central)
 
-	// Same policy suite through the local parallel checker, for comparison
-	// and to surface the verify.* instrumentation.
-	tables := map[string]*fib.Table{}
-	for _, r := range n.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	checker := verify.NewChecker(dataplane.NewWalker(n.Topo, dataplane.TableView(tables)), sources)
-	checker.Workers = workers
-	checker.Metrics = metrics.NewRegistry()
-	rep := checker.Check(policies)
-	fmt.Printf("local parallel checker: %s (%d walks, %d deduped)\n", rep.Summary(), rep.Walks, rep.Deduped)
-	fmt.Printf("metrics: %s\n", checker.Metrics)
-
-	// The delta path: re-verifying through the pipeline's incremental
-	// equivalence classes and walk cache — a second tick on a quiet network
-	// costs zero walks.
-	pipe := hbverify.NewPipeline(n, sources)
-	defer pipe.Close()
-	pipe.Workers = workers
-	pipe.Verify(policies)
+	// The delta path: the central pool answers the same suite from the walks
+	// the fleet round just cached — a tick on a quiet network costs zero
+	// walks — and a second fleet round puts zero frames on the wire.
 	warm := pipe.Verify(policies)
-	fmt.Printf("delta re-verify: %s (%d walks executed, %d cached, %d classes)\n",
-		warm.Summary(), warm.Walks, warm.Cached, len(pipe.Classes()))
-
-	// And the distributed equivalent: the pipeline keeps its own fleet,
-	// ships FIB deltas only to dirty routers, and shares the walk cache
-	// with the local path — a quiet round puts zero frames on the wire.
+	fmt.Printf("delta re-verify: %s (%d walks executed, %d cached, %d deduped, %d classes)\n",
+		warm.Summary(), warm.Walks, warm.Cached, warm.Deduped, len(pipe.Classes()))
 	dstats, err := pipe.VerifyDistributed(policies)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("distributed delta re-verify: %d frames/%d bytes (%d cache-skipped, %d clean-skipped of %d walks)\n",
-		dstats.Frames, dstats.Bytes, dstats.CacheSkipped, dstats.CleanSkipped, dstats.Walks)
+	fmt.Printf("distributed delta re-verify: %d frames/%d bytes (%d of %d walks cached)\n",
+		dstats.Frames, dstats.Bytes, dstats.Report.Cached, dstats.Report.Cached+dstats.Report.Walks)
 	fmt.Printf("pipeline: %s\n", pipe.Summary())
 
 	// Hybrid local-check mode: the first round walks everything and derives

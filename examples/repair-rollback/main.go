@@ -83,7 +83,7 @@ func main() {
 	fmt.Println("--- strategy B: repair the root cause ---")
 	pnB, gateB := buildNet() // gate observes but never blocks
 	misconfigure(pnB)
-	eng := repair.NewEngine(pnB.Network, rulesInfer, []string{"r1", "r2", "r3"})
+	eng := repair.NewEngine(pnB.Network, rulesInfer, verify.NewChecker(pnB.LiveWalker(), []string{"r1", "r2", "r3"}).Check)
 	d, err := eng.DetectAndRepair([]verify.Policy{{Kind: verify.Egress, Prefix: pnB.P, Expect: "e2"}})
 	if err != nil {
 		log.Fatal(err)

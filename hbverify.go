@@ -70,11 +70,12 @@ type Pipeline struct {
 
 	engine *repair.Engine
 	// eqc incrementally tracks forwarding equivalence classes off the live
-	// FIBs; walkCache keeps Verify's data-plane walks across calls, with
-	// FIB deltas and link flips invalidating only the affected routers.
+	// FIBs; walkCache keeps data-plane walks over the live FIBs across
+	// calls — central and fleet alike — with FIB deltas and link flips
+	// invalidating only the affected routers.
 	eqc       *eqclass.Incremental
 	walkCache *verify.WalkCache
-	live      *verify.Checker
+	live      *dataplane.Walker
 
 	// Lazily-built distributed verification fleet (§5), plus the set of
 	// routers whose forwarding state changed since the last distributed
@@ -99,7 +100,7 @@ type Pipeline struct {
 func NewPipeline(n *network.Network, sources []string) *Pipeline {
 	reg := metrics.NewRegistry()
 	inc := hbr.NewIncremental(hbr.Rules{}, reg)
-	p := &Pipeline{Net: n, Strategy: inc, Sources: sources, Metrics: reg}
+	p := &Pipeline{Net: n, Strategy: inc, Sources: sources, Metrics: reg, live: n.LiveWalker()}
 	p.eqc = eqclass.NewIncremental(reg)
 	p.walkCache = verify.NewWalkCache()
 	p.distDirty = map[string]struct{}{}
@@ -119,8 +120,7 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 		p.noteDistDirty(a)
 		p.noteDistDirty(b)
 	})
-	p.engine = repair.NewEngine(n, p.infer, sources)
-	p.engine.Metrics = reg
+	p.engine = repair.NewEngine(n, p.infer, p.Verify)
 	p.engine.Invalidate = func() {
 		inc.Invalidate()
 		p.eqc.Reset()
@@ -158,16 +158,20 @@ func (p *Pipeline) Accuracy() hbr.Metrics {
 }
 
 // Walker returns a data-plane walker over the live FIBs.
-func (p *Pipeline) Walker() *dataplane.Walker {
-	tables := map[string]*fib.Table{}
-	for _, r := range p.Net.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	return dataplane.NewWalker(p.Net.Topo, dataplane.TableView(tables))
-}
+func (p *Pipeline) Walker() *dataplane.Walker { return p.Net.LiveWalker() }
 
-// checker builds a checker wired with the pipeline's worker bound and
-// metrics registry.
+// checker builds the pipeline's checker — its sources, worker bound and
+// metrics registry — over the given walker. Every verification mode runs
+// this one checker; the modes differ in what walks it may reuse (the walk
+// cache, live state only), how the rest execute (the central pool over w,
+// or the fleet executor) and whether a local certificate may answer a
+// check without a walk:
+//
+//	VerifySnapshot     snapshot walker, no cache, central pool
+//	Verify, Detect     live walker, walk cache, central pool
+//	VerifyDistributed  walk cache, fleet executor
+//	VerifyLocalChecks  walk cache, fleet executor, certificate (except on
+//	                   relabel rounds, which walk everything)
 func (p *Pipeline) checker(w *dataplane.Walker) *verify.Checker {
 	c := verify.NewChecker(w, p.Sources)
 	c.Workers = p.Workers
@@ -180,12 +184,9 @@ func (p *Pipeline) checker(w *dataplane.Walker) *verify.Checker {
 // path crossed a router with FIB or link changes since the last call
 // (Report.Cached counts the rest).
 func (p *Pipeline) Verify(policies []verify.Policy) verify.Report {
-	if p.live == nil {
-		p.live = p.checker(p.Walker())
-		p.live.Cache = p.walkCache
-	}
-	p.live.Workers = p.Workers
-	return p.live.Check(policies)
+	c := p.checker(p.live)
+	c.Cache = p.walkCache
+	return c.Check(policies)
 }
 
 // fleetRound is what one distributed round starts from: the lazily-built
@@ -253,31 +254,38 @@ func (p *Pipeline) endFleetRound(r fleetRound, err error) {
 	p.distMu.Unlock()
 }
 
-// fleetOpts are the round's dispatch options: the shared walk cache, the dirty
-// set for clean-result reuse, and the pipeline's metrics registry.
-func (p *Pipeline) fleetOpts(r fleetRound) dist.VerifyOpts {
-	return dist.VerifyOpts{Cache: p.walkCache, Dirty: r.dirty, Metrics: p.Metrics}
+// fleetCheck syncs the round's dirty views — every shipped delta is
+// acknowledged before any walk is dispatched — and runs the pipeline's
+// checker over the fleet executor, sharing the live walk cache with the
+// central path. With local set, the checker also gets the coordinator's
+// certificate as it stands after the sync's local-check reports.
+func (p *Pipeline) fleetCheck(r fleetRound, policies []verify.Policy, local bool) (dist.Stats, error) {
+	if _, err := r.coord.SyncViews(r.nodes, r.views, r.dirty, 0); err != nil {
+		return dist.Stats{}, err
+	}
+	c := p.checker(nil)
+	c.Cache = p.walkCache
+	if local {
+		c.Certified = r.coord.Certificate()
+	}
+	return r.coord.Round(c, r.nodes, policies, dist.VerifyOpts{Metrics: p.Metrics})
 }
 
 // VerifyDistributed checks policies through a per-router TCP fleet (§5)
 // instead of the central walker. The fleet is built lazily on first call
 // and kept across calls; subsequent rounds ship binary FIB/interface
 // deltas only for the routers that changed (tracked from the same
-// OnChange/OnLinkChange hooks that drive the caches), and the dispatch
-// scheduler answers walks from the shared walk cache or the previous
-// round's clean results before anything touches the wire. Metrics land in
-// p.Metrics (dist.* counters, per-node latency timers) and surface through
-// Summary().
+// OnChange/OnLinkChange hooks that drive the caches), and the checker
+// answers walks from the shared walk cache before anything touches the
+// wire. Metrics land in p.Metrics (dist.* counters, per-node latency
+// timers) and surface through Summary().
 func (p *Pipeline) VerifyDistributed(policies []verify.Policy) (stats dist.Stats, err error) {
 	r, err := p.beginFleetRound()
 	if err != nil {
 		return dist.Stats{}, err
 	}
 	defer func() { p.endFleetRound(r, err) }()
-	if _, err = r.coord.SyncViews(r.nodes, r.views, r.dirty); err != nil {
-		return dist.Stats{}, err
-	}
-	return r.coord.VerifyWith(r.nodes, policies, p.Sources, p.fleetOpts(r))
+	return p.fleetCheck(r, policies, false)
 }
 
 // localRelabelEvery bounds how many local-check rounds may run between
@@ -287,15 +295,16 @@ func (p *Pipeline) VerifyDistributed(policies []verify.Policy) (stats dist.Stats
 const localRelabelEvery = 16
 
 // VerifyLocalChecks runs the hybrid local-check loop over the same lazy
-// fleet VerifyDistributed maintains. Most rounds ship sync-ID'd view
-// deltas, let each node validate its own FIB changes against its label
-// slice, and certify every quiet (policy, source) pair without a single
-// walk frame — only violations or label staleness escalate to targeted
-// walks for the affected forwarding classes. Every localRelabelEvery-th
-// round (and the first) falls back to a full SyncViews + walk round and
-// re-derives the distance labels, so label drift is bounded. Frames and
-// Bytes in the returned stats cover the whole call: view sync, local
-// reports, label pushes, and any escalated walks.
+// fleet VerifyDistributed maintains. Every round ships view deltas and
+// lets each node validate its own FIB changes against its label slice;
+// most rounds then hand the checker the resulting certificate, so every
+// quiet (policy, source) pair is answered without a single walk frame and
+// only violations or label staleness leave checks to the walk cache and
+// the fleet. Every localRelabelEvery-th round (and the first) runs without
+// the certificate and re-derives the distance labels from the state it
+// just walked, so label drift is bounded. Frames and Bytes in the returned
+// stats cover the whole call: view sync, local reports, label pushes, and
+// any walks.
 func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (stats dist.Stats, err error) {
 	r, err := p.beginFleetRound()
 	if err != nil {
@@ -304,36 +313,25 @@ func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (stats dist.Stats
 	defer func() { p.endFleetRound(r, err) }()
 	coord, nodes := r.coord, r.nodes
 
-	classes := make([]netip.Prefix, 0, len(policies))
-	seen := map[netip.Prefix]bool{}
-	for _, pol := range policies {
-		if !seen[pol.Prefix] {
-			seen[pol.Prefix] = true
-			classes = append(classes, pol.Prefix)
-		}
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i].String() < classes[j].String() })
-
 	relabel := coord.LabelEpoch() == 0 || r.rounds >= localRelabelEvery
 	f0, b0 := coord.FleetWire(nodes)
+	if stats, err = p.fleetCheck(r, policies, !relabel); err != nil {
+		return stats, err
+	}
 	if relabel {
-		if _, err = coord.SyncViews(nodes, r.views, r.dirty); err != nil {
-			return dist.Stats{}, err
+		classes := make([]netip.Prefix, 0, len(policies))
+		seen := map[netip.Prefix]bool{}
+		for _, pol := range policies {
+			if !seen[pol.Prefix] {
+				seen[pol.Prefix] = true
+				classes = append(classes, pol.Prefix)
+			}
 		}
-		if stats, err = coord.VerifyWith(nodes, policies, p.Sources, p.fleetOpts(r)); err != nil {
-			return stats, err
-		}
+		sort.Slice(classes, func(i, j int) bool { return classes[i].String() < classes[j].String() })
 		if _, err = coord.Relabel(nodes, classes); err != nil {
 			return stats, err
 		}
 		stats.Relabeled = true
-	} else {
-		if _, err = coord.SyncViewsChecked(nodes, r.views, r.dirty, 0); err != nil {
-			return dist.Stats{}, err
-		}
-		if stats, err = coord.VerifyLocal(nodes, policies, p.Sources, p.fleetOpts(r)); err != nil {
-			return stats, err
-		}
 	}
 	f1, b1 := coord.FleetWire(nodes)
 	stats.Frames, stats.Bytes = int(f1-f0), int(b1-b0)
@@ -396,17 +394,15 @@ func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (v
 	return p.checker(w).Check(policies), res
 }
 
-// Detect verifies and, on violation, traces the problematic FIB update to
-// its root causes via the inferred HBG.
+// Detect verifies (as Verify does) and, on violation, traces the
+// problematic FIB update to its root causes via the inferred HBG.
 func (p *Pipeline) Detect(policies []verify.Policy) *repair.Diagnosis {
-	p.engine.Workers = p.Workers
 	return p.engine.Detect(policies)
 }
 
 // DetectAndRepair additionally rolls back the root-cause configuration
 // change. Run the network afterwards to let the repair converge.
 func (p *Pipeline) DetectAndRepair(policies []verify.Policy) (*repair.Diagnosis, error) {
-	p.engine.Workers = p.Workers
 	return p.engine.DetectAndRepair(policies)
 }
 

@@ -1,17 +1,17 @@
-package dataplane
+package dataplane_test
 
 import (
 	"net/netip"
 	"reflect"
 	"testing"
 
+	// Dot import: network now builds walkers, so these tests cannot live in
+	// package dataplane without an import cycle.
+	. "hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/topology"
 )
-
-func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
-func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s).Masked() }
 
 func startPaper(t *testing.T, opt network.PaperOpts) *network.PaperNet {
 	t.Helper()
@@ -26,13 +26,7 @@ func startPaper(t *testing.T, opt network.PaperOpts) *network.PaperNet {
 	return pn
 }
 
-func liveWalker(pn *network.PaperNet) *Walker {
-	tables := map[string]*fib.Table{}
-	for _, r := range pn.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	return NewWalker(pn.Topo, TableView(tables))
-}
+func liveWalker(pn *network.PaperNet) *Walker { return pn.LiveWalker() }
 
 func TestDeliveryViaPreferredExit(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())

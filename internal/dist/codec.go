@@ -23,7 +23,6 @@ import (
 	"hbverify/internal/localck"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
-	"hbverify/internal/verify"
 )
 
 // frameV1 is the binary format version byte.
@@ -98,16 +97,8 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-func appendPolicy(b []byte, p verify.Policy) []byte {
-	b = append(b, byte(p.Kind))
-	b = appendPrefix(b, p.Prefix)
-	b = appendString(b, p.Expect)
-	return appendStrings(b, p.Sources)
-}
-
 func appendWalk(b []byte, w *WalkMsg) []byte {
 	b = appendUvarint(b, uint64(w.WalkID))
-	b = appendPolicy(b, w.Policy)
 	b = appendString(b, w.Source)
 	b = appendAddr(b, w.Dst)
 	b = appendStrings(b, w.Path)
@@ -193,9 +184,10 @@ type viewDelta struct {
 	Removes  []netip.Prefix
 	Ifaces   []dataplane.Iface // nil = leave interface state alone
 	HasIface bool
-	// Sync, when non-zero, asks the node to run its local invariant
-	// checks after applying the delta and answer with an mtLocalViolation
-	// report correlated by this ID (empty violations = certificate).
+	// Sync correlates the node's answer: after applying the delta it runs
+	// its local invariant checks and sends an mtLocalViolation report with
+	// this ID — the acknowledgement SyncViews waits for (empty violations
+	// = certificate). A frame with Sync 0 is applied and not answered.
 	Sync int
 }
 
@@ -454,19 +446,9 @@ func (r *wireReader) strings() []string {
 	return out
 }
 
-func (r *wireReader) policy() verify.Policy {
-	var p verify.Policy
-	p.Kind = verify.Kind(r.byte())
-	p.Prefix = r.prefix()
-	p.Expect = r.string()
-	p.Sources = r.strings()
-	return p
-}
-
 func (r *wireReader) walk() WalkMsg {
 	var w WalkMsg
 	w.WalkID = int(r.uvarint())
-	w.Policy = r.policy()
 	w.Source = r.string()
 	w.Dst = r.addr()
 	w.Path = r.strings()

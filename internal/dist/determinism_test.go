@@ -14,7 +14,6 @@ import (
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
 	"hbverify/internal/topology"
-	"hbverify/internal/verify"
 )
 
 // ecmpWorld is one construction of the same tiny ECMP network: r1 forwards
@@ -83,8 +82,7 @@ func buildEcmpWorld(t *testing.T, hops []netip.Addr, linksReversed bool) ecmpWor
 	walk := walker.Forward("r1", dataplane.Representative(p))
 
 	msg := WalkMsg{
-		WalkID: 1, Policy: verify.Policy{Kind: verify.NoLoop, Prefix: p},
-		Source: "r1", Dst: walk.Dst, Path: walk.Path, Outcome: walk.Outcome,
+		WalkID: 1, Source: "r1", Dst: walk.Dst, Path: walk.Path, Outcome: walk.Outcome,
 		Done: true, Egress: walk.Egress, Egresses: walk.Egresses,
 		Edges: walk.Edges, Branches: walk.Branches,
 	}

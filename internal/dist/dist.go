@@ -15,11 +15,13 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hbverify/internal/dataplane"
@@ -113,7 +115,6 @@ type ExpMsg struct {
 // instead of O(concrete paths).
 type WalkMsg struct {
 	WalkID int
-	Policy verify.Policy
 	Source string
 	Dst    netip.Addr
 	Path   []string
@@ -171,6 +172,8 @@ type Node struct {
 	// shipped with, under the same lock.
 	viewMu  sync.RWMutex
 	checker localck.Checker
+	// applyDelay (ns) is SetApplyDelay's test hook.
+	applyDelay atomic.Int64
 
 	mu     sync.Mutex
 	closed bool
@@ -401,6 +404,9 @@ func (n *Node) sendWalks(addr string, result bool, walks []WalkMsg, batchID int)
 // FIB installs/removes (or a full replacement) and optionally new
 // interface state, then recompiles the LPM index.
 func (n *Node) applyViewDelta(d viewDelta) {
+	if delay := n.applyDelay.Load(); delay > 0 {
+		time.Sleep(time.Duration(delay))
+	}
 	n.viewMu.Lock()
 	if d.Router != "" && d.Router != n.View.Router {
 		n.viewMu.Unlock()
@@ -431,20 +437,8 @@ func (n *Node) applyViewDelta(d viewDelta) {
 	}
 }
 
-// Result is one finished walk as the coordinator sees it.
-type Result struct {
-	Walk      WalkMsg
-	Violation *verify.Violation
-}
-
-// retKey identifies a retained walk result.
-type retKey struct {
-	src string
-	dst netip.Addr
-}
-
 // Coordinator seeds walks and collects results. Results are routed to the
-// submitting Verify call by WalkID, so concurrent Verify calls are safe.
+// submitting ExecuteWalks call by WalkID, so concurrent rounds are safe.
 type Coordinator struct {
 	ln    net.Listener
 	pool  *pool
@@ -455,7 +449,6 @@ type Coordinator struct {
 	mu       sync.Mutex
 	nextID   int
 	pending  map[int]chan<- WalkMsg
-	retained map[retKey]WalkMsg   // last completed walk per (source, dst)
 	lastView map[string]LocalView // views last shipped to each node
 
 	// Local-check mode state (also under mu): sync-correlated pending
@@ -478,7 +471,6 @@ func StartCoordinator() (*Coordinator, error) {
 	c := &Coordinator{
 		ln: ln, wire: wire, pool: newPool(wire), conns: newConnSet(),
 		pending:    map[int]chan<- WalkMsg{},
-		retained:   map[retKey]WalkMsg{},
 		lastView:   map[string]LocalView{},
 		pendingLoc: map[int]chan<- LocalReport{},
 		taint:      map[netip.Prefix]bool{},
@@ -565,22 +557,8 @@ func (c *Coordinator) deliver(w WalkMsg) {
 	}
 }
 
-// retain remembers a completed walk so later delta-aware rounds can reuse
-// it when no router on its path changed.
-func (c *Coordinator) retain(src string, dst netip.Addr, w WalkMsg) {
-	c.mu.Lock()
-	c.retained[retKey{src: src, dst: dst}] = w
-	c.mu.Unlock()
-}
-
-func (c *Coordinator) retainedWalk(src string, dst netip.Addr) (WalkMsg, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.retained[retKey{src: src, dst: dst}]
-	return w, ok
-}
-
-// Stats aggregates a distributed verification run.
+// Stats aggregates one verification round over the fleet: the checker's
+// report plus what the round cost on the wire.
 type Stats struct {
 	// Walks counts every (policy, source) check in the round, including
 	// the ones answered without touching the network.
@@ -594,42 +572,26 @@ type Stats struct {
 	Bytes  int
 	// Batches is how many batch frames the coordinator submitted.
 	Batches int
-	// CacheSkipped walks were answered by the walk cache; CleanSkipped
-	// were reused from the previous round because no dirty router lay on
-	// their recorded path. Neither touches the network.
-	CacheSkipped int
-	CleanSkipped int
-	// LocalCertified walks were answered by node-local invariant
+	// LocalCertified checks were answered by node-local invariant
 	// certificates in local-check mode: zero walk frames on the wire.
-	// Escalated counts the walks a local violation or label staleness
-	// forced back onto the fleet; LocalViolations is the number of
-	// forwarding classes local violation reports have tainted since the
+	// Escalated counts the checks a local violation or label staleness
+	// left to the walk cache and the fleet; LocalViolations is the number
+	// of forwarding classes local violation reports have tainted since the
 	// last relabel; Relabeled marks rounds that re-derived and pushed
 	// distance labels.
 	LocalCertified  int
 	Escalated       int
 	LocalViolations int
 	Relabeled       bool
-	// Errors counts walks that failed (dead peer, deadline) instead of
-	// completing; each failure appears in Results with Err set.
-	Errors int
-	// Results holds every walk's final state in submission order.
-	Results []WalkMsg
-	Report  verify.Report
+	// Report is the checker's verdict; Report.Results() lists every check,
+	// including the ones whose walk failed (dead peer, deadline).
+	Report verify.Report
 }
 
-// VerifyOpts tunes one verification round.
+// VerifyOpts tunes the fleet executor.
 type VerifyOpts struct {
-	// Cache, when set, answers walks from the shared walk cache and stores
-	// fresh results back; cached walks never touch the network.
-	Cache *verify.WalkCache
-	// Dirty lists the routers whose forwarding state changed since the
-	// previous round on this coordinator. Non-nil Dirty lets the scheduler
-	// reuse retained results whose paths avoid every dirty router; nil
-	// means "no delta information — everything is dirty".
-	Dirty []string
-	// Timeout bounds the whole round; outstanding walks are failed with an
-	// error instead of hanging Verify. Default 5s.
+	// Timeout bounds one ExecuteWalks batch; outstanding walks are failed
+	// with an error instead of hanging the round. Default 5s.
 	Timeout time.Duration
 	// Metrics optionally receives dist.* counters and per-node latency
 	// timers.
@@ -648,46 +610,81 @@ const (
 	walkBatchSize = 16
 )
 
-func (o VerifyOpts) withDefaults() VerifyOpts {
-	if o.Timeout <= 0 {
-		o.Timeout = 5 * time.Second
-	}
-	return o
-}
-
 // Verify runs the given policies across the node fleet with default
-// options: one walk per (policy, source), batched binary transport. It
-// blocks until every result arrives or the deadline passes.
+// options. It blocks until every result arrives or the deadline passes.
 func (c *Coordinator) Verify(nodes map[string]*Node, policies []verify.Policy, sources []string) (Stats, error) {
 	return c.VerifyWith(nodes, policies, sources, VerifyOpts{})
 }
 
-// Walk executes one data-plane walk from src toward dst through the node
-// fleet and returns the finished walk. It runs as a single-walk round:
-// correlation IDs and the pending map already isolate concurrent rounds,
-// so any number of Walk calls may be in flight at once from different
-// goroutines — this is the primitive the serving layer's distributed
-// executor is built on, one miniature round per query plan.
-func (c *Coordinator) Walk(nodes map[string]*Node, src string, dst netip.Addr, opts VerifyOpts) (dataplane.Walk, error) {
-	p := verify.Policy{Kind: verify.NoLoop, Prefix: netip.PrefixFrom(dst, dst.BitLen()), Sources: []string{src}}
-	stats, err := c.VerifyWith(nodes, []verify.Policy{p}, nil, opts)
-	if err != nil {
-		return dataplane.Walk{}, err
-	}
-	if len(stats.Results) == 0 {
-		return dataplane.Walk{}, fmt.Errorf("dist: walk %s->%s returned no result", src, dst)
-	}
-	return stats.Results[0].AsWalk(), nil
+// VerifyWith runs one cache-less verification round from the given default
+// sources: a fresh checker over the fleet executor.
+func (c *Coordinator) VerifyWith(nodes map[string]*Node, policies []verify.Policy, sources []string, opts VerifyOpts) (Stats, error) {
+	return c.Round(verify.NewChecker(nil, sources), nodes, policies, opts)
 }
 
-// verifyJob is one (policy, source) check in a round.
-type verifyJob struct {
-	policy verify.Policy
-	src    string
-	dst    netip.Addr
-	id     int            // correlation ID; 0 for skipped jobs
-	live   bool           // true when the walk must traverse the network
-	walk   dataplane.Walk // pre-resolved walk for skipped jobs
+// Round runs a copy of base over the fleet: the checker decides which
+// walks the policies need (its sources, class sharding, cache and
+// certificate all apply), the fleet executor runs them, and the round's
+// wire cost is the fleet counters' delta around the call. Checks whose
+// walk failed are reported as an error, never as a verdict.
+func (c *Coordinator) Round(base *verify.Checker, nodes map[string]*Node, policies []verify.Policy, opts VerifyOpts) (Stats, error) {
+	f0, b0 := c.FleetWire(nodes)
+	ex := c.Executor(nodes, opts)
+	ck := *base
+	ck.Executor = ex
+	rep := ck.Check(policies)
+	f1, b1 := c.FleetWire(nodes)
+
+	stats := Stats{
+		Report: rep, Walks: rep.Checked + rep.Errors,
+		Messages: int(ex.messages.Load()), Batches: int(ex.batches.Load()),
+		Frames: int(f1 - f0), Bytes: int(b1 - b0),
+	}
+	c.mu.Lock()
+	stats.LocalViolations = len(c.taint)
+	c.mu.Unlock()
+	if ck.Certified != nil {
+		stats.LocalCertified = rep.Certified
+		stats.Escalated = stats.Walks - rep.Certified
+	}
+	if m := opts.Metrics; m != nil {
+		m.Counter("dist.walks").Add(int64(rep.Walks))
+		m.Counter("dist.messages").Add(int64(stats.Messages))
+		m.Counter("dist.frames").Add(int64(stats.Frames))
+		m.Counter("dist.bytes").Add(int64(stats.Bytes))
+		m.Counter("dist.batches").Add(int64(stats.Batches))
+		m.Counter("dist.errors").Add(int64(rep.Errors))
+		m.Counter("dist.walks.local_certified").Add(int64(stats.LocalCertified))
+		m.Counter("dist.walks.escalated").Add(int64(stats.Escalated))
+	}
+	if rep.Errors > 0 {
+		return stats, fmt.Errorf("dist: %d of %d checks have no verdict: their walks failed", rep.Errors, stats.Walks)
+	}
+	return stats, nil
+}
+
+// FleetExecutor is the distributed verify.Executor: it runs a batch of
+// distinct walks through the node fleet (§5) instead of a central walker.
+// Only what is fleet-specific lives here — correlation IDs, per-source
+// batch frames, the in-flight window, the deadline, and hop accounting;
+// which walks to run and what they mean is the checker's business. Safe
+// for concurrent ExecuteWalks calls: correlation IDs isolate them.
+type FleetExecutor struct {
+	c     *Coordinator
+	nodes map[string]*Node
+	opts  VerifyOpts
+
+	// Hop count and batch frames submitted, summed over every call.
+	messages atomic.Int64
+	batches  atomic.Int64
+}
+
+// Executor returns a fleet executor over the given nodes.
+func (c *Coordinator) Executor(nodes map[string]*Node, opts VerifyOpts) *FleetExecutor {
+	if opts.Timeout <= 0 {
+		opts.Timeout = 5 * time.Second
+	}
+	return &FleetExecutor{c: c, nodes: nodes, opts: opts}
 }
 
 // batchSubmit is one batch frame awaiting submission.
@@ -696,236 +693,136 @@ type batchSubmit struct {
 	walks []WalkMsg
 }
 
-// VerifyWith runs one verification round under the given options. The
-// scheduler first answers what it can without the network (walk-cache
-// hits, retained results untouched by dirty routers), then submits the
-// rest as batch frames under a bounded in-flight window; results are
-// matched by correlation ID and checks are evaluated in submission order
-// so violation lists stay deterministic.
-func (c *Coordinator) VerifyWith(nodes map[string]*Node, policies []verify.Policy, sources []string, opts VerifyOpts) (Stats, error) {
-	opts = opts.withDefaults()
-	var stats Stats
-	f0, b0 := c.fleetWire(nodes)
-
-	sources = append([]string(nil), sources...)
-	sort.Strings(sources)
-	var epoch uint64
-	if opts.Cache != nil {
-		epoch = opts.Cache.Begin()
-	}
-	var dirty map[string]struct{}
-	if opts.Dirty != nil {
-		dirty = make(map[string]struct{}, len(opts.Dirty))
-		for _, r := range opts.Dirty {
-			dirty[r] = struct{}{}
+// ExecuteWalks implements verify.Executor. Walks are submitted as batch
+// frames to their source nodes under a bounded in-flight window and
+// matched back by correlation ID; a walk with no node at its source, a
+// failed submission, or no result within the deadline is an error.
+func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, []error) {
+	c, opts := e.c, e.opts
+	walks := make([]dataplane.Walk, len(keys))
+	var errs []error
+	fail := func(i int, err error) {
+		if errs == nil {
+			errs = make([]error, len(keys))
 		}
+		errs[i] = err
 	}
 
-	var jobs []verifyJob
-	for _, p := range policies {
-		srcs := p.Sources
-		if len(srcs) == 0 {
-			srcs = sources
-		}
-		for _, src := range srcs {
-			if nodes[src] == nil {
-				return stats, fmt.Errorf("dist: no node for source %q", src)
-			}
-			j := verifyJob{policy: p, src: src, dst: dataplane.Representative(p.Prefix)}
-			if opts.Cache != nil {
-				if w, ok := opts.Cache.Lookup(src, j.dst); ok {
-					j.walk = w
-					stats.CacheSkipped++
-					jobs = append(jobs, j)
-					continue
-				}
-			}
-			if dirty != nil {
-				if prev, ok := c.retainedWalk(src, j.dst); ok && pathAvoids(prev.Path, dirty) {
-					j.walk = prev.AsWalk()
-					stats.CleanSkipped++
-					jobs = append(jobs, j)
-					continue
-				}
-			}
-			j.live = true
-			jobs = append(jobs, j)
-		}
-	}
-	stats.Walks = len(jobs)
-
-	// Assign correlation IDs and build per-source batches in job order.
-	live := 0
+	// Assign correlation IDs and build per-source batches in key order.
+	index := make(map[int]int, len(keys)) // WalkID -> key index, for walks still out
 	var batches []batchSubmit
 	open := map[string]int{} // src -> index of its open batch
 	c.mu.Lock()
-	for i := range jobs {
-		j := &jobs[i]
-		if !j.live {
+	for i, k := range keys {
+		if e.nodes[k.Source] == nil {
+			fail(i, fmt.Errorf("dist: no node for source %q", k.Source))
 			continue
 		}
-		live++
 		c.nextID++
-		j.id = c.nextID
-		w := WalkMsg{WalkID: j.id, Policy: j.policy, Source: j.src, Dst: j.dst, Msgs: 1}
-		ix, ok := open[j.src]
+		id := c.nextID
+		index[id] = i
+		ix, ok := open[k.Source]
 		if !ok || len(batches[ix].walks) >= walkBatchSize {
-			batches = append(batches, batchSubmit{src: j.src})
+			batches = append(batches, batchSubmit{src: k.Source})
 			ix = len(batches) - 1
-			open[j.src] = ix
+			open[k.Source] = ix
 		}
-		batches[ix].walks = append(batches[ix].walks, w)
+		batches[ix].walks = append(batches[ix].walks, WalkMsg{WalkID: id, Source: k.Source, Dst: k.Dst, Msgs: 1})
+	}
+	resCh := make(chan WalkMsg, len(index)) // one slot per walk: deliver never blocks
+	for id := range index {
+		c.pending[id] = resCh
 	}
 	c.mu.Unlock()
-	stats.Batches = len(batches)
+	e.batches.Add(int64(len(batches)))
 
-	collected := make(map[int]WalkMsg, live)
-	if live > 0 {
-		resCh := make(chan WalkMsg, live)
-		c.mu.Lock()
-		for _, b := range batches {
+	var (
+		tokens   = make(chan struct{}, walkWindow)
+		abort    = make(chan struct{})
+		inflight = opts.Metrics.Gauge("dist.window.inflight")
+		submitAt sync.Map // WalkID -> time.Time
+	)
+	// The submitter stops at the end of the batches or when abort closes;
+	// a send already in progress is bounded by the pool's write timeout.
+	go func() {
+		for bi := range batches {
+			b := &batches[bi]
+			for range b.walks {
+				select {
+				case tokens <- struct{}{}:
+					inflight.Set(int64(len(tokens)))
+				case <-abort:
+					return
+				}
+			}
+			now := time.Now()
 			for _, w := range b.walks {
-				c.pending[w.WalkID] = resCh
+				submitAt.Store(w.WalkID, now)
 			}
-		}
-		c.mu.Unlock()
-
-		var (
-			tokens   = make(chan struct{}, walkWindow)
-			abort    = make(chan struct{})
-			inflight = opts.Metrics.Gauge("dist.window.inflight")
-			submitAt sync.Map // WalkID -> time.Time
-		)
-		go func() {
-			for bi := range batches {
-				b := &batches[bi]
-				for range b.walks {
-					select {
-					case tokens <- struct{}{}:
-						inflight.Set(int64(len(tokens)))
-					case <-abort:
-						return
-					}
-				}
-				now := time.Now()
+			if opts.DropBatch != nil && opts.DropBatch(b.src, len(b.walks)) {
 				for _, w := range b.walks {
-					submitAt.Store(w.WalkID, now)
+					w.Done = true
+					c.deliver(w)
 				}
-				if opts.DropBatch != nil && opts.DropBatch(b.src, len(b.walks)) {
-					for _, w := range b.walks {
-						w.Done = true
-						c.deliver(w)
-					}
-					continue
-				}
-				addr := nodes[b.src].Addr()
-				walks := b.walks
-				id := bi + 1
-				if _, err := c.pool.send(addr, func(buf []byte) []byte {
-					return appendWalkBatch(buf, mtWalkBatch, id, walks)
-				}); err != nil {
-					// The whole batch failed to submit: every walk in it
-					// degrades to a reported error.
-					for _, w := range walks {
-						w.Done, w.Err = true, err.Error()
-						c.deliver(w)
-					}
-				}
-			}
-		}()
-
-		deadline := time.NewTimer(opts.Timeout)
-	collect:
-		for len(collected) < live {
-			select {
-			case w := <-resCh:
-				collected[w.WalkID] = w
-				if opts.Metrics != nil {
-					if t0, ok := submitAt.Load(w.WalkID); ok {
-						opts.Metrics.Timer("dist.node." + w.Source).Observe(time.Since(t0.(time.Time)))
-					}
-				}
-				<-tokens
-				inflight.Set(int64(len(tokens)))
-			case <-deadline.C:
-				break collect
-			}
-		}
-		deadline.Stop()
-		close(abort)
-		// Reclaim walks that never came back so a late result is dropped
-		// rather than delivered to a reused channel.
-		c.mu.Lock()
-		for i := range jobs {
-			j := &jobs[i]
-			if j.live {
-				if _, ok := collected[j.id]; !ok {
-					delete(c.pending, j.id)
-				}
-			}
-		}
-		c.mu.Unlock()
-	}
-
-	for i := range jobs {
-		j := &jobs[i]
-		var w WalkMsg
-		if j.live {
-			var ok bool
-			w, ok = collected[j.id]
-			if !ok {
-				w = WalkMsg{WalkID: j.id, Policy: j.policy, Source: j.src, Dst: j.dst,
-					Err: "no result within deadline"}
-			}
-			if w.Err != "" {
-				stats.Errors++
-				stats.Results = append(stats.Results, w)
 				continue
 			}
-			stats.Messages += w.Msgs
-			c.retain(j.src, j.dst, w)
-			if opts.Cache != nil {
-				opts.Cache.Store(j.src, j.dst, w.AsWalk(), epoch)
-			}
-		} else {
-			w = WalkMsg{Policy: j.policy, Source: j.src, Dst: j.dst, Done: true,
-				Path: j.walk.Path, Outcome: j.walk.Outcome, Egress: j.walk.Egress,
-				Egresses: j.walk.Egresses, Edges: j.walk.Edges, Branches: j.walk.Branches}
-			if j.walk.Dst.IsValid() {
-				w.Dst = j.walk.Dst
+			walks := b.walks
+			id := bi + 1
+			if _, err := c.pool.send(e.nodes[b.src].Addr(), func(buf []byte) []byte {
+				return appendWalkBatch(buf, mtWalkBatch, id, walks)
+			}); err != nil {
+				// The whole batch failed to submit: every walk in it
+				// degrades to a reported error.
+				for _, w := range walks {
+					w.Done, w.Err = true, err.Error()
+					c.deliver(w)
+				}
 			}
 		}
-		stats.Results = append(stats.Results, w)
-		stats.Report.Checked++
-		walk := w.AsWalk()
-		if v, bad := verify.Evaluate(j.policy, j.src, walk); bad {
-			stats.Report.Violations = append(stats.Report.Violations, v)
-		}
-	}
+	}()
 
-	f1, b1 := c.fleetWire(nodes)
-	stats.Frames = int(f1 - f0)
-	stats.Bytes = int(b1 - b0)
-	if m := opts.Metrics; m != nil {
-		m.Counter("dist.walks").Add(int64(live))
-		m.Counter("dist.messages").Add(int64(stats.Messages))
-		m.Counter("dist.frames").Add(int64(stats.Frames))
-		m.Counter("dist.bytes").Add(int64(stats.Bytes))
-		m.Counter("dist.batches").Add(int64(stats.Batches))
-		m.Counter("dist.walks.cache_skipped").Add(int64(stats.CacheSkipped))
-		m.Counter("dist.walks.clean_skipped").Add(int64(stats.CleanSkipped))
-		m.Counter("dist.errors").Add(int64(stats.Errors))
+	deadline := time.NewTimer(opts.Timeout)
+collect:
+	for len(index) > 0 {
+		select {
+		case w := <-resCh:
+			i := index[w.WalkID]
+			delete(index, w.WalkID)
+			if opts.Metrics != nil {
+				if t0, ok := submitAt.Load(w.WalkID); ok {
+					opts.Metrics.Timer("dist.node." + w.Source).Observe(time.Since(t0.(time.Time)))
+				}
+			}
+			if w.Err != "" {
+				fail(i, errors.New(w.Err))
+			} else {
+				walks[i] = w.AsWalk()
+				e.messages.Add(int64(w.Msgs))
+			}
+			<-tokens
+			inflight.Set(int64(len(tokens)))
+		case <-deadline.C:
+			break collect
+		}
 	}
-	if stats.Errors > 0 {
-		return stats, fmt.Errorf("dist: %d of %d walks failed", stats.Errors, live)
+	deadline.Stop()
+	close(abort)
+	// Reclaim walks that never came back so a late result is dropped
+	// rather than delivered to a reused channel.
+	c.mu.Lock()
+	for id, i := range index {
+		delete(c.pending, id)
+		fail(i, fmt.Errorf("dist: walk %s->%s: no result within deadline", keys[i].Source, keys[i].Dst))
 	}
-	return stats, nil
+	c.mu.Unlock()
+	return walks, errs
 }
 
-// fleetWire sums transport counters across the coordinator and nodes;
-// Verify takes before/after deltas for per-round accounting. (Concurrent
-// rounds overlap in the deltas but the global totals stay exact.)
-func (c *Coordinator) fleetWire(nodes map[string]*Node) (frames, bytes int64) {
+// FleetWire sums the transport counters (frames and bytes written) across
+// the coordinator and the given nodes; Round takes before/after deltas for
+// per-round accounting. (Concurrent rounds overlap in the deltas but the
+// global totals stay exact.)
+func (c *Coordinator) FleetWire(nodes map[string]*Node) (frames, bytes int64) {
 	frames, bytes = c.wire.frames.Load(), c.wire.bytes.Load()
 	for _, n := range nodes {
 		f, b, _, _ := n.Wire()
@@ -933,16 +830,6 @@ func (c *Coordinator) fleetWire(nodes map[string]*Node) (frames, bytes int64) {
 		bytes += b
 	}
 	return frames, bytes
-}
-
-// pathAvoids reports whether no router on path is in dirty.
-func pathAvoids(path []string, dirty map[string]struct{}) bool {
-	for _, r := range path {
-		if _, ok := dirty[r]; ok {
-			return false
-		}
-	}
-	return true
 }
 
 // DiffFIB computes the entry-level delta from old to new: entries to
@@ -984,32 +871,34 @@ func ifacesEqual(a, b []dataplane.Iface) bool {
 }
 
 // SyncViews pushes router view changes to the fleet as binary delta
-// frames. dirty lists the routers whose state may have changed (nil means
-// every router in views); only routers whose FIB or interface state
-// actually differs from what was last shipped get a frame, and only the
-// changed entries travel. Retained walk results crossing a changed router
-// are invalidated. It returns the number of delta frames sent.
-func (c *Coordinator) SyncViews(nodes map[string]*Node, views map[string]LocalView, dirty []string) (int, error) {
-	sent, _, err := c.syncViews(nodes, views, dirty, nil)
-	return sent, err
-}
-
-// syncViews is the shared delta-shipping core. When assignSync is
-// non-nil it is called for every delta actually sent and its return
-// value rides in the frame's Sync field, asking the node for a local
-// check report; the per-router sync IDs are returned for collection.
-func (c *Coordinator) syncViews(nodes map[string]*Node, views map[string]LocalView, dirty []string, assignSync func(router string) int) (int, map[string]int, error) {
-	var routers []string
+// frames and waits for every node to acknowledge its delta. dirty lists
+// the routers whose state may have changed (nil means every router in
+// views); only routers whose FIB or interface state actually differs from
+// what was last shipped get a frame, and only the changed entries travel.
+// Each node applies its delta, validates the new state against its label
+// slice, and answers with a check report — the acknowledgement that makes
+// it safe to start walks: a walk dispatched after SyncViews returns cannot
+// reach a node before its delta did. Violations accumulate in the
+// coordinator's taint state until the next relabel. A delta that could not
+// be sent, or that no node acknowledged within timeout (default 5s), is
+// an error: the fleet's state is then unknown and the round must not
+// produce a verdict.
+func (c *Coordinator) SyncViews(nodes map[string]*Node, views map[string]LocalView, dirty []string, timeout time.Duration) (LocalSyncResult, error) {
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	routers := dirty
 	if dirty == nil {
 		for r := range views {
 			routers = append(routers, r)
 		}
 		sort.Strings(routers)
-	} else {
-		routers = dirty
 	}
-	sent := 0
-	var ids map[string]int
+	var res LocalSyncResult
+	// Sized to the worst case so deliverLocal never blocks; each sync ID is
+	// registered before its frame is sent.
+	ch := make(chan LocalReport, len(routers))
+	var ids []int
 	var firstErr error
 	for _, r := range routers {
 		v, ok := views[r]
@@ -1037,34 +926,65 @@ func (c *Coordinator) syncViews(nodes map[string]*Node, views map[string]LocalVi
 		if len(d.Installs) == 0 && len(d.Removes) == 0 && !d.HasIface {
 			continue
 		}
-		if assignSync != nil {
-			d.Sync = assignSync(r)
-		}
+		c.mu.Lock()
+		c.nextSync++
+		d.Sync = c.nextSync
+		c.pendingLoc[d.Sync] = ch
+		c.mu.Unlock()
 		if _, err := c.pool.send(node.Addr(), func(b []byte) []byte {
 			return appendViewDelta(b, &d)
 		}); err != nil {
+			c.mu.Lock()
+			delete(c.pendingLoc, d.Sync)
+			c.mu.Unlock()
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		sent++
-		if d.Sync != 0 {
-			if ids == nil {
-				ids = map[string]int{}
-			}
-			ids[r] = d.Sync
-		}
+		res.Sent++
+		ids = append(ids, d.Sync)
 		c.mu.Lock()
 		c.lastView[r] = v
-		for k, w := range c.retained {
-			if !pathAvoids(w.Path, map[string]struct{}{r: {}}) {
-				delete(c.retained, k)
-			}
-		}
 		c.mu.Unlock()
 	}
-	return sent, ids, firstErr
+
+	epoch := c.LabelEpoch()
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+collect:
+	for len(res.Reports) < len(ids) {
+		select {
+		case rep := <-ch:
+			res.Reports = append(res.Reports, rep)
+			res.Checked += rep.Checked
+			if rep.Epoch != epoch || epoch == 0 {
+				res.Stale++
+			}
+			res.Violations = append(res.Violations, rep.Violations...)
+		case <-deadline.C:
+			break collect
+		}
+	}
+	unacked := 0
+	c.mu.Lock()
+	for _, id := range ids {
+		if _, still := c.pendingLoc[id]; still {
+			delete(c.pendingLoc, id)
+			unacked++
+		}
+	}
+	for _, v := range res.Violations {
+		c.taint[v.Prefix] = true
+	}
+	if res.Stale > 0 || unacked > 0 || firstErr != nil {
+		c.taintAll = true
+	}
+	c.mu.Unlock()
+	if firstErr == nil && unacked > 0 {
+		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged after %v", unacked, len(ids), timeout)
+	}
+	return res, firstErr
 }
 
 // NoteViews records views as already in sync (used by BuildFleet, whose

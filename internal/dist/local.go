@@ -5,16 +5,15 @@
 // invariants the moment it lands. Quiet updates are certified with a
 // fixed-size report frame; violations escalate as compact
 // mtLocalViolation frames carrying router, prefix, failed invariant,
-// and suspect hop set. The coordinator runs the hybrid loop: certified
-// classes answer their checks with zero walk frames, tainted classes
-// fall back to targeted symbolic walks through the existing
-// VerifyWith/WalkCache machinery, and a periodic full round re-derives
-// the labels.
+// and suspect hop set. The coordinator turns labels and taint into the
+// certificate the one checker consults: certified checks are answered
+// with zero walk frames, everything else goes through the checker's
+// walk cache and the fleet executor like any other round, and a periodic
+// full round re-derives the labels.
 
 package dist
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 	"time"
@@ -65,6 +64,12 @@ func (n *Node) SetLocalCheckBug(v bool) {
 	n.checker.SkipBug = v
 }
 
+// SetApplyDelay is a test hook: the node sits on every view delta for d
+// before applying it, the way a busy router would, while walks arriving
+// over other connections are served at once. A round that starts walks
+// before the delta is acknowledged then reads the node's stale view.
+func (n *Node) SetApplyDelay(d time.Duration) { n.applyDelay.Store(int64(d)) }
+
 // LabelEpoch reports the epoch of the node's current label slice (0
 // when no labels have been pushed).
 func (n *Node) LabelEpoch() uint64 {
@@ -97,7 +102,7 @@ func (n *Node) sendLocalReport(rep LocalReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator side: label derivation, checked syncs, the hybrid loop.
+// Coordinator side: label derivation, the certificate, the hybrid loop.
 // ---------------------------------------------------------------------------
 
 // LocalReport is one node's answer to a synced view delta: how many
@@ -112,26 +117,25 @@ type LocalReport struct {
 	Violations []localck.Violation
 }
 
-// LocalSyncResult aggregates one checked view sync.
+// LocalSyncResult aggregates one view sync.
 type LocalSyncResult struct {
 	// Sent is the number of delta frames shipped (unchanged routers cost
-	// nothing, exactly like SyncViews).
+	// nothing).
 	Sent int
 	// Reports holds the per-node check reports, in report arrival order.
 	Reports []LocalReport
 	// Violations flattens every violation across the reports.
 	Violations []localck.Violation
 	// Stale counts nodes that answered at a different label epoch than
-	// the coordinator's (including label-less nodes) plus nodes that
-	// failed to answer before the deadline; any staleness taints the
-	// whole round.
+	// the coordinator's (including label-less nodes); any staleness taints
+	// the whole round. A node that does not answer at all fails the sync.
 	Stale int
 	// Checked sums the classes validated across the fleet.
 	Checked int
 }
 
-// deliverLocal routes a check report to the SyncViewsChecked call
-// waiting on its sync ID.
+// deliverLocal routes a check report to the SyncViews call waiting on
+// its sync ID.
 func (c *Coordinator) deliverLocal(rep LocalReport) {
 	c.mu.Lock()
 	ch := c.pendingLoc[rep.Sync]
@@ -258,95 +262,14 @@ func (c *Coordinator) Relabel(nodes map[string]*Node, classes []netip.Prefix) (i
 	return c.PushLabels(nodes, c.DeriveLabels(classes))
 }
 
-// SyncViewsChecked is the local-check counterpart of SyncViews: every
-// delta frame carries a sync ID asking the node to validate the new
-// state against its label slice and answer with a check report. The
-// call blocks until every shipped delta is certified or reported (or
-// timeout, default 5s, expires — unanswered deltas count as stale).
-// Violations accumulate in the coordinator's taint state until the next
-// relabel.
-func (c *Coordinator) SyncViewsChecked(nodes map[string]*Node, views map[string]LocalView, dirty []string, timeout time.Duration) (LocalSyncResult, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	var res LocalSyncResult
-	// Pre-size the report channel to the worst case so deliverLocal never
-	// blocks; registration happens inside the sync loop before each send.
-	max := len(views)
-	if dirty != nil {
-		max = len(dirty)
-	}
-	ch := make(chan LocalReport, max+1)
-	var ids []int
-	sent, _, err := c.syncViews(nodes, views, dirty, func(string) int {
-		c.mu.Lock()
-		c.nextSync++
-		id := c.nextSync
-		c.pendingLoc[id] = ch
-		c.mu.Unlock()
-		ids = append(ids, id)
-		return id
-	})
-	res.Sent = sent
-	epoch := c.LabelEpoch()
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	waiting := len(ids)
-collect:
-	for waiting > 0 {
-		select {
-		case rep := <-ch:
-			waiting--
-			res.Reports = append(res.Reports, rep)
-			res.Checked += rep.Checked
-			if rep.Epoch != epoch || epoch == 0 {
-				res.Stale++
-			}
-			res.Violations = append(res.Violations, rep.Violations...)
-		case <-deadline.C:
-			break collect
-		}
-	}
-	c.mu.Lock()
-	for _, id := range ids {
-		if _, still := c.pendingLoc[id]; still {
-			delete(c.pendingLoc, id)
-			res.Stale++ // unanswered delta: that node's state is unverified
-		}
-	}
-	for _, v := range res.Violations {
-		c.taint[v.Prefix] = true
-	}
-	if res.Stale > 0 {
-		c.taintAll = true
-	}
-	c.mu.Unlock()
-	return res, err
-}
-
-// certifiableKind reports whether a local-check certificate can answer
-// a policy kind without a walk: the three global safety properties the
-// label invariants guarantee. Everything else (egress pinning,
-// waypoints, ECMP consistency) always escalates.
-func certifiableKind(k verify.Kind) bool {
-	switch k {
-	case verify.Reachable, verify.NoLoop, verify.NoBlackhole:
-		return true
-	}
-	return false
-}
-
-// VerifyLocal answers a verification round in local-check mode: checks
-// whose class is quiet (no violation since the last relabel, labels in
-// sync, source labeled reachable) are certified with zero walk frames,
-// and the rest escalate as a targeted VerifyWith round over exactly the
-// affected (policy, source) pairs. Results arrive in grid order, like
-// VerifyWith.
-func (c *Coordinator) VerifyLocal(nodes map[string]*Node, policies []verify.Policy, sources []string, opts VerifyOpts) (Stats, error) {
-	opts = opts.withDefaults()
-	var stats Stats
-	f0, b0 := c.fleetWire(nodes)
-
+// Certificate snapshots the label set and taint state into the predicate
+// a checker consults before asking for a walk: forwarding from source
+// toward prefix is certified when the labels are in sync across the fleet,
+// no node has reported a local violation for the class since the last
+// relabel, and the source was labeled reachable at the label epoch. A
+// certificate answers a check instead of a round trip; everything it
+// declines goes through the checker's cache and executor as usual.
+func (c *Coordinator) Certificate() func(source string, prefix netip.Prefix) bool {
 	c.mu.Lock()
 	ls := c.labels
 	taintAll := c.taintAll
@@ -355,86 +278,20 @@ func (c *Coordinator) VerifyLocal(nodes map[string]*Node, policies []verify.Poli
 		taint[p] = true
 	}
 	c.mu.Unlock()
-	stats.LocalViolations = len(taint)
-
-	sorted := append([]string(nil), sources...)
-	sort.Strings(sorted)
-
-	certified := func(p verify.Policy, src string) bool {
-		if ls == nil || taintAll || !certifiableKind(p.Kind) || taint[p.Prefix] {
+	return func(source string, prefix netip.Prefix) bool {
+		if ls == nil || taintAll || taint[prefix] {
 			return false
 		}
 		// An unlabeled source was not on a terminating forwarding chain at
 		// the epoch — nothing local certifies its class now.
-		return ls.Label(src, p.Prefix) >= 0
+		return ls.Label(source, prefix) >= 0
 	}
-
-	escalated := verify.Targeted(policies, sorted, func(p verify.Policy, src string) bool {
-		return !certified(p, src)
-	})
-	var sub Stats
-	var err error
-	if len(escalated) > 0 {
-		sub, err = c.VerifyWith(nodes, escalated, sorted, opts)
-	}
-
-	// Merge: walk the full grid in order, answering certified checks
-	// locally and splicing escalated results back in sequence.
-	si := 0
-	for _, p := range policies {
-		srcs := p.Sources
-		if len(srcs) == 0 {
-			srcs = sorted
-		}
-		for _, src := range srcs {
-			if certified(p, src) {
-				stats.LocalCertified++
-				stats.Report.Checked++
-				stats.Results = append(stats.Results, WalkMsg{
-					Policy: p, Source: src, Dst: dataplane.Representative(p.Prefix),
-					Outcome: dataplane.Delivered, Done: true,
-				})
-				continue
-			}
-			stats.Escalated++
-			if si < len(sub.Results) {
-				stats.Results = append(stats.Results, sub.Results[si])
-				si++
-			}
-		}
-	}
-	if si != len(sub.Results) {
-		// Escalation grid drift would silently misattribute results.
-		if err == nil {
-			err = fmt.Errorf("dist: local-check merge consumed %d of %d escalated results", si, len(sub.Results))
-		}
-	}
-	stats.Walks = stats.LocalCertified + sub.Walks
-	stats.Messages = sub.Messages
-	stats.Batches = sub.Batches
-	stats.CacheSkipped = sub.CacheSkipped
-	stats.CleanSkipped = sub.CleanSkipped
-	stats.Errors = sub.Errors
-	stats.Report.Checked += sub.Report.Checked
-	stats.Report.Violations = sub.Report.Violations
-	stats.Report.Walks = sub.Report.Walks
-	stats.Report.Cached = sub.Report.Cached
-	stats.Report.Deduped = sub.Report.Deduped
-
-	f1, b1 := c.fleetWire(nodes)
-	stats.Frames = int(f1 - f0)
-	stats.Bytes = int(b1 - b0)
-	if opts.Metrics != nil {
-		opts.Metrics.Counter("dist.walks.local_certified").Add(int64(stats.LocalCertified))
-		opts.Metrics.Counter("dist.walks.escalated").Add(int64(stats.Escalated))
-	}
-	return stats, err
 }
 
-// FleetWire reports the summed transport counters (frames and bytes
-// written) across the coordinator and the given nodes — the measure the
-// per-round Stats deltas come from. Exported for wire-accounting tests
-// and the local-check benchmark.
-func (c *Coordinator) FleetWire(nodes map[string]*Node) (frames, bytes int64) {
-	return c.fleetWire(nodes)
+// VerifyLocal answers a cache-less verification round in local-check
+// mode: VerifyWith with the coordinator's current certificate.
+func (c *Coordinator) VerifyLocal(nodes map[string]*Node, policies []verify.Policy, sources []string, opts VerifyOpts) (Stats, error) {
+	ck := verify.NewChecker(nil, sources)
+	ck.Certified = c.Certificate()
+	return c.Round(ck, nodes, policies, opts)
 }

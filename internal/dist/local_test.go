@@ -56,7 +56,7 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 
 	// No churn: zero delta frames, every check certified locally, zero
 	// frames on the wire for the whole round.
-	res, err := coord.SyncViewsChecked(nodes, viewsOf(pn.Network), nil, 0)
+	res, err := coord.SyncViews(nodes, viewsOf(pn.Network), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 	if stats.Report.Checked != want || !stats.Report.OK() {
 		t.Fatalf("report = %+v", stats.Report)
 	}
-	if len(stats.Results) != want {
-		t.Fatalf("results = %d", len(stats.Results))
+	if got := stats.Report.Results(); len(got) != want || !got[0].Certified {
+		t.Fatalf("results = %d, first %+v", len(got), got[0])
 	}
 }
 
@@ -111,7 +111,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	}
 	views["r2"] = cut
 
-	res, err := coord.SyncViewsChecked(nodes, views, []string{"r2"}, 0)
+	res, err := coord.SyncViews(nodes, views, []string{"r2"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	if stats.LocalViolations != 1 {
 		t.Fatalf("local violations = %d", stats.LocalViolations)
 	}
-	if len(stats.Results) != 18 || stats.Report.Checked != 18 {
-		t.Fatalf("results %d checked %d", len(stats.Results), stats.Report.Checked)
+	if len(stats.Report.Results()) != 18 || stats.Report.Checked != 18 {
+		t.Fatalf("results %d checked %d", len(stats.Report.Results()), stats.Report.Checked)
 	}
 	if stats.Frames == 0 {
 		t.Fatal("escalated round must touch the wire")
@@ -211,7 +211,7 @@ func TestLocalCheckStaleEpochTaintsRound(t *testing.T) {
 	}
 	grown.FIB[pfx("192.0.2.0/28")] = fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback}
 	views["r1"] = grown
-	res, err := coord.SyncViewsChecked(nodes, views, []string{"r1"}, time.Second)
+	res, err := coord.SyncViews(nodes, views, []string{"r1"}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestViewDeltaSyncFieldRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentLocalChecksSyncAndEscalation is the race-coverage test:
-// checked syncs churning one router's view, hybrid verify rounds
+// syncs churning one router's view, hybrid verify rounds
 // escalating on the resulting taint, and periodic relabels all run
 // concurrently against one fleet.
 func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
@@ -329,7 +329,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 			if i%2 == 1 {
 				vs = broken
 			}
-			if _, err := coord.SyncViewsChecked(nodes, vs, []string{"r2"}, time.Second); err != nil {
+			if _, err := coord.SyncViews(nodes, vs, []string{"r2"}, time.Second); err != nil {
 				t.Errorf("sync: %v", err)
 				return
 			}

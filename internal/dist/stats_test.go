@@ -11,9 +11,9 @@ import (
 )
 
 // TestStatsWireAccounting pins down the exact Frames/Bytes deltas a
-// verification round reports under the scheduler's three suppression
-// paths: cache-skipped walks, clean-skipped walks, and local-check
-// certified rounds. Stats.Frames/Bytes must always equal the fleet-wide
+// verification round reports under the two ways a round stays off the
+// wire: walks answered by the walk cache, and checks answered by a
+// local-check certificate. Stats.Frames/Bytes must always equal the fleet-wide
 // transport counter delta across the call — no more, no less.
 func TestStatsWireAccounting(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
@@ -22,17 +22,18 @@ func TestStatsWireAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer teardown()
-	cache := verify.NewWalkCache()
+	sources := []string{"r1", "r2", "r3"}
+	ck := verify.NewChecker(nil, sources)
+	ck.Cache = verify.NewWalkCache()
 	policies := []verify.Policy{
 		{Kind: verify.Reachable, Prefix: pn.P},
 		{Kind: verify.NoLoop, Prefix: qClass},
 	}
-	sources := []string{"r1", "r2", "r3"}
 
 	// Full round: every walk travels, and the reported Frames/Bytes are
 	// exactly the fleet wire delta observed around the call.
 	f0, b0 := coord.FleetWire(nodes)
-	full, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Cache: cache})
+	full, err := coord.Round(ck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +41,13 @@ func TestStatsWireAccounting(t *testing.T) {
 	if full.Frames != int(f1-f0) || full.Bytes != int(b1-b0) {
 		t.Fatalf("full round: stats frames/bytes %d/%d, wire delta %d/%d", full.Frames, full.Bytes, f1-f0, b1-b0)
 	}
-	if full.Frames == 0 || full.Bytes == 0 || full.Walks != 6 || full.CacheSkipped != 0 {
+	if full.Frames == 0 || full.Bytes == 0 || full.Walks != 6 || full.Report.Cached != 0 {
 		t.Fatalf("full round stats = %+v", full)
 	}
 
 	// All-cache-hit round: the warm walk cache answers everything, zero
 	// frames and zero bytes on the wire.
-	warm, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Cache: cache})
+	warm, err := coord.Round(ck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,25 +55,12 @@ func TestStatsWireAccounting(t *testing.T) {
 	if f2 != f1 || b2 != b1 {
 		t.Fatalf("cache-hit round touched the wire: %d frames, %d bytes", f2-f1, b2-b1)
 	}
-	if warm.Frames != 0 || warm.Bytes != 0 || warm.CacheSkipped != 6 || warm.Walks != 6 {
+	if warm.Frames != 0 || warm.Bytes != 0 || warm.Report.Cached != 6 || warm.Walks != 6 {
 		t.Fatalf("cache-hit stats = %+v", warm)
 	}
 
-	// Clean-skip round: nothing dirty, every retained walk is reused.
-	clean, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Dirty: []string{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f3, b3 := coord.FleetWire(nodes)
-	if f3 != f2 || b3 != b2 {
-		t.Fatalf("clean-skip round touched the wire: %d frames, %d bytes", f3-f2, b3-b2)
-	}
-	if clean.Frames != 0 || clean.Bytes != 0 || clean.CleanSkipped != 6 || clean.CacheSkipped != 0 {
-		t.Fatalf("clean-skip stats = %+v", clean)
-	}
-
-	// Local-check suppressed round: labels pushed, then a checked sync of
-	// one dirty router costs exactly two frames — the view delta out and
+	// Local-check suppressed round: labels pushed, then a sync of one
+	// dirty router costs exactly two frames — the view delta out and
 	// the (empty-violation) local report back.
 	if _, err := coord.Relabel(nodes, []netip.Prefix{pn.P, qClass}); err != nil {
 		t.Fatal(err)
@@ -86,16 +74,16 @@ func TestStatsWireAccounting(t *testing.T) {
 	grown.FIB[pfx("192.0.2.0/28")] = fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback}
 	views["r2"] = grown
 	f4, b4 := coord.FleetWire(nodes)
-	res, err := coord.SyncViewsChecked(nodes, views, []string{"r2"}, time.Second)
+	res, err := coord.SyncViews(nodes, views, []string{"r2"}, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f5, b5 := coord.FleetWire(nodes)
 	if res.Sent != 1 || len(res.Reports) != 1 || res.Stale != 0 || len(res.Violations) != 0 {
-		t.Fatalf("checked sync = %+v", res)
+		t.Fatalf("sync = %+v", res)
 	}
 	if f5-f4 != 2 {
-		t.Fatalf("checked sync of one dirty router cost %d frames (want 2: delta + report), %d bytes", f5-f4, b5-b4)
+		t.Fatalf("sync of one dirty router cost %d frames (want 2: delta + report), %d bytes", f5-f4, b5-b4)
 	}
 
 	// Quiet local round: every pair certified locally, zero wire cost,

@@ -20,14 +20,11 @@ func TestBinaryWalkBatchRoundTrip(t *testing.T) {
 	walks := []WalkMsg{
 		{
 			WalkID: 42,
-			Policy: verify.Policy{Kind: verify.Egress, Prefix: pfx("10.0.0.0/8"),
-				Expect: "e2", Sources: []string{"r1", "r3"}},
 			Source: "r1", Dst: addr("10.0.0.1"),
 			Path: []string{"r1", "r2"}, Hops: 2, Msgs: 3,
 			Outcome: dataplane.Looped, Done: true, Egress: "r2", Err: "boom",
 		},
-		{WalkID: 43, Policy: verify.Policy{Kind: verify.NoLoop, Prefix: pfx("192.168.0.0/16")},
-			Source: "r9", Dst: addr("192.168.0.1")},
+		{WalkID: 43, Source: "r9", Dst: addr("192.168.0.1")},
 	}
 	payload := appendWalkBatch(nil, mtWalkBatch, 7, walks)
 	if payload[0] != frameV1 || payload[1] != mtWalkBatch {
@@ -130,20 +127,20 @@ func TestDeadNodeDegradesToError(t *testing.T) {
 	if err == nil {
 		t.Fatal("dead node went unreported")
 	}
-	if stats.Errors == 0 {
+	if stats.Report.Errors == 0 || stats.Report.OK() {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if elapsed > 10*time.Second {
 		t.Fatalf("verify took %v, deadline not enforced", elapsed)
 	}
 	failed := 0
-	for _, w := range stats.Results {
-		if w.Err != "" {
+	for _, r := range stats.Report.Results() {
+		if r.Err != nil {
 			failed++
 		}
 	}
-	if failed != stats.Errors {
-		t.Fatalf("errors %d but %d results carry Err", stats.Errors, failed)
+	if failed != stats.Report.Errors {
+		t.Fatalf("errors %d but %d results carry Err", stats.Report.Errors, failed)
 	}
 }
 
@@ -158,20 +155,21 @@ func TestCacheSkippedWalks(t *testing.T) {
 	defer teardown()
 	cache := verify.NewWalkCache()
 	policies := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
-	sources := []string{"r1", "r2", "r3"}
+	ck := verify.NewChecker(nil, []string{"r1", "r2", "r3"})
+	ck.Cache = cache
 
-	cold, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Cache: cache})
+	cold, err := coord.Round(ck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.CacheSkipped != 0 || cold.Frames == 0 {
+	if cold.Report.Cached != 0 || cold.Frames == 0 {
 		t.Fatalf("cold stats = %+v", cold)
 	}
-	warm, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Cache: cache})
+	warm, err := coord.Round(ck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.CacheSkipped != 3 || warm.Frames != 0 || warm.Bytes != 0 {
+	if warm.Report.Cached != 3 || warm.Frames != 0 || warm.Bytes != 0 {
 		t.Fatalf("warm stats = %+v", warm)
 	}
 	if warm.Report.Checked != 3 || !warm.Report.OK() {
@@ -179,52 +177,12 @@ func TestCacheSkippedWalks(t *testing.T) {
 	}
 	// Invalidation makes the walks travel again.
 	cache.InvalidateRouter("r2")
-	third, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Cache: cache})
+	third, err := coord.Round(ck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if third.Frames == 0 {
 		t.Fatalf("post-invalidation stats = %+v", third)
-	}
-}
-
-// TestDirtyReuseSkipsCleanWalks verifies the delta-aware scheduler reuses
-// retained results whose paths avoid every dirty router.
-func TestDirtyReuseSkipsCleanWalks(t *testing.T) {
-	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
-	policies := []verify.Policy{{Kind: verify.NoLoop, Prefix: pn.P}}
-	sources := []string{"r1", "r2", "r3"}
-
-	first, err := coord.Verify(nodes, policies, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.CleanSkipped != 0 {
-		t.Fatalf("first stats = %+v", first)
-	}
-	// Nothing dirty: every walk is reused from the retained round.
-	second, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Dirty: []string{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.CleanSkipped != 3 || second.Frames != 0 {
-		t.Fatalf("second stats = %+v", second)
-	}
-	if second.Report.Checked != 3 || !second.Report.OK() {
-		t.Fatalf("second report = %+v", second.Report)
-	}
-	// A dirty router on the paths forces those walks back onto the wire.
-	third, err := coord.VerifyWith(nodes, policies, sources, VerifyOpts{Dirty: []string{"r2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.CleanSkipped >= 3 || third.Frames == 0 {
-		t.Fatalf("third stats = %+v", third)
 	}
 }
 
@@ -242,8 +200,8 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 	sources := []string{"r1", "r2", "r3"}
 
 	// In-sync fleet: syncing again ships nothing.
-	if sent, err := coord.SyncViews(nodes, viewsOf(pn.Network), nil); err != nil || sent != 0 {
-		t.Fatalf("no-op sync sent %d frames, err %v", sent, err)
+	if res, err := coord.SyncViews(nodes, viewsOf(pn.Network), nil, 0); err != nil || res.Sent != 0 {
+		t.Fatalf("no-op sync sent %d frames, err %v", res.Sent, err)
 	}
 
 	stats, err := coord.Verify(nodes, policies, sources)
@@ -273,11 +231,11 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 		t.Fatalf("unsynced fleet already sees the change: %+v", stale.Report)
 	}
 
-	sent, err := coord.SyncViews(nodes, viewsOf(pn.Network), nil)
+	res, err := coord.SyncViews(nodes, viewsOf(pn.Network), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sent == 0 {
+	if res.Sent == 0 || len(res.Reports) != res.Sent {
 		t.Fatal("no delta frames sent for a changed network")
 	}
 	fresh, err := coord.Verify(nodes, policies, sources)
@@ -307,13 +265,13 @@ func TestDropBatchFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	dropped := 0
-	for _, w := range stats.Results {
-		if w.Source == "r1" && len(w.Path) == 0 {
+	for _, r := range stats.Report.Results() {
+		if r.Source == "r1" && len(r.Walk.Path) == 0 {
 			dropped++
 		}
 	}
 	if dropped == 0 {
-		t.Fatalf("drop-batch hook had no effect: %+v", stats.Results)
+		t.Fatalf("drop-batch hook had no effect: %+v", stats.Report.Results())
 	}
 	if stats.Report.OK() {
 		t.Fatalf("dropped batch produced a clean report: %+v", stats.Report)

@@ -15,7 +15,6 @@ import (
 	"hbverify/internal/localck"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
-	"hbverify/internal/verify"
 )
 
 // sendRaw dials addr and writes each payload as one length-prefixed frame
@@ -79,7 +78,6 @@ func TestNodeDropsNonV1Frames(t *testing.T) {
 	coord.mu.Unlock()
 	valid := appendWalkBatch(nil, mtWalkBatch, 1, []WalkMsg{{
 		WalkID: 8, Source: "r1", Dst: dataplane.Representative(pn.P), Msgs: 1,
-		Policy: verify.Policy{Kind: verify.NoLoop, Prefix: pn.P},
 	}})
 	sendRaw(t, nodes["r1"].Addr(), jsonWalk, shortV1, valid)
 	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 && w.Done })
@@ -123,8 +121,7 @@ func fuzzSeeds() [][]byte {
 	p := netip.MustParsePrefix("10.0.0.0/8")
 	a := netip.MustParseAddr("192.168.1.2")
 	walks := []WalkMsg{{
-		WalkID: 42, Policy: verify.Policy{Kind: verify.Egress, Prefix: p, Expect: "e2", Sources: []string{"r1"}},
-		Source: "r1", Dst: a, Path: []string{"r1", "r2"}, Hops: 2, Msgs: 3, Outcome: dataplane.Looped, Done: true,
+		WalkID: 42, Source: "r1", Dst: a, Path: []string{"r1", "r2"}, Hops: 2, Msgs: 3, Outcome: dataplane.Looped, Done: true,
 		Egress: "r2", Err: "boom", Frontier: []FrontierHop{{Router: "r3", Depth: 2}},
 		Exps:     []ExpMsg{{Router: "r1", Delivered: true, Stuck: true, Nexts: []string{"r2", "r3"}}},
 		Egresses: []string{"r2"}, Edges: [][2]string{{"r1", "r2"}}, Branches: 1,

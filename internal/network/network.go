@@ -16,6 +16,7 @@ import (
 	"hbverify/internal/bgp"
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
+	"hbverify/internal/dataplane"
 	"hbverify/internal/eigrp"
 	"hbverify/internal/fib"
 	"hbverify/internal/netsim"
@@ -688,4 +689,14 @@ func (n *Network) FIBSnapshot() map[string]map[netip.Prefix]fib.Entry {
 		out[name] = r.FIB.Snapshot()
 	}
 	return out
+}
+
+// LiveWalker returns a data-plane walker over every router's live FIB
+// table: it sees each install and withdraw the moment it lands.
+func (n *Network) LiveWalker() *dataplane.Walker {
+	tables := make(map[string]*fib.Table, len(n.routers))
+	for name, r := range n.routers {
+		tables[name] = r.FIB
+	}
+	return dataplane.NewWalker(n.Topo, dataplane.TableView(tables))
 }

@@ -99,7 +99,7 @@ func TestPreInstallBlocksViolatingUpdates(t *testing.T) {
 		t.Fatal("withheld updates do not trace to the config change")
 	}
 	// Repair: roll back, reconverge, discard the stale queue.
-	eng := NewEngine(pn.Network, rulesInfer, []string{"r1", "r2", "r3"})
+	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	ref, ok := pn.ConfigEventRef(findConfigChange(t, pn))
 	if !ok || ref.Version != 2 {
 		t.Fatalf("config ref = %+v %v", ref, ok)

@@ -27,7 +27,6 @@ import (
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
-	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/verify"
 )
@@ -141,14 +140,10 @@ type Engine struct {
 	// Infer builds the happens-before graph from captured I/Os (oracle
 	// stripping is the caller's choice; production uses hbr.Rules).
 	Infer func([]capture.IO) *hbg.Graph
-	// Sources is the packet-injection set for verification.
-	Sources []string
-	// Walker walks the data plane; defaults to the live FIB tables.
-	Walker *dataplane.Walker
-	// Workers bounds the verification walk pool (0 = GOMAXPROCS).
-	Workers int
-	// Metrics optionally receives verify.* instrumentation.
-	Metrics *metrics.Registry
+	// check is the owner's verdict on a policy set over the network's
+	// current data plane; the engine diagnoses its violations and does not
+	// verify anything itself.
+	check func([]verify.Policy) verify.Report
 	// Invalidate, when set, is called after a successful configuration
 	// rollback so cached inference state (hbr.Incremental) is rebuilt from
 	// scratch rather than accreted through windowed merges across the
@@ -156,25 +151,15 @@ type Engine struct {
 	Invalidate func()
 }
 
-// NewEngine builds an engine verifying over the live FIBs.
-func NewEngine(n *network.Network, infer func([]capture.IO) *hbg.Graph, sources []string) *Engine {
-	tables := map[string]*fib.Table{}
-	for _, r := range n.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	return &Engine{
-		Net: n, Infer: infer, Sources: sources,
-		Walker: dataplane.NewWalker(n.Topo, dataplane.TableView(tables)),
-	}
+// NewEngine builds an engine that diagnoses the violations check reports.
+func NewEngine(n *network.Network, infer func([]capture.IO) *hbg.Graph, check func([]verify.Policy) verify.Report) *Engine {
+	return &Engine{Net: n, Infer: infer, check: check}
 }
 
 // Detect verifies the policies and, on violation, traces the fault to its
 // root causes. No repair is performed.
 func (e *Engine) Detect(policies []verify.Policy) *Diagnosis {
-	checker := verify.NewChecker(e.Walker, e.Sources)
-	checker.Workers = e.Workers
-	checker.Metrics = e.Metrics
-	d := &Diagnosis{Report: checker.Check(policies)}
+	d := &Diagnosis{Report: e.check(policies)}
 	if d.Report.OK() {
 		return d
 	}

@@ -51,6 +51,12 @@ func misconfigure(t *testing.T, pn *network.PaperNet) capture.IO {
 	return io
 }
 
+// liveCheck is a cold central checker over the live FIBs from the internal
+// routers: the verdict the engine under test diagnoses.
+func liveCheck(pn *network.PaperNet) func([]verify.Policy) verify.Report {
+	return verify.NewChecker(pn.LiveWalker(), []string{"r1", "r2", "r3"}).Check
+}
+
 func egressPolicy(pn *network.PaperNet) []verify.Policy {
 	return []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 }
@@ -69,7 +75,7 @@ func TestGateMirrorsFIBs(t *testing.T) {
 func TestDetectTracesToConfigChange(t *testing.T) {
 	pn, _ := build(t)
 	cc := misconfigure(t, pn)
-	eng := NewEngine(pn.Network, rulesInfer, []string{"r1", "r2", "r3"})
+	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	d := eng.Detect(egressPolicy(pn))
 	if d.Report.OK() {
 		t.Fatal("violation not detected")
@@ -91,7 +97,7 @@ func TestDetectTracesToConfigChange(t *testing.T) {
 func TestRepairRollsBackAndConverges(t *testing.T) {
 	pn, _ := build(t)
 	misconfigure(t, pn)
-	eng := NewEngine(pn.Network, rulesInfer, []string{"r1", "r2", "r3"})
+	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	d, err := eng.DetectAndRepair(egressPolicy(pn))
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +122,7 @@ func TestRepairRollsBackAndConverges(t *testing.T) {
 
 func TestDetectCleanNetworkNoFault(t *testing.T) {
 	pn, _ := build(t)
-	eng := NewEngine(pn.Network, rulesInfer, []string{"r1", "r2", "r3"})
+	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	d := eng.Detect(egressPolicy(pn))
 	if !d.Report.OK() || d.Fault.ID != 0 || d.RolledBack {
 		t.Fatalf("clean diagnosis = %s", d)
@@ -136,7 +142,7 @@ func TestRepairFailsWithoutRevertibleRoot(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(pn.Network, rulesInfer, []string{"r1", "r2", "r3"})
+	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	_, err = eng.DetectAndRepair([]verify.Policy{{Kind: verify.Egress, Prefix: network.PrefixP, Expect: "e2"}})
 	if err == nil {
 		t.Fatal("repair should refuse to roll back version 1")
@@ -193,7 +199,7 @@ func TestBlockingHazard(t *testing.T) {
 func TestRepairAvoidsHazard(t *testing.T) {
 	pn, gate := build(t) // gate present but never blocking
 	misconfigure(t, pn)
-	eng := NewEngine(pn.Network, rulesInfer, []string{"r1", "r2", "r3"})
+	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	if _, err := eng.DetectAndRepair(egressPolicy(pn)); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +294,7 @@ func TestUnrepairableLinkFailure(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(pn.Network, rulesInfer, []string{"r1", "r2", "r3"})
+	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	// The operator policy still names e2; the failure violates it.
 	d := eng.Detect(egressPolicy(pn))
 	if d.Report.OK() {

@@ -483,13 +483,7 @@ func (h *harness) policies() []verify.Policy {
 	return out
 }
 
-func (h *harness) liveWalker() *dataplane.Walker {
-	tables := map[string]*fib.Table{}
-	for _, r := range h.w.net.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	return dataplane.NewWalker(h.w.net.Topo, dataplane.TableView(tables))
-}
+func (h *harness) liveWalker() *dataplane.Walker { return h.w.net.LiveWalker() }
 
 // oracleCheckerDeterminism asserts verify.Checker reports identical
 // violation lists for 1 worker, GOMAXPROCS workers, and a repeated run,
@@ -628,11 +622,11 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 
 // oracleDistVsCentral builds a distributed verification fleet over the
 // live network (every router, externals included, so walks traverse the
-// same graph the central walker sees) and asserts each distributed walk is
-// byte-identical — path, outcome, egress — to the central walker's walk for
-// the same (source, destination). BugDropBatch makes the coordinator lose
-// every batch bound for one node while still reporting success, which this
-// oracle must catch.
+// same graph the central walker sees), runs one checker twice — over the
+// central executor and over the fleet executor — and asserts every check
+// was answered by the same walk: path, outcome, egress. BugDropBatch makes
+// the coordinator lose every batch bound for one node while still
+// reporting success, which this oracle must catch.
 func (h *harness) oracleDistVsCentral(round int) *Failure {
 	coord, nodes, teardown, err := dist.BuildFleet(h.w.net, nil)
 	if err != nil {
@@ -640,48 +634,28 @@ func (h *harness) oracleDistVsCentral(round int) *Failure {
 	}
 	defer teardown()
 
-	pols := h.policies()
 	var opts dist.VerifyOpts
 	if h.cfg.Bug == BugDropBatch {
 		victim := h.w.verifySources[0]
 		opts.DropBatch = func(src string, _ int) bool { return src == victim }
 	}
-	stats, err := coord.VerifyWith(nodes, pols, h.w.verifySources, opts)
-	if err != nil {
-		return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf("distributed verify: %v", err)}
-	}
-
-	// Re-enumerate the jobs exactly as the coordinator does — policies in
-	// order, sources sorted — and compare walk-for-walk against the central
-	// walker over the identical live FIBs.
-	walker := h.liveWalker()
-	sources := append([]string(nil), h.w.verifySources...)
-	sort.Strings(sources)
-	i := 0
-	for _, p := range pols {
-		srcs := p.Sources
-		if len(srcs) == 0 {
-			srcs = sources
+	ck := verify.NewChecker(h.liveWalker(), h.w.verifySources)
+	pols := h.policies()
+	want := ck.Check(pols).Results()
+	ck.Executor = coord.Executor(nodes, opts)
+	got := ck.Check(pols).Results()
+	for i, g := range got {
+		w := want[i]
+		if g.Err != nil {
+			return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf(
+				"walk %s->%s failed: %v", g.Source, w.Walk.Dst, g.Err)}
 		}
-		for _, src := range srcs {
-			if i >= len(stats.Results) {
-				return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf(
-					"distributed round returned %d walks, want %d", len(stats.Results), stats.Walks)}
-			}
-			got := stats.Results[i]
-			i++
-			want := walker.Forward(src, dataplane.Representative(p.Prefix))
-			if got.Err != "" {
-				return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf(
-					"walk %s->%s failed: %s", src, want.Dst, got.Err)}
-			}
-			if got.Outcome != want.Outcome || got.Egress != want.Egress ||
-				!reflect.DeepEqual(got.Path, want.Path) {
-				return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf(
-					"walk %s->%s diverges: distributed %s via %v (egress %q), central %s via %v (egress %q)",
-					src, want.Dst, got.Outcome, got.Path, got.Egress,
-					want.Outcome, want.Path, want.Egress)}
-			}
+		if g.Walk.Outcome != w.Walk.Outcome || g.Walk.Egress != w.Walk.Egress ||
+			!reflect.DeepEqual(g.Walk.Path, w.Walk.Path) {
+			return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf(
+				"walk %s->%s diverges: distributed %s via %v (egress %q), central %s via %v (egress %q)",
+				g.Source, w.Walk.Dst, g.Walk.Outcome, g.Walk.Path, g.Walk.Egress,
+				w.Walk.Outcome, w.Walk.Path, w.Walk.Egress)}
 		}
 	}
 	return nil

@@ -339,8 +339,9 @@ func newHarness(cfg Config, w *world) *harness {
 		MaxQueue:     -1,
 		BugStalePlan: cfg.Bug == BugStalePlan,
 	})
-	h.engine = repair.NewEngine(w.net, h.infer, w.verifySources)
-	h.engine.Metrics = h.reg
+	cold := verify.NewChecker(h.liveWalker(), w.verifySources)
+	cold.Metrics = h.reg
+	h.engine = repair.NewEngine(w.net, h.infer, cold.Check)
 	h.engine.Invalidate = func() {
 		h.inc.Invalidate()
 		if cfg.Bug != BugStaleEqclass {

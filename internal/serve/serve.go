@@ -54,24 +54,9 @@ var (
 	ErrNoWhatIf = errors.New("serve: engine has no what-if backend")
 )
 
-// Executor runs one data-plane walk. The central implementation wraps
-// dataplane.Walker; the distributed one runs the walk as a single-walk
-// round through the dist fleet. Implementations must be safe for
-// concurrent calls — the engine invokes one per in-flight plan.
-type Executor interface {
-	ExecuteWalk(src string, dst netip.Addr) (dataplane.Walk, error)
-}
-
-// WalkerExecutor executes walks on the central data-plane walker.
-// dataplane.Walker is stateless, so concurrent Forward calls are safe.
-type WalkerExecutor struct {
-	W *dataplane.Walker
-}
-
-// ExecuteWalk implements Executor.
-func (e WalkerExecutor) ExecuteWalk(src string, dst netip.Addr) (dataplane.Walk, error) {
-	return e.W.Forward(src, dst), nil
-}
+// WalkerExecutor executes plans on the central data-plane walker; the
+// fleet executor in internal/dist runs them across the router nodes.
+type WalkerExecutor = verify.WalkerExecutor
 
 // Query is one question for the engine. Policy queries set Policy and
 // Source; what-if queries set WhatIf (and Key for coalescing) instead.
@@ -136,8 +121,9 @@ type Answer struct {
 
 // Config assembles an engine from the state a Pipeline already maintains.
 type Config struct {
-	// Executor runs the walks; required.
-	Executor Executor
+	// Executor runs the walks; required. The engine hands it one plan at a
+	// time, from as many goroutines as the window admits.
+	Executor verify.Executor
 	// Cache is the shared plan cache (typically the pipeline's WalkCache,
 	// so batch verification and churn invalidation are shared). Nil
 	// disables plan caching entirely.
@@ -158,21 +144,14 @@ type Config struct {
 	// sheds with ErrOverloaded; default 4×Window. Negative disables
 	// shedding.
 	MaxQueue int
-	// DisableCache makes every query plan-per-query: no cache lookups, no
-	// stores, no coalescing. This is the benchmark baseline, not a
-	// production mode.
-	DisableCache bool
 	// BugStalePlan injects the stale-plan bug for the scenario harness: the
 	// planner pins each plan's first walk forever, ignoring invalidation.
 	// The serve-vs-batch oracle must catch the divergence.
 	BugStalePlan bool
 }
 
-// planKey identifies one canonical plan.
-type planKey struct {
-	src string
-	dst netip.Addr
-}
+// planKey identifies one canonical plan: the walk that answers it.
+type planKey = verify.WalkKey
 
 // flight is one in-flight plan execution; followers wait on done.
 type flight struct {
@@ -302,8 +281,8 @@ func (e *Engine) Query(q Query) (Answer, error) {
 	}
 
 	probe := e.probeFor(q.Policy.Prefix)
-	k := planKey{src: q.Source, dst: probe}
-	ans := Answer{PlanKey: fmt.Sprintf("%s→%s", k.src, k.dst)}
+	k := planKey{Source: q.Source, Dst: probe}
+	ans := Answer{PlanKey: fmt.Sprintf("%s→%s", k.Source, k.Dst)}
 
 	walk, how, err := e.planWalk(k)
 	if err != nil {
@@ -354,20 +333,13 @@ func (e *Engine) planWalk(k planKey) (dataplane.Walk, planSource, error) {
 			return w, planHit, nil
 		}
 	}
-	useCache := e.cfg.Cache != nil && !e.cfg.DisableCache
+	useCache := e.cfg.Cache != nil
 	if useCache {
-		if w, ok := e.cfg.Cache.Lookup(k.src, k.dst); ok {
+		if w, ok := e.cfg.Cache.Lookup(k.Source, k.Dst); ok {
 			e.pinBugWalk(k, w)
 			return w, planHit, nil
 		}
 	}
-	if e.cfg.DisableCache {
-		// Plan-per-query baseline: no coalescing either — every query pays
-		// for its own walk.
-		w, err := e.execute(k, 0, false)
-		return w, planExecuted, err
-	}
-
 	e.mu.Lock()
 	if f, ok := e.flights[k]; ok {
 		e.mu.Unlock()
@@ -404,13 +376,14 @@ func (e *Engine) execute(k planKey, epoch uint64, store bool) (dataplane.Walk, e
 	if err := e.acquire(); err != nil {
 		return dataplane.Walk{}, err
 	}
-	w, err := e.cfg.Executor.ExecuteWalk(k.src, k.dst)
+	walks, errs := e.cfg.Executor.ExecuteWalks([]planKey{k})
 	e.release()
-	if err != nil {
-		return dataplane.Walk{}, err
+	if errs != nil && errs[0] != nil {
+		return dataplane.Walk{}, errs[0]
 	}
+	w := walks[0]
 	if store {
-		e.cfg.Cache.Store(k.src, k.dst, w, epoch)
+		e.cfg.Cache.Store(k.Source, k.Dst, w, epoch)
 	}
 	e.pinBugWalk(k, w)
 	return w, nil

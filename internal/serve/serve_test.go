@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"hbverify/internal/dataplane"
-	"hbverify/internal/dist"
 	"hbverify/internal/eqclass"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
@@ -137,9 +136,9 @@ type countingExec struct {
 	n *atomic.Int64
 }
 
-func (c countingExec) ExecuteWalk(src string, dst netip.Addr) (dataplane.Walk, error) {
-	c.n.Add(1)
-	return c.w.Forward(src, dst), nil
+func (c countingExec) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, []error) {
+	c.n.Add(int64(len(keys)))
+	return WalkerExecutor{W: c.w}.ExecuteWalks(keys)
 }
 
 // Churn on a router along the plan's path invalidates exactly that plan:
@@ -200,13 +199,13 @@ type blockingExec struct {
 	n       atomic.Int64
 }
 
-func (b *blockingExec) ExecuteWalk(src string, dst netip.Addr) (dataplane.Walk, error) {
-	b.n.Add(1)
+func (b *blockingExec) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, []error) {
+	b.n.Add(int64(len(keys)))
 	if b.started != nil {
 		b.started <- struct{}{}
 	}
 	<-b.gate
-	return b.w.Forward(src, dst), nil
+	return WalkerExecutor{W: b.w}.ExecuteWalks(keys)
 }
 
 // Concurrent queries that land on the same plan while its walk is in
@@ -270,10 +269,12 @@ func TestConcurrentQueriesCoalesce(t *testing.T) {
 func TestAdmissionShedsOverload(t *testing.T) {
 	w := startPaper(t)
 	be := &blockingExec{w: w.walker, gate: make(chan struct{})}
-	e := w.engine(Config{Executor: be, Window: 1, MaxQueue: 1, DisableCache: true})
+	// No cache: every query executes, and the last one cannot be answered by
+	// a plan the overload phase stored.
+	e := New(Config{Executor: be, Classes: w.eqc, Window: 1, MaxQueue: 1})
 	defer e.Close()
 
-	// Distinct prefixes → distinct plans; DisableCache keeps them all live.
+	// Distinct prefixes → distinct plans, so nothing coalesces either.
 	prefix := func(i int) netip.Prefix {
 		return netip.PrefixFrom(netip.AddrFrom4([4]byte{60, byte(i), 0, 0}), 24)
 	}
@@ -366,50 +367,6 @@ func TestWhatIfQueries(t *testing.T) {
 	defer bare.Close()
 	if _, err := bare.Query(WhatIf("x", whatif.LinkFailure("r1", "e1"))); !errors.Is(err, ErrNoWhatIf) {
 		t.Errorf("err = %v, want ErrNoWhatIf", err)
-	}
-}
-
-// The distributed executor answers queries through the dist fleet — each
-// plan is one concurrent single-walk round — with the same verdicts as
-// the central walker.
-func TestDistExecutorServesQueries(t *testing.T) {
-	w := startPaper(t)
-	coord, nodes, teardown, err := dist.BuildFleet(w.pn.Network, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
-	e := w.engine(Config{Executor: &DistExecutor{Coord: coord, Nodes: nodes}})
-	defer e.Close()
-
-	queries := []Query{
-		Reachability("r1", w.pn.P),
-		Reachability("r2", w.pn.P),
-		Reachability("r3", w.pn.P),
-		Waypoint("r3", w.pn.P, "r2"),
-	}
-	var wg sync.WaitGroup
-	answers := make([]Answer, len(queries))
-	errs := make([]error, len(queries))
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q Query) {
-			defer wg.Done()
-			answers[i], errs[i] = e.Query(q)
-		}(i, q)
-	}
-	wg.Wait()
-	checker := verify.NewChecker(w.walker, []string{"r1", "r2", "r3"})
-	for i, q := range queries {
-		if errs[i] != nil {
-			t.Fatalf("%v: %v", q.Policy, errs[i])
-		}
-		pol := q.Policy
-		pol.Sources = []string{q.Source}
-		if rep := checker.Check([]verify.Policy{pol}); answers[i].OK != rep.OK() {
-			t.Errorf("%v from %s: dist-served OK=%v, central OK=%v",
-				q.Policy, q.Source, answers[i].OK, rep.OK())
-		}
 	}
 }
 

@@ -32,7 +32,7 @@ type WalkCache struct {
 	// epoch) cannot repopulate the cache with stale walks.
 	floor   uint64
 	touched map[string]uint64 // router -> epoch of its last invalidation
-	walks   map[workKey]cachedWalk
+	walks   map[WalkKey]cachedWalk
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -40,7 +40,7 @@ type WalkCache struct {
 
 // NewWalkCache returns an empty cache.
 func NewWalkCache() *WalkCache {
-	return &WalkCache{touched: map[string]uint64{}, walks: map[workKey]cachedWalk{}}
+	return &WalkCache{touched: map[string]uint64{}, walks: map[WalkKey]cachedWalk{}}
 }
 
 // InvalidateRouter records that router's forwarding state changed: every
@@ -61,7 +61,7 @@ func (c *WalkCache) Flush() {
 	c.epoch++
 	c.floor = c.epoch
 	c.touched = map[string]uint64{}
-	c.walks = map[workKey]cachedWalk{}
+	c.walks = map[WalkKey]cachedWalk{}
 	c.mu.Unlock()
 }
 
@@ -79,32 +79,20 @@ func (c *WalkCache) Len() int {
 }
 
 // Begin returns the epoch new walks started now should be stamped with.
-// External walk executors (e.g. the distributed verifier) call Begin before
-// reading the cache and pass the epoch back to Store, so an invalidation
-// racing with their run stamps the stored walks as already stale.
-func (c *WalkCache) Begin() uint64 { return c.begin() }
-
-// Lookup returns the still-valid cached walk for (source, dst), if any.
-func (c *WalkCache) Lookup(source string, dst netip.Addr) (dataplane.Walk, bool) {
-	return c.get(workKey{src: source, dst: dst})
-}
-
-// Store records a walk computed at the epoch returned by Begin.
-func (c *WalkCache) Store(source string, dst netip.Addr, w dataplane.Walk, epoch uint64) {
-	c.put(workKey{src: source, dst: dst}, w, epoch)
-}
-
-// begin returns the epoch new walks started now should be stamped with.
-func (c *WalkCache) begin() uint64 {
+// Whoever executes walks (the checker, the query engine) calls Begin before
+// reading the cache and passes the epoch back to Store, so an invalidation
+// racing with the run stamps the stored walks as already stale.
+func (c *WalkCache) Begin() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.epoch
 }
 
-// get returns the cached walk for k if it is still valid: stored at or
-// after the floor, and no router on its path invalidated since it was
-// stored. Stale entries are evicted on the way out.
-func (c *WalkCache) get(k workKey) (dataplane.Walk, bool) {
+// Lookup returns the cached walk for (source, dst) if it is still valid:
+// stored at or after the floor, and no router on its path invalidated
+// since it was stored. Stale entries are evicted on the way out.
+func (c *WalkCache) Lookup(source string, dst netip.Addr) (dataplane.Walk, bool) {
+	k := WalkKey{Source: source, Dst: dst}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.walks[k]
@@ -130,10 +118,11 @@ func (c *WalkCache) get(k workKey) (dataplane.Walk, bool) {
 	return e.walk, true
 }
 
-// put stores a walk computed at the given epoch. Results predating the
-// floor (a Flush happened while the walk ran) are discarded, as are
-// results older than an existing entry.
-func (c *WalkCache) put(k workKey, w dataplane.Walk, epoch uint64) {
+// Store records a walk computed at the epoch returned by Begin. Results
+// predating the floor (a Flush happened while the walk ran) are discarded,
+// as are results older than an existing entry.
+func (c *WalkCache) Store(source string, dst netip.Addr, w dataplane.Walk, epoch uint64) {
+	k := WalkKey{Source: source, Dst: dst}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch < c.floor {

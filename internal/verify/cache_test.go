@@ -121,30 +121,30 @@ func TestWalkCacheFlush(t *testing.T) {
 // from repopulating a flushed cache.
 func TestWalkCacheEpochs(t *testing.T) {
 	c := NewWalkCache()
-	k := workKey{src: "a", dst: addr("10.0.0.1")}
+	src, dst := "a", addr("10.0.0.1")
 	w := dataplane.Walk{Dst: addr("10.0.0.1"), Path: []string{"a", "b"}}
 
-	c.put(k, w, c.begin())
-	if _, ok := c.get(k); !ok {
+	c.Store(src, dst, w, c.Begin())
+	if _, ok := c.Lookup(src, dst); !ok {
 		t.Fatal("miss immediately after put")
 	}
 	c.InvalidateRouter("z") // not on the walk's path
-	if _, ok := c.get(k); !ok {
+	if _, ok := c.Lookup(src, dst); !ok {
 		t.Fatal("unrelated invalidation evicted the walk")
 	}
 	c.InvalidateRouter("b")
-	if _, ok := c.get(k); ok {
+	if _, ok := c.Lookup(src, dst); ok {
 		t.Fatal("walk through an invalidated router survived")
 	}
 
-	stale := c.begin()
+	stale := c.Begin()
 	c.Flush()
-	c.put(k, w, stale) // an in-flight check finishing after the flush
-	if _, ok := c.get(k); ok {
+	c.Store(src, dst, w, stale) // an in-flight check finishing after the flush
+	if _, ok := c.Lookup(src, dst); ok {
 		t.Fatal("pre-flush result repopulated the cache")
 	}
-	c.put(k, w, c.begin())
-	if _, ok := c.get(k); !ok {
+	c.Store(src, dst, w, c.Begin())
+	if _, ok := c.Lookup(src, dst); !ok {
 		t.Fatal("fresh post-flush put missing")
 	}
 }

@@ -89,7 +89,9 @@ func (v Violation) String() string {
 // Report aggregates a verification run.
 type Report struct {
 	Violations []Violation
-	Checked    int // number of (policy, source) checks evaluated
+	// Checked is the number of (policy, source) checks answered: evaluated
+	// against a walk, or certified without one.
+	Checked int
 	// Walks is the number of data-plane walks actually executed this run;
 	// Cached is how many distinct walks were answered from the checker's
 	// walk cache instead; Deduped is how many checks were answered by a
@@ -99,31 +101,143 @@ type Report struct {
 	Walks   int
 	Cached  int
 	Deduped int
+	// Certified is how many checks the checker's certificate answered
+	// instead of a walk; they count in Checked.
+	Certified int
+	// Errors is how many checks have no verdict because the executor could
+	// not complete their walk; they do not count in Checked.
+	Errors int
+
+	// The grid the run expanded, kept so Results can replay it.
+	checks []check
+	walks  []dataplane.Walk
+	errs   []error
 }
 
-// OK reports whether the run found no violations.
-func (r Report) OK() bool { return len(r.Violations) == 0 }
+// OK reports whether every check was answered and none failed.
+func (r Report) OK() bool { return len(r.Violations) == 0 && r.Errors == 0 }
 
-// Summary renders "ok (N checks)" or the violation count.
+// Summary renders "ok (N checks)" or the violation and error counts.
 func (r Report) Summary() string {
-	if r.OK() {
+	switch {
+	case r.OK():
 		return fmt.Sprintf("ok (%d checks)", r.Checked)
+	case r.Errors > 0:
+		return fmt.Sprintf("%d violations in %d checks, %d checks unanswered", len(r.Violations), r.Checked, r.Errors)
 	}
 	return fmt.Sprintf("%d violations in %d checks", len(r.Violations), r.Checked)
 }
 
-// Checker runs policies over a FIB view. Checks fan out over a bounded
-// worker pool: the (policy × source) grid is first deduplicated into
-// distinct (source, destination) walks — optionally sharded by forwarding
-// equivalence class so equivalent headers are walked once — and the walks
-// execute in parallel while evaluation and violation ordering stay
-// deterministic.
+// Result is how one (policy, source) check was answered: by a walk, by the
+// certificate (no walk), or not at all (Err).
+type Result struct {
+	Policy    Policy
+	Source    string
+	Walk      dataplane.Walk
+	Certified bool
+	Err       error
+}
+
+// Results lists every check of the run in grid order: policy order, then
+// the policy's sources in order.
+func (r Report) Results() []Result {
+	out := make([]Result, len(r.checks))
+	for i, ch := range r.checks {
+		out[i] = Result{Policy: ch.policy, Source: ch.src}
+		if ch.walk < 0 {
+			out[i].Certified = true
+		} else if r.errs != nil && r.errs[ch.walk] != nil {
+			out[i].Err = r.errs[ch.walk]
+		} else {
+			out[i].Walk = r.walks[ch.walk]
+		}
+	}
+	return out
+}
+
+// WalkKey identifies one distinct data-plane walk: a probe header injected
+// at a source router.
+type WalkKey struct {
+	Source string
+	Dst    netip.Addr
+}
+
+// Executor runs a batch of distinct walks — the one thing that differs
+// between verifying centrally and verifying across the router fleet.
+// ExecuteWalks returns keys[i]'s walk at index i. errs is nil when every
+// walk completed; otherwise errs[i] is non-nil for each walk that did not,
+// and that walk's checks get no verdict. Implementations must be safe for
+// concurrent calls: the query engine issues one per in-flight plan.
+type Executor interface {
+	ExecuteWalks(keys []WalkKey) (walks []dataplane.Walk, errs []error)
+}
+
+// WalkerExecutor is the central executor: a bounded worker pool over one
+// walker. dataplane.Walker is stateless, so concurrent walks are safe.
+type WalkerExecutor struct {
+	W *dataplane.Walker
+	// workers bounds the pool (Checker.Workers); 0 means GOMAXPROCS, 1
+	// walks on the calling goroutine.
+	workers int
+}
+
+// ExecuteWalk runs one walk on the calling goroutine.
+func (e WalkerExecutor) ExecuteWalk(src string, dst netip.Addr) (dataplane.Walk, error) {
+	return e.W.Forward(src, dst), nil
+}
+
+// ExecuteWalks implements Executor; a central walk cannot fail.
+func (e WalkerExecutor) ExecuteWalks(keys []WalkKey) ([]dataplane.Walk, []error) {
+	walks := make([]dataplane.Walk, len(keys))
+	workers := e.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(keys) {
+		workers = len(keys)
+	}
+	if workers <= 1 {
+		for i, k := range keys {
+			walks[i] = e.W.Forward(k.Source, k.Dst)
+		}
+		return walks, nil
+	}
+	var (
+		wg   sync.WaitGroup
+		next = make(chan int)
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				walks[i] = e.W.Forward(keys[i].Source, keys[i].Dst)
+			}
+		}()
+	}
+	for i := range keys {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	return walks, nil
+}
+
+// Checker is the verifier: it expands policies into (policy, source)
+// checks, maps them onto distinct (source, destination) walks — optionally
+// sharded by forwarding equivalence class so equivalent headers are walked
+// once — answers what it can from the walk cache, hands the rest to an
+// Executor, and evaluates every check in deterministic grid order. How the
+// walks run (Executor) and which checks need no walk at all (Certified)
+// are the only things that differ between the central, fleet and
+// local-check verification modes.
 type Checker struct {
+	// Walker is what the default executor walks; unused when Executor is set.
 	Walker *dataplane.Walker
 	// Sources is the default packet injection set.
 	Sources []string
-	// Workers bounds the walk pool; 0 means GOMAXPROCS, 1 forces serial
-	// execution.
+	// Workers bounds the default executor's walk pool; 0 means GOMAXPROCS,
+	// 1 forces serial execution.
 	Workers int
 	// Metrics optionally receives verify.* counters and per-policy-kind
 	// latency timers.
@@ -132,6 +246,14 @@ type Checker struct {
 	// invalidate it (InvalidateRouter/Flush) when forwarding state changes.
 	// Nil disables caching — every Check walks from scratch.
 	Cache *WalkCache
+	// Executor runs the walks the cache cannot answer; nil means a
+	// WalkerExecutor over Walker with Workers.
+	Executor Executor
+	// Certified, when set, is a certificate that forwarding from source
+	// toward prefix terminates in delivery without a loop. It answers the
+	// check instead of a walk for the three kinds that claim implies
+	// (Reachable, NoLoop, NoBlackhole); every other kind is always walked.
+	Certified func(source string, prefix netip.Prefix) bool
 
 	classRep map[netip.Prefix]netip.Addr
 }
@@ -169,28 +291,31 @@ func (c *Checker) probe(p netip.Prefix) netip.Addr {
 	return dataplane.Representative(p)
 }
 
-// workKey identifies one distinct data-plane walk.
-type workKey struct {
-	src string
-	dst netip.Addr
-}
-
 // check is one (policy, source) evaluation awaiting its walk.
 type check struct {
 	policy Policy
 	src    string
-	walk   int // index into the deduplicated walk list
+	walk   int // index into the deduplicated walk list; -1 when certified
+}
+
+// certifiable reports whether a delivery certificate answers the kind: the
+// three global safety properties it implies. Egress pinning, waypoints,
+// isolation and ECMP consistency depend on the path taken, which only a
+// walk shows.
+func (k Kind) certifiable() bool {
+	return k == Reachable || k == NoLoop || k == NoBlackhole
 }
 
 // Check runs every policy and aggregates violations. Violation order is
 // deterministic (policy order, then sorted source order) regardless of the
-// worker count.
+// executor.
 func (c *Checker) Check(policies []Policy) Report {
 	start := time.Now()
 	var (
+		rep    Report
 		checks []check
-		keys   []workKey
-		walkIx = map[workKey]int{}
+		keys   []WalkKey
+		walkIx = map[WalkKey]int{}
 	)
 	for _, p := range policies {
 		sources := p.Sources
@@ -198,8 +323,14 @@ func (c *Checker) Check(policies []Policy) Report {
 			sources = c.Sources
 		}
 		dst := c.probe(p.Prefix)
+		certifiable := c.Certified != nil && p.Kind.certifiable()
 		for _, src := range sources {
-			k := workKey{src: src, dst: dst}
+			if certifiable && c.Certified(src, p.Prefix) {
+				rep.Certified++
+				checks = append(checks, check{policy: p, src: src, walk: -1})
+				continue
+			}
+			k := WalkKey{Source: src, Dst: dst}
 			ix, ok := walkIx[k]
 			if !ok {
 				ix = len(keys)
@@ -214,72 +345,71 @@ func (c *Checker) Check(policies []Policy) Report {
 	// The epoch is captured before any cache read so an invalidation
 	// racing with this run stamps our stored walks as already stale.
 	walks := make([]dataplane.Walk, len(keys))
-	run := make([]int, 0, len(keys))
+	miss := make([]int, 0, len(keys)) // indices into keys that must execute
 	var cacheEpoch uint64
 	if c.Cache != nil {
-		cacheEpoch = c.Cache.begin()
+		cacheEpoch = c.Cache.Begin()
 		for i, k := range keys {
-			if w, ok := c.Cache.get(k); ok {
+			if w, ok := c.Cache.Lookup(k.Source, k.Dst); ok {
 				walks[i] = w
 			} else {
-				run = append(run, i)
+				miss = append(miss, i)
 			}
 		}
 	} else {
 		for i := range keys {
-			run = append(run, i)
+			miss = append(miss, i)
 		}
 	}
 
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(run) {
-		workers = len(run)
-	}
-	if workers <= 1 {
-		for _, i := range run {
-			walks[i] = c.Walker.Forward(keys[i].src, keys[i].dst)
+	var errs []error
+	if len(miss) > 0 {
+		run := keys
+		if len(miss) < len(keys) {
+			run = make([]WalkKey, len(miss))
+			for j, i := range miss {
+				run[j] = keys[i]
+			}
 		}
-	} else {
-		var (
-			wg   sync.WaitGroup
-			next = make(chan int)
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					walks[i] = c.Walker.Forward(keys[i].src, keys[i].dst)
-				}
-			}()
+		exec := c.Executor
+		if exec == nil {
+			exec = WalkerExecutor{W: c.Walker, workers: c.Workers}
 		}
-		for _, i := range run {
-			next <- i
+		got, failed := exec.ExecuteWalks(run)
+		if failed != nil {
+			errs = make([]error, len(keys))
 		}
-		close(next)
-		wg.Wait()
-	}
-	if c.Cache != nil {
-		for _, i := range run {
-			c.Cache.put(keys[i], walks[i], cacheEpoch)
+		for j, i := range miss {
+			if failed != nil && failed[j] != nil {
+				errs[i] = failed[j]
+				continue
+			}
+			walks[i] = got[j]
+			if c.Cache != nil {
+				c.Cache.Store(keys[i].Source, keys[i].Dst, got[j], cacheEpoch)
+			}
 		}
 	}
 
-	rep := Report{
-		Checked: len(checks),
-		Walks:   len(run),
-		Cached:  len(keys) - len(run),
-		Deduped: len(checks) - len(keys),
-	}
+	rep.Walks = len(miss)
+	rep.Cached = len(keys) - len(miss)
+	rep.Deduped = len(checks) - rep.Certified - len(keys)
+	rep.checks, rep.walks, rep.errs = checks, walks, errs
 	var (
 		kindDur    [len(kindNames)]time.Duration
 		kindChecks [len(kindNames)]int64
 		timed      = c.Metrics != nil
 	)
 	for _, ch := range checks {
+		if ch.walk < 0 {
+			rep.Checked++
+			continue
+		}
+		if errs != nil && errs[ch.walk] != nil {
+			rep.Errors++
+			continue
+		}
+		rep.Checked++
 		var t0 time.Time
 		if timed {
 			t0 = time.Now()

@@ -12,7 +12,6 @@ import (
 	"net/netip"
 
 	"hbverify/internal/config"
-	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/verify"
@@ -120,12 +119,7 @@ func (e *Engine) Ask(bp *network.Blueprint, changes ...Change) (Result, error) {
 }
 
 func (e *Engine) check(n *network.Network) verify.Report {
-	tables := map[string]*fib.Table{}
-	for _, r := range n.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	w := dataplane.NewWalker(n.Topo, dataplane.TableView(tables))
-	return verify.NewChecker(w, e.Sources).Check(e.Policies)
+	return verify.NewChecker(n.LiveWalker(), e.Sources).Check(e.Policies)
 }
 
 // Diff compares the hypothetical FIBs with the live network's, returning
