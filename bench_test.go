@@ -15,9 +15,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"os"
-	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -445,11 +443,18 @@ func BenchmarkHBRInference(b *testing.B) {
 	}
 	stripped := capture.StripOracle(clean)
 	rules := hbr.Rules{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rules.Infer(stripped)
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	events := float64(b.N * len(stripped))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
 	once("hbrinf", func() {
 		fmt.Println("\n[E8/§4.2] HBR inference accuracy (clean clocks | 3ms skew + 2ms jitter)")
 		fmt.Printf("  %-11s %6s %6s   %6s %6s\n", "strategy", "prec", "rec", "prec", "rec")
@@ -1324,121 +1329,6 @@ func benchInferLog(seed int64, n, nRouters int) []capture.IO {
 		}
 	}
 	return out[:n]
-}
-
-// BenchmarkInferThroughput — tentpole PR5: the shared-index Combined
-// strategy (sorted-once events, keyed send lookup, parallel per-router
-// sharding) against the preserved pre-Index reference, and the byte-
-// scanning interning parser against the string-splitting reference, over
-// the same 30K-event synthetic log. Persisted to BENCH_infer.json with
-// the acceptance floors (>=5x events/sec on Combined, >=3x fewer
-// allocs/event on parse) asserted here.
-func BenchmarkInferThroughput(b *testing.B) {
-	const nEvents, nRouters = 60_000, 12
-	ios := benchInferLog(42, nEvents, nRouters)
-	train := benchInferLog(43, 4_000, nRouters)
-	lineup := hbr.Strategies(train, 0)
-	combined := lineup[len(lineup)-1] // Combined, per the Strategies contract
-	refCombined := hbr.Reference(combined)
-
-	// The two paths must be edge- and confidence-identical before we time
-	// them (this doubles as the warm-up run for both).
-	fastG, refG := combined.Infer(ios), refCombined.Infer(ios)
-	if !reflect.DeepEqual(fastG.Edges(), refG.Edges()) {
-		b.Fatalf("indexed Combined diverges from reference: %d vs %d edges",
-			len(fastG.Edges()), len(refG.Edges()))
-	}
-
-	b.Run("combined-indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			combined.Infer(ios)
-		}
-	})
-	b.Run("combined-reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			refCombined.Infer(ios)
-		}
-	})
-
-	// Hand-rolled comparison for the artifact and the acceptance
-	// assertions, independent of b.N calibration.
-	inferNs := func(s hbr.Strategy, runs int) float64 {
-		t0 := time.Now()
-		for i := 0; i < runs; i++ {
-			s.Infer(ios)
-		}
-		return float64(time.Since(t0).Nanoseconds()) / float64(runs)
-	}
-	fastNs := inferNs(combined, 6)
-	refNs := inferNs(refCombined, 2)
-	fastEPS := float64(nEvents) * 1e9 / fastNs
-	refEPS := float64(nEvents) * 1e9 / refNs
-	speedup := refNs / fastNs
-
-	// Ingestion: emit the same log once, then parse it cold with each
-	// parser — a single pass, so the interning maps pay their build cost
-	// inside the measured window.
-	var sb strings.Builder
-	if err := ciscolog.EmitLog(&sb, ios); err != nil {
-		b.Fatal(err)
-	}
-	text := sb.String()
-	parseOnce := func(parse func() (int, error)) (allocsPerEvent, nsPerEvent float64) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		n, err := parse()
-		elapsed := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != nEvents {
-			b.Fatalf("parsed %d events, want %d", n, nEvents)
-		}
-		return float64(after.Mallocs-before.Mallocs) / float64(n),
-			float64(elapsed.Nanoseconds()) / float64(n)
-	}
-	fastAllocs, fastParseNs := parseOnce(func() (int, error) {
-		out, err := ciscolog.NewParser(nil).ParseLog("r0", strings.NewReader(text))
-		return len(out), err
-	})
-	refAllocs, refParseNs := parseOnce(func() (int, error) {
-		out, err := ciscolog.NewReferenceParser(nil).ParseLog("r0", strings.NewReader(text))
-		return len(out), err
-	})
-	allocCut := refAllocs / fastAllocs
-
-	once("inferthroughput", func() {
-		fmt.Printf("\n[tentpole/PR5] HBR inference + ingestion over %d events, %d routers\n", nEvents, nRouters)
-		fmt.Printf("  combined reference (linear scan):  %11.0f events/sec\n", refEPS)
-		fmt.Printf("  combined indexed (shared, sharded):%11.0f events/sec\n", fastEPS)
-		fmt.Printf("  parse reference (string fields):   %8.1f allocs/event  %7.0f ns/event\n", refAllocs, refParseNs)
-		fmt.Printf("  parse fast (byte scan, interned):  %8.1f allocs/event  %7.0f ns/event\n", fastAllocs, fastParseNs)
-		fmt.Printf("  inference %.1fx, parse allocations cut %.1fx\n", speedup, allocCut)
-		artifact, _ := json.MarshalIndent(map[string]interface{}{
-			"benchmark": "BenchmarkInferThroughput",
-			"events":    nEvents, "routers": nRouters,
-			"reference_events_per_sec": refEPS, "indexed_events_per_sec": fastEPS,
-			"reference_parse_allocs_per_event": refAllocs, "fast_parse_allocs_per_event": fastAllocs,
-			"reference_parse_ns_per_event": refParseNs, "fast_parse_ns_per_event": fastParseNs,
-			"inference_speedup": speedup, "parse_alloc_reduction": allocCut,
-		}, "", "  ")
-		if err := os.WriteFile("BENCH_infer.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_infer.json:", err, ")")
-		}
-	})
-	if speedup < 5 {
-		b.Errorf("indexed Combined inference %.1fx reference, want >= 5x (%.0f vs %.0f events/sec)",
-			speedup, fastEPS, refEPS)
-	}
-	if allocCut < 3 {
-		b.Errorf("fast parse allocates %.1fx less than reference, want >= 3x (%.1f vs %.1f allocs/event)",
-			allocCut, fastAllocs, refAllocs)
-	}
 }
 
 // ---------------------------------------------------------------------------

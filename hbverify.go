@@ -140,8 +140,14 @@ func (p *Pipeline) noteDistDirty(router string) {
 }
 
 // infer applies the configured strategy with oracle fields stripped, so
-// inference can never cheat via the simulator's ground-truth tags.
+// inference can never cheat via the simulator's ground-truth tags. A log the
+// incremental cache already covers is answered before the copy is made.
 func (p *Pipeline) infer(ios []capture.IO) *hbg.Graph {
+	if inc, ok := p.Strategy.(*hbr.Incremental); ok {
+		if g := inc.Cached(ios); g != nil {
+			return g
+		}
+	}
 	return p.Strategy.Infer(capture.StripOracle(ios))
 }
 

@@ -60,14 +60,12 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	g.mu.RLock()
 	buf = binary.AppendUvarint(buf, g.prunedBelow)
 
-	nodeIDs := make([]uint64, 0, len(g.nodes))
-	for id := range g.nodes {
-		nodeIDs = append(nodeIDs, id)
-	}
-	sort.Slice(nodeIDs, func(i, j int) bool { return nodeIDs[i] < nodeIDs[j] })
-	buf = binary.AppendUvarint(buf, uint64(len(nodeIDs)))
-	for _, id := range nodeIDs {
-		buf = appendIO(buf, g.nodes[id])
+	buf = binary.AppendUvarint(buf, uint64(g.nodes))
+	for _, v := range g.verts {
+		if !v.known {
+			continue
+		}
+		buf = appendIO(buf, &v.io)
 		if len(buf) > 1<<16 {
 			if _, err := bw.Write(buf); err != nil {
 				g.mu.RUnlock()
@@ -77,21 +75,15 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 		}
 	}
 
-	edges := make([]Edge, 0, len(g.conf))
-	for e := range g.conf {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+	// verts ascend by ID, so sorting each vertex's children yields the
+	// edges in (From, To) order.
+	buf = binary.AppendUvarint(buf, uint64(g.edges))
+	for _, v := range g.verts {
+		for _, to := range sortedIDs(v.out) {
+			buf = binary.AppendUvarint(buf, v.io.ID)
+			buf = binary.AppendUvarint(buf, to)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.confidenceLocked(Edge{v.io.ID, to})))
 		}
-		return edges[i].To < edges[j].To
-	})
-	buf = binary.AppendUvarint(buf, uint64(len(edges)))
-	for _, e := range edges {
-		buf = binary.AppendUvarint(buf, e.From)
-		buf = binary.AppendUvarint(buf, e.To)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.conf[e]))
 	}
 
 	inhIDs := make([]uint64, 0, len(g.inherited))
@@ -104,15 +96,15 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 		roots := g.inherited[id] // already ID-sorted by mergeRootSets/prune
 		buf = binary.AppendUvarint(buf, id)
 		buf = binary.AppendUvarint(buf, uint64(len(roots)))
-		for _, io := range roots {
-			buf = appendIO(buf, io)
+		for i := range roots {
+			buf = appendIO(buf, &roots[i])
 		}
 	}
 	g.mu.RUnlock()
 
 	buf = binary.AppendUvarint(buf, uint64(len(c.Retained)))
 	for i := range c.Retained {
-		buf = appendIO(buf, c.Retained[i])
+		buf = appendIO(buf, &c.Retained[i])
 		if len(buf) > 1<<16 {
 			if _, err := bw.Write(buf); err != nil {
 				return err
@@ -157,7 +149,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hbg: checkpoint node %d: %w", i, err)
 		}
-		c.Graph.nodes[io.ID] = io
+		c.Graph.addNodesLocked([]capture.IO{io})
 	}
 
 	nEdges, err := binary.ReadUvarint(br)
@@ -200,9 +192,6 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 				return nil, fmt.Errorf("hbg: checkpoint inherited root %d/%d: %w", i, j, err)
 			}
 			roots = append(roots, io)
-		}
-		if c.Graph.inherited == nil {
-			c.Graph.inherited = map[uint64][]capture.IO{}
 		}
 		c.Graph.inherited[id] = roots
 	}
@@ -247,7 +236,7 @@ func appendPrefix(dst []byte, p netip.Prefix) []byte {
 // appendIO serializes one capture.IO, every field included so the
 // round-trip is lossless (oracle fields are typically zero in daemon
 // deployments but cost one byte each when absent).
-func appendIO(dst []byte, io capture.IO) []byte {
+func appendIO(dst []byte, io *capture.IO) []byte {
 	dst = binary.AppendUvarint(dst, io.ID)
 	dst = appendString(dst, io.Router)
 	dst = append(dst, byte(io.Type), byte(io.Proto))

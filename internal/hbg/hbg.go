@@ -17,7 +17,10 @@
 package hbg
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -28,15 +31,37 @@ import (
 // Edge is a happens-before pair: From happens before To.
 type Edge struct{ From, To uint64 }
 
+// EdgeConf is an edge with its inference confidence in (0, 1].
+type EdgeConf struct {
+	From, To uint64
+	Conf     float64
+}
+
+// vertex is one captured I/O with its adjacency. io is never written once
+// the vertex is in Graph.verts — a replacement is a new vertex — so a pointer
+// to it stays valid outside the lock; in and out change under the writer lock.
+type vertex struct {
+	io capture.IO
+	// known is false for a placeholder, the endpoint of an edge whose
+	// AddNode has not arrived: it carries edges but is never reported.
+	known   bool
+	in, out []uint64
+}
+
 // Graph is a happens-before graph. The zero value is not usable; call New.
 type Graph struct {
-	mu    sync.RWMutex
-	nodes map[uint64]capture.IO
-	out   map[uint64][]uint64
-	in    map[uint64][]uint64
-	// conf optionally annotates edges with the inference confidence
-	// (§4.2: "a statistical confidence attached to each inferred HBR").
-	// Ground-truth and rule-matched edges carry confidence 1.
+	mu sync.RWMutex
+	// verts holds every vertex once, behind a pointer, in ascending ID
+	// order. Capture IDs are dense and append-ordered, so insertion is an
+	// append, lookup a guess corrected across any gaps, and Nodes a walk.
+	// Each vertex is copied in: one that pointed into a capture.Log backing
+	// array would pin the arrays CompactBefore reallocates in order to free.
+	verts []*vertex
+	nodes int // known vertices
+	edges int
+	// conf annotates edges with the inference confidence (§4.2: "a
+	// statistical confidence attached to each inferred HBR"). Ground-truth
+	// and rule-matched edges carry confidence 1 and are not stored.
 	conf map[Edge]float64
 	// inherited holds root-cause I/Os folded in by PruneBefore: when a
 	// vertex's ancestry is compacted away, its root causes are snapshotted
@@ -49,19 +74,72 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		nodes: map[uint64]capture.IO{},
-		out:   map[uint64][]uint64{},
-		in:    map[uint64][]uint64{},
-		conf:  map[Edge]float64{},
+	return &Graph{conf: map[Edge]float64{}, inherited: map[uint64][]capture.IO{}}
+}
+
+// pos returns id's index in verts, or where it would be inserted.
+func (g *Graph) pos(id uint64) (int, bool) {
+	n := len(g.verts)
+	if n == 0 || id <= g.verts[0].io.ID {
+		return 0, n > 0 && g.verts[0].io.ID == id
 	}
+	// IDs ascend strictly, so id sits at most id-first slots in, and
+	// exactly there when the graph is dense up to it.
+	hi := n - 1
+	if d := id - g.verts[0].io.ID; d < uint64(hi) {
+		hi = int(d)
+	}
+	if at := g.verts[hi].io.ID; at == id {
+		return hi, true
+	} else if at < id {
+		return n, false
+	}
+	i := sort.Search(hi, func(i int) bool { return g.verts[i].io.ID >= id })
+	return i, g.verts[i].io.ID == id
+}
+
+func (g *Graph) find(id uint64) *vertex {
+	if i, ok := g.pos(id); ok {
+		return g.verts[i]
+	}
+	return nil
+}
+
+// slot returns id's vertex, inserting a placeholder if there is none.
+func (g *Graph) slot(id uint64) *vertex {
+	i, ok := g.pos(id)
+	if !ok {
+		g.verts = slices.Insert(g.verts, i, &vertex{io: capture.IO{ID: id}})
+	}
+	return g.verts[i]
 }
 
 // AddNode inserts (or replaces) a vertex.
 func (g *Graph) AddNode(io capture.IO) {
 	g.mu.Lock()
-	g.nodes[io.ID] = io
+	g.addNodesLocked([]capture.IO{io})
 	g.mu.Unlock()
+}
+
+// addNodesLocked copies ios in as vertices. An ID above every present one —
+// the order a capture log produces — appends; any other shifts the pointers
+// above it.
+func (g *Graph) addNodesLocked(ios []capture.IO) {
+	g.verts = slices.Grow(g.verts, len(ios))
+	for i := range ios {
+		v := &vertex{io: ios[i], known: true}
+		j, ok := g.pos(v.io.ID)
+		if !ok {
+			g.verts = slices.Insert(g.verts, j, v)
+			g.nodes++
+			continue
+		}
+		if old := g.verts[j]; !old.known {
+			g.nodes++
+		}
+		v.in, v.out = g.verts[j].in, g.verts[j].out
+		g.verts[j] = v
+	}
 }
 
 // AddEdge inserts a happens-before edge with confidence 1. Unknown
@@ -69,7 +147,8 @@ func (g *Graph) AddNode(io capture.IO) {
 // construction); duplicate edges are ignored.
 func (g *Graph) AddEdge(from, to uint64) { g.AddEdgeConf(from, to, 1) }
 
-// AddEdgeConf inserts an edge with an explicit confidence in (0, 1].
+// AddEdgeConf inserts an edge with an explicit confidence in (0, 1]; a
+// duplicate keeps the larger confidence.
 func (g *Graph) AddEdgeConf(from, to uint64, conf float64) {
 	g.mu.Lock()
 	g.addEdgeConfLocked(from, to, conf)
@@ -80,52 +159,142 @@ func (g *Graph) addEdgeConfLocked(from, to uint64, conf float64) {
 	if from == to || from == 0 || to == 0 {
 		return
 	}
-	e := Edge{from, to}
-	if _, dup := g.conf[e]; dup {
-		if conf > g.conf[e] {
-			g.conf[e] = conf
+	t, e := g.slot(to), Edge{from, to}
+	if slices.Contains(t.in, from) {
+		if conf <= g.confidenceLocked(e) {
+			return
 		}
-		return
+		delete(g.conf, e)
+	} else {
+		f := g.slot(from)
+		t.in, f.out = append(t.in, from), append(f.out, to)
+		g.edges++
 	}
-	g.conf[e] = conf
-	g.out[from] = append(g.out[from], to)
-	g.in[to] = append(g.in[to], from)
+	if conf != 1 {
+		g.conf[e] = conf
+	}
+}
+
+// confidenceLocked is the confidence of an edge known to exist.
+func (g *Graph) confidenceLocked(e Edge) float64 {
+	if c, ok := g.conf[e]; ok {
+		return c
+	}
+	return 1
+}
+
+// Batch is one bulk mutation, applied under a single acquisition of the
+// writer lock so readers see the graph before it or after it.
+type Batch struct {
+	// Nodes are copied in as vertices (replacing same-ID ones).
+	Nodes []capture.IO
+	// Reset names vertices that lose their in-edges before Edges are
+	// added: afterwards their parents are exactly what Edges gives them.
+	Reset []uint64
+	// Edges are added list by list, in order, as AddEdgeConf would.
+	Edges [][]EdgeConf
+}
+
+// Apply performs b.
+func (g *Graph) Apply(b Batch) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.applyLocked(b)
+}
+
+func (g *Graph) applyLocked(b Batch) {
+	g.addNodesLocked(b.Nodes)
+	for _, id := range b.Reset {
+		v := g.find(id)
+		if v == nil {
+			continue
+		}
+		for _, from := range v.in {
+			f := g.find(from)
+			f.out = slices.DeleteFunc(f.out, func(c uint64) bool { return c == id })
+			delete(g.conf, Edge{from, id})
+		}
+		g.edges -= len(v.in)
+		v.in = nil
+	}
+	for _, es := range b.Edges {
+		for i := range es {
+			g.addEdgeConfLocked(es[i].From, es[i].To, es[i].Conf)
+		}
+	}
 }
 
 // Node returns the vertex with the given ID.
 func (g *Graph) Node(id uint64) (capture.IO, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	io, ok := g.nodes[id]
-	return io, ok
+	if v := g.find(id); v != nil && v.known {
+		return v.io, true
+	}
+	return capture.IO{}, false
 }
 
 // Nodes returns all vertices sorted by ID.
 func (g *Graph) Nodes() []capture.IO {
 	g.mu.RLock()
-	out := make([]capture.IO, 0, len(g.nodes))
-	for _, io := range g.nodes {
-		out = append(out, io)
+	defer g.mu.RUnlock()
+	out := make([]capture.IO, 0, g.nodes)
+	for _, v := range g.verts {
+		if v.known {
+			out = append(out, v.io)
+		}
 	}
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// Refs is Nodes without the copies: a pointer to every vertex, sorted by
+// ID. The graph never modifies a vertex it has handed out, and neither may
+// the caller.
+func (g *Graph) Refs() []*capture.IO {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out := make([]*capture.IO, 0, g.nodes)
+	for _, v := range g.verts {
+		if v.known {
+			out = append(out, &v.io)
+		}
+	}
+	return out
+}
+
+// refsAt appends the known vertices at the given positions to out.
+func (g *Graph) refsAt(out []*capture.IO, at []int32) []*capture.IO {
+	for _, p := range at {
+		if v := g.verts[p]; v.known {
+			out = append(out, &v.io)
+		}
+	}
+	return out
+}
+
+func deref(refs []*capture.IO) []capture.IO {
+	if len(refs) == 0 {
+		return nil
+	}
+	out := make([]capture.IO, len(refs))
+	for i, r := range refs {
+		out[i] = *r
+	}
 	return out
 }
 
 // Edges returns all edges sorted by (From, To).
 func (g *Graph) Edges() []Edge {
 	g.mu.RLock()
-	out := make([]Edge, 0, len(g.conf))
-	for e := range g.conf {
-		out = append(out, e)
-	}
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+	defer g.mu.RUnlock()
+	out := make([]Edge, 0, g.edges)
+	for _, v := range g.verts {
+		at := len(out)
+		for _, to := range v.out {
+			out = append(out, Edge{v.io.ID, to})
 		}
-		return out[i].To < out[j].To
-	})
+		slices.SortFunc(out[at:], func(a, b Edge) int { return cmp.Compare(a.To, b.To) })
+	}
 	return out
 }
 
@@ -133,92 +302,117 @@ func (g *Graph) Edges() []Edge {
 func (g *Graph) Confidence(from, to uint64) float64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.conf[Edge{from, to}]
+	if t := g.find(to); t == nil || !slices.Contains(t.in, from) {
+		return 0
+	}
+	return g.confidenceLocked(Edge{from, to})
 }
 
 // HasEdge reports whether from→to exists.
 func (g *Graph) HasEdge(from, to uint64) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	_, ok := g.conf[Edge{from, to}]
-	return ok
+	t := g.find(to)
+	return t != nil && slices.Contains(t.in, from)
 }
 
 // Parents returns the direct happens-before predecessors of id, sorted.
-func (g *Graph) Parents(id uint64) []uint64 {
-	g.mu.RLock()
-	out := append([]uint64(nil), g.in[id]...)
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (g *Graph) Parents(id uint64) []uint64 { return g.adjacent(id, true) }
 
 // Children returns the direct successors of id, sorted.
-func (g *Graph) Children(id uint64) []uint64 {
+func (g *Graph) Children(id uint64) []uint64 { return g.adjacent(id, false) }
+
+func (g *Graph) adjacent(id uint64, up bool) []uint64 {
 	g.mu.RLock()
-	out := append([]uint64(nil), g.out[id]...)
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	defer g.mu.RUnlock()
+	v := g.find(id)
+	if v == nil {
+		return nil
+	}
+	if up {
+		return sortedIDs(v.in)
+	}
+	return sortedIDs(v.out)
+}
+
+func sortedIDs(ids []uint64) []uint64 {
+	out := append([]uint64(nil), ids...)
+	slices.Sort(out)
 	return out
 }
 
-// NodeCount and EdgeCount report sizes.
+// NodeCount reports the number of vertices.
 func (g *Graph) NodeCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.nodes)
+	return g.nodes
 }
 
 // EdgeCount reports the number of edges.
 func (g *Graph) EdgeCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.conf)
+	return g.edges
 }
 
 // FromGroundTruth builds the oracle HBG from the simulator's causal tags.
 func FromGroundTruth(ios []capture.IO) *Graph {
 	g := New()
-	for _, io := range ios {
-		g.nodes[io.ID] = io
-	}
-	for _, io := range ios {
-		for _, c := range io.Causes {
-			if _, ok := g.nodes[c]; ok {
-				g.addEdgeConfLocked(c, io.ID, 1)
+	g.addNodesLocked(ios)
+	for i := range ios {
+		for _, c := range ios[i].Causes {
+			if v := g.find(c); v != nil && v.known {
+				g.addEdgeConfLocked(c, ios[i].ID, 1)
 			}
 		}
 	}
 	return g
 }
 
+// reach appends to out, and marks in seen, the positions of the vertices
+// reachable from verts[start] — over in-edges when up, else out-edges —
+// that seen does not already mark. out doubles as the work list, so callers
+// that share seen across starts pay for each part of the graph once.
+func (g *Graph) reach(start int, up bool, seen []bool, out []int32) []int32 {
+	v := g.verts[start]
+	for next := len(out); ; next++ {
+		adj := v.out
+		if up {
+			adj = v.in
+		}
+		for _, id := range adj {
+			if j, ok := g.pos(id); ok && !seen[j] {
+				seen[j] = true
+				out = append(out, int32(j))
+			}
+		}
+		if next == len(out) {
+			return out
+		}
+		v = g.verts[out[next]]
+	}
+}
+
 // Provenance returns every ancestor of id (the I/Os that happened before
 // it, transitively), sorted by ID. The paper uses this to explain a
 // problematic FIB update.
-func (g *Graph) Provenance(id uint64) []capture.IO {
-	g.mu.RLock()
-	out := g.provenanceLocked(id)
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (g *Graph) Provenance(id uint64) []capture.IO { return deref(g.Ancestry([]uint64{id})) }
 
-func (g *Graph) provenanceLocked(id uint64) []capture.IO {
-	seen := map[uint64]bool{}
-	var frontier []uint64
-	frontier = append(frontier, g.in[id]...)
-	var out []capture.IO
-	for len(frontier) > 0 {
-		n := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		if seen[n] {
-			continue
+// Ancestry is Provenance for many vertices in one O(V+E) traversal: root by
+// root, in the order given, the ancestors no earlier root already reached,
+// each group sorted by ID. The pointers obey the rule of Refs.
+func (g *Graph) Ancestry(roots []uint64) []*capture.IO {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	var out []*capture.IO
+	var reached []int32
+	seen := make([]bool, len(g.verts))
+	for _, id := range roots {
+		if i, ok := g.pos(id); ok {
+			reached = g.reach(i, true, seen, reached[:0])
+			slices.Sort(reached)
+			out = g.refsAt(out, reached)
 		}
-		seen[n] = true
-		if io, ok := g.nodes[n]; ok {
-			out = append(out, io)
-		}
-		frontier = append(frontier, g.in[n]...)
 	}
 	return out
 }
@@ -232,41 +426,44 @@ func (g *Graph) provenanceLocked(id uint64) []capture.IO {
 func (g *Graph) RootCauses(id uint64) []capture.IO {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	prov := g.provenanceLocked(id)
-	if len(prov) == 0 && len(g.inherited[id]) == 0 {
-		if io, ok := g.nodes[id]; ok {
-			return []capture.IO{io}
-		}
-		return nil
-	}
-	seen := map[uint64]bool{}
-	var out []capture.IO
-	add := func(io capture.IO) {
-		if !seen[io.ID] {
-			seen[io.ID] = true
-			out = append(out, io)
+	roots, ancestors, _ := g.rootsLocked(id, make([]bool, len(g.verts)), nil)
+	if ancestors == 0 && len(roots) == 0 {
+		if v := g.find(id); v != nil && v.known {
+			return []capture.IO{v.io}
 		}
 	}
-	// Roots reached through pruned ancestry of id itself.
-	for _, io := range g.inherited[id] {
-		add(io)
-	}
-	for _, io := range prov {
-		if inh := g.inherited[io.ID]; len(inh) > 0 {
-			// This ancestor's own ancestry was pruned: its snapshotted
-			// roots are roots of id too. If it still has live parents the
-			// walk continues through them as well.
-			for _, r := range inh {
-				add(r)
+	return roots
+}
+
+// rootsLocked collects id's root causes, sorted by ID: its own inherited
+// set, each ancestor's (the walk continues through any parents such an
+// ancestor still has) and every ancestor without parents. It also counts
+// id's known ancestors and returns the positions it marked in seen.
+func (g *Graph) rootsLocked(id uint64, seen []bool, reached []int32) ([]capture.IO, int, []int32) {
+	roots := append([]capture.IO(nil), g.inherited[id]...)
+	ancestors := 0
+	if i, ok := g.pos(id); ok {
+		reached = g.reach(i, true, seen, reached[:0])
+		for _, p := range reached {
+			v := g.verts[p]
+			if !v.known {
+				continue
 			}
-			continue
-		}
-		if len(g.in[io.ID]) == 0 {
-			add(io)
+			ancestors++
+			if inh := g.inherited[v.io.ID]; len(inh) > 0 {
+				roots = append(roots, inh...)
+			} else if len(v.in) == 0 {
+				roots = append(roots, v.io)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return sortRoots(roots), ancestors, reached
+}
+
+// sortRoots orders a root set by ID and drops repeats.
+func sortRoots(roots []capture.IO) []capture.IO {
+	slices.SortStableFunc(roots, func(a, b capture.IO) int { return cmp.Compare(a.ID, b.ID) })
+	return slices.CompactFunc(roots, func(a, b capture.IO) bool { return a.ID == b.ID })
 }
 
 // PruneBefore removes every vertex with ID < id — and every edge touching
@@ -282,92 +479,55 @@ func (g *Graph) PruneBefore(id uint64) {
 	if id <= g.prunedBelow {
 		return
 	}
-	// Snapshot root causes for every retained vertex that loses a parent.
-	var folds map[uint64][]capture.IO
-	for e := range g.conf {
-		if e.To >= id && e.From < id {
-			if _, done := folds[e.To]; !done {
-				if folds == nil {
-					folds = map[uint64][]capture.IO{}
-				}
-				folds[e.To] = g.rootCausesLocked(e.To)
-			}
-		}
+	below := func(p uint64) bool { return p < id }
+	k, _ := g.pos(id)
+	// Snapshot root causes for every retained vertex that loses a parent,
+	// all of them before any is stored: a fold reads its ancestors' sets.
+	type fold struct {
+		id    uint64
+		roots []capture.IO
 	}
-	for to, roots := range folds {
-		if g.inherited == nil {
-			g.inherited = map[uint64][]capture.IO{}
+	var folds []fold
+	var reached []int32
+	seen := make([]bool, len(g.verts))
+	for _, v := range g.verts[k:] {
+		if !slices.ContainsFunc(v.in, below) {
+			continue
 		}
-		g.inherited[to] = mergeRootSets(g.inherited[to], roots)
+		var roots []capture.IO
+		roots, _, reached = g.rootsLocked(v.io.ID, seen, reached)
+		for _, p := range reached {
+			seen[p] = false
+		}
+		if len(roots) == 0 && v.known {
+			roots = []capture.IO{v.io}
+		}
+		folds = append(folds, fold{v.io.ID, roots})
 	}
-	// Drop pruned vertices, their edges, and their inherited sets.
-	for nid := range g.nodes {
-		if nid < id {
-			delete(g.nodes, nid)
-			delete(g.inherited, nid)
+	for _, f := range folds {
+		g.inherited[f.id] = mergeRootSets(g.inherited[f.id], f.roots)
+	}
+	// Drop pruned vertices, their edges, and their inherited sets. A reslice
+	// would keep them reachable through the backing array: copy the survivors.
+	for _, v := range g.verts[:k] {
+		if v.known {
+			g.nodes--
 		}
+		g.edges -= len(v.in)
+		delete(g.inherited, v.io.ID)
+	}
+	g.verts = append(make([]*vertex, 0, len(g.verts)-k), g.verts[k:]...)
+	for _, v := range g.verts {
+		n := len(v.in)
+		v.in, v.out = slices.DeleteFunc(v.in, below), slices.DeleteFunc(v.out, below)
+		g.edges -= n - len(v.in)
 	}
 	for e := range g.conf {
 		if e.From < id || e.To < id {
 			delete(g.conf, e)
 		}
 	}
-	prune := func(adj map[uint64][]uint64) {
-		for nid, peers := range adj {
-			if nid < id {
-				delete(adj, nid)
-				continue
-			}
-			kept := peers[:0]
-			for _, p := range peers {
-				if p >= id {
-					kept = append(kept, p)
-				}
-			}
-			if len(kept) == 0 {
-				delete(adj, nid)
-			} else {
-				adj[nid] = kept
-			}
-		}
-	}
-	prune(g.out)
-	prune(g.in)
 	g.prunedBelow = id
-}
-
-// rootCausesLocked mirrors RootCauses under an already-held lock.
-func (g *Graph) rootCausesLocked(id uint64) []capture.IO {
-	prov := g.provenanceLocked(id)
-	seen := map[uint64]bool{}
-	var out []capture.IO
-	add := func(io capture.IO) {
-		if !seen[io.ID] {
-			seen[io.ID] = true
-			out = append(out, io)
-		}
-	}
-	for _, io := range g.inherited[id] {
-		add(io)
-	}
-	for _, io := range prov {
-		if inh := g.inherited[io.ID]; len(inh) > 0 {
-			for _, r := range inh {
-				add(r)
-			}
-			continue
-		}
-		if len(g.in[io.ID]) == 0 {
-			add(io)
-		}
-	}
-	if len(out) == 0 {
-		if io, ok := g.nodes[id]; ok {
-			out = append(out, io)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // mergeRootSets unions two ID-sorted root sets, deduplicating by ID.
@@ -375,18 +535,7 @@ func mergeRootSets(a, b []capture.IO) []capture.IO {
 	if len(a) == 0 {
 		return b
 	}
-	seen := map[uint64]bool{}
-	out := make([]capture.IO, 0, len(a)+len(b))
-	for _, s := range [2][]capture.IO{a, b} {
-		for _, io := range s {
-			if !seen[io.ID] {
-				seen[io.ID] = true
-				out = append(out, io)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return sortRoots(append(append(make([]capture.IO, 0, len(a)+len(b)), a...), b...))
 }
 
 // PrunedBelow reports the compaction floor: vertices with smaller IDs have
@@ -409,24 +558,14 @@ func (g *Graph) InheritedRoots(id uint64) []capture.IO {
 // led to), sorted by ID.
 func (g *Graph) Descendants(id uint64) []capture.IO {
 	g.mu.RLock()
-	seen := map[uint64]bool{}
-	frontier := append([]uint64(nil), g.out[id]...)
-	var out []capture.IO
-	for len(frontier) > 0 {
-		n := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if io, ok := g.nodes[n]; ok {
-			out = append(out, io)
-		}
-		frontier = append(frontier, g.out[n]...)
+	defer g.mu.RUnlock()
+	i, ok := g.pos(id)
+	if !ok {
+		return nil
 	}
-	g.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	reached := g.reach(i, false, make([]bool, len(g.verts)), nil)
+	slices.Sort(reached)
+	return deref(g.refsAt(nil, reached))
 }
 
 // Subgraph returns the per-router happens-before subgraph (§5: each router
@@ -436,57 +575,50 @@ func (g *Graph) Subgraph(router string) *Graph {
 	sub := New()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for _, io := range g.nodes {
-		if io.Router == router {
-			sub.nodes[io.ID] = io
+	local := func(v *vertex) bool { return v != nil && v.known && v.io.Router == router }
+	for _, v := range g.verts {
+		if local(v) {
+			sub.verts = append(sub.verts, &vertex{io: v.io, known: true})
 		}
 	}
-	for e, c := range g.conf {
-		if _, a := sub.nodes[e.From]; !a {
-			continue
+	sub.nodes = len(sub.verts)
+	for _, v := range g.verts {
+		for _, from := range v.in {
+			if local(v) && local(g.find(from)) {
+				sub.addEdgeConfLocked(from, v.io.ID, g.confidenceLocked(Edge{from, v.io.ID}))
+			}
 		}
-		if _, b := sub.nodes[e.To]; !b {
-			continue
-		}
-		sub.addEdgeConfLocked(e.From, e.To, c)
 	}
 	return sub
 }
 
-// Merge folds other's vertices and edges into g (distributed HBG assembly,
-// and the incremental inference cache's suffix merge). It holds g's writer
-// lock for the whole merge so concurrent readers observe either the old or
-// the new graph, never a half-merged one.
+// Merge folds other's vertices and edges into g (distributed HBG assembly).
+// It reads other under one acquisition of its lock — a consistent snapshot —
+// and holds g's writer lock for the whole merge, so readers observe the old
+// graph or the new one, never a half-merged one. Vertices g has are kept.
 func (g *Graph) Merge(other *Graph) {
-	otherNodes := other.Nodes()
-	otherEdges := make(map[Edge]float64, other.EdgeCount())
 	other.mu.RLock()
-	for e, c := range other.conf {
-		otherEdges[e] = c
-	}
-	var otherInherited map[uint64][]capture.IO
-	if len(other.inherited) > 0 {
-		otherInherited = make(map[uint64][]capture.IO, len(other.inherited))
-		for id, roots := range other.inherited {
-			otherInherited[id] = append([]capture.IO(nil), roots...)
+	var nodes []capture.IO
+	edges := make([]EdgeConf, 0, other.edges)
+	for _, v := range other.verts {
+		if v.known {
+			nodes = append(nodes, v.io)
+		}
+		for _, from := range v.in {
+			edges = append(edges, EdgeConf{from, v.io.ID, other.confidenceLocked(Edge{from, v.io.ID})})
 		}
 	}
+	inherited := maps.Clone(other.inherited) // a stored root set is never modified
 	other.mu.RUnlock()
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, io := range otherNodes {
-		if _, exists := g.nodes[io.ID]; !exists {
-			g.nodes[io.ID] = io
-		}
-	}
-	for e, c := range otherEdges {
-		g.addEdgeConfLocked(e.From, e.To, c)
-	}
-	for id, roots := range otherInherited {
-		if g.inherited == nil {
-			g.inherited = map[uint64][]capture.IO{}
-		}
+	nodes = slices.DeleteFunc(nodes, func(io capture.IO) bool {
+		v := g.find(io.ID)
+		return v != nil && v.known
+	})
+	g.applyLocked(Batch{Nodes: nodes, Edges: [][]EdgeConf{edges}})
+	for id, roots := range inherited {
 		g.inherited[id] = mergeRootSets(g.inherited[id], roots)
 	}
 }
@@ -497,42 +629,28 @@ func (g *Graph) Merge(other *Graph) {
 func (g *Graph) TopoOrder() ([]uint64, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	indeg := map[uint64]int{}
-	for id := range g.nodes {
-		indeg[id] = 0
-	}
-	for e := range g.conf {
-		if _, ok := g.nodes[e.To]; ok {
-			indeg[e.To]++
+	indeg := make([]int, len(g.verts))
+	var ready []int // positions, kept ascending: the smallest ID goes next
+	for i, v := range g.verts {
+		if indeg[i] = len(v.in); indeg[i] == 0 && v.known {
+			ready = append(ready, i)
 		}
 	}
-	var ready []uint64
-	for id, d := range indeg {
-		if d == 0 {
-			ready = append(ready, id)
-		}
-	}
-	sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
 	var order []uint64
 	for len(ready) > 0 {
-		n := ready[0]
+		v := g.verts[ready[0]]
 		ready = ready[1:]
-		order = append(order, n)
-		children := append([]uint64(nil), g.out[n]...)
-		sort.Slice(children, func(i, j int) bool { return children[i] < children[j] })
-		for _, m := range children {
-			if _, ok := g.nodes[m]; !ok {
-				continue
-			}
-			indeg[m]--
-			if indeg[m] == 0 {
-				ready = append(ready, m)
+		order = append(order, v.io.ID)
+		for _, c := range v.out {
+			j, _ := g.pos(c)
+			if indeg[j]--; indeg[j] == 0 && g.verts[j].known {
+				ready = append(ready, j)
 			}
 		}
-		sort.Slice(ready, func(i, j int) bool { return ready[i] < ready[j] })
+		slices.Sort(ready)
 	}
-	if len(order) != len(g.nodes) {
-		return nil, fmt.Errorf("hbg: cycle detected (%d of %d ordered)", len(order), len(g.nodes))
+	if len(order) != g.nodes {
+		return nil, fmt.Errorf("hbg: cycle detected (%d of %d ordered)", len(order), g.nodes)
 	}
 	return order, nil
 }

@@ -15,10 +15,10 @@
 // The Combined strategy layers pattern mining under rule matching, which is
 // the configuration the paper expects to be necessary in practice.
 //
-// All strategies run over a shared immutable Index (sorted-once events,
-// per-router spans, keyed send lookup) and shard per-event work across a
-// worker pool; reference.go preserves the original implementations as the
-// differential baseline.
+// All strategies run over a shared immutable Index (positions sorted once,
+// per-router lists, keyed send lookup) as one per-event rule each, sharded
+// across a worker pool; reference.go preserves the original
+// implementations as the differential baseline.
 package hbr
 
 import (
@@ -98,21 +98,18 @@ func (Timestamp) Name() string { return "timestamp" }
 // Infer implements Strategy.
 func (t Timestamp) Infer(ios []capture.IO) *hbg.Graph { return t.InferIndex(NewIndex(ios)) }
 
-// InferIndex implements IndexInferrer: per-router chains over the shared
-// index, sharded by router. Spans partition the event set, so each worker
-// adds exactly its routers' nodes and edges.
-func (Timestamp) InferIndex(idx *Index) *hbg.Graph {
-	g := hbg.New()
-	idx.runPerRouter(g, func(g *hbg.Graph, span []int32) {
-		for i, p := range span {
-			io := idx.all[p]
-			g.AddNode(io)
-			if i > 0 {
-				g.AddEdge(idx.all[span[i-1]].ID, io.ID)
-			}
-		}
-	})
-	return g
+// InferIndex implements IndexInferrer: each event's only parent is the one
+// before it in its router's list.
+func (t Timestamp) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(t.rule(idx))) }
+
+func (Timestamp) rule(idx *Index) rule {
+	return func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf {
+		idx.precedingOnRouter(p, 0, func(prev *capture.IO) bool {
+			out = append(out, hbg.EdgeConf{From: prev.ID, To: idx.ios[p].ID, Conf: 1})
+			return false
+		})
+		return out
+	}
 }
 
 // Prefix links every output to all preceding same-prefix events on the same
@@ -130,30 +127,28 @@ func (Prefix) Name() string { return "prefix" }
 func (p Prefix) Infer(ios []capture.IO) *hbg.Graph { return p.InferIndex(NewIndex(ios)) }
 
 // InferIndex implements IndexInferrer.
-func (p Prefix) InferIndex(idx *Index) *hbg.Graph {
-	window := p.Window
-	if window == 0 {
-		window = 500 * time.Millisecond
-	}
-	g := hbg.New()
-	idx.runPerEvent(g, func(g *hbg.Graph, io capture.IO) {
-		g.AddNode(io)
+func (p Prefix) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(p.rule(idx))) }
+
+func (p Prefix) rule(idx *Index) rule {
+	window := p.LookbackWindow()
+	return func(pos int32, out []hbg.EdgeConf) []hbg.EdgeConf {
+		io := &idx.ios[pos]
 		if !io.HasPrefix() {
-			return
+			return out
 		}
-		idx.precedingOnRouter(io, window, func(cand capture.IO) bool {
+		idx.precedingOnRouter(pos, window, func(cand *capture.IO) bool {
 			if cand.Prefix == io.Prefix {
-				g.AddEdge(cand.ID, io.ID)
+				out = append(out, hbg.EdgeConf{From: cand.ID, To: io.ID, Conf: 1})
 			}
 			return true
 		})
 		if io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw {
-			if send, ok := idx.matchSendForRecv(io, window); ok {
-				g.AddEdge(send.ID, io.ID)
+			if send := idx.matchSendForRecv(io, window); send != nil {
+				out = append(out, hbg.EdgeConf{From: send.ID, To: io.ID, Conf: 1})
 			}
 		}
-	})
-	return g
+		return out
+	}
 }
 
 // VirtualDuration converts a netsim time difference into a duration;

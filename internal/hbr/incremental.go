@@ -3,9 +3,9 @@
 // yet the capture log is append-only and every rule's reach is bounded by
 // a look-back window. Incremental exploits both: it caches the inferred
 // graph keyed on the covered log window and, when new I/Os arrive, re-runs
-// the base strategy only over the new suffix plus the bounded look-back
-// window, merging the resulting edges into the cached graph instead of
-// rebuilding it from scratch.
+// the base strategy's rule only over the new suffix plus the bounded
+// look-back window, adding the new events and replacing the in-edge sets
+// the suffix changed instead of rebuilding the graph from scratch.
 //
 // Coverage is tracked by event ID rather than slice position, so the cache
 // survives log compaction: after the capture window's prefix is evicted,
@@ -15,6 +15,8 @@
 package hbr
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,6 +76,14 @@ func (c Combined) LookbackWindow() time.Duration {
 	return maxDuration(c.Rules.LookbackWindow(), c.Patterns.LookbackWindow())
 }
 
+// ruler is what the suffix path needs of a base strategy: its bounded reach
+// and its inference as a per-event rule, so the look-back slice is re-derived
+// without building a graph of it. This package's Lookbackers all qualify.
+type ruler interface {
+	Lookbacker
+	rule(idx *Index) rule
+}
+
 func maxDuration(a, b time.Duration) time.Duration {
 	if a > b {
 		return a
@@ -87,8 +97,9 @@ func maxDuration(a, b time.Duration) time.Duration {
 //   - Same window as last time (endpoint IDs and length match): return the
 //     cached graph untouched — a cache hit.
 //   - The window grew at the tail and its covered prefix is unchanged: run
-//     the base strategy over the new suffix plus the look-back slice and
-//     merge the result into the cached graph.
+//     the base strategy's rule over the new suffix plus the look-back slice,
+//     add the suffix's vertices and edges to the cached graph, and replace
+//     the in-edges of each older event a suffix event became a parent of.
 //   - Anything else (shorter log, different prefix — e.g. a cut-filtered
 //     snapshot collection): fall back to a one-off full inference WITHOUT
 //     disturbing the cache, so snapshot sweeps cannot poison the pipeline's
@@ -100,9 +111,9 @@ func maxDuration(a, b time.Duration) time.Duration {
 // over the retained window extend the checkpointed graph exactly as if the
 // evicted prefix were still present.
 //
-// The suffix-merge path is available only when the base strategy implements
-// Lookbacker; otherwise every growth falls back to (cached-as-new-baseline)
-// full inference.
+// The suffix path is available only when the base strategy is one of this
+// package's Lookbackers; otherwise every growth falls back to
+// (cached-as-new-baseline) full inference.
 //
 // Incremental is safe for concurrent use. The returned *hbg.Graph is shared
 // across calls; hbg.Graph is itself concurrency-safe, and Invalidate
@@ -193,21 +204,36 @@ func (inc *Incremental) CoveredWindow() (first, last uint64, ok bool) {
 	return inc.firstID, inc.lastID, inc.cached != nil
 }
 
+// Cached returns the cached graph if ios is exactly the window it covers,
+// nil otherwise. Only ios's length and endpoint IDs are read, so a caller
+// can ask before it prepares — copies, strips — the log for an inference.
+func (inc *Incremental) Cached(ios []capture.IO) *hbg.Graph {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	return inc.cachedLocked(ios)
+}
+
+func (inc *Incremental) cachedLocked(ios []capture.IO) *hbg.Graph {
+	if inc.cached == nil || !inc.matchesCoveredLocked(ios) {
+		return nil
+	}
+	inc.Metrics.Counter("infer.cache.hits").Inc()
+	return inc.cached
+}
+
 // Infer implements Strategy.
 func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 
+	if g := inc.cachedLocked(ios); g != nil {
+		return g
+	}
 	if inc.cached != nil {
-		// Exact hit: the window has not moved.
-		if inc.matchesCoveredLocked(ios) {
-			inc.Metrics.Counter("infer.cache.hits").Inc()
-			return inc.cached
-		}
 		// Append-only growth of the covered window?
 		if sufStart, ok := inc.extensionStartLocked(ios); ok {
-			if lb, ok := inc.Base.(Lookbacker); ok {
-				return inc.extend(ios, sufStart, lb.LookbackWindow())
+			if base, ok := inc.Base.(ruler); ok {
+				return inc.extend(ios, sufStart, base)
 			}
 		}
 	}
@@ -219,7 +245,7 @@ func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph {
 	// the cache. A checkpointed cache is never replaced here: the full
 	// inference saw only the retained window, not the folded history.
 	start := time.Now()
-	g := inc.runBase(ios)
+	g := InferIndexed(inc.Base, inc.index(ios))
 	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.cache.misses").Inc()
 	if inc.adoptableLocked(ios) {
@@ -274,35 +300,76 @@ func (inc *Incremental) adoptableLocked(ios []capture.IO) bool {
 	return pos < len(ios) && ios[pos].ID == inc.lastID
 }
 
-// extend runs the base strategy over the new suffix plus the look-back
-// slice and merges the result into the cached graph. Soundness: every rule
-// candidate for a suffix event lies within lookback of that event's
-// observed time, and every suffix event's observed time is at least
-// minSuffixTime, so the slice must contain every old event with
-// Time >= minSuffixTime-lookback. Observed times are TrueTime ± bounded
-// skew, so append order is only NEAR-sorted: a slow-clock straggler can sit
-// later in the log than an in-window event. The backward scan therefore
-// keeps going until it sees an event older than cutoff-slack — events in
-// the slack band are included harmlessly (edge merges are idempotent), and
-// no event with Time >= cutoff can be appended before one with
-// Time < cutoff-slack when slack bounds twice the maximum skew.
-func (inc *Incremental) extend(ios []capture.IO, sufStart int, lookback time.Duration) *hbg.Graph {
+// extend re-derives the new suffix plus a look-back slice and folds the
+// result into the cached graph, an event's whole in-edge set at a time:
+//
+//   - A suffix event is new: its vertex and its edges are added. Its rule
+//     candidates lie within lookback of it, so the slice must hold every old
+//     event from cutoff = earliest suffix time - lookback on.
+//   - An old event some suffix event became a parent of — a later send that
+//     is nearer to an already-matched recv, say — has its cached in-edges
+//     REPLACED by the re-derived ones; a union would keep the edge the new
+//     parent displaced. Such an event is within reach of the suffix, so at
+//     or after cutoff, and re-deriving it takes its own reach: the slice
+//     extends one more lookback, and only an event whose reach lies inside
+//     the part of the slice known to be complete is replaced.
+//   - Every other old event keeps its cached edges: a suffix event can only
+//     add candidates, so a re-derivation none appears in equals what is
+//     cached (or, at the slice's old edge, is cut short).
+//
+// Observed times are TrueTime ± bounded skew, so append order is only
+// NEAR-sorted: a slow-clock straggler can sit later in the log than an
+// in-window event. The backward scan therefore runs until it meets an event
+// older than the slice's floor minus slack — nothing at or above the floor
+// is appended before one that old when slack bounds twice the maximum skew.
+// A scan that reaches the start of a never-compacted log has all of history;
+// the start of a compacted window is complete from its first event on (what
+// compaction evicted was older).
+func (inc *Incremental) extend(ios []capture.IO, sufStart int, base ruler) *hbg.Graph {
 	start := time.Now()
 	suffix := ios[sufStart:]
 	minTime := suffix[0].Time
-	for _, io := range suffix[1:] {
-		if io.Time < minTime {
-			minTime = io.Time
-		}
+	for i := range suffix[1:] {
+		minTime = min(minTime, suffix[i+1].Time)
 	}
-	cutoff := minTime - netsim.VirtualTime(lookback)
-	scanFloor := cutoff - netsim.VirtualTime(inc.skewSlack())
+	lookback := netsim.VirtualTime(base.LookbackWindow())
+	complete := minTime - 2*lookback
+	scanFloor := complete - netsim.VirtualTime(inc.skewSlack())
 	lo := sufStart
 	for lo > 0 && ios[lo-1].Time >= scanFloor {
 		lo--
 	}
+	if lo == 0 {
+		complete = math.MinInt64
+		if inc.checkpointed {
+			complete = ios[0].Time
+		}
+	}
 	window := ios[lo:]
-	inc.cached.Merge(inc.runBase(window))
+	idx := inc.index(window)
+	edges := idx.run(base.rule(idx))
+
+	// redo maps each old event a suffix event became a parent of to
+	// whether its reach is complete, i.e. whether it is replaced.
+	firstNew := suffix[0].ID
+	redo := map[uint64]bool{}
+	var reset []uint64
+	for _, es := range edges {
+		for _, e := range es {
+			if _, seen := redo[e.To]; e.From < firstNew || e.To >= firstNew || seen {
+				continue
+			}
+			at := e.To - window[0].ID // IDs are dense
+			redo[e.To] = at < uint64(len(window)) && window[at].Time-lookback >= complete
+			if redo[e.To] {
+				reset = append(reset, e.To)
+			}
+		}
+	}
+	for i, es := range edges {
+		edges[i] = slices.DeleteFunc(es, func(e hbg.EdgeConf) bool { return e.To < firstNew && !redo[e.To] })
+	}
+	inc.cached.Apply(hbg.Batch{Nodes: suffix, Reset: reset, Edges: edges})
 	inc.lastID = lastIDOf(ios)
 	inc.Metrics.Timer("infer.incremental").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.suffix.ios").Add(int64(len(suffix)))
@@ -320,17 +387,15 @@ func (inc *Incremental) skewSlack() time.Duration {
 	return inc.SkewSlack
 }
 
-// runBase builds the shared index for one log generation and runs the
-// base strategy over it (every strategy in the standard lineup takes the
-// InferIndexed fast path; foreign strategies fall back to their own
-// Infer). Index construction is the only sort the whole inference pays.
-func (inc *Incremental) runBase(ios []capture.IO) *hbg.Graph {
+// index builds the shared index for one log generation. Sorting its
+// positions is the only sort the whole inference pays.
+func (inc *Incremental) index(ios []capture.IO) *Index {
 	start := time.Now()
 	idx := NewIndex(ios)
 	inc.Metrics.Timer("hbr.infer.index.build").Observe(time.Since(start))
 	inc.Metrics.Counter("hbr.infer.index.builds").Inc()
 	inc.Metrics.Counter("hbr.infer.index.ios").Add(int64(idx.Len()))
-	return InferIndexed(inc.Base, idx)
+	return idx
 }
 
 func lastIDOf(ios []capture.IO) uint64 {

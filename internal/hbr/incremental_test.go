@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -194,10 +195,11 @@ func TestExtendScansPastSkewStragglers(t *testing.T) {
 		{ID: 2, Router: "r1", Peer: "r2", Type: capture.SendAdvert,
 			Proto: route.ProtoBGP, Prefix: pfx,
 			Time: netsim.VirtualTime(100 * time.Second)},
-		// Straggler: appended after the send, observed 1.5s earlier
-		// (slow clock on r3).
+		// Straggler: appended after the send, observed 2.5s earlier (slow
+		// clock on r3) — below the slice's floor of two look-backs before
+		// the suffix, inside the slack under it.
 		{ID: 3, Router: "r3", Type: capture.ConfigChange, Detail: "late",
-			Time: netsim.VirtualTime(98500 * time.Millisecond)},
+			Time: netsim.VirtualTime(97500 * time.Millisecond)},
 	}
 	recv := capture.IO{ID: 4, Router: "r2", Peer: "r1", Type: capture.RecvAdvert,
 		Proto: route.ProtoBGP, Prefix: pfx,
@@ -299,5 +301,59 @@ func TestSeedCheckpointResumesIncremental(t *testing.T) {
 	edgesEqual(t, got, want)
 	if n := reg.Counter("infer.cache.misses").Value(); n != 0 {
 		t.Fatalf("recovered cache fell back to full inference %d times, want 0", n)
+	}
+}
+
+// TestIncrementalLaterNearerSendReplacesEdge pins the unit of merge: a recv
+// matched to the only send seen so far must be re-matched when a later,
+// nearer send arrives. A union of the re-inferred window into the cache
+// keeps the displaced 1→2 beside the new 3→2 — a second, wrong root cause.
+func TestIncrementalLaterNearerSendReplacesEdge(t *testing.T) {
+	pfx := netip.MustParsePrefix("10.0.0.0/16")
+	at := func(ms int) netsim.VirtualTime {
+		return netsim.VirtualTime(time.Second + time.Duration(ms)*time.Millisecond)
+	}
+	send := func(id uint64, ms int) capture.IO {
+		return capture.IO{ID: id, Router: "a", Peer: "b", Type: capture.SendAdvert,
+			Proto: route.ProtoBGP, Prefix: pfx, Time: at(ms)}
+	}
+	ios := []capture.IO{
+		send(1, 0),
+		{ID: 2, Router: "b", Peer: "a", Type: capture.RecvAdvert, Proto: route.ProtoBGP, Prefix: pfx, Time: at(100)},
+		send(3, 150),
+	}
+	inc := hbr.NewIncremental(hbr.Rules{}, nil)
+	if g := inc.Infer(ios[:2]); !g.HasEdge(1, 2) {
+		t.Fatal("the recv did not match the only send")
+	}
+	got := inc.Infer(ios)
+	edgesEqual(t, got, hbr.Rules{}.Infer(ios))
+	if want := []hbg.Edge{{From: 3, To: 2}}; !reflect.DeepEqual(got.Edges(), want) {
+		t.Fatalf("edges = %v, want %v", got.Edges(), want)
+	}
+	if roots := got.RootCauses(2); len(roots) != 1 || roots[0].ID != 3 {
+		t.Fatalf("RootCauses(2) = %v, want the nearer send alone", roots)
+	}
+}
+
+// TestInferredGraphOwnsItsVertices: inference reads the caller's slice by
+// handle, but the graph it returns must not — the log may be compacted or,
+// here, overwritten afterwards.
+func TestInferredGraphOwnsItsVertices(t *testing.T) {
+	snaps := grow(t, 1)
+	ios := append([]capture.IO(nil), snaps[len(snaps)-1]...)
+	for _, s := range hbr.Strategies(ios, 0) {
+		g := s.Infer(ios)
+		want := g.Nodes()
+		if !reflect.DeepEqual(want, snaps[len(snaps)-1]) {
+			t.Fatalf("%s: vertices differ from the log inferred over", s.Name())
+		}
+		for i := range ios {
+			ios[i] = capture.IO{ID: ios[i].ID, Router: "overwritten"}
+		}
+		if !reflect.DeepEqual(g.Nodes(), want) {
+			t.Fatalf("%s: overwriting the inferred-over slice changed the graph's vertices", s.Name())
+		}
+		copy(ios, snaps[len(snaps)-1])
 	}
 }

@@ -1,10 +1,13 @@
-// Shared inference index: the Strategies() lineup used to rebuild and
-// re-sort a full per-strategy index for every Infer call, and recv→send
-// matching scanned the peer router's entire history. Index is built once
-// per log generation and shared — events sorted once by observed time,
-// per-router position spans, and a keyed send-lookup table so
-// matchSendForRecv touches only the handful of candidates with the same
-// (sender, target, protocol, advert-kind, prefix|detail) signature.
+// Shared inference index: built once per log generation and shared by every
+// strategy — event positions sorted once by observed time, per-router
+// position lists, and a keyed send-lookup table so matchSendForRecv touches
+// only the handful of candidates with the same (sender, target, protocol,
+// advert-kind, prefix|detail) signature.
+//
+// The index holds no copy of an event: it sorts and groups int32 positions
+// into the caller's slice, strategies pass *capture.IO handles into that
+// slice and emit (from, to, confidence) triples, and the one place an event
+// is copied is the graph that takes ownership of it.
 //
 // Index is immutable after construction, so any number of strategies (and
 // any number of goroutines inside one strategy) may read it concurrently.
@@ -12,8 +15,10 @@
 package hbr
 
 import (
+	"cmp"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,12 +45,15 @@ type sendKey struct {
 	detail   string
 }
 
-func sendKeyFor(io capture.IO) sendKey {
+// keyFor builds the send-table key of a message io records: sent by sender
+// to target. A send files itself under (its router, its peer); a received
+// advert/withdraw looks up (its peer, its router).
+func keyFor(io *capture.IO, sender, target string) sendKey {
 	k := sendKey{
-		sender:   io.Router,
-		target:   io.Peer,
+		sender:   sender,
+		target:   target,
 		proto:    io.Proto,
-		withdraw: io.Type == capture.SendWithdraw,
+		withdraw: io.Type == capture.SendWithdraw || io.Type == capture.RecvWithdraw,
 	}
 	if io.HasPrefix() {
 		k.prefix = io.Prefix
@@ -55,84 +63,76 @@ func sendKeyFor(io capture.IO) sendKey {
 	return k
 }
 
-// recvKeyFor builds the lookup key for a received advert/withdraw: the
-// matching send originates at recv.Peer and targets recv.Router.
-func recvKeyFor(recv capture.IO) sendKey {
-	k := sendKey{
-		sender:   recv.Peer,
-		target:   recv.Router,
-		proto:    recv.Proto,
-		withdraw: recv.Type == capture.RecvWithdraw,
-	}
-	if recv.HasPrefix() {
-		k.prefix = recv.Prefix
-	} else {
-		k.detail = recv.Detail
-	}
-	return k
-}
-
-// Index organizes one log generation for inference. All position slices
-// index into all, which is sorted by observed time with IDs as
-// tie-breaker; every slice of positions is therefore itself time-sorted.
+// Index organizes one log generation for inference. Every int32 is a
+// position in ios; every list of positions is sorted by observed time with
+// IDs as tie-breaker.
 type Index struct {
-	all      []capture.IO
-	byRouter map[string][]int32
-	routers  []string // sorted, for deterministic sharded iteration
-	sends    map[sendKey][]int32
+	ios   []capture.IO // the caller's slice: read, never written or copied
+	order []int32      // every position
+	lists [][]int32    // one list per router
+	// where[p] locates ios[p] in its router's list, recorded while
+	// indexing so no rule has to search for the event it is matching.
+	where []struct{ list, rank int32 }
+	sends map[sendKey][]int32
 }
 
-// NewIndex sorts and indexes ios. The input slice is not modified and not
-// retained.
+// NewIndex indexes ios. The slice is retained and must not be modified
+// while the index is in use.
 func NewIndex(ios []capture.IO) *Index {
 	idx := &Index{
-		all:      append([]capture.IO(nil), ios...),
-		byRouter: map[string][]int32{},
-		sends:    map[sendKey][]int32{},
+		ios:   ios,
+		order: make([]int32, len(ios)),
+		where: make([]struct{ list, rank int32 }, len(ios)),
+		sends: map[sendKey][]int32{},
 	}
-	sort.SliceStable(idx.all, func(i, j int) bool {
-		if idx.all[i].Time != idx.all[j].Time {
-			return idx.all[i].Time < idx.all[j].Time
+	for i := range idx.order {
+		idx.order[i] = int32(i)
+	}
+	before := func(a, b int32) int {
+		if c := cmp.Compare(ios[a].Time, ios[b].Time); c != 0 {
+			return c
 		}
-		return idx.all[i].ID < idx.all[j].ID
-	})
-	for i := range idx.all {
-		io := &idx.all[i]
-		idx.byRouter[io.Router] = append(idx.byRouter[io.Router], int32(i))
+		return cmp.Compare(ios[a].ID, ios[b].ID)
+	}
+	// A capture log is appended in true-time order and observed times are
+	// that plus bounded skew: mostly sorted already, often entirely.
+	if !slices.IsSortedFunc(idx.order, before) {
+		slices.SortStableFunc(idx.order, before)
+	}
+	routers := map[string]int32{}
+	for _, p := range idx.order {
+		io := &ios[p]
+		l, ok := routers[io.Router]
+		if !ok {
+			l = int32(len(idx.lists))
+			routers[io.Router] = l
+			idx.lists = append(idx.lists, nil)
+		}
+		idx.where[p].list, idx.where[p].rank = l, int32(len(idx.lists[l]))
+		idx.lists[l] = append(idx.lists[l], p)
 		if io.Type == capture.SendAdvert || io.Type == capture.SendWithdraw {
-			k := sendKeyFor(*io)
-			idx.sends[k] = append(idx.sends[k], int32(i))
+			k := keyFor(io, io.Router, io.Peer)
+			idx.sends[k] = append(idx.sends[k], p)
 		}
 	}
-	idx.routers = make([]string, 0, len(idx.byRouter))
-	for r := range idx.byRouter {
-		idx.routers = append(idx.routers, r)
-	}
-	sort.Strings(idx.routers)
 	return idx
 }
 
 // Len reports the number of indexed I/Os.
-func (idx *Index) Len() int { return len(idx.all) }
+func (idx *Index) Len() int { return len(idx.ios) }
 
-// IOs returns the indexed I/Os in observed order. The slice is shared
-// with the index and must not be modified.
-func (idx *Index) IOs() []capture.IO { return idx.all }
+// IOs returns the indexed I/Os: the slice NewIndex was given, in its
+// order. It is shared with the index and must not be modified.
+func (idx *Index) IOs() []capture.IO { return idx.ios }
 
-// precedingOnRouter visits events on io's router that were observed at or
-// before io (excluding io itself), nearest first, stopping after window.
-func (idx *Index) precedingOnRouter(io capture.IO, window time.Duration, visit func(capture.IO) bool) {
-	evs := idx.byRouter[io.Router]
-	// Find io's position (observed order).
-	pos := sort.Search(len(evs), func(i int) bool {
-		e := &idx.all[evs[i]]
-		if e.Time != io.Time {
-			return e.Time > io.Time
-		}
-		return e.ID >= io.ID
-	})
-	for i := pos - 1; i >= 0; i-- {
-		e := idx.all[evs[i]]
+// precedingOnRouter visits the events on ios[p]'s router that were
+// observed at or before it (excluding itself), nearest first, stopping
+// after window.
+func (idx *Index) precedingOnRouter(p int32, window time.Duration, visit func(*capture.IO) bool) {
+	io, at := &idx.ios[p], idx.where[p]
+	evs := idx.lists[at.list]
+	for i := at.rank - 1; i >= 0; i-- {
+		e := &idx.ios[evs[i]]
 		if window > 0 && io.Time.Sub(e.Time) > window {
 			return
 		}
@@ -154,30 +154,30 @@ func SetSwapSendMatchBug(on bool) { swapSendMatch.Store(on) }
 // matchSendForRecv finds the sender-side event for a received
 // advertisement: a send at recv.Peer targeting recv.Router, same protocol
 // and prefix (or same Detail for prefix-less LSAs), nearest in |observed
-// time| within window. Clock skew is why this uses absolute distance.
+// time| within window; nil when there is none. Clock skew is why this uses
+// absolute distance.
 //
 // The candidate list for recv's key is a time-sorted subsequence of the
 // peer's events, so the window bounds are found by binary search and only
 // in-window candidates are visited; the nearest-with-strictly-smaller-
 // distance rule over that ordered slice reproduces the reference scan's
 // tie-breaking exactly.
-func (idx *Index) matchSendForRecv(recv capture.IO, window time.Duration) (capture.IO, bool) {
-	cands := idx.sends[recvKeyFor(recv)]
+func (idx *Index) matchSendForRecv(recv *capture.IO, window time.Duration) *capture.IO {
+	cands := idx.sends[keyFor(recv, recv.Peer, recv.Router)]
 	if len(cands) == 0 {
-		return capture.IO{}, false
+		return nil
 	}
 	lo, hi := 0, len(cands)
 	if window > 0 {
 		minT, maxT := recv.Time-netsim.VirtualTime(window), recv.Time+netsim.VirtualTime(window)
-		lo = sort.Search(len(cands), func(i int) bool { return idx.all[cands[i]].Time >= minT })
-		hi = sort.Search(len(cands), func(i int) bool { return idx.all[cands[i]].Time > maxT })
+		lo = sort.Search(len(cands), func(i int) bool { return idx.ios[cands[i]].Time >= minT })
+		hi = sort.Search(len(cands), func(i int) bool { return idx.ios[cands[i]].Time > maxT })
 	}
-	var best capture.IO
+	var best *capture.IO
 	var bestDist time.Duration
-	found := false
 	bug := swapSendMatch.Load()
 	for _, p := range cands[lo:hi] {
-		cand := idx.all[p]
+		cand := &idx.ios[p]
 		d := recv.Time.Sub(cand.Time)
 		if d < 0 {
 			d = -d
@@ -185,111 +185,74 @@ func (idx *Index) matchSendForRecv(recv capture.IO, window time.Duration) (captu
 		if window > 0 && d > window {
 			continue
 		}
-		take := !found || d < bestDist
+		take := best == nil || d < bestDist
 		if bug {
-			take = !found || d >= bestDist
+			take = best == nil || d >= bestDist
 		}
 		if take {
-			best, bestDist, found = cand, d, true
+			best, bestDist = cand, d
 		}
 	}
-	return best, found
+	return best
 }
 
 // parallelMinEvents is the log size below which sharded inference is not
-// worth the goroutine and merge overhead.
+// worth the goroutine overhead.
 const parallelMinEvents = 2048
 
 // shardChunk is the unit of work one worker claims at a time; contiguous
 // chunks keep the per-event scans cache-friendly.
 const shardChunk = 256
 
-// runPerEvent applies fn to every indexed event. Large logs are sharded
-// across GOMAXPROCS workers, each writing into a worker-local graph that
-// is merged into g afterwards. The merge is deterministic: every edge is
-// derived from exactly one event (its "to" side), so no two workers ever
-// produce the same edge with different confidences, and hbg's max-merge
-// is order-independent for identical content.
-func (idx *Index) runPerEvent(g *hbg.Graph, fn func(g *hbg.Graph, io capture.IO)) {
-	n := len(idx.all)
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelMinEvents || workers <= 1 {
-		for i := range idx.all {
-			fn(g, idx.all[i])
+// A rule derives one event's in-edges: it appends to out every
+// happens-before edge whose To is ios[p], and nothing else.
+type rule func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf
+
+// run applies fn to every indexed event and returns the edges, one buffer
+// per shardChunk of the observed order. Large logs are sharded across
+// GOMAXPROCS workers that claim chunks from a shared cursor. Which worker
+// fills a buffer varies; what it holds does not, because every edge is
+// derived from exactly one event (its To side) — so the buffers in chunk
+// order are the same edge sequence at any worker count: nothing to merge.
+func (idx *Index) run(fn rule) [][]hbg.EdgeConf {
+	n := len(idx.order)
+	bufs := make([][]hbg.EdgeConf, (n+shardChunk-1)/shardChunk)
+	fill := func(c int) {
+		chunk := idx.order[c*shardChunk : min(n, (c+1)*shardChunk)]
+		buf := make([]hbg.EdgeConf, 0, len(chunk)+len(chunk)/4)
+		for _, p := range chunk {
+			buf = fn(p, buf)
 		}
-		return
+		bufs[c] = buf
 	}
-	if max := n/shardChunk + 1; workers > max {
-		workers = max
+	workers := min(runtime.GOMAXPROCS(0), len(bufs))
+	if n < parallelMinEvents || workers <= 1 {
+		for c := range bufs {
+			fill(c)
+		}
+		return bufs
 	}
-	locals := make([]*hbg.Graph, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := hbg.New()
-			locals[w] = local
-			for {
-				hi := int(cursor.Add(shardChunk))
-				lo := hi - shardChunk
-				if lo >= n {
-					return
-				}
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					fn(local, idx.all[i])
-				}
+			for c := int(cursor.Add(1)) - 1; c < len(bufs); c = int(cursor.Add(1)) - 1 {
+				fill(c)
 			}
 		}()
 	}
 	wg.Wait()
-	for _, local := range locals {
-		g.Merge(local)
-	}
+	return bufs
 }
 
-// runPerRouter applies fn to every router's time-sorted position span,
-// sharding routers across workers for large logs. Spans partition the
-// event set, so worker-local graphs merge deterministically.
-func (idx *Index) runPerRouter(g *hbg.Graph, fn func(g *hbg.Graph, span []int32)) {
-	workers := runtime.GOMAXPROCS(0)
-	if len(idx.all) < parallelMinEvents || workers <= 1 || len(idx.routers) == 1 {
-		for _, r := range idx.routers {
-			fn(g, idx.byRouter[r])
-		}
-		return
-	}
-	if workers > len(idx.routers) {
-		workers = len(idx.routers)
-	}
-	locals := make([]*hbg.Graph, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := hbg.New()
-			locals[w] = local
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(idx.routers) {
-					return
-				}
-				fn(local, idx.byRouter[idx.routers[i]])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, local := range locals {
-		g.Merge(local)
-	}
+// graph assembles a pass's output: every indexed event copied in as a
+// vertex the graph owns, then the edges in chunk order, under one lock.
+func (idx *Index) graph(edges [][]hbg.EdgeConf) *hbg.Graph {
+	g := hbg.New()
+	g.Apply(hbg.Batch{Nodes: idx.ios, Edges: edges})
+	return g
 }
 
 // IndexInferrer is implemented by strategies that can run over a shared

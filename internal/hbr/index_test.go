@@ -1,9 +1,11 @@
 package hbr
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -181,5 +183,33 @@ func TestSwapSendMatchBugDiverges(t *testing.T) {
 	}
 	if !got.HasEdge(1, 3) {
 		t.Fatal("bugged matcher did not pick the furthest send")
+	}
+}
+
+// TestInferenceDeterministicAcrossGOMAXPROCS: which worker fills which
+// chunk buffer varies with the worker count; the assembled graph may not,
+// down to the checkpoint bytes.
+func TestInferenceDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	ios := synthLog(5, 4*parallelMinEvents, 6)
+	strategies := Strategies(ios, 0)
+	encode := func(g *hbg.Graph) []byte {
+		var buf bytes.Buffer
+		if err := (&hbg.Checkpoint{Graph: g}).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var want [][]byte
+	for _, s := range strategies {
+		want = append(want, encode(s.Infer(ios)))
+	}
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i, s := range strategies {
+			if !bytes.Equal(encode(s.Infer(ios)), want[i]) {
+				t.Errorf("%s: GOMAXPROCS=%d infers a different graph than GOMAXPROCS=1", s.Name(), procs)
+			}
+		}
 	}
 }

@@ -6,7 +6,9 @@
 package hbr
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -118,13 +120,14 @@ func (m Miner) TrainIndex(idx *Index) *Model {
 	return model
 }
 
-// trainRange counts pair statistics for events [lo, hi).
+// trainRange counts pair statistics for events [lo, hi) of the observed
+// order.
 func (m Miner) trainRange(idx *Index, lo, hi int, window time.Duration, hits map[pairKey]int, totals map[totalKey]int) {
-	for i := lo; i < hi; i++ {
-		b := idx.all[i]
+	for _, p := range idx.order[lo:hi] {
+		b := &idx.ios[p]
 		totals[totalKey{t: b.Type, p: b.Proto}]++
 		seen := map[pairKey]bool{}
-		idx.precedingOnRouter(b, window, func(a capture.IO) bool {
+		idx.precedingOnRouter(p, window, func(a *capture.IO) bool {
 			if a.HasPrefix() && b.HasPrefix() && a.Prefix != b.Prefix {
 				return true
 			}
@@ -136,7 +139,7 @@ func (m Miner) trainRange(idx *Index, lo, hi int, window time.Duration, hits map
 			return true
 		})
 		if b.Type == capture.RecvAdvert || b.Type == capture.RecvWithdraw {
-			if send, ok := idx.matchSendForRecv(b, window); ok {
+			if send := idx.matchSendForRecv(b, window); send != nil {
 				k := pairKey{send.Type, send.Proto, b.Type, b.Proto, true}
 				hits[k]++
 			}
@@ -162,22 +165,20 @@ func (Patterns) Name() string { return "patterns" }
 func (p Patterns) Infer(ios []capture.IO) *hbg.Graph { return p.InferIndex(NewIndex(ios)) }
 
 // InferIndex implements IndexInferrer.
-func (p Patterns) InferIndex(idx *Index) *hbg.Graph {
+func (p Patterns) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(p.rule(idx))) }
+
+func (p Patterns) rule(idx *Index) rule {
+	if p.Model == nil {
+		return func(_ int32, out []hbg.EdgeConf) []hbg.EdgeConf { return out }
+	}
 	threshold := p.Threshold
 	if threshold == 0 {
 		threshold = 0.9
 	}
-	g := hbg.New()
-	if p.Model == nil {
-		for _, io := range idx.IOs() {
-			g.AddNode(io)
-		}
-		return g
-	}
-	idx.runPerEvent(g, func(g *hbg.Graph, b capture.IO) {
-		g.AddNode(b)
+	return func(pos int32, out []hbg.EdgeConf) []hbg.EdgeConf {
+		b := &idx.ios[pos]
 		matched := map[pairKey]bool{}
-		idx.precedingOnRouter(b, p.Model.window, func(a capture.IO) bool {
+		idx.precedingOnRouter(pos, p.Model.window, func(a *capture.IO) bool {
 			if a.HasPrefix() && b.HasPrefix() && a.Prefix != b.Prefix {
 				return true
 			}
@@ -187,20 +188,20 @@ func (p Patterns) InferIndex(idx *Index) *hbg.Graph {
 			}
 			if c, ok := p.Model.conf[k]; ok && c >= threshold {
 				matched[k] = true
-				g.AddEdgeConf(a.ID, b.ID, c)
+				out = append(out, hbg.EdgeConf{From: a.ID, To: b.ID, Conf: c})
 			}
 			return true
 		})
 		if b.Type == capture.RecvAdvert || b.Type == capture.RecvWithdraw {
-			if send, ok := idx.matchSendForRecv(b, p.Model.window); ok {
+			if send := idx.matchSendForRecv(b, p.Model.window); send != nil {
 				k := pairKey{send.Type, send.Proto, b.Type, b.Proto, true}
 				if c, ok := p.Model.conf[k]; ok && c >= threshold {
-					g.AddEdgeConf(send.ID, b.ID, c)
+					out = append(out, hbg.EdgeConf{From: send.ID, To: b.ID, Conf: c})
 				}
 			}
 		}
-	})
-	return g
+		return out
+	}
 }
 
 // Combined layers pattern inference under rule matching: rules contribute
@@ -218,25 +219,28 @@ func (c Combined) Infer(ios []capture.IO) *hbg.Graph { return c.InferIndex(NewIn
 
 // InferIndex implements IndexInferrer: rules and patterns share the one
 // index instead of each building their own.
-func (c Combined) InferIndex(idx *Index) *hbg.Graph {
-	g := c.Rules.InferIndex(idx)
+func (c Combined) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(c.rule(idx))) }
+
+func (c Combined) rule(idx *Index) rule {
+	rules := c.Rules.rule(idx)
 	if c.Patterns.Model == nil {
-		return g
+		return rules
 	}
-	pg := c.Patterns.InferIndex(idx)
-	for _, e := range pg.Edges() {
-		// Pattern edges only add what rules did not already explain: if
-		// the target vertex already has a rule-derived parent of the same
-		// source router, skip.
-		if g.HasEdge(e.From, e.To) {
-			continue
+	patterns := c.Patterns.rule(idx)
+	return func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf {
+		n := len(out)
+		if out = rules(p, out); len(out) > n {
+			return out
 		}
-		if len(g.Parents(e.To)) > 0 {
-			continue
+		// Pattern edges only add what rules did not explain, one per
+		// event: of several pattern parents the lowest ID is kept.
+		out = patterns(p, out)
+		if len(out) > n {
+			out[n] = slices.MinFunc(out[n:], func(a, b hbg.EdgeConf) int { return cmp.Compare(a.From, b.From) })
+			out = out[:n+1]
 		}
-		g.AddEdgeConf(e.From, e.To, pg.Confidence(e.From, e.To))
+		return out
 	}
-	return g
 }
 
 // Strategies returns the standard lineup for comparison experiments, with

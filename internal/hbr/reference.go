@@ -1,8 +1,8 @@
-// Reference implementations: the pre-Index inference code, kept verbatim
-// as the differential baseline. The scenario harness's
-// infer-fast-vs-reference oracle and BenchmarkInferThroughput both compare
-// the shared-index fast path against these — any drift in edge sets or
-// confidences is a bug in the fast path, not a tolerable approximation.
+// Reference implementations: the pre-Index inference code, kept as the
+// differential baseline. The scenario harness's infer-fast-vs-reference
+// oracle compares the shared-index fast path against these — any drift in
+// edge sets or confidences is a bug in the fast path, not a tolerable
+// approximation. Only the rule tables (tiersFor) are shared.
 
 package hbr
 
@@ -208,11 +208,14 @@ func refRulesInfer(r Rules, ios []capture.IO) *hbg.Graph {
 			}
 			continue
 		}
-		for _, t := range r.tiersFor(io, w, cw) {
+		for _, t := range tiersFor(&io) {
 			var found *capture.IO
-			t := t
-			idx.precedingOnRouter(io, t.window, func(cand capture.IO) bool {
-				if t.match(cand) {
+			window := w
+			if t == lhsConfig {
+				window = cw
+			}
+			idx.precedingOnRouter(io, window, func(cand capture.IO) bool {
+				if t.matches(&io, &cand) {
 					c := cand
 					found = &c
 					return false

@@ -43,165 +43,159 @@ func (r Rules) windows() (w, cw, xw time.Duration) {
 	return
 }
 
-// tier describes one left-hand-side pattern with a priority: lower tiers
-// are preferred; within a tier the nearest preceding match wins.
-type tier struct {
-	match  func(cand capture.IO) bool
-	window time.Duration
+// lhs is one left-hand-side pattern of a rule. An output's patterns form
+// prioritized tiers: lower tiers are preferred; within a tier the nearest
+// preceding match wins.
+type lhs uint8
+
+const (
+	// [config change]: the gap to its effects can be large, so this is the
+	// one pattern matched within ConfigWindow rather than Window.
+	lhsConfig lhs = iota
+	// Every plausible same-router trigger of a RIB change, competing in one
+	// tier — the nearest preceding one wins. A strict priority among them
+	// would mis-attribute a reselection to a stale (but still in-window)
+	// receive when a soft reconfiguration happened in between.
+	// [R receive C advertisement for P] → [R install P in C RIB];
+	// withdrawals also trigger reselection.
+	lhsRIBTrigger
+	// [R install P in the C RIB] → [R install P in the FIB], or a link event.
+	lhsFIBTrigger
+	lhsFIBSamePrefix // an install/remove of P in the FIB
+	lhsRIBSamePrefix // an install/remove of P in the output's own protocol's RIB
+	lhsReflood       // the received OSPF LSA (same Detail) a sent LSA re-floods
+	lhsLink
+	lhsSoftReconfig
+)
+
+// The rule tables of §4.1, one per kind of output.
+var (
+	// [config change] → [soft reconfiguration].
+	tiersSoftReconfig = []lhs{lhsConfig}
+	// The second tier covers initial or direct configuration effects.
+	tiersRIB = []lhs{lhsRIBTrigger, lhsConfig}
+	tiersFIB = []lhs{lhsFIBTrigger, lhsConfig}
+	// With EIGRP, [R install P in FIB] → [R send EIGRP advertisement for P].
+	tiersSendEIGRP = []lhs{lhsFIBSamePrefix, lhsRIBSamePrefix}
+	// Flooding: a sent LSA is caused by the received LSA it re-floods, or
+	// by a local event that triggered re-origination.
+	tiersSendOSPF = []lhs{lhsReflood, lhsLink, lhsConfig}
+	// With BGP (and RIP), [R install P in C RIB] → [R send C advertisement
+	// for P].
+	tiersSend = []lhs{lhsRIBSamePrefix, lhsSoftReconfig, lhsConfig}
+)
+
+// tiersFor returns the prioritized left-hand-side patterns for one I/O.
+func tiersFor(io *capture.IO) []lhs {
+	switch io.Type {
+	case capture.SoftReconfig:
+		return tiersSoftReconfig
+	case capture.RIBInstall, capture.RIBRemove:
+		return tiersRIB
+	case capture.FIBInstall, capture.FIBRemove:
+		return tiersFIB
+	case capture.SendAdvert, capture.SendWithdraw:
+		switch io.Proto {
+		case route.ProtoEIGRP:
+			return tiersSendEIGRP
+		case route.ProtoOSPF:
+			return tiersSendOSPF
+		}
+		return tiersSend
+	}
+	return nil
+}
+
+// matches reports whether c fits pattern l as a cause of io.
+func (l lhs) matches(io, c *capture.IO) bool {
+	switch l {
+	case lhsConfig:
+		return c.Type == capture.ConfigChange
+	case lhsRIBTrigger:
+		switch c.Type {
+		case capture.RecvAdvert, capture.RecvWithdraw:
+			return c.Proto == io.Proto && (c.Prefix == io.Prefix || !c.HasPrefix())
+		case capture.SoftReconfig, capture.LinkDown, capture.LinkUp:
+			return true
+		}
+		return false
+	case lhsFIBTrigger:
+		return (c.Type == capture.RIBInstall || c.Type == capture.RIBRemove) && c.Prefix == io.Prefix ||
+			lhsLink.matches(io, c)
+	case lhsFIBSamePrefix:
+		return (c.Type == capture.FIBInstall || c.Type == capture.FIBRemove) && c.Prefix == io.Prefix
+	case lhsRIBSamePrefix:
+		return (c.Type == capture.RIBInstall || c.Type == capture.RIBRemove) &&
+			c.Proto == io.Proto && c.Prefix == io.Prefix
+	case lhsReflood:
+		return c.Type == capture.RecvAdvert && c.Proto == route.ProtoOSPF && c.Detail == io.Detail
+	case lhsLink:
+		return c.Type == capture.LinkDown || c.Type == capture.LinkUp
+	case lhsSoftReconfig:
+		return c.Type == capture.SoftReconfig
+	}
+	return false
 }
 
 // Infer implements Strategy.
 func (r Rules) Infer(ios []capture.IO) *hbg.Graph { return r.InferIndex(NewIndex(ios)) }
 
 // InferIndex implements IndexInferrer: per-event rule matching over the
-// shared index, sharded across workers. Every edge targets the event
-// being processed, so no two shards can disagree about an edge.
-func (r Rules) InferIndex(idx *Index) *hbg.Graph {
-	w, cw, xw := r.windows()
-	g := hbg.New()
-	idx.runPerEvent(g, func(g *hbg.Graph, io capture.IO) {
-		g.AddNode(io)
-		r.inferEvent(idx, g, io, w, cw, xw)
-	})
-	return g
-}
+// shared index, sharded across workers.
+func (r Rules) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(r.rule(idx))) }
 
-// inferEvent applies the rule tables to one event.
-func (r Rules) inferEvent(idx *Index, g *hbg.Graph, io capture.IO, w, cw, xw time.Duration) {
-	// Link-state RIB changes come out of a debounced SPF run with
-	// potentially many antecedent LSA receipts; collect all in-window
-	// matches instead of just the nearest.
-	if io.Proto == route.ProtoOSPF && (io.Type == capture.RIBInstall || io.Type == capture.RIBRemove) {
-		matched := false
-		idx.precedingOnRouter(io, w, func(cand capture.IO) bool {
-			switch cand.Type {
-			case capture.RecvAdvert, capture.RecvWithdraw:
-				if cand.Proto == route.ProtoOSPF {
-					g.AddEdge(cand.ID, io.ID)
-					matched = true
+// rule applies the rule tables to one event.
+func (r Rules) rule(idx *Index) rule {
+	w, cw, xw := r.windows()
+	return func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf {
+		io := &idx.ios[p]
+		edge := func(from *capture.IO) { out = append(out, hbg.EdgeConf{From: from.ID, To: io.ID, Conf: 1}) }
+		tiers := tiersFor(io)
+		// Link-state RIB changes come out of a debounced SPF run with
+		// potentially many antecedent LSA receipts; collect all in-window
+		// matches instead of just the nearest, and fall back to the
+		// configuration tier only when there is none.
+		if io.Proto == route.ProtoOSPF && (io.Type == capture.RIBInstall || io.Type == capture.RIBRemove) {
+			matched := len(out)
+			idx.precedingOnRouter(p, w, func(cand *capture.IO) bool {
+				switch cand.Type {
+				case capture.RecvAdvert, capture.RecvWithdraw:
+					if cand.Proto == route.ProtoOSPF {
+						edge(cand)
+					}
+				case capture.SoftReconfig, capture.LinkDown, capture.LinkUp:
+					edge(cand)
 				}
-			case capture.SoftReconfig, capture.LinkDown, capture.LinkUp:
-				g.AddEdge(cand.ID, io.ID)
-				matched = true
+				return true
+			})
+			if matched != len(out) {
+				return out
 			}
-			return true
-		})
-		if !matched {
-			idx.precedingOnRouter(io, cw, func(cand capture.IO) bool {
-				if cand.Type == capture.ConfigChange {
-					g.AddEdge(cand.ID, io.ID)
+			tiers = tiers[1:]
+		}
+		for _, t := range tiers {
+			window, found := w, len(out)
+			if t == lhsConfig {
+				window = cw
+			}
+			idx.precedingOnRouter(p, window, func(cand *capture.IO) bool {
+				if t.matches(io, cand) {
+					edge(cand)
 					return false
 				}
 				return true
 			})
-		}
-		return
-	}
-	for _, t := range r.tiersFor(io, w, cw) {
-		var found *capture.IO
-		t := t
-		idx.precedingOnRouter(io, t.window, func(cand capture.IO) bool {
-			if t.match(cand) {
-				c := cand
-				found = &c
-				return false
-			}
-			return true
-		})
-		if found != nil {
-			g.AddEdge(found.ID, io.ID)
-			break
-		}
-	}
-	if io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw {
-		// Cross-router rule: [R' send C advertisement for P] →
-		// [R receive C advertisement for P].
-		if send, ok := idx.matchSendForRecv(io, xw); ok {
-			g.AddEdge(send.ID, io.ID)
-		}
-	}
-}
-
-// tiersFor returns the prioritized left-hand-side patterns for one I/O.
-func (r Rules) tiersFor(io capture.IO, w, cw time.Duration) []tier {
-	samePrefix := func(cand capture.IO) bool { return cand.Prefix == io.Prefix }
-	switch io.Type {
-	case capture.SoftReconfig:
-		// [config change] → [soft reconfiguration]; the gap can be large.
-		return []tier{{func(c capture.IO) bool { return c.Type == capture.ConfigChange }, cw}}
-
-	case capture.RIBInstall, capture.RIBRemove:
-		proto := io.Proto
-		// All plausible same-router triggers compete in one tier — the
-		// nearest preceding one wins. A strict priority among them would
-		// mis-attribute a reselection to a stale (but still in-window)
-		// receive when a soft reconfiguration happened in between.
-		return []tier{
-			{func(c capture.IO) bool {
-				switch c.Type {
-				case capture.RecvAdvert, capture.RecvWithdraw:
-					// [R receive C advertisement for P] → [R install P in
-					// C RIB]; withdrawals also trigger reselection.
-					return c.Proto == proto && (samePrefix(c) || !c.HasPrefix())
-				case capture.SoftReconfig, capture.LinkDown, capture.LinkUp:
-					return true
-				}
-				return false
-			}, w},
-			// Initial or direct configuration effects.
-			{func(c capture.IO) bool { return c.Type == capture.ConfigChange }, cw},
-		}
-
-	case capture.FIBInstall, capture.FIBRemove:
-		return []tier{
-			// [R install P in the C RIB] → [R install P in the FIB]
-			{func(c capture.IO) bool {
-				if (c.Type == capture.RIBInstall || c.Type == capture.RIBRemove) && samePrefix(c) {
-					return true
-				}
-				return c.Type == capture.LinkDown || c.Type == capture.LinkUp
-			}, w},
-			{func(c capture.IO) bool { return c.Type == capture.ConfigChange }, cw},
-		}
-
-	case capture.SendAdvert, capture.SendWithdraw:
-		switch io.Proto {
-		case route.ProtoEIGRP:
-			// §4.1: with EIGRP, [R install P in FIB] → [R send EIGRP
-			// advertisement for P].
-			return []tier{
-				{func(c capture.IO) bool {
-					return (c.Type == capture.FIBInstall || c.Type == capture.FIBRemove) && samePrefix(c)
-				}, w},
-				{func(c capture.IO) bool {
-					return (c.Type == capture.RIBInstall || c.Type == capture.RIBRemove) &&
-						c.Proto == route.ProtoEIGRP && samePrefix(c)
-				}, w},
-			}
-		case route.ProtoOSPF:
-			// Flooding: a sent LSA is caused by the received LSA it
-			// re-floods (same Detail), or by a local event that triggered
-			// re-origination.
-			return []tier{
-				{func(c capture.IO) bool {
-					return c.Type == capture.RecvAdvert && c.Proto == route.ProtoOSPF && c.Detail == io.Detail
-				}, w},
-				{func(c capture.IO) bool { return c.Type == capture.LinkDown || c.Type == capture.LinkUp }, w},
-				{func(c capture.IO) bool { return c.Type == capture.ConfigChange }, cw},
-			}
-		default:
-			// §4.1: with BGP (and RIP), [R install P in C RIB] → [R send C
-			// advertisement for P].
-			proto := io.Proto
-			return []tier{
-				{func(c capture.IO) bool {
-					return (c.Type == capture.RIBInstall || c.Type == capture.RIBRemove) &&
-						c.Proto == proto && samePrefix(c)
-				}, w},
-				{func(c capture.IO) bool { return c.Type == capture.SoftReconfig }, w},
-				{func(c capture.IO) bool { return c.Type == capture.ConfigChange }, cw},
+			if found != len(out) {
+				break
 			}
 		}
+		if io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw {
+			// Cross-router rule: [R' send C advertisement for P] →
+			// [R receive C advertisement for P].
+			if send := idx.matchSendForRecv(io, xw); send != nil {
+				edge(send)
+			}
+		}
+		return out
 	}
-	return nil
 }

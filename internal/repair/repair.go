@@ -21,6 +21,7 @@ package repair
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"hbverify/internal/capture"
@@ -180,21 +181,17 @@ func (e *Engine) Detect(policies []verify.Policy) *Diagnosis {
 // the most recent update anywhere on the walk path is used.
 func (e *Engine) findFaultIO(v verify.Violation) (capture.IO, bool) {
 	routers := append([]string{v.Source}, v.Walk.Path...)
-	var best capture.IO
-	for _, io := range e.Net.Log.Snapshot() {
-		if io.Type != capture.FIBInstall && io.Type != capture.FIBRemove {
-			continue
-		}
-		if io.Prefix != v.Policy.Prefix.Masked() {
-			continue
-		}
-		for _, r := range routers {
-			if io.Router == r && io.ID > best.ID {
-				best = io
-			}
+	prefix := v.Policy.Prefix.Masked()
+	// IDs ascend along the log, so the newest match is the first from the back.
+	log := e.Net.Log.Snapshot()
+	for i := len(log) - 1; i >= 0; i-- {
+		io := &log[i]
+		if (io.Type == capture.FIBInstall || io.Type == capture.FIBRemove) &&
+			io.Prefix == prefix && slices.Contains(routers, io.Router) {
+			return *io, true
 		}
 	}
-	return best, best.ID != 0
+	return capture.IO{}, false
 }
 
 // Repair executes §6's first mechanism on a diagnosis: if a root cause is

@@ -19,6 +19,7 @@ package snapshot
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 
 	"hbverify/internal/capture"
@@ -42,39 +43,50 @@ func (c Cut) Clone() Cut {
 
 // Collect returns the I/Os visible under the cut, preserving order.
 func Collect(ios []capture.IO, cut Cut) []capture.IO {
-	var out []capture.IO
-	for _, io := range ios {
-		if horizon, limited := cut[io.Router]; limited && io.Time > horizon {
-			continue
+	visible := func(io *capture.IO) bool {
+		horizon, limited := cut[io.Router]
+		return !limited || io.Time <= horizon
+	}
+	n := 0
+	for i := range ios {
+		if visible(&ios[i]) {
+			n++
 		}
-		out = append(out, io)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]capture.IO, 0, n)
+	for i := range ios {
+		if visible(&ios[i]) {
+			out = append(out, ios[i])
+		}
 	}
 	return out
 }
 
 // BuildFIBs reconstructs each router's FIB by replaying the collected FIB
 // install/remove events — exactly what a verifier fed by FIB update
-// streams would hold.
+// streams would hold. Every router with a collected event appears, even
+// with an empty FIB.
 func BuildFIBs(ios []capture.IO) map[string]map[netip.Prefix]fib.Entry {
 	out := map[string]map[netip.Prefix]fib.Entry{}
-	for _, io := range ios {
+	for i := range ios {
+		io := &ios[i]
+		table := out[io.Router]
+		if table == nil {
+			table = map[netip.Prefix]fib.Entry{}
+			out[io.Router] = table
+		}
 		switch io.Type {
 		case capture.FIBInstall:
-			if out[io.Router] == nil {
-				out[io.Router] = map[netip.Prefix]fib.Entry{}
-			}
 			e := fib.Entry{Prefix: io.Prefix, NextHop: io.NextHop, Proto: io.Proto}
 			if len(io.NextHops) > 1 {
 				e.NextHops = append([]netip.Addr(nil), io.NextHops...)
 			}
-			out[io.Router][io.Prefix] = e
+			table[io.Prefix] = e
 		case capture.FIBRemove:
-			delete(out[io.Router], io.Prefix)
-		default:
-			// Make sure every router appears even with an empty FIB.
-			if out[io.Router] == nil {
-				out[io.Router] = map[netip.Prefix]fib.Entry{}
-			}
+			delete(table, io.Prefix)
 		}
 	}
 	return out
@@ -95,44 +107,40 @@ type Result struct {
 // collected I/Os. external reports routers outside the administrative
 // domain (updates received from them terminate the recursion); it may be
 // nil.
+//
+// It is one traversal of the graph: the FIB updates are taken in ID order
+// and each contributes the ancestors no earlier one reached, so every
+// received advertisement in some FIB update's provenance is examined once,
+// in the order a per-update provenance query would first meet it.
 func Check(g *hbg.Graph, external func(string) bool) Result {
 	res := Result{Consistent: true}
+	var fibs []uint64
+	for _, io := range g.Refs() {
+		if io.Type == capture.FIBInstall || io.Type == capture.FIBRemove {
+			fibs = append(fibs, io.ID)
+		}
+	}
 	waitSet := map[string]bool{}
-	reported := map[uint64]bool{}
-	for _, io := range g.Nodes() {
-		if io.Type != capture.FIBInstall && io.Type != capture.FIBRemove {
+	for _, anc := range g.Ancestry(fibs) {
+		if anc.Type != capture.RecvAdvert && anc.Type != capture.RecvWithdraw {
 			continue
 		}
-		// Examine every received advertisement in this FIB update's
-		// provenance, plus any direct recv parents.
-		for _, anc := range g.Provenance(io.ID) {
-			if anc.Type != capture.RecvAdvert && anc.Type != capture.RecvWithdraw {
-				continue
+		if external != nil && external(anc.Peer) {
+			continue
+		}
+		hasSend := false
+		for _, pid := range g.Parents(anc.ID) {
+			p, ok := g.Node(pid)
+			if ok && (p.Type == capture.SendAdvert || p.Type == capture.SendWithdraw) && p.Router != anc.Router {
+				hasSend = true
+				break
 			}
-			if external != nil && external(anc.Peer) {
-				continue
-			}
-			if reported[anc.ID] {
-				continue
-			}
-			hasSend := false
-			for _, pid := range g.Parents(anc.ID) {
-				p, ok := g.Node(pid)
-				if !ok {
-					continue
-				}
-				if (p.Type == capture.SendAdvert || p.Type == capture.SendWithdraw) && p.Router != anc.Router {
-					hasSend = true
-					break
-				}
-			}
-			if !hasSend {
-				reported[anc.ID] = true
-				res.Consistent = false
-				res.Missing = append(res.Missing, anc)
-				if anc.Peer != "" {
-					waitSet[anc.Peer] = true
-				}
+		}
+		if !hasSend {
+			res.Consistent = false
+			res.Missing = append(res.Missing, *anc)
+			if anc.Peer != "" {
+				waitSet[anc.Peer] = true
 			}
 		}
 	}
@@ -154,6 +162,9 @@ type Infer func([]capture.IO) *hbg.Graph
 // returns the final collected I/Os, the final cut, and the last check.
 func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(string) bool) ([]capture.IO, Cut, Result) {
 	cur := cut.Clone()
+	// times holds, per router waited on so far, the observed times of its
+	// events in ascending order.
+	times := map[string][]netsim.VirtualTime{}
 	for {
 		collected := Collect(ios, cur)
 		g := infer(collected)
@@ -163,37 +174,33 @@ func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(str
 		}
 		progressed := false
 		for _, router := range res.WaitFor {
-			if next, ok := nextEventTime(ios, router, cur[router]); ok {
-				if _, limited := cur[router]; limited {
-					cur[router] = next
-					progressed = true
-				}
-			} else if _, limited := cur[router]; limited {
-				// Log exhausted: lift the horizon entirely.
-				delete(cur, router)
-				progressed = true
+			horizon, limited := cur[router]
+			if !limited {
+				continue
 			}
+			ts, ok := times[router]
+			if !ok {
+				for i := range ios {
+					if ios[i].Router == router {
+						ts = append(ts, ios[i].Time)
+					}
+				}
+				slices.Sort(ts)
+				times[router] = ts
+			}
+			// Advance to the router's earliest event after the horizon; with
+			// its log exhausted, lift the horizon entirely.
+			if i := sort.Search(len(ts), func(i int) bool { return ts[i] > horizon }); i < len(ts) {
+				cur[router] = ts[i]
+			} else {
+				delete(cur, router)
+			}
+			progressed = true
 		}
 		if !progressed {
 			return collected, cur, res
 		}
 	}
-}
-
-// nextEventTime finds the observed time of router's earliest event after
-// horizon.
-func nextEventTime(ios []capture.IO, router string, horizon netsim.VirtualTime) (netsim.VirtualTime, bool) {
-	best := netsim.VirtualTime(0)
-	found := false
-	for _, io := range ios {
-		if io.Router != router || io.Time <= horizon {
-			continue
-		}
-		if !found || io.Time < best {
-			best, found = io.Time, true
-		}
-	}
-	return best, found
 }
 
 // CutAt builds a uniform cut placing every listed router's horizon at t.

@@ -240,3 +240,17 @@ func TestPerRouterSubgraphExchangeMatchesCentral(t *testing.T) {
 		t.Fatal("distributed and central checks disagree")
 	}
 }
+
+// TestBuildFIBsKeepsRemoveOnlyRouter: a router whose only collected events
+// are FIB removes still has a FIB — an empty one — and a walker must be
+// able to tell "forwards nothing" from "not in the snapshot".
+func TestBuildFIBsKeepsRemoveOnlyRouter(t *testing.T) {
+	p := netip.MustParsePrefix("10.0.0.0/8")
+	fibs := BuildFIBs([]capture.IO{
+		{ID: 1, Router: "a", Type: capture.FIBInstall, Prefix: p, NextHop: addr("1.1.1.1")},
+		{ID: 2, Router: "b", Type: capture.FIBRemove, Prefix: p},
+	})
+	if table, ok := fibs["b"]; !ok || len(table) != 0 {
+		t.Fatalf("b = %v (present %v), want an empty FIB", table, ok)
+	}
+}

@@ -1,9 +1,13 @@
 package snapshot
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
+	"hbverify/internal/capture"
 	"hbverify/internal/dataplane"
+	"hbverify/internal/hbg"
 	"hbverify/internal/netsim"
 	"hbverify/internal/verify"
 )
@@ -102,5 +106,92 @@ func TestSweepNaiveBaselinePhantomRate(t *testing.T) {
 	}
 	if phantoms == 0 {
 		t.Fatalf("naive snapshotter produced no phantoms across %d cuts", total)
+	}
+}
+
+// checkPerFIB is the §5 condition as it was first written, kept as the
+// reference for Check: one provenance query per FIB update, every received
+// advertisement in it examined (and re-examined under later updates).
+func checkPerFIB(g *hbg.Graph, external func(string) bool) Result {
+	res := Result{Consistent: true}
+	waitSet := map[string]bool{}
+	reported := map[uint64]bool{}
+	for _, io := range g.Nodes() {
+		if io.Type != capture.FIBInstall && io.Type != capture.FIBRemove {
+			continue
+		}
+		for _, anc := range g.Provenance(io.ID) {
+			if anc.Type != capture.RecvAdvert && anc.Type != capture.RecvWithdraw {
+				continue
+			}
+			if external != nil && external(anc.Peer) {
+				continue
+			}
+			if reported[anc.ID] {
+				continue
+			}
+			hasSend := false
+			for _, pid := range g.Parents(anc.ID) {
+				p, ok := g.Node(pid)
+				if !ok {
+					continue
+				}
+				if (p.Type == capture.SendAdvert || p.Type == capture.SendWithdraw) && p.Router != anc.Router {
+					hasSend = true
+					break
+				}
+			}
+			if !hasSend {
+				reported[anc.ID] = true
+				res.Consistent = false
+				res.Missing = append(res.Missing, anc)
+				if anc.Peer != "" {
+					waitSet[anc.Peer] = true
+				}
+			}
+		}
+	}
+	for r := range waitSet {
+		res.WaitFor = append(res.WaitFor, r)
+	}
+	sort.Strings(res.WaitFor)
+	return res
+}
+
+// TestCheckMatchesPerFIBReference runs the sweep's cuts again — every
+// single-router cut at every event boundary, and every wider cut
+// ConsistentCollect extends one to — comparing the one-traversal Check with
+// the per-update formulation: same verdict, same Missing in the same order,
+// same WaitFor, with and without an external predicate.
+func TestCheckMatchesPerFIBReference(t *testing.T) {
+	_, ios := fig1Transition(t)
+	externals := map[string]func(string) bool{
+		"nil":         nil,
+		"e1 external": func(r string) bool { return r == "e1" },
+	}
+	graphs, inconsistent := 0, 0
+	for name, external := range externals {
+		infer := func(collected []capture.IO) *hbg.Graph {
+			g := rulesInfer(collected)
+			got, want := Check(g, external), checkPerFIB(g, external)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("external=%s, %d events collected:\n got %+v\nwant %+v", name, len(collected), got, want)
+			}
+			graphs++
+			if !got.Consistent {
+				inconsistent++
+			}
+			return g
+		}
+		for _, router := range []string{"r1", "r2", "r3", "e1", "e2"} {
+			for _, io := range ios {
+				if io.Router == router {
+					ConsistentCollect(ios, Cut{router: io.Time - 1}, infer, external)
+				}
+			}
+		}
+	}
+	if graphs < 100 || inconsistent == 0 {
+		t.Fatalf("compared %d graphs, %d of them inconsistent: the sweep no longer exercises Missing", graphs, inconsistent)
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -8,9 +9,12 @@ import (
 	"time"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/ciscolog"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
+	"hbverify/internal/netsim"
+	"hbverify/internal/route"
 )
 
 // testStrategy keeps rule windows small so compaction floors are reachable
@@ -282,3 +286,49 @@ type opaqueStrategy struct{ base hbr.Rules }
 
 func (o opaqueStrategy) Name() string                      { return "opaque" }
 func (o opaqueStrategy) Infer(ios []capture.IO) *hbg.Graph { return o.base.Infer(ios) }
+
+// TestDaemonLaterNearerSendReplacesEdge drives the stale-edge shape through
+// the daemon: r1's recv is folded (a compaction tick) while r0's first send
+// is the only candidate, then r0's second, nearer send arrives. The graph
+// must re-match the recv, not keep both sends as its parents.
+func TestDaemonLaterNearerSendReplacesEdge(t *testing.T) {
+	f := Fleet{Routers: 2}
+	at := func(ms int) netsim.VirtualTime {
+		return netsim.VirtualTime(time.Second + time.Duration(ms)*time.Millisecond)
+	}
+	msg := capture.IO{Proto: route.ProtoBGP, Prefix: wavePrefix(0), NextHop: f.Addr(0),
+		Attrs: route.BGPAttrs{LocalPref: 100, ASPath: []uint32{65000}}}
+	line := func(router int, typ capture.Type, peer int, ms int) []byte {
+		io := msg
+		io.Router, io.Type, io.PeerAddr, io.Time = f.RouterName(router), typ, f.Addr(peer), at(ms)
+		return append(ciscolog.AppendLine(nil, io), '\n')
+	}
+	logs := [][]byte{
+		append(line(0, capture.SendAdvert, 1, 0), line(0, capture.SendAdvert, 1, 150)...),
+		line(1, capture.RecvAdvert, 0, 100),
+	}
+	d, err := New(Options{Strategy: hbr.Rules{}, Resolve: f.Resolver(), CompactEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := []*Stream{d.Register(f.RouterName(0)), d.Register(f.RouterName(1))}
+	var wg sync.WaitGroup
+	for i := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := streams[i].Consume(bytes.NewReader(logs[i])); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := d.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	g := d.Graph()
+	edgesEqual(t, g, hbr.Rules{}.Infer(d.Log().Snapshot()))
+	if want := []hbg.Edge{{From: 3, To: 2}}; !reflect.DeepEqual(g.Edges(), want) {
+		t.Fatalf("edges = %v, want %v", g.Edges(), want)
+	}
+}
