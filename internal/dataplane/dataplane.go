@@ -131,19 +131,6 @@ func (w Walk) String() string {
 	return s
 }
 
-// Traverses reports whether the walk visited router. Path always includes
-// the decisive router — the one that dropped, got stuck, or closed the
-// loop — so the routers on Path are exactly the FIB/link state the walk's
-// outcome depends on.
-func (w Walk) Traverses(router string) bool {
-	for _, r := range w.Path {
-		if r == router {
-			return true
-		}
-	}
-	return false
-}
-
 // Expansion describes one router's forwarding behaviour for a destination:
 // the terminal branches that end at this router, plus the distinct set of
 // adjacent routers its ECMP members forward to.

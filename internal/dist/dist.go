@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/netip"
 	"sort"
 	"sync"
@@ -31,6 +30,7 @@ import (
 	"hbverify/internal/network"
 	"hbverify/internal/trie"
 	"hbverify/internal/verify"
+	"hbverify/internal/wire"
 )
 
 // LocalView is everything one verification node needs: identity, local
@@ -149,22 +149,13 @@ func (w WalkMsg) AsWalk() dataplane.Walk {
 	}
 }
 
-// idleTimeout bounds how long a server-side read blocks between frames on
-// a persistent connection; an idle peer costs a redial, a dead one is
-// detected instead of parking a goroutine forever.
-const idleTimeout = 2 * time.Minute
-
 // Node is one router's verification server.
 type Node struct {
+	endpoint
 	View LocalView
 
-	ln        net.Listener
 	directory func(router string) (string, bool) // router -> node address
 	resultTo  string                             // coordinator address
-
-	pool  *pool
-	wire  *wireStats
-	conns *connSet
 
 	// viewMu guards View against concurrent walk handling and view-delta
 	// application. View must not be mutated externally after StartNode.
@@ -174,105 +165,38 @@ type Node struct {
 	checker localck.Checker
 	// applyDelay (ns) is SetApplyDelay's test hook.
 	applyDelay atomic.Int64
-
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // StartNode launches a node listening on 127.0.0.1. directory resolves
 // peer node addresses and resultTo is the coordinator's address.
 func StartNode(view LocalView, directory func(string) (string, bool), resultTo string) (*Node, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	wire := &wireStats{}
-	n := &Node{
-		View: view, ln: ln, directory: directory, resultTo: resultTo,
-		wire: wire, pool: newPool(wire), conns: newConnSet(),
-	}
+	n := &Node{View: view, directory: directory, resultTo: resultTo}
 	// Compile the LPM index up front: walk handlers run concurrently and
 	// must not race on the lazy build.
 	n.View.Compile()
-	n.wg.Add(1)
-	go n.serve()
+	if err := n.listen(n.handle); err != nil {
+		return nil, err
+	}
 	return n, nil
 }
 
-// Addr returns the node's listen address.
-func (n *Node) Addr() string { return n.ln.Addr().String() }
-
-// Wire reports the node's transport counters: frames and bytes written,
-// redial retries, and sends abandoned after exhausting retries.
-func (n *Node) Wire() (frames, bytes, retries, errors int64) {
-	return n.wire.frames.Load(), n.wire.bytes.Load(), n.wire.retries.Load(), n.wire.errors.Load()
-}
-
-// Close shuts the node down: the listener stops, accepted connections are
-// closed (unparking readers blocked on persistent peers), pooled outbound
-// connections are torn down, and all serving goroutines are joined.
-func (n *Node) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	n.mu.Unlock()
-	err := n.ln.Close()
-	n.conns.closeAll()
-	n.pool.closeAll()
-	n.wg.Wait()
-	return err
-}
-
-func (n *Node) serve() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.ln.Accept()
-		if err != nil {
-			return
-		}
-		n.conns.add(conn)
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer n.conns.remove(conn)
-			defer conn.Close()
-			for {
-				_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
-				payload, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				n.dispatch(payload)
-			}
-		}()
-	}
-}
-
-// dispatch decodes one inbound frame and applies it; anything that is not
-// a well-formed v1 frame is dropped.
-func (n *Node) dispatch(payload []byte) {
-	if len(payload) < 2 || payload[0] != frameV1 {
-		return
-	}
-	r := &wireReader{b: payload[2:]}
-	switch payload[1] {
+// handle decodes one inbound frame and applies it; a malformed body is
+// dropped.
+func (n *Node) handle(mt byte, r *wire.Reader) {
+	switch mt {
 	case mtWalkBatch:
-		id, walks := r.walkBatch()
-		if r.err == nil {
+		id, walks := readWalkBatch(r)
+		if r.Err() == nil {
 			n.handleWalkBatch(id, walks)
 		}
 	case mtViewDelta:
-		d := r.viewDelta()
-		if r.err == nil {
+		d := readViewDelta(r)
+		if r.Err() == nil {
 			n.applyViewDelta(d)
 		}
 	case mtLabels:
-		router, nl := r.labels()
-		if r.err == nil {
+		router, nl := readLabels(r)
+		if r.Err() == nil {
 			n.applyLabels(router, nl)
 		}
 	}
@@ -440,11 +364,7 @@ func (n *Node) applyViewDelta(d viewDelta) {
 // Coordinator seeds walks and collects results. Results are routed to the
 // submitting ExecuteWalks call by WalkID, so concurrent rounds are safe.
 type Coordinator struct {
-	ln    net.Listener
-	pool  *pool
-	wire  *wireStats
-	conns *connSet
-	wg    sync.WaitGroup
+	endpoint
 
 	mu       sync.Mutex
 	nextID   int
@@ -463,82 +383,31 @@ type Coordinator struct {
 
 // StartCoordinator launches the result sink.
 func StartCoordinator() (*Coordinator, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	wire := &wireStats{}
 	c := &Coordinator{
-		ln: ln, wire: wire, pool: newPool(wire), conns: newConnSet(),
 		pending:    map[int]chan<- WalkMsg{},
 		lastView:   map[string]LocalView{},
 		pendingLoc: map[int]chan<- LocalReport{},
 		taint:      map[netip.Prefix]bool{},
 	}
-	c.wg.Add(1)
-	go c.serve()
+	if err := c.listen(c.handle); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// Addr returns the coordinator's listen address.
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// Wire reports the coordinator's transport counters.
-func (c *Coordinator) Wire() (frames, bytes, retries, errors int64) {
-	return c.wire.frames.Load(), c.wire.bytes.Load(), c.wire.retries.Load(), c.wire.errors.Load()
-}
-
-// Close shuts the coordinator down.
-func (c *Coordinator) Close() error {
-	err := c.ln.Close()
-	c.conns.closeAll()
-	c.pool.closeAll()
-	c.wg.Wait()
-	return err
-}
-
-func (c *Coordinator) serve() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.conns.add(conn)
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer c.conns.remove(conn)
-			defer conn.Close()
-			for {
-				_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
-				payload, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				c.dispatch(payload)
-			}
-		}()
-	}
-}
-
-func (c *Coordinator) dispatch(payload []byte) {
-	if len(payload) < 2 || payload[0] != frameV1 {
-		return
-	}
-	r := &wireReader{b: payload[2:]}
-	switch payload[1] {
+func (c *Coordinator) handle(mt byte, r *wire.Reader) {
+	switch mt {
 	case mtResultBatch:
-		_, walks := r.walkBatch()
-		if r.err != nil {
+		_, walks := readWalkBatch(r)
+		if r.Err() != nil {
 			return
 		}
 		for _, w := range walks {
 			c.deliver(w)
 		}
 	case mtLocalViolation:
-		rep := r.localReport()
-		if r.err == nil {
+		rep := readLocalReport(r)
+		if r.Err() == nil {
 			c.deliverLocal(rep)
 		}
 	}
@@ -823,7 +692,7 @@ collect:
 // per-round accounting. (Concurrent rounds overlap in the deltas but the
 // global totals stay exact.)
 func (c *Coordinator) FleetWire(nodes map[string]*Node) (frames, bytes int64) {
-	frames, bytes = c.wire.frames.Load(), c.wire.bytes.Load()
+	frames, bytes, _, _ = c.Wire()
 	for _, n := range nodes {
 		f, b, _, _ := n.Wire()
 		frames += f

@@ -19,12 +19,12 @@ package dist
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/hbg"
+	"hbverify/internal/wire"
 )
 
 // CrossRef points from a received advertisement to the sender-side event.
@@ -47,96 +47,30 @@ type ProvQuery struct {
 
 // HBGNode serves one router's happens-before subgraph.
 type HBGNode struct {
+	endpoint
 	Router string
 	Sub    *hbg.Graph
 	Cross  map[uint64]CrossRef
 
-	ln        net.Listener
 	directory func(router string) (string, bool)
 	resultTo  string
-	pool      *pool
-	wire      *wireStats
-	conns     *connSet
-
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
 }
 
 // StartHBGNode launches the node on 127.0.0.1.
 func StartHBGNode(router string, sub *hbg.Graph, cross map[uint64]CrossRef,
 	directory func(string) (string, bool), resultTo string) (*HBGNode, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	n := &HBGNode{Router: router, Sub: sub, Cross: cross, directory: directory, resultTo: resultTo}
+	if err := n.listen(n.handle); err != nil {
 		return nil, err
 	}
-	wire := &wireStats{}
-	n := &HBGNode{
-		Router: router, Sub: sub, Cross: cross, ln: ln, directory: directory, resultTo: resultTo,
-		wire: wire, pool: newPool(wire), conns: newConnSet(),
-	}
-	n.wg.Add(1)
-	go n.serve()
 	return n, nil
 }
 
-// Addr returns the node's listen address.
-func (n *HBGNode) Addr() string { return n.ln.Addr().String() }
-
-// Wire reports the node's transport counters.
-func (n *HBGNode) Wire() (frames, bytes, retries, errors int64) {
-	return n.wire.frames.Load(), n.wire.bytes.Load(), n.wire.retries.Load(), n.wire.errors.Load()
-}
-
-// Close shuts the node down, closing accepted and pooled connections so no
-// reader stays parked on a persistent peer.
-func (n *HBGNode) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	n.mu.Unlock()
-	err := n.ln.Close()
-	n.conns.closeAll()
-	n.pool.closeAll()
-	n.wg.Wait()
-	return err
-}
-
-func (n *HBGNode) serve() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.ln.Accept()
-		if err != nil {
-			return
-		}
-		n.conns.add(conn)
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer n.conns.remove(conn)
-			defer conn.Close()
-			for {
-				_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
-				payload, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				n.dispatch(payload)
-			}
-		}()
-	}
-}
-
-func (n *HBGNode) dispatch(payload []byte) {
-	if len(payload) < 2 || payload[0] != frameV1 || payload[1] != mtProv {
+func (n *HBGNode) handle(mt byte, r *wire.Reader) {
+	if mt != mtProv {
 		return
 	}
-	r := &wireReader{b: payload[2:]}
-	q := r.prov()
-	if r.err == nil {
+	if q := readProv(r); r.Err() == nil {
 		n.HandleQuery(q)
 	}
 }
@@ -196,70 +130,40 @@ func (n *HBGNode) sendQuery(addr string, mt byte, q ProvQuery) {
 	})
 }
 
-// HBGCoordinator collects finished provenance chains.
+// HBGCoordinator collects finished provenance chains. Results are routed
+// to the submitting Trace call by QueryID, so concurrent traces are safe and
+// a result nobody waits for is dropped.
 type HBGCoordinator struct {
-	ln      net.Listener
-	results chan ProvQuery
-	conns   *connSet
-	wg      sync.WaitGroup
+	endpoint
+
+	mu      sync.Mutex
+	nextID  int
+	pending map[int]chan<- ProvQuery
 }
 
 // StartHBGCoordinator launches the sink.
 func StartHBGCoordinator() (*HBGCoordinator, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	c := &HBGCoordinator{pending: map[int]chan<- ProvQuery{}}
+	if err := c.listen(c.handle); err != nil {
 		return nil, err
 	}
-	c := &HBGCoordinator{ln: ln, results: make(chan ProvQuery, 64), conns: newConnSet()}
-	c.wg.Add(1)
-	go c.serve()
 	return c, nil
 }
 
-// Addr returns the coordinator's listen address.
-func (c *HBGCoordinator) Addr() string { return c.ln.Addr().String() }
-
-// Close shuts the coordinator down.
-func (c *HBGCoordinator) Close() error {
-	err := c.ln.Close()
-	c.conns.closeAll()
-	c.wg.Wait()
-	return err
-}
-
-func (c *HBGCoordinator) serve() {
-	defer c.wg.Done()
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		c.conns.add(conn)
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			defer c.conns.remove(conn)
-			defer conn.Close()
-			for {
-				_ = conn.SetReadDeadline(time.Now().Add(idleTimeout))
-				payload, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				c.dispatch(payload)
-			}
-		}()
-	}
-}
-
-func (c *HBGCoordinator) dispatch(payload []byte) {
-	if len(payload) < 2 || payload[0] != frameV1 || payload[1] != mtProvResult {
+func (c *HBGCoordinator) handle(mt byte, r *wire.Reader) {
+	if mt != mtProvResult {
 		return
 	}
-	r := &wireReader{b: payload[2:]}
-	q := r.prov()
-	if r.err == nil {
-		c.results <- q
+	q := readProv(r)
+	if r.Err() != nil {
+		return
+	}
+	c.mu.Lock()
+	ch := c.pending[q.QueryID]
+	delete(c.pending, q.QueryID)
+	c.mu.Unlock()
+	if ch != nil {
+		ch <- q // one slot per query: never blocks
 	}
 }
 
@@ -270,14 +174,24 @@ func (c *HBGCoordinator) Trace(nodes map[string]*HBGNode, router string, ioID ui
 	if node == nil {
 		return nil, fmt.Errorf("dist: no HBG node for %q", router)
 	}
-	node.HandleQuery(ProvQuery{QueryID: 1, Cursor: ioID})
+	ch := make(chan ProvQuery, 1)
+	c.mu.Lock()
+	c.nextID++
+	id := c.nextID
+	c.pending[id] = ch
+	c.mu.Unlock()
+	node.HandleQuery(ProvQuery{QueryID: id, Cursor: ioID})
 	select {
-	case q := <-c.results:
+	case q := <-ch:
 		if q.Err != "" {
 			return q.Path, fmt.Errorf("dist: %s", q.Err)
 		}
 		return q.Path, nil
 	case <-time.After(timeout):
+		// Reclaim the ID so a late result is dropped.
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
 		return nil, fmt.Errorf("dist: provenance query timed out")
 	}
 }

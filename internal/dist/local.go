@@ -54,16 +54,6 @@ func (n *Node) applyLabels(router string, nl localck.NodeLabels) {
 	n.checker.Labels = nl
 }
 
-// SetLocalCheckBug toggles the injectable skip-local-check fault: the
-// node keeps acknowledging synced deltas but silently skips the
-// invariant checks. Used by the scenario harness to prove oracle 12
-// catches a checker that stops checking.
-func (n *Node) SetLocalCheckBug(v bool) {
-	n.viewMu.Lock()
-	defer n.viewMu.Unlock()
-	n.checker.SkipBug = v
-}
-
 // SetApplyDelay is a test hook: the node sits on every view delta for d
 // before applying it, the way a busy router would, while walks arriving
 // over other connections are served at once. A round that starts walks

@@ -12,6 +12,7 @@ import (
 	"hbverify/internal/localck"
 	"hbverify/internal/network"
 	"hbverify/internal/verify"
+	"hbverify/internal/wire"
 )
 
 // qClass is a second forwarding class for the paper net: r3's loopback,
@@ -230,10 +231,10 @@ func TestLabelsCodecRoundTrip(t *testing.T) {
 		},
 	}
 	frame := appendLabels(nil, "a", nl)
-	r := &wireReader{b: frame[2:]}
-	router, got := r.labels()
-	if r.err != nil {
-		t.Fatal(r.err)
+	r := wire.NewReader(frame[2:])
+	router, got := readLabels(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if router != "a" || got.Epoch != 9 {
 		t.Fatalf("router %q epoch %d", router, got.Epoch)
@@ -260,10 +261,10 @@ func TestLocalReportCodecRoundTrip(t *testing.T) {
 		},
 	}
 	frame := appendLocalReport(nil, &rep)
-	r := &wireReader{b: frame[2:]}
-	got := r.localReport()
-	if r.err != nil {
-		t.Fatal(r.err)
+	r := wire.NewReader(frame[2:])
+	got := readLocalReport(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if !reflect.DeepEqual(got, rep) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, rep)
@@ -273,10 +274,10 @@ func TestLocalReportCodecRoundTrip(t *testing.T) {
 func TestViewDeltaSyncFieldRoundTrip(t *testing.T) {
 	d := viewDelta{Router: "r1", Removes: []netip.Prefix{pfx("203.0.113.0/24")}, Sync: 77}
 	frame := appendViewDelta(nil, &d)
-	r := &wireReader{b: frame[2:]}
-	got := r.viewDelta()
-	if r.err != nil {
-		t.Fatal(r.err)
+	r := wire.NewReader(frame[2:])
+	got := readViewDelta(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if got.Sync != 77 || got.Router != "r1" || len(got.Removes) != 1 {
 		t.Fatalf("round trip = %+v", got)

@@ -1,6 +1,6 @@
-// Persistent connection pooling for the dist plane. Every fleet member
-// (nodes, coordinators, HBG nodes) owns a pool keyed by peer address; a
-// send acquires the peer's connection, encodes into that connection's
+// Persistent connection pooling: the sending half of a fleet member's
+// endpoint (endpoint.go is the receiving half and owns the pool). A pool is
+// keyed by peer address; a send acquires the peer's connection, encodes into that connection's
 // reusable scratch buffer, and writes one length-prefixed frame under a
 // write deadline. A broken connection is redialed with bounded backoff
 // instead of blocking forever, and every frame/byte/retry/error is counted
@@ -11,7 +11,6 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -153,51 +152,4 @@ func (p *pool) closeAll() {
 		}
 		pc.mu.Unlock()
 	}
-}
-
-// connSet tracks accepted (server-side) connections so Close can unblock
-// readers parked on persistent connections.
-type connSet struct {
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-}
-
-func newConnSet() *connSet { return &connSet{conns: map[net.Conn]struct{}{}} }
-
-func (s *connSet) add(c net.Conn) {
-	s.mu.Lock()
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
-}
-
-func (s *connSet) remove(c net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-}
-
-func (s *connSet) closeAll() {
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.conns = map[net.Conn]struct{}{}
-	s.mu.Unlock()
-}
-
-// readFrame reads one length-prefixed payload.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("dist: oversized frame (%d bytes)", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }

@@ -14,6 +14,7 @@ import (
 	"hbverify/internal/network"
 	"hbverify/internal/route"
 	"hbverify/internal/verify"
+	"hbverify/internal/wire"
 )
 
 func TestBinaryWalkBatchRoundTrip(t *testing.T) {
@@ -30,10 +31,10 @@ func TestBinaryWalkBatchRoundTrip(t *testing.T) {
 	if payload[0] != frameV1 || payload[1] != mtWalkBatch {
 		t.Fatalf("header = %v", payload[:2])
 	}
-	r := &wireReader{b: payload[2:]}
-	id, got := r.walkBatch()
-	if r.err != nil {
-		t.Fatal(r.err)
+	r := wire.NewReader(payload[2:])
+	id, got := readWalkBatch(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if id != 7 {
 		t.Fatalf("batch id = %d", id)
@@ -59,10 +60,10 @@ func TestBinaryViewDeltaRoundTrip(t *testing.T) {
 		},
 	}
 	payload := appendViewDelta(nil, &d)
-	r := &wireReader{b: payload[2:]}
-	got := r.viewDelta()
-	if r.err != nil {
-		t.Fatal(r.err)
+	r := wire.NewReader(payload[2:])
+	got := readViewDelta(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if !reflect.DeepEqual(got, d) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, d)
@@ -85,10 +86,10 @@ func TestBinaryProvRoundTrip(t *testing.T) {
 		}},
 	}
 	payload := appendProv(nil, mtProv, &q)
-	r := &wireReader{b: payload[2:]}
-	got := r.prov()
-	if r.err != nil {
-		t.Fatal(r.err)
+	r := wire.NewReader(payload[2:])
+	got := readProv(r)
+	if r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if !reflect.DeepEqual(got, q) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, q)
@@ -99,9 +100,9 @@ func TestTruncatedBinaryFrameRejected(t *testing.T) {
 	walks := []WalkMsg{{WalkID: 1, Source: "r1", Dst: addr("10.0.0.1")}}
 	payload := appendWalkBatch(nil, mtWalkBatch, 1, walks)
 	for cut := 2; cut < len(payload); cut += 3 {
-		r := &wireReader{b: payload[2:cut]}
-		r.walkBatch()
-		if r.err == nil && cut < len(payload) {
+		r := wire.NewReader(payload[2:cut])
+		readWalkBatch(r)
+		if r.Err() == nil && cut < len(payload) {
 			t.Fatalf("truncation at %d of %d accepted", cut, len(payload))
 		}
 	}

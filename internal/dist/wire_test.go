@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"net/netip"
 	"testing"
@@ -15,6 +17,8 @@ import (
 	"hbverify/internal/localck"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
+	"hbverify/internal/wire"
+	"hbverify/internal/wire/wiretest"
 )
 
 // sendRaw dials addr and writes each payload as one length-prefixed frame
@@ -35,9 +39,11 @@ func sendRaw(t *testing.T, addr string, payloads ...[]byte) {
 	}
 }
 
-// Frames no v1 peer sends: a JSON envelope (what the removed transport
-// spoke — each is a well-formed message of that format, so delivery would
-// be observable) and a v1 frame cut off after the version byte.
+// The v1 header check exists once, in endpoint.listen; the three tests
+// below drive it through each kind of handler with frames no v1 peer sends:
+// a JSON envelope (what the removed transport spoke — each is a well-formed
+// message of that format, so delivery would be observable) and a v1 frame
+// cut off after the version byte.
 var (
 	jsonWalk       = []byte(`{"kind":"walk","walk":{"WalkID":7,"Source":"r1","Dst":"203.0.113.1","Msgs":1}}`)
 	jsonResult     = []byte(`{"kind":"result","walk":{"WalkID":7,"Source":"r1","Dst":"203.0.113.1","Done":true}}`)
@@ -107,13 +113,109 @@ func TestHBGServersDropNonV1Frames(t *testing.T) {
 	}
 	defer teardown()
 
+	results := make(chan ProvQuery, 4)
+	coord.mu.Lock()
+	for id := 7; id <= 9; id++ {
+		coord.pending[id] = results
+	}
+	coord.mu.Unlock()
+
 	// Node: only the v1 query is expanded and answered.
 	sendRaw(t, nodes["r1"].Addr(), jsonProv, shortV1, appendProv(nil, mtProv, &ProvQuery{QueryID: 8, Cursor: 1}))
-	expectOnly(t, coord.results, func(q ProvQuery) bool { return q.QueryID == 8 && q.Done && len(q.Path) == 1 })
+	expectOnly(t, results, func(q ProvQuery) bool { return q.QueryID == 8 && q.Done && len(q.Path) == 1 })
 
-	// Coordinator: only the v1 result reaches Trace's channel.
+	// Coordinator: only the v1 result reaches a waiting trace.
 	sendRaw(t, coord.Addr(), jsonProvResult, shortV1, appendProv(nil, mtProvResult, &ProvQuery{QueryID: 9, Done: true}))
-	expectOnly(t, coord.results, func(q ProvQuery) bool { return q.QueryID == 9 })
+	expectOnly(t, results, func(q ProvQuery) bool { return q.QueryID == 9 })
+}
+
+// TestConnSetRefusesAfterCloseAll: a connection accepted between the
+// listener closing and closeAll running used to be registered after
+// closeAll and never closed, parking Close on wg.Wait for the idle timeout.
+func TestConnSetRefusesAfterCloseAll(t *testing.T) {
+	s := newConnSet()
+	s.closeAll()
+	ours, theirs := net.Pipe()
+	defer theirs.Close()
+	if s.add(ours) {
+		t.Fatal("add after closeAll registered the connection")
+	}
+	_ = theirs.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := theirs.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("the late connection was not closed: read err = %v", err)
+	}
+}
+
+// TestCloseIsIdempotent: every server closes twice without error, with a
+// client connection open so Close has a reader to unpark.
+func TestCloseIsIdempotent(t *testing.T) {
+	none := func(string) (string, bool) { return "", false }
+	node, err := StartNode(LocalView{Router: "r1"}, none, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := StartCoordinator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hnode, err := StartHBGNode("r1", hbg.New(), nil, none, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hcoord, err := StartHBGCoordinator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, srv := range map[string]interface {
+		Addr() string
+		Close() error
+	}{"Node": node, "Coordinator": coord, "HBGNode": hnode, "HBGCoordinator": hcoord} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		for i := 1; i <= 2; i++ {
+			if err := srv.Close(); err != nil {
+				t.Errorf("%s: Close #%d: %v", name, i, err)
+			}
+		}
+	}
+}
+
+// TestTraceDropsStaleResult: the result of an earlier query that arrives
+// late must not be handed to the next Trace as its answer.
+func TestTraceDropsStaleResult(t *testing.T) {
+	g := hbg.New()
+	g.AddNode(capture.IO{ID: 1, Router: "r1", Type: capture.ConfigChange})
+	coord, nodes, teardown, err := BuildHBGFleet(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer teardown()
+	if _, err := coord.Trace(nodes, "r1", 1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	sendRaw(t, coord.Addr(), appendProv(nil, mtProvResult, &ProvQuery{QueryID: 1, Done: true, Err: "stale"}))
+	time.Sleep(100 * time.Millisecond) // let the coordinator read it
+	path, err := coord.Trace(nodes, "r1", 1, 5*time.Second)
+	if err != nil || len(path) != 1 || path[0].ID != 1 {
+		t.Fatalf("trace after a stale result = %v, %v", path, err)
+	}
+}
+
+// TestCountMinimums pins the element sizes the decoders bound counts by to
+// what the encoders write for a zero value.
+func TestCountMinimums(t *testing.T) {
+	if n := len(appendWalk(nil, &WalkMsg{})); n != minWalkBytes {
+		t.Errorf("empty walk encodes to %d bytes, minWalkBytes = %d", n, minWalkBytes)
+	}
+	if n := len(appendEntry(nil, fib.Entry{})); n != minEntryBytes {
+		t.Errorf("empty entry encodes to %d bytes, minEntryBytes = %d", n, minEntryBytes)
+	}
+	if n := len(appendIface(nil, dataplane.Iface{})); n != minIfaceBytes {
+		t.Errorf("empty iface encodes to %d bytes, minIfaceBytes = %d", n, minIfaceBytes)
+	}
 }
 
 // fuzzSeeds is one well-formed frame from every append* encoder.
@@ -136,7 +238,8 @@ func fuzzSeeds() [][]byte {
 		Router: "r1", Prefix: p, Invariant: localck.InvSelfLoop, Detail: "cycle", SuspectHops: []netip.Addr{a},
 	}}}
 	prov := ProvQuery{QueryID: 3, Cursor: 99, Hops: 12, Done: true, Err: "nope", Path: []capture.IO{{
-		ID: 7, Router: "r2", Type: capture.FIBInstall, Proto: route.ProtoBGP, Prefix: p, NextHop: a, Peer: "r1", PeerAddr: a,
+		ID: 7, Router: "r2", Type: capture.FIBInstall, Proto: route.ProtoBGP, Prefix: p, NextHop: a, NextHops: []netip.Addr{a, a.Next()},
+		Peer: "r1", PeerAddr: a,
 		Attrs: route.BGPAttrs{LocalPref: 200, ASPath: []uint32{65001}, MED: 5, Origin: 1, Communities: []uint32{1},
 			OriginatorID: a, ClusterList: []netip.Addr{a}},
 		Detail: "withdrawn", Time: -4, TrueTime: 17, Causes: []uint64{1, 2},
@@ -153,48 +256,46 @@ func fuzzSeeds() [][]byte {
 }
 
 // recode decodes one frame the way the servers' dispatch does and encodes
-// the result again; ok is false when the frame is rejected.
-func recode(frame []byte) (out []byte, ok bool) {
+// the result again.
+func recode(frame []byte) ([]byte, error) {
 	if len(frame) < 2 || frame[0] != frameV1 {
-		return nil, false
+		return nil, errors.New("not a v1 frame")
 	}
-	r := &wireReader{b: frame[2:]}
+	var out []byte
+	r := wire.NewReader(frame[2:])
 	switch mt := frame[1]; mt {
 	case mtWalkBatch, mtResultBatch:
-		id, walks := r.walkBatch()
+		id, walks := readWalkBatch(r)
 		out = appendWalkBatch(nil, mt, id, walks)
 	case mtViewDelta:
-		d := r.viewDelta()
+		d := readViewDelta(r)
 		out = appendViewDelta(nil, &d)
 	case mtLabels:
-		router, nl := r.labels()
+		router, nl := readLabels(r)
 		out = appendLabels(nil, router, nl)
 	case mtLocalViolation:
-		rep := r.localReport()
+		rep := readLocalReport(r)
 		out = appendLocalReport(nil, &rep)
 	case mtProv, mtProvResult:
-		q := r.prov()
+		q := readProv(r)
 		out = appendProv(nil, mt, &q)
 	default:
-		return nil, false
+		return nil, errors.New("unknown message type")
 	}
-	return out, r.err == nil
+	return out, r.Err()
 }
 
 func TestWireSeedsRoundTrip(t *testing.T) {
 	for i, seed := range fuzzSeeds() {
-		if out, ok := recode(seed); !ok || !bytes.Equal(out, seed) {
-			t.Errorf("seed %d: decode→encode changed a well-formed frame (ok=%v)", i, ok)
+		if out, err := recode(seed); err != nil || !bytes.Equal(out, seed) {
+			t.Errorf("seed %d: decode→encode changed a well-formed frame (err %v)", i, err)
 		}
 	}
 }
 
 // FuzzWireReader feeds arbitrary bytes to every decoder a server runs on
-// frames it did not write. The decoders must not panic, must not allocate
-// beyond a small multiple of the input (collection counts are bounded by
-// the remaining payload), and whatever they accept must re-encode to a
-// frame that decodes to the same value: encode→decode→encode is a fixed
-// point, so no accepted frame is read two ways.
+// frames it did not write, under wiretest.CheckDecoder's contract: no panic,
+// bounded output, encode→decode→encode a fixed point.
 func FuzzWireReader(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -205,25 +306,8 @@ func FuzzWireReader(f *testing.F) {
 		if len(frame) > 1<<16 {
 			return
 		}
-		enc1, ok := recode(frame)
-		if !ok {
-			return
-		}
-		// wireReader.count caps every collection length by the bytes left, so
-		// a decode holds O(len(frame)) elements; what it accepted re-encodes
-		// to about its own size.
-		if len(enc1) > 64*len(frame)+64 {
-			t.Fatalf("%d-byte frame decoded to %d bytes", len(frame), len(enc1))
-		}
-		enc2, ok := recode(enc1)
-		if !ok {
-			t.Fatalf("re-encoded frame rejected: %x", enc1)
-		}
-		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("encode→decode→encode not a fixed point:\n %x\n %x", enc1, enc2)
-		}
-		if !bytes.Equal(enc1[:2], frame[:2]) {
-			t.Fatalf("frame header changed: %x -> %x", frame[:2], enc1[:2])
+		if enc := wiretest.CheckDecoder(t, frame, recode); enc != nil && !bytes.Equal(enc[:2], frame[:2]) {
+			t.Fatalf("frame header changed: %x -> %x", frame[:2], enc[:2])
 		}
 	})
 }

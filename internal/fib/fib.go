@@ -48,9 +48,6 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%s via %s (%s)", e.Prefix, nh, e.Proto)
 }
 
-// Multipath reports whether the entry forwards over more than one next hop.
-func (e Entry) Multipath() bool { return len(e.NextHops) > 1 }
-
 // HopCount returns the number of next hops the entry forwards over (0 for
 // directly delivered entries).
 func (e Entry) HopCount() int {

@@ -18,16 +18,19 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/netip"
 	"sort"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/netsim"
-	"hbverify/internal/route"
+	"hbverify/internal/wire"
 )
 
-// checkpointMagic versions the format; bump on any layout change.
-const checkpointMagic = "HBGCKPT1"
+// checkpointMagic versions the format; bump on any layout change. v1
+// predates capture.IO.NextHops and so lost every ECMP set it was given;
+// it is rejected, not migrated.
+const (
+	checkpointMagic   = "HBGCKPT2"
+	checkpointMagicV1 = "HBGCKPT1"
+)
 
 // Checkpoint is the serializable state of a windowed inference daemon.
 type Checkpoint struct {
@@ -65,7 +68,7 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 		if !v.known {
 			continue
 		}
-		buf = appendIO(buf, &v.io)
+		buf = capture.AppendIO(buf, &v.io)
 		if len(buf) > 1<<16 {
 			if _, err := bw.Write(buf); err != nil {
 				g.mu.RUnlock()
@@ -97,14 +100,14 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 		buf = binary.AppendUvarint(buf, id)
 		buf = binary.AppendUvarint(buf, uint64(len(roots)))
 		for i := range roots {
-			buf = appendIO(buf, &roots[i])
+			buf = capture.AppendIO(buf, &roots[i])
 		}
 	}
 	g.mu.RUnlock()
 
 	buf = binary.AppendUvarint(buf, uint64(len(c.Retained)))
 	for i := range c.Retained {
-		buf = appendIO(buf, &c.Retained[i])
+		buf = capture.AppendIO(buf, &c.Retained[i])
 		if len(buf) > 1<<16 {
 			if _, err := bw.Write(buf); err != nil {
 				return err
@@ -118,323 +121,87 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeCheckpoint reads a checkpoint written by Encode.
+// DecodeCheckpoint reads a checkpoint written by Encode. The bytes are
+// foreign — whatever a crash left on disk — so every malformation is an
+// error: r is read to its end and decoded through the bounded wire.Reader,
+// which holds the file in memory for the duration (the retained window the
+// decode produces is larger).
 func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(checkpointMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("hbg: checkpoint magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("hbg: read checkpoint: %w", err)
 	}
-	if string(magic) != checkpointMagic {
+	rd := wire.NewReader(data)
+	switch magic := string(rd.Take(len(checkpointMagic))); magic {
+	case checkpointMagic:
+	case checkpointMagicV1:
+		return nil, fmt.Errorf("hbg: checkpoint is %s, this build reads only %s", checkpointMagicV1, checkpointMagic)
+	default:
 		return nil, fmt.Errorf("hbg: bad checkpoint magic %q", magic)
 	}
+	section := func(what string) error {
+		if err := rd.Err(); err != nil {
+			return fmt.Errorf("hbg: checkpoint %s: %w", what, err)
+		}
+		return nil
+	}
 	c := &Checkpoint{Graph: New()}
-	var err error
-	if c.LastID, err = binary.ReadUvarint(br); err != nil {
-		return nil, fmt.Errorf("hbg: checkpoint watermark: %w", err)
+	g := c.Graph
+	c.LastID = rd.Uvarint()
+	c.FirstRetainedID = rd.Uvarint()
+	g.prunedBelow = rd.Uvarint()
+
+	for i := rd.Count("node", capture.MinIOBytes); i > 0 && rd.Err() == nil; i-- {
+		g.addNodesLocked([]capture.IO{capture.ReadIO(rd)})
 	}
-	if c.FirstRetainedID, err = binary.ReadUvarint(br); err != nil {
-		return nil, fmt.Errorf("hbg: checkpoint floor: %w", err)
-	}
-	if c.Graph.prunedBelow, err = binary.ReadUvarint(br); err != nil {
-		return nil, fmt.Errorf("hbg: checkpoint prune floor: %w", err)
+	if err := section("nodes"); err != nil {
+		return nil, err
 	}
 
-	nNodes, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("hbg: checkpoint node count: %w", err)
+	// An edge is two uvarints and eight confidence bytes.
+	for i := rd.Count("edge", 10); i > 0; i-- {
+		from, to := rd.Uvarint(), rd.Uvarint()
+		raw := rd.Take(8)
+		if rd.Err() != nil {
+			break
+		}
+		conf := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+		if !(conf > 0 && conf <= 1) {
+			return nil, fmt.Errorf("hbg: checkpoint edge %d->%d: confidence %v outside (0, 1]", from, to, conf)
+		}
+		g.addEdgeConfLocked(from, to, conf)
 	}
-	for i := uint64(0); i < nNodes; i++ {
-		io, err := readIO(br)
-		if err != nil {
-			return nil, fmt.Errorf("hbg: checkpoint node %d: %w", i, err)
-		}
-		c.Graph.addNodesLocked([]capture.IO{io})
-	}
-
-	nEdges, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("hbg: checkpoint edge count: %w", err)
-	}
-	for i := uint64(0); i < nEdges; i++ {
-		from, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("hbg: checkpoint edge %d: %w", i, err)
-		}
-		to, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("hbg: checkpoint edge %d: %w", i, err)
-		}
-		var raw [8]byte
-		if _, err := io.ReadFull(br, raw[:]); err != nil {
-			return nil, fmt.Errorf("hbg: checkpoint edge %d conf: %w", i, err)
-		}
-		c.Graph.addEdgeConfLocked(from, to, math.Float64frombits(binary.LittleEndian.Uint64(raw[:])))
+	if err := section("edges"); err != nil {
+		return nil, err
 	}
 
-	nInh, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("hbg: checkpoint inherited count: %w", err)
+	for i := rd.Count("inherited", 2); i > 0 && rd.Err() == nil; i-- {
+		id := rd.Uvarint()
+		g.inherited[id] = ioList(rd, "inherited root")
 	}
-	for i := uint64(0); i < nInh; i++ {
-		id, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("hbg: checkpoint inherited key %d: %w", i, err)
-		}
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("hbg: checkpoint inherited size %d: %w", i, err)
-		}
-		roots := make([]capture.IO, 0, n)
-		for j := uint64(0); j < n; j++ {
-			io, err := readIO(br)
-			if err != nil {
-				return nil, fmt.Errorf("hbg: checkpoint inherited root %d/%d: %w", i, j, err)
-			}
-			roots = append(roots, io)
-		}
-		c.Graph.inherited[id] = roots
+	if err := section("inherited roots"); err != nil {
+		return nil, err
 	}
 
-	nRet, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("hbg: checkpoint retained count: %w", err)
+	c.Retained = ioList(rd, "retained")
+	if err := section("retained window"); err != nil {
+		return nil, err
 	}
-	c.Retained = make([]capture.IO, 0, nRet)
-	for i := uint64(0); i < nRet; i++ {
-		io, err := readIO(br)
-		if err != nil {
-			return nil, fmt.Errorf("hbg: checkpoint retained %d: %w", i, err)
-		}
-		c.Retained = append(c.Retained, io)
+	if rd.Len() != 0 {
+		return nil, fmt.Errorf("hbg: checkpoint has %d bytes after its end", rd.Len())
 	}
 	return c, nil
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendAddr(dst []byte, a netip.Addr) []byte {
-	if !a.IsValid() {
-		return append(dst, 0)
-	}
-	b := a.AsSlice()
-	dst = append(dst, byte(len(b)))
-	return append(dst, b...)
-}
-
-func appendPrefix(dst []byte, p netip.Prefix) []byte {
-	if !p.IsValid() {
-		return append(dst, 0)
-	}
-	dst = appendAddr(dst, p.Addr())
-	return append(dst, byte(p.Bits()))
-}
-
-// appendIO serializes one capture.IO, every field included so the
-// round-trip is lossless (oracle fields are typically zero in daemon
-// deployments but cost one byte each when absent).
-func appendIO(dst []byte, io *capture.IO) []byte {
-	dst = binary.AppendUvarint(dst, io.ID)
-	dst = appendString(dst, io.Router)
-	dst = append(dst, byte(io.Type), byte(io.Proto))
-	dst = appendPrefix(dst, io.Prefix)
-	dst = appendAddr(dst, io.NextHop)
-	dst = appendString(dst, io.Peer)
-	dst = appendAddr(dst, io.PeerAddr)
-	dst = binary.AppendUvarint(dst, uint64(io.Attrs.LocalPref))
-	dst = binary.AppendUvarint(dst, uint64(io.Attrs.MED))
-	dst = append(dst, byte(io.Attrs.Origin))
-	dst = binary.AppendUvarint(dst, uint64(len(io.Attrs.ASPath)))
-	for _, as := range io.Attrs.ASPath {
-		dst = binary.AppendUvarint(dst, uint64(as))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(io.Attrs.Communities)))
-	for _, c := range io.Attrs.Communities {
-		dst = binary.AppendUvarint(dst, uint64(c))
-	}
-	dst = appendAddr(dst, io.Attrs.OriginatorID)
-	dst = binary.AppendUvarint(dst, uint64(len(io.Attrs.ClusterList)))
-	for _, a := range io.Attrs.ClusterList {
-		dst = appendAddr(dst, a)
-	}
-	dst = appendString(dst, io.Detail)
-	dst = binary.AppendVarint(dst, int64(io.Time))
-	dst = binary.AppendVarint(dst, int64(io.TrueTime))
-	dst = binary.AppendUvarint(dst, uint64(len(io.Causes)))
-	for _, c := range io.Causes {
-		dst = binary.AppendUvarint(dst, c)
-	}
-	return dst
-}
-
-func readString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("string length %d too large", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func readAddr(br *bufio.Reader) (netip.Addr, error) {
-	n, err := br.ReadByte()
-	if err != nil {
-		return netip.Addr{}, err
-	}
+// ioList reads a count and that many I/Os; nil when there are none.
+func ioList(r *wire.Reader, what string) []capture.IO {
+	n := r.Count(what, capture.MinIOBytes)
 	if n == 0 {
-		return netip.Addr{}, nil
+		return nil
 	}
-	if n != 4 && n != 16 {
-		return netip.Addr{}, fmt.Errorf("address length %d", n)
+	out := make([]capture.IO, n)
+	for i := range out {
+		out[i] = capture.ReadIO(r)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return netip.Addr{}, err
-	}
-	a, ok := netip.AddrFromSlice(b)
-	if !ok {
-		return netip.Addr{}, fmt.Errorf("bad address bytes")
-	}
-	return a, nil
-}
-
-func readPrefix(br *bufio.Reader) (netip.Prefix, error) {
-	a, err := readAddr(br)
-	if err != nil {
-		return netip.Prefix{}, err
-	}
-	if !a.IsValid() {
-		return netip.Prefix{}, nil
-	}
-	bits, err := br.ReadByte()
-	if err != nil {
-		return netip.Prefix{}, err
-	}
-	p := netip.PrefixFrom(a, int(bits))
-	if !p.IsValid() {
-		return netip.Prefix{}, fmt.Errorf("bad prefix %s/%d", a, bits)
-	}
-	return p, nil
-}
-
-func readUint32s(br *bufio.Reader) ([]uint32, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("list length %d too large", n)
-	}
-	out := make([]uint32, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, uint32(v))
-	}
-	return out, nil
-}
-
-func readIO(br *bufio.Reader) (capture.IO, error) {
-	var out capture.IO
-	var err error
-	if out.ID, err = binary.ReadUvarint(br); err != nil {
-		return out, err
-	}
-	if out.Router, err = readString(br); err != nil {
-		return out, err
-	}
-	var tp [2]byte
-	if _, err = io.ReadFull(br, tp[:]); err != nil {
-		return out, err
-	}
-	out.Type, out.Proto = capture.Type(tp[0]), route.Protocol(tp[1])
-	if out.Prefix, err = readPrefix(br); err != nil {
-		return out, err
-	}
-	if out.NextHop, err = readAddr(br); err != nil {
-		return out, err
-	}
-	if out.Peer, err = readString(br); err != nil {
-		return out, err
-	}
-	if out.PeerAddr, err = readAddr(br); err != nil {
-		return out, err
-	}
-	lp, err := binary.ReadUvarint(br)
-	if err != nil {
-		return out, err
-	}
-	med, err := binary.ReadUvarint(br)
-	if err != nil {
-		return out, err
-	}
-	origin, err := br.ReadByte()
-	if err != nil {
-		return out, err
-	}
-	out.Attrs.LocalPref, out.Attrs.MED, out.Attrs.Origin = uint32(lp), uint32(med), route.Origin(origin)
-	if out.Attrs.ASPath, err = readUint32s(br); err != nil {
-		return out, err
-	}
-	if out.Attrs.Communities, err = readUint32s(br); err != nil {
-		return out, err
-	}
-	if out.Attrs.OriginatorID, err = readAddr(br); err != nil {
-		return out, err
-	}
-	nCL, err := binary.ReadUvarint(br)
-	if err != nil {
-		return out, err
-	}
-	if nCL > 1<<20 {
-		return out, fmt.Errorf("cluster list length %d too large", nCL)
-	}
-	for i := uint64(0); i < nCL; i++ {
-		a, err := readAddr(br)
-		if err != nil {
-			return out, err
-		}
-		out.Attrs.ClusterList = append(out.Attrs.ClusterList, a)
-	}
-	if out.Detail, err = readString(br); err != nil {
-		return out, err
-	}
-	t, err := binary.ReadVarint(br)
-	if err != nil {
-		return out, err
-	}
-	tt, err := binary.ReadVarint(br)
-	if err != nil {
-		return out, err
-	}
-	out.Time, out.TrueTime = netsim.VirtualTime(t), netsim.VirtualTime(tt)
-	nC, err := binary.ReadUvarint(br)
-	if err != nil {
-		return out, err
-	}
-	if nC > 1<<20 {
-		return out, fmt.Errorf("causes length %d too large", nC)
-	}
-	for i := uint64(0); i < nC; i++ {
-		c, err := binary.ReadUvarint(br)
-		if err != nil {
-			return out, err
-		}
-		out.Causes = append(out.Causes, c)
-	}
-	return out, nil
+	return out
 }

@@ -2,13 +2,17 @@ package hbg
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
+	"hbverify/internal/wire/wiretest"
 )
 
 func testIO(id uint64, router string) capture.IO {
@@ -140,22 +144,121 @@ func TestCheckpointByteDeterminism(t *testing.T) {
 	}
 }
 
-func TestCheckpointDecodeErrors(t *testing.T) {
-	if _, err := DecodeCheckpoint(bytes.NewReader([]byte("NOTCKPT0"))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	g := chainGraph(3)
-	cp := &Checkpoint{Graph: g, LastID: 3, FirstRetainedID: 1}
+// smallCheckpoint is a valid checkpoint exercising every section: nodes
+// (one with an ECMP set), edges with and without stored confidence,
+// inherited roots, and a retained window.
+func smallCheckpoint(t testing.TB) []byte {
+	t.Helper()
+	g := chainGraph(4)
+	g.AddNode(ecmpIO(5))
+	g.AddEdge(4, 5)
+	g.AddEdgeConf(3, 5, 0.5)
+	g.PruneBefore(3)
+	cp := &Checkpoint{Graph: g, LastID: 5, FirstRetainedID: 3, Retained: []capture.IO{testIO(3, "r1"), ecmpIO(5)}}
 	var buf bytes.Buffer
 	if err := cp.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Every truncation must surface an error, never panic.
-	for cut := 0; cut < buf.Len(); cut += 7 {
-		if _, err := DecodeCheckpoint(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	return buf.Bytes()
+}
+
+func ecmpIO(id uint64) capture.IO {
+	io := testIO(id, "r2")
+	io.Type = capture.FIBInstall
+	io.NextHops = []netip.Addr{io.NextHop, io.NextHop.Next()}
+	return io
+}
+
+// TestCheckpointKeepsNextHops: HBGCKPT1 predated IO.NextHops and returned a
+// two-next-hop FIBInstall with none, in the graph and in the window.
+func TestCheckpointKeepsNextHops(t *testing.T) {
+	cp, err := DecodeCheckpoint(bytes.NewReader(smallCheckpoint(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ecmpIO(5)
+	if got, _ := cp.Graph.Node(5); !reflect.DeepEqual(got, want) {
+		t.Errorf("graph vertex:\n got %+v\nwant %+v", got, want)
+	}
+	if got := cp.Retained[len(cp.Retained)-1]; !reflect.DeepEqual(got, want) {
+		t.Errorf("retained event:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// recodeCheckpoint decodes data and encodes the result again.
+func recodeCheckpoint(data []byte) ([]byte, error) {
+	cp, err := DecodeCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = cp.Encode(&buf)
+	return buf.Bytes(), err
+}
+
+// Two counts the bufio decoder trusted: both made it ask for terabytes
+// (makeslice panic, or an allocation the machine cannot serve).
+var (
+	hugeRetainedCount = binary.AppendUvarint(append([]byte(checkpointMagic), 0, 0, 0, 0, 0, 0), 1<<62)
+	hugeRootsCount    = binary.AppendUvarint(append([]byte(checkpointMagic), 0, 0, 0, 0, 0, 1, 7), 1<<40)
+)
+
+func TestCheckpointDecodeErrors(t *testing.T) {
+	valid := smallCheckpoint(t)
+	v1 := append([]byte(checkpointMagicV1), valid[len(checkpointMagic):]...)
+	for name, data := range map[string][]byte{
+		"bad magic":               []byte("NOTCKPT0"),
+		"huge retained count":     hugeRetainedCount,
+		"huge inherited roots":    hugeRootsCount,
+		"trailing byte":           append(bytes.Clone(valid), 0),
+		"confidence out of range": bytes.Replace(valid, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5)), make([]byte, 8), 1),
+	} {
+		if _, err := DecodeCheckpoint(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s accepted", name)
 		}
 	}
+	_, err := DecodeCheckpoint(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), checkpointMagicV1) || !strings.Contains(err.Error(), checkpointMagic) {
+		t.Errorf("v1 checkpoint: err = %v, want one naming both versions", err)
+	}
+	// Every strict prefix must surface an error, never panic.
+	for cut := 0; cut < len(valid); cut++ {
+		if _, err := DecodeCheckpoint(bytes.NewReader(valid[:cut])); err == nil {
+			t.Fatalf("truncation at %d of %d accepted", cut, len(valid))
+		}
+	}
+}
+
+// TestCheckpointBitFlips: every single-bit corruption of a valid checkpoint
+// is an error or decodes to a state that re-encodes to a fixed point
+// (wiretest.CheckDecoder).
+func TestCheckpointBitFlips(t *testing.T) {
+	valid := smallCheckpoint(t)
+	accepted := 0
+	for i := range valid {
+		for bit := 0; bit < 8; bit++ {
+			data := bytes.Clone(valid)
+			data[i] ^= 1 << bit
+			if wiretest.CheckDecoder(t, data, recodeCheckpoint) != nil {
+				accepted++
+			}
+		}
+	}
+	t.Logf("%d of %d flips decode", accepted, 8*len(valid))
+}
+
+// FuzzDecodeCheckpoint holds DecodeCheckpoint to wiretest.CheckDecoder's
+// contract on arbitrary bytes.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	f.Add(smallCheckpoint(f))
+	f.Add(hugeRetainedCount)
+	f.Add(hugeRootsCount)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return
+		}
+		wiretest.CheckDecoder(t, data, recodeCheckpoint)
+	})
 }
 
 func TestPruneBeforeFoldsRootCauses(t *testing.T) {

@@ -163,9 +163,11 @@ func TestBuildersAgreeByteForByte(t *testing.T) {
 	if !bytes.Equal(enc, again.Bytes()) {
 		t.Fatal("encode → decode → encode changed the bytes")
 	}
-	// The HBGCKPT1 bytes of this state, as the map-backed graph this
-	// representation replaced wrote them.
-	const golden = "30b3f38466dd0060feaa64ac92e006e505e6cf22bc60946f5a22ee2e8d5d8c81"
+	// The HBGCKPT2 bytes of this state. They are the HBGCKPT1 bytes the
+	// map-backed graph this representation replaced wrote (sha256 30b3f384…),
+	// with the magic's last byte bumped and one count byte — the empty
+	// NextHops set, after NextHop — added to each of the nine I/Os.
+	const golden = "f4b9c12be393768043d3a51da3b78e644f60e5f49b8115bfdcba72a5eddd044b"
 	if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != golden {
 		t.Fatalf("checkpoint bytes changed: sha256 %x", sum)
 	}

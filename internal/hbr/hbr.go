@@ -26,7 +26,6 @@ import (
 
 	"hbverify/internal/capture"
 	"hbverify/internal/hbg"
-	"hbverify/internal/netsim"
 )
 
 // Strategy is one inference algorithm.
@@ -150,7 +149,3 @@ func (p Prefix) rule(idx *Index) rule {
 		return out
 	}
 }
-
-// VirtualDuration converts a netsim time difference into a duration;
-// exported for experiment code that reasons about observed gaps.
-func VirtualDuration(a, b netsim.VirtualTime) time.Duration { return b.Sub(a) }

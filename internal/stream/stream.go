@@ -15,11 +15,13 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -31,6 +33,7 @@ import (
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
 	"hbverify/internal/netsim"
+	"hbverify/internal/wire"
 )
 
 // streamMagic heads the daemon checkpoint envelope; the per-stream resume
@@ -103,7 +106,7 @@ type Daemon struct {
 	startOnce  sync.Once
 	mergerDone chan struct{}
 
-	recovered map[string]int // resume positions from the checkpoint
+	recovered map[string]int // resume positions from the checkpoint; nil without one
 
 	// skipFold simulates the fold-before-evict bug for the scenario
 	// harness: compaction evicts events without folding their edges into
@@ -124,18 +127,16 @@ func New(opts Options) (*Daemon, error) {
 		opts:       opts,
 		streams:    map[string]*Stream{},
 		mergerDone: make(chan struct{}),
-		recovered:  map[string]int{},
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.inc = hbr.NewIncremental(opts.Strategy, opts.Metrics)
 	d.inc.SkewSlack = opts.SkewSlack
 
 	if opts.CheckpointPath != "" {
-		f, err := os.Open(opts.CheckpointPath)
+		data, err := os.ReadFile(opts.CheckpointPath)
 		switch {
 		case err == nil:
-			defer f.Close()
-			if err := d.recover(f); err != nil {
+			if err := d.recover(data); err != nil {
 				return nil, fmt.Errorf("stream: recover %s: %w", opts.CheckpointPath, err)
 			}
 			opts.Metrics.Counter("stream.recoveries").Inc()
@@ -150,36 +151,12 @@ func New(opts Options) (*Daemon, error) {
 	return d, nil
 }
 
-// recover restores log, inference cache, and stream positions from a
-// checkpoint stream.
-func (d *Daemon) recover(r io.Reader) error {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return err
-	}
-	if string(magic[:]) != streamMagic {
-		return fmt.Errorf("bad magic %q", magic[:])
-	}
-	br := newByteReader(r)
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
-	if n > 1<<20 {
-		return fmt.Errorf("implausible stream count %d", n)
-	}
-	for i := uint64(0); i < n; i++ {
-		name, err := readLenString(br)
-		if err != nil {
-			return err
-		}
-		pos, err := binary.ReadUvarint(br)
-		if err != nil {
-			return err
-		}
-		d.recovered[name] = int(pos)
-	}
-	cp, err := hbg.DecodeCheckpoint(br)
+// recover restores log, inference cache, and stream positions from the
+// contents of a checkpoint file. Nothing is installed until every byte has
+// decoded and the window has been validated, so a corrupt file is an error
+// from New, never a daemon on half of it.
+func (d *Daemon) recover(data []byte) error {
+	positions, cp, err := decodeEnvelope(data)
 	if err != nil {
 		return err
 	}
@@ -195,9 +172,33 @@ func (d *Daemon) recover(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.log = log
+	d.log, d.recovered = log, positions
 	d.inc.SeedCheckpoint(cp.Graph, cp.FirstRetainedID, cp.LastID)
 	return nil
+}
+
+// decodeEnvelope parses a checkpoint file — bytes a crash left behind —
+// through the bounded wire reader: the magic, the per-stream resume
+// positions, then the embedded hbg checkpoint, which must end the file.
+func decodeEnvelope(data []byte) (map[string]int, *hbg.Checkpoint, error) {
+	r := wire.NewReader(data)
+	if magic := r.Take(len(streamMagic)); string(magic) != streamMagic {
+		return nil, nil, fmt.Errorf("bad magic %q", magic)
+	}
+	positions := map[string]int{}
+	// A position is at least a name length and a count.
+	for i := r.Count("stream", 2); i > 0 && r.Err() == nil; i-- {
+		name, pos := r.Str(), r.Uvarint()
+		if pos > math.MaxInt {
+			return nil, nil, fmt.Errorf("stream %q: position %d does not fit an int", name, pos)
+		}
+		positions[name] = int(pos)
+	}
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	cp, err := hbg.DecodeCheckpoint(bytes.NewReader(r.Take(r.Len())))
+	return positions, cp, err
 }
 
 // Register adds a per-router stream. All registrations must complete
@@ -465,7 +466,7 @@ func (d *Daemon) writeCheckpoint(g *hbg.Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := d.encodeEnvelope(f, cp); err != nil {
+	if err := encodeEnvelope(f, d.Positions(), cp); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -482,56 +483,20 @@ func (d *Daemon) writeCheckpoint(g *hbg.Graph) error {
 	return nil
 }
 
-func (d *Daemon) encodeEnvelope(w io.Writer, cp *hbg.Checkpoint) error {
-	buf := []byte(streamMagic)
-	d.mu.Lock()
-	buf = binary.AppendUvarint(buf, uint64(len(d.order)))
-	for _, name := range d.order {
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.AppendUvarint(buf, uint64(d.streams[name].consumed))
+// encodeEnvelope is decodeEnvelope's inverse; names are written sorted.
+func encodeEnvelope(w io.Writer, positions map[string]int, cp *hbg.Checkpoint) error {
+	names := make([]string, 0, len(positions))
+	for name := range positions {
+		names = append(names, name)
 	}
-	d.mu.Unlock()
+	sort.Strings(names)
+	buf := binary.AppendUvarint([]byte(streamMagic), uint64(len(names)))
+	for _, name := range names {
+		buf = wire.AppendString(buf, name)
+		buf = binary.AppendUvarint(buf, uint64(positions[name]))
+	}
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	return cp.Encode(w)
-}
-
-// byteReader adapts an io.Reader for binary.ReadUvarint while still
-// allowing bulk reads afterwards.
-type byteReader struct {
-	r io.Reader
-	b [1]byte
-}
-
-func newByteReader(r io.Reader) *byteReader {
-	if br, ok := r.(*byteReader); ok {
-		return br
-	}
-	return &byteReader{r: r}
-}
-
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.b[:]); err != nil {
-		return 0, err
-	}
-	return b.b[0], nil
-}
-
-func readLenString(br *byteReader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<16 {
-		return "", fmt.Errorf("implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
 }
