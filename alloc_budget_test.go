@@ -1,11 +1,18 @@
 package hbverify
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"hbverify/internal/capture"
+	"hbverify/internal/config"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
+	"hbverify/internal/network"
 	"hbverify/internal/snapshot"
+	"hbverify/internal/verify"
 )
 
 // TestInferenceAllocationBudget holds the property the inference kernel is
@@ -46,4 +53,117 @@ func TestInferenceAllocationBudget(t *testing.T) {
 	}
 	t.Logf("inference %d B/event (%d allocs), check %d B/vertex, %d missing",
 		infer.AllocedBytesPerOp()/int64(len(ios)), infer.AllocsPerOp(), check.AllocedBytesPerOp()/int64(g.NodeCount()), len(res.Missing))
+}
+
+// TestDerivedGraphAllocationBudget holds the derive path to what it is for:
+// answering a cut of the cached log allocates an index's words per event, a
+// pointer per vertex and copies of the few vertices the cut touches — never
+// a second copy of the log or of the graph (an event is 320 bytes, a vertex
+// 384).
+func TestDerivedGraphAllocationBudget(t *testing.T) {
+	all := benchInferLog(42, 20_000, 12)
+	inc := hbr.NewIncremental(hbr.Rules{}, nil)
+	inc.Infer(all)
+	ios := snapshot.Collect(all, snapshot.Cut{"r0": all[len(all)-200].Time})
+	if hidden := len(all) - len(ios); hidden == 0 || hidden > 200 {
+		t.Fatalf("the cut hides %d events, want a few", hidden)
+	}
+	var g *hbg.Graph
+	derive := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g = inc.Infer(ios)
+		}
+	})
+	if got, budget := derive.AllocedBytesPerOp()/int64(len(ios)), int64(128); got > budget {
+		t.Errorf("deriving a cut's graph allocates %d B per event, budget %d", got, budget)
+	}
+	if g.NodeCount() != len(ios) {
+		t.Fatalf("derived %d nodes over %d events", g.NodeCount(), len(ios))
+	}
+	t.Logf("derivation %d B/event (%d allocs)", derive.AllocedBytesPerOp()/int64(len(ios)), derive.AllocsPerOp())
+}
+
+// TestDerivedGraphsPinNothing: a derived graph shares the cached graph's
+// vertices, so anything that kept one — a mirror, a memo of the last cut —
+// would keep the cached graph's memory past the two places the pipeline
+// frees it: compaction and the invalidation after a rollback. Every vertex
+// gets a finalizer, a snapshot verdict is derived, and every vertex the
+// pipeline then drops must be collected.
+func TestDerivedGraphsPinNothing(t *testing.T) {
+	policies := func(pn *network.PaperNet) []verify.Policy {
+		return []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
+	}
+	// derivedVerdict ages the converged paper network past any retention
+	// floor, misconfigures r2, watches every vertex of the inferred graph and
+	// takes a verdict on a cut that lags r1 at its first new FIB install
+	// (Fig. 1c), which VerifySnapshot has to extend.
+	derivedVerdict := func(t *testing.T, rules hbr.Rules) (pn *network.PaperNet, p *Pipeline, vertices int, collected *atomic.Int64) {
+		pn, p = startPaper(t)
+		inc := hbr.NewIncremental(rules, p.Metrics)
+		inc.SkewSlack = 10 * time.Millisecond
+		p.Strategy = inc
+		pn.Sched.After(5*time.Second, func() {})
+		if err := pn.Run(); err != nil {
+			t.Fatal(err)
+		}
+		mark := pn.Log.Len()
+		if _, err := pn.UpdateConfig("r2", "lp 10", func(c *config.Router) {
+			c.BGP.Neighbors[len(c.BGP.Neighbors)-1].LocalPref = 10
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pn.Run(); err != nil {
+			t.Fatal(err)
+		}
+		cut := snapshot.Cut{}
+		for _, io := range pn.Log.Snapshot()[mark:] {
+			if io.Router == "r1" && io.Type == capture.FIBInstall {
+				cut["r1"] = io.Time
+				break
+			}
+		}
+		collected = new(atomic.Int64)
+		for _, ref := range p.Graph().Refs() {
+			vertices++
+			// A vertex starts with its I/O, so this is the vertex's allocation.
+			runtime.SetFinalizer(ref, func(*capture.IO) { collected.Add(1) })
+		}
+		if rep, res := p.VerifySnapshot(cut, policies(pn)); !res.Consistent || rep.OK() {
+			t.Fatalf("snapshot verdict: %s, %+v", rep.Summary(), res)
+		}
+		if p.Metrics.Timer("infer.derived").Count() == 0 {
+			t.Fatal("VerifySnapshot derived nothing: the test no longer exercises the path")
+		}
+		return pn, p, vertices, collected
+	}
+	settle := func() {
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond) // finalizers run on their own goroutine
+		}
+	}
+
+	t.Run("CompactLog", func(t *testing.T) {
+		// Windows short enough that the initial convergence ages out.
+		_, p, _, collected := derivedVerdict(t, hbr.Rules{Window: 50 * time.Millisecond,
+			ConfigWindow: 100 * time.Millisecond, CrossWindow: 50 * time.Millisecond})
+		evicted := p.CompactLog(0)
+		if evicted == 0 {
+			t.Fatal("CompactLog evicted nothing")
+		}
+		settle()
+		if got := collected.Load(); got < int64(evicted) {
+			t.Errorf("%d of %d compacted vertices collected", got, evicted)
+		}
+	})
+	t.Run("rollback", func(t *testing.T) {
+		pn, p, vertices, collected := derivedVerdict(t, hbr.Rules{})
+		if d, err := p.DetectAndRepair(policies(pn)); err != nil || !d.RolledBack {
+			t.Fatalf("no rollback: %v, %v", d, err)
+		}
+		settle()
+		if got := collected.Load(); got != int64(vertices) {
+			t.Errorf("%d of %d vertices collected after the rollback invalidated the cache", got, vertices)
+		}
+	})
 }

@@ -393,8 +393,21 @@ func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 // VerifySnapshot checks policies against a log-derived snapshot under a
 // collection cut, first extending the cut until it is HBG-consistent (§5).
 // It returns the report plus the consistency result.
+//
+// The incremental cache is first brought up to the log, so that each cut's
+// graph is derived from the cached one (hbr.Incremental); the copy
+// ConsistentCollect makes of a cut is stripped in place, so inference still
+// never sees an oracle field and no second copy is made.
 func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (verify.Report, snapshot.Result) {
-	collected, _, res := snapshot.ConsistentCollect(p.Net.Log.Snapshot(), cut, p.infer, p.External)
+	log := p.Net.Log.Snapshot()
+	if _, ok := p.Strategy.(*hbr.Incremental); ok {
+		p.infer(log)
+	}
+	infer := func(ios []capture.IO) *hbg.Graph {
+		capture.StripOracleInPlace(ios)
+		return p.Strategy.Infer(ios)
+	}
+	collected, _, res := snapshot.ConsistentCollect(log, cut, infer, p.External)
 	fibs := snapshot.BuildFIBs(collected)
 	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(fibs))
 	return p.checker(w).Check(policies), res

@@ -311,9 +311,12 @@ func (l *Log) CompactBefore(id uint64) int {
 	if drop > len(l.ios) {
 		drop = len(l.ios)
 	}
-	// Copy into a right-sized slice so the evicted prefix's backing array
-	// is actually released rather than pinned by the retained tail.
-	kept := make([]IO, len(l.ios)-drop)
+	// Copy into a new array so the evicted prefix's backing array is released
+	// rather than pinned by the retained tail, with room to refill what was
+	// dropped: a right-sized array is regrown, whole, by the very next append.
+	// A log that evicts everything keeps no capacity.
+	n := len(l.ios) - drop
+	kept := make([]IO, n, n+min(drop, n))
 	copy(kept, l.ios[drop:])
 	l.ios = kept
 	l.firstID += uint64(drop)
@@ -447,11 +450,17 @@ func (l *Log) ObservedOrder() []IO {
 // for handing to inference code in experiments that must not cheat.
 func StripOracle(ios []IO) []IO {
 	out := append([]IO(nil), ios...)
-	for i := range out {
-		out[i].Causes = nil
-		out[i].TrueTime = 0
-	}
+	StripOracleInPlace(out)
 	return out
+}
+
+// StripOracleInPlace clears the ground-truth fields of ios itself, for a
+// caller that owns the slice — never one a Log handed out.
+func StripOracleInPlace(ios []IO) {
+	for i := range ios {
+		ios[i].Causes = nil
+		ios[i].TrueTime = 0
+	}
 }
 
 // Recorder captures I/Os on behalf of one router, stamping them with the

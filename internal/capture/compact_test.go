@@ -210,3 +210,44 @@ func TestCompactionRacingIngestion(t *testing.T) {
 		t.Fatalf("final compaction left %d entries", l.Len())
 	}
 }
+
+// TestCompactLeavesRoomToRefill: a log that keeps a window is appended the
+// events it dropped without its array being regrown, snapshots taken before
+// keep reading what they read, and a log that evicts everything keeps no
+// capacity behind.
+func TestCompactLeavesRoomToRefill(t *testing.T) {
+	l := NewLog()
+	appendN(l, 100, 1)
+	old := l.Snapshot()
+	const drop = 40
+	if got := l.CompactBefore(drop + 1); got != drop {
+		t.Fatalf("evicted %d, want %d", got, drop)
+	}
+	kept := l.Snapshot()
+	for i := 0; i < drop; i++ {
+		l.Append(IO{Type: SendAdvert, Time: 2})
+	}
+	after := l.Snapshot()
+	if len(after) != 100 || &after[0] != &kept[0] {
+		t.Fatalf("appending the %d dropped events moved the window (len %d)", drop, len(after))
+	}
+	if len(old) != 100 || old[0].ID != 1 || old[99].ID != 100 || old[99].Type != RecvAdvert {
+		t.Fatalf("snapshot taken before the compaction changed: len %d, IDs %d..%d", len(old), old[0].ID, old[len(old)-1].ID)
+	}
+	if len(kept) != 60 || kept[0].ID != drop+1 || kept[59].ID != 100 {
+		t.Fatalf("snapshot taken before the appends changed: len %d, IDs %d..%d", len(kept), kept[0].ID, kept[len(kept)-1].ID)
+	}
+	for i, io := range after {
+		if io.ID != uint64(drop+1+i) {
+			t.Fatalf("window[%d] has ID %d, want %d", i, io.ID, drop+1+i)
+		}
+	}
+
+	l.CompactBefore(l.TotalAppended() + 1)
+	l.mu.Lock()
+	n, c := len(l.ios), cap(l.ios)
+	l.mu.Unlock()
+	if n != 0 || c != 0 {
+		t.Fatalf("a fully evicted log holds len %d cap %d, want 0 and 0", n, c)
+	}
+}

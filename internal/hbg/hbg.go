@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hbverify/internal/capture"
 )
@@ -39,18 +40,29 @@ type EdgeConf struct {
 
 // vertex is one captured I/O with its adjacency. io is never written once
 // the vertex is in Graph.verts — a replacement is a new vertex — so a pointer
-// to it stays valid outside the lock; in and out change under the writer lock.
+// to it stays valid outside the lock; in and out change under the writer lock,
+// and only through Graph.own.
 type vertex struct {
 	io capture.IO
 	// known is false for a placeholder, the endpoint of an edge whose
 	// AddNode has not arrived: it carries edges but is never reported.
-	known   bool
+	known bool
+	// gen is the generation of the graph that made this vertex. Without lets
+	// two graphs hold one vertex; whoever writes it first copies it (own).
+	gen     uint64
 	in, out []uint64
 }
+
+// generations hands every graph, and every graph that starts sharing its
+// vertices, a generation no vertex made before carries.
+var generations atomic.Uint64
 
 // Graph is a happens-before graph. The zero value is not usable; call New.
 type Graph struct {
 	mu sync.RWMutex
+	// gen stamps the vertices this graph makes; a vertex with another gen
+	// may be shared with another graph and is read-only here (see own).
+	gen uint64
 	// verts holds every vertex once, behind a pointer, in ascending ID
 	// order. Capture IDs are dense and append-ordered, so insertion is an
 	// append, lookup a guess corrected across any gaps, and Nodes a walk.
@@ -74,7 +86,7 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{conf: map[Edge]float64{}, inherited: map[uint64][]capture.IO{}}
+	return &Graph{gen: generations.Add(1), conf: map[Edge]float64{}, inherited: map[uint64][]capture.IO{}}
 }
 
 // pos returns id's index in verts, or where it would be inserted.
@@ -105,13 +117,28 @@ func (g *Graph) find(id uint64) *vertex {
 	return nil
 }
 
-// slot returns id's vertex, inserting a placeholder if there is none.
+// own returns verts[i] for writing its adjacency. A vertex of another
+// generation may be in a second graph's verts too (Without), so it is first
+// replaced by a private copy; a reader's old pointer stays unwritten.
+func (g *Graph) own(i int) *vertex {
+	v := g.verts[i]
+	if v.gen != g.gen {
+		c := *v
+		c.gen, c.in, c.out = g.gen, slices.Clone(v.in), slices.Clone(v.out)
+		v = &c
+		g.verts[i] = v
+	}
+	return v
+}
+
+// slot returns id's vertex for writing, inserting a placeholder if there is
+// none.
 func (g *Graph) slot(id uint64) *vertex {
 	i, ok := g.pos(id)
 	if !ok {
-		g.verts = slices.Insert(g.verts, i, &vertex{io: capture.IO{ID: id}})
+		g.verts = slices.Insert(g.verts, i, &vertex{io: capture.IO{ID: id}, gen: g.gen})
 	}
-	return g.verts[i]
+	return g.own(i)
 }
 
 // AddNode inserts (or replaces) a vertex.
@@ -127,17 +154,18 @@ func (g *Graph) AddNode(io capture.IO) {
 func (g *Graph) addNodesLocked(ios []capture.IO) {
 	g.verts = slices.Grow(g.verts, len(ios))
 	for i := range ios {
-		v := &vertex{io: ios[i], known: true}
+		v := &vertex{io: ios[i], known: true, gen: g.gen}
 		j, ok := g.pos(v.io.ID)
 		if !ok {
 			g.verts = slices.Insert(g.verts, j, v)
 			g.nodes++
 			continue
 		}
-		if old := g.verts[j]; !old.known {
+		old := g.own(j)
+		if !old.known {
 			g.nodes++
 		}
-		v.in, v.out = g.verts[j].in, g.verts[j].out
+		v.in, v.out = old.in, old.out
 		g.verts[j] = v
 	}
 }
@@ -205,13 +233,14 @@ func (g *Graph) Apply(b Batch) {
 func (g *Graph) applyLocked(b Batch) {
 	g.addNodesLocked(b.Nodes)
 	for _, id := range b.Reset {
-		v := g.find(id)
-		if v == nil {
+		i, ok := g.pos(id)
+		if !ok || len(g.verts[i].in) == 0 {
 			continue
 		}
+		v := g.own(i)
 		for _, from := range v.in {
-			f := g.find(from)
-			f.out = slices.DeleteFunc(f.out, func(c uint64) bool { return c == id })
+			f := g.slot(from)
+			f.out = dropID(f.out, id)
 			delete(g.conf, Edge{from, id})
 		}
 		g.edges -= len(v.in)
@@ -222,6 +251,63 @@ func (g *Graph) applyLocked(b Batch) {
 			g.addEdgeConfLocked(es[i].From, es[i].To, es[i].Conf)
 		}
 	}
+}
+
+func dropID(ids []uint64, id uint64) []uint64 {
+	return slices.DeleteFunc(ids, func(c uint64) bool { return c == id })
+}
+
+// Without returns g minus the hidden vertices (IDs ascending) and every edge
+// touching one, with b then applied to the result; g itself reads as before.
+// It costs a pointer per vertex plus a copy of each vertex whose adjacency
+// the removal or b changes. Every other vertex is shared between the two
+// graphs, which is safe because both take a new generation here: whichever
+// next writes a shared vertex copies it first (own).
+func (g *Graph) Without(hidden []uint64, b Batch) *Graph {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.gen = generations.Add(1)
+	d := &Graph{gen: generations.Add(1), verts: make([]*vertex, 0, len(g.verts)),
+		nodes: g.nodes, edges: g.edges, prunedBelow: g.prunedBelow,
+		conf: maps.Clone(g.conf), inherited: maps.Clone(g.inherited)}
+	gone := func(id uint64) bool {
+		_, ok := slices.BinarySearch(hidden, id)
+		return ok
+	}
+	var removed []*vertex
+	for _, v := range g.verts {
+		if gone(v.io.ID) {
+			removed = append(removed, v)
+		} else {
+			d.verts = append(d.verts, v)
+		}
+	}
+	for _, h := range removed {
+		id := h.io.ID
+		if h.known {
+			d.nodes--
+		}
+		delete(d.inherited, id)
+		d.edges -= len(h.in)
+		for _, from := range h.in {
+			delete(d.conf, Edge{from, id})
+			if !gone(from) {
+				f := d.slot(from)
+				f.out = dropID(f.out, id)
+			}
+		}
+		for _, to := range h.out {
+			if gone(to) {
+				continue // counted among to's in-edges
+			}
+			delete(d.conf, Edge{id, to})
+			t := d.slot(to)
+			t.in = dropID(t.in, id)
+			d.edges--
+		}
+	}
+	d.applyLocked(b)
+	return d
 }
 
 // Node returns the vertex with the given ID.
@@ -517,7 +603,11 @@ func (g *Graph) PruneBefore(id uint64) {
 		delete(g.inherited, v.io.ID)
 	}
 	g.verts = append(make([]*vertex, 0, len(g.verts)-k), g.verts[k:]...)
-	for _, v := range g.verts {
+	for i, v := range g.verts {
+		if !slices.ContainsFunc(v.in, below) && !slices.ContainsFunc(v.out, below) {
+			continue
+		}
+		v = g.own(i)
 		n := len(v.in)
 		v.in, v.out = slices.DeleteFunc(v.in, below), slices.DeleteFunc(v.out, below)
 		g.edges -= n - len(v.in)
@@ -578,7 +668,7 @@ func (g *Graph) Subgraph(router string) *Graph {
 	local := func(v *vertex) bool { return v != nil && v.known && v.io.Router == router }
 	for _, v := range g.verts {
 		if local(v) {
-			sub.verts = append(sub.verts, &vertex{io: v.io, known: true})
+			sub.verts = append(sub.verts, &vertex{io: v.io, known: true, gen: sub.gen})
 		}
 	}
 	sub.nodes = len(sub.verts)

@@ -15,9 +15,11 @@
 package hbr
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hbverify/internal/capture"
@@ -100,10 +102,13 @@ func maxDuration(a, b time.Duration) time.Duration {
 //     the base strategy's rule over the new suffix plus the look-back slice,
 //     add the suffix's vertices and edges to the cached graph, and replace
 //     the in-edges of each older event a suffix event became a parent of.
-//   - Anything else (shorter log, different prefix — e.g. a cut-filtered
-//     snapshot collection): fall back to a one-off full inference WITHOUT
-//     disturbing the cache, so snapshot sweeps cannot poison the pipeline's
-//     incremental state.
+//   - The covered window with events missing (a cut-filtered snapshot
+//     collection), the base strategy is Rules and the cache holds no folded
+//     history: answer with the cached graph minus the missing vertices,
+//     re-deriving only their children (derive), WITHOUT disturbing the cache.
+//   - Anything else (a different prefix, another strategy): fall back to a
+//     one-off full inference, again without disturbing the cache, so snapshot
+//     sweeps cannot poison the pipeline's incremental state.
 //
 // Because coverage is keyed on event IDs, log compaction composes with the
 // cache: CompactBaseline moves the covered window's left edge forward (and
@@ -236,6 +241,11 @@ func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph {
 				return inc.extend(ios, sufStart, base)
 			}
 		}
+		if base, ok := inc.Base.(Rules); ok && !inc.checkpointed {
+			if hidden, ok := inc.missingLocked(ios); ok {
+				return inc.derive(ios, hidden, base)
+			}
+		}
 	}
 
 	// Fallback: full inference. A log that still starts at the covered
@@ -279,6 +289,70 @@ func (inc *Incremental) extensionStartLocked(ios []capture.IO) (int, bool) {
 		return 0, false
 	}
 	return pos + 1, true
+}
+
+// missingLocked reports whether ios is the covered window with at least one
+// event left out — IDs strictly ascending inside [firstID, lastID] — and if
+// so which IDs are missing, ascending.
+func (inc *Incremental) missingLocked(ios []capture.IO) ([]uint64, bool) {
+	if inc.lastID < inc.firstID || uint64(len(ios)) > inc.lastID-inc.firstID {
+		return nil, false
+	}
+	hidden := make([]uint64, 0, inc.lastID-inc.firstID+1-uint64(len(ios)))
+	next := inc.firstID
+	for i := range ios {
+		id := ios[i].ID
+		if id < next || id > inc.lastID {
+			return nil, false
+		}
+		for ; next < id; next++ {
+			hidden = append(hidden, next)
+		}
+		next = id + 1
+	}
+	for ; next <= inc.lastID; next++ {
+		hidden = append(hidden, next)
+	}
+	return hidden, true
+}
+
+// staleDerive is the scenario harness's injectable bug: derive re-derives
+// nothing, so the hidden events' children keep what cached in-edges remain.
+var staleDerive atomic.Bool
+
+// SetStaleDeriveBug toggles the injected derive bug (test harness only).
+func SetStaleDeriveBug(on bool) { staleDerive.Store(on) }
+
+// derive answers for the covered window minus the hidden events from the
+// cached graph: the hidden vertices and their edges go, and each visible
+// child of a hidden event has its in-edges re-derived over ios. No other
+// event can differ from a full inference of ios: under Rules, removing a
+// candidate that did not win changes no winner (DESIGN.md §6 goes through
+// the tiers); Patterns, Combined and Timestamp lack that property. The
+// cache is left as it was.
+func (inc *Incremental) derive(ios []capture.IO, hidden []uint64, base Rules) *hbg.Graph {
+	start := time.Now()
+	var redo []int32 // positions in ios, ascending
+	for _, h := range hidden {
+		for _, c := range inc.cached.Children(h) {
+			if p, ok := slices.BinarySearchFunc(ios, c, func(io capture.IO, id uint64) int { return cmp.Compare(io.ID, id) }); ok {
+				redo = append(redo, int32(p))
+			}
+		}
+	}
+	slices.Sort(redo)
+	redo = slices.Compact(redo) // a child of two hidden events comes up twice
+	var b hbg.Batch
+	if len(redo) > 0 && !staleDerive.Load() {
+		idx := inc.index(ios)
+		for _, p := range redo {
+			b.Reset = append(b.Reset, ios[p].ID)
+		}
+		b.Edges = [][]hbg.EdgeConf{idx.runAt(redo, base.rule(idx))}
+	}
+	g := inc.cached.Without(hidden, b)
+	inc.Metrics.Timer("infer.derived").Observe(time.Since(start))
+	return g
 }
 
 // adoptableLocked reports whether a full inference over ios may replace the

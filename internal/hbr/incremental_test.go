@@ -3,8 +3,10 @@ package hbr_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"hbverify/internal/netsim"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
+	"hbverify/internal/snapshot"
 )
 
 // grow converges the paper network, then appends rounds of config churn
@@ -122,22 +125,134 @@ func TestIncrementalCacheBehaviour(t *testing.T) {
 		t.Fatal("incremental path did not record suffix I/Os")
 	}
 
-	// A cut-filtered subset (e.g. a snapshot collection) is served by a
-	// one-off full inference and must not disturb the cached baseline.
+	// A cut-filtered subset (e.g. a snapshot collection) is derived from the
+	// cached graph: no full inference, the same graph a full one gives, and
+	// the cached baseline undisturbed.
+	cached := inc.Infer(snaps[2])
+	before := [2]int{cached.NodeCount(), cached.EdgeCount()}
 	subset := append([]capture.IO(nil), snaps[2][:len(snaps[2])/2]...)
 	subset = append(subset, snaps[2][len(snaps[2])/2+1:]...)
-	inc.Infer(subset)
-	if full() != 2 {
-		t.Fatalf("subset must full-infer: full=%d, want 2", full())
+	derived := inc.Infer(subset)
+	if full() != 1 || reg.Timer("infer.derived").Count() != 1 {
+		t.Fatalf("subset must be derived: full=%d derived=%d, want 1 and 1", full(), reg.Timer("infer.derived").Count())
 	}
-	if g := inc.Infer(snaps[2]); g == nil || hits() != 2 {
-		t.Fatalf("cache was poisoned by the subset inference (hits=%d)", hits())
+	sameGraph(t, derived, hbr.Rules{}.Infer(subset))
+	if g := inc.Infer(snaps[2]); g != cached || hits() != 3 {
+		t.Fatalf("cache was disturbed by the subset inference (hits=%d)", hits())
+	}
+	if after := [2]int{cached.NodeCount(), cached.EdgeCount()}; after != before {
+		t.Fatalf("cached graph changed under the subset inference: %v -> %v", before, after)
+	}
+
+	// A slice that is not the covered window minus something still pays a
+	// full inference: here one that starts before the window.
+	inc.Infer(append([]capture.IO{{ID: 0, Router: "r1"}}, subset...))
+	if full() != 2 {
+		t.Fatalf("foreign slice must full-infer: full=%d, want 2", full())
 	}
 
 	inc.Invalidate()
 	inc.Infer(snaps[2])
 	if full() != 3 {
 		t.Fatalf("invalidate must force full inference: full=%d, want 3", full())
+	}
+}
+
+// sameGraph requires two graphs to agree on vertices, edges, confidences,
+// both adjacency directions and the §5 consistency verdict.
+func sameGraph(t *testing.T, got, want *hbg.Graph) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Nodes(), want.Nodes()) {
+		t.Fatalf("vertices differ: %d vs %d", got.NodeCount(), want.NodeCount())
+	}
+	if !reflect.DeepEqual(got.Edges(), want.Edges()) || got.EdgeCount() != want.EdgeCount() {
+		t.Fatalf("edges differ: %d (count %d) vs %d (count %d)", len(got.Edges()), got.EdgeCount(), len(want.Edges()), want.EdgeCount())
+	}
+	for _, e := range want.Edges() {
+		if g, w := got.Confidence(e.From, e.To), want.Confidence(e.From, e.To); g != w {
+			t.Fatalf("confidence(%d->%d) = %v, want %v", e.From, e.To, g, w)
+		}
+	}
+	for _, io := range want.Nodes() {
+		if !reflect.DeepEqual(got.Parents(io.ID), want.Parents(io.ID)) || !reflect.DeepEqual(got.Children(io.ID), want.Children(io.ID)) {
+			t.Fatalf("adjacency of %d differs: parents %v vs %v, children %v vs %v", io.ID,
+				got.Parents(io.ID), want.Parents(io.ID), got.Children(io.ID), want.Children(io.ID))
+		}
+	}
+	if g, w := snapshot.Check(got, nil), snapshot.Check(want, nil); !reflect.DeepEqual(g, w) {
+		t.Fatalf("snapshot.Check differs: %+v vs %+v", g, w)
+	}
+}
+
+// TestDerivedCutsMatchFull is the differential for the derive path: over a
+// log with several rounds of churn, a hundred random cuts — per-router
+// horizons as snapshot.Collect applies them, plus stray single events — must
+// each be answered without a full inference and equal one in every respect,
+// with the cache answering for the whole log before and after exactly alike.
+func TestDerivedCutsMatchFull(t *testing.T) {
+	snaps := grow(t, 3)
+	ios := snaps[len(snaps)-1]
+	reg := metrics.NewRegistry()
+	inc := hbr.NewIncremental(hbr.Rules{}, reg)
+	for _, s := range snaps {
+		inc.Infer(s) // the cached graph is an extended one, as in production
+	}
+	whole := hbr.Rules{}.Infer(ios)
+	routers := map[string][]netsim.VirtualTime{}
+	for _, io := range ios {
+		routers[io.Router] = append(routers[io.Router], io.Time)
+	}
+	names := make([]string, 0, len(routers))
+	for r := range routers {
+		names = append(names, r)
+	}
+	slices.Sort(names)
+
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 100; i++ {
+		cut := snapshot.Cut{}
+		for _, r := range names {
+			if ts := routers[r]; rng.Intn(3) == 0 {
+				cut[r] = ts[rng.Intn(len(ts))]
+			}
+		}
+		visible := snapshot.Collect(ios, cut)
+		for k := rng.Intn(4); k > 0 && len(visible) > 1; k-- {
+			at := rng.Intn(len(visible))
+			visible = slices.Delete(visible, at, at+1)
+		}
+		if len(visible) == len(ios) {
+			continue
+		}
+		sameGraph(t, inc.Infer(visible), hbr.Rules{}.Infer(visible))
+	}
+	if n := reg.Timer("infer.derived").Count(); n < 50 {
+		t.Fatalf("only %d of 100 cuts took the derive path", n)
+	}
+	if n := reg.Counter("infer.cache.misses").Value(); n != 1 {
+		t.Fatalf("full inferences = %d, want the first one only", n)
+	}
+	sameGraph(t, inc.Infer(ios), whole)
+}
+
+// TestDeriveFallsBack: the derive path is taken only where its removal
+// argument holds — Rules over a cache with no folded history.
+func TestDeriveFallsBack(t *testing.T) {
+	ios := pairLog(10)
+	subset := append(append([]capture.IO(nil), ios[:6]...), ios[7:]...)
+
+	reg := metrics.NewRegistry()
+	prefix := hbr.NewIncremental(hbr.Prefix{}, reg)
+	prefix.Infer(ios)
+	sameGraph(t, prefix.Infer(subset), hbr.Prefix{}.Infer(subset))
+
+	compacted := hbr.NewIncremental(hbr.Rules{}, reg)
+	compacted.Infer(ios)
+	compacted.CompactBaseline(3)
+	compacted.Infer(subset[2:])
+
+	if n := reg.Timer("infer.derived").Count(); n != 0 {
+		t.Fatalf("%d derivations from a non-Rules strategy or a checkpointed cache, want 0", n)
 	}
 }
 

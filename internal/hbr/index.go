@@ -247,6 +247,16 @@ func (idx *Index) run(fn rule) [][]hbg.EdgeConf {
 	return bufs
 }
 
+// runAt applies fn to the events at the given positions only, in that order:
+// what run would have derived for them.
+func (idx *Index) runAt(positions []int32, fn rule) []hbg.EdgeConf {
+	var out []hbg.EdgeConf
+	for _, p := range positions {
+		out = fn(p, out)
+	}
+	return out
+}
+
 // graph assembles a pass's output: every indexed event copied in as a
 // vertex the graph owns, then the edges in chunk order, under one lock.
 func (idx *Index) graph(edges [][]hbg.EdgeConf) *hbg.Graph {

@@ -137,25 +137,56 @@ func graphDiffLabeled(got, want *hbg.Graph, gl, wl string) string {
 	return ""
 }
 
+// derivedCuts is how many random cuts per round the incremental oracle
+// compares on the derive path.
+const derivedCuts = 3
+
 // oracleIncrementalVsFull asserts the incremental strategy's graph is
-// node- and edge-identical to a fresh full inference over the same
-// stripped log.
+// node-, edge- and confidence-identical to a fresh full inference over the
+// same stripped log, and then the same — plus the §5 verdict — for a few
+// random cuts of it, each of which the strategy must answer from its cached
+// graph (hbr.Incremental's derive path) rather than by inferring again.
+// BugStaleDerive skips the re-derivation a cut's graph needs, which the cut
+// comparison must catch.
 func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 	ios := capture.StripOracle(h.w.net.Log.All())
-	got := h.strat.Infer(ios)
-	want := h.full.Infer(ios)
-
-	gotNodes, wantNodes := nodeIDs(got.Nodes()), nodeIDs(want.Nodes())
-	if !reflect.DeepEqual(gotNodes, wantNodes) {
-		return &Failure{Oracle: OracleIncremental, Round: round, Detail: fmt.Sprintf(
-			"node sets differ: incremental=%d full=%d (first diff: %s)",
-			len(gotNodes), len(wantNodes), firstIDDiff(gotNodes, wantNodes))}
+	if d := graphDiffLabeled(h.strat.Infer(ios), h.full.Infer(ios), "incremental", "full"); d != "" {
+		return &Failure{Oracle: OracleIncremental, Round: round, Detail: d}
 	}
-	gotEdges, wantEdges := got.Edges(), want.Edges()
-	if !reflect.DeepEqual(gotEdges, wantEdges) {
-		return &Failure{Oracle: OracleIncremental, Round: round, Detail: fmt.Sprintf(
-			"edge sets differ: incremental=%d full=%d (first diff: %s)",
-			len(gotEdges), len(wantEdges), firstEdgeDiff(gotEdges, wantEdges))}
+
+	// Each cut hides the newest events of one router for certain and of
+	// every other with probability 1/3, so every cut hides something.
+	rng := deriveRNG(h.cfg.Seed, 0xc075+int64(round))
+	times := map[string][]netsim.VirtualTime{}
+	for i := range ios {
+		times[ios[i].Router] = append(times[ios[i].Router], ios[i].Time)
+	}
+	routers := h.w.net.Routers()
+	for i := 0; i < derivedCuts; i++ {
+		sure := rng.Intn(len(routers))
+		cut := snapshot.Cut{}
+		for j, r := range routers {
+			if ts := times[r.Name]; len(ts) > 0 && (j == sure || rng.Intn(3) == 0) {
+				cut[r.Name] = ts[len(ts)-1-rng.Intn(min(len(ts), 32))] - 1
+			}
+		}
+		visible := snapshot.Collect(ios, cut)
+		if len(visible) == len(ios) {
+			continue
+		}
+		derived := h.reg.Timer("infer.derived").Count()
+		got, want := h.strat.Infer(visible), h.full.Infer(visible)
+		d := graphDiffLabeled(got, want, "derived", "full")
+		if d == "" && !reflect.DeepEqual(snapshot.Check(got, h.w.isExternal), snapshot.Check(want, h.w.isExternal)) {
+			d = "snapshot.Check verdicts differ"
+		}
+		if d == "" && h.cfg.Bug != BugStaleCache && h.reg.Timer("infer.derived").Count() == derived {
+			d = "answered by a full inference, not derived from the cached graph"
+		}
+		if d != "" {
+			return &Failure{Oracle: OracleIncremental, Round: round, Detail: fmt.Sprintf(
+				"cut %v (%d of %d events visible): %s", cut, len(visible), len(ios), d)}
+		}
 	}
 	return nil
 }
@@ -278,8 +309,12 @@ func firstEdgeDiff(a, b []hbg.Edge) string {
 // (no mixed-generation entries can survive a faithful replay);
 // (b) a randomly lagged collection cut, extended by ConsistentCollect,
 // reaches consistency whenever full-log inference itself is consistent;
-// (c) any forwarding loop visible in the collected snapshot existed in
-// some instantaneous ground-truth state — phantom loops are forbidden.
+// (c) any forwarding loop visible in the collected snapshot is a state the
+// network could have been in — phantom loops are forbidden. §5 promises of a
+// consistent cut a *possible* state, not an *instantaneous* one (DESIGN.md
+// §5): what makes it possible is closure under ground-truth happens-before,
+// so that is what is checked, with the simulator's causal tags.
+// BugSkipCutExtension verifies the first cut unextended, which (c) must catch.
 func (h *harness) oracleSnapshots(round int) *Failure {
 	all := h.w.net.Log.All()
 	stripped := capture.StripOracle(all)
@@ -311,16 +346,18 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 				len(res.Missing), res.WaitFor)}
 		}
 	}
+	if h.cfg.Bug == BugSkipCutExtension {
+		collected = snapshot.Collect(stripped, cut)
+	}
 
-	// (c) no phantom loops. Concrete (unbranched) loops must have existed
-	// in some instantaneous ground-truth state — the Fig. 1c guarantee.
-	// Loops discovered across ECMP branches get a weaker ground truth:
-	// equal-cost sets let a consistent snapshot legitimately combine
-	// per-router states from causally-independent events into a cycle no
-	// instant exhibited (OSPF floods an LSA before its debounced SPF
-	// updates the FIB, so apply-before-advertise does not order them), but
-	// every per-router entry on the cycle must still have been real at
-	// some instant — a snapshot that fabricates entries is still caught.
+	// (c) no phantom loops. A concrete (unbranched) loop is phantom if the
+	// cut lacks part of the ground-truth ancestry of a FIB event it holds —
+	// then no delay of messages produces this state — or if some router on
+	// the loop never held the entry the snapshot gives it. Loops discovered
+	// across ECMP branches get the second test alone: equal-cost sets let a
+	// snapshot legitimately combine per-router states from
+	// causally-independent events (OSPF floods an LSA before its debounced
+	// SPF updates the FIB, so apply-before-advertise does not order them).
 	fibs := snapshot.BuildFIBs(collected)
 	w := dataplane.NewWalker(h.w.net.Topo, dataplane.SnapshotView(fibs))
 	for _, src := range h.w.verifySources {
@@ -329,15 +366,20 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 			if walk.Outcome != dataplane.Looped {
 				continue
 			}
-			dst := dataplane.Representative(p)
-			if walk.Branches == 0 && !h.loopWasReal(src, dst) {
-				return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
-					"phantom loop in collected snapshot: %s from %s (%s), never present in any instantaneous state",
-					p, src, walk)}
+			loop := SnapshotLoop{Round: round, Source: src, Prefix: p, Concrete: walk.Branches == 0,
+				EntriesReal: h.entriesWereReal(fibs, walk.Path, dataplane.Representative(p))}
+			if loop.Concrete {
+				loop.Open = h.cutOpenAt(all, collected)
 			}
-			if walk.Branches > 0 && !h.entriesWereReal(fibs, walk.Path, dst) {
+			h.loops = append(h.loops, loop)
+			if loop.Open != "" {
 				return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
-					"phantom ECMP loop in collected snapshot: %s from %s (%s) traverses an entry no instantaneous state ever held",
+					"phantom loop in collected snapshot: %s from %s (%s), in a cut not closed under happens-before: %s",
+					p, src, walk, loop.Open)}
+			}
+			if !loop.EntriesReal {
+				return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
+					"phantom loop in collected snapshot: %s from %s (%s) traverses an entry no instantaneous state ever held",
 					p, src, walk)}
 			}
 		}
@@ -345,8 +387,57 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 	return nil
 }
 
+// SnapshotLoop is one forwarding loop the snapshot oracle met in a collected
+// cut, with the facts it was judged by.
+type SnapshotLoop struct {
+	Round    int
+	Source   string
+	Prefix   netip.Prefix
+	Concrete bool // no ECMP branch on the walk
+	// Open names an event the cut lacks from the ground-truth ancestry of a
+	// FIB event in it; empty when there is none (concrete loops only).
+	Open string
+	// EntriesReal: every router on the loop held that entry at some instant.
+	EntriesReal bool
+}
+
+// cutOpenAt walks the Causes of every collected FIB event transitively,
+// stopping — as snapshot.Check does — at advertisements received from
+// external peers, and describes the first ancestor the cut lacks ("" when
+// it is closed). all is the unstripped log the cut was taken from.
+func (h *harness) cutOpenAt(all, collected []capture.IO) string {
+	first := all[0].ID
+	in := make([]bool, len(all))
+	var work []uint64
+	for i := range collected {
+		in[collected[i].ID-first] = true
+		if t := collected[i].Type; t == capture.FIBInstall || t == capture.FIBRemove {
+			work = append(work, collected[i].ID)
+		}
+	}
+	seen := make([]bool, len(all))
+	for len(work) > 0 {
+		io := &all[work[len(work)-1]-first]
+		work = work[:len(work)-1]
+		if (io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw) && h.w.isExternal(io.Peer) {
+			continue
+		}
+		for _, c := range io.Causes {
+			if seen[c-first] {
+				continue
+			}
+			if !in[c-first] {
+				return fmt.Sprintf("%s depends on uncollected %s", io, &all[c-first])
+			}
+			seen[c-first] = true
+			work = append(work, c)
+		}
+	}
+	return ""
+}
+
 // fibEventsTrueTime returns the FIB install/remove events in true-time
-// order — the ground-truth replay input for the phantom-loop checks.
+// order — the ground-truth replay input for entriesWereReal.
 func (h *harness) fibEventsTrueTime() []capture.IO {
 	var evs []capture.IO
 	for _, io := range h.w.net.Log.All() {
@@ -366,7 +457,7 @@ func (h *harness) fibEventsTrueTime() []capture.IO {
 // entriesWereReal replays ground truth and reports whether, for every
 // router on the walk, the snapshot's covering entry for dst (including its
 // full next-hop set) matched the router's live covering entry at some
-// instant. It is the per-entry ground truth for symbolic loops.
+// instant. It is the per-entry ground truth for loops in a snapshot.
 func (h *harness) entriesWereReal(snap map[string]map[netip.Prefix]fib.Entry, routers []string, dst netip.Addr) bool {
 	covering := func(table map[netip.Prefix]fib.Entry) (fib.Entry, bool) {
 		var best fib.Entry
@@ -410,35 +501,6 @@ func (h *harness) entriesWereReal(snap map[string]map[netip.Prefix]fib.Entry, ro
 		}
 	}
 	return len(need) == 0
-}
-
-// loopWasReal replays the FIB event stream in true-time order and reports
-// whether forwarding from src to dst looped in any instantaneous state.
-// It uses the simulator's oracle timestamps on purpose: this is the
-// ground-truth side of the differential check.
-func (h *harness) loopWasReal(src string, dst netip.Addr) bool {
-	evs := h.fibEventsTrueTime()
-	fibs := map[string]map[netip.Prefix]fib.Entry{}
-	for _, r := range h.w.net.Routers() {
-		fibs[r.Name] = map[netip.Prefix]fib.Entry{}
-	}
-	w := dataplane.NewWalker(h.w.net.Topo, dataplane.SnapshotView(fibs))
-	for _, io := range evs {
-		if io.Type == capture.FIBInstall {
-			e := fib.Entry{Prefix: io.Prefix, NextHop: io.NextHop, Proto: io.Proto}
-			if len(io.NextHops) > 1 {
-				e.NextHops = append([]netip.Addr(nil), io.NextHops...)
-			}
-			fibs[io.Router][io.Prefix] = e
-		} else {
-			delete(fibs[io.Router], io.Prefix)
-		}
-		// Only events on a prefix covering dst can change dst's forwarding.
-		if io.Prefix.Contains(dst) && w.Forward(src, dst).Outcome == dataplane.Looped {
-			return true
-		}
-	}
-	return false
 }
 
 // diffFIBs compares a replayed FIB set against the live tables on the

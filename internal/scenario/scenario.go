@@ -5,15 +5,17 @@
 //  0. infer-fast-vs-reference: every shared-index inference strategy
 //     produces node-, edge-, and confidence-identical graphs to the
 //     preserved pre-index reference implementations;
-//  1. incremental-vs-full: hbr.Incremental yields a node- and
-//     edge-identical HBG to a fresh full inference over the same log;
+//  1. incremental-vs-full: hbr.Incremental yields a node-, edge- and
+//     confidence-identical HBG to a fresh full inference over the same log,
+//     and over random cuts of it, which it must derive from its cache;
 //  2. compaction-vs-full: a bounded capture window — events folded into
 //     an incremental cache, then evicted below the retention floor, the
 //     stream daemon's memory-bounding discipline — yields the identical
 //     graph and root causes to a full inference pruned at the same floor;
 //  3. snapshot-consistency: snapshots assembled from HBR cuts replay to
 //     the live FIBs, reach §5-consistency from lagged cuts, and show no
-//     loop that never existed in any instantaneous ground-truth state;
+//     loop outside a cut closed under ground-truth happens-before or
+//     through an entry its router never held;
 //  4. checker-determinism: verify.Checker verdicts are identical across
 //     worker counts, repeated runs, and eqclass sharding;
 //  5. dist-vs-central: the distributed TCP fleet's walks are
@@ -116,6 +118,15 @@ const (
 	// snapshots, where a silenced checker leaves a central violation with
 	// no local flag to escalate it.
 	BugSkipLocalCheck = "skip-local-check"
+	// BugSkipCutExtension verifies a lagged collection cut as first
+	// collected, unextended — a verifier that does not wait for the routers
+	// it should (Fig. 1c). The snapshot oracle must catch the loop it shows.
+	BugSkipCutExtension = "skip-cut-extension"
+	// BugStaleDerive makes the incremental strategy answer a cut with the
+	// cached graph minus the hidden vertices and nothing re-derived, so an
+	// event whose nearest match was hidden lacks the next-nearest one. The
+	// incremental-vs-full oracle must catch it on its random cuts.
+	BugStaleDerive = "stale-derive"
 )
 
 // Config describes one deterministic scenario. The zero values of Shape,
@@ -195,6 +206,9 @@ type Result struct {
 	// completed before the run ended.
 	IOs    int
 	Rounds int
+	// Loops lists every forwarding loop the snapshot oracle met in a
+	// collected cut, whatever it made of it.
+	Loops []SnapshotLoop
 }
 
 // roundGap separates rounds (and the oracle-4 fault injection) in virtual
@@ -221,6 +235,10 @@ func Run(cfg Config) *Result {
 	if cfg.Bug == BugInternAlias {
 		route.SetInternAliasBug(true)
 		defer route.SetInternAliasBug(false)
+	}
+	if cfg.Bug == BugStaleDerive {
+		hbr.SetStaleDeriveBug(true)
+		defer hbr.SetStaleDeriveBug(false)
 	}
 
 	w, err := buildWorld(cfg)
@@ -251,7 +269,9 @@ func Run(cfg Config) *Result {
 		if err := w.net.Run(); err != nil {
 			return fail("convergence", round, "churn convergence: %v", err)
 		}
-		if f := h.checkRound(round); f != nil {
+		f := h.checkRound(round)
+		res.Loops = h.loops
+		if f != nil {
 			res.Failure = f
 			res.IOs = w.net.Log.Len()
 			res.Rounds = round
@@ -292,6 +312,8 @@ type harness struct {
 	cinc   *hbr.Incremental
 	cwin   []capture.IO
 	cseen  int
+	// loops is what the snapshot oracle has met so far (Result.Loops).
+	loops []SnapshotLoop
 }
 
 func newHarness(cfg Config, w *world) *harness {

@@ -190,6 +190,21 @@ func TestForcedSkipLocalCheck(t *testing.T) {
 	forceBug(t, 3, BugSkipLocalCheck, OracleLocalCheck)
 }
 
+// TestForcedStaleDerive proves the incremental-vs-full oracle's random cuts
+// catch a derive path that keeps the cached in-edges of a hidden event's
+// children: a child whose nearest match was hidden has a next-nearest one a
+// full inference of the cut finds and the stale graph lacks.
+func TestForcedStaleDerive(t *testing.T) {
+	forceBug(t, 4, BugStaleDerive, OracleIncremental)
+}
+
+// TestForcedSkipCutExtension proves the snapshot oracle catches a verifier
+// that takes the first lagged cut as it comes: the loop it shows sits in a
+// cut that lacks the send behind a collected receive.
+func TestForcedSkipCutExtension(t *testing.T) {
+	forceBugCfg(t, Config{Seed: 1, Shape: "ring", Rounds: 5, Bug: BugSkipCutExtension}, OracleSnapshot)
+}
+
 // TestScenarioScaleShapes drives the scale shapes — the 4-ary fat-tree and
 // the ISP route-reflector hierarchy from internal/network — through churn
 // and the full oracle set, with the walk-driven oracles sourcing from the

@@ -152,7 +152,9 @@ func Check(g *hbg.Graph, external func(string) bool) Result {
 }
 
 // Infer is the graph constructor used when assembling snapshots; callers
-// supply their HBR strategy (typically hbr.Rules).
+// supply their HBR strategy (typically hbr.Rules). The slice it is called
+// with is the callee's: a fresh copy nothing else reads until Infer returns,
+// whose events it may modify in place — strip of oracle fields, say.
 type Infer func([]capture.IO) *hbg.Graph
 
 // ConsistentCollect repeatedly extends an inconsistent cut — advancing the
@@ -160,6 +162,10 @@ type Infer func([]capture.IO) *hbg.Graph
 // does ("the verifier can wait until it receives the up-to-date HBG from
 // R1") — until the snapshot is consistent or no progress is possible. It
 // returns the final collected I/Os, the final cut, and the last check.
+//
+// ios is only read. Each extension collects into a new slice that infer owns
+// for the call (see Infer); the one returned is the last of these, as infer
+// left it — stripped, if infer strips.
 func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(string) bool) ([]capture.IO, Cut, Result) {
 	cur := cut.Clone()
 	// times holds, per router waited on so far, the observed times of its
