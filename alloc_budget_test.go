@@ -10,6 +10,7 @@ import (
 	"hbverify/internal/config"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
+	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/snapshot"
 	"hbverify/internal/verify"
@@ -81,6 +82,61 @@ func TestDerivedGraphAllocationBudget(t *testing.T) {
 		t.Fatalf("derived %d nodes over %d events", g.NodeCount(), len(ios))
 	}
 	t.Logf("derivation %d B/event (%d allocs)", derive.AllocedBytesPerOp()/int64(len(ios)), derive.AllocsPerOp())
+}
+
+// TestExtensionWorkBudget holds an incremental extension to what arrived, as
+// counts and bytes: admitting a 4 K-event suffix to a default-Rules window of
+// over 50 K events evaluates the suffix plus what lies within the cross
+// window of it, indexes the suffix plus cross + near of history plus the
+// window's config changes, and allocates per SUFFIX event — the graph's copy
+// of it, its edges, and 8 index bytes per scanned event. An extension that
+// indexes or evaluates the window again fails the counts by an order of
+// magnitude and the bytes by half.
+func TestExtensionWorkBudget(t *testing.T) {
+	const window, suffix = 54_000, 4_000
+	ios := benchInferLog(42, window+suffix, 12)
+	reg := metrics.NewRegistry()
+	inc := hbr.NewIncremental(hbr.Rules{}, reg)
+	inc.Infer(ios[:window])
+
+	minTime := ios[window].Time
+	for _, io := range ios[window:] {
+		minTime = min(minTime, io.Time)
+	}
+	const cross, near = 500 * time.Millisecond, 500 * time.Millisecond // hbr.Rules{} defaults
+	evalBudget, indexBudget := int64(suffix), int64(suffix)
+	for _, io := range ios[:window] {
+		if io.Time >= minTime.Add(-cross) {
+			evalBudget++
+		}
+		if io.Time >= minTime.Add(-cross-near) || io.Type == capture.ConfigChange {
+			indexBudget++
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := inc.Infer(ios)
+	runtime.ReadMemStats(&after)
+	if g.NodeCount() != len(ios) || reg.Timer("infer.incremental").Count() != 1 {
+		t.Fatalf("%d nodes over %d events after %d extensions, want one extension", g.NodeCount(), len(ios), reg.Timer("infer.incremental").Count())
+	}
+	scanned := reg.Counter("infer.window.ios").Value()
+	evaluated, indexed := reg.Counter("infer.evaluated.ios").Value(), reg.Counter("infer.indexed.ios").Value()
+	if scanned < 50_000+suffix {
+		t.Fatalf("the extension scanned %d events; the test wants a default window of over 50 K behind the suffix", scanned)
+	}
+	if evaluated > evalBudget || evaluated > scanned/8 {
+		t.Errorf("extension evaluated %d events, budget %d (suffix + cross) and an eighth of the %d scanned", evaluated, evalBudget, scanned)
+	}
+	if indexed > indexBudget || indexed > scanned/4 {
+		t.Errorf("extension indexed %d events, budget %d (suffix + cross + near + config changes) and a quarter of the %d scanned", indexed, indexBudget, scanned)
+	}
+	if got, budget := int64(after.TotalAlloc-before.TotalAlloc)/suffix, int64(1024); got > budget {
+		t.Errorf("extension allocates %d B per suffix event, budget %d", got, budget)
+	}
+	t.Logf("scanned %d, indexed %d (budget %d), evaluated %d (budget %d), %d B per suffix event",
+		scanned, indexed, indexBudget, evaluated, evalBudget, int64(after.TotalAlloc-before.TotalAlloc)/suffix)
 }
 
 // TestDerivedGraphsPinNothing: a derived graph shares the cached graph's

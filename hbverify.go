@@ -450,16 +450,8 @@ func (p *Pipeline) CompactLog(retain time.Duration) int {
 	if len(snap) == 0 {
 		return 0
 	}
-	if lb, ok := inc.Base.(hbr.Lookbacker); ok {
-		slack := inc.SkewSlack
-		if slack == 0 {
-			slack = hbr.DefaultSkewSlack
-		} else if slack < 0 {
-			slack = 0
-		}
-		if min := lb.LookbackWindow() + 2*slack; retain < min {
-			retain = min
-		}
+	if floor, ok := hbr.RetentionFloor(inc.Base, inc.SkewSlack); ok {
+		retain = max(retain, floor)
 	}
 	p.infer(snap) // fold the window before evicting from it
 	floor := snap[len(snap)-1].Time - netsim.VirtualTime(retain)

@@ -3,9 +3,9 @@
 // yet the capture log is append-only and every rule's reach is bounded by
 // a look-back window. Incremental exploits both: it caches the inferred
 // graph keyed on the covered log window and, when new I/Os arrive, re-runs
-// the base strategy's rule only over the new suffix plus the bounded
-// look-back window, adding the new events and replacing the in-edge sets
-// the suffix changed instead of rebuilding the graph from scratch.
+// the base strategy's rule only over the new suffix plus the old events it
+// can reach, adding the new events and replacing the in-edge sets the suffix
+// changed instead of rebuilding the graph from scratch.
 //
 // Coverage is tracked by event ID rather than slice position, so the cache
 // survives log compaction: after the capture window's prefix is evicted,
@@ -15,9 +15,9 @@
 package hbr
 
 import (
-	"cmp"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,7 +53,7 @@ type Lookbacker interface {
 // gap being the motivating case).
 func (r Rules) LookbackWindow() time.Duration {
 	w, cw, xw := r.windows()
-	return maxDuration(w, maxDuration(cw, xw))
+	return max(w, cw, xw)
 }
 
 // LookbackWindow implements Lookbacker.
@@ -75,7 +75,30 @@ func (p Patterns) LookbackWindow() time.Duration {
 
 // LookbackWindow implements Lookbacker.
 func (c Combined) LookbackWindow() time.Duration {
-	return maxDuration(c.Rules.LookbackWindow(), c.Patterns.LookbackWindow())
+	return max(c.Rules.LookbackWindow(), c.Patterns.LookbackWindow())
+}
+
+// reach bounds what one evaluation of a strategy's rule reads, in the two
+// primitives every rule is built from: matchSendForRecv looks cross to either
+// side of a receive, and precedingOnRouter looks back near — further only for
+// the kinds in far, which may lie anywhere within LookbackWindow.
+type reach struct {
+	cross, near time.Duration
+	far         uint32 // one bit per capture.Type
+}
+
+func (r Rules) reach() reach {
+	w, _, xw := r.windows()
+	return reach{cross: xw, near: w, far: 1 << capture.ConfigChange}
+}
+
+func (p Prefix) reach() reach { return reach{cross: p.LookbackWindow(), near: p.LookbackWindow()} }
+
+func (p Patterns) reach() reach { return reach{cross: p.LookbackWindow(), near: p.LookbackWindow()} }
+
+func (c Combined) reach() reach {
+	r, p := c.Rules.reach(), c.Patterns.reach()
+	return reach{cross: max(r.cross, p.cross), near: max(r.near, p.near), far: r.far | p.far}
 }
 
 // ruler is what the suffix path needs of a base strategy: its bounded reach
@@ -84,13 +107,7 @@ func (c Combined) LookbackWindow() time.Duration {
 type ruler interface {
 	Lookbacker
 	rule(idx *Index) rule
-}
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	reach() reach
 }
 
 // Incremental wraps a base Strategy with a graph cache over the append-only
@@ -99,9 +116,9 @@ func maxDuration(a, b time.Duration) time.Duration {
 //   - Same window as last time (endpoint IDs and length match): return the
 //     cached graph untouched — a cache hit.
 //   - The window grew at the tail and its covered prefix is unchanged: run
-//     the base strategy's rule over the new suffix plus the look-back slice,
-//     add the suffix's vertices and edges to the cached graph, and replace
-//     the in-edges of each older event a suffix event became a parent of.
+//     the base strategy's rule over the new suffix plus the old events within
+//     its reach, add the suffix's vertices and edges to the cached graph, and
+//     replace the in-edges of those older events.
 //   - The covered window with events missing (a cut-filtered snapshot
 //     collection), the base strategy is Rules and the cache holds no folded
 //     history: answer with the cached graph minus the missing vertices,
@@ -255,7 +272,7 @@ func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph {
 	// the cache. A checkpointed cache is never replaced here: the full
 	// inference saw only the retained window, not the folded history.
 	start := time.Now()
-	g := InferIndexed(inc.Base, inc.index(ios))
+	g := InferIndexed(inc.Base, inc.index(ios, nil, math.MinInt64))
 	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.cache.misses").Inc()
 	if inc.adoptableLocked(ios) {
@@ -323,6 +340,14 @@ var staleDerive atomic.Bool
 // SetStaleDeriveBug toggles the injected derive bug (test harness only).
 func SetStaleDeriveBug(on bool) { staleDerive.Store(on) }
 
+// narrowTail is the scenario harness's injectable bug: extend re-derives from
+// the suffix's earliest time on, not a cross window before it, so an old
+// receive keeps the send a nearer suffix send should have displaced.
+var narrowTail atomic.Bool
+
+// SetNarrowTailBug toggles the injected extend bug (test harness only).
+func SetNarrowTailBug(on bool) { narrowTail.Store(on) }
+
 // derive answers for the covered window minus the hidden events from the
 // cached graph: the hidden vertices and their edges go, and each visible
 // child of a hidden event has its in-edges re-derived over ios. No other
@@ -335,7 +360,7 @@ func (inc *Incremental) derive(ios []capture.IO, hidden []uint64, base Rules) *h
 	var redo []int32 // positions in ios, ascending
 	for _, h := range hidden {
 		for _, c := range inc.cached.Children(h) {
-			if p, ok := slices.BinarySearchFunc(ios, c, func(io capture.IO, id uint64) int { return cmp.Compare(io.ID, id) }); ok {
+			if p := sort.Search(len(ios), func(i int) bool { return ios[i].ID >= c }); p < len(ios) && ios[p].ID == c {
 				redo = append(redo, int32(p))
 			}
 		}
@@ -344,7 +369,7 @@ func (inc *Incremental) derive(ios []capture.IO, hidden []uint64, base Rules) *h
 	redo = slices.Compact(redo) // a child of two hidden events comes up twice
 	var b hbg.Batch
 	if len(redo) > 0 && !staleDerive.Load() {
-		idx := inc.index(ios)
+		idx := inc.index(ios, nil, math.MinInt64)
 		for _, p := range redo {
 			b.Reset = append(b.Reset, ios[p].ID)
 		}
@@ -374,31 +399,37 @@ func (inc *Incremental) adoptableLocked(ios []capture.IO) bool {
 	return pos < len(ios) && ios[pos].ID == inc.lastID
 }
 
-// extend re-derives the new suffix plus a look-back slice and folds the
-// result into the cached graph, an event's whole in-edge set at a time:
+// extend re-derives the new suffix plus the old events it can reach and folds
+// the result into the cached graph, an event's whole in-edge set at a time:
 //
-//   - A suffix event is new: its vertex and its edges are added. Its rule
-//     candidates lie within lookback of it, so the slice must hold every old
-//     event from cutoff = earliest suffix time - lookback on.
-//   - An old event some suffix event became a parent of — a later send that
-//     is nearer to an already-matched recv, say — has its cached in-edges
-//     REPLACED by the re-derived ones; a union would keep the edge the new
-//     parent displaced. Such an event is within reach of the suffix, so at
-//     or after cutoff, and re-deriving it takes its own reach: the slice
-//     extends one more lookback, and only an event whose reach lies inside
-//     the part of the slice known to be complete is replaced.
-//   - Every other old event keeps its cached edges: a suffix event can only
-//     add candidates, so a re-derivation none appears in equals what is
-//     cached (or, at the slice's old edge, is cut short).
+//   - A suffix event is new: its vertex and its edges are added.
+//   - An old event within the suffix's reach — a recv a later, nearer send
+//     now matches, say — has its cached in-edges REPLACED by the re-derived
+//     ones; a union would keep the edge the new parent displaced. Only an
+//     event whose whole look-back lies inside the part of the slice known to
+//     be complete is replaced; one cut short keeps what is cached.
+//   - Every older event keeps its cached edges: it reads no suffix event, so
+//     a re-derivation would equal what is cached.
+//
+// What is evaluated and indexed follows from base.reach() (DESIGN.md §6). A
+// same-router candidate precedes its event in (time, ID) order, which no
+// suffix event does for an old event observed before all of them; below the
+// earliest suffix time an old event reads a suffix event only as the send a
+// receive matches, so no earlier than tail = that time − cross. The rule runs
+// from tail on. Those events match sends down to tail − cross (the send
+// table's floor) and same-router candidates down to tail − near, except the
+// far kinds, which are indexed as far back as the scan goes; an older event
+// of any other kind is in no evaluated event's reach and is not indexed.
 //
 // Observed times are TrueTime ± bounded skew, so append order is only
 // NEAR-sorted: a slow-clock straggler can sit later in the log than an
-// in-window event. The backward scan therefore runs until it meets an event
-// older than the slice's floor minus slack — nothing at or above the floor
-// is appended before one that old when slack bounds twice the maximum skew.
-// A scan that reaches the start of a never-compacted log has all of history;
-// the start of a compacted window is complete from its first event on (what
-// compaction evicted was older).
+// in-window event. The backward scan therefore picks positions event by
+// event and runs until it meets an event older than two look-backs before
+// the suffix minus slack — nothing at or above that floor is appended
+// before one that old when slack bounds twice the maximum skew. A scan that
+// reaches the start of a never-compacted log has all of history; the start
+// of a compacted window is complete from its first event on (what compaction
+// evicted was older).
 func (inc *Incremental) extend(ios []capture.IO, sufStart int, base ruler) *hbg.Graph {
 	start := time.Now()
 	suffix := ios[sufStart:]
@@ -408,10 +439,19 @@ func (inc *Incremental) extend(ios []capture.IO, sufStart int, base ruler) *hbg.
 	}
 	lookback := netsim.VirtualTime(base.LookbackWindow())
 	complete := minTime - 2*lookback
-	scanFloor := complete - netsim.VirtualTime(inc.skewSlack())
+	scanFloor := complete - netsim.VirtualTime(skewSlack(inc.SkewSlack))
+	rch := base.reach()
+	tail := minTime - netsim.VirtualTime(rch.cross)
+	sendFloor := tail - netsim.VirtualTime(rch.cross)
+	dense := tail - netsim.VirtualTime(rch.near)
+	var order []int32 // the positions in ios to index
 	lo := sufStart
-	for lo > 0 && ios[lo-1].Time >= scanFloor {
-		lo--
+	for ; lo > 0 && ios[lo-1].Time >= scanFloor; lo-- {
+		e := &ios[lo-1]
+		isSend := e.Type == capture.SendAdvert || e.Type == capture.SendWithdraw
+		if e.Time >= dense || rch.far>>e.Type&1 != 0 || isSend && e.Time >= sendFloor {
+			order = append(order, int32(lo-1))
+		}
 	}
 	if lo == 0 {
 		complete = math.MinInt64
@@ -420,52 +460,76 @@ func (inc *Incremental) extend(ios []capture.IO, sufStart int, base ruler) *hbg.
 		}
 	}
 	window := ios[lo:]
-	idx := inc.index(window)
-	edges := idx.run(base.rule(idx))
+	slices.Reverse(order)
+	for i := range order {
+		order[i] -= int32(lo)
+	}
+	for p := sufStart - lo; p < len(window); p++ {
+		order = append(order, int32(p))
+	}
+	idx := inc.index(window, order, sendFloor)
+	if narrowTail.Load() {
+		tail = minTime
+	}
+	from := sort.Search(idx.Len(), func(i int) bool { return window[idx.order[i]].Time >= tail })
+	edges := idx.runFrom(from, base.rule(idx))
 
-	// redo maps each old event a suffix event became a parent of to
-	// whether its reach is complete, i.e. whether it is replaced.
-	firstNew := suffix[0].ID
-	redo := map[uint64]bool{}
+	// An old event the rule ran for is replaced if its look-back is complete;
+	// one cut short keeps its cached edges (IDs are dense: window[id-firstOld]).
+	firstNew, firstOld := suffix[0].ID, window[0].ID
+	cutShort := func(id uint64) bool { return id < firstNew && window[id-firstOld].Time-lookback < complete }
 	var reset []uint64
-	for _, es := range edges {
-		for _, e := range es {
-			if _, seen := redo[e.To]; e.From < firstNew || e.To >= firstNew || seen {
-				continue
-			}
-			at := e.To - window[0].ID // IDs are dense
-			redo[e.To] = at < uint64(len(window)) && window[at].Time-lookback >= complete
-			if redo[e.To] {
-				reset = append(reset, e.To)
-			}
+	for _, p := range idx.order[from:] {
+		if id := window[p].ID; id < firstNew && !cutShort(id) {
+			reset = append(reset, id)
 		}
 	}
 	for i, es := range edges {
-		edges[i] = slices.DeleteFunc(es, func(e hbg.EdgeConf) bool { return e.To < firstNew && !redo[e.To] })
+		edges[i] = slices.DeleteFunc(es, func(e hbg.EdgeConf) bool { return cutShort(e.To) })
 	}
 	inc.cached.Apply(hbg.Batch{Nodes: suffix, Reset: reset, Edges: edges})
 	inc.lastID = lastIDOf(ios)
 	inc.Metrics.Timer("infer.incremental").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.suffix.ios").Add(int64(len(suffix)))
 	inc.Metrics.Counter("infer.window.ios").Add(int64(len(window)))
+	inc.Metrics.Counter("infer.indexed.ios").Add(int64(idx.Len()))
+	inc.Metrics.Counter("infer.evaluated.ios").Add(int64(idx.Len() - from))
 	return inc.cached
 }
 
-func (inc *Incremental) skewSlack() time.Duration {
+// skewSlack resolves a configured slack: zero selects DefaultSkewSlack, a
+// negative value none.
+func skewSlack(d time.Duration) time.Duration {
 	switch {
-	case inc.SkewSlack < 0:
+	case d < 0:
 		return 0
-	case inc.SkewSlack == 0:
+	case d == 0:
 		return DefaultSkewSlack
 	}
-	return inc.SkewSlack
+	return d
 }
 
-// index builds the shared index for one log generation. Sorting its
-// positions is the only sort the whole inference pays.
-func (inc *Incremental) index(ios []capture.IO) *Index {
+// RetentionFloor is the least observed-time depth behind the newest event a
+// compaction may keep when s is extended with the given slack: one look-back
+// plus twice the slack; ok is false when s exposes no look-back bound. extend
+// re-derives a tail event from candidates up to its reach's cross window
+// further back, so 2·slack must be at least that (the default 1 s and
+// verifyd's 400 ms are, against 500 ms): otherwise a tail event's reach can
+// dip below the floor and is left un-replaced as incomplete.
+func RetentionFloor(s Strategy, slack time.Duration) (floor time.Duration, ok bool) {
+	lb, ok := s.(Lookbacker)
+	if !ok {
+		return 0, false
+	}
+	return lb.LookbackWindow() + 2*skewSlack(slack), true
+}
+
+// index builds the shared index for one log generation: of all of ios, or
+// (extend) of the given positions and the sends from sendFloor on. Sorting
+// its positions is the only sort the whole inference pays.
+func (inc *Incremental) index(ios []capture.IO, order []int32, sendFloor netsim.VirtualTime) *Index {
 	start := time.Now()
-	idx := NewIndex(ios)
+	idx := newIndex(ios, order, sendFloor)
 	inc.Metrics.Timer("hbr.infer.index.build").Observe(time.Since(start))
 	inc.Metrics.Counter("hbr.infer.index.builds").Inc()
 	inc.Metrics.Counter("hbr.infer.index.ios").Add(int64(idx.Len()))

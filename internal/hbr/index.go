@@ -16,6 +16,7 @@ package hbr
 
 import (
 	"cmp"
+	"math"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -68,7 +69,7 @@ func keyFor(io *capture.IO, sender, target string) sendKey {
 // IDs as tie-breaker.
 type Index struct {
 	ios   []capture.IO // the caller's slice: read, never written or copied
-	order []int32      // every position
+	order []int32      // every indexed position
 	lists [][]int32    // one list per router
 	// where[p] locates ios[p] in its router's list, recorded while
 	// indexing so no rule has to search for the event it is matching.
@@ -78,15 +79,25 @@ type Index struct {
 
 // NewIndex indexes ios. The slice is retained and must not be modified
 // while the index is in use.
-func NewIndex(ios []capture.IO) *Index {
+func NewIndex(ios []capture.IO) *Index { return newIndex(ios, nil, math.MinInt64) }
+
+// newIndex indexes the given positions of ios — nil for all of them; the
+// slice is kept and sorted in place — and files into the send table only the
+// sends observed at or after sendFloor.
+// A rule run over a partial index is right for the events whose candidates
+// were all indexed; which those are is the caller's argument (extend).
+func newIndex(ios []capture.IO, order []int32, sendFloor netsim.VirtualTime) *Index {
+	if order == nil {
+		order = make([]int32, len(ios))
+		for i := range order {
+			order[i] = int32(i)
+		}
+	}
 	idx := &Index{
 		ios:   ios,
-		order: make([]int32, len(ios)),
+		order: order,
 		where: make([]struct{ list, rank int32 }, len(ios)),
 		sends: map[sendKey][]int32{},
-	}
-	for i := range idx.order {
-		idx.order[i] = int32(i)
 	}
 	before := func(a, b int32) int {
 		if c := cmp.Compare(ios[a].Time, ios[b].Time); c != 0 {
@@ -110,7 +121,7 @@ func NewIndex(ios []capture.IO) *Index {
 		}
 		idx.where[p].list, idx.where[p].rank = l, int32(len(idx.lists[l]))
 		idx.lists[l] = append(idx.lists[l], p)
-		if io.Type == capture.SendAdvert || io.Type == capture.SendWithdraw {
+		if (io.Type == capture.SendAdvert || io.Type == capture.SendWithdraw) && io.Time >= sendFloor {
 			k := keyFor(io, io.Router, io.Peer)
 			idx.sends[k] = append(idx.sends[k], p)
 		}
@@ -119,10 +130,10 @@ func NewIndex(ios []capture.IO) *Index {
 }
 
 // Len reports the number of indexed I/Os.
-func (idx *Index) Len() int { return len(idx.ios) }
+func (idx *Index) Len() int { return len(idx.order) }
 
-// IOs returns the indexed I/Os: the slice NewIndex was given, in its
-// order. It is shared with the index and must not be modified.
+// IOs returns the slice NewIndex was given, in its order. It is shared with
+// the index and must not be modified.
 func (idx *Index) IOs() []capture.IO { return idx.ios }
 
 // precedingOnRouter visits the events on ios[p]'s router that were
@@ -208,17 +219,22 @@ const shardChunk = 256
 // happens-before edge whose To is ios[p], and nothing else.
 type rule func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf
 
-// run applies fn to every indexed event and returns the edges, one buffer
-// per shardChunk of the observed order. Large logs are sharded across
-// GOMAXPROCS workers that claim chunks from a shared cursor. Which worker
-// fills a buffer varies; what it holds does not, because every edge is
-// derived from exactly one event (its To side) — so the buffers in chunk
-// order are the same edge sequence at any worker count: nothing to merge.
-func (idx *Index) run(fn rule) [][]hbg.EdgeConf {
-	n := len(idx.order)
+// run applies fn to every indexed event.
+func (idx *Index) run(fn rule) [][]hbg.EdgeConf { return idx.runFrom(0, fn) }
+
+// runFrom applies fn to the indexed events from rank on in the observed
+// order and returns the edges, one buffer per shardChunk of that order.
+// Large logs are sharded across GOMAXPROCS workers that claim chunks from a
+// shared cursor. Which worker fills a buffer varies; what it holds does
+// not, because every edge is derived from exactly one event (its To side) —
+// so the buffers in chunk order are the same edge sequence at any worker
+// count: nothing to merge.
+func (idx *Index) runFrom(rank int, fn rule) [][]hbg.EdgeConf {
+	order := idx.order[rank:]
+	n := len(order)
 	bufs := make([][]hbg.EdgeConf, (n+shardChunk-1)/shardChunk)
 	fill := func(c int) {
-		chunk := idx.order[c*shardChunk : min(n, (c+1)*shardChunk)]
+		chunk := order[c*shardChunk : min(n, (c+1)*shardChunk)]
 		buf := make([]hbg.EdgeConf, 0, len(chunk)+len(chunk)/4)
 		for _, p := range chunk {
 			buf = fn(p, buf)

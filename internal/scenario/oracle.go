@@ -147,10 +147,21 @@ const derivedCuts = 3
 // random cuts of it, each of which the strategy must answer from its cached
 // graph (hbr.Incremental's derive path) rather than by inferring again.
 // BugStaleDerive skips the re-derivation a cut's graph needs, which the cut
-// comparison must catch.
+// comparison must catch. A whole round's suffix has no old event within a
+// cross window of it, so a second cache takes the same log in seeded
+// 1–64-event drips — boundaries between a send and its receive, inside SPF
+// bursts — and must agree too; BugNarrowTail is what only it can see.
 func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 	ios := capture.StripOracle(h.w.net.Log.All())
-	if d := graphDiffLabeled(h.strat.Infer(ios), h.full.Infer(ios), "incremental", "full"); d != "" {
+	full := h.full.Infer(ios)
+	if d := graphDiffLabeled(h.strat.Infer(ios), full, "incremental", "full"); d != "" {
+		return &Failure{Oracle: OracleIncremental, Round: round, Detail: d}
+	}
+	for rng := deriveRNG(h.cfg.Seed, 0xd219+int64(round)); h.dripped < len(ios); {
+		h.dripped = min(len(ios), h.dripped+1+rng.Intn(64))
+		h.drip.Infer(ios[:h.dripped])
+	}
+	if d := graphDiffLabeled(h.drip.Infer(ios), full, "dripped", "full"); d != "" {
 		return &Failure{Oracle: OracleIncremental, Round: round, Detail: d}
 	}
 

@@ -127,6 +127,11 @@ const (
 	// event whose nearest match was hidden lacks the next-nearest one. The
 	// incremental-vs-full oracle must catch it on its random cuts.
 	BugStaleDerive = "stale-derive"
+	// BugNarrowTail makes an incremental extension re-derive only from the
+	// new suffix's earliest time on, so an older receive keeps the send a
+	// nearer suffix send displaced. The incremental-vs-full oracle must catch
+	// it on its dripped cache, whose boundaries fall between send and receive.
+	BugNarrowTail = "narrow-tail"
 )
 
 // Config describes one deterministic scenario. The zero values of Shape,
@@ -240,6 +245,10 @@ func Run(cfg Config) *Result {
 		hbr.SetStaleDeriveBug(true)
 		defer hbr.SetStaleDeriveBug(false)
 	}
+	if cfg.Bug == BugNarrowTail {
+		hbr.SetNarrowTailBug(true)
+		defer hbr.SetNarrowTailBug(false)
+	}
 
 	w, err := buildWorld(cfg)
 	if err != nil {
@@ -314,12 +323,17 @@ type harness struct {
 	cseen  int
 	// loops is what the snapshot oracle has met so far (Result.Loops).
 	loops []SnapshotLoop
+	// drip is fed the log in 1–64-event steps (dripped counts them), where
+	// inc sees it a converged round at a time.
+	drip    *hbr.Incremental
+	dripped int
 }
 
 func newHarness(cfg Config, w *world) *harness {
 	h := &harness{cfg: cfg, w: w, reg: metrics.NewRegistry()}
 	h.inc = hbr.NewIncremental(hbr.Rules{}, h.reg)
 	h.strat = h.inc
+	h.drip = hbr.NewIncremental(hbr.Rules{}, h.reg)
 	if cfg.Bug == BugStaleCache {
 		h.strat = &staleStrategy{base: h.strat}
 	}

@@ -198,6 +198,14 @@ func TestForcedStaleDerive(t *testing.T) {
 	forceBug(t, 4, BugStaleDerive, OracleIncremental)
 }
 
+// TestForcedNarrowTail proves the oracle's dripped cache sees a suffix
+// boundary the round-at-a-time one never does: an extension that re-derives
+// only from the suffix's earliest time on leaves an older receive on the send
+// a nearer suffix send displaced (seed 47, ring: round 8, 351->360).
+func TestForcedNarrowTail(t *testing.T) {
+	forceBugCfg(t, Config{Seed: 47, Shape: "ring", Rounds: 9, Bug: BugNarrowTail}, OracleIncremental)
+}
+
 // TestForcedSkipCutExtension proves the snapshot oracle catches a verifier
 // that takes the first lagged cut as it comes: the loop it shows sits in a
 // cut that lacks the send behind a collected receive.

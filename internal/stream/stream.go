@@ -394,22 +394,8 @@ func (d *Daemon) Compact() error {
 // retention returns the observed-time depth the window must keep, or
 // ok=false when the strategy exposes no look-back bound (no sound floor).
 func (d *Daemon) retention() (time.Duration, bool) {
-	lb, ok := d.opts.Strategy.(hbr.Lookbacker)
-	if !ok {
-		return 0, false
-	}
-	slack := d.opts.SkewSlack
-	if slack == 0 {
-		slack = hbr.DefaultSkewSlack
-	}
-	if slack < 0 {
-		slack = 0
-	}
-	floor := lb.LookbackWindow() + 2*slack
-	if d.opts.Retain > floor {
-		return d.opts.Retain, true
-	}
-	return floor, true
+	floor, ok := hbr.RetentionFloor(d.opts.Strategy, d.opts.SkewSlack)
+	return max(floor, d.opts.Retain), ok
 }
 
 // compact runs with opMu held.
