@@ -57,31 +57,42 @@ func TestInferenceAllocationBudget(t *testing.T) {
 }
 
 // TestDerivedGraphAllocationBudget holds the derive path to what it is for:
-// answering a cut of the cached log allocates an index's words per event, a
+// answering a cut of the cached log — as a collected slice, or as the log's
+// view and the IDs the cut hides — allocates an index's words per event, a
 // pointer per vertex and copies of the few vertices the cut touches — never
-// a second copy of the log or of the graph (an event is 320 bytes, a vertex
-// 384).
+// a copy of the log or of the graph (an event is 320 bytes, a vertex 384).
 func TestDerivedGraphAllocationBudget(t *testing.T) {
 	all := benchInferLog(42, 20_000, 12)
 	inc := hbr.NewIncremental(hbr.Rules{}, nil)
 	inc.Infer(all)
-	ios := snapshot.Collect(all, snapshot.Cut{"r0": all[len(all)-200].Time})
-	if hidden := len(all) - len(ios); hidden == 0 || hidden > 200 {
-		t.Fatalf("the cut hides %d events, want a few", hidden)
+	cut := snapshot.Cut{"r0": all[len(all)-200].Time}
+	ios := snapshot.Collect(all, cut)
+	view := capture.ViewOf(all)
+	hidden := snapshot.Hidden(view, cut)
+	if len(hidden) == 0 || len(hidden) > 200 || len(hidden)+len(ios) != len(all) {
+		t.Fatalf("the cut hides %d events, want a few", len(hidden))
 	}
-	var g *hbg.Graph
-	derive := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g = inc.Infer(ios)
+	for _, path := range []struct {
+		name  string
+		infer func() *hbg.Graph
+	}{
+		{"a collected slice", func() *hbg.Graph { return inc.Infer(ios) }},
+		{"the log's view", func() *hbg.Graph { return inc.Cached(view, hidden) }},
+	} {
+		var g *hbg.Graph
+		derive := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g = path.infer()
+			}
+		})
+		if got, budget := derive.AllocedBytesPerOp()/int64(len(ios)), int64(128); got > budget {
+			t.Errorf("deriving a cut's graph from %s allocates %d B per event, budget %d", path.name, got, budget)
 		}
-	})
-	if got, budget := derive.AllocedBytesPerOp()/int64(len(ios)), int64(128); got > budget {
-		t.Errorf("deriving a cut's graph allocates %d B per event, budget %d", got, budget)
+		if g.NodeCount() != len(ios) {
+			t.Fatalf("derived %d nodes over %d events from %s", g.NodeCount(), len(ios), path.name)
+		}
+		t.Logf("derivation from %s: %d B/event (%d allocs)", path.name, derive.AllocedBytesPerOp()/int64(len(ios)), derive.AllocsPerOp())
 	}
-	if g.NodeCount() != len(ios) {
-		t.Fatalf("derived %d nodes over %d events", g.NodeCount(), len(ios))
-	}
-	t.Logf("derivation %d B/event (%d allocs)", derive.AllocedBytesPerOp()/int64(len(ios)), derive.AllocsPerOp())
 }
 
 // TestExtensionWorkBudget holds an incremental extension to what arrived, as

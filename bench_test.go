@@ -325,7 +325,7 @@ func BenchmarkFig5Feasibility(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkBlockingHazard(b *testing.B) {
-	rules := func(x []capture.IO) *hbg.Graph { return hbr.Rules{}.Infer(capture.StripOracle(x)) }
+	rules := func(v capture.View) *hbg.Graph { return hbr.Rules{}.Infer(v.Stripped(nil)) }
 	type row struct {
 		strategy            string
 		violBefore          int

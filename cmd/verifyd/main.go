@@ -220,7 +220,7 @@ func run(violate bool, grid int, seed int64, workers, queries int, queryAddr str
 			fmt.Printf("  curl 'http://%s/query?kind=reachability&source=%s&prefix=%s'\n",
 				queryAddr, sources[0], policies[0].Prefix)
 			fmt.Printf("  curl 'http://%s/stats'\n", queryAddr)
-			return http.ListenAndServe(queryAddr, serve.Handler(eng))
+			return http.ListenAndServe(queryAddr, serve.Handler(eng, pipe.Net.Topo))
 		}
 	}
 	return nil

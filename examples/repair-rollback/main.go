@@ -66,8 +66,8 @@ func report(label string, pn *network.PaperNet, gate *repair.Gate) {
 }
 
 func main() {
-	rulesInfer := func(ios []capture.IO) *hbg.Graph {
-		return hbr.Rules{}.Infer(capture.StripOracle(ios))
+	rulesInfer := func(v capture.View) *hbg.Graph {
+		return hbr.Rules{}.Infer(v.Stripped(nil))
 	}
 
 	fmt.Println("--- strategy A: block the problematic FIB updates ---")

@@ -120,7 +120,7 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 		p.noteDistDirty(a)
 		p.noteDistDirty(b)
 	})
-	p.engine = repair.NewEngine(n, p.infer, p.Verify)
+	p.engine = repair.NewEngine(n, func(v capture.View) *hbg.Graph { return p.infer(v, nil) }, p.Verify)
 	p.engine.Invalidate = func() {
 		inc.Invalidate()
 		p.eqc.Reset()
@@ -139,26 +139,29 @@ func (p *Pipeline) noteDistDirty(router string) {
 	p.distMu.Unlock()
 }
 
-// infer applies the configured strategy with oracle fields stripped, so
-// inference can never cheat via the simulator's ground-truth tags. A log the
-// incremental cache already covers is answered before the copy is made.
-func (p *Pipeline) infer(ios []capture.IO) *hbg.Graph {
+// infer answers for the log view v less the hidden events (IDs ascending,
+// nil for none). The incremental cache answers its window, or a cut of it,
+// from v in place; on a miss the strategy gets the pipeline's one window
+// copy, with the oracle fields stripped so inference can never cheat via the
+// simulator's ground-truth tags.
+func (p *Pipeline) infer(v capture.View, hidden []uint64) *hbg.Graph {
 	if inc, ok := p.Strategy.(*hbr.Incremental); ok {
-		if g := inc.Cached(ios); g != nil {
+		if g := inc.Cached(v, hidden); g != nil {
 			return g
 		}
 	}
-	return p.Strategy.Infer(capture.StripOracle(ios))
+	return p.Strategy.Infer(v.Stripped(hidden))
 }
 
 // Graph infers the happens-before graph over everything captured so far.
-func (p *Pipeline) Graph() *hbg.Graph { return p.infer(p.Net.Log.Snapshot()) }
+func (p *Pipeline) Graph() *hbg.Graph { return p.infer(p.Net.Log.View(), nil) }
 
 // GroundTruth builds the oracle graph from the simulator's causal tags,
-// for accuracy evaluation only.
+// for accuracy evaluation only (over a copy of the log).
 func (p *Pipeline) GroundTruth() *hbg.Graph { return hbg.FromGroundTruth(p.Net.Log.Snapshot()) }
 
-// Accuracy scores the configured strategy against ground truth.
+// Accuracy scores the configured strategy against ground truth, read from a
+// copy of the log: an evaluation, not a step of the loop.
 func (p *Pipeline) Accuracy() hbr.Metrics {
 	return hbr.Evaluate(p.Graph(), p.Net.Log.Snapshot())
 }
@@ -394,22 +397,18 @@ func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 // collection cut, first extending the cut until it is HBG-consistent (§5).
 // It returns the report plus the consistency result.
 //
-// The incremental cache is first brought up to the log, so that each cut's
-// graph is derived from the cached one (hbr.Incremental); the copy
-// ConsistentCollect makes of a cut is stripped in place, so inference still
-// never sees an oracle field and no second copy is made.
+// The cut is a per-router horizon over a view of the log, and nothing is
+// copied out of it: the cache is first brought up to the log, so each cut's
+// graph is derived from the cached one by the IDs the cut hides, and the
+// FIBs are replayed from the view under the final cut.
 func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (verify.Report, snapshot.Result) {
-	log := p.Net.Log.Snapshot()
+	log := p.Net.Log.View()
 	if _, ok := p.Strategy.(*hbr.Incremental); ok {
-		p.infer(log)
+		p.infer(log, nil)
 	}
-	infer := func(ios []capture.IO) *hbg.Graph {
-		capture.StripOracleInPlace(ios)
-		return p.Strategy.Infer(ios)
-	}
-	collected, _, res := snapshot.ConsistentCollect(log, cut, infer, p.External)
-	fibs := snapshot.BuildFIBs(collected)
-	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(fibs))
+	infer := func(c snapshot.Cut) *hbg.Graph { return p.infer(log, snapshot.Hidden(log, c)) }
+	final, res := snapshot.ConsistentCut(log, cut, infer, p.External)
+	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(log, final)))
 	return p.checker(w).Check(policies), res
 }
 
@@ -446,24 +445,24 @@ func (p *Pipeline) CompactLog(retain time.Duration) int {
 	if !ok {
 		return 0
 	}
-	snap := p.Net.Log.Snapshot()
-	if len(snap) == 0 {
+	win := p.Net.Log.View()
+	if win.Len() == 0 {
 		return 0
 	}
 	if floor, ok := hbr.RetentionFloor(inc.Base, inc.SkewSlack); ok {
 		retain = max(retain, floor)
 	}
-	p.infer(snap) // fold the window before evicting from it
-	floor := snap[len(snap)-1].Time - netsim.VirtualTime(retain)
+	p.infer(win, nil) // fold the window before evicting from it
+	floor := win.At(win.Len()-1).Time - netsim.VirtualTime(retain)
 	cut := 0
-	for cut < len(snap) && snap[cut].Time < floor {
+	for cut < win.Len() && win.At(cut).Time < floor {
 		cut++
 	}
 	if cut == 0 {
 		return 0
 	}
-	inc.CompactBaseline(snap[cut].ID)
-	return p.Net.Log.CompactBefore(snap[cut].ID)
+	inc.CompactBaseline(win.At(cut).ID)
+	return p.Net.Log.CompactBefore(win.At(cut).ID)
 }
 
 // Summary renders a one-line pipeline state description, followed by the

@@ -16,7 +16,6 @@ package capture
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
 
 	"hbverify/internal/netsim"
@@ -146,6 +145,100 @@ func nhString(a netip.Addr) string {
 	return a.String()
 }
 
+// A log's segments hold 4,096 events, 1.3 MB at 320 bytes an event: small
+// beside a window of tens of thousands, which is what a part-used one costs.
+const (
+	segShift = 12
+	segLen   = 1 << segShift
+	segMask  = segLen - 1
+)
+
+// View is a read-only run of captured I/Os in append order — a Log's window
+// (Log.View), a sub-view, or a caller's slice (ViewOf) — made without a copy.
+// A log writes only past the end of every view it handed out, so a view
+// reads the same events, without the log's lock, across later appends and
+// compactions; holding it keeps the memory of its window's segments alive.
+type View struct {
+	segs [][]IO // every segment but the last holds exactly segLen events
+	off  int    // position of the view's first event in segs[0]
+	n    int
+}
+
+// ViewOf wraps ios as a view without copying it. The caller must not modify
+// ios while the view is in use.
+func ViewOf(ios []IO) View {
+	v := View{n: len(ios), segs: make([][]IO, 0, (len(ios)+segMask)>>segShift)}
+	for i := 0; i < len(ios); i += segLen {
+		v.segs = append(v.segs, ios[i:min(i+segLen, len(ios))])
+	}
+	return v
+}
+
+// Len reports the number of events in the view.
+func (v View) Len() int { return v.n }
+
+// At returns the i-th event. It is shared, never to be written.
+func (v View) At(i int) *IO {
+	if uint(i) >= uint(v.n) {
+		panic("capture: View.At index out of range")
+	}
+	j := v.off + i
+	return &v.segs[j>>segShift][j&segMask]
+}
+
+// Slice returns the sub-view of events [i, j).
+func (v View) Slice(i, j int) View {
+	if i < 0 || j < i || j > v.n {
+		panic("capture: View.Slice bounds out of range")
+	}
+	off := v.off + i
+	return View{segs: v.segs[off>>segShift:], off: off & segMask, n: j - i}
+}
+
+// run returns the contiguous events from position i to the end of its
+// segment or of the view.
+func (v View) run(i int) []IO {
+	j := v.off + i
+	seg, lo := v.segs[j>>segShift], j&segMask
+	return seg[lo:min(len(seg), lo+v.n-i)]
+}
+
+// Flatten copies the view into one new slice (nil when empty). Every caller
+// is a place a window-sized copy is made on purpose; DESIGN.md §6 lists them.
+func (v View) Flatten() []IO {
+	if v.n == 0 {
+		return nil
+	}
+	out := make([]IO, 0, v.n)
+	for i := 0; i < v.n; {
+		r := v.run(i)
+		out = append(out, r...)
+		i += len(r)
+	}
+	return out
+}
+
+// Stripped copies the view's events, less those whose IDs are in hidden
+// (ascending; nil for none), with the oracle fields cleared in the same pass.
+func (v View) Stripped(hidden []uint64) []IO {
+	out := make([]IO, 0, max(0, v.n-len(hidden)))
+	for i := 0; i < v.n; {
+		r := v.run(i)
+		i += len(r)
+		for k := range r {
+			for len(hidden) > 0 && hidden[0] < r[k].ID {
+				hidden = hidden[1:]
+			}
+			if len(hidden) > 0 && hidden[0] == r[k].ID {
+				continue
+			}
+			out = append(out, r[k])
+			out[len(out)-1].Causes, out[len(out)-1].TrueTime = nil, 0
+		}
+	}
+	return out
+}
+
 // Log is the network-wide capture log shared by all recorders. It is safe
 // for concurrent use (the distributed verifier reads it from goroutines).
 //
@@ -155,18 +248,20 @@ func nhString(a netip.Addr) string {
 // edges have been folded into a checkpoint (see internal/stream). All
 // accessors operate on the retained window; TotalAppended and FirstID
 // expose the window's position in the full history.
+//
+// The window lives in fixed segments: an append fills the last one or starts
+// another and never moves an event, and CompactBefore drops whole segments
+// and moves a floor into the first, so one at most is part-empty and one
+// part-evicted.
 type Log struct {
-	mu      sync.Mutex
-	nextID  uint64
-	firstID uint64 // ID of ios[0]; nextID when the window is empty
-	ios     []IO
-	subs    []func(IO)
-	// gen counts mutations (appends and compactions); obs caches the
-	// ObservedOrder result for one generation, so repeated inference ticks
-	// over an unchanged log do not re-sort the world.
-	gen    uint64
-	obs    []IO
-	obsGen uint64
+	mu     sync.Mutex
+	nextID uint64
+	// segs[0][floor] is the oldest of n retained events. Views share segs, so
+	// CompactBefore replaces the list instead of editing it.
+	segs  [][]IO
+	floor int
+	n     int
+	subs  []func(IO)
 	// pending holds appended I/Os awaiting subscriber delivery, in ID
 	// order; dispatchMu serializes delivery so concurrent appenders can
 	// never deliver out of ID order (the documented subscriber guarantee).
@@ -175,7 +270,7 @@ type Log struct {
 }
 
 // NewLog returns an empty log.
-func NewLog() *Log { return &Log{nextID: 1, firstID: 1} }
+func NewLog() *Log { return &Log{nextID: 1} }
 
 // RestoreLog rebuilds a log from a recovered checkpoint window: ios must
 // carry dense ascending IDs (as Snapshot returns them) and become the
@@ -184,7 +279,7 @@ func NewLog() *Log { return &Log{nextID: 1, firstID: 1} }
 // append gets ID n (pass 0 for a fresh log). A non-empty window rejects a
 // nextID past its tail: that would punch a hole in the dense ID space.
 func RestoreLog(ios []IO, nextID uint64) (*Log, error) {
-	l := &Log{nextID: 1, firstID: 1}
+	l := NewLog()
 	if len(ios) > 0 {
 		for i := 1; i < len(ios); i++ {
 			if ios[i].ID != ios[i-1].ID+1 {
@@ -199,13 +294,31 @@ func RestoreLog(ios []IO, nextID uint64) (*Log, error) {
 			return nil, fmt.Errorf("capture: restore nextID %d leaves a gap after retained tail %d",
 				nextID, ios[len(ios)-1].ID)
 		}
-		l.ios = append([]IO(nil), ios...)
-		l.firstID = ios[0].ID
-		l.nextID = ios[len(ios)-1].ID + 1
+		l.nextID = ios[0].ID
+		for i := range ios {
+			l.pushLocked(ios[i])
+		}
 	} else if nextID > 1 {
-		l.nextID, l.firstID = nextID, nextID
+		l.nextID = nextID
 	}
 	return l, nil
+}
+
+// pushLocked stores io in the next slot under the next ID.
+func (l *Log) pushLocked(io IO) {
+	io.ID = l.nextID
+	l.nextID++
+	end := l.floor + l.n
+	if end == len(l.segs)<<segShift {
+		l.segs = append(l.segs, make([]IO, segLen))
+	}
+	l.segs[end>>segShift][end&segMask] = io
+	l.n++
+}
+
+// viewLocked is the view of retained events [i, j).
+func (l *Log) viewLocked(i, j int) View {
+	return View{segs: l.segs[:len(l.segs):len(l.segs)], off: l.floor, n: l.n}.Slice(i, j)
 }
 
 // Subscribe registers fn to be called for every appended I/O, in ID order.
@@ -228,9 +341,7 @@ func (l *Log) Append(io IO) IO { return l.append(io) }
 func (l *Log) append(io IO) IO {
 	l.mu.Lock()
 	io.ID = l.nextID
-	l.nextID++
-	l.gen++
-	l.ios = append(l.ios, io)
+	l.pushLocked(io)
 	deliver := len(l.subs) > 0
 	if deliver {
 		l.pending = append(l.pending, io)
@@ -270,7 +381,7 @@ func (l *Log) dispatch() {
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.ios)
+	return l.n
 }
 
 // TotalAppended reports how many I/Os have ever been appended, including
@@ -287,83 +398,70 @@ func (l *Log) TotalAppended() uint64 {
 func (l *Log) FirstID() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.ios) == 0 {
-		return l.nextID
-	}
-	return l.firstID
+	return l.nextID - uint64(l.n)
 }
 
-// CompactBefore evicts every retained I/O with ID < id, releasing its
-// memory, and returns the number evicted. Callers must first fold the
-// evicted events' inferred edges into a checkpoint (hbg.Checkpoint /
-// hbr.Incremental.CompactBaseline) or they are lost to inference. IDs at
-// or above the append frontier evict the whole window.
+// CompactBefore evicts every retained I/O with ID < id and returns the
+// number evicted. Callers must first fold the evicted events' inferred edges
+// into a checkpoint (hbg.Checkpoint / hbr.Incremental.CompactBaseline) or
+// they are lost to inference. IDs at or above the append frontier evict the
+// whole window. A segment is released once all of it is evicted and no view
+// holds it.
 func (l *Log) CompactBefore(id uint64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if id > l.nextID {
-		id = l.nextID
-	}
-	if len(l.ios) == 0 || id <= l.firstID {
+	first := l.nextID - uint64(l.n)
+	if id <= first || l.n == 0 {
 		return 0
 	}
-	drop := int(id - l.firstID)
-	if drop > len(l.ios) {
-		drop = len(l.ios)
+	drop := int(min(id, l.nextID) - first)
+	l.n -= drop
+	l.floor += drop
+	switch k := l.floor >> segShift; {
+	case l.n == 0:
+		l.segs, l.floor = nil, 0
+	case k > 0:
+		l.segs = append([][]IO(nil), l.segs[k:]...)
+		l.floor &= segMask
 	}
-	// Copy into a new array so the evicted prefix's backing array is released
-	// rather than pinned by the retained tail, with room to refill what was
-	// dropped: a right-sized array is regrown, whole, by the very next append.
-	// A log that evicts everything keeps no capacity.
-	n := len(l.ios) - drop
-	kept := make([]IO, n, n+min(drop, n))
-	copy(kept, l.ios[drop:])
-	l.ios = kept
-	l.firstID += uint64(drop)
-	l.gen++
-	l.obs = nil // drop the stale observed-order cache's memory too
 	return drop
 }
 
-// All returns a copy of every retained I/O in append order (which equals
-// TrueTime order because the simulator is single-threaded).
-func (l *Log) All() []IO {
+// View returns the retained window without copying it (see View).
+func (l *Log) View() View {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]IO(nil), l.ios...)
+	return l.viewLocked(0, l.n)
 }
 
-// Snapshot returns the retained I/Os in append order as a shared,
-// capacity-capped slice — zero copies. Entries are never mutated after
-// append and the cap prevents aliasing future appends, so the result is
-// immutable; callers must treat it as read-only (use All for a private
-// copy).
-func (l *Log) Snapshot() []IO {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ios[:len(l.ios):len(l.ios)]
-}
+// Snapshot returns a private copy of the retained I/Os in append order
+// (which equals TrueTime order because the simulator is single-threaded):
+// for tests, oracles and tools that want a flat slice. Production paths read
+// View instead.
+func (l *Log) Snapshot() []IO { return l.View().Flatten() }
+
+// All is Snapshot, under the name the tests and tools grew up with.
+func (l *Log) All() []IO { return l.Snapshot() }
 
 // AppendBatch appends a batch of I/Os in one critical section, assigning
-// dense IDs, and returns the stored entries as a shared read-only slice.
-// Replayed or parsed logs land in one mutex acquisition instead of one
-// per line; subscribers still observe every I/O individually, in order.
-func (l *Log) AppendBatch(ios []IO) []IO {
+// dense IDs, and returns the stored entries as a view. Replayed or parsed
+// logs land in one mutex acquisition instead of one per line; subscribers
+// still observe every I/O individually, in order.
+func (l *Log) AppendBatch(ios []IO) View {
 	if len(ios) == 0 {
-		return nil
+		return View{}
 	}
 	l.mu.Lock()
-	start := len(l.ios)
-	l.ios = append(l.ios, ios...)
-	for i := start; i < len(l.ios); i++ {
-		l.ios[i].ID = l.nextID
-		l.nextID++
+	start := l.n
+	for i := range ios {
+		l.pushLocked(ios[i])
 	}
-	l.gen++
-	stored := l.ios[start:len(l.ios):len(l.ios)]
+	stored := l.viewLocked(start, l.n)
 	deliver := len(l.subs) > 0
 	if deliver {
-		l.pending = append(l.pending, stored...)
+		for i := 0; i < stored.Len(); i++ {
+			l.pending = append(l.pending, *stored.At(i))
+		}
 	}
 	l.mu.Unlock()
 	if deliver {
@@ -376,22 +474,21 @@ func (l *Log) AppendBatch(ios []IO) []IO {
 func (l *Log) ByID(id uint64) (IO, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if id < l.firstID || id >= l.nextID {
+	first := l.nextID - uint64(l.n)
+	if id < first || id >= l.nextID {
 		return IO{}, false
 	}
 	// IDs are dense and append-ordered within the retained window.
-	return l.ios[id-l.firstID], true
+	return *l.viewLocked(0, l.n).At(int(id - first)), true
 }
 
-// Filter returns the I/Os for which keep returns true, in append order.
-// It filters under the lock into a right-sized slice instead of copying
-// the whole log first.
+// Filter returns the I/Os for which keep returns true, in append order, in
+// a right-sized slice: the window is read through a view, not copied first.
 func (l *Log) Filter(keep func(IO) bool) []IO {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	v := l.View()
 	n := 0
-	for i := range l.ios {
-		if keep(l.ios[i]) {
+	for i := 0; i < v.Len(); i++ {
+		if keep(*v.At(i)) {
 			n++
 		}
 	}
@@ -399,9 +496,9 @@ func (l *Log) Filter(keep func(IO) bool) []IO {
 		return nil
 	}
 	out := make([]IO, 0, n)
-	for i := range l.ios {
-		if keep(l.ios[i]) {
-			out = append(out, l.ios[i])
+	for i := 0; i < v.Len(); i++ {
+		if io := v.At(i); keep(*io) {
+			out = append(out, *io)
 		}
 	}
 	return out
@@ -418,50 +515,9 @@ func (l *Log) ForPrefix(p netip.Prefix) []IO {
 	return l.Filter(func(io IO) bool { return io.Prefix == p })
 }
 
-// ObservedOrder returns the retained I/Os sorted by router-observed time,
-// breaking ties by ID. This is the view an inference engine working from
-// collected router logs would have. The result is cached per log
-// generation and shared between calls; callers must treat it as read-only.
-func (l *Log) ObservedOrder() []IO {
-	l.mu.Lock()
-	if l.obs != nil && l.obsGen == l.gen {
-		out := l.obs
-		l.mu.Unlock()
-		return out
-	}
-	gen := l.gen
-	out := append([]IO(nil), l.ios...)
-	l.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].ID < out[j].ID
-	})
-	l.mu.Lock()
-	if gen >= l.obsGen {
-		l.obs, l.obsGen = out, gen
-	}
-	l.mu.Unlock()
-	return out
-}
-
 // StripOracle returns a copy of the I/Os with ground-truth fields cleared,
 // for handing to inference code in experiments that must not cheat.
-func StripOracle(ios []IO) []IO {
-	out := append([]IO(nil), ios...)
-	StripOracleInPlace(out)
-	return out
-}
-
-// StripOracleInPlace clears the ground-truth fields of ios itself, for a
-// caller that owns the slice — never one a Log handed out.
-func StripOracleInPlace(ios []IO) {
-	for i := range ios {
-		ios[i].Causes = nil
-		ios[i].TrueTime = 0
-	}
-}
+func StripOracle(ios []IO) []IO { return ViewOf(ios).Stripped(nil) }
 
 // Recorder captures I/Os on behalf of one router, stamping them with the
 // router's (possibly skewed) clock and the current causal scope.

@@ -2,6 +2,7 @@ package capture
 
 import (
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 
@@ -209,7 +210,7 @@ func TestObservedOrderUsesSkewedClocks(t *testing.T) {
 	s.At(0, func() { fast.Record(IO{Type: ConfigChange, Detail: "early but fast clock"}) })
 	s.At(netsim.Duration(time.Second), func() { slow.Record(IO{Type: ConfigChange, Detail: "late"}) })
 	_ = s.Run()
-	obs := log.ObservedOrder()
+	obs := observedOrder(log.Snapshot())
 	if obs[0].Router != "r2" || obs[1].Router != "r1" {
 		t.Fatalf("observed order = %v,%v", obs[0].Router, obs[1].Router)
 	}
@@ -255,21 +256,27 @@ func TestHasPrefix(t *testing.T) {
 	}
 }
 
+// TestSnapshotSharedAndStable: a view shares the log's events and keeps
+// reading the same ones after later appends; a snapshot is a private copy.
 func TestSnapshotSharedAndStable(t *testing.T) {
 	log := NewLog()
 	log.AppendBatch([]IO{{Type: ConfigChange}, {Type: SoftReconfig}})
-	snap := log.Snapshot()
-	if len(snap) != 2 || snap[0].ID != 1 || snap[1].ID != 2 {
-		t.Fatalf("snapshot = %+v", snap)
+	v, snap := log.View(), log.Snapshot()
+	if len(snap) != 2 || snap[0].ID != 1 || snap[1].ID != 2 || v.Len() != 2 || v.At(1).ID != 2 {
+		t.Fatalf("snapshot = %+v, view of %d", snap, v.Len())
 	}
-	// The capped capacity must prevent later appends from aliasing into
-	// an earlier snapshot.
+	if v.At(0) != log.View().At(0) {
+		t.Fatal("two views of one window hold different copies of its first event")
+	}
+	if &snap[0] == v.At(0) {
+		t.Fatal("Snapshot shares the log's storage")
+	}
 	log.AppendBatch([]IO{{Type: LinkUp}})
-	if len(snap) != 2 || cap(snap) != 2 {
-		t.Fatalf("snapshot grew: len=%d cap=%d", len(snap), cap(snap))
+	if v.Len() != 2 || len(snap) != 2 {
+		t.Fatalf("earlier view/snapshot grew: %d / %d", v.Len(), len(snap))
 	}
-	if got := log.Snapshot(); len(got) != 3 || got[2].ID != 3 {
-		t.Fatalf("second snapshot = %+v", got)
+	if got := log.View(); got.Len() != 3 || got.At(2).ID != 3 || got.At(0) != v.At(0) {
+		t.Fatalf("second view: len %d, event 3 has ID %d", got.Len(), got.At(2).ID)
 	}
 }
 
@@ -283,8 +290,8 @@ func TestAppendBatch(t *testing.T) {
 		{Router: "r2", Type: RecvAdvert, Prefix: pfx("10.0.0.0/8")},
 		{Router: "r2", Type: RIBInstall, Prefix: pfx("10.0.0.0/8")},
 	})
-	if len(stored) != 2 || stored[0].ID != 2 || stored[1].ID != 3 {
-		t.Fatalf("batch IDs = %+v", stored)
+	if stored.Len() != 2 || stored.At(0).ID != 2 || stored.At(1).ID != 3 {
+		t.Fatalf("batch IDs = %+v", stored.Flatten())
 	}
 	if log.Len() != 3 {
 		t.Fatalf("Len = %d", log.Len())
@@ -292,8 +299,8 @@ func TestAppendBatch(t *testing.T) {
 	if len(seen) != 3 || seen[1] != 2 || seen[2] != 3 {
 		t.Fatalf("subscriber saw %v", seen)
 	}
-	if got := log.AppendBatch(nil); got != nil {
-		t.Fatalf("empty batch returned %v", got)
+	if got := log.AppendBatch(nil); got.Len() != 0 {
+		t.Fatalf("empty batch returned %d events", got.Len())
 	}
 	if io, ok := log.ByID(3); !ok || io.Type != RIBInstall {
 		t.Fatalf("ByID(3) = %+v %v", io, ok)
@@ -320,23 +327,36 @@ func TestFilterRightSized(t *testing.T) {
 	}
 }
 
-func TestObservedOrderCachedPerGeneration(t *testing.T) {
+// observedOrder sorts ios in collector order — observed time, then ID — the
+// order an inference engine working from collected router logs would see.
+func observedOrder(ios []IO) []IO {
+	sort.SliceStable(ios, func(i, j int) bool {
+		if ios[i].Time != ios[j].Time {
+			return ios[i].Time < ios[j].Time
+		}
+		return ios[i].ID < ios[j].ID
+	})
+	return ios
+}
+
+// TestObservedOrderOfPrivateSnapshots: sorting a snapshot into observed
+// order reorders that copy alone — not the log, not an earlier snapshot.
+func TestObservedOrderOfPrivateSnapshots(t *testing.T) {
 	log := NewLog()
 	log.AppendBatch([]IO{{Type: ConfigChange, Time: 20}, {Type: LinkUp, Time: 10}})
-	a := log.ObservedOrder()
-	b := log.ObservedOrder()
-	if &a[0] != &b[0] {
-		t.Fatal("unchanged log must reuse the cached observed order")
-	}
+	a := observedOrder(log.Snapshot())
 	if a[0].Time != 10 || a[1].Time != 20 {
 		t.Fatalf("observed order = %+v", a)
 	}
+	if v := log.View(); v.At(0).Time != 20 || v.At(1).Time != 10 {
+		t.Fatal("sorting a snapshot reordered the log")
+	}
 	log.AppendBatch([]IO{{Type: LinkDown, Time: 5}})
-	c := log.ObservedOrder()
+	c := observedOrder(log.Snapshot())
 	if len(c) != 3 || c[0].Time != 5 {
 		t.Fatalf("post-append observed order = %+v", c)
 	}
-	if len(a) != 2 {
+	if len(a) != 2 || a[0].Time != 10 {
 		t.Fatal("old observed order mutated")
 	}
 }

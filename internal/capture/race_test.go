@@ -56,8 +56,8 @@ func TestLogConcurrentRecordAndRead(t *testing.T) {
 					t.Errorf("Snapshot() returned %d < Len() %d", len(snap), n)
 					return
 				}
-				if obs := log.ObservedOrder(); len(obs) < n {
-					t.Errorf("ObservedOrder() returned %d < Len() %d", len(obs), n)
+				if v := log.View(); v.Len() < n || v.Len() > 0 && v.At(v.Len()-1).ID != uint64(v.Len()) {
+					t.Errorf("View() of %d events against Len() %d", v.Len(), n)
 					return
 				}
 				if n > 0 {
@@ -110,9 +110,9 @@ func TestLogConcurrentAppendBatch(t *testing.T) {
 					batch[i] = IO{Type: RecvAdvert}
 				}
 				stored := log.AppendBatch(batch)
-				for i := 1; i < len(stored); i++ {
-					if stored[i].ID != stored[i-1].ID+1 {
-						t.Errorf("batch IDs not dense: %d after %d", stored[i].ID, stored[i-1].ID)
+				for i := 1; i < stored.Len(); i++ {
+					if stored.At(i).ID != stored.At(i-1).ID+1 {
+						t.Errorf("batch IDs not dense: %d after %d", stored.At(i).ID, stored.At(i-1).ID)
 						return
 					}
 				}

@@ -152,7 +152,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	g.prunedBelow = rd.Uvarint()
 
 	for i := rd.Count("node", capture.MinIOBytes); i > 0 && rd.Err() == nil; i-- {
-		g.addNodesLocked([]capture.IO{capture.ReadIO(rd)})
+		io := capture.ReadIO(rd)
+		g.addNodeLocked(&io)
 	}
 	if err := section("nodes"); err != nil {
 		return nil, err

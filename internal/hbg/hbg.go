@@ -66,8 +66,8 @@ type Graph struct {
 	// verts holds every vertex once, behind a pointer, in ascending ID
 	// order. Capture IDs are dense and append-ordered, so insertion is an
 	// append, lookup a guess corrected across any gaps, and Nodes a walk.
-	// Each vertex is copied in: one that pointed into a capture.Log backing
-	// array would pin the arrays CompactBefore reallocates in order to free.
+	// Each vertex is copied in: one that pointed into a capture.Log segment
+	// would pin the segments CompactBefore drops in order to free them.
 	verts []*vertex
 	nodes int // known vertices
 	edges int
@@ -144,30 +144,38 @@ func (g *Graph) slot(id uint64) *vertex {
 // AddNode inserts (or replaces) a vertex.
 func (g *Graph) AddNode(io capture.IO) {
 	g.mu.Lock()
-	g.addNodesLocked([]capture.IO{io})
+	g.addNodeLocked(&io)
 	g.mu.Unlock()
 }
 
-// addNodesLocked copies ios in as vertices. An ID above every present one —
-// the order a capture log produces — appends; any other shifts the pointers
-// above it.
-func (g *Graph) addNodesLocked(ios []capture.IO) {
-	g.verts = slices.Grow(g.verts, len(ios))
-	for i := range ios {
-		v := &vertex{io: ios[i], known: true, gen: g.gen}
-		j, ok := g.pos(v.io.ID)
-		if !ok {
-			g.verts = slices.Insert(g.verts, j, v)
-			g.nodes++
-			continue
-		}
-		old := g.own(j)
-		if !old.known {
-			g.nodes++
-		}
-		v.in, v.out = old.in, old.out
-		g.verts[j] = v
+// addNodesLocked copies the view's events in as vertices.
+func (g *Graph) addNodesLocked(ios capture.View) {
+	g.verts = slices.Grow(g.verts, ios.Len())
+	for i := 0; i < ios.Len(); i++ {
+		g.addNodeLocked(ios.At(i))
 	}
+}
+
+// addNodeLocked copies io in as a vertex, less the simulator's oracle fields
+// (Causes, TrueTime): a vertex holds what a router could have logged, so no
+// graph carries ground truth, however its events were read. An ID above
+// every present one — the order a capture log produces — appends; any other
+// shifts the pointers above it.
+func (g *Graph) addNodeLocked(io *capture.IO) {
+	v := &vertex{io: *io, known: true, gen: g.gen}
+	v.io.Causes, v.io.TrueTime = nil, 0
+	j, ok := g.pos(v.io.ID)
+	if !ok {
+		g.verts = slices.Insert(g.verts, j, v)
+		g.nodes++
+		return
+	}
+	old := g.own(j)
+	if !old.known {
+		g.nodes++
+	}
+	v.in, v.out = old.in, old.out
+	g.verts[j] = v
 }
 
 // AddEdge inserts a happens-before edge with confidence 1. Unknown
@@ -215,7 +223,7 @@ func (g *Graph) confidenceLocked(e Edge) float64 {
 // writer lock so readers see the graph before it or after it.
 type Batch struct {
 	// Nodes are copied in as vertices (replacing same-ID ones).
-	Nodes []capture.IO
+	Nodes capture.View
 	// Reset names vertices that lose their in-edges before Edges are
 	// added: afterwards their parents are exactly what Edges gives them.
 	Reset []uint64
@@ -444,7 +452,7 @@ func (g *Graph) EdgeCount() int {
 // FromGroundTruth builds the oracle HBG from the simulator's causal tags.
 func FromGroundTruth(ios []capture.IO) *Graph {
 	g := New()
-	g.addNodesLocked(ios)
+	g.addNodesLocked(capture.ViewOf(ios))
 	for i := range ios {
 		for _, c := range ios[i].Causes {
 			if v := g.find(c); v != nil && v.known {
@@ -707,7 +715,7 @@ func (g *Graph) Merge(other *Graph) {
 		v := g.find(io.ID)
 		return v != nil && v.known
 	})
-	g.applyLocked(Batch{Nodes: nodes, Edges: [][]EdgeConf{edges}})
+	g.applyLocked(Batch{Nodes: capture.ViewOf(nodes), Edges: [][]EdgeConf{edges}})
 	for id, roots := range inherited {
 		g.inherited[id] = mergeRootSets(g.inherited[id], roots)
 	}

@@ -50,8 +50,8 @@ var fixtureBuilders = map[string]func() *Graph{
 			}
 		}
 		g := New()
-		g.Apply(Batch{Nodes: first, Edges: [][]EdgeConf{fixtureEdges[:4]}})
-		g.Apply(Batch{Nodes: second, Edges: [][]EdgeConf{fixtureEdges[4:6], fixtureEdges[6:]}})
+		g.Apply(Batch{Nodes: capture.ViewOf(first), Edges: [][]EdgeConf{fixtureEdges[:4]}})
+		g.Apply(Batch{Nodes: capture.ViewOf(second), Edges: [][]EdgeConf{fixtureEdges[4:6], fixtureEdges[6:]}})
 		return g
 	},
 }
@@ -209,7 +209,7 @@ func TestApplyResetReplacesInEdges(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			g := build()
 			g.Apply(Batch{
-				Nodes: []capture.IO{fixtureIO(14)},
+				Nodes: capture.ViewOf([]capture.IO{fixtureIO(14)}),
 				Reset: []uint64{5, 13, 77},
 				Edges: [][]EdgeConf{{{14, 5, 0.6}, {2, 5, 1}}, {{13, 14, 1}}},
 			})
@@ -241,7 +241,7 @@ func TestApplyResetReplacesInEdges(t *testing.T) {
 func TestGraphOwnsItsVertices(t *testing.T) {
 	ios := []capture.IO{fixtureIO(1), fixtureIO(2)}
 	g := New()
-	g.Apply(Batch{Nodes: ios})
+	g.Apply(Batch{Nodes: capture.ViewOf(ios)})
 	ios[0].Router, ios[1].Detail = "mutated", "mutated"
 	if got := g.Nodes(); !reflect.DeepEqual(got, []capture.IO{fixtureIO(1), fixtureIO(2)}) {
 		t.Fatalf("mutating the caller's slice changed the graph: %+v", got)
@@ -307,7 +307,7 @@ func TestConcurrentReadersAndBatches(t *testing.T) {
 				edges = append(edges, EdgeConf{id - 1, id, 1})
 			}
 		}
-		g.Apply(Batch{Nodes: nodes, Edges: [][]EdgeConf{edges}})
+		g.Apply(Batch{Nodes: capture.ViewOf(nodes), Edges: [][]EdgeConf{edges}})
 		mid := uint64(b*per + per/2)
 		g.AddNode(fixtureIO(mid))
 		g.Apply(Batch{Reset: []uint64{mid + 1}, Edges: [][]EdgeConf{{{mid, mid + 1, 0.5}}}})

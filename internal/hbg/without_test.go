@@ -159,14 +159,14 @@ func TestWithoutAppliesBatch(t *testing.T) {
 // writes is every kind of mutation a graph has.
 func writes(g *Graph) {
 	g.Apply(Batch{
-		Nodes: []capture.IO{fixtureIO(14), fixtureIO(9)},
+		Nodes: capture.ViewOf([]capture.IO{fixtureIO(14), fixtureIO(9)}),
 		Reset: []uint64{5, 13},
 		Edges: [][]EdgeConf{{{14, 5, 0.6}, {2, 13, 1}, {9, 14, 1}}},
 	})
 	g.AddEdgeConf(2, 3, 1)
 	g.AddEdgeConf(2, 12, 0.3)
 	other := New()
-	other.Apply(Batch{Nodes: []capture.IO{fixtureIO(15)}, Edges: [][]EdgeConf{{{8, 15, 1}}}})
+	other.Apply(Batch{Nodes: capture.ViewOf([]capture.IO{fixtureIO(15)}), Edges: [][]EdgeConf{{{8, 15, 1}}}})
 	g.Merge(other)
 	g.PruneBefore(8)
 }
@@ -217,7 +217,7 @@ func TestWithoutConcurrentWriterAndReaders(t *testing.T) {
 			edges = append(edges, EdgeConf{id - 7, id, 0.5})
 		}
 	}
-	g.Apply(Batch{Nodes: nodes, Edges: [][]EdgeConf{edges}})
+	g.Apply(Batch{Nodes: capture.ViewOf(nodes), Edges: [][]EdgeConf{edges}})
 
 	derived := make(chan *Graph)
 	var wg sync.WaitGroup
@@ -249,7 +249,7 @@ func TestWithoutConcurrentWriterAndReaders(t *testing.T) {
 		}
 		id := n + 1 + round
 		g.Apply(Batch{
-			Nodes: []capture.IO{fixtureIO(id), fixtureIO(60 + round)},
+			Nodes: capture.ViewOf([]capture.IO{fixtureIO(id), fixtureIO(60 + round)}),
 			Reset: []uint64{100 + round, 201 + round},
 			Edges: [][]EdgeConf{{{id - 1, id, 1}, {51 + round, id, 0.7}, {99, 100 + round, 1}}},
 		})

@@ -233,7 +233,7 @@ func (s nearStub) Infer(ios []capture.IO) *hbg.Graph {
 
 func (s nearStub) rule(idx *Index) rule {
 	return func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf {
-		io := &idx.ios[p]
+		io := idx.at(p)
 		if io.Type != capture.RecvAdvert {
 			return out
 		}

@@ -103,8 +103,9 @@ func (t Timestamp) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(
 
 func (Timestamp) rule(idx *Index) rule {
 	return func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf {
+		to := idx.at(p).ID
 		idx.precedingOnRouter(p, 0, func(prev *capture.IO) bool {
-			out = append(out, hbg.EdgeConf{From: prev.ID, To: idx.ios[p].ID, Conf: 1})
+			out = append(out, hbg.EdgeConf{From: prev.ID, To: to, Conf: 1})
 			return false
 		})
 		return out
@@ -131,7 +132,7 @@ func (p Prefix) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(p.r
 func (p Prefix) rule(idx *Index) rule {
 	window := p.LookbackWindow()
 	return func(pos int32, out []hbg.EdgeConf) []hbg.EdgeConf {
-		io := &idx.ios[pos]
+		io := idx.at(pos)
 		if !io.HasPrefix() {
 			return out
 		}

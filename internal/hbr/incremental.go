@@ -119,10 +119,11 @@ type ruler interface {
 //     the base strategy's rule over the new suffix plus the old events within
 //     its reach, add the suffix's vertices and edges to the cached graph, and
 //     replace the in-edges of those older events.
-//   - The covered window with events missing (a cut-filtered snapshot
-//     collection), the base strategy is Rules and the cache holds no folded
-//     history: answer with the cached graph minus the missing vertices,
-//     re-deriving only their children (derive), WITHOUT disturbing the cache.
+//   - The covered window with events missing — a cut-filtered snapshot
+//     collection, or (Cached) the window itself with the IDs a cut hides —
+//     the base strategy is Rules and the cache holds no folded history:
+//     answer with the cached graph minus the missing vertices, re-deriving
+//     only their children (derive), WITHOUT disturbing the cache.
 //   - Anything else (a different prefix, another strategy): fall back to a
 //     one-off full inference, again without disturbing the cache, so snapshot
 //     sweeps cannot poison the pipeline's incremental state.
@@ -226,17 +227,28 @@ func (inc *Incremental) CoveredWindow() (first, last uint64, ok bool) {
 	return inc.firstID, inc.lastID, inc.cached != nil
 }
 
-// Cached returns the cached graph if ios is exactly the window it covers,
-// nil otherwise. Only ios's length and endpoint IDs are read, so a caller
-// can ask before it prepares — copies, strips — the log for an inference.
-func (inc *Incremental) Cached(ios []capture.IO) *hbg.Graph {
+// Cached answers for v less the hidden events (IDs ascending, nil for none)
+// from the cache alone, or returns nil: for the covered window itself, the
+// cached graph; for a cut of it, under Rules with no folded history, a graph
+// derived from the cached one (derive), which reads v in place. Only v's
+// endpoints and hidden's range decide, so a caller can ask before it
+// prepares — copies, strips — the log for an inference.
+func (inc *Incremental) Cached(v capture.View, hidden []uint64) *hbg.Graph {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	return inc.cachedLocked(ios)
+	if len(hidden) == 0 {
+		return inc.hitLocked(v)
+	}
+	base, ok := inc.Base.(Rules)
+	if !ok || inc.checkpointed || inc.cached == nil || !inc.matchesCoveredLocked(v) ||
+		hidden[0] < inc.firstID || hidden[len(hidden)-1] > inc.lastID {
+		return nil
+	}
+	return inc.derive(v, hidden, base)
 }
 
-func (inc *Incremental) cachedLocked(ios []capture.IO) *hbg.Graph {
-	if inc.cached == nil || !inc.matchesCoveredLocked(ios) {
+func (inc *Incremental) hitLocked(v capture.View) *hbg.Graph {
+	if inc.cached == nil || !inc.matchesCoveredLocked(v) {
 		return nil
 	}
 	inc.Metrics.Counter("infer.cache.hits").Inc()
@@ -244,11 +256,15 @@ func (inc *Incremental) cachedLocked(ios []capture.IO) *hbg.Graph {
 }
 
 // Infer implements Strategy.
-func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph {
+func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph { return inc.InferView(capture.ViewOf(ios)) }
+
+// InferView is Infer over a view, read in place: the case a log's own
+// window takes (stream.Daemon, Pipeline).
+func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 
-	if g := inc.cachedLocked(ios); g != nil {
+	if g := inc.hitLocked(ios); g != nil {
 		return g
 	}
 	if inc.cached != nil {
@@ -276,33 +292,33 @@ func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph {
 	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.cache.misses").Inc()
 	if inc.adoptableLocked(ios) {
-		inc.cached, inc.firstID, inc.lastID = g, ios[0].ID, lastIDOf(ios)
+		inc.cached, inc.firstID, inc.lastID = g, ios.At(0).ID, lastIDOf(ios)
 	}
 	return g
 }
 
 // matchesCoveredLocked reports whether ios is exactly the covered window.
 // IDs are dense and append-ordered, so matching both endpoints plus the
-// length pins the whole slice.
-func (inc *Incremental) matchesCoveredLocked(ios []capture.IO) bool {
+// length pins the whole view.
+func (inc *Incremental) matchesCoveredLocked(ios capture.View) bool {
 	if inc.lastID < inc.firstID { // empty coverage
-		return len(ios) == 0
+		return ios.Len() == 0
 	}
 	n := int(inc.lastID - inc.firstID + 1)
-	return len(ios) == n && ios[0].ID == inc.firstID && ios[n-1].ID == inc.lastID
+	return ios.Len() == n && ios.At(0).ID == inc.firstID && ios.At(n-1).ID == inc.lastID
 }
 
 // extensionStartLocked reports whether ios is the covered window plus a
 // non-empty new suffix, and if so at which index the suffix starts.
-func (inc *Incremental) extensionStartLocked(ios []capture.IO) (int, bool) {
-	if len(ios) == 0 || ios[0].ID != inc.firstID {
+func (inc *Incremental) extensionStartLocked(ios capture.View) (int, bool) {
+	if ios.Len() == 0 || ios.At(0).ID != inc.firstID {
 		return 0, false
 	}
 	if inc.lastID < inc.firstID {
-		return 0, true // empty covered window: the whole slice is suffix
+		return 0, true // empty covered window: the whole view is suffix
 	}
 	pos := int(inc.lastID - inc.firstID) // index of lastID when dense
-	if pos >= len(ios)-1 || ios[pos].ID != inc.lastID {
+	if pos >= ios.Len()-1 || ios.At(pos).ID != inc.lastID {
 		return 0, false
 	}
 	return pos + 1, true
@@ -311,14 +327,14 @@ func (inc *Incremental) extensionStartLocked(ios []capture.IO) (int, bool) {
 // missingLocked reports whether ios is the covered window with at least one
 // event left out — IDs strictly ascending inside [firstID, lastID] — and if
 // so which IDs are missing, ascending.
-func (inc *Incremental) missingLocked(ios []capture.IO) ([]uint64, bool) {
-	if inc.lastID < inc.firstID || uint64(len(ios)) > inc.lastID-inc.firstID {
+func (inc *Incremental) missingLocked(ios capture.View) ([]uint64, bool) {
+	if inc.lastID < inc.firstID || uint64(ios.Len()) > inc.lastID-inc.firstID {
 		return nil, false
 	}
-	hidden := make([]uint64, 0, inc.lastID-inc.firstID+1-uint64(len(ios)))
+	hidden := make([]uint64, 0, inc.lastID-inc.firstID+1-uint64(ios.Len()))
 	next := inc.firstID
-	for i := range ios {
-		id := ios[i].ID
+	for i := 0; i < ios.Len(); i++ {
+		id := ios.At(i).ID
 		if id < next || id > inc.lastID {
 			return nil, false
 		}
@@ -348,19 +364,24 @@ var narrowTail atomic.Bool
 // SetNarrowTailBug toggles the injected extend bug (test harness only).
 func SetNarrowTailBug(on bool) { narrowTail.Store(on) }
 
-// derive answers for the covered window minus the hidden events from the
-// cached graph: the hidden vertices and their edges go, and each visible
-// child of a hidden event has its in-edges re-derived over ios. No other
-// event can differ from a full inference of ios: under Rules, removing a
+// derive answers for the covered window minus the hidden events (IDs
+// ascending) from the cached graph: the hidden vertices and their edges go,
+// and each visible child of a hidden event has its in-edges re-derived over
+// the events of ios that are not hidden — all of them when ios is a
+// collected subset, which holds no hidden event. No other event can differ
+// from a full inference of what is visible: under Rules, removing a
 // candidate that did not win changes no winner (DESIGN.md §6 goes through
 // the tiers); Patterns, Combined and Timestamp lack that property. The
 // cache is left as it was.
-func (inc *Incremental) derive(ios []capture.IO, hidden []uint64, base Rules) *hbg.Graph {
+func (inc *Incremental) derive(ios capture.View, hidden []uint64, base Rules) *hbg.Graph {
 	start := time.Now()
 	var redo []int32 // positions in ios, ascending
 	for _, h := range hidden {
 		for _, c := range inc.cached.Children(h) {
-			if p := sort.Search(len(ios), func(i int) bool { return ios[i].ID >= c }); p < len(ios) && ios[p].ID == c {
+			if _, gone := slices.BinarySearch(hidden, c); gone {
+				continue
+			}
+			if p := sort.Search(ios.Len(), func(i int) bool { return ios.At(i).ID >= c }); p < ios.Len() && ios.At(p).ID == c {
 				redo = append(redo, int32(p))
 			}
 		}
@@ -369,9 +390,19 @@ func (inc *Incremental) derive(ios []capture.IO, hidden []uint64, base Rules) *h
 	redo = slices.Compact(redo) // a child of two hidden events comes up twice
 	var b hbg.Batch
 	if len(redo) > 0 && !staleDerive.Load() {
-		idx := inc.index(ios, nil, math.MinInt64)
+		visible, rest := make([]int32, 0, ios.Len()), hidden
+		for i := 0; i < ios.Len(); i++ {
+			id := ios.At(i).ID
+			for len(rest) > 0 && rest[0] < id {
+				rest = rest[1:]
+			}
+			if len(rest) == 0 || rest[0] != id {
+				visible = append(visible, int32(i))
+			}
+		}
+		idx := inc.index(ios, visible, math.MinInt64)
 		for _, p := range redo {
-			b.Reset = append(b.Reset, ios[p].ID)
+			b.Reset = append(b.Reset, ios.At(int(p)).ID)
 		}
 		b.Edges = [][]hbg.EdgeConf{idx.runAt(redo, base.rule(idx))}
 	}
@@ -382,21 +413,21 @@ func (inc *Incremental) derive(ios []capture.IO, hidden []uint64, base Rules) *h
 
 // adoptableLocked reports whether a full inference over ios may replace the
 // cached baseline.
-func (inc *Incremental) adoptableLocked(ios []capture.IO) bool {
-	if len(ios) == 0 {
+func (inc *Incremental) adoptableLocked(ios capture.View) bool {
+	if ios.Len() == 0 {
 		return false
 	}
 	if inc.cached == nil {
 		return true
 	}
-	if inc.checkpointed || ios[0].ID != inc.firstID {
+	if inc.checkpointed || ios.At(0).ID != inc.firstID {
 		return false
 	}
 	if inc.lastID < inc.firstID {
 		return true
 	}
 	pos := int(inc.lastID - inc.firstID)
-	return pos < len(ios) && ios[pos].ID == inc.lastID
+	return pos < ios.Len() && ios.At(pos).ID == inc.lastID
 }
 
 // extend re-derives the new suffix plus the old events it can reach and folds
@@ -430,12 +461,12 @@ func (inc *Incremental) adoptableLocked(ios []capture.IO) bool {
 // reaches the start of a never-compacted log has all of history; the start
 // of a compacted window is complete from its first event on (what compaction
 // evicted was older).
-func (inc *Incremental) extend(ios []capture.IO, sufStart int, base ruler) *hbg.Graph {
+func (inc *Incremental) extend(ios capture.View, sufStart int, base ruler) *hbg.Graph {
 	start := time.Now()
-	suffix := ios[sufStart:]
-	minTime := suffix[0].Time
-	for i := range suffix[1:] {
-		minTime = min(minTime, suffix[i+1].Time)
+	suffix := ios.Slice(sufStart, ios.Len())
+	minTime := suffix.At(0).Time
+	for i := 1; i < suffix.Len(); i++ {
+		minTime = min(minTime, suffix.At(i).Time)
 	}
 	lookback := netsim.VirtualTime(base.LookbackWindow())
 	complete := minTime - 2*lookback
@@ -446,8 +477,8 @@ func (inc *Incremental) extend(ios []capture.IO, sufStart int, base ruler) *hbg.
 	dense := tail - netsim.VirtualTime(rch.near)
 	var order []int32 // the positions in ios to index
 	lo := sufStart
-	for ; lo > 0 && ios[lo-1].Time >= scanFloor; lo-- {
-		e := &ios[lo-1]
+	for ; lo > 0 && ios.At(lo-1).Time >= scanFloor; lo-- {
+		e := ios.At(lo - 1)
 		isSend := e.Type == capture.SendAdvert || e.Type == capture.SendWithdraw
 		if e.Time >= dense || rch.far>>e.Type&1 != 0 || isSend && e.Time >= sendFloor {
 			order = append(order, int32(lo-1))
@@ -456,31 +487,33 @@ func (inc *Incremental) extend(ios []capture.IO, sufStart int, base ruler) *hbg.
 	if lo == 0 {
 		complete = math.MinInt64
 		if inc.checkpointed {
-			complete = ios[0].Time
+			complete = ios.At(0).Time
 		}
 	}
-	window := ios[lo:]
+	window := ios.Slice(lo, ios.Len())
 	slices.Reverse(order)
 	for i := range order {
 		order[i] -= int32(lo)
 	}
-	for p := sufStart - lo; p < len(window); p++ {
+	for p := sufStart - lo; p < window.Len(); p++ {
 		order = append(order, int32(p))
 	}
 	idx := inc.index(window, order, sendFloor)
 	if narrowTail.Load() {
 		tail = minTime
 	}
-	from := sort.Search(idx.Len(), func(i int) bool { return window[idx.order[i]].Time >= tail })
+	from := sort.Search(idx.Len(), func(i int) bool { return idx.at(idx.order[i]).Time >= tail })
 	edges := idx.runFrom(from, base.rule(idx))
 
 	// An old event the rule ran for is replaced if its look-back is complete;
-	// one cut short keeps its cached edges (IDs are dense: window[id-firstOld]).
-	firstNew, firstOld := suffix[0].ID, window[0].ID
-	cutShort := func(id uint64) bool { return id < firstNew && window[id-firstOld].Time-lookback < complete }
+	// one cut short keeps its cached edges (IDs are dense: at id-firstOld).
+	firstNew, firstOld := suffix.At(0).ID, window.At(0).ID
+	cutShort := func(id uint64) bool {
+		return id < firstNew && window.At(int(id-firstOld)).Time-lookback < complete
+	}
 	var reset []uint64
 	for _, p := range idx.order[from:] {
-		if id := window[p].ID; id < firstNew && !cutShort(id) {
+		if id := idx.at(p).ID; id < firstNew && !cutShort(id) {
 			reset = append(reset, id)
 		}
 	}
@@ -490,8 +523,8 @@ func (inc *Incremental) extend(ios []capture.IO, sufStart int, base ruler) *hbg.
 	inc.cached.Apply(hbg.Batch{Nodes: suffix, Reset: reset, Edges: edges})
 	inc.lastID = lastIDOf(ios)
 	inc.Metrics.Timer("infer.incremental").Observe(time.Since(start))
-	inc.Metrics.Counter("infer.suffix.ios").Add(int64(len(suffix)))
-	inc.Metrics.Counter("infer.window.ios").Add(int64(len(window)))
+	inc.Metrics.Counter("infer.suffix.ios").Add(int64(suffix.Len()))
+	inc.Metrics.Counter("infer.window.ios").Add(int64(window.Len()))
 	inc.Metrics.Counter("infer.indexed.ios").Add(int64(idx.Len()))
 	inc.Metrics.Counter("infer.evaluated.ios").Add(int64(idx.Len() - from))
 	return inc.cached
@@ -527,7 +560,7 @@ func RetentionFloor(s Strategy, slack time.Duration) (floor time.Duration, ok bo
 // index builds the shared index for one log generation: of all of ios, or
 // (extend) of the given positions and the sends from sendFloor on. Sorting
 // its positions is the only sort the whole inference pays.
-func (inc *Incremental) index(ios []capture.IO, order []int32, sendFloor netsim.VirtualTime) *Index {
+func (inc *Incremental) index(ios capture.View, order []int32, sendFloor netsim.VirtualTime) *Index {
 	start := time.Now()
 	idx := newIndex(ios, order, sendFloor)
 	inc.Metrics.Timer("hbr.infer.index.build").Observe(time.Since(start))
@@ -536,9 +569,9 @@ func (inc *Incremental) index(ios []capture.IO, order []int32, sendFloor netsim.
 	return idx
 }
 
-func lastIDOf(ios []capture.IO) uint64 {
-	if len(ios) == 0 {
+func lastIDOf(ios capture.View) uint64 {
+	if ios.Len() == 0 {
 		return 0
 	}
-	return ios[len(ios)-1].ID
+	return ios.At(ios.Len() - 1).ID
 }

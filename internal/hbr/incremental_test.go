@@ -188,7 +188,9 @@ func sameGraph(t *testing.T, got, want *hbg.Graph) {
 // log with several rounds of churn, a hundred random cuts — per-router
 // horizons as snapshot.Collect applies them, plus stray single events — must
 // each be answered without a full inference and equal one in every respect,
-// with the cache answering for the whole log before and after exactly alike.
+// both as a collected slice and as the whole log's view with the cut's IDs
+// hidden, with the cache answering for the whole log before and after
+// exactly alike.
 func TestDerivedCutsMatchFull(t *testing.T) {
 	snaps := grow(t, 3)
 	ios := snaps[len(snaps)-1]
@@ -224,10 +226,24 @@ func TestDerivedCutsMatchFull(t *testing.T) {
 		if len(visible) == len(ios) {
 			continue
 		}
-		sameGraph(t, inc.Infer(visible), hbr.Rules{}.Infer(visible))
+		want := hbr.Rules{}.Infer(visible)
+		sameGraph(t, inc.Infer(visible), want)
+		var hidden []uint64
+		for i, j := 0, 0; i < len(ios); i++ {
+			if j < len(visible) && visible[j].ID == ios[i].ID {
+				j++
+			} else {
+				hidden = append(hidden, ios[i].ID)
+			}
+		}
+		derived := inc.Cached(capture.ViewOf(ios), hidden)
+		if derived == nil {
+			t.Fatalf("a cut hiding %d events was not derived over the view", len(hidden))
+		}
+		sameGraph(t, derived, want)
 	}
-	if n := reg.Timer("infer.derived").Count(); n < 50 {
-		t.Fatalf("only %d of 100 cuts took the derive path", n)
+	if n := reg.Timer("infer.derived").Count(); n < 100 {
+		t.Fatalf("only %d derivations for 100 cuts, each taken twice", n)
 	}
 	if n := reg.Counter("infer.cache.misses").Value(); n != 1 {
 		t.Fatalf("full inferences = %d, want the first one only", n)
@@ -245,11 +261,17 @@ func TestDeriveFallsBack(t *testing.T) {
 	prefix := hbr.NewIncremental(hbr.Prefix{}, reg)
 	prefix.Infer(ios)
 	sameGraph(t, prefix.Infer(subset), hbr.Prefix{}.Infer(subset))
+	if g := prefix.Cached(capture.ViewOf(ios), []uint64{ios[6].ID}); g != nil {
+		t.Fatal("a Prefix cache answered a cut of its window")
+	}
 
 	compacted := hbr.NewIncremental(hbr.Rules{}, reg)
 	compacted.Infer(ios)
 	compacted.CompactBaseline(3)
 	compacted.Infer(subset[2:])
+	if g := compacted.Cached(capture.ViewOf(ios[2:]), []uint64{ios[6].ID}); g != nil {
+		t.Fatal("a checkpointed cache answered a cut of its window")
+	}
 
 	if n := reg.Timer("infer.derived").Count(); n != 0 {
 		t.Fatalf("%d derivations from a non-Rules strategy or a checkpointed cache, want 0", n)

@@ -1,12 +1,14 @@
 // Shared inference index: built once per log generation and shared by every
 // strategy — event positions sorted once by observed time, per-router
-// position lists, and a keyed send-lookup table so matchSendForRecv touches
+// event lists, and a keyed send-lookup table so matchSendForRecv touches
 // only the handful of candidates with the same (sender, target, protocol,
 // advert-kind, prefix|detail) signature.
 //
-// The index holds no copy of an event: it sorts and groups int32 positions
-// into the caller's slice, strategies pass *capture.IO handles into that
-// slice and emit (from, to, confidence) triples, and the one place an event
+// The index holds no copy of an event: it sorts int32 positions in the
+// caller's view, groups the events themselves by router and send key as
+// *capture.IO handles resolved once while indexing — so a rule's inner loop
+// reads a candidate through one pointer, wherever the view's segments lie —
+// strategies emit (from, to, confidence) triples, and the one place an event
 // is copied is the graph that takes ownership of it.
 //
 // Index is immutable after construction, so any number of strategies (and
@@ -65,30 +67,30 @@ func keyFor(io *capture.IO, sender, target string) sendKey {
 }
 
 // Index organizes one log generation for inference. Every int32 is a
-// position in ios; every list of positions is sorted by observed time with
-// IDs as tie-breaker.
+// position in ios; every list is sorted by observed time with IDs as
+// tie-breaker.
 type Index struct {
-	ios   []capture.IO // the caller's slice: read, never written or copied
+	ios   capture.View // the caller's view: read, never written or copied
 	order []int32      // every indexed position
-	lists [][]int32    // one list per router
-	// where[p] locates ios[p] in its router's list, recorded while
+	lists [][]*capture.IO
+	// where[p] locates ios.At(p) in its router's list, recorded while
 	// indexing so no rule has to search for the event it is matching.
 	where []struct{ list, rank int32 }
-	sends map[sendKey][]int32
+	sends map[sendKey][]*capture.IO
 }
 
 // NewIndex indexes ios. The slice is retained and must not be modified
 // while the index is in use.
-func NewIndex(ios []capture.IO) *Index { return newIndex(ios, nil, math.MinInt64) }
+func NewIndex(ios []capture.IO) *Index { return newIndex(capture.ViewOf(ios), nil, math.MinInt64) }
 
 // newIndex indexes the given positions of ios — nil for all of them; the
-// slice is kept and sorted in place — and files into the send table only the
-// sends observed at or after sendFloor.
+// position slice is kept and sorted in place — and files into the send table
+// only the sends observed at or after sendFloor.
 // A rule run over a partial index is right for the events whose candidates
-// were all indexed; which those are is the caller's argument (extend).
-func newIndex(ios []capture.IO, order []int32, sendFloor netsim.VirtualTime) *Index {
+// were all indexed; which those are is the caller's argument (extend, derive).
+func newIndex(ios capture.View, order []int32, sendFloor netsim.VirtualTime) *Index {
 	if order == nil {
-		order = make([]int32, len(ios))
+		order = make([]int32, ios.Len())
 		for i := range order {
 			order[i] = int32(i)
 		}
@@ -96,14 +98,15 @@ func newIndex(ios []capture.IO, order []int32, sendFloor netsim.VirtualTime) *In
 	idx := &Index{
 		ios:   ios,
 		order: order,
-		where: make([]struct{ list, rank int32 }, len(ios)),
-		sends: map[sendKey][]int32{},
+		where: make([]struct{ list, rank int32 }, ios.Len()),
+		sends: map[sendKey][]*capture.IO{},
 	}
 	before := func(a, b int32) int {
-		if c := cmp.Compare(ios[a].Time, ios[b].Time); c != 0 {
+		x, y := ios.At(int(a)), ios.At(int(b))
+		if c := cmp.Compare(x.Time, y.Time); c != 0 {
 			return c
 		}
-		return cmp.Compare(ios[a].ID, ios[b].ID)
+		return cmp.Compare(x.ID, y.ID)
 	}
 	// A capture log is appended in true-time order and observed times are
 	// that plus bounded skew: mostly sorted already, often entirely.
@@ -111,20 +114,30 @@ func newIndex(ios []capture.IO, order []int32, sendFloor netsim.VirtualTime) *In
 		slices.SortStableFunc(idx.order, before)
 	}
 	routers := map[string]int32{}
+	var count []int32
 	for _, p := range idx.order {
-		io := &ios[p]
+		io := ios.At(int(p))
 		l, ok := routers[io.Router]
 		if !ok {
-			l = int32(len(idx.lists))
+			l = int32(len(count))
 			routers[io.Router] = l
-			idx.lists = append(idx.lists, nil)
+			count = append(count, 0)
 		}
-		idx.where[p].list, idx.where[p].rank = l, int32(len(idx.lists[l]))
-		idx.lists[l] = append(idx.lists[l], p)
+		idx.where[p].list, idx.where[p].rank = l, count[l]
+		count[l]++
 		if (io.Type == capture.SendAdvert || io.Type == capture.SendWithdraw) && io.Time >= sendFloor {
 			k := keyFor(io, io.Router, io.Peer)
-			idx.sends[k] = append(idx.sends[k], p)
+			idx.sends[k] = append(idx.sends[k], io)
 		}
+	}
+	// The router lists share one array, laid out by the counts.
+	all := make([]*capture.IO, len(idx.order))
+	for _, n := range count {
+		idx.lists, all = append(idx.lists, all[:n:n]), all[n:]
+	}
+	for _, p := range idx.order {
+		at := idx.where[p]
+		idx.lists[at.list][at.rank] = ios.At(int(p))
 	}
 	return idx
 }
@@ -132,18 +145,17 @@ func newIndex(ios []capture.IO, order []int32, sendFloor netsim.VirtualTime) *In
 // Len reports the number of indexed I/Os.
 func (idx *Index) Len() int { return len(idx.order) }
 
-// IOs returns the slice NewIndex was given, in its order. It is shared with
-// the index and must not be modified.
-func (idx *Index) IOs() []capture.IO { return idx.ios }
+// at returns the event at position p.
+func (idx *Index) at(p int32) *capture.IO { return idx.ios.At(int(p)) }
 
-// precedingOnRouter visits the events on ios[p]'s router that were
+// precedingOnRouter visits the events on position p's router that were
 // observed at or before it (excluding itself), nearest first, stopping
 // after window.
 func (idx *Index) precedingOnRouter(p int32, window time.Duration, visit func(*capture.IO) bool) {
-	io, at := &idx.ios[p], idx.where[p]
+	io, at := idx.at(p), idx.where[p]
 	evs := idx.lists[at.list]
 	for i := at.rank - 1; i >= 0; i-- {
-		e := &idx.ios[evs[i]]
+		e := evs[i]
 		if window > 0 && io.Time.Sub(e.Time) > window {
 			return
 		}
@@ -181,14 +193,13 @@ func (idx *Index) matchSendForRecv(recv *capture.IO, window time.Duration) *capt
 	lo, hi := 0, len(cands)
 	if window > 0 {
 		minT, maxT := recv.Time-netsim.VirtualTime(window), recv.Time+netsim.VirtualTime(window)
-		lo = sort.Search(len(cands), func(i int) bool { return idx.ios[cands[i]].Time >= minT })
-		hi = sort.Search(len(cands), func(i int) bool { return idx.ios[cands[i]].Time > maxT })
+		lo = sort.Search(len(cands), func(i int) bool { return cands[i].Time >= minT })
+		hi = sort.Search(len(cands), func(i int) bool { return cands[i].Time > maxT })
 	}
 	var best *capture.IO
 	var bestDist time.Duration
 	bug := swapSendMatch.Load()
-	for _, p := range cands[lo:hi] {
-		cand := &idx.ios[p]
+	for _, cand := range cands[lo:hi] {
 		d := recv.Time.Sub(cand.Time)
 		if d < 0 {
 			d = -d
@@ -216,7 +227,7 @@ const parallelMinEvents = 2048
 const shardChunk = 256
 
 // A rule derives one event's in-edges: it appends to out every
-// happens-before edge whose To is ios[p], and nothing else.
+// happens-before edge whose To is the event at position p, and nothing else.
 type rule func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf
 
 // run applies fn to every indexed event.
@@ -273,8 +284,9 @@ func (idx *Index) runAt(positions []int32, fn rule) []hbg.EdgeConf {
 	return out
 }
 
-// graph assembles a pass's output: every indexed event copied in as a
-// vertex the graph owns, then the edges in chunk order, under one lock.
+// graph assembles a full pass's output: every event of the view copied in
+// as a vertex the graph owns, then the edges in chunk order, under one lock.
+// Only an index of every position has a graph.
 func (idx *Index) graph(edges [][]hbg.EdgeConf) *hbg.Graph {
 	g := hbg.New()
 	g.Apply(hbg.Batch{Nodes: idx.ios, Edges: edges})
@@ -294,7 +306,9 @@ func InferIndexed(s Strategy, idx *Index) *hbg.Graph {
 	if ii, ok := s.(IndexInferrer); ok {
 		return ii.InferIndex(idx)
 	}
-	return s.Infer(idx.IOs())
+	// A strategy from outside this package reads a flat slice: a copy of
+	// the view, made for it alone.
+	return s.Infer(idx.ios.Flatten())
 }
 
 // InferAll builds one Index over ios and runs every strategy over it

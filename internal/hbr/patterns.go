@@ -124,7 +124,7 @@ func (m Miner) TrainIndex(idx *Index) *Model {
 // order.
 func (m Miner) trainRange(idx *Index, lo, hi int, window time.Duration, hits map[pairKey]int, totals map[totalKey]int) {
 	for _, p := range idx.order[lo:hi] {
-		b := &idx.ios[p]
+		b := idx.at(p)
 		totals[totalKey{t: b.Type, p: b.Proto}]++
 		seen := map[pairKey]bool{}
 		idx.precedingOnRouter(p, window, func(a *capture.IO) bool {
@@ -176,7 +176,7 @@ func (p Patterns) rule(idx *Index) rule {
 		threshold = 0.9
 	}
 	return func(pos int32, out []hbg.EdgeConf) []hbg.EdgeConf {
-		b := &idx.ios[pos]
+		b := idx.at(pos)
 		matched := map[pairKey]bool{}
 		idx.precedingOnRouter(pos, p.Model.window, func(a *capture.IO) bool {
 			if a.HasPrefix() && b.HasPrefix() && a.Prefix != b.Prefix {

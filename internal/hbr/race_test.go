@@ -33,8 +33,8 @@ func TestConcurrentStrategiesSharedIndex(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx.IOs() {
-				if io := &idx.IOs()[i]; io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw {
+			for i := 0; i < idx.ios.Len(); i++ {
+				if io := idx.ios.At(i); io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw {
 					idx.matchSendForRecv(io, 0)
 				}
 			}

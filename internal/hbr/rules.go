@@ -148,7 +148,7 @@ func (r Rules) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(r.ru
 func (r Rules) rule(idx *Index) rule {
 	w, cw, xw := r.windows()
 	return func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf {
-		io := &idx.ios[p]
+		io := idx.at(p)
 		edge := func(from *capture.IO) { out = append(out, hbg.EdgeConf{From: from.ID, To: io.ID, Conf: 1}) }
 		tiers := tiersFor(io)
 		// Link-state RIB changes come out of a debounced SPF run with

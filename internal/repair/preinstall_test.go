@@ -86,7 +86,7 @@ func TestPreInstallBlocksViolatingUpdates(t *testing.T) {
 		t.Fatal("nothing withheld")
 	}
 	// Root-cause the withheld updates before any violation existed.
-	g := rulesInfer(pn.Log.All())
+	g := rulesInfer(pn.Log.View())
 	foundCC := false
 	for _, id := range pi.WithheldCauses() {
 		for _, root := range g.RootCauses(id) {

@@ -138,9 +138,10 @@ func (d *Diagnosis) String() string {
 // Engine performs HBG-driven detection and repair over a network.
 type Engine struct {
 	Net *network.Network
-	// Infer builds the happens-before graph from captured I/Os (oracle
-	// stripping is the caller's choice; production uses hbr.Rules).
-	Infer func([]capture.IO) *hbg.Graph
+	// Infer builds the happens-before graph of the log's window, handed
+	// over as a view of the live log (oracle stripping is the caller's
+	// choice; production uses hbr.Rules).
+	Infer func(capture.View) *hbg.Graph
 	// check is the owner's verdict on a policy set over the network's
 	// current data plane; the engine diagnoses its violations and does not
 	// verify anything itself.
@@ -153,7 +154,7 @@ type Engine struct {
 }
 
 // NewEngine builds an engine that diagnoses the violations check reports.
-func NewEngine(n *network.Network, infer func([]capture.IO) *hbg.Graph, check func([]verify.Policy) verify.Report) *Engine {
+func NewEngine(n *network.Network, infer func(capture.View) *hbg.Graph, check func([]verify.Policy) verify.Report) *Engine {
 	return &Engine{Net: n, Infer: infer, check: check}
 }
 
@@ -170,7 +171,7 @@ func (e *Engine) Detect(policies []verify.Policy) *Diagnosis {
 		return d
 	}
 	d.Fault = fault
-	g := e.Infer(e.Net.Log.Snapshot())
+	g := e.Infer(e.Net.Log.View())
 	d.Roots = g.RootCauses(fault.ID)
 	return d
 }
@@ -183,9 +184,9 @@ func (e *Engine) findFaultIO(v verify.Violation) (capture.IO, bool) {
 	routers := append([]string{v.Source}, v.Walk.Path...)
 	prefix := v.Policy.Prefix.Masked()
 	// IDs ascend along the log, so the newest match is the first from the back.
-	log := e.Net.Log.Snapshot()
-	for i := len(log) - 1; i >= 0; i-- {
-		io := &log[i]
+	log := e.Net.Log.View()
+	for i := log.Len() - 1; i >= 0; i-- {
+		io := log.At(i)
 		if (io.Type == capture.FIBInstall || io.Type == capture.FIBRemove) &&
 			io.Prefix == prefix && slices.Contains(routers, io.Router) {
 			return *io, true

@@ -18,8 +18,8 @@ import (
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
-func rulesInfer(ios []capture.IO) *hbg.Graph {
-	return hbr.Rules{}.Infer(capture.StripOracle(ios))
+func rulesInfer(v capture.View) *hbg.Graph {
+	return hbr.Rules{}.Infer(v.Stripped(nil))
 }
 
 // build constructs the paper network with a gate attached before Start.

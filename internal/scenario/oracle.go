@@ -56,7 +56,7 @@ func (h *harness) oracleInternVsCopy(round int) *Failure {
 		prefix netip.Prefix
 	}
 	recvs := map[recvKey][]route.BGPAttrs{}
-	for _, io := range capture.StripOracle(h.w.net.Log.All()) {
+	for _, io := range h.w.net.Log.View().Stripped(nil) {
 		if io.Type == capture.RecvAdvert && io.Proto == route.ProtoBGP {
 			k := recvKey{io.Router, io.PeerAddr, io.Prefix}
 			recvs[k] = append(recvs[k], io.Attrs)
@@ -98,7 +98,7 @@ const inferRefCap = 1500
 // per-edge confidences to the preserved pre-index reference
 // implementation over the same stripped log.
 func (h *harness) oracleInferFastVsReference(round int) *Failure {
-	ios := capture.StripOracle(h.w.net.Log.Snapshot())
+	ios := h.w.net.Log.View().Stripped(nil)
 	if len(ios) > inferRefCap {
 		ios = ios[len(ios)-inferRefCap:]
 	}
@@ -145,14 +145,15 @@ const derivedCuts = 3
 // node-, edge- and confidence-identical to a fresh full inference over the
 // same stripped log, and then the same — plus the §5 verdict — for a few
 // random cuts of it, each of which the strategy must answer from its cached
-// graph (hbr.Incremental's derive path) rather than by inferring again.
-// BugStaleDerive skips the re-derivation a cut's graph needs, which the cut
+// graph (hbr.Incremental's derive path) rather than by inferring again, both
+// as a collected slice and by the IDs the cut hides from the live log's view.
+// BugStaleDerive skips the re-derivation a cut's graph needs, which either
 // comparison must catch. A whole round's suffix has no old event within a
 // cross window of it, so a second cache takes the same log in seeded
 // 1–64-event drips — boundaries between a send and its receive, inside SPF
 // bursts — and must agree too; BugNarrowTail is what only it can see.
 func (h *harness) oracleIncrementalVsFull(round int) *Failure {
-	ios := capture.StripOracle(h.w.net.Log.All())
+	ios := h.w.net.Log.View().Stripped(nil)
 	full := h.full.Infer(ios)
 	if d := graphDiffLabeled(h.strat.Infer(ios), full, "incremental", "full"); d != "" {
 		return &Failure{Oracle: OracleIncremental, Round: round, Detail: d}
@@ -194,6 +195,15 @@ func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 		if d == "" && h.cfg.Bug != BugStaleCache && h.reg.Timer("infer.derived").Count() == derived {
 			d = "answered by a full inference, not derived from the cached graph"
 		}
+		// The same cut as Pipeline.VerifySnapshot asks for it: by the IDs it
+		// hides, over a view of the live, unstripped log.
+		if live := h.w.net.Log.View(); d == "" && h.cfg.Bug != BugStaleCache {
+			if g := h.inc.Cached(live, snapshot.Hidden(live, cut)); g == nil {
+				d = "the cut of the log's view was not derived from the cached graph"
+			} else {
+				d = graphDiffLabeled(g, want, "derived over the view", "full")
+			}
+		}
 		if d != "" {
 			return &Failure{Oracle: OracleIncremental, Round: round, Detail: fmt.Sprintf(
 				"cut %v (%d of %d events visible): %s", cut, len(visible), len(ios), d)}
@@ -225,7 +235,7 @@ const compactRootSample = 128
 // trims the log ahead of its inference tick — which this oracle must
 // catch.
 func (h *harness) oracleCompactionVsFull(round int) *Failure {
-	all := capture.StripOracle(h.w.net.Log.All())
+	all := h.w.net.Log.View().Stripped(nil)
 	h.cwin = append(h.cwin, all[h.cseen:]...)
 	h.cseen = len(all)
 	if len(h.cwin) == 0 {

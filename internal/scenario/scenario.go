@@ -390,8 +390,8 @@ func newHarness(cfg Config, w *world) *harness {
 
 // infer is the harness's production inference path: the (possibly bugged)
 // incremental strategy over the oracle-stripped log.
-func (h *harness) infer(ios []capture.IO) *hbg.Graph {
-	return h.strat.Infer(capture.StripOracle(ios))
+func (h *harness) infer(v capture.View) *hbg.Graph {
+	return h.strat.Infer(v.Stripped(nil))
 }
 
 // checkRound runs the eleven oracles in order and returns the first

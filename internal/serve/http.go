@@ -10,6 +10,8 @@ import (
 	"errors"
 	"net/http"
 	"net/netip"
+
+	"hbverify/internal/topology"
 )
 
 // WalkJSON is the wire form of the data-plane walk backing an answer.
@@ -49,18 +51,29 @@ type StatsJSON struct {
 //	GET /query?kind=waypoint&source=r3&prefix=203.0.113.0/24&via=r2
 //	GET /query?kind=isolation&source=r1&prefix=198.51.100.0/24&avoid=e1
 //	GET /stats
-func Handler(e *Engine) http.Handler {
+//
+// A source, via or avoid naming a router topo does not have is refused with
+// 400: the walk from a router that does not exist is a verdict about
+// nothing, and the engine would cache it under that name.
+func Handler(e *Engine, topo *topology.Topology) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) { handleQuery(e, w, r) })
+	mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) { handleQuery(e, topo, w, r) })
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) { handleStats(e, w) })
 	return mux
 }
 
-func handleQuery(e *Engine, w http.ResponseWriter, r *http.Request) {
+func handleQuery(e *Engine, topo *topology.Topology, w http.ResponseWriter, r *http.Request) {
 	qs := r.URL.Query()
-	source := qs.Get("source")
-	if source == "" {
-		http.Error(w, "missing source", http.StatusBadRequest)
+	router := func(param string) (string, bool) {
+		name := qs.Get(param)
+		if topo.Router(name) == nil {
+			http.Error(w, "missing or unknown router "+param+"="+name, http.StatusBadRequest)
+			return "", false
+		}
+		return name, true
+	}
+	source, ok := router("source")
+	if !ok {
 		return
 	}
 	prefix, err := netip.ParsePrefix(qs.Get("prefix"))
@@ -73,16 +86,14 @@ func handleQuery(e *Engine, w http.ResponseWriter, r *http.Request) {
 	case "", "reachability":
 		q = Reachability(source, prefix)
 	case "waypoint":
-		via := qs.Get("via")
-		if via == "" {
-			http.Error(w, "waypoint needs via=", http.StatusBadRequest)
+		via, ok := router("via")
+		if !ok {
 			return
 		}
 		q = Waypoint(source, prefix, via)
 	case "isolation":
-		avoid := qs.Get("avoid")
-		if avoid == "" {
-			http.Error(w, "isolation needs avoid=", http.StatusBadRequest)
+		avoid, ok := router("avoid")
+		if !ok {
 			return
 		}
 		q = Isolation(source, prefix, avoid)

@@ -28,7 +28,7 @@ type paperWorld struct {
 	cache  *verify.WalkCache
 }
 
-func startPaper(t *testing.T) *paperWorld {
+func startPaper(t testing.TB) *paperWorld {
 	t.Helper()
 	pn, err := network.BuildPaper(1, network.DefaultPaperOpts())
 	if err != nil {

@@ -41,15 +41,17 @@ func (c Cut) Clone() Cut {
 	return out
 }
 
+// Visible reports whether the cut collects io.
+func (c Cut) Visible(io *capture.IO) bool {
+	horizon, limited := c[io.Router]
+	return !limited || io.Time <= horizon
+}
+
 // Collect returns the I/Os visible under the cut, preserving order.
 func Collect(ios []capture.IO, cut Cut) []capture.IO {
-	visible := func(io *capture.IO) bool {
-		horizon, limited := cut[io.Router]
-		return !limited || io.Time <= horizon
-	}
 	n := 0
 	for i := range ios {
-		if visible(&ios[i]) {
+		if cut.Visible(&ios[i]) {
 			n++
 		}
 	}
@@ -58,11 +60,23 @@ func Collect(ios []capture.IO, cut Cut) []capture.IO {
 	}
 	out := make([]capture.IO, 0, n)
 	for i := range ios {
-		if visible(&ios[i]) {
+		if cut.Visible(&ios[i]) {
 			out = append(out, ios[i])
 		}
 	}
 	return out
+}
+
+// Hidden returns the IDs of the events of v the cut does not collect,
+// ascending: the cut as hbr.Incremental.Cached derives its graph.
+func Hidden(v capture.View, cut Cut) []uint64 {
+	var hidden []uint64
+	for i := 0; i < v.Len(); i++ {
+		if io := v.At(i); !cut.Visible(io) {
+			hidden = append(hidden, io.ID)
+		}
+	}
+	return hidden
 }
 
 // BuildFIBs reconstructs each router's FIB by replaying the collected FIB
@@ -70,9 +84,18 @@ func Collect(ios []capture.IO, cut Cut) []capture.IO {
 // streams would hold. Every router with a collected event appears, even
 // with an empty FIB.
 func BuildFIBs(ios []capture.IO) map[string]map[netip.Prefix]fib.Entry {
+	return ReplayFIBs(capture.ViewOf(ios), nil)
+}
+
+// ReplayFIBs is BuildFIBs over the events of v the cut collects (a nil cut
+// collects all), read in place.
+func ReplayFIBs(v capture.View, cut Cut) map[string]map[netip.Prefix]fib.Entry {
 	out := map[string]map[netip.Prefix]fib.Entry{}
-	for i := range ios {
-		io := &ios[i]
+	for i := 0; i < v.Len(); i++ {
+		io := v.At(i)
+		if !cut.Visible(io) {
+			continue
+		}
 		table := out[io.Router]
 		if table == nil {
 			table = map[netip.Prefix]fib.Entry{}
@@ -151,32 +174,39 @@ func Check(g *hbg.Graph, external func(string) bool) Result {
 	return res
 }
 
-// Infer is the graph constructor used when assembling snapshots; callers
-// supply their HBR strategy (typically hbr.Rules). The slice it is called
-// with is the callee's: a fresh copy nothing else reads until Infer returns,
-// whose events it may modify in place — strip of oracle fields, say.
+// Infer is the graph constructor ConsistentCollect uses; callers supply
+// their HBR strategy (typically hbr.Rules). The slice it is called with is
+// the callee's: a fresh copy nothing else reads until Infer returns, whose
+// events it may modify in place — strip of oracle fields, say.
 type Infer func([]capture.IO) *hbg.Graph
 
-// ConsistentCollect repeatedly extends an inconsistent cut — advancing the
-// logs of the routers named by Check's WaitFor set, as the §7 prototype
-// does ("the verifier can wait until it receives the up-to-date HBG from
-// R1") — until the snapshot is consistent or no progress is possible. It
-// returns the final collected I/Os, the final cut, and the last check.
-//
-// ios is only read. Each extension collects into a new slice that infer owns
-// for the call (see Infer); the one returned is the last of these, as infer
-// left it — stripped, if infer strips.
+// ConsistentCollect is ConsistentCut over a slice, each cut collected into a
+// new slice that infer owns for the call (see Infer). It returns the last of
+// these, as infer left it — stripped, if infer strips. ios is only read.
 func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(string) bool) ([]capture.IO, Cut, Result) {
+	var collected []capture.IO
+	final, res := ConsistentCut(capture.ViewOf(ios), cut, func(c Cut) *hbg.Graph {
+		collected = Collect(ios, c)
+		return infer(collected)
+	}, external)
+	return collected, final, res
+}
+
+// ConsistentCut repeatedly extends an inconsistent cut of v — advancing the
+// logs of the routers named by Check's WaitFor set, as the §7 prototype does
+// ("the verifier can wait until it receives the up-to-date HBG from R1") —
+// until the snapshot is consistent or no progress is possible. infer builds
+// the graph of what a cut collects; nothing here copies an event out of v.
+// It returns the final cut and the last check.
+func ConsistentCut(v capture.View, cut Cut, infer func(Cut) *hbg.Graph, external func(string) bool) (Cut, Result) {
 	cur := cut.Clone()
 	// times holds, per router waited on so far, the observed times of its
 	// events in ascending order.
 	times := map[string][]netsim.VirtualTime{}
 	for {
-		collected := Collect(ios, cur)
-		g := infer(collected)
-		res := Check(g, external)
+		res := Check(infer(cur), external)
 		if res.Consistent || len(res.WaitFor) == 0 {
-			return collected, cur, res
+			return cur, res
 		}
 		progressed := false
 		for _, router := range res.WaitFor {
@@ -186,9 +216,9 @@ func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(str
 			}
 			ts, ok := times[router]
 			if !ok {
-				for i := range ios {
-					if ios[i].Router == router {
-						ts = append(ts, ios[i].Time)
+				for i := 0; i < v.Len(); i++ {
+					if io := v.At(i); io.Router == router {
+						ts = append(ts, io.Time)
 					}
 				}
 				slices.Sort(ts)
@@ -204,7 +234,7 @@ func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(str
 			progressed = true
 		}
 		if !progressed {
-			return collected, cur, res
+			return cur, res
 		}
 	}
 }

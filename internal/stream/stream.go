@@ -241,6 +241,9 @@ func (s *Stream) Consume(r io.Reader) error {
 	})
 	d.mu.Lock()
 	s.closed = true
+	if s.head == len(s.buf) {
+		s.buf, s.head = nil, 0 // drained: a finished stream keeps no buffer
+	}
 	if err != nil && d.err == nil {
 		d.err = fmt.Errorf("stream %s: %w", s.name, err)
 	}
@@ -325,6 +328,9 @@ func (d *Daemon) merge() {
 		s.head++
 		if s.head == len(s.buf) {
 			s.buf, s.head = s.buf[:0], 0
+			if s.closed {
+				s.buf = nil // a finished stream keeps no buffer
+			}
 		}
 		s.consumed++
 		d.cond.Broadcast()
@@ -362,7 +368,7 @@ func (d *Daemon) Wait() error {
 func (d *Daemon) Graph() *hbg.Graph {
 	d.opMu.Lock()
 	defer d.opMu.Unlock()
-	return d.inc.Infer(d.log.Snapshot())
+	return d.inc.InferView(d.log.View())
 }
 
 // Log exposes the daemon's capture log (read-side use only).
@@ -405,24 +411,24 @@ func (d *Daemon) compact() error {
 		d.opts.Metrics.Counter("stream.compact.unbounded").Inc()
 		return nil
 	}
-	snap := d.log.Snapshot()
-	if len(snap) == 0 {
+	win := d.log.View()
+	if win.Len() == 0 {
 		return nil
 	}
 	var g *hbg.Graph
 	if !d.skipFold {
-		g = d.inc.Infer(snap)
+		g = d.inc.InferView(win)
 	}
 	// The merge releases events in observed-time order, so the last
 	// retained event's time is the global low watermark: nothing appended
 	// later can look back past lastTime-retain.
-	floor := snap[len(snap)-1].Time - netsim.VirtualTime(retain)
+	floor := win.At(win.Len()-1).Time - netsim.VirtualTime(retain)
 	cut := 0
-	for cut < len(snap) && snap[cut].Time < floor {
+	for cut < win.Len() && win.At(cut).Time < floor {
 		cut++
 	}
 	if cut > 0 {
-		evictBelow := snap[cut].ID
+		evictBelow := win.At(cut).ID
 		d.inc.CompactBaseline(evictBelow)
 		d.log.CompactBefore(evictBelow)
 		d.opts.Metrics.Counter("stream.compact.evicted").Add(int64(cut))
@@ -445,7 +451,9 @@ func (d *Daemon) writeCheckpoint(g *hbg.Graph) error {
 		Graph:           g,
 		LastID:          d.log.TotalAppended(),
 		FirstRetainedID: d.log.FirstID(),
-		Retained:        d.log.Snapshot(),
+		// A flat copy of the window, kept only while it is encoded: the file
+		// holds the events themselves.
+		Retained: d.log.Snapshot(),
 	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
