@@ -214,7 +214,7 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 		// Windows short enough that the initial convergence ages out.
 		_, p, _, collected := derivedVerdict(t, hbr.Rules{Window: 50 * time.Millisecond,
 			ConfigWindow: 100 * time.Millisecond, CrossWindow: 50 * time.Millisecond})
-		evicted := p.CompactLog(0)
+		evicted := p.CompactLog()
 		if evicted == 0 {
 			t.Fatal("CompactLog evicted nothing")
 		}

@@ -838,7 +838,10 @@ func BenchmarkWhatIf(b *testing.B) {
 // incremental HBG inference: on a Fig. 5-scale log grown by one more
 // convergence round (a few percent of the I/Os), re-inferring through
 // hbr.Incremental touches only the new suffix plus the bounded look-back
-// window, versus re-matching the whole log from scratch.
+// window, versus re-matching the whole log from scratch. It prints the
+// comparison and gates nothing: at -benchtime=1x it times one cold
+// extension, which GC timing dominates. TestExtensionWorkBudget pins the
+// extension's work in counts instead.
 func BenchmarkIncrementalReVerify(b *testing.B) {
 	pn := mustPaper(b, 1, network.DefaultPaperOpts())
 	runNet(b, pn)
@@ -899,9 +902,6 @@ func BenchmarkIncrementalReVerify(b *testing.B) {
 		fmt.Printf("  full re-inference:        %v\n", fullPer)
 		fmt.Printf("  incremental re-inference: %v (%.1fx speedup)\n", incPer, speedup)
 	})
-	if speedup < 10 {
-		b.Errorf("incremental speedup %.1fx, want >= 10x (full %v vs incremental %v)", speedup, fullPer, incPer)
-	}
 }
 
 // BenchmarkDeltaVerify measures the PR 3 tentpole: one verification tick

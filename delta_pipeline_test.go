@@ -71,10 +71,13 @@ func TestPipelineClassesMatchCompute(t *testing.T) {
 	}
 }
 
-// TestPipelineRepairFlushesDeltaState runs the end-to-end repair flow and
-// requires the delta path to stay equivalent to from-scratch computation
-// across the rollback (whose Invalidate hook flushes both caches).
-func TestPipelineRepairFlushesDeltaState(t *testing.T) {
+// TestPipelineRollbackIsOrdinaryDeltas runs the end-to-end repair flow and
+// requires the rollback to reach the delta path as the FIB updates its
+// reconvergence makes, nothing more: the classifier re-signs fewer prefixes
+// than the universe holds (a reset would re-sign all of them), and still
+// classifies exactly as a from-scratch Compute, and the cached verdict is
+// clean.
+func TestPipelineRollbackIsOrdinaryDeltas(t *testing.T) {
 	pn, p := startPaper(t)
 	policies := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 	p.Verify(policies) // populate the walk cache
@@ -87,6 +90,8 @@ func TestPipelineRepairFlushesDeltaState(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
+	p.Classes() // classify the fault, so what follows counts the rollback alone
+	resigned := p.Metrics.Counter("eqclass.resigned").Value()
 	d, err := p.DetectAndRepair(policies)
 	if err != nil || !d.RolledBack {
 		t.Fatalf("repair: %v / %v", err, d)
@@ -101,6 +106,13 @@ func TestPipelineRepairFlushesDeltaState(t *testing.T) {
 	want := eqclass.Compute(pn.FIBSnapshot(), nil)
 	if got := p.Classes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("classes stale after rollback: %v, want %v", got, want)
+	}
+	universe := 0
+	for _, c := range want {
+		universe += len(c.Prefixes)
+	}
+	if n := p.Metrics.Counter("eqclass.resigned").Value() - resigned; n == 0 || n >= int64(universe) {
+		t.Fatalf("the rollback re-signed %d prefixes of a %d-prefix universe, want some but fewer than all", n, universe)
 	}
 }
 

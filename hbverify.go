@@ -31,7 +31,6 @@ import (
 	"net/netip"
 	"sort"
 	"sync"
-	"time"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/dataplane"
@@ -41,7 +40,6 @@ import (
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
-	"hbverify/internal/netsim"
 	"hbverify/internal/network"
 	"hbverify/internal/repair"
 	"hbverify/internal/serve"
@@ -53,10 +51,10 @@ import (
 // Pipeline bundles the verification-and-repair loop over one network.
 type Pipeline struct {
 	Net *network.Network
-	// Strategy infers happens-before relationships; defaults to incremental
-	// rule matching (hbr.Rules wrapped in hbr.Incremental), which caches the
-	// inferred graph across the append-only capture log.
-	Strategy hbr.Strategy
+	// Strategy infers happens-before relationships: rule matching
+	// (hbr.Rules) wrapped in hbr.Incremental, which caches the inferred graph
+	// across the append-only capture log and owns all inferred state.
+	Strategy *hbr.Incremental
 	// Sources is the packet-injection set for data-plane checks.
 	Sources []string
 	// External marks routers outside the administrative domain for the
@@ -85,7 +83,6 @@ type Pipeline struct {
 	distNodes    map[string]*dist.Node
 	distTeardown func()
 	distDirty    map[string]struct{}
-	distAllDirty bool
 	// localRounds counts local-check rounds since the last full walk
 	// round; VerifyLocalChecks relabels when it reaches localRelabelEvery.
 	localRounds int
@@ -93,14 +90,13 @@ type Pipeline struct {
 
 // NewPipeline builds a pipeline with the incremental rule-matching strategy
 // and the delta verification path: every router FIB feeds the incremental
-// equivalence classifier and the walk cache's per-router invalidation, link
-// flips invalidate both endpoint routers, and repair rollback flushes both
-// caches (the same rule PR 1 established for HBG inference — rollback
-// rewrites history, so nothing derived from it survives).
+// equivalence classifier, the walk cache's per-router invalidation and the
+// fleet's dirty set, and link flips reach both endpoint routers. A repair
+// rollback is one more configuration change: its reconvergence reaches all
+// three through the same feeds as any other FIB update.
 func NewPipeline(n *network.Network, sources []string) *Pipeline {
 	reg := metrics.NewRegistry()
-	inc := hbr.NewIncremental(hbr.Rules{}, reg)
-	p := &Pipeline{Net: n, Strategy: inc, Sources: sources, Metrics: reg, live: n.LiveWalker()}
+	p := &Pipeline{Net: n, Strategy: hbr.NewIncremental(hbr.Rules{}, reg), Sources: sources, Metrics: reg, live: n.LiveWalker()}
 	p.eqc = eqclass.NewIncremental(reg)
 	p.walkCache = verify.NewWalkCache()
 	p.distDirty = map[string]struct{}{}
@@ -120,16 +116,8 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 		p.noteDistDirty(a)
 		p.noteDistDirty(b)
 	})
-	p.engine = repair.NewEngine(n, func(v capture.View) *hbg.Graph { return p.infer(v, nil) }, p.Verify)
-	p.engine.Invalidate = func() {
-		inc.Invalidate()
-		p.eqc.Reset()
-		p.walkCache.Flush()
-		// Rollback rewrote history: every node view is suspect.
-		p.distMu.Lock()
-		p.distAllDirty = true
-		p.distMu.Unlock()
-	}
+	p.engine = repair.NewEngine(n, func(v capture.View) *hbg.Graph { return p.Strategy.InferView(v) }, p.Verify)
+	p.engine.Invalidate = func() { p.Strategy.Invalidate() }
 	return p
 }
 
@@ -139,22 +127,10 @@ func (p *Pipeline) noteDistDirty(router string) {
 	p.distMu.Unlock()
 }
 
-// infer answers for the log view v less the hidden events (IDs ascending,
-// nil for none). The incremental cache answers its window, or a cut of it,
-// from v in place; on a miss the strategy gets the pipeline's one window
-// copy, with the oracle fields stripped so inference can never cheat via the
-// simulator's ground-truth tags.
-func (p *Pipeline) infer(v capture.View, hidden []uint64) *hbg.Graph {
-	if inc, ok := p.Strategy.(*hbr.Incremental); ok {
-		if g := inc.Cached(v, hidden); g != nil {
-			return g
-		}
-	}
-	return p.Strategy.Infer(v.Stripped(hidden))
-}
-
-// Graph infers the happens-before graph over everything captured so far.
-func (p *Pipeline) Graph() *hbg.Graph { return p.infer(p.Net.Log.View(), nil) }
+// Graph infers the happens-before graph over everything captured so far,
+// reading the log's view in place: no rule reads the oracle fields and no
+// vertex keeps them.
+func (p *Pipeline) Graph() *hbg.Graph { return p.Strategy.InferView(p.Net.Log.View()) }
 
 // GroundTruth builds the oracle graph from the simulator's causal tags,
 // for accuracy evaluation only (over a copy of the log).
@@ -199,9 +175,8 @@ func (p *Pipeline) Verify(policies []verify.Policy) verify.Report {
 }
 
 // fleetRound is what one distributed round starts from: the lazily-built
-// fleet, the routers dirtied since the previous round (sorted; nil means
-// "no delta information — sync and re-walk everything"), fresh views of
-// exactly those routers, and the local-check round counter.
+// fleet, the routers dirtied since the previous round (sorted), fresh views
+// of exactly those routers, and the local-check round counter.
 type fleetRound struct {
 	coord  *dist.Coordinator
 	nodes  map[string]*dist.Node
@@ -226,23 +201,19 @@ func (p *Pipeline) beginFleetRound() (fleetRound, error) {
 		p.distCoord, p.distNodes, p.distTeardown = coord, nodes, teardown
 		// The fleet was just built from the live views: nothing is dirty.
 		p.distDirty = map[string]struct{}{}
-		p.distAllDirty = false
 	}
 	r := fleetRound{coord: p.distCoord, nodes: p.distNodes, rounds: p.localRounds, views: map[string]dist.LocalView{}}
-	taken, all := p.distDirty, p.distAllDirty
+	taken := p.distDirty
 	p.distDirty = map[string]struct{}{}
-	p.distAllDirty = false
 	p.distMu.Unlock()
 
-	if !all {
-		r.dirty = make([]string, 0, len(taken))
-		for name := range taken {
-			r.dirty = append(r.dirty, name)
-		}
-		sort.Strings(r.dirty)
+	r.dirty = make([]string, 0, len(taken))
+	for name := range taken {
+		r.dirty = append(r.dirty, name)
 	}
+	sort.Strings(r.dirty)
 	for _, rt := range p.Net.Routers() {
-		if _, dirty := taken[rt.Name]; (all || dirty) && r.nodes[rt.Name] != nil {
+		if _, dirty := taken[rt.Name]; dirty && r.nodes[rt.Name] != nil {
 			r.views[rt.Name] = dist.LocalViewOf(rt)
 		}
 	}
@@ -259,7 +230,6 @@ func (p *Pipeline) endFleetRound(r fleetRound, err error) {
 	for _, name := range r.dirty {
 		p.distDirty[name] = struct{}{}
 	}
-	p.distAllDirty = p.distAllDirty || r.dirty == nil
 	p.distMu.Unlock()
 }
 
@@ -400,13 +370,18 @@ func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 // The cut is a per-router horizon over a view of the log, and nothing is
 // copied out of it: the cache is first brought up to the log, so each cut's
 // graph is derived from the cached one by the IDs the cut hides, and the
-// FIBs are replayed from the view under the final cut.
+// FIBs are replayed from the view under the final cut. A cut the cache
+// cannot derive is inferred from its one stripped copy.
 func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (verify.Report, snapshot.Result) {
 	log := p.Net.Log.View()
-	if _, ok := p.Strategy.(*hbr.Incremental); ok {
-		p.infer(log, nil)
+	p.Strategy.InferView(log)
+	infer := func(c snapshot.Cut) *hbg.Graph {
+		hidden := snapshot.Hidden(log, c)
+		if g := p.Strategy.Cached(log, hidden); g != nil {
+			return g
+		}
+		return p.Strategy.Infer(log.Stripped(hidden))
 	}
-	infer := func(c snapshot.Cut) *hbg.Graph { return p.infer(log, snapshot.Hidden(log, c)) }
 	final, res := snapshot.ConsistentCut(log, cut, infer, p.External)
 	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(log, final)))
 	return p.checker(w).Check(policies), res
@@ -429,40 +404,17 @@ func (p *Pipeline) RootCause(ioID uint64) []capture.IO {
 	return p.Graph().RootCauses(ioID)
 }
 
-// CompactLog evicts captured I/Os older than retain behind the newest
-// event, bounding the pipeline's memory for always-on operation. The full
-// retained window is folded into the incremental strategy first, so the
-// evicted history survives as the cached baseline: Graph and RootCauses
+// CompactLog evicts the captured I/Os no inference can reach any more —
+// those more than the strategy's look-back window plus skew slack behind the
+// newest event — bounding the pipeline's memory for always-on operation
+// (hbr.Incremental.Compact). The window is folded into the cache first, so
+// the evicted history survives as the cached baseline: Graph and RootCauses
 // keep answering for retained events exactly as if the prefix were still
 // present (evicted vertices' root causes fold into their in-window
-// successors). Retain is clamped up to the strategy's look-back window
-// plus skew slack — evicting closer than that could sever edges the next
-// inference still needs. Returns the number of events evicted; 0 when the
-// strategy cannot absorb history (only hbr.Incremental can) or nothing is
-// old enough.
-func (p *Pipeline) CompactLog(retain time.Duration) int {
-	inc, ok := p.Strategy.(*hbr.Incremental)
-	if !ok {
-		return 0
-	}
-	win := p.Net.Log.View()
-	if win.Len() == 0 {
-		return 0
-	}
-	if floor, ok := hbr.RetentionFloor(inc.Base, inc.SkewSlack); ok {
-		retain = max(retain, floor)
-	}
-	p.infer(win, nil) // fold the window before evicting from it
-	floor := win.At(win.Len()-1).Time - netsim.VirtualTime(retain)
-	cut := 0
-	for cut < win.Len() && win.At(cut).Time < floor {
-		cut++
-	}
-	if cut == 0 {
-		return 0
-	}
-	inc.CompactBaseline(win.At(cut).ID)
-	return p.Net.Log.CompactBefore(win.At(cut).ID)
+// successors). Returns the number of events evicted.
+func (p *Pipeline) CompactLog() int {
+	_, n := p.Strategy.Compact(p.Net.Log)
+	return n
 }
 
 // Summary renders a one-line pipeline state description, followed by the

@@ -114,7 +114,7 @@ func TestPipelineCompactLog(t *testing.T) {
 	total := pn.Log.Len()
 	all := capture.StripOracle(pn.Log.All())
 
-	evicted := p.CompactLog(0) // 0 clamps up to lookback + skew slack
+	evicted := p.CompactLog()
 	if evicted == 0 {
 		t.Fatal("CompactLog evicted nothing")
 	}
@@ -138,7 +138,7 @@ func TestPipelineCompactLog(t *testing.T) {
 	}
 
 	// A second compaction with nothing newly old is a no-op.
-	if n := p.CompactLog(0); n != 0 {
+	if n := p.CompactLog(); n != 0 {
 		t.Fatalf("repeat CompactLog evicted %d events", n)
 	}
 }

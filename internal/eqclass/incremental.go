@@ -28,8 +28,17 @@ type Delta struct {
 	Routers []string
 }
 
+// pendingKey identifies the FIB entry a queued update is for. Only the last
+// update for a key changes a router's trie, and the prefixes it can affect
+// depend on the prefix alone, so the queue keeps one update per key: a
+// classifier nobody reads holds at most one per installed entry, however
+// long the churn.
+type pendingKey struct {
+	router string
+	prefix netip.Prefix
+}
+
 type pendingUpdate struct {
-	router  string
 	entry   fib.Entry
 	install bool
 }
@@ -50,12 +59,11 @@ type Incremental struct {
 	mu       sync.Mutex
 	reg      *metrics.Registry
 	look     *lookupper
-	watched  map[string]*fib.Table
 	universe *trie.Trie[int] // prefix -> count of routers with it installed
 	sigOf    map[netip.Prefix]sigID
 	members  map[sigID]map[netip.Prefix]struct{}
 	reps     map[sigID]netip.Prefix // smallest (addr, bits) member per class
-	pending  []pendingUpdate
+	pending  map[pendingKey]pendingUpdate
 	dirtyAll bool
 }
 
@@ -67,7 +75,6 @@ func NewIncremental(reg *metrics.Registry) *Incremental {
 	return &Incremental{
 		reg:      reg,
 		look:     &lookupper{tries: map[string]*trie.Trie[fib.Entry]{}, in: newInterner()},
-		watched:  map[string]*fib.Table{},
 		universe: trie.New[int](),
 		sigOf:    map[netip.Prefix]sigID{},
 		members:  map[sigID]map[netip.Prefix]struct{}{},
@@ -84,9 +91,6 @@ func NewIncremental(reg *metrics.Registry) *Incremental {
 // flush path tolerates the replay (installs are idempotent, removals only
 // decrement the universe refcount when the trie actually held the entry).
 func (inc *Incremental) Watch(router string, t *fib.Table) {
-	inc.mu.Lock()
-	inc.watched[router] = t
-	inc.mu.Unlock()
 	t.OnChange(func(u fib.Update) { inc.Note(router, u) })
 	inc.Seed(router, t.Snapshot())
 }
@@ -119,12 +123,15 @@ func (inc *Incremental) addRouterLocked(router string) {
 	inc.dirtyAll = true
 }
 
-// Note queues one FIB delta for the next flush. Watch wires this to
-// fib.Table.OnChange; callers driving the classifier from a snapshot diff
-// may call it directly.
+// Note queues one FIB delta for the next flush, replacing any queued for the
+// same router and prefix. Watch wires this to fib.Table.OnChange; callers
+// driving the classifier from a snapshot diff may call it directly.
 func (inc *Incremental) Note(router string, u fib.Update) {
 	inc.mu.Lock()
-	inc.pending = append(inc.pending, pendingUpdate{router: router, entry: u.Entry, install: u.Install})
+	if inc.pending == nil {
+		inc.pending = map[pendingKey]pendingUpdate{}
+	}
+	inc.pending[pendingKey{router, u.Entry.Prefix.Masked()}] = pendingUpdate{entry: u.Entry, install: u.Install}
 	inc.mu.Unlock()
 }
 
@@ -169,10 +176,10 @@ func (inc *Incremental) flushLocked() Delta {
 	}
 	affected := map[netip.Prefix]struct{}{}
 	routers := map[string]struct{}{}
-	for _, pu := range inc.pending {
-		inc.addRouterLocked(pu.router) // unknown router: register (forces full re-sign)
-		tr := inc.look.tries[pu.router]
-		pp := pu.entry.Prefix.Masked()
+	for k, pu := range inc.pending {
+		inc.addRouterLocked(k.router) // unknown router: register (forces full re-sign)
+		tr := inc.look.tries[k.router]
+		pp := k.prefix
 		if pu.install {
 			if _, had := tr.Exact(pp); !had {
 				inc.refLocked(pp, +1)
@@ -183,7 +190,7 @@ func (inc *Incremental) flushLocked() Delta {
 				inc.refLocked(pp, -1)
 			}
 		}
-		routers[pu.router] = struct{}{}
+		routers[k.router] = struct{}{}
 		// The touched prefix itself is always affected. affectedLocked finds
 		// it via universe.Subtree only while it is still in the universe; a
 		// withdrawal from the last router carrying it has already dropped it,
@@ -192,7 +199,7 @@ func (inc *Incremental) flushLocked() Delta {
 		affected[pp] = struct{}{}
 		inc.affectedLocked(pp, affected)
 	}
-	inc.pending = inc.pending[:0]
+	inc.pending = nil // not clear: that costs every bucket a link flap grew
 	if inc.dirtyAll {
 		inc.dirtyAll = false
 		affected = map[netip.Prefix]struct{}{}
@@ -341,28 +348,4 @@ func (inc *Incremental) Len() int {
 	defer inc.mu.Unlock()
 	inc.flushLocked()
 	return len(inc.members)
-}
-
-// Reset drops all classification state and reseeds from the watched
-// tables' current contents — the repair-rollback rule: a rollback rewrites
-// history out from under every cache, so delta state is rebuilt from
-// scratch rather than trusted. Routers registered via Seed (without Watch)
-// are forgotten.
-func (inc *Incremental) Reset() {
-	inc.mu.Lock()
-	watched := make(map[string]*fib.Table, len(inc.watched))
-	for r, t := range inc.watched {
-		watched[r] = t
-	}
-	inc.look = &lookupper{tries: map[string]*trie.Trie[fib.Entry]{}, in: newInterner()}
-	inc.universe = trie.New[int]()
-	inc.sigOf = map[netip.Prefix]sigID{}
-	inc.members = map[sigID]map[netip.Prefix]struct{}{}
-	inc.reps = map[sigID]netip.Prefix{}
-	inc.pending = nil
-	inc.dirtyAll = false
-	inc.mu.Unlock()
-	for r, t := range watched {
-		inc.Seed(r, t.Snapshot())
-	}
 }

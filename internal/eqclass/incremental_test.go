@@ -187,29 +187,24 @@ func TestIncrementalWatchLiveTable(t *testing.T) {
 	requireParity(t, inc, snap(), "after losing offer")
 }
 
-func TestIncrementalReset(t *testing.T) {
-	s := netsim.NewScheduler(1)
-	log := capture.NewLog()
-	tbl := fib.NewTable(capture.NewRecorder(log, "r1", s, nil))
-	tbl.Offer(route.Route{Prefix: netip.MustParsePrefix("10.0.0.0/8"), NextHop: netip.MustParseAddr("192.0.2.1"), Proto: route.ProtoOSPF})
-
+// TestIncrementalQueueKeepsLastUpdatePerEntry flaps one prefix 10,000 times
+// with no read in between, as a pipeline that never asks for its classes
+// does: the queue holds one update for the entry, not 10,000, and the flush
+// that finally runs still classifies exactly as Compute does.
+func TestIncrementalQueueKeepsLastUpdatePerEntry(t *testing.T) {
+	fibs, prefixes := SyntheticFIBs([]string{"r1", "r2"}, 64, 4)
 	inc := NewIncremental(nil)
-	inc.Watch("r1", tbl)
-	inc.Seed("ghost", map[netip.Prefix]fib.Entry{
-		netip.MustParsePrefix("172.16.0.0/12"): {Prefix: netip.MustParsePrefix("172.16.0.0/12")},
-	})
-	inc.Update()
+	seedFrom(inc, fibs)
+	requireParity(t, inc, fibs, "seed")
 
-	// Reset drops seeded-only state and rebuilds from the watched table.
-	inc.Reset()
-	want := Compute(map[string]map[netip.Prefix]fib.Entry{"r1": tbl.Snapshot()}, nil)
-	if got := inc.Classes(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-reset classes = %v, want %v", got, want)
+	flap := fib.Entry{Prefix: prefixes[7], NextHop: netip.MustParseAddr("203.0.113.1")}
+	for i := 0; i < 10_000; i++ {
+		mutate(inc, fibs, "r1", flap, i%2 == 0) // ends withdrawn
 	}
-
-	// And the subscription survives the reset.
-	tbl.Offer(route.Route{Prefix: netip.MustParsePrefix("10.9.0.0/16"), NextHop: netip.MustParseAddr("192.0.2.2"), Proto: route.ProtoOSPF})
-	requireParity(t, inc, map[string]map[netip.Prefix]fib.Entry{"r1": tbl.Snapshot()}, "after reset + offer")
+	if n := len(inc.pending); n != 1 {
+		t.Fatalf("%d queued updates after 10000 flaps of one entry, want 1", n)
+	}
+	requireParity(t, inc, fibs, "after the flaps")
 }
 
 func TestIncrementalRepresentatives(t *testing.T) {

@@ -10,7 +10,7 @@
 // Coverage is tracked by event ID rather than slice position, so the cache
 // survives log compaction: after the capture window's prefix is evicted,
 // "checkpoint graph + retained window" remains a valid baseline
-// (SeedCheckpoint / CompactBaseline below).
+// (SeedCheckpoint / Compact below).
 
 package hbr
 
@@ -129,19 +129,18 @@ type ruler interface {
 //     sweeps cannot poison the pipeline's incremental state.
 //
 // Because coverage is keyed on event IDs, log compaction composes with the
-// cache: CompactBaseline moves the covered window's left edge forward (and
-// prunes the cached graph, folding root causes), after which Infer calls
-// over the retained window extend the checkpointed graph exactly as if the
-// evicted prefix were still present.
+// cache: Compact folds a log's window, evicts its old prefix and moves the
+// covered window's left edge forward (CompactBaseline prunes the cached
+// graph, folding root causes), after which Infer calls over the retained
+// window extend the checkpointed graph exactly as if the evicted prefix were
+// still present.
 //
 // The suffix path is available only when the base strategy is one of this
 // package's Lookbackers; otherwise every growth falls back to
 // (cached-as-new-baseline) full inference.
 //
 // Incremental is safe for concurrent use. The returned *hbg.Graph is shared
-// across calls; hbg.Graph is itself concurrency-safe, and Invalidate
-// provides the reset path for when the repair engine rolls configuration
-// back and conservative full re-inference is wanted.
+// across calls; hbg.Graph is itself concurrency-safe.
 type Incremental struct {
 	// Base is the wrapped inference strategy.
 	Base Strategy
@@ -172,9 +171,10 @@ func NewIncremental(base Strategy, reg *metrics.Registry) *Incremental {
 func (inc *Incremental) Name() string { return "incremental(" + inc.Base.Name() + ")" }
 
 // Invalidate drops the cached graph; the next Infer performs a full
-// inference. The repair engine calls this after rolling back a
-// configuration so the post-repair graph is rebuilt from scratch rather
-// than accreted through windowed merges.
+// inference. The repair engine calls this after a rollback to free the graph
+// while the network reconverges, not for correctness: a rollback only
+// appends to the log, and an extension equals a full inference
+// (TestExtendChunkedGrowthMatchesFull).
 func (inc *Incremental) Invalidate() {
 	inc.mu.Lock()
 	inc.cached, inc.firstID, inc.lastID, inc.checkpointed = nil, 0, 0, false
@@ -199,10 +199,9 @@ func (inc *Incremental) SeedCheckpoint(g *hbg.Graph, firstRetainedID, lastID uin
 // CompactBaseline records that the capture log evicted all events below
 // firstRetainedID and prunes the cached graph to match (folding the evicted
 // vertices' root causes into their in-window successors, so RootCauses
-// answers are preserved). Call after folding the evicted events' edges into
-// the cache via Infer and before — or after, both orders are safe — the
-// log's own CompactBefore. No-op if the cache is cold or already past the
-// floor.
+// answers are preserved). Compact calls it after folding the evicted events'
+// edges into the cache and before — after is as safe — the log's own
+// CompactBefore. No-op if the cache is cold or already past the floor.
 func (inc *Incremental) CompactBaseline(firstRetainedID uint64) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -363,6 +362,14 @@ var narrowTail atomic.Bool
 
 // SetNarrowTailBug toggles the injected extend bug (test harness only).
 func SetNarrowTailBug(on bool) { narrowTail.Store(on) }
+
+// skipFold is the scenario harness's injectable bug: Compact evicts without
+// folding the window into the cache first — a compactor that trims the log
+// ahead of the inference tick that would have covered it.
+var skipFold atomic.Bool
+
+// SetSkipFoldBug toggles the injected compaction bug (test harness only).
+func SetSkipFoldBug(on bool) { skipFold.Store(on) }
 
 // derive answers for the covered window minus the hidden events (IDs
 // ascending) from the cached graph: the hidden vertices and their edges go,
@@ -542,19 +549,54 @@ func skewSlack(d time.Duration) time.Duration {
 	return d
 }
 
-// RetentionFloor is the least observed-time depth behind the newest event a
+// retentionFloor is the least observed-time depth behind the newest event a
 // compaction may keep when s is extended with the given slack: one look-back
 // plus twice the slack; ok is false when s exposes no look-back bound. extend
 // re-derives a tail event from candidates up to its reach's cross window
 // further back, so 2·slack must be at least that (the default 1 s and
 // verifyd's 400 ms are, against 500 ms): otherwise a tail event's reach can
 // dip below the floor and is left un-replaced as incomplete.
-func RetentionFloor(s Strategy, slack time.Duration) (floor time.Duration, ok bool) {
+func retentionFloor(s Strategy, slack time.Duration) (floor time.Duration, ok bool) {
 	lb, ok := s.(Lookbacker)
 	if !ok {
 		return 0, false
 	}
 	return lb.LookbackWindow() + 2*skewSlack(slack), true
+}
+
+// Compact bounds log to what inference still needs. It folds the window into
+// the cache, then evicts every event observed more than retentionFloor
+// behind the newest one and moves the cached baseline past them
+// (CompactBaseline), so the graph keeps answering for retained events as if
+// the evicted prefix were still present. It returns the folded graph (nil
+// for an empty log) and the number of events evicted — none when the base
+// exposes no look-back bound, since no floor is sound then. The floor trails
+// the newest event's observed time, so the log must be appended in observed
+// time give or take the skew slack, as a simulator's capture log and the
+// stream daemon's merge both are.
+func (inc *Incremental) Compact(log *capture.Log) (*hbg.Graph, int) {
+	win := log.View()
+	if win.Len() == 0 {
+		return nil, 0
+	}
+	var g *hbg.Graph
+	if !skipFold.Load() {
+		g = inc.InferView(win)
+	}
+	retain, ok := retentionFloor(inc.Base, inc.SkewSlack)
+	if !ok {
+		return g, 0
+	}
+	floor := win.At(win.Len()-1).Time - netsim.VirtualTime(retain)
+	cut := 0
+	for cut < win.Len() && win.At(cut).Time < floor {
+		cut++
+	}
+	if cut == 0 {
+		return g, 0
+	}
+	inc.CompactBaseline(win.At(cut).ID)
+	return g, log.CompactBefore(win.At(cut).ID)
 }
 
 // index builds the shared index for one log generation: of all of ios, or

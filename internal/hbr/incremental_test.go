@@ -406,6 +406,78 @@ func TestIncrementalCompactedBaseline(t *testing.T) {
 	edgesEqual(t, got, want)
 }
 
+// noLookback hides its base's look-back bound: no compaction floor is sound.
+type noLookback struct{ base hbr.Rules }
+
+func (noLookback) Name() string                        { return "no-lookback" }
+func (s noLookback) Infer(ios []capture.IO) *hbg.Graph { return s.base.Infer(ios) }
+
+// TestIncrementalCompact pins the one compaction sequence: fold the window,
+// evict what lies below the retention floor (look-back plus twice the slack
+// behind the newest event), move the baseline past it. An event exactly at
+// the floor stays and one a nanosecond older goes; the folded graph equals a
+// full inference pruned where the log now starts, and a second compaction
+// finds nothing newly old.
+func TestIncrementalCompact(t *testing.T) {
+	rules := hbr.Rules{Window: 500 * time.Millisecond, ConfigWindow: time.Second,
+		CrossWindow: 500 * time.Millisecond}
+	const slack = 250 * time.Millisecond
+	newest := netsim.VirtualTime(30 * time.Second)
+	floor := newest - netsim.VirtualTime(rules.LookbackWindow()+2*slack) // 28.5 s
+	edit := func(at netsim.VirtualTime) capture.IO {
+		return capture.IO{Router: "r1", Type: capture.ConfigChange, Detail: "edit", Time: at}
+	}
+	pairs := pairLog(10) // 10 s … 28.1 s
+	for _, tc := range []struct {
+		name    string
+		base    hbr.Strategy
+		ios     []capture.IO
+		evicted int
+	}{
+		{"empty log", rules, nil, 0},
+		{"nothing old enough", rules, []capture.IO{edit(floor), edit(floor + 1), edit(newest)}, 0},
+		{"no look-back bound", noLookback{rules}, append(slices.Clone(pairs), edit(newest)), 0},
+		{"exactly below the floor", rules,
+			append(slices.Clone(pairs), edit(floor-1), edit(floor), edit(newest)), len(pairs) + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := capture.NewLog()
+			for _, io := range tc.ios {
+				log.Append(io)
+			}
+			all := log.Snapshot()
+			inc := hbr.NewIncremental(tc.base, nil)
+			inc.SkewSlack = slack
+			g, n := inc.Compact(log)
+			if n != tc.evicted || log.Len() != len(all)-n {
+				t.Fatalf("evicted %d, window %d of %d; want %d evicted", n, log.Len(), len(all), tc.evicted)
+			}
+			if len(all) == 0 {
+				if _, _, warm := inc.CoveredWindow(); g != nil || warm {
+					t.Fatalf("an empty log returned a graph (%v) or warmed the cache (%v)", g != nil, warm)
+				}
+				return
+			}
+			first := all[n].ID
+			if covered, _, _ := inc.CoveredWindow(); covered != first || log.FirstID() != first {
+				t.Fatalf("cache covers from %d, log from %d; want both from %d", covered, log.FirstID(), first)
+			}
+			if n > 0 && g.PrunedBelow() != first {
+				t.Fatalf("graph pruned below %d, want %d", g.PrunedBelow(), first)
+			}
+			want := tc.base.Infer(all)
+			want.PruneBefore(g.PrunedBelow())
+			edgesEqual(t, g, want)
+			if g.NodeCount() != want.NodeCount() {
+				t.Fatalf("%d vertices, pruned full inference %d", g.NodeCount(), want.NodeCount())
+			}
+			if _, again := inc.Compact(log); again != 0 {
+				t.Fatalf("a second compaction evicted %d", again)
+			}
+		})
+	}
+}
+
 // TestSeedCheckpointResumesIncremental round-trips a compacted baseline
 // through the checkpoint codec and checks the recovered cache produces
 // edge-identical graphs to the uninterrupted one — the unit-level version

@@ -50,10 +50,6 @@ func NewPreInstall(n *network.Network, gate *Gate, policies []verify.Policy, sou
 	return pi
 }
 
-// SetPolicies swaps the policy suite (e.g. after the operator updates the
-// intended policy following a legitimate config change).
-func (pi *PreInstall) SetPolicies(policies []verify.Policy) { pi.policies = policies }
-
 func (pi *PreInstall) violations(view map[string]map[netip.Prefix]fib.Entry) int {
 	w := dataplane.NewWalker(pi.topo, dataplane.SnapshotView(view))
 	rep := verify.NewChecker(w, pi.sources).Check(pi.policies)

@@ -147,9 +147,11 @@ type Engine struct {
 	// verify anything itself.
 	check func([]verify.Policy) verify.Report
 	// Invalidate, when set, is called after a successful configuration
-	// rollback so cached inference state (hbr.Incremental) is rebuilt from
-	// scratch rather than accreted through windowed merges across the
-	// rollback boundary.
+	// rollback; the pipeline wires it to hbr.Incremental.Invalidate. It is
+	// kept for memory, not correctness: the rollback is one more
+	// ConfigChange in the log and its reconvergence one more batch of FIB
+	// updates, which reach every cache like any other, so dropping the
+	// graph only frees it while the network reconverges.
 	Invalidate func()
 }
 

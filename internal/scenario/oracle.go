@@ -223,54 +223,35 @@ const compactSlack = 40 * time.Millisecond
 // inherited roots from evicted history are most at risk.
 const compactRootSample = 128
 
-// oracleCompactionVsFull mirrors the stream daemon's bounded-memory
-// discipline against the live log: newly captured (oracle-stripped)
-// events append to a retained window, the window is folded into an
-// incremental cache, and events older than the retention floor —
-// look-back plus twice the worst clock skew behind the newest capture —
-// are evicted with their edges compacted into the cache baseline. The
-// cached graph must stay node-, edge-, confidence-, and root-cause
-// identical to a fresh full inference over the complete log pruned at the
-// same floor. BugSkipFold evicts without folding first — a compactor that
-// trims the log ahead of its inference tick — which this oracle must
-// catch.
+// oracleCompactionVsFull runs the stream daemon's bounded-memory discipline
+// against the live log: newly captured (oracle-stripped) events append to a
+// second capture log, which hbr.Incremental.Compact folds into its cache and
+// bounds — events older than the retention floor, look-back plus twice the
+// worst clock skew behind the newest capture, are evicted with their edges
+// compacted into the cache baseline. The cached graph must stay node-,
+// edge-, confidence-, and root-cause identical to a fresh full inference
+// over the complete log pruned at the same floor. BugSkipFold evicts
+// without folding first — a compactor that trims the log ahead of its
+// inference tick — which this oracle must catch.
 func (h *harness) oracleCompactionVsFull(round int) *Failure {
 	all := h.w.net.Log.View().Stripped(nil)
-	h.cwin = append(h.cwin, all[h.cseen:]...)
-	h.cseen = len(all)
-	if len(h.cwin) == 0 {
-		return nil
-	}
-	if h.cfg.Bug != BugSkipFold {
-		h.cinc.Infer(h.cwin) // fold the window before evicting from it
-	}
-	retain := netsim.VirtualTime(h.cRules.LookbackWindow() + 2*compactSlack)
-	floor := h.cwin[len(h.cwin)-1].Time - retain
-	cut := 0
-	for cut < len(h.cwin)-1 && h.cwin[cut].Time < floor {
-		cut++
-	}
-	if cut > 0 {
-		h.cinc.CompactBaseline(h.cwin[cut].ID)
-		h.cwin = append(h.cwin[:0], h.cwin[cut:]...)
-	}
+	h.clog.AppendBatch(all[h.clog.TotalAppended():])
+	h.cinc.Compact(h.clog)
 
-	got := h.cinc.Infer(h.cwin)
+	win := h.clog.View()
+	got := h.cinc.InferView(win)
 	want := h.cRules.Infer(all)
 	want.PruneBefore(got.PrunedBelow())
 	if d := graphDiffLabeled(got, want, "window", "full"); d != "" {
 		return &Failure{Oracle: OracleCompaction, Round: round, Detail: fmt.Sprintf(
 			"compacted window (%d of %d events retained, floor ID %d) diverges from pruned full inference: %s",
-			len(h.cwin), len(all), got.PrunedBelow(), d)}
+			win.Len(), len(all), got.PrunedBelow(), d)}
 	}
-	sample := h.cwin
-	if len(sample) > compactRootSample {
-		sample = sample[:compactRootSample]
-	}
-	for _, io := range sample {
-		if g, w := got.RootCauses(io.ID), want.RootCauses(io.ID); !reflect.DeepEqual(g, w) {
+	for i := 0; i < min(win.Len(), compactRootSample); i++ {
+		id := win.At(i).ID
+		if g, w := got.RootCauses(id), want.RootCauses(id); !reflect.DeepEqual(g, w) {
 			return &Failure{Oracle: OracleCompaction, Round: round, Detail: fmt.Sprintf(
-				"RootCauses(%d) diverge after compaction: window %v vs full %v", io.ID, g, w)}
+				"RootCauses(%d) diverge after compaction: window %v vs full %v", id, g, w)}
 		}
 	}
 	return nil

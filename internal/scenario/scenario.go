@@ -90,10 +90,10 @@ const (
 	// the furthest (not nearest) in time wins — the kind of off-by-one a
 	// binary-searched rewrite of a linear scan invites.
 	BugSwapSendMatch = "swap-send-match"
-	// BugSkipFold makes the windowed-compaction mirror evict capture
-	// events without first folding their inferred edges into the cached
-	// graph — the failure mode of a compactor that trims the log before
-	// the inference tick that would have covered it.
+	// BugSkipFold makes hbr.Incremental.Compact evict capture events without
+	// first folding their inferred edges into the cached graph — the failure
+	// mode of a compactor that trims the log before the inference tick that
+	// would have covered it.
 	BugSkipFold = "skip-fold"
 	// BugDropEcmpBranch makes symbolic exploration silently ignore the
 	// last member of every multi-way ECMP branch — the failure mode of a
@@ -249,6 +249,10 @@ func Run(cfg Config) *Result {
 		hbr.SetNarrowTailBug(true)
 		defer hbr.SetNarrowTailBug(false)
 	}
+	if cfg.Bug == BugSkipFold {
+		hbr.SetSkipFoldBug(true)
+		defer hbr.SetSkipFoldBug(false)
+	}
 
 	w, err := buildWorld(cfg)
 	if err != nil {
@@ -313,18 +317,18 @@ type harness struct {
 	// path, so its plans persist across rounds and churn invalidates them
 	// through the same feed the batch checker relies on.
 	serve *serve.Engine
-	// The windowed-compaction mirror for the compaction-vs-full oracle:
-	// cwin is the retained capture window (original log IDs preserved),
-	// folded into cinc before every eviction exactly as the stream daemon
-	// folds before compacting; cseen counts log events already mirrored.
+	// The windowed-compaction mirror for the compaction-vs-full oracle: clog
+	// is a second capture log, fed the live log's new events stripped (both
+	// number from 1, so the IDs agree) and bounded by cinc.Compact, the
+	// stream daemon's own compaction.
 	cRules hbr.Rules
 	cinc   *hbr.Incremental
-	cwin   []capture.IO
-	cseen  int
+	clog   *capture.Log
 	// loops is what the snapshot oracle has met so far (Result.Loops).
 	loops []SnapshotLoop
 	// drip is fed the log in 1–64-event steps (dripped counts them), where
-	// inc sees it a converged round at a time.
+	// inc sees it a converged round at a time. Nothing invalidates it, so it
+	// extends across every round's repair rollback.
 	drip    *hbr.Incremental
 	dripped int
 }
@@ -344,6 +348,7 @@ func newHarness(cfg Config, w *world) *harness {
 		ConfigWindow: 500 * time.Millisecond, CrossWindow: 200 * time.Millisecond}
 	h.cinc = hbr.NewIncremental(h.cRules, h.reg)
 	h.cinc.SkewSlack = compactSlack
+	h.clog = capture.NewLog()
 	h.eqc = eqclass.NewIncremental(h.reg)
 	h.wcache = verify.NewWalkCache()
 	if cfg.Bug == BugStaleEqclass {
@@ -378,13 +383,7 @@ func newHarness(cfg Config, w *world) *harness {
 	cold := verify.NewChecker(h.liveWalker(), w.verifySources)
 	cold.Metrics = h.reg
 	h.engine = repair.NewEngine(w.net, h.infer, cold.Check)
-	h.engine.Invalidate = func() {
-		h.inc.Invalidate()
-		if cfg.Bug != BugStaleEqclass {
-			h.eqc.Reset()
-			h.wcache.Flush()
-		}
-	}
+	h.engine.Invalidate = h.inc.Invalidate
 	return h
 }
 
@@ -394,14 +393,15 @@ func (h *harness) infer(v capture.View) *hbg.Graph {
 	return h.strat.Infer(v.Stripped(nil))
 }
 
-// checkRound runs the eleven oracles in order and returns the first
+// checkRound runs the twelve oracles in order and returns the first
 // failure. The intern-vs-copy oracle runs first: aliased attributes would
 // corrupt every downstream observable, so a canonical-table fault should be
 // reported as such. The fast-vs-reference oracle runs next so any
 // divergence in the inference rewrite is reported as such, not as a
 // downstream repair/snapshot anomaly; the eqclass-delta oracle runs after
-// repair-rollback, so it also validates that the delta state survives (is
-// correctly flushed across) a fault injection and rollback. serve-vs-batch
+// repair-rollback, so it also validates that the delta state follows a
+// fault injection and its rollback through the FIB updates alone — nothing
+// resets it. serve-vs-batch
 // runs last: it consumes the same shared cache and classifier, so an
 // upstream delta fault should be reported by the delta oracle, not as a
 // query-engine anomaly.

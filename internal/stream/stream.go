@@ -32,7 +32,6 @@ import (
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
-	"hbverify/internal/netsim"
 	"hbverify/internal/wire"
 )
 
@@ -43,14 +42,11 @@ const streamMagic = "STRMCKP1"
 // Options configures a Daemon.
 type Options struct {
 	// Strategy is the inference strategy (default hbr.Rules{}). Compaction
-	// requires it to implement hbr.Lookbacker; otherwise Compact is a
-	// no-op, since no sound eviction floor exists.
+	// evicts only if it implements hbr.Lookbacker, since otherwise no sound
+	// eviction floor exists.
 	Strategy hbr.Strategy
 	// Metrics optionally receives stream.* and infer.* instruments.
 	Metrics *metrics.Registry
-	// Retain keeps at least this much observed time in the capture window
-	// beyond the soundness floor (lookback + 2×skew slack).
-	Retain time.Duration
 	// SkewSlack bounds router clock disagreement (default
 	// hbr.DefaultSkewSlack); it widens both the incremental look-back scan
 	// and the compaction floor.
@@ -65,10 +61,11 @@ type Options struct {
 	CompactEvery uint64
 	// Resolve maps peer session addresses to router names for the parser.
 	Resolve ciscolog.Resolver
-	// BufferCap bounds each stream's merge buffer (default 1024); a full
-	// buffer blocks that stream's reader until the merger drains it.
-	BufferCap int
 }
+
+// defaultBufferCap bounds each stream's merge buffer; a full buffer blocks
+// that stream's reader until the merger drains it.
+const defaultBufferCap = 1024
 
 // Stream is one registered per-router log source.
 type Stream struct {
@@ -87,7 +84,8 @@ type Stream struct {
 // Daemon ingests router log streams into a windowed capture log with
 // incremental inference and checkpointed compaction.
 type Daemon struct {
-	opts Options
+	opts      Options
+	bufferCap int
 
 	log *capture.Log
 	inc *hbr.Incremental
@@ -107,11 +105,6 @@ type Daemon struct {
 	mergerDone chan struct{}
 
 	recovered map[string]int // resume positions from the checkpoint; nil without one
-
-	// skipFold simulates the fold-before-evict bug for the scenario
-	// harness: compaction evicts events without folding their edges into
-	// the cached graph first. Test hook only.
-	skipFold bool
 }
 
 // New builds a daemon, recovering from Options.CheckpointPath if a
@@ -120,11 +113,9 @@ func New(opts Options) (*Daemon, error) {
 	if opts.Strategy == nil {
 		opts.Strategy = hbr.Rules{}
 	}
-	if opts.BufferCap <= 0 {
-		opts.BufferCap = 1024
-	}
 	d := &Daemon{
 		opts:       opts,
+		bufferCap:  defaultBufferCap,
 		streams:    map[string]*Stream{},
 		mergerDone: make(chan struct{}),
 	}
@@ -255,7 +246,7 @@ func (s *Stream) Consume(r io.Reader) error {
 func (s *Stream) push(io capture.IO) error {
 	d := s.d
 	d.mu.Lock()
-	for len(s.buf)-s.head >= d.opts.BufferCap {
+	for len(s.buf)-s.head >= d.bufferCap {
 		d.cond.Wait()
 	}
 	if s.head > 0 && len(s.buf) == cap(s.buf) {
@@ -397,42 +388,13 @@ func (d *Daemon) Compact() error {
 	return d.compact()
 }
 
-// retention returns the observed-time depth the window must keep, or
-// ok=false when the strategy exposes no look-back bound (no sound floor).
-func (d *Daemon) retention() (time.Duration, bool) {
-	floor, ok := hbr.RetentionFloor(d.opts.Strategy, d.opts.SkewSlack)
-	return max(floor, d.opts.Retain), ok
-}
-
-// compact runs with opMu held.
+// compact runs with opMu held. The merge releases events in observed-time
+// order, so the last retained event's time is the global low watermark that
+// hbr.Incremental.Compact's floor trails: nothing appended later can look
+// back past it.
 func (d *Daemon) compact() error {
-	retain, ok := d.retention()
-	if !ok {
-		d.opts.Metrics.Counter("stream.compact.unbounded").Inc()
-		return nil
-	}
-	win := d.log.View()
-	if win.Len() == 0 {
-		return nil
-	}
-	var g *hbg.Graph
-	if !d.skipFold {
-		g = d.inc.InferView(win)
-	}
-	// The merge releases events in observed-time order, so the last
-	// retained event's time is the global low watermark: nothing appended
-	// later can look back past lastTime-retain.
-	floor := win.At(win.Len()-1).Time - netsim.VirtualTime(retain)
-	cut := 0
-	for cut < win.Len() && win.At(cut).Time < floor {
-		cut++
-	}
-	if cut > 0 {
-		evictBelow := win.At(cut).ID
-		d.inc.CompactBaseline(evictBelow)
-		d.log.CompactBefore(evictBelow)
-		d.opts.Metrics.Counter("stream.compact.evicted").Add(int64(cut))
-	}
+	g, evicted := d.inc.Compact(d.log)
+	d.opts.Metrics.Counter("stream.compact.evicted").Add(int64(evicted))
 	d.opts.Metrics.Counter("stream.compactions").Inc()
 	if g == nil {
 		return nil

@@ -81,10 +81,11 @@ func edgesEqual(t *testing.T, got, want *hbg.Graph) {
 func TestMergeDeterministic(t *testing.T) {
 	f := testFleet(60)
 	run := func() []capture.IO {
-		d, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver(), BufferCap: 7})
+		d, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.bufferCap = 7 // keep every reader blocked on backpressure most of the time
 		runDaemon(t, d, f)
 		return d.Log().Snapshot()
 	}
@@ -243,7 +244,8 @@ func TestForcedSkipFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buggy.skipFold = true
+	hbr.SetSkipFoldBug(true)
+	defer hbr.SetSkipFoldBug(false) // the unbounded control below never compacts
 	runDaemon(t, buggy, f)
 
 	full, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver()})

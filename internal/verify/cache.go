@@ -25,12 +25,8 @@ type cachedWalk struct {
 // its path was last invalidated at or before the walk's own epoch. Safe
 // for concurrent use.
 type WalkCache struct {
-	mu    sync.Mutex
-	epoch uint64
-	// floor is the epoch below which every entry is invalid; Flush raises
-	// it so results computed by in-flight checks (stamped with a pre-Flush
-	// epoch) cannot repopulate the cache with stale walks.
-	floor   uint64
+	mu      sync.Mutex
+	epoch   uint64
 	touched map[string]uint64 // router -> epoch of its last invalidation
 	walks   map[WalkKey]cachedWalk
 
@@ -50,18 +46,6 @@ func (c *WalkCache) InvalidateRouter(router string) {
 	c.mu.Lock()
 	c.epoch++
 	c.touched[router] = c.epoch
-	c.mu.Unlock()
-}
-
-// Flush drops every entry and bars in-flight checks from storing results
-// computed before the flush — the rollback rule: after a repair rollback
-// the whole forwarding history is rewritten, so nothing cached survives.
-func (c *WalkCache) Flush() {
-	c.mu.Lock()
-	c.epoch++
-	c.floor = c.epoch
-	c.touched = map[string]uint64{}
-	c.walks = map[WalkKey]cachedWalk{}
 	c.mu.Unlock()
 }
 
@@ -88,9 +72,9 @@ func (c *WalkCache) Begin() uint64 {
 	return c.epoch
 }
 
-// Lookup returns the cached walk for (source, dst) if it is still valid:
-// stored at or after the floor, and no router on its path invalidated
-// since it was stored. Stale entries are evicted on the way out.
+// Lookup returns the cached walk for (source, dst) if it is still valid: no
+// router on its path invalidated since it was stored. Stale entries are
+// evicted on the way out.
 func (c *WalkCache) Lookup(source string, dst netip.Addr) (dataplane.Walk, bool) {
 	k := WalkKey{Source: source, Dst: dst}
 	c.mu.Lock()
@@ -100,34 +84,24 @@ func (c *WalkCache) Lookup(source string, dst netip.Addr) (dataplane.Walk, bool)
 		c.misses.Add(1)
 		return dataplane.Walk{}, false
 	}
-	valid := e.epoch >= c.floor
-	if valid {
-		for _, r := range e.walk.Path {
-			if c.touched[r] > e.epoch {
-				valid = false
-				break
-			}
+	for _, r := range e.walk.Path {
+		if c.touched[r] > e.epoch {
+			delete(c.walks, k)
+			c.misses.Add(1)
+			return dataplane.Walk{}, false
 		}
-	}
-	if !valid {
-		delete(c.walks, k)
-		c.misses.Add(1)
-		return dataplane.Walk{}, false
 	}
 	c.hits.Add(1)
 	return e.walk, true
 }
 
-// Store records a walk computed at the epoch returned by Begin. Results
-// predating the floor (a Flush happened while the walk ran) are discarded,
-// as are results older than an existing entry.
+// Store records a walk computed at the epoch returned by Begin, unless an
+// existing entry is newer. A walk whose path was invalidated while it ran
+// is stored already stale, and Lookup never serves it.
 func (c *WalkCache) Store(source string, dst netip.Addr, w dataplane.Walk, epoch uint64) {
 	k := WalkKey{Source: source, Dst: dst}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch < c.floor {
-		return
-	}
 	if e, ok := c.walks[k]; ok && e.epoch > epoch {
 		return
 	}

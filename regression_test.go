@@ -11,13 +11,12 @@ import (
 	"hbverify/internal/verify"
 )
 
-// TestIncrementalInvalidatedByRollback pins the interaction the scenario
-// harness's repair oracle depends on: when a repair rollback lands between
-// incremental inference rounds, the cached graph must be invalidated —
-// the rollback's ConfigChange plus the reconvergence it triggers are new
-// log suffix, but the cache must not serve any state poisoned by the
-// pre-rollback round — and the next inference must match a from-scratch
-// Rules pass exactly.
+// TestIncrementalInvalidatedByRollback pins what a repair rollback landing
+// between incremental inference rounds does to the graph cache: the
+// pipeline drops the cached graph (to free it while the network
+// reconverges; the rollback's ConfigChange and reconvergence are only new
+// log suffix), and the next inference must match a from-scratch Rules pass
+// exactly.
 func TestIncrementalInvalidatedByRollback(t *testing.T) {
 	pn, p := startPaper(t)
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hbverify/internal/route"
 	"hbverify/internal/serve"
@@ -103,7 +102,7 @@ func TestQueriesUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			p.CompactLog(time.Millisecond)
+			p.CompactLog()
 		}
 	}()
 
