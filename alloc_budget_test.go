@@ -1,6 +1,9 @@
 package hbverify
 
 import (
+	"fmt"
+	"math/rand"
+	"net/netip"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -11,7 +14,9 @@ import (
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
+	"hbverify/internal/netsim"
 	"hbverify/internal/network"
+	"hbverify/internal/route"
 	"hbverify/internal/snapshot"
 	"hbverify/internal/verify"
 )
@@ -233,4 +238,77 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 			t.Errorf("%d of %d vertices collected after the rollback invalidated the cache", got, vertices)
 		}
 	})
+}
+
+// benchInferLog generates a deterministic synthetic capture log shaped
+// like real churn: BGP/RIP/EIGRP update chains with RIB/FIB installs,
+// prefix-less OSPF floods matched by Detail (with occasional duplicate
+// sends so tie-breaking is exercised), link flaps, config edits, and soft
+// reconfigs, spread over nRouters skewed clocks.
+func benchInferLog(seed int64, n, nRouters int) []capture.IO {
+	rng := rand.New(rand.NewSource(seed))
+	routers := make([]string, nRouters)
+	skew := make([]time.Duration, nRouters)
+	for i := range routers {
+		routers[i] = fmt.Sprintf("r%d", i)
+		skew[i] = time.Duration(rng.Intn(401)-200) * time.Millisecond
+	}
+	prefixes := make([]netip.Prefix, 64)
+	for i := range prefixes {
+		prefixes[i] = netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.0/24", i/8, i%8*4))
+	}
+	protos := []route.Protocol{route.ProtoBGP, route.ProtoOSPF, route.ProtoRIP, route.ProtoEIGRP}
+
+	out := make([]capture.IO, 0, n+8)
+	id := uint64(1)
+	base := netsim.VirtualTime(int64(time.Hour)) // keep skewed stamps positive
+	add := func(r int, io capture.IO, dt time.Duration) {
+		io.ID = id
+		id++
+		io.Router = routers[r]
+		io.Time = base.Add(dt + skew[r])
+		out = append(out, io)
+	}
+	for len(out) < n {
+		base = base.Add(time.Duration(1+rng.Intn(5)) * time.Millisecond)
+		a := rng.Intn(nRouters)
+		peer := (a + 1) % nRouters
+		switch rng.Intn(10) {
+		case 0:
+			add(a, capture.IO{Type: capture.ConfigChange, Detail: "policy edit"}, 0)
+		case 1:
+			up := capture.LinkUp
+			if rng.Intn(2) == 0 {
+				up = capture.LinkDown
+			}
+			add(a, capture.IO{Type: up, Peer: routers[peer], Detail: "eth0"}, 0)
+		case 2:
+			detail := fmt.Sprintf("LSA type 1 seq %d", rng.Intn(8))
+			addr := netip.MustParseAddr(fmt.Sprintf("10.255.0.%d", a+1))
+			add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[peer], PeerAddr: addr, Detail: detail}, 0)
+			if rng.Intn(3) == 0 {
+				add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[peer], PeerAddr: addr, Detail: detail},
+					time.Duration(rng.Intn(20))*time.Millisecond)
+			}
+			add(peer, capture.IO{Type: capture.RecvAdvert, Proto: route.ProtoOSPF, Peer: routers[a], PeerAddr: addr, Detail: detail},
+				time.Duration(rng.Intn(10))*time.Millisecond)
+		default:
+			proto := protos[rng.Intn(len(protos))]
+			pfx := prefixes[rng.Intn(len(prefixes))]
+			nh := netip.MustParseAddr(fmt.Sprintf("10.255.0.%d", a+1))
+			kind, rkind := capture.SendAdvert, capture.RecvAdvert
+			if rng.Intn(4) == 0 {
+				kind, rkind = capture.SendWithdraw, capture.RecvWithdraw
+			}
+			add(a, capture.IO{Type: capture.RIBInstall, Proto: proto, Prefix: pfx, NextHop: nh}, 0)
+			add(a, capture.IO{Type: capture.FIBInstall, Proto: proto, Prefix: pfx, NextHop: nh}, time.Millisecond)
+			add(a, capture.IO{Type: kind, Proto: proto, Prefix: pfx, Peer: routers[peer], PeerAddr: nh}, 2*time.Millisecond)
+			add(peer, capture.IO{Type: rkind, Proto: proto, Prefix: pfx, Peer: routers[a], PeerAddr: nh, NextHop: nh},
+				2*time.Millisecond+time.Duration(rng.Intn(8))*time.Millisecond)
+			if rng.Intn(8) == 0 {
+				add(peer, capture.IO{Type: capture.SoftReconfig, Proto: route.ProtoBGP}, 3*time.Millisecond)
+			}
+		}
+	}
+	return out[:n]
 }

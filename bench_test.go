@@ -9,12 +9,8 @@
 package hbverify
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"math/rand"
 	"net/netip"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -29,16 +25,12 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
-	"hbverify/internal/metrics"
 	"hbverify/internal/modelck"
 	"hbverify/internal/netsim"
 	"hbverify/internal/network"
 	"hbverify/internal/repair"
 	"hbverify/internal/route"
 	"hbverify/internal/snapshot"
-	"hbverify/internal/stream"
-	"hbverify/internal/topology"
-	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 	"hbverify/internal/whatif"
 )
@@ -832,861 +824,4 @@ func BenchmarkWhatIf(b *testing.B) {
 		fmt.Printf("  %-32s %-10v %s\n", "both uplinks fail", doubleRes.OK(), doubleRes.Report.Summary())
 		fmt.Printf("  %-32s %-10v %s\n", "commit LP-10 on r2", cfgRes.OK(), cfgRes.Report.Summary())
 	})
-}
-
-// BenchmarkIncrementalReVerify measures the tentpole optimization of the
-// incremental HBG inference: on a Fig. 5-scale log grown by one more
-// convergence round (a few percent of the I/Os), re-inferring through
-// hbr.Incremental touches only the new suffix plus the bounded look-back
-// window, versus re-matching the whole log from scratch. It prints the
-// comparison and gates nothing: at -benchtime=1x it times one cold
-// extension, which GC timing dominates. TestExtensionWorkBudget pins the
-// extension's work in counts instead.
-func BenchmarkIncrementalReVerify(b *testing.B) {
-	pn := mustPaper(b, 1, network.DefaultPaperOpts())
-	runNet(b, pn)
-	lp := uint32(10)
-	churn := func() {
-		if _, err := pn.UpdateConfig("r2", "toggle uplink local-pref", func(c *config.Router) {
-			c.BGP.Neighbors[len(c.BGP.Neighbors)-1].LocalPref = lp
-		}); err != nil {
-			b.Fatal(err)
-		}
-		lp = 310 - lp
-		if err := pn.Run(); err != nil {
-			b.Fatal(err)
-		}
-		// Idle virtual time between rounds so the total span dwarfs the
-		// 60 s config look-back window, as in a real deployment. The clock
-		// only advances through events, so schedule a no-op marker.
-		pn.Sched.After(90*time.Second, func() {})
-		if err := pn.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 40; i++ {
-		churn()
-	}
-	base := capture.StripOracle(pn.Log.All())
-	churn()
-	grown := capture.StripOracle(pn.Log.All())
-	tail := len(grown) - len(base)
-
-	rules := hbr.Rules{}
-	// Cost of the from-scratch alternative.
-	const fullRuns = 5
-	fullStart := time.Now()
-	for i := 0; i < fullRuns; i++ {
-		rules.Infer(grown)
-	}
-	fullPer := time.Since(fullStart) / fullRuns
-
-	var incTotal time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		inc := hbr.NewIncremental(rules, nil)
-		inc.Infer(base) // prime the cache on the pre-growth log
-		b.StartTimer()
-		t0 := time.Now()
-		inc.Infer(grown)
-		incTotal += time.Since(t0)
-	}
-	b.StopTimer()
-	incPer := incTotal / time.Duration(b.N)
-	speedup := float64(fullPer) / float64(incPer)
-	once("increverify", func() {
-		fmt.Println("\n[tentpole] incremental re-inference after log growth")
-		fmt.Printf("  log: %d I/Os, tail %d I/Os (%.1f%%)\n",
-			len(grown), tail, 100*float64(tail)/float64(len(grown)))
-		fmt.Printf("  full re-inference:        %v\n", fullPer)
-		fmt.Printf("  incremental re-inference: %v (%.1fx speedup)\n", incPer, speedup)
-	})
-}
-
-// BenchmarkDeltaVerify measures the PR 3 tentpole: one verification tick
-// after a single-prefix FIB change at 100K prefixes. The full path
-// recomputes every equivalence class and re-walks every (source, class)
-// pair; the delta path re-signs only the churned prefix through
-// eqclass.Incremental and re-executes only the walks the touched router
-// invalidated. Run as sub-benchmarks for ns/op and allocs/op, plus a
-// hand-measured comparison persisted to BENCH_delta.json.
-func BenchmarkDeltaVerify(b *testing.B) {
-	routers := []string{"r1", "r2", "r3", "r4", "r5"}
-	const nPrefixes, nGroups = 100_000, 12
-	fibs, prefixes := eqclass.SyntheticFIBs(routers, nPrefixes, nGroups)
-
-	// A minimal topology so the checker walks real (if short) paths; the
-	// synthetic next hops resolve nowhere, which keeps walk cost flat and
-	// the classification cost dominant — the regime §6 describes.
-	topo := topology.New()
-	for i, r := range routers {
-		if _, err := topo.AddRouter(r, netip.AddrFrom4([4]byte{1, 1, 1, byte(i + 1)})); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tries := map[string]*trie.Trie[fib.Entry]{}
-	for r, table := range fibs {
-		tr := trie.New[fib.Entry]()
-		for p, e := range table {
-			tr.Insert(p, e)
-		}
-		tries[r] = tr
-	}
-	view := func(router string, dst netip.Addr) (fib.Entry, bool) {
-		t := tries[router]
-		if t == nil {
-			return fib.Entry{}, false
-		}
-		e, _, ok := t.Lookup(dst)
-		return e, ok
-	}
-	walker := dataplane.NewWalker(topo, view)
-
-	// One reachability policy per class representative, checked from every
-	// router — the per-class verification §6 makes tractable.
-	var policies []verify.Policy
-	for _, rep := range eqclass.Representatives(eqclass.Compute(fibs, prefixes)) {
-		policies = append(policies, verify.Policy{Kind: verify.Reachable, Prefix: rep})
-	}
-
-	inc := eqclass.NewIncremental(nil)
-	for r, table := range fibs {
-		inc.Seed(r, table)
-	}
-	inc.Update() // absorb the seed re-sign outside the timed region
-	cache := verify.NewWalkCache()
-	cached := verify.NewChecker(walker, routers)
-	cached.Workers = 1
-	cached.Cache = cache
-	cold := verify.NewChecker(walker, routers)
-	cold.Workers = 1
-
-	// flip alternates one /24's next hop at r1, updating the ground-truth
-	// maps, the walker's tries, and the delta classifier's feed.
-	churn := prefixes[0]
-	hops := [2]netip.Addr{netip.MustParseAddr("203.0.113.77"), netip.MustParseAddr("203.0.113.78")}
-	flip := func(i int) {
-		e := fib.Entry{Prefix: churn, NextHop: hops[i%2]}
-		fibs["r1"][churn] = e
-		tries["r1"].Insert(churn, e)
-		inc.Note("r1", fib.Update{Entry: e, Install: true})
-	}
-	fullTick := func() {
-		eqclass.Compute(fibs, nil)
-		cold.Check(policies)
-	}
-	deltaTick := func() {
-		inc.Update()
-		cache.InvalidateRouter("r1")
-		cached.Check(policies)
-	}
-
-	b.Run("full", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			flip(i)
-			fullTick()
-		}
-	})
-	b.Run("delta", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			flip(i)
-			deltaTick()
-		}
-	})
-
-	// Hand-rolled comparison (time + mallocs) for the artifact and the
-	// acceptance assertion, independent of b.N calibration.
-	measure := func(tick func(), n int) (nsPerOp, allocsPerOp float64) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			flip(i)
-			tick()
-		}
-		elapsed := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		return float64(elapsed.Nanoseconds()) / float64(n),
-			float64(after.Mallocs-before.Mallocs) / float64(n)
-	}
-	deltaNs, deltaAllocs := measure(deltaTick, 200)
-	fullNs, fullAllocs := measure(fullTick, 3)
-	speedup := fullNs / deltaNs
-	allocCut := fullAllocs / deltaAllocs
-	once("deltaverify", func() {
-		fmt.Println("\n[tentpole/PR3] single-prefix churn tick at 100K prefixes, 12 groups, 5 routers")
-		fmt.Printf("  full  (Compute + cold Check):   %11.0f ns/op  %9.0f allocs/op\n", fullNs, fullAllocs)
-		fmt.Printf("  delta (Update + cached Check):  %11.0f ns/op  %9.0f allocs/op\n", deltaNs, deltaAllocs)
-		fmt.Printf("  speedup %.0fx, allocation reduction %.0fx\n", speedup, allocCut)
-		artifact, _ := json.MarshalIndent(map[string]interface{}{
-			"benchmark": "BenchmarkDeltaVerify",
-			"prefixes":  nPrefixes, "groups": nGroups, "routers": len(routers),
-			"full_ns_per_op": fullNs, "full_allocs_per_op": fullAllocs,
-			"delta_ns_per_op": deltaNs, "delta_allocs_per_op": deltaAllocs,
-			"speedup": speedup, "alloc_reduction": allocCut,
-		}, "", "  ")
-		if err := os.WriteFile("BENCH_delta.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_delta.json:", err, ")")
-		}
-	})
-	if speedup < 10 {
-		b.Errorf("delta speedup %.0fx, want >= 10x (full %.0fns vs delta %.0fns)", speedup, fullNs, deltaNs)
-	}
-	if allocCut < 10 {
-		b.Errorf("delta allocation reduction %.0fx, want >= 10x (full %.0f vs delta %.0f allocs)", allocCut, fullAllocs, deltaAllocs)
-	}
-}
-
-// BenchmarkSymbolicWalk measures the PR 7 tentpole: verifying one
-// forwarding equivalence class with a single symbolic DAG walk instead of
-// one concrete probe per ECMP path combination. The topology is a
-// three-stage Clos slice (12 routers, 4 per stage, full bipartite between
-// stages, LAG width 4) carrying 100K prefixes in 12 classes; the baseline
-// enumerates every concrete path (8–16 per class here) and aggregates,
-// the symbolic walker explores the shared DAG once. Persisted to
-// BENCH_ecmp.json; the acceptance floor requires >= 2x fewer walks per
-// class than the probe baseline, with the shared exploration no slower.
-func BenchmarkSymbolicWalk(b *testing.B) {
-	const nPrefixes, nGroups, stageWidth, lagWidth = 100_000, 12, 4, 4
-
-	topo := topology.New()
-	stage := func(s, i int) string { return fmt.Sprintf("t%d-%d", s, i) }
-	for s := 0; s < 3; s++ {
-		for i := 0; i < stageWidth; i++ {
-			if _, err := topo.AddRouter(stage(s, i), netip.AddrFrom4([4]byte{2, 0, byte(s), byte(i + 1)})); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	// Full bipartite links between consecutive stages; downAddr[s][i] holds
-	// the peer addresses router t<s>-<i> forwards to (its stage-s+1 side).
-	downAddr := [2][stageWidth][]netip.Addr{}
-	for s := 0; s < 2; s++ {
-		for i := 0; i < stageWidth; i++ {
-			for j := 0; j < stageWidth; j++ {
-				sub := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(20 + s), byte(i*stageWidth + j), 0}), 30)
-				up := netip.AddrFrom4([4]byte{10, byte(20 + s), byte(i*stageWidth + j), 1})
-				down := netip.AddrFrom4([4]byte{10, byte(20 + s), byte(i*stageWidth + j), 2})
-				if _, err := topo.AddLink(topology.LinkSpec{
-					ARouter: stage(s, i), AIface: "dn" + stage(s+1, j), AAddr: up,
-					BRouter: stage(s+1, j), BIface: "up" + stage(s, i), BAddr: down,
-					Prefix: sub,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				downAddr[s][i] = append(downAddr[s][i], down)
-			}
-		}
-	}
-	// Every egress router owns the whole destination space as a stub LAN,
-	// so the last stage delivers and the class structure lives entirely in
-	// the middle stage's next-hop sets.
-	dstSpace := netip.MustParsePrefix("100.0.0.0/6")
-	for k := 0; k < stageWidth; k++ {
-		if _, err := topo.AddStub(stage(2, k), "lan",
-			netip.AddrFrom4([4]byte{100, 0, 0, byte(k + 1)}), dstSpace); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	// FIBs: ingress routers spray every prefix over the full LAG (width 4);
-	// middle routers use a group-specific subset of their egress links,
-	// which is what splits the 100K prefixes into 12 classes. The subsets
-	// are distinct bitmasks (contiguous rotations alone would collapse: all
-	// four width-4 rotations are the same set).
-	masks := [nGroups]uint{
-		0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100,
-		0b0111, 0b1011, 0b1101, 0b1110, 0b1111, 0b0001,
-	}
-	fibs := map[string]map[netip.Prefix]fib.Entry{}
-	tries := map[string]*trie.Trie[fib.Entry]{}
-	for s := 0; s < 2; s++ {
-		for i := 0; i < stageWidth; i++ {
-			fibs[stage(s, i)] = map[netip.Prefix]fib.Entry{}
-			tries[stage(s, i)] = trie.New[fib.Entry]()
-		}
-	}
-	prefixes := make([]netip.Prefix, 0, nPrefixes)
-	for i := 0; i < nPrefixes; i++ {
-		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(100 + i>>16), byte(i >> 8), byte(i), 0}), 24)
-		prefixes = append(prefixes, p)
-		g := i % nGroups
-		for ri := 0; ri < stageWidth; ri++ {
-			in := route.CanonHops(downAddr[0][ri])
-			eIn := fib.Entry{Prefix: p, NextHop: in[0], NextHops: in}
-			fibs[stage(0, ri)][p] = eIn
-			tries[stage(0, ri)].Insert(p, eIn)
-
-			var mid []netip.Addr
-			for j := 0; j < stageWidth; j++ {
-				if masks[g]&(1<<uint(j)) != 0 {
-					mid = append(mid, downAddr[1][ri][j])
-				}
-			}
-			mid = route.CanonHops(mid)
-			eMid := fib.Entry{Prefix: p, NextHop: mid[0]}
-			if len(mid) > 1 {
-				eMid.NextHops = mid
-			}
-			fibs[stage(1, ri)][p] = eMid
-			tries[stage(1, ri)].Insert(p, eMid)
-		}
-	}
-	view := func(router string, dst netip.Addr) (fib.Entry, bool) {
-		tr := tries[router]
-		if tr == nil {
-			return fib.Entry{}, false
-		}
-		e, _, ok := tr.Lookup(dst)
-		return e, ok
-	}
-	walker := dataplane.NewWalker(topo, view)
-
-	classes := eqclass.Compute(fibs, prefixes)
-	if len(classes) != nGroups {
-		b.Fatalf("classes = %d, want %d", len(classes), nGroups)
-	}
-	reps := eqclass.Representatives(classes)
-
-	// Sanity: the symbolic walk and the aggregated probes must agree on
-	// every (source, class) pair before timing anything — the same
-	// equivalence the scenario oracle pins continuously.
-	const probeLimit = 256
-	probeCount := 0
-	for _, rep := range reps {
-		dst := dataplane.Representative(rep)
-		for i := 0; i < stageWidth; i++ {
-			w := walker.Forward(stage(0, i), dst)
-			probes := walker.ConcretePaths(stage(0, i), dst, probeLimit)
-			probeCount += len(probes)
-			walks := make([]dataplane.Walk, len(probes))
-			for j, pw := range probes {
-				walks[j] = pw.Walk
-			}
-			agg, _ := dataplane.AggregateProbes(walks)
-			if agg != w.Outcome {
-				b.Fatalf("%s->%v: symbolic %s vs probe aggregate %s", stage(0, i), dst, w.Outcome, agg)
-			}
-		}
-	}
-
-	symTick := func() {
-		for _, rep := range reps {
-			dst := dataplane.Representative(rep)
-			for i := 0; i < stageWidth; i++ {
-				_ = walker.Forward(stage(0, i), dst)
-			}
-		}
-	}
-	probeTick := func() {
-		for _, rep := range reps {
-			dst := dataplane.Representative(rep)
-			for i := 0; i < stageWidth; i++ {
-				probes := walker.ConcretePaths(stage(0, i), dst, probeLimit)
-				walks := make([]dataplane.Walk, len(probes))
-				for j, pw := range probes {
-					walks[j] = pw.Walk
-				}
-				_, _ = dataplane.AggregateProbes(walks)
-			}
-		}
-	}
-
-	b.Run("symbolic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			symTick()
-		}
-	})
-	b.Run("probes", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			probeTick()
-		}
-	})
-
-	measure := func(tick func(), n int) float64 {
-		runtime.GC()
-		t0 := time.Now()
-		for i := 0; i < n; i++ {
-			tick()
-		}
-		return float64(time.Since(t0).Nanoseconds()) / float64(n)
-	}
-	symNs := measure(symTick, 50)
-	probeNs := measure(probeTick, 50)
-	speedup := probeNs / symNs
-	pairs := len(reps) * stageWidth
-	walksPerClass := float64(probeCount) / float64(pairs)
-	once("symbolicwalk", func() {
-		fmt.Println("\n[tentpole/PR7] per-class symbolic walk vs concrete probe enumeration")
-		fmt.Printf("  12 routers (3-stage Clos, LAG width %d), %d prefixes, %d classes, %d (src,class) pairs\n",
-			lagWidth, nPrefixes, len(classes), pairs)
-		fmt.Printf("  probes:   %11.0f ns/tick  (%.1f concrete walks per class)\n", probeNs, walksPerClass)
-		fmt.Printf("  symbolic: %11.0f ns/tick  (1 DAG walk per class)\n", symNs)
-		fmt.Printf("  speedup %.1fx\n", speedup)
-		artifact, _ := json.MarshalIndent(map[string]interface{}{
-			"benchmark": "BenchmarkSymbolicWalk",
-			"prefixes":  nPrefixes, "routers": 3 * stageWidth, "lag_width": lagWidth,
-			"classes": len(classes), "pairs": pairs,
-			"probe_walks_per_class": walksPerClass, "symbolic_walks_per_class": 1,
-			"probe_ns_per_tick": probeNs, "symbolic_ns_per_tick": symNs,
-			"speedup": speedup,
-		}, "", "  ")
-		if err := os.WriteFile("BENCH_ecmp.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_ecmp.json:", err, ")")
-		}
-	})
-	// Acceptance floor: the symbolic walker must cover each class in >= 2x
-	// fewer walks than the per-probe baseline (it uses exactly 1), and the
-	// walk sharing must not cost wall-clock time.
-	if walksPerClass < 2 {
-		b.Errorf("probe baseline enumerates %.1f walks/class vs 1 symbolic, want >= 2x fewer", walksPerClass)
-	}
-	if speedup < 1 {
-		b.Errorf("symbolic tick slower than probe enumeration: %.0fns vs %.0fns", symNs, probeNs)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Tentpole PR5 — high-throughput HBR inference and zero-alloc ingestion.
-// ---------------------------------------------------------------------------
-
-// benchInferLog generates a deterministic synthetic capture log shaped
-// like real churn: BGP/RIP/EIGRP update chains with RIB/FIB installs,
-// prefix-less OSPF floods matched by Detail (with occasional duplicate
-// sends so tie-breaking is exercised), link flaps, config edits, and soft
-// reconfigs, spread over nRouters skewed clocks. Every event emits a
-// parseable Cisco-style line, so the same log feeds both the inference
-// and the ingestion measurements.
-func benchInferLog(seed int64, n, nRouters int) []capture.IO {
-	rng := rand.New(rand.NewSource(seed))
-	routers := make([]string, nRouters)
-	skew := make([]time.Duration, nRouters)
-	for i := range routers {
-		routers[i] = fmt.Sprintf("r%d", i)
-		skew[i] = time.Duration(rng.Intn(401)-200) * time.Millisecond
-	}
-	prefixes := make([]netip.Prefix, 64)
-	for i := range prefixes {
-		prefixes[i] = netip.MustParsePrefix(fmt.Sprintf("10.%d.%d.0/24", i/8, i%8*4))
-	}
-	protos := []route.Protocol{route.ProtoBGP, route.ProtoOSPF, route.ProtoRIP, route.ProtoEIGRP}
-
-	out := make([]capture.IO, 0, n+8)
-	id := uint64(1)
-	base := netsim.VirtualTime(int64(time.Hour)) // keep skewed stamps positive
-	add := func(r int, io capture.IO, dt time.Duration) {
-		io.ID = id
-		id++
-		io.Router = routers[r]
-		io.Time = base.Add(dt + skew[r])
-		out = append(out, io)
-	}
-	for len(out) < n {
-		base = base.Add(time.Duration(1+rng.Intn(5)) * time.Millisecond)
-		a := rng.Intn(nRouters)
-		peer := (a + 1) % nRouters
-		switch rng.Intn(10) {
-		case 0:
-			add(a, capture.IO{Type: capture.ConfigChange, Detail: "policy edit"}, 0)
-		case 1:
-			up := capture.LinkUp
-			if rng.Intn(2) == 0 {
-				up = capture.LinkDown
-			}
-			add(a, capture.IO{Type: up, Peer: routers[peer], Detail: "eth0"}, 0)
-		case 2:
-			detail := fmt.Sprintf("LSA type 1 seq %d", rng.Intn(8))
-			addr := netip.MustParseAddr(fmt.Sprintf("10.255.0.%d", a+1))
-			add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[peer], PeerAddr: addr, Detail: detail}, 0)
-			if rng.Intn(3) == 0 {
-				add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[peer], PeerAddr: addr, Detail: detail},
-					time.Duration(rng.Intn(20))*time.Millisecond)
-			}
-			add(peer, capture.IO{Type: capture.RecvAdvert, Proto: route.ProtoOSPF, Peer: routers[a], PeerAddr: addr, Detail: detail},
-				time.Duration(rng.Intn(10))*time.Millisecond)
-		default:
-			proto := protos[rng.Intn(len(protos))]
-			pfx := prefixes[rng.Intn(len(prefixes))]
-			nh := netip.MustParseAddr(fmt.Sprintf("10.255.0.%d", a+1))
-			kind, rkind := capture.SendAdvert, capture.RecvAdvert
-			if rng.Intn(4) == 0 {
-				kind, rkind = capture.SendWithdraw, capture.RecvWithdraw
-			}
-			add(a, capture.IO{Type: capture.RIBInstall, Proto: proto, Prefix: pfx, NextHop: nh}, 0)
-			add(a, capture.IO{Type: capture.FIBInstall, Proto: proto, Prefix: pfx, NextHop: nh}, time.Millisecond)
-			add(a, capture.IO{Type: kind, Proto: proto, Prefix: pfx, Peer: routers[peer], PeerAddr: nh}, 2*time.Millisecond)
-			add(peer, capture.IO{Type: rkind, Proto: proto, Prefix: pfx, Peer: routers[a], PeerAddr: nh, NextHop: nh},
-				2*time.Millisecond+time.Duration(rng.Intn(8))*time.Millisecond)
-			if rng.Intn(8) == 0 {
-				add(peer, capture.IO{Type: capture.SoftReconfig, Proto: route.ProtoBGP}, 3*time.Millisecond)
-			}
-		}
-	}
-	return out[:n]
-}
-
-// ---------------------------------------------------------------------------
-// Tentpole PR6 — always-on streaming ingestion with bounded memory.
-// ---------------------------------------------------------------------------
-
-// soakEvents caps the soak size: `-soak.events=50000` is the CI smoke
-// setting; the default is the full million-event soak the flat-memory
-// claim is made over.
-var soakEvents = flag.Int("soak.events", 1_000_000, "events to ingest in BenchmarkSoakIngest")
-
-// BenchmarkSoakIngest — tentpole PR6: stream a synthetic router fleet's
-// Cisco-style logs through the always-on daemon and measure the live heap
-// with windowed compaction on versus off. The flat-memory claim is
-// enforced here: after the full soak, the compacting daemon's post-GC
-// heap must stay within 2x its steady-state watermark (sampled by an
-// identical run over a quarter of the events), while the unbounded daemon
-// retains the entire log and its heap grows with it. Persisted to
-// BENCH_soak.json.
-func BenchmarkSoakIngest(b *testing.B) {
-	target := *soakEvents
-	if target < 4_000 {
-		b.Fatalf("-soak.events=%d is too small to reach the compaction steady state", target)
-	}
-	// Tight rule windows keep the retention floor (look-back + 2x skew
-	// slack) at ~1.3s of virtual time — a constant-size window over an
-	// arbitrarily long stream, which is the property under test.
-	strategy := hbr.Rules{Window: 100 * time.Millisecond, ConfigWindow: 500 * time.Millisecond,
-		CrossWindow: 100 * time.Millisecond}
-	const compactEvery = 4096
-
-	type soakRes struct {
-		events      uint64
-		window      int
-		compactions int64
-		heapBytes   uint64
-		elapsed     time.Duration
-	}
-	run := func(events int, every uint64) soakRes {
-		f := stream.Fleet{Routers: 8}
-		f.Waves = (events + f.EventsPerWave() - 1) / f.EventsPerWave()
-		reg := metrics.NewRegistry()
-		d, err := stream.New(stream.Options{Strategy: strategy, Metrics: reg,
-			Resolve: f.Resolver(), CompactEvery: every})
-		if err != nil {
-			b.Fatal(err)
-		}
-		streams := make([]*stream.Stream, f.Routers)
-		for i := range streams {
-			streams[i] = d.Register(f.RouterName(i))
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		for i := range streams {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				streams[i].Consume(f.Reader(i))
-			}()
-		}
-		wg.Wait()
-		if err := d.Wait(); err != nil {
-			b.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		// Post-GC heap while the daemon (log window + folded graph) is the
-		// only thing this run keeps alive.
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return soakRes{events: d.Log().TotalAppended(), window: d.Log().Len(),
-			compactions: reg.Counter("stream.compactions").Value(),
-			heapBytes:   ms.HeapAlloc, elapsed: elapsed}
-	}
-
-	steady := run(target/4, compactEvery)
-	var full soakRes
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		full = run(target, compactEvery)
-	}
-	b.StopTimer()
-	offQuarter := run(target/4, 0)
-	offFull := run(target, 0)
-
-	mb := func(v uint64) float64 { return float64(v) / (1 << 20) }
-	ratio := float64(full.heapBytes) / float64(steady.heapBytes)
-	growth := float64(offFull.heapBytes) / float64(offQuarter.heapBytes)
-	eventsPerSec := float64(full.events) / full.elapsed.Seconds()
-	b.ReportMetric(eventsPerSec, "events/sec")
-	b.ReportMetric(mb(full.heapBytes), "heapMB")
-
-	once("soakingest", func() {
-		fmt.Printf("\n[tentpole/PR6] always-on soak: %d events, 8 routers, compact every %d\n",
-			full.events, compactEvery)
-		fmt.Printf("  compaction on:  %8.1f MB heap after %8d events (steady-state %8.1f MB at %d; %.2fx)\n",
-			mb(full.heapBytes), full.events, mb(steady.heapBytes), steady.events, ratio)
-		fmt.Printf("  compaction off: %8.1f MB heap after %8d events (%8.1f MB at %d; %.2fx growth)\n",
-			mb(offFull.heapBytes), offFull.events, mb(offQuarter.heapBytes), offQuarter.events, growth)
-		fmt.Printf("  window: %d of %d events retained, %d compactions, %.0f events/sec ingested\n",
-			full.window, full.events, full.compactions, eventsPerSec)
-		artifact, _ := json.MarshalIndent(map[string]interface{}{
-			"benchmark": "BenchmarkSoakIngest",
-			"events":    full.events, "routers": 8, "compact_every": compactEvery,
-			"steady_heap_bytes": steady.heapBytes, "final_heap_bytes": full.heapBytes,
-			"heap_ratio": ratio, "window_events": full.window, "compactions": full.compactions,
-			"events_per_sec":               eventsPerSec,
-			"unbounded_quarter_heap_bytes": offQuarter.heapBytes,
-			"unbounded_final_heap_bytes":   offFull.heapBytes, "unbounded_growth": growth,
-		}, "", "  ")
-		if err := os.WriteFile("BENCH_soak.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_soak.json:", err, ")")
-		}
-	})
-	if full.compactions == 0 {
-		b.Error("soak never compacted; the flat-memory claim is vacuous")
-	}
-	if full.window*2 > int(full.events) {
-		b.Errorf("compaction retained %d of %d events; the window is not bounded", full.window, full.events)
-	}
-	if ratio > 2 {
-		b.Errorf("soak heap grew to %.2fx the steady-state watermark, want <= 2x (%.1f MB vs %.1f MB)",
-			ratio, mb(full.heapBytes), mb(steady.heapBytes))
-	}
-	if offFull.window != int(offFull.events) {
-		b.Errorf("unbounded control dropped events: window %d of %d", offFull.window, offFull.events)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Tentpole PR8 — scale: timer wheel, compressed trie, interned attributes.
-// ---------------------------------------------------------------------------
-
-// scaleK and scalePrefixCount size BenchmarkScaleConvergence. The defaults
-// are the acceptance size (fat-tree k=16, 320 routers; 500K prefixes through
-// the route-reflector tiers); the CI scale-smoke job runs -scale.k=8
-// -scale.prefixes=50000.
-var (
-	scaleK           = flag.Int("scale.k", 16, "fat-tree arity in BenchmarkScaleConvergence")
-	scalePrefixCount = flag.Int("scale.prefixes", 500_000,
-		"prefixes announced through the route-reflector tiers in BenchmarkScaleConvergence")
-)
-
-// scaleRun is one converged simulation's vitals.
-type scaleRun struct {
-	routers      int
-	events       uint64
-	eventsPerSec float64
-	rssPerRouter float64
-	highWater    int
-}
-
-// drainToConvergence runs the network until the event queue empties,
-// compacting the capture log between chunks so the post-run heap measures
-// routing state (FIBs, tries, RIBs, LSDBs), not retained history. Returns
-// the wall time spent firing events.
-func drainToConvergence(b *testing.B, n *network.Network) time.Duration {
-	b.Helper()
-	n.Sched.MaxEvents = 1 << 62 // the scale runs legitimately exceed the 5M default
-	start := time.Now()
-	// Compaction is driven by retained count, not virtual time: BGP's
-	// millisecond timers converge 500K prefixes inside a few hundred
-	// virtual milliseconds, so any RunFor cadence would still buffer the
-	// whole run (>2 GB of capture IOs) before the first compaction.
-	var steps uint64
-	for n.Sched.Step() {
-		if steps++; steps&0xfff == 0 && n.Log.Len() > 1<<16 {
-			n.Log.CompactBefore(n.Log.TotalAppended() + 1)
-		}
-	}
-	n.Log.CompactBefore(n.Log.TotalAppended() + 1)
-	return time.Since(start)
-}
-
-// BenchmarkScaleConvergence — tentpole PR8: the three hot-path
-// optimizations at their target scale. Phase 1 converges a fat-tree
-// (default k=16, 320 routers, 2048 links) under the wheel and heap
-// scheduler kernels, recording convergence events/sec and post-GC heap per
-// router. Phase 2 announces -scale.prefixes routes through the ISP
-// route-reflector tiers and measures the interning ratio: bytes that
-// per-speaker deep copies would have retained over bytes the canonical
-// table actually retains (deterministic, unlike RSS at 500K prefixes).
-// Phase 3 replays a scheduler-bound churn kernel workload — full
-// simulations dilute the kernel with protocol work — at the larger of the
-// measured high-water queue depth and 128K, where the heap pays its log-n
-// pops and lazy dead-entry sweeps. Floors (intern ratio >= 5x, wheel >= 2x
-// heap on churn events/sec) are enforced here and the whole record is
-// persisted to BENCH_scale.json.
-func BenchmarkScaleConvergence(b *testing.B) {
-	runFatTree := func(b *testing.B, kern netsim.Kernel) (res scaleRun) {
-		defer func(k netsim.Kernel) { netsim.DefaultKernel = k }(netsim.DefaultKernel)
-		netsim.DefaultKernel = kern
-		for i := 0; i < b.N; i++ {
-			runtime.GC()
-			var before runtime.MemStats
-			runtime.ReadMemStats(&before)
-			n, err := network.BuildFatTree(1, *scaleK)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n.Start()
-			elapsed := drainToConvergence(b, n)
-			runtime.GC()
-			var after runtime.MemStats
-			runtime.ReadMemStats(&after)
-			res = scaleRun{
-				routers:      len(n.Routers()),
-				events:       n.Sched.Processed,
-				eventsPerSec: float64(n.Sched.Processed) / elapsed.Seconds(),
-				rssPerRouter: float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(n.Routers())),
-				highWater:    n.Sched.HighWater(),
-			}
-			b.ReportMetric(res.eventsPerSec, "events/sec")
-			runtime.KeepAlive(n)
-		}
-		return res
-	}
-
-	runISP := func(b *testing.B) (res scaleRun, ratio float64, stats route.InternStats) {
-		prefixes := network.ScalePrefixes(*scalePrefixCount)
-		for i := 0; i < b.N; i++ {
-			before := route.DefaultInterner.Stats()
-			n, err := network.BuildISPRR(1, 2, 1, prefixes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			n.Start()
-			elapsed := drainToConvergence(b, n)
-			// Convergence spot-check at the edge furthest from the origin.
-			pe := n.Router("pe1-0")
-			for _, p := range []netip.Prefix{prefixes[0], prefixes[len(prefixes)/2], prefixes[len(prefixes)-1]} {
-				if _, ok := pe.FIB.Exact(p); !ok {
-					b.Fatalf("pe1-0 missing %v after convergence", p)
-				}
-			}
-			stats = route.DefaultInterner.Stats()
-			dShared := stats.SharedBytes - before.SharedBytes
-			dCanon := stats.CanonicalBytes - before.CanonicalBytes
-			if dCanon < 1 {
-				dCanon = 1 // attrs already canonical from an earlier benchmark
-			}
-			ratio = float64(dShared) / float64(dCanon)
-			res = scaleRun{
-				routers:      len(n.Routers()),
-				events:       n.Sched.Processed,
-				eventsPerSec: float64(n.Sched.Processed) / elapsed.Seconds(),
-				highWater:    n.Sched.HighWater(),
-			}
-			b.ReportMetric(res.eventsPerSec, "events/sec")
-			runtime.KeepAlive(n)
-		}
-		return res, ratio, stats
-	}
-
-	// runChurn replays the watchdog-churn workload: every tick cancels a
-	// live far-future timer and rearms it, the access pattern protocol
-	// retransmit timers produce. Closures are preallocated so the kernels'
-	// schedule/cancel/pop costs dominate the measurement.
-	runChurn := func(b *testing.B, kern netsim.Kernel, depth int) (eps float64) {
-		const churnFires = 300_000
-		noop := func() {}
-		for i := 0; i < b.N; i++ {
-			s := netsim.NewSchedulerKernel(1, kern)
-			watchdogs := make([]*netsim.Timer, depth)
-			ticks := make([]func(), 64)
-			var fired, cursor int
-			for j := range ticks {
-				j := j
-				ticks[j] = func() {
-					c := cursor % depth
-					cursor++
-					if watchdogs[c] != nil {
-						watchdogs[c].Stop()
-					}
-					watchdogs[c] = s.After(10*time.Second, noop)
-					fired++
-					if fired < churnFires {
-						s.After(time.Duration(1+j%7)*time.Millisecond, ticks[j])
-					}
-				}
-			}
-			for j := range ticks {
-				s.After(time.Duration(j%97)*time.Millisecond, ticks[j])
-			}
-			start := time.Now()
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			eps = float64(s.Processed) / time.Since(start).Seconds()
-			b.ReportMetric(eps, "events/sec")
-		}
-		return eps
-	}
-
-	var ftWheel, ftHeap, isp scaleRun
-	var internRatio float64
-	var internStats route.InternStats
-	b.Run("fattree/wheel", func(b *testing.B) { ftWheel = runFatTree(b, netsim.KernelWheel) })
-	b.Run("fattree/heap", func(b *testing.B) { ftHeap = runFatTree(b, netsim.KernelHeap) })
-	b.Run("isp-rr", func(b *testing.B) { isp, internRatio, internStats = runISP(b) })
-	depth := ftWheel.highWater
-	if isp.highWater > depth {
-		depth = isp.highWater
-	}
-	if depth < 1<<17 {
-		depth = 1 << 17
-	}
-	var churnWheel, churnHeap float64
-	b.Run("churn/wheel", func(b *testing.B) { churnWheel = runChurn(b, netsim.KernelWheel, depth) })
-	b.Run("churn/heap", func(b *testing.B) { churnHeap = runChurn(b, netsim.KernelHeap, depth) })
-	if ftWheel.eventsPerSec == 0 || ftHeap.eventsPerSec == 0 || isp.eventsPerSec == 0 ||
-		churnWheel == 0 || churnHeap == 0 {
-		return // sub-benchmarks filtered out
-	}
-	speedup := churnWheel / churnHeap
-
-	once("scaleconvergence", func() {
-		fmt.Printf("\n[tentpole/PR8] scale: fat-tree k=%d (%d routers) + %d prefixes through RR tiers\n",
-			*scaleK, ftWheel.routers, *scalePrefixCount)
-		fmt.Printf("  fat-tree OSPF convergence: wheel %9.0f events/sec, heap %9.0f events/sec (%d events)\n",
-			ftWheel.eventsPerSec, ftHeap.eventsPerSec, ftWheel.events)
-		fmt.Printf("  heap per router after convergence: %.2f MB\n", ftWheel.rssPerRouter/(1<<20))
-		fmt.Printf("  ISP RR convergence: %d events, %9.0f events/sec, %d routers\n",
-			isp.events, isp.eventsPerSec, isp.routers)
-		fmt.Printf("  intern ratio %.1fx (deep-copy bytes over canonical; %d unique attr sets, %d live refs)\n",
-			internRatio, internStats.Unique, internStats.LiveRefs)
-		fmt.Printf("  kernel churn replay at depth %d: wheel %9.0f vs heap %9.0f events/sec => %.2fx\n",
-			depth, churnWheel, churnHeap, speedup)
-		artifact, _ := json.MarshalIndent(map[string]interface{}{
-			"benchmark": "BenchmarkScaleConvergence",
-			"fattree_k": *scaleK, "fattree_routers": ftWheel.routers,
-			"fattree_events":               ftWheel.events,
-			"fattree_wheel_events_per_sec": ftWheel.eventsPerSec,
-			"fattree_heap_events_per_sec":  ftHeap.eventsPerSec,
-			"fattree_rss_bytes_per_router": ftWheel.rssPerRouter,
-			"isp_prefixes":                 *scalePrefixCount,
-			"isp_routers":                  isp.routers,
-			"isp_events":                   isp.events,
-			"isp_events_per_sec":           isp.eventsPerSec,
-			"intern_ratio":                 internRatio,
-			"intern_unique":                internStats.Unique,
-			"intern_live_refs":             internStats.LiveRefs,
-			"churn_depth":                  depth,
-			"churn_wheel_events_per_sec":   churnWheel,
-			"churn_heap_events_per_sec":    churnHeap,
-			"churn_speedup":                speedup,
-			"floors":                       map[string]float64{"intern_ratio_min": 5, "churn_speedup_min": 2},
-		}, "", "  ")
-		if err := os.WriteFile("BENCH_scale.json", append(artifact, '\n'), 0o644); err != nil {
-			fmt.Println("  (could not write BENCH_scale.json:", err, ")")
-		}
-	})
-	if internRatio < 5 {
-		b.Errorf("interning retains %.1fx fewer route-storage bytes than deep copies, want >= 5x", internRatio)
-	}
-	if speedup < 2 {
-		b.Errorf("wheel kernel %.2fx heap on churn events/sec, want >= 2x (%.0f vs %.0f)",
-			speedup, churnWheel, churnHeap)
-	}
 }

@@ -115,7 +115,7 @@ func (r refStrategy) Infer(ios []capture.IO) *hbg.Graph {
 }
 
 // ReferenceStrategies mirrors Strategies with the pre-Index training and
-// inference paths, for differential oracles and benchmark baselines.
+// inference paths, for differential oracles.
 func ReferenceStrategies(ref []capture.IO, window time.Duration) []Strategy {
 	model := refTrain(Miner{Window: window}, ref)
 	rules := Rules{Window: window}

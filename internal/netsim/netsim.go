@@ -113,7 +113,7 @@ const (
 	KernelHeap
 )
 
-// String names the kernel for logs and bench artifacts.
+// String names the kernel in subtest and benchmark names.
 func (k Kernel) String() string {
 	if k == KernelHeap {
 		return "heap"
@@ -138,13 +138,12 @@ type schedKernel interface {
 // Scheduler is the discrete-event simulation kernel. The zero value is not
 // usable; call NewScheduler.
 type Scheduler struct {
-	mu        sync.Mutex
-	now       VirtualTime
-	seq       uint64
-	k         schedKernel
-	rng       *rand.Rand
-	stopped   bool
-	highWater int
+	mu      sync.Mutex
+	now     VirtualTime
+	seq     uint64
+	k       schedKernel
+	rng     *rand.Rand
+	stopped bool
 	// Processed counts events that have fired; useful for run-length caps.
 	Processed uint64
 	// MaxEvents, when nonzero, aborts Run with ErrEventBudget after that
@@ -192,9 +191,6 @@ func (s *Scheduler) At(t VirtualTime, fn func()) *Timer {
 	s.seq++
 	ev := &event{at: t, seq: s.seq, fn: fn}
 	s.k.schedule(ev)
-	if l := s.k.live(); l > s.highWater {
-		s.highWater = l
-	}
 	s.mu.Unlock()
 	return &Timer{s: s, ev: ev}
 }
@@ -225,14 +221,6 @@ func (s *Scheduler) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.k.live()
-}
-
-// HighWater reports the maximum number of live events that were ever queued
-// at once. Scale benches use it to size kernel replay workloads.
-func (s *Scheduler) HighWater() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.highWater
 }
 
 // Run fires events until the queue drains, Stop is called, or the event

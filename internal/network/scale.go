@@ -1,7 +1,8 @@
 // Scale topology builders: a k-ary fat-tree (the classic data-center
 // Clos) exercising OSPF convergence at hundreds of routers, and an ISP-style
 // route-reflector hierarchy carrying hundreds of thousands of BGP prefixes.
-// Both feed BenchmarkScaleConvergence and the CI scale-smoke job.
+// Both feed the scenario harness's scale shapes ("fattree-k4", "isp-rr");
+// the fat-tree also hosts hbbench's churn_reverify and query_mix workloads.
 
 package network
 

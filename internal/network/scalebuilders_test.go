@@ -1,12 +1,51 @@
 // Sanity coverage for the scale builders: small fat-tree and RR-hierarchy
-// instances must fully converge with per-/8 attribute flavors intact.
+// instances must fully converge with per-/8 attribute flavors intact, and
+// the RR hierarchy's routes must share their interned attributes.
 
 package network
 
 import (
 	"net/netip"
 	"testing"
+
+	"hbverify/internal/route"
 )
+
+// TestScaleInternRatio: routes that share attributes share one canonical
+// copy. Converging the route-reflector hierarchy over 2 K prefixes must leave
+// the edge furthest from the origin with every prefix, and the live
+// references must cost at least 5x fewer slice bytes than per-holder deep
+// copies would. An interner that never reuses an entry reads 1x. It runs
+// before TestScaleBuilders, whose routes would otherwise make the attribute
+// sets canonical already.
+func TestScaleInternRatio(t *testing.T) {
+	prefixes := ScalePrefixes(2000)
+	before := route.DefaultInterner.Stats()
+	n, err := BuildISPRR(1, 2, 1, prefixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	pe := n.Router("pe1-0")
+	for _, p := range []netip.Prefix{prefixes[0], prefixes[len(prefixes)/2], prefixes[len(prefixes)-1]} {
+		if _, ok := pe.FIB.Exact(p); !ok {
+			t.Fatalf("pe1-0 missing %v after convergence", p)
+		}
+	}
+	after := route.DefaultInterner.Stats()
+	shared, canon := after.SharedBytes-before.SharedBytes, after.CanonicalBytes-before.CanonicalBytes
+	if canon < 1 {
+		canon = 1 // the attribute sets were already canonical (a repeated run)
+	}
+	if ratio := float64(shared) / float64(canon); ratio < 5 {
+		t.Errorf("live references hold %d deep-copy bytes over %d canonical bytes (%.1fx), want >= 5x", shared, canon, ratio)
+	}
+	t.Logf("%d unique attribute sets, %d live refs, %d shared / %d canonical bytes",
+		after.Unique, after.LiveRefs, shared, canon)
+}
 
 func TestScaleBuilders(t *testing.T) {
 	n, err := BuildFatTree(1, 4)

@@ -10,8 +10,8 @@
 // this repository always build fresh slices when rewriting paths.
 //
 // Stats track both the canonical bytes retained and the bytes deep copies
-// would have cost, which is how the scale bench measures the storage
-// reduction deterministically (RSS is too noisy at 500K prefixes).
+// would have cost, which is how network's TestScaleInternRatio measures the
+// storage reduction deterministically (RSS is too noisy at 500K prefixes).
 
 package route
 
@@ -30,9 +30,8 @@ type internEntry struct {
 }
 
 // AttrRef is a refcounted handle onto a canonical interned attribute set.
-// The zero value is invalid. Copying the handle does not retain; call
-// Retain for each independent holder and Release exactly once per retained
-// handle.
+// The zero value is invalid. Copying the handle does not add a reference;
+// each Acquire is matched by exactly one Release.
 type AttrRef struct{ e *internEntry }
 
 // Valid reports whether the handle points at a canonical entry.
@@ -46,14 +45,6 @@ func (r AttrRef) Attrs() BGPAttrs {
 		return BGPAttrs{}
 	}
 	return r.e.attrs
-}
-
-// Retain adds a reference and returns the same handle for chaining.
-func (r AttrRef) Retain() AttrRef {
-	if r.e != nil {
-		r.e.in.retain(r.e)
-	}
-	return r
 }
 
 // Release drops a reference; the canonical entry is evicted from the table
@@ -214,14 +205,6 @@ func (in *Interner) Acquire(a BGPAttrs) AttrRef {
 	in.canon += b
 	in.shared += b
 	return AttrRef{e: e}
-}
-
-func (in *Interner) retain(e *internEntry) {
-	in.mu.Lock()
-	e.refs++
-	in.liveRefs++
-	in.shared += AttrBytes(e.attrs)
-	in.mu.Unlock()
 }
 
 func (in *Interner) release(e *internEntry) {

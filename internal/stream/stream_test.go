@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -140,6 +141,58 @@ func TestCompactionMatchesFull(t *testing.T) {
 			t.Fatalf("RootCauses(%d) diverged:\n got %+v\nwant %+v", io.ID, got, want)
 		}
 	}
+}
+
+// TestCompactionKeepsHeapFlat is the always-on daemon's flat-memory claim:
+// over an 8-router fleet of ~120 K events, windowed compaction keeps the
+// retained window under half the stream and the post-GC heap within 2x of
+// the same run over a quarter of the events, while the CompactEvery 0
+// control keeps every event. A compaction that evicts nothing fails the
+// window bound and the heap bound.
+func TestCompactionKeepsHeapFlat(t *testing.T) {
+	const events, compactEvery = 120_000, 4096
+	type result struct {
+		events      uint64
+		window      int
+		compactions int64
+		heapBytes   uint64
+	}
+	run := func(events int, every uint64) result {
+		f := Fleet{Routers: 8}
+		f.Waves = (events + f.EventsPerWave() - 1) / f.EventsPerWave()
+		reg := metrics.NewRegistry()
+		d, err := New(Options{Strategy: testStrategy(), Metrics: reg, Resolve: f.Resolver(), CompactEvery: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runDaemon(t, d, f)
+		// Post-GC heap while the daemon (log window + folded graph) is the
+		// only thing this run keeps alive.
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return result{events: d.Log().TotalAppended(), window: d.Log().Len(),
+			compactions: reg.Counter("stream.compactions").Value(), heapBytes: ms.HeapAlloc}
+	}
+
+	quarter := run(events/4, compactEvery)
+	full := run(events, compactEvery)
+	if full.compactions == 0 {
+		t.Fatal("the daemon never compacted; the flat-memory claim is vacuous")
+	}
+	if full.window*2 >= int(full.events) {
+		t.Errorf("compaction retained %d of %d events; the window is not bounded", full.window, full.events)
+	}
+	mb := func(v uint64) float64 { return float64(v) / (1 << 20) }
+	if ratio := float64(full.heapBytes) / float64(quarter.heapBytes); ratio > 2 {
+		t.Errorf("heap after %d events is %.2fx that after %d (%.1f MB vs %.1f MB), want <= 2x",
+			full.events, ratio, quarter.events, mb(full.heapBytes), mb(quarter.heapBytes))
+	}
+	if control := run(events, 0); control.window != int(control.events) {
+		t.Errorf("the CompactEvery 0 control dropped events: window %d of %d", control.window, control.events)
+	}
+	t.Logf("%d events: window %d after %d compactions, heap %.1f MB (%.1f MB at %d events)",
+		full.events, full.window, full.compactions, mb(full.heapBytes), mb(quarter.heapBytes), quarter.events)
 }
 
 // TestRecoveryEqualsUninterrupted is the crash-restart differential: kill

@@ -7,7 +7,7 @@
 // checked with a single masked comparison. Lookup is iterative and
 // allocation-free: internet-scale tables (500K prefixes) walk a handful of
 // nodes per query instead of one node per bit. The original one-bit-per-node
-// implementation is retained as Reference for differential testing.
+// implementation lives in the package's tests as the differential oracle.
 //
 // The trie is generic over the stored value so the FIB can hold route
 // entries while eqclass can hold arbitrary class labels. Values are stored
