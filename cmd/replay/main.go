@@ -24,6 +24,7 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/ciscolog"
 	"hbverify/internal/config"
+	"hbverify/internal/fault"
 	"hbverify/internal/hbr"
 	"hbverify/internal/network"
 	"hbverify/internal/scenario"
@@ -50,7 +51,11 @@ func main() {
 		return
 	}
 	if *seed != 0 || *schedule != "" {
-		cfg := scenario.Config{Seed: *seed, Shape: *shape, Mix: *mix, Rounds: *rounds, Bug: *bug}
+		if b := fault.Bug(*bug); b != "" && !fault.Known(b) {
+			fmt.Fprintf(os.Stderr, "replay: unknown -bug %q; known bugs: %v\n", b, fault.Bugs)
+			os.Exit(2)
+		}
+		cfg := scenario.Config{Seed: *seed, Shape: *shape, Mix: *mix, Rounds: *rounds, Bug: fault.Bug(*bug)}
 		failed, err := runScenario(cfg, *schedule, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "replay:", err)

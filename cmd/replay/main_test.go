@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hbverify/internal/fault"
 	"hbverify/internal/scenario"
 )
 
@@ -59,7 +62,7 @@ func TestRunScenarioSeed(t *testing.T) {
 // TestRunScenarioSchedule writes a forced-failure artifact and replays it
 // through the exact path the printed repro command uses.
 func TestRunScenarioSchedule(t *testing.T) {
-	cfg, err := scenario.Materialize(scenario.Config{Seed: 3, Bug: scenario.BugSkipRollback})
+	cfg, err := scenario.Materialize(scenario.Config{Seed: 3, Bug: fault.SkipRollback})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +85,30 @@ func TestRunScenarioSchedule(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), res.Failure.Oracle) {
 		t.Fatalf("replay output does not name oracle %q:\n%s", res.Failure.Oracle, b.String())
+	}
+}
+
+// TestUnknownBugIsAUsageError: a mistyped -bug must not run a healthy
+// scenario and exit 0; it exits 2 and names the bugs there are. The test
+// binary re-runs itself as replay to see main's exit code.
+func TestUnknownBugIsAUsageError(t *testing.T) {
+	if os.Getenv("REPLAY_TEST_MAIN") == "1" {
+		os.Args = []string{"replay", "-seed", "3", "-bug", "no-such-bug"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownBugIsAUsageError$")
+	cmd.Env = append(os.Environ(), "REPLAY_TEST_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	var exit *exec.ExitError
+	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("replay -bug no-such-bug: %v, want exit status 2\nstderr:\n%s", err, stderr.String())
+	}
+	for _, b := range fault.Bugs {
+		if !strings.Contains(stderr.String(), string(b)) {
+			t.Fatalf("stderr does not list bug %q:\n%s", b, stderr.String())
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/topology"
 )
@@ -339,11 +340,6 @@ type Walker struct {
 	View View
 	// MaxHops bounds walks; defaults to 64.
 	MaxHops int
-	// BugDropEcmpBranch is an injectable fault for the symbolic-vs-probe
-	// differential oracle: when set, symbolic exploration silently ignores
-	// the last member of every multi-way branch. Concrete probes are
-	// unaffected, so the oracle must catch the divergence.
-	BugDropEcmpBranch bool
 }
 
 // NewWalker builds a walker over the live tables of a topology.
@@ -372,7 +368,7 @@ func (w *Walker) Expand(router string, dst netip.Addr) Expansion {
 func (w *Walker) Forward(src string, dst netip.Addr) Walk {
 	return SymbolicWalk(src, dst, w.MaxHops, func(r string) Expansion {
 		ex := w.Expand(r, dst)
-		if w.BugDropEcmpBranch && len(ex.Nexts) > 1 {
+		if len(ex.Nexts) > 1 && fault.On(fault.DropEcmpBranch) {
 			ex.Nexts = ex.Nexts[:len(ex.Nexts)-1]
 		}
 		return ex

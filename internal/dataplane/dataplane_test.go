@@ -8,6 +8,7 @@ import (
 	// Dot import: network now builds walkers, so these tests cannot live in
 	// package dataplane without an import cycle.
 	. "hbverify/internal/dataplane"
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/topology"
@@ -360,7 +361,7 @@ func TestConcretePathsMatchSymbolic(t *testing.T) {
 func TestBugDropEcmpBranchVisible(t *testing.T) {
 	w := diamondWalker(t)
 	dst := addr("55.0.0.1")
-	w.BugDropEcmpBranch = true
+	defer fault.Inject(fault.DropEcmpBranch)()
 	sym := w.Forward("s", dst)
 	if sym.Branches != 0 {
 		t.Fatalf("bugged walk still branches: %+v", sym)

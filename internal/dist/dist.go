@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"hbverify/internal/dataplane"
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/localck"
 	"hbverify/internal/metrics"
@@ -465,11 +466,6 @@ type VerifyOpts struct {
 	// Metrics optionally receives dist.* counters and per-node latency
 	// timers.
 	Metrics *metrics.Registry
-	// DropBatch is a fault-injection hook for tests: when it returns true
-	// for a batch, the batch is not sent and its walks complete with empty
-	// results — simulating a transport that loses a batch but reports
-	// success. Production callers leave it nil.
-	DropBatch func(src string, walks int) bool
 }
 
 // Round scheduling: walkWindow bounds in-flight walks (backpressure) and
@@ -628,7 +624,8 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 			for _, w := range b.walks {
 				submitAt.Store(w.WalkID, now)
 			}
-			if opts.DropBatch != nil && opts.DropBatch(b.src, len(b.walks)) {
+			if b.src == batches[0].src && fault.On(fault.DropBatch) {
+				// Lost on the wire, reported as done: the walks come back empty.
 				for _, w := range b.walks {
 					w.Done = true
 					c.deliver(w)

@@ -9,6 +9,7 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
@@ -248,8 +249,9 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 	}
 }
 
-// TestDropBatchFaultInjection proves the DropBatch hook actually loses
-// work: dropped walks come back empty and diverge from the healthy run.
+// TestDropBatchFaultInjection proves the injected drop-batch fault actually
+// loses work: the first batch's source gets its walks back empty, and they
+// diverge from the healthy run.
 func TestDropBatchFaultInjection(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
@@ -257,22 +259,21 @@ func TestDropBatchFaultInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer teardown()
-	stats, err := coord.VerifyWith(nodes, []verify.Policy{
+	defer fault.Inject(fault.DropBatch)()
+	stats, err := coord.Verify(nodes, []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
-	}, []string{"r1", "r2", "r3"}, VerifyOpts{
-		DropBatch: func(src string, walks int) bool { return src == "r1" },
-	})
+	}, []string{"r1", "r2", "r3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped := 0
+	dropped := map[string]int{}
 	for _, r := range stats.Report.Results() {
-		if r.Source == "r1" && len(r.Walk.Path) == 0 {
-			dropped++
+		if len(r.Walk.Path) == 0 {
+			dropped[r.Source]++
 		}
 	}
-	if dropped == 0 {
-		t.Fatalf("drop-batch hook had no effect: %+v", stats.Report.Results())
+	if len(dropped) != 1 {
+		t.Fatalf("drop-batch emptied walks from %v, want exactly one source: %+v", dropped, stats.Report.Results())
 	}
 	if stats.Report.OK() {
 		t.Fatalf("dropped batch produced a clean report: %+v", stats.Report)

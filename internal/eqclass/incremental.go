@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"hbverify/internal/dataplane"
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/metrics"
 	"hbverify/internal/trie"
@@ -127,6 +128,9 @@ func (inc *Incremental) addRouterLocked(router string) {
 // same router and prefix. Watch wires this to fib.Table.OnChange; callers
 // driving the classifier from a snapshot diff may call it directly.
 func (inc *Incremental) Note(router string, u fib.Update) {
+	if fault.On(fault.StaleEqclass) {
+		return
+	}
 	inc.mu.Lock()
 	if inc.pending == nil {
 		inc.pending = map[pendingKey]pendingUpdate{}

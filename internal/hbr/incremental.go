@@ -19,10 +19,10 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 	"hbverify/internal/metrics"
 	"hbverify/internal/netsim"
@@ -266,6 +266,9 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	if g := inc.hitLocked(ios); g != nil {
 		return g
 	}
+	if inc.cached != nil && fault.On(fault.StaleCache) {
+		return inc.cached
+	}
 	if inc.cached != nil {
 		// Append-only growth of the covered window?
 		if sufStart, ok := inc.extensionStartLocked(ios); ok {
@@ -348,29 +351,6 @@ func (inc *Incremental) missingLocked(ios capture.View) ([]uint64, bool) {
 	return hidden, true
 }
 
-// staleDerive is the scenario harness's injectable bug: derive re-derives
-// nothing, so the hidden events' children keep what cached in-edges remain.
-var staleDerive atomic.Bool
-
-// SetStaleDeriveBug toggles the injected derive bug (test harness only).
-func SetStaleDeriveBug(on bool) { staleDerive.Store(on) }
-
-// narrowTail is the scenario harness's injectable bug: extend re-derives from
-// the suffix's earliest time on, not a cross window before it, so an old
-// receive keeps the send a nearer suffix send should have displaced.
-var narrowTail atomic.Bool
-
-// SetNarrowTailBug toggles the injected extend bug (test harness only).
-func SetNarrowTailBug(on bool) { narrowTail.Store(on) }
-
-// skipFold is the scenario harness's injectable bug: Compact evicts without
-// folding the window into the cache first — a compactor that trims the log
-// ahead of the inference tick that would have covered it.
-var skipFold atomic.Bool
-
-// SetSkipFoldBug toggles the injected compaction bug (test harness only).
-func SetSkipFoldBug(on bool) { skipFold.Store(on) }
-
 // derive answers for the covered window minus the hidden events (IDs
 // ascending) from the cached graph: the hidden vertices and their edges go,
 // and each visible child of a hidden event has its in-edges re-derived over
@@ -396,7 +376,7 @@ func (inc *Incremental) derive(ios capture.View, hidden []uint64, base Rules) *h
 	slices.Sort(redo)
 	redo = slices.Compact(redo) // a child of two hidden events comes up twice
 	var b hbg.Batch
-	if len(redo) > 0 && !staleDerive.Load() {
+	if len(redo) > 0 && !fault.On(fault.StaleDerive) {
 		visible, rest := make([]int32, 0, ios.Len()), hidden
 		for i := 0; i < ios.Len(); i++ {
 			id := ios.At(i).ID
@@ -506,7 +486,7 @@ func (inc *Incremental) extend(ios capture.View, sufStart int, base ruler) *hbg.
 		order = append(order, int32(p))
 	}
 	idx := inc.index(window, order, sendFloor)
-	if narrowTail.Load() {
+	if fault.On(fault.NarrowTail) {
 		tail = minTime
 	}
 	from := sort.Search(idx.Len(), func(i int) bool { return idx.at(idx.order[i]).Time >= tail })
@@ -580,7 +560,7 @@ func (inc *Incremental) Compact(log *capture.Log) (*hbg.Graph, int) {
 		return nil, 0
 	}
 	var g *hbg.Graph
-	if !skipFold.Load() {
+	if !fault.On(fault.SkipFold) {
 		g = inc.InferView(win)
 	}
 	retain, ok := retentionFloor(inc.Base, inc.SkewSlack)

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
@@ -165,15 +166,6 @@ func (idx *Index) precedingOnRouter(p int32, window time.Duration, visit func(*c
 	}
 }
 
-// swapSendMatch is the scenario harness's injectable fast-matcher bug:
-// when set, matchSendForRecv picks the furthest in-window candidate
-// instead of the nearest — exactly the kind of silent tie-breaking drift
-// the infer-fast-vs-reference oracle exists to catch.
-var swapSendMatch atomic.Bool
-
-// SetSwapSendMatchBug toggles the injected matcher bug (test harness only).
-func SetSwapSendMatchBug(on bool) { swapSendMatch.Store(on) }
-
 // matchSendForRecv finds the sender-side event for a received
 // advertisement: a send at recv.Peer targeting recv.Router, same protocol
 // and prefix (or same Detail for prefix-less LSAs), nearest in |observed
@@ -198,7 +190,7 @@ func (idx *Index) matchSendForRecv(recv *capture.IO, window time.Duration) *capt
 	}
 	var best *capture.IO
 	var bestDist time.Duration
-	bug := swapSendMatch.Load()
+	bug := fault.On(fault.SwapSendMatch)
 	for _, cand := range cands[lo:hi] {
 		d := recv.Time.Sub(cand.Time)
 		if d < 0 {

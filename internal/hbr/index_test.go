@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
@@ -175,8 +176,7 @@ func TestSwapSendMatchBugDiverges(t *testing.T) {
 	if !want.HasEdge(2, 3) {
 		t.Fatal("reference did not pick the nearest send")
 	}
-	SetSwapSendMatchBug(true)
-	defer SetSwapSendMatchBug(false)
+	defer fault.Inject(fault.SwapSendMatch)()
 	got := r.Infer(ios)
 	if d := diffGraphs(got, want); d == "" {
 		t.Fatal("swap-send-match bug produced no divergence")

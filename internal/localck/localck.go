@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+
+	"hbverify/internal/fault"
 )
 
 // Invariant identifies which local check an update violated. The zero
@@ -304,10 +306,6 @@ type StateFn func(class netip.Prefix) ClassState
 // disabled and certifies nothing.
 type Checker struct {
 	Labels NodeLabels
-	// SkipBug disables the per-class checks while still reporting the
-	// classes as checked — the injectable scenario bug (skip-local-check)
-	// that oracle 12 must catch.
-	SkipBug bool
 }
 
 // Enabled reports whether the checker holds a usable label slice.
@@ -318,7 +316,7 @@ func (c *Checker) Enabled() bool {
 // Check runs every invariant for every labeled class and returns the
 // violations. state is consulted once per class.
 func (c *Checker) Check(router string, state StateFn) []Violation {
-	if !c.Enabled() || c.SkipBug {
+	if !c.Enabled() {
 		return nil
 	}
 	var out []Violation
@@ -337,7 +335,7 @@ func (c *Checker) Check(router string, state StateFn) []Violation {
 // flags. Unlabeled routers flag as stale the moment they carry any
 // forwarding state for the class, since labels cannot vouch for them.
 func (c *Checker) CheckClass(router string, class netip.Prefix, st ClassState) []Violation {
-	if !c.Enabled() || c.SkipBug {
+	if !c.Enabled() || fault.On(fault.SkipLocalCheck) {
 		return nil
 	}
 	own := c.Labels.OwnLabel(class)

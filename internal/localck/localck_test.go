@@ -3,6 +3,8 @@ package localck
 import (
 	"net/netip"
 	"testing"
+
+	"hbverify/internal/fault"
 )
 
 var classP = netip.MustParsePrefix("203.0.113.0/24")
@@ -205,7 +207,7 @@ func TestCheckRunsAllClasses(t *testing.T) {
 
 func TestSkipBugSilencesChecker(t *testing.T) {
 	ck := checkerFor(t, "a", "b")
-	ck.SkipBug = true
+	defer fault.Inject(fault.SkipLocalCheck)()
 	if vs := ck.CheckClass("a", classP, ClassState{}); len(vs) != 0 {
 		t.Fatalf("skip bug must silence checks, got %v", vs)
 	}

@@ -18,6 +18,8 @@ package route
 import (
 	"net/netip"
 	"sync"
+
+	"hbverify/internal/fault"
 )
 
 // internEntry is one canonical attribute set plus its refcount. Entries are
@@ -89,15 +91,6 @@ var DefaultInterner = NewInterner()
 // Intern acquires a handle from the global table.
 func Intern(a BGPAttrs) AttrRef { return DefaultInterner.Acquire(a) }
 
-// internAliasBug, when enabled, makes hashing and equality treat the first
-// AS in the path as a wildcard, so two distinct attribute sets collapse
-// onto one canonical handle. Injected by the scenario harness to prove the
-// intern-vs-copy oracle catches aliasing.
-var internAliasBug bool
-
-// SetInternAliasBug toggles the injected aliasing fault (test-only).
-func SetInternAliasBug(on bool) { internAliasBug = on }
-
 // AttrBytes returns the heap bytes a deep copy of a's slices would retain.
 func AttrBytes(a BGPAttrs) int64 {
 	const addrSize = 24 // unsafe.Sizeof(netip.Addr{})
@@ -124,11 +117,10 @@ func hashAttrs(a BGPAttrs) uint64 {
 	mix32(a.MED)
 	mix32(uint32(a.Origin))
 	mix32(uint32(len(a.ASPath)))
+	alias := fault.On(fault.InternAlias)
 	for i, as := range a.ASPath {
-		if i == 0 && internAliasBug && len(a.ASPath) > 0 {
-			// Injected fault: first AS hashed as a wildcard.
-			mix32(0)
-			continue
+		if i == 0 && alias {
+			as = 0 // first AS hashed as a wildcard
 		}
 		mix32(as)
 	}
@@ -161,9 +153,10 @@ func attrsEqualForIntern(a, b BGPAttrs) bool {
 		len(a.ClusterList) != len(b.ClusterList) {
 		return false
 	}
+	alias := fault.On(fault.InternAlias)
 	for i := range a.ASPath {
-		if i == 0 && internAliasBug {
-			continue // injected fault: first AS treated as don't-care
+		if i == 0 && alias {
+			continue // first AS treated as don't-care
 		}
 		if a.ASPath[i] != b.ASPath[i] {
 			return false

@@ -6,6 +6,8 @@ import (
 	"net/netip"
 	"sort"
 	"testing"
+
+	"hbverify/internal/fault"
 )
 
 func randAttrs(rng *rand.Rand) BGPAttrs {
@@ -103,11 +105,10 @@ func TestInternAliasBugCollapses(t *testing.T) {
 	}
 	r1.Release()
 	r2.Release()
-	SetInternAliasBug(true)
-	defer SetInternAliasBug(false)
+	defer fault.Inject(fault.InternAlias)()
 	r1, r2 = in.Acquire(a), in.Acquire(b)
 	if r1.e != r2.e {
-		t.Fatal("BugInternAlias did not collapse distinct first-AS paths")
+		t.Fatal("intern-alias did not collapse distinct first-AS paths")
 	}
 	r1.Release()
 	r2.Release()

@@ -16,11 +16,13 @@ import (
 	"hbverify/internal/dataplane"
 	"hbverify/internal/dist"
 	"hbverify/internal/eqclass"
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/localck"
 	"hbverify/internal/netsim"
+	"hbverify/internal/repair"
 	"hbverify/internal/route"
 	"hbverify/internal/serve"
 	"hbverify/internal/snapshot"
@@ -47,7 +49,7 @@ const (
 // every path a speaker retains must carry attributes exactly equal to some
 // recorded recv-advert from that (router, peer, prefix). The recv I/O is
 // captured before the attributes are interned, so a canonical table that
-// aliases distinct attribute sets (BugInternAlias) leaves the speaker
+// aliases distinct attribute sets (fault.InternAlias) leaves the speaker
 // holding attributes no wire message ever carried.
 func (h *harness) oracleInternVsCopy(round int) *Failure {
 	type recvKey struct {
@@ -141,21 +143,21 @@ func graphDiffLabeled(got, want *hbg.Graph, gl, wl string) string {
 // compares on the derive path.
 const derivedCuts = 3
 
-// oracleIncrementalVsFull asserts the incremental strategy's graph is
-// node-, edge- and confidence-identical to a fresh full inference over the
-// same stripped log, and then the same — plus the §5 verdict — for a few
-// random cuts of it, each of which the strategy must answer from its cached
-// graph (hbr.Incremental's derive path) rather than by inferring again, both
-// as a collected slice and by the IDs the cut hides from the live log's view.
-// BugStaleDerive skips the re-derivation a cut's graph needs, which either
+// oracleIncrementalVsFull asserts the pipeline's graph is node-, edge- and
+// confidence-identical to a fresh full inference over the same stripped log,
+// and then the same — plus the §5 verdict — for a few random cuts of it, each
+// of which the pipeline's strategy must answer from its cached graph
+// (hbr.Incremental's derive path) rather than by inferring again, both as a
+// collected slice and by the IDs the cut hides from the live log's view.
+// fault.StaleDerive skips the re-derivation a cut's graph needs, which either
 // comparison must catch. A whole round's suffix has no old event within a
 // cross window of it, so a second cache takes the same log in seeded
 // 1–64-event drips — boundaries between a send and its receive, inside SPF
-// bursts — and must agree too; BugNarrowTail is what only it can see.
+// bursts — and must agree too; fault.NarrowTail is what only it can see.
 func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 	ios := h.w.net.Log.View().Stripped(nil)
 	full := h.full.Infer(ios)
-	if d := graphDiffLabeled(h.strat.Infer(ios), full, "incremental", "full"); d != "" {
+	if d := graphDiffLabeled(h.p.Graph(), full, "incremental", "full"); d != "" {
 		return &Failure{Oracle: OracleIncremental, Round: round, Detail: d}
 	}
 	for rng := deriveRNG(h.cfg.Seed, 0xd219+int64(round)); h.dripped < len(ios); {
@@ -186,19 +188,19 @@ func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 		if len(visible) == len(ios) {
 			continue
 		}
-		derived := h.reg.Timer("infer.derived").Count()
-		got, want := h.strat.Infer(visible), h.full.Infer(visible)
+		derived := h.p.Metrics.Timer("infer.derived").Count()
+		got, want := h.p.Strategy.Infer(visible), h.full.Infer(visible)
 		d := graphDiffLabeled(got, want, "derived", "full")
 		if d == "" && !reflect.DeepEqual(snapshot.Check(got, h.w.isExternal), snapshot.Check(want, h.w.isExternal)) {
 			d = "snapshot.Check verdicts differ"
 		}
-		if d == "" && h.cfg.Bug != BugStaleCache && h.reg.Timer("infer.derived").Count() == derived {
+		if d == "" && h.p.Metrics.Timer("infer.derived").Count() == derived {
 			d = "answered by a full inference, not derived from the cached graph"
 		}
 		// The same cut as Pipeline.VerifySnapshot asks for it: by the IDs it
 		// hides, over a view of the live, unstripped log.
-		if live := h.w.net.Log.View(); d == "" && h.cfg.Bug != BugStaleCache {
-			if g := h.inc.Cached(live, snapshot.Hidden(live, cut)); g == nil {
+		if live := h.w.net.Log.View(); d == "" {
+			if g := h.p.Strategy.Cached(live, snapshot.Hidden(live, cut)); g == nil {
 				d = "the cut of the log's view was not derived from the cached graph"
 			} else {
 				d = graphDiffLabeled(g, want, "derived over the view", "full")
@@ -230,7 +232,7 @@ const compactRootSample = 128
 // worst clock skew behind the newest capture, are evicted with their edges
 // compacted into the cache baseline. The cached graph must stay node-,
 // edge-, confidence-, and root-cause identical to a fresh full inference
-// over the complete log pruned at the same floor. BugSkipFold evicts
+// over the complete log pruned at the same floor. fault.SkipFold evicts
 // without folding first — a compactor that trims the log ahead of its
 // inference tick — which this oracle must catch.
 func (h *harness) oracleCompactionVsFull(round int) *Failure {
@@ -316,7 +318,8 @@ func firstEdgeDiff(a, b []hbg.Edge) string {
 // consistent cut a *possible* state, not an *instantaneous* one (DESIGN.md
 // §5): what makes it possible is closure under ground-truth happens-before,
 // so that is what is checked, with the simulator's causal tags.
-// BugSkipCutExtension verifies the first cut unextended, which (c) must catch.
+// fault.SkipCutExtension verifies the first cut unextended, which (c) must
+// catch.
 func (h *harness) oracleSnapshots(round int) *Failure {
 	all := h.w.net.Log.All()
 	stripped := capture.StripOracle(all)
@@ -348,7 +351,7 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 				len(res.Missing), res.WaitFor)}
 		}
 	}
-	if h.cfg.Bug == BugSkipCutExtension {
+	if fault.On(fault.SkipCutExtension) {
 		collected = snapshot.Collect(stripped, cut)
 	}
 
@@ -618,17 +621,15 @@ const probeEnumLimit = 1024
 // walker, aggregates those per-path outcomes independently, and requires
 // the aggregate to reproduce the symbolic walk's outcome and egress set —
 // and every probe to traverse only edges the symbolic DAG recorded.
-// BugDropEcmpBranch makes the symbolic side silently skip the last member
+// fault.DropEcmpBranch makes the symbolic side silently skip the last member
 // of each multi-way branch, which the edge-coverage check must catch.
 func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
-	sym := h.liveWalker()
-	sym.BugDropEcmpBranch = h.cfg.Bug == BugDropEcmpBranch
-	probe := h.liveWalker()
+	walker := h.liveWalker()
 	for _, p := range []netip.Prefix{PrefixP, PrefixQ} {
 		dst := dataplane.Representative(p)
 		for _, src := range h.w.verifySources {
-			w := sym.Forward(src, dst)
-			probes := probe.ConcretePaths(src, dst, probeEnumLimit)
+			w := walker.Forward(src, dst)
+			probes := walker.ConcretePaths(src, dst, probeEnumLimit)
 			if len(probes) >= probeEnumLimit {
 				continue // truncated enumeration: aggregate would be partial
 			}
@@ -688,8 +689,8 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 // live network (every router, externals included, so walks traverse the
 // same graph the central walker sees), runs one checker twice — over the
 // central executor and over the fleet executor — and asserts every check
-// was answered by the same walk: path, outcome, egress. BugDropBatch makes
-// the coordinator lose every batch bound for one node while still
+// was answered by the same walk: path, outcome, egress. fault.DropBatch
+// makes the coordinator lose every batch bound for one node while still
 // reporting success, which this oracle must catch.
 func (h *harness) oracleDistVsCentral(round int) *Failure {
 	coord, nodes, teardown, err := dist.BuildFleet(h.w.net, nil)
@@ -698,15 +699,10 @@ func (h *harness) oracleDistVsCentral(round int) *Failure {
 	}
 	defer teardown()
 
-	var opts dist.VerifyOpts
-	if h.cfg.Bug == BugDropBatch {
-		victim := h.w.verifySources[0]
-		opts.DropBatch = func(src string, _ int) bool { return src == victim }
-	}
 	ck := verify.NewChecker(h.liveWalker(), h.w.verifySources)
 	pols := h.policies()
 	want := ck.Check(pols).Results()
-	ck.Executor = coord.Executor(nodes, opts)
+	ck.Executor = coord.Executor(nodes, dist.VerifyOpts{})
 	got := ck.Check(pols).Results()
 	for i, g := range got {
 		w := want[i]
@@ -735,7 +731,7 @@ func (h *harness) oracleDistVsCentral(round int) *Failure {
 // update-in-flight snapshots where one delivering router's covering
 // entries are withdrawn while the labels stay at the pre-update epoch —
 // exactly the state a node validates mid-churn, before any relabel.
-// BugSkipLocalCheck silences every local checker while leaving the
+// fault.SkipLocalCheck silences every local checker while leaving the
 // labels intact, which the in-flight phase must catch.
 func (h *harness) oracleLocalSuperset(round int) *Failure {
 	classes := []netip.Prefix{PrefixP, PrefixQ}
@@ -803,7 +799,7 @@ func (h *harness) localSuperset(round int, stage string, views map[string]dist.L
 				peers = append(peers, i.PeerName)
 			}
 		}
-		ck := localck.Checker{Labels: ls.Node(r, peers), SkipBug: h.cfg.Bug == BugSkipLocalCheck}
+		ck := localck.Checker{Labels: ls.Node(r, peers)}
 		for _, viol := range ck.Check(r, func(c netip.Prefix) localck.ClassState { return v.ClassState(c) }) {
 			flagged[viol.Prefix] = true
 		}
@@ -835,9 +831,11 @@ func (h *harness) localSuperset(round int, stage string, views map[string]dist.L
 var faultNextHop = netip.MustParseAddr("192.0.2.254")
 
 // oracleRepairRollback injects a faulty static route for P on a router
-// that can currently reach P, lets the violation be detected and traced
-// through the HBG, rolls back the root-cause config version, and asserts
-// the network reconverges to the exact pre-fault data plane.
+// that can currently reach P, lets the pipeline detect the violation, trace
+// it through the HBG and roll back the root-cause config version, and
+// asserts the network reconverges to the exact pre-fault data plane.
+// fault.SkipRollback detects without repairing, which the data-plane
+// comparison must catch.
 func (h *harness) oracleRepairRollback(round int) *Failure {
 	// Let the round's churn age out of the 500ms rule window so the fault's
 	// FIB update can only be attributed to the fault config change.
@@ -873,20 +871,25 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 	}
 
 	pols := []verify.Policy{{Kind: verify.NoBlackhole, Prefix: PrefixP, Sources: []string{victim}}}
-	d := h.engine.Detect(pols)
+	skip := fault.On(fault.SkipRollback)
+	var d *repair.Diagnosis
+	var err error
+	if skip {
+		d = h.p.Detect(pols)
+	} else {
+		d, err = h.p.DetectAndRepair(pols)
+	}
 	if d.Report.OK() {
 		return &Failure{Oracle: OracleRepair, Round: round,
 			Detail: fmt.Sprintf("injected blackhole on %s not detected", victim)}
 	}
-	if h.cfg.Bug != BugSkipRollback {
-		if err := h.engine.Repair(d); err != nil {
-			return &Failure{Oracle: OracleRepair, Round: round, Detail: fmt.Sprintf(
-				"repair failed on %s: %v (fault=%s, %d roots)", victim, err, d.Fault, len(d.Roots))}
-		}
-		if !d.RolledBack || d.RollbackRouter != victim {
-			return &Failure{Oracle: OracleRepair, Round: round,
-				Detail: fmt.Sprintf("rollback targeted %q, want %q", d.RollbackRouter, victim)}
-		}
+	if err != nil {
+		return &Failure{Oracle: OracleRepair, Round: round, Detail: fmt.Sprintf(
+			"repair failed on %s: %v (fault=%s, %d roots)", victim, err, d.Fault, len(d.Roots))}
+	}
+	if !skip && (!d.RolledBack || d.RollbackRouter != victim) {
+		return &Failure{Oracle: OracleRepair, Round: round,
+			Detail: fmt.Sprintf("rollback targeted %q, want %q", d.RollbackRouter, victim)}
 	}
 	if err := h.w.net.Run(); err != nil {
 		return &Failure{Oracle: OracleRepair, Round: round, Detail: fmt.Sprintf("repair convergence: %v", err)}
@@ -904,13 +907,13 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 	return nil
 }
 
-// oracleEqclassDelta asserts the delta verification path is equivalent to
-// the from-scratch one: the incremental classifier (fed only FIB updates
-// since its seed) must produce the identical class partition to a fresh
-// eqclass.Compute over the live FIBs, and the cached-walk checker must
-// report the identical violation list to a cold checker with no cache.
+// oracleEqclassDelta asserts the pipeline's delta verification path is
+// equivalent to the from-scratch one: its incremental classifier (fed only
+// FIB updates since its seed) must produce the identical class partition to
+// a fresh eqclass.Compute over the live FIBs, and its cached-walk Verify
+// must report the identical violation list to a cold checker with no cache.
 func (h *harness) oracleEqclassDelta(round int) *Failure {
-	incClasses := h.eqc.Classes()
+	incClasses := h.p.Classes()
 	fullClasses := eqclass.Compute(h.w.net.FIBSnapshot(), nil)
 	if d := diffClasses(incClasses, fullClasses); d != "" {
 		return &Failure{Oracle: OracleEqclassDelta, Round: round,
@@ -918,7 +921,7 @@ func (h *harness) oracleEqclassDelta(round int) *Failure {
 	}
 
 	pols := h.policies()
-	cachedRep := h.cached.Check(pols)
+	cachedRep := h.p.Verify(pols)
 	coldRep := verify.NewChecker(h.liveWalker(), h.w.verifySources).Check(pols)
 	if !reflect.DeepEqual(cachedRep.Violations, coldRep.Violations) {
 		return &Failure{Oracle: OracleEqclassDelta, Round: round, Detail: fmt.Sprintf(
@@ -928,15 +931,15 @@ func (h *harness) oracleEqclassDelta(round int) *Failure {
 	return nil
 }
 
-// oracleServeVsBatch asserts the concurrent query engine is answer-
-// equivalent to batch verification: for every (policy, source) the harness
+// oracleServeVsBatch asserts the pipeline's concurrent query engine is
+// answer-equivalent to batch verification: for every (policy, source) the harness
 // checks, the engine's verdict must match a cold Checker's over the same
 // live state, and the walk backing the verdict must be byte-identical —
 // path, outcome, egress — to the cold walker's, however the plan was
 // obtained (shared-cache hit, coalesced flight, pinned bug walk, or fresh
 // execution). The engine persists across rounds, so plans cached in
 // earlier rounds must have been invalidated by the interleaving churn;
-// BugStalePlan pins each plan's first walk forever, which this oracle must
+// fault.StalePlan pins each plan's first walk forever, which this oracle must
 // catch as soon as a queried plan's forwarding actually changes.
 func (h *harness) oracleServeVsBatch(round int) *Failure {
 	pols := h.policies()

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"hbverify/internal/fault"
 )
 
 // rounds is the opt-in soak knob: `go test ./internal/scenario
@@ -58,7 +60,7 @@ func TestScenarioDeterminism(t *testing.T) {
 // the named oracle (or oracles) to catch it, the shrink to produce a
 // reproducible artifact, and the artifact to reproduce the failure. The
 // seed picks a schedule whose churn actually exposes the bug.
-func forceBug(t *testing.T, seed int64, bug string, oracles ...string) {
+func forceBug(t *testing.T, seed int64, bug fault.Bug, oracles ...string) {
 	t.Helper()
 	forceBugCfg(t, Config{Seed: seed, Bug: bug}, oracles...)
 }
@@ -110,13 +112,13 @@ func forceBugCfg(t *testing.T, cfg Config, oracles ...string) {
 // cache that never refreshes. (With the frozen graph the repair engine can
 // also trip first on round 0, before the cache visibly diverges.)
 func TestForcedStaleCache(t *testing.T) {
-	forceBug(t, 3, BugStaleCache, OracleIncremental, OracleRepair)
+	forceBug(t, 3, fault.StaleCache, OracleIncremental, OracleRepair)
 }
 
 // TestForcedSkipRollback proves the repair-rollback oracle catches a
 // repair engine that never applies its rollback.
 func TestForcedSkipRollback(t *testing.T) {
-	forceBug(t, 3, BugSkipRollback, OracleRepair)
+	forceBug(t, 3, fault.SkipRollback, OracleRepair)
 }
 
 // TestForcedStaleEqclass proves the eqclass-delta-vs-full oracle catches a
@@ -124,7 +126,7 @@ func TestForcedSkipRollback(t *testing.T) {
 // classifier diverges from full Compute as soon as churn (or the round's
 // fault injection) moves a FIB entry.
 func TestForcedStaleEqclass(t *testing.T) {
-	forceBug(t, 3, BugStaleEqclass, OracleEqclassDelta)
+	forceBug(t, 3, fault.StaleEqclass, OracleEqclassDelta)
 }
 
 // TestForcedDropBatch proves the dist-vs-central oracle catches a
@@ -132,7 +134,7 @@ func TestForcedStaleEqclass(t *testing.T) {
 // the victim node's walks come back empty and diverge from the central
 // walker immediately.
 func TestForcedDropBatch(t *testing.T) {
-	forceBug(t, 3, BugDropBatch, OracleDist)
+	forceBug(t, 3, fault.DropBatch, OracleDist)
 }
 
 // TestForcedSwapSendMatch proves the infer-fast-vs-reference oracle
@@ -142,7 +144,7 @@ func TestForcedDropBatch(t *testing.T) {
 // (The same wrong edges can also surface first through the repair engine's
 // root-cause walk.)
 func TestForcedSwapSendMatch(t *testing.T) {
-	forceBug(t, 4, BugSwapSendMatch, OracleInferRef, OracleRepair)
+	forceBug(t, 4, fault.SwapSendMatch, OracleInferRef, OracleRepair)
 }
 
 // TestForcedSkipFold proves the compaction-vs-full oracle catches a
@@ -151,7 +153,7 @@ func TestForcedSwapSendMatch(t *testing.T) {
 // floor, the unfolded events' nodes and edges are simply gone from the
 // window graph while the pruned full inference still has them.
 func TestForcedSkipFold(t *testing.T) {
-	forceBug(t, 3, BugSkipFold, OracleCompaction)
+	forceBug(t, 3, fault.SkipFold, OracleCompaction)
 }
 
 // TestForcedDropEcmpBranch proves the symbolic-vs-probe oracle catches a
@@ -160,7 +162,7 @@ func TestForcedSkipFold(t *testing.T) {
 // cores), so concrete probe enumeration finds paths through the branch the
 // bugged symbolic walk never recorded.
 func TestForcedDropEcmpBranch(t *testing.T) {
-	forceBugCfg(t, Config{Seed: 3, Shape: "fattree", Mix: "ospf", Routers: 6, Bug: BugDropEcmpBranch},
+	forceBugCfg(t, Config{Seed: 3, Shape: "fattree", Mix: "ospf", Routers: 6, Bug: fault.DropEcmpBranch},
 		OracleSymbolic)
 }
 
@@ -170,7 +172,7 @@ func TestForcedDropEcmpBranch(t *testing.T) {
 // differing only in that AS, exactly what the wildcarded first-AS hash
 // collapses; some speaker then retains an AS path no wire message carried.
 func TestForcedInternAlias(t *testing.T) {
-	forceBugCfg(t, Config{Seed: 3, Mix: "ospf+bgp", Bug: BugInternAlias}, OracleInternCopy)
+	forceBugCfg(t, Config{Seed: 3, Mix: "ospf+bgp", Bug: fault.InternAlias}, OracleInternCopy)
 }
 
 // TestForcedStalePlan proves the serve-vs-batch oracle catches a query
@@ -178,7 +180,7 @@ func TestForcedInternAlias(t *testing.T) {
 // walks are pinned, the next round's churn moves forwarding for a queried
 // plan, and the pinned answer diverges from the fresh batch check.
 func TestForcedStalePlan(t *testing.T) {
-	forceBug(t, 3, BugStalePlan, OracleServe)
+	forceBug(t, 3, fault.StalePlan, OracleServe)
 }
 
 // TestForcedSkipLocalCheck proves the localcheck-superset oracle catches
@@ -187,7 +189,7 @@ func TestForcedStalePlan(t *testing.T) {
 // route, the central walker fails the class, and with no local flag (and
 // fresh labels vouching for the source) the superset property breaks.
 func TestForcedSkipLocalCheck(t *testing.T) {
-	forceBug(t, 3, BugSkipLocalCheck, OracleLocalCheck)
+	forceBug(t, 3, fault.SkipLocalCheck, OracleLocalCheck)
 }
 
 // TestForcedStaleDerive proves the incremental-vs-full oracle's random cuts
@@ -195,7 +197,7 @@ func TestForcedSkipLocalCheck(t *testing.T) {
 // children: a child whose nearest match was hidden has a next-nearest one a
 // full inference of the cut finds and the stale graph lacks.
 func TestForcedStaleDerive(t *testing.T) {
-	forceBug(t, 4, BugStaleDerive, OracleIncremental)
+	forceBug(t, 4, fault.StaleDerive, OracleIncremental)
 }
 
 // TestForcedNarrowTail proves the oracle's dripped cache sees a suffix
@@ -203,14 +205,67 @@ func TestForcedStaleDerive(t *testing.T) {
 // only from the suffix's earliest time on leaves an older receive on the send
 // a nearer suffix send displaced (seed 47, ring: round 8, 351->360).
 func TestForcedNarrowTail(t *testing.T) {
-	forceBugCfg(t, Config{Seed: 47, Shape: "ring", Rounds: 9, Bug: BugNarrowTail}, OracleIncremental)
+	forceBugCfg(t, Config{Seed: 47, Shape: "ring", Rounds: 9, Bug: fault.NarrowTail}, OracleIncremental)
 }
 
 // TestForcedSkipCutExtension proves the snapshot oracle catches a verifier
 // that takes the first lagged cut as it comes: the loop it shows sits in a
 // cut that lacks the send behind a collected receive.
 func TestForcedSkipCutExtension(t *testing.T) {
-	forceBugCfg(t, Config{Seed: 1, Shape: "ring", Rounds: 5, Bug: BugSkipCutExtension}, OracleSnapshot)
+	forceBugCfg(t, Config{Seed: 1, Shape: "ring", Rounds: 5, Bug: fault.SkipCutExtension}, OracleSnapshot)
+}
+
+// TestUnknownBugFailsTheHarness: a bug name the fault package does not know
+// is a harness failure, not a healthy run with nothing injected.
+func TestUnknownBugFailsTheHarness(t *testing.T) {
+	res := Run(Config{Seed: 3, Bug: "typo"})
+	if res.Failure == nil || res.Failure.Oracle != "harness" {
+		t.Fatalf("failure = %v, want a harness failure", res.Failure)
+	}
+}
+
+// TestLoopInConsistentCutIsAPossibleState replays the two minimized
+// schedules that used to fail the snapshot oracle with a "phantom loop"
+// [x1 → x2 → x1] in an HBG-consistent snapshot (seed 31: one local-pref
+// edit; seed 13: one LAG flap). The loop is there, and it is not phantom:
+// the collected cut holds the whole ground-truth ancestry of every FIB event
+// in it, and each router on the loop did hold the entry the snapshot gives
+// it. It is the state one delayed update would produce — §5 promises a
+// possible state, not an instantaneous one — which is exactly the two facts
+// the oracle now judges a loop by.
+func TestLoopInConsistentCutIsAPossibleState(t *testing.T) {
+	for _, tc := range []struct {
+		seed     int64
+		round    int
+		schedule []Event
+	}{
+		{31, 1, []Event{
+			{Round: 1, At: 108470332, Kind: KindConfigLP, A: "x0", B: "10.200.0.2", Value: 153}}},
+		{13, 22, []Event{
+			{Round: 22, At: 76802813, Kind: KindLagDown, A: "x0", B: "x1"},
+			{Round: 22, At: 536385198, Kind: KindLagUp, A: "x0", B: "x1"}}},
+	} {
+		res := Run(Config{Seed: tc.seed, Shape: "ring", Mix: "ospf+bgp", Routers: 5,
+			Rounds: tc.round + 1, Schedule: tc.schedule})
+		if res.Failure != nil {
+			t.Errorf("seed %d: %v", tc.seed, res.Failure)
+			continue
+		}
+		met := false
+		for _, l := range res.Loops {
+			if l.Round != tc.round || !l.Concrete {
+				continue
+			}
+			met = true
+			if l.Open != "" || !l.EntriesReal {
+				t.Errorf("seed %d: loop for %s from %s: cut open at %q, entries real %v; want a closed cut and real entries",
+					tc.seed, l.Prefix, l.Source, l.Open, l.EntriesReal)
+			}
+		}
+		if !met {
+			t.Errorf("seed %d: round %d's snapshot no longer shows a concrete loop; the schedule no longer exercises the oracle", tc.seed, tc.round)
+		}
+	}
 }
 
 // TestScenarioScaleShapes drives the scale shapes — the 4-ary fat-tree and
@@ -289,7 +344,7 @@ func TestISPRRScheduleKinds(t *testing.T) {
 // TestShrinkPreservesFailure checks the shrinker's contract directly on a
 // forced failure: the minimized config still fails the same oracle.
 func TestShrinkPreservesFailure(t *testing.T) {
-	cfg, err := Materialize(Config{Seed: 5, Bug: BugSkipRollback})
+	cfg, err := Materialize(Config{Seed: 5, Bug: fault.SkipRollback})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,7 @@ import (
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/eqclass"
+	"hbverify/internal/fault"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/verify"
@@ -141,13 +142,8 @@ type Config struct {
 	// Window bounds concurrently executing walks; default 32.
 	Window int
 	// MaxQueue bounds plan leaders waiting for a token before admission
-	// sheds with ErrOverloaded; default 4×Window. Negative disables
-	// shedding.
+	// sheds with ErrOverloaded; default 4×Window.
 	MaxQueue int
-	// BugStalePlan injects the stale-plan bug for the scenario harness: the
-	// planner pins each plan's first walk forever, ignoring invalidation.
-	// The serve-vs-batch oracle must catch the divergence.
-	BugStalePlan bool
 }
 
 // planKey identifies one canonical plan: the walk that answers it.
@@ -176,7 +172,7 @@ type Engine struct {
 	mu       sync.Mutex
 	flights  map[planKey]*flight
 	wflights map[string]*flight
-	bugWalks map[planKey]dataplane.Walk // BugStalePlan's pinned plans
+	bugWalks map[planKey]dataplane.Walk // fault.StalePlan's pinned plans
 
 	latency  *metrics.Histogram
 	inflight *metrics.Gauge
@@ -190,7 +186,7 @@ func New(cfg Config) *Engine {
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
-	if cfg.MaxQueue == 0 {
+	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4 * cfg.Window
 	}
 	reg := cfg.Metrics
@@ -207,7 +203,7 @@ func New(cfg Config) *Engine {
 		latency:  reg.Histogram("serve.query.latency"),
 		inflight: reg.Gauge("serve.inflight"),
 	}
-	if cfg.BugStalePlan {
+	if fault.On(fault.StalePlan) {
 		e.bugWalks = map[planKey]dataplane.Walk{}
 	}
 	return e
@@ -390,8 +386,8 @@ func (e *Engine) execute(k planKey, epoch uint64, store bool) (dataplane.Walk, e
 }
 
 // pinBugWalk records the first walk a plan resolved to — whether executed
-// or read from the shared cache — as its answer forever. Only active under
-// Config.BugStalePlan.
+// or read from the shared cache — as its answer forever. Only active when
+// the engine was built with fault.StalePlan injected.
 func (e *Engine) pinBugWalk(k planKey, w dataplane.Walk) {
 	if e.bugWalks == nil {
 		return
@@ -406,13 +402,11 @@ func (e *Engine) pinBugWalk(k planKey, w dataplane.Walk) {
 // acquire takes an admission token, shedding when too many leaders are
 // already waiting and failing fast on shutdown.
 func (e *Engine) acquire() error {
-	if e.cfg.MaxQueue > 0 {
-		if e.queued.Add(1) > int64(e.cfg.MaxQueue)+int64(e.cfg.Window) {
-			e.queued.Add(-1)
-			return ErrOverloaded
-		}
-		defer e.queued.Add(-1)
+	if e.queued.Add(1) > int64(e.cfg.MaxQueue)+int64(e.cfg.Window) {
+		e.queued.Add(-1)
+		return ErrOverloaded
 	}
+	defer e.queued.Add(-1)
 	select {
 	case e.tokens <- struct{}{}:
 		e.inflight.Set(int64(len(e.tokens)))

@@ -10,6 +10,7 @@ import (
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/eqclass"
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
@@ -374,7 +375,8 @@ func TestWhatIfQueries(t *testing.T) {
 // machinery the serve-vs-batch oracle must catch.
 func TestBugStalePlanPinsWalk(t *testing.T) {
 	w := startPaper(t)
-	e := w.engine(Config{BugStalePlan: true})
+	defer fault.Inject(fault.StalePlan)()
+	e := w.engine(Config{})
 	defer e.Close()
 
 	q := Reachability("r1", w.pn.P)

@@ -11,6 +11,7 @@ import (
 
 	"hbverify/internal/capture"
 	"hbverify/internal/ciscolog"
+	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
@@ -297,8 +298,7 @@ func TestForcedSkipFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hbr.SetSkipFoldBug(true)
-	defer hbr.SetSkipFoldBug(false) // the unbounded control below never compacts
+	defer fault.Inject(fault.SkipFold)() // the unbounded control below never compacts
 	runDaemon(t, buggy, f)
 
 	full, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver()})
