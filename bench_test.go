@@ -25,7 +25,6 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
-	"hbverify/internal/modelck"
 	"hbverify/internal/netsim"
 	"hbverify/internal/network"
 	"hbverify/internal/repair"
@@ -652,9 +651,8 @@ func BenchmarkModelCoverageGap(b *testing.B) {
 			r.BGP.Session(r.Cfg.BGP.Neighbors[0].Addr).ExportPolicy = "med"
 		}
 		runNet(b, pn)
-		internal := func(n string) bool { return pn.Internal(n) }
-		pred := modelck.Predict(pn.Network, internal, []netip.Prefix{pn.P})
-		return len(modelck.Diff(pn.Network, pred))
+		pred := modelPredict(pn.Network, pn.Internal, []netip.Prefix{pn.P})
+		return len(modelDiff(pn.Network, pred))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,58 +2,51 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"hbverify/internal/config"
+	"hbverify/internal/serve"
 )
 
-func TestPaperHealthy(t *testing.T) {
-	if err := run(false, 0, 1, 0, 0, "", false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPaperViolated(t *testing.T) {
-	if err := run(true, 0, 1, 0, 0, "", false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGridMode(t *testing.T) {
-	if err := run(false, 3, 1, 0, 0, "", false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQueryMode drives the in-process query demo (-queries) end to end.
+// TestQueryMode drives -query-addr's handler over HTTP: a reachability
+// query from r1 toward the paper prefix answers ok via e2, and /stats
+// counts it.
 func TestQueryMode(t *testing.T) {
-	if err := run(false, 0, 1, 0, 64, "", false); err != nil {
+	h, closeEngine, err := queryHandler()
+	if err != nil {
 		t.Fatal(err)
 	}
-}
+	defer closeEngine()
+	srv := httptest.NewServer(h)
+	defer srv.Close()
 
-// TestSetUplinkLocalPrefGuard pins the no-neighbor fix: a config without
-// BGP neighbors used to panic with an out-of-range index; now it reports
-// a clear error and leaves the config untouched.
-func TestSetUplinkLocalPrefGuard(t *testing.T) {
-	var c config.Router
-	if err := setUplinkLocalPref(&c, 10); err == nil {
-		t.Fatal("empty neighbor list accepted")
-	} else if !strings.Contains(err.Error(), "no BGP neighbors") {
-		t.Fatalf("unhelpful error: %v", err)
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s", path, resp.Status)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
 	}
-
-	c.BGP = &config.BGPConfig{Neighbors: []config.Neighbor{{}, {}}}
-	if err := setUplinkLocalPref(&c, 10); err != nil {
-		t.Fatal(err)
+	var ans serve.AnswerJSON
+	get("/query?kind=reachability&source=r1&prefix=203.0.113.0/24", &ans)
+	if !ans.OK || ans.Walk.Egress != "e2" {
+		t.Fatalf("answer = %+v, want ok via e2", ans)
 	}
-	if c.BGP.Neighbors[1].LocalPref != 10 {
-		t.Fatalf("last neighbor localpref = %d, want 10", c.BGP.Neighbors[1].LocalPref)
-	}
-	if c.BGP.Neighbors[0].LocalPref != 0 {
-		t.Fatal("guarded setter touched the wrong neighbor")
+	var st serve.StatsJSON
+	get("/stats", &st)
+	if st.Queries != 1 {
+		t.Fatalf("stats count %d queries, want 1", st.Queries)
 	}
 }
 
@@ -89,22 +82,5 @@ func TestServeModeCheckpointRestart(t *testing.T) {
 func TestServeModeRejectsTinyFleet(t *testing.T) {
 	if err := runServe(&bytes.Buffer{}, serveOpts{routers: 1, waves: 10}); err == nil {
 		t.Fatal("single-router fleet accepted")
-	}
-}
-
-// TestLocalCheckMode drives the hybrid local-check loop end to end: a
-// relabel round, quiet certified rounds, no spurious violations on the
-// healthy paper network.
-func TestLocalCheckMode(t *testing.T) {
-	if err := run(false, 0, 1, 0, 0, "", true); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLocalCheckModeViolated: the Fig-2 misconfiguration must still
-// surface through the local-check loop (escalated walks find it).
-func TestLocalCheckModeViolated(t *testing.T) {
-	if err := run(true, 0, 1, 0, 0, "", true); err != nil {
-		t.Fatal(err)
 	}
 }

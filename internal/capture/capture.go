@@ -261,12 +261,6 @@ type Log struct {
 	segs  [][]IO
 	floor int
 	n     int
-	subs  []func(IO)
-	// pending holds appended I/Os awaiting subscriber delivery, in ID
-	// order; dispatchMu serializes delivery so concurrent appenders can
-	// never deliver out of ID order (the documented subscriber guarantee).
-	pending    []IO
-	dispatchMu sync.Mutex
 }
 
 // NewLog returns an empty log.
@@ -321,17 +315,6 @@ func (l *Log) viewLocked(i, j int) View {
 	return View{segs: l.segs[:len(l.segs):len(l.segs)], off: l.floor, n: l.n}.Slice(i, j)
 }
 
-// Subscribe registers fn to be called for every appended I/O, in ID order.
-// Delivery happens outside the log's internal lock but inside a dedicated
-// dispatch lock, so with concurrent appenders an I/O may be delivered by a
-// sibling appender's call rather than its own; the order guarantee holds
-// regardless. Subscribers must not append to the log.
-func (l *Log) Subscribe(fn func(IO)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.subs = append(l.subs, fn)
-}
-
 // Append records one externally-sourced I/O (e.g. a parsed log line),
 // assigning the next dense ID. Recorder-driven capture goes through the
 // typed helpers below; Append is the ingestion entry point for events that
@@ -342,39 +325,8 @@ func (l *Log) append(io IO) IO {
 	l.mu.Lock()
 	io.ID = l.nextID
 	l.pushLocked(io)
-	deliver := len(l.subs) > 0
-	if deliver {
-		l.pending = append(l.pending, io)
-	}
 	l.mu.Unlock()
-	if deliver {
-		l.dispatch()
-	}
 	return io
-}
-
-// dispatch drains pending I/Os to subscribers in ID order. The dispatch
-// lock makes delivery a critical section of its own: whichever appender
-// wins it delivers everything queued so far, so no interleaving of
-// concurrent appenders can reorder what subscribers observe.
-func (l *Log) dispatch() {
-	l.dispatchMu.Lock()
-	defer l.dispatchMu.Unlock()
-	for {
-		l.mu.Lock()
-		batch := l.pending
-		l.pending = nil
-		subs := l.subs
-		l.mu.Unlock()
-		if len(batch) == 0 {
-			return
-		}
-		for i := range batch {
-			for _, fn := range subs {
-				fn(batch[i])
-			}
-		}
-	}
 }
 
 // Len reports the number of retained I/Os (the current window size).
@@ -445,8 +397,7 @@ func (l *Log) All() []IO { return l.Snapshot() }
 
 // AppendBatch appends a batch of I/Os in one critical section, assigning
 // dense IDs, and returns the stored entries as a view. Replayed or parsed
-// logs land in one mutex acquisition instead of one per line; subscribers
-// still observe every I/O individually, in order.
+// logs land in one mutex acquisition instead of one per line.
 func (l *Log) AppendBatch(ios []IO) View {
 	if len(ios) == 0 {
 		return View{}
@@ -457,16 +408,7 @@ func (l *Log) AppendBatch(ios []IO) View {
 		l.pushLocked(ios[i])
 	}
 	stored := l.viewLocked(start, l.n)
-	deliver := len(l.subs) > 0
-	if deliver {
-		for i := 0; i < stored.Len(); i++ {
-			l.pending = append(l.pending, *stored.At(i))
-		}
-	}
 	l.mu.Unlock()
-	if deliver {
-		l.dispatch()
-	}
 	return stored
 }
 

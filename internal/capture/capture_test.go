@@ -220,22 +220,6 @@ func TestObservedOrderUsesSkewedClocks(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	s := netsim.NewScheduler(1)
-	log := NewLog()
-	var seen []uint64
-	log.Subscribe(func(io IO) { seen = append(seen, io.ID) })
-	rec := NewRecorder(log, "r1", s, nil)
-	s.At(0, func() {
-		rec.Record(IO{Type: ConfigChange})
-		rec.Record(IO{Type: SoftReconfig})
-	})
-	_ = s.Run()
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Fatalf("subscriber saw %v", seen)
-	}
-}
-
 func TestStripOracle(t *testing.T) {
 	ios := []IO{{ID: 1, Causes: []uint64{9}, TrueTime: 55, Time: 60}}
 	out := StripOracle(ios)
@@ -282,8 +266,6 @@ func TestSnapshotSharedAndStable(t *testing.T) {
 
 func TestAppendBatch(t *testing.T) {
 	log := NewLog()
-	var seen []uint64
-	log.Subscribe(func(io IO) { seen = append(seen, io.ID) })
 	rec := NewRecorder(log, "r1", netsim.NewScheduler(1), nil)
 	rec.Record(IO{Type: ConfigChange})
 	stored := log.AppendBatch([]IO{
@@ -295,9 +277,6 @@ func TestAppendBatch(t *testing.T) {
 	}
 	if log.Len() != 3 {
 		t.Fatalf("Len = %d", log.Len())
-	}
-	if len(seen) != 3 || seen[1] != 2 || seen[2] != 3 {
-		t.Fatalf("subscriber saw %v", seen)
 	}
 	if got := log.AppendBatch(nil); got.Len() != 0 {
 		t.Fatalf("empty batch returned %d events", got.Len())

@@ -114,51 +114,6 @@ func TestRestoreLog(t *testing.T) {
 	}
 }
 
-// TestSubscriberOrderUnderConcurrentAppend pins the ordered-dispatch fix:
-// with appenders racing, subscribers must still observe every I/O in
-// strictly increasing ID order. Pre-fix, delivery happened outside the
-// mutex and two appenders could invert it.
-func TestSubscriberOrderUnderConcurrentAppend(t *testing.T) {
-	l := NewLog()
-	var (
-		seenMu sync.Mutex
-		seen   []uint64
-	)
-	l.Subscribe(func(io IO) {
-		seenMu.Lock()
-		seen = append(seen, io.ID)
-		seenMu.Unlock()
-	})
-
-	const writers, perW = 8, 400
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perW; i++ {
-				if w%2 == 0 {
-					l.append(IO{Type: RecvAdvert})
-				} else {
-					l.AppendBatch([]IO{{Type: RecvAdvert}, {Type: RIBInstall}})
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	want := writers / 2 * perW * 3
-	if len(seen) != want {
-		t.Fatalf("subscriber saw %d I/Os, want %d", len(seen), want)
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i] <= seen[i-1] {
-			t.Fatalf("delivery out of ID order at %d: %d after %d", i, seen[i], seen[i-1])
-		}
-	}
-}
-
 // checkWindow fails unless v holds exactly IDs first, first+1, ... in order.
 func checkWindow(t *testing.T, what string, v View, first uint64) {
 	t.Helper()

@@ -121,17 +121,23 @@ func (p *pool) writeFrame(conn net.Conn, payload []byte) error {
 	if err := conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
+	// Count the frame before its payload can reach the peer: the peer's reply,
+	// and any FleetWire sample taken after it, must already see this frame.
+	// A failed write takes the count back.
+	n := int64(len(payload) + 4)
+	p.stats.frames.Add(1)
+	p.stats.bytes.Add(n)
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
+	_, err := conn.Write(hdr[:])
+	if err == nil {
+		_, err = conn.Write(payload)
 	}
-	if _, err := conn.Write(payload); err != nil {
-		return err
+	if err != nil {
+		p.stats.frames.Add(-1)
+		p.stats.bytes.Add(-n)
 	}
-	p.stats.frames.Add(1)
-	p.stats.bytes.Add(int64(len(payload) + 4))
-	return nil
+	return err
 }
 
 // closeAll tears down every pooled connection and rejects future sends.

@@ -187,3 +187,46 @@ func TestComputeNilPrefixesUsesFIBUnion(t *testing.T) {
 		t.Fatalf("union covered %d prefixes", total)
 	}
 }
+
+// SyntheticECMPFIBs is the multipath variant of SyntheticFIBs: every entry
+// carries an equal-cost next-hop set. Group g uses a set width between 2
+// and maxWidth (varying by group so widths, not just members, distinguish
+// classes), and the hop addresses rotate with the group so withdrawing one
+// member of a set moves its prefixes to a different class. The generated
+// prefixes are 100.x.y.0/24 with a 3-byte index, so they stay distinct
+// well past the 65K roll-over of SyntheticFIBs' scheme.
+func SyntheticECMPFIBs(routers []string, nPrefixes, nGroups, maxWidth int) (map[string]map[netip.Prefix]fib.Entry, []netip.Prefix) {
+	if nGroups < 1 {
+		nGroups = 1
+	}
+	if maxWidth < 2 {
+		maxWidth = 2
+	}
+	fibs := map[string]map[netip.Prefix]fib.Entry{}
+	for _, r := range routers {
+		fibs[r] = map[netip.Prefix]fib.Entry{}
+	}
+	prefixes := make([]netip.Prefix, 0, nPrefixes)
+	for i := 0; i < nPrefixes; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4(
+			[4]byte{byte(100 + i>>16), byte(i >> 8), byte(i), 0}), 24)
+		prefixes = append(prefixes, p)
+		group := i % nGroups
+		width := 2 + group%(maxWidth-1)
+		for ri, r := range routers {
+			hops := make([]netip.Addr, 0, width)
+			for k := 0; k < width; k++ {
+				// Hops ascend within the set, so the generated sets are
+				// already in canonical sorted order.
+				hops = append(hops, netip.AddrFrom4(
+					[4]byte{192, 168, byte(group), byte(ri*maxWidth + k + 1)}))
+			}
+			e := fib.Entry{Prefix: p, NextHop: hops[0]}
+			if len(hops) > 1 {
+				e.NextHops = hops
+			}
+			fibs[r][p] = e
+		}
+	}
+	return fibs, prefixes
+}

@@ -1,6 +1,7 @@
 package hbr
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -359,4 +360,28 @@ func TestSortIOsByObservedTime(t *testing.T) {
 	if ios[0].ID != 2 {
 		t.Fatal("input mutated")
 	}
+}
+
+// SortIOsByObservedTime sorts a copy of ios in collector order (observed
+// time, then ID) — the order an offline analyzer would see.
+func SortIOsByObservedTime(ios []capture.IO) []capture.IO {
+	out := append([]capture.IO(nil), ios...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Time != out[j].Time {
+			return out[i].Time < out[j].Time
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// Pairs returns the learned pairs above threshold, for diagnostics.
+func (m *Model) Pairs(threshold float64) int {
+	n := 0
+	for _, c := range m.conf {
+		if c >= threshold {
+			n++
+		}
+	}
+	return n
 }

@@ -302,22 +302,3 @@ func InferIndexed(s Strategy, idx *Index) *hbg.Graph {
 	// the view, made for it alone.
 	return s.Infer(idx.ios.Flatten())
 }
-
-// InferAll builds one Index over ios and runs every strategy over it
-// concurrently, returning the graphs in strategy order. This is the
-// comparison-experiment fast path: one sort, one send table, N strategies.
-func InferAll(ios []capture.IO, strategies []Strategy) []*hbg.Graph {
-	idx := NewIndex(ios)
-	out := make([]*hbg.Graph, len(strategies))
-	var wg sync.WaitGroup
-	for i, s := range strategies {
-		i, s := i, s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i] = InferIndexed(s, idx)
-		}()
-	}
-	wg.Wait()
-	return out
-}

@@ -9,7 +9,6 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -42,17 +41,6 @@ func (k pairKey) total() totalKey { return totalKey{t: k.bType, p: k.bProto} }
 type Model struct {
 	conf   map[pairKey]float64
 	window time.Duration
-}
-
-// Pairs returns the learned pairs above threshold, for diagnostics.
-func (m *Model) Pairs(threshold float64) int {
-	n := 0
-	for _, c := range m.conf {
-		if c >= threshold {
-			n++
-		}
-	}
-	return n
 }
 
 // Miner trains pattern models.
@@ -255,17 +243,4 @@ func Strategies(ref []capture.IO, window time.Duration) []Strategy {
 		Patterns{Model: model},
 		Combined{Rules: rules, Patterns: Patterns{Model: model}},
 	}
-}
-
-// SortIOsByObservedTime sorts a copy of ios in collector order (observed
-// time, then ID) — the order an offline analyzer would see.
-func SortIOsByObservedTime(ios []capture.IO) []capture.IO {
-	out := append([]capture.IO(nil), ios...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }

@@ -1,6 +1,7 @@
-// The container/heap reference kernel — the original scheduler queue,
-// retained behind a flag (KernelHeap) as a differential oracle for the
-// timer wheel. One deliberate improvement over the original: cancellation
+// The container/heap reference kernel — the original scheduler queue, kept
+// in the tests as a differential oracle for the timer wheel (wheel_test.go
+// runs both through newSchedulerOn). One deliberate improvement over the
+// original: cancellation
 // used to only mark events dead, leaving them in the heap until their time
 // arrived, so periodic protocol timers that re-arm every tick accumulated
 // garbage linearly. The kernel now sweeps lazily whenever dead entries
@@ -9,6 +10,13 @@
 package netsim
 
 import "container/heap"
+
+// newSchedulerOn returns a scheduler on the given kernel instead of the wheel.
+func newSchedulerOn(seed int64, k schedKernel) *Scheduler {
+	s := NewScheduler(seed)
+	s.k = k
+	return s
+}
 
 type eventQueue []*event
 

@@ -8,12 +8,11 @@
 // happens-before graphs and lets experiment E10 explore message-order
 // permutations purely through seed sweeps.
 //
-// The Scheduler's priority queue is pluggable (Kernel): the default is a
-// hierarchical timer wheel with O(1) schedule and cancel, sized for
-// internet-scale topologies where periodic protocol timers are armed and
-// stopped millions of times per run; the original binary heap is retained
-// as a differential reference kernel. Both fire the exact same (time, seq)
-// order, so seeded runs are byte-identical across kernels.
+// The Scheduler's priority queue is a hierarchical timer wheel with O(1)
+// schedule and cancel, sized for internet-scale topologies where periodic
+// protocol timers are armed and stopped millions of times per run. The
+// package's tests keep the original binary heap as a differential reference
+// that must fire the exact same (time, seq) order.
 //
 // Virtual time is an int64 nanosecond count (VirtualTime). Routers never read
 // the host clock; per-router "wall clock" skew is layered on top by
@@ -57,7 +56,7 @@ const (
 // sequence number assigned at scheduling time, which makes simultaneous
 // events fire in schedule order. The intrusive prev/next links thread the
 // event into a wheel slot (or the overflow list) so cancellation unlinks in
-// O(1); the heap kernel leaves them nil.
+// O(1).
 type event struct {
 	at    VirtualTime
 	seq   uint64
@@ -84,8 +83,7 @@ type Timer struct {
 }
 
 // Stop cancels the timer. It reports whether the event was still pending.
-// Under the wheel kernel the event leaves its slot immediately; under the
-// heap kernel it is marked dead and swept lazily.
+// The event leaves its wheel slot immediately.
 func (t *Timer) Stop() bool {
 	if t == nil || t.ev == nil || t.s == nil {
 		return false
@@ -99,34 +97,9 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Kernel selects the Scheduler's priority-queue implementation.
-type Kernel uint8
-
-const (
-	// KernelWheel is the hierarchical timer wheel: O(1) schedule and O(1)
-	// cancel with immediate slot removal, overflow list for far-future
-	// events. The default.
-	KernelWheel Kernel = iota
-	// KernelHeap is the original container/heap kernel, retained as a
-	// differential reference. Cancel marks events dead; a lazy sweep
-	// rebuilds the heap when dead entries exceed half the queue.
-	KernelHeap
-)
-
-// String names the kernel in subtest and benchmark names.
-func (k Kernel) String() string {
-	if k == KernelHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// DefaultKernel is the kernel NewScheduler uses. Differential tests flip it
-// to replay identical seeded scenarios under both implementations.
-var DefaultKernel = KernelWheel
-
-// schedKernel is the pluggable priority queue. All methods are called with
-// the scheduler mutex held. pop marks the returned event fired.
+// schedKernel is the scheduler's priority queue: the timer wheel, or in this
+// package's tests the heap reference. All methods are called with the
+// scheduler mutex held. pop marks the returned event fired.
 type schedKernel interface {
 	schedule(*event)
 	cancel(*event)
@@ -155,21 +128,10 @@ type Scheduler struct {
 // ErrEventBudget is returned by Run variants when MaxEvents is exhausted.
 var ErrEventBudget = fmt.Errorf("netsim: event budget exhausted")
 
-// NewScheduler returns a scheduler whose internal randomness (used only by
-// Jitter) is derived from seed, running on DefaultKernel.
+// NewScheduler returns a scheduler on the timer wheel whose internal
+// randomness (used only by Jitter) is derived from seed.
 func NewScheduler(seed int64) *Scheduler {
-	return NewSchedulerKernel(seed, DefaultKernel)
-}
-
-// NewSchedulerKernel returns a scheduler on an explicitly chosen kernel.
-func NewSchedulerKernel(seed int64, k Kernel) *Scheduler {
-	s := &Scheduler{rng: rand.New(rand.NewSource(seed))}
-	if k == KernelHeap {
-		s.k = &heapKernel{}
-	} else {
-		s.k = newWheelKernel()
-	}
-	return s
+	return &Scheduler{rng: rand.New(rand.NewSource(seed)), k: newWheelKernel()}
 }
 
 // Now returns the current virtual time.

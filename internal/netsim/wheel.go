@@ -3,14 +3,13 @@
 // 2^32 ticks (~52 virtual days), and anything farther sits on an overflow
 // list until the wheels drain down to it. Schedule appends to a slot's
 // intrusive doubly-linked list in O(1); cancel unlinks in O(1) — no dead
-// entries linger, which is the whole point versus the heap kernel where
-// periodic protocol timers leave garbage until their time arrives.
+// entries linger, which is the whole point versus a heap where periodic
+// protocol timers leave garbage until their time arrives.
 //
 // Firing order: the wheel partitions events by tick, so cross-tick order
 // is by time for free. Within the current tick every event funnels through
 // the sorted "due" buffer, ordered by (at, seq) — the same total order the
-// heap kernel produces, which keeps seeded runs byte-identical across
-// kernels.
+// heap reference kernel in heapkernel_test.go produces.
 
 package netsim
 

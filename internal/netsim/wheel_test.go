@@ -11,9 +11,9 @@ import (
 // runTrace drives a deterministic pseudo-random workload — nested
 // scheduling, same-tick ties, cancellations, far-future timers — on the
 // given kernel and returns the byte-exact firing trace.
-func runTrace(t *testing.T, k Kernel, seed int64) string {
+func runTrace(t *testing.T, k schedKernel, seed int64) string {
 	t.Helper()
-	s := NewSchedulerKernel(seed, k)
+	s := newSchedulerOn(seed, k)
 	rng := rand.New(rand.NewSource(seed))
 	var trace []byte
 	var pendingTimers []*Timer
@@ -66,12 +66,21 @@ func runTrace(t *testing.T, k Kernel, seed int64) string {
 	return string(trace)
 }
 
+// kernels names and builds each scheduler kernel.
+var kernels = []struct {
+	name string
+	make func() schedKernel
+}{
+	{"wheel", func() schedKernel { return newWheelKernel() }},
+	{"heap", func() schedKernel { return &heapKernel{} }},
+}
+
 // Differential: the wheel and the heap kernels must fire the exact same
 // (time, seq) order for identical seeded workloads.
 func TestKernelsFireIdenticalTraces(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		wheel := runTrace(t, KernelWheel, seed)
-		heapK := runTrace(t, KernelHeap, seed)
+		wheel := runTrace(t, newWheelKernel(), seed)
+		heapK := runTrace(t, &heapKernel{}, seed)
 		if wheel != heapK {
 			t.Fatalf("seed %d: kernels diverged\nwheel: %.200s\nheap:  %.200s", seed, wheel, heapK)
 		}
@@ -81,10 +90,10 @@ func TestKernelsFireIdenticalTraces(t *testing.T) {
 	}
 }
 
-// The existing netsim unit tests run on the default (wheel) kernel; this
+// The existing netsim unit tests run on the wheel; this
 // re-runs the core semantics on the heap kernel so the reference stays honest.
 func TestHeapKernelSemantics(t *testing.T) {
-	s := NewSchedulerKernel(1, KernelHeap)
+	s := newSchedulerOn(1, &heapKernel{})
 	var got []int
 	s.At(30, func() { got = append(got, 3) })
 	s.At(10, func() { got = append(got, 1) })
@@ -108,8 +117,8 @@ func TestHeapKernelSemantics(t *testing.T) {
 // Before the lazy sweep the heap held every dead entry until its virtual
 // time arrived (10k here).
 func TestHeapSweepBoundsQueue(t *testing.T) {
-	s := NewSchedulerKernel(1, KernelHeap)
-	hk := s.k.(*heapKernel)
+	hk := &heapKernel{}
+	s := newSchedulerOn(1, hk)
 	var live []*Timer
 	for i := 0; i < 50; i++ {
 		live = append(live, s.After(time.Hour, func() {}))
@@ -135,7 +144,7 @@ func TestHeapSweepBoundsQueue(t *testing.T) {
 // The wheel must drop canceled events immediately: after N schedule/cancel
 // cycles the kernel holds zero events and zero occupancy.
 func TestWheelCancelRemovesImmediately(t *testing.T) {
-	s := NewSchedulerKernel(1, KernelWheel)
+	s := NewScheduler(1)
 	wk := s.k.(*wheelKernel)
 	for i := 0; i < 10_000; i++ {
 		d := time.Duration(i%977) * time.Millisecond
@@ -162,7 +171,7 @@ func TestWheelCancelRemovesImmediately(t *testing.T) {
 // Far-future events (beyond the top wheel level) take the overflow path and
 // still fire in order; canceling one removes it from the overflow list.
 func TestWheelOverflowFarFuture(t *testing.T) {
-	s := NewSchedulerKernel(1, KernelWheel)
+	s := NewScheduler(1)
 	wk := s.k.(*wheelKernel)
 	var got []string
 	horizon := time.Duration(1<<(tickBits+wheelLevels*wheelBits)) * time.Nanosecond
@@ -194,10 +203,10 @@ func TestWheelOverflowFarFuture(t *testing.T) {
 // An event must never both fire and report a successful Stop, and the run
 // must finish cleanly. Run with -race.
 func TestConcurrentStopVsFire(t *testing.T) {
-	for _, k := range []Kernel{KernelWheel, KernelHeap} {
+	for _, k := range kernels {
 		k := k
-		t.Run(k.String(), func(t *testing.T) {
-			s := NewSchedulerKernel(1, k)
+		t.Run(k.name, func(t *testing.T) {
+			s := newSchedulerOn(1, k.make())
 			const n = 4000
 			fired := make([]bool, n) // written only by the run goroutine
 			timers := make([]*Timer, n)
@@ -233,7 +242,7 @@ func TestConcurrentStopVsFire(t *testing.T) {
 // RunUntil must leave un-fired due-buffer and wheel state consistent across
 // a deadline boundary, then resume correctly.
 func TestWheelRunUntilResume(t *testing.T) {
-	s := NewSchedulerKernel(1, KernelWheel)
+	s := NewScheduler(1)
 	var got []VirtualTime
 	for _, at := range []VirtualTime{5, 15, Duration(3 * time.Millisecond), Duration(2 * time.Hour)} {
 		at := at
@@ -262,9 +271,9 @@ func TestWheelRunUntilResume(t *testing.T) {
 }
 
 func BenchmarkKernelChurn(b *testing.B) {
-	for _, k := range []Kernel{KernelWheel, KernelHeap} {
-		b.Run(k.String(), func(b *testing.B) {
-			s := NewSchedulerKernel(1, k)
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			s := newSchedulerOn(1, k.make())
 			const depth = 1024
 			watchdogs := make([]*Timer, depth)
 			var fired int

@@ -101,26 +101,14 @@ func ScalePrefixes(n int) []netip.Prefix {
 	return out
 }
 
-// BuildISPRR constructs an ISP-style BGP route-reflector hierarchy in
-// AS 65000: one top-level reflector, `mids` mid-tier reflectors (clients of
-// the top), and `leaves` PE routers per mid (clients of their mid), all over
-// an OSPF underlay. An external provider "ext" (AS 100) peers eBGP with
-// "pe0-0" and originates the given prefixes; its export policy stamps a
-// community and MED per /8 so routes arrive in a handful of attribute
-// flavors, as real transit feeds do.
-func BuildISPRR(seed int64, mids, leaves int, prefixes []netip.Prefix) (*Network, error) {
-	n, err := LayoutISPRR(seed, mids, leaves, prefixes)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.Build(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// LayoutISPRR constructs the route-reflector hierarchy without Build, so
-// callers can attach stub LANs for the originated prefixes first.
+// LayoutISPRR constructs, without Build, an ISP-style BGP route-reflector
+// hierarchy in AS 65000: one top-level reflector, `mids` mid-tier reflectors
+// (clients of the top), and `leaves` PE routers per mid (clients of their
+// mid), all over an OSPF underlay. An external provider "ext" (AS 100) peers
+// eBGP with "pe0-0" and originates the given prefixes; its export policy
+// stamps a community and MED per /8 so routes arrive in a handful of
+// attribute flavors, as real transit feeds do. Callers attach stub LANs for
+// the originated prefixes before they Build.
 func LayoutISPRR(seed int64, mids, leaves int, prefixes []netip.Prefix) (*Network, error) {
 	if mids < 1 || leaves < 1 {
 		return nil, fmt.Errorf("network: ISP RR needs mids, leaves >= 1 (got %d, %d)", mids, leaves)

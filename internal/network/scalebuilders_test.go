@@ -92,3 +92,16 @@ func TestScaleBuilders(t *testing.T) {
 		t.Fatalf("flavor attrs = %+v ok=%v", r.Attrs, ok)
 	}
 }
+
+// BuildISPRR lays out and builds the route-reflector hierarchy
+// (LayoutISPRR) with no stub LANs attached.
+func BuildISPRR(seed int64, mids, leaves int, prefixes []netip.Prefix) (*Network, error) {
+	n, err := LayoutISPRR(seed, mids, leaves, prefixes)
+	if err != nil {
+		return nil, err
+	}
+	if err := n.Build(); err != nil {
+		return nil, err
+	}
+	return n, nil
+}

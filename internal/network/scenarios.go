@@ -239,126 +239,3 @@ func BuildGridOSPF(seed int64, rows, cols int) (*Network, error) {
 	}
 	return n, nil
 }
-
-// BuildChainRIP constructs a RIP chain of length k (routers "c0".."c<k-1>")
-// with a LAN stub on c0, used in protocol-mix experiments.
-func BuildChainRIP(seed int64, k int) (*Network, netip.Prefix, error) {
-	n := New(seed)
-	lan := netip.MustParsePrefix("172.16.0.0/24")
-	for i := 0; i < k; i++ {
-		name := fmt.Sprintf("c%d", i)
-		if _, err := n.AddRouter(name, fmt.Sprintf("8.8.%d.1", i), 0, 0); err != nil {
-			return nil, lan, err
-		}
-		if err := n.Configure(name, &config.Router{RIP: config.RIPConfig{Enabled: true}}); err != nil {
-			return nil, lan, err
-		}
-	}
-	for i := 0; i+1 < k; i++ {
-		subnet := fmt.Sprintf("10.9.%d.0/30", i)
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		aAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 1})
-		bAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 2})
-		if _, err := n.Topo.AddLink(LinkSpecOf(fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1), subnet, aAddr, bAddr)); err != nil {
-			return nil, lan, err
-		}
-	}
-	if _, err := n.Topo.AddStub("c0", "lan0", netip.MustParseAddr("172.16.0.1"), lan); err != nil {
-		return nil, lan, err
-	}
-	if err := n.Build(); err != nil {
-		return nil, lan, err
-	}
-	return n, lan, nil
-}
-
-// BuildStarRR constructs a route-reflection topology: a central reflector
-// "rr" with k client routers "c0".."c<k-1>" (star links, OSPF underlay, no
-// client-client iBGP sessions), plus an external provider "ext" (AS 100)
-// attached to c0 that can originate P. It exercises RFC 4456 reflection in
-// place of the full mesh the paper's example assumes.
-func BuildStarRR(seed int64, k int, advertise bool) (*Network, error) {
-	n := New(seed)
-	if _, err := n.AddRouter("rr", "10.255.0.1", 0, 0); err != nil {
-		return nil, err
-	}
-	clientLB := func(i int) string { return fmt.Sprintf("10.255.1.%d", i+1) }
-	for i := 0; i < k; i++ {
-		if _, err := n.AddRouter(fmt.Sprintf("c%d", i), clientLB(i), 0, 0); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := n.AddRouter("ext", "100.0.0.1", 0, 0); err != nil {
-		return nil, err
-	}
-	addLink := func(a, b string, idx int) error {
-		subnet := fmt.Sprintf("10.8.%d.0/30", idx)
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		aa := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 1})
-		ba := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 2})
-		_, err := n.Topo.AddLink(LinkSpecOf(a, b, subnet, aa, ba))
-		return err
-	}
-	for i := 0; i < k; i++ {
-		if err := addLink("rr", fmt.Sprintf("c%d", i), i); err != nil {
-			return nil, err
-		}
-	}
-	if err := addLink("c0", "ext", k); err != nil {
-		return nil, err
-	}
-	if _, err := n.Topo.AddStub("ext", "lanP", netip.MustParseAddr("203.0.113.1"), PrefixP); err != nil {
-		return nil, err
-	}
-
-	rrNeighbors := make([]config.Neighbor, 0, k)
-	for i := 0; i < k; i++ {
-		rrNeighbors = append(rrNeighbors, config.Neighbor{
-			Addr: netip.MustParseAddr(clientLB(i)), RemoteAS: 65000, RRClient: true,
-		})
-	}
-	if err := n.Configure("rr", &config.Router{
-		BGP:  &config.BGPConfig{ASN: 65000, RouterID: netip.MustParseAddr("10.255.0.1"), Neighbors: rrNeighbors},
-		OSPF: config.OSPFConfig{Enabled: true},
-	}); err != nil {
-		return nil, err
-	}
-	for i := 0; i < k; i++ {
-		name := fmt.Sprintf("c%d", i)
-		cfg := &config.Router{
-			BGP: &config.BGPConfig{
-				ASN: 65000, RouterID: netip.MustParseAddr(clientLB(i)),
-				Neighbors: []config.Neighbor{{Addr: netip.MustParseAddr("10.255.0.1"), RemoteAS: 65000}},
-			},
-			OSPF: config.OSPFConfig{Enabled: true},
-		}
-		if i == 0 {
-			// c0's uplink interface stays out of OSPF.
-			cfg.OSPF.Interfaces = []string{"eth-rr"}
-			cfg.BGP.Neighbors = append(cfg.BGP.Neighbors, config.Neighbor{
-				Addr: netip.MustParseAddr(fmt.Sprintf("10.8.%d.2", k)), RemoteAS: 100, LocalPref: 150,
-			})
-		}
-		if err := n.Configure(name, cfg); err != nil {
-			return nil, err
-		}
-	}
-	extCfg := &config.Router{
-		BGP: &config.BGPConfig{
-			ASN: 100, RouterID: netip.MustParseAddr("100.0.0.1"),
-			Neighbors: []config.Neighbor{{Addr: netip.MustParseAddr(fmt.Sprintf("10.8.%d.1", k)), RemoteAS: 65000}},
-		},
-	}
-	if advertise {
-		extCfg.BGP.Networks = []netip.Prefix{PrefixP}
-	}
-	if err := n.Configure("ext", extCfg); err != nil {
-		return nil, err
-	}
-	if err := n.Build(); err != nil {
-		return nil, err
-	}
-	return n, nil
-}

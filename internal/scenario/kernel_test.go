@@ -1,8 +1,9 @@
-// Scheduler-kernel determinism: the timer wheel must be a drop-in
-// replacement for the binary heap, not merely "equivalent up to
-// reordering". Both kernels replay the full shape x mix scenario matrix
-// and must produce byte-identical capture logs — every I/O, ID, timestamp,
-// and cause chain — and byte-identical encoded HBG checkpoints.
+// Simulation-kernel determinism: replay and shrinking rerun a materialized
+// schedule and expect the very same run. Two runs of one schedule, over the
+// full shape x mix matrix, must produce byte-identical capture logs — every
+// I/O, ID, timestamp, and cause chain — and byte-identical encoded HBG
+// checkpoints. (Wheel-vs-heap firing order is netsim's
+// TestKernelsFireIdenticalTraces.)
 
 package scenario
 
@@ -15,7 +16,6 @@ import (
 
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
-	"hbverify/internal/netsim"
 )
 
 // runKernelTrace replays cfg's materialized schedule (the Run loop minus
@@ -64,7 +64,6 @@ func runKernelTrace(t *testing.T, cfg Config) (string, []byte) {
 }
 
 func TestKernelDeterminismAcrossMatrix(t *testing.T) {
-	defer func(k netsim.Kernel) { netsim.DefaultKernel = k }(netsim.DefaultKernel)
 	for _, shape := range Shapes {
 		for _, mix := range Mixes {
 			t.Run(shape+"/"+mix, func(t *testing.T) {
@@ -72,15 +71,13 @@ func TestKernelDeterminismAcrossMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				netsim.DefaultKernel = netsim.KernelWheel
-				wheelLog, wheelCkpt := runKernelTrace(t, cfg)
-				netsim.DefaultKernel = netsim.KernelHeap
-				heapLog, heapCkpt := runKernelTrace(t, cfg)
-				if wheelLog != heapLog {
-					t.Fatalf("capture logs diverged between kernels:\n%s", firstLogDiff(wheelLog, heapLog))
+				firstLog, firstCkpt := runKernelTrace(t, cfg)
+				secondLog, secondCkpt := runKernelTrace(t, cfg)
+				if firstLog != secondLog {
+					t.Fatalf("capture logs diverged between runs:\n%s", firstLogDiff(firstLog, secondLog))
 				}
-				if !bytes.Equal(wheelCkpt, heapCkpt) {
-					t.Fatal("encoded HBG checkpoints diverged between kernels")
+				if !bytes.Equal(firstCkpt, secondCkpt) {
+					t.Fatal("encoded HBG checkpoints diverged between runs")
 				}
 			})
 		}
@@ -91,8 +88,8 @@ func firstLogDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  wheel: %s\n  heap:  %s", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d:\n  first:  %s\n  second: %s", i+1, al[i], bl[i])
 		}
 	}
-	return fmt.Sprintf("lengths differ: wheel %d lines, heap %d lines", len(al), len(bl))
+	return fmt.Sprintf("lengths differ: first %d lines, second %d lines", len(al), len(bl))
 }

@@ -553,8 +553,7 @@ func (h *harness) policies() []verify.Policy {
 func (h *harness) liveWalker() *dataplane.Walker { return h.w.net.LiveWalker() }
 
 // oracleCheckerDeterminism asserts verify.Checker reports identical
-// violation lists for 1 worker, GOMAXPROCS workers, and a repeated run,
-// and that eqclass sharding flags the same (policy, source) pairs.
+// violation lists for 1 worker, GOMAXPROCS workers, and a repeated run.
 func (h *harness) oracleCheckerDeterminism(round int) *Failure {
 	pols := h.policies()
 	walker := h.liveWalker()
@@ -574,40 +573,7 @@ func (h *harness) oracleCheckerDeterminism(round int) *Failure {
 		return &Failure{Oracle: OracleChecker, Round: round, Detail: fmt.Sprintf(
 			"repeated runs disagree: %d vs %d violations", len(serial.Violations), len(again.Violations))}
 	}
-
-	sharded := verify.NewChecker(walker, h.w.verifySources)
-	sharded.ShardByClasses(eqclass.Compute(h.w.net.FIBSnapshot(), []netip.Prefix{PrefixP, PrefixQ}))
-	shardedRep := sharded.Check(pols)
-	if d := diffVerdictSets(serial, shardedRep); d != "" {
-		return &Failure{Oracle: OracleChecker, Round: round,
-			Detail: "eqclass sharding changes verdicts: " + d}
-	}
 	return nil
-}
-
-// diffVerdictSets compares which (policy, source) checks failed; sharded
-// walks probe a different representative header, so walk contents may
-// legitimately differ while verdicts may not.
-func diffVerdictSets(a, b verify.Report) string {
-	key := func(v verify.Violation) string { return v.Policy.String() + "|" + v.Source }
-	am, bm := map[string]bool{}, map[string]bool{}
-	for _, v := range a.Violations {
-		am[key(v)] = true
-	}
-	for _, v := range b.Violations {
-		bm[key(v)] = true
-	}
-	for k := range am {
-		if !bm[k] {
-			return k + " fails unsharded only"
-		}
-	}
-	for k := range bm {
-		if !am[k] {
-			return k + " fails sharded only"
-		}
-	}
-	return ""
 }
 
 // probeEnumLimit bounds concrete-path enumeration in the symbolic-vs-probe

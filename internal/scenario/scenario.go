@@ -21,7 +21,7 @@
 //     loop outside a cut closed under ground-truth happens-before or
 //     through an entry its router never held;
 //  4. checker-determinism: verify.Checker verdicts are identical across
-//     worker counts, repeated runs, and eqclass sharding;
+//     worker counts and repeated runs;
 //  5. dist-vs-central: the distributed TCP fleet's walks are
 //     byte-identical — path, outcome, egress — to the central walker's
 //     over the same FIBs;

@@ -310,3 +310,20 @@ func BenchmarkLookup(b *testing.B) {
 		tr.Lookup(probes[i%len(probes)])
 	}
 }
+
+// LookupPrefix returns the longest stored prefix that contains all of p
+// (i.e. the forwarding entry packets to any address in p would match,
+// provided no more-specific entry splits p; callers that need exactness
+// should consult Subtree).
+func (t *Trie[V]) LookupPrefix(p netip.Prefix) (V, netip.Prefix, bool) {
+	var zero V
+	p = p.Masked()
+	if !t.used || !p.IsValid() || p.Addr().Is6() != t.is6 {
+		return zero, netip.Prefix{}, false
+	}
+	best := t.descendBest(keyOf(p.Addr()), p.Bits())
+	if best == nil {
+		return zero, netip.Prefix{}, false
+	}
+	return best.val, best.pfx, true
+}

@@ -1,13 +1,11 @@
 package verify
 
 import (
-	"net/netip"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"hbverify/internal/config"
-	"hbverify/internal/eqclass"
 	"hbverify/internal/network"
 )
 
@@ -66,30 +64,5 @@ func TestCheckerRepeatedRunDeterminism(t *testing.T) {
 		if got := c.Check(pols); !reflect.DeepEqual(first.Violations, got.Violations) {
 			t.Fatalf("run %d diverged: %d violations vs %d", i+2, len(got.Violations), len(first.Violations))
 		}
-	}
-}
-
-// TestCheckerShardingDeterminism requires eqclass sharding to flag exactly
-// the same (policy, source) pairs as the unsharded checker. Walks probe a
-// different representative header, so only verdicts are compared.
-func TestCheckerShardingDeterminism(t *testing.T) {
-	pn, c, pols := determinismFixture(t)
-	unsharded := c.Check(pols)
-
-	sharded := checker(pn)
-	sharded.ShardByClasses(eqclass.Compute(pn.FIBSnapshot(), []netip.Prefix{pn.P}))
-	shardedRep := sharded.Check(pols)
-
-	key := func(v Violation) [2]string { return [2]string{v.Policy.String(), v.Source} }
-	want := map[[2]string]bool{}
-	for _, v := range unsharded.Violations {
-		want[key(v)] = true
-	}
-	got := map[[2]string]bool{}
-	for _, v := range shardedRep.Violations {
-		got[key(v)] = true
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("sharded verdicts %v != unsharded %v", got, want)
 	}
 }

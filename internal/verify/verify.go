@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"hbverify/internal/dataplane"
-	"hbverify/internal/eqclass"
 	"hbverify/internal/metrics"
 )
 
@@ -224,13 +223,11 @@ func (e WalkerExecutor) ExecuteWalks(keys []WalkKey) ([]dataplane.Walk, []error)
 }
 
 // Checker is the verifier: it expands policies into (policy, source)
-// checks, maps them onto distinct (source, destination) walks — optionally
-// sharded by forwarding equivalence class so equivalent headers are walked
-// once — answers what it can from the walk cache, hands the rest to an
-// Executor, and evaluates every check in deterministic grid order. How the
-// walks run (Executor) and which checks need no walk at all (Certified)
-// are the only things that differ between the central, fleet and
-// local-check verification modes.
+// checks, maps them onto distinct (source, destination) walks, answers what
+// it can from the walk cache, hands the rest to an Executor, and evaluates
+// every check in deterministic grid order. How the walks run (Executor) and
+// which checks need no walk at all (Certified) are the only things that
+// differ between the central, fleet and local-check verification modes.
 type Checker struct {
 	// Walker is what the default executor walks; unused when Executor is set.
 	Walker *dataplane.Walker
@@ -254,8 +251,6 @@ type Checker struct {
 	// check instead of a walk for the three kinds that claim implies
 	// (Reachable, NoLoop, NoBlackhole); every other kind is always walked.
 	Certified func(source string, prefix netip.Prefix) bool
-
-	classRep map[netip.Prefix]netip.Addr
 }
 
 // NewChecker builds a checker with the default worker pool (GOMAXPROCS).
@@ -263,32 +258,6 @@ func NewChecker(w *dataplane.Walker, sources []string) *Checker {
 	s := append([]string(nil), sources...)
 	sort.Strings(s)
 	return &Checker{Walker: w, Sources: s}
-}
-
-// ShardByClasses makes the checker walk one representative per forwarding
-// equivalence class: every policy whose prefix belongs to a class probes
-// the class representative's header instead of its own. Forwarding
-// equivalence (identical per-router behaviour, §6) is exactly the
-// guarantee that makes the shared walk's verdict valid for every member.
-func (c *Checker) ShardByClasses(classes []eqclass.Class) {
-	c.classRep = map[netip.Prefix]netip.Addr{}
-	for _, cl := range classes {
-		if len(cl.Prefixes) == 0 {
-			continue
-		}
-		rep := dataplane.Representative(cl.Prefixes[0])
-		for _, p := range cl.Prefixes {
-			c.classRep[p.Masked()] = rep
-		}
-	}
-}
-
-// probe maps a policy prefix to the header its walk uses.
-func (c *Checker) probe(p netip.Prefix) netip.Addr {
-	if rep, ok := c.classRep[p.Masked()]; ok {
-		return rep
-	}
-	return dataplane.Representative(p)
 }
 
 // check is one (policy, source) evaluation awaiting its walk.
@@ -322,7 +291,7 @@ func (c *Checker) Check(policies []Policy) Report {
 		if len(sources) == 0 {
 			sources = c.Sources
 		}
-		dst := c.probe(p.Prefix)
+		dst := dataplane.Representative(p.Prefix)
 		certifiable := c.Certified != nil && p.Kind.certifiable()
 		for _, src := range sources {
 			if certifiable && c.Certified(src, p.Prefix) {
