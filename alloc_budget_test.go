@@ -17,6 +17,7 @@ import (
 	"hbverify/internal/netsim"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
+	"hbverify/internal/serve"
 	"hbverify/internal/snapshot"
 	"hbverify/internal/verify"
 )
@@ -153,6 +154,50 @@ func TestExtensionWorkBudget(t *testing.T) {
 	}
 	t.Logf("scanned %d, indexed %d (budget %d), evaluated %d (budget %d), %d B per suffix event",
 		scanned, indexed, indexBudget, evaluated, evalBudget, int64(after.TotalAlloc-before.TotalAlloc)/suffix)
+}
+
+// TestServedHitAllocationBudget holds a served plan-cache hit to what it
+// returns: through the pipeline's engine on a k=4 fat tree, a warm
+// Reachability hit and a warm Waypoint hit over a branched walk (the
+// waypoint on every equal-cost trajectory) each allocate the answer's
+// PlanKey string and nothing else — 1 allocation, measured. Formatting the
+// key, re-validating the walk per path router or building a per-edge
+// adjacency for the waypoint breaks it.
+func TestServedHitAllocationBudget(t *testing.T) {
+	const budget = 1
+	n, err := network.BuildFatTree(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(n, []string{"p0e0"})
+	eng := p.ServeEngine(nil)
+	defer eng.Close()
+	dst := netip.MustParsePrefix("9.1.1.1/32") // p1e0's loopback
+	for _, q := range []serve.Query{
+		serve.Reachability("p0e0", dst),
+		serve.Waypoint("p0e0", dst, "p1e0"),
+	} {
+		warm, err := eng.Query(q)
+		if err != nil || !warm.OK {
+			t.Fatalf("%v: %+v, %v", q.Policy, warm, err)
+		}
+		if warm.Walk.Branches == 0 {
+			t.Fatalf("%v: the walk did not branch", q.Policy)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if ans, err := eng.Query(q); err != nil || !ans.CacheHit || !ans.OK {
+				t.Fatalf("%v: %+v, %v", q.Policy, ans, err)
+			}
+		})
+		if allocs > budget {
+			t.Errorf("%v: a warm hit allocates %v times, budget %d", q.Policy, allocs, budget)
+		}
+		t.Logf("%v: %v allocations per warm hit", q.Policy, allocs)
+	}
 }
 
 // TestDerivedGraphsPinNothing: a derived graph shares the cached graph's

@@ -142,8 +142,10 @@ func (p *Pipeline) Accuracy() hbr.Metrics {
 	return hbr.Evaluate(p.Graph(), p.Net.Log.Snapshot())
 }
 
-// Walker returns a data-plane walker over the live FIBs.
-func (p *Pipeline) Walker() *dataplane.Walker { return p.Net.LiveWalker() }
+// Walker returns the pipeline's long-lived walker over the live FIBs, the
+// one Verify and the serve engine walk on, so all of them share its cache
+// of per-router interface state.
+func (p *Pipeline) Walker() *dataplane.Walker { return p.live }
 
 // checker builds the pipeline's checker — its sources, worker bound and
 // metrics registry — over the given walker. Every verification mode runs
@@ -354,7 +356,7 @@ func (p *Pipeline) Classes() []eqclass.Class { return p.eqc.Classes() }
 // The caller owns the engine's lifecycle (Close it when done).
 func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 	return serve.New(serve.Config{
-		Executor:  serve.WalkerExecutor{W: p.Walker()},
+		Executor:  serve.WalkerExecutor{W: p.live},
 		Cache:     p.walkCache,
 		Classes:   p.eqc,
 		WhatIf:    &whatif.Engine{Seed: 1, Sources: p.Sources, Policies: policies},

@@ -25,6 +25,8 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"hbverify/internal/fault"
 	"hbverify/internal/fib"
@@ -334,12 +336,30 @@ func AggregateProbes(walks []Walk) (Outcome, []string) {
 	}
 }
 
-// Walker forwards packets over a topology using a FIB view.
+// Walker forwards packets over a topology using a FIB view. Concurrent
+// walks are safe: the walker's only state is its per-router cache, which
+// readers consult without a lock.
 type Walker struct {
 	Topo *topology.Topology
 	View View
 	// MaxHops bounds walks; defaults to 64.
 	MaxHops int
+
+	// locals maps a router to its slot in the cache of what the router
+	// knows (its Local), stamped with the topology generation it was built
+	// at. The map is replaced, never written, so a read needs no lock; mu
+	// serializes adding a router to it.
+	locals atomic.Pointer[map[string]*localSlot]
+	mu     sync.Mutex
+}
+
+// localSlot holds one router's latest cached Local.
+type localSlot struct{ cur atomic.Pointer[cachedLocal] }
+
+// cachedLocal is a router's Local as of one topology generation.
+type cachedLocal struct {
+	gen uint64
+	Local
 }
 
 // NewWalker builds a walker over the live tables of a topology.
@@ -347,17 +367,67 @@ func NewWalker(topo *topology.Topology, view View) *Walker {
 	return &Walker{Topo: topo, View: view, MaxHops: 64}
 }
 
+// local returns what router knows — its sorted interfaces with their link
+// state, and a FIB lookup bound to it — or nil for an unknown router. The
+// entry is reused until the topology's generation moves; the generation is
+// read before the interfaces are, so a change racing a rebuild leaves the
+// entry stamped stale.
+func (w *Walker) local(router string) *Local {
+	gen := w.Topo.Generation()
+	slot := w.slot(router)
+	if slot == nil {
+		return nil
+	}
+	if c := slot.cur.Load(); c != nil && c.gen == gen {
+		return &c.Local
+	}
+	r := w.Topo.Router(router)
+	c := &cachedLocal{gen: gen, Local: Local{
+		Router: router, Loopback: r.Loopback, Ifaces: IfacesOf(r),
+		Lookup: func(a netip.Addr) (fib.Entry, bool) { return w.View(router, a) },
+	}}
+	slot.cur.Store(c)
+	return &c.Local
+}
+
+// slot returns router's cache slot, adding an empty one (by copying the
+// slot map) the first time a router the topology knows is expanded; nil
+// for an unknown router.
+func (w *Walker) slot(router string) *localSlot {
+	if m := w.locals.Load(); m != nil {
+		if slot := (*m)[router]; slot != nil {
+			return slot
+		}
+	}
+	if w.Topo.Router(router) == nil {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var old map[string]*localSlot
+	if m := w.locals.Load(); m != nil {
+		old = *m
+	}
+	if slot := old[router]; slot != nil {
+		return slot
+	}
+	m := make(map[string]*localSlot, len(old)+1)
+	for k, v := range old {
+		m[k] = v
+	}
+	slot := &localSlot{}
+	m[router] = slot
+	w.locals.Store(&m)
+	return slot
+}
+
 // Expand computes router's forwarding expansion for dst: the shared
 // forwarding step (Local.Step) applied to what the topology and the FIB
 // view say that router knows. An unknown router is a stuck branch.
 func (w *Walker) Expand(router string, dst netip.Addr) Expansion {
-	r := w.Topo.Router(router)
-	if r == nil {
+	l := w.local(router)
+	if l == nil {
 		return Expansion{Stuck: true}
-	}
-	l := Local{
-		Router: router, Loopback: r.Loopback, Ifaces: IfacesOf(r),
-		Lookup: func(a netip.Addr) (fib.Entry, bool) { return w.View(router, a) },
 	}
 	return l.Step(dst).Expansion
 }

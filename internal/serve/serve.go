@@ -30,7 +30,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -176,6 +175,8 @@ type Engine struct {
 
 	latency  *metrics.Histogram
 	inflight *metrics.Gauge
+	// The serve.* counters, resolved once so a query takes no registry lock.
+	queries, hits, coalesced, executed, rejected, whatifs *metrics.Counter
 }
 
 // New builds an engine. Config.Executor is required.
@@ -202,6 +203,13 @@ func New(cfg Config) *Engine {
 		wflights: map[string]*flight{},
 		latency:  reg.Histogram("serve.query.latency"),
 		inflight: reg.Gauge("serve.inflight"),
+
+		queries:   reg.Counter("serve.queries"),
+		hits:      reg.Counter("serve.plan.hits"),
+		coalesced: reg.Counter("serve.plan.coalesced"),
+		executed:  reg.Counter("serve.plan.executed"),
+		rejected:  reg.Counter("serve.rejected"),
+		whatifs:   reg.Counter("serve.whatif"),
 	}
 	if fault.On(fault.StalePlan) {
 		e.bugWalks = map[planKey]dataplane.Walk{}
@@ -240,12 +248,12 @@ func (s Stats) HitRatio() float64 {
 // Stats reads the current service counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Queries:   e.reg.Counter("serve.queries").Value(),
-		PlanHits:  e.reg.Counter("serve.plan.hits").Value(),
-		Coalesced: e.reg.Counter("serve.plan.coalesced").Value(),
-		Executed:  e.reg.Counter("serve.plan.executed").Value(),
-		Rejected:  e.reg.Counter("serve.rejected").Value(),
-		WhatIfs:   e.reg.Counter("serve.whatif").Value(),
+		Queries:   e.queries.Value(),
+		PlanHits:  e.hits.Value(),
+		Coalesced: e.coalesced.Value(),
+		Executed:  e.executed.Value(),
+		Rejected:  e.rejected.Value(),
+		WhatIfs:   e.whatifs.Value(),
 	}
 }
 
@@ -278,12 +286,15 @@ func (e *Engine) Query(q Query) (Answer, error) {
 
 	probe := e.probeFor(q.Policy.Prefix)
 	k := planKey{Source: q.Source, Dst: probe}
-	ans := Answer{PlanKey: fmt.Sprintf("%s→%s", k.Source, k.Dst)}
+	// "source→probe", built on the stack: the string is a hit's one allocation.
+	var buf [64]byte
+	key := append(append(buf[:0], k.Source...), "→"...)
+	ans := Answer{PlanKey: string(k.Dst.AppendTo(key))}
 
 	walk, how, err := e.planWalk(k)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			e.reg.Counter("serve.rejected").Inc()
+			e.rejected.Inc()
 		}
 		return Answer{}, err
 	}
@@ -297,14 +308,14 @@ func (e *Engine) Query(q Query) (Answer, error) {
 	ans.OK = len(ans.Violations) == 0
 	ans.Latency = time.Since(start)
 	e.latency.Observe(ans.Latency)
-	e.reg.Counter("serve.queries").Inc()
+	e.queries.Inc()
 	switch how {
 	case planHit:
-		e.reg.Counter("serve.plan.hits").Inc()
+		e.hits.Inc()
 	case planJoined:
-		e.reg.Counter("serve.plan.coalesced").Inc()
+		e.coalesced.Inc()
 	case planExecuted:
-		e.reg.Counter("serve.plan.executed").Inc()
+		e.executed.Inc()
 	}
 	return ans, nil
 }
@@ -453,7 +464,7 @@ func (e *Engine) whatIf(q Query, start time.Time) (Answer, error) {
 	if lead {
 		if err := e.acquire(); err != nil {
 			if errors.Is(err, ErrOverloaded) {
-				e.reg.Counter("serve.rejected").Inc()
+				e.rejected.Inc()
 			}
 			if q.Key != "" {
 				e.mu.Lock()
@@ -494,9 +505,9 @@ func (e *Engine) whatIfAnswer(f *flight, q Query, start time.Time, joined bool) 
 		Latency:    time.Since(start),
 	}
 	e.latency.Observe(ans.Latency)
-	e.reg.Counter("serve.whatif").Inc()
+	e.whatifs.Inc()
 	if joined {
-		e.reg.Counter("serve.plan.coalesced").Inc()
+		e.coalesced.Inc()
 	}
 	return ans, nil
 }

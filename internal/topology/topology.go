@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -46,15 +47,19 @@ type Link struct {
 	Jitter time.Duration
 	// Cost is the IGP cost advertised for this link (both directions).
 	Cost uint32
-	up   bool
+	up   atomic.Bool
+	gen  *atomic.Uint64 // the owning topology's generation
 }
 
 // Up reports link status.
-func (l *Link) Up() bool { return l.up }
+func (l *Link) Up() bool { return l.up.Load() }
 
-// SetUp changes link status; the network layer is responsible for notifying
-// attached routers.
-func (l *Link) SetUp(up bool) { l.up = up }
+// SetUp changes link status and advances the topology's generation; the
+// network layer is responsible for notifying attached routers.
+func (l *Link) SetUp(up bool) {
+	l.up.Store(up)
+	l.gen.Add(1)
+}
 
 // ID returns a stable "a:if<->b:if" identifier with endpoints in router-name
 // order, so both directions map to the same string.
@@ -127,7 +132,15 @@ type Topology struct {
 	linkByEnds map[[2]netip.Addr]*Link
 	// linkByRouters maps an unordered router-name pair -> first link added.
 	linkByRouters map[[2]string]*Link
+	// gen counts structural and link-state changes: AddRouter, AddLink,
+	// AddStub and Link.SetUp each advance it.
+	gen atomic.Uint64
 }
+
+// Generation reports how many changes the topology has seen. A reader that
+// derived something from a router's interfaces or link states may keep it
+// for as long as the generation it read first has not moved.
+func (t *Topology) Generation() uint64 { return t.gen.Load() }
 
 // New returns an empty topology.
 func New() *Topology {
@@ -173,6 +186,7 @@ func (t *Topology) AddRouter(name string, loopback netip.Addr) (*Router, error) 
 	r := &Router{Name: name, Loopback: loopback, ifaces: map[string]*Interface{}}
 	t.routers[name] = r
 	t.loopbacks[loopback] = r
+	t.gen.Add(1)
 	return r, nil
 }
 
@@ -233,7 +247,8 @@ func (t *Topology) AddLink(spec LinkSpec) (*Link, error) {
 	}
 	ia := &Interface{Router: ra.Name, Name: spec.AIface, Addr: spec.AAddr, Prefix: spec.Prefix.Masked()}
 	ib := &Interface{Router: rb.Name, Name: spec.BIface, Addr: spec.BAddr, Prefix: spec.Prefix.Masked()}
-	l := &Link{A: ia, B: ib, Delay: spec.Delay, Jitter: spec.Jitter, Cost: spec.Cost, up: true}
+	l := &Link{A: ia, B: ib, Delay: spec.Delay, Jitter: spec.Jitter, Cost: spec.Cost, gen: &t.gen}
+	l.up.Store(true)
 	ia.Link, ib.Link = l, l
 	ra.ifaces[spec.AIface] = ia
 	rb.ifaces[spec.BIface] = ib
@@ -244,6 +259,7 @@ func (t *Topology) AddLink(spec LinkSpec) (*Link, error) {
 	if np := namePair(ra.Name, rb.Name); t.linkByRouters[np] == nil {
 		t.linkByRouters[np] = l // first link wins for parallel links
 	}
+	t.gen.Add(1)
 	return l, nil
 }
 
@@ -263,6 +279,7 @@ func (t *Topology) AddStub(router, iface string, addr netip.Addr, prefix netip.P
 	i := &Interface{Router: router, Name: iface, Addr: addr, Prefix: prefix.Masked()}
 	r.ifaces[iface] = i
 	t.indexIface(i)
+	t.gen.Add(1)
 	return i, nil
 }
 

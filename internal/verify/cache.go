@@ -2,7 +2,8 @@
 // state at the routers on their path, so a walk stays valid until one of
 // those routers changes. The cache tracks per-router invalidation epochs
 // and revalidates each stored walk against the routers its recorded Path
-// traversed — the dependency set is captured for free by the walker.
+// traversed — the dependency set is captured for free by the walker — once
+// per invalidation epoch, not once per lookup.
 
 package verify
 
@@ -74,7 +75,9 @@ func (c *WalkCache) Begin() uint64 {
 
 // Lookup returns the cached walk for (source, dst) if it is still valid: no
 // router on its path invalidated since it was stored. Stale entries are
-// evicted on the way out.
+// evicted on the way out. An entry older than the cache's epoch that passes
+// the path check is re-stamped with the current epoch: the check covered
+// every invalidation up to it, so until the next one a hit is one map read.
 func (c *WalkCache) Lookup(source string, dst netip.Addr) (dataplane.Walk, bool) {
 	k := WalkKey{Source: source, Dst: dst}
 	c.mu.Lock()
@@ -84,20 +87,25 @@ func (c *WalkCache) Lookup(source string, dst netip.Addr) (dataplane.Walk, bool)
 		c.misses.Add(1)
 		return dataplane.Walk{}, false
 	}
-	for _, r := range e.walk.Path {
-		if c.touched[r] > e.epoch {
-			delete(c.walks, k)
-			c.misses.Add(1)
-			return dataplane.Walk{}, false
+	if e.epoch < c.epoch {
+		for _, r := range e.walk.Path {
+			if c.touched[r] > e.epoch {
+				delete(c.walks, k)
+				c.misses.Add(1)
+				return dataplane.Walk{}, false
+			}
 		}
+		e.epoch = c.epoch
+		c.walks[k] = e
 	}
 	c.hits.Add(1)
 	return e.walk, true
 }
 
 // Store records a walk computed at the epoch returned by Begin, unless an
-// existing entry is newer. A walk whose path was invalidated while it ran
-// is stored already stale, and Lookup never serves it.
+// existing entry is newer — stored later, or re-stamped by Lookup. A walk
+// whose path was invalidated while it ran is stored already stale, and
+// Lookup never serves it.
 func (c *WalkCache) Store(source string, dst netip.Addr, w dataplane.Walk, epoch uint64) {
 	k := WalkKey{Source: source, Dst: dst}
 	c.mu.Lock()

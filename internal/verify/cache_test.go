@@ -136,3 +136,63 @@ func TestWalkCacheEpochs(t *testing.T) {
 		t.Fatal("fresh put after the invalidation missing")
 	}
 }
+
+// TestWalkCacheRefresh pins the refresh rule: a lookup that validates an
+// entry older than the cache re-stamps it with the current epoch, which
+// neither hides a later invalidation on its path nor lets a walk begun
+// before the refresh replace it.
+func TestWalkCacheRefresh(t *testing.T) {
+	src, dst := "a", addr("10.0.0.1")
+	w := dataplane.Walk{Dst: dst, Path: []string{"a", "b"}}
+	stamp := func(c *WalkCache) uint64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.walks[WalkKey{Source: src, Dst: dst}].epoch
+	}
+
+	t.Run("off-path invalidation refreshes", func(t *testing.T) {
+		c := NewWalkCache()
+		c.Store(src, dst, w, c.Begin())
+		c.InvalidateRouter("z")
+		c.InvalidateRouter("y")
+		if _, ok := c.Lookup(src, dst); !ok {
+			t.Fatal("invalidations off the path evicted the walk")
+		}
+		if got, want := stamp(c), c.Begin(); got != want {
+			t.Fatalf("validated entry stamped %d, want the current epoch %d", got, want)
+		}
+		if _, ok := c.Lookup(src, dst); !ok {
+			t.Fatal("refreshed entry missing")
+		}
+	})
+	t.Run("later on-path invalidation evicts", func(t *testing.T) {
+		c := NewWalkCache()
+		c.Store(src, dst, w, c.Begin())
+		c.InvalidateRouter("z")
+		if _, ok := c.Lookup(src, dst); !ok {
+			t.Fatal("miss after an off-path invalidation")
+		}
+		c.InvalidateRouter("b")
+		if _, ok := c.Lookup(src, dst); ok {
+			t.Fatal("refreshed entry survived an invalidation of a router on its path")
+		}
+		if c.Len() != 0 {
+			t.Fatalf("stale entry kept: %d stored", c.Len())
+		}
+	})
+	t.Run("store begun before the refresh loses", func(t *testing.T) {
+		c := NewWalkCache()
+		c.Store(src, dst, w, c.Begin())
+		early := c.Begin() // a walk of the same plan starts here
+		c.InvalidateRouter("z")
+		if _, ok := c.Lookup(src, dst); !ok {
+			t.Fatal("miss after an off-path invalidation")
+		}
+		other := dataplane.Walk{Dst: dst, Path: []string{"a", "c"}}
+		c.Store(src, dst, other, early)
+		got, ok := c.Lookup(src, dst)
+		if !ok || got.Path[1] != "b" {
+			t.Fatalf("a walk begun before the refresh replaced the entry: %v, %v", got, ok)
+		}
+	})
+}

@@ -172,7 +172,7 @@ type Executor interface {
 }
 
 // WalkerExecutor is the central executor: a bounded worker pool over one
-// walker. dataplane.Walker is stateless, so concurrent walks are safe.
+// walker. dataplane.Walker is safe for concurrent walks.
 type WalkerExecutor struct {
 	W *dataplane.Walker
 	// workers bounds the pool (Checker.Workers); 0 means GOMAXPROCS, 1
@@ -240,7 +240,7 @@ type Checker struct {
 	// latency timers.
 	Metrics *metrics.Registry
 	// Cache optionally reuses walks across Check calls; the caller must
-	// invalidate it (InvalidateRouter/Flush) when forwarding state changes.
+	// call its InvalidateRouter whenever a router's forwarding state changes.
 	// Nil disables caching — every Check walks from scratch.
 	Cache *WalkCache
 	// Executor runs the walks the cache cannot answer; nil means a
@@ -481,33 +481,76 @@ func Evaluate(p Policy, src string, walk dataplane.Walk) (Violation, bool) {
 // are routers with no outgoing edge in the DAG — delivery, drop, and stuck
 // endpoints alike; a trajectory ending anywhere without the waypoint
 // bypassed it.
+//
+// Routers are numbered in the order the walk names them, so a router's
+// number is its first Walk.Path position (an edge may also name a router a
+// hop budget left unexplored, numbered after Path's). Each router's
+// out-edges are chained through head and link, and the search runs over
+// those numbers. The arrays hold a walk of a few dozen routers on the
+// stack, so a check over one allocates nothing.
 func bypassesWaypoint(walk dataplane.Walk, waypoint string) bool {
-	if len(walk.Path) == 0 {
+	path, edges := walk.Path, walk.Edges
+	if len(path) == 0 || path[0] == waypoint {
 		return false
 	}
-	src := walk.Path[0]
-	if src == waypoint {
-		return false
+	var (
+		slotBuf           [256]int32
+		nameBuf           [64]string
+		headBuf, stackBuf [64]int32
+		seenBuf           [64]bool
+		toBuf, linkBuf    [128]int32
+	)
+	// slots is an open-addressed table of 1 + a router's number, at least
+	// twice as large as the routers the walk can name.
+	slots := slotBuf[:]
+	if want := 2 * (len(path) + 2*len(edges) + 1); want > len(slots) {
+		n := len(slots)
+		for n < want {
+			n *= 2
+		}
+		slots = make([]int32, n)
 	}
-	next := map[string][]string{}
-	for _, e := range walk.Edges {
-		next[e[0]] = append(next[e[0]], e[1])
+	names, head, seen := nameBuf[:0], headBuf[:0], seenBuf[:0]
+	number := func(r string) int32 {
+		h := uint32(2166136261) // FNV-1a
+		for i := 0; i < len(r); i++ {
+			h = (h ^ uint32(r[i])) * 16777619
+		}
+		mask := uint32(len(slots) - 1)
+		for i := h & mask; ; i = (i + 1) & mask {
+			if s := slots[i]; s == 0 {
+				slots[i] = int32(len(names)) + 1
+				names, head, seen = append(names, r), append(head, -1), append(seen, false)
+				return int32(len(names)) - 1
+			} else if names[s-1] == r {
+				return s - 1
+			}
+		}
 	}
-	seen := map[string]bool{src: true}
-	stack := []string{src}
+	for _, r := range path {
+		number(r)
+	}
+	to, link := toBuf[:0], linkBuf[:0]
+	for i, e := range edges {
+		u, v := number(e[0]), number(e[1])
+		to, link = append(to, v), append(link, head[u])
+		head[u] = int32(i)
+	}
+	wp := number(waypoint) // an absent waypoint numbers a router no edge reaches
+
+	seen[0] = true
+	stack := append(stackBuf[:0], 0)
 	for len(stack) > 0 {
-		r := stack[len(stack)-1]
+		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		outs := next[r]
-		if len(outs) == 0 {
+		if head[u] < 0 {
 			return true // terminal reached without the waypoint
 		}
-		for _, nr := range outs {
-			if nr == waypoint || seen[nr] {
-				continue
+		for i := head[u]; i >= 0; i = link[i] {
+			if v := to[i]; v != wp && !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
 			}
-			seen[nr] = true
-			stack = append(stack, nr)
 		}
 	}
 	return false
