@@ -316,7 +316,6 @@ func BenchmarkFig5Feasibility(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func BenchmarkBlockingHazard(b *testing.B) {
-	rules := func(v capture.View) *hbg.Graph { return hbr.Rules{}.Infer(v.Stripped(nil)) }
 	type row struct {
 		strategy            string
 		violBefore          int
@@ -336,8 +335,7 @@ func BenchmarkBlockingHazard(b *testing.B) {
 		policy := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 		before := verify.NewChecker(w, internalSources).Check(policy)
 		if !block {
-			eng := repair.NewEngine(pn.Network, rules, verify.NewChecker(pn.LiveWalker(), internalSources).Check)
-			if _, err := eng.DetectAndRepair(policy); err != nil {
+			if _, err := NewPipeline(pn.Network, internalSources).DetectAndRepair(policy); err != nil {
 				b.Fatal(err)
 			}
 			if err := pn.Run(); err != nil {

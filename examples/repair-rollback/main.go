@@ -14,12 +14,10 @@ import (
 	"log"
 	"net/netip"
 
-	"hbverify/internal/capture"
+	"hbverify"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
-	"hbverify/internal/hbg"
-	"hbverify/internal/hbr"
 	"hbverify/internal/network"
 	"hbverify/internal/repair"
 	"hbverify/internal/verify"
@@ -66,10 +64,6 @@ func report(label string, pn *network.PaperNet, gate *repair.Gate) {
 }
 
 func main() {
-	rulesInfer := func(v capture.View) *hbg.Graph {
-		return hbr.Rules{}.Infer(v.Stripped(nil))
-	}
-
 	fmt.Println("--- strategy A: block the problematic FIB updates ---")
 	pnA, gateA := buildNet()
 	gateA.SetBlock(func(router string, u fib.Update) bool {
@@ -83,8 +77,7 @@ func main() {
 	fmt.Println("--- strategy B: repair the root cause ---")
 	pnB, gateB := buildNet() // gate observes but never blocks
 	misconfigure(pnB)
-	eng := repair.NewEngine(pnB.Network, rulesInfer, verify.NewChecker(pnB.LiveWalker(), []string{"r1", "r2", "r3"}).Check)
-	d, err := eng.DetectAndRepair([]verify.Policy{{Kind: verify.Egress, Prefix: pnB.P, Expect: "e2"}})
+	d, err := hbverify.NewPipeline(pnB.Network, []string{"r1", "r2", "r3"}).DetectAndRepair([]verify.Policy{{Kind: verify.Egress, Prefix: pnB.P, Expect: "e2"}})
 	if err != nil {
 		log.Fatal(err)
 	}

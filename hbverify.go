@@ -66,7 +66,6 @@ type Pipeline struct {
 	// walk counts, latencies).
 	Metrics *metrics.Registry
 
-	engine *repair.Engine
 	// eqc incrementally tracks forwarding equivalence classes off the live
 	// FIBs; walkCache keeps data-plane walks over the live FIBs across
 	// calls — central and fleet alike — with FIB deltas and link flips
@@ -116,8 +115,6 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 		p.noteDistDirty(a)
 		p.noteDistDirty(b)
 	})
-	p.engine = repair.NewEngine(n, func(v capture.View) *hbg.Graph { return p.Strategy.InferView(v) }, p.Verify)
-	p.engine.Invalidate = func() { p.Strategy.Invalidate() }
 	return p
 }
 
@@ -390,15 +387,29 @@ func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (v
 }
 
 // Detect verifies (as Verify does) and, on violation, traces the
-// problematic FIB update to its root causes via the inferred HBG.
+// problematic FIB update to its root causes via the inferred HBG, which is
+// inferred only when such an update is found.
 func (p *Pipeline) Detect(policies []verify.Policy) *repair.Diagnosis {
-	return p.engine.Detect(policies)
+	return repair.Diagnose(p.Verify(policies), p.Net.Log.View(), p.Graph)
 }
 
 // DetectAndRepair additionally rolls back the root-cause configuration
-// change. Run the network afterwards to let the repair converge.
+// change. Run the network afterwards to let the repair converge. A
+// successful rollback drops the cached graph, for memory rather than
+// correctness: the rollback is one more ConfigChange in the log and its
+// reconvergence one more batch of FIB updates, which reach every cache like
+// any other, so dropping the graph only frees it while the network
+// reconverges.
 func (p *Pipeline) DetectAndRepair(policies []verify.Policy) (*repair.Diagnosis, error) {
-	return p.engine.DetectAndRepair(policies)
+	d := p.Detect(policies)
+	if d.Report.OK() {
+		return d, nil
+	}
+	if err := repair.Rollback(p.Net, d); err != nil {
+		return d, err
+	}
+	p.Strategy.Invalidate()
+	return d, nil
 }
 
 // RootCause traces an arbitrary captured I/O to its HBG leaf causes.

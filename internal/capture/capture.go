@@ -462,13 +462,12 @@ func (l *Log) ForPrefix(p netip.Prefix) []IO {
 func StripOracle(ios []IO) []IO { return ViewOf(ios).Stripped(nil) }
 
 // Recorder captures I/Os on behalf of one router, stamping them with the
-// router's (possibly skewed) clock and the current causal scope.
+// router's (possibly skewed) clock.
 type Recorder struct {
 	log    *Log
 	router string
 	sched  *netsim.Scheduler
 	clock  *netsim.ClockModel
-	scope  [][]uint64
 }
 
 // NewRecorder builds a recorder for a router. clock may be nil for a
@@ -480,39 +479,13 @@ func NewRecorder(log *Log, router string, sched *netsim.Scheduler, clock *netsim
 // Router returns the owning router's name.
 func (r *Recorder) Router() string { return r.router }
 
-// PushCause enters a causal scope: every I/O recorded until the matching
-// PopCause lists ids as ground-truth parents. Scopes nest; inner scopes
-// replace (not extend) outer ones, because a protocol handler processing
-// input X knows exactly which inputs its outputs depend on.
-func (r *Recorder) PushCause(ids ...uint64) {
-	r.scope = append(r.scope, append([]uint64(nil), ids...))
-}
-
-// PopCause leaves the innermost causal scope.
-func (r *Recorder) PopCause() {
-	if len(r.scope) == 0 {
-		panic("capture: PopCause without PushCause")
-	}
-	r.scope = r.scope[:len(r.scope)-1]
-}
-
-// WithCause runs fn inside a causal scope.
-func (r *Recorder) WithCause(ids []uint64, fn func()) {
-	r.PushCause(ids...)
-	defer r.PopCause()
-	fn()
-}
-
-// Record appends io to the network log, filling router, timestamps, and the
-// causal scope. It returns the stored I/O (with its assigned ID) so callers
-// can chain causality.
+// Record appends io to the network log, filling router and timestamps; the
+// caller names io's ground-truth Causes. It returns the stored I/O (with its
+// assigned ID) so callers can chain causality.
 func (r *Recorder) Record(io IO) IO {
 	io.Router = r.router
 	now := r.sched.Now()
 	io.TrueTime = now
 	io.Time = r.clock.Read(now)
-	if len(io.Causes) == 0 && len(r.scope) > 0 {
-		io.Causes = append([]uint64(nil), r.scope[len(r.scope)-1]...)
-	}
 	return r.log.append(io)
 }

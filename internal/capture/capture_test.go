@@ -115,64 +115,6 @@ func TestRecorderClockSkew(t *testing.T) {
 	}
 }
 
-func TestCausalScopes(t *testing.T) {
-	s := netsim.NewScheduler(1)
-	log := NewLog()
-	rec := NewRecorder(log, "r1", s, nil)
-	var in, out, nested, after IO
-	s.At(0, func() {
-		in = rec.Record(IO{Type: RecvAdvert, Prefix: pfx("10.0.0.0/8")})
-		rec.WithCause([]uint64{in.ID}, func() {
-			out = rec.Record(IO{Type: RIBInstall, Prefix: pfx("10.0.0.0/8")})
-			rec.WithCause([]uint64{out.ID}, func() {
-				nested = rec.Record(IO{Type: FIBInstall, Prefix: pfx("10.0.0.0/8")})
-			})
-		})
-		after = rec.Record(IO{Type: SendAdvert, Prefix: pfx("10.0.0.0/8")})
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(in.Causes) != 0 {
-		t.Fatalf("input has causes: %v", in.Causes)
-	}
-	if len(out.Causes) != 1 || out.Causes[0] != in.ID {
-		t.Fatalf("out causes = %v", out.Causes)
-	}
-	if len(nested.Causes) != 1 || nested.Causes[0] != out.ID {
-		t.Fatalf("inner scope must replace outer: %v", nested.Causes)
-	}
-	if len(after.Causes) != 0 {
-		t.Fatalf("scope leaked: %v", after.Causes)
-	}
-}
-
-func TestExplicitCausesWinOverScope(t *testing.T) {
-	s := netsim.NewScheduler(1)
-	log := NewLog()
-	rec := NewRecorder(log, "r1", s, nil)
-	var io IO
-	s.At(0, func() {
-		rec.WithCause([]uint64{42}, func() {
-			io = rec.Record(IO{Type: FIBInstall, Prefix: pfx("10.0.0.0/8"), Causes: []uint64{7}})
-		})
-	})
-	_ = s.Run()
-	if len(io.Causes) != 1 || io.Causes[0] != 7 {
-		t.Fatalf("causes = %v", io.Causes)
-	}
-}
-
-func TestPopCauseWithoutPushPanics(t *testing.T) {
-	rec := NewRecorder(NewLog(), "r1", netsim.NewScheduler(1), nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	rec.PopCause()
-}
-
 func TestLogQueries(t *testing.T) {
 	s := netsim.NewScheduler(1)
 	log := NewLog()

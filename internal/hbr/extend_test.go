@@ -1,7 +1,6 @@
 // Tests for what Incremental.extend evaluates and indexes: a randomized
-// chunked-growth differential against full inference, the exact edges of the
-// three bounds reach() yields, and a stub strategy that makes the dense
-// floor's near term observable.
+// chunked-growth differential against full inference and the exact edges of
+// the three bounds the rules' windows yield.
 
 package hbr
 
@@ -93,25 +92,19 @@ func jitterLog(seed int64, n, nRouters int) []capture.IO {
 // path: an Incremental grown in random 1–40-event steps — boundaries fall
 // between a send and its receive, inside a chain, on either side of a jittered
 // timestamp — must equal a fresh full inference of the same prefix of the
-// log at every step, for every strategy that has a reach. The windows are a
-// fraction of the log's span, so all three floors and the scan's own cross
-// real events.
+// log at every step, for two window shapes: cross below near, and cross
+// above it. The windows are a fraction of the log's span, so all three
+// floors and the scan's own cross real events.
 func TestExtendChunkedGrowthMatchesFull(t *testing.T) {
 	seeds, n := int64(6), 1000
 	if testing.Short() {
 		seeds = 2
 	}
-	wide := Rules{Window: 200 * time.Millisecond, ConfigWindow: 600 * time.Millisecond, CrossWindow: 120 * time.Millisecond}
 	for seed := int64(1); seed <= seeds; seed++ {
 		ios := jitterLog(seed, n, 3+int(seed%3))
-		model := Miner{Window: 150 * time.Millisecond}.Train(jitterLog(seed+100, n, 4))
-		patterns := Patterns{Model: model, Threshold: 0.3}
-		for _, base := range []Strategy{
-			wide,
-			Rules{Window: 80 * time.Millisecond, ConfigWindow: 500 * time.Millisecond, CrossWindow: 250 * time.Millisecond},
-			Prefix{Window: 150 * time.Millisecond},
-			patterns,
-			Combined{Rules: wide, Patterns: patterns},
+		for _, base := range []Rules{
+			{Window: 200 * time.Millisecond, ConfigWindow: 600 * time.Millisecond, CrossWindow: 120 * time.Millisecond},
+			{Window: 80 * time.Millisecond, ConfigWindow: 500 * time.Millisecond, CrossWindow: 250 * time.Millisecond},
 		} {
 			reg := metrics.NewRegistry()
 			inc := NewIncremental(base, reg)
@@ -121,16 +114,16 @@ func TestExtendChunkedGrowthMatchesFull(t *testing.T) {
 				at = min(len(ios), at+1+rng.Intn(40))
 				got, want := inc.Infer(ios[:at]), base.Infer(ios[:at])
 				if d := diffGraphs(got, want); d != "" {
-					t.Fatalf("seed %d, %s, %d events: incremental vs full: %s", seed, base.Name(), at, d)
+					t.Fatalf("seed %d, %v, %d events: incremental vs full: %s", seed, base, at, d)
 				}
 				if at == len(ios) && want.EdgeCount() < n/4 {
-					t.Fatalf("seed %d, %s: only %d edges over %d events; the log exercises nothing", seed, base.Name(), want.EdgeCount(), n)
+					t.Fatalf("seed %d, %v: only %d edges over %d events; the log exercises nothing", seed, base, want.EdgeCount(), n)
 				}
 			}
 			full, win := reg.Counter("infer.cache.misses").Value(), reg.Counter("infer.window.ios").Value()
 			if ev, ix := reg.Counter("infer.evaluated.ios").Value(), reg.Counter("infer.indexed.ios").Value(); full != 1 || ev == 0 || ev >= ix || ix >= win {
-				t.Fatalf("seed %d, %s: %d full inferences; %d evaluated, %d indexed, %d scanned events, want one and each count under the next",
-					seed, base.Name(), full, ev, ix, win)
+				t.Fatalf("seed %d, %v: %d full inferences; %d evaluated, %d indexed, %d scanned events, want one and each count under the next",
+					seed, base, full, ev, ix, win)
 			}
 		}
 	}
@@ -213,70 +206,5 @@ func TestExtendReachBoundaries(t *testing.T) {
 				t.Fatalf("evaluated %d and indexed %d events, want %d and %d", ev, ix, c.evaluated, c.indexed)
 			}
 		})
-	}
-}
-
-// nearStub is a strategy no shipped one is: its RECEIVES take every
-// same-router event within near as a parent, beside the matched send. Under
-// Rules an old event a suffix event becomes the parent of is a receive, whose
-// only parent is the send — so nothing re-derived there looks back near, and
-// only this stub can tell a dense floor of cross + near from one of cross.
-type nearStub struct{ cross, near time.Duration }
-
-func (nearStub) Name() string                    { return "near-stub" }
-func (s nearStub) LookbackWindow() time.Duration { return max(s.cross, s.near) }
-func (s nearStub) reach() reach                  { return reach{cross: s.cross, near: s.near} }
-func (s nearStub) Infer(ios []capture.IO) *hbg.Graph {
-	idx := NewIndex(ios)
-	return idx.graph(idx.run(s.rule(idx)))
-}
-
-func (s nearStub) rule(idx *Index) rule {
-	return func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf {
-		io := idx.at(p)
-		if io.Type != capture.RecvAdvert {
-			return out
-		}
-		idx.precedingOnRouter(p, s.near, func(c *capture.IO) bool {
-			out = append(out, hbg.EdgeConf{From: c.ID, To: io.ID, Conf: 1})
-			return true
-		})
-		if send := idx.matchSendForRecv(io, s.cross); send != nil {
-			out = append(out, hbg.EdgeConf{From: send.ID, To: io.ID, Conf: 1})
-		}
-		return out
-	}
-}
-
-// TestExtendDenseFloorIncludesNear: the oldest re-derived event sits cross
-// before the suffix and reads near before itself, so the dense part of the
-// index starts at cross + near — its same-router parent exactly there must
-// survive the re-derivation the suffix send causes.
-func TestExtendDenseFloorIncludesNear(t *testing.T) {
-	stub := nearStub{cross: 300 * time.Millisecond, near: 400 * time.Millisecond}
-	at := func(ms int) netsim.VirtualTime {
-		return netsim.VirtualTime(100*time.Second + time.Duration(ms)*time.Millisecond)
-	}
-	pfx := netip.MustParsePrefix("10.0.0.0/16")
-	ios := edgeLog(
-		capture.IO{Router: "b", Type: capture.LinkUp, Time: at(-701)}, // 1 ms out of the receive's reach
-		capture.IO{Router: "b", Type: capture.LinkUp, Time: at(-700)}, // minTime - cross - near
-		capture.IO{Router: "b", Peer: "a", Type: capture.RecvAdvert, Proto: route.ProtoBGP, Prefix: pfx, Time: at(-300)},
-		capture.IO{Router: "a", Peer: "b", Type: capture.SendAdvert, Proto: route.ProtoBGP, Prefix: pfx, Time: at(0)},
-	)
-	reg := metrics.NewRegistry()
-	inc := NewIncremental(stub, reg)
-	if g := inc.Infer(ios[:3]); fmt.Sprint(g.Edges()) != fmt.Sprint([]hbg.Edge{{From: 2, To: 3}}) {
-		t.Fatalf("before the send: edges = %v", g.Edges())
-	}
-	got := inc.Infer(ios)
-	if d := diffGraphs(got, stub.Infer(ios)); d != "" {
-		t.Fatalf("incremental vs full: %s", d)
-	}
-	if want := []hbg.Edge{{From: 2, To: 3}, {From: 4, To: 3}}; fmt.Sprint(got.Edges()) != fmt.Sprint(want) {
-		t.Fatalf("edges = %v, want %v", got.Edges(), want)
-	}
-	if ev, ix := reg.Counter("infer.evaluated.ios").Value(), reg.Counter("infer.indexed.ios").Value(); ev != 2 || ix != 3 {
-		t.Fatalf("evaluated %d and indexed %d events, want 2 and 3", ev, ix)
 	}
 }

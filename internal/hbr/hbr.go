@@ -97,8 +97,8 @@ func (Timestamp) Name() string { return "timestamp" }
 // Infer implements Strategy.
 func (t Timestamp) Infer(ios []capture.IO) *hbg.Graph { return t.InferIndex(NewIndex(ios)) }
 
-// InferIndex implements IndexInferrer: each event's only parent is the one
-// before it in its router's list.
+// InferIndex is Infer over a pre-built index: each event's only parent is
+// the one before it in its router's list.
 func (t Timestamp) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(t.rule(idx))) }
 
 func (Timestamp) rule(idx *Index) rule {
@@ -126,11 +126,14 @@ func (Prefix) Name() string { return "prefix" }
 // Infer implements Strategy.
 func (p Prefix) Infer(ios []capture.IO) *hbg.Graph { return p.InferIndex(NewIndex(ios)) }
 
-// InferIndex implements IndexInferrer.
+// InferIndex is Infer over a pre-built index.
 func (p Prefix) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(p.rule(idx))) }
 
 func (p Prefix) rule(idx *Index) rule {
-	window := p.LookbackWindow()
+	window := p.Window
+	if window == 0 {
+		window = 500 * time.Millisecond
+	}
 	return func(pos int32, out []hbg.EdgeConf) []hbg.EdgeConf {
 		io := idx.at(pos)
 		if !io.HasPrefix() {

@@ -3,9 +3,9 @@
 // yet the capture log is append-only and every rule's reach is bounded by
 // a look-back window. Incremental exploits both: it caches the inferred
 // graph keyed on the covered log window and, when new I/Os arrive, re-runs
-// the base strategy's rule only over the new suffix plus the old events it
-// can reach, adding the new events and replacing the in-edge sets the suffix
-// changed instead of rebuilding the graph from scratch.
+// the rules only over the new suffix plus the old events they can reach,
+// adding the new events and replacing the in-edge sets the suffix changed
+// instead of rebuilding the graph from scratch.
 //
 // Coverage is tracked by event ID rather than slice position, so the cache
 // survives log compaction: after the capture window's prefix is evicted,
@@ -38,95 +38,22 @@ import (
 // ±hundreds-of-ms skews the simulator produces.
 const DefaultSkewSlack = time.Second
 
-// Lookbacker is implemented by strategies whose inference for one event
-// never reaches further back in observed time than a bounded window. That
-// bound is what makes suffix-only re-inference sound: any in-window
-// candidate for a new event lies inside the look-back slice.
-type Lookbacker interface {
-	// LookbackWindow returns the maximum reach of any rule, in observed
-	// (router-clock) time.
-	LookbackWindow() time.Duration
-}
-
-// LookbackWindow implements Lookbacker: the widest of the three rule
-// windows (config matching reaches the furthest, §7's 25 s TTY→soft-reconfig
-// gap being the motivating case).
-func (r Rules) LookbackWindow() time.Duration {
-	w, cw, xw := r.windows()
-	return max(w, cw, xw)
-}
-
-// LookbackWindow implements Lookbacker.
-func (p Prefix) LookbackWindow() time.Duration {
-	if p.Window == 0 {
-		return 500 * time.Millisecond
-	}
-	return p.Window
-}
-
-// LookbackWindow implements Lookbacker. A Patterns strategy without a
-// trained model infers no edges, so any window is sound.
-func (p Patterns) LookbackWindow() time.Duration {
-	if p.Model == nil || p.Model.window == 0 {
-		return 500 * time.Millisecond
-	}
-	return p.Model.window
-}
-
-// LookbackWindow implements Lookbacker.
-func (c Combined) LookbackWindow() time.Duration {
-	return max(c.Rules.LookbackWindow(), c.Patterns.LookbackWindow())
-}
-
-// reach bounds what one evaluation of a strategy's rule reads, in the two
-// primitives every rule is built from: matchSendForRecv looks cross to either
-// side of a receive, and precedingOnRouter looks back near — further only for
-// the kinds in far, which may lie anywhere within LookbackWindow.
-type reach struct {
-	cross, near time.Duration
-	far         uint32 // one bit per capture.Type
-}
-
-func (r Rules) reach() reach {
-	w, _, xw := r.windows()
-	return reach{cross: xw, near: w, far: 1 << capture.ConfigChange}
-}
-
-func (p Prefix) reach() reach { return reach{cross: p.LookbackWindow(), near: p.LookbackWindow()} }
-
-func (p Patterns) reach() reach { return reach{cross: p.LookbackWindow(), near: p.LookbackWindow()} }
-
-func (c Combined) reach() reach {
-	r, p := c.Rules.reach(), c.Patterns.reach()
-	return reach{cross: max(r.cross, p.cross), near: max(r.near, p.near), far: r.far | p.far}
-}
-
-// ruler is what the suffix path needs of a base strategy: its bounded reach
-// and its inference as a per-event rule, so the look-back slice is re-derived
-// without building a graph of it. This package's Lookbackers all qualify.
-type ruler interface {
-	Lookbacker
-	rule(idx *Index) rule
-	reach() reach
-}
-
-// Incremental wraps a base Strategy with a graph cache over the append-only
-// capture log.
+// Incremental is the rule-matching strategy (Rules) behind a graph cache
+// over the append-only capture log.
 //
 //   - Same window as last time (endpoint IDs and length match): return the
 //     cached graph untouched — a cache hit.
 //   - The window grew at the tail and its covered prefix is unchanged: run
-//     the base strategy's rule over the new suffix plus the old events within
-//     its reach, add the suffix's vertices and edges to the cached graph, and
-//     replace the in-edges of those older events.
-//   - The covered window with events missing — a cut-filtered snapshot
-//     collection, or (Cached) the window itself with the IDs a cut hides —
-//     the base strategy is Rules and the cache holds no folded history:
-//     answer with the cached graph minus the missing vertices, re-deriving
-//     only their children (derive), WITHOUT disturbing the cache.
-//   - Anything else (a different prefix, another strategy): fall back to a
-//     one-off full inference, again without disturbing the cache, so snapshot
-//     sweeps cannot poison the pipeline's incremental state.
+//     the rules over the new suffix plus the old events within their reach,
+//     add the suffix's vertices and edges to the cached graph, and replace
+//     the in-edges of those older events (extend).
+//   - Anything else (a different prefix, a subset of the window): a one-off
+//     full inference that leaves the cache as it was, so snapshot sweeps
+//     cannot poison the pipeline's incremental state.
+//
+// A cut of the covered window — the window with the IDs a cut hides — is
+// asked of Cached, which derives it from the cached graph without
+// disturbing the cache.
 //
 // Because coverage is keyed on event IDs, log compaction composes with the
 // cache: Compact folds a log's window, evicts its old prefix and moves the
@@ -135,21 +62,17 @@ type ruler interface {
 // window extend the checkpointed graph exactly as if the evicted prefix were
 // still present.
 //
-// The suffix path is available only when the base strategy is one of this
-// package's Lookbackers; otherwise every growth falls back to
-// (cached-as-new-baseline) full inference.
-//
 // Incremental is safe for concurrent use. The returned *hbg.Graph is shared
 // across calls; hbg.Graph is itself concurrency-safe.
 type Incremental struct {
-	// Base is the wrapped inference strategy.
-	Base Strategy
+	// Rules is the wrapped strategy; its windows bound every rule's reach.
+	Rules Rules
 	// Metrics optionally receives infer.full / infer.incremental timers and
 	// infer.cache.* counters.
 	Metrics *metrics.Registry
 	// SkewSlack widens the look-back scan to tolerate clock skew between
-	// routers (see DefaultSkewSlack). Zero selects the default; a negative
-	// value disables the slack entirely (test hook — unsound under skew).
+	// routers (see DefaultSkewSlack). Zero, or any value that is not
+	// positive, selects the default.
 	SkewSlack time.Duration
 
 	mu      sync.Mutex
@@ -162,18 +85,18 @@ type Incremental struct {
 	checkpointed bool
 }
 
-// NewIncremental wraps base. A nil registry disables metrics.
-func NewIncremental(base Strategy, reg *metrics.Registry) *Incremental {
-	return &Incremental{Base: base, Metrics: reg}
+// NewIncremental wraps rules. A nil registry disables metrics.
+func NewIncremental(rules Rules, reg *metrics.Registry) *Incremental {
+	return &Incremental{Rules: rules, Metrics: reg}
 }
 
 // Name implements Strategy.
-func (inc *Incremental) Name() string { return "incremental(" + inc.Base.Name() + ")" }
+func (inc *Incremental) Name() string { return "incremental(" + inc.Rules.Name() + ")" }
 
 // Invalidate drops the cached graph; the next Infer performs a full
-// inference. The repair engine calls this after a rollback to free the graph
-// while the network reconverges, not for correctness: a rollback only
-// appends to the log, and an extension equals a full inference
+// inference. Pipeline.DetectAndRepair calls this after a rollback to free
+// the graph while the network reconverges, not for correctness: a rollback
+// only appends to the log, and an extension equals a full inference
 // (TestExtendChunkedGrowthMatchesFull).
 func (inc *Incremental) Invalidate() {
 	inc.mu.Lock()
@@ -228,8 +151,8 @@ func (inc *Incremental) CoveredWindow() (first, last uint64, ok bool) {
 
 // Cached answers for v less the hidden events (IDs ascending, nil for none)
 // from the cache alone, or returns nil: for the covered window itself, the
-// cached graph; for a cut of it, under Rules with no folded history, a graph
-// derived from the cached one (derive), which reads v in place. Only v's
+// cached graph; for a cut of it, when the cache holds no folded history, a
+// graph derived from the cached one (derive), which reads v in place. Only v's
 // endpoints and hidden's range decide, so a caller can ask before it
 // prepares — copies, strips — the log for an inference.
 func (inc *Incremental) Cached(v capture.View, hidden []uint64) *hbg.Graph {
@@ -238,12 +161,11 @@ func (inc *Incremental) Cached(v capture.View, hidden []uint64) *hbg.Graph {
 	if len(hidden) == 0 {
 		return inc.hitLocked(v)
 	}
-	base, ok := inc.Base.(Rules)
-	if !ok || inc.checkpointed || inc.cached == nil || !inc.matchesCoveredLocked(v) ||
+	if inc.checkpointed || inc.cached == nil || !inc.matchesCoveredLocked(v) ||
 		hidden[0] < inc.firstID || hidden[len(hidden)-1] > inc.lastID {
 		return nil
 	}
-	return inc.derive(v, hidden, base)
+	return inc.derive(v, hidden)
 }
 
 func (inc *Incremental) hitLocked(v capture.View) *hbg.Graph {
@@ -266,20 +188,13 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	if g := inc.hitLocked(ios); g != nil {
 		return g
 	}
-	if inc.cached != nil && fault.On(fault.StaleCache) {
-		return inc.cached
-	}
 	if inc.cached != nil {
+		if fault.On(fault.StaleCache) {
+			return inc.cached
+		}
 		// Append-only growth of the covered window?
 		if sufStart, ok := inc.extensionStartLocked(ios); ok {
-			if base, ok := inc.Base.(ruler); ok {
-				return inc.extend(ios, sufStart, base)
-			}
-		}
-		if base, ok := inc.Base.(Rules); ok && !inc.checkpointed {
-			if hidden, ok := inc.missingLocked(ios); ok {
-				return inc.derive(ios, hidden, base)
-			}
+			return inc.extend(ios, sufStart)
 		}
 	}
 
@@ -290,7 +205,7 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	// the cache. A checkpointed cache is never replaced here: the full
 	// inference saw only the retained window, not the folded history.
 	start := time.Now()
-	g := InferIndexed(inc.Base, inc.index(ios, nil, math.MinInt64))
+	g := inc.Rules.InferIndex(inc.index(ios, nil, math.MinInt64))
 	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.cache.misses").Inc()
 	if inc.adoptableLocked(ios) {
@@ -326,41 +241,14 @@ func (inc *Incremental) extensionStartLocked(ios capture.View) (int, bool) {
 	return pos + 1, true
 }
 
-// missingLocked reports whether ios is the covered window with at least one
-// event left out — IDs strictly ascending inside [firstID, lastID] — and if
-// so which IDs are missing, ascending.
-func (inc *Incremental) missingLocked(ios capture.View) ([]uint64, bool) {
-	if inc.lastID < inc.firstID || uint64(ios.Len()) > inc.lastID-inc.firstID {
-		return nil, false
-	}
-	hidden := make([]uint64, 0, inc.lastID-inc.firstID+1-uint64(ios.Len()))
-	next := inc.firstID
-	for i := 0; i < ios.Len(); i++ {
-		id := ios.At(i).ID
-		if id < next || id > inc.lastID {
-			return nil, false
-		}
-		for ; next < id; next++ {
-			hidden = append(hidden, next)
-		}
-		next = id + 1
-	}
-	for ; next <= inc.lastID; next++ {
-		hidden = append(hidden, next)
-	}
-	return hidden, true
-}
-
-// derive answers for the covered window minus the hidden events (IDs
+// derive answers for the covered window ios minus the hidden events (IDs
 // ascending) from the cached graph: the hidden vertices and their edges go,
 // and each visible child of a hidden event has its in-edges re-derived over
-// the events of ios that are not hidden — all of them when ios is a
-// collected subset, which holds no hidden event. No other event can differ
-// from a full inference of what is visible: under Rules, removing a
-// candidate that did not win changes no winner (DESIGN.md §6 goes through
-// the tiers); Patterns, Combined and Timestamp lack that property. The
+// the events of ios that are not hidden. No other event can differ from a
+// full inference of what is visible: under Rules, removing a candidate that
+// did not win changes no winner (DESIGN.md §6 goes through the tiers). The
 // cache is left as it was.
-func (inc *Incremental) derive(ios capture.View, hidden []uint64, base Rules) *hbg.Graph {
+func (inc *Incremental) derive(ios capture.View, hidden []uint64) *hbg.Graph {
 	start := time.Now()
 	var redo []int32 // positions in ios, ascending
 	for _, h := range hidden {
@@ -391,7 +279,7 @@ func (inc *Incremental) derive(ios capture.View, hidden []uint64, base Rules) *h
 		for _, p := range redo {
 			b.Reset = append(b.Reset, ios.At(int(p)).ID)
 		}
-		b.Edges = [][]hbg.EdgeConf{idx.runAt(redo, base.rule(idx))}
+		b.Edges = [][]hbg.EdgeConf{idx.runAt(redo, inc.Rules.rule(idx))}
 	}
 	g := inc.cached.Without(hidden, b)
 	inc.Metrics.Timer("infer.derived").Observe(time.Since(start))
@@ -429,15 +317,18 @@ func (inc *Incremental) adoptableLocked(ios capture.View) bool {
 //   - Every older event keeps its cached edges: it reads no suffix event, so
 //     a re-derivation would equal what is cached.
 //
-// What is evaluated and indexed follows from base.reach() (DESIGN.md §6). A
-// same-router candidate precedes its event in (time, ID) order, which no
-// suffix event does for an old event observed before all of them; below the
-// earliest suffix time an old event reads a suffix event only as the send a
-// receive matches, so no earlier than tail = that time − cross. The rule runs
-// from tail on. Those events match sends down to tail − cross (the send
-// table's floor) and same-router candidates down to tail − near, except the
-// far kinds, which are indexed as far back as the scan goes; an older event
-// of any other kind is in no evaluated event's reach and is not indexed.
+// What is evaluated and indexed follows from the rules' windows (DESIGN.md
+// §6): a receive matches sends within cross = CrossWindow to either side,
+// and every same-router tier looks back near = Window, except that config
+// changes match out to ConfigWindow. A same-router candidate precedes its
+// event in (time, ID) order, which no suffix event does for an old event
+// observed before all of them; below the earliest suffix time an old event
+// reads a suffix event only as the send a receive matches, so no earlier
+// than tail = that time − cross. The rule runs from tail on. Those events
+// match sends down to tail − cross (the send table's floor) and same-router
+// candidates down to tail − near, except config changes, which are indexed
+// as far back as the scan goes; an older event of any other kind is in no
+// evaluated event's reach and is not indexed.
 //
 // Observed times are TrueTime ± bounded skew, so append order is only
 // NEAR-sorted: a slow-clock straggler can sit later in the log than an
@@ -448,26 +339,26 @@ func (inc *Incremental) adoptableLocked(ios capture.View) bool {
 // reaches the start of a never-compacted log has all of history; the start
 // of a compacted window is complete from its first event on (what compaction
 // evicted was older).
-func (inc *Incremental) extend(ios capture.View, sufStart int, base ruler) *hbg.Graph {
+func (inc *Incremental) extend(ios capture.View, sufStart int) *hbg.Graph {
 	start := time.Now()
 	suffix := ios.Slice(sufStart, ios.Len())
 	minTime := suffix.At(0).Time
 	for i := 1; i < suffix.Len(); i++ {
 		minTime = min(minTime, suffix.At(i).Time)
 	}
-	lookback := netsim.VirtualTime(base.LookbackWindow())
+	near, _, cross := inc.Rules.windows()
+	lookback := netsim.VirtualTime(inc.Rules.LookbackWindow())
 	complete := minTime - 2*lookback
 	scanFloor := complete - netsim.VirtualTime(skewSlack(inc.SkewSlack))
-	rch := base.reach()
-	tail := minTime - netsim.VirtualTime(rch.cross)
-	sendFloor := tail - netsim.VirtualTime(rch.cross)
-	dense := tail - netsim.VirtualTime(rch.near)
+	tail := minTime - netsim.VirtualTime(cross)
+	sendFloor := tail - netsim.VirtualTime(cross)
+	dense := tail - netsim.VirtualTime(near)
 	var order []int32 // the positions in ios to index
 	lo := sufStart
 	for ; lo > 0 && ios.At(lo-1).Time >= scanFloor; lo-- {
 		e := ios.At(lo - 1)
 		isSend := e.Type == capture.SendAdvert || e.Type == capture.SendWithdraw
-		if e.Time >= dense || rch.far>>e.Type&1 != 0 || isSend && e.Time >= sendFloor {
+		if e.Time >= dense || e.Type == capture.ConfigChange || isSend && e.Time >= sendFloor {
 			order = append(order, int32(lo-1))
 		}
 	}
@@ -490,7 +381,7 @@ func (inc *Incremental) extend(ios capture.View, sufStart int, base ruler) *hbg.
 		tail = minTime
 	}
 	from := sort.Search(idx.Len(), func(i int) bool { return idx.at(idx.order[i]).Time >= tail })
-	edges := idx.runFrom(from, base.rule(idx))
+	edges := idx.runFrom(from, inc.Rules.rule(idx))
 
 	// An old event the rule ran for is replaced if its look-back is complete;
 	// one cut short keeps its cached edges (IDs are dense: at id-firstOld).
@@ -517,43 +408,28 @@ func (inc *Incremental) extend(ios capture.View, sufStart int, base ruler) *hbg.
 	return inc.cached
 }
 
-// skewSlack resolves a configured slack: zero selects DefaultSkewSlack, a
-// negative value none.
+// skewSlack resolves a configured slack: one that is not positive selects
+// DefaultSkewSlack.
 func skewSlack(d time.Duration) time.Duration {
-	switch {
-	case d < 0:
-		return 0
-	case d == 0:
+	if d <= 0 {
 		return DefaultSkewSlack
 	}
 	return d
 }
 
-// retentionFloor is the least observed-time depth behind the newest event a
-// compaction may keep when s is extended with the given slack: one look-back
-// plus twice the slack; ok is false when s exposes no look-back bound. extend
-// re-derives a tail event from candidates up to its reach's cross window
-// further back, so 2·slack must be at least that (the default 1 s and
-// verifyd's 400 ms are, against 500 ms): otherwise a tail event's reach can
-// dip below the floor and is left un-replaced as incomplete.
-func retentionFloor(s Strategy, slack time.Duration) (floor time.Duration, ok bool) {
-	lb, ok := s.(Lookbacker)
-	if !ok {
-		return 0, false
-	}
-	return lb.LookbackWindow() + 2*skewSlack(slack), true
-}
-
 // Compact bounds log to what inference still needs. It folds the window into
-// the cache, then evicts every event observed more than retentionFloor
-// behind the newest one and moves the cached baseline past them
-// (CompactBaseline), so the graph keeps answering for retained events as if
-// the evicted prefix were still present. It returns the folded graph (nil
-// for an empty log) and the number of events evicted — none when the base
-// exposes no look-back bound, since no floor is sound then. The floor trails
-// the newest event's observed time, so the log must be appended in observed
-// time give or take the skew slack, as a simulator's capture log and the
-// stream daemon's merge both are.
+// the cache, then evicts every event observed more than one look-back plus
+// twice the skew slack behind the newest one and moves the cached baseline
+// past them (CompactBaseline), so the graph keeps answering for retained
+// events as if the evicted prefix were still present. It returns the folded
+// graph (nil for an empty log) and the number of events evicted. extend
+// re-derives a tail event from candidates up to CrossWindow further back, so
+// 2·slack must be at least that (the default 1 s and verifyd's 400 ms are,
+// against 500 ms): otherwise a tail event's reach can dip below the floor and
+// is left un-replaced as incomplete. The floor trails the newest event's
+// observed time, so the log must be appended in observed time give or take
+// the skew slack, as a simulator's capture log and the stream daemon's merge
+// both are.
 func (inc *Incremental) Compact(log *capture.Log) (*hbg.Graph, int) {
 	win := log.View()
 	if win.Len() == 0 {
@@ -563,10 +439,7 @@ func (inc *Incremental) Compact(log *capture.Log) (*hbg.Graph, int) {
 	if !fault.On(fault.SkipFold) {
 		g = inc.InferView(win)
 	}
-	retain, ok := retentionFloor(inc.Base, inc.SkewSlack)
-	if !ok {
-		return g, 0
-	}
+	retain := inc.Rules.LookbackWindow() + 2*skewSlack(inc.SkewSlack)
 	floor := win.At(win.Len()-1).Time - netsim.VirtualTime(retain)
 	cut := 0
 	for cut < win.Len() && win.At(cut).Time < floor {

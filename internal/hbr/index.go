@@ -284,21 +284,3 @@ func (idx *Index) graph(edges [][]hbg.EdgeConf) *hbg.Graph {
 	g.Apply(hbg.Batch{Nodes: idx.ios, Edges: edges})
 	return g
 }
-
-// IndexInferrer is implemented by strategies that can run over a shared
-// pre-built Index instead of building their own.
-type IndexInferrer interface {
-	Strategy
-	InferIndex(idx *Index) *hbg.Graph
-}
-
-// InferIndexed runs s over idx, using the shared-index fast path when the
-// strategy supports it and falling back to a plain Infer otherwise.
-func InferIndexed(s Strategy, idx *Index) *hbg.Graph {
-	if ii, ok := s.(IndexInferrer); ok {
-		return ii.InferIndex(idx)
-	}
-	// A strategy from outside this package reads a flat slice: a copy of
-	// the view, made for it alone.
-	return s.Infer(idx.ios.Flatten())
-}

@@ -227,9 +227,15 @@ func InferAll(ios []capture.IO, strategies []Strategy) []*hbg.Graph {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out[i] = InferIndexed(s, idx)
+			out[i] = inferIndexed(s, idx)
 		}()
 	}
 	wg.Wait()
 	return out
+}
+
+// inferIndexed runs s over a pre-built index, as every strategy of
+// Strategies can.
+func inferIndexed(s Strategy, idx *Index) *hbg.Graph {
+	return s.(interface{ InferIndex(*Index) *hbg.Graph }).InferIndex(idx)
 }

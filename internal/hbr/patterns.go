@@ -152,7 +152,7 @@ func (Patterns) Name() string { return "patterns" }
 // inferred HBR carrying the learned confidence.
 func (p Patterns) Infer(ios []capture.IO) *hbg.Graph { return p.InferIndex(NewIndex(ios)) }
 
-// InferIndex implements IndexInferrer.
+// InferIndex is Infer over a pre-built index.
 func (p Patterns) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(p.rule(idx))) }
 
 func (p Patterns) rule(idx *Index) rule {
@@ -205,8 +205,8 @@ func (Combined) Name() string { return "combined" }
 // Infer implements Strategy.
 func (c Combined) Infer(ios []capture.IO) *hbg.Graph { return c.InferIndex(NewIndex(ios)) }
 
-// InferIndex implements IndexInferrer: rules and patterns share the one
-// index instead of each building their own.
+// InferIndex is Infer over a pre-built index: rules and patterns share the
+// one index instead of each building their own.
 func (c Combined) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(c.rule(idx))) }
 
 func (c Combined) rule(idx *Index) rule {

@@ -25,7 +25,7 @@ func TestConcurrentStrategiesSharedIndex(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if g := InferIndexed(s, idx); g.NodeCount() != len(ios) {
+				if g := inferIndexed(s, idx); g.NodeCount() != len(ios) {
 					t.Errorf("%s: %d nodes, want %d", s.Name(), g.NodeCount(), len(ios))
 				}
 			}()

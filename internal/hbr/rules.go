@@ -43,6 +43,14 @@ func (r Rules) windows() (w, cw, xw time.Duration) {
 	return
 }
 
+// LookbackWindow is the widest of the three rule windows: no rule reaches
+// further back in observed time (config matching reaches the furthest, §7's
+// 25 s TTY→soft-reconfig gap being the motivating case).
+func (r Rules) LookbackWindow() time.Duration {
+	w, cw, xw := r.windows()
+	return max(w, cw, xw)
+}
+
 // lhs is one left-hand-side pattern of a rule. An output's patterns form
 // prioritized tiers: lower tiers are preferred; within a tier the nearest
 // preceding match wins.
@@ -140,8 +148,8 @@ func (l lhs) matches(io, c *capture.IO) bool {
 // Infer implements Strategy.
 func (r Rules) Infer(ios []capture.IO) *hbg.Graph { return r.InferIndex(NewIndex(ios)) }
 
-// InferIndex implements IndexInferrer: per-event rule matching over the
-// shared index, sharded across workers.
+// InferIndex is Infer over a pre-built index: per-event rule matching,
+// sharded across workers.
 func (r Rules) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(r.rule(idx))) }
 
 // rule applies the rule tables to one event.

@@ -99,7 +99,6 @@ func TestPreInstallBlocksViolatingUpdates(t *testing.T) {
 		t.Fatal("withheld updates do not trace to the config change")
 	}
 	// Repair: roll back, reconverge, discard the stale queue.
-	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	ref, ok := pn.ConfigEventRef(findConfigChange(t, pn))
 	if !ok || ref.Version != 2 {
 		t.Fatalf("config ref = %+v %v", ref, ok)
@@ -107,7 +106,6 @@ func TestPreInstallBlocksViolatingUpdates(t *testing.T) {
 	if _, err := pn.RollbackConfig(ref.Router, ref.Version-1); err != nil {
 		t.Fatal(err)
 	}
-	_ = eng
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,10 @@
 //     makes the §2 hazard reproducible: once updates are blocked, control
 //     and data plane diverge, and a later (legitimate) withdrawal
 //     blackholes traffic.
-//   - Engine: HBG-driven root-cause repair. A detected violation is traced
-//     through the happens-before graph to its leaf causes; when a leaf is
-//     a configuration change, the engine rolls the router back to the
-//     previous committed version.
+//   - Diagnose and Rollback: HBG-driven root-cause repair. A detected
+//     violation is traced through the happens-before graph to its leaf
+//     causes; when a leaf is a configuration change, Rollback reverts the
+//     router to the previous committed version.
 //   - OutcomePredictor: §6's forward-looking repair — control-plane
 //     computations are highly repetitive across prefixes, so the outcome
 //     of a new input can be predicted from the forwarding-equivalence
@@ -135,107 +135,57 @@ func (d *Diagnosis) String() string {
 	return s
 }
 
-// Engine performs HBG-driven detection and repair over a network.
-type Engine struct {
-	Net *network.Network
-	// Infer builds the happens-before graph of the log's window, handed
-	// over as a view of the live log (oracle stripping is the caller's
-	// choice; production uses hbr.Rules).
-	Infer func(capture.View) *hbg.Graph
-	// check is the owner's verdict on a policy set over the network's
-	// current data plane; the engine diagnoses its violations and does not
-	// verify anything itself.
-	check func([]verify.Policy) verify.Report
-	// Invalidate, when set, is called after a successful configuration
-	// rollback; the pipeline wires it to hbr.Incremental.Invalidate. It is
-	// kept for memory, not correctness: the rollback is one more
-	// ConfigChange in the log and its reconvergence one more batch of FIB
-	// updates, which reach every cache like any other, so dropping the
-	// graph only frees it while the network reconverges.
-	Invalidate func()
-}
-
-// NewEngine builds an engine that diagnoses the violations check reports.
-func NewEngine(n *network.Network, infer func(capture.View) *hbg.Graph, check func([]verify.Policy) verify.Report) *Engine {
-	return &Engine{Net: n, Infer: infer, check: check}
-}
-
-// Detect verifies the policies and, on violation, traces the fault to its
-// root causes. No repair is performed.
-func (e *Engine) Detect(policies []verify.Policy) *Diagnosis {
-	d := &Diagnosis{Report: e.check(policies)}
-	if d.Report.OK() {
+// Diagnose traces the first violation of report to its root causes. The
+// fault is the newest FIB update in log for the policy prefix at the
+// violation's source — or, if the source has none (a blackhole caused by a
+// remove, say), anywhere on its walk path: the "problematic FIB update" §6
+// traverses from. graph is asked for the happens-before graph only once a
+// fault is found; its leaf causes are the diagnosis's roots. No repair is
+// performed.
+func Diagnose(report verify.Report, log capture.View, graph func() *hbg.Graph) *Diagnosis {
+	d := &Diagnosis{Report: report}
+	if report.OK() {
 		return d
 	}
-	v := d.Report.Violations[0]
-	fault, ok := e.findFaultIO(v)
-	if !ok {
-		return d
-	}
-	d.Fault = fault
-	g := e.Infer(e.Net.Log.View())
-	d.Roots = g.RootCauses(fault.ID)
-	return d
-}
-
-// findFaultIO locates the most recent FIB update at the violation's source
-// router for the policy prefix — the "problematic FIB update" §6 traverses
-// from. If the source has no update (e.g. a blackhole caused by a remove),
-// the most recent update anywhere on the walk path is used.
-func (e *Engine) findFaultIO(v verify.Violation) (capture.IO, bool) {
+	v := report.Violations[0]
 	routers := append([]string{v.Source}, v.Walk.Path...)
 	prefix := v.Policy.Prefix.Masked()
 	// IDs ascend along the log, so the newest match is the first from the back.
-	log := e.Net.Log.View()
 	for i := log.Len() - 1; i >= 0; i-- {
 		io := log.At(i)
 		if (io.Type == capture.FIBInstall || io.Type == capture.FIBRemove) &&
 			io.Prefix == prefix && slices.Contains(routers, io.Router) {
-			return *io, true
+			d.Fault = *io
+			d.Roots = graph().RootCauses(io.ID)
+			break
 		}
 	}
-	return capture.IO{}, false
+	return d
 }
 
-// Repair executes §6's first mechanism on a diagnosis: if a root cause is
+// Rollback executes §6's first mechanism on a diagnosis: if a root cause is
 // a configuration change with a committed version, revert that router to
 // the previous version ("we would therefore automatically revert it and
 // report the configuration change as problematic to the operator"). The
 // caller must re-run the network and re-verify afterwards.
-func (e *Engine) Repair(d *Diagnosis) error {
+func Rollback(n *network.Network, d *Diagnosis) error {
 	for _, root := range d.Roots {
 		if root.Type != capture.ConfigChange {
 			continue
 		}
-		ref, ok := e.Net.ConfigEventRef(root.ID)
+		ref, ok := n.ConfigEventRef(root.ID)
 		if !ok || ref.Version <= 1 {
 			continue
 		}
-		if _, err := e.Net.RollbackConfig(ref.Router, ref.Version-1, root.ID); err != nil {
+		if _, err := n.RollbackConfig(ref.Router, ref.Version-1, root.ID); err != nil {
 			return err
 		}
 		d.RolledBack = true
 		d.RollbackRouter = ref.Router
 		d.RollbackVersion = ref.Version - 1
-		if e.Invalidate != nil {
-			e.Invalidate()
-		}
 		return nil
 	}
 	return fmt.Errorf("repair: no revertible root cause among %d roots", len(d.Roots))
-}
-
-// DetectAndRepair chains Detect and Repair; the returned diagnosis
-// indicates whether a rollback happened.
-func (e *Engine) DetectAndRepair(policies []verify.Policy) (*Diagnosis, error) {
-	d := e.Detect(policies)
-	if d.Report.OK() {
-		return d, nil
-	}
-	if err := e.Repair(d); err != nil {
-		return d, err
-	}
-	return d, nil
 }
 
 // InputSignature summarizes a control-plane input for outcome prediction:

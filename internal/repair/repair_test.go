@@ -52,9 +52,24 @@ func misconfigure(t *testing.T, pn *network.PaperNet) capture.IO {
 }
 
 // liveCheck is a cold central checker over the live FIBs from the internal
-// routers: the verdict the engine under test diagnoses.
+// routers: the verdict under diagnosis.
 func liveCheck(pn *network.PaperNet) func([]verify.Policy) verify.Report {
 	return verify.NewChecker(pn.LiveWalker(), []string{"r1", "r2", "r3"}).Check
+}
+
+// detect diagnoses the live verdict over a full inference of the log.
+func detect(pn *network.PaperNet, policies []verify.Policy) *Diagnosis {
+	log := pn.Log.View()
+	return Diagnose(liveCheck(pn)(policies), log, func() *hbg.Graph { return rulesInfer(log) })
+}
+
+// detectAndRepair rolls back what detect diagnoses, if anything.
+func detectAndRepair(pn *network.PaperNet, policies []verify.Policy) (*Diagnosis, error) {
+	d := detect(pn, policies)
+	if d.Report.OK() {
+		return d, nil
+	}
+	return d, Rollback(pn.Network, d)
 }
 
 func egressPolicy(pn *network.PaperNet) []verify.Policy {
@@ -75,8 +90,7 @@ func TestGateMirrorsFIBs(t *testing.T) {
 func TestDetectTracesToConfigChange(t *testing.T) {
 	pn, _ := build(t)
 	cc := misconfigure(t, pn)
-	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
-	d := eng.Detect(egressPolicy(pn))
+	d := detect(pn, egressPolicy(pn))
 	if d.Report.OK() {
 		t.Fatal("violation not detected")
 	}
@@ -97,8 +111,7 @@ func TestDetectTracesToConfigChange(t *testing.T) {
 func TestRepairRollsBackAndConverges(t *testing.T) {
 	pn, _ := build(t)
 	misconfigure(t, pn)
-	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
-	d, err := eng.DetectAndRepair(egressPolicy(pn))
+	d, err := detectAndRepair(pn, egressPolicy(pn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +122,7 @@ func TestRepairRollsBackAndConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Policy restored.
-	after := eng.Detect(egressPolicy(pn))
+	after := detect(pn, egressPolicy(pn))
 	if !after.Report.OK() {
 		t.Fatalf("still violated after repair: %v", after.Report.Violations)
 	}
@@ -122,8 +135,7 @@ func TestRepairRollsBackAndConverges(t *testing.T) {
 
 func TestDetectCleanNetworkNoFault(t *testing.T) {
 	pn, _ := build(t)
-	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
-	d := eng.Detect(egressPolicy(pn))
+	d := detect(pn, egressPolicy(pn))
 	if !d.Report.OK() || d.Fault.ID != 0 || d.RolledBack {
 		t.Fatalf("clean diagnosis = %s", d)
 	}
@@ -142,8 +154,7 @@ func TestRepairFailsWithoutRevertibleRoot(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
-	_, err = eng.DetectAndRepair([]verify.Policy{{Kind: verify.Egress, Prefix: network.PrefixP, Expect: "e2"}})
+	_, err = detectAndRepair(pn, []verify.Policy{{Kind: verify.Egress, Prefix: network.PrefixP, Expect: "e2"}})
 	if err == nil {
 		t.Fatal("repair should refuse to roll back version 1")
 	}
@@ -199,8 +210,7 @@ func TestBlockingHazard(t *testing.T) {
 func TestRepairAvoidsHazard(t *testing.T) {
 	pn, gate := build(t) // gate present but never blocking
 	misconfigure(t, pn)
-	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
-	if _, err := eng.DetectAndRepair(egressPolicy(pn)); err != nil {
+	if _, err := detectAndRepair(pn, egressPolicy(pn)); err != nil {
 		t.Fatal(err)
 	}
 	if err := pn.Run(); err != nil {
@@ -284,7 +294,7 @@ func attrsWithLP(lp uint32) route.BGPAttrs {
 // TestUnrepairableLinkFailure captures the paper's §8 limitation: "when a
 // route is withdrawn because a link goes down and the withdrawal results
 // in a policy violation, blocking the withdrawal would have no good
-// effects." The engine must trace the violation to the hardware event and
+// effects." Diagnosis must trace the violation to the hardware event and
 // refuse to "repair" it (there is no configuration to revert).
 func TestUnrepairableLinkFailure(t *testing.T) {
 	pn, _ := build(t)
@@ -294,9 +304,8 @@ func TestUnrepairableLinkFailure(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(pn.Network, rulesInfer, liveCheck(pn))
 	// The operator policy still names e2; the failure violates it.
-	d := eng.Detect(egressPolicy(pn))
+	d := detect(pn, egressPolicy(pn))
 	if d.Report.OK() {
 		t.Fatal("violation not detected")
 	}
@@ -309,7 +318,7 @@ func TestUnrepairableLinkFailure(t *testing.T) {
 	if !hasLinkRoot {
 		t.Fatalf("roots %v do not include the link-down input", d.Roots)
 	}
-	if err := eng.Repair(d); err == nil {
-		t.Fatal("engine repaired a hardware failure")
+	if err := Rollback(pn.Network, d); err == nil {
+		t.Fatal("a hardware failure was rolled back")
 	}
 }

@@ -41,10 +41,9 @@ const streamMagic = "STRMCKP1"
 
 // Options configures a Daemon.
 type Options struct {
-	// Strategy is the inference strategy (default hbr.Rules{}). Compaction
-	// evicts only if it implements hbr.Lookbacker, since otherwise no sound
-	// eviction floor exists.
-	Strategy hbr.Strategy
+	// Strategy is the rule-matching inference behind the daemon's cache; its
+	// windows bound the compaction floor. The zero value is the defaults.
+	Strategy hbr.Rules
 	// Metrics optionally receives stream.* and infer.* instruments.
 	Metrics *metrics.Registry
 	// SkewSlack bounds router clock disagreement (default
@@ -110,9 +109,6 @@ type Daemon struct {
 // New builds a daemon, recovering from Options.CheckpointPath if a
 // checkpoint exists there. Register every stream before consuming any.
 func New(opts Options) (*Daemon, error) {
-	if opts.Strategy == nil {
-		opts.Strategy = hbr.Rules{}
-	}
 	d := &Daemon{
 		opts:       opts,
 		bufferCap:  defaultBufferCap,

@@ -321,26 +321,41 @@ func TestForcedSkipFold(t *testing.T) {
 	}
 }
 
-// TestDaemonNoLookbackerNeverEvicts: a strategy without a look-back bound
-// has no sound compaction floor; the daemon must keep everything.
-func TestDaemonNoLookbackerNeverEvicts(t *testing.T) {
-	f := testFleet(30)
-	d, err := New(Options{Strategy: opaqueStrategy{testStrategy()}, Resolve: f.Resolver(),
-		CompactEvery: 16})
+// TestZeroStrategyCompactsAtDefaultRetention: Options' zero Strategy is
+// hbr.Rules{}, so a daemon configured with neither strategy nor slack
+// compacts at its 60 s look-back plus twice the default 1 s slack behind the
+// newest event — everything older is evicted, nothing newer — and the folded
+// graph equals a full inference pruned at that floor.
+func TestZeroStrategyCompactsAtDefaultRetention(t *testing.T) {
+	f := Fleet{Routers: 4, Waves: 200, Gap: 500 * time.Millisecond} // ~100 s of virtual time
+	d, err := New(Options{Resolve: f.Resolver(), CompactEvery: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runDaemon(t, d, f)
-	if got := d.Log().Len(); uint64(got) != d.Log().TotalAppended() {
-		t.Fatalf("unbounded strategy lost events: window %d of %d", got, d.Log().TotalAppended())
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
 	}
+	control, err := New(Options{Resolve: f.Resolver()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDaemon(t, control, f)
+
+	all, win := control.Log().Snapshot(), d.Log().View()
+	floor := all[len(all)-1].Time - netsim.VirtualTime(hbr.Rules{}.LookbackWindow()+2*hbr.DefaultSkewSlack)
+	n := len(all) - win.Len()
+	if n == 0 || all[n-1].Time >= floor || win.At(0).Time < floor || win.At(0).ID != all[n].ID {
+		t.Fatalf("evicted %d of %d events; want exactly those observed before %v", n, len(all), floor)
+	}
+	g := d.Graph()
+	if g.PrunedBelow() != all[n].ID {
+		t.Fatalf("graph pruned below %d, want %d", g.PrunedBelow(), all[n].ID)
+	}
+	want := hbr.Rules{}.Infer(all)
+	want.PruneBefore(g.PrunedBelow())
+	edgesEqual(t, g, want)
 }
-
-// opaqueStrategy hides the Lookbacker implementation of its base.
-type opaqueStrategy struct{ base hbr.Rules }
-
-func (o opaqueStrategy) Name() string                      { return "opaque" }
-func (o opaqueStrategy) Infer(ios []capture.IO) *hbg.Graph { return o.base.Infer(ios) }
 
 // TestDaemonLaterNearerSendReplacesEdge drives the stale-edge shape through
 // the daemon: r1's recv is folded (a compaction tick) while r0's first send
