@@ -138,8 +138,9 @@ func edgeLog(ios ...capture.IO) []capture.IO {
 }
 
 // TestExtendReachBoundaries places one event exactly on each bound extend
-// derives from reach(), and one a millisecond beyond it. Default Rules:
-// cross = near = 500 ms, config changes matched out to 60 s. Every case's
+// derives from the windows Rules.windows() returns, and one a millisecond
+// beyond it. Default Rules: cross = CrossWindow = 500 ms, near = Window =
+// 500 ms, config changes matched out to ConfigWindow = 60 s. Every case's
 // last event is the suffix, observed at t0, and the extended graph must equal
 // a full inference; evaluated and indexed count what extend looked at.
 func TestExtendReachBoundaries(t *testing.T) {

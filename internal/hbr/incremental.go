@@ -47,13 +47,14 @@ const DefaultSkewSlack = time.Second
 //     the rules over the new suffix plus the old events within their reach,
 //     add the suffix's vertices and edges to the cached graph, and replace
 //     the in-edges of those older events (extend).
-//   - Anything else (a different prefix, a subset of the window): a one-off
-//     full inference that leaves the cache as it was, so snapshot sweeps
-//     cannot poison the pipeline's incremental state.
-//
-// A cut of the covered window — the window with the IDs a cut hides — is
-// asked of Cached, which derives it from the cached graph without
-// disturbing the cache.
+//   - The covered window with events missing — a cut-filtered snapshot
+//     collection, or (Cached) the window itself with the IDs a cut hides —
+//     and the cache holds no folded history: answer with the cached graph
+//     minus the missing vertices, re-deriving only their children (derive),
+//     WITHOUT disturbing the cache.
+//   - Anything else (a different prefix): a one-off full inference that
+//     leaves the cache as it was, so snapshot sweeps cannot poison the
+//     pipeline's incremental state.
 //
 // Because coverage is keyed on event IDs, log compaction composes with the
 // cache: Compact folds a log's window, evicts its old prefix and moves the
@@ -196,6 +197,11 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 		if sufStart, ok := inc.extensionStartLocked(ios); ok {
 			return inc.extend(ios, sufStart)
 		}
+		if !inc.checkpointed {
+			if hidden, ok := inc.missingLocked(ios); ok {
+				return inc.derive(ios, hidden)
+			}
+		}
 	}
 
 	// Fallback: full inference. A log that still starts at the covered
@@ -241,13 +247,39 @@ func (inc *Incremental) extensionStartLocked(ios capture.View) (int, bool) {
 	return pos + 1, true
 }
 
-// derive answers for the covered window ios minus the hidden events (IDs
+// missingLocked reports whether ios is the covered window with at least one
+// event left out — IDs strictly ascending inside [firstID, lastID] — and if
+// so which IDs are missing, ascending.
+func (inc *Incremental) missingLocked(ios capture.View) ([]uint64, bool) {
+	if inc.lastID < inc.firstID || uint64(ios.Len()) > inc.lastID-inc.firstID {
+		return nil, false
+	}
+	hidden := make([]uint64, 0, inc.lastID-inc.firstID+1-uint64(ios.Len()))
+	next := inc.firstID
+	for i := 0; i < ios.Len(); i++ {
+		id := ios.At(i).ID
+		if id < next || id > inc.lastID {
+			return nil, false
+		}
+		for ; next < id; next++ {
+			hidden = append(hidden, next)
+		}
+		next = id + 1
+	}
+	for ; next <= inc.lastID; next++ {
+		hidden = append(hidden, next)
+	}
+	return hidden, true
+}
+
+// derive answers for the covered window minus the hidden events (IDs
 // ascending) from the cached graph: the hidden vertices and their edges go,
 // and each visible child of a hidden event has its in-edges re-derived over
-// the events of ios that are not hidden. No other event can differ from a
-// full inference of what is visible: under Rules, removing a candidate that
-// did not win changes no winner (DESIGN.md §6 goes through the tiers). The
-// cache is left as it was.
+// the events of ios that are not hidden — all of them when ios is a
+// collected subset, which holds no hidden event. No other event can differ
+// from a full inference of what is visible: under Rules, removing a
+// candidate that did not win changes no winner (DESIGN.md §6 goes through
+// the tiers). The cache is left as it was.
 func (inc *Incremental) derive(ios capture.View, hidden []uint64) *hbg.Graph {
 	start := time.Now()
 	var redo []int32 // positions in ios, ascending

@@ -97,9 +97,8 @@ func TestIncrementalMatchesFull(t *testing.T) {
 }
 
 // TestIncrementalCacheBehaviour pins the cache-management contract: hits on
-// an unchanged log, exactly one full inference across repeated growth, a cut
-// derived without disturbing the cache, a non-poisoning full inference for a
-// collected subset, and invalidation.
+// an unchanged log, exactly one full inference across repeated growth, a
+// non-poisoning fallback for cut-filtered logs, and invalidation.
 func TestIncrementalCacheBehaviour(t *testing.T) {
 	snaps := grow(t, 2)
 	reg := metrics.NewRegistry()
@@ -126,33 +125,30 @@ func TestIncrementalCacheBehaviour(t *testing.T) {
 		t.Fatal("incremental path did not record suffix I/Os")
 	}
 
-	// A cut of the covered window, asked by the ID it hides, is derived
-	// from the cached graph: no full inference, the same graph a full one
-	// gives, and the cached baseline undisturbed.
+	// A cut-filtered subset (e.g. a snapshot collection) is derived from the
+	// cached graph: no full inference, the same graph a full one gives, and
+	// the cached baseline undisturbed.
 	cached := inc.Infer(snaps[2])
 	before := [2]int{cached.NodeCount(), cached.EdgeCount()}
-	mid := len(snaps[2]) / 2
-	subset := append(slices.Clone(snaps[2][:mid]), snaps[2][mid+1:]...)
-	derived := inc.Cached(capture.ViewOf(snaps[2]), []uint64{snaps[2][mid].ID})
-	if derived == nil || full() != 1 || reg.Timer("infer.derived").Count() != 1 {
-		t.Fatalf("the cut must be derived: full=%d derived=%d, want 1 and 1", full(), reg.Timer("infer.derived").Count())
+	subset := append([]capture.IO(nil), snaps[2][:len(snaps[2])/2]...)
+	subset = append(subset, snaps[2][len(snaps[2])/2+1:]...)
+	derived := inc.Infer(subset)
+	if full() != 1 || reg.Timer("infer.derived").Count() != 1 {
+		t.Fatalf("subset must be derived: full=%d derived=%d, want 1 and 1", full(), reg.Timer("infer.derived").Count())
 	}
 	sameGraph(t, derived, hbr.Rules{}.Infer(subset))
 	if g := inc.Infer(snaps[2]); g != cached || hits() != 3 {
-		t.Fatalf("cache was disturbed by the derivation (hits=%d)", hits())
+		t.Fatalf("cache was disturbed by the subset inference (hits=%d)", hits())
 	}
 	if after := [2]int{cached.NodeCount(), cached.EdgeCount()}; after != before {
-		t.Fatalf("cached graph changed under the derivation: %v -> %v", before, after)
+		t.Fatalf("cached graph changed under the subset inference: %v -> %v", before, after)
 	}
 
-	// The same cut as a collected slice pays a full inference, which
-	// leaves the cache as it was.
-	sameGraph(t, inc.Infer(subset), hbr.Rules{}.Infer(subset))
+	// A slice that is not the covered window minus something still pays a
+	// full inference: here one that starts before the window.
+	inc.Infer(append([]capture.IO{{ID: 0, Router: "r1"}}, subset...))
 	if full() != 2 {
-		t.Fatalf("a collected subset must full-infer: full=%d, want 2", full())
-	}
-	if g := inc.Infer(snaps[2]); g != cached || hits() != 4 {
-		t.Fatalf("cache was disturbed by the subset inference (hits=%d)", hits())
+		t.Fatalf("foreign slice must full-infer: full=%d, want 2", full())
 	}
 
 	inc.Invalidate()
@@ -191,9 +187,9 @@ func sameGraph(t *testing.T, got, want *hbg.Graph) {
 // TestDerivedCutsMatchFull is the differential for the derive path: over a
 // log with several rounds of churn, a hundred random cuts — per-router
 // horizons as snapshot.Collect applies them, plus stray single events — must
-// each be answered, as the whole log's view with the cut's IDs hidden,
-// without a full inference and equal to one of the collected slice in every
-// respect, with the cache answering for the whole log before and after
+// each be answered without a full inference and equal one in every respect,
+// both as a collected slice and as the whole log's view with the cut's IDs
+// hidden, with the cache answering for the whole log before and after
 // exactly alike.
 func TestDerivedCutsMatchFull(t *testing.T) {
 	snaps := grow(t, 3)
@@ -215,7 +211,6 @@ func TestDerivedCutsMatchFull(t *testing.T) {
 	slices.Sort(names)
 
 	rng := rand.New(rand.NewSource(22))
-	cuts := int64(0)
 	for i := 0; i < 100; i++ {
 		cut := snapshot.Cut{}
 		for _, r := range names {
@@ -231,7 +226,8 @@ func TestDerivedCutsMatchFull(t *testing.T) {
 		if len(visible) == len(ios) {
 			continue
 		}
-		cuts++
+		want := hbr.Rules{}.Infer(visible)
+		sameGraph(t, inc.Infer(visible), want)
 		var hidden []uint64
 		for i, j := 0, 0; i < len(ios); i++ {
 			if j < len(visible) && visible[j].ID == ios[i].ID {
@@ -244,10 +240,10 @@ func TestDerivedCutsMatchFull(t *testing.T) {
 		if derived == nil {
 			t.Fatalf("a cut hiding %d events was not derived over the view", len(hidden))
 		}
-		sameGraph(t, derived, hbr.Rules{}.Infer(visible))
+		sameGraph(t, derived, want)
 	}
-	if n := reg.Timer("infer.derived").Count(); n != cuts || n < 50 {
-		t.Fatalf("%d derivations for %d cuts", n, cuts)
+	if n := reg.Timer("infer.derived").Count(); n < 100 {
+		t.Fatalf("only %d derivations for 100 cuts, each taken twice", n)
 	}
 	if n := reg.Counter("infer.cache.misses").Value(); n != 1 {
 		t.Fatalf("full inferences = %d, want the first one only", n)

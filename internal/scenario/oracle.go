@@ -147,10 +147,10 @@ const derivedCuts = 3
 // confidence-identical to a fresh full inference over the same stripped log,
 // and then the same — plus the §5 verdict — for a few random cuts of it, each
 // of which the pipeline's strategy must answer from its cached graph
-// (hbr.Incremental's derive path) rather than by inferring again, as
-// Pipeline.VerifySnapshot asks: by the IDs the cut hides from the live log's
-// view. fault.StaleDerive skips the re-derivation a cut's graph needs, which
-// this comparison must catch. A whole round's suffix has no old event within a
+// (hbr.Incremental's derive path) rather than by inferring again, both as a
+// collected slice and by the IDs the cut hides from the live log's view.
+// fault.StaleDerive skips the re-derivation a cut's graph needs, which either
+// comparison must catch. A whole round's suffix has no old event within a
 // cross window of it, so a second cache takes the same log in seeded
 // 1–64-event drips — boundaries between a send and its receive, inside SPF
 // bursts — and must agree too; fault.NarrowTail is what only it can see.
@@ -188,15 +188,23 @@ func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 		if len(visible) == len(ios) {
 			continue
 		}
-		want := h.full.Infer(visible)
-		live := h.w.net.Log.View() // unstripped, as the pipeline reads it
-		got := h.p.Strategy.Cached(live, snapshot.Hidden(live, cut))
-		d := "the cut of the log's view was not derived from the cached graph"
-		if got != nil {
-			d = graphDiffLabeled(got, want, "derived", "full")
-		}
+		derived := h.p.Metrics.Timer("infer.derived").Count()
+		got, want := h.p.Strategy.Infer(visible), h.full.Infer(visible)
+		d := graphDiffLabeled(got, want, "derived", "full")
 		if d == "" && !reflect.DeepEqual(snapshot.Check(got, h.w.isExternal), snapshot.Check(want, h.w.isExternal)) {
 			d = "snapshot.Check verdicts differ"
+		}
+		if d == "" && h.p.Metrics.Timer("infer.derived").Count() == derived {
+			d = "answered by a full inference, not derived from the cached graph"
+		}
+		// The same cut as Pipeline.VerifySnapshot asks for it: by the IDs it
+		// hides, over a view of the live, unstripped log.
+		if live := h.w.net.Log.View(); d == "" {
+			if g := h.p.Strategy.Cached(live, snapshot.Hidden(live, cut)); g == nil {
+				d = "the cut of the log's view was not derived from the cached graph"
+			} else {
+				d = graphDiffLabeled(g, want, "derived over the view", "full")
+			}
 		}
 		if d != "" {
 			return &Failure{Oracle: OracleIncremental, Round: round, Detail: fmt.Sprintf(
