@@ -496,7 +496,7 @@ func BenchmarkDistributedVerification(b *testing.B) {
 			b.Fatal(err)
 		}
 		startD := time.Now()
-		stats, err := coord.Verify(nodes, policies, sources)
+		stats, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, dist.VerifyOpts{})
 		distTime := time.Since(startD)
 		teardown()
 		if err != nil {
@@ -520,7 +520,7 @@ func BenchmarkDistributedVerification(b *testing.B) {
 	policies := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coord.Verify(nodes, policies, internalSources); err != nil {
+		if _, err := coord.Round(verify.NewChecker(nil, internalSources), nodes, policies, dist.VerifyOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -561,13 +561,13 @@ func BenchmarkDistThroughput(b *testing.B) {
 	}
 	defer teardown()
 	// Warm up once (the first round pays the dial costs).
-	if _, err := coord.Verify(nodes, policies, sources); err != nil {
+	if _, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, dist.VerifyOpts{}); err != nil {
 		b.Fatal(err)
 	}
 	var walks, bytes int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := coord.Verify(nodes, policies, sources)
+		stats, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, dist.VerifyOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -152,9 +152,6 @@ type Expansion struct {
 	Nexts []string
 }
 
-// terminal reports whether the expansion has no onward branches.
-func (e Expansion) terminal() bool { return len(e.Nexts) == 0 }
-
 // branchOption is one concrete choice at a router: either a terminal
 // outcome or a forward to one next router. Options are ordered
 // deterministically (terminals first, then sorted nexts) so a choice index

@@ -94,11 +94,11 @@ func TestFleetRoundDedupsWalks(t *testing.T) {
 	}
 	defer teardown()
 	reg := metrics.NewRegistry()
-	stats, err := coord.VerifyWith(nodes, []verify.Policy{
+	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
 		{Kind: verify.Reachable, Prefix: pn.P},
 		{Kind: verify.NoLoop, Prefix: pn.P},
 		{Kind: verify.NoBlackhole, Prefix: pn.P},
-	}, []string{"r1", "r2", "r3"}, VerifyOpts{Metrics: reg})
+	}, VerifyOpts{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -475,18 +475,6 @@ const (
 	walkBatchSize = 16
 )
 
-// Verify runs the given policies across the node fleet with default
-// options. It blocks until every result arrives or the deadline passes.
-func (c *Coordinator) Verify(nodes map[string]*Node, policies []verify.Policy, sources []string) (Stats, error) {
-	return c.VerifyWith(nodes, policies, sources, VerifyOpts{})
-}
-
-// VerifyWith runs one cache-less verification round from the given default
-// sources: a fresh checker over the fleet executor.
-func (c *Coordinator) VerifyWith(nodes map[string]*Node, policies []verify.Policy, sources []string, opts VerifyOpts) (Stats, error) {
-	return c.Round(verify.NewChecker(nil, sources), nodes, policies, opts)
-}
-
 // Round runs a copy of base over the fleet: the checker decides which
 // walks the policies need (its sources, class sharding, cache and
 // certificate all apply), the fleet executor runs them, and the round's

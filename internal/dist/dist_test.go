@@ -64,10 +64,10 @@ func TestDistributedVerifyHealthy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer teardown()
-	stats, err := coord.Verify(nodes, []verify.Policy{
+	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
 		{Kind: verify.NoLoop, Prefix: pn.P},
-	}, []string{"r1", "r2", "r3"})
+	}, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,9 @@ func TestDistributedVerifyDetectsViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer teardown()
-	stats, err := coord.Verify(nodes, []verify.Policy{
+	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
-	}, []string{"r1", "r2", "r3"})
+	}, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestDistributedLoopDetection(t *testing.T) {
 		defer nd.Close()
 		nodes[name] = nd
 	}
-	stats, err := coord.Verify(nodes, []verify.Policy{
+	stats, err := coord.Round(verify.NewChecker(nil, nil), nodes, []verify.Policy{
 		{Kind: verify.NoLoop, Prefix: pn.P, Sources: []string{"r3"}},
-	}, nil)
+	}, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +170,9 @@ func TestGridScaleDistributed(t *testing.T) {
 	}
 	defer teardown()
 	// Every router must reach the far corner's loopback.
-	stats, err := coord.Verify(nodes, []verify.Policy{
+	stats, err := coord.Round(verify.NewChecker(nil, routerNames(n)), nodes, []verify.Policy{
 		{Kind: verify.Reachable, Prefix: pfx("9.2.2.1/32")},
-	}, routerNames(n))
+	}, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +214,9 @@ func TestVerifyUnknownSourceFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer teardown()
-	if _, err := coord.Verify(nodes, []verify.Policy{
+	if _, err := coord.Round(verify.NewChecker(nil, []string{"ghost"}), nodes, []verify.Policy{
 		{Kind: verify.NoLoop, Prefix: pn.P},
-	}, []string{"ghost"}); err == nil {
+	}, VerifyOpts{}); err == nil {
 		t.Fatal("unknown source accepted")
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/localck"
-	"hbverify/internal/verify"
 )
 
 // ---------------------------------------------------------------------------
@@ -276,12 +275,4 @@ func (c *Coordinator) Certificate() func(source string, prefix netip.Prefix) boo
 		// the epoch — nothing local certifies its class now.
 		return ls.Label(source, prefix) >= 0
 	}
-}
-
-// VerifyLocal answers a cache-less verification round in local-check
-// mode: VerifyWith with the coordinator's current certificate.
-func (c *Coordinator) VerifyLocal(nodes map[string]*Node, policies []verify.Policy, sources []string, opts VerifyOpts) (Stats, error) {
-	ck := verify.NewChecker(nil, sources)
-	ck.Certified = c.Certificate()
-	return c.Round(ck, nodes, policies, opts)
 }

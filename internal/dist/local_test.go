@@ -41,7 +41,7 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 	sources := []string{"r1", "r2", "r3"}
 
 	// Full walk round, then derive and push labels from the verified epoch.
-	full, err := coord.Verify(nodes, policies, sources)
+	full, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,9 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 	if res.Sent != 0 || res.Stale != 0 || len(res.Violations) != 0 {
 		t.Fatalf("quiet sync = %+v", res)
 	}
-	stats, err := coord.VerifyLocal(nodes, policies, sources, VerifyOpts{})
+	ck := verify.NewChecker(nil, sources)
+	ck.Certified = coord.Certificate()
+	stats, err := coord.Round(ck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	defer teardown()
 	policies := localPolicies(pn.P, qClass)
 	sources := []string{"r1", "r2", "r3"}
-	if _, err := coord.Verify(nodes, policies, sources); err != nil {
+	if _, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.Relabel(nodes, []netip.Prefix{pn.P, qClass}); err != nil {
@@ -137,7 +139,9 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 
 	// The hybrid round certifies Q and escalates only P's checks, whose
 	// targeted walks now see the blackhole.
-	stats, err := coord.VerifyLocal(nodes, policies, sources, VerifyOpts{})
+	ck := verify.NewChecker(nil, sources)
+	ck.Certified = coord.Certificate()
+	stats, err := coord.Round(ck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +187,9 @@ func TestLocalCheckWithoutLabelsEscalatesEverything(t *testing.T) {
 	defer teardown()
 	policies := localPolicies(pn.P, qClass)
 	sources := []string{"r1", "r2", "r3"}
-	stats, err := coord.VerifyLocal(nodes, policies, sources, VerifyOpts{})
+	ck := verify.NewChecker(nil, sources)
+	ck.Certified = coord.Certificate()
+	stats, err := coord.Round(ck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +304,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 	policies := localPolicies(pn.P, qClass)
 	sources := []string{"r1", "r2", "r3"}
 	classes := []netip.Prefix{pn.P, qClass}
-	if _, err := coord.Verify(nodes, policies, sources); err != nil {
+	if _, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.Relabel(nodes, classes); err != nil {
@@ -339,7 +345,9 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, err := coord.VerifyLocal(nodes, policies, sources, VerifyOpts{}); err != nil {
+			ck := verify.NewChecker(nil, sources)
+			ck.Certified = coord.Certificate()
+			if _, err := coord.Round(ck, nodes, policies, VerifyOpts{}); err != nil {
 				t.Errorf("verify local: %v", err)
 				return
 			}

@@ -39,7 +39,7 @@ func TestConcurrentVerifyDuringShutdown(t *testing.T) {
 				}
 				// Errors are expected once teardown starts; the only failure
 				// mode is not returning.
-				_, _ = coord.VerifyWith(nodes, policies, sources, VerifyOpts{
+				_, _ = coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{
 					Timeout: 500 * time.Millisecond,
 				})
 			}
@@ -121,7 +121,7 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 					return
 				default:
 				}
-				_, _ = coord.VerifyWith(nodes, policies, sources, VerifyOpts{
+				_, _ = coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{
 					Timeout: 500 * time.Millisecond,
 				})
 			}
@@ -166,7 +166,7 @@ func TestConcurrentVerifyCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats, err := coord.Verify(nodes, policies, sources)
+			stats, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
 			if err == nil && stats.Report.Checked != 6 {
 				err = errStats{stats.Report.Checked}
 			}

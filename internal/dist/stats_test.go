@@ -88,7 +88,9 @@ func TestStatsWireAccounting(t *testing.T) {
 
 	// Quiet local round: every pair certified locally, zero wire cost,
 	// and the stats still reconcile with the fleet counters.
-	local, err := coord.VerifyLocal(nodes, policies, sources, VerifyOpts{})
+	lck := verify.NewChecker(nil, sources)
+	lck.Certified = coord.Certificate()
+	local, err := coord.Round(lck, nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,9 +122,9 @@ func TestDeadNodeDegradesToError(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	stats, err := coord.VerifyWith(nodes, []verify.Policy{
+	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
-	}, []string{"r1", "r2", "r3"}, VerifyOpts{Timeout: 2 * time.Second})
+	}, VerifyOpts{Timeout: 2 * time.Second})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dead node went unreported")
@@ -206,7 +206,7 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 		t.Fatalf("no-op sync sent %d frames, err %v", res.Sent, err)
 	}
 
-	stats, err := coord.Verify(nodes, policies, sources)
+	stats, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 	}
 
 	// Nodes still hold the old views: the fleet still believes e2.
-	stale, err := coord.Verify(nodes, policies, sources)
+	stale, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 	if res.Sent == 0 || len(res.Reports) != res.Sent {
 		t.Fatal("no delta frames sent for a changed network")
 	}
-	fresh, err := coord.Verify(nodes, policies, sources)
+	fresh, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +260,9 @@ func TestDropBatchFaultInjection(t *testing.T) {
 	}
 	defer teardown()
 	defer fault.Inject(fault.DropBatch)()
-	stats, err := coord.Verify(nodes, []verify.Policy{
+	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
-	}, []string{"r1", "r2", "r3"})
+	}, VerifyOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +290,9 @@ func TestPerNodeLatencyTimers(t *testing.T) {
 	}
 	defer teardown()
 	reg := metrics.NewRegistry()
-	if _, err := coord.VerifyWith(nodes, []verify.Policy{
+	if _, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
 		{Kind: verify.NoLoop, Prefix: pn.P},
-	}, []string{"r1", "r2", "r3"}, VerifyOpts{Metrics: reg}); err != nil {
+	}, VerifyOpts{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

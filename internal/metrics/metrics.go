@@ -68,13 +68,6 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 }
 
-// Time runs fn and observes its wall-clock duration.
-func (t *Timer) Time(fn func()) {
-	start := time.Now()
-	fn()
-	t.Observe(time.Since(start))
-}
-
 // Count returns the number of observations.
 func (t *Timer) Count() int64 {
 	if t == nil {
@@ -199,9 +192,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = map[string]*Gauge{}
-	}
 	g, ok := r.gauges[name]
 	if !ok {
 		g = &Gauge{}
@@ -217,9 +207,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.hists == nil {
-		r.hists = map[string]*Histogram{}
-	}
 	h, ok := r.hists[name]
 	if !ok {
 		h = &Histogram{}

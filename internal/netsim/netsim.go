@@ -9,10 +9,11 @@
 // permutations purely through seed sweeps.
 //
 // The Scheduler's priority queue is a hierarchical timer wheel with O(1)
-// schedule and cancel, sized for internet-scale topologies where periodic
-// protocol timers are armed and stopped millions of times per run. The
-// package's tests keep the original binary heap as a differential reference
-// that must fire the exact same (time, seq) order.
+// schedule and pop, which pays for itself on the deep queues of large
+// topologies. No protocol cancels a timer, so a scheduled event has no
+// handle and nothing removes it before it fires. The package's tests keep
+// the original binary heap as a differential reference that must fire the
+// exact same (time, seq) order.
 //
 // Virtual time is an int64 nanosecond count (VirtualTime). Routers never read
 // the host clock; per-router "wall clock" skew is layered on top by
@@ -43,29 +44,15 @@ func (t VirtualTime) Sub(u VirtualTime) time.Duration { return time.Duration(t -
 // String formats the virtual time as a duration offset, e.g. "25.004s".
 func (t VirtualTime) String() string { return time.Duration(t).String() }
 
-// Event lifecycle. An event is pending from schedule until it either fires
-// or is canceled; the transitions happen under the scheduler mutex so a
-// concurrent Timer.Stop races safely against the run loop.
-const (
-	evPending uint8 = iota
-	evDead
-	evFired
-)
-
 // event is a scheduled callback. Events are ordered by time, then by the
 // sequence number assigned at scheduling time, which makes simultaneous
-// events fire in schedule order. The intrusive prev/next links thread the
-// event into a wheel slot (or the overflow list) so cancellation unlinks in
-// O(1).
+// events fire in schedule order. next threads the event into a wheel slot
+// (or the overflow list).
 type event struct {
-	at    VirtualTime
-	seq   uint64
-	fn    func()
-	state uint8
-	inDue bool
-	prev  *event
-	next  *event
-	slot  *slotList
+	at   VirtualTime
+	seq  uint64
+	fn   func()
+	next *event
 }
 
 func eventLess(a, b *event) bool {
@@ -75,48 +62,23 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// Timer is a handle to a scheduled event; Stop cancels it if it has not
-// fired yet. Stop is safe to call concurrently with the run loop.
-type Timer struct {
-	s  *Scheduler
-	ev *event
-}
-
-// Stop cancels the timer. It reports whether the event was still pending.
-// The event leaves its wheel slot immediately.
-func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.s == nil {
-		return false
-	}
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	if t.ev.state != evPending {
-		return false
-	}
-	t.s.k.cancel(t.ev)
-	return true
-}
-
 // schedKernel is the scheduler's priority queue: the timer wheel, or in this
 // package's tests the heap reference. All methods are called with the
-// scheduler mutex held. pop marks the returned event fired.
+// scheduler mutex held.
 type schedKernel interface {
 	schedule(*event)
-	cancel(*event)
 	peek() (VirtualTime, bool)
 	pop() *event
-	live() int
 }
 
 // Scheduler is the discrete-event simulation kernel. The zero value is not
 // usable; call NewScheduler.
 type Scheduler struct {
-	mu      sync.Mutex
-	now     VirtualTime
-	seq     uint64
-	k       schedKernel
-	rng     *rand.Rand
-	stopped bool
+	mu  sync.Mutex
+	now VirtualTime
+	seq uint64
+	k   schedKernel
+	rng *rand.Rand
 	// Processed counts events that have fired; useful for run-length caps.
 	Processed uint64
 	// MaxEvents, when nonzero, aborts Run with ErrEventBudget after that
@@ -131,7 +93,7 @@ var ErrEventBudget = fmt.Errorf("netsim: event budget exhausted")
 // NewScheduler returns a scheduler on the timer wheel whose internal
 // randomness (used only by Jitter) is derived from seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{rng: rand.New(rand.NewSource(seed)), k: newWheelKernel()}
+	return &Scheduler{rng: rand.New(rand.NewSource(seed)), k: &wheelKernel{}}
 }
 
 // Now returns the current virtual time.
@@ -142,7 +104,7 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past is
 // clamped to the present: the event fires at Now.
-func (s *Scheduler) At(t VirtualTime, fn func()) *Timer {
+func (s *Scheduler) At(t VirtualTime, fn func()) {
 	if fn == nil {
 		panic("netsim: nil event func")
 	}
@@ -151,15 +113,13 @@ func (s *Scheduler) At(t VirtualTime, fn func()) *Timer {
 		t = s.now
 	}
 	s.seq++
-	ev := &event{at: t, seq: s.seq, fn: fn}
-	s.k.schedule(ev)
+	s.k.schedule(&event{at: t, seq: s.seq, fn: fn})
 	s.mu.Unlock()
-	return &Timer{s: s, ev: ev}
 }
 
 // After schedules fn d after the current virtual time.
-func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
-	return s.At(s.now.Add(d), fn)
+func (s *Scheduler) After(d time.Duration, fn func()) {
+	s.At(s.now.Add(d), fn)
 }
 
 // Jitter returns a duration uniformly distributed in [base, base+spread).
@@ -171,22 +131,7 @@ func (s *Scheduler) Jitter(base, spread time.Duration) time.Duration {
 	return base + time.Duration(s.rng.Int63n(int64(spread)))
 }
 
-// Stop makes the current Run return after the in-flight event completes.
-func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
-}
-
-// Pending reports the number of live events waiting to fire.
-func (s *Scheduler) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.k.live()
-}
-
-// Run fires events until the queue drains, Stop is called, or the event
-// budget is exhausted.
+// Run fires events until the queue drains or the event budget is exhausted.
 func (s *Scheduler) Run() error { return s.RunUntil(VirtualTime(1<<62 - 1)) }
 
 // RunUntil fires events with time <= deadline. The virtual clock is left at
@@ -194,8 +139,7 @@ func (s *Scheduler) Run() error { return s.RunUntil(VirtualTime(1<<62 - 1)) }
 // the deadline when the queue drains early.
 func (s *Scheduler) RunUntil(deadline VirtualTime) error {
 	s.mu.Lock()
-	s.stopped = false
-	for !s.stopped {
+	for {
 		t, ok := s.k.peek()
 		if !ok || t > deadline {
 			break
@@ -213,21 +157,6 @@ func (s *Scheduler) RunUntil(deadline VirtualTime) error {
 	}
 	s.mu.Unlock()
 	return nil
-}
-
-// Step fires exactly one live event and reports whether one fired.
-func (s *Scheduler) Step() bool {
-	s.mu.Lock()
-	ev := s.k.pop()
-	if ev == nil {
-		s.mu.Unlock()
-		return false
-	}
-	s.now = ev.at
-	s.Processed++
-	s.mu.Unlock()
-	ev.fn()
-	return true
 }
 
 // ClockModel maps virtual time to the wall clock a particular router would

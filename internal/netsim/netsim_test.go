@@ -83,24 +83,6 @@ func TestSchedulerAfterAndNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	s := NewScheduler(1)
-	fired := false
-	tm := s.At(10, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop reported not pending")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop should report false")
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-}
-
 func TestRunUntilLeavesFutureEvents(t *testing.T) {
 	s := NewScheduler(1)
 	var got []VirtualTime
@@ -114,33 +96,11 @@ func TestRunUntilLeavesFutureEvents(t *testing.T) {
 	if len(got) != 2 || s.Now() != 15 {
 		t.Fatalf("got %v now %v", got, s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d", s.Pending())
-	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("got %v after full run", got)
-	}
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	s := NewScheduler(1)
-	n := 0
-	for i := 0; i < 10; i++ {
-		s.At(VirtualTime(i), func() {
-			n++
-			if n == 3 {
-				s.Stop()
-			}
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("processed %d events after Stop, want 3", n)
+	if len(got) != 3 || got[2] != 25 || s.Now() != 25 {
+		t.Fatalf("got %v now %v after full run", got, s.Now())
 	}
 }
 
@@ -155,22 +115,6 @@ func TestEventBudget(t *testing.T) {
 	}
 	if s.Processed != 100 {
 		t.Fatalf("processed %d", s.Processed)
-	}
-}
-
-func TestStep(t *testing.T) {
-	s := NewScheduler(1)
-	n := 0
-	s.At(1, func() { n++ })
-	s.At(2, func() { n++ })
-	if !s.Step() || n != 1 {
-		t.Fatalf("first step n=%d", n)
-	}
-	if !s.Step() || n != 2 {
-		t.Fatalf("second step n=%d", n)
-	}
-	if s.Step() {
-		t.Fatal("step on empty queue reported an event")
 	}
 }
 
@@ -300,6 +244,17 @@ func TestVirtualTimeHelpers(t *testing.T) {
 	}
 	if a.String() != "25s" {
 		t.Fatalf("String = %q", a.String())
+	}
+}
+
+// Scheduling an event allocates the event and nothing else: no handle, and
+// no wheel bookkeeping once the target slot exists.
+func TestScheduleAllocatesOnce(t *testing.T) {
+	s := NewScheduler(1)
+	fn := func() {}
+	at := Duration(time.Second)
+	if n := testing.AllocsPerRun(1000, func() { s.At(at, fn) }); n != 1 {
+		t.Fatalf("At allocates %v times per event, want 1", n)
 	}
 }
 

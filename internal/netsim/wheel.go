@@ -2,9 +2,9 @@
 // ~1ms ticks (1<<tickBits ns); four levels of 256 slots cover the next
 // 2^32 ticks (~52 virtual days), and anything farther sits on an overflow
 // list until the wheels drain down to it. Schedule appends to a slot's
-// intrusive doubly-linked list in O(1); cancel unlinks in O(1) — no dead
-// entries linger, which is the whole point versus a heap where periodic
-// protocol timers leave garbage until their time arrives.
+// singly-linked list and pop takes the head of the due buffer, both O(1),
+// which is what keeps deep queues cheap. No protocol cancels a timer, so
+// nothing ever leaves a slot early.
 //
 // Firing order: the wheel partitions events by tick, so cross-tick order
 // is by time for free. Within the current tick every event funnels through
@@ -28,18 +28,13 @@ const (
 	slotMask    = wheelSlots - 1
 )
 
-// slotList is an intrusive doubly-linked list of events occupying one wheel
-// slot (or, with level -1, the overflow list). Appending preserves arrival
-// order; removal is O(1) given the event.
+// slotList is an intrusive singly-linked list of events occupying one wheel
+// slot or the overflow list. Appending preserves arrival order.
 type slotList struct {
 	head, tail *event
-	level      int8
-	idx        int16
 }
 
 func (l *slotList) append(ev *event) {
-	ev.slot = l
-	ev.prev = l.tail
 	ev.next = nil
 	if l.tail != nil {
 		l.tail.next = ev
@@ -47,20 +42,6 @@ func (l *slotList) append(ev *event) {
 		l.head = ev
 	}
 	l.tail = ev
-}
-
-func (l *slotList) remove(ev *event) {
-	if ev.prev != nil {
-		ev.prev.next = ev.next
-	} else {
-		l.head = ev.next
-	}
-	if ev.next != nil {
-		ev.next.prev = ev.prev
-	} else {
-		l.tail = ev.prev
-	}
-	ev.prev, ev.next, ev.slot = nil, nil, nil
 }
 
 type wheelKernel struct {
@@ -73,22 +54,10 @@ type wheelKernel struct {
 	occ      [wheelLevels][wheelSlots / 64]uint64
 	overflow slotList
 	// due holds the current tick's events sorted by (at, seq); dueHead is
-	// the consumption cursor. Canceled entries are skipped lazily.
+	// the consumption cursor.
 	due     []*event
 	dueHead int
 	count   int
-}
-
-func newWheelKernel() *wheelKernel {
-	w := &wheelKernel{}
-	for l := 0; l < wheelLevels; l++ {
-		for i := 0; i < wheelSlots; i++ {
-			w.slots[l][i].level = int8(l)
-			w.slots[l][i].idx = int16(i)
-		}
-	}
-	w.overflow.level = -1
-	return w
 }
 
 func tickOf(t VirtualTime) uint64 { return uint64(t) >> tickBits }
@@ -125,7 +94,6 @@ func (w *wheelKernel) place(ev *event) {
 // insert lands at the tail (sequence numbers are monotonic), so the binary
 // search rarely shifts anything.
 func (w *wheelKernel) dueInsert(ev *event) {
-	ev.inDue = true
 	lo, hi := w.dueHead, len(w.due)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -140,58 +108,23 @@ func (w *wheelKernel) dueInsert(ev *event) {
 	w.due[lo] = ev
 }
 
-func (w *wheelKernel) cancel(ev *event) {
-	ev.state = evDead
-	w.count--
-	if ev.slot != nil {
-		l := ev.slot
-		l.remove(ev)
-		if l.head == nil && l.level >= 0 {
-			w.occ[l.level][l.idx>>6] &^= 1 << uint(l.idx&63)
-		}
-	}
-	// Events already in the due buffer stay there marked dead and are
-	// skipped on consumption; the buffer is transient so nothing lingers.
-}
-
 func (w *wheelKernel) peek() (VirtualTime, bool) {
-	for {
-		for w.dueHead < len(w.due) {
-			ev := w.due[w.dueHead]
-			if ev.state == evDead {
-				w.due[w.dueHead] = nil
-				w.dueHead++
-				continue
-			}
-			return ev.at, true
-		}
-		if !w.advance() {
-			return 0, false
-		}
+	if w.dueHead == len(w.due) && !w.advance() {
+		return 0, false
 	}
+	return w.due[w.dueHead].at, true
 }
 
 func (w *wheelKernel) pop() *event {
-	for {
-		for w.dueHead < len(w.due) {
-			ev := w.due[w.dueHead]
-			w.due[w.dueHead] = nil
-			w.dueHead++
-			if ev.state == evDead {
-				continue
-			}
-			ev.inDue = false
-			ev.state = evFired
-			w.count--
-			return ev
-		}
-		if !w.advance() {
-			return nil
-		}
+	if w.dueHead == len(w.due) && !w.advance() {
+		return nil
 	}
+	ev := w.due[w.dueHead]
+	w.due[w.dueHead] = nil
+	w.dueHead++
+	w.count--
+	return ev
 }
-
-func (w *wheelKernel) live() int { return w.count }
 
 // advance moves base to the next occupied tick and drains that tick into
 // the due buffer. It cascades higher-level slots down as windows open and
@@ -205,7 +138,7 @@ func (w *wheelKernel) advance() bool {
 		// window each L0 slot is exactly one tick.
 		if idx, ok := w.nextOcc(0, int(w.base&slotMask)+1); ok {
 			w.base = (w.base &^ uint64(slotMask)) | uint64(idx)
-			w.drain(&w.slots[0][idx])
+			w.drain(idx)
 			return true
 		}
 		moved := false
@@ -220,7 +153,7 @@ func (w *wheelKernel) advance() bool {
 			// straight into due, the rest spread over lower levels.
 			shift := uint(l * wheelBits)
 			w.base = w.base&^(uint64(1)<<(shift+wheelBits)-1) | uint64(idx)<<shift
-			w.cascade(&w.slots[l][idx])
+			w.cascade(l, idx)
 			moved = true
 			break
 		}
@@ -258,22 +191,18 @@ func (w *wheelKernel) nextOcc(level, from int) (int, bool) {
 // drain moves one level-0 slot (a single tick) into the due buffer. Slot
 // lists are usually already in sequence order — cascades from higher levels
 // can interleave older events behind newer ones, so sort only when needed.
-func (w *wheelKernel) drain(l *slotList) {
-	w.occ[0][l.idx>>6] &^= 1 << uint(l.idx&63)
+func (w *wheelKernel) drain(idx int) {
+	w.occ[0][idx>>6] &^= 1 << uint(idx&63)
 	sorted := true
 	var last *event
-	for ev := l.head; ev != nil; {
-		next := ev.next
-		ev.prev, ev.next, ev.slot = nil, nil, nil
-		ev.inDue = true
+	for ev := w.slots[0][idx].head; ev != nil; ev = ev.next {
 		if last != nil && eventLess(ev, last) {
 			sorted = false
 		}
 		w.due = append(w.due, ev)
 		last = ev
-		ev = next
 	}
-	l.head, l.tail = nil, nil
+	w.slots[0][idx] = slotList{}
 	if !sorted {
 		d := w.due[w.dueHead:]
 		sort.Slice(d, func(i, j int) bool { return eventLess(d[i], d[j]) })
@@ -282,20 +211,14 @@ func (w *wheelKernel) drain(l *slotList) {
 
 // cascade empties a higher-level slot by re-placing each event relative to
 // the freshly advanced base.
-func (w *wheelKernel) cascade(l *slotList) {
-	w.occ[l.level][l.idx>>6] &^= 1 << uint(l.idx&63)
-	ev := l.head
-	l.head, l.tail = nil, nil
-	for ev != nil {
-		next := ev.next
-		ev.prev, ev.next, ev.slot = nil, nil, nil
-		w.place(ev)
-		ev = next
-	}
+func (w *wheelKernel) cascade(level, idx int) {
+	w.occ[level][idx>>6] &^= 1 << uint(idx&63)
+	w.reinsert(&w.slots[level][idx])
 }
 
-// refillOverflow jumps base to the earliest overflow tick and pulls every
-// event now within wheel range back onto the wheels.
+// refillOverflow jumps base to the earliest overflow tick and re-places the
+// overflow list: events now within wheel range go onto the wheels, and the
+// rest are appended to the emptied overflow list again.
 func (w *wheelKernel) refillOverflow() {
 	min := ^uint64(0)
 	for ev := w.overflow.head; ev != nil; ev = ev.next {
@@ -304,14 +227,16 @@ func (w *wheelKernel) refillOverflow() {
 		}
 	}
 	w.base = min
-	ev := w.overflow.head
+	w.reinsert(&w.overflow)
+}
+
+// reinsert detaches l and places each of its events in arrival order.
+func (w *wheelKernel) reinsert(l *slotList) {
+	ev := l.head
+	*l = slotList{}
 	for ev != nil {
 		next := ev.next
-		tk := tickOf(ev.at)
-		if tk <= w.base || (tk^w.base)>>uint(wheelLevels*wheelBits) == 0 {
-			w.overflow.remove(ev)
-			w.place(ev)
-		}
+		w.place(ev)
 		ev = next
 	}
 }

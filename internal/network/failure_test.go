@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
@@ -259,7 +260,7 @@ func TestConfigChangeDuringConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	pn.Start()
-	if err := pn.RunFor(10_000_000); err != nil { // 10ms: mid-convergence
+	if err := pn.Sched.RunUntil(pn.Sched.Now().Add(10 * time.Millisecond)); err != nil { // mid-convergence
 		t.Fatal(err)
 	}
 	if _, err := pn.UpdateConfig("r2", "early lp 10", func(c *config.Router) {

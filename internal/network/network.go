@@ -466,14 +466,6 @@ func (n *Network) Run() error {
 	return n.Sched.Run()
 }
 
-// RunFor advances virtual time by d.
-func (n *Network) RunFor(d time.Duration) error {
-	if n.Sched.MaxEvents == 0 {
-		n.Sched.MaxEvents = 5_000_000
-	}
-	return n.Sched.RunUntil(n.Sched.Now().Add(d))
-}
-
 // UpdateConfig applies an operator configuration change to a running
 // router: the mutation is committed to the versioned store, a config-change
 // input is recorded, and — when the router runs BGP — a soft
