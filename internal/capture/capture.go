@@ -476,9 +476,6 @@ func NewRecorder(log *Log, router string, sched *netsim.Scheduler, clock *netsim
 	return &Recorder{log: log, router: router, sched: sched, clock: clock}
 }
 
-// Router returns the owning router's name.
-func (r *Recorder) Router() string { return r.router }
-
 // Record appends io to the network log, filling router and timestamps; the
 // caller names io's ground-truth Causes. It returns the stored I/O (with its
 // assigned ID) so callers can chain causality.

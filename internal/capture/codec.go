@@ -1,7 +1,6 @@
 // The binary encoding of an IO. It lives next to the struct so that a field
 // added to one is added to the other (codec_test.go fails otherwise), and
-// it is the only one: checkpoints (internal/hbg) and provenance frames
-// (internal/dist) both carry I/Os in this layout.
+// it is the only one: checkpoints (internal/hbg) carry I/Os in this layout.
 
 package capture
 

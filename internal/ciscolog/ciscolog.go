@@ -207,21 +207,6 @@ func protoTag(p route.Protocol) string {
 	}
 }
 
-func tagProto(tag string) route.Protocol {
-	switch tag {
-	case "BGP":
-		return route.ProtoBGP
-	case "OSPF":
-		return route.ProtoOSPF
-	case "RIP":
-		return route.ProtoRIP
-	case "EIGRP":
-		return route.ProtoEIGRP
-	default:
-		return route.ProtoUnknown
-	}
-}
-
 // appendAddr matches netip.Addr.String, including its "invalid IP" form
 // for the zero Addr (AppendTo alone renders it as the empty string).
 func appendAddr(dst []byte, a netip.Addr) []byte {

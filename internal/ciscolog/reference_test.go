@@ -277,6 +277,21 @@ func (p *ReferenceParser) parseProtoLine(io capture.IO, rest string) (capture.IO
 	return io, nil
 }
 
+func tagProto(tag string) route.Protocol {
+	switch tag {
+	case "BGP":
+		return route.ProtoBGP
+	case "OSPF":
+		return route.ProtoOSPF
+	case "RIP":
+		return route.ProtoRIP
+	case "EIGRP":
+		return route.ProtoEIGRP
+	default:
+		return route.ProtoUnknown
+	}
+}
+
 // refFirstField returns the first whitespace-separated field of s,
 // reporting false when s is empty or all whitespace. Log lines truncated
 // mid-field (a real hazard with UDP syslog) must parse as errors, not

@@ -16,7 +16,6 @@ import (
 	"net/netip"
 	"sort"
 
-	"hbverify/internal/capture"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/localck"
@@ -33,8 +32,8 @@ const (
 	mtWalkBatch   byte = 2 // body: batchID, count, WalkMsg...
 	mtResultBatch byte = 3 // body: batchID, count, WalkMsg...
 	mtViewDelta   byte = 4 // body: viewDelta (FIB installs/removes + ifaces)
-	mtProv        byte = 5 // body: ProvQuery
-	mtProvResult  byte = 6 // body: ProvQuery
+	// 5 and 6 are unassigned (retired provenance-trace frames); a server
+	// drops them like any type it does not know.
 	// Local-check mode (coordinator <-> node):
 	mtLocalViolation byte = 7 // body: LocalReport (per-sync local check result)
 	mtLabels         byte = 8 // body: per-node distance-label slice
@@ -206,20 +205,6 @@ func appendLocalReport(b []byte, rep *LocalReport) []byte {
 	return b
 }
 
-func appendProv(b []byte, mt byte, q *ProvQuery) []byte {
-	b = append(b, frameV1, mt)
-	b = binary.AppendUvarint(b, uint64(q.QueryID))
-	b = binary.AppendUvarint(b, q.Cursor)
-	b = binary.AppendUvarint(b, uint64(q.Hops))
-	b = wire.AppendBool(b, q.Done)
-	b = wire.AppendString(b, q.Err)
-	b = binary.AppendUvarint(b, uint64(len(q.Path)))
-	for i := range q.Path {
-		b = capture.AppendIO(b, &q.Path[i])
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 // Frame decoders, over the shared bounded reader: the caller checks r.Err()
 // once after the frame. A count's second argument is the fewest bytes one
@@ -375,18 +360,4 @@ func readLocalReport(r *wire.Reader) LocalReport {
 		rep.Violations = append(rep.Violations, v)
 	}
 	return rep
-}
-
-func readProv(r *wire.Reader) ProvQuery {
-	var q ProvQuery
-	q.QueryID = int(r.Uvarint())
-	q.Cursor = r.Uvarint()
-	q.Hops = int(r.Uvarint())
-	q.Done = r.Bool()
-	q.Err = r.Str()
-	n := r.Count("prov path", capture.MinIOBytes)
-	for i := 0; i < n; i++ {
-		q.Path = append(q.Path, capture.ReadIO(r))
-	}
-	return q
 }

@@ -1,10 +1,10 @@
 // Package dist implements §5's distributed verification: instead of
 // hauling every FIB to a central machine, each router (node) keeps its own
-// FIB and happens-before subgraph, applies its local forwarding step to
-// in-flight verification walks, and hands the partial result to the next
-// node — the HSA-style "pass the output of the transfer function
-// downstream" construction. Nodes are real TCP servers, so the package
-// measures genuine message and byte overheads for experiment E9.
+// FIB, applies its local forwarding step to in-flight verification walks,
+// and hands the partial result to the next node — the HSA-style "pass the
+// output of the transfer function downstream" construction. Nodes are real
+// TCP servers, so the package measures genuine message and byte overheads
+// for experiment E9.
 //
 // The transport is pooled and pipelined: every fleet member keeps one
 // persistent connection per peer and writes compact binary frames (see

@@ -1,6 +1,5 @@
-// The one TCP server of the dist plane. Node, Coordinator, HBGNode and
-// HBGCoordinator each embed an endpoint and differ only in the handler they
-// give it.
+// The one TCP server of the dist plane. Node and Coordinator each embed an
+// endpoint and differ only in the handler they give it.
 
 package dist
 

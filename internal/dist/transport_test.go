@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fault"
@@ -68,32 +67,6 @@ func TestBinaryViewDeltaRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, d) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, d)
-	}
-}
-
-func TestBinaryProvRoundTrip(t *testing.T) {
-	q := ProvQuery{
-		QueryID: 3, Cursor: 99, Hops: 12, Done: true, Err: "nope",
-		Path: []capture.IO{{
-			ID: 7, Router: "r2", Type: 2, Proto: route.ProtoBGP,
-			Prefix: pfx("10.0.0.0/8"), NextHop: addr("9.9.9.9"),
-			Peer: "r1", PeerAddr: addr("192.168.1.1"),
-			Attrs: route.BGPAttrs{
-				LocalPref: 200, ASPath: []uint32{65001, 65002}, MED: 5, Origin: 1,
-				Communities: []uint32{1, 2}, OriginatorID: addr("2.2.2.2"),
-				ClusterList: []netip.Addr{addr("3.3.3.3")},
-			},
-			Detail: "withdrawn", Time: -4, TrueTime: 17, Causes: []uint64{1, 2, 3},
-		}},
-	}
-	payload := appendProv(nil, mtProv, &q)
-	r := wire.NewReader(payload[2:])
-	got := readProv(r)
-	if r.Err() != nil {
-		t.Fatal(r.Err())
-	}
-	if !reflect.DeepEqual(got, q) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, q)
 	}
 }
 

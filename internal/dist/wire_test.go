@@ -7,13 +7,12 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
-	"hbverify/internal/capture"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
-	"hbverify/internal/hbg"
 	"hbverify/internal/localck"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
@@ -39,18 +38,30 @@ func sendRaw(t *testing.T, addr string, payloads ...[]byte) {
 	}
 }
 
-// The v1 header check exists once, in endpoint.listen; the three tests
-// below drive it through each kind of handler with frames no v1 peer sends:
-// a JSON envelope (what the removed transport spoke — each is a well-formed
-// message of that format, so delivery would be observable) and a v1 frame
-// cut off after the version byte.
+// The v1 header check and the type dispatch exist once each, in
+// endpoint.listen and in each server's handle; the two tests below drive
+// them with frames no v1 peer sends: a JSON envelope (what the removed
+// transport spoke — each is a well-formed message of that format, so
+// delivery would be observable), a v1 frame cut off after the version byte,
+// and well-formed v1 frames of the unassigned types.
 var (
-	jsonWalk       = []byte(`{"kind":"walk","walk":{"WalkID":7,"Source":"r1","Dst":"203.0.113.1","Msgs":1}}`)
-	jsonResult     = []byte(`{"kind":"result","walk":{"WalkID":7,"Source":"r1","Dst":"203.0.113.1","Done":true}}`)
-	jsonProv       = []byte(`{"kind":"prov","hbg":{"kind":"prov","query":{"QueryID":7,"Cursor":1}}}`)
-	jsonProvResult = []byte(`{"kind":"prov-result","hbg":{"kind":"prov-result","query":{"QueryID":7,"Done":true}}}`)
-	shortV1        = []byte{frameV1}
+	jsonWalk   = []byte(`{"kind":"walk","walk":{"WalkID":7,"Source":"r1","Dst":"203.0.113.1","Msgs":1}}`)
+	jsonResult = []byte(`{"kind":"result","walk":{"WalkID":7,"Source":"r1","Dst":"203.0.113.1","Done":true}}`)
+	shortV1    = []byte{frameV1}
+	// Type 1 with the one walk it carried before walks travelled in
+	// batches; types 5 and 6 with the provenance query they carried
+	// (query 7, cursor 1, no hops, no error, an empty path; 6 is done).
+	retired = [][]byte{
+		append([]byte{frameV1, 1}, appendWalk(nil, &WalkMsg{WalkID: 7, Source: "r1", Dst: netip.MustParseAddr("203.0.113.1"), Msgs: 1})...),
+		{frameV1, 5, 7, 1, 0, 0, 0, 0},
+		{frameV1, 6, 7, 1, 0, 1, 0, 0},
+	}
 )
+
+// dropped is every frame a server must drop, then valid.
+func dropped(envelope, valid []byte) [][]byte {
+	return slices.Concat([][]byte{envelope, shortV1}, retired, [][]byte{valid})
+}
 
 // expectOnly waits for one message on ch, checks it, and requires that
 // nothing else was delivered.
@@ -85,7 +96,7 @@ func TestNodeDropsNonV1Frames(t *testing.T) {
 	valid := appendWalkBatch(nil, mtWalkBatch, 1, []WalkMsg{{
 		WalkID: 8, Source: "r1", Dst: dataplane.Representative(pn.P), Msgs: 1,
 	}})
-	sendRaw(t, nodes["r1"].Addr(), jsonWalk, shortV1, valid)
+	sendRaw(t, nodes["r1"].Addr(), dropped(jsonWalk, valid)...)
 	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 && w.Done })
 }
 
@@ -100,33 +111,8 @@ func TestCoordinatorDropsNonV1Frames(t *testing.T) {
 	coord.pending[7], coord.pending[8] = results, results
 	coord.mu.Unlock()
 	valid := appendWalkBatch(nil, mtResultBatch, 1, []WalkMsg{{WalkID: 8, Done: true}})
-	sendRaw(t, coord.Addr(), jsonResult, shortV1, valid)
+	sendRaw(t, coord.Addr(), dropped(jsonResult, valid)...)
 	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 })
-}
-
-func TestHBGServersDropNonV1Frames(t *testing.T) {
-	g := hbg.New()
-	g.AddNode(capture.IO{ID: 1, Router: "r1", Type: capture.ConfigChange})
-	coord, nodes, teardown, err := BuildHBGFleet(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
-
-	results := make(chan ProvQuery, 4)
-	coord.mu.Lock()
-	for id := 7; id <= 9; id++ {
-		coord.pending[id] = results
-	}
-	coord.mu.Unlock()
-
-	// Node: only the v1 query is expanded and answered.
-	sendRaw(t, nodes["r1"].Addr(), jsonProv, shortV1, appendProv(nil, mtProv, &ProvQuery{QueryID: 8, Cursor: 1}))
-	expectOnly(t, results, func(q ProvQuery) bool { return q.QueryID == 8 && q.Done && len(q.Path) == 1 })
-
-	// Coordinator: only the v1 result reaches a waiting trace.
-	sendRaw(t, coord.Addr(), jsonProvResult, shortV1, appendProv(nil, mtProvResult, &ProvQuery{QueryID: 9, Done: true}))
-	expectOnly(t, results, func(q ProvQuery) bool { return q.QueryID == 9 })
 }
 
 // TestConnSetRefusesAfterCloseAll: a connection accepted between the
@@ -158,18 +144,10 @@ func TestCloseIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hnode, err := StartHBGNode("r1", hbg.New(), nil, none, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hcoord, err := StartHBGCoordinator()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, srv := range map[string]interface {
 		Addr() string
 		Close() error
-	}{"Node": node, "Coordinator": coord, "HBGNode": hnode, "HBGCoordinator": hcoord} {
+	}{"Node": node, "Coordinator": coord} {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -180,27 +158,6 @@ func TestCloseIsIdempotent(t *testing.T) {
 				t.Errorf("%s: Close #%d: %v", name, i, err)
 			}
 		}
-	}
-}
-
-// TestTraceDropsStaleResult: the result of an earlier query that arrives
-// late must not be handed to the next Trace as its answer.
-func TestTraceDropsStaleResult(t *testing.T) {
-	g := hbg.New()
-	g.AddNode(capture.IO{ID: 1, Router: "r1", Type: capture.ConfigChange})
-	coord, nodes, teardown, err := BuildHBGFleet(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
-	if _, err := coord.Trace(nodes, "r1", 1, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	sendRaw(t, coord.Addr(), appendProv(nil, mtProvResult, &ProvQuery{QueryID: 1, Done: true, Err: "stale"}))
-	time.Sleep(100 * time.Millisecond) // let the coordinator read it
-	path, err := coord.Trace(nodes, "r1", 1, 5*time.Second)
-	if err != nil || len(path) != 1 || path[0].ID != 1 {
-		t.Fatalf("trace after a stale result = %v, %v", path, err)
 	}
 }
 
@@ -237,21 +194,12 @@ func fuzzSeeds() [][]byte {
 	report := LocalReport{Sync: 9, Router: "r1", Epoch: 3, Checked: 1, Violations: []localck.Violation{{
 		Router: "r1", Prefix: p, Invariant: localck.InvSelfLoop, Detail: "cycle", SuspectHops: []netip.Addr{a},
 	}}}
-	prov := ProvQuery{QueryID: 3, Cursor: 99, Hops: 12, Done: true, Err: "nope", Path: []capture.IO{{
-		ID: 7, Router: "r2", Type: capture.FIBInstall, Proto: route.ProtoBGP, Prefix: p, NextHop: a, NextHops: []netip.Addr{a, a.Next()},
-		Peer: "r1", PeerAddr: a,
-		Attrs: route.BGPAttrs{LocalPref: 200, ASPath: []uint32{65001}, MED: 5, Origin: 1, Communities: []uint32{1},
-			OriginatorID: a, ClusterList: []netip.Addr{a}},
-		Detail: "withdrawn", Time: -4, TrueTime: 17, Causes: []uint64{1, 2},
-	}}}
 	return [][]byte{
 		appendWalkBatch(nil, mtWalkBatch, 7, walks),
 		appendWalkBatch(nil, mtResultBatch, 7, walks),
 		appendViewDelta(nil, &delta),
 		appendLabels(nil, "r1", labels),
 		appendLocalReport(nil, &report),
-		appendProv(nil, mtProv, &prov),
-		appendProv(nil, mtProvResult, &prov),
 	}
 }
 
@@ -276,9 +224,6 @@ func recode(frame []byte) ([]byte, error) {
 	case mtLocalViolation:
 		rep := readLocalReport(r)
 		out = appendLocalReport(nil, &rep)
-	case mtProv, mtProvResult:
-		q := readProv(r)
-		out = appendProv(nil, mt, &q)
 	default:
 		return nil, errors.New("unknown message type")
 	}
@@ -302,6 +247,9 @@ func FuzzWireReader(f *testing.F) {
 	}
 	f.Add(shortV1)
 	f.Add(jsonWalk)
+	for _, frame := range retired {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if len(frame) > 1<<16 {
 			return

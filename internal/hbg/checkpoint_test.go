@@ -301,21 +301,3 @@ func TestPruneBeforeFoldsRootCauses(t *testing.T) {
 		t.Fatalf("PrunedBelow = %d, want 4", g.PrunedBelow())
 	}
 }
-
-func TestPruneBeforeMergeCarriesInheritedRoots(t *testing.T) {
-	g := New()
-	for i := uint64(1); i <= 3; i++ {
-		g.AddNode(testIO(i, "r1"))
-	}
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	want := g.RootCauses(3)
-	g.PruneBefore(2)
-
-	dst := New()
-	dst.AddNode(testIO(3, "r1"))
-	dst.Merge(g)
-	if got := dst.RootCauses(3); !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge dropped inherited roots:\n got %+v\nwant %+v", got, want)
-	}
-}

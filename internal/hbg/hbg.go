@@ -179,8 +179,8 @@ func (g *Graph) addNodeLocked(io *capture.IO) {
 }
 
 // AddEdge inserts a happens-before edge with confidence 1. Unknown
-// endpoints are tolerated (the vertex may arrive later during distributed
-// construction); duplicate edges are ignored.
+// endpoints are tolerated (the vertex may arrive in a later batch);
+// duplicate edges are ignored.
 func (g *Graph) AddEdge(from, to uint64) { g.AddEdgeConf(from, to, 1) }
 
 // AddEdgeConf inserts an edge with an explicit confidence in (0, 1]; a
@@ -664,61 +664,6 @@ func (g *Graph) Descendants(id uint64) []capture.IO {
 	reached := g.reach(i, false, make([]bool, len(g.verts)), nil)
 	slices.Sort(reached)
 	return deref(g.refsAt(nil, reached))
-}
-
-// Subgraph returns the per-router happens-before subgraph (§5: each router
-// can store its own subgraph): vertices at the router plus edges between
-// them; cross-router edges are dropped.
-func (g *Graph) Subgraph(router string) *Graph {
-	sub := New()
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	local := func(v *vertex) bool { return v != nil && v.known && v.io.Router == router }
-	for _, v := range g.verts {
-		if local(v) {
-			sub.verts = append(sub.verts, &vertex{io: v.io, known: true, gen: sub.gen})
-		}
-	}
-	sub.nodes = len(sub.verts)
-	for _, v := range g.verts {
-		for _, from := range v.in {
-			if local(v) && local(g.find(from)) {
-				sub.addEdgeConfLocked(from, v.io.ID, g.confidenceLocked(Edge{from, v.io.ID}))
-			}
-		}
-	}
-	return sub
-}
-
-// Merge folds other's vertices and edges into g (distributed HBG assembly).
-// It reads other under one acquisition of its lock — a consistent snapshot —
-// and holds g's writer lock for the whole merge, so readers observe the old
-// graph or the new one, never a half-merged one. Vertices g has are kept.
-func (g *Graph) Merge(other *Graph) {
-	other.mu.RLock()
-	var nodes []capture.IO
-	edges := make([]EdgeConf, 0, other.edges)
-	for _, v := range other.verts {
-		if v.known {
-			nodes = append(nodes, v.io)
-		}
-		for _, from := range v.in {
-			edges = append(edges, EdgeConf{from, v.io.ID, other.confidenceLocked(Edge{from, v.io.ID})})
-		}
-	}
-	inherited := maps.Clone(other.inherited) // a stored root set is never modified
-	other.mu.RUnlock()
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	nodes = slices.DeleteFunc(nodes, func(io capture.IO) bool {
-		v := g.find(io.ID)
-		return v != nil && v.known
-	})
-	g.applyLocked(Batch{Nodes: capture.ViewOf(nodes), Edges: [][]EdgeConf{edges}})
-	for id, roots := range inherited {
-		g.inherited[id] = mergeRootSets(g.inherited[id], roots)
-	}
 }
 
 // TopoOrder returns a topological order of the vertices, or an error if

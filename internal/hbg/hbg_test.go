@@ -106,37 +106,6 @@ func TestTopoOrderAndCycles(t *testing.T) {
 	}
 }
 
-func TestSubgraphDropsCrossRouterEdges(t *testing.T) {
-	g := chain()
-	g.AddNode(capture.IO{ID: 5, Router: "r1", Type: capture.RecvAdvert, Prefix: pfx("10.0.0.0/8"), Peer: "r2"})
-	g.AddEdge(4, 5)
-	sub := g.Subgraph("r2")
-	if sub.NodeCount() != 4 || sub.EdgeCount() != 3 {
-		t.Fatalf("subgraph = %d nodes %d edges", sub.NodeCount(), sub.EdgeCount())
-	}
-	if sub.HasEdge(4, 5) {
-		t.Fatal("cross-router edge survived")
-	}
-}
-
-func TestMergeReassemblesDistributedSubgraphs(t *testing.T) {
-	g := chain()
-	g.AddNode(capture.IO{ID: 5, Router: "r1", Type: capture.RecvAdvert, Prefix: pfx("10.0.0.0/8"), Peer: "r2"})
-	g.AddEdge(4, 5)
-	merged := New()
-	merged.Merge(g.Subgraph("r2"))
-	merged.Merge(g.Subgraph("r1"))
-	// Cross-router edge restored separately (the send/recv link).
-	merged.AddEdge(4, 5)
-	if merged.NodeCount() != 5 || merged.EdgeCount() != 4 {
-		t.Fatalf("merged = %d nodes %d edges", merged.NodeCount(), merged.EdgeCount())
-	}
-	roots := merged.RootCauses(5)
-	if len(roots) != 1 || roots[0].ID != 1 {
-		t.Fatalf("merged roots = %v", roots)
-	}
-}
-
 func TestFromGroundTruthPaperScenario(t *testing.T) {
 	// Build the Fig. 2 scenario and check the oracle HBG has the paper's
 	// shape: traversing back from R1's FIB install reaches the config

@@ -173,37 +173,43 @@ func TestBuildersAgreeByteForByte(t *testing.T) {
 	}
 }
 
-func TestMergeIdempotentAndMaxConfidence(t *testing.T) {
+// TestDuplicateEdgeKeepsMaxConfidence: a duplicate edge, added alone or in
+// a batch, raises a lower confidence and never lowers a higher one, and
+// adding it again changes nothing.
+func TestDuplicateEdgeKeepsMaxConfidence(t *testing.T) {
+	// Above 3→5's 0.5: wins. Below 9→12's 0.9 and 2→3's 1: ignored.
+	dups := []EdgeConf{{3, 5, 0.8}, {9, 12, 0.4}, {2, 3, 0.2}}
+	adds := map[string]func(*Graph){
+		"AddEdgeConf": func(g *Graph) {
+			for _, e := range dups {
+				g.AddEdgeConf(e.From, e.To, e.Conf)
+			}
+		},
+		"Apply": func(g *Graph) { g.Apply(Batch{Edges: [][]EdgeConf{dups}}) },
+	}
 	for name, build := range fixtureBuilders {
 		t.Run(name, func(t *testing.T) {
-			g, other := build(), build()
-			other.AddEdgeConf(3, 5, 0.8)  // above g's 0.5: wins
-			other.AddEdgeConf(9, 12, 0.4) // below its own 0.9: ignored
-			other.AddNode(fixtureIO(20))
-			other.AddEdge(13, 20)
-			g.Merge(other)
-			first := encode(t, g)
-			g.Merge(other)
-			g.Merge(g)
-			if !bytes.Equal(first, encode(t, g)) {
-				t.Fatal("merging the same graph again changed the result")
-			}
-			if got := g.Confidence(3, 5); got != 0.8 {
-				t.Errorf("Confidence(3,5) = %v, want the larger 0.8", got)
-			}
-			if got := g.Confidence(9, 12); got != 0.9 {
-				t.Errorf("Confidence(9,12) = %v, want 0.9", got)
-			}
-			if !g.HasEdge(13, 20) || g.NodeCount() != 8 || g.EdgeCount() != 10 {
-				t.Errorf("merge lost other's vertex or edge: %d nodes, %d edges", g.NodeCount(), g.EdgeCount())
+			for via, add := range adds {
+				g := build()
+				add(g)
+				first := encode(t, g)
+				add(g)
+				if !bytes.Equal(first, encode(t, g)) {
+					t.Errorf("%s: adding the same edges again changed the graph", via)
+				}
+				for _, want := range []EdgeConf{{3, 5, 0.8}, {9, 12, 0.9}, {2, 3, 1}} {
+					if got := g.Confidence(want.From, want.To); got != want.Conf {
+						t.Errorf("%s: Confidence(%d,%d) = %v, want %v", via, want.From, want.To, got, want.Conf)
+					}
+				}
+				if g.NodeCount() != len(fixtureIDs) || g.EdgeCount() != len(fixtureEdges) {
+					t.Errorf("%s: %d nodes, %d edges after duplicates", via, g.NodeCount(), g.EdgeCount())
+				}
 			}
 		})
 	}
 }
 
-// TestApplyResetReplacesInEdges pins the batch's replace semantics: a reset
-// vertex's parents afterwards are exactly the batch's, its old parents lose
-// the child, and everything happens in one step.
 func TestApplyResetReplacesInEdges(t *testing.T) {
 	for name, build := range fixtureBuilders {
 		t.Run(name, func(t *testing.T) {

@@ -165,9 +165,6 @@ func writes(g *Graph) {
 	})
 	g.AddEdgeConf(2, 3, 1)
 	g.AddEdgeConf(2, 12, 0.3)
-	other := New()
-	other.Apply(Batch{Nodes: capture.ViewOf([]capture.IO{fixtureIO(15)}), Edges: [][]EdgeConf{{{8, 15, 1}}}})
-	g.Merge(other)
 	g.PruneBefore(8)
 }
 

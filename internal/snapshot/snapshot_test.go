@@ -211,36 +211,6 @@ func TestConsistentCollectNoProgressStops(t *testing.T) {
 	}
 }
 
-func TestPerRouterSubgraphExchangeMatchesCentral(t *testing.T) {
-	// §5: HBG construction can be distributed — per-router subgraphs plus
-	// cross-router send/recv edges reassemble the central graph.
-	_, ios := fig1Transition(t)
-	central := rulesInfer(ios)
-	merged := hbg.New()
-	routers := map[string]bool{}
-	for _, io := range ios {
-		routers[io.Router] = true
-	}
-	for r := range routers {
-		merged.Merge(central.Subgraph(r))
-	}
-	// Cross-router edges re-added from the central inference.
-	for _, e := range central.Edges() {
-		a, _ := central.Node(e.From)
-		b, _ := central.Node(e.To)
-		if a.Router != b.Router {
-			merged.AddEdgeConf(e.From, e.To, central.Confidence(e.From, e.To))
-		}
-	}
-	if merged.NodeCount() != central.NodeCount() || merged.EdgeCount() != central.EdgeCount() {
-		t.Fatalf("merged %d/%d vs central %d/%d",
-			merged.NodeCount(), merged.EdgeCount(), central.NodeCount(), central.EdgeCount())
-	}
-	if Check(merged, nil).Consistent != Check(central, nil).Consistent {
-		t.Fatal("distributed and central checks disagree")
-	}
-}
-
 // TestBuildFIBsKeepsRemoveOnlyRouter: a router whose only collected events
 // are FIB removes still has a FIB — an empty one — and a walker must be
 // able to tell "forwards nothing" from "not in the snapshot".
