@@ -3,15 +3,18 @@
 // quantitative claims made in prose). Each benchmark prints the rows or
 // series the corresponding figure/claim reports — run with
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem . ./internal/hbr
 //
-// and see EXPERIMENTS.md for the paper-vs-measured record.
+// (E8, §4.2's inference comparison, lives in internal/hbr beside the
+// baselines it compares) and see EXPERIMENTS.md for the paper-vs-measured
+// record.
 package hbverify
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -128,7 +131,7 @@ func fig1Transition(b *testing.B, seed int64) (*network.PaperNet, []capture.IO) 
 func BenchmarkFig1cSnapshotConsistency(b *testing.B) {
 	pn, ios := fig1Transition(b, 1)
 	rules := func(x []capture.IO) *hbg.Graph { return hbr.Rules{}.Infer(capture.StripOracle(x)) }
-	naiveInfer := func(x []capture.IO) *hbg.Graph { return hbr.Timestamp{}.Infer(capture.StripOracle(x)) }
+	naiveInfer := timestampChains
 
 	// Candidate cuts: every event boundary on r2 during the transition.
 	var cuts []snapshot.Cut
@@ -181,6 +184,23 @@ func BenchmarkFig1cSnapshotConsistency(b *testing.B) {
 		fmt.Printf("  %-34s %-9d %-7d %v\n", "HBG-gated (rules)", gated.phantoms, gated.waits, fullRules)
 		fmt.Printf("  %-34s %-9d %-7d %v   <- ablation\n", "HBG-gated (timestamp chains only)", ablation.phantoms, ablation.waits, fullTS)
 	})
+}
+
+// timestampChains is §4.2's timestamp baseline, E2's ablation: each event's
+// one parent is the event before it on its router in observed order.
+func timestampChains(ios []capture.IO) *hbg.Graph {
+	ios = slices.Clone(ios)
+	slices.SortStableFunc(ios, func(a, b capture.IO) int { return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.ID, b.ID)) })
+	g := hbg.New()
+	last := map[string]uint64{}
+	for _, io := range ios {
+		g.AddNode(io)
+		if prev, ok := last[io.Router]; ok {
+			g.AddEdge(prev, io.ID)
+		}
+		last[io.Router] = io.ID
+	}
+	return g
 }
 
 // ---------------------------------------------------------------------------
@@ -401,57 +421,8 @@ func BenchmarkEquivalenceClasses(b *testing.B) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// E8 — §4.2: HBR inference strategies, precision/recall under clock skew.
-// ---------------------------------------------------------------------------
-
-func BenchmarkHBRInference(b *testing.B) {
-	// Reference (policy-compliant) log for pattern training.
-	refNet := mustPaper(b, 7, network.DefaultPaperOpts())
-	runNet(b, refNet)
-	ref := capture.StripOracle(refNet.Log.All())
-
-	scenario := func(skew, jitter time.Duration) []capture.IO {
-		opt := network.DefaultPaperOpts()
-		opt.ClockSkew, opt.ClockJitter = skew, jitter
-		pn := mustPaper(b, 1, opt)
-		runNet(b, pn)
-		misconfigR2(b, pn, 10)
-		return pn.Log.All()
-	}
-	clean := scenario(0, 0)
-	skewed := scenario(3*time.Millisecond, 2*time.Millisecond)
-
-	strategies := hbr.Strategies(ref, 0)
-	var rows []string
-	for _, s := range strategies {
-		mc := hbr.Evaluate(s.Infer(capture.StripOracle(clean)), clean)
-		ms := hbr.Evaluate(s.Infer(capture.StripOracle(skewed)), skewed)
-		rows = append(rows, fmt.Sprintf("  %-11s %6.2f %6.2f   %6.2f %6.2f",
-			s.Name(), mc.Precision, mc.Recall, ms.Precision, ms.Recall))
-	}
-	stripped := capture.StripOracle(clean)
-	rules := hbr.Rules{}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rules.Infer(stripped)
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	events := float64(b.N * len(stripped))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
-	once("hbrinf", func() {
-		fmt.Println("\n[E8/§4.2] HBR inference accuracy (clean clocks | 3ms skew + 2ms jitter)")
-		fmt.Printf("  %-11s %6s %6s   %6s %6s\n", "strategy", "prec", "rec", "prec", "rec")
-		for _, r := range rows {
-			fmt.Println(r)
-		}
-	})
-}
+// E8 — §4.2's inference strategies under clock skew — is
+// BenchmarkHBRInference in internal/hbr, beside the baselines it compares.
 
 // ---------------------------------------------------------------------------
 // E9 — §5: centralized vs distributed verification.

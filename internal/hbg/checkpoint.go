@@ -17,19 +17,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/wire"
 )
 
-// checkpointMagic versions the format; bump on any layout change. v1
-// predates capture.IO.NextHops and so lost every ECMP set it was given;
-// it is rejected, not migrated.
+// checkpointMagic versions the format; bump on any layout change. Older
+// versions are rejected, not migrated: v1 predates capture.IO.NextHops and
+// so lost every ECMP set it was given, and v2 stored a confidence with every
+// edge.
 const (
-	checkpointMagic   = "HBGCKPT2"
+	checkpointMagic   = "HBGCKPT3"
 	checkpointMagicV1 = "HBGCKPT1"
+	checkpointMagicV2 = "HBGCKPT2"
 )
 
 // Checkpoint is the serializable state of a windowed inference daemon.
@@ -85,7 +86,6 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 		for _, to := range sortedIDs(v.out) {
 			buf = binary.AppendUvarint(buf, v.io.ID)
 			buf = binary.AppendUvarint(buf, to)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.confidenceLocked(Edge{v.io.ID, to})))
 		}
 	}
 
@@ -134,8 +134,8 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	rd := wire.NewReader(data)
 	switch magic := string(rd.Take(len(checkpointMagic))); magic {
 	case checkpointMagic:
-	case checkpointMagicV1:
-		return nil, fmt.Errorf("hbg: checkpoint is %s, this build reads only %s", checkpointMagicV1, checkpointMagic)
+	case checkpointMagicV1, checkpointMagicV2:
+		return nil, fmt.Errorf("hbg: checkpoint is %s, this build reads only %s", magic, checkpointMagic)
 	default:
 		return nil, fmt.Errorf("hbg: bad checkpoint magic %q", magic)
 	}
@@ -159,18 +159,13 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, err
 	}
 
-	// An edge is two uvarints and eight confidence bytes.
-	for i := rd.Count("edge", 10); i > 0; i-- {
+	// An edge is two uvarints.
+	for i := rd.Count("edge", 2); i > 0; i-- {
 		from, to := rd.Uvarint(), rd.Uvarint()
-		raw := rd.Take(8)
 		if rd.Err() != nil {
 			break
 		}
-		conf := math.Float64frombits(binary.LittleEndian.Uint64(raw))
-		if !(conf > 0 && conf <= 1) {
-			return nil, fmt.Errorf("hbg: checkpoint edge %d->%d: confidence %v outside (0, 1]", from, to, conf)
-		}
-		g.addEdgeConfLocked(from, to, conf)
+		g.addEdgeLocked(from, to)
 	}
 	if err := section("edges"); err != nil {
 		return nil, err

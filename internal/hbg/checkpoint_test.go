@@ -3,7 +3,6 @@ package hbg
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -44,7 +43,7 @@ func chainGraph(n uint64) *Graph {
 		g.AddNode(testIO(i, "r1"))
 	}
 	for i := uint64(1); i < n; i++ {
-		g.AddEdgeConf(i, i+1, 0.5+float64(i%2)/2)
+		g.AddEdge(i, i+1)
 	}
 	return g
 }
@@ -78,11 +77,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Graph.Edges(), g.Edges()) {
 		t.Fatal("edges diverged")
 	}
-	for _, e := range g.Edges() {
-		if got.Graph.Confidence(e.From, e.To) != g.Confidence(e.From, e.To) {
-			t.Fatalf("confidence diverged on %v", e)
-		}
-	}
 	if got.Graph.PrunedBelow() != g.PrunedBelow() {
 		t.Fatalf("prune floor = %d, want %d", got.Graph.PrunedBelow(), g.PrunedBelow())
 	}
@@ -102,16 +96,16 @@ func TestCheckpointByteDeterminism(t *testing.T) {
 			for i := len(ids) - 1; i >= 0; i-- {
 				g.AddNode(testIO(ids[i], "r1"))
 			}
-			g.AddEdgeConf(3, 4, 0.75)
-			g.AddEdgeConf(1, 2, 1)
-			g.AddEdgeConf(2, 4, 0.5)
+			g.AddEdge(3, 4)
+			g.AddEdge(1, 2)
+			g.AddEdge(2, 4)
 		} else {
 			for _, id := range ids {
 				g.AddNode(testIO(id, "r1"))
 			}
-			g.AddEdgeConf(2, 4, 0.5)
-			g.AddEdgeConf(1, 2, 1)
-			g.AddEdgeConf(3, 4, 0.75)
+			g.AddEdge(2, 4)
+			g.AddEdge(1, 2)
+			g.AddEdge(3, 4)
 		}
 		g.PruneBefore(2)
 		return g
@@ -145,14 +139,13 @@ func TestCheckpointByteDeterminism(t *testing.T) {
 }
 
 // smallCheckpoint is a valid checkpoint exercising every section: nodes
-// (one with an ECMP set), edges with and without stored confidence,
-// inherited roots, and a retained window.
+// (one with an ECMP set), edges, inherited roots, and a retained window.
 func smallCheckpoint(t testing.TB) []byte {
 	t.Helper()
 	g := chainGraph(4)
 	g.AddNode(ecmpIO(5))
 	g.AddEdge(4, 5)
-	g.AddEdgeConf(3, 5, 0.5)
+	g.AddEdge(3, 5)
 	g.PruneBefore(3)
 	cp := &Checkpoint{Graph: g, LastID: 5, FirstRetainedID: 3, Retained: []capture.IO{testIO(3, "r1"), ecmpIO(5)}}
 	var buf bytes.Buffer
@@ -205,21 +198,27 @@ var (
 
 func TestCheckpointDecodeErrors(t *testing.T) {
 	valid := smallCheckpoint(t)
-	v1 := append([]byte(checkpointMagicV1), valid[len(checkpointMagic):]...)
 	for name, data := range map[string][]byte{
-		"bad magic":               []byte("NOTCKPT0"),
-		"huge retained count":     hugeRetainedCount,
-		"huge inherited roots":    hugeRootsCount,
-		"trailing byte":           append(bytes.Clone(valid), 0),
-		"confidence out of range": bytes.Replace(valid, binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5)), make([]byte, 8), 1),
+		"bad magic":     []byte("NOTCKPT0"),
+		"trailing byte": append(bytes.Clone(valid), 0),
 	} {
 		if _, err := DecodeCheckpoint(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	_, err := DecodeCheckpoint(bytes.NewReader(v1))
-	if err == nil || !strings.Contains(err.Error(), checkpointMagicV1) || !strings.Contains(err.Error(), checkpointMagic) {
-		t.Errorf("v1 checkpoint: err = %v, want one naming both versions", err)
+	for count, data := range map[string][]byte{"retained count": hugeRetainedCount, "inherited root count": hugeRootsCount} {
+		if _, err := DecodeCheckpoint(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), count) {
+			t.Errorf("huge %s: err = %v, want one naming the count", count, err)
+		}
+	}
+	// Retired versions are named, not read: the rest of the file is this
+	// version's, which a v2 decoder would misread as confidence bytes.
+	for _, old := range []string{checkpointMagicV1, checkpointMagicV2} {
+		data := append([]byte(old), valid[len(checkpointMagic):]...)
+		_, err := DecodeCheckpoint(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), checkpointMagic) {
+			t.Errorf("%s checkpoint: err = %v, want one naming both versions", old, err)
+		}
 	}
 	// Every strict prefix must surface an error, never panic.
 	for cut := 0; cut < len(valid); cut++ {

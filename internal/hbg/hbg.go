@@ -32,12 +32,6 @@ import (
 // Edge is a happens-before pair: From happens before To.
 type Edge struct{ From, To uint64 }
 
-// EdgeConf is an edge with its inference confidence in (0, 1].
-type EdgeConf struct {
-	From, To uint64
-	Conf     float64
-}
-
 // vertex is one captured I/O with its adjacency. io is never written once
 // the vertex is in Graph.verts — a replacement is a new vertex — so a pointer
 // to it stays valid outside the lock; in and out change under the writer lock,
@@ -71,10 +65,6 @@ type Graph struct {
 	verts []*vertex
 	nodes int // known vertices
 	edges int
-	// conf annotates edges with the inference confidence (§4.2: "a
-	// statistical confidence attached to each inferred HBR"). Ground-truth
-	// and rule-matched edges carry confidence 1 and are not stored.
-	conf map[Edge]float64
 	// inherited holds root-cause I/Os folded in by PruneBefore: when a
 	// vertex's ancestry is compacted away, its root causes are snapshotted
 	// here so RootCauses keeps answering exactly as before the prune.
@@ -86,7 +76,7 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{gen: generations.Add(1), conf: map[Edge]float64{}, inherited: map[uint64][]capture.IO{}}
+	return &Graph{gen: generations.Add(1), inherited: map[uint64][]capture.IO{}}
 }
 
 // pos returns id's index in verts, or where it would be inserted.
@@ -178,45 +168,25 @@ func (g *Graph) addNodeLocked(io *capture.IO) {
 	g.verts[j] = v
 }
 
-// AddEdge inserts a happens-before edge with confidence 1. Unknown
-// endpoints are tolerated (the vertex may arrive in a later batch);
-// duplicate edges are ignored.
-func (g *Graph) AddEdge(from, to uint64) { g.AddEdgeConf(from, to, 1) }
-
-// AddEdgeConf inserts an edge with an explicit confidence in (0, 1]; a
-// duplicate keeps the larger confidence.
-func (g *Graph) AddEdgeConf(from, to uint64, conf float64) {
+// AddEdge inserts a happens-before edge. Unknown endpoints are tolerated
+// (the vertex may arrive in a later batch); duplicate edges are ignored.
+func (g *Graph) AddEdge(from, to uint64) {
 	g.mu.Lock()
-	g.addEdgeConfLocked(from, to, conf)
+	g.addEdgeLocked(from, to)
 	g.mu.Unlock()
 }
 
-func (g *Graph) addEdgeConfLocked(from, to uint64, conf float64) {
+func (g *Graph) addEdgeLocked(from, to uint64) {
 	if from == to || from == 0 || to == 0 {
 		return
 	}
-	t, e := g.slot(to), Edge{from, to}
+	t := g.slot(to)
 	if slices.Contains(t.in, from) {
-		if conf <= g.confidenceLocked(e) {
-			return
-		}
-		delete(g.conf, e)
-	} else {
-		f := g.slot(from)
-		t.in, f.out = append(t.in, from), append(f.out, to)
-		g.edges++
+		return
 	}
-	if conf != 1 {
-		g.conf[e] = conf
-	}
-}
-
-// confidenceLocked is the confidence of an edge known to exist.
-func (g *Graph) confidenceLocked(e Edge) float64 {
-	if c, ok := g.conf[e]; ok {
-		return c
-	}
-	return 1
+	f := g.slot(from)
+	t.in, f.out = append(t.in, from), append(f.out, to)
+	g.edges++
 }
 
 // Batch is one bulk mutation, applied under a single acquisition of the
@@ -227,8 +197,8 @@ type Batch struct {
 	// Reset names vertices that lose their in-edges before Edges are
 	// added: afterwards their parents are exactly what Edges gives them.
 	Reset []uint64
-	// Edges are added list by list, in order, as AddEdgeConf would.
-	Edges [][]EdgeConf
+	// Edges are added list by list, in order, as AddEdge would.
+	Edges [][]Edge
 }
 
 // Apply performs b.
@@ -249,14 +219,13 @@ func (g *Graph) applyLocked(b Batch) {
 		for _, from := range v.in {
 			f := g.slot(from)
 			f.out = dropID(f.out, id)
-			delete(g.conf, Edge{from, id})
 		}
 		g.edges -= len(v.in)
 		v.in = nil
 	}
 	for _, es := range b.Edges {
 		for i := range es {
-			g.addEdgeConfLocked(es[i].From, es[i].To, es[i].Conf)
+			g.addEdgeLocked(es[i].From, es[i].To)
 		}
 	}
 }
@@ -277,7 +246,7 @@ func (g *Graph) Without(hidden []uint64, b Batch) *Graph {
 	g.gen = generations.Add(1)
 	d := &Graph{gen: generations.Add(1), verts: make([]*vertex, 0, len(g.verts)),
 		nodes: g.nodes, edges: g.edges, prunedBelow: g.prunedBelow,
-		conf: maps.Clone(g.conf), inherited: maps.Clone(g.inherited)}
+		inherited: maps.Clone(g.inherited)}
 	gone := func(id uint64) bool {
 		_, ok := slices.BinarySearch(hidden, id)
 		return ok
@@ -298,7 +267,6 @@ func (g *Graph) Without(hidden []uint64, b Batch) *Graph {
 		delete(d.inherited, id)
 		d.edges -= len(h.in)
 		for _, from := range h.in {
-			delete(d.conf, Edge{from, id})
 			if !gone(from) {
 				f := d.slot(from)
 				f.out = dropID(f.out, id)
@@ -308,7 +276,6 @@ func (g *Graph) Without(hidden []uint64, b Batch) *Graph {
 			if gone(to) {
 				continue // counted among to's in-edges
 			}
-			delete(d.conf, Edge{id, to})
 			t := d.slot(to)
 			t.in = dropID(t.in, id)
 			d.edges--
@@ -392,16 +359,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Confidence returns the edge's inference confidence, 0 if absent.
-func (g *Graph) Confidence(from, to uint64) float64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if t := g.find(to); t == nil || !slices.Contains(t.in, from) {
-		return 0
-	}
-	return g.confidenceLocked(Edge{from, to})
-}
-
 // HasEdge reports whether from→to exists.
 func (g *Graph) HasEdge(from, to uint64) bool {
 	g.mu.RLock()
@@ -456,7 +413,7 @@ func FromGroundTruth(ios []capture.IO) *Graph {
 	for i := range ios {
 		for _, c := range ios[i].Causes {
 			if v := g.find(c); v != nil && v.known {
-				g.addEdgeConfLocked(c, ios[i].ID, 1)
+				g.addEdgeLocked(c, ios[i].ID)
 			}
 		}
 	}
@@ -620,11 +577,6 @@ func (g *Graph) PruneBefore(id uint64) {
 		v.in, v.out = slices.DeleteFunc(v.in, below), slices.DeleteFunc(v.out, below)
 		g.edges -= n - len(v.in)
 	}
-	for e := range g.conf {
-		if e.From < id || e.To < id {
-			delete(g.conf, e)
-		}
-	}
 	g.prunedBelow = id
 }
 
@@ -722,11 +674,7 @@ func (g *Graph) DOT() string {
 		b.WriteString("  }\n")
 	}
 	for _, e := range edges {
-		if c := g.Confidence(e.From, e.To); c < 1 {
-			fmt.Fprintf(&b, "  n%d -> n%d [style=dashed, label=\"%.2f\"];\n", e.From, e.To, c)
-		} else {
-			fmt.Fprintf(&b, "  n%d -> n%d;\n", e.From, e.To)
-		}
+		fmt.Fprintf(&b, "  n%d -> n%d;\n", e.From, e.To)
 	}
 	b.WriteString("}\n")
 	return b.String()

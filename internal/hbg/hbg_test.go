@@ -61,16 +61,13 @@ func TestEdgeBookkeeping(t *testing.T) {
 	if g.EdgeCount() != 3 || g.NodeCount() != 4 {
 		t.Fatalf("counts = %d %d", g.EdgeCount(), g.NodeCount())
 	}
-	// Duplicate edges collapse; higher confidence wins.
-	g.AddEdgeConf(1, 2, 0.5)
-	if g.EdgeCount() != 3 || g.Confidence(1, 2) != 1 {
+	// Duplicate edges collapse.
+	g.AddEdge(1, 2)
+	if g.EdgeCount() != 3 {
 		t.Fatal("duplicate edge handling")
 	}
-	g.AddEdgeConf(3, 4, 0.7)
-	g.AddEdgeConf(3, 4, 0.9)
-	if g.Confidence(3, 4) != 0.9 {
-		t.Fatalf("confidence upgrade = %v", g.Confidence(3, 4))
-	}
+	g.AddEdge(3, 4)
+	g.AddEdge(3, 4)
 	// Self edges and zero IDs ignored.
 	g.AddEdge(2, 2)
 	g.AddEdge(0, 2)
@@ -176,9 +173,9 @@ func TestFromGroundTruthPaperScenario(t *testing.T) {
 
 func TestDOTAndTextRendering(t *testing.T) {
 	g := chain()
-	g.AddEdgeConf(1, 4, 0.42)
+	g.AddEdge(1, 4)
 	dot := g.DOT()
-	for _, want := range []string{"digraph hbg", "cluster_0", "n1 -> n2", "style=dashed", "0.42"} {
+	for _, want := range []string{"digraph hbg", "cluster_0", "n1 -> n2", "n1 -> n4;"} {
 		if !strings.Contains(dot, want) {
 			t.Fatalf("DOT missing %q:\n%s", want, dot)
 		}

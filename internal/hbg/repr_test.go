@@ -11,14 +11,14 @@ import (
 	"hbverify/internal/capture"
 )
 
-// The representation fixture: sparse IDs on two routers, confidences below
-// 1, an edge that runs against ID order (8→5: a skewed clock), and an edge
-// from a vertex that never arrives (99).
+// The representation fixture: sparse IDs on two routers, an edge that runs
+// against ID order (8→5: a skewed clock), and an edge from a vertex that
+// never arrives (99).
 var (
 	fixtureIDs   = []uint64{2, 3, 5, 8, 9, 12, 13}
-	fixtureEdges = []EdgeConf{
-		{2, 3, 1}, {3, 5, 0.5}, {2, 5, 1}, {8, 5, 0.75}, {5, 9, 1},
-		{9, 12, 0.9}, {12, 13, 1}, {3, 13, 1}, {99, 13, 1},
+	fixtureEdges = []Edge{
+		{2, 3}, {3, 5}, {2, 5}, {8, 5}, {5, 9},
+		{9, 12}, {12, 13}, {3, 13}, {99, 13},
 	}
 )
 
@@ -29,14 +29,14 @@ func fixtureIO(id uint64) capture.IO {
 // fixtureBuilders build the fixture through the two ways a graph is filled:
 // vertex by vertex and edge by edge, out of ID order, and as bulk batches.
 var fixtureBuilders = map[string]func() *Graph{
-	"AddNode/AddEdgeConf": func() *Graph {
+	"AddNode/AddEdge": func() *Graph {
 		g := New()
 		for _, i := range []int{3, 0, 6, 2, 5, 1, 4} {
 			g.AddNode(fixtureIO(fixtureIDs[i]))
 		}
 		for i := len(fixtureEdges) - 1; i >= 0; i-- {
 			e := fixtureEdges[i]
-			g.AddEdgeConf(e.From, e.To, e.Conf)
+			g.AddEdge(e.From, e.To)
 		}
 		return g
 	},
@@ -50,8 +50,8 @@ var fixtureBuilders = map[string]func() *Graph{
 			}
 		}
 		g := New()
-		g.Apply(Batch{Nodes: capture.ViewOf(first), Edges: [][]EdgeConf{fixtureEdges[:4]}})
-		g.Apply(Batch{Nodes: capture.ViewOf(second), Edges: [][]EdgeConf{fixtureEdges[4:6], fixtureEdges[6:]}})
+		g.Apply(Batch{Nodes: capture.ViewOf(first), Edges: [][]Edge{fixtureEdges[:4]}})
+		g.Apply(Batch{Nodes: capture.ViewOf(second), Edges: [][]Edge{fixtureEdges[4:6], fixtureEdges[6:]}})
 		return g
 	},
 }
@@ -111,10 +111,8 @@ func TestRepresentationOrderAndContent(t *testing.T) {
 			}
 			eq("Ancestry(9,13)", anc, []uint64{2, 3, 5, 8, 9, 12})
 			for _, e := range fixtureEdges {
-				eq("Confidence", g.Confidence(e.From, e.To), e.Conf)
 				eq("HasEdge", g.HasEdge(e.From, e.To), true)
 			}
-			eq("Confidence(absent)", g.Confidence(5, 8), 0.0)
 			eq("HasEdge(absent)", g.HasEdge(5, 8), false)
 			if _, ok := g.Node(99); ok {
 				t.Error("Node(99) reports a vertex that was never added")
@@ -135,14 +133,14 @@ func TestRepresentationOrderAndContent(t *testing.T) {
 			eq("InheritedRoots(13)", ids(g.InheritedRoots(13)), []uint64{2, 8})
 			eq("InheritedRoots(12)", g.InheritedRoots(12), []capture.IO(nil))
 			eq("RootCauses(13) after prune", g.RootCauses(13), before)
-			eq("Confidence(9,12) after prune", g.Confidence(9, 12), 0.9)
-			eq("Confidence(3,5) after prune", g.Confidence(3, 5), 0.0)
+			eq("HasEdge(9,12) after prune", g.HasEdge(9, 12), true)
+			eq("HasEdge(3,5) after prune", g.HasEdge(3, 5), false)
 		})
 	}
 }
 
 func TestBuildersAgreeByteForByte(t *testing.T) {
-	a, b := fixtureBuilders["AddNode/AddEdgeConf"](), fixtureBuilders["Apply"]()
+	a, b := fixtureBuilders["AddNode/AddEdge"](), fixtureBuilders["Apply"]()
 	if !bytes.Equal(encode(t, a), encode(t, b)) {
 		t.Fatal("the same graph built two ways encodes differently")
 	}
@@ -163,47 +161,40 @@ func TestBuildersAgreeByteForByte(t *testing.T) {
 	if !bytes.Equal(enc, again.Bytes()) {
 		t.Fatal("encode → decode → encode changed the bytes")
 	}
-	// The HBGCKPT2 bytes of this state. They are the HBGCKPT1 bytes the
-	// map-backed graph this representation replaced wrote (sha256 30b3f384…),
-	// with the magic's last byte bumped and one count byte — the empty
-	// NextHops set, after NextHop — added to each of the nine I/Os.
-	const golden = "f4b9c12be393768043d3a51da3b78e644f60e5f49b8115bfdcba72a5eddd044b"
+	// The HBGCKPT3 bytes of this state. They are the HBGCKPT2 bytes (sha256
+	// f4b9c12b…, themselves the HBGCKPT1 bytes of the map-backed graph this
+	// representation replaced with one empty NextHops count added to each of
+	// the nine I/Os) with the magic's last byte bumped and the eight
+	// confidence bytes dropped from each of the three edges: 656 bytes less 24.
+	const golden = "3f0f8d227db696d419ad7105f69c1a1acd7ac09ddf4e45c992bbd143d5ebf10b"
 	if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != golden {
 		t.Fatalf("checkpoint bytes changed: sha256 %x", sum)
 	}
 }
 
-// TestDuplicateEdgeKeepsMaxConfidence: a duplicate edge, added alone or in
-// a batch, raises a lower confidence and never lowers a higher one, and
-// adding it again changes nothing.
-func TestDuplicateEdgeKeepsMaxConfidence(t *testing.T) {
-	// Above 3→5's 0.5: wins. Below 9→12's 0.9 and 2→3's 1: ignored.
-	dups := []EdgeConf{{3, 5, 0.8}, {9, 12, 0.4}, {2, 3, 0.2}}
+// TestDuplicateEdgeIsIdempotent: an edge the graph already has, added alone
+// or in a batch, changes neither the edge count nor a byte of the checkpoint.
+func TestDuplicateEdgeIsIdempotent(t *testing.T) {
+	dups := []Edge{{3, 5}, {9, 12}, {2, 3}, {99, 13}}
 	adds := map[string]func(*Graph){
-		"AddEdgeConf": func(g *Graph) {
+		"AddEdge": func(g *Graph) {
 			for _, e := range dups {
-				g.AddEdgeConf(e.From, e.To, e.Conf)
+				g.AddEdge(e.From, e.To)
 			}
 		},
-		"Apply": func(g *Graph) { g.Apply(Batch{Edges: [][]EdgeConf{dups}}) },
+		"Apply": func(g *Graph) { g.Apply(Batch{Edges: [][]Edge{dups, dups}}) },
 	}
-	for name, build := range fixtureBuilders {
-		t.Run(name, func(t *testing.T) {
-			for via, add := range adds {
+	for via, add := range adds {
+		t.Run(via, func(t *testing.T) {
+			for name, build := range fixtureBuilders {
 				g := build()
+				want := encode(t, g)
 				add(g)
-				first := encode(t, g)
-				add(g)
-				if !bytes.Equal(first, encode(t, g)) {
-					t.Errorf("%s: adding the same edges again changed the graph", via)
-				}
-				for _, want := range []EdgeConf{{3, 5, 0.8}, {9, 12, 0.9}, {2, 3, 1}} {
-					if got := g.Confidence(want.From, want.To); got != want.Conf {
-						t.Errorf("%s: Confidence(%d,%d) = %v, want %v", via, want.From, want.To, got, want.Conf)
-					}
-				}
 				if g.NodeCount() != len(fixtureIDs) || g.EdgeCount() != len(fixtureEdges) {
-					t.Errorf("%s: %d nodes, %d edges after duplicates", via, g.NodeCount(), g.EdgeCount())
+					t.Errorf("%s: %d nodes, %d edges after duplicates", name, g.NodeCount(), g.EdgeCount())
+				}
+				if !bytes.Equal(encode(t, g), want) {
+					t.Errorf("%s: adding edges the graph has changed its checkpoint", name)
 				}
 			}
 		})
@@ -217,7 +208,7 @@ func TestApplyResetReplacesInEdges(t *testing.T) {
 			g.Apply(Batch{
 				Nodes: capture.ViewOf([]capture.IO{fixtureIO(14)}),
 				Reset: []uint64{5, 13, 77},
-				Edges: [][]EdgeConf{{{14, 5, 0.6}, {2, 5, 1}}, {{13, 14, 1}}},
+				Edges: [][]Edge{{{14, 5}, {2, 5}}, {{13, 14}}},
 			})
 			if got, want := g.Parents(5), []uint64{2, 14}; !reflect.DeepEqual(got, want) {
 				t.Errorf("Parents(5) = %v, want %v", got, want)
@@ -228,9 +219,9 @@ func TestApplyResetReplacesInEdges(t *testing.T) {
 			if got := g.Children(3); len(got) != 0 {
 				t.Errorf("Children(3) = %v, want none", got)
 			}
-			if g.Confidence(3, 5) != 0 || g.Confidence(8, 5) != 0 || g.Confidence(14, 5) != 0.6 {
-				t.Errorf("confidences after reset: 3→5 %v, 8→5 %v, 14→5 %v",
-					g.Confidence(3, 5), g.Confidence(8, 5), g.Confidence(14, 5))
+			if g.HasEdge(3, 5) || g.HasEdge(8, 5) || !g.HasEdge(14, 5) {
+				t.Errorf("edges after reset: 3→5 %v, 8→5 %v, 14→5 %v",
+					g.HasEdge(3, 5), g.HasEdge(8, 5), g.HasEdge(14, 5))
 			}
 			if got, want := g.EdgeCount(), 9-3-3+3; got != want {
 				t.Errorf("EdgeCount = %d, want %d", got, want)
@@ -305,18 +296,18 @@ func TestConcurrentReadersAndBatches(t *testing.T) {
 	}
 	for b := 0; b < batches; b++ {
 		var nodes []capture.IO
-		var edges []EdgeConf
+		var edges []Edge
 		for i := 1; i <= per; i++ {
 			id := uint64(b*per + i)
 			nodes = append(nodes, fixtureIO(id))
 			if id > 1 {
-				edges = append(edges, EdgeConf{id - 1, id, 1})
+				edges = append(edges, Edge{id - 1, id})
 			}
 		}
-		g.Apply(Batch{Nodes: capture.ViewOf(nodes), Edges: [][]EdgeConf{edges}})
+		g.Apply(Batch{Nodes: capture.ViewOf(nodes), Edges: [][]Edge{edges}})
 		mid := uint64(b*per + per/2)
 		g.AddNode(fixtureIO(mid))
-		g.Apply(Batch{Reset: []uint64{mid + 1}, Edges: [][]EdgeConf{{{mid, mid + 1, 0.5}}}})
+		g.Apply(Batch{Reset: []uint64{mid + 1}, Edges: [][]Edge{{{mid, mid + 1}}}})
 		if b%8 == 7 {
 			g.PruneBefore(uint64((b - 3) * per))
 		}

@@ -13,7 +13,7 @@ import (
 // with what it should be or with itself before somebody else's write.
 type observed struct {
 	Nodes       []capture.IO
-	Edges       []EdgeConf
+	Edges       []Edge
 	Parents     map[uint64][]uint64
 	Children    map[uint64][]uint64
 	Roots       map[uint64][]capture.IO
@@ -31,7 +31,7 @@ func observe(g *Graph) observed {
 	}
 	touched := map[uint64]bool{}
 	for _, e := range g.Edges() {
-		o.Edges = append(o.Edges, EdgeConf{e.From, e.To, g.Confidence(e.From, e.To)})
+		o.Edges = append(o.Edges, e)
 		touched[e.From], touched[e.To] = true, true
 	}
 	for _, io := range o.Nodes {
@@ -97,7 +97,7 @@ func prunedFixture() *Graph {
 // TestWithout: the derived graph reports exactly the parent minus the hidden
 // vertices and their edges, and the parent reports what it did before.
 func TestWithout(t *testing.T) {
-	fixture := fixtureBuilders["AddNode/AddEdgeConf"]
+	fixture := fixtureBuilders["AddNode/AddEdge"]
 	for _, tc := range []struct {
 		name   string
 		build  func() *Graph
@@ -108,7 +108,7 @@ func TestWithout(t *testing.T) {
 		{"interior vertex", fixture, []uint64{5}},
 		{"parent and child of one vertex", fixture, []uint64{3, 9}},
 		{"both ends of an edge", fixture, []uint64{12, 13}},
-		{"non-unit confidences on every side", fixture, []uint64{5, 12}},
+		{"two interior vertices", fixture, []uint64{5, 12}},
 		{"a placeholder", fixture, []uint64{99}},
 		{"the child of a placeholder", fixture, []uint64{13}},
 		{"an ID the graph never had", fixture, []uint64{4, 5, 200}},
@@ -138,12 +138,12 @@ func TestWithout(t *testing.T) {
 func TestWithoutAppliesBatch(t *testing.T) {
 	g := fixtureBuilders["Apply"]()
 	before := observe(g)
-	d := g.Without([]uint64{3}, Batch{Reset: []uint64{5, 13}, Edges: [][]EdgeConf{{{2, 5, 1}, {9, 5, 0.4}}}})
+	d := g.Without([]uint64{3}, Batch{Reset: []uint64{5, 13}, Edges: [][]Edge{{{2, 5}, {9, 5}}}})
 	if got, want := d.Parents(5), []uint64{2, 9}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Parents(5) = %v, want %v", got, want)
 	}
-	if d.Confidence(8, 5) != 0 || d.Confidence(9, 5) != 0.4 || len(d.Children(8)) != 0 {
-		t.Errorf("8→5 %v, 9→5 %v, Children(8) %v after the reset", d.Confidence(8, 5), d.Confidence(9, 5), d.Children(8))
+	if d.HasEdge(8, 5) || !d.HasEdge(9, 5) || len(d.Children(8)) != 0 {
+		t.Errorf("8→5 %v, 9→5 %v, Children(8) %v after the reset", d.HasEdge(8, 5), d.HasEdge(9, 5), d.Children(8))
 	}
 	if got := d.Parents(13); len(got) != 0 {
 		t.Errorf("Parents(13) = %v, want none", got)
@@ -161,10 +161,10 @@ func writes(g *Graph) {
 	g.Apply(Batch{
 		Nodes: capture.ViewOf([]capture.IO{fixtureIO(14), fixtureIO(9)}),
 		Reset: []uint64{5, 13},
-		Edges: [][]EdgeConf{{{14, 5, 0.6}, {2, 13, 1}, {9, 14, 1}}},
+		Edges: [][]Edge{{{14, 5}, {2, 13}, {9, 14}}},
 	})
-	g.AddEdgeConf(2, 3, 1)
-	g.AddEdgeConf(2, 12, 0.3)
+	g.AddEdge(2, 3)
+	g.AddEdge(2, 12)
 	g.PruneBefore(8)
 }
 
@@ -204,17 +204,17 @@ func TestWithoutConcurrentWriterAndReaders(t *testing.T) {
 	g := New()
 	const n = 400
 	var nodes []capture.IO
-	var edges []EdgeConf
+	var edges []Edge
 	for id := uint64(1); id <= n; id++ {
 		nodes = append(nodes, fixtureIO(id))
 		if id > 1 {
-			edges = append(edges, EdgeConf{id - 1, id, 1})
+			edges = append(edges, Edge{id - 1, id})
 		}
 		if id > 7 {
-			edges = append(edges, EdgeConf{id - 7, id, 0.5})
+			edges = append(edges, Edge{id - 7, id})
 		}
 	}
-	g.Apply(Batch{Nodes: capture.ViewOf(nodes), Edges: [][]EdgeConf{edges}})
+	g.Apply(Batch{Nodes: capture.ViewOf(nodes), Edges: [][]Edge{edges}})
 
 	derived := make(chan *Graph)
 	var wg sync.WaitGroup
@@ -240,7 +240,7 @@ func TestWithoutConcurrentWriterAndReaders(t *testing.T) {
 		}()
 	}
 	for round := uint64(0); round < 30; round++ {
-		d := g.Without([]uint64{50 + round, 200 + round}, Batch{Reset: []uint64{300}, Edges: [][]EdgeConf{{{299, 300, 1}}}})
+		d := g.Without([]uint64{50 + round, 200 + round}, Batch{Reset: []uint64{300}, Edges: [][]Edge{{{299, 300}}}})
 		for r := 0; r < 3; r++ {
 			derived <- d
 		}
@@ -248,7 +248,7 @@ func TestWithoutConcurrentWriterAndReaders(t *testing.T) {
 		g.Apply(Batch{
 			Nodes: capture.ViewOf([]capture.IO{fixtureIO(id), fixtureIO(60 + round)}),
 			Reset: []uint64{100 + round, 201 + round},
-			Edges: [][]EdgeConf{{{id - 1, id, 1}, {51 + round, id, 0.7}, {99, 100 + round, 1}}},
+			Edges: [][]Edge{{{id - 1, id}, {51 + round, id}, {99, 100 + round}}},
 		})
 		if round%10 == 9 {
 			g.PruneBefore(round)

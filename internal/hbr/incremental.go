@@ -91,8 +91,8 @@ func NewIncremental(rules Rules, reg *metrics.Registry) *Incremental {
 	return &Incremental{Rules: rules, Metrics: reg}
 }
 
-// Name implements Strategy.
-func (inc *Incremental) Name() string { return "incremental(" + inc.Rules.Name() + ")" }
+// Name is the strategy's name, as Pipeline.Summary prints it.
+func (inc *Incremental) Name() string { return "incremental(rules)" }
 
 // Invalidate drops the cached graph; the next Infer performs a full
 // inference. Pipeline.DetectAndRepair calls this after a rollback to free
@@ -177,7 +177,7 @@ func (inc *Incremental) hitLocked(v capture.View) *hbg.Graph {
 	return inc.cached
 }
 
-// Infer implements Strategy.
+// Infer is InferView over a slice.
 func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph { return inc.InferView(capture.ViewOf(ios)) }
 
 // InferView is Infer over a view, read in place: the case a log's own
@@ -211,7 +211,7 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	// the cache. A checkpointed cache is never replaced here: the full
 	// inference saw only the retained window, not the folded history.
 	start := time.Now()
-	g := inc.Rules.InferIndex(inc.index(ios, nil, math.MinInt64))
+	g := inc.Rules.inferIndex(inc.index(ios, nil, math.MinInt64))
 	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.cache.misses").Inc()
 	if inc.adoptableLocked(ios) {
@@ -311,7 +311,7 @@ func (inc *Incremental) derive(ios capture.View, hidden []uint64) *hbg.Graph {
 		for _, p := range redo {
 			b.Reset = append(b.Reset, ios.At(int(p)).ID)
 		}
-		b.Edges = [][]hbg.EdgeConf{idx.runAt(redo, inc.Rules.rule(idx))}
+		b.Edges = [][]hbg.Edge{idx.runAt(redo, inc.Rules.rule(idx))}
 	}
 	g := inc.cached.Without(hidden, b)
 	inc.Metrics.Timer("infer.derived").Observe(time.Since(start))
@@ -428,7 +428,7 @@ func (inc *Incremental) extend(ios capture.View, sufStart int) *hbg.Graph {
 		}
 	}
 	for i, es := range edges {
-		edges[i] = slices.DeleteFunc(es, func(e hbg.EdgeConf) bool { return cutShort(e.To) })
+		edges[i] = slices.DeleteFunc(es, func(e hbg.Edge) bool { return cutShort(e.To) })
 	}
 	inc.cached.Apply(hbg.Batch{Nodes: suffix, Reset: reset, Edges: edges})
 	inc.lastID = lastIDOf(ios)

@@ -1,18 +1,18 @@
 // Shared inference index: built once per log generation and shared by every
-// strategy — event positions sorted once by observed time, per-router
-// event lists, and a keyed send-lookup table so matchSendForRecv touches
-// only the handful of candidates with the same (sender, target, protocol,
-// advert-kind, prefix|detail) signature.
+// worker of a rule pass — event positions sorted once by observed time,
+// per-router event lists, and a keyed send-lookup table so matchSendForRecv
+// touches only the handful of candidates with the same (sender, target,
+// protocol, advert-kind, prefix|detail) signature.
 //
 // The index holds no copy of an event: it sorts int32 positions in the
 // caller's view, groups the events themselves by router and send key as
 // *capture.IO handles resolved once while indexing — so a rule's inner loop
 // reads a candidate through one pointer, wherever the view's segments lie —
-// strategies emit (from, to, confidence) triples, and the one place an event
-// is copied is the graph that takes ownership of it.
+// rules emit (from, to) pairs, and the one place an event is copied is the
+// graph that takes ownership of it.
 //
-// Index is immutable after construction, so any number of strategies (and
-// any number of goroutines inside one strategy) may read it concurrently.
+// Index is immutable after construction, so any number of goroutines may
+// read it concurrently.
 
 package hbr
 
@@ -220,10 +220,10 @@ const shardChunk = 256
 
 // A rule derives one event's in-edges: it appends to out every
 // happens-before edge whose To is the event at position p, and nothing else.
-type rule func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf
+type rule func(p int32, out []hbg.Edge) []hbg.Edge
 
 // run applies fn to every indexed event.
-func (idx *Index) run(fn rule) [][]hbg.EdgeConf { return idx.runFrom(0, fn) }
+func (idx *Index) run(fn rule) [][]hbg.Edge { return idx.runFrom(0, fn) }
 
 // runFrom applies fn to the indexed events from rank on in the observed
 // order and returns the edges, one buffer per shardChunk of that order.
@@ -232,13 +232,13 @@ func (idx *Index) run(fn rule) [][]hbg.EdgeConf { return idx.runFrom(0, fn) }
 // not, because every edge is derived from exactly one event (its To side) —
 // so the buffers in chunk order are the same edge sequence at any worker
 // count: nothing to merge.
-func (idx *Index) runFrom(rank int, fn rule) [][]hbg.EdgeConf {
+func (idx *Index) runFrom(rank int, fn rule) [][]hbg.Edge {
 	order := idx.order[rank:]
 	n := len(order)
-	bufs := make([][]hbg.EdgeConf, (n+shardChunk-1)/shardChunk)
+	bufs := make([][]hbg.Edge, (n+shardChunk-1)/shardChunk)
 	fill := func(c int) {
 		chunk := order[c*shardChunk : min(n, (c+1)*shardChunk)]
-		buf := make([]hbg.EdgeConf, 0, len(chunk)+len(chunk)/4)
+		buf := make([]hbg.Edge, 0, len(chunk)+len(chunk)/4)
 		for _, p := range chunk {
 			buf = fn(p, buf)
 		}
@@ -268,8 +268,8 @@ func (idx *Index) runFrom(rank int, fn rule) [][]hbg.EdgeConf {
 
 // runAt applies fn to the events at the given positions only, in that order:
 // what run would have derived for them.
-func (idx *Index) runAt(positions []int32, fn rule) []hbg.EdgeConf {
-	var out []hbg.EdgeConf
+func (idx *Index) runAt(positions []int32, fn rule) []hbg.Edge {
+	var out []hbg.Edge
 	for _, p := range positions {
 		out = fn(p, out)
 	}
@@ -279,7 +279,7 @@ func (idx *Index) runAt(positions []int32, fn rule) []hbg.EdgeConf {
 // graph assembles a full pass's output: every event of the view copied in
 // as a vertex the graph owns, then the edges in chunk order, under one lock.
 // Only an index of every position has a graph.
-func (idx *Index) graph(edges [][]hbg.EdgeConf) *hbg.Graph {
+func (idx *Index) graph(edges [][]hbg.Edge) *hbg.Graph {
 	g := hbg.New()
 	g.Apply(hbg.Batch{Nodes: idx.ios, Edges: edges})
 	return g

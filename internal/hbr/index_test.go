@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -92,8 +91,8 @@ func synthLog(seed int64, n, nRouters int) []capture.IO {
 	return out[:n]
 }
 
-// diffGraphs returns a description of the first node, edge, or confidence
-// difference between two graphs, or "" when they are identical.
+// diffGraphs returns a description of the first node or edge difference
+// between two graphs, or "" when they are identical.
 func diffGraphs(fast, ref *hbg.Graph) string {
 	fn, rn := fast.Nodes(), ref.Nodes()
 	if len(fn) != len(rn) {
@@ -112,47 +111,22 @@ func diffGraphs(fast, ref *hbg.Graph) string {
 		if fe[i] != re[i] {
 			return fmt.Sprintf("edge[%d] %d->%d != %d->%d", i, fe[i].From, fe[i].To, re[i].From, re[i].To)
 		}
-		if fc, rc := fast.Confidence(fe[i].From, fe[i].To), ref.Confidence(re[i].From, re[i].To); fc != rc {
-			return fmt.Sprintf("conf(%d->%d) %v != %v", fe[i].From, fe[i].To, fc, rc)
-		}
 	}
 	return ""
 }
 
-// TestFastMatchesReference asserts the shared-index strategies reproduce
-// the pre-Index implementations exactly — node sets, edge sets, and
-// per-edge confidences — across seeds and log sizes straddling the
-// parallel-shard threshold.
+// TestFastMatchesReference asserts the shared-index rule matcher reproduces
+// the pre-Index implementation exactly — node sets and edge sets — across
+// seeds, windows, and log sizes straddling the parallel-shard threshold.
 func TestFastMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, n := range []int{40, 700, 3 * parallelMinEvents} {
 			ios := synthLog(seed, n, 5)
-			fast := Strategies(ios, 0)
-			ref := ReferenceStrategies(ios, 0)
-			if len(fast) != len(ref) {
-				t.Fatalf("lineup size %d != %d", len(fast), len(ref))
-			}
-			for i := range fast {
-				if fast[i].Name() != ref[i].Name() {
-					t.Fatalf("lineup order: %s != %s", fast[i].Name(), ref[i].Name())
-				}
-				if d := diffGraphs(fast[i].Infer(ios), ref[i].Infer(ios)); d != "" {
-					t.Errorf("seed %d n %d strategy %s: %s", seed, n, fast[i].Name(), d)
+			for _, r := range []Rules{{}, {Window: 200 * time.Millisecond, ConfigWindow: 5 * time.Second, CrossWindow: 50 * time.Millisecond}} {
+				if d := diffGraphs(r.Infer(ios), ReferenceRules(r, ios)); d != "" {
+					t.Errorf("seed %d n %d rules %+v: %s", seed, n, r, d)
 				}
 			}
-		}
-	}
-}
-
-// TestInferAllMatchesSequential asserts the concurrent shared-index run
-// produces the same graphs as strategy-at-a-time inference.
-func TestInferAllMatchesSequential(t *testing.T) {
-	ios := synthLog(7, 2500, 4)
-	strategies := Strategies(ios, 0)
-	all := InferAll(ios, strategies)
-	for i, s := range strategies {
-		if d := diffGraphs(all[i], s.Infer(ios)); d != "" {
-			t.Errorf("strategy %s: %s", s.Name(), d)
 		}
 	}
 }
@@ -173,7 +147,7 @@ func TestSwapSendMatchBugDiverges(t *testing.T) {
 		mk(3, "b", capture.RecvAdvert, "a", 100*time.Millisecond),
 	}
 	r := Rules{}
-	want := Reference(r).Infer(ios)
+	want := ReferenceRules(r, ios)
 	if !want.HasEdge(2, 3) {
 		t.Fatal("reference did not pick the nearest send")
 	}
@@ -192,7 +166,6 @@ func TestSwapSendMatchBugDiverges(t *testing.T) {
 // down to the checkpoint bytes.
 func TestInferenceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	ios := synthLog(5, 4*parallelMinEvents, 6)
-	strategies := Strategies(ios, 0)
 	encode := func(g *hbg.Graph) []byte {
 		var buf bytes.Buffer
 		if err := (&hbg.Checkpoint{Graph: g}).Encode(&buf); err != nil {
@@ -201,41 +174,11 @@ func TestInferenceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		return buf.Bytes()
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var want [][]byte
-	for _, s := range strategies {
-		want = append(want, encode(s.Infer(ios)))
-	}
+	want := encode(Rules{}.Infer(ios))
 	for _, procs := range []int{2, 8} {
 		runtime.GOMAXPROCS(procs)
-		for i, s := range strategies {
-			if !bytes.Equal(encode(s.Infer(ios)), want[i]) {
-				t.Errorf("%s: GOMAXPROCS=%d infers a different graph than GOMAXPROCS=1", s.Name(), procs)
-			}
+		if !bytes.Equal(encode(Rules{}.Infer(ios)), want) {
+			t.Errorf("GOMAXPROCS=%d infers a different graph than GOMAXPROCS=1", procs)
 		}
 	}
-}
-
-// InferAll builds one Index over ios and runs every strategy over it
-// concurrently, returning the graphs in strategy order. This is the
-// comparison-experiment fast path: one sort, one send table, N strategies.
-func InferAll(ios []capture.IO, strategies []Strategy) []*hbg.Graph {
-	idx := NewIndex(ios)
-	out := make([]*hbg.Graph, len(strategies))
-	var wg sync.WaitGroup
-	for i, s := range strategies {
-		i, s := i, s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i] = inferIndexed(s, idx)
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// inferIndexed runs s over a pre-built index, as every strategy of
-// Strategies can.
-func inferIndexed(s Strategy, idx *Index) *hbg.Graph {
-	return s.(interface{ InferIndex(*Index) *hbg.Graph }).InferIndex(idx)
 }

@@ -1,32 +1,33 @@
-// Run with -race: concurrent strategy inference over one shared Index,
-// and concurrent use of the Incremental cache, must be data-race free.
+// Run with -race: concurrent rule passes over one shared Index, and
+// concurrent use of the Incremental cache, must be data-race free.
 
 package hbr
 
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/metrics"
 )
 
-// TestConcurrentStrategiesSharedIndex runs every strategy (and direct
-// index reads) over one shared Index from many goroutines, with the log
-// large enough that each strategy also shards internally.
+// TestConcurrentStrategiesSharedIndex runs rule passes with different
+// windows (and direct index reads) over one shared Index from many
+// goroutines, with the log large enough that each pass also shards
+// internally.
 func TestConcurrentStrategiesSharedIndex(t *testing.T) {
 	ios := synthLog(11, 2*parallelMinEvents, 6)
-	strategies := Strategies(ios, 0)
 	idx := NewIndex(ios)
 	var wg sync.WaitGroup
 	for round := 0; round < 3; round++ {
-		for _, s := range strategies {
-			s := s
+		for _, r := range []Rules{{}, {Window: 100 * time.Millisecond, CrossWindow: 50 * time.Millisecond}} {
+			r := r
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if g := inferIndexed(s, idx); g.NodeCount() != len(ios) {
-					t.Errorf("%s: %d nodes, want %d", s.Name(), g.NodeCount(), len(ios))
+				if g := r.inferIndex(idx); g.NodeCount() != len(ios) {
+					t.Errorf("rules %+v: %d nodes, want %d", r, g.NodeCount(), len(ios))
 				}
 			}()
 		}

@@ -26,9 +26,6 @@ type Rules struct {
 	CrossWindow time.Duration
 }
 
-// Name implements Strategy.
-func (Rules) Name() string { return "rules" }
-
 func (r Rules) windows() (w, cw, xw time.Duration) {
 	w, cw, xw = r.Window, r.ConfigWindow, r.CrossWindow
 	if w == 0 {
@@ -145,19 +142,19 @@ func (l lhs) matches(io, c *capture.IO) bool {
 	return false
 }
 
-// Infer implements Strategy.
-func (r Rules) Infer(ios []capture.IO) *hbg.Graph { return r.InferIndex(NewIndex(ios)) }
+// Infer matches the rules over ios.
+func (r Rules) Infer(ios []capture.IO) *hbg.Graph { return r.inferIndex(NewIndex(ios)) }
 
-// InferIndex is Infer over a pre-built index: per-event rule matching,
+// inferIndex is Infer over a pre-built index: per-event rule matching,
 // sharded across workers.
-func (r Rules) InferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(r.rule(idx))) }
+func (r Rules) inferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(r.rule(idx))) }
 
 // rule applies the rule tables to one event.
 func (r Rules) rule(idx *Index) rule {
 	w, cw, xw := r.windows()
-	return func(p int32, out []hbg.EdgeConf) []hbg.EdgeConf {
+	return func(p int32, out []hbg.Edge) []hbg.Edge {
 		io := idx.at(p)
-		edge := func(from *capture.IO) { out = append(out, hbg.EdgeConf{From: from.ID, To: io.ID, Conf: 1}) }
+		edge := func(from *capture.IO) { out = append(out, hbg.Edge{From: from.ID, To: io.ID}) }
 		tiers := tiersFor(io)
 		// Link-state RIB changes come out of a debounced SPF run with
 		// potentially many antecedent LSA receipts; collect all in-window

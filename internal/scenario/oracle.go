@@ -3,6 +3,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -90,51 +91,40 @@ func (h *harness) oracleInternVsCopy(round int) *Failure {
 }
 
 // inferRefCap bounds the log suffix the fast-vs-reference oracle compares
-// on: the reference implementations are the old quadratic code, and the
+// on: the reference implementation is the old quadratic code, and the
 // oracle runs every round, so the differential input is capped to keep
 // soak runs affordable. Both sides always see the same input.
 const inferRefCap = 1500
 
-// oracleInferFastVsReference asserts every shared-index strategy — the
-// full §4.2 lineup — produces a graph identical in nodes, edges, and
-// per-edge confidences to the preserved pre-index reference
-// implementation over the same stripped log.
+// oracleInferFastVsReference asserts the shared-index rule matcher — the
+// one inference production runs — produces a graph identical in nodes and
+// edges to the preserved pre-index reference implementation over the same
+// stripped log.
 func (h *harness) oracleInferFastVsReference(round int) *Failure {
 	ios := h.w.net.Log.View().Stripped(nil)
 	if len(ios) > inferRefCap {
 		ios = ios[len(ios)-inferRefCap:]
 	}
-	fast := hbr.Strategies(ios, 0)
-	ref := hbr.ReferenceStrategies(ios, 0)
-	for i := range fast {
-		if d := graphDiff(fast[i].Infer(ios), ref[i].Infer(ios)); d != "" {
-			return &Failure{Oracle: OracleInferRef, Round: round, Detail: fmt.Sprintf(
-				"strategy %s: %s", fast[i].Name(), d)}
-		}
+	var rules hbr.Rules
+	if d := graphDiffLabeled(rules.Infer(ios), hbr.ReferenceRules(rules, ios), "fast", "reference"); d != "" {
+		return &Failure{Oracle: OracleInferRef, Round: round, Detail: "rules: " + d}
 	}
 	return nil
 }
 
-// graphDiff describes the first node, edge, or confidence difference
-// between two graphs, or "" when they are identical. The labels name the
-// two sides in the reported detail.
-func graphDiff(got, want *hbg.Graph) string { return graphDiffLabeled(got, want, "fast", "reference") }
-
+// graphDiffLabeled describes the lowest node, else the lowest edge, that
+// only one of two graphs has, or "" when they are identical. The labels name
+// the two sides in the reported detail.
 func graphDiffLabeled(got, want *hbg.Graph, gl, wl string) string {
 	gn, wn := nodeIDs(got.Nodes()), nodeIDs(want.Nodes())
 	if !reflect.DeepEqual(gn, wn) {
-		return fmt.Sprintf("node sets differ: %s=%d %s=%d (first diff: %s)",
-			gl, len(gn), wl, len(wn), firstIDDiff(gn, wn))
+		return fmt.Sprintf("node sets differ: %s=%d %s=%d (first diff: %s)", gl, len(gn), wl, len(wn),
+			firstDiff(gn, wn, cmp.Compare[uint64], func(id uint64) string { return fmt.Sprintf("io %d", id) }, gl, wl))
 	}
 	ge, we := got.Edges(), want.Edges()
 	if !reflect.DeepEqual(ge, we) {
-		return fmt.Sprintf("edge sets differ: %s=%d %s=%d (first diff: %s)",
-			gl, len(ge), wl, len(we), firstEdgeDiff(ge, we))
-	}
-	for _, e := range ge {
-		if gc, wc := got.Confidence(e.From, e.To), want.Confidence(e.From, e.To); gc != wc {
-			return fmt.Sprintf("confidence(%d->%d) differs: %s=%v %s=%v", e.From, e.To, gl, gc, wl, wc)
-		}
+		return fmt.Sprintf("edge sets differ: %s=%d %s=%d (first diff: %s)", gl, len(ge), wl, len(we),
+			firstDiff(ge, we, compareEdges, func(e hbg.Edge) string { return fmt.Sprintf("%d->%d", e.From, e.To) }, gl, wl))
 	}
 	return ""
 }
@@ -143,8 +133,8 @@ func graphDiffLabeled(got, want *hbg.Graph, gl, wl string) string {
 // compares on the derive path.
 const derivedCuts = 3
 
-// oracleIncrementalVsFull asserts the pipeline's graph is node-, edge- and
-// confidence-identical to a fresh full inference over the same stripped log,
+// oracleIncrementalVsFull asserts the pipeline's graph is node- and
+// edge-identical to a fresh full inference over the same stripped log,
 // and then the same — plus the §5 verdict — for a few random cuts of it, each
 // of which the pipeline's strategy must answer from its cached graph
 // (hbr.Incremental's derive path) rather than by inferring again, both as a
@@ -231,7 +221,7 @@ const compactRootSample = 128
 // bounds — events older than the retention floor, look-back plus twice the
 // worst clock skew behind the newest capture, are evicted with their edges
 // compacted into the cache baseline. The cached graph must stay node-,
-// edge-, confidence-, and root-cause identical to a fresh full inference
+// edge-, and root-cause identical to a fresh full inference
 // over the complete log pruned at the same floor. fault.SkipFold evicts
 // without folding first — a compactor that trims the log ahead of its
 // inference tick — which this oracle must catch.
@@ -268,44 +258,27 @@ func nodeIDs(ios []capture.IO) []uint64 {
 	return out
 }
 
-func firstIDDiff(a, b []uint64) string {
-	in := func(s []uint64, v uint64) bool {
-		i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-		return i < len(s) && s[i] == v
-	}
-	for _, v := range a {
-		if !in(b, v) {
-			return fmt.Sprintf("io %d only in incremental", v)
-		}
-	}
-	for _, v := range b {
-		if !in(a, v) {
-			return fmt.Sprintf("io %d only in full", v)
+// firstDiff names the lowest element only one of a and b holds, both
+// ascending in order: as show renders it, followed by the label of the side
+// that has it.
+func firstDiff[T any](a, b []T, order func(T, T) int, show func(T) string, al, bl string) string {
+	for i, j := 0, 0; i < len(a) || j < len(b); i, j = i+1, j+1 {
+		switch {
+		case j == len(b) || i < len(a) && order(a[i], b[j]) < 0:
+			return show(a[i]) + " only in " + al
+		case i == len(a) || order(a[i], b[j]) > 0:
+			return show(b[j]) + " only in " + bl
 		}
 	}
 	return "ordering"
 }
 
-func firstEdgeDiff(a, b []hbg.Edge) string {
-	key := func(e hbg.Edge) string { return fmt.Sprintf("%d->%d", e.From, e.To) }
-	am, bm := map[string]bool{}, map[string]bool{}
-	for _, e := range a {
-		am[key(e)] = true
+// compareEdges orders edges as hbg.Graph.Edges lists them: by From, then To.
+func compareEdges(a, b hbg.Edge) int {
+	if c := cmp.Compare(a.From, b.From); c != 0 {
+		return c
 	}
-	for _, e := range b {
-		bm[key(e)] = true
-	}
-	for k := range am {
-		if !bm[k] {
-			return k + " only in incremental"
-		}
-	}
-	for k := range bm {
-		if !am[k] {
-			return k + " only in full"
-		}
-	}
-	return "ordering"
+	return cmp.Compare(a.To, b.To)
 }
 
 // oracleSnapshots checks the §5 snapshot machinery three ways:

@@ -5,11 +5,11 @@
 // query engine it builds — and Config.Bug injects one of the internal/fault
 // defects to prove an oracle can fail. The oracles —
 //
-//  0. infer-fast-vs-reference: every shared-index inference strategy
-//     produces node-, edge-, and confidence-identical graphs to the
-//     preserved pre-index reference implementations;
-//  1. incremental-vs-full: the pipeline's hbr.Incremental yields a node-,
-//     edge- and confidence-identical HBG to a fresh full inference over the
+//  0. infer-fast-vs-reference: the shared-index rule matcher produces
+//     node- and edge-identical graphs to the preserved pre-index
+//     reference implementation;
+//  1. incremental-vs-full: the pipeline's hbr.Incremental yields a node-
+//     and edge-identical HBG to a fresh full inference over the
 //     same log, and over random cuts of it, which it must derive from its
 //     cache;
 //  2. compaction-vs-full: a bounded capture window — events folded into

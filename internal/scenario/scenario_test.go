@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"testing"
 
+	"hbverify/internal/capture"
 	"hbverify/internal/fault"
+	"hbverify/internal/hbg"
 )
 
 // rounds is the opt-in soak knob: `go test ./internal/scenario
@@ -217,6 +219,40 @@ func TestForcedSkipCutExtension(t *testing.T) {
 
 // TestUnknownBugFailsTheHarness: a bug name the fault package does not know
 // is a harness failure, not a healthy run with nothing injected.
+// TestGraphDiffNamesLowestDifference: a failure's detail names its two
+// sides by the labels given and the lowest node, else edge, only one side
+// has — the same one on every run, so an artifact's detail is reproducible.
+func TestGraphDiffNamesLowestDifference(t *testing.T) {
+	graph := func(ids []uint64, edges ...[2]uint64) *hbg.Graph {
+		g := hbg.New()
+		for _, id := range ids {
+			g.AddNode(capture.IO{ID: id, Router: "r1"})
+		}
+		for _, e := range edges {
+			g.AddEdge(e[0], e[1])
+		}
+		return g
+	}
+	a := graph([]uint64{1, 2, 3, 4}, [2]uint64{1, 2}, [2]uint64{1, 3}, [2]uint64{2, 4}, [2]uint64{3, 4})
+	b := graph([]uint64{1, 2, 3, 4}, [2]uint64{1, 2}, [2]uint64{1, 4}, [2]uint64{2, 3}, [2]uint64{2, 4}, [2]uint64{3, 4})
+	c := graph([]uint64{1, 2, 4, 5})
+	for _, tc := range []struct {
+		got, want *hbg.Graph
+		gl, wl    string
+		detail    string
+	}{
+		{a, b, "fast", "reference", "edge sets differ: fast=4 reference=5 (first diff: 1->3 only in fast)"},
+		{b, a, "derived", "full", "edge sets differ: derived=5 full=4 (first diff: 1->3 only in full)"},
+		{b, b, "window", "full", ""},
+		{a, c, "dripped", "full", "node sets differ: dripped=4 full=4 (first diff: io 3 only in dripped)"},
+		{c, a, "incremental", "full", "node sets differ: incremental=4 full=4 (first diff: io 3 only in full)"},
+	} {
+		if got := graphDiffLabeled(tc.got, tc.want, tc.gl, tc.wl); got != tc.detail {
+			t.Errorf("graphDiffLabeled(%s, %s) = %q, want %q", tc.gl, tc.wl, got, tc.detail)
+		}
+	}
+}
+
 func TestUnknownBugFailsTheHarness(t *testing.T) {
 	res := Run(Config{Seed: 3, Bug: "typo"})
 	if res.Failure == nil || res.Failure.Oracle != "harness" {

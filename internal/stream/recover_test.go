@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hbverify/internal/hbg"
 	"hbverify/internal/wire/wiretest"
 )
 
@@ -42,11 +43,24 @@ func smallCheckpointFile(t testing.TB) []byte {
 // Envelopes around the two counts hbg's old decoder trusted, and a stream
 // position no int holds.
 var (
-	noStreams         = append([]byte(streamMagic), 0)
-	hugeRetainedCount = binary.AppendUvarint(append(bytes.Clone(noStreams), "HBGCKPT2\x00\x00\x00\x00\x00\x00"...), 1<<62)
-	hugeRootsCount    = binary.AppendUvarint(append(bytes.Clone(noStreams), "HBGCKPT2\x00\x00\x00\x00\x00\x01\x07"...), 1<<40)
-	hugePosition      = binary.AppendUvarint(append([]byte(streamMagic), 1, 2, 'r', '0'), 1<<63)
+	hugeRetainedCount, hugeRootsCount = hugeCounts()
+	hugePosition                      = binary.AppendUvarint(append([]byte(streamMagic), 1, 2, 'r', '0'), 1<<63)
 )
+
+// hugeCounts returns the file of a daemon with no streams and an empty
+// graph, in the current checkpoint version, with the retained window's
+// count — and then one vertex's inherited-root count — raised past what the
+// file could hold.
+func hugeCounts() (retained, roots []byte) {
+	var buf bytes.Buffer
+	if err := encodeEnvelope(&buf, nil, &hbg.Checkpoint{}); err != nil {
+		panic(err)
+	}
+	empty := buf.Bytes() // ends in the inherited-root and retained counts, both 0
+	retained = binary.AppendUvarint(bytes.Clone(empty[:len(empty)-1]), 1<<62)
+	roots = binary.AppendUvarint(append(bytes.Clone(empty[:len(empty)-2]), 1, 7), 1<<40)
+	return retained, roots
+}
 
 // startFrom writes data where a daemon looks for its checkpoint and starts
 // one. A daemon that starts must also answer: its restored log and graph
@@ -82,13 +96,13 @@ func TestRecoverCorruptFile(t *testing.T) {
 	if len(d.recovered) != 2 || d.Log().TotalAppended() == 0 {
 		t.Fatalf("recovered %d positions, %d events", len(d.recovered), d.Log().TotalAppended())
 	}
-	for name, data := range map[string][]byte{
-		"huge retained count": hugeRetainedCount,
-		"huge roots count":    hugeRootsCount,
-		"trailing byte":       append(bytes.Clone(valid), 0),
+	for want, data := range map[string][]byte{
+		"retained count":       hugeRetainedCount,
+		"inherited root count": hugeRootsCount,
+		"after its end":        append(bytes.Clone(valid), 0),
 	} {
-		if _, err := startFrom(t, path, data); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := startFrom(t, path, data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want one naming %q", err, want)
 		}
 	}
 	if _, err := startFrom(t, path, hugePosition); err == nil || !strings.Contains(err.Error(), "does not fit an int") {
