@@ -63,42 +63,31 @@ func TestInferenceAllocationBudget(t *testing.T) {
 }
 
 // TestDerivedGraphAllocationBudget holds the derive path to what it is for:
-// answering a cut of the cached log — as a collected slice, or as the log's
-// view and the IDs the cut hides — allocates an index's words per event, a
-// pointer per vertex and copies of the few vertices the cut touches — never
-// a copy of the log or of the graph (an event is 320 bytes, a vertex 384).
+// answering a collected cut of the cached log allocates an index's words per
+// event, a pointer per vertex and copies of the few vertices the cut touches
+// — never a copy of the log or of the graph (an event is 320 bytes, a vertex
+// 384).
 func TestDerivedGraphAllocationBudget(t *testing.T) {
 	all := benchInferLog(42, 20_000, 12)
 	inc := hbr.NewIncremental(hbr.Rules{}, nil)
 	inc.Infer(all)
-	cut := snapshot.Cut{"r0": all[len(all)-200].Time}
-	ios := snapshot.Collect(all, cut)
-	view := capture.ViewOf(all)
-	hidden := snapshot.Hidden(view, cut)
-	if len(hidden) == 0 || len(hidden) > 200 || len(hidden)+len(ios) != len(all) {
-		t.Fatalf("the cut hides %d events, want a few", len(hidden))
+	ios := snapshot.Collect(all, snapshot.Cut{"r0": all[len(all)-200].Time})
+	if hidden := len(all) - len(ios); hidden == 0 || hidden > 200 {
+		t.Fatalf("the cut hides %d events, want a few", hidden)
 	}
-	for _, path := range []struct {
-		name  string
-		infer func() *hbg.Graph
-	}{
-		{"a collected slice", func() *hbg.Graph { return inc.Infer(ios) }},
-		{"the log's view", func() *hbg.Graph { return inc.Cached(view, hidden) }},
-	} {
-		var g *hbg.Graph
-		derive := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g = path.infer()
-			}
-		})
-		if got, budget := derive.AllocedBytesPerOp()/int64(len(ios)), int64(128); got > budget {
-			t.Errorf("deriving a cut's graph from %s allocates %d B per event, budget %d", path.name, got, budget)
+	var g *hbg.Graph
+	derive := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			g = inc.Infer(ios)
 		}
-		if g.NodeCount() != len(ios) {
-			t.Fatalf("derived %d nodes over %d events from %s", g.NodeCount(), len(ios), path.name)
-		}
-		t.Logf("derivation from %s: %d B/event (%d allocs)", path.name, derive.AllocedBytesPerOp()/int64(len(ios)), derive.AllocsPerOp())
+	})
+	if got, budget := derive.AllocedBytesPerOp()/int64(len(ios)), int64(128); got > budget {
+		t.Errorf("deriving a cut's graph allocates %d B per event, budget %d", got, budget)
 	}
+	if g.NodeCount() != len(ios) {
+		t.Fatalf("derived %d nodes over %d events", g.NodeCount(), len(ios))
+	}
+	t.Logf("derivation: %d B/event (%d allocs)", derive.AllocedBytesPerOp()/int64(len(ios)), derive.AllocsPerOp())
 }
 
 // TestExtensionWorkBudget holds an incremental extension to what arrived, as
@@ -204,17 +193,17 @@ func TestServedHitAllocationBudget(t *testing.T) {
 // vertices, so anything that kept one — a mirror, a memo of the last cut —
 // would keep the cached graph's memory past the two places the pipeline
 // frees it: compaction and the invalidation after a rollback. Every vertex
-// gets a finalizer, a snapshot verdict is derived, and every vertex the
-// pipeline then drops must be collected.
+// gets a finalizer, a cut's graph is derived, and every vertex the pipeline
+// then drops must be collected.
 func TestDerivedGraphsPinNothing(t *testing.T) {
 	policies := func(pn *network.PaperNet) []verify.Policy {
 		return []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 	}
-	// derivedVerdict ages the converged paper network past any retention
+	// derivedGraph ages the converged paper network past any retention
 	// floor, misconfigures r2, watches every vertex of the inferred graph and
-	// takes a verdict on a cut that lags r1 at its first new FIB install
-	// (Fig. 1c), which VerifySnapshot has to extend.
-	derivedVerdict := func(t *testing.T, rules hbr.Rules) (pn *network.PaperNet, p *Pipeline, vertices int, collected *atomic.Int64) {
+	// derives the graph of a cut that lags r1 at its first new FIB install
+	// (Fig. 1c) through the strategy, as a collected slice.
+	derivedGraph := func(t *testing.T, rules hbr.Rules) (pn *network.PaperNet, p *Pipeline, vertices int, collected *atomic.Int64) {
 		pn, p = startPaper(t)
 		inc := hbr.NewIncremental(rules, p.Metrics)
 		inc.SkewSlack = 10 * time.Millisecond
@@ -245,11 +234,12 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 			// A vertex starts with its I/O, so this is the vertex's allocation.
 			runtime.SetFinalizer(ref, func(*capture.IO) { collected.Add(1) })
 		}
-		if rep, res := p.VerifySnapshot(cut, policies(pn)); !res.Consistent || rep.OK() {
-			t.Fatalf("snapshot verdict: %s, %+v", rep.Summary(), res)
+		visible := snapshot.Collect(pn.Log.Snapshot(), cut)
+		if g := p.Strategy.Infer(visible); g.NodeCount() != len(visible) || len(visible) == vertices {
+			t.Fatalf("the cut's graph has %d of %d vertices, %d visible", g.NodeCount(), vertices, len(visible))
 		}
 		if p.Metrics.Timer("infer.derived").Count() == 0 {
-			t.Fatal("VerifySnapshot derived nothing: the test no longer exercises the path")
+			t.Fatal("the cut's graph was not derived: the test no longer exercises the path")
 		}
 		return pn, p, vertices, collected
 	}
@@ -262,7 +252,7 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 
 	t.Run("CompactLog", func(t *testing.T) {
 		// Windows short enough that the initial convergence ages out.
-		_, p, _, collected := derivedVerdict(t, hbr.Rules{Window: 50 * time.Millisecond,
+		_, p, _, collected := derivedGraph(t, hbr.Rules{Window: 50 * time.Millisecond,
 			ConfigWindow: 100 * time.Millisecond, CrossWindow: 50 * time.Millisecond})
 		evicted := p.CompactLog()
 		if evicted == 0 {
@@ -274,7 +264,7 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 		}
 	})
 	t.Run("rollback", func(t *testing.T) {
-		pn, p, vertices, collected := derivedVerdict(t, hbr.Rules{})
+		pn, p, vertices, collected := derivedGraph(t, hbr.Rules{})
 		if d, err := p.DetectAndRepair(policies(pn)); err != nil || !d.RolledBack {
 			t.Fatalf("no rollback: %v, %v", d, err)
 		}

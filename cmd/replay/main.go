@@ -109,7 +109,15 @@ func runScenario(cfg scenario.Config, schedulePath string, out io.Writer) (faile
 		}
 		return true, nil
 	}
-	fmt.Fprintf(out, "ok: %d rounds, %d IOs, all oracles passed\n", res.Rounds, res.IOs)
+	waits, open := 0, 0
+	for _, c := range res.Cuts {
+		waits += c.Waits
+		if c.Open != "" {
+			open++
+		}
+	}
+	fmt.Fprintf(out, "ok: %d rounds, %d IOs, all oracles passed; snapshot cuts waited %d times, %d called consistent while open\n",
+		res.Rounds, res.IOs, waits, open)
 	return false, nil
 }
 

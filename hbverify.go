@@ -363,25 +363,19 @@ func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 }
 
 // VerifySnapshot checks policies against a log-derived snapshot under a
-// collection cut, first extending the cut until it is HBG-consistent (§5).
-// It returns the report plus the consistency result.
+// collection cut, first extending the cut until it is consistent (§5). It
+// returns the report plus the consistency result, and adds the result's
+// waits to the snapshot.waits counter.
 //
 // The cut is a per-router horizon over a view of the log, and nothing is
-// copied out of it: the cache is first brought up to the log, so each cut's
-// graph is derived from the cached one by the IDs the cut hides, and the
-// FIBs are replayed from the view under the final cut. A cut the cache
-// cannot derive is inferred from its one stripped copy.
+// copied out of it or inferred: the cut is closed by message accounting
+// over the log's send table (snapshot.ConsistentCut, hbr.Sends), which
+// reaches the cut the inferred graph would, and the FIBs are replayed from
+// the view under the final cut.
 func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (verify.Report, snapshot.Result) {
 	log := p.Net.Log.View()
-	p.Strategy.InferView(log)
-	infer := func(c snapshot.Cut) *hbg.Graph {
-		hidden := snapshot.Hidden(log, c)
-		if g := p.Strategy.Cached(log, hidden); g != nil {
-			return g
-		}
-		return p.Strategy.Infer(log.Stripped(hidden))
-	}
-	final, res := snapshot.ConsistentCut(log, cut, infer, p.External)
+	final, res := snapshot.ConsistentCut(log, cut, p.Strategy.Rules.Sends(log), p.External)
+	p.Metrics.Counter("snapshot.waits").Add(int64(res.Waits))
 	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(log, final)))
 	return p.checker(w).Check(policies), res
 }

@@ -2,6 +2,7 @@ package hbverify
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
 	"testing"
 	"time"
@@ -87,6 +88,84 @@ func TestPipelineVerifySnapshot(t *testing.T) {
 	})
 	if !res.Consistent || !rep.OK() {
 		t.Fatalf("rep=%v res=%+v", rep.Summary(), res)
+	}
+}
+
+// fig1cPipeline drives Fig. 1a -> 1b — only e1 originates P, then e2 does
+// too — under a pipeline, and returns the Fig. 1c cut: every log complete
+// except r2's, which stops just before its FIB switch to the e2 uplink.
+func fig1cPipeline(t *testing.T) (*network.PaperNet, *Pipeline, snapshot.Cut) {
+	t.Helper()
+	opt := network.DefaultPaperOpts()
+	opt.AdvertiseE2 = false
+	pn, err := network.BuildPaper(1, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn.Start()
+	if err := pn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(pn.Network, []string{"r1", "r2", "r3"})
+	if _, err := pn.UpdateConfig("e2", "originate P", func(c *config.Router) {
+		c.BGP.Networks = []netip.Prefix{network.PrefixP}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	uplink := netip.MustParseAddr("10.0.5.2")
+	for _, io := range pn.Log.Snapshot() {
+		if io.Router == "r2" && io.Type == capture.FIBInstall && io.Prefix == pn.P && io.NextHop == uplink {
+			return pn, p, snapshot.Cut{"r2": io.Time - 1}
+		}
+	}
+	t.Fatal("r2 never switched to its uplink")
+	return nil, nil, nil
+}
+
+// TestVerifySnapshotCountsWaits: the Fig. 1c cut is open — r1 and r3 hold
+// advertisements r2's collected log has not sent — so VerifySnapshot must
+// wait for r2 at least once before its verdict, report how often in the
+// result and add the same number to the snapshot.waits counter.
+func TestVerifySnapshotCountsWaits(t *testing.T) {
+	pn, p, cut := fig1cPipeline(t)
+	rep, res := p.VerifySnapshot(cut, []verify.Policy{{Kind: verify.NoLoop, Prefix: pn.P}})
+	if !res.Consistent || !rep.OK() {
+		t.Fatalf("Fig. 1c verdict: %s, %+v", rep.Summary(), res)
+	}
+	if res.Waits < 1 {
+		t.Fatalf("the Fig. 1c cut was verified after %d waits, want at least one", res.Waits)
+	}
+	if got := p.Metrics.Counter("snapshot.waits").Value(); got != int64(res.Waits) {
+		t.Fatalf("snapshot.waits = %d, the result reports %d", got, res.Waits)
+	}
+}
+
+// TestVerifySnapshotInfersNothing: a snapshot verdict is message accounting
+// over the log, so VerifySnapshot runs no inference of any kind — not on a
+// cold cache, and not on a warm one it could have derived the cut's graph
+// from.
+func TestVerifySnapshotInfersNothing(t *testing.T) {
+	kinds := []string{"infer.full", "infer.incremental", "infer.derived"}
+	for _, warm := range []bool{false, true} {
+		pn, p, cut := fig1cPipeline(t)
+		if warm {
+			p.Graph()
+		}
+		before := make([]int64, len(kinds))
+		for i, k := range kinds {
+			before[i] = p.Metrics.Timer(k).Count()
+		}
+		if _, res := p.VerifySnapshot(cut, []verify.Policy{{Kind: verify.NoLoop, Prefix: pn.P}}); !res.Consistent || res.Waits == 0 {
+			t.Fatalf("warm=%v: %+v", warm, res)
+		}
+		for i, k := range kinds {
+			if got := p.Metrics.Timer(k).Count(); got != before[i] {
+				t.Errorf("warm=%v: VerifySnapshot ran %s %d times", warm, k, got-before[i])
+			}
+		}
 	}
 }
 

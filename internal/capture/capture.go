@@ -218,20 +218,14 @@ func (v View) Flatten() []IO {
 	return out
 }
 
-// Stripped copies the view's events, less those whose IDs are in hidden
-// (ascending; nil for none), with the oracle fields cleared in the same pass.
-func (v View) Stripped(hidden []uint64) []IO {
-	out := make([]IO, 0, max(0, v.n-len(hidden)))
+// Stripped copies the view's events with the oracle fields cleared in the
+// same pass.
+func (v View) Stripped() []IO {
+	out := make([]IO, 0, v.n)
 	for i := 0; i < v.n; {
 		r := v.run(i)
 		i += len(r)
 		for k := range r {
-			for len(hidden) > 0 && hidden[0] < r[k].ID {
-				hidden = hidden[1:]
-			}
-			if len(hidden) > 0 && hidden[0] == r[k].ID {
-				continue
-			}
 			out = append(out, r[k])
 			out[len(out)-1].Causes, out[len(out)-1].TrueTime = nil, 0
 		}
@@ -459,7 +453,7 @@ func (l *Log) ForPrefix(p netip.Prefix) []IO {
 
 // StripOracle returns a copy of the I/Os with ground-truth fields cleared,
 // for handing to inference code in experiments that must not cheat.
-func StripOracle(ios []IO) []IO { return ViewOf(ios).Stripped(nil) }
+func StripOracle(ios []IO) []IO { return ViewOf(ios).Stripped() }
 
 // Recorder captures I/Os on behalf of one router, stamping them with the
 // router's (possibly skewed) clock.

@@ -75,11 +75,18 @@ const (
 	// suffix send displaced; only a cache fed boundaries that fall between a
 	// send and its receive can see it.
 	NarrowTail Bug = "narrow-tail"
+	// FIBAncestryOnly makes snapshot.Check examine only the receives in some
+	// collected FIB update's inferred ancestry, as the condition was first
+	// checked: a receive whose send the cut lacks has no inferred parent, and
+	// when inference does not tie its install to a FIB update either, the
+	// cut is called closed while it is open.
+	FIBAncestryOnly Bug = "fib-ancestry-only"
 )
 
 // Bugs lists every injectable defect.
 var Bugs = []Bug{StaleCache, SkipRollback, StaleEqclass, DropBatch, SwapSendMatch, SkipFold,
-	DropEcmpBranch, InternAlias, StalePlan, SkipLocalCheck, SkipCutExtension, StaleDerive, NarrowTail}
+	DropEcmpBranch, InternAlias, StalePlan, SkipLocalCheck, SkipCutExtension, StaleDerive, NarrowTail,
+	FIBAncestryOnly}
 
 // Known reports whether b names an injectable defect.
 func Known(b Bug) bool { return slices.Contains(Bugs, b) }

@@ -48,10 +48,9 @@ const DefaultSkewSlack = time.Second
 //     add the suffix's vertices and edges to the cached graph, and replace
 //     the in-edges of those older events (extend).
 //   - The covered window with events missing — a cut-filtered snapshot
-//     collection, or (Cached) the window itself with the IDs a cut hides —
-//     and the cache holds no folded history: answer with the cached graph
-//     minus the missing vertices, re-deriving only their children (derive),
-//     WITHOUT disturbing the cache.
+//     collection — and the cache holds no folded history: answer with the
+//     cached graph minus the missing vertices, re-deriving only their
+//     children (derive), WITHOUT disturbing the cache.
 //   - Anything else (a different prefix): a one-off full inference that
 //     leaves the cache as it was, so snapshot sweeps cannot poison the
 //     pipeline's incremental state.
@@ -150,33 +149,6 @@ func (inc *Incremental) CoveredWindow() (first, last uint64, ok bool) {
 	return inc.firstID, inc.lastID, inc.cached != nil
 }
 
-// Cached answers for v less the hidden events (IDs ascending, nil for none)
-// from the cache alone, or returns nil: for the covered window itself, the
-// cached graph; for a cut of it, when the cache holds no folded history, a
-// graph derived from the cached one (derive), which reads v in place. Only v's
-// endpoints and hidden's range decide, so a caller can ask before it
-// prepares — copies, strips — the log for an inference.
-func (inc *Incremental) Cached(v capture.View, hidden []uint64) *hbg.Graph {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	if len(hidden) == 0 {
-		return inc.hitLocked(v)
-	}
-	if inc.checkpointed || inc.cached == nil || !inc.matchesCoveredLocked(v) ||
-		hidden[0] < inc.firstID || hidden[len(hidden)-1] > inc.lastID {
-		return nil
-	}
-	return inc.derive(v, hidden)
-}
-
-func (inc *Incremental) hitLocked(v capture.View) *hbg.Graph {
-	if inc.cached == nil || !inc.matchesCoveredLocked(v) {
-		return nil
-	}
-	inc.Metrics.Counter("infer.cache.hits").Inc()
-	return inc.cached
-}
-
 // Infer is InferView over a slice.
 func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph { return inc.InferView(capture.ViewOf(ios)) }
 
@@ -186,8 +158,9 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 
-	if g := inc.hitLocked(ios); g != nil {
-		return g
+	if inc.cached != nil && inc.matchesCoveredLocked(ios) {
+		inc.Metrics.Counter("infer.cache.hits").Inc()
+		return inc.cached
 	}
 	if inc.cached != nil {
 		if fault.On(fault.StaleCache) {
@@ -273,21 +246,17 @@ func (inc *Incremental) missingLocked(ios capture.View) ([]uint64, bool) {
 }
 
 // derive answers for the covered window minus the hidden events (IDs
-// ascending) from the cached graph: the hidden vertices and their edges go,
-// and each visible child of a hidden event has its in-edges re-derived over
-// the events of ios that are not hidden — all of them when ios is a
-// collected subset, which holds no hidden event. No other event can differ
-// from a full inference of what is visible: under Rules, removing a
-// candidate that did not win changes no winner (DESIGN.md §6 goes through
-// the tiers). The cache is left as it was.
+// ascending) from the cached graph, ios being the events left: the hidden
+// vertices and their edges go, and each child of a hidden event that ios
+// holds has its in-edges re-derived over ios. No other event can differ
+// from a full inference of ios: under Rules, removing a candidate that did
+// not win changes no winner (DESIGN.md §6 goes through the tiers). The cache
+// is left as it was.
 func (inc *Incremental) derive(ios capture.View, hidden []uint64) *hbg.Graph {
 	start := time.Now()
 	var redo []int32 // positions in ios, ascending
 	for _, h := range hidden {
 		for _, c := range inc.cached.Children(h) {
-			if _, gone := slices.BinarySearch(hidden, c); gone {
-				continue
-			}
 			if p := sort.Search(ios.Len(), func(i int) bool { return ios.At(i).ID >= c }); p < ios.Len() && ios.At(p).ID == c {
 				redo = append(redo, int32(p))
 			}
@@ -297,17 +266,7 @@ func (inc *Incremental) derive(ios capture.View, hidden []uint64) *hbg.Graph {
 	redo = slices.Compact(redo) // a child of two hidden events comes up twice
 	var b hbg.Batch
 	if len(redo) > 0 && !fault.On(fault.StaleDerive) {
-		visible, rest := make([]int32, 0, ios.Len()), hidden
-		for i := 0; i < ios.Len(); i++ {
-			id := ios.At(i).ID
-			for len(rest) > 0 && rest[0] < id {
-				rest = rest[1:]
-			}
-			if len(rest) == 0 || rest[0] != id {
-				visible = append(visible, int32(i))
-			}
-		}
-		idx := inc.index(ios, visible, math.MinInt64)
+		idx := inc.index(ios, nil, math.MinInt64)
 		for _, p := range redo {
 			b.Reset = append(b.Reset, ios.At(int(p)).ID)
 		}

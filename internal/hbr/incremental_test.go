@@ -183,9 +183,7 @@ func sameGraph(t *testing.T, got, want *hbg.Graph) {
 // log with several rounds of churn, a hundred random cuts — per-router
 // horizons as snapshot.Collect applies them, plus stray single events — must
 // each be answered without a full inference and equal one in every respect,
-// both as a collected slice and as the whole log's view with the cut's IDs
-// hidden, with the cache answering for the whole log before and after
-// exactly alike.
+// with the cache answering for the whole log before and after exactly alike.
 func TestDerivedCutsMatchFull(t *testing.T) {
 	snaps := grow(t, 3)
 	ios := snaps[len(snaps)-1]
@@ -206,6 +204,7 @@ func TestDerivedCutsMatchFull(t *testing.T) {
 	slices.Sort(names)
 
 	rng := rand.New(rand.NewSource(22))
+	compared := 0
 	for i := 0; i < 100; i++ {
 		cut := snapshot.Cut{}
 		for _, r := range names {
@@ -221,24 +220,11 @@ func TestDerivedCutsMatchFull(t *testing.T) {
 		if len(visible) == len(ios) {
 			continue
 		}
-		want := hbr.Rules{}.Infer(visible)
-		sameGraph(t, inc.Infer(visible), want)
-		var hidden []uint64
-		for i, j := 0, 0; i < len(ios); i++ {
-			if j < len(visible) && visible[j].ID == ios[i].ID {
-				j++
-			} else {
-				hidden = append(hidden, ios[i].ID)
-			}
-		}
-		derived := inc.Cached(capture.ViewOf(ios), hidden)
-		if derived == nil {
-			t.Fatalf("a cut hiding %d events was not derived over the view", len(hidden))
-		}
-		sameGraph(t, derived, want)
+		sameGraph(t, inc.Infer(visible), hbr.Rules{}.Infer(visible))
+		compared++
 	}
-	if n := reg.Timer("infer.derived").Count(); n < 100 {
-		t.Fatalf("only %d derivations for 100 cuts, each taken twice", n)
+	if n := reg.Timer("infer.derived").Count(); compared < 50 || n != int64(compared) {
+		t.Fatalf("%d derivations for %d cuts compared", n, compared)
 	}
 	if n := reg.Counter("infer.cache.misses").Value(); n != 1 {
 		t.Fatalf("full inferences = %d, want the first one only", n)
@@ -257,9 +243,6 @@ func TestDeriveFallsBack(t *testing.T) {
 	compacted.Infer(ios)
 	compacted.CompactBaseline(3)
 	compacted.Infer(subset[2:])
-	if g := compacted.Cached(capture.ViewOf(ios[2:]), []uint64{ios[6].ID}); g != nil {
-		t.Fatal("a checkpointed cache answered a cut of its window")
-	}
 
 	if n := reg.Timer("infer.derived").Count(); n != 0 {
 		t.Fatalf("%d derivations from a checkpointed cache, want 0", n)

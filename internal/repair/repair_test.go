@@ -19,7 +19,7 @@ import (
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 func rulesInfer(v capture.View) *hbg.Graph {
-	return hbr.Rules{}.Infer(v.Stripped(nil))
+	return hbr.Rules{}.Infer(v.Stripped())
 }
 
 // build constructs the paper network with a gate attached before Start.

@@ -17,9 +17,10 @@
 //     stream daemon's memory-bounding discipline — yields the identical
 //     graph and root causes to a full inference pruned at the same floor;
 //  3. snapshot-consistency: snapshots assembled from HBR cuts replay to
-//     the live FIBs, reach §5-consistency from lagged cuts, and show no
-//     loop outside a cut closed under ground-truth happens-before or
-//     through an entry its router never held;
+//     the live FIBs, reach §5-consistency from lagged cuts — the same cut
+//     by message accounting over a send table as by an inferred graph —
+//     and show no loop outside a cut closed under ground-truth
+//     happens-before or through an entry its router never held;
 //  4. checker-determinism: verify.Checker verdicts are identical across
 //     worker counts and repeated runs;
 //  5. dist-vs-central: the distributed TCP fleet's walks are
@@ -145,6 +146,8 @@ type Result struct {
 	// Loops lists every forwarding loop the snapshot oracle met in a
 	// collected cut, whatever it made of it.
 	Loops []SnapshotLoop
+	// Cuts lists the lagged cut the snapshot oracle closed in each round.
+	Cuts []SnapshotCut
 }
 
 // roundGap separates rounds (and the oracle-4 fault injection) in virtual
@@ -198,7 +201,7 @@ func Run(cfg Config) *Result {
 			return fail("convergence", round, "churn convergence: %v", err)
 		}
 		f := h.checkRound(round)
-		res.Loops = h.loops
+		res.Loops, res.Cuts = h.loops, h.cuts
 		if f != nil {
 			res.Failure = f
 			res.IOs = w.net.Log.Len()
@@ -226,8 +229,10 @@ type harness struct {
 	cRules hbr.Rules
 	cinc   *hbr.Incremental
 	clog   *capture.Log
-	// loops is what the snapshot oracle has met so far (Result.Loops).
+	// loops and cuts are what the snapshot oracle has met so far
+	// (Result.Loops, Result.Cuts).
 	loops []SnapshotLoop
+	cuts  []SnapshotCut
 	// drip is fed the log in 1–64-event steps (dripped counts them), where
 	// the pipeline sees it a converged round at a time. Nothing invalidates
 	// it, so it extends across every round's repair rollback.

@@ -217,6 +217,52 @@ func TestForcedSkipCutExtension(t *testing.T) {
 	forceBugCfg(t, Config{Seed: 1, Shape: "ring", Rounds: 5, Bug: fault.SkipCutExtension}, OracleSnapshot)
 }
 
+// TestForcedFIBAncestryOnly proves the snapshot oracle's part (d) catches a
+// consistency check that examines only the receives in the collected FIB
+// updates' inferred ancestry: the graph-driven cut stops short of the one
+// message accounting reaches.
+func TestForcedFIBAncestryOnly(t *testing.T) {
+	forceBug(t, 3, fault.FIBAncestryOnly, OracleSnapshot)
+}
+
+// requireClosedCuts runs a scenario and requires every lagged cut the
+// snapshot oracle's ConsistentCollect and VerifySnapshot called consistent
+// to hold the whole ground-truth ancestry of every FIB event in it.
+func requireClosedCuts(t *testing.T, cfg Config) {
+	t.Helper()
+	res := Run(cfg)
+	if res.Failure != nil {
+		t.Fatal(res.Failure)
+	}
+	consistent := 0
+	for _, c := range res.Cuts {
+		if c.Open != "" {
+			t.Errorf("round %d: a cut called consistent is open: %s", c.Round, c.Open)
+		}
+		if c.Consistent {
+			consistent++
+		}
+	}
+	if len(res.Cuts) != cfg.Rounds || consistent == 0 {
+		t.Fatalf("%d cuts over %d rounds, %d consistent", len(res.Cuts), cfg.Rounds, consistent)
+	}
+}
+
+// TestCutClosedRingSeed25 and TestCutClosedMeshSeed27 replay two runs whose
+// lagged cuts were called consistent while open when only the receives in
+// the FIB updates' inferred ancestry were checked: a receive whose send the
+// cut lacked had no inferred parent, and inference did not tie the install
+// it caused to the FIB update ground truth says depends on it. A send two
+// receives share still leaves some cuts open elsewhere (seed 60, mesh, 8
+// rounds; fattree seed 39), which is ROADMAP item 1(b).
+func TestCutClosedRingSeed25(t *testing.T) {
+	requireClosedCuts(t, Config{Seed: 25, Shape: "ring", Rounds: 25})
+}
+
+func TestCutClosedMeshSeed27(t *testing.T) {
+	requireClosedCuts(t, Config{Seed: 27, Shape: "mesh", Rounds: 25})
+}
+
 // TestUnknownBugFailsTheHarness: a bug name the fault package does not know
 // is a harness failure, not a healthy run with nothing injected.
 // TestGraphDiffNamesLowestDifference: a failure's detail names its two

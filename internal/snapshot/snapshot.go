@@ -1,6 +1,5 @@
 // Package snapshot implements §5 of the paper: assembling a *consistent*
-// data-plane snapshot from per-router capture logs using the happens-before
-// graph.
+// data-plane snapshot from per-router capture logs.
 //
 // A snapshot is defined by a Cut: for each router, the observed-time
 // horizon up to which that router's log has been collected. Because
@@ -15,6 +14,15 @@
 // invariant the protocols maintain), the presence of R”s send guarantees
 // R”s own FIB update is in its collected log prefix, and the condition
 // recurses for free.
+//
+// The condition is checked on every collected receive from a peer inside
+// the domain, with no walk of any FIB update's ancestry: which receives an
+// update depends on is an inference that can miss, whether a receive's
+// send is collected is not. That makes it the textbook consistent-cut
+// condition — no message received and not sent — accounted per message.
+// ConsistentCut accounts it over a send table (hbr.Sends) with no graph;
+// Check reads it off a graph inferred over the cut, and ConsistentCollect
+// extends a cut with one; both reach the same cut.
 package snapshot
 
 import (
@@ -23,6 +31,7 @@ import (
 	"sort"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/netsim"
@@ -42,9 +51,12 @@ func (c Cut) Clone() Cut {
 }
 
 // Visible reports whether the cut collects io.
-func (c Cut) Visible(io *capture.IO) bool {
-	horizon, limited := c[io.Router]
-	return !limited || io.Time <= horizon
+func (c Cut) Visible(io *capture.IO) bool { return c.through(io.Router, io.Time) }
+
+// through reports whether the cut collects router's log through time t.
+func (c Cut) through(router string, t netsim.VirtualTime) bool {
+	horizon, limited := c[router]
+	return !limited || t <= horizon
 }
 
 // Collect returns the I/Os visible under the cut, preserving order.
@@ -65,18 +77,6 @@ func Collect(ios []capture.IO, cut Cut) []capture.IO {
 		}
 	}
 	return out
-}
-
-// Hidden returns the IDs of the events of v the cut does not collect,
-// ascending: the cut as hbr.Incremental.Cached derives its graph.
-func Hidden(v capture.View, cut Cut) []uint64 {
-	var hidden []uint64
-	for i := 0; i < v.Len(); i++ {
-		if io := v.At(i); !cut.Visible(io) {
-			hidden = append(hidden, io.ID)
-		}
-	}
-	return hidden
 }
 
 // BuildFIBs reconstructs each router's FIB by replaying the collected FIB
@@ -118,60 +118,93 @@ func ReplayFIBs(v capture.View, cut Cut) map[string]map[netip.Prefix]fib.Entry {
 // Result reports a consistency check.
 type Result struct {
 	Consistent bool
-	// Missing lists received advertisements whose sender-side output is
-	// absent from the snapshot.
+	// Missing lists, by ID, the collected received messages whose send the
+	// snapshot lacks.
 	Missing []capture.IO
 	// WaitFor names the routers whose logs must advance before the
 	// snapshot can be verified (sorted, deduplicated).
 	WaitFor []string
+	// Waits counts the horizons ConsistentCut or ConsistentCollect advanced
+	// on the way to this result, one per router per round of waiting.
+	Waits int
+}
+
+// accounted reports whether the §5 condition covers io: a received
+// advertisement or withdrawal from a peer inside the domain. external
+// reports routers outside it (messages from them terminate the recursion);
+// it may be nil.
+func accounted(io *capture.IO, external func(string) bool) bool {
+	return (io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw) &&
+		(external == nil || !external(io.Peer))
+}
+
+// closure applies the §5 condition to a cut's accounted receives, taken in
+// ID order: each one whose send the cut lacks leaves it open and names its
+// peer as a router to wait for.
+type closure struct {
+	res  Result
+	wait map[string]bool
+}
+
+// account records one accounted receive; sent reports whether the cut holds
+// a send it matches.
+func (c *closure) account(recv *capture.IO, sent bool) {
+	if sent {
+		return
+	}
+	c.res.Missing = append(c.res.Missing, *recv)
+	if recv.Peer != "" {
+		if c.wait == nil {
+			c.wait = map[string]bool{}
+		}
+		c.wait[recv.Peer] = true
+	}
+}
+
+func (c *closure) result() Result {
+	c.res.Consistent = len(c.res.Missing) == 0
+	for r := range c.wait {
+		c.res.WaitFor = append(c.res.WaitFor, r)
+	}
+	sort.Strings(c.res.WaitFor)
+	return c.res
 }
 
 // Check applies the §5 condition to a happens-before graph built over the
-// collected I/Os. external reports routers outside the administrative
-// domain (updates received from them terminate the recursion); it may be
-// nil.
+// collected I/Os: every accounted receive (see accounted) must have a send
+// on another router among its parents, which is the one edge inference
+// gives a receive. external may be nil.
 //
-// It is one traversal of the graph: the FIB updates are taken in ID order
-// and each contributes the ancestors no earlier one reached, so every
-// received advertisement in some FIB update's provenance is examined once,
-// in the order a per-update provenance query would first meet it.
+// Every collected receive is examined, not only those in some FIB update's
+// ancestry: a receive whose send is missing has no inferred parent, and the
+// inferred graph need not connect the install it causes to the FIB update
+// that ground truth says depends on it, so an ancestry walk can pass over it.
 func Check(g *hbg.Graph, external func(string) bool) Result {
-	res := Result{Consistent: true}
-	var fibs []uint64
-	for _, io := range g.Refs() {
-		if io.Type == capture.FIBInstall || io.Type == capture.FIBRemove {
-			fibs = append(fibs, io.ID)
+	refs := g.Refs()
+	if fault.On(fault.FIBAncestryOnly) {
+		var fibs []uint64
+		for _, io := range refs {
+			if io.Type == capture.FIBInstall || io.Type == capture.FIBRemove {
+				fibs = append(fibs, io.ID)
+			}
 		}
+		refs = g.Ancestry(fibs)
 	}
-	waitSet := map[string]bool{}
-	for _, anc := range g.Ancestry(fibs) {
-		if anc.Type != capture.RecvAdvert && anc.Type != capture.RecvWithdraw {
+	var c closure
+	for _, io := range refs {
+		if !accounted(io, external) {
 			continue
 		}
-		if external != nil && external(anc.Peer) {
-			continue
-		}
-		hasSend := false
-		for _, pid := range g.Parents(anc.ID) {
-			p, ok := g.Node(pid)
-			if ok && (p.Type == capture.SendAdvert || p.Type == capture.SendWithdraw) && p.Router != anc.Router {
-				hasSend = true
+		sent := false
+		for _, pid := range g.Parents(io.ID) {
+			if p, ok := g.Node(pid); ok && (p.Type == capture.SendAdvert || p.Type == capture.SendWithdraw) && p.Router != io.Router {
+				sent = true
 				break
 			}
 		}
-		if !hasSend {
-			res.Consistent = false
-			res.Missing = append(res.Missing, *anc)
-			if anc.Peer != "" {
-				waitSet[anc.Peer] = true
-			}
-		}
+		c.account(io, sent)
 	}
-	for r := range waitSet {
-		res.WaitFor = append(res.WaitFor, r)
-	}
-	sort.Strings(res.WaitFor)
-	return res
+	return c.result()
 }
 
 // Infer is the graph constructor ConsistentCollect uses; callers supply
@@ -180,35 +213,80 @@ func Check(g *hbg.Graph, external func(string) bool) Result {
 // events it may modify in place — strip of oracle fields, say.
 type Infer func([]capture.IO) *hbg.Graph
 
-// ConsistentCollect is ConsistentCut over a slice, each cut collected into a
-// new slice that infer owns for the call (see Infer). It returns the last of
-// these, as infer left it — stripped, if infer strips. ios is only read.
+// ConsistentCollect is ConsistentCut with a graph per cut: each cut is
+// collected into a new slice that infer owns for the call (see Infer) and
+// judged by Check. It returns the last of these, as infer left it —
+// stripped, if infer strips. ios is only read.
 func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(string) bool) ([]capture.IO, Cut, Result) {
 	var collected []capture.IO
-	final, res := ConsistentCut(capture.ViewOf(ios), cut, func(c Cut) *hbg.Graph {
+	final, res := extend(capture.ViewOf(ios), cut, func(c Cut) Result {
 		collected = Collect(ios, c)
-		return infer(collected)
-	}, external)
+		return Check(infer(collected), external)
+	})
 	return collected, final, res
 }
 
+// Sends is what ConsistentCut accounts a receive against: hbr.Sends, which
+// this package cannot import because hbr's tests import it. Earliest
+// reports the observed time of the earliest send the receive could be
+// matched to, false when the log holds none. A cut that collects the
+// receive holds a send for it exactly when it collects the receive's peer
+// through that time.
+type Sends interface {
+	Earliest(recv *capture.IO) (netsim.VirtualTime, bool)
+}
+
 // ConsistentCut repeatedly extends an inconsistent cut of v — advancing the
-// logs of the routers named by Check's WaitFor set, as the §7 prototype does
-// ("the verifier can wait until it receives the up-to-date HBG from R1") —
-// until the snapshot is consistent or no progress is possible. infer builds
-// the graph of what a cut collects; nothing here copies an event out of v.
-// It returns the final cut and the last check.
-func ConsistentCut(v capture.View, cut Cut, infer func(Cut) *hbg.Graph, external func(string) bool) (Cut, Result) {
+// logs of the routers the closure names, as the §7 prototype does ("the
+// verifier can wait until it receives the up-to-date HBG from R1") — until
+// the snapshot is consistent or no progress is possible. It judges a cut by
+// message accounting alone, no graph: each accounted receive of v is looked
+// up in sends once, and a cut is closed when it collects, for every
+// accounted receive it collects, the send found. That is the verdict Check
+// gives the graph inferred over the cut, so ConsistentCut and
+// ConsistentCollect reach the same cut. Nothing is copied out of v. It
+// returns the final cut and the last verdict.
+func ConsistentCut(v capture.View, cut Cut, sends Sends, external func(string) bool) (Cut, Result) {
+	type receipt struct {
+		recv *capture.IO
+		send netsim.VirtualTime
+		sent bool // the log holds a send recv can match, the earliest at send
+	}
+	var receipts []receipt
+	for i := 0; i < v.Len(); i++ {
+		if io := v.At(i); accounted(io, external) {
+			t, ok := sends.Earliest(io)
+			receipts = append(receipts, receipt{io, t, ok})
+		}
+	}
+	return extend(v, cut, func(c Cut) Result {
+		var cl closure
+		for i := range receipts {
+			r := &receipts[i]
+			if c.Visible(r.recv) {
+				cl.account(r.recv, r.sent && c.through(r.recv.Peer, r.send))
+			}
+		}
+		return cl.result()
+	})
+}
+
+// extend is the waiting loop both judges share: while check finds the cut
+// open, advance each router it waits for to that router's next event in v —
+// lifting the horizon once the log is exhausted — and check again.
+func extend(v capture.View, cut Cut, check func(Cut) Result) (Cut, Result) {
 	cur := cut.Clone()
 	// times holds, per router waited on so far, the observed times of its
 	// events in ascending order.
 	times := map[string][]netsim.VirtualTime{}
+	waits := 0
 	for {
-		res := Check(infer(cur), external)
+		res := check(cur)
+		res.Waits = waits
 		if res.Consistent || len(res.WaitFor) == 0 {
 			return cur, res
 		}
-		progressed := false
+		before := waits
 		for _, router := range res.WaitFor {
 			horizon, limited := cur[router]
 			if !limited {
@@ -231,9 +309,9 @@ func ConsistentCut(v capture.View, cut Cut, infer func(Cut) *hbg.Graph, external
 			} else {
 				delete(cur, router)
 			}
-			progressed = true
+			waits++
 		}
-		if !progressed {
+		if waits == before {
 			return cur, res
 		}
 	}

@@ -2,12 +2,13 @@ package snapshot
 
 import (
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/hbg"
+	"hbverify/internal/hbr"
 	"hbverify/internal/netsim"
 	"hbverify/internal/verify"
 )
@@ -109,89 +110,93 @@ func TestSweepNaiveBaselinePhantomRate(t *testing.T) {
 	}
 }
 
-// checkPerFIB is the §5 condition as it was first written, kept as the
-// reference for Check: one provenance query per FIB update, every received
-// advertisement in it examined (and re-examined under later updates).
-func checkPerFIB(g *hbg.Graph, external func(string) bool) Result {
-	res := Result{Consistent: true}
-	waitSet := map[string]bool{}
-	reported := map[uint64]bool{}
+// checkPerFIB is the §5 condition as it was first written: one provenance
+// query per FIB update, every received advertisement in it examined (and
+// re-examined under later updates). Check examines every collected receive,
+// so what this finds missing it finds missing too.
+func checkPerFIB(g *hbg.Graph, external func(string) bool) map[uint64]bool {
+	missing := map[uint64]bool{}
 	for _, io := range g.Nodes() {
 		if io.Type != capture.FIBInstall && io.Type != capture.FIBRemove {
 			continue
 		}
 		for _, anc := range g.Provenance(io.ID) {
-			if anc.Type != capture.RecvAdvert && anc.Type != capture.RecvWithdraw {
-				continue
-			}
-			if external != nil && external(anc.Peer) {
-				continue
-			}
-			if reported[anc.ID] {
+			if !accounted(&anc, external) {
 				continue
 			}
 			hasSend := false
 			for _, pid := range g.Parents(anc.ID) {
-				p, ok := g.Node(pid)
-				if !ok {
-					continue
-				}
-				if (p.Type == capture.SendAdvert || p.Type == capture.SendWithdraw) && p.Router != anc.Router {
+				if p, ok := g.Node(pid); ok && (p.Type == capture.SendAdvert || p.Type == capture.SendWithdraw) && p.Router != anc.Router {
 					hasSend = true
-					break
 				}
 			}
 			if !hasSend {
-				reported[anc.ID] = true
-				res.Consistent = false
-				res.Missing = append(res.Missing, anc)
-				if anc.Peer != "" {
-					waitSet[anc.Peer] = true
-				}
+				missing[anc.ID] = true
 			}
 		}
 	}
-	for r := range waitSet {
-		res.WaitFor = append(res.WaitFor, r)
-	}
-	sort.Strings(res.WaitFor)
-	return res
+	return missing
 }
 
-// TestCheckMatchesPerFIBReference runs the sweep's cuts again — every
-// single-router cut at every event boundary, and every wider cut
-// ConsistentCollect extends one to — comparing the one-traversal Check with
-// the per-update formulation: same verdict, same Missing in the same order,
-// same WaitFor, with and without an external predicate.
-func TestCheckMatchesPerFIBReference(t *testing.T) {
+func ids(ios []capture.IO) []uint64 {
+	out := make([]uint64, len(ios))
+	for i := range ios {
+		out[i] = ios[i].ID
+	}
+	return out
+}
+
+// TestCheckMatchesSendTable runs the sweep's cuts again — every
+// single-router cut at every event boundary — closing each both ways:
+// ConsistentCollect with a graph per cut, judged by Check, and ConsistentCut
+// by message accounting over the log's send table. Both must reach the same
+// final cut and the same verdict, Missing in the same order, WaitFor and
+// waits, with and without an external predicate. Every graph Check judges
+// must also find missing what the per-update formulation finds.
+func TestCheckMatchesSendTable(t *testing.T) {
 	_, ios := fig1Transition(t)
+	sends := hbr.Rules{}.Sends(capture.ViewOf(ios))
 	externals := map[string]func(string) bool{
 		"nil":         nil,
 		"e1 external": func(r string) bool { return r == "e1" },
 	}
-	graphs, inconsistent := 0, 0
+	graphs, inconsistent, wider, waits := 0, 0, 0, 0
 	for name, external := range externals {
 		infer := func(collected []capture.IO) *hbg.Graph {
 			g := rulesInfer(collected)
-			got, want := Check(g, external), checkPerFIB(g, external)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("external=%s, %d events collected:\n got %+v\nwant %+v", name, len(collected), got, want)
+			res, old := Check(g, external), checkPerFIB(g, external)
+			for id := range old {
+				if !slices.Contains(ids(res.Missing), id) {
+					t.Fatalf("external=%s: receive %d is missing from FIB ancestry but not to Check: %+v", name, id, res)
+				}
 			}
 			graphs++
-			if !got.Consistent {
+			if !res.Consistent {
 				inconsistent++
+			}
+			if len(res.Missing) > len(old) {
+				wider++
 			}
 			return g
 		}
 		for _, router := range []string{"r1", "r2", "r3", "e1", "e2"} {
 			for _, io := range ios {
-				if io.Router == router {
-					ConsistentCollect(ios, Cut{router: io.Time - 1}, infer, external)
+				if io.Router != router {
+					continue
 				}
+				cut := Cut{router: io.Time - 1}
+				_, gCut, g := ConsistentCollect(ios, cut, infer, external)
+				tCut, tab := ConsistentCut(capture.ViewOf(ios), cut, sends, external)
+				if !reflect.DeepEqual(gCut, tCut) || g.Consistent != tab.Consistent || !reflect.DeepEqual(g.WaitFor, tab.WaitFor) ||
+					!slices.Equal(ids(g.Missing), ids(tab.Missing)) || g.Waits != tab.Waits {
+					t.Fatalf("external=%s, cut %v:\ngraph %v %+v\ntable %v %+v", name, cut, gCut, g, tCut, tab)
+				}
+				waits += g.Waits
 			}
 		}
 	}
-	if graphs < 100 || inconsistent == 0 {
-		t.Fatalf("compared %d graphs, %d of them inconsistent: the sweep no longer exercises Missing", graphs, inconsistent)
+	if graphs < 100 || inconsistent == 0 || wider == 0 || waits == 0 {
+		t.Fatalf("compared %d graphs, %d inconsistent, %d wider than FIB ancestry, %d waits: the sweep no longer exercises the rule",
+			graphs, inconsistent, wider, waits)
 	}
 }
