@@ -254,9 +254,9 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 		// Windows short enough that the initial convergence ages out.
 		_, p, _, collected := derivedGraph(t, hbr.Rules{Window: 50 * time.Millisecond,
 			ConfigWindow: 100 * time.Millisecond, CrossWindow: 50 * time.Millisecond})
-		evicted := p.CompactLog()
+		_, evicted := p.Strategy.Compact(p.Net.Log)
 		if evicted == 0 {
-			t.Fatal("CompactLog evicted nothing")
+			t.Fatal("Compact evicted nothing")
 		}
 		settle()
 		if got := collected.Load(); got < int64(evicted) {

@@ -1,13 +1,16 @@
 // Benchmark harness: one benchmark per paper artifact (the paper is a
-// position paper with five figures and no tables; E6–E12 cover the
+// position paper with five figures and no tables; E6–E14 cover the
 // quantitative claims made in prose). Each benchmark prints the rows or
 // series the corresponding figure/claim reports — run with
 //
-//	go test -bench=. -benchmem . ./internal/hbr
+//	go test -run=NONE -bench=. -benchtime=1x . ./internal/ciscolog ./internal/eqclass ./internal/hbr ./internal/repair
 //
-// (E8, §4.2's inference comparison, lives in internal/hbr beside the
-// baselines it compares) and see EXPERIMENTS.md for the paper-vs-measured
-// record.
+// and see EXPERIMENTS.md for the paper-vs-measured record. This file holds
+// E1–E4, E6, E9–E11 and E14. An experiment whose code no binary runs lives
+// beside that code: E5 (the IOS log round trip) in internal/ciscolog, E7
+// (synthetic FIBs) in internal/eqclass, E8 (the §4.2 baselines) in
+// internal/hbr, and E12 (the outcome predictor) and E13 (the pre-install
+// gate) in internal/repair.
 package hbverify
 
 import (
@@ -20,15 +23,12 @@ import (
 	"time"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/ciscolog"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/dist"
-	"hbverify/internal/eqclass"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
-	"hbverify/internal/netsim"
 	"hbverify/internal/network"
 	"hbverify/internal/repair"
 	"hbverify/internal/route"
@@ -97,7 +97,13 @@ func BenchmarkFig1Convergence(b *testing.B) {
 		fmt.Println("\n[E1/Fig1] converged state (policy: prefer R2's uplink)")
 		fmt.Printf("  %-4s %-28s %-14s\n", "rtr", "Loc-RIB best for P", "FIB next hop")
 		for _, r := range internalSources {
-			best := pn.Router(r).BGP.LocRIB()[pn.P]
+			// The Loc-RIB best is the last BGP route the router installed for P.
+			var best capture.IO
+			for _, io := range pn.Log.ForRouter(r) {
+				if io.Type == capture.RIBInstall && io.Proto == route.ProtoBGP && io.Prefix == pn.P {
+					best = io
+				}
+			}
 			e, _ := pn.Router(r).FIB.Exact(pn.P)
 			fmt.Printf("  %-4s lp=%-3d via %-16s %v\n", r, best.Attrs.EffectiveLocalPref(), best.NextHop, e.NextHop)
 		}
@@ -125,7 +131,7 @@ func fig1Transition(b *testing.B, seed int64) (*network.PaperNet, []capture.IO) 
 	if err := pn.Run(); err != nil {
 		b.Fatal(err)
 	}
-	return pn, pn.Log.All()
+	return pn, pn.Log.Snapshot()
 }
 
 func BenchmarkFig1cSnapshotConsistency(b *testing.B) {
@@ -236,7 +242,7 @@ func BenchmarkFig4HBG(b *testing.B) {
 	runNet(b, pn)
 	mark := pn.Log.Len()
 	cc := misconfigR2(b, pn, 10)
-	slice := capture.StripOracle(pn.Log.All()[mark:])
+	slice := capture.StripOracle(pn.Log.Snapshot()[mark:])
 	var g *hbg.Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,13 +250,13 @@ func BenchmarkFig4HBG(b *testing.B) {
 	}
 	b.StopTimer()
 	var fault capture.IO
-	for _, io := range pn.Log.All()[mark:] {
+	for _, io := range pn.Log.Snapshot()[mark:] {
 		if io.Router == "r1" && io.Type == capture.FIBInstall && io.Prefix == pn.P {
 			fault = io
 		}
 	}
 	roots := g.RootCauses(fault.ID)
-	m := hbr.Evaluate(g, pn.Log.All()[mark:])
+	m := hbr.Evaluate(g, pn.Log.Snapshot()[mark:])
 	once("fig4", func() {
 		fmt.Println("\n[E4/Fig4] inferred HBG over the misconfiguration window")
 		fmt.Printf("  vertices=%d edges=%d precision=%.2f recall=%.2f\n",
@@ -269,67 +275,8 @@ func BenchmarkFig4HBG(b *testing.B) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// E5 — Fig. 5 / §7: feasibility timings through the IOS log pipeline.
-// ---------------------------------------------------------------------------
-
-func BenchmarkFig5Feasibility(b *testing.B) {
-	pn := mustPaper(b, 1, network.DefaultPaperOpts())
-	pn.SoftReconfigDelay = 25 * time.Second
-	runNet(b, pn)
-	mark := pn.Log.Len()
-	if _, err := pn.UpdateConfig("r1", "neighbor localpref 200", func(c *config.Router) {
-		c.BGP.Neighbors[len(c.BGP.Neighbors)-1].LocalPref = 200
-	}); err != nil {
-		b.Fatal(err)
-	}
-	if err := pn.Run(); err != nil {
-		b.Fatal(err)
-	}
-	interesting := pn.Log.All()[mark:]
-	resolve := func(a netip.Addr) string { return pn.Topo.OwnerOf(a) }
-
-	var parsed []capture.IO
-	var g *hbg.Graph
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		parsed, err = ciscolog.RoundTrip(interesting, resolve)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g = hbr.Rules{}.Infer(parsed)
-	}
-	b.StopTimer()
-
-	pick := func(router string, typ capture.Type, after netsim.VirtualTime) capture.IO {
-		for _, io := range parsed {
-			if io.Router == router && io.Type == typ && io.Time >= after {
-				return io
-			}
-		}
-		return capture.IO{}
-	}
-	cc := pick("r1", capture.ConfigChange, 0)
-	soft := pick("r1", capture.SoftReconfig, cc.Time)
-	fibIO := pick("r1", capture.FIBInstall, soft.Time)
-	send := pick("r1", capture.SendAdvert, soft.Time)
-	r3recv := pick("r3", capture.RecvAdvert, soft.Time)
-	r3fib := pick("r3", capture.FIBInstall, r3recv.Time)
-	once("fig5", func() {
-		fmt.Println("\n[E5/Fig5] feasibility timings (paper-measured vs ours), via IOS log round trip")
-		fmt.Printf("  %-38s %-10s %-10s\n", "edge", "paper", "measured")
-		fmt.Printf("  %-38s %-10s %-10v\n", "TTY config -> soft reconfiguration", "25s", soft.Time.Sub(cc.Time))
-		fmt.Printf("  %-38s %-10s %-10v\n", "soft reconfig -> FIB install (r1)", "4ms", fibIO.Time.Sub(soft.Time))
-		fmt.Printf("  %-38s %-10s %-10v\n", "FIB install -> advertisement (r1)", "4ms", send.Time.Sub(fibIO.Time))
-		fmt.Printf("  %-38s %-10s %-10v\n", "advert propagation (r1 -> r3)", "8ms", r3recv.Time.Sub(send.Time))
-		fmt.Printf("  %-38s %-10s %-10v\n", "recv -> FIB install (r3)", "<4ms", r3fib.Time.Sub(r3recv.Time))
-		roots := g.RootCauses(r3fib.ID)
-		for _, r := range roots {
-			fmt.Println("  root cause from parsed logs:", r)
-		}
-	})
-}
+// E5 — Fig. 5 / §7's feasibility timings through the IOS log pipeline — is
+// BenchmarkFig5Feasibility in internal/ciscolog, beside the log round trip.
 
 // ---------------------------------------------------------------------------
 // E6 — §2: blocking hazard vs root-cause repair.
@@ -391,35 +338,8 @@ func BenchmarkBlockingHazard(b *testing.B) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// E7 — §6: forwarding equivalence classes vs prefix count.
-// ---------------------------------------------------------------------------
-
-func BenchmarkEquivalenceClasses(b *testing.B) {
-	routers := []string{"r1", "r2", "r3", "r4", "r5"}
-	sizes := []int{1000, 10000, 100000}
-	groups := 12
-	var rows []string
-	for _, n := range sizes {
-		fibs, prefixes := eqclass.SyntheticFIBs(routers, n, groups)
-		start := time.Now()
-		classes := eqclass.Compute(fibs, prefixes)
-		rows = append(rows, fmt.Sprintf("  %-10d %-9d %-12v", n, len(classes), time.Since(start).Round(time.Millisecond)))
-	}
-	fibs, prefixes := eqclass.SyntheticFIBs(routers, 10000, groups)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eqclass.Compute(fibs, prefixes)
-	}
-	b.StopTimer()
-	once("eqclass", func() {
-		fmt.Println("\n[E7/§6] forwarding equivalence classes (paper cites <15 classes at 100K prefixes)")
-		fmt.Printf("  %-10s %-9s %-12s\n", "prefixes", "classes", "compute")
-		for _, r := range rows {
-			fmt.Println(r)
-		}
-	})
-}
+// E7 — §6's forwarding equivalence classes vs prefix count — is
+// BenchmarkEquivalenceClasses in internal/eqclass, beside its synthetic FIBs.
 
 // E8 — §4.2's inference strategies under clock skew — is
 // BenchmarkHBRInference in internal/hbr, beside the baselines it compares.
@@ -639,115 +559,9 @@ func BenchmarkModelCoverageGap(b *testing.B) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// E12 — §6: predicting control-plane outcomes from equivalence classes.
-// ---------------------------------------------------------------------------
-
-func BenchmarkEarlyPrediction(b *testing.B) {
-	// Providers originate many prefixes in two policy groups: e1-only
-	// (exits via r1) and e2-only (exits via r2). Train the predictor on
-	// most prefixes, predict the held-out rest.
-	const perGroup = 20
-	opt := network.DefaultPaperOpts()
-	opt.AdvertiseE1, opt.AdvertiseE2 = false, false
-	pn := mustPaper(b, 1, opt)
-	var groupE1, groupE2 []netip.Prefix
-	for i := 0; i < perGroup; i++ {
-		groupE1 = append(groupE1, route.MustPrefix(fmt.Sprintf("11.%d.0.0/24", i)))
-		groupE2 = append(groupE2, route.MustPrefix(fmt.Sprintf("22.%d.0.0/24", i)))
-	}
-	pn.Router("e1").Cfg.BGP.Networks = groupE1
-	pn.Router("e2").Cfg.BGP.Networks = groupE2
-	runNet(b, pn)
-
-	fibs := pn.FIBSnapshot()
-	classes := eqclass.Compute(fibs, append(append([]netip.Prefix(nil), groupE1...), groupE2...))
-
-	// The trigger input for each prefix: the border's receive event.
-	trigger := map[netip.Prefix]capture.IO{}
-	for _, io := range pn.Log.All() {
-		if io.Type == capture.RecvAdvert && (io.Router == "r1" || io.Router == "r2") &&
-			(io.Peer == "e1" || io.Peer == "e2") {
-			if _, have := trigger[io.Prefix]; !have {
-				trigger[io.Prefix] = io
-			}
-		}
-	}
-	all := append(append([]netip.Prefix(nil), groupE1...), groupE2...)
-	train, test := all[:len(all)-8], all[len(all)-8:]
-	pred := repair.NewOutcomePredictor()
-	for _, p := range train {
-		if in, ok := trigger[p]; ok {
-			pred.Learn(in, eqclass.Signature(fibs, p))
-		}
-	}
-	correct, predicted := 0, 0
-	for _, p := range test {
-		in, ok := trigger[p]
-		if !ok {
-			continue
-		}
-		sig, ok := pred.Predict(in)
-		if !ok {
-			continue
-		}
-		predicted++
-		if sig == eqclass.Signature(fibs, p) {
-			correct++
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range test {
-			if in, ok := trigger[p]; ok {
-				pred.Predict(in)
-			}
-		}
-	}
-	b.StopTimer()
-	once("predict", func() {
-		fmt.Println("\n[E12/§6] outcome prediction from control-plane repetitiveness")
-		fmt.Printf("  prefixes=%d classes=%d learned-signatures=%d\n", len(all), len(classes), pred.Len())
-		fmt.Printf("  held-out predictions: %d/%d made, %d/%d correct\n", predicted, len(test), correct, predicted)
-	})
-}
-
-// ---------------------------------------------------------------------------
-// E13 (extension) — §8: pre-install verification keeps the data plane
-// clean through the Fig. 2 misconfiguration.
-// ---------------------------------------------------------------------------
-
-func BenchmarkPreInstallGate(b *testing.B) {
-	runOnce := func() (withheld int, dpViolations int) {
-		pn := mustPaper(b, 1, network.DefaultPaperOpts())
-		gate := repair.NewGate(pn.Network)
-		policies := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
-		pi := repair.NewPreInstall(pn.Network, gate, policies, internalSources)
-		runNet(b, pn)
-		misconfigR2(b, pn, 10)
-		w := dataplane.NewWalker(pn.Topo, gate.View())
-		rep := verify.NewChecker(w, internalSources).Check(policies)
-		return len(pi.WithheldUpdates()), len(rep.Violations)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runOnce()
-	}
-	b.StopTimer()
-	withheld, dpViol := runOnce()
-	// Contrast: without the gate the data plane violates.
-	pn := mustPaper(b, 2, network.DefaultPaperOpts())
-	runNet(b, pn)
-	misconfigR2(b, pn, 10)
-	pipe := NewPipeline(pn.Network, internalSources)
-	ungated := pipe.Verify([]verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}})
-	once("preinstall", func() {
-		fmt.Println("\n[E13/§8] verify-before-install: Fig. 2 misconfiguration")
-		fmt.Printf("  %-28s %-22s %-18s\n", "mode", "data-plane violations", "updates withheld")
-		fmt.Printf("  %-28s %-22d %-18s\n", "install-then-verify", len(ungated.Violations), "-")
-		fmt.Printf("  %-28s %-22d %-18d\n", "verify-before-install (§8)", dpViol, withheld)
-	})
-}
+// E12 — §6's outcome prediction — and E13 — §8's verify-before-install
+// gate — are BenchmarkEarlyPrediction and BenchmarkPreInstallGate in
+// internal/repair, beside the predictor and the gate they run.
 
 // ---------------------------------------------------------------------------
 // E14 (extension) — §8: what-if analysis on an emulated copy.

@@ -144,7 +144,7 @@ func generate(dir string) error {
 		return err
 	}
 	byRouter := map[string][]capture.IO{}
-	for _, io := range pn.Log.All() {
+	for _, io := range pn.Log.Snapshot() {
 		byRouter[io.Router] = append(byRouter[io.Router], io)
 	}
 	for router, ios := range byRouter {

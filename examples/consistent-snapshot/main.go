@@ -40,7 +40,7 @@ func main() {
 	if err := pn.Run(); err != nil {
 		log.Fatal(err)
 	}
-	ios := pn.Log.All()
+	ios := pn.Log.Snapshot()
 
 	// The unlucky collection cut: R2's log stops just before its FIB
 	// switched to the e2 uplink; everyone else is up to date.

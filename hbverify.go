@@ -12,12 +12,13 @@
 //	                   observable I/O properties (§4.2).
 //	hbg              — the happens-before graph: provenance and root
 //	                   causes (§4.3, §6).
-//	snapshot         — consistent data-plane snapshots gated on the HBG
-//	                   (§5).
+//	snapshot         — consistent data-plane snapshots whose cut is
+//	                   closed by message accounting: every collected
+//	                   receive's send is collected (§5).
 //	verify           — the data-plane verifier (loops, blackholes,
 //	                   egress, waypoints).
-//	repair           — root-cause rollback and the blocking baseline
-//	                   (§6, §2).
+//	repair           — root-cause diagnosis and rollback (§6), and the
+//	                   update-blocking gate of the §2 hazard.
 //	dist             — distributed verification over TCP (§5).
 //	ciscolog         — IOS-style log emit/parse, the §7 substrate.
 //
@@ -32,7 +33,6 @@ import (
 	"sort"
 	"sync"
 
-	"hbverify/internal/capture"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/dist"
 	"hbverify/internal/eqclass"
@@ -128,10 +128,6 @@ func (p *Pipeline) noteDistDirty(router string) {
 // reading the log's view in place: no rule reads the oracle fields and no
 // vertex keeps them.
 func (p *Pipeline) Graph() *hbg.Graph { return p.Strategy.InferView(p.Net.Log.View()) }
-
-// GroundTruth builds the oracle graph from the simulator's causal tags,
-// for accuracy evaluation only (over a copy of the log).
-func (p *Pipeline) GroundTruth() *hbg.Graph { return hbg.FromGroundTruth(p.Net.Log.Snapshot()) }
 
 // Accuracy scores the configured strategy against ground truth, read from a
 // copy of the log: an evaluation, not a step of the loop.
@@ -404,24 +400,6 @@ func (p *Pipeline) DetectAndRepair(policies []verify.Policy) (*repair.Diagnosis,
 	}
 	p.Strategy.Invalidate()
 	return d, nil
-}
-
-// RootCause traces an arbitrary captured I/O to its HBG leaf causes.
-func (p *Pipeline) RootCause(ioID uint64) []capture.IO {
-	return p.Graph().RootCauses(ioID)
-}
-
-// CompactLog evicts the captured I/Os no inference can reach any more —
-// those more than the strategy's look-back window plus skew slack behind the
-// newest event — bounding the pipeline's memory for always-on operation
-// (hbr.Incremental.Compact). The window is folded into the cache first, so
-// the evicted history survives as the cached baseline: Graph and RootCauses
-// keep answering for retained events exactly as if the prefix were still
-// present (evicted vertices' root causes fold into their in-window
-// successors). Returns the number of events evicted.
-func (p *Pipeline) CompactLog() int {
-	_, n := p.Strategy.Compact(p.Net.Log)
-	return n
 }
 
 // Summary renders a one-line pipeline state description, followed by the

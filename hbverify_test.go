@@ -75,10 +75,6 @@ func TestPipelineAccuracy(t *testing.T) {
 	if m.Precision < 0.8 || m.Recall < 0.85 {
 		t.Fatalf("rules accuracy too low: %+v", m)
 	}
-	// Ground truth graph exists and is acyclic.
-	if _, err := p.GroundTruth().TopoOrder(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPipelineVerifySnapshot(t *testing.T) {
@@ -170,9 +166,9 @@ func TestVerifySnapshotInfersNothing(t *testing.T) {
 }
 
 // TestPipelineCompactLog exercises the always-on bounded-memory path at
-// the Pipeline layer: fold-then-evict must leave Graph and RootCauses
-// answers for retained events identical to a full inference pruned to the
-// same floor.
+// the Pipeline layer: the strategy's fold-then-evict must leave Graph and
+// RootCauses answers for retained events identical to a full inference
+// pruned to the same floor.
 func TestPipelineCompactLog(t *testing.T) {
 	pn, p := startPaper(t)
 	rules := hbr.Rules{Window: 50 * time.Millisecond,
@@ -183,19 +179,19 @@ func TestPipelineCompactLog(t *testing.T) {
 
 	// The paper scenario converges within ~30ms of virtual time — nothing
 	// would age past any sound retention floor. Drip config churn far past
-	// that burst so CompactLog has history to evict.
-	last := pn.Log.All()[pn.Log.Len()-1].Time
+	// that burst so Compact has history to evict.
+	last := pn.Log.Snapshot()[pn.Log.Len()-1].Time
 	for i := 0; i < 40; i++ {
 		last += netsim.VirtualTime(50 * time.Millisecond)
 		pn.Log.Append(capture.IO{Router: "r1", Type: capture.ConfigChange,
 			Detail: fmt.Sprintf("drip %d", i), Time: last, TrueTime: last})
 	}
 	total := pn.Log.Len()
-	all := capture.StripOracle(pn.Log.All())
+	all := capture.StripOracle(pn.Log.Snapshot())
 
-	evicted := p.CompactLog()
+	_, evicted := p.Strategy.Compact(pn.Log)
 	if evicted == 0 {
-		t.Fatal("CompactLog evicted nothing")
+		t.Fatal("Compact evicted nothing")
 	}
 	if got := pn.Log.Len(); got != total-evicted {
 		t.Fatalf("window holds %d events after evicting %d of %d", got, evicted, total)
@@ -217,8 +213,8 @@ func TestPipelineCompactLog(t *testing.T) {
 	}
 
 	// A second compaction with nothing newly old is a no-op.
-	if n := p.CompactLog(); n != 0 {
-		t.Fatalf("repeat CompactLog evicted %d events", n)
+	if _, n := p.Strategy.Compact(pn.Log); n != 0 {
+		t.Fatalf("repeat Compact evicted %d events", n)
 	}
 }
 
@@ -230,7 +226,7 @@ func TestPipelineRootCause(t *testing.T) {
 			fibIO = io
 		}
 	}
-	roots := p.RootCause(fibIO.ID)
+	roots := p.Graph().RootCauses(fibIO.ID)
 	if len(roots) == 0 {
 		t.Fatal("no roots")
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // TestPipelineSharesOneInferencePerGeneration pins the tentpole contract:
-// Detect, Accuracy, and RootCause all route through the incremental cache,
-// so one log generation costs exactly one full inference no matter how many
-// pipeline entry points consume the graph.
+// Detect, Accuracy, and Graph().RootCauses all route through the incremental
+// cache, so one log generation costs exactly one full inference no matter
+// how many pipeline entry points consume the graph.
 func TestPipelineSharesOneInferencePerGeneration(t *testing.T) {
 	pn, p := startPaper(t)
 	if _, err := pn.UpdateConfig("r2", "lp 10", func(c *config.Router) {
@@ -29,14 +29,14 @@ func TestPipelineSharesOneInferencePerGeneration(t *testing.T) {
 		t.Fatal("misconfiguration undetected")
 	}
 	p.Accuracy()
-	if roots := p.RootCause(d.Fault.ID); len(roots) == 0 {
+	if roots := p.Graph().RootCauses(d.Fault.ID); len(roots) == 0 {
 		t.Fatal("no root causes for the fault")
 	}
 
 	full := p.Metrics.Counter("infer.cache.misses").Value()
 	hits := p.Metrics.Counter("infer.cache.hits").Value()
 	if full != 1 {
-		t.Fatalf("Detect+Accuracy+RootCause cost %d full inferences, want 1 (hits=%d)", full, hits)
+		t.Fatalf("Detect+Accuracy+RootCauses cost %d full inferences, want 1 (hits=%d)", full, hits)
 	}
 	if hits < 2 {
 		t.Fatalf("expected at least 2 cache hits, got %d", hits)

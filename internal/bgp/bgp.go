@@ -225,15 +225,6 @@ func (s *Speaker) Sessions() []*Session {
 	return out
 }
 
-// LocRIB returns a copy of the selected best routes.
-func (s *Speaker) LocRIB() map[netip.Prefix]route.Route {
-	out := make(map[netip.Prefix]route.Route, len(s.locRIB))
-	for k, v := range s.locRIB {
-		out[k] = v
-	}
-	return out
-}
-
 // AdjIn returns the raw routes received from peer (diagnostics).
 func (s *Speaker) AdjIn(peer netip.Addr) []Message {
 	var out []Message

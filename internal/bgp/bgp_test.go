@@ -112,7 +112,7 @@ func TestFig1OnlyR1UplinkAvailable(t *testing.T) {
 	sp["e1"].Start() // only E1 advertises P (Fig. 1a)
 	n.run(t)
 	for _, r := range []string{"r1", "r2", "r3"} {
-		best, ok := sp[r].LocRIB()[prefixP]
+		best, ok := sp[r].locRIB[prefixP]
 		if !ok {
 			t.Fatalf("%s has no route for P", r)
 		}
@@ -141,7 +141,7 @@ func TestFig1bRouteViaR2Preferred(t *testing.T) {
 		"r3": addr("2.2.2.2"),
 	}
 	for r, want := range wants {
-		best, ok := sp[r].LocRIB()[prefixP]
+		best, ok := sp[r].locRIB[prefixP]
 		if !ok || best.NextHop != want {
 			t.Fatalf("%s best = %+v (ok=%v), want nh %v", r, best, ok, want)
 		}
@@ -167,7 +167,7 @@ func TestFig2LocalPrefDemotionViaSoftReconfig(t *testing.T) {
 		"r3": addr("1.1.1.1"),
 	}
 	for r, want := range wants {
-		best := sp[r].LocRIB()[prefixP]
+		best := sp[r].locRIB[prefixP]
 		if best.NextHop != want {
 			t.Fatalf("%s nh = %v, want %v", r, best.NextHop, want)
 		}
@@ -185,7 +185,7 @@ func TestWithdrawFallsBack(t *testing.T) {
 	e2.SoftReconfig()
 	n.run(t)
 	for _, r := range []string{"r2", "r3"} {
-		best, ok := sp[r].LocRIB()[prefixP]
+		best, ok := sp[r].locRIB[prefixP]
 		if !ok || best.NextHop != addr("1.1.1.1") {
 			t.Fatalf("%s should fall back to R1: %+v ok=%v", r, best, ok)
 		}
@@ -200,7 +200,7 @@ func TestPeerDownPurgesAndWithdraws(t *testing.T) {
 	sp["r2"].PeerDown(addr("200.0.0.1"))
 	n.run(t)
 	for _, r := range []string{"r1", "r2", "r3"} {
-		best, ok := sp[r].LocRIB()[prefixP]
+		best, ok := sp[r].locRIB[prefixP]
 		if !ok {
 			t.Fatalf("%s lost P entirely", r)
 		}
@@ -225,13 +225,13 @@ func TestPeerUpReadvertises(t *testing.T) {
 	sp["r1"].PeerDown(addr("3.3.3.3"))
 	n.run(t)
 	// R3 still has the route via R2? No: R2 does not reflect iBGP routes.
-	if _, ok := sp["r3"].LocRIB()[prefixP]; ok {
+	if _, ok := sp["r3"].locRIB[prefixP]; ok {
 		t.Fatal("r3 should have lost P (no reflection, session to r1 down)")
 	}
 	sp["r1"].PeerUp(addr("3.3.3.3"))
 	sp["r3"].PeerUp(addr("1.1.1.1"))
 	n.run(t)
-	if best, ok := sp["r3"].LocRIB()[prefixP]; !ok || best.NextHop != addr("1.1.1.1") {
+	if best, ok := sp["r3"].locRIB[prefixP]; !ok || best.NextHop != addr("1.1.1.1") {
 		t.Fatalf("r3 after session restore: %+v %v", best, ok)
 	}
 }
@@ -311,7 +311,7 @@ func TestASPathLoopDiscarded(t *testing.T) {
 		}, 0)
 	})
 	n.run(t)
-	if _, ok := a.LocRIB()[prefixP]; ok {
+	if _, ok := a.locRIB[prefixP]; ok {
 		t.Fatal("looped route installed")
 	}
 	// The recv I/O is still captured (§4: all inputs are recorded).
@@ -341,10 +341,10 @@ func TestImportPolicyDeny(t *testing.T) {
 	n.connect(a, b, route.PeerEBGP, func(sa, _ *Session) { sa.ImportPolicy = "block-p" })
 	b.Start()
 	n.run(t)
-	if _, ok := a.LocRIB()[prefixP]; ok {
+	if _, ok := a.locRIB[prefixP]; ok {
 		t.Fatal("denied prefix installed")
 	}
-	if _, ok := a.LocRIB()[pfx("198.51.100.0/24")]; !ok {
+	if _, ok := a.locRIB[pfx("198.51.100.0/24")]; !ok {
 		t.Fatal("permitted prefix missing")
 	}
 }
@@ -398,10 +398,11 @@ func TestGroundTruthCausalChain(t *testing.T) {
 			continue
 		}
 		seen[id] = true
-		io, ok := n.log.ByID(id)
-		if !ok {
+		found := n.log.Filter(func(io capture.IO) bool { return io.ID == id })
+		if len(found) != 1 {
 			t.Fatalf("dangling cause %d", id)
 		}
+		io := found[0]
 		if io.Router == "e1" {
 			reachedE1 = true
 		}
@@ -533,7 +534,7 @@ func TestVendorQuirkChangesSelection(t *testing.T) {
 				Attrs: route.BGPAttrs{ASPath: []uint32{901}, MED: 5}}, 0)
 		})
 		_ = n.sched.Run()
-		return a.LocRIB()[prefixP].NextHop
+		return a.locRIB[prefixP].NextHop
 	}
 	canonical := build(route.Quirks{})
 	vendorA := build(route.VendorA)
@@ -554,7 +555,7 @@ func TestIdenticalReAdvertNoChurn(t *testing.T) {
 	n.run(t)
 	// Soft reconfig on e1 with unchanged config: one soft-reconfig event,
 	// no new RIB/FIB/advert churn anywhere.
-	after := n.log.All()[before:]
+	after := n.log.Snapshot()[before:]
 	for _, io := range after {
 		if io.Type != capture.SoftReconfig {
 			t.Fatalf("unexpected churn I/O: %v", io)
@@ -583,7 +584,7 @@ func TestIGPMetricTieBreak(t *testing.T) {
 	e1.Start()
 	e2.Start()
 	n.run(t)
-	best := a.LocRIB()[prefixP]
+	best := a.locRIB[prefixP]
 	if best.NextHop != addr("3.3.3.3") {
 		t.Fatalf("IGP tie-break picked %v, want 3.3.3.3", best.NextHop)
 	}

@@ -86,7 +86,7 @@ func TestExportPolicyPrepend(t *testing.T) {
 		}
 	}
 	// The longer path still installs (only candidate) but ranks worse.
-	if _, ok := receiver.LocRIB()[prefixP]; !ok {
+	if _, ok := receiver.locRIB[prefixP]; !ok {
 		t.Fatal("route not installed")
 	}
 }
@@ -97,7 +97,7 @@ func TestImportPolicySetsLocalPref(t *testing.T) {
 	})
 	provider.Start()
 	n.run(t)
-	best, ok := receiver.LocRIB()[prefixP]
+	best, ok := receiver.locRIB[prefixP]
 	if !ok || best.Attrs.LocalPref != 250 {
 		t.Fatalf("best = %+v %v", best, ok)
 	}
@@ -112,7 +112,7 @@ func TestImportCommunityTagThenMatch(t *testing.T) {
 	})
 	provider.Start()
 	n.run(t)
-	if _, ok := receiver.LocRIB()[prefixP]; ok {
+	if _, ok := receiver.locRIB[prefixP]; ok {
 		t.Fatal("community-tagged route survived the import deny")
 	}
 	// The raw route is still in Adj-RIB-In (soft reconfiguration data).
@@ -127,7 +127,7 @@ func TestPolicyChangeThenSoftReconfigRecovers(t *testing.T) {
 	})
 	provider.Start()
 	n.run(t)
-	if _, ok := receiver.LocRIB()[prefixP]; ok {
+	if _, ok := receiver.locRIB[prefixP]; ok {
 		t.Fatal("denied route installed")
 	}
 	// Operator removes the deny; soft reconfiguration re-evaluates the
@@ -135,7 +135,7 @@ func TestPolicyChangeThenSoftReconfigRecovers(t *testing.T) {
 	receiver.Session(addr("9.9.9.9")).ImportPolicy = ""
 	n.sched.After(time.Millisecond, func() { receiver.SoftReconfig() })
 	n.run(t)
-	if _, ok := receiver.LocRIB()[prefixP]; !ok {
+	if _, ok := receiver.locRIB[prefixP]; !ok {
 		t.Fatal("soft reconfiguration did not resurrect the route")
 	}
 }

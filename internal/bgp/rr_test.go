@@ -34,7 +34,7 @@ func TestReflectionClientToClients(t *testing.T) {
 	n.run(t)
 	// Without reflection c2/c3 could never learn P (no mesh). With it:
 	for _, name := range []string{"c2", "c3"} {
-		best, ok := sp[name].LocRIB()[prefixP]
+		best, ok := sp[name].locRIB[prefixP]
 		if !ok {
 			t.Fatalf("%s never learned P through the reflector", name)
 		}
@@ -44,7 +44,7 @@ func TestReflectionClientToClients(t *testing.T) {
 		}
 	}
 	// The reflector itself selected the route too.
-	if _, ok := sp["rr"].LocRIB()[prefixP]; !ok {
+	if _, ok := sp["rr"].locRIB[prefixP]; !ok {
 		t.Fatal("rr has no route")
 	}
 }
@@ -117,7 +117,7 @@ func TestReflectionWithdrawPropagates(t *testing.T) {
 	sp["e1"].SoftReconfig()
 	n.run(t)
 	for _, name := range []string{"rr", "c1", "c2", "c3"} {
-		if _, ok := sp[name].LocRIB()[prefixP]; ok {
+		if _, ok := sp[name].locRIB[prefixP]; ok {
 			t.Fatalf("%s kept withdrawn reflected route", name)
 		}
 	}
@@ -138,10 +138,10 @@ func TestNonClientNotReflectedToNonClient(t *testing.T) {
 	n.connect(p1, e1, route.PeerEBGP, nil)
 	e1.Start()
 	n.run(t)
-	if _, ok := hub.LocRIB()[prefixP]; !ok {
+	if _, ok := hub.locRIB[prefixP]; !ok {
 		t.Fatal("hub missing route")
 	}
-	if _, ok := p2.LocRIB()[prefixP]; ok {
+	if _, ok := p2.locRIB[prefixP]; ok {
 		t.Fatal("non-client route leaked through non-reflector")
 	}
 }

@@ -57,25 +57,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("io(%d)", uint8(t))
 }
 
-// ParseType is the inverse of Type.String. The boolean reports success.
-func ParseType(s string) (Type, bool) {
-	for i, n := range typeNames {
-		if s == n {
-			return Type(i), true
-		}
-	}
-	return 0, false
-}
-
-// IsInput reports whether t is an input to the control plane (§4.1).
-func (t Type) IsInput() bool {
-	switch t {
-	case ConfigChange, LinkUp, LinkDown, RecvAdvert, RecvWithdraw:
-		return true
-	}
-	return false
-}
-
 // IsOutput reports whether t is an output of the control plane.
 func (t Type) IsOutput() bool {
 	switch t {
@@ -386,9 +367,6 @@ func (l *Log) View() View {
 // View instead.
 func (l *Log) Snapshot() []IO { return l.View().Flatten() }
 
-// All is Snapshot, under the name the tests and tools grew up with.
-func (l *Log) All() []IO { return l.Snapshot() }
-
 // AppendBatch appends a batch of I/Os in one critical section, assigning
 // dense IDs, and returns the stored entries as a view. Replayed or parsed
 // logs land in one mutex acquisition instead of one per line.
@@ -404,18 +382,6 @@ func (l *Log) AppendBatch(ios []IO) View {
 	stored := l.viewLocked(start, l.n)
 	l.mu.Unlock()
 	return stored
-}
-
-// ByID returns the I/O with the given ID. Compacted-away IDs report false.
-func (l *Log) ByID(id uint64) (IO, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	first := l.nextID - uint64(l.n)
-	if id < first || id >= l.nextID {
-		return IO{}, false
-	}
-	// IDs are dense and append-ordered within the retained window.
-	return *l.viewLocked(0, l.n).At(int(id - first)), true
 }
 
 // Filter returns the I/Os for which keep returns true, in append order, in
@@ -443,12 +409,6 @@ func (l *Log) Filter(keep func(IO) bool) []IO {
 // ForRouter returns the I/Os captured at one router.
 func (l *Log) ForRouter(name string) []IO {
 	return l.Filter(func(io IO) bool { return io.Router == name })
-}
-
-// ForPrefix returns the I/Os carrying the exact prefix p.
-func (l *Log) ForPrefix(p netip.Prefix) []IO {
-	p = p.Masked()
-	return l.Filter(func(io IO) bool { return io.Prefix == p })
 }
 
 // StripOracle returns a copy of the I/Os with ground-truth fields cleared,

@@ -13,32 +13,27 @@ import (
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
 func TestTypeClassification(t *testing.T) {
-	inputs := []Type{ConfigChange, LinkUp, LinkDown, RecvAdvert, RecvWithdraw}
+	inputs := []Type{ConfigChange, LinkUp, LinkDown, RecvAdvert, RecvWithdraw, SoftReconfig}
 	outputs := []Type{SendAdvert, SendWithdraw, RIBInstall, RIBRemove, FIBInstall, FIBRemove}
 	for _, ty := range inputs {
-		if !ty.IsInput() || ty.IsOutput() {
+		if ty.IsOutput() {
 			t.Fatalf("%v misclassified", ty)
 		}
 	}
 	for _, ty := range outputs {
-		if ty.IsInput() || !ty.IsOutput() {
+		if !ty.IsOutput() {
 			t.Fatalf("%v misclassified", ty)
 		}
-	}
-	if SoftReconfig.IsInput() || SoftReconfig.IsOutput() {
-		t.Fatal("SoftReconfig is neither input nor output")
 	}
 }
 
 func TestTypeNamesRoundTrip(t *testing.T) {
+	seen := map[string]Type{}
 	for ty := ConfigChange; ty <= SoftReconfig; ty++ {
-		got, ok := ParseType(ty.String())
-		if !ok || got != ty {
-			t.Fatalf("round trip %v", ty)
+		if prev, dup := seen[ty.String()]; dup || ty.String() == "" {
+			t.Fatalf("%v and %v share the name %q", prev, ty, ty.String())
 		}
-	}
-	if _, ok := ParseType("bogus"); ok {
-		t.Fatal("bogus parsed")
+		seen[ty.String()] = ty
 	}
 	if Type(200).String() != "io(200)" {
 		t.Fatal("out-of-range name")
@@ -115,6 +110,15 @@ func TestRecorderClockSkew(t *testing.T) {
 	}
 }
 
+// byID looks an I/O up by ID; compacted-away and future IDs report false.
+func byID(l *Log, id uint64) (IO, bool) {
+	got := l.Filter(func(io IO) bool { return io.ID == id })
+	if len(got) != 1 {
+		return IO{}, false
+	}
+	return got[0], true
+}
+
 func TestLogQueries(t *testing.T) {
 	s := netsim.NewScheduler(1)
 	log := NewLog()
@@ -129,16 +133,16 @@ func TestLogQueries(t *testing.T) {
 	if got := log.ForRouter("r2"); len(got) != 2 {
 		t.Fatalf("ForRouter = %d", len(got))
 	}
-	if got := log.ForPrefix(pfx("10.0.0.0/8")); len(got) != 2 {
-		t.Fatalf("ForPrefix = %d", len(got))
+	if got := log.Filter(func(io IO) bool { return io.Prefix == pfx("10.0.0.0/8") }); len(got) != 2 {
+		t.Fatalf("Filter by prefix = %d", len(got))
 	}
-	if io, ok := log.ByID(3); !ok || io.Prefix != pfx("20.0.0.0/8") {
+	if io, ok := byID(log, 3); !ok || io.Prefix != pfx("20.0.0.0/8") {
 		t.Fatalf("ByID = %+v %v", io, ok)
 	}
-	if _, ok := log.ByID(0); ok {
+	if _, ok := byID(log, 0); ok {
 		t.Fatal("ID 0 resolved")
 	}
-	if _, ok := log.ByID(99); ok {
+	if _, ok := byID(log, 99); ok {
 		t.Fatal("future ID resolved")
 	}
 }
@@ -156,7 +160,7 @@ func TestObservedOrderUsesSkewedClocks(t *testing.T) {
 	if obs[0].Router != "r2" || obs[1].Router != "r1" {
 		t.Fatalf("observed order = %v,%v", obs[0].Router, obs[1].Router)
 	}
-	all := log.All()
+	all := log.Snapshot()
 	if all[0].Router != "r1" {
 		t.Fatal("append order must stay true-time ordered")
 	}
@@ -223,7 +227,7 @@ func TestAppendBatch(t *testing.T) {
 	if got := log.AppendBatch(nil); got.Len() != 0 {
 		t.Fatalf("empty batch returned %d events", got.Len())
 	}
-	if io, ok := log.ByID(3); !ok || io.Type != RIBInstall {
+	if io, ok := byID(log, 3); !ok || io.Type != RIBInstall {
 		t.Fatalf("ByID(3) = %+v %v", io, ok)
 	}
 }

@@ -32,13 +32,13 @@ func TestCompactBefore(t *testing.T) {
 	if l.Len() != 6 || l.FirstID() != 5 || l.TotalAppended() != 10 {
 		t.Fatalf("after compaction: len=%d first=%d total=%d", l.Len(), l.FirstID(), l.TotalAppended())
 	}
-	if _, ok := l.ByID(4); ok {
+	if _, ok := byID(l, 4); ok {
 		t.Fatal("ByID(4) found a compacted I/O")
 	}
-	if io, ok := l.ByID(5); !ok || io.ID != 5 {
+	if io, ok := byID(l, 5); !ok || io.ID != 5 {
 		t.Fatalf("ByID(5) = %+v %v", io, ok)
 	}
-	if io, ok := l.ByID(10); !ok || io.ID != 10 {
+	if io, ok := byID(l, 10); !ok || io.ID != 10 {
 		t.Fatalf("ByID(10) = %+v %v", io, ok)
 	}
 	if snap := l.Snapshot(); len(snap) != 6 || snap[0].ID != 5 {
@@ -67,7 +67,7 @@ func TestCompactToEmpty(t *testing.T) {
 	}
 	// Appends resume with dense IDs after total eviction.
 	appendN(l, 2, 9)
-	if io, ok := l.ByID(5); !ok || io.ID != 5 {
+	if io, ok := byID(l, 5); !ok || io.ID != 5 {
 		t.Fatalf("post-eviction append: ByID(5) = %+v %v", io, ok)
 	}
 	if l.Len() != 2 || l.FirstID() != 5 {
@@ -79,7 +79,7 @@ func TestRestoreLog(t *testing.T) {
 	l := NewLog()
 	appendN(l, 6, 3)
 	l.CompactBefore(3)
-	window := l.All()
+	window := l.Snapshot()
 
 	r, err := RestoreLog(window, 0)
 	if err != nil {
@@ -89,7 +89,7 @@ func TestRestoreLog(t *testing.T) {
 		t.Fatalf("restored: len=%d first=%d total=%d", r.Len(), r.FirstID(), r.TotalAppended())
 	}
 	appendN(r, 1, 4)
-	if io, ok := r.ByID(7); !ok || io.ID != 7 {
+	if io, ok := byID(r, 7); !ok || io.ID != 7 {
 		t.Fatalf("restored log did not resume IDs: %+v %v", io, ok)
 	}
 
@@ -233,7 +233,7 @@ func TestCompactLeavesRoomToRefill(t *testing.T) {
 
 // TestSegmentBoundaries walks the log's layout across segment edges: where
 // each operation leaves the segments and the floor, and that the window
-// still reads as dense IDs from FirstID, through views and ByID alike.
+// still reads as dense IDs from FirstID, through views and Filter alike.
 func TestSegmentBoundaries(t *testing.T) {
 	appendEach := func(l *Log, n int) {
 		for i := 0; i < n; i++ {
@@ -309,7 +309,7 @@ func TestSegmentBoundaries(t *testing.T) {
 			v := l.View()
 			checkWindow(t, "window", v, uint64(tc.first))
 			for _, i := range []int{0, tc.n / 2, tc.n - 1} {
-				if io, ok := l.ByID(uint64(tc.first + i)); !ok || io.ID != v.At(i).ID {
+				if io, ok := byID(l, uint64(tc.first+i)); !ok || io.ID != v.At(i).ID {
 					t.Fatalf("ByID(%d) = %d, %v", tc.first+i, io.ID, ok)
 				}
 			}

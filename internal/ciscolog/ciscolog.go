@@ -39,12 +39,6 @@ import (
 // paper's logs were captured in 2017; any fixed anchor works.
 var epoch = time.Date(2017, time.November, 1, 10, 0, 0, 0, time.UTC)
 
-// Timestamp renders a virtual time as an IOS log stamp, e.g.
-// "*Nov  1 10:00:25.004".
-func Timestamp(t netsim.VirtualTime) string {
-	return string(appendTimestamp(make([]byte, 0, 20), t))
-}
-
 // appendTimestamp renders the IOS stamp without fmt: "*Nov  1 10:00:25.004"
 // — month, space-padded day (%2d), zero-padded clock, 3-digit millis.
 func appendTimestamp(dst []byte, t netsim.VirtualTime) []byte {
@@ -74,12 +68,6 @@ func append2(dst []byte, v int) []byte { return append(dst, byte('0'+v/10), byte
 
 func append3(dst []byte, v int) []byte {
 	return append(dst, byte('0'+v/100), byte('0'+v/10%10), byte('0'+v%10))
-}
-
-// ParseTimestamp inverts Timestamp, returning the virtual time truncated
-// to milliseconds.
-func ParseTimestamp(s string) (netsim.VirtualTime, error) {
-	return parseTimestampBytes([]byte(s))
 }
 
 // daysPerMonth matches what the reference time.Parse accepted: the parse
@@ -277,13 +265,10 @@ func appendProtoLead(dst []byte, p route.Protocol) []byte {
 	return append(dst, "(0): "...)
 }
 
-// Emit renders one I/O as a log line (without a trailing newline). The
-// line omits the router name: logs are per-router files, as on real gear.
-func Emit(io capture.IO) string { return string(AppendLine(nil, io)) }
-
-// AppendLine appends the log line for io to dst and returns the extended
-// buffer — the zero-allocation emit path. The rendered bytes are
-// identical to the reference fmt-based emitter for every I/O.
+// AppendLine appends the log line for io (without a trailing newline) to
+// dst and returns the extended buffer. The line omits the router name: logs
+// are per-router files, as on real gear. The rendered bytes are identical
+// to the reference fmt-based emitter for every I/O.
 func AppendLine(dst []byte, io capture.IO) []byte {
 	dst = appendTimestamp(dst, io.Time)
 	switch io.Type {
@@ -537,11 +522,6 @@ func parseUint32(b []byte) (uint32, bool) {
 		}
 	}
 	return uint32(v), true
-}
-
-// ParseLine parses one log line captured at the named router.
-func (p *Parser) ParseLine(router, line string) (capture.IO, error) {
-	return p.parse(router, []byte(line))
 }
 
 func (p *Parser) parse(router string, line []byte) (capture.IO, error) {
@@ -828,34 +808,4 @@ func (p *Parser) ParseLog(router string, r io.Reader) ([]capture.IO, error) {
 		return nil
 	})
 	return out, err
-}
-
-// RoundTrip emits and re-parses a set of I/Os grouped by router —
-// producing exactly the information a log-collection deployment would
-// have: millisecond timestamps, addresses instead of names (unless resolve
-// recovers them), and no causality.
-func RoundTrip(ios []capture.IO, resolve Resolver) ([]capture.IO, error) {
-	byRouter := map[string][]capture.IO{}
-	var order []string
-	for _, x := range ios {
-		if _, seen := byRouter[x.Router]; !seen {
-			order = append(order, x.Router)
-		}
-		byRouter[x.Router] = append(byRouter[x.Router], x)
-	}
-	p := NewParser(resolve)
-	var out []capture.IO
-	var buf bytes.Buffer
-	for _, router := range order {
-		buf.Reset()
-		if err := EmitLog(&buf, byRouter[router]); err != nil {
-			return nil, err
-		}
-		parsed, err := p.ParseLog(router, bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, parsed...)
-	}
-	return out, nil
 }

@@ -47,15 +47,15 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		p := NewParser(nil)
-		io1, err := p.ParseLine("r1", line)
+		io1, err := p.parse("r1", []byte(line))
 		if err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
-		emitted := Emit(io1)
+		emitted := string(AppendLine(nil, io1))
 		if strings.ContainsRune(emitted, '\n') {
-			t.Fatalf("Emit produced a multi-line record from %q: %q", line, emitted)
+			t.Fatalf("AppendLine produced a multi-line record from %q: %q", line, emitted)
 		}
-		io2, err := NewParser(nil).ParseLine("r1", emitted)
+		io2, err := NewParser(nil).parse("r1", []byte(emitted))
 		if err != nil {
 			t.Fatalf("re-parse of emitted line failed: %v\n  input:   %q\n  emitted: %q", err, line, emitted)
 		}

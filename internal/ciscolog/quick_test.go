@@ -11,7 +11,7 @@ import (
 	"hbverify/internal/route"
 )
 
-// Property: Emit followed by ParseLine preserves type, prefix, next hop,
+// Property: AppendLine followed by parse preserves type, prefix, next hop,
 // peer address, and millisecond-truncated time for every route-carrying
 // I/O shape.
 func TestQuickEmitParseRoundTrip(t *testing.T) {
@@ -45,7 +45,7 @@ func TestQuickEmitParseRoundTrip(t *testing.T) {
 			}
 		}
 		p := NewParser(nil)
-		got, err := p.ParseLine("rX", Emit(io))
+		got, err := p.parse("rX", AppendLine(nil, io))
 		if err != nil {
 			return false
 		}
@@ -81,7 +81,7 @@ func TestQuickEmitParseRoundTrip(t *testing.T) {
 func TestQuickTimestampRoundTrip(t *testing.T) {
 	f := func(ms uint32) bool {
 		vt := netsim.VirtualTime(ms%86_400_000) * 1_000_000
-		got, err := ParseTimestamp(Timestamp(vt))
+		got, err := parseTimestampBytes(appendTimestamp(nil, vt))
 		return err == nil && got == vt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(78))}); err != nil {

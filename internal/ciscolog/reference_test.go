@@ -394,8 +394,8 @@ func emitCorpus() []capture.IO {
 // the fmt-based reference byte-for-byte on every emit branch.
 func TestEmitMatchesReference(t *testing.T) {
 	for _, io := range emitCorpus() {
-		if got, want := Emit(io), ReferenceEmit(io); got != want {
-			t.Errorf("Emit mismatch for %v:\n  fast: %q\n  ref:  %q", io.Type, got, want)
+		if got, want := string(AppendLine(nil, io)), ReferenceEmit(io); got != want {
+			t.Errorf("AppendLine mismatch for %v:\n  fast: %q\n  ref:  %q", io.Type, got, want)
 		}
 	}
 }
@@ -406,7 +406,7 @@ func TestEmitMatchesReference(t *testing.T) {
 func TestParseMatchesReference(t *testing.T) {
 	var lines []string
 	for _, io := range emitCorpus() {
-		lines = append(lines, Emit(io))
+		lines = append(lines, string(AppendLine(nil, io)))
 	}
 	lines = append(lines,
 		"  *Nov  1 10:00:25.004: %BGP-5-SOFTRECONFIG: inbound soft reconfiguration started  ",
@@ -431,7 +431,7 @@ func TestParseMatchesReference(t *testing.T) {
 	fast := NewParser(resolve)
 	ref := NewReferenceParser(resolve)
 	for _, line := range lines {
-		fio, ferr := fast.ParseLine("r1", line)
+		fio, ferr := fast.parse("r1", []byte(line))
 		rio, rerr := ref.ParseLine("r1", line)
 		if (ferr == nil) != (rerr == nil) {
 			t.Errorf("acceptance mismatch for %q: fast err %v, ref err %v", line, ferr, rerr)
@@ -467,11 +467,11 @@ func TestAppendLineZeroAlloc(t *testing.T) {
 func TestParserInterning(t *testing.T) {
 	p := NewParser(nil)
 	line := "*Nov  1 10:02:13.500: BGP(0): 10.0.0.2 rcvd UPDATE about 203.0.113.0/24, next hop 10.0.0.2, localpref 100, path 100 200"
-	a, err := p.ParseLine("r1", line)
+	a, err := p.parse("r1", []byte(line))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.ParseLine("r1", line)
+	b, err := p.parse("r1", []byte(line))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestParseReader(t *testing.T) {
 	// lines.
 	var corpus []capture.IO
 	for _, io := range emitCorpus() {
-		if _, err := NewParser(nil).ParseLine("r1", Emit(io)); err == nil {
+		if _, err := NewParser(nil).parse("r1", AppendLine(nil, io)); err == nil {
 			corpus = append(corpus, io)
 		}
 	}

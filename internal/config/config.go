@@ -282,15 +282,6 @@ func (s *Store) Commit(cfg *Router, comment string) int {
 	return v.Num
 }
 
-// Current returns the latest version for router name.
-func (s *Store) Current(name string) (Version, bool) {
-	h := s.history[name]
-	if len(h) == 0 {
-		return Version{}, false
-	}
-	return h[len(h)-1], true
-}
-
 // Get returns a specific version.
 func (s *Store) Get(name string, num int) (Version, bool) {
 	h := s.history[name]
@@ -300,17 +291,15 @@ func (s *Store) Get(name string, num int) (Version, bool) {
 	return h[num-1], true
 }
 
-// Rollback commits a copy of version num as the new head and returns it.
-// This mirrors how operators roll back: the old content becomes a new
-// version rather than rewriting history.
+// Rollback commits a copy of version num as the new head and returns the
+// version it committed. This mirrors how operators roll back: the old
+// content becomes a new version rather than rewriting history.
 func (s *Store) Rollback(name string, num int) (Version, error) {
 	v, ok := s.Get(name, num)
 	if !ok {
 		return Version{}, fmt.Errorf("config: no version %d for %q", num, name)
 	}
-	n := s.Commit(v.Config, fmt.Sprintf("rollback to v%d", num))
-	head, _ := s.Current(name)
-	_ = n
+	head, _ := s.Get(name, s.Commit(v.Config, fmt.Sprintf("rollback to v%d", num)))
 	return head, nil
 }
 

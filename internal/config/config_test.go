@@ -194,12 +194,12 @@ func TestStoreCommitAndHistory(t *testing.T) {
 	if !ok || v1.Config.BGP.Neighbors[0].LocalPref != 20 {
 		t.Fatal("history mutated by later edits")
 	}
-	cur, ok := st.Current("r1")
-	if !ok || cur.Num != 2 || cur.Config.BGP.Neighbors[0].LocalPref != 10 {
-		t.Fatalf("current = %+v", cur)
+	head, ok := st.Get("r1", 2)
+	if !ok || head.Num != 2 || head.Config.BGP.Neighbors[0].LocalPref != 10 {
+		t.Fatalf("head = %+v", head)
 	}
-	if _, ok := st.Current("ghost"); ok {
-		t.Fatal("ghost router has current")
+	if _, ok := st.Get("ghost", 1); ok {
+		t.Fatal("ghost router has a version")
 	}
 	if _, ok := st.Get("r1", 0); ok {
 		t.Fatal("version 0 exists")

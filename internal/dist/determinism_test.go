@@ -88,7 +88,7 @@ func buildEcmpWorld(t *testing.T, hops []netip.Addr, linksReversed bool) ecmpWor
 	}
 	return ecmpWorld{
 		entry:  entry,
-		sig:    eqclass.Signature(fibs, p),
+		sig:    eqclass.Compute(fibs, []netip.Prefix{p})[0].Signature,
 		walk:   walk,
 		frame:  appendWalkBatch(nil, mtResultBatch, 7, []WalkMsg{msg}),
 		efib:   appendEntry(nil, entry),

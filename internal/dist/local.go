@@ -59,14 +59,6 @@ func (n *Node) applyLabels(router string, nl localck.NodeLabels) {
 // before the delta is acknowledged then reads the node's stale view.
 func (n *Node) SetApplyDelay(d time.Duration) { n.applyDelay.Store(int64(d)) }
 
-// LabelEpoch reports the epoch of the node's current label slice (0
-// when no labels have been pushed).
-func (n *Node) LabelEpoch() uint64 {
-	n.viewMu.RLock()
-	defer n.viewMu.RUnlock()
-	return n.checker.Labels.Epoch
-}
-
 // runLocalChecks executes the invariants for every labeled class under
 // viewMu and builds the report frame body. A disabled checker still
 // acknowledges (Epoch 0, Checked 0) so the coordinator can tell
@@ -144,19 +136,6 @@ func (c *Coordinator) LabelEpoch() uint64 {
 		return 0
 	}
 	return c.labels.Epoch
-}
-
-// TaintedClasses returns the classes local violations have flagged
-// since the last relabel, sorted.
-func (c *Coordinator) TaintedClasses() []netip.Prefix {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]netip.Prefix, 0, len(c.taint))
-	for p := range c.taint {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return prefixBefore(out[i], out[j]) })
-	return out
 }
 
 // DeriveLabelsFromViews computes a distance-to-egress label set for the

@@ -15,6 +15,18 @@ import (
 	"hbverify/internal/wire"
 )
 
+// tainted returns the classes local violations have flagged since the last
+// relabel.
+func tainted(c *Coordinator) []netip.Prefix {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]netip.Prefix, 0, len(c.taint))
+	for p := range c.taint {
+		out = append(out, p)
+	}
+	return out
+}
+
 // qClass is a second forwarding class for the paper net: r3's loopback,
 // reachable from every internal router over the OSPF triangle.
 var qClass = netip.MustParsePrefix("3.3.3.3/32")
@@ -133,7 +145,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	if !found {
 		t.Fatalf("no no-route violation for P: %+v", res.Violations)
 	}
-	if tc := coord.TaintedClasses(); len(tc) != 1 || tc[0] != pn.P {
+	if tc := tainted(coord); len(tc) != 1 || tc[0] != pn.P {
 		t.Fatalf("tainted = %v", tc)
 	}
 
@@ -173,7 +185,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	if _, err := coord.Relabel(nodes, []netip.Prefix{pn.P, qClass}); err != nil {
 		t.Fatal(err)
 	}
-	if tc := coord.TaintedClasses(); len(tc) != 0 {
+	if tc := tainted(coord); len(tc) != 0 {
 		t.Fatalf("taint survived relabel: %v", tc)
 	}
 }

@@ -268,9 +268,9 @@ func TestPerNodeLatencyTimers(t *testing.T) {
 	}, VerifyOpts{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot()
-	if snap["dist.walks"] != 3 || snap["dist.batches"] == 0 || snap["dist.bytes"] == 0 {
-		t.Fatalf("snapshot = %v", snap)
+	snap := reg.String()
+	if reg.Counter("dist.walks").Value() != 3 || reg.Counter("dist.batches").Value() == 0 || reg.Counter("dist.bytes").Value() == 0 {
+		t.Fatalf("metrics = %v", snap)
 	}
 	timed := int64(0)
 	for _, src := range []string{"r1", "r2", "r3"} {

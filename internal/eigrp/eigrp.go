@@ -120,16 +120,6 @@ func (e *Instance) Originate(p netip.Prefix, cause ...uint64) {
 	e.runDUAL(p, cause)
 }
 
-// WithdrawLocal removes a locally originated prefix.
-func (e *Instance) WithdrawLocal(p netip.Prefix, cause ...uint64) {
-	p = p.Masked()
-	if !e.local[p] {
-		return
-	}
-	delete(e.local, p)
-	e.runDUAL(p, cause)
-}
-
 // NeighborDown purges the neighbor's topology entries.
 func (e *Instance) NeighborDown(addr netip.Addr, cause ...uint64) {
 	n := e.neighbors[addr]
@@ -338,15 +328,6 @@ func (e *Instance) advertise(p netip.Prefix, causes []uint64) {
 		})
 		e.env.DeliverEIGRP(e.name, n.Iface, msg, io.ID)
 	}
-}
-
-// Table returns the selected routes.
-func (e *Instance) Table() map[netip.Prefix]route.Route {
-	out := make(map[netip.Prefix]route.Route, len(e.sel))
-	for p, s := range e.sel {
-		out[p] = route.Route{Prefix: p, NextHop: s.nextHop, Proto: route.ProtoEIGRP, Metric: s.dist}
-	}
-	return out
 }
 
 func lessPrefix(a, b netip.Prefix) bool {

@@ -14,6 +14,16 @@ import (
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s).Masked() }
 func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
 
+// WithdrawLocal removes a locally originated prefix.
+func (e *Instance) WithdrawLocal(p netip.Prefix, cause ...uint64) {
+	p = p.Masked()
+	if !e.local[p] {
+		return
+	}
+	delete(e.local, p)
+	e.runDUAL(p, cause)
+}
+
 type harness struct {
 	sched *netsim.Scheduler
 	log   *capture.Log
@@ -87,12 +97,12 @@ func TestPropagationAndCompositeMetric(t *testing.T) {
 	h.wire("b", "c", 2, 5)
 	h.insts["a"].Originate(lan)
 	h.run(t)
-	rb := h.insts["b"].Table()[lan]
-	if rb.Metric != 10 || rb.NextHop != addr("10.0.1.1") {
+	rb := h.insts["b"].sel[lan]
+	if rb.dist != 10 || rb.nextHop != addr("10.0.1.1") {
 		t.Fatalf("b = %+v", rb)
 	}
-	rc := h.insts["c"].Table()[lan]
-	if rc.Metric != 15 || rc.NextHop != addr("10.0.2.1") {
+	rc := h.insts["c"].sel[lan]
+	if rc.dist != 15 || rc.nextHop != addr("10.0.2.1") {
 		t.Fatalf("c = %+v", rc)
 	}
 }
@@ -150,11 +160,11 @@ func TestFeasibilityConditionPreventsLoop(t *testing.T) {
 	// b. Sanity: b's topo has only a's entry.
 	h.insts["b"].NeighborDown(addr("10.0.1.1"))
 	h.run(t)
-	if _, ok := h.insts["b"].Table()[lan]; ok {
+	if _, ok := h.insts["b"].sel[lan]; ok {
 		t.Fatal("b kept unreachable route")
 	}
 	// And c learns the withdrawal.
-	if _, ok := h.insts["c"].Table()[lan]; ok {
+	if _, ok := h.insts["c"].sel[lan]; ok {
 		t.Fatal("c kept unreachable route")
 	}
 }
@@ -173,19 +183,19 @@ func TestFallbackToFeasibleSuccessor(t *testing.T) {
 	h.wire("far", "dst", 4, 10)
 	h.insts["src"].Originate(lan)
 	h.run(t)
-	r := h.insts["dst"].Table()[lan]
-	if r.NextHop != addr("10.0.2.1") {
+	r := h.insts["dst"].sel[lan]
+	if r.nextHop != addr("10.0.2.1") {
 		t.Fatalf("primary = %+v, want via near", r)
 	}
 	// Fail the near path at dst.
 	h.insts["dst"].NeighborDown(addr("10.0.2.1"))
 	h.run(t)
-	r = h.insts["dst"].Table()[lan]
-	if r.NextHop != addr("10.0.4.1") {
+	r = h.insts["dst"].sel[lan]
+	if r.nextHop != addr("10.0.4.1") {
 		t.Fatalf("after failure = %+v, want via far", r)
 	}
-	if r.Metric != 11 {
-		t.Fatalf("metric = %d, want 11", r.Metric)
+	if r.dist != 11 {
+		t.Fatalf("metric = %d, want 11", r.dist)
 	}
 }
 
@@ -197,12 +207,12 @@ func TestWithdrawLocalPropagates(t *testing.T) {
 	h.wire("a", "b", 1, 1)
 	h.insts["a"].Originate(lan)
 	h.run(t)
-	if _, ok := h.insts["b"].Table()[lan]; !ok {
+	if _, ok := h.insts["b"].sel[lan]; !ok {
 		t.Fatal("b missing route")
 	}
 	h.insts["a"].WithdrawLocal(lan)
 	h.run(t)
-	if _, ok := h.insts["b"].Table()[lan]; ok {
+	if _, ok := h.insts["b"].sel[lan]; ok {
 		t.Fatal("b kept withdrawn route")
 	}
 	if _, ok := h.fibs["b"].Exact(lan); ok {
@@ -258,7 +268,7 @@ func TestUnreachablePoisonOnlyFromSuccessor(t *testing.T) {
 		h.insts["b"].HandleUpdate(addr("10.0.2.1"), Message{Prefix: lan, Reported: Unreachable}, 0)
 	})
 	h.run(t)
-	if _, ok := h.insts["b"].Table()[lan]; !ok {
+	if _, ok := h.insts["b"].sel[lan]; !ok {
 		t.Fatal("poison from non-successor removed route")
 	}
 }

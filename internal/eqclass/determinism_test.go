@@ -13,7 +13,7 @@ import (
 // without sorting before signing, class representatives (Prefixes[0]) —
 // and therefore checker sharding headers — varied run to run.
 func TestComputeDerivedPrefixListDeterministic(t *testing.T) {
-	fibs, prefixes := SyntheticFIBs([]string{"r1", "r2", "r3"}, 400, 4)
+	fibs, prefixes := syntheticFIBs([]string{"r1", "r2", "r3"}, 400, 4)
 	want := Compute(fibs, nil)
 	for i := 0; i < 10; i++ {
 		if got := Compute(fibs, nil); !reflect.DeepEqual(got, want) {

@@ -183,15 +183,6 @@ func (l *lookupper) render(probe netip.Addr) string {
 	return b.String()
 }
 
-// Signature renders the forwarding behaviour of one prefix: for each
-// router (sorted), the next hop its FIB resolves the prefix to ("-" when
-// unrouted). For classifying many prefixes use Compute, which compiles the
-// FIBs once.
-func Signature(fibs map[string]map[netip.Prefix]fib.Entry, p netip.Prefix) string {
-	l := compile(fibs)
-	return l.in.str(l.sign(p))
-}
-
 // sortPrefixes orders prefixes by (address, length) — the canonical order
 // class members and derived prefix lists use.
 func sortPrefixes(ps []netip.Prefix) {
@@ -246,45 +237,4 @@ func Compute(fibs map[string]map[netip.Prefix]fib.Entry, prefixes []netip.Prefix
 	}
 	sortClasses(out)
 	return out
-}
-
-// Representatives returns one prefix per class — the inputs a per-class
-// verifier needs to walk instead of every prefix.
-func Representatives(classes []Class) []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(classes))
-	for _, c := range classes {
-		if len(c.Prefixes) > 0 {
-			out = append(out, c.Prefixes[0])
-		}
-	}
-	return out
-}
-
-// SyntheticFIBs builds per-router FIBs for nPrefixes destinations whose
-// forwarding falls into nGroups policy groups across the given routers —
-// the enterprise-like structure behind the paper's "<15 classes for 100K
-// prefixes" observation. Group g sends every router's traffic toward the
-// group's exit next hop. The generated prefixes are 10.x.y.0/24.
-func SyntheticFIBs(routers []string, nPrefixes, nGroups int) (map[string]map[netip.Prefix]fib.Entry, []netip.Prefix) {
-	if nGroups < 1 {
-		nGroups = 1
-	}
-	fibs := map[string]map[netip.Prefix]fib.Entry{}
-	for _, r := range routers {
-		fibs[r] = map[netip.Prefix]fib.Entry{}
-	}
-	prefixes := make([]netip.Prefix, 0, nPrefixes)
-	for i := 0; i < nPrefixes; i++ {
-		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
-		prefixes = append(prefixes, p)
-		group := i % nGroups
-		for ri, r := range routers {
-			// Every router in group g forwards to a group-specific next
-			// hop; router identity shifts the hop so signatures differ
-			// between groups but not within one.
-			nh := netip.AddrFrom4([4]byte{192, 168, byte(group), byte(ri + 1)})
-			fibs[r][p] = fib.Entry{Prefix: p, NextHop: nh}
-		}
-	}
-	return fibs, prefixes
 }

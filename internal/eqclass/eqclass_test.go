@@ -14,7 +14,7 @@ func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
 
 func TestSyntheticGrouping(t *testing.T) {
 	routers := []string{"a", "b", "c"}
-	fibs, prefixes := SyntheticFIBs(routers, 1000, 7)
+	fibs, prefixes := syntheticFIBs(routers, 1000, 7)
 	classes := Compute(fibs, prefixes)
 	if len(classes) != 7 {
 		t.Fatalf("classes = %d, want 7", len(classes))
@@ -81,7 +81,7 @@ func TestHeadlineScale100K(t *testing.T) {
 		t.Skip("large-scale class computation")
 	}
 	routers := []string{"r1", "r2", "r3", "r4", "r5"}
-	fibs, prefixes := SyntheticFIBs(routers, 100_000, 12)
+	fibs, prefixes := syntheticFIBs(routers, 100_000, 12)
 	classes := Compute(fibs, prefixes)
 	if len(classes) != 12 {
 		t.Fatalf("classes = %d, want 12 (<15 per §6)", len(classes))
@@ -114,10 +114,17 @@ func TestComputeFromLiveNetwork(t *testing.T) {
 	if pClass == nil {
 		t.Fatal("P not classified")
 	}
-	reps := Representatives(classes)
-	if len(reps) != len(classes) {
-		t.Fatalf("reps = %d classes = %d", len(reps), len(classes))
+	for _, c := range classes {
+		if len(c.Prefixes) == 0 {
+			t.Fatalf("empty class %v", c)
+		}
 	}
+}
+
+// signature renders one prefix's forwarding behaviour: the signature of the
+// one class Compute puts it in.
+func signature(fibs map[string]map[netip.Prefix]fib.Entry, p netip.Prefix) string {
+	return Compute(fibs, []netip.Prefix{p})[0].Signature
 }
 
 func TestSignatureDistinguishesBehaviour(t *testing.T) {
@@ -130,8 +137,8 @@ func TestSignatureDistinguishesBehaviour(t *testing.T) {
 			pfx("0.0.0.0/0"): {Prefix: pfx("0.0.0.0/0"), NextHop: addr("3.3.3.3")},
 		},
 	}
-	s1 := Signature(fibs, pfx("10.0.0.0/8"))
-	s2 := Signature(fibs, pfx("20.0.0.0/8"))
+	s1 := signature(fibs, pfx("10.0.0.0/8"))
+	s2 := signature(fibs, pfx("20.0.0.0/8"))
 	if s1 == s2 {
 		t.Fatal("different behaviour, same signature")
 	}
@@ -139,7 +146,7 @@ func TestSignatureDistinguishesBehaviour(t *testing.T) {
 		t.Fatalf("signature = %q", s1)
 	}
 	// Unrouted prefix renders "-" everywhere it misses.
-	s3 := Signature(map[string]map[netip.Prefix]fib.Entry{"a": {}}, pfx("99.0.0.0/8"))
+	s3 := signature(map[string]map[netip.Prefix]fib.Entry{"a": {}}, pfx("99.0.0.0/8"))
 	if s3 != "a=-" {
 		t.Fatalf("unrouted signature = %q", s3)
 	}
@@ -149,7 +156,7 @@ func TestDirectEntriesInSignature(t *testing.T) {
 	fibs := map[string]map[netip.Prefix]fib.Entry{
 		"a": {pfx("10.0.0.0/8"): {Prefix: pfx("10.0.0.0/8"), OutIface: "eth0"}},
 	}
-	if got := Signature(fibs, pfx("10.0.0.0/8")); got != "a=direct:eth0" {
+	if got := signature(fibs, pfx("10.0.0.0/8")); got != "a=direct:eth0" {
 		t.Fatalf("signature = %q", got)
 	}
 }
@@ -160,7 +167,7 @@ func TestQuickClassCountBounded(t *testing.T) {
 	f := func(nPfx, nGrp uint8) bool {
 		n := int(nPfx)%500 + 1
 		g := int(nGrp)%15 + 1
-		fibs, prefixes := SyntheticFIBs([]string{"x", "y"}, n, g)
+		fibs, prefixes := syntheticFIBs([]string{"x", "y"}, n, g)
 		classes := Compute(fibs, prefixes)
 		want := g
 		if n < g {

@@ -54,7 +54,7 @@ type pendingUpdate struct {
 // and moved between classes.
 //
 // All methods are safe for concurrent use; FIB change notifications are
-// queued and applied lazily on the next Classes/Update/Representatives
+// queued and applied lazily on the next Classes/Update/ClassOf
 // call, so a burst of updates is classified once.
 type Incremental struct {
 	mu       sync.Mutex
@@ -311,21 +311,6 @@ func (inc *Incremental) Classes() []Class {
 		out = append(out, Class{Signature: inc.look.in.str(id), Prefixes: ps})
 	}
 	sortClasses(out)
-	return out
-}
-
-// Representatives flushes queued deltas and returns one prefix per class —
-// each class's smallest member, sorted — without materializing the full
-// membership lists.
-func (inc *Incremental) Representatives() []netip.Prefix {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	inc.flushLocked()
-	out := make([]netip.Prefix, 0, len(inc.reps))
-	for _, p := range inc.reps {
-		out = append(out, p)
-	}
-	sortPrefixes(out)
 	return out
 }
 

@@ -53,7 +53,7 @@ func entry(p string, nh string) fib.Entry {
 }
 
 func TestIncrementalSeedParity(t *testing.T) {
-	fibs, _ := SyntheticFIBs([]string{"r1", "r2", "r3"}, 1000, 6)
+	fibs, _ := syntheticFIBs([]string{"r1", "r2", "r3"}, 1000, 6)
 	inc := NewIncremental(nil)
 	seedFrom(inc, fibs)
 	requireParity(t, inc, fibs, "after seed")
@@ -63,7 +63,7 @@ func TestIncrementalSeedParity(t *testing.T) {
 }
 
 func TestIncrementalChurnParity(t *testing.T) {
-	fibs, prefixes := SyntheticFIBs([]string{"r1", "r2", "r3"}, 512, 4)
+	fibs, prefixes := syntheticFIBs([]string{"r1", "r2", "r3"}, 512, 4)
 	inc := NewIncremental(nil)
 	seedFrom(inc, fibs)
 	requireParity(t, inc, fibs, "seed")
@@ -123,13 +123,13 @@ func TestIncrementalSingleFlushFullWithdrawal(t *testing.T) {
 	if n := inc.Len(); n != 0 {
 		t.Fatalf("classes after full withdrawal = %d, want 0", n)
 	}
-	if reps := inc.Representatives(); len(reps) != 0 {
-		t.Fatalf("representatives after full withdrawal = %v, want none", reps)
+	if rep, ok := inc.ClassOf(p); ok {
+		t.Fatalf("ClassOf after full withdrawal = %v, want unclassified", rep)
 	}
 }
 
 func TestIncrementalDeltaCounts(t *testing.T) {
-	fibs, prefixes := SyntheticFIBs([]string{"r1", "r2"}, 10_000, 8)
+	fibs, prefixes := syntheticFIBs([]string{"r1", "r2"}, 10_000, 8)
 	inc := NewIncremental(nil)
 	seedFrom(inc, fibs)
 	if d := inc.Update(); d.Resigned != 10_000 {
@@ -192,7 +192,7 @@ func TestIncrementalWatchLiveTable(t *testing.T) {
 // does: the queue holds one update for the entry, not 10,000, and the flush
 // that finally runs still classifies exactly as Compute does.
 func TestIncrementalQueueKeepsLastUpdatePerEntry(t *testing.T) {
-	fibs, prefixes := SyntheticFIBs([]string{"r1", "r2"}, 64, 4)
+	fibs, prefixes := syntheticFIBs([]string{"r1", "r2"}, 64, 4)
 	inc := NewIncremental(nil)
 	seedFrom(inc, fibs)
 	requireParity(t, inc, fibs, "seed")
@@ -208,15 +208,16 @@ func TestIncrementalQueueKeepsLastUpdatePerEntry(t *testing.T) {
 }
 
 func TestIncrementalRepresentatives(t *testing.T) {
-	fibs, _ := SyntheticFIBs([]string{"r1", "r2"}, 100, 5)
+	fibs, _ := syntheticFIBs([]string{"r1", "r2"}, 100, 5)
 	inc := NewIncremental(nil)
 	seedFrom(inc, fibs)
-	reps := inc.Representatives()
-	classes := Compute(fibs, nil)
-	want := Representatives(classes)
-	sortPrefixes(want)
-	if !reflect.DeepEqual(reps, want) {
-		t.Fatalf("representatives = %v, want %v", reps, want)
+	// Each class is represented by its smallest member.
+	for _, c := range Compute(fibs, nil) {
+		for _, p := range c.Prefixes {
+			if rep, ok := inc.ClassOf(p); !ok || rep != c.Prefixes[0] {
+				t.Fatalf("ClassOf(%v) = %v, %v; want %v", p, rep, ok, c.Prefixes[0])
+			}
+		}
 	}
 }
 
@@ -243,7 +244,7 @@ func TestInternerCollision(t *testing.T) {
 }
 
 func TestIncrementalManyRandomChurn(t *testing.T) {
-	fibs, prefixes := SyntheticFIBs([]string{"r1", "r2", "r3", "r4"}, 256, 3)
+	fibs, prefixes := syntheticFIBs([]string{"r1", "r2", "r3", "r4"}, 256, 3)
 	inc := NewIncremental(nil)
 	seedFrom(inc, fibs)
 	routers := []string{"r1", "r2", "r3", "r4"}

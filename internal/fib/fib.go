@@ -8,7 +8,6 @@ package fib
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 	"sync"
 
@@ -280,24 +279,6 @@ func (t *Table) Exact(prefix netip.Prefix) (Entry, bool) {
 	return t.lpm.Exact(prefix.Masked())
 }
 
-// Entries returns all installed entries sorted by prefix.
-func (t *Table) Entries() []Entry {
-	var out []Entry
-	t.mu.RLock()
-	t.lpm.Walk(func(_ netip.Prefix, e Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Prefix.Addr().Compare(out[j].Prefix.Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Prefix.Bits() < out[j].Prefix.Bits()
-	})
-	return out
-}
-
 // Snapshot returns a copy of the FIB as a plain map, for verifiers.
 func (t *Table) Snapshot() map[netip.Prefix]Entry {
 	out := make(map[netip.Prefix]Entry)
@@ -308,11 +289,4 @@ func (t *Table) Snapshot() map[netip.Prefix]Entry {
 	})
 	t.mu.RUnlock()
 	return out
-}
-
-// Candidates exposes the offered routes for a prefix (diagnostics).
-func (t *Table) Candidates(prefix netip.Prefix) []route.Route {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return append([]route.Route(nil), t.candidates[prefix.Masked()]...)
 }

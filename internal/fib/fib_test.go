@@ -40,7 +40,7 @@ func TestOfferInstallsAndRecords(t *testing.T) {
 	if !ok || got.NextHop != addr("192.0.2.1") || got.AD != 20 {
 		t.Fatalf("entry = %+v ok=%v", got, ok)
 	}
-	ios := e.log.All()
+	ios := e.log.Snapshot()
 	if len(ios) != 1 || ios[0].Type != capture.FIBInstall || ios[0].Causes[0] != 7 {
 		t.Fatalf("ios = %+v", ios)
 	}
@@ -78,7 +78,7 @@ func TestMetricBreaksTiesWithinProtocolReplacement(t *testing.T) {
 	if got.NextHop != addr("2.2.2.2") {
 		t.Fatalf("replacement failed: %+v", got)
 	}
-	if len(e.tbl.Candidates(pfx("10.0.0.0/8"))) != 1 {
+	if len(e.tbl.candidates[pfx("10.0.0.0/8")]) != 1 {
 		t.Fatal("same-protocol offer must replace, not accumulate")
 	}
 }
@@ -119,7 +119,7 @@ func TestWithdrawRecordsRemoveIO(t *testing.T) {
 	e := newEnv()
 	e.tbl.Offer(bgpRoute("10.0.0.0/8", "1.1.1.1", false))
 	e.tbl.Withdraw(route.ProtoBGP, pfx("10.0.0.0/8"), 99)
-	ios := e.log.All()
+	ios := e.log.Snapshot()
 	last := ios[len(ios)-1]
 	if last.Type != capture.FIBRemove || last.Causes[0] != 99 || last.NextHop != addr("1.1.1.1") {
 		t.Fatalf("remove IO = %+v", last)
@@ -156,10 +156,6 @@ func TestEntriesAndSnapshot(t *testing.T) {
 	e := newEnv()
 	e.tbl.Offer(bgpRoute("20.0.0.0/8", "1.1.1.1", false))
 	e.tbl.Offer(bgpRoute("10.0.0.0/8", "1.1.1.1", false))
-	es := e.tbl.Entries()
-	if len(es) != 2 || es[0].Prefix != pfx("10.0.0.0/8") {
-		t.Fatalf("entries = %v", es)
-	}
 	snap := e.tbl.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot = %v", snap)
@@ -174,7 +170,7 @@ func TestNextHopChangeReinstalls(t *testing.T) {
 	e := newEnv()
 	e.tbl.Offer(bgpRoute("10.0.0.0/8", "1.1.1.1", false))
 	e.tbl.Offer(bgpRoute("10.0.0.0/8", "9.9.9.9", false))
-	ios := e.log.All()
+	ios := e.log.Snapshot()
 	if len(ios) != 2 || ios[1].Type != capture.FIBInstall || ios[1].NextHop != addr("9.9.9.9") {
 		t.Fatalf("ios = %+v", ios)
 	}

@@ -278,10 +278,10 @@ func TestPruneBeforeFoldsRootCauses(t *testing.T) {
 	if g.NodeCount() != 3 {
 		t.Fatalf("node count = %d, want 3", g.NodeCount())
 	}
-	if g.HasEdge(1, 2) || g.HasEdge(2, 3) {
+	if hasEdge(g, 1, 2) || hasEdge(g, 2, 3) {
 		t.Fatal("pruned edges survived")
 	}
-	if !g.HasEdge(3, 4) || !g.HasEdge(5, 4) {
+	if !hasEdge(g, 3, 4) || !hasEdge(g, 5, 4) {
 		t.Fatal("retained edges lost")
 	}
 	if got := g.RootCauses(3); !reflect.DeepEqual(got, before3) {

@@ -4,11 +4,10 @@
 // system on: *provenance* (which I/Os led to this FIB update?) and *root
 // cause* (which leaf inputs started the chain?).
 //
-// Graphs come from two sources: FromGroundTruth builds the oracle graph
-// from the simulator's causal tags, and internal/hbr builds inferred graphs
-// from observable I/O properties alone. Both produce the same structure, so
-// every downstream consumer (snapshot consistency, repair, visualization)
-// works with either.
+// Graphs are built by internal/hbr from observable I/O properties alone;
+// the tests also build oracle graphs from the simulator's causal tags
+// (FromGroundTruth in this package's tests). Both have the same structure,
+// so every downstream consumer (repair, visualization) works with either.
 //
 // A Graph is safe for concurrent use: the incremental inference cache
 // merges new edges into a shared graph while the parallel verifier and
@@ -359,14 +358,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// HasEdge reports whether from→to exists.
-func (g *Graph) HasEdge(from, to uint64) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	t := g.find(to)
-	return t != nil && slices.Contains(t.in, from)
-}
-
 // Parents returns the direct happens-before predecessors of id, sorted.
 func (g *Graph) Parents(id uint64) []uint64 { return g.adjacent(id, true) }
 
@@ -404,20 +395,6 @@ func (g *Graph) EdgeCount() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.edges
-}
-
-// FromGroundTruth builds the oracle HBG from the simulator's causal tags.
-func FromGroundTruth(ios []capture.IO) *Graph {
-	g := New()
-	g.addNodesLocked(capture.ViewOf(ios))
-	for i := range ios {
-		for _, c := range ios[i].Causes {
-			if v := g.find(c); v != nil && v.known {
-				g.addEdgeLocked(c, ios[i].ID)
-			}
-		}
-	}
-	return g
 }
 
 // reach appends to out, and marks in seen, the positions of the vertices
@@ -594,60 +571,6 @@ func (g *Graph) PrunedBelow() uint64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.prunedBelow
-}
-
-// InheritedRoots returns the snapshotted root-cause set vertex id acquired
-// through pruning, nil if none.
-func (g *Graph) InheritedRoots(id uint64) []capture.IO {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return append([]capture.IO(nil), g.inherited[id]...)
-}
-
-// Descendants returns every vertex reachable from id (the I/Os the event
-// led to), sorted by ID.
-func (g *Graph) Descendants(id uint64) []capture.IO {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	i, ok := g.pos(id)
-	if !ok {
-		return nil
-	}
-	reached := g.reach(i, false, make([]bool, len(g.verts)), nil)
-	slices.Sort(reached)
-	return deref(g.refsAt(nil, reached))
-}
-
-// TopoOrder returns a topological order of the vertices, or an error if
-// the graph has a cycle (which would mean the inferred "happens-before"
-// relation is inconsistent).
-func (g *Graph) TopoOrder() ([]uint64, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	indeg := make([]int, len(g.verts))
-	var ready []int // positions, kept ascending: the smallest ID goes next
-	for i, v := range g.verts {
-		if indeg[i] = len(v.in); indeg[i] == 0 && v.known {
-			ready = append(ready, i)
-		}
-	}
-	var order []uint64
-	for len(ready) > 0 {
-		v := g.verts[ready[0]]
-		ready = ready[1:]
-		order = append(order, v.io.ID)
-		for _, c := range v.out {
-			j, _ := g.pos(c)
-			if indeg[j]--; indeg[j] == 0 && g.verts[j].known {
-				ready = append(ready, j)
-			}
-		}
-		slices.Sort(ready)
-	}
-	if len(order) != g.nodes {
-		return nil, fmt.Errorf("hbg: cycle detected (%d of %d ordered)", len(order), g.nodes)
-	}
-	return order, nil
 }
 
 // DOT renders the graph in Graphviz format, one cluster per router, in the

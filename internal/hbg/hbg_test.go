@@ -1,7 +1,9 @@
 package hbg
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,77 @@ import (
 )
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s).Masked() }
+
+// hasEdge reports whether from→to exists.
+func hasEdge(g *Graph, from, to uint64) bool { return slices.Contains(g.Parents(to), from) }
+
+// FromGroundTruth builds the oracle HBG from the simulator's causal tags.
+func FromGroundTruth(ios []capture.IO) *Graph {
+	g := New()
+	g.addNodesLocked(capture.ViewOf(ios))
+	for i := range ios {
+		for _, c := range ios[i].Causes {
+			if v := g.find(c); v != nil && v.known {
+				g.addEdgeLocked(c, ios[i].ID)
+			}
+		}
+	}
+	return g
+}
+
+// Descendants returns every vertex reachable from id (the I/Os the event
+// led to), sorted by ID.
+func (g *Graph) Descendants(id uint64) []capture.IO {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	i, ok := g.pos(id)
+	if !ok {
+		return nil
+	}
+	reached := g.reach(i, false, make([]bool, len(g.verts)), nil)
+	slices.Sort(reached)
+	return deref(g.refsAt(nil, reached))
+}
+
+// TopoOrder returns a topological order of the vertices, or an error if
+// the graph has a cycle (which would mean the inferred "happens-before"
+// relation is inconsistent).
+func (g *Graph) TopoOrder() ([]uint64, error) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	indeg := make([]int, len(g.verts))
+	var ready []int // positions, kept ascending: the smallest ID goes next
+	for i, v := range g.verts {
+		if indeg[i] = len(v.in); indeg[i] == 0 && v.known {
+			ready = append(ready, i)
+		}
+	}
+	var order []uint64
+	for len(ready) > 0 {
+		v := g.verts[ready[0]]
+		ready = ready[1:]
+		order = append(order, v.io.ID)
+		for _, c := range v.out {
+			j, _ := g.pos(c)
+			if indeg[j]--; indeg[j] == 0 && g.verts[j].known {
+				ready = append(ready, j)
+			}
+		}
+		slices.Sort(ready)
+	}
+	if len(order) != g.nodes {
+		return nil, fmt.Errorf("hbg: cycle detected (%d of %d ordered)", len(order), g.nodes)
+	}
+	return order, nil
+}
+
+// InheritedRoots returns the snapshotted root-cause set vertex id acquired
+// through pruning, nil if none.
+func (g *Graph) InheritedRoots(id uint64) []capture.IO {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return append([]capture.IO(nil), g.inherited[id]...)
+}
 
 // chain builds cfg(1) -> rib(2) -> fib(3), plus send(4) from rib.
 func chain() *Graph {
@@ -55,7 +128,7 @@ func TestDescendants(t *testing.T) {
 
 func TestEdgeBookkeeping(t *testing.T) {
 	g := chain()
-	if !g.HasEdge(1, 2) || g.HasEdge(2, 1) {
+	if !hasEdge(g, 1, 2) || hasEdge(g, 2, 1) {
 		t.Fatal("HasEdge wrong")
 	}
 	if g.EdgeCount() != 3 || g.NodeCount() != 4 {
@@ -125,7 +198,7 @@ func TestFromGroundTruthPaperScenario(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ios := pn.Log.All()[markStart:]
+	ios := pn.Log.Snapshot()[markStart:]
 	g := FromGroundTruth(ios)
 
 	// Find the fault vertex of Fig. 4: R1 installs P -> Ext in its FIB.

@@ -142,8 +142,8 @@ func TestWithoutAppliesBatch(t *testing.T) {
 	if got, want := d.Parents(5), []uint64{2, 9}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Parents(5) = %v, want %v", got, want)
 	}
-	if d.HasEdge(8, 5) || !d.HasEdge(9, 5) || len(d.Children(8)) != 0 {
-		t.Errorf("8→5 %v, 9→5 %v, Children(8) %v after the reset", d.HasEdge(8, 5), d.HasEdge(9, 5), d.Children(8))
+	if hasEdge(d, 8, 5) || !hasEdge(d, 9, 5) || len(d.Children(8)) != 0 {
+		t.Errorf("8→5 %v, 9→5 %v, Children(8) %v after the reset", hasEdge(d, 8, 5), hasEdge(d, 9, 5), d.Children(8))
 	}
 	if got := d.Parents(13); len(got) != 0 {
 		t.Errorf("Parents(13) = %v, want none", got)

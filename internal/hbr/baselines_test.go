@@ -282,7 +282,7 @@ func BenchmarkHBRInference(b *testing.B) {
 		return pn
 	}
 	// Reference (policy-compliant) log for pattern training.
-	ref := capture.StripOracle(converged(7, network.DefaultPaperOpts()).Log.All())
+	ref := capture.StripOracle(converged(7, network.DefaultPaperOpts()).Log.Snapshot())
 
 	scenario := func(skew, jitter time.Duration) []capture.IO {
 		opt := network.DefaultPaperOpts()
@@ -296,7 +296,7 @@ func BenchmarkHBRInference(b *testing.B) {
 		if err := pn.Run(); err != nil {
 			b.Fatal(err)
 		}
-		return pn.Log.All()
+		return pn.Log.Snapshot()
 	}
 	clean := scenario(0, 0)
 	skewed := scenario(3*time.Millisecond, 2*time.Millisecond)

@@ -140,15 +140,6 @@ func (inc *Incremental) CompactBaseline(firstRetainedID uint64) {
 	inc.Metrics.Counter("infer.cache.compactions").Inc()
 }
 
-// CoveredWindow reports the ID range [first, last] the cache currently
-// covers (last < first when coverage is empty) and whether a baseline
-// exists at all.
-func (inc *Incremental) CoveredWindow() (first, last uint64, ok bool) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return inc.firstID, inc.lastID, inc.cached != nil
-}
-
 // Infer is InferView over a slice.
 func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph { return inc.InferView(capture.ViewOf(ios)) }
 

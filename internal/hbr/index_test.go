@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -148,7 +149,7 @@ func TestSwapSendMatchBugDiverges(t *testing.T) {
 	}
 	r := Rules{}
 	want := ReferenceRules(r, ios)
-	if !want.HasEdge(2, 3) {
+	if !slices.Contains(want.Parents(3), 2) {
 		t.Fatal("reference did not pick the nearest send")
 	}
 	defer fault.Inject(fault.SwapSendMatch)()
@@ -156,7 +157,7 @@ func TestSwapSendMatchBugDiverges(t *testing.T) {
 	if d := diffGraphs(got, want); d == "" {
 		t.Fatal("swap-send-match bug produced no divergence")
 	}
-	if !got.HasEdge(1, 3) {
+	if !slices.Contains(got.Parents(3), 1) {
 		t.Fatal("bugged matcher did not pick the furthest send")
 	}
 }

@@ -27,7 +27,7 @@ func TestLinkFailureRootCause(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ios := pn.Log.All()[mark:]
+	ios := pn.Log.Snapshot()[mark:]
 	g := Rules{}.Infer(capture.StripOracle(ios))
 
 	// r3's FIB change for P (switch to r1) after the failure.
@@ -77,7 +77,7 @@ func TestWithdrawCausalityAcrossRouters(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ios := pn.Log.All()[mark:]
+	ios := pn.Log.Snapshot()[mark:]
 	g := Rules{}.Infer(capture.StripOracle(ios))
 	var recv capture.IO
 	for _, io := range ios {

@@ -39,7 +39,7 @@ func poisonedLog(t *testing.T, seed int64) []capture.IO {
 			t.Fatal(err)
 		}
 	}
-	log := pn.Log.All()
+	log := pn.Log.Snapshot()
 	rng := rand.New(rand.NewSource(seed))
 	for i := range log {
 		if rng.Intn(8) == 0 {

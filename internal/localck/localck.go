@@ -116,25 +116,6 @@ func (ls *LabelSet) Label(router string, class netip.Prefix) int {
 	return Unreachable
 }
 
-// Classes returns the label universe in sorted order.
-func (ls *LabelSet) Classes() []netip.Prefix {
-	if ls == nil {
-		return nil
-	}
-	seen := map[netip.Prefix]bool{}
-	for _, m := range ls.dist {
-		for c := range m {
-			seen[c] = true
-		}
-	}
-	out := make([]netip.Prefix, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sortPrefixes(out)
-	return out
-}
-
 // Node slices the label set down to what one router needs for its local
 // checks: its own labels plus those of the given peer routers.
 func (ls *LabelSet) Node(router string, peers []string) NodeLabels {

@@ -66,9 +66,12 @@ func TestDeriveLabels(t *testing.T) {
 	if ls.Epoch != 7 {
 		t.Fatalf("epoch = %d", ls.Epoch)
 	}
-	cls := ls.Classes()
-	if len(cls) != 1 || cls[0] != classP {
-		t.Fatalf("classes = %v", cls)
+	for r, m := range ls.dist {
+		for c := range m {
+			if c != classP {
+				t.Fatalf("%s labels class %v, want only %v", r, c, classP)
+			}
+		}
 	}
 }
 

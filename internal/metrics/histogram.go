@@ -89,14 +89,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Max returns the largest single observation (exact, not bucketed).
-func (h *Histogram) Max() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.max.Load())
-}
-
 // Quantile returns the q-quantile (q in [0,1]) of everything observed so
 // far, accurate to the containing bucket's width. Concurrent observations
 // may shift the answer by the in-flight updates; that is fine for

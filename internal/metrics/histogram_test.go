@@ -35,13 +35,13 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 			t.Errorf("Quantile(%v) = %v, want within [%v, %v]", tc.q, got, lo, hi)
 		}
 	}
-	if h.Max() != n*time.Microsecond {
-		t.Errorf("Max = %v, want %v", h.Max(), n*time.Microsecond)
+	if time.Duration(h.max.Load()) != n*time.Microsecond {
+		t.Errorf("Max = %v, want %v", time.Duration(h.max.Load()), n*time.Microsecond)
 	}
 	// The reported p100 must never exceed the true max even though its
 	// bucket's midpoint would.
-	if got := h.Quantile(1.0); got > h.Max() {
-		t.Errorf("Quantile(1.0) = %v exceeds Max %v", got, h.Max())
+	if got := h.Quantile(1.0); got > time.Duration(h.max.Load()) {
+		t.Errorf("Quantile(1.0) = %v exceeds Max %v", got, time.Duration(h.max.Load()))
 	}
 }
 
@@ -71,7 +71,7 @@ func TestHistogramBucketMonotone(t *testing.T) {
 func TestHistogramZeroAndNil(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second) // must not panic
-	if h.Count() != 0 || h.Quantile(0.99) != 0 || h.Max() != 0 {
+	if h.Count() != 0 || h.Quantile(0.99) != 0 {
 		t.Errorf("nil histogram should report zeros")
 	}
 	z := &Histogram{}
@@ -101,7 +101,7 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// Registry integration: histograms show up in Snapshot and String so
+// Registry integration: histograms show up in String so
 // Pipeline.Summary() and verifyd surface them without extra plumbing.
 func TestRegistryHistogram(t *testing.T) {
 	r := NewRegistry()
@@ -114,14 +114,6 @@ func TestRegistryHistogram(t *testing.T) {
 	}
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	snap := r.Snapshot()
-	if snap["serve.query.latency.count"] != 100 {
-		t.Errorf("snapshot count = %d", snap["serve.query.latency.count"])
-	}
-	p50, p99 := snap["serve.query.latency.p50"], snap["serve.query.latency.p99"]
-	if p50 <= 0 || p99 <= 0 || p99 < p50 {
-		t.Errorf("snapshot quantiles p50=%d p99=%d", p50, p99)
 	}
 	s := r.String()
 	if !strings.Contains(s, "serve.query.latency=p50:") {

@@ -45,12 +45,11 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Timer accumulates durations: observation count, total, and maximum. The
-// zero value is usable; a nil Timer discards observations.
+// Timer accumulates durations: observation count and total. The zero value
+// is usable; a nil Timer discards observations.
 type Timer struct {
 	count atomic.Int64
 	total atomic.Int64 // nanoseconds
-	max   atomic.Int64 // nanoseconds
 }
 
 // Observe records one duration.
@@ -60,12 +59,6 @@ func (t *Timer) Observe(d time.Duration) {
 	}
 	t.count.Add(1)
 	t.total.Add(int64(d))
-	for {
-		cur := t.max.Load()
-		if int64(d) <= cur || t.max.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
 }
 
 // Count returns the number of observations.
@@ -82,14 +75,6 @@ func (t *Timer) Total() time.Duration {
 		return 0
 	}
 	return time.Duration(t.total.Load())
-}
-
-// Max returns the largest single observation.
-func (t *Timer) Max() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.max.Load())
 }
 
 // Mean returns the average observation, 0 when empty.
@@ -213,37 +198,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Snapshot flattens every instrument to int64 values: counters under their
-// own name, timers as <name>.count / <name>.ns, gauges as their own name
-// plus <name>.max, histograms as <name>.count plus <name>.p50 / .p95 /
-// .p99 in nanoseconds.
-func (r *Registry) Snapshot() map[string]int64 {
-	out := map[string]int64{}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	for name, t := range r.timers {
-		out[name+".count"] = t.Count()
-		out[name+".ns"] = int64(t.Total())
-	}
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-		out[name+".max"] = g.Max()
-	}
-	for name, h := range r.hists {
-		out[name+".count"] = h.Count()
-		out[name+".p50"] = int64(h.Quantile(0.50))
-		out[name+".p95"] = int64(h.Quantile(0.95))
-		out[name+".p99"] = int64(h.Quantile(0.99))
-	}
-	return out
 }
 
 // String renders the registry as "name=value ..." sorted by name, with

@@ -17,7 +17,7 @@ func TestNilSafety(t *testing.T) {
 	if got := r.Timer("y").Count(); got != 0 {
 		t.Fatalf("nil timer count = %d", got)
 	}
-	if r.String() != "" || len(r.Snapshot()) != 0 {
+	if r.String() != "" {
 		t.Fatal("nil registry must render empty")
 	}
 }
@@ -35,12 +35,8 @@ func TestCountersAndTimers(t *testing.T) {
 	if tm.Count() != 2 || tm.Total() != 8*time.Millisecond {
 		t.Fatalf("timer count=%d total=%v", tm.Count(), tm.Total())
 	}
-	if tm.Max() != 6*time.Millisecond || tm.Mean() != 4*time.Millisecond {
-		t.Fatalf("timer max=%v mean=%v", tm.Max(), tm.Mean())
-	}
-	snap := r.Snapshot()
-	if snap["hits"] != 4 || snap["infer.count"] != 2 {
-		t.Fatalf("snapshot = %v", snap)
+	if tm.Mean() != 4*time.Millisecond {
+		t.Fatalf("timer mean=%v", tm.Mean())
 	}
 	s := r.String()
 	if !strings.Contains(s, "hits=4") || !strings.Contains(s, "infer=2x") {

@@ -314,7 +314,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []string
-		for _, io := range pn.Log.All() {
+		for _, io := range pn.Log.Snapshot() {
 			out = append(out, io.String())
 		}
 		return out
@@ -393,8 +393,8 @@ func TestStaticRouteLiveUpdate(t *testing.T) {
 	if fibIO.ID == 0 || len(fibIO.Causes) == 0 {
 		t.Fatalf("static FIB install uncaused: %+v", fibIO)
 	}
-	cause, _ := n.Log.ByID(fibIO.Causes[0])
-	if cause.Type != capture.ConfigChange {
+	cause := n.Log.Filter(func(io capture.IO) bool { return io.ID == fibIO.Causes[0] })
+	if len(cause) != 1 || cause[0].Type != capture.ConfigChange {
 		t.Fatalf("cause = %v", cause)
 	}
 }
@@ -452,7 +452,7 @@ func TestStarRRRootCauseThroughReflector(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ios := n.Log.All()[mark:]
+	ios := n.Log.Snapshot()[mark:]
 	g := hbr.Rules{}.Infer(capture.StripOracle(ios))
 	var c3fib capture.IO
 	for _, io := range ios {

@@ -90,17 +90,6 @@ func LayoutFatTree(seed int64, k int) (*Network, error) {
 	return n, nil
 }
 
-// ScalePrefixes returns n disjoint /24s spread over the 24.0.0.0–31.0.0.0
-// range (clear of the 9.x loopbacks and 10.x underlay), for up to 512K
-// prefixes.
-func ScalePrefixes(n int) []netip.Prefix {
-	out := make([]netip.Prefix, n)
-	for i := 0; i < n; i++ {
-		out[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(24 + i>>16), byte(i >> 8), byte(i), 0}), 24)
-	}
-	return out
-}
-
 // LayoutISPRR constructs, without Build, an ISP-style BGP route-reflector
 // hierarchy in AS 65000: one top-level reflector, `mids` mid-tier reflectors
 // (clients of the top), and `leaves` PE routers per mid (clients of their

@@ -105,8 +105,8 @@ func TestLargerGridConvergence(t *testing.T) {
 	// All 36 routers know all 36 loopbacks.
 	for _, r := range n.Routers() {
 		count := 0
-		for _, e := range r.FIB.Entries() {
-			if e.Prefix.Bits() == 32 {
+		for p := range r.FIB.Snapshot() {
+			if p.Bits() == 32 {
 				count++
 			}
 		}
@@ -124,7 +124,7 @@ func TestLargerGridConvergence(t *testing.T) {
 func TestCaptureVolumeReporting(t *testing.T) {
 	pn, _, _ := manyPrefixPaper(t, 10)
 	byType := map[capture.Type]int{}
-	for _, io := range pn.Log.All() {
+	for _, io := range pn.Log.Snapshot() {
 		byType[io.Type]++
 	}
 	for _, ty := range []capture.Type{capture.RecvAdvert, capture.SendAdvert, capture.RIBInstall, capture.FIBInstall} {

@@ -8,8 +8,20 @@ import (
 	"net/netip"
 	"testing"
 
+	"hbverify/internal/capture"
 	"hbverify/internal/route"
 )
+
+// scalePrefixes returns n disjoint /24s spread over the 24.0.0.0–31.0.0.0
+// range (clear of the 9.x loopbacks and 10.x underlay), for up to 512K
+// prefixes.
+func scalePrefixes(n int) []netip.Prefix {
+	out := make([]netip.Prefix, n)
+	for i := 0; i < n; i++ {
+		out[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(24 + i>>16), byte(i >> 8), byte(i), 0}), 24)
+	}
+	return out
+}
 
 // TestScaleInternRatio: routes that share attributes share one canonical
 // copy. Converging the route-reflector hierarchy over 2 K prefixes must leave
@@ -19,7 +31,7 @@ import (
 // before TestScaleBuilders, whose routes would otherwise make the attribute
 // sets canonical already.
 func TestScaleInternRatio(t *testing.T) {
-	prefixes := ScalePrefixes(2000)
+	prefixes := scalePrefixes(2000)
 	before := route.DefaultInterner.Stats()
 	n, err := BuildISPRR(1, 2, 1, prefixes)
 	if err != nil {
@@ -59,8 +71,8 @@ func TestScaleBuilders(t *testing.T) {
 	// 4 pods * 4 + 4 cores = 20 routers; each knows the other 19 loopbacks.
 	for _, r := range n.Routers() {
 		count := 0
-		for _, e := range r.FIB.Entries() {
-			if e.Prefix.Bits() == 32 {
+		for p := range r.FIB.Snapshot() {
+			if p.Bits() == 32 {
 				count++
 			}
 		}
@@ -68,7 +80,7 @@ func TestScaleBuilders(t *testing.T) {
 			t.Fatalf("%s has %d loopbacks, want 19", r.Name, count)
 		}
 	}
-	pfxs := ScalePrefixes(64)
+	pfxs := scalePrefixes(64)
 	isp, err := BuildISPRR(1, 2, 1, pfxs)
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +98,15 @@ func TestScaleBuilders(t *testing.T) {
 			_ = e
 		}
 	}
-	lr := isp.Router("pe1-0").BGP.LocRIB()
-	r, ok := lr[netip.MustParsePrefix("24.0.0.0/24")]
-	if !ok || len(r.Attrs.Communities) != 1 || r.Attrs.Communities[0] != 24 {
-		t.Fatalf("flavor attrs = %+v ok=%v", r.Attrs, ok)
+	// The Loc-RIB best is the last BGP route pe1-0 installed for the prefix.
+	var r capture.IO
+	for _, io := range isp.Log.ForRouter("pe1-0") {
+		if io.Type == capture.RIBInstall && io.Proto == route.ProtoBGP && io.Prefix == netip.MustParsePrefix("24.0.0.0/24") {
+			r = io
+		}
+	}
+	if r.ID == 0 || len(r.Attrs.Communities) != 1 || r.Attrs.Communities[0] != 24 {
+		t.Fatalf("flavor attrs = %+v", r.Attrs)
 	}
 }
 

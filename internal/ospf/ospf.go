@@ -121,9 +121,6 @@ func (o *Instance) Iface(name string) *Iface {
 	return nil
 }
 
-// RouterID returns the instance's router ID.
-func (o *Instance) RouterID() netip.Addr { return o.routerID }
-
 // Start originates the initial LSA and floods it.
 func (o *Instance) Start(cause ...uint64) { o.reoriginate(cause) }
 
@@ -424,25 +421,6 @@ func (o *Instance) Metric(addr netip.Addr) (uint32, bool) {
 	}
 	d, ok := o.dist[owner]
 	return d, ok
-}
-
-// RIB returns a copy of the OSPF routing table.
-func (o *Instance) RIB() map[netip.Prefix]route.Route {
-	out := make(map[netip.Prefix]route.Route, len(o.rib))
-	for k, v := range o.rib {
-		out[k] = v
-	}
-	return out
-}
-
-// LSDB returns the origins present in the link-state database (diagnostics).
-func (o *Instance) LSDB() []netip.Addr {
-	out := make([]netip.Addr, 0, len(o.lsdb))
-	for id := range o.lsdb {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
 }
 
 func lessPrefix(a, b netip.Prefix) bool {

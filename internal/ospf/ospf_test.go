@@ -65,11 +65,11 @@ func (h *harness) wire(a, b string, n int, cost uint32) {
 	ifA, ifB := "to-"+b, "to-"+a
 	h.insts[a].AddIface(Iface{
 		Name: ifA, Cost: cost, Prefix: p, LocalAddr: aAddr,
-		NeighborID: h.insts[b].RouterID(), NeighborName: b, NeighborAddr: bAddr, Up: true,
+		NeighborID: h.insts[b].routerID, NeighborName: b, NeighborAddr: bAddr, Up: true,
 	})
 	h.insts[b].AddIface(Iface{
 		Name: ifB, Cost: cost, Prefix: p, LocalAddr: bAddr,
-		NeighborID: h.insts[a].RouterID(), NeighborName: a, NeighborAddr: aAddr, Up: true,
+		NeighborID: h.insts[a].routerID, NeighborName: a, NeighborAddr: aAddr, Up: true,
 	})
 	h.wires[a+":"+ifA] = [2]string{b, ifB}
 	h.wires[b+":"+ifB] = [2]string{a, ifA}
@@ -106,7 +106,7 @@ func TestLoopbackRoutesConverge(t *testing.T) {
 	h := triangle()
 	h.startAll(t)
 	// r1 reaches 3.3.3.3/32 via r2 (cost 1+1=2 < direct 10).
-	r := h.insts["r1"].RIB()[pfx("3.3.3.3/32")]
+	r := h.insts["r1"].rib[pfx("3.3.3.3/32")]
 	if r.NextHop != addr("10.0.1.2") {
 		t.Fatalf("r1 -> r3 next hop = %v, want via r2 (10.0.1.2)", r.NextHop)
 	}
@@ -116,10 +116,10 @@ func TestLoopbackRoutesConverge(t *testing.T) {
 	// All routers know all loopbacks.
 	for name, inst := range h.insts {
 		for _, lb := range []string{"1.1.1.1", "2.2.2.2", "3.3.3.3"} {
-			if inst.RouterID() == addr(lb) {
+			if inst.routerID == addr(lb) {
 				continue
 			}
-			if _, ok := inst.RIB()[pfx(lb+"/32")]; !ok {
+			if _, ok := inst.rib[pfx(lb+"/32")]; !ok {
 				t.Fatalf("%s missing route to %s", name, lb)
 			}
 		}
@@ -130,7 +130,7 @@ func TestLinkSubnetRoutes(t *testing.T) {
 	h := triangle()
 	h.startAll(t)
 	// r1 should have a route to the r2-r3 subnet 10.0.3.0/30.
-	r, ok := h.insts["r1"].RIB()[pfx("10.0.3.0/30")]
+	r, ok := h.insts["r1"].rib[pfx("10.0.3.0/30")]
 	if !ok {
 		t.Fatal("r1 missing route to remote link subnet")
 	}
@@ -138,7 +138,7 @@ func TestLinkSubnetRoutes(t *testing.T) {
 		t.Fatalf("next hop = %v", r.NextHop)
 	}
 	// r1 must NOT have OSPF routes for its own connected subnets.
-	if _, ok := h.insts["r1"].RIB()[pfx("10.0.1.0/30")]; ok {
+	if _, ok := h.insts["r1"].rib[pfx("10.0.1.0/30")]; ok {
 		t.Fatal("connected subnet leaked into OSPF RIB")
 	}
 }
@@ -172,7 +172,7 @@ func TestLinkFailureReroutes(t *testing.T) {
 	h.insts["r2"].SetIfaceUp("to-r1", false)
 	h.run(t)
 	// r1 now reaches r2 via r3: cost 10+1 = 11.
-	r := h.insts["r1"].RIB()[pfx("2.2.2.2/32")]
+	r := h.insts["r1"].rib[pfx("2.2.2.2/32")]
 	if r.NextHop != addr("10.0.2.2") || r.Metric != 11 {
 		t.Fatalf("after failure r1->r2 = %+v", r)
 	}
@@ -189,13 +189,13 @@ func TestPartitionRemovesRoutes(t *testing.T) {
 	h.addRouter("b", "2.2.2.2")
 	h.wire("a", "b", 1, 1)
 	h.startAll(t)
-	if _, ok := h.insts["a"].RIB()[pfx("2.2.2.2/32")]; !ok {
+	if _, ok := h.insts["a"].rib[pfx("2.2.2.2/32")]; !ok {
 		t.Fatal("a missing b route")
 	}
 	h.insts["a"].SetIfaceUp("to-b", false)
 	h.insts["b"].SetIfaceUp("to-a", false)
 	h.run(t)
-	if _, ok := h.insts["a"].RIB()[pfx("2.2.2.2/32")]; ok {
+	if _, ok := h.insts["a"].rib[pfx("2.2.2.2/32")]; ok {
 		t.Fatal("stale route survived partition")
 	}
 	if _, ok := h.insts["a"].Metric(addr("2.2.2.2")); ok {
@@ -210,7 +210,7 @@ func TestStubInterfaceAdvertised(t *testing.T) {
 	h.wire("a", "b", 1, 1)
 	a.AddIface(Iface{Name: "lan0", Cost: 5, Prefix: pfx("172.16.0.0/24"), LocalAddr: addr("172.16.0.1"), Up: true, Stub: true})
 	h.startAll(t)
-	r, ok := h.insts["b"].RIB()[pfx("172.16.0.0/24")]
+	r, ok := h.insts["b"].rib[pfx("172.16.0.0/24")]
 	if !ok || r.Metric != 6 {
 		t.Fatalf("stub route = %+v %v", r, ok)
 	}
@@ -255,7 +255,7 @@ func TestECMPTieStable(t *testing.T) {
 		}
 		h.sched.MaxEvents = 200000
 		_ = h.sched.Run()
-		return h.insts["a"].RIB()[pfx("4.4.4.4/32")].NextHop
+		return h.insts["a"].rib[pfx("4.4.4.4/32")].NextHop
 	}
 	first := build()
 	for i := 0; i < 3; i++ {
@@ -281,9 +281,9 @@ func TestCausalChainRecvToRIB(t *testing.T) {
 	if rib.ID == 0 || len(rib.Causes) == 0 {
 		t.Fatalf("rib = %+v", rib)
 	}
-	cause, ok := h.log.ByID(rib.Causes[0])
-	if !ok || cause.Type != capture.RecvAdvert || cause.Proto != route.ProtoOSPF {
-		t.Fatalf("cause = %+v %v", cause, ok)
+	cause := h.log.Filter(func(io capture.IO) bool { return io.ID == rib.Causes[0] })
+	if len(cause) != 1 || cause[0].Type != capture.RecvAdvert || cause[0].Proto != route.ProtoOSPF {
+		t.Fatalf("cause = %+v", cause)
 	}
 }
 
@@ -299,12 +299,12 @@ func TestFloodingReachesAllRoutersOnChain(t *testing.T) {
 	h.startAll(t)
 	// Every router's LSDB has all five origins.
 	for _, n := range names {
-		if got := len(h.insts[n].LSDB()); got != 5 {
+		if got := len(h.insts[n].lsdb); got != 5 {
 			t.Fatalf("%s LSDB has %d origins", n, got)
 		}
 	}
 	// a reaches e with metric 4.
-	r := h.insts["a"].RIB()[pfx("5.5.5.5/32")]
+	r := h.insts["a"].rib[pfx("5.5.5.5/32")]
 	if r.Metric != 4 {
 		t.Fatalf("a->e metric = %d", r.Metric)
 	}

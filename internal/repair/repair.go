@@ -1,7 +1,7 @@
 // Package repair implements §6 of the paper: acting on the root cause of a
 // policy violation instead of merely blocking the offending FIB updates.
 //
-// Three mechanisms, in the paper's order of sophistication:
+// Two mechanisms, in the paper's order of sophistication:
 //
 //   - Gate: a shadow data plane that can withhold FIB updates — the
 //     baseline recourse available to a pure data-plane verifier. The gate
@@ -12,10 +12,9 @@
 //     violation is traced through the happens-before graph to its leaf
 //     causes; when a leaf is a configuration change, Rollback reverts the
 //     router to the previous committed version.
-//   - OutcomePredictor: §6's forward-looking repair — control-plane
-//     computations are highly repetitive across prefixes, so the outcome
-//     of a new input can be predicted from the forwarding-equivalence
-//     class history before anything is installed.
+//
+// §6's outcome predictor (E12) and §8's verify-before-install gate (E13)
+// are experiments no binary runs; they live in this package's tests.
 package repair
 
 import (
@@ -81,33 +80,9 @@ func (g *Gate) apply(router string, u fib.Update) {
 	}
 }
 
-// Withheld returns the updates currently blocked.
-func (g *Gate) Withheld() []Withheld { return append([]Withheld(nil), g.withheld...) }
-
-// ReleaseAll applies every withheld update in order and clears the queue.
-func (g *Gate) ReleaseAll() {
-	for _, w := range g.withheld {
-		g.apply(w.Router, w.Update)
-	}
-	g.withheld = nil
-}
-
 // View exposes the shadow data plane for walking.
 func (g *Gate) View() dataplane.View {
 	return dataplane.SnapshotView(g.shadow)
-}
-
-// Snapshot copies the shadow state.
-func (g *Gate) Snapshot() map[string]map[netip.Prefix]fib.Entry {
-	out := make(map[string]map[netip.Prefix]fib.Entry, len(g.shadow))
-	for r, t := range g.shadow {
-		m := make(map[netip.Prefix]fib.Entry, len(t))
-		for p, e := range t {
-			m[p] = e
-		}
-		out[r] = m
-	}
-	return out
 }
 
 // Diagnosis reports one detect-trace-repair pass.
@@ -187,40 +162,6 @@ func Rollback(n *network.Network, d *Diagnosis) error {
 	}
 	return fmt.Errorf("repair: no revertible root cause among %d roots", len(d.Roots))
 }
-
-// InputSignature summarizes a control-plane input for outcome prediction:
-// the same kind of input (same router, type, protocol, peer, and key
-// attributes) is expected to produce the same forwarding outcome for
-// prefixes in the same equivalence class (§6's repetitiveness insight).
-func InputSignature(io capture.IO) string {
-	return fmt.Sprintf("%s|%s|%s|%s|lp=%d|len=%d",
-		io.Router, io.Type, io.Proto, io.Peer,
-		io.Attrs.EffectiveLocalPref(), len(io.Attrs.ASPath))
-}
-
-// OutcomePredictor learns input-signature → forwarding-class mappings and
-// predicts the outcome of unseen inputs.
-type OutcomePredictor struct {
-	m map[string]string
-}
-
-// NewOutcomePredictor returns an empty predictor.
-func NewOutcomePredictor() *OutcomePredictor { return &OutcomePredictor{m: map[string]string{}} }
-
-// Learn associates an observed input with the forwarding signature its
-// prefix converged to.
-func (o *OutcomePredictor) Learn(input capture.IO, forwardingSig string) {
-	o.m[InputSignature(input)] = forwardingSig
-}
-
-// Predict forecasts the forwarding signature for a new input.
-func (o *OutcomePredictor) Predict(input capture.IO) (string, bool) {
-	sig, ok := o.m[InputSignature(input)]
-	return sig, ok
-}
-
-// Len reports how many distinct input signatures were learned.
-func (o *OutcomePredictor) Len() int { return len(o.m) }
 
 // BlackholedPrefixes walks every prefix of a snapshot view from the given
 // sources and returns those that are dropped or stuck — the measurement

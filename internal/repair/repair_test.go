@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -35,6 +36,30 @@ func build(t *testing.T) (*network.PaperNet, *Gate) {
 		t.Fatal(err)
 	}
 	return pn, gate
+}
+
+// Withheld returns the updates currently blocked.
+func (g *Gate) Withheld() []Withheld { return append([]Withheld(nil), g.withheld...) }
+
+// ReleaseAll applies every withheld update in order and clears the queue.
+func (g *Gate) ReleaseAll() {
+	for _, w := range g.withheld {
+		g.apply(w.Router, w.Update)
+	}
+	g.withheld = nil
+}
+
+// Snapshot copies the shadow state.
+func (g *Gate) Snapshot() map[string]map[netip.Prefix]fib.Entry {
+	out := make(map[string]map[netip.Prefix]fib.Entry, len(g.shadow))
+	for r, t := range g.shadow {
+		m := make(map[netip.Prefix]fib.Entry, len(t))
+		for p, e := range t {
+			m[p] = e
+		}
+		out[r] = m
+	}
+	return out
 }
 
 func misconfigure(t *testing.T, pn *network.PaperNet) capture.IO {
@@ -257,6 +282,40 @@ func TestGateReleaseAll(t *testing.T) {
 	}
 }
 
+// InputSignature summarizes a control-plane input for outcome prediction:
+// the same kind of input (same router, type, protocol, peer, and key
+// attributes) is expected to produce the same forwarding outcome for
+// prefixes in the same equivalence class (§6's repetitiveness insight).
+func InputSignature(io capture.IO) string {
+	return fmt.Sprintf("%s|%s|%s|%s|lp=%d|len=%d",
+		io.Router, io.Type, io.Proto, io.Peer,
+		io.Attrs.EffectiveLocalPref(), len(io.Attrs.ASPath))
+}
+
+// OutcomePredictor learns input-signature → forwarding-class mappings and
+// predicts the outcome of unseen inputs.
+type OutcomePredictor struct {
+	m map[string]string
+}
+
+// NewOutcomePredictor returns an empty predictor.
+func NewOutcomePredictor() *OutcomePredictor { return &OutcomePredictor{m: map[string]string{}} }
+
+// Learn associates an observed input with the forwarding signature its
+// prefix converged to.
+func (o *OutcomePredictor) Learn(input capture.IO, forwardingSig string) {
+	o.m[InputSignature(input)] = forwardingSig
+}
+
+// Predict forecasts the forwarding signature for a new input.
+func (o *OutcomePredictor) Predict(input capture.IO) (string, bool) {
+	sig, ok := o.m[InputSignature(input)]
+	return sig, ok
+}
+
+// Len reports how many distinct input signatures were learned.
+func (o *OutcomePredictor) Len() int { return len(o.m) }
+
 func TestOutcomePredictorLearnsRepetition(t *testing.T) {
 	// §6: destinations are treated alike; the predictor learns per-class
 	// outcomes from a handful of inputs and predicts unseen prefixes.
@@ -271,7 +330,7 @@ func TestOutcomePredictorLearnsRepetition(t *testing.T) {
 	fibsHi := map[string]map[netip.Prefix]fib.Entry{
 		"r3": {netip.MustParsePrefix("10.0.0.0/24"): {NextHop: addr("2.2.2.2")}},
 	}
-	sigHi := eqclass.Signature(fibsHi, netip.MustParsePrefix("10.0.0.0/24"))
+	sigHi := eqclass.Compute(fibsHi, []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24")})[0].Signature
 	pred.Learn(mkInput(30, "10.0.0.0/24"), sigHi)
 	// Same input shape, different prefix: predicted identically.
 	got, ok := pred.Predict(mkInput(30, "10.0.99.0/24"))

@@ -109,16 +109,6 @@ func (r *Instance) Originate(p netip.Prefix, cause ...uint64) {
 	r.update(p, entry{metric: 1, from: ""}, cause)
 }
 
-// WithdrawLocal removes a locally originated prefix.
-func (r *Instance) WithdrawLocal(p netip.Prefix, cause ...uint64) {
-	p = p.Masked()
-	if !r.local[p] {
-		return
-	}
-	delete(r.local, p)
-	r.remove(p, cause)
-}
-
 // NeighborDown purges routes learned from the neighbor (link failure).
 func (r *Instance) NeighborDown(addr netip.Addr, cause ...uint64) {
 	n := r.neighbors[addr]
@@ -279,15 +269,6 @@ func (r *Instance) flushFIB(p netip.Prefix) {
 	r.fib.Offer(route.Route{
 		Prefix: p, NextHop: e.nextHop, Proto: route.ProtoRIP, Metric: e.metric,
 	}, causes...)
-}
-
-// Table returns a copy of the RIP table as (prefix -> metric, nextHop).
-func (r *Instance) Table() map[netip.Prefix]route.Route {
-	out := make(map[netip.Prefix]route.Route, len(r.table))
-	for p, e := range r.table {
-		out[p] = route.Route{Prefix: p, NextHop: e.nextHop, Proto: route.ProtoRIP, Metric: e.metric}
-	}
-	return out
 }
 
 func lessPrefix(a, b netip.Prefix) bool {

@@ -14,6 +14,16 @@ import (
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s).Masked() }
 func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
 
+// WithdrawLocal removes a locally originated prefix.
+func (r *Instance) WithdrawLocal(p netip.Prefix, cause ...uint64) {
+	p = p.Masked()
+	if !r.local[p] {
+		return
+	}
+	delete(r.local, p)
+	r.remove(p, cause)
+}
+
 type harness struct {
 	sched *netsim.Scheduler
 	log   *capture.Log
@@ -87,12 +97,12 @@ func TestPropagationAlongChain(t *testing.T) {
 	h.wire("b", "c", 2)
 	h.insts["a"].Originate(lan)
 	h.run(t)
-	rb := h.insts["b"].Table()[lan]
-	if rb.Metric != 2 || rb.NextHop != addr("10.0.1.1") {
+	rb := h.insts["b"].table[lan]
+	if rb.metric != 2 || rb.nextHop != addr("10.0.1.1") {
 		t.Fatalf("b route = %+v", rb)
 	}
-	rc := h.insts["c"].Table()[lan]
-	if rc.Metric != 3 || rc.NextHop != addr("10.0.2.1") {
+	rc := h.insts["c"].table[lan]
+	if rc.metric != 3 || rc.nextHop != addr("10.0.2.1") {
 		t.Fatalf("c route = %+v", rc)
 	}
 	if e, ok := h.fibs["c"].Exact(lan); !ok || e.Proto != route.ProtoRIP {
@@ -121,7 +131,7 @@ func TestSplitHorizonPoisonReverse(t *testing.T) {
 		t.Fatalf("b advertised the route back to a: %v", adverts)
 	}
 	// a's own route is unaffected by the poison.
-	if r, ok := h.insts["a"].Table()[lan]; !ok || r.Metric != 1 {
+	if r, ok := h.insts["a"].table[lan]; !ok || r.metric != 1 {
 		t.Fatalf("a route = %+v %v", r, ok)
 	}
 }
@@ -138,7 +148,7 @@ func TestWithdrawLocalPropagates(t *testing.T) {
 	h.insts["a"].WithdrawLocal(lan)
 	h.run(t)
 	for _, n := range []string{"a", "b", "c"} {
-		if _, ok := h.insts[n].Table()[lan]; ok {
+		if _, ok := h.insts[n].table[lan]; ok {
 			t.Fatalf("%s kept withdrawn route", n)
 		}
 	}
@@ -156,7 +166,7 @@ func TestNeighborDownPurges(t *testing.T) {
 	h.run(t)
 	h.insts["b"].NeighborDown(addr("10.0.1.1"))
 	h.run(t)
-	if _, ok := h.insts["b"].Table()[lan]; ok {
+	if _, ok := h.insts["b"].table[lan]; ok {
 		t.Fatal("b kept route after neighbor down")
 	}
 }
@@ -175,12 +185,12 @@ func TestBetterMetricWins(t *testing.T) {
 	h.wire("near", "dst", 5)
 	h.insts["src"].Originate(lan)
 	h.run(t)
-	r := h.insts["dst"].Table()[lan]
-	if r.Metric != 3 {
-		t.Fatalf("dst metric = %d, want 3 (via near)", r.Metric)
+	r := h.insts["dst"].table[lan]
+	if r.metric != 3 {
+		t.Fatalf("dst metric = %d, want 3 (via near)", r.metric)
 	}
-	if r.NextHop != addr("10.0.5.1") {
-		t.Fatalf("dst next hop = %v, want near", r.NextHop)
+	if r.nextHop != addr("10.0.5.1") {
+		t.Fatalf("dst next hop = %v, want near", r.nextHop)
 	}
 }
 
@@ -228,7 +238,7 @@ func TestInfinityCapsMetric(t *testing.T) {
 		h.insts["b"].HandleUpdate(addr("10.0.1.1"), Message{Prefix: lan, Metric: 15}, 0)
 	})
 	h.run(t)
-	if _, ok := h.insts["b"].Table()[lan]; ok {
+	if _, ok := h.insts["b"].table[lan]; ok {
 		t.Fatal("metric-16 route installed")
 	}
 }
@@ -247,7 +257,7 @@ func TestPoisonFromNonNextHopIgnored(t *testing.T) {
 		h.insts["b"].HandleUpdate(addr("10.0.2.1"), Message{Prefix: lan, Metric: Infinity}, 0)
 	})
 	h.run(t)
-	if _, ok := h.insts["b"].Table()[lan]; !ok {
+	if _, ok := h.insts["b"].table[lan]; !ok {
 		t.Fatal("poison from non-nexthop removed the route")
 	}
 }
@@ -265,8 +275,8 @@ func TestUpdateFromCurrentNextHopAlwaysAccepted(t *testing.T) {
 		h.insts["b"].HandleUpdate(addr("10.0.1.1"), Message{Prefix: lan, Metric: 5}, 0)
 	})
 	h.run(t)
-	if r := h.insts["b"].Table()[lan]; r.Metric != 6 {
-		t.Fatalf("metric = %d, want 6", r.Metric)
+	if r := h.insts["b"].table[lan]; r.metric != 6 {
+		t.Fatalf("metric = %d, want 6", r.metric)
 	}
 }
 
@@ -286,11 +296,18 @@ func TestRecvIOCausality(t *testing.T) {
 	if rib.ID == 0 || len(rib.Causes) == 0 {
 		t.Fatalf("rib = %+v", rib)
 	}
-	cause, _ := h.log.ByID(rib.Causes[0])
+	byID := func(id uint64) capture.IO {
+		got := h.log.Filter(func(io capture.IO) bool { return io.ID == id })
+		if len(got) != 1 {
+			t.Fatalf("I/O %d: %v", id, got)
+		}
+		return got[0]
+	}
+	cause := byID(rib.Causes[0])
 	if cause.Type != capture.RecvAdvert || cause.Proto != route.ProtoRIP {
 		t.Fatalf("cause = %+v", cause)
 	}
-	sendCause, _ := h.log.ByID(cause.Causes[0])
+	sendCause := byID(cause.Causes[0])
 	if sendCause.Router != "a" || sendCause.Type != capture.SendAdvert {
 		t.Fatalf("send cause = %+v", sendCause)
 	}

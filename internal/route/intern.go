@@ -36,9 +36,6 @@ type internEntry struct {
 // each Acquire is matched by exactly one Release.
 type AttrRef struct{ e *internEntry }
 
-// Valid reports whether the handle points at a canonical entry.
-func (r AttrRef) Valid() bool { return r.e != nil }
-
 // Attrs returns the canonical attribute set. The slices are shared: callers
 // may copy the struct and change scalar fields but must not mutate ASPath,
 // Communities, or ClusterList in place.

@@ -36,7 +36,7 @@ func TestInternerCanonicalSharing(t *testing.T) {
 	a := BGPAttrs{ASPath: []uint32{100, 200}, Communities: []uint32{7}}
 	r1 := in.Acquire(a)
 	r2 := in.Acquire(a.Clone())
-	if !r1.Valid() || !r2.Valid() {
+	if r1.e == nil || r2.e == nil {
 		t.Fatal("invalid handles")
 	}
 	if &r1.Attrs().ASPath[0] != &r2.Attrs().ASPath[0] {

@@ -275,10 +275,6 @@ func (r Route) AdminDistance() uint8 {
 	return AdminDistance(r.Proto, r.Proto == ProtoBGP && r.PeerType == PeerIBGP)
 }
 
-// IsLocal reports whether the route terminates at this router (connected or
-// locally originated) rather than pointing at a neighbor.
-func (r Route) IsLocal() bool { return !r.NextHop.IsValid() }
-
 func (r Route) String() string {
 	nh := "direct"
 	switch {
@@ -302,15 +298,6 @@ func MustPrefix(s string) netip.Prefix {
 		panic(err)
 	}
 	return p.Masked()
-}
-
-// MustAddr parses an address literal, panicking on error.
-func MustAddr(s string) netip.Addr {
-	a, err := netip.ParseAddr(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // CompareBGP ranks two BGP routes using the canonical decision process and

@@ -10,7 +10,7 @@ import (
 func bgpRoute(pfx string, nh string, mod func(*Route)) Route {
 	r := Route{
 		Prefix:   MustPrefix(pfx),
-		NextHop:  MustAddr(nh),
+		NextHop:  netip.MustParseAddr(nh),
 		Proto:    ProtoBGP,
 		PeerType: PeerEBGP,
 	}
@@ -143,8 +143,8 @@ func TestCompareBGPMEDOnlySameNeighborAS(t *testing.T) {
 		r.Attrs.MED = 10
 	})
 	// Different neighbor AS: MED skipped; falls through to router-ID step.
-	a.LearnedFrom = MustAddr("1.1.1.1")
-	b.LearnedFrom = MustAddr("2.2.2.2")
+	a.LearnedFrom = netip.MustParseAddr("1.1.1.1")
+	b.LearnedFrom = netip.MustParseAddr("2.2.2.2")
 	if CompareBGP(a, b, nil, Quirks{}) >= 0 {
 		t.Fatal("with MED skipped, lower router-ID must win")
 	}
@@ -174,7 +174,7 @@ func TestCompareBGPIGPMetric(t *testing.T) {
 	near := bgpRoute("0.0.0.0/0", "192.0.2.1", func(r *Route) { r.PeerType = PeerIBGP })
 	far := bgpRoute("0.0.0.0/0", "192.0.2.2", func(r *Route) { r.PeerType = PeerIBGP })
 	metric := func(nh netip.Addr) (uint32, bool) {
-		if nh == MustAddr("192.0.2.1") {
+		if nh == netip.MustParseAddr("192.0.2.1") {
 			return 10, true
 		}
 		return 100, true
@@ -184,7 +184,7 @@ func TestCompareBGPIGPMetric(t *testing.T) {
 	}
 	// Unreachable next hop ranks worst.
 	unreach := func(nh netip.Addr) (uint32, bool) {
-		return 0, nh == MustAddr("192.0.2.2")
+		return 0, nh == netip.MustParseAddr("192.0.2.2")
 	}
 	if CompareBGP(near, far, unreach, Quirks{}) <= 0 {
 		t.Fatal("unreachable next hop must lose")
@@ -192,8 +192,8 @@ func TestCompareBGPIGPMetric(t *testing.T) {
 }
 
 func TestCompareBGPPreferOldestQuirk(t *testing.T) {
-	a := bgpRoute("0.0.0.0/0", "192.0.2.1", func(r *Route) { r.LearnedFrom = MustAddr("9.9.9.9") })
-	b := bgpRoute("0.0.0.0/0", "192.0.2.2", func(r *Route) { r.LearnedFrom = MustAddr("1.1.1.1") })
+	a := bgpRoute("0.0.0.0/0", "192.0.2.1", func(r *Route) { r.LearnedFrom = netip.MustParseAddr("9.9.9.9") })
+	b := bgpRoute("0.0.0.0/0", "192.0.2.2", func(r *Route) { r.LearnedFrom = netip.MustParseAddr("1.1.1.1") })
 	if CompareBGP(a, b, nil, Quirks{}) <= 0 {
 		t.Fatal("canonical: lower router-ID must win")
 	}
@@ -204,15 +204,8 @@ func TestCompareBGPPreferOldestQuirk(t *testing.T) {
 
 func TestIsLocalAndString(t *testing.T) {
 	local := Route{Prefix: MustPrefix("10.0.0.0/24"), Proto: ProtoConnected, OutIface: "eth0"}
-	if !local.IsLocal() {
-		t.Fatal("connected route should be local")
-	}
 	if got := local.String(); got != "10.0.0.0/24 via direct [connected ad=0 metric=0]" {
 		t.Fatalf("String = %q", got)
-	}
-	r := bgpRoute("10.0.0.0/8", "192.0.2.1", nil)
-	if r.IsLocal() {
-		t.Fatal("next-hop route is not local")
 	}
 }
 
@@ -226,7 +219,7 @@ func TestMustHelpersPanic(t *testing.T) {
 }
 
 func TestMustPrefixMasks(t *testing.T) {
-	if got := MustPrefix("10.1.2.3/8"); got != netip.PrefixFrom(MustAddr("10.0.0.0"), 8) {
+	if got := MustPrefix("10.1.2.3/8"); got != netip.PrefixFrom(netip.MustParseAddr("10.0.0.0"), 8) {
 		t.Fatalf("MustPrefix should mask host bits, got %v", got)
 	}
 }

@@ -45,7 +45,7 @@ func runKernelTrace(t *testing.T, cfg Config) (string, []byte) {
 			t.Fatal(err)
 		}
 	}
-	ios := w.net.Log.All()
+	ios := w.net.Log.Snapshot()
 	var sb strings.Builder
 	for _, io := range ios {
 		fmt.Fprintf(&sb, "%d %s t=%d tt=%d causes=%v attrs=%+v\n",

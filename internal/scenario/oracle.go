@@ -293,7 +293,7 @@ func compareEdges(a, b hbg.Edge) int {
 // catch; fault.FIBAncestryOnly judges (b)'s graphs by the FIB updates'
 // inferred ancestry alone, which (d) must catch.
 func (h *harness) oracleSnapshots(round int) *Failure {
-	all := h.w.net.Log.All()
+	all := h.w.net.Log.Snapshot()
 	stripped := capture.StripOracle(all)
 
 	// (a) full-log replay == live FIBs.
@@ -452,7 +452,7 @@ func (h *harness) cutOpenAt(all, collected []capture.IO) string {
 // order — the ground-truth replay input for entriesWereReal.
 func (h *harness) fibEventsTrueTime() []capture.IO {
 	var evs []capture.IO
-	for _, io := range h.w.net.Log.All() {
+	for _, io := range h.w.net.Log.Snapshot() {
 		if io.Type == capture.FIBInstall || io.Type == capture.FIBRemove {
 			evs = append(evs, io)
 		}

@@ -316,12 +316,3 @@ func extend(v capture.View, cut Cut, check func(Cut) Result) (Cut, Result) {
 		}
 	}
 }
-
-// CutAt builds a uniform cut placing every listed router's horizon at t.
-func CutAt(routers []string, t netsim.VirtualTime) Cut {
-	c := Cut{}
-	for _, r := range routers {
-		c[r] = t
-	}
-	return c
-}

@@ -37,7 +37,7 @@ func fig1Transition(t *testing.T) (*network.PaperNet, []capture.IO) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return pn, pn.Log.All()
+	return pn, pn.Log.Snapshot()
 }
 
 // staleR2Cut builds the Fig. 1c cut: every router's log complete except
@@ -184,10 +184,7 @@ func TestCollectHonorsPerRouterHorizons(t *testing.T) {
 }
 
 func TestCutHelpers(t *testing.T) {
-	c := CutAt([]string{"a", "b"}, 55)
-	if len(c) != 2 || c["a"] != 55 {
-		t.Fatalf("CutAt = %v", c)
-	}
+	c := Cut{"a": 55, "b": 55}
 	cl := c.Clone()
 	cl["a"] = 99
 	if c["a"] != 55 {

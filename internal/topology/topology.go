@@ -35,9 +35,6 @@ func (i *Interface) Peer() *Interface {
 	return i.Link.A
 }
 
-// ID returns the canonical "router:ifname" identifier.
-func (i *Interface) ID() string { return i.Router + ":" + i.Name }
-
 // Link is a point-to-point connection between two interfaces.
 type Link struct {
 	A, B *Interface
@@ -61,16 +58,6 @@ func (l *Link) SetUp(up bool) {
 	l.gen.Add(1)
 }
 
-// ID returns a stable "a:if<->b:if" identifier with endpoints in router-name
-// order, so both directions map to the same string.
-func (l *Link) ID() string {
-	a, b := l.A.ID(), l.B.ID()
-	if a > b {
-		a, b = b, a
-	}
-	return a + "<->" + b
-}
-
 // Router is a named node with interfaces. LoopbackAddr doubles as the BGP
 // router ID.
 type Router struct {
@@ -91,29 +78,6 @@ func (r *Router) Interfaces() []*Interface {
 
 // Interface returns the named interface, or nil.
 func (r *Router) Interface(name string) *Interface { return r.ifaces[name] }
-
-// InterfaceByAddr returns the interface holding addr, or nil.
-func (r *Router) InterfaceByAddr(addr netip.Addr) *Interface {
-	for _, i := range r.ifaces {
-		if i.Addr == addr {
-			return i
-		}
-	}
-	return nil
-}
-
-// ConnectedPrefixes returns the subnets the router is directly attached to,
-// sorted, with the delivering interface name.
-func (r *Router) ConnectedPrefixes() map[netip.Prefix]string {
-	out := make(map[netip.Prefix]string, len(r.ifaces))
-	for _, i := range r.ifaces {
-		if i.Link != nil && !i.Link.Up() {
-			continue
-		}
-		out[i.Prefix] = i.Name
-	}
-	return out
-}
 
 // Topology is a collection of routers and links. Address and endpoint
 // indexes are maintained on mutation so the per-message hot paths in
@@ -192,16 +156,6 @@ func (t *Topology) AddRouter(name string, loopback netip.Addr) (*Router, error) 
 
 // Router returns the named router, or nil.
 func (t *Topology) Router(name string) *Router { return t.routers[name] }
-
-// Routers returns all routers sorted by name.
-func (t *Topology) Routers() []*Router {
-	out := make([]*Router, 0, len(t.routers))
-	for _, r := range t.routers {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
 
 // Links returns all links in creation order.
 func (t *Topology) Links() []*Link { return t.links }
@@ -293,29 +247,6 @@ func (t *Topology) LinkBetween(a, b string) *Link {
 // {a, b} (in either order), or nil.
 func (t *Topology) LinkByEndpoints(a, b netip.Addr) *Link {
 	return t.linkByEnds[addrPair(a, b)]
-}
-
-// Neighbors returns the names of routers adjacent to r over up links,
-// sorted and deduplicated.
-func (t *Topology) Neighbors(r string) []string {
-	seen := map[string]bool{}
-	for _, l := range t.links {
-		if !l.Up() {
-			continue
-		}
-		switch r {
-		case l.A.Router:
-			seen[l.B.Router] = true
-		case l.B.Router:
-			seen[l.A.Router] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // OwnerOf returns the router whose loopback or interface holds addr, or "".

@@ -10,7 +10,6 @@ package verify
 import (
 	"net/netip"
 	"sync"
-	"sync/atomic"
 
 	"hbverify/internal/dataplane"
 )
@@ -30,9 +29,6 @@ type WalkCache struct {
 	epoch   uint64
 	touched map[string]uint64 // router -> epoch of its last invalidation
 	walks   map[WalkKey]cachedWalk
-
-	hits   atomic.Int64
-	misses atomic.Int64
 }
 
 // NewWalkCache returns an empty cache.
@@ -48,12 +44,6 @@ func (c *WalkCache) InvalidateRouter(router string) {
 	c.epoch++
 	c.touched[router] = c.epoch
 	c.mu.Unlock()
-}
-
-// Stats reports cumulative lookup hits and misses since construction — the
-// serving layer's cache-hit ratio comes straight from here.
-func (c *WalkCache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }
 
 // Len reports the number of stored walks (valid or not).
@@ -84,21 +74,18 @@ func (c *WalkCache) Lookup(source string, dst netip.Addr) (dataplane.Walk, bool)
 	defer c.mu.Unlock()
 	e, ok := c.walks[k]
 	if !ok {
-		c.misses.Add(1)
 		return dataplane.Walk{}, false
 	}
 	if e.epoch < c.epoch {
 		for _, r := range e.walk.Path {
 			if c.touched[r] > e.epoch {
 				delete(c.walks, k)
-				c.misses.Add(1)
 				return dataplane.Walk{}, false
 			}
 		}
 		e.epoch = c.epoch
 		c.walks[k] = e
 	}
-	c.hits.Add(1)
 	return e.walk, true
 }
 

@@ -555,16 +555,3 @@ func bypassesWaypoint(walk dataplane.Walk, waypoint string) bool {
 	}
 	return false
 }
-
-// PreferredEgressPolicy expresses the paper's running policy — "R2 is the
-// preferred exit point when its uplink is up; otherwise R1 should be used"
-// — as a concrete Egress policy given current availability.
-func PreferredEgressPolicy(prefix netip.Prefix, ordered []string, available func(string) bool) Policy {
-	for _, e := range ordered {
-		if available == nil || available(e) {
-			return Policy{Kind: Egress, Prefix: prefix, Expect: e}
-		}
-	}
-	// Nothing available: the best we can require is no loops.
-	return Policy{Kind: NoLoop, Prefix: prefix}
-}

@@ -34,8 +34,21 @@ func checker(pn *network.PaperNet) *Checker {
 	return NewChecker(w, []string{"r1", "r2", "r3"})
 }
 
+// preferredEgressPolicy expresses the paper's running policy — "R2 is the
+// preferred exit point when its uplink is up; otherwise R1 should be used"
+// — as a concrete Egress policy given current availability.
+func preferredEgressPolicy(prefix netip.Prefix, ordered []string, available func(string) bool) Policy {
+	for _, e := range ordered {
+		if available == nil || available(e) {
+			return Policy{Kind: Egress, Prefix: prefix, Expect: e}
+		}
+	}
+	// Nothing available: the best we can require is no loops.
+	return Policy{Kind: NoLoop, Prefix: prefix}
+}
+
 func paperPolicy(pn *network.PaperNet) Policy {
-	return PreferredEgressPolicy(pn.P, []string{"e2", "e1"}, func(e string) bool {
+	return preferredEgressPolicy(pn.P, []string{"e2", "e1"}, func(e string) bool {
 		// A provider is available if its uplink is up and it originates P.
 		switch e {
 		case "e2":
@@ -159,7 +172,7 @@ func TestPerPolicySourcesOverride(t *testing.T) {
 }
 
 func TestPreferredEgressFallsBackToNoLoop(t *testing.T) {
-	p := PreferredEgressPolicy(network.PrefixP, []string{"e2", "e1"}, func(string) bool { return false })
+	p := preferredEgressPolicy(network.PrefixP, []string{"e2", "e1"}, func(string) bool { return false })
 	if p.Kind != NoLoop {
 		t.Fatalf("policy = %v", p)
 	}

@@ -29,14 +29,6 @@ func LinkFailure(a, b string) Change {
 	}
 }
 
-// LinkRecovery asks: what if the link between a and b comes back?
-func LinkRecovery(a, b string) Change {
-	return func(n *network.Network) error {
-		_, err := n.SetLinkUp(a, b, true)
-		return err
-	}
-}
-
 // ConfigUpdate asks: what if this configuration change were committed?
 func ConfigUpdate(router, comment string, mutate func(*config.Router)) Change {
 	return func(n *network.Network) error {

@@ -168,7 +168,11 @@ func TestWhatIfRecovery(t *testing.T) {
 	}
 	eng := engine(pn)
 	eng.Policies = []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
-	res, err := eng.Ask(pn.Blueprint(), LinkRecovery("r2", "e2"))
+	recovery := func(n *network.Network) error {
+		_, err := n.SetLinkUp("r2", "e2", true)
+		return err
+	}
+	res, err := eng.Ask(pn.Blueprint(), recovery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestIncrementalInvalidatedByRollback(t *testing.T) {
 
 	// Round 3: post-rollback inference must equal a fresh full pass.
 	got := p.Graph()
-	want := hbr.Rules{}.Infer(capture.StripOracle(pn.Log.All()))
+	want := hbr.Rules{}.Infer(capture.StripOracle(pn.Log.Snapshot()))
 	if got.NodeCount() != want.NodeCount() {
 		t.Fatalf("post-rollback nodes: incremental %d, full %d", got.NodeCount(), want.NodeCount())
 	}

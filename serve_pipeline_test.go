@@ -102,7 +102,7 @@ func TestQueriesUnderChurn(t *testing.T) {
 				return
 			default:
 			}
-			p.CompactLog()
+			p.Strategy.Compact(p.Net.Log)
 		}
 	}()
 
