@@ -15,6 +15,7 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -282,7 +283,7 @@ func (s *Speaker) PeerDown(peer netip.Addr, cause ...uint64) {
 		}
 	}
 	delete(s.advertised, peer)
-	sort.Slice(affected, func(i, j int) bool { return lessPrefix(affected[i], affected[j]) })
+	slices.SortFunc(affected, route.ComparePrefix)
 	for _, p := range affected {
 		s.runDecision(p, cause)
 	}
@@ -380,7 +381,7 @@ func (s *Speaker) allPrefixes() []netip.Prefix {
 	for p := range seen {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessPrefix(out[i], out[j]) })
+	slices.SortFunc(out, route.ComparePrefix)
 	return out
 }
 
@@ -720,11 +721,4 @@ func (s *Speaker) send(sess *Session, msg Message, causes []uint64) {
 		Peer: sess.PeerName, PeerAddr: sess.PeerAddr, Attrs: msg.Attrs, Causes: causes,
 	})
 	s.env.DeliverBGP(sess.LocalAddr, sess.PeerAddr, msg, io.ID)
-}
-
-func lessPrefix(a, b netip.Prefix) bool {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c < 0
-	}
-	return a.Bits() < b.Bits()
 }

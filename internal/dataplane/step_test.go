@@ -35,7 +35,7 @@ func via(prefix string, hops ...string) route.Route {
 // TestStepTable pins the forwarding step — the one place forwarding
 // semantics live — case by case, through each of its adaptors: the central
 // walker over live tables and over a snapshot, and a fleet node's
-// LocalView (whose ClassState also surfaces the resolution-cycle flag).
+// LocalView (whose ClassState is the whole Step, resolution-cycle flag included).
 //
 // Router x has loopback 9.9.9.1, link eth0 to y (10.0.0.1 <-> 10.0.0.2),
 // link eth1 to z (10.0.1.1 <-> 10.0.1.2, down when the case says so) and a
@@ -159,10 +159,8 @@ func TestStepTable(t *testing.T) {
 			// ClassState judges a class by its representative; a host class
 			// makes that exactly dst.
 			st := node.ClassState(netip.PrefixFrom(dst, dst.BitLen()))
-			if st.Delivered != tc.want.delivered || st.Stuck != tc.want.stuck || st.SelfLoop != tc.want.cycle ||
-				!reflect.DeepEqual(st.Nexts, tc.want.nexts) {
-				t.Errorf("ClassState %+v, want delivered=%v stuck=%v selfloop=%v nexts=%v",
-					st, tc.want.delivered, tc.want.stuck, tc.want.cycle, tc.want.nexts)
+			if !reflect.DeepEqual(st.Expansion, wantEx) || st.Cycle != tc.want.cycle {
+				t.Errorf("ClassState %+v, want %+v cycle=%v", st, wantEx, tc.want.cycle)
 			}
 		})
 	}

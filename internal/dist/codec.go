@@ -50,14 +50,10 @@ func appendWalk(b []byte, w *WalkMsg) []byte {
 	b = binary.AppendUvarint(b, uint64(w.WalkID))
 	b = wire.AppendString(b, w.Source)
 	b = wire.AppendAddr(b, w.Dst)
-	b = wire.AppendStrings(b, w.Path)
 	b = binary.AppendUvarint(b, uint64(w.Hops))
 	b = binary.AppendUvarint(b, uint64(w.Msgs))
-	b = append(b, byte(w.Outcome))
-	b = wire.AppendBool(b, w.Done)
-	b = wire.AppendString(b, w.Egress)
 	b = wire.AppendString(b, w.Err)
-	// Symbolic set-walk state (frontier, expansions, DAG result).
+	// Symbolic set-walk state: the frontier and the expansions collected.
 	b = binary.AppendUvarint(b, uint64(len(w.Frontier)))
 	for _, f := range w.Frontier {
 		b = wire.AppendString(b, f.Router)
@@ -79,13 +75,7 @@ func appendWalk(b []byte, w *WalkMsg) []byte {
 		b = append(b, flags)
 		b = wire.AppendStrings(b, e.Nexts)
 	}
-	b = wire.AppendStrings(b, w.Egresses)
-	b = binary.AppendUvarint(b, uint64(len(w.Edges)))
-	for _, e := range w.Edges {
-		b = wire.AppendString(b, e[0])
-		b = wire.AppendString(b, e[1])
-	}
-	return binary.AppendUvarint(b, uint64(w.Branches))
+	return b
 }
 
 // appendWalkBatch encodes a full walk-batch (or result-batch) frame body.
@@ -212,7 +202,7 @@ func appendLocalReport(b []byte, rep *LocalReport) []byte {
 // ---------------------------------------------------------------------------
 
 const (
-	minWalkBytes  = 15
+	minWalkBytes  = 8
 	minEntryBytes = 7
 	minIfaceBytes = 7
 )
@@ -222,12 +212,8 @@ func readWalk(r *wire.Reader) WalkMsg {
 	w.WalkID = int(r.Uvarint())
 	w.Source = r.Str()
 	w.Dst = r.Addr()
-	w.Path = r.Strs()
 	w.Hops = int(r.Uvarint())
 	w.Msgs = int(r.Uvarint())
-	w.Outcome = dataplane.Outcome(r.Byte())
-	w.Done = r.Bool()
-	w.Egress = r.Str()
 	w.Err = r.Str()
 	if n := r.Count("frontier", 2); n > 0 {
 		w.Frontier = make([]FrontierHop, 0, n)
@@ -247,14 +233,6 @@ func readWalk(r *wire.Reader) WalkMsg {
 			w.Exps = append(w.Exps, e)
 		}
 	}
-	w.Egresses = r.Strs()
-	if n := r.Count("edges", 2); n > 0 {
-		w.Edges = make([][2]string, 0, n)
-		for i := 0; i < n; i++ {
-			w.Edges = append(w.Edges, [2]string{r.Str(), r.Str()})
-		}
-	}
-	w.Branches = int(r.Uvarint())
 	return w
 }
 

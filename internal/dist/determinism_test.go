@@ -81,10 +81,14 @@ func buildEcmpWorld(t *testing.T, hops []netip.Addr, linksReversed bool) ecmpWor
 	walker := dataplane.NewWalker(topo, dataplane.TableView(tables))
 	walk := walker.Forward("r1", dataplane.Representative(p))
 
-	msg := WalkMsg{
-		WalkID: 1, Source: "r1", Dst: walk.Dst, Path: walk.Path, Outcome: walk.Outcome,
-		Done: true, Egress: walk.Egress, Egresses: walk.Egresses,
-		Edges: walk.Edges, Branches: walk.Branches,
+	// The result frame the last node would send: every explored router's
+	// expansion, which the coordinator's replay must turn back into walk.
+	msg := WalkMsg{WalkID: 1, Source: "r1", Dst: walk.Dst}
+	for _, r := range walk.Path {
+		msg.Exps = append(msg.Exps, ExpMsg{Router: r, Expansion: walker.Expand(r, walk.Dst)})
+	}
+	if got := msg.Walk(); !reflect.DeepEqual(got, walk) {
+		t.Fatalf("replayed result frame diverges from the walk:\n  %+v\n  %+v", got, walk)
 	}
 	return ecmpWorld{
 		entry:  entry,

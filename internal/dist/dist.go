@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,6 +30,7 @@ import (
 	"hbverify/internal/localck"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
+	"hbverify/internal/route"
 	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 	"hbverify/internal/wire"
@@ -98,11 +100,8 @@ type FrontierHop struct {
 // ExpMsg is one router's collected forwarding expansion, accumulated as a
 // set-walk travels the fleet.
 type ExpMsg struct {
-	Router    string
-	Delivered bool
-	Dropped   bool
-	Stuck     bool
-	Nexts     []string
+	Router string
+	dataplane.Expansion
 }
 
 // WalkMsg is a verification walk in flight between nodes. Multipath FIBs
@@ -110,44 +109,43 @@ type ExpMsg struct {
 // message is a travelling depth-first search over the forwarding DAG — it
 // carries the frontier of routers still to expand plus every expansion
 // collected so far, and each node forwards it to the next unexpanded
-// frontier router. The final node replays dataplane.SymbolicWalk over the
-// collected expansions, so the distributed result is identical to the
-// central walker's by construction, with O(routers) messages per walk
-// instead of O(concrete paths).
+// frontier router. When the frontier drains the message goes back to the
+// coordinator, whose Walk replays dataplane.SymbolicWalk over the collected
+// expansions, so the distributed result is identical to the central
+// walker's by construction, with O(routers) messages per walk instead of
+// O(concrete paths).
 type WalkMsg struct {
 	WalkID int
 	Source string
 	Dst    netip.Addr
-	Path   []string
 	// Hops carries the DFS depth of the router the message is addressed
 	// to (the classic hop count when no entry is multipath).
-	Hops    int
-	Msgs    int // messages spent so far (accounting piggybacks on the walk)
-	Outcome dataplane.Outcome
-	Done    bool
-	Egress  string
+	Hops int
+	Msgs int // messages spent so far (accounting piggybacks on the walk)
 	// Frontier is the travelling DFS stack: routers discovered but not yet
 	// expanded, top at the end.
 	Frontier []FrontierHop
 	// Exps collects per-router expansions in DFS discovery order.
 	Exps []ExpMsg
-	// Egresses, Edges, and Branches mirror the symbolic dataplane.Walk
-	// fields on finished walks whose exploration branched.
-	Egresses []string
-	Edges    [][2]string
-	Branches int
 	// Err carries a transport failure (dead peer, timeout) back to the
 	// coordinator instead of losing the walk silently.
 	Err string
 }
 
-// AsWalk converts a finished walk message to the dataplane result it
-// represents.
-func (w WalkMsg) AsWalk() dataplane.Walk {
-	return dataplane.Walk{
-		Dst: w.Dst, Outcome: w.Outcome, Path: w.Path, Egress: w.Egress,
-		Egresses: w.Egresses, Edges: w.Edges, Branches: w.Branches,
+// Walk replays the shared symbolic engine over the expansions a returned
+// walk collected. A router the walk reached without an expansion is stuck:
+// no node vouched for what it does.
+func (w WalkMsg) Walk() dataplane.Walk {
+	exps := make(map[string]dataplane.Expansion, len(w.Exps))
+	for _, e := range w.Exps {
+		exps[e.Router] = e.Expansion
 	}
+	return dataplane.SymbolicWalk(w.Source, w.Dst, walkMaxHops, func(r string) dataplane.Expansion {
+		if ex, ok := exps[r]; ok {
+			return ex
+		}
+		return dataplane.Expansion{Stuck: true}
+	})
 }
 
 // Node is one router's verification server.
@@ -211,11 +209,9 @@ const walkMaxHops = 64
 // router's expansion (if not already collected), pushes the discovered
 // branches onto the frontier in reverse-sorted order (so pops follow the
 // central DFS's pre-order exactly), and forwards the walk to the next
-// unexpanded frontier router. When the frontier drains, the walk
-// terminates here: the node replays dataplane.SymbolicWalk over the
-// collected expansions, yielding the same Walk the central walker would
-// compute. It returns the advanced walk, the next node's address when the
-// walk continues, and whether the walk terminated.
+// unexpanded frontier router. It returns the advanced walk, the next
+// node's address when the walk continues, and whether the frontier
+// drained — the walk then returns to the coordinator, which replays it.
 func (n *Node) stepWalk(w WalkMsg) (WalkMsg, string, bool) {
 	n.viewMu.RLock()
 	defer n.viewMu.RUnlock()
@@ -230,10 +226,7 @@ func (n *Node) stepWalk(w WalkMsg) (WalkMsg, string, bool) {
 	}
 	if !expanded[cur] {
 		ex := n.View.Expand(w.Dst)
-		w.Exps = append(w.Exps, ExpMsg{
-			Router: cur, Delivered: ex.Delivered, Dropped: ex.Dropped,
-			Stuck: ex.Stuck, Nexts: ex.Nexts,
-		})
+		w.Exps = append(w.Exps, ExpMsg{Router: cur, Expansion: ex})
 		expanded[cur] = true
 		if depth < walkMaxHops {
 			// Reverse order: the stack pops the first branch first.
@@ -250,38 +243,15 @@ func (n *Node) stepWalk(w WalkMsg) (WalkMsg, string, bool) {
 		}
 		addr, ok := n.directory(top.Router)
 		if !ok {
-			// No node serves that router: the branch is unverifiable —
-			// record it stuck and keep exploring the rest of the DAG.
-			w.Exps = append(w.Exps, ExpMsg{Router: top.Router, Stuck: true})
-			expanded[top.Router] = true
+			// No node serves that router: the branch is unverifiable, and
+			// the replay finds it stuck for want of an expansion. Keep
+			// exploring the rest of the DAG.
 			continue
 		}
 		w.Hops = top.Depth
 		w.Msgs++
 		return w, addr, false
 	}
-	// Frontier exhausted: replay the shared symbolic engine over the
-	// collected expansions to aggregate outcomes and detect loops.
-	exps := make(map[string]dataplane.Expansion, len(w.Exps))
-	for _, e := range w.Exps {
-		exps[e.Router] = dataplane.Expansion{
-			Delivered: e.Delivered, Dropped: e.Dropped, Stuck: e.Stuck, Nexts: e.Nexts,
-		}
-	}
-	replay := dataplane.SymbolicWalk(w.Source, w.Dst, walkMaxHops, func(r string) dataplane.Expansion {
-		if ex, ok := exps[r]; ok {
-			return ex
-		}
-		return dataplane.Expansion{Stuck: true}
-	})
-	w.Done = true
-	w.Outcome = replay.Outcome
-	w.Path = replay.Path
-	w.Egress = replay.Egress
-	w.Egresses = replay.Egresses
-	w.Edges = replay.Edges
-	w.Branches = replay.Branches
-	w.Frontier = nil
 	return w, "", true
 }
 
@@ -613,9 +583,9 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 				submitAt.Store(w.WalkID, now)
 			}
 			if b.src == batches[0].src && fault.On(fault.DropBatch) {
-				// Lost on the wire, reported as done: the walks come back empty.
+				// Lost on the wire, reported as returned: the walks come back
+				// with nothing collected.
 				for _, w := range b.walks {
-					w.Done = true
 					c.deliver(w)
 				}
 				continue
@@ -628,7 +598,7 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 				// The whole batch failed to submit: every walk in it
 				// degrades to a reported error.
 				for _, w := range walks {
-					w.Done, w.Err = true, err.Error()
+					w.Err = err.Error()
 					c.deliver(w)
 				}
 			}
@@ -650,7 +620,7 @@ collect:
 			if w.Err != "" {
 				fail(i, errors.New(w.Err))
 			} else {
-				walks[i] = w.AsWalk()
+				walks[i] = w.Walk()
 				e.messages.Add(int64(w.Msgs))
 			}
 			<-tokens
@@ -700,29 +670,13 @@ func DiffFIB(old, cur map[netip.Prefix]fib.Entry) (installs []fib.Entry, removes
 			removes = append(removes, p)
 		}
 	}
-	sort.Slice(installs, func(i, j int) bool { return prefixBefore(installs[i].Prefix, installs[j].Prefix) })
-	sort.Slice(removes, func(i, j int) bool { return prefixBefore(removes[i], removes[j]) })
+	slices.SortFunc(installs, entryOrder)
+	slices.SortFunc(removes, route.ComparePrefix)
 	return installs, removes
 }
 
-func prefixBefore(a, b netip.Prefix) bool {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c < 0
-	}
-	return a.Bits() < b.Bits()
-}
-
-func ifacesEqual(a, b []dataplane.Iface) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// entryOrder sorts FIB entries by prefix, the order delta frames carry.
+func entryOrder(a, b fib.Entry) int { return route.ComparePrefix(a.Prefix, b.Prefix) }
 
 // SyncViews pushes router view changes to the fleet as binary delta
 // frames and waits for every node to acknowledge its delta. dirty lists
@@ -769,11 +723,11 @@ func (c *Coordinator) SyncViews(nodes map[string]*Node, views map[string]LocalVi
 			for _, e := range v.FIB {
 				d.Installs = append(d.Installs, e)
 			}
-			sort.Slice(d.Installs, func(i, j int) bool { return prefixBefore(d.Installs[i].Prefix, d.Installs[j].Prefix) })
+			slices.SortFunc(d.Installs, entryOrder)
 			d.HasIface, d.Ifaces = true, v.Ifaces
 		} else {
 			d.Installs, d.Removes = DiffFIB(old.FIB, v.FIB)
-			if !ifacesEqual(old.Ifaces, v.Ifaces) {
+			if !slices.Equal(old.Ifaces, v.Ifaces) {
 				d.HasIface, d.Ifaces = true, v.Ifaces
 			}
 		}

@@ -26,20 +26,11 @@ import (
 // Node side: class state, labels, per-delta checks.
 // ---------------------------------------------------------------------------
 
-// ClassState computes the router's locally-observable forwarding state
-// for one class: the shared forwarding step over its own FIB and
-// interfaces — so local checks judge exactly the state a symbolic walk
-// would traverse — plus the covering entry's configured next-hop set.
-func (v *LocalView) ClassState(class netip.Prefix) localck.ClassState {
-	s := v.step(dataplane.Representative(class))
-	st := localck.ClassState{
-		HasRoute: s.HasRoute, Delivered: s.Delivered, Stuck: s.Stuck, SelfLoop: s.Cycle,
-		Nexts: s.Nexts, Hops: s.Entry.HopSet(), Canonical: true,
-	}
-	if hops := s.Entry.NextHops; len(hops) > 0 {
-		st.Canonical = localck.CanonicalHops(hops) && hops[0] == s.Entry.NextHop && len(hops) >= 2
-	}
-	return st
+// ClassState is the router's forwarding step at a class's representative,
+// over its own FIB and interfaces: local checks judge exactly the state a
+// symbolic walk would traverse.
+func (v *LocalView) ClassState(class netip.Prefix) dataplane.Step {
+	return v.step(dataplane.Representative(class))
 }
 
 // applyLabels installs a coordinator-pushed label slice; subsequent
@@ -70,9 +61,7 @@ func (n *Node) runLocalChecks(sync int) *LocalReport {
 	}
 	classes := n.checker.Labels.Classes()
 	rep.Checked = len(classes)
-	rep.Violations = n.checker.Check(n.View.Router, func(c netip.Prefix) localck.ClassState {
-		return n.View.ClassState(c)
-	})
+	rep.Violations = n.checker.Check(n.View.Router, n.View.ClassState)
 	return rep
 }
 
@@ -152,9 +141,8 @@ func DeriveLabelsFromViews(views map[string]LocalView, classes []netip.Prefix, e
 		compiled[r] = &v
 	}
 	sort.Strings(routers)
-	fwd := func(r string, class netip.Prefix) ([]string, bool, bool) {
-		ex := compiled[r].Expand(dataplane.Representative(class))
-		return ex.Nexts, ex.Delivered, ex.Dropped || ex.Stuck
+	fwd := func(r string, class netip.Prefix) dataplane.Expansion {
+		return compiled[r].Expand(dataplane.Representative(class))
 	}
 	return localck.Derive(routers, classes, fwd, epoch)
 }

@@ -21,9 +21,12 @@ func TestBinaryWalkBatchRoundTrip(t *testing.T) {
 	walks := []WalkMsg{
 		{
 			WalkID: 42,
-			Source: "r1", Dst: addr("10.0.0.1"),
-			Path: []string{"r1", "r2"}, Hops: 2, Msgs: 3,
-			Outcome: dataplane.Looped, Done: true, Egress: "r2", Err: "boom",
+			Source: "r1", Dst: addr("10.0.0.1"), Hops: 2, Msgs: 3, Err: "boom",
+			Frontier: []FrontierHop{{Router: "r3", Depth: 2}},
+			Exps: []ExpMsg{
+				{Router: "r1", Expansion: dataplane.Expansion{Nexts: []string{"r2", "r3"}}},
+				{Router: "r2", Expansion: dataplane.Expansion{Delivered: true, Stuck: true}},
+			},
 		},
 		{WalkID: 43, Source: "r9", Dst: addr("192.168.0.1")},
 	}
@@ -223,8 +226,9 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 }
 
 // TestDropBatchFaultInjection proves the injected drop-batch fault actually
-// loses work: the first batch's source gets its walks back empty, and they
-// diverge from the healthy run.
+// loses work: the first batch's source gets its walks back with nothing
+// collected, so the coordinator replays them as stuck at that source, and
+// they diverge from the healthy run.
 func TestDropBatchFaultInjection(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
@@ -241,12 +245,12 @@ func TestDropBatchFaultInjection(t *testing.T) {
 	}
 	dropped := map[string]int{}
 	for _, r := range stats.Report.Results() {
-		if len(r.Walk.Path) == 0 {
+		if r.Walk.Outcome == dataplane.Stuck && reflect.DeepEqual(r.Walk.Path, []string{r.Source}) {
 			dropped[r.Source]++
 		}
 	}
 	if len(dropped) != 1 {
-		t.Fatalf("drop-batch emptied walks from %v, want exactly one source: %+v", dropped, stats.Report.Results())
+		t.Fatalf("drop-batch left walks stuck at sources %v, want exactly one source: %+v", dropped, stats.Report.Results())
 	}
 	if stats.Report.OK() {
 		t.Fatalf("dropped batch produced a clean report: %+v", stats.Report)

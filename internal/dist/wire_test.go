@@ -97,7 +97,7 @@ func TestNodeDropsNonV1Frames(t *testing.T) {
 		WalkID: 8, Source: "r1", Dst: dataplane.Representative(pn.P), Msgs: 1,
 	}})
 	sendRaw(t, nodes["r1"].Addr(), dropped(jsonWalk, valid)...)
-	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 && w.Done })
+	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 && len(w.Exps) > 0 })
 }
 
 func TestCoordinatorDropsNonV1Frames(t *testing.T) {
@@ -110,7 +110,7 @@ func TestCoordinatorDropsNonV1Frames(t *testing.T) {
 	coord.mu.Lock()
 	coord.pending[7], coord.pending[8] = results, results
 	coord.mu.Unlock()
-	valid := appendWalkBatch(nil, mtResultBatch, 1, []WalkMsg{{WalkID: 8, Done: true}})
+	valid := appendWalkBatch(nil, mtResultBatch, 1, []WalkMsg{{WalkID: 8}})
 	sendRaw(t, coord.Addr(), dropped(jsonResult, valid)...)
 	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 })
 }
@@ -180,10 +180,9 @@ func fuzzSeeds() [][]byte {
 	p := netip.MustParsePrefix("10.0.0.0/8")
 	a := netip.MustParseAddr("192.168.1.2")
 	walks := []WalkMsg{{
-		WalkID: 42, Source: "r1", Dst: a, Path: []string{"r1", "r2"}, Hops: 2, Msgs: 3, Outcome: dataplane.Looped, Done: true,
-		Egress: "r2", Err: "boom", Frontier: []FrontierHop{{Router: "r3", Depth: 2}},
-		Exps:     []ExpMsg{{Router: "r1", Delivered: true, Stuck: true, Nexts: []string{"r2", "r3"}}},
-		Egresses: []string{"r2"}, Edges: [][2]string{{"r1", "r2"}}, Branches: 1,
+		WalkID: 42, Source: "r1", Dst: a, Hops: 2, Msgs: 3, Err: "boom",
+		Frontier: []FrontierHop{{Router: "r3", Depth: 2}},
+		Exps:     []ExpMsg{{Router: "r1", Expansion: dataplane.Expansion{Delivered: true, Stuck: true, Nexts: []string{"r2", "r3"}}}},
 	}}
 	delta := viewDelta{
 		Router: "r1", Full: true, Sync: 9, HasIface: true, Removes: []netip.Prefix{p},

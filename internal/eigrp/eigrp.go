@@ -14,6 +14,7 @@ package eigrp
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -88,7 +89,6 @@ type Instance struct {
 	local     map[netip.Prefix]bool
 	topo      map[netip.Prefix]map[netip.Addr]topoEntry
 	sel       map[netip.Prefix]selected
-	ribIO     map[netip.Prefix]uint64
 
 	pendingFIB map[netip.Prefix][]uint64
 }
@@ -101,7 +101,6 @@ func New(name string, rec *capture.Recorder, sched *netsim.Scheduler, fibTable *
 		local:      map[netip.Prefix]bool{},
 		topo:       map[netip.Prefix]map[netip.Addr]topoEntry{},
 		sel:        map[netip.Prefix]selected{},
-		ribIO:      map[netip.Prefix]uint64{},
 		pendingFIB: map[netip.Prefix][]uint64{},
 	}
 }
@@ -134,7 +133,7 @@ func (e *Instance) NeighborDown(addr netip.Addr, cause ...uint64) {
 			affected = append(affected, p)
 		}
 	}
-	sort.Slice(affected, func(i, j int) bool { return lessPrefix(affected[i], affected[j]) })
+	slices.SortFunc(affected, route.ComparePrefix)
 	for _, p := range affected {
 		e.runDUAL(p, cause)
 	}
@@ -161,7 +160,7 @@ func (e *Instance) NeighborUp(addr netip.Addr, cause ...uint64) {
 	for p := range seen {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return lessPrefix(prefixes[i], prefixes[j]) })
+	slices.SortFunc(prefixes, route.ComparePrefix)
 	cs := append([]uint64(nil), cause...)
 	for _, p := range prefixes {
 		p := p
@@ -249,7 +248,6 @@ func (e *Instance) runDUAL(p netip.Prefix, causes []uint64) {
 	switch {
 	case best == nil && have:
 		delete(e.sel, p)
-		delete(e.ribIO, p)
 		io := e.rec.Record(capture.IO{
 			Type: capture.RIBRemove, Proto: route.ProtoEIGRP, Prefix: p,
 			NextHop: cur.nextHop, Causes: causes,
@@ -261,7 +259,6 @@ func (e *Instance) runDUAL(p netip.Prefix, causes []uint64) {
 			Type: capture.RIBInstall, Proto: route.ProtoEIGRP, Prefix: p,
 			NextHop: best.nextHop, Causes: causes,
 		})
-		e.ribIO[p] = io.ID
 		e.scheduleFIB(p, []uint64{io.ID})
 	}
 }
@@ -328,11 +325,4 @@ func (e *Instance) advertise(p netip.Prefix, causes []uint64) {
 		})
 		e.env.DeliverEIGRP(e.name, n.Iface, msg, io.ID)
 	}
-}
-
-func lessPrefix(a, b netip.Prefix) bool {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c < 0
-	}
-	return a.Bits() < b.Bits()
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hbverify/internal/fib"
+	"hbverify/internal/route"
 )
 
 // TestComputeDerivedPrefixListDeterministic is the regression test for the
@@ -24,7 +25,7 @@ func TestComputeDerivedPrefixListDeterministic(t *testing.T) {
 	// (address, length) — the canonical order, not map luck.
 	for _, c := range want {
 		for _, p := range c.Prefixes[1:] {
-			if prefixLess(p, c.Prefixes[0]) {
+			if route.ComparePrefix(p, c.Prefixes[0]) < 0 {
 				t.Fatalf("class %s representative %v is not its minimum (found %v)",
 					c.Signature, c.Prefixes[0], p)
 			}

@@ -18,11 +18,13 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
+	"hbverify/internal/route"
 	"hbverify/internal/trie"
 )
 
@@ -183,19 +185,6 @@ func (l *lookupper) render(probe netip.Addr) string {
 	return b.String()
 }
 
-// sortPrefixes orders prefixes by (address, length) — the canonical order
-// class members and derived prefix lists use.
-func sortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return prefixLess(ps[i], ps[j]) })
-}
-
-func prefixLess(a, b netip.Prefix) bool {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c < 0
-	}
-	return a.Bits() < b.Bits()
-}
-
 // sortClasses orders classes largest-first, ties broken by signature.
 func sortClasses(out []Class) {
 	sort.Slice(out, func(i, j int) bool {
@@ -222,7 +211,7 @@ func Compute(fibs map[string]map[netip.Prefix]fib.Entry, prefixes []netip.Prefix
 				}
 			}
 		}
-		sortPrefixes(prefixes)
+		slices.SortFunc(prefixes, route.ComparePrefix)
 	}
 	l := compile(fibs)
 	byID := map[sigID][]netip.Prefix{}
@@ -232,7 +221,7 @@ func Compute(fibs map[string]map[netip.Prefix]fib.Entry, prefixes []netip.Prefix
 	}
 	out := make([]Class, 0, len(byID))
 	for id, ps := range byID {
-		sortPrefixes(ps)
+		slices.SortFunc(ps, route.ComparePrefix)
 		out = append(out, Class{Signature: l.in.str(id), Prefixes: ps})
 	}
 	sortClasses(out)

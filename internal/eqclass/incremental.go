@@ -7,6 +7,7 @@ package eqclass
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,6 +15,7 @@ import (
 	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/metrics"
+	"hbverify/internal/route"
 	"hbverify/internal/trie"
 )
 
@@ -257,7 +259,7 @@ func (inc *Incremental) addMemberLocked(p netip.Prefix, id sigID) {
 	}
 	set[p] = struct{}{}
 	inc.sigOf[p] = id
-	if rep, ok := inc.reps[id]; !ok || prefixLess(p, rep) {
+	if rep, ok := inc.reps[id]; !ok || route.ComparePrefix(p, rep) < 0 {
 		inc.reps[id] = p
 	}
 }
@@ -277,7 +279,7 @@ func (inc *Incremental) removeMemberLocked(p netip.Prefix, id sigID) {
 		first := true
 		var min netip.Prefix
 		for m := range set {
-			if first || prefixLess(m, min) {
+			if first || route.ComparePrefix(m, min) < 0 {
 				min, first = m, false
 			}
 		}
@@ -307,7 +309,7 @@ func (inc *Incremental) Classes() []Class {
 		for p := range set {
 			ps = append(ps, p)
 		}
-		sortPrefixes(ps)
+		slices.SortFunc(ps, route.ComparePrefix)
 		out = append(out, Class{Signature: inc.look.in.str(id), Prefixes: ps})
 	}
 	sortClasses(out)

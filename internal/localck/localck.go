@@ -23,9 +23,12 @@ package localck
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fault"
+	"hbverify/internal/fib"
+	"hbverify/internal/route"
 )
 
 // Invariant identifies which local check an update violated. The zero
@@ -155,7 +158,7 @@ func (nl NodeLabels) Classes() []netip.Prefix {
 	for c := range nl.Own {
 		out = append(out, c)
 	}
-	sortPrefixes(out)
+	slices.SortFunc(out, route.ComparePrefix)
 	return out
 }
 
@@ -176,32 +179,21 @@ func (nl NodeLabels) PeerLabel(peer string, class netip.Prefix) int {
 	return Unreachable
 }
 
-// Forwarding reports one router's resolved forwarding for a class: the
-// distinct next routers packets can reach and whether any resolution
-// branch delivers locally. It is the only view Derive needs of the
-// data plane, so callers can back it with a LocalView expansion, a
-// central walker, or a test fixture.
-type Forwarding func(router string, class netip.Prefix) (nexts []string, delivered, broken bool)
-
 // Derive computes distance-to-egress labels for every router and class
-// from a converged forwarding snapshot. A router that delivers a class
+// from a converged forwarding snapshot, read through fwd: one router's
+// forwarding expansion for a class, backed by a LocalView, a central
+// walker, or a test fixture. A router that delivers a class
 // locally and forwards nowhere else gets label 0; a router whose next
 // routers are all labeled gets 1 + the maximum over them (a reverse
 // topological order, so every forwarding edge strictly decreases the
 // label). Routers with broken state — resolution failures, drops, or
 // membership in a forwarding cycle — stay unlabeled.
-func Derive(routers []string, classes []netip.Prefix, fwd Forwarding, epoch uint64) *LabelSet {
+func Derive(routers []string, classes []netip.Prefix, fwd func(router string, class netip.Prefix) dataplane.Expansion, epoch uint64) *LabelSet {
 	ls := &LabelSet{Epoch: epoch, dist: make(map[string]map[netip.Prefix]int, len(routers))}
 	for _, c := range classes {
-		type state struct {
-			nexts     []string
-			delivered bool
-			broken    bool
-		}
-		st := make(map[string]state, len(routers))
+		st := make(map[string]dataplane.Expansion, len(routers))
 		for _, r := range routers {
-			nx, del, bad := fwd(r, c)
-			st[r] = state{nexts: nx, delivered: del, broken: bad}
+			st[r] = fwd(r, c)
 		}
 		labels := make(map[string]int, len(routers))
 		// Longest-path-to-egress over the forwarding DAG by fixpoint:
@@ -214,18 +206,18 @@ func Derive(routers []string, classes []netip.Prefix, fwd Forwarding, epoch uint
 					continue
 				}
 				s := st[r]
-				if s.broken {
+				if s.Dropped || s.Stuck {
 					continue
 				}
-				if len(s.nexts) == 0 {
-					if s.delivered {
+				if len(s.Nexts) == 0 {
+					if s.Delivered {
 						labels[r] = 0
 						changed = true
 					}
 					continue
 				}
 				max, ok := -1, true
-				for _, nx := range s.nexts {
+				for _, nx := range s.Nexts {
 					d, labeled := labels[nx]
 					if !labeled {
 						ok = false
@@ -253,34 +245,9 @@ func Derive(routers []string, classes []netip.Prefix, fwd Forwarding, epoch uint
 	return ls
 }
 
-// ClassState is a router's locally-observable forwarding state for one
-// class, computed from nothing but its own FIB and interface table. The
-// dist package mirrors its LocalView expansion semantics exactly so
-// that local checks and central walks judge the same state.
-type ClassState struct {
-	// HasRoute reports a covering FIB entry for the class representative.
-	HasRoute bool
-	// Delivered reports local delivery: a connected interface or the
-	// loopback owns the destination, the covering entry is connected, or
-	// a resolution branch hands the packet back to this router.
-	Delivered bool
-	// Stuck reports a resolution branch that dead-ends (down interface,
-	// unresolvable recursive hop).
-	Stuck bool
-	// SelfLoop reports a resolution branch that cycles through the
-	// router's own routes.
-	SelfLoop bool
-	// Nexts holds the distinct resolved next routers, sorted, self
-	// excluded.
-	Nexts []string
-	// Hops is the configured next-hop set of the covering entry.
-	Hops []netip.Addr
-	// Canonical reports whether Hops is sorted and duplicate-free.
-	Canonical bool
-}
-
-// StateFn resolves the checked router's ClassState for one class.
-type StateFn func(class netip.Prefix) ClassState
+// StateFn resolves the checked router's forwarding step at one class's
+// representative: the state a symbolic walk would traverse there.
+type StateFn func(class netip.Prefix) dataplane.Step
 
 // Checker applies the local invariants for one router against its
 // NodeLabels slice. A Checker with no labels (zero Epoch, nil Own) is
@@ -315,13 +282,14 @@ func (c *Checker) Check(router string, state StateFn) []Violation {
 // whose label is not strictly smaller, an unlabeled next router)
 // flags. Unlabeled routers flag as stale the moment they carry any
 // forwarding state for the class, since labels cannot vouch for them.
-func (c *Checker) CheckClass(router string, class netip.Prefix, st ClassState) []Violation {
+func (c *Checker) CheckClass(router string, class netip.Prefix, st dataplane.Step) []Violation {
 	if !c.Enabled() || fault.On(fault.SkipLocalCheck) {
 		return nil
 	}
 	own := c.Labels.OwnLabel(class)
+	hops := st.Entry.HopSet()
 	mk := func(inv Invariant, detail string) Violation {
-		return Violation{Router: router, Prefix: class, Invariant: inv, SuspectHops: st.Hops, Detail: detail}
+		return Violation{Router: router, Prefix: class, Invariant: inv, SuspectHops: hops, Detail: detail}
 	}
 	if own == Unreachable {
 		if st.HasRoute || st.Delivered {
@@ -333,10 +301,10 @@ func (c *Checker) CheckClass(router string, class netip.Prefix, st ClassState) [
 	if !st.HasRoute && !st.Delivered {
 		return append(out, mk(InvNoRoute, fmt.Sprintf("label %d but no covering route", own)))
 	}
-	if !st.Canonical {
+	if !canonical(st.Entry) {
 		out = append(out, mk(InvEcmpSet, "next-hop set is not canonical (unsorted or duplicated)"))
 	}
-	if st.SelfLoop {
+	if st.Cycle {
 		out = append(out, mk(InvSelfLoop, "next-hop resolution cycles through local routes"))
 	}
 	if st.Stuck {
@@ -351,21 +319,19 @@ func (c *Checker) CheckClass(router string, class netip.Prefix, st ClassState) [
 			out = append(out, mk(InvLabelMonotone, fmt.Sprintf("next router %s label %d >= own label %d", nx, d, own)))
 		}
 	}
-	if len(st.Nexts) == 0 && !st.Delivered && !st.Stuck && !st.SelfLoop {
+	if len(st.Nexts) == 0 && !st.Delivered && !st.Stuck { // Stuck includes Cycle
 		// A covering route that resolves to nothing at all.
 		out = append(out, mk(InvNextHopLive, "covering route resolves to no next router"))
 	}
 	return out
 }
 
-func sortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		ai, aj := ps[i].Addr(), ps[j].Addr()
-		if c := ai.Compare(aj); c != 0 {
-			return c < 0
-		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
+// canonical reports whether an entry's configured next-hop set is in the
+// form the fib layer maintains: no set at all, or at least two canonical
+// members led by the entry's NextHop.
+func canonical(e fib.Entry) bool {
+	hops := e.NextHops
+	return len(hops) == 0 || CanonicalHops(hops) && len(hops) >= 2 && hops[0] == e.NextHop
 }
 
 // CanonicalHops reports whether a configured next-hop set is sorted and

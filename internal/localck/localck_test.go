@@ -4,36 +4,38 @@ import (
 	"net/netip"
 	"testing"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fault"
+	"hbverify/internal/fib"
 )
 
 var classP = netip.MustParsePrefix("203.0.113.0/24")
 var classQ = netip.MustParsePrefix("198.51.100.0/24")
 
 // fixture: a -> b -> c (c delivers P); d loops with e for P; f is dropped.
-func fixtureFwd(router string, class netip.Prefix) ([]string, bool, bool) {
+func fixtureFwd(router string, class netip.Prefix) dataplane.Expansion {
 	if class != classP {
-		return nil, false, false
+		return dataplane.Expansion{}
 	}
 	switch router {
 	case "a":
-		return []string{"b"}, false, false
+		return dataplane.Expansion{Nexts: []string{"b"}}
 	case "b":
-		return []string{"c"}, false, false
+		return dataplane.Expansion{Nexts: []string{"c"}}
 	case "c":
-		return nil, true, false
+		return dataplane.Expansion{Delivered: true}
 	case "d":
-		return []string{"e"}, false, false
+		return dataplane.Expansion{Nexts: []string{"e"}}
 	case "e":
-		return []string{"d"}, false, false
+		return dataplane.Expansion{Nexts: []string{"d"}}
 	case "f":
-		return nil, false, false
+		return dataplane.Expansion{Dropped: true}
 	case "g":
-		return []string{"b", "c"}, false, false // ECMP: both branches labeled
+		return dataplane.Expansion{Nexts: []string{"b", "c"}} // ECMP: both branches labeled
 	case "h":
-		return []string{"c"}, false, true // broken resolution
+		return dataplane.Expansion{Stuck: true, Nexts: []string{"c"}} // broken resolution
 	}
-	return nil, false, false
+	return dataplane.Expansion{}
 }
 
 var fixtureRouters = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -101,8 +103,8 @@ func checkerFor(t *testing.T, router string, peers ...string) *Checker {
 	return &Checker{Labels: ls.Node(router, peers)}
 }
 
-func cleanState(nexts ...string) ClassState {
-	return ClassState{HasRoute: true, Nexts: nexts, Canonical: true}
+func cleanState(nexts ...string) dataplane.Step {
+	return dataplane.Step{Expansion: dataplane.Expansion{Nexts: nexts}, HasRoute: true}
 }
 
 func findInv(vs []Violation, inv Invariant) *Violation {
@@ -121,12 +123,12 @@ func TestCheckClassQuietOnEpochState(t *testing.T) {
 	}
 	// Egress: delivered, no onward hops.
 	ckc := checkerFor(t, "c")
-	if vs := ckc.CheckClass("c", classP, ClassState{HasRoute: true, Delivered: true, Canonical: true}); len(vs) != 0 {
+	if vs := ckc.CheckClass("c", classP, dataplane.Step{Expansion: dataplane.Expansion{Delivered: true}, HasRoute: true}); len(vs) != 0 {
 		t.Fatalf("egress should be quiet, got %v", vs)
 	}
 	// Unlabeled router with no state is quiet.
 	ckf := checkerFor(t, "f")
-	if vs := ckf.CheckClass("f", classP, ClassState{Canonical: true}); len(vs) != 0 {
+	if vs := ckf.CheckClass("f", classP, dataplane.Step{}); len(vs) != 0 {
 		t.Fatalf("unlabeled+stateless should be quiet, got %v", vs)
 	}
 }
@@ -135,7 +137,7 @@ func TestCheckClassViolations(t *testing.T) {
 	ck := checkerFor(t, "a", "b", "g")
 
 	// Route withdrawn entirely.
-	vs := ck.CheckClass("a", classP, ClassState{Canonical: true})
+	vs := ck.CheckClass("a", classP, dataplane.Step{})
 	if findInv(vs, InvNoRoute) == nil {
 		t.Fatalf("want no-route, got %v", vs)
 	}
@@ -143,7 +145,7 @@ func TestCheckClassViolations(t *testing.T) {
 	// Stuck resolution.
 	st := cleanState()
 	st.Stuck = true
-	st.Hops = []netip.Addr{netip.MustParseAddr("10.0.0.1")}
+	st.Entry.NextHop = netip.MustParseAddr("10.0.0.1")
 	vs = ck.CheckClass("a", classP, st)
 	v := findInv(vs, InvNextHopLive)
 	if v == nil {
@@ -155,7 +157,7 @@ func TestCheckClassViolations(t *testing.T) {
 
 	// Self-loop resolution.
 	st = cleanState()
-	st.SelfLoop = true
+	st.Cycle = true
 	if findInv(ck.CheckClass("a", classP, st), InvSelfLoop) == nil {
 		t.Fatal("want self-loop")
 	}
@@ -172,7 +174,8 @@ func TestCheckClassViolations(t *testing.T) {
 
 	// Non-canonical ECMP set.
 	st = cleanState("b")
-	st.Canonical = false
+	h1, h2 := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
+	st.Entry = fib.Entry{NextHop: h2, NextHops: []netip.Addr{h2, h1}}
 	if findInv(ck.CheckClass("a", classP, st), InvEcmpSet) == nil {
 		t.Fatal("want ecmp-set")
 	}
@@ -191,11 +194,11 @@ func TestCheckClassViolations(t *testing.T) {
 
 func TestCheckRunsAllClasses(t *testing.T) {
 	ck := checkerFor(t, "a", "b")
-	states := map[netip.Prefix]ClassState{
+	states := map[netip.Prefix]dataplane.Step{
 		classP: cleanState("b"),
 	}
 	calls := 0
-	vs := ck.Check("a", func(c netip.Prefix) ClassState {
+	vs := ck.Check("a", func(c netip.Prefix) dataplane.Step {
 		calls++
 		return states[c]
 	})
@@ -211,10 +214,10 @@ func TestCheckRunsAllClasses(t *testing.T) {
 func TestSkipBugSilencesChecker(t *testing.T) {
 	ck := checkerFor(t, "a", "b")
 	defer fault.Inject(fault.SkipLocalCheck)()
-	if vs := ck.CheckClass("a", classP, ClassState{}); len(vs) != 0 {
+	if vs := ck.CheckClass("a", classP, dataplane.Step{}); len(vs) != 0 {
 		t.Fatalf("skip bug must silence checks, got %v", vs)
 	}
-	if vs := ck.Check("a", func(netip.Prefix) ClassState { return ClassState{} }); vs != nil {
+	if vs := ck.Check("a", func(netip.Prefix) dataplane.Step { return dataplane.Step{} }); vs != nil {
 		t.Fatalf("skip bug must silence Check, got %v", vs)
 	}
 }
@@ -224,7 +227,7 @@ func TestDisabledChecker(t *testing.T) {
 	if ck.Enabled() {
 		t.Fatal("zero checker must be disabled")
 	}
-	if vs := ck.CheckClass("a", classP, ClassState{}); len(vs) != 0 {
+	if vs := ck.CheckClass("a", classP, dataplane.Step{}); len(vs) != 0 {
 		t.Fatalf("disabled checker flagged %v", vs)
 	}
 }

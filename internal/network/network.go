@@ -10,6 +10,7 @@ package network
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -449,12 +450,7 @@ func connectedPrefixes(r *Router) []netip.Prefix {
 			out = append(out, i.Prefix)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if c := out[a].Addr().Compare(out[b].Addr()); c != 0 {
-			return c < 0
-		}
-		return out[a].Bits() < out[b].Bits()
-	})
+	slices.SortFunc(out, route.ComparePrefix)
 	return out
 }
 

@@ -8,6 +8,7 @@ package ospf
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -80,7 +81,6 @@ type Instance struct {
 	selfSe uint64
 
 	rib    map[netip.Prefix]route.Route
-	ribIO  map[netip.Prefix]uint64
 	dist   map[netip.Addr]uint32     // last SPF distances by router ID
 	owners map[netip.Addr]netip.Addr // address -> owning router ID
 
@@ -96,7 +96,6 @@ func New(name string, routerID netip.Addr, rec *capture.Recorder, sched *netsim.
 		name: name, routerID: routerID, rec: rec, sched: sched, fib: fibTable, env: env,
 		lsdb:     map[netip.Addr]LSA{},
 		rib:      map[netip.Prefix]route.Route{},
-		ribIO:    map[netip.Prefix]uint64{},
 		dist:     map[netip.Addr]uint32{},
 		owners:   map[netip.Addr]netip.Addr{},
 		SPFDelay: 5 * time.Millisecond,
@@ -359,12 +358,11 @@ func (o *Instance) runSPF() {
 			changed = append(changed, p)
 		}
 	}
-	sort.Slice(removed, func(i, j int) bool { return lessPrefix(removed[i], removed[j]) })
-	sort.Slice(changed, func(i, j int) bool { return lessPrefix(changed[i], changed[j]) })
+	slices.SortFunc(removed, route.ComparePrefix)
+	slices.SortFunc(changed, route.ComparePrefix)
 	for _, p := range removed {
 		old := o.rib[p]
 		delete(o.rib, p)
-		delete(o.ribIO, p)
 		io := o.rec.Record(capture.IO{
 			Type: capture.RIBRemove, Proto: route.ProtoOSPF, Prefix: p,
 			NextHop: old.NextHop, Causes: causes,
@@ -378,7 +376,6 @@ func (o *Instance) runSPF() {
 			Type: capture.RIBInstall, Proto: route.ProtoOSPF, Prefix: p,
 			NextHop: r.NextHop, NextHops: r.NextHops, Causes: causes,
 		})
-		o.ribIO[p] = io.ID
 		o.fib.Offer(r, io.ID)
 	}
 }
@@ -421,11 +418,4 @@ func (o *Instance) Metric(addr netip.Addr) (uint32, bool) {
 	}
 	d, ok := o.dist[owner]
 	return d, ok
-}
-
-func lessPrefix(a, b netip.Prefix) bool {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c < 0
-	}
-	return a.Bits() < b.Bits()
 }

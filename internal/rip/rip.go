@@ -12,6 +12,7 @@ package rip
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,7 +77,6 @@ type Instance struct {
 	neighbors map[netip.Addr]*Neighbor
 	local     map[netip.Prefix]bool
 	table     map[netip.Prefix]entry
-	ribIO     map[netip.Prefix]uint64
 
 	pendingAdv map[netip.Prefix][]uint64
 	pendingFIB map[netip.Prefix][]uint64
@@ -89,7 +89,6 @@ func New(name string, rec *capture.Recorder, sched *netsim.Scheduler, fibTable *
 		neighbors:  map[netip.Addr]*Neighbor{},
 		local:      map[netip.Prefix]bool{},
 		table:      map[netip.Prefix]entry{},
-		ribIO:      map[netip.Prefix]uint64{},
 		pendingAdv: map[netip.Prefix][]uint64{},
 		pendingFIB: map[netip.Prefix][]uint64{},
 	}
@@ -122,7 +121,7 @@ func (r *Instance) NeighborDown(addr netip.Addr, cause ...uint64) {
 			affected = append(affected, p)
 		}
 	}
-	sort.Slice(affected, func(i, j int) bool { return lessPrefix(affected[i], affected[j]) })
+	slices.SortFunc(affected, route.ComparePrefix)
 	for _, p := range affected {
 		r.remove(p, cause)
 	}
@@ -141,7 +140,7 @@ func (r *Instance) NeighborUp(addr netip.Addr, cause ...uint64) {
 	for p := range r.table {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return lessPrefix(prefixes[i], prefixes[j]) })
+	slices.SortFunc(prefixes, route.ComparePrefix)
 	for _, p := range prefixes {
 		r.scheduleAdvert(p, cause)
 	}
@@ -190,7 +189,6 @@ func (r *Instance) update(p netip.Prefix, e entry, causes []uint64) {
 		Type: capture.RIBInstall, Proto: route.ProtoRIP, Prefix: p,
 		NextHop: e.nextHop, Causes: causes,
 	})
-	r.ribIO[p] = io.ID
 	r.scheduleAdvert(p, []uint64{io.ID})
 	r.scheduleFIB(p, []uint64{io.ID})
 }
@@ -201,7 +199,6 @@ func (r *Instance) remove(p netip.Prefix, causes []uint64) {
 		return
 	}
 	delete(r.table, p)
-	delete(r.ribIO, p)
 	io := r.rec.Record(capture.IO{
 		Type: capture.RIBRemove, Proto: route.ProtoRIP, Prefix: p,
 		NextHop: cur.nextHop, Causes: causes,
@@ -269,11 +266,4 @@ func (r *Instance) flushFIB(p netip.Prefix) {
 	r.fib.Offer(route.Route{
 		Prefix: p, NextHop: e.nextHop, Proto: route.ProtoRIP, Metric: e.metric,
 	}, causes...)
-}
-
-func lessPrefix(a, b netip.Prefix) bool {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c < 0
-	}
-	return a.Bits() < b.Bits()
 }

@@ -4,6 +4,7 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -288,6 +289,15 @@ func (r Route) String() string {
 		nh = r.NextHop.String()
 	}
 	return fmt.Sprintf("%s via %s [%s ad=%d metric=%d]", r.Prefix, nh, r.Proto, r.AdminDistance(), r.Metric)
+}
+
+// ComparePrefix orders prefixes by address, then length: the canonical
+// order of every sorted prefix list.
+func ComparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
 }
 
 // MustPrefix parses a CIDR literal, panicking on error. Test and scenario

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"cmp"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -267,5 +268,20 @@ func TestQuickLocalPrefDominates(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(12))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestComparePrefix: address first, then length, across families.
+func TestComparePrefix(t *testing.T) {
+	ordered := []netip.Prefix{
+		MustPrefix("10.0.0.0/8"), MustPrefix("10.0.0.0/24"), MustPrefix("10.0.1.0/24"),
+		MustPrefix("192.0.2.0/24"), MustPrefix("2001:db8::/32"),
+	}
+	for i, a := range ordered {
+		for j, b := range ordered {
+			if got, want := ComparePrefix(a, b), cmp.Compare(i, j); got != want {
+				t.Errorf("ComparePrefix(%v, %v) = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -528,7 +529,7 @@ func diffFIBs(replayed map[string]map[netip.Prefix]fib.Entry, live map[string]ma
 			if !ok {
 				return fmt.Sprintf("%s: %s live but not replayed", router, p)
 			}
-			if re.NextHop != le.NextHop || re.Proto != le.Proto || !hopSetsEqual(re.NextHops, le.NextHops) {
+			if re.NextHop != le.NextHop || re.Proto != le.Proto || !slices.Equal(re.NextHops, le.NextHops) {
 				return fmt.Sprintf("%s: %s replayed %v/%v vs live %v/%v",
 					router, p, re, re.Proto, le, le.Proto)
 			}
@@ -662,7 +663,9 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 // live network (every router, externals included, so walks traverse the
 // same graph the central walker sees), runs one checker twice — over the
 // central executor and over the fleet executor — and asserts every check
-// was answered by the same walk: path, outcome, egress. fault.DropBatch
+// was answered by the same walk, field for field: the coordinator's replay
+// of the collected expansions must reproduce the central DFS's outcome,
+// path, egresses, edges and branch count. fault.DropBatch
 // makes the coordinator lose every batch bound for one node while still
 // reporting success, which this oracle must catch.
 func (h *harness) oracleDistVsCentral(round int) *Failure {
@@ -683,12 +686,10 @@ func (h *harness) oracleDistVsCentral(round int) *Failure {
 			return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf(
 				"walk %s->%s failed: %v", g.Source, w.Walk.Dst, g.Err)}
 		}
-		if g.Walk.Outcome != w.Walk.Outcome || g.Walk.Egress != w.Walk.Egress ||
-			!reflect.DeepEqual(g.Walk.Path, w.Walk.Path) {
+		if !reflect.DeepEqual(g.Walk, w.Walk) {
 			return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf(
-				"walk %s->%s diverges: distributed %s via %v (egress %q), central %s via %v (egress %q)",
-				g.Source, w.Walk.Dst, g.Walk.Outcome, g.Walk.Path, g.Walk.Egress,
-				w.Walk.Outcome, w.Walk.Path, w.Walk.Egress)}
+				"walk from %s diverges: distributed %v (egress %q, edges %v), central %v (egress %q, edges %v)",
+				g.Source, g.Walk, g.Walk.Egress, g.Walk.Edges, w.Walk, w.Walk.Egress, w.Walk.Edges)}
 		}
 	}
 	return nil
@@ -773,7 +774,7 @@ func (h *harness) localSuperset(round int, stage string, views map[string]dist.L
 			}
 		}
 		ck := localck.Checker{Labels: ls.Node(r, peers)}
-		for _, viol := range ck.Check(r, func(c netip.Prefix) localck.ClassState { return v.ClassState(c) }) {
+		for _, viol := range ck.Check(r, v.ClassState) {
 			flagged[viol.Prefix] = true
 		}
 	}
@@ -982,19 +983,6 @@ func diffSnapshots(a, b map[string]map[netip.Prefix]fib.Entry) string {
 		}
 	}
 	return ""
-}
-
-// hopSetsEqual compares two canonical (sorted) next-hop sets.
-func hopSetsEqual(a, b []netip.Addr) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // randDuration draws a uniform duration in [0, maxMillis) milliseconds.

@@ -423,6 +423,13 @@ func (d *Daemon) writeCheckpoint(g *hbg.Graph) error {
 		os.Remove(tmp)
 		return err
 	}
+	// Sync before the rename: otherwise a crash can leave the rename durable
+	// and the data not, and New refuses the short file on restart.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err

@@ -20,8 +20,10 @@ import (
 	"fmt"
 	"math/bits"
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
+
+	"hbverify/internal/route"
 )
 
 // key128 holds address bits MSB-first: bit 0 is the top bit of hi. IPv4
@@ -323,12 +325,7 @@ func (t *Trie[V]) Prefixes() []netip.Prefix {
 		out = append(out, p)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Addr().Compare(out[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Bits() < out[j].Bits()
-	})
+	slices.SortFunc(out, route.ComparePrefix)
 	return out
 }
 
