@@ -382,7 +382,7 @@ func BenchmarkDistributedVerification(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Distributed: TCP fleet.
-		coord, nodes, teardown, err := dist.BuildFleet(n, nil)
+		coord, nodes, teardown, err := dist.BuildFleet(n)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,7 +403,7 @@ func BenchmarkDistributedVerification(b *testing.B) {
 	// Timed loop: distributed verification on the paper network.
 	pn := mustPaper(b, 1, network.DefaultPaperOpts())
 	runNet(b, pn)
-	coord, nodes, teardown, err := dist.BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := dist.BuildFleet(pn.Network)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func BenchmarkDistThroughput(b *testing.B) {
 	for _, r := range n.Routers() {
 		sources = append(sources, r.Name)
 	}
-	coord, nodes, teardown, err := dist.BuildFleet(n, nil)
+	coord, nodes, teardown, err := dist.BuildFleet(n)
 	if err != nil {
 		b.Fatal(err)
 	}

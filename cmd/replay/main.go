@@ -116,8 +116,8 @@ func runScenario(cfg scenario.Config, schedulePath string, out io.Writer) (faile
 			open++
 		}
 	}
-	fmt.Fprintf(out, "ok: %d rounds, %d IOs, all oracles passed; snapshot cuts waited %d times, %d called consistent while open\n",
-		res.Rounds, res.IOs, waits, open)
+	fmt.Fprintf(out, "ok: %d rounds, %d IOs (digest %016x), all oracles passed; snapshot cuts waited %d times, %d called consistent while open\n",
+		res.Rounds, res.IOs, res.Digest, waits, open)
 	return false, nil
 }
 

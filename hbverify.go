@@ -188,7 +188,7 @@ type fleetRound struct {
 func (p *Pipeline) beginFleetRound() (fleetRound, error) {
 	p.distMu.Lock()
 	if p.distCoord == nil {
-		coord, nodes, teardown, err := dist.BuildFleet(p.Net, nil)
+		coord, nodes, teardown, err := dist.BuildFleet(p.Net)
 		if err != nil {
 			p.distMu.Unlock()
 			return fleetRound{}, err
@@ -234,7 +234,7 @@ func (p *Pipeline) endFleetRound(r fleetRound, err error) {
 // central path. With local set, the checker also gets the coordinator's
 // certificate as it stands after the sync's local-check reports.
 func (p *Pipeline) fleetCheck(r fleetRound, policies []verify.Policy, local bool) (dist.Stats, error) {
-	if _, err := r.coord.SyncViews(r.nodes, r.views, r.dirty, 0); err != nil {
+	if _, err := r.coord.SyncViews(r.nodes, r.views, r.dirty); err != nil {
 		return dist.Stats{}, err
 	}
 	c := p.checker(nil)

@@ -79,20 +79,14 @@ type Session struct {
 	Up           bool
 }
 
-// Timing controls the speaker's processing delays. The defaults follow the
-// magnitudes measured in the paper's feasibility study (§7): FIB installs a
-// few hundred microseconds to 4 ms after the decision, advertisements ~4 ms
-// after. AdvertDelay must be >= FIBDelay to preserve the FIB-before-send
-// invariant.
-type Timing struct {
-	FIBDelay    time.Duration
-	AdvertDelay time.Duration
-}
-
-// DefaultTiming mirrors the §7 measurements.
-func DefaultTiming() Timing {
-	return Timing{FIBDelay: time.Millisecond, AdvertDelay: 4 * time.Millisecond}
-}
+// The speaker's processing delays follow the magnitudes measured in the
+// paper's feasibility study (§7): FIB installs a few hundred microseconds
+// to 4 ms after the decision, advertisements ~4 ms after. advertDelay must
+// be >= fibDelay to preserve the FIB-before-send invariant.
+const (
+	fibDelay    = time.Millisecond
+	advertDelay = 4 * time.Millisecond
+)
 
 // rawPath is one received path in the Adj-RIB-In. Attributes are held as a
 // refcounted handle onto the global intern table — 500K prefixes announced
@@ -138,10 +132,8 @@ type Speaker struct {
 	cfg      *config.BGPConfig
 	policy   func(string) *config.Policy
 	rec      *capture.Recorder
-	sched    *netsim.Scheduler
 	fib      *fib.Table
 	env      Env
-	timing   Timing
 
 	sessions map[netip.Addr]*Session
 	// adjIn[peer][prefix] = raw received paths (pre-policy), sorted by
@@ -157,8 +149,8 @@ type Speaker struct {
 	networks map[netip.Prefix]bool
 	arrival  uint64
 
-	pendingFIB  map[netip.Prefix][]uint64
-	pendingSync map[netip.Prefix][]uint64
+	fibQ  *netsim.Debounce[netip.Prefix]
+	syncQ *netsim.Debounce[netip.Prefix]
 	// started gates local origination: configured networks are not
 	// originated until Start runs.
 	started bool
@@ -167,24 +159,21 @@ type Speaker struct {
 // New creates a speaker. policy resolves policy names from the router
 // config (may be nil when no policies are used).
 func New(name string, loopback netip.Addr, cfg *config.BGPConfig, policy func(string) *config.Policy,
-	rec *capture.Recorder, sched *netsim.Scheduler, fibTable *fib.Table, env Env, timing Timing) *Speaker {
-	if timing.AdvertDelay < timing.FIBDelay {
-		timing.AdvertDelay = timing.FIBDelay
-	}
+	rec *capture.Recorder, sched *netsim.Scheduler, fibTable *fib.Table, env Env) *Speaker {
 	if policy == nil {
 		policy = func(string) *config.Policy { return nil }
 	}
 	s := &Speaker{
 		name: name, loopback: loopback, cfg: cfg, policy: policy,
-		rec: rec, sched: sched, fib: fibTable, env: env, timing: timing,
-		sessions:    map[netip.Addr]*Session{},
-		adjIn:       map[netip.Addr]map[netip.Prefix][]rawPath{},
-		locRIB:      map[netip.Prefix]route.Route{},
-		locRIBIO:    map[netip.Prefix]uint64{},
-		advertised:  map[netip.Addr]map[netip.Prefix][]advPath{},
-		pendingFIB:  map[netip.Prefix][]uint64{},
-		pendingSync: map[netip.Prefix][]uint64{},
+		rec: rec, fib: fibTable, env: env,
+		sessions:   map[netip.Addr]*Session{},
+		adjIn:      map[netip.Addr]map[netip.Prefix][]rawPath{},
+		locRIB:     map[netip.Prefix]route.Route{},
+		locRIBIO:   map[netip.Prefix]uint64{},
+		advertised: map[netip.Addr]map[netip.Prefix][]advPath{},
 	}
+	s.fibQ = netsim.NewDebounce(sched, fibDelay, s.flushFIB)
+	s.syncQ = netsim.NewDebounce(sched, advertDelay, s.flushSync)
 	s.indexNetworks()
 	return s
 }
@@ -256,7 +245,7 @@ func (s *Speaker) PeerUp(peer netip.Addr, cause ...uint64) {
 	}
 	sess.Up = true
 	for _, p := range s.allPrefixes() {
-		s.scheduleSync(p, cause)
+		s.syncQ.Add(p, cause)
 	}
 }
 
@@ -300,7 +289,7 @@ func (s *Speaker) SoftReconfig(cause ...uint64) {
 	io := s.rec.Record(capture.IO{Type: capture.SoftReconfig, Proto: route.ProtoBGP, Causes: cause})
 	for _, p := range s.allPrefixes() {
 		s.runDecision(p, []uint64{io.ID})
-		s.scheduleSync(p, []uint64{io.ID})
+		s.syncQ.Add(p, []uint64{io.ID})
 	}
 }
 
@@ -484,8 +473,8 @@ func (s *Speaker) runDecision(p netip.Prefix, causes []uint64) {
 			Type: capture.RIBRemove, Proto: route.ProtoBGP, Prefix: p,
 			NextHop: cur.NextHop, Attrs: cur.Attrs, Causes: causes,
 		})
-		s.scheduleFIB(p, []uint64{io.ID})
-		s.scheduleSync(p, []uint64{io.ID})
+		s.fibQ.Add(p, []uint64{io.ID})
+		s.syncQ.Add(p, []uint64{io.ID})
 	case best != nil && (!had || !routeEqual(cur, best.r)):
 		s.locRIB[p] = best.r
 		io := s.rec.Record(capture.IO{
@@ -493,13 +482,13 @@ func (s *Speaker) runDecision(p netip.Prefix, causes []uint64) {
 			NextHop: best.r.NextHop, NextHops: best.r.NextHops, Attrs: best.r.Attrs, Causes: causes,
 		})
 		s.locRIBIO[p] = io.ID
-		s.scheduleFIB(p, []uint64{io.ID})
-		s.scheduleSync(p, []uint64{io.ID})
+		s.fibQ.Add(p, []uint64{io.ID})
+		s.syncQ.Add(p, []uint64{io.ID})
 	default:
 		// Best unchanged. Add-Path sessions still need a resync because the
 		// candidate *set* may have changed.
 		if s.anyAddPath() {
-			s.scheduleSync(p, causes)
+			s.syncQ.Add(p, causes)
 		}
 	}
 }
@@ -523,20 +512,7 @@ func routeEqual(a, b route.Route) bool {
 		route.SameUint32Slice(a.Attrs.ASPath, b.Attrs.ASPath)
 }
 
-// scheduleFIB queues a FIB synchronization for p after FIBDelay. Multiple
-// triggers merge; causes accumulate.
-func (s *Speaker) scheduleFIB(p netip.Prefix, causes []uint64) {
-	if pend, ok := s.pendingFIB[p]; ok {
-		s.pendingFIB[p] = append(pend, causes...)
-		return
-	}
-	s.pendingFIB[p] = append([]uint64(nil), causes...)
-	s.sched.After(s.timing.FIBDelay, func() { s.flushFIB(p) })
-}
-
-func (s *Speaker) flushFIB(p netip.Prefix) {
-	causes := s.pendingFIB[p]
-	delete(s.pendingFIB, p)
+func (s *Speaker) flushFIB(p netip.Prefix, causes []uint64) {
 	best, ok := s.locRIB[p]
 	if !ok {
 		s.fib.Withdraw(route.ProtoBGP, p, causes...)
@@ -551,19 +527,7 @@ func (s *Speaker) flushFIB(p netip.Prefix) {
 	s.fib.Offer(best, causes...)
 }
 
-// scheduleSync queues peer advertisement synchronization for p.
-func (s *Speaker) scheduleSync(p netip.Prefix, causes []uint64) {
-	if pend, ok := s.pendingSync[p]; ok {
-		s.pendingSync[p] = append(pend, causes...)
-		return
-	}
-	s.pendingSync[p] = append([]uint64(nil), causes...)
-	s.sched.After(s.timing.AdvertDelay, func() { s.flushSync(p) })
-}
-
-func (s *Speaker) flushSync(p netip.Prefix) {
-	causes := s.pendingSync[p]
-	delete(s.pendingSync, p)
+func (s *Speaker) flushSync(p netip.Prefix, causes []uint64) {
 	for _, sess := range s.Sessions() {
 		if !sess.Up {
 			continue

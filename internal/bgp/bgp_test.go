@@ -57,7 +57,7 @@ func (n *testNet) addSpeaker(name, loopback string, asn uint32, cfg *config.BGPC
 	}
 	rec := capture.NewRecorder(n.log, name, n.sched, nil)
 	ft := fib.NewTable(rec)
-	sp := New(name, lb, cfg, nil, rec, n.sched, ft, n, DefaultTiming())
+	sp := New(name, lb, cfg, nil, rec, n.sched, ft, n)
 	n.speakers[lb] = sp
 	n.fibs[name] = ft
 	n.igp[lb] = 1
@@ -332,7 +332,7 @@ func TestImportPolicyDeny(t *testing.T) {
 	rec := capture.NewRecorder(n.log, "a", n.sched, nil)
 	ft := fib.NewTable(rec)
 	a := New("a", addr("1.1.1.1"), cfg, func(name string) *config.Policy { return pol[name] },
-		rec, n.sched, ft, n, DefaultTiming())
+		rec, n.sched, ft, n)
 	n.speakers[addr("1.1.1.1")] = a
 	b := n.addSpeaker("b", "9.9.9.9", 900, &config.BGPConfig{
 		ASN: 900, RouterID: addr("9.9.9.9"),
@@ -518,7 +518,7 @@ func TestVendorQuirkChangesSelection(t *testing.T) {
 		cfg := &config.BGPConfig{ASN: 65000, RouterID: addr("1.1.1.1"), Quirks: q}
 		rec := capture.NewRecorder(n.log, "a", n.sched, nil)
 		ft := fib.NewTable(rec)
-		a := New("a", addr("1.1.1.1"), cfg, nil, rec, n.sched, ft, n, DefaultTiming())
+		a := New("a", addr("1.1.1.1"), cfg, nil, rec, n.sched, ft, n)
 		n.speakers[addr("1.1.1.1")] = a
 		b := n.addSpeaker("b", "9.9.9.1", 900, nil)
 		c := n.addSpeaker("c", "9.9.9.2", 901, nil)

@@ -28,7 +28,7 @@ func policyNet(t *testing.T, exportTerms []config.PolicyTerm, importTerms []conf
 	recvCfg := &config.BGPConfig{ASN: 65000, RouterID: addr("1.1.1.1")}
 	rec := capture.NewRecorder(n.log, "recv", n.sched, nil)
 	ft := fib.NewTable(rec)
-	receiver := New("recv", addr("1.1.1.1"), recvCfg, lookup, rec, n.sched, ft, n, DefaultTiming())
+	receiver := New("recv", addr("1.1.1.1"), recvCfg, lookup, rec, n.sched, ft, n)
 	n.speakers[addr("1.1.1.1")] = receiver
 	n.fibs["recv"] = ft
 
@@ -38,7 +38,7 @@ func policyNet(t *testing.T, exportTerms []config.PolicyTerm, importTerms []conf
 	}
 	prec := capture.NewRecorder(n.log, "prov", n.sched, nil)
 	pft := fib.NewTable(prec)
-	provider := New("prov", addr("9.9.9.9"), provCfg, lookup, prec, n.sched, pft, n, DefaultTiming())
+	provider := New("prov", addr("9.9.9.9"), provCfg, lookup, prec, n.sched, pft, n)
 	n.speakers[addr("9.9.9.9")] = provider
 
 	sa := receiver.AddSession(Session{PeerName: "prov", PeerAddr: addr("9.9.9.9"),
@@ -153,7 +153,7 @@ func TestMEDCarriedOverIBGPButNotEBGP(t *testing.T) {
 		cfg := &config.BGPConfig{ASN: asn, RouterID: addr(lb), Networks: networks}
 		rec := capture.NewRecorder(n.log, name, n.sched, nil)
 		ft := fib.NewTable(rec)
-		sp := New(name, addr(lb), cfg, lookup, rec, n.sched, ft, n, DefaultTiming())
+		sp := New(name, addr(lb), cfg, lookup, rec, n.sched, ft, n)
 		n.speakers[addr(lb)] = sp
 		n.igp[addr(lb)] = 1
 		return sp

@@ -191,9 +191,6 @@ type ExpandFunc func(router string) Expansion
 // and the distributed set-walk finalization call this, so their results
 // are byte-identical by construction.
 func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Walk {
-	if maxHops <= 0 {
-		maxHops = 64
-	}
 	w := Walk{Dst: dst}
 	var (
 		anyDelivered, anyDropped, anyStuck bool
@@ -333,14 +330,16 @@ func AggregateProbes(walks []Walk) (Outcome, []string) {
 	}
 }
 
+// MaxHops bounds the depth of every production walk: central, distributed
+// and probe walks alike. Deeper paths are reported as forwarding loops.
+const MaxHops = 64
+
 // Walker forwards packets over a topology using a FIB view. Concurrent
 // walks are safe: the walker's only state is its per-router cache, which
 // readers consult without a lock.
 type Walker struct {
 	Topo *topology.Topology
 	View View
-	// MaxHops bounds walks; defaults to 64.
-	MaxHops int
 
 	// locals maps a router to its slot in the cache of what the router
 	// knows (its Local), stamped with the topology generation it was built
@@ -361,7 +360,7 @@ type cachedLocal struct {
 
 // NewWalker builds a walker over the live tables of a topology.
 func NewWalker(topo *topology.Topology, view View) *Walker {
-	return &Walker{Topo: topo, View: view, MaxHops: 64}
+	return &Walker{Topo: topo, View: view}
 }
 
 // local returns what router knows — its sorted interfaces with their link
@@ -433,7 +432,7 @@ func (w *Walker) Expand(router string, dst netip.Addr) Expansion {
 // multipath entries make this a symbolic walk over every ECMP branch;
 // single-path FIBs degrade to exactly the classic hop-by-hop walk.
 func (w *Walker) Forward(src string, dst netip.Addr) Walk {
-	return SymbolicWalk(src, dst, w.MaxHops, func(r string) Expansion {
+	return SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {
 		ex := w.Expand(r, dst)
 		if len(ex.Nexts) > 1 && fault.On(fault.DropEcmpBranch) {
 			ex.Nexts = ex.Nexts[:len(ex.Nexts)-1]
@@ -456,10 +455,6 @@ type ProbeWalk struct {
 // the DAG once — which is what makes the symbolic-vs-probe comparison a
 // real differential.
 func (w *Walker) ConcretePaths(src string, dst netip.Addr, limit int) []ProbeWalk {
-	maxHops := w.MaxHops
-	if maxHops <= 0 {
-		maxHops = 64
-	}
 	var out []ProbeWalk
 	full := func() bool { return limit > 0 && len(out) >= limit }
 	emit := func(path []string, choices []int, outcome Outcome, egress string) {
@@ -479,7 +474,7 @@ func (w *Walker) ConcretePaths(src string, dst netip.Addr, limit int) []ProbeWal
 		if full() {
 			return
 		}
-		if len(path) > maxHops {
+		if len(path) > MaxHops {
 			emit(path, choices, Looped, "")
 			return
 		}

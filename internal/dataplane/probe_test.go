@@ -8,15 +8,11 @@ import "net/netip"
 // branch). It is a single-next-hop probe walker to replay the paths
 // ConcretePaths enumerates through.
 func (w *Walker) ForwardChoices(src string, dst netip.Addr, choices []int) Walk {
-	maxHops := w.MaxHops
-	if maxHops <= 0 {
-		maxHops = 64
-	}
 	walk := Walk{Dst: dst, Path: []string{src}}
 	visited := map[string]bool{src: true}
 	cur := src
 	ci := 0
-	for hop := 0; hop < maxHops; hop++ {
+	for hop := 0; hop < MaxHops; hop++ {
 		opts := w.Expand(cur, dst).options()
 		if len(opts) == 0 {
 			walk.Outcome = Stuck

@@ -34,7 +34,7 @@ func TestOneCheckerTwoExecutors(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	coord, nodes, teardown, err := BuildFleet(n, nil)
+	coord, nodes, teardown, err := BuildFleet(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestOneCheckerTwoExecutors(t *testing.T) {
 // three walks on the wire, not nine.
 func TestFleetRoundDedupsWalks(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}

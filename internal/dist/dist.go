@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,7 +139,7 @@ func (w WalkMsg) Walk() dataplane.Walk {
 	for _, e := range w.Exps {
 		exps[e.Router] = e.Expansion
 	}
-	return dataplane.SymbolicWalk(w.Source, w.Dst, walkMaxHops, func(r string) dataplane.Expansion {
+	return dataplane.SymbolicWalk(w.Source, w.Dst, dataplane.MaxHops, func(r string) dataplane.Expansion {
 		if ex, ok := exps[r]; ok {
 			return ex
 		}
@@ -201,10 +200,6 @@ func (n *Node) handle(mt byte, r *wire.Reader) {
 	}
 }
 
-// walkMaxHops bounds the DFS depth of a distributed walk, matching the
-// central walker's default.
-const walkMaxHops = 64
-
 // stepWalk advances a travelling set-walk by one node: it records this
 // router's expansion (if not already collected), pushes the discovered
 // branches onto the frontier in reverse-sorted order (so pops follow the
@@ -228,7 +223,7 @@ func (n *Node) stepWalk(w WalkMsg) (WalkMsg, string, bool) {
 		ex := n.View.Expand(w.Dst)
 		w.Exps = append(w.Exps, ExpMsg{Router: cur, Expansion: ex})
 		expanded[cur] = true
-		if depth < walkMaxHops {
+		if depth < dataplane.MaxHops {
 			// Reverse order: the stack pops the first branch first.
 			for i := len(ex.Nexts) - 1; i >= 0; i-- {
 				w.Frontier = append(w.Frontier, FrontierHop{Router: ex.Nexts[i], Depth: depth + 1})
@@ -678,37 +673,31 @@ func DiffFIB(old, cur map[netip.Prefix]fib.Entry) (installs []fib.Entry, removes
 // entryOrder sorts FIB entries by prefix, the order delta frames carry.
 func entryOrder(a, b fib.Entry) int { return route.ComparePrefix(a.Prefix, b.Prefix) }
 
+// syncTimeout is how long SyncViews waits for the fleet to acknowledge its
+// view deltas.
+const syncTimeout = 5 * time.Second
+
 // SyncViews pushes router view changes to the fleet as binary delta
 // frames and waits for every node to acknowledge its delta. dirty lists
-// the routers whose state may have changed (nil means every router in
-// views); only routers whose FIB or interface state actually differs from
-// what was last shipped get a frame, and only the changed entries travel.
+// the routers whose state may have changed; only routers whose FIB or
+// interface state actually differs from what was last shipped get a
+// frame, and only the changed entries travel.
 // Each node applies its delta, validates the new state against its label
 // slice, and answers with a check report — the acknowledgement that makes
 // it safe to start walks: a walk dispatched after SyncViews returns cannot
 // reach a node before its delta did. Violations accumulate in the
 // coordinator's taint state until the next relabel. A delta that could not
-// be sent, or that no node acknowledged within timeout (default 5s), is
-// an error: the fleet's state is then unknown and the round must not
-// produce a verdict.
-func (c *Coordinator) SyncViews(nodes map[string]*Node, views map[string]LocalView, dirty []string, timeout time.Duration) (LocalSyncResult, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	routers := dirty
-	if dirty == nil {
-		for r := range views {
-			routers = append(routers, r)
-		}
-		sort.Strings(routers)
-	}
+// be sent, or that no node acknowledged within syncTimeout, is an error:
+// the fleet's state is then unknown and the round must not produce a
+// verdict.
+func (c *Coordinator) SyncViews(nodes map[string]*Node, views map[string]LocalView, dirty []string) (LocalSyncResult, error) {
 	var res LocalSyncResult
 	// Sized to the worst case so deliverLocal never blocks; each sync ID is
 	// registered before its frame is sent.
-	ch := make(chan LocalReport, len(routers))
+	ch := make(chan LocalReport, len(dirty))
 	var ids []int
 	var firstErr error
-	for _, r := range routers {
+	for _, r := range dirty {
 		v, ok := views[r]
 		node := nodes[r]
 		if !ok || node == nil {
@@ -758,7 +747,7 @@ func (c *Coordinator) SyncViews(nodes map[string]*Node, views map[string]LocalVi
 	}
 
 	epoch := c.LabelEpoch()
-	deadline := time.NewTimer(timeout)
+	deadline := time.NewTimer(syncTimeout)
 	defer deadline.Stop()
 collect:
 	for len(res.Reports) < len(ids) {
@@ -790,7 +779,7 @@ collect:
 	}
 	c.mu.Unlock()
 	if firstErr == nil && unacked > 0 {
-		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged after %v", unacked, len(ids), timeout)
+		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged after %v", unacked, len(ids), syncTimeout)
 	}
 	return res, firstErr
 }
@@ -820,9 +809,9 @@ func CentralizedBytes(views map[string]LocalView) (int, error) {
 	return total, nil
 }
 
-// BuildFleet starts one node per internal router plus a coordinator, and
-// returns a teardown function.
-func BuildFleet(n *network.Network, internal func(string) bool) (*Coordinator, map[string]*Node, func(), error) {
+// BuildFleet starts one node per router plus a coordinator, and returns a
+// teardown function.
+func BuildFleet(n *network.Network) (*Coordinator, map[string]*Node, func(), error) {
 	coord, err := StartCoordinator()
 	if err != nil {
 		return nil, nil, nil, err
@@ -840,9 +829,6 @@ func BuildFleet(n *network.Network, internal func(string) bool) (*Coordinator, m
 	}
 	views := map[string]LocalView{}
 	for _, r := range n.Routers() {
-		if internal != nil && !internal(r.Name) {
-			continue
-		}
 		view := LocalViewOf(r)
 		node, err := StartNode(view, directory, coord.Addr())
 		if err != nil {

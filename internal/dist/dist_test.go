@@ -59,7 +59,7 @@ func TestLocalViewExpandMatchesCentralWalker(t *testing.T) {
 
 func TestDistributedVerifyHealthy(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDistributedVerifyDetectsViolation(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestGridScaleDistributed(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	coord, nodes, teardown, err := BuildFleet(n, nil)
+	coord, nodes, teardown, err := BuildFleet(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func viewsOf(n *network.Network) map[string]LocalView {
 
 func TestVerifyUnknownSourceFails(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, func(r string) bool { return r == "r1" })
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
@@ -44,7 +43,7 @@ func localPolicies(p, q netip.Prefix) []verify.Policy {
 
 func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 
 	// No churn: zero delta frames, every check certified locally, zero
 	// frames on the wire for the whole round.
-	res, err := coord.SyncViews(nodes, viewsOf(pn.Network), nil, 0)
+	res, err := coord.SyncViews(nodes, viewsOf(pn.Network), routerNames(pn.Network))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 
 func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	}
 	views["r2"] = cut
 
-	res, err := coord.SyncViews(nodes, views, []string{"r2"}, 0)
+	res, err := coord.SyncViews(nodes, views, []string{"r2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 
 func TestLocalCheckWithoutLabelsEscalatesEverything(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestLocalCheckWithoutLabelsEscalatesEverything(t *testing.T) {
 
 func TestLocalCheckStaleEpochTaintsRound(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +229,7 @@ func TestLocalCheckStaleEpochTaintsRound(t *testing.T) {
 	}
 	grown.FIB[pfx("192.0.2.0/28")] = fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback}
 	views["r1"] = grown
-	res, err := coord.SyncViews(nodes, views, []string{"r1"}, time.Second)
+	res, err := coord.SyncViews(nodes, views, []string{"r1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +307,7 @@ func TestViewDeltaSyncFieldRoundTrip(t *testing.T) {
 // concurrently against one fleet.
 func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +347,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 			if i%2 == 1 {
 				vs = broken
 			}
-			if _, err := coord.SyncViews(nodes, vs, []string{"r2"}, time.Second); err != nil {
+			if _, err := coord.SyncViews(nodes, vs, []string{"r2"}); err != nil {
 				t.Errorf("sync: %v", err)
 				return
 			}

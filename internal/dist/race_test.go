@@ -15,7 +15,7 @@ import (
 // return (success or reported error) — no hangs, no panics, no races.
 func TestConcurrentVerifyDuringShutdown(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 		WithNextHops(addr("10.0.1.2"))
 	r1.FIB.Offer(wide)
 
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 // rounds on one coordinator must each get their own complete result set.
 func TestConcurrentVerifyCalls(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package dist
 import (
 	"net/netip"
 	"testing"
-	"time"
 
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
@@ -17,7 +16,7 @@ import (
 // transport counter delta across the call — no more, no less.
 func TestStatsWireAccounting(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestStatsWireAccounting(t *testing.T) {
 	grown.FIB[pfx("192.0.2.0/28")] = fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback}
 	views["r2"] = grown
 	f4, b4 := coord.FleetWire(nodes)
-	res, err := coord.SyncViews(nodes, views, []string{"r2"}, time.Second)
+	res, err := coord.SyncViews(nodes, views, []string{"r2"})
 	if err != nil {
 		t.Fatal(err)
 	}

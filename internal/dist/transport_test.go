@@ -89,7 +89,7 @@ func TestTruncatedBinaryFrameRejected(t *testing.T) {
 // come back with reported errors within the deadline instead of hanging.
 func TestDeadNodeDegradesToError(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDeadNodeDegradesToError(t *testing.T) {
 // without any frames hitting the wire.
 func TestCacheSkippedWalks(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCacheSkippedWalks(t *testing.T) {
 // unchanged fleet costs zero frames to sync.
 func TestSyncViewsShipsDeltas(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 	sources := []string{"r1", "r2", "r3"}
 
 	// In-sync fleet: syncing again ships nothing.
-	if res, err := coord.SyncViews(nodes, viewsOf(pn.Network), nil, 0); err != nil || res.Sent != 0 {
+	if res, err := coord.SyncViews(nodes, viewsOf(pn.Network), routerNames(pn.Network)); err != nil || res.Sent != 0 {
 		t.Fatalf("no-op sync sent %d frames, err %v", res.Sent, err)
 	}
 
@@ -209,7 +209,7 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 		t.Fatalf("unsynced fleet already sees the change: %+v", stale.Report)
 	}
 
-	res, err := coord.SyncViews(nodes, viewsOf(pn.Network), nil, 0)
+	res, err := coord.SyncViews(nodes, viewsOf(pn.Network), routerNames(pn.Network))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 // they diverge from the healthy run.
 func TestDropBatchFaultInjection(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestDropBatchFaultInjection(t *testing.T) {
 // dist counters appear after a round.
 func TestPerNodeLatencyTimers(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}

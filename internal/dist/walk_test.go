@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"hbverify/internal/dataplane"
+	"hbverify/internal/eqclass"
 	"hbverify/internal/network"
 	"hbverify/internal/serve"
 	"hbverify/internal/verify"
+	"hbverify/internal/whatif"
 )
 
 // One fleet executor serves the query engine's concurrent plans: each
@@ -16,7 +18,7 @@ import (
 // isolate the overlapping rounds. Run under -race in CI.
 func TestConcurrentWalkRounds(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +58,15 @@ func TestConcurrentWalkRounds(t *testing.T) {
 // as the central walker.
 func TestFleetExecutorServesQueries(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer teardown()
-	e := serve.New(serve.Config{Executor: coord.Executor(nodes, VerifyOpts{}), Cache: verify.NewWalkCache()})
+	e := serve.New(serve.Config{
+		Executor: coord.Executor(nodes, VerifyOpts{}), Cache: verify.NewWalkCache(),
+		Classes: eqclass.NewIncremental(nil), WhatIf: &whatif.Engine{}, Blueprint: pn.Blueprint(),
+	})
 	defer e.Close()
 
 	queries := []serve.Query{

@@ -84,7 +84,7 @@ func expectOnly[T any](t *testing.T, ch <-chan T, check func(T) bool) {
 
 func TestNodeDropsNonV1Frames(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network, nil)
+	coord, nodes, teardown, err := BuildFleet(pn.Network)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,15 +56,10 @@ type Env interface {
 	DeliverEIGRP(fromRouter, ifname string, msg Message, sendIO uint64)
 }
 
-// Timing controls processing delays. Advertisements fire from the FIB step,
-// so only the FIB delay is configurable.
-type Timing struct {
-	FIBDelay time.Duration
-}
-
-// DefaultTiming installs FIB entries (and then advertises) 2ms after a
-// decision.
-func DefaultTiming() Timing { return Timing{FIBDelay: 2 * time.Millisecond} }
+// fibDelay is when FIB entries are installed (and then advertised) after a
+// decision. Advertisements fire from the FIB step, so there is no separate
+// advertisement delay.
+const fibDelay = 2 * time.Millisecond
 
 type topoEntry struct {
 	reported uint32 // neighbor's reported distance
@@ -78,31 +73,31 @@ type selected struct {
 
 // Instance is one router's EIGRP process.
 type Instance struct {
-	name   string
-	rec    *capture.Recorder
-	sched  *netsim.Scheduler
-	fib    *fib.Table
-	env    Env
-	timing Timing
+	name  string
+	rec   *capture.Recorder
+	sched *netsim.Scheduler
+	fib   *fib.Table
+	env   Env
 
 	neighbors map[netip.Addr]*Neighbor
 	local     map[netip.Prefix]bool
 	topo      map[netip.Prefix]map[netip.Addr]topoEntry
 	sel       map[netip.Prefix]selected
 
-	pendingFIB map[netip.Prefix][]uint64
+	fibQ *netsim.Debounce[netip.Prefix]
 }
 
 // New builds an EIGRP instance.
-func New(name string, rec *capture.Recorder, sched *netsim.Scheduler, fibTable *fib.Table, env Env, timing Timing) *Instance {
-	return &Instance{
-		name: name, rec: rec, sched: sched, fib: fibTable, env: env, timing: timing,
-		neighbors:  map[netip.Addr]*Neighbor{},
-		local:      map[netip.Prefix]bool{},
-		topo:       map[netip.Prefix]map[netip.Addr]topoEntry{},
-		sel:        map[netip.Prefix]selected{},
-		pendingFIB: map[netip.Prefix][]uint64{},
+func New(name string, rec *capture.Recorder, sched *netsim.Scheduler, fibTable *fib.Table, env Env) *Instance {
+	e := &Instance{
+		name: name, rec: rec, sched: sched, fib: fibTable, env: env,
+		neighbors: map[netip.Addr]*Neighbor{},
+		local:     map[netip.Prefix]bool{},
+		topo:      map[netip.Prefix]map[netip.Addr]topoEntry{},
+		sel:       map[netip.Prefix]selected{},
 	}
+	e.fibQ = netsim.NewDebounce(sched, fibDelay, e.flushFIB)
+	return e
 }
 
 // AddNeighbor registers an adjacency.
@@ -164,7 +159,7 @@ func (e *Instance) NeighborUp(addr netip.Addr, cause ...uint64) {
 	cs := append([]uint64(nil), cause...)
 	for _, p := range prefixes {
 		p := p
-		e.sched.After(e.timing.FIBDelay, func() { e.advertise(p, cs) })
+		e.sched.After(fibDelay, func() { e.advertise(p, cs) })
 	}
 }
 
@@ -252,32 +247,21 @@ func (e *Instance) runDUAL(p netip.Prefix, causes []uint64) {
 			Type: capture.RIBRemove, Proto: route.ProtoEIGRP, Prefix: p,
 			NextHop: cur.nextHop, Causes: causes,
 		})
-		e.scheduleFIB(p, []uint64{io.ID})
+		e.fibQ.Add(p, []uint64{io.ID})
 	case best != nil && (!have || *best != cur):
 		e.sel[p] = *best
 		io := e.rec.Record(capture.IO{
 			Type: capture.RIBInstall, Proto: route.ProtoEIGRP, Prefix: p,
 			NextHop: best.nextHop, Causes: causes,
 		})
-		e.scheduleFIB(p, []uint64{io.ID})
+		e.fibQ.Add(p, []uint64{io.ID})
 	}
-}
-
-func (e *Instance) scheduleFIB(p netip.Prefix, causes []uint64) {
-	if pend, ok := e.pendingFIB[p]; ok {
-		e.pendingFIB[p] = append(pend, causes...)
-		return
-	}
-	e.pendingFIB[p] = append([]uint64(nil), causes...)
-	e.sched.After(e.timing.FIBDelay, func() { e.flushFIB(p) })
 }
 
 // flushFIB installs or removes the FIB entry and then — honouring EIGRP's
 // FIB-before-advertise ordering — emits triggered updates whose ground-truth
 // cause is the FIB event itself.
-func (e *Instance) flushFIB(p netip.Prefix) {
-	causes := e.pendingFIB[p]
-	delete(e.pendingFIB, p)
+func (e *Instance) flushFIB(p netip.Prefix, causes []uint64) {
 	sel, have := e.sel[p]
 
 	var fibIO capture.IO

@@ -60,7 +60,7 @@ func (h *harness) DeliverEIGRP(fromRouter, ifname string, msg Message, sendIO ui
 func (h *harness) addRouter(name string) *Instance {
 	rec := capture.NewRecorder(h.log, name, h.sched, nil)
 	ft := fib.NewTable(rec)
-	inst := New(name, rec, h.sched, ft, h, DefaultTiming())
+	inst := New(name, rec, h.sched, ft, h)
 	h.insts[name] = inst
 	h.fibs[name] = ft
 	return inst

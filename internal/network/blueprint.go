@@ -36,7 +36,6 @@ type Blueprint struct {
 	Stubs     []StubSpec
 	Configs   map[string]*config.Router
 
-	BGPSessionDelay   time.Duration
 	BGPSessionJitter  time.Duration
 	SoftReconfigDelay time.Duration
 }
@@ -48,7 +47,6 @@ type Blueprint struct {
 func (n *Network) Blueprint() *Blueprint {
 	bp := &Blueprint{
 		Configs:           map[string]*config.Router{},
-		BGPSessionDelay:   n.BGPSessionDelay,
 		BGPSessionJitter:  n.BGPSessionJitter,
 		SoftReconfigDelay: n.SoftReconfigDelay,
 	}
@@ -80,7 +78,6 @@ func (n *Network) Blueprint() *Blueprint {
 // and Run on the result to converge the copy.
 func (bp *Blueprint) Instantiate(seed int64) (*Network, error) {
 	n := New(seed)
-	n.BGPSessionDelay = bp.BGPSessionDelay
 	n.BGPSessionJitter = bp.BGPSessionJitter
 	n.SoftReconfigDelay = bp.SoftReconfigDelay
 	for _, r := range bp.Routers {

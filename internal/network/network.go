@@ -52,23 +52,22 @@ type Network struct {
 	Log   *capture.Log
 	Store *config.Store
 
-	// BGPSessionDelay is the one-way latency for BGP messages between
-	// routers that are not directly connected (loopback iBGP sessions).
-	// The paper's feasibility study measured ~8 ms propagation.
-	BGPSessionDelay time.Duration
 	// BGPSessionJitter adds uniform random delay to BGP messages.
 	BGPSessionJitter time.Duration
 	// SoftReconfigDelay is the lag between a configuration change and the
 	// BGP soft reconfiguration it triggers (§7 measured ~25 s on Cisco).
 	SoftReconfigDelay time.Duration
-	// BGPTiming is applied to every speaker built afterwards.
-	BGPTiming bgp.Timing
 
 	routers      map[string]*Router
 	configEvents map[uint64]ConfigRef
 	started      bool
 	onLinkChange []func(a, b string, up bool)
 }
+
+// bgpSessionDelay is the one-way latency for BGP messages between routers
+// that are not directly connected (loopback iBGP sessions). The paper's
+// feasibility study measured ~8 ms propagation.
+const bgpSessionDelay = 8 * time.Millisecond
 
 // ConfigRef ties a config-change capture event to the version it created
 // in the store — the link the repair engine follows to roll back a root
@@ -85,9 +84,7 @@ func New(seed int64) *Network {
 		Sched:             netsim.NewScheduler(seed),
 		Log:               capture.NewLog(),
 		Store:             config.NewStore(),
-		BGPSessionDelay:   8 * time.Millisecond,
 		SoftReconfigDelay: 250 * time.Millisecond,
-		BGPTiming:         bgp.DefaultTiming(),
 		routers:           map[string]*Router{},
 		configEvents:      map[uint64]ConfigRef{},
 	}
@@ -168,7 +165,7 @@ func (e routerEnv) IGPMetric(nh netip.Addr) (uint32, bool) {
 }
 
 func (e routerEnv) DeliverOSPF(fromRouter, ifname string, lsa ospf.LSA, sendIO uint64) {
-	e.r.net.deliverIface(fromRouter, ifname, sendIO, func(peer *Router, peerIface string) {
+	e.r.net.deliverIface(fromRouter, ifname, func(peer *Router, peerIface string) {
 		if peer.OSPF != nil {
 			peer.OSPF.HandleLSA(peerIface, lsa, sendIO)
 		}
@@ -181,7 +178,7 @@ func (e routerEnv) DeliverRIP(fromRouter, ifname string, msg rip.Message, sendIO
 		return
 	}
 	addr := from.Addr
-	e.r.net.deliverIface(fromRouter, ifname, sendIO, func(peer *Router, _ string) {
+	e.r.net.deliverIface(fromRouter, ifname, func(peer *Router, _ string) {
 		if peer.RIP != nil {
 			peer.RIP.HandleUpdate(addr, msg, sendIO)
 		}
@@ -194,7 +191,7 @@ func (e routerEnv) DeliverEIGRP(fromRouter, ifname string, msg eigrp.Message, se
 		return
 	}
 	addr := from.Addr
-	e.r.net.deliverIface(fromRouter, ifname, sendIO, func(peer *Router, _ string) {
+	e.r.net.deliverIface(fromRouter, ifname, func(peer *Router, _ string) {
 		if peer.EIGRP != nil {
 			peer.EIGRP.HandleUpdate(addr, msg, sendIO)
 		}
@@ -203,7 +200,7 @@ func (e routerEnv) DeliverEIGRP(fromRouter, ifname string, msg eigrp.Message, se
 
 // deliverIface schedules delivery over the link attached to (router,
 // ifname). Messages on down links are dropped.
-func (n *Network) deliverIface(fromRouter, ifname string, _ uint64, deliver func(peer *Router, peerIface string)) {
+func (n *Network) deliverIface(fromRouter, ifname string, deliver func(peer *Router, peerIface string)) {
 	r := n.routers[fromRouter]
 	if r == nil {
 		return
@@ -230,7 +227,7 @@ func (n *Network) deliverIface(fromRouter, ifname string, _ uint64, deliver func
 
 // deliverBGP ships a BGP message to whichever router owns the peer address.
 // Directly connected sessions use the link latency and die with the link;
-// loopback sessions use BGPSessionDelay.
+// loopback sessions use bgpSessionDelay.
 func (n *Network) deliverBGP(local, peer netip.Addr, msg bgp.Message, sendIO uint64) {
 	var delay time.Duration
 	link := n.Topo.LinkByEndpoints(local, peer)
@@ -240,7 +237,7 @@ func (n *Network) deliverBGP(local, peer netip.Addr, msg bgp.Message, sendIO uin
 		}
 		delay = n.Sched.Jitter(link.Delay, link.Jitter)
 	} else {
-		delay = n.Sched.Jitter(n.BGPSessionDelay, n.BGPSessionJitter)
+		delay = n.Sched.Jitter(bgpSessionDelay, n.BGPSessionJitter)
 	}
 	owner := n.Topo.OwnerOf(peer)
 	dst := n.routers[owner]
@@ -263,7 +260,7 @@ func (n *Network) Build() error {
 		cfg := r.Cfg
 		if cfg.BGP != nil {
 			r.BGP = bgp.New(r.Name, r.Topo.Loopback, cfg.BGP, r.Cfg.Policy,
-				r.Rec, n.Sched, r.FIB, env, n.BGPTiming)
+				r.Rec, n.Sched, r.FIB, env)
 			for _, nb := range cfg.BGP.Neighbors {
 				ownerName := n.Topo.OwnerOf(nb.Addr)
 				if ownerName == "" {
@@ -312,7 +309,7 @@ func (n *Network) Build() error {
 			}
 		}
 		if cfg.RIP.Enabled {
-			r.RIP = rip.New(r.Name, r.Rec, n.Sched, r.FIB, env, rip.DefaultTiming())
+			r.RIP = rip.New(r.Name, r.Rec, n.Sched, r.FIB, env)
 			for _, i := range r.Topo.Interfaces() {
 				if !ifaceSelected(cfg.RIP.Interfaces, i.Name) || i.Link == nil {
 					continue
@@ -328,7 +325,7 @@ func (n *Network) Build() error {
 			}
 		}
 		if cfg.EIGRP.Enabled {
-			r.EIGRP = eigrp.New(r.Name, r.Rec, n.Sched, r.FIB, env, eigrp.DefaultTiming())
+			r.EIGRP = eigrp.New(r.Name, r.Rec, n.Sched, r.FIB, env)
 			for _, i := range r.Topo.Interfaces() {
 				if !ifaceSelected(cfg.EIGRP.Interfaces, i.Name) || i.Link == nil {
 					continue
@@ -421,18 +418,12 @@ func (n *Network) Start() {
 			continue
 		}
 		for _, sess := range r.BGP.Sessions() {
-			if l := n.directLink(sess.LocalAddr, sess.PeerAddr); l != nil && !l.Up() {
+			if l := n.Topo.LinkByEndpoints(sess.LocalAddr, sess.PeerAddr); l != nil && !l.Up() {
 				continue
 			}
 			r.BGP.PeerUp(sess.PeerAddr)
 		}
 	}
-}
-
-// directLink finds the point-to-point link whose endpoints carry the two
-// addresses, or nil for multi-hop (loopback) sessions.
-func (n *Network) directLink(a, b netip.Addr) *topology.Link {
-	return n.Topo.LinkByEndpoints(a, b)
 }
 
 // connectedPrefixes returns the subnets of up interfaces, deduplicated and
@@ -637,7 +628,7 @@ func (n *Network) SetLinkUp(a, b string, up bool) ([]capture.IO, error) {
 // ResetBGPSession hard-clears the BGP session between routers a and b at
 // both ends (the operator's "clear ip bgp"): routes learned over the
 // session are purged immediately, and the session re-establishes after
-// BGPSessionDelay with each side re-advertising its table. Resetting both
+// bgpSessionDelay with each side re-advertising its table. Resetting both
 // ends is essential — a one-sided reset would lose the peer's routes
 // forever, since BGP only re-advertises on session establishment.
 func (n *Network) ResetBGPSession(a, b string) error {
@@ -663,7 +654,7 @@ func (n *Network) ResetBGPSession(a, b string) error {
 	}
 	ra.BGP.PeerDown(sa.PeerAddr)
 	rb.BGP.PeerDown(sb.PeerAddr)
-	n.Sched.After(n.BGPSessionDelay, func() {
+	n.Sched.After(bgpSessionDelay, func() {
 		ra.BGP.PeerUp(sa.PeerAddr)
 		rb.BGP.PeerUp(sb.PeerAddr)
 	})

@@ -72,7 +72,6 @@ type Instance struct {
 	name     string
 	routerID netip.Addr
 	rec      *capture.Recorder
-	sched    *netsim.Scheduler
 	fib      *fib.Table
 	env      Env
 
@@ -84,22 +83,23 @@ type Instance struct {
 	dist   map[netip.Addr]uint32     // last SPF distances by router ID
 	owners map[netip.Addr]netip.Addr // address -> owning router ID
 
-	spfPending bool
-	spfCauses  []uint64
-	// SPFDelay debounces SPF runs after LSDB changes.
-	SPFDelay time.Duration
+	spfQ *netsim.Debounce[struct{}]
 }
+
+// spfDelay debounces SPF runs after LSDB changes.
+const spfDelay = 5 * time.Millisecond
 
 // New builds an OSPF instance.
 func New(name string, routerID netip.Addr, rec *capture.Recorder, sched *netsim.Scheduler, fibTable *fib.Table, env Env) *Instance {
-	return &Instance{
-		name: name, routerID: routerID, rec: rec, sched: sched, fib: fibTable, env: env,
-		lsdb:     map[netip.Addr]LSA{},
-		rib:      map[netip.Prefix]route.Route{},
-		dist:     map[netip.Addr]uint32{},
-		owners:   map[netip.Addr]netip.Addr{},
-		SPFDelay: 5 * time.Millisecond,
+	o := &Instance{
+		name: name, routerID: routerID, rec: rec, fib: fibTable, env: env,
+		lsdb:   map[netip.Addr]LSA{},
+		rib:    map[netip.Prefix]route.Route{},
+		dist:   map[netip.Addr]uint32{},
+		owners: map[netip.Addr]netip.Addr{},
 	}
+	o.spfQ = netsim.NewDebounce(sched, spfDelay, o.runSPF)
+	return o
 }
 
 // AddIface registers an OSPF interface. Interfaces start in the Up state
@@ -153,7 +153,7 @@ func (o *Instance) reoriginate(causes []uint64) {
 	}
 	o.lsdb[o.routerID] = lsa
 	o.flood(lsa, "", causes)
-	o.scheduleSPF(causes)
+	o.spfQ.Add(struct{}{}, causes)
 }
 
 // flood sends lsa to every up, non-stub interface except the one it arrived
@@ -190,24 +190,12 @@ func (o *Instance) HandleLSA(ifname string, lsa LSA, sendIO uint64) {
 	}
 	o.lsdb[lsa.Origin] = lsa
 	o.flood(lsa, ifname, []uint64{recv.ID})
-	o.scheduleSPF([]uint64{recv.ID})
-}
-
-func (o *Instance) scheduleSPF(causes []uint64) {
-	o.spfCauses = append(o.spfCauses, causes...)
-	if o.spfPending {
-		return
-	}
-	o.spfPending = true
-	o.sched.After(o.SPFDelay, o.runSPF)
+	o.spfQ.Add(struct{}{}, []uint64{recv.ID})
 }
 
 // runSPF recomputes shortest paths and diffs the resulting routes into the
 // RIB and FIB.
-func (o *Instance) runSPF() {
-	causes := o.spfCauses
-	o.spfPending, o.spfCauses = false, nil
-
+func (o *Instance) runSPF(_ struct{}, causes []uint64) {
 	dist := map[netip.Addr]uint32{o.routerID: 0}
 	// first maps each reachable router to its equal-cost *set* of first-hop
 	// interfaces. Ties during relaxation merge sets instead of keeping the

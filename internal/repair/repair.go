@@ -164,14 +164,16 @@ func Rollback(n *network.Network, d *Diagnosis) error {
 }
 
 // BlackholedPrefixes walks every prefix of a snapshot view from the given
-// sources and returns those that are dropped or stuck — the measurement
-// E6 reports for the blocking-baseline hazard.
+// sources and returns those that are dropped or stuck on any branch — the
+// walks verify's NoBlackhole rejects, and the measurement E6 reports for
+// the blocking-baseline hazard.
 func BlackholedPrefixes(w *dataplane.Walker, sources []string, prefixes []netip.Prefix) []netip.Prefix {
 	bad := map[netip.Prefix]bool{}
 	for _, p := range prefixes {
 		for _, src := range sources {
 			walk := w.ForwardPrefix(src, p)
-			if walk.Outcome == dataplane.Dropped || walk.Outcome == dataplane.Stuck {
+			switch walk.Outcome {
+			case dataplane.Dropped, dataplane.Stuck, dataplane.PartialBlackhole:
 				bad[p] = true
 			}
 		}

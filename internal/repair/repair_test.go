@@ -259,6 +259,24 @@ func TestRepairAvoidsHazard(t *testing.T) {
 	}
 }
 
+// BlackholedPrefixes counts a walk that delivers on one ECMP branch and
+// drops on the other, as verify's NoBlackhole does.
+func TestBlackholedPrefixesCountsPartialBlackhole(t *testing.T) {
+	pn, _ := build(t)
+	snap := pn.FIBSnapshot()
+	e := snap["r3"][pn.P]
+	e.NextHop, e.NextHops = addr("1.1.1.1"), []netip.Addr{addr("1.1.1.1"), addr("2.2.2.2")}
+	snap["r3"][pn.P] = e
+	delete(snap["r1"], pn.P)
+	w := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(snap))
+	if walk := w.ForwardPrefix("r3", pn.P); walk.Outcome != dataplane.PartialBlackhole {
+		t.Fatalf("walk = %v, want a partial blackhole", walk)
+	}
+	if bad := BlackholedPrefixes(w, []string{"r3"}, []netip.Prefix{pn.P}); len(bad) != 1 {
+		t.Fatalf("blackholed = %v, want [%v]", bad, pn.P)
+	}
+}
+
 func TestGateReleaseAll(t *testing.T) {
 	pn, gate := build(t)
 	gate.SetBlock(func(router string, u fib.Update) bool {

@@ -47,17 +47,12 @@ type Env interface {
 	DeliverRIP(fromRouter, ifname string, msg Message, sendIO uint64)
 }
 
-// Timing controls processing delays. AdvertDelay < FIBDelay reproduces
-// RIP's send-before-FIB behaviour.
-type Timing struct {
-	AdvertDelay time.Duration
-	FIBDelay    time.Duration
-}
-
-// DefaultTiming sends at 1ms and installs the FIB at 3ms.
-func DefaultTiming() Timing {
-	return Timing{AdvertDelay: time.Millisecond, FIBDelay: 3 * time.Millisecond}
-}
+// Processing delays: the instance sends at 1ms and installs the FIB at
+// 3ms. advertDelay < fibDelay reproduces RIP's send-before-FIB behaviour.
+const (
+	advertDelay = time.Millisecond
+	fibDelay    = 3 * time.Millisecond
+)
 
 type entry struct {
 	metric  uint32 // our cost (hops)
@@ -67,31 +62,30 @@ type entry struct {
 
 // Instance is one router's RIP process.
 type Instance struct {
-	name   string
-	rec    *capture.Recorder
-	sched  *netsim.Scheduler
-	fib    *fib.Table
-	env    Env
-	timing Timing
+	name string
+	rec  *capture.Recorder
+	fib  *fib.Table
+	env  Env
 
 	neighbors map[netip.Addr]*Neighbor
 	local     map[netip.Prefix]bool
 	table     map[netip.Prefix]entry
 
-	pendingAdv map[netip.Prefix][]uint64
-	pendingFIB map[netip.Prefix][]uint64
+	advQ *netsim.Debounce[netip.Prefix]
+	fibQ *netsim.Debounce[netip.Prefix]
 }
 
 // New builds a RIP instance.
-func New(name string, rec *capture.Recorder, sched *netsim.Scheduler, fibTable *fib.Table, env Env, timing Timing) *Instance {
-	return &Instance{
-		name: name, rec: rec, sched: sched, fib: fibTable, env: env, timing: timing,
-		neighbors:  map[netip.Addr]*Neighbor{},
-		local:      map[netip.Prefix]bool{},
-		table:      map[netip.Prefix]entry{},
-		pendingAdv: map[netip.Prefix][]uint64{},
-		pendingFIB: map[netip.Prefix][]uint64{},
+func New(name string, rec *capture.Recorder, sched *netsim.Scheduler, fibTable *fib.Table, env Env) *Instance {
+	r := &Instance{
+		name: name, rec: rec, fib: fibTable, env: env,
+		neighbors: map[netip.Addr]*Neighbor{},
+		local:     map[netip.Prefix]bool{},
+		table:     map[netip.Prefix]entry{},
 	}
+	r.advQ = netsim.NewDebounce(sched, advertDelay, r.flushAdvert)
+	r.fibQ = netsim.NewDebounce(sched, fibDelay, r.flushFIB)
+	return r
 }
 
 // AddNeighbor registers an adjacency.
@@ -142,7 +136,7 @@ func (r *Instance) NeighborUp(addr netip.Addr, cause ...uint64) {
 	}
 	slices.SortFunc(prefixes, route.ComparePrefix)
 	for _, p := range prefixes {
-		r.scheduleAdvert(p, cause)
+		r.advQ.Add(p, cause)
 	}
 }
 
@@ -189,8 +183,8 @@ func (r *Instance) update(p netip.Prefix, e entry, causes []uint64) {
 		Type: capture.RIBInstall, Proto: route.ProtoRIP, Prefix: p,
 		NextHop: e.nextHop, Causes: causes,
 	})
-	r.scheduleAdvert(p, []uint64{io.ID})
-	r.scheduleFIB(p, []uint64{io.ID})
+	r.advQ.Add(p, []uint64{io.ID})
+	r.fibQ.Add(p, []uint64{io.ID})
 }
 
 func (r *Instance) remove(p netip.Prefix, causes []uint64) {
@@ -203,22 +197,11 @@ func (r *Instance) remove(p netip.Prefix, causes []uint64) {
 		Type: capture.RIBRemove, Proto: route.ProtoRIP, Prefix: p,
 		NextHop: cur.nextHop, Causes: causes,
 	})
-	r.scheduleAdvert(p, []uint64{io.ID})
-	r.scheduleFIB(p, []uint64{io.ID})
+	r.advQ.Add(p, []uint64{io.ID})
+	r.fibQ.Add(p, []uint64{io.ID})
 }
 
-func (r *Instance) scheduleAdvert(p netip.Prefix, causes []uint64) {
-	if pend, ok := r.pendingAdv[p]; ok {
-		r.pendingAdv[p] = append(pend, causes...)
-		return
-	}
-	r.pendingAdv[p] = append([]uint64(nil), causes...)
-	r.sched.After(r.timing.AdvertDelay, func() { r.flushAdvert(p) })
-}
-
-func (r *Instance) flushAdvert(p netip.Prefix) {
-	causes := r.pendingAdv[p]
-	delete(r.pendingAdv, p)
+func (r *Instance) flushAdvert(p netip.Prefix, causes []uint64) {
 	e, have := r.table[p]
 	addrs := make([]netip.Addr, 0, len(r.neighbors))
 	for a := range r.neighbors {
@@ -246,18 +229,7 @@ func (r *Instance) flushAdvert(p netip.Prefix) {
 	}
 }
 
-func (r *Instance) scheduleFIB(p netip.Prefix, causes []uint64) {
-	if pend, ok := r.pendingFIB[p]; ok {
-		r.pendingFIB[p] = append(pend, causes...)
-		return
-	}
-	r.pendingFIB[p] = append([]uint64(nil), causes...)
-	r.sched.After(r.timing.FIBDelay, func() { r.flushFIB(p) })
-}
-
-func (r *Instance) flushFIB(p netip.Prefix) {
-	causes := r.pendingFIB[p]
-	delete(r.pendingFIB, p)
+func (r *Instance) flushFIB(p netip.Prefix, causes []uint64) {
 	e, have := r.table[p]
 	if !have || !e.nextHop.IsValid() {
 		r.fib.Withdraw(route.ProtoRIP, p, causes...)

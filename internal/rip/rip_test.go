@@ -60,7 +60,7 @@ func (h *harness) DeliverRIP(fromRouter, ifname string, msg Message, sendIO uint
 func (h *harness) addRouter(name string) *Instance {
 	rec := capture.NewRecorder(h.log, name, h.sched, nil)
 	ft := fib.NewTable(rec)
-	inst := New(name, rec, h.sched, ft, h, DefaultTiming())
+	inst := New(name, rec, h.sched, ft, h)
 	h.insts[name] = inst
 	h.fibs[name] = ft
 	return inst

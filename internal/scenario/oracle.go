@@ -669,7 +669,7 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 // makes the coordinator lose every batch bound for one node while still
 // reporting success, which this oracle must catch.
 func (h *harness) oracleDistVsCentral(round int) *Failure {
-	coord, nodes, teardown, err := dist.BuildFleet(h.w.net, nil)
+	coord, nodes, teardown, err := dist.BuildFleet(h.w.net)
 	if err != nil {
 		return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf("build fleet: %v", err)}
 	}

@@ -56,6 +56,7 @@ package scenario
 
 import (
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"hbverify"
@@ -143,6 +144,10 @@ type Result struct {
 	// completed before the run ended.
 	IOs    int
 	Rounds int
+	// Digest is FNV-64a over the final capture log's binary encoding,
+	// which covers every field of every I/O: two runs with equal digests
+	// recorded byte-identical logs.
+	Digest uint64
 	// Loops lists every forwarding loop the snapshot oracle met in a
 	// collected cut, whatever it made of it.
 	Loops []SnapshotLoop
@@ -204,14 +209,23 @@ func Run(cfg Config) *Result {
 		res.Loops, res.Cuts = h.loops, h.cuts
 		if f != nil {
 			res.Failure = f
-			res.IOs = w.net.Log.Len()
-			res.Rounds = round
-			return res
+			break
 		}
 		res.Rounds = round + 1
 	}
-	res.IOs = w.net.Log.Len()
+	res.IOs, res.Digest = w.net.Log.Len(), logDigest(w.net.Log.View())
 	return res
+}
+
+// logDigest hashes v's I/Os in their capture.AppendIO encoding.
+func logDigest(v capture.View) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	for i := 0; i < v.Len(); i++ {
+		buf = capture.AppendIO(buf[:0], v.At(i))
+		h.Write(buf)
+	}
+	return h.Sum64()
 }
 
 // harness holds the pipeline under test — hbverify.Pipeline as production

@@ -39,8 +39,8 @@ func TestScenario(t *testing.T) {
 }
 
 // TestScenarioDeterminism re-runs one scenario and requires the identical
-// materialized schedule and capture-log length — the property replay and
-// shrinking depend on.
+// materialized schedule and a byte-identical capture log — the property
+// replay and shrinking depend on.
 func TestScenarioDeterminism(t *testing.T) {
 	cfg, err := Materialize(Config{Seed: 7})
 	if err != nil {
@@ -50,8 +50,9 @@ func TestScenarioDeterminism(t *testing.T) {
 	if a.Failure != nil || b.Failure != nil {
 		t.Fatalf("unexpected failures: %v / %v", a.Failure, b.Failure)
 	}
-	if a.IOs != b.IOs || a.Rounds != b.Rounds {
-		t.Fatalf("runs diverge: %d IOs/%d rounds vs %d IOs/%d rounds", a.IOs, a.Rounds, b.IOs, b.Rounds)
+	if a.IOs != b.IOs || a.Rounds != b.Rounds || a.Digest != b.Digest {
+		t.Fatalf("runs diverge: %d IOs/%d rounds/digest %x vs %d IOs/%d rounds/digest %x",
+			a.IOs, a.Rounds, a.Digest, b.IOs, b.Rounds, b.Digest)
 	}
 	if !reflect.DeepEqual(a.Config.Schedule, b.Config.Schedule) {
 		t.Fatal("materialized schedules diverge between runs")

@@ -15,7 +15,7 @@ import (
 func TestQuerySubmitRacingShutdown(t *testing.T) {
 	w := startPaper(t)
 	for round := 0; round < 5; round++ {
-		e := w.engine(Config{Window: 2})
+		e := w.engine(Config{})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -61,7 +61,7 @@ func TestQuerySubmitRacingShutdown(t *testing.T) {
 // recycling, and cache stores all racing. Run under -race.
 func TestConcurrentDistinctPlans(t *testing.T) {
 	w := startPaper(t)
-	e := w.engine(Config{Window: 4})
+	e := w.engine(Config{})
 	defer e.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {

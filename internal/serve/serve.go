@@ -50,8 +50,6 @@ var (
 	ErrClosed = errors.New("serve: engine closed")
 	// ErrOverloaded: admission shed the query; the caller should back off.
 	ErrOverloaded = errors.New("serve: overloaded, query shed")
-	// ErrNoWhatIf: the engine was built without what-if support.
-	ErrNoWhatIf = errors.New("serve: engine has no what-if backend")
 )
 
 // WalkerExecutor executes plans on the central data-plane walker; the
@@ -120,30 +118,31 @@ type Answer struct {
 }
 
 // Config assembles an engine from the state a Pipeline already maintains.
+// Every field but Metrics is required.
 type Config struct {
-	// Executor runs the walks; required. The engine hands it one plan at a
-	// time, from as many goroutines as the window admits.
+	// Executor runs the walks. The engine hands it one plan at a time, from
+	// as many goroutines as the window admits.
 	Executor verify.Executor
 	// Cache is the shared plan cache (typically the pipeline's WalkCache,
-	// so batch verification and churn invalidation are shared). Nil
-	// disables plan caching entirely.
+	// so batch verification and churn invalidation are shared).
 	Cache *verify.WalkCache
 	// Classes canonicalizes query prefixes onto equivalence-class
-	// representatives. Nil degrades to per-prefix plans.
+	// representatives.
 	Classes *eqclass.Incremental
-	// WhatIf + Blueprint enable hypothetical queries. Leave nil to reject
-	// them with ErrNoWhatIf.
+	// WhatIf runs hypothetical queries on copies of Blueprint.
 	WhatIf    *whatif.Engine
 	Blueprint *network.Blueprint
 	// Metrics receives serve.* instruments; nil allocates a private
 	// registry (Metrics() exposes it either way).
 	Metrics *metrics.Registry
-	// Window bounds concurrently executing walks; default 32.
-	Window int
-	// MaxQueue bounds plan leaders waiting for a token before admission
-	// sheds with ErrOverloaded; default 4×Window.
-	MaxQueue int
 }
+
+// Admission bounds: window concurrently executing walks, and maxQueue plan
+// leaders waiting for a token before admission sheds with ErrOverloaded.
+const (
+	window   = 32
+	maxQueue = 4 * window
+)
 
 // planKey identifies one canonical plan: the walk that answers it.
 type planKey = verify.WalkKey
@@ -179,16 +178,10 @@ type Engine struct {
 	queries, hits, coalesced, executed, rejected, whatifs *metrics.Counter
 }
 
-// New builds an engine. Config.Executor is required.
+// New builds an engine.
 func New(cfg Config) *Engine {
-	if cfg.Executor == nil {
-		panic("serve: Config.Executor is required")
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 32
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 4 * cfg.Window
+	if cfg.Executor == nil || cfg.Cache == nil || cfg.Classes == nil || cfg.WhatIf == nil || cfg.Blueprint == nil {
+		panic("serve: Config is missing a required field")
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -197,7 +190,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		reg:      reg,
-		tokens:   make(chan struct{}, cfg.Window),
+		tokens:   make(chan struct{}, window),
 		closed:   make(chan struct{}),
 		flights:  map[planKey]*flight{},
 		wflights: map[string]*flight{},
@@ -262,10 +255,8 @@ func (e *Engine) Stats() Stats {
 // classified, the prefix's own representative otherwise. Classification is
 // delta-maintained, so this is a map lookup, not a re-sign.
 func (e *Engine) probeFor(p netip.Prefix) netip.Addr {
-	if e.cfg.Classes != nil {
-		if rep, ok := e.cfg.Classes.ClassOf(p); ok {
-			return dataplane.Representative(rep)
-		}
+	if rep, ok := e.cfg.Classes.ClassOf(p); ok {
+		return dataplane.Representative(rep)
 	}
 	return dataplane.Representative(p)
 }
@@ -340,12 +331,9 @@ func (e *Engine) planWalk(k planKey) (dataplane.Walk, planSource, error) {
 			return w, planHit, nil
 		}
 	}
-	useCache := e.cfg.Cache != nil
-	if useCache {
-		if w, ok := e.cfg.Cache.Lookup(k.Source, k.Dst); ok {
-			e.pinBugWalk(k, w)
-			return w, planHit, nil
-		}
+	if w, ok := e.cfg.Cache.Lookup(k.Source, k.Dst); ok {
+		e.pinBugWalk(k, w)
+		return w, planHit, nil
 	}
 	e.mu.Lock()
 	if f, ok := e.flights[k]; ok {
@@ -364,11 +352,7 @@ func (e *Engine) planWalk(k planKey) (dataplane.Walk, planSource, error) {
 	// Leader: capture the store epoch before the walk reads any forwarding
 	// state, so an invalidation racing the walk stamps the stored plan as
 	// already stale (the cache's Begin/Store contract).
-	var epoch uint64
-	if useCache {
-		epoch = e.cfg.Cache.Begin()
-	}
-	f.walk, f.err = e.execute(k, epoch, useCache)
+	f.walk, f.err = e.execute(k, e.cfg.Cache.Begin())
 
 	e.mu.Lock()
 	delete(e.flights, k)
@@ -377,9 +361,9 @@ func (e *Engine) planWalk(k planKey) (dataplane.Walk, planSource, error) {
 	return f.walk, planExecuted, f.err
 }
 
-// execute runs the walk under the admission window and optionally stores
-// the result as the plan's cached walk.
-func (e *Engine) execute(k planKey, epoch uint64, store bool) (dataplane.Walk, error) {
+// execute runs the walk under the admission window and stores the result
+// as the plan's cached walk.
+func (e *Engine) execute(k planKey, epoch uint64) (dataplane.Walk, error) {
 	if err := e.acquire(); err != nil {
 		return dataplane.Walk{}, err
 	}
@@ -389,9 +373,7 @@ func (e *Engine) execute(k planKey, epoch uint64, store bool) (dataplane.Walk, e
 		return dataplane.Walk{}, errs[0]
 	}
 	w := walks[0]
-	if store {
-		e.cfg.Cache.Store(k.Source, k.Dst, w, epoch)
-	}
+	e.cfg.Cache.Store(k.Source, k.Dst, w, epoch)
 	e.pinBugWalk(k, w)
 	return w, nil
 }
@@ -413,7 +395,7 @@ func (e *Engine) pinBugWalk(k planKey, w dataplane.Walk) {
 // acquire takes an admission token, shedding when too many leaders are
 // already waiting and failing fast on shutdown.
 func (e *Engine) acquire() error {
-	if e.queued.Add(1) > int64(e.cfg.MaxQueue)+int64(e.cfg.Window) {
+	if e.queued.Add(1) > maxQueue+window {
 		e.queued.Add(-1)
 		return ErrOverloaded
 	}
@@ -437,9 +419,6 @@ func (e *Engine) release() {
 // key — never cached, since the hypothetical's baseline is the live state
 // at ask time.
 func (e *Engine) whatIf(q Query, start time.Time) (Answer, error) {
-	if e.cfg.WhatIf == nil || e.cfg.Blueprint == nil {
-		return Answer{}, ErrNoWhatIf
-	}
 	var f *flight
 	lead := false
 	if q.Key != "" {

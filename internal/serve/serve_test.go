@@ -59,12 +59,10 @@ func (w *paperWorld) engine(cfg Config) *Engine {
 	if cfg.Executor == nil {
 		cfg.Executor = WalkerExecutor{W: w.walker}
 	}
-	if cfg.Cache == nil {
-		cfg.Cache = w.cache
+	if cfg.WhatIf == nil {
+		cfg.WhatIf = &whatif.Engine{Seed: 1, Sources: []string{"r1", "r2", "r3"}}
 	}
-	if cfg.Classes == nil {
-		cfg.Classes = w.eqc
-	}
+	cfg.Cache, cfg.Classes, cfg.Blueprint = w.cache, w.eqc, w.pn.Blueprint()
 	return New(cfg)
 }
 
@@ -264,22 +262,21 @@ func TestConcurrentQueriesCoalesce(t *testing.T) {
 	}
 }
 
-// Admission sheds distinct-plan queries beyond Window+MaxQueue with
-// ErrOverloaded instead of queueing without bound, and recovers once the
-// backlog drains.
+// Admission sheds distinct-plan queries beyond the window and the queue
+// bound with ErrOverloaded instead of queueing without bound, and recovers
+// once the backlog drains.
 func TestAdmissionShedsOverload(t *testing.T) {
 	w := startPaper(t)
 	be := &blockingExec{w: w.walker, gate: make(chan struct{})}
-	// No cache: every query executes, and the last one cannot be answered by
-	// a plan the overload phase stored.
-	e := New(Config{Executor: be, Classes: w.eqc, Window: 1, MaxQueue: 1})
+	e := w.engine(Config{Executor: be})
 	defer e.Close()
 
-	// Distinct prefixes → distinct plans, so nothing coalesces either.
+	// Distinct prefixes → distinct plans, so nothing coalesces or hits the
+	// cache either.
 	prefix := func(i int) netip.Prefix {
-		return netip.PrefixFrom(netip.AddrFrom4([4]byte{60, byte(i), 0, 0}), 24)
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{60, byte(i >> 8), byte(i), 0}), 24)
 	}
-	const n = 12
+	const n = 2 * (window + maxQueue)
 	var (
 		wg       sync.WaitGroup
 		shed     atomic.Int64
@@ -300,9 +297,9 @@ func TestAdmissionShedsOverload(t *testing.T) {
 			}
 		}(i)
 	}
-	// With one walk executing and at most Window+MaxQueue leaders parked
-	// in admission, the remaining arrivals must shed. Wait for the first
-	// shed before releasing the gate.
+	// With window walks executing and at most window+maxQueue leaders
+	// parked in admission, the remaining arrivals must shed. Wait for the
+	// first shed before releasing the gate.
 	deadline := time.After(5 * time.Second)
 	for shed.Load() == 0 {
 		select {
@@ -314,7 +311,7 @@ func TestAdmissionShedsOverload(t *testing.T) {
 	close(be.gate)
 	wg.Wait()
 	if shed.Load() == 0 {
-		t.Error("no query was shed despite Window=1 MaxQueue=1")
+		t.Error("no query was shed despite a saturated window and queue")
 	}
 	if answered.Load() == 0 {
 		t.Error("every query was shed")
@@ -322,8 +319,8 @@ func TestAdmissionShedsOverload(t *testing.T) {
 	if st := e.Stats(); st.Rejected != shed.Load() {
 		t.Errorf("stats.Rejected = %d, want %d", st.Rejected, shed.Load())
 	}
-	// The engine still serves after the overload clears.
-	if _, err := e.Query(Reachability("r1", prefix(0))); err != nil {
+	// The engine still executes walks after the overload clears.
+	if _, err := e.Query(Reachability("r1", prefix(n))); err != nil {
 		t.Errorf("query after overload: %v", err)
 	}
 }
@@ -337,8 +334,7 @@ func TestWhatIfQueries(t *testing.T) {
 		{Kind: verify.NoLoop, Prefix: w.pn.P},
 	}
 	e := w.engine(Config{
-		WhatIf:    &whatif.Engine{Seed: 7, Sources: []string{"r1", "r2", "r3"}, Policies: policies},
-		Blueprint: w.pn.Blueprint(),
+		WhatIf: &whatif.Engine{Seed: 7, Sources: []string{"r1", "r2", "r3"}, Policies: policies},
 	})
 	defer e.Close()
 
@@ -361,13 +357,6 @@ func TestWhatIfQueries(t *testing.T) {
 	}
 	if st := e.Stats(); st.WhatIfs != 2 {
 		t.Errorf("stats.WhatIfs = %d, want 2", st.WhatIfs)
-	}
-
-	// Unconfigured engine rejects hypotheticals.
-	bare := w.engine(Config{})
-	defer bare.Close()
-	if _, err := bare.Query(WhatIf("x", whatif.LinkFailure("r1", "e1"))); !errors.Is(err, ErrNoWhatIf) {
-		t.Errorf("err = %v, want ErrNoWhatIf", err)
 	}
 }
 

@@ -10,6 +10,8 @@ package whatif
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
 
 	"hbverify/internal/config"
 	"hbverify/internal/fib"
@@ -115,13 +117,14 @@ func (e *Engine) check(n *network.Network) verify.Report {
 }
 
 // Diff compares the hypothetical FIBs with the live network's, returning
-// "router prefix: old -> new" lines for every divergence.
+// "router prefix: old -> new" lines for every divergence in the next-hop
+// sets; an ECMP set prints as its members joined by "|".
 func Diff(live *network.Network, hypo map[string]map[netip.Prefix]fib.Entry) []string {
 	var out []string
 	for _, r := range live.Routers() {
 		liveFIB := r.FIB.Snapshot()
 		for p, e := range hypo[r.Name] {
-			if cur, ok := liveFIB[p]; !ok || cur.NextHop != e.NextHop {
+			if cur, ok := liveFIB[p]; !ok || !slices.Equal(cur.HopSet(), e.HopSet()) {
 				out = append(out, fmt.Sprintf("%s %s: %s -> %s", r.Name, p, nhString(liveFIB, p), hopString(e)))
 			}
 		}
@@ -143,8 +146,13 @@ func nhString(fibs map[netip.Prefix]fib.Entry, p netip.Prefix) string {
 }
 
 func hopString(e fib.Entry) string {
-	if !e.NextHop.IsValid() {
+	hops := e.HopSet()
+	if len(hops) == 0 {
 		return "direct"
 	}
-	return e.NextHop.String()
+	parts := make([]string, len(hops))
+	for i, h := range hops {
+		parts[i] = h.String()
+	}
+	return strings.Join(parts, "|")
 }

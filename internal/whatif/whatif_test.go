@@ -2,10 +2,13 @@ package whatif
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"hbverify/internal/config"
+	"hbverify/internal/fib"
 	"hbverify/internal/network"
+	"hbverify/internal/route"
 	"hbverify/internal/verify"
 )
 
@@ -199,5 +202,35 @@ func TestDiffFormats(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("expected r3 egress diff, got %v", diffs)
+	}
+}
+
+// Diff reports a change in the next-hop set even when the lowest member,
+// NextHop, stays: a live single hop widening to an ECMP pair, and a live
+// ECMP pair narrowing to one of its members.
+func TestDiffReportsECMPSetChanges(t *testing.T) {
+	pn := startPaper(t)
+	wide, narrow := addr("2.2.2.2"), addr("9.9.9.9")
+	q := netip.MustParsePrefix("198.18.0.0/24")
+	pn.Router("r3").FIB.Offer(route.Route{Prefix: q, Proto: route.ProtoStatic}.WithNextHops(wide, narrow))
+
+	hypo := pn.FIBSnapshot()
+	live := hypo["r3"][pn.P]
+	if live.HopCount() != 1 {
+		t.Fatalf("r3's live route to P is not single-path: %v", live)
+	}
+	grown := live
+	grown.NextHops = []netip.Addr{live.NextHop, addr("255.255.255.254")}
+	hypo["r3"][pn.P] = grown
+	hypo["r3"][q] = fib.Entry{Prefix: q, NextHop: wide, Proto: route.ProtoStatic}
+
+	diffs := Diff(pn.Network, hypo)
+	for _, want := range []string{
+		"r3 203.0.113.0/24: " + live.NextHop.String() + " -> " + live.NextHop.String() + "|255.255.255.254",
+		"r3 198.18.0.0/24: 2.2.2.2|9.9.9.9 -> 2.2.2.2",
+	} {
+		if !slices.Contains(diffs, want) {
+			t.Errorf("missing %q in %v", want, diffs)
+		}
 	}
 }
