@@ -253,7 +253,7 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 	t.Run("CompactLog", func(t *testing.T) {
 		// Windows short enough that the initial convergence ages out.
 		_, p, _, collected := derivedGraph(t, hbr.Rules{Window: 50 * time.Millisecond,
-			ConfigWindow: 100 * time.Millisecond, CrossWindow: 50 * time.Millisecond})
+			ConfigWindow: 100 * time.Millisecond})
 		_, evicted := p.Strategy.Compact(p.Net.Log)
 		if evicted == 0 {
 			t.Fatal("Compact evicted nothing")
@@ -277,9 +277,10 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 
 // benchInferLog generates a deterministic synthetic capture log shaped
 // like real churn: BGP/RIP/EIGRP update chains with RIB/FIB installs,
-// prefix-less OSPF floods matched by Detail (with occasional duplicate
-// sends so tie-breaking is exercised), link flaps, config edits, and soft
-// reconfigs, spread over nRouters skewed clocks.
+// prefix-less OSPF floods matched by Detail (with occasional re-sent LSAs),
+// link flaps logged at both ends, config edits, and soft reconfigs, spread
+// over nRouters skewed clocks. Every message sent is received, in order, as
+// on the simulator's sessions.
 func benchInferLog(seed int64, n, nRouters int) []capture.IO {
 	rng := rand.New(rand.NewSource(seed))
 	routers := make([]string, nRouters)
@@ -317,16 +318,15 @@ func benchInferLog(seed int64, n, nRouters int) []capture.IO {
 				up = capture.LinkDown
 			}
 			add(a, capture.IO{Type: up, Peer: routers[peer], Detail: "eth0"}, 0)
+			add(peer, capture.IO{Type: up, Peer: routers[a], Detail: "eth0"}, 0)
 		case 2:
 			detail := fmt.Sprintf("LSA type 1 seq %d", rng.Intn(8))
 			addr := netip.MustParseAddr(fmt.Sprintf("10.255.0.%d", a+1))
-			add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[peer], PeerAddr: addr, Detail: detail}, 0)
-			if rng.Intn(3) == 0 {
-				add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[peer], PeerAddr: addr, Detail: detail},
-					time.Duration(rng.Intn(20))*time.Millisecond)
+			for range 1 + rng.Intn(3)/2 {
+				add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[peer], PeerAddr: addr, Detail: detail}, 0)
+				add(peer, capture.IO{Type: capture.RecvAdvert, Proto: route.ProtoOSPF, Peer: routers[a], PeerAddr: addr, Detail: detail},
+					time.Duration(rng.Intn(10))*time.Millisecond)
 			}
-			add(peer, capture.IO{Type: capture.RecvAdvert, Proto: route.ProtoOSPF, Peer: routers[a], PeerAddr: addr, Detail: detail},
-				time.Duration(rng.Intn(10))*time.Millisecond)
 		default:
 			proto := protos[rng.Intn(len(protos))]
 			pfx := prefixes[rng.Intn(len(prefixes))]

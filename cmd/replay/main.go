@@ -109,15 +109,12 @@ func runScenario(cfg scenario.Config, schedulePath string, out io.Writer) (faile
 		}
 		return true, nil
 	}
-	waits, open := 0, 0
+	waits := 0
 	for _, c := range res.Cuts {
 		waits += c.Waits
-		if c.Open != "" {
-			open++
-		}
 	}
-	fmt.Fprintf(out, "ok: %d rounds, %d IOs (digest %016x), all oracles passed; snapshot cuts waited %d times, %d called consistent while open\n",
-		res.Rounds, res.IOs, res.Digest, waits, open)
+	fmt.Fprintf(out, "ok: %d rounds, %d IOs (digest %016x), all oracles passed; snapshot cuts waited %d times, %d channel desyncs\n",
+		res.Rounds, res.IOs, res.Digest, waits, res.Desync)
 	return false, nil
 }
 
@@ -160,7 +157,9 @@ func generate(dir string) error {
 			return err
 		}
 	}
-	// A topology hint file so analysis can resolve peer addresses.
+	// A topology hint file so analysis can resolve peer addresses (an
+	// address and its router) and the far ends of links (a router, an
+	// interface and the router across its link).
 	hints, err := os.Create(filepath.Join(dir, "addresses.map"))
 	if err != nil {
 		return err
@@ -170,6 +169,9 @@ func generate(dir string) error {
 		fmt.Fprintf(hints, "%s %s\n", r.Topo.Loopback, r.Name)
 		for _, i := range r.Topo.Interfaces() {
 			fmt.Fprintf(hints, "%s %s\n", i.Addr, r.Name)
+			if i.Link != nil {
+				fmt.Fprintf(hints, "%s %s %s\n", r.Name, i.Name, i.Peer().Router)
+			}
 		}
 	}
 	fmt.Printf("wrote %d router logs + addresses.map to %s\n", len(byRouter), dir)
@@ -178,11 +180,12 @@ func generate(dir string) error {
 
 // analyze parses the logs and reports root causes.
 func analyze(files []string, dot bool) error {
-	resolver, err := loadResolver(files)
+	resolver, neighbor, err := loadResolver(files)
 	if err != nil {
 		return err
 	}
 	parser := ciscolog.NewParser(resolver)
+	parser.Neighbor = neighbor
 	var all []capture.IO
 	for _, path := range files {
 		if strings.HasSuffix(path, "addresses.map") {
@@ -230,8 +233,9 @@ func analyze(files []string, dot bool) error {
 	return nil
 }
 
-// loadResolver reads addresses.map if present among/alongside the inputs.
-func loadResolver(files []string) (ciscolog.Resolver, error) {
+// loadResolver reads addresses.map if present among/alongside the inputs:
+// its two-field lines resolve addresses, its three-field lines links.
+func loadResolver(files []string) (ciscolog.Resolver, ciscolog.Neighbor, error) {
 	var path string
 	for _, f := range files {
 		if strings.HasSuffix(f, "addresses.map") {
@@ -246,22 +250,23 @@ func loadResolver(files []string) (ciscolog.Resolver, error) {
 		}
 	}
 	m := map[netip.Addr]string{}
+	links := map[[2]string]string{}
 	if path != "" {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, line := range strings.Split(string(data), "\n") {
-			fields := strings.Fields(line)
-			if len(fields) != 2 {
-				continue
+			switch fields := strings.Fields(line); len(fields) {
+			case 2:
+				if a, err := netip.ParseAddr(fields[0]); err == nil {
+					m[a] = fields[1]
+				}
+			case 3:
+				links[[2]string{fields[0], fields[1]}] = fields[2]
 			}
-			a, err := netip.ParseAddr(fields[0])
-			if err != nil {
-				continue
-			}
-			m[a] = fields[1]
 		}
 	}
-	return func(a netip.Addr) string { return m[a] }, nil
+	return func(a netip.Addr) string { return m[a] },
+		func(router, iface string) string { return links[[2]string{router, iface}] }, nil
 }

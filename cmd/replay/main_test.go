@@ -124,11 +124,11 @@ func TestLoadResolverWithoutMap(t *testing.T) {
 	if err := os.WriteFile(f, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resolve, err := loadResolver([]string{f})
+	resolve, neighbor, err := loadResolver([]string{f})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resolve == nil {
+	if resolve == nil || neighbor == nil {
 		t.Fatal("nil resolver")
 	}
 }

@@ -11,6 +11,11 @@
 //	verifyd -checkpoint s.ckpt  # also checkpoint; a rerun recovers from it
 //	verifyd -query-addr :8080   # serve GET /query and GET /stats, and block
 //
+// A checkpoint is a STRMCKP2 file, which carries the inference's channel
+// table. A STRMCKP1 file from an older build has none and is refused ("bad
+// magic"): delete it and start over, since resuming without the table would
+// lose the receives still waiting for their sends.
+//
 // The one-shot demos live in examples/: distributed-verify (the fleet),
 // local-checks (the hybrid local-check loop) and query-service (query load).
 package main
@@ -125,7 +130,7 @@ func runServe(w io.Writer, o serveOpts) error {
 		// window would demand a minute of retained history): the synthetic
 		// fleet's causality fits comfortably, and the window choice is what
 		// makes compaction observable in a short run.
-		Strategy:       hbr.Rules{Window: 500 * time.Millisecond, ConfigWindow: 5 * time.Second, CrossWindow: 500 * time.Millisecond},
+		Strategy:       hbr.Rules{Window: 500 * time.Millisecond, ConfigWindow: 5 * time.Second},
 		Metrics:        reg,
 		SkewSlack:      2 * 200 * time.Millisecond, // twice the fleet's clock skew
 		CheckpointPath: o.checkpoint,

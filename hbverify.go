@@ -364,13 +364,13 @@ func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 // waits to the snapshot.waits counter.
 //
 // The cut is a per-router horizon over a view of the log, and nothing is
-// copied out of it or inferred: the cut is closed by message accounting
-// over the log's send table (snapshot.ConsistentCut, hbr.Sends), which
-// reaches the cut the inferred graph would, and the FIBs are replayed from
-// the view under the final cut.
+// copied out of it or inferred: the cut is closed by message accounting,
+// each receive against the send its place on its channel pairs it with
+// (snapshot.ConsistentCut, hbr.Pair), which reaches the cut the inferred
+// graph would, and the FIBs are replayed from the view under the final cut.
 func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (verify.Report, snapshot.Result) {
 	log := p.Net.Log.View()
-	final, res := snapshot.ConsistentCut(log, cut, p.Strategy.Rules.Sends(log), p.External)
+	final, res := snapshot.ConsistentCut(log, cut, hbr.Pair(log), p.External)
 	p.Metrics.Counter("snapshot.waits").Add(int64(res.Waits))
 	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(log, final)))
 	return p.checker(w).Check(policies), res

@@ -172,7 +172,7 @@ func TestVerifySnapshotInfersNothing(t *testing.T) {
 func TestPipelineCompactLog(t *testing.T) {
 	pn, p := startPaper(t)
 	rules := hbr.Rules{Window: 50 * time.Millisecond,
-		ConfigWindow: 100 * time.Millisecond, CrossWindow: 50 * time.Millisecond}
+		ConfigWindow: 100 * time.Millisecond}
 	inc := hbr.NewIncremental(rules, p.Metrics)
 	inc.SkewSlack = 10 * time.Millisecond
 	p.Strategy = inc

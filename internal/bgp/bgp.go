@@ -249,15 +249,19 @@ func (s *Speaker) PeerUp(peer netip.Addr, cause ...uint64) {
 	}
 }
 
-// PeerDown tears the session down: routes learned from the peer are purged
-// and the decision process reruns for every affected prefix. cause is the
-// capture ID of the triggering event (e.g. a link-down input).
+// PeerDown tears the session down: it records the session going down as an
+// input naming the peer (IOS logs %BGP-5-ADJCHANGE), purges the routes
+// learned from the peer and reruns the decision process for every affected
+// prefix, caused by that input. cause is the capture ID of the triggering
+// event (e.g. a link-down input); a reset has none.
 func (s *Speaker) PeerDown(peer netip.Addr, cause ...uint64) {
 	sess := s.sessions[peer]
 	if sess == nil || !sess.Up {
 		return
 	}
 	sess.Up = false
+	down := s.rec.Record(capture.IO{Type: capture.SessionDown, Proto: route.ProtoBGP,
+		Peer: sess.PeerName, PeerAddr: sess.PeerAddr, Causes: cause})
 	affected := make([]netip.Prefix, 0, len(s.adjIn[peer]))
 	for p, paths := range s.adjIn[peer] {
 		affected = append(affected, p)
@@ -273,8 +277,9 @@ func (s *Speaker) PeerDown(peer netip.Addr, cause ...uint64) {
 	}
 	delete(s.advertised, peer)
 	slices.SortFunc(affected, route.ComparePrefix)
+	causes := []uint64{down.ID}
 	for _, p := range affected {
-		s.runDecision(p, cause)
+		s.runDecision(p, causes)
 	}
 }
 

@@ -28,6 +28,8 @@ type Type uint8
 // I/O types. Recv*/Config/Link* are inputs; Send*/RIB*/FIB* are outputs.
 // SoftReconfig is an internal control-plane event that Cisco-style logs
 // expose (Fig. 5) and that links a config change to the outputs it causes.
+// SessionDown is a BGP session going down (IOS's %BGP-5-ADJCHANGE), whatever
+// took it down: a reset, a route-reflector flap or the link under it.
 const (
 	ConfigChange Type = iota
 	LinkUp
@@ -41,13 +43,14 @@ const (
 	FIBInstall
 	FIBRemove
 	SoftReconfig
+	SessionDown
 )
 
 var typeNames = [...]string{
 	"config-change", "link-up", "link-down",
 	"recv-advert", "recv-withdraw", "send-advert", "send-withdraw",
 	"rib-install", "rib-remove", "fib-install", "fib-remove",
-	"soft-reconfig",
+	"soft-reconfig", "session-down",
 }
 
 func (t Type) String() string {
@@ -55,15 +58,6 @@ func (t Type) String() string {
 		return typeNames[t]
 	}
 	return fmt.Sprintf("io(%d)", uint8(t))
-}
-
-// IsOutput reports whether t is an output of the control plane.
-func (t Type) IsOutput() bool {
-	switch t {
-	case SendAdvert, SendWithdraw, RIBInstall, RIBRemove, FIBInstall, FIBRemove:
-		return true
-	}
-	return false
 }
 
 // IO is one captured control-plane input or output.
@@ -104,6 +98,8 @@ func (io IO) String() string {
 		return fmt.Sprintf("[%s config change: %s]", io.Router, io.Detail)
 	case LinkUp, LinkDown:
 		return fmt.Sprintf("[%s %s %s]", io.Router, io.Type, io.Detail)
+	case SessionDown:
+		return fmt.Sprintf("[%s %s %s]", io.Router, io.Type, io.Peer)
 	case SoftReconfig:
 		return fmt.Sprintf("[%s soft reconfiguration]", io.Router)
 	case RecvAdvert, RecvWithdraw:

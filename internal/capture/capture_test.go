@@ -12,8 +12,17 @@ import (
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
+// IsOutput reports whether t is an output of the control plane.
+func (t Type) IsOutput() bool {
+	switch t {
+	case SendAdvert, SendWithdraw, RIBInstall, RIBRemove, FIBInstall, FIBRemove:
+		return true
+	}
+	return false
+}
+
 func TestTypeClassification(t *testing.T) {
-	inputs := []Type{ConfigChange, LinkUp, LinkDown, RecvAdvert, RecvWithdraw, SoftReconfig}
+	inputs := []Type{ConfigChange, LinkUp, LinkDown, RecvAdvert, RecvWithdraw, SoftReconfig, SessionDown}
 	outputs := []Type{SendAdvert, SendWithdraw, RIBInstall, RIBRemove, FIBInstall, FIBRemove}
 	for _, ty := range inputs {
 		if ty.IsOutput() {
@@ -29,7 +38,7 @@ func TestTypeClassification(t *testing.T) {
 
 func TestTypeNamesRoundTrip(t *testing.T) {
 	seen := map[string]Type{}
-	for ty := ConfigChange; ty <= SoftReconfig; ty++ {
+	for ty := ConfigChange; ty <= SessionDown; ty++ {
 		if prev, dup := seen[ty.String()]; dup || ty.String() == "" {
 			t.Fatalf("%v and %v share the name %q", prev, ty, ty.String())
 		}
@@ -56,6 +65,7 @@ func TestIOStringStyles(t *testing.T) {
 		{IO{Router: "r2", Type: FIBInstall, Prefix: pfx("10.0.0.0/8"), NextHop: netip.MustParseAddr("192.0.2.1")},
 			"[r2 fib-install 10.0.0.0/8 via 192.0.2.1]"},
 		{IO{Router: "r2", Type: LinkDown, Detail: "eth0"}, "[r2 link-down eth0]"},
+		{IO{Router: "r2", Type: SessionDown, Proto: route.ProtoBGP, Peer: "r3"}, "[r2 session-down r3]"},
 	}
 	for _, c := range cases {
 		if got := c.io.String(); got != c.want {

@@ -245,11 +245,11 @@ func appendProto(dst []byte, p route.Protocol) []byte {
 }
 
 // appendType matches capture.Type.String, including its "io(N)" form for
-// unknown values, without going through fmt. SoftReconfig is the last
+// unknown values, without going through fmt. SessionDown is the last
 // named type; the emit switch above handles every named one, so this
 // only sees out-of-range values in practice.
 func appendType(dst []byte, t capture.Type) []byte {
-	if t <= capture.SoftReconfig {
+	if t <= capture.SessionDown {
 		return append(dst, t.String()...) // constant name, no alloc
 	}
 	dst = append(dst, "io("...)
@@ -278,6 +278,10 @@ func AppendLine(dst []byte, io capture.IO) []byte {
 		return append(dst, ')')
 	case capture.SoftReconfig:
 		return append(dst, ": %BGP-5-SOFTRECONFIG: inbound soft reconfiguration started"...)
+	case capture.SessionDown:
+		dst = append(dst, ": %BGP-5-ADJCHANGE: neighbor "...)
+		dst = appendAddr(dst, io.PeerAddr)
+		return append(dst, " Down"...)
 	case capture.LinkUp:
 		dst = append(dst, ": %LINEPROTO-5-UPDOWN: Line protocol on Interface "...)
 		dst = append(dst, io.Detail...)
@@ -381,6 +385,13 @@ func EmitLog(w io.Writer, ios []capture.IO) error {
 // peer unresolved (inference degrades gracefully).
 type Resolver func(netip.Addr) string
 
+// Neighbor maps a router's interface to the router at the other end of its
+// link, the same knowledge of the topology as a Resolver's. A link's line
+// names only the interface, and inference needs the peer: a link going down
+// opens the next epoch of the adjacency's channels (hbr). Returning ""
+// leaves the peer unresolved.
+type Neighbor func(router, iface string) string
+
 // Parser turns log lines back into I/O events, assigning fresh IDs. The
 // hot path scans bytes directly and interns every recurring value —
 // prefixes, addresses, resolved peer names, details, AS paths — so
@@ -388,6 +399,8 @@ type Resolver func(netip.Addr) string
 // safe for concurrent use.
 type Parser struct {
 	Resolve Resolver
+	// Neighbor optionally resolves the peer of a link's up and down lines.
+	Neighbor Neighbor
 	// Metrics optionally receives ciscolog.parse.* counters and timers.
 	Metrics *metrics.Registry
 	nextID  uint64
@@ -551,6 +564,17 @@ func (p *Parser) parse(router string, line []byte) (capture.IO, error) {
 	case bytes.HasPrefix(rest, []byte("%BGP-5-SOFTRECONFIG:")):
 		io.Type = capture.SoftReconfig
 		io.Proto = route.ProtoBGP
+	case bytes.HasPrefix(rest, []byte("%BGP-5-ADJCHANGE: neighbor ")):
+		io.Type = capture.SessionDown
+		io.Proto = route.ProtoBGP
+		body, down := bytes.CutSuffix(rest[len("%BGP-5-ADJCHANGE: neighbor "):], []byte(" Down"))
+		if !down {
+			return io, fmt.Errorf("ciscolog: unsupported adjacency change %q", rest)
+		}
+		if io.PeerAddr, err = p.parseAddr(body); err != nil {
+			return io, err
+		}
+		io.Peer = p.resolveAddr(io.PeerAddr)
 	case bytes.HasPrefix(rest, []byte("%LINEPROTO-5-UPDOWN:")):
 		io.Type = capture.LinkDown
 		if bytes.HasSuffix(rest, []byte("to up")) {
@@ -562,6 +586,9 @@ func (p *Parser) parse(router string, line []byte) (capture.IO, error) {
 			if j := bytes.IndexByte(tail, ','); j >= 0 {
 				io.Detail = p.intern(tail[:j])
 			}
+		}
+		if p.Neighbor != nil {
+			io.Peer = p.Neighbor(router, io.Detail)
 		}
 	case bytes.HasPrefix(rest, []byte("%FIB-6-INSTALL:")):
 		io.Type = capture.FIBInstall

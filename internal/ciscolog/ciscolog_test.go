@@ -72,6 +72,10 @@ func TestEmitStyles(t *testing.T) {
 			capture.IO{Type: capture.LinkDown, Detail: "eth-e2"},
 			"*Nov  1 10:00:00.000: %LINEPROTO-5-UPDOWN: Line protocol on Interface eth-e2, changed state to down",
 		},
+		{
+			capture.IO{Type: capture.SessionDown, Proto: route.ProtoBGP, PeerAddr: addr("10.0.5.2")},
+			"*Nov  1 10:00:00.000: %BGP-5-ADJCHANGE: neighbor 10.0.5.2 Down",
+		},
 	}
 	for _, c := range cases {
 		if got := string(AppendLine(nil, c.io)); got != c.want {
@@ -103,6 +107,7 @@ func TestParseLineKinds(t *testing.T) {
 		{"*Nov  1 10:00:50.011: %FIB-6-REMOVE: 203.0.113.0/24 removed from FIB (bgp)", capture.FIBRemove},
 		{"*Nov  1 10:00:50.012: %LINEPROTO-5-UPDOWN: Line protocol on Interface eth-e2, changed state to down", capture.LinkDown},
 		{"*Nov  1 10:00:50.013: %LINEPROTO-5-UPDOWN: Line protocol on Interface eth-e2, changed state to up", capture.LinkUp},
+		{"*Nov  1 10:00:50.013: %BGP-5-ADJCHANGE: neighbor 10.0.5.2 Down", capture.SessionDown},
 		{"*Nov  1 10:00:50.014: OSPF: rcv. LSA origin=1.1.1.1 seq=2 links=2 stubs=1 from 10.0.5.2", capture.RecvAdvert},
 		{"*Nov  1 10:00:50.015: OSPF: send LSA origin=1.1.1.1 seq=2 links=2 stubs=1 to 10.0.5.2", capture.SendAdvert},
 	}
@@ -127,6 +132,11 @@ func TestParseLineKinds(t *testing.T) {
 	io, _ := p.parse("r2", []byte(cases[2].line))
 	if io.Peer != "e2" || io.Attrs.LocalPref != 30 || len(io.Attrs.ASPath) != 1 {
 		t.Fatalf("parsed attrs = %+v", io)
+	}
+	// A link's line names its interface; Neighbor gives the peer.
+	p.Neighbor = func(router, iface string) string { return router + ">" + iface }
+	if io, _ := p.parse("r2", []byte(cases[10].line)); io.Peer != "r2>eth-e2" || io.Detail != "eth-e2" {
+		t.Fatalf("parsed link-down = %+v", io)
 	}
 }
 

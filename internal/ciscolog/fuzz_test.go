@@ -21,6 +21,8 @@ func FuzzParse(f *testing.F) {
 		"*Nov  1 10:00:00.120: %BGP-5-SOFTRECONFIG: inbound soft reconfiguration started",
 		"*Nov  1 10:00:01.000: %LINEPROTO-5-UPDOWN: Line protocol on Interface eth-r2, changed state to up",
 		"*Nov  1 10:00:01.000: %LINEPROTO-5-UPDOWN: Line protocol on Interface eth-r2, changed state to down",
+		"*Nov  1 10:00:01.000: %BGP-5-ADJCHANGE: neighbor 10.0.0.2 Down",
+		"*Nov  1 10:00:01.000: %BGP-5-ADJCHANGE: neighbor 10.0.0.2 Up",
 		"*Nov  1 10:02:13.500: BGP(0): 10.0.0.2 rcvd UPDATE about 203.0.113.0/24, next hop 10.0.0.2, localpref 100, path 100 200",
 		"*Nov  1 10:02:13.500: BGP(0): 10.0.0.2 send UPDATE about 203.0.113.0/24, next hop self, localpref 0, path local",
 		"*Nov  1 10:02:14.000: BGP(0): 10.0.0.2 rcvd WITHDRAW about 203.0.113.0/24",

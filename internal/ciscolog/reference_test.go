@@ -49,6 +49,8 @@ func ReferenceEmit(io capture.IO) string {
 		return fmt.Sprintf("%s: %%SYS-5-CONFIG_I: Configured from console by admin on vty0 (%s)", ts, io.Detail)
 	case capture.SoftReconfig:
 		return fmt.Sprintf("%s: %%BGP-5-SOFTRECONFIG: inbound soft reconfiguration started", ts)
+	case capture.SessionDown:
+		return fmt.Sprintf("%s: %%BGP-5-ADJCHANGE: neighbor %s Down", ts, io.PeerAddr)
 	case capture.LinkUp:
 		return fmt.Sprintf("%s: %%LINEPROTO-5-UPDOWN: Line protocol on Interface %s, changed state to up", ts, io.Detail)
 	case capture.LinkDown:
@@ -147,6 +149,17 @@ func (p *ReferenceParser) ParseLine(router, line string) (capture.IO, error) {
 	case strings.HasPrefix(rest, "%BGP-5-SOFTRECONFIG:"):
 		io.Type = capture.SoftReconfig
 		io.Proto = route.ProtoBGP
+	case strings.HasPrefix(rest, "%BGP-5-ADJCHANGE: neighbor "):
+		io.Type = capture.SessionDown
+		io.Proto = route.ProtoBGP
+		body, down := strings.CutSuffix(strings.TrimPrefix(rest, "%BGP-5-ADJCHANGE: neighbor "), " Down")
+		if !down {
+			return io, fmt.Errorf("ciscolog: unsupported adjacency change %q", rest)
+		}
+		if io.PeerAddr, err = netip.ParseAddr(body); err != nil {
+			return io, err
+		}
+		io.Peer = p.Resolve(io.PeerAddr)
 	case strings.HasPrefix(rest, "%LINEPROTO-5-UPDOWN:"):
 		io.Type = capture.LinkDown
 		if strings.HasSuffix(rest, "to up") {
@@ -366,6 +379,7 @@ func emitCorpus() []capture.IO {
 		{Type: capture.SoftReconfig, Proto: route.ProtoBGP, Time: at(120)},
 		{Type: capture.LinkUp, Detail: "eth-r2", Time: at(1000)},
 		{Type: capture.LinkDown, Detail: "eth-r2", Time: at(1000)},
+		{Type: capture.SessionDown, Proto: route.ProtoBGP, PeerAddr: peer, Time: at(1000)},
 		{Type: capture.RecvAdvert, Proto: route.ProtoBGP, Prefix: pfx, PeerAddr: peer, NextHop: nh,
 			Attrs: route.BGPAttrs{LocalPref: 100, ASPath: []uint32{100, 200}}, Time: at(133500)},
 		{Type: capture.RecvAdvert, Proto: route.ProtoOSPF, Detail: "LSU router-lsa 10.255.1.1 seq 3", PeerAddr: peer, Time: at(180001)},

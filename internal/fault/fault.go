@@ -31,11 +31,14 @@ const (
 	// the round as complete — the failure mode of a transport that acks
 	// frames it never delivered.
 	DropBatch Bug = "drop-batch"
-	// SwapSendMatch inverts the tie-breaking comparison in the shared index's
-	// send/recv matcher, so among equally plausible candidate sends the
-	// furthest (not nearest) in time wins — the kind of off-by-one a
-	// binary-searched rewrite of a linear scan invites.
+	// SwapSendMatch pairs a receive with the newest unmatched send on its
+	// channel instead of the oldest — a queue read from the wrong end.
 	SwapSendMatch Bug = "swap-send-match"
+	// SkipChannelEpoch never advances a channel's epoch, so a message a
+	// failure lost stays queued beside the ones sent after it: the next
+	// message of the other side passes over it, a desync on a log that lost
+	// no line, or takes it when it repeats the lost one's key.
+	SkipChannelEpoch Bug = "skip-channel-epoch"
 	// SkipFold makes hbr.Incremental.Compact evict capture events without
 	// first folding their inferred edges into the cached graph — the failure
 	// mode of a compactor that trims the log before the inference tick that
@@ -66,15 +69,6 @@ const (
 	// unextended — a verifier that does not wait for the routers it should
 	// (Fig. 1c).
 	SkipCutExtension Bug = "skip-cut-extension"
-	// StaleDerive makes the incremental strategy answer a cut with the cached
-	// graph minus the hidden vertices and nothing re-derived, so an event
-	// whose nearest match was hidden lacks the next-nearest one.
-	StaleDerive Bug = "stale-derive"
-	// NarrowTail makes an incremental extension re-derive only from the new
-	// suffix's earliest time on, so an older receive keeps the send a nearer
-	// suffix send displaced; only a cache fed boundaries that fall between a
-	// send and its receive can see it.
-	NarrowTail Bug = "narrow-tail"
 	// FIBAncestryOnly makes snapshot.Check examine only the receives in some
 	// collected FIB update's inferred ancestry, as the condition was first
 	// checked: a receive whose send the cut lacks has no inferred parent, and
@@ -84,8 +78,8 @@ const (
 )
 
 // Bugs lists every injectable defect.
-var Bugs = []Bug{StaleCache, SkipRollback, StaleEqclass, DropBatch, SwapSendMatch, SkipFold,
-	DropEcmpBranch, InternAlias, StalePlan, SkipLocalCheck, SkipCutExtension, StaleDerive, NarrowTail,
+var Bugs = []Bug{StaleCache, SkipRollback, StaleEqclass, DropBatch, SwapSendMatch, SkipChannelEpoch,
+	SkipFold, DropEcmpBranch, InternAlias, StalePlan, SkipLocalCheck, SkipCutExtension,
 	FIBAncestryOnly}
 
 // Known reports whether b names an injectable defect.

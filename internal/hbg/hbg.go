@@ -234,12 +234,12 @@ func dropID(ids []uint64, id uint64) []uint64 {
 }
 
 // Without returns g minus the hidden vertices (IDs ascending) and every edge
-// touching one, with b then applied to the result; g itself reads as before.
-// It costs a pointer per vertex plus a copy of each vertex whose adjacency
-// the removal or b changes. Every other vertex is shared between the two
-// graphs, which is safe because both take a new generation here: whichever
-// next writes a shared vertex copies it first (own).
-func (g *Graph) Without(hidden []uint64, b Batch) *Graph {
+// touching one; g itself reads as before. It costs a pointer per vertex plus
+// a copy of each vertex whose adjacency the removal changes. Every other
+// vertex is shared between the two graphs, which is safe because both take
+// a new generation here: whichever next writes a shared vertex copies it
+// first (own).
+func (g *Graph) Without(hidden []uint64) *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.gen = generations.Add(1)
@@ -280,7 +280,6 @@ func (g *Graph) Without(hidden []uint64, b Batch) *Graph {
 			d.edges--
 		}
 	}
-	d.applyLocked(b)
 	return d
 }
 
@@ -360,9 +359,6 @@ func (g *Graph) Edges() []Edge {
 
 // Parents returns the direct happens-before predecessors of id, sorted.
 func (g *Graph) Parents(id uint64) []uint64 { return g.adjacent(id, true) }
-
-// Children returns the direct successors of id, sorted.
-func (g *Graph) Children(id uint64) []uint64 { return g.adjacent(id, false) }
 
 func (g *Graph) adjacent(id uint64, up bool) []uint64 {
 	g.mu.RLock()

@@ -12,6 +12,10 @@ import (
 	"hbverify/internal/network"
 )
 
+// Children returns the direct successors of id, sorted: the out-lists the
+// tests check against the in-lists.
+func (g *Graph) Children(id uint64) []uint64 { return g.adjacent(id, false) }
+
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s).Masked() }
 
 // hasEdge reports whether from→to exists.

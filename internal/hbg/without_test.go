@@ -120,7 +120,7 @@ func TestWithout(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.build()
 			before, want := observe(g), expectWithout(g, tc.hidden)
-			d := g.Without(tc.hidden, Batch{})
+			d := g.Without(tc.hidden)
 			got := observe(d)
 			got.Roots = nil
 			if !reflect.DeepEqual(got, want) {
@@ -133,12 +133,13 @@ func TestWithout(t *testing.T) {
 	}
 }
 
-// TestWithoutAppliesBatch: the batch lands on the derived graph only, after
-// the removal, with Apply's replace semantics.
+// TestWithoutAppliesBatch: a batch applied to the derived graph lands on it
+// only, after the removal, with Apply's replace semantics.
 func TestWithoutAppliesBatch(t *testing.T) {
 	g := fixtureBuilders["Apply"]()
 	before := observe(g)
-	d := g.Without([]uint64{3}, Batch{Reset: []uint64{5, 13}, Edges: [][]Edge{{{2, 5}, {9, 5}}}})
+	d := g.Without([]uint64{3})
+	d.Apply(Batch{Reset: []uint64{5, 13}, Edges: [][]Edge{{{2, 5}, {9, 5}}}})
 	if got, want := d.Parents(5), []uint64{2, 9}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Parents(5) = %v, want %v", got, want)
 	}
@@ -174,7 +175,7 @@ func TestWithoutIsolation(t *testing.T) {
 	for name, build := range fixtureBuilders {
 		t.Run(name, func(t *testing.T) {
 			g := build()
-			d := g.Without([]uint64{9}, Batch{})
+			d := g.Without([]uint64{9})
 			derived := observe(d)
 			writes(g)
 			if after := observe(d); !reflect.DeepEqual(after, derived) {
@@ -186,7 +187,7 @@ func TestWithoutIsolation(t *testing.T) {
 				t.Fatalf("writing the derived graph changed the parent:\n before %+v\n after  %+v", parent, after)
 			}
 			// A second derivation shares with both; all three stay apart.
-			d2 := g.Without([]uint64{12}, Batch{})
+			d2 := g.Without([]uint64{12})
 			second := observe(d2)
 			writes(g)
 			writes(d)
@@ -240,7 +241,8 @@ func TestWithoutConcurrentWriterAndReaders(t *testing.T) {
 		}()
 	}
 	for round := uint64(0); round < 30; round++ {
-		d := g.Without([]uint64{50 + round, 200 + round}, Batch{Reset: []uint64{300}, Edges: [][]Edge{{{299, 300}}}})
+		d := g.Without([]uint64{50 + round, 200 + round})
+		d.Apply(Batch{Reset: []uint64{300}, Edges: [][]Edge{{{299, 300}}}})
 		for r := 0; r < 3; r++ {
 			derived <- d
 		}

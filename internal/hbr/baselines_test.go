@@ -84,6 +84,32 @@ func (p Prefix) Infer(ios []capture.IO) *hbg.Graph {
 	return g
 }
 
+// matchSendForRecv is the baselines' cross-router matcher, the one rule
+// matching used before channels: of the sends on the receive's peer with its
+// key, the nearest in |observed time| within window (any, for a zero
+// window); clock skew is why it uses absolute distance.
+func (idx *refIndex) matchSendForRecv(recv capture.IO, window time.Duration) (capture.IO, bool) {
+	var best capture.IO
+	var bestDist time.Duration
+	found := false
+	for _, cand := range idx.byRouter[recv.Peer] {
+		if cand.Proto != recv.Proto || cand.Peer != recv.Router || !sameMessage(&cand, &recv) {
+			continue
+		}
+		d := recv.Time.Sub(cand.Time)
+		if d < 0 {
+			d = -d
+		}
+		if window > 0 && d > window {
+			continue
+		}
+		if !found || d < bestDist {
+			best, bestDist, found = cand, d, true
+		}
+	}
+	return best, found
+}
+
 // pairKey identifies a candidate ordering pattern: an event of kind A
 // (type+protocol) preceding an event of kind B on the same router (or
 // across a send/recv boundary when cross is set).

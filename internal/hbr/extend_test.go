@@ -1,6 +1,7 @@
 // Tests for what Incremental.extend evaluates and indexes: a randomized
 // chunked-growth differential against full inference and the exact edges of
-// the three bounds the rules' windows yield.
+// the bounds the rules' windows yield, beside the channel table that needs
+// none.
 
 package hbr
 
@@ -27,7 +28,9 @@ const jitterSlack = 125 * time.Millisecond
 // per-router skew plus a per-event jitter, so one router's observed times are
 // not monotone in append order, and config changes sparse enough that most of
 // a ConfigWindow holds none. Adverts are keyed by prefix (BGP, RIP, EIGRP
-// chains) and by Detail (OSPF floods, now and then sent twice).
+// chains) and by Detail (OSPF floods, now and then sent twice and once in a
+// while lost); a receive is now and then appended before its send, as a
+// merge by observed time does, and a link event is logged at both ends.
 func jitterLog(seed int64, n, nRouters int) []capture.IO {
 	rng := rand.New(rand.NewSource(seed))
 	routers := make([]string, nRouters)
@@ -60,16 +63,21 @@ func jitterLog(seed int64, n, nRouters int) []capture.IO {
 		case k == 1:
 			add(a, capture.IO{Type: capture.SoftReconfig, Proto: route.ProtoBGP}, 0)
 		case k < 4:
-			add(a, capture.IO{Type: capture.LinkUp + capture.Type(rng.Intn(2)), Peer: routers[b], Detail: "eth0"}, 0)
+			link := capture.LinkUp + capture.Type(rng.Intn(2))
+			add(a, capture.IO{Type: link, Peer: routers[b], Detail: "eth0"}, 0)
+			add(b, capture.IO{Type: link, Peer: routers[a], Detail: "eth0"}, time.Millisecond)
 		case k < 12:
 			detail := fmt.Sprintf("LSA type 1 seq %d", rng.Intn(4))
-			add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[b], Detail: detail}, 0)
-			if rng.Intn(3) == 0 {
-				add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[b], Detail: detail},
-					time.Duration(rng.Intn(40))*time.Millisecond)
+			for twice := rng.Intn(3) == 0; ; twice = false {
+				add(a, capture.IO{Type: capture.SendAdvert, Proto: route.ProtoOSPF, Peer: routers[b], Detail: detail}, 0)
+				if !twice || rng.Intn(2) == 0 { // now and then one is lost: the channel desyncs
+					add(b, capture.IO{Type: capture.RecvAdvert, Proto: route.ProtoOSPF, Peer: routers[a], Detail: detail},
+						time.Duration(rng.Intn(30))*time.Millisecond)
+				}
+				if !twice {
+					break
+				}
 			}
-			add(b, capture.IO{Type: capture.RecvAdvert, Proto: route.ProtoOSPF, Peer: routers[a], Detail: detail},
-				time.Duration(rng.Intn(30))*time.Millisecond)
 			add(b, capture.IO{Type: capture.RIBInstall, Proto: route.ProtoOSPF, Prefix: prefixes[rng.Intn(len(prefixes))]},
 				time.Duration(30+rng.Intn(30))*time.Millisecond)
 		default:
@@ -80,9 +88,18 @@ func jitterLog(seed int64, n, nRouters int) []capture.IO {
 			}
 			add(a, capture.IO{Type: capture.RIBInstall, Proto: proto, Prefix: pfx}, 0)
 			add(a, capture.IO{Type: capture.FIBInstall, Proto: proto, Prefix: pfx}, time.Millisecond)
-			add(a, capture.IO{Type: kind, Proto: proto, Prefix: pfx, Peer: routers[b]}, 2*time.Millisecond)
+			send := func() {
+				add(a, capture.IO{Type: kind, Proto: proto, Prefix: pfx, Peer: routers[b]}, 2*time.Millisecond)
+			}
+			recvFirst := rng.Intn(4) == 0
+			if !recvFirst {
+				send()
+			}
 			add(b, capture.IO{Type: rkind, Proto: proto, Prefix: pfx, Peer: routers[a]},
 				time.Duration(2+rng.Intn(60))*time.Millisecond)
+			if recvFirst {
+				send()
+			}
 		}
 	}
 	return out[:n]
@@ -90,11 +107,11 @@ func jitterLog(seed int64, n, nRouters int) []capture.IO {
 
 // TestExtendChunkedGrowthMatchesFull is the differential for the suffix
 // path: an Incremental grown in random 1–40-event steps — boundaries fall
-// between a send and its receive, inside a chain, on either side of a jittered
-// timestamp — must equal a fresh full inference of the same prefix of the
-// log at every step, for two window shapes: cross below near, and cross
-// above it. The windows are a fraction of the log's span, so all three
-// floors and the scan's own cross real events.
+// between a send and its receive either way round, inside a chain, on either
+// side of a jittered timestamp — must equal a fresh full inference of the
+// same prefix of the log at every step, for two window shapes. The windows
+// are a fraction of the log's span, so both floors and the scan's own cross
+// real events.
 func TestExtendChunkedGrowthMatchesFull(t *testing.T) {
 	seeds, n := int64(6), 1000
 	if testing.Short() {
@@ -103,8 +120,8 @@ func TestExtendChunkedGrowthMatchesFull(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		ios := jitterLog(seed, n, 3+int(seed%3))
 		for _, base := range []Rules{
-			{Window: 200 * time.Millisecond, ConfigWindow: 600 * time.Millisecond, CrossWindow: 120 * time.Millisecond},
-			{Window: 80 * time.Millisecond, ConfigWindow: 500 * time.Millisecond, CrossWindow: 250 * time.Millisecond},
+			{Window: 200 * time.Millisecond, ConfigWindow: 600 * time.Millisecond},
+			{Window: 80 * time.Millisecond, ConfigWindow: 500 * time.Millisecond},
 		} {
 			reg := metrics.NewRegistry()
 			inc := NewIncremental(base, reg)
@@ -139,10 +156,11 @@ func edgeLog(ios ...capture.IO) []capture.IO {
 
 // TestExtendReachBoundaries places one event exactly on each bound extend
 // derives from the windows Rules.windows() returns, and one a millisecond
-// beyond it. Default Rules: cross = CrossWindow = 500 ms, near = Window =
-// 500 ms, config changes matched out to ConfigWindow = 60 s. Every case's
-// last event is the suffix, observed at t0, and the extended graph must equal
-// a full inference; evaluated and indexed count what extend looked at.
+// beyond it. Default Rules: near = Window = 500 ms, config changes matched
+// out to ConfigWindow = 60 s. A receive's send is its place on the channel,
+// which reaches any distance with no bound. Every case's last event is the
+// suffix, observed at t0, and the extended graph must equal a full
+// inference; evaluated and indexed count what extend looked at.
 func TestExtendReachBoundaries(t *testing.T) {
 	const t0 = 200 * time.Second
 	ms := func(d int) netsim.VirtualTime { return netsim.VirtualTime(t0 + time.Duration(d)*time.Millisecond) }
@@ -153,6 +171,9 @@ func TestExtendReachBoundaries(t *testing.T) {
 	recv := func(at int) capture.IO {
 		return capture.IO{Router: "b", Peer: "a", Type: capture.RecvAdvert, Proto: route.ProtoBGP, Prefix: pfx, Time: ms(at)}
 	}
+	install := func(at int) capture.IO {
+		return capture.IO{Router: "b", Type: capture.RIBInstall, Proto: route.ProtoBGP, Prefix: pfx, Time: ms(at)}
+	}
 	link := func(router string, at int) capture.IO { // takes no parent, and is none beyond Window
 		return capture.IO{Router: router, Type: capture.LinkUp, Time: ms(at)}
 	}
@@ -162,34 +183,39 @@ func TestExtendReachBoundaries(t *testing.T) {
 		edges              []hbg.Edge
 		evaluated, indexed int64
 	}{
-		// An old receive a cross window before the suffix is the oldest event
-		// a suffix send can become the parent of.
-		{"receive at minTime-cross is re-derived", edgeLog(recv(-500), send(0)),
-			[]hbg.Edge{{From: 2, To: 1}}, 2, 2},
+		// A receive waiting on the table gets the suffix send as its one
+		// in-edge, however far back it lies; it is not re-derived.
+		{"waiting receive gets the suffix send", edgeLog(recv(-90_000), send(0)),
+			[]hbg.Edge{{From: 2, To: 1}}, 1, 1},
+		// A suffix receive is paired with the oldest unmatched send on its
+		// channel, which need not be indexed, and a later send stays queued.
+		{"receive is paired with the oldest unmatched send", edgeLog(send(-150_000), send(-600), recv(0)),
+			[]hbg.Edge{{From: 1, To: 3}}, 1, 1},
+		// A paired receive below every floor is neither evaluated nor indexed.
 		{"receive 1ms older keeps its edges", edgeLog(send(-600), recv(-501), send(0)),
-			[]hbg.Edge{{From: 1, To: 2}}, 1, 3},
-		// That receive is as near to a send two cross windows back as to the
-		// suffix send; the tie goes to the earlier one, which must be filed.
-		{"send at minTime-2cross is matched", edgeLog(send(-1000), recv(-500), send(0)),
-			[]hbg.Edge{{From: 1, To: 2}}, 2, 3},
-		{"send 1ms older is not needed", edgeLog(send(-1001), recv(-500), send(0)),
-			[]hbg.Edge{{From: 3, To: 2}}, 2, 2},
+			[]hbg.Edge{{From: 1, To: 2}}, 1, 1},
+		// The same-router rule reaches back Window: an install's receive at
+		// exactly that distance is found, one 1ms older is not.
+		{"receive at Window triggers an install", edgeLog(recv(-500), install(0)),
+			[]hbg.Edge{{From: 1, To: 2}}, 1, 2},
+		{"receive 1ms older triggers nothing", edgeLog(recv(-501), install(0)),
+			nil, 1, 1},
 		// A config change a full ConfigWindow behind a suffix event, with
 		// nothing but other kinds in between: only it is indexed down there.
 		{"config change at ConfigWindow is found through the sparse part", edgeLog(
 			capture.IO{Router: "a", Type: capture.ConfigChange, Time: ms(-60_000)},
-			link("a", -40_000), link("a", -20_000), link("b", -1001),
+			link("a", -40_000), link("a", -20_000), link("b", -501),
 			capture.IO{Router: "a", Type: capture.RIBInstall, Proto: route.ProtoBGP, Prefix: pfx, Time: ms(0)}),
 			[]hbg.Edge{{From: 1, To: 5}}, 1, 2},
 		{"config change 1ms older is out of reach", edgeLog(
 			capture.IO{Router: "a", Type: capture.ConfigChange, Time: ms(-60_001)},
 			capture.IO{Router: "a", Type: capture.RIBInstall, Proto: route.ProtoBGP, Prefix: pfx, Time: ms(0)}),
 			nil, 1, 2},
-		// A slow clock puts an event from below every floor AFTER the send
-		// the suffix needs: positions are chosen event by event, so the scan
-		// passes over the straggler instead of stopping at it.
-		{"straggler inside the slack is passed over", edgeLog(send(-100), link("c", -2500), recv(0)),
-			[]hbg.Edge{{From: 1, To: 3}}, 2, 2},
+		// A slow clock puts an event from below every floor AFTER the receive
+		// the suffix install needs: positions are chosen event by event, so
+		// the scan passes over the straggler instead of stopping at it.
+		{"straggler inside the slack is passed over", edgeLog(recv(-100), link("c", -2500), install(0)),
+			[]hbg.Edge{{From: 1, To: 3}}, 1, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

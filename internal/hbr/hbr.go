@@ -8,8 +8,9 @@
 // capture log grows and is compacted.
 //
 // Rules runs over a shared immutable Index (positions sorted once,
-// per-router lists, keyed send lookup) as one per-event rule, sharded
-// across a worker pool; reference.go keeps the original implementation,
+// per-router lists) as one per-event same-router rule, sharded across a
+// worker pool, and gives each receive its send by its place on its FIFO
+// channel (channels.go); reference.go keeps the original implementation,
 // ReferenceRules, as the differential baseline. §4.2's other strategies —
 // timestamps, prefixes, mined patterns, and patterns under rules — are
 // baselines the E8 benchmark compares rules against, and live beside it in

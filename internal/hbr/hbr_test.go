@@ -10,6 +10,7 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/hbg"
+	"hbverify/internal/netsim"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
 )
@@ -101,6 +102,77 @@ func TestRulesSurviveModerateClockSkew(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("root cause lost under skew: %v", roots)
+	}
+}
+
+// TestChannelsHoldUnderSkewBeyondTheWindow: b's clock runs 700 ms fast,
+// more than the 500 ms the nearest-send window allowed. a advertises P
+// twice, 600 ms apart, and b logs each receive 8 ms after its send. The
+// window pairs the first receive with the second send (108 ms away, the
+// first being 708 ms) and leaves the second with none; the channel pairs
+// each receive with its own send, as ground truth has it.
+func TestChannelsHoldUnderSkewBeyondTheWindow(t *testing.T) {
+	pfx := netip.MustParsePrefix("10.0.0.0/24")
+	at := func(ms int) netsim.VirtualTime {
+		return netsim.VirtualTime(10*time.Second + time.Duration(ms)*time.Millisecond)
+	}
+	const skew = 700
+	ios := []capture.IO{
+		{ID: 1, Router: "a", Peer: "b", Type: capture.SendAdvert, Proto: route.ProtoBGP, Prefix: pfx, Time: at(0)},
+		{ID: 2, Router: "b", Peer: "a", Type: capture.RecvAdvert, Proto: route.ProtoBGP, Prefix: pfx, Time: at(8 + skew), Causes: []uint64{1}},
+		{ID: 3, Router: "a", Peer: "b", Type: capture.SendAdvert, Proto: route.ProtoBGP, Prefix: pfx, Time: at(600)},
+		{ID: 4, Router: "b", Peer: "a", Type: capture.RecvAdvert, Proto: route.ProtoBGP, Prefix: pfx, Time: at(608 + skew), Causes: []uint64{3}},
+	}
+	idx := buildRefIndex(ios)
+	if send, _ := idx.matchSendForRecv(ios[1], 500*time.Millisecond); send.ID != 3 {
+		t.Fatalf("the window paired receive 2 with send %d; the case no longer shows it pairing wrongly", send.ID)
+	}
+	if _, ok := idx.matchSendForRecv(ios[3], 500*time.Millisecond); ok {
+		t.Fatal("the window found a send for receive 4; the case no longer shows it missing one")
+	}
+	g := Rules{}.Infer(capture.StripOracle(ios))
+	if got, want := g.Edges(), []hbg.Edge{{From: 1, To: 2}, {From: 3, To: 4}}; !slices.Equal(got, want) {
+		t.Fatalf("channel edges = %v, want %v", got, want)
+	}
+	if m := Evaluate(g, ios); m.Precision != 1 || m.Recall != 1 {
+		t.Fatalf("against ground truth: %+v", m)
+	}
+}
+
+// TestLostLineCostsOnePair: a session reorders nothing, so a message a
+// later one of the other side passes over has lost its other half. One lost
+// receive line, and one lost send line whose receive is logged ahead of
+// the next send, each cost one desync and leave every later pair as it is:
+// the channel does not wedge behind them. The reference agrees.
+func TestLostLineCostsOnePair(t *testing.T) {
+	msg := func(id uint64, router string, typ capture.Type, pfx string) capture.IO {
+		peer := map[string]string{"a": "b", "b": "a"}[router]
+		return capture.IO{ID: id, Router: router, Peer: peer, Type: typ, Proto: route.ProtoBGP,
+			Prefix: netip.MustParsePrefix(pfx), Time: netsim.VirtualTime(id) * netsim.VirtualTime(time.Millisecond)}
+	}
+	ios := []capture.IO{
+		msg(1, "a", capture.SendAdvert, "10.0.1.0/24"), // its receive line is lost
+		msg(2, "a", capture.SendAdvert, "10.0.2.0/24"),
+		msg(3, "b", capture.RecvAdvert, "10.0.2.0/24"),
+		msg(4, "a", capture.SendAdvert, "10.0.3.0/24"),
+		msg(5, "b", capture.RecvAdvert, "10.0.3.0/24"),
+		msg(6, "b", capture.RecvAdvert, "10.0.4.0/24"), // its send line is lost
+		msg(7, "b", capture.RecvAdvert, "10.0.5.0/24"), // logged ahead of its send
+		msg(8, "a", capture.SendAdvert, "10.0.5.0/24"),
+		msg(9, "a", capture.SendAdvert, "10.0.6.0/24"),
+		msg(10, "b", capture.RecvAdvert, "10.0.6.0/24"),
+	}
+	want := []int32{-1, -1, 1, -1, 3, -1, 7, -1, -1, 8}
+	if got := Pair(capture.ViewOf(ios)); !slices.Equal(got, want) {
+		t.Fatalf("pairs = %v, want %v", got, want)
+	}
+	c := pairView(capture.ViewOf(ios), func(i int) uint64 { return uint64(i) }, func(uint64, uint64) {})
+	if c.desync != 2 {
+		t.Fatalf("%d desyncs, want 2", c.desync)
+	}
+	fast, ref := Rules{}.Infer(ios), ReferenceRules(Rules{}, ios)
+	if !slices.Equal(fast.Edges(), ref.Edges()) {
+		t.Fatalf("fast %v, reference %v", fast.Edges(), ref.Edges())
 	}
 }
 

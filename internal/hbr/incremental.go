@@ -1,11 +1,13 @@
 // Incremental inference: the control-plane integration of §5 makes HBG
 // inference a hot path — every verification tick re-asks for the graph —
-// yet the capture log is append-only and every rule's reach is bounded by
-// a look-back window. Incremental exploits both: it caches the inferred
-// graph keyed on the covered log window and, when new I/Os arrive, re-runs
-// the rules only over the new suffix plus the old events they can reach,
-// adding the new events and replacing the in-edge sets the suffix changed
-// instead of rebuilding the graph from scratch.
+// yet the capture log is append-only, every same-router rule's reach is
+// bounded by a look-back window, and a receive's send is its place on its
+// channel. Incremental exploits all three: it caches the inferred graph
+// keyed on the covered log window, with the channel table as that window
+// leaves it, and when new I/Os arrive it pairs the new suffix's messages on
+// the table and re-runs the rules only over the suffix plus the old events
+// they can reach, adding the new events and replacing the in-edge sets the
+// suffix changed instead of rebuilding the graph from scratch.
 //
 // Coverage is tracked by event ID rather than slice position, so the cache
 // survives log compaction: after the capture window's prefix is evicted,
@@ -43,14 +45,15 @@ const DefaultSkewSlack = time.Second
 //
 //   - Same window as last time (endpoint IDs and length match): return the
 //     cached graph untouched — a cache hit.
-//   - The window grew at the tail and its covered prefix is unchanged: run
-//     the rules over the new suffix plus the old events within their reach,
-//     add the suffix's vertices and edges to the cached graph, and replace
-//     the in-edges of those older events (extend).
-//   - The covered window with events missing — a cut-filtered snapshot
-//     collection — and the cache holds no folded history: answer with the
-//     cached graph minus the missing vertices, re-deriving only their
-//     children (derive), WITHOUT disturbing the cache.
+//   - The window grew at the tail and its covered prefix is unchanged: pair
+//     the suffix's messages on the cached channel table, run the rules over
+//     the new suffix plus the old events within their reach, add the
+//     suffix's vertices and edges to the cached graph, and replace the
+//     in-edges of those older events (extend).
+//   - The covered window with a suffix of some routers' events missing — a
+//     cut's snapshot collection — and the cache holds no folded history:
+//     answer with the cached graph minus the missing vertices (derive),
+//     WITHOUT disturbing the cache.
 //   - Anything else (a different prefix): a one-off full inference that
 //     leaves the cache as it was, so snapshot sweeps cannot poison the
 //     pipeline's incremental state.
@@ -75,10 +78,13 @@ type Incremental struct {
 	// positive, selects the default.
 	SkewSlack time.Duration
 
-	mu      sync.Mutex
-	cached  *hbg.Graph
-	firstID uint64 // ID the covered window starts at
-	lastID  uint64 // last covered ID; coverage is empty when lastID < firstID
+	mu     sync.Mutex
+	cached *hbg.Graph
+	// channels is the channel table as the covered window leaves it, keyed
+	// by event ID; it is nil exactly when cached is.
+	channels *Channels
+	firstID  uint64 // ID the covered window starts at
+	lastID   uint64 // last covered ID; coverage is empty when lastID < firstID
 	// checkpointed marks a cache whose graph covers history below firstID
 	// (seeded from a checkpoint or compacted in place). Such a graph must
 	// never be replaced by a full inference over the retained window alone.
@@ -100,31 +106,46 @@ func (inc *Incremental) Name() string { return "incremental(rules)" }
 // (TestExtendChunkedGrowthMatchesFull).
 func (inc *Incremental) Invalidate() {
 	inc.mu.Lock()
-	inc.cached, inc.firstID, inc.lastID, inc.checkpointed = nil, 0, 0, false
+	inc.cached, inc.channels, inc.firstID, inc.lastID, inc.checkpointed = nil, nil, 0, 0, false
 	inc.mu.Unlock()
 	inc.Metrics.Counter("infer.cache.invalidations").Inc()
 }
 
-// SeedCheckpoint installs a recovered graph as the cache baseline.
-// firstRetainedID is the ID the retained capture window now starts at
-// (lastID+1 when the window is empty) and lastID is the last event the
-// graph's edges account for. Subsequent Infer calls over the retained
-// window extend g incrementally instead of re-inferring from scratch —
-// which they could not do anyway, since the pre-checkpoint events are gone.
-func (inc *Incremental) SeedCheckpoint(g *hbg.Graph, firstRetainedID, lastID uint64) {
+// SeedCheckpoint installs a recovered graph and channel table as the cache
+// baseline. firstRetainedID is the ID the retained capture window now
+// starts at (lastID+1 when the window is empty) and lastID is the last event
+// the graph's edges and the table account for. Subsequent Infer calls over
+// the retained window extend g incrementally instead of re-inferring from
+// scratch — which they could not do anyway, since the pre-checkpoint events
+// are gone.
+func (inc *Incremental) SeedCheckpoint(g *hbg.Graph, ch *Channels, firstRetainedID, lastID uint64) {
 	inc.mu.Lock()
-	inc.cached, inc.firstID, inc.lastID = g, firstRetainedID, lastID
+	inc.cached, inc.channels, inc.firstID, inc.lastID = g, ch, firstRetainedID, lastID
 	inc.checkpointed = true
 	inc.mu.Unlock()
 	inc.Metrics.Counter("infer.cache.seeded").Inc()
 }
 
+// AppendChannels appends the cached channel table's encoding
+// (Channels.AppendTo; an empty table's when the cache is cold) to b: what a
+// checkpoint must carry for SeedCheckpoint to resume pairing where the
+// covered window left it.
+func (inc *Incremental) AppendChannels(b []byte) []byte {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	if inc.channels == nil {
+		return newChannels().AppendTo(b)
+	}
+	return inc.channels.AppendTo(b)
+}
+
 // CompactBaseline records that the capture log evicted all events below
 // firstRetainedID and prunes the cached graph to match (folding the evicted
 // vertices' root causes into their in-window successors, so RootCauses
-// answers are preserved). Compact calls it after folding the evicted events'
-// edges into the cache and before — after is as safe — the log's own
-// CompactBefore. No-op if the cache is cold or already past the floor.
+// answers are preserved) and the channel table (Channels.forget). Compact
+// calls it after folding the evicted events' edges into the cache and
+// before — after is as safe — the log's own CompactBefore. No-op if the
+// cache is cold or already past the floor.
 func (inc *Incremental) CompactBaseline(firstRetainedID uint64) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -137,6 +158,7 @@ func (inc *Incremental) CompactBaseline(firstRetainedID uint64) {
 	}
 	inc.checkpointed = true
 	inc.cached.PruneBefore(firstRetainedID)
+	inc.channels.forget(firstRetainedID)
 	inc.Metrics.Counter("infer.cache.compactions").Inc()
 }
 
@@ -162,8 +184,8 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 			return inc.extend(ios, sufStart)
 		}
 		if !inc.checkpointed {
-			if hidden, ok := inc.missingLocked(ios); ok {
-				return inc.derive(ios, hidden)
+			if hidden, ok := inc.missingLocked(ios); ok && inc.cutLocked(ios, hidden) {
+				return inc.derive(hidden)
 			}
 		}
 	}
@@ -175,11 +197,13 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	// the cache. A checkpointed cache is never replaced here: the full
 	// inference saw only the retained window, not the folded history.
 	start := time.Now()
-	g := inc.Rules.inferIndex(inc.index(ios, nil, math.MinInt64))
+	paired, ch := pairEdges(ios)
+	g := inc.Rules.inferIndex(inc.index(ios, nil), paired)
 	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.cache.misses").Inc()
 	if inc.adoptableLocked(ios) {
-		inc.cached, inc.firstID, inc.lastID = g, ios.At(0).ID, lastIDOf(ios)
+		inc.cached, inc.channels, inc.firstID, inc.lastID = g, ch, ios.At(0).ID, lastIDOf(ios)
+		inc.Metrics.Counter("hbr.channel_desync").Add(int64(ch.desync))
 	}
 	return g
 }
@@ -236,34 +260,44 @@ func (inc *Incremental) missingLocked(ios capture.View) ([]uint64, bool) {
 	return hidden, true
 }
 
-// derive answers for the covered window minus the hidden events (IDs
-// ascending) from the cached graph, ios being the events left: the hidden
-// vertices and their edges go, and each child of a hidden event that ios
-// holds has its in-edges re-derived over ios. No other event can differ
-// from a full inference of ios: under Rules, removing a candidate that did
-// not win changes no winner (DESIGN.md §6 goes through the tiers). The cache
-// is left as it was.
-func (inc *Incremental) derive(ios capture.View, hidden []uint64) *hbg.Graph {
-	start := time.Now()
-	var redo []int32 // positions in ios, ascending
+// cutLocked reports whether the hidden events (IDs ascending) are, for
+// every router, a suffix of its events in the covered window both in log
+// order and in observed time — what a cut hides on a router whose clock runs
+// forward. Then no event ios keeps has a hidden parent: a same-router parent
+// precedes its child in time, and a receive keeps its place on its channel.
+func (inc *Incremental) cutLocked(ios capture.View, hidden []uint64) bool {
+	type bound struct {
+		id uint64             // the router's first hidden event
+		at netsim.VirtualTime // and its earliest hidden time
+	}
+	hid := map[string]bound{}
 	for _, h := range hidden {
-		for _, c := range inc.cached.Children(h) {
-			if p := sort.Search(ios.Len(), func(i int) bool { return ios.At(i).ID >= c }); p < ios.Len() && ios.At(p).ID == c {
-				redo = append(redo, int32(p))
-			}
+		io, _ := inc.cached.Node(h)
+		b, seen := hid[io.Router]
+		if !seen {
+			b = bound{h, io.Time}
+		}
+		b.at = min(b.at, io.Time)
+		hid[io.Router] = b
+	}
+	for i := 0; i < ios.Len(); i++ {
+		io := ios.At(i)
+		if b, ok := hid[io.Router]; ok && (io.ID > b.id || io.Time > b.at) {
+			return false
 		}
 	}
-	slices.Sort(redo)
-	redo = slices.Compact(redo) // a child of two hidden events comes up twice
-	var b hbg.Batch
-	if len(redo) > 0 && !fault.On(fault.StaleDerive) {
-		idx := inc.index(ios, nil, math.MinInt64)
-		for _, p := range redo {
-			b.Reset = append(b.Reset, ios.At(int(p)).ID)
-		}
-		b.Edges = [][]hbg.Edge{idx.runAt(redo, inc.Rules.rule(idx))}
-	}
-	g := inc.cached.Without(hidden, b)
+	return true
+}
+
+// derive answers for the covered window minus a cut's hidden events (IDs
+// ascending, see cutLocked) from the cached graph, with no inference: the
+// hidden vertices and their edges go and nothing else changes, because no
+// event left has a hidden parent and, under Rules, removing a candidate
+// that did not win changes no winner (DESIGN.md §6). The cache is left as it
+// was.
+func (inc *Incremental) derive(hidden []uint64) *hbg.Graph {
+	start := time.Now()
+	g := inc.cached.Without(hidden)
 	inc.Metrics.Timer("infer.derived").Observe(time.Since(start))
 	return g
 }
@@ -287,30 +321,30 @@ func (inc *Incremental) adoptableLocked(ios capture.View) bool {
 	return pos < ios.Len() && ios.At(pos).ID == inc.lastID
 }
 
-// extend re-derives the new suffix plus the old events it can reach and folds
-// the result into the cached graph, an event's whole in-edge set at a time:
+// extend pairs the new suffix's messages on the channel table, re-derives
+// the suffix plus the old events it can reach, and folds the result into the
+// cached graph, an event's whole in-edge set at a time:
 //
 //   - A suffix event is new: its vertex and its edges are added.
-//   - An old event within the suffix's reach — a recv a later, nearer send
-//     now matches, say — has its cached in-edges REPLACED by the re-derived
-//     ones; a union would keep the edge the new parent displaced. Only an
-//     event whose whole look-back lies inside the part of the slice known to
-//     be complete is replaced; one cut short keeps what is cached.
+//   - A suffix send that pairs with an old receive waiting on the table adds
+//     exactly that one edge: a receive's only in-edge is its send, and the
+//     table gives it once.
+//   - Any other old event within the suffix's reach has its cached in-edges
+//     REPLACED by the re-derived ones. Only an event whose whole look-back
+//     lies inside the part of the slice known to be complete is replaced; one
+//     cut short keeps what is cached.
 //   - Every older event keeps its cached edges: it reads no suffix event, so
 //     a re-derivation would equal what is cached.
 //
 // What is evaluated and indexed follows from the rules' windows (DESIGN.md
-// §6): a receive matches sends within cross = CrossWindow to either side,
-// and every same-router tier looks back near = Window, except that config
+// §6): every same-router tier looks back near = Window, except that config
 // changes match out to ConfigWindow. A same-router candidate precedes its
 // event in (time, ID) order, which no suffix event does for an old event
-// observed before all of them; below the earliest suffix time an old event
-// reads a suffix event only as the send a receive matches, so no earlier
-// than tail = that time − cross. The rule runs from tail on. Those events
-// match sends down to tail − cross (the send table's floor) and same-router
-// candidates down to tail − near, except config changes, which are indexed
-// as far back as the scan goes; an older event of any other kind is in no
-// evaluated event's reach and is not indexed.
+// observed before all of them, so the rule runs from tail = the earliest
+// suffix time on. Those events match same-router candidates down to
+// tail − near, except config changes, which are indexed as far back as the
+// scan goes; an older event of any other kind is in no evaluated event's
+// reach and is not indexed.
 //
 // Observed times are TrueTime ± bounded skew, so append order is only
 // NEAR-sorted: a slow-clock straggler can sit later in the log than an
@@ -324,23 +358,19 @@ func (inc *Incremental) adoptableLocked(ios capture.View) bool {
 func (inc *Incremental) extend(ios capture.View, sufStart int) *hbg.Graph {
 	start := time.Now()
 	suffix := ios.Slice(sufStart, ios.Len())
-	minTime := suffix.At(0).Time
+	tail := suffix.At(0).Time
 	for i := 1; i < suffix.Len(); i++ {
-		minTime = min(minTime, suffix.At(i).Time)
+		tail = min(tail, suffix.At(i).Time)
 	}
-	near, _, cross := inc.Rules.windows()
+	near, _ := inc.Rules.windows()
 	lookback := netsim.VirtualTime(inc.Rules.LookbackWindow())
-	complete := minTime - 2*lookback
+	complete := tail - 2*lookback
 	scanFloor := complete - netsim.VirtualTime(skewSlack(inc.SkewSlack))
-	tail := minTime - netsim.VirtualTime(cross)
-	sendFloor := tail - netsim.VirtualTime(cross)
 	dense := tail - netsim.VirtualTime(near)
 	var order []int32 // the positions in ios to index
 	lo := sufStart
 	for ; lo > 0 && ios.At(lo-1).Time >= scanFloor; lo-- {
-		e := ios.At(lo - 1)
-		isSend := e.Type == capture.SendAdvert || e.Type == capture.SendWithdraw
-		if e.Time >= dense || e.Type == capture.ConfigChange || isSend && e.Time >= sendFloor {
+		if e := ios.At(lo - 1); e.Time >= dense || e.Type == capture.ConfigChange {
 			order = append(order, int32(lo-1))
 		}
 	}
@@ -358,29 +388,37 @@ func (inc *Incremental) extend(ios capture.View, sufStart int) *hbg.Graph {
 	for p := sufStart - lo; p < window.Len(); p++ {
 		order = append(order, int32(p))
 	}
-	idx := inc.index(window, order, sendFloor)
-	if fault.On(fault.NarrowTail) {
-		tail = minTime
+	idx := inc.index(window, order)
+
+	// Pair the suffix's messages: a receive's in-edge is its send, given
+	// once. The table holds nothing compaction evicted (Channels.forget).
+	var paired []hbg.Edge
+	pair := func(send, recv uint64) { paired = append(paired, hbg.Edge{From: send, To: recv}) }
+	desync := inc.channels.desync
+	for i := 0; i < suffix.Len(); i++ {
+		inc.channels.feed(suffix.At(i), suffix.At(i).ID, pair)
 	}
+	inc.Metrics.Counter("hbr.channel_desync").Add(int64(inc.channels.desync - desync))
+
 	from := sort.Search(idx.Len(), func(i int) bool { return idx.at(idx.order[i]).Time >= tail })
 	edges := idx.runFrom(from, inc.Rules.rule(idx))
 
 	// An old event the rule ran for is replaced if its look-back is complete;
-	// one cut short keeps its cached edges (IDs are dense: at id-firstOld).
+	// one cut short keeps its cached edges. An old receive keeps its send.
 	firstNew, firstOld := suffix.At(0).ID, window.At(0).ID
 	cutShort := func(id uint64) bool {
 		return id < firstNew && window.At(int(id-firstOld)).Time-lookback < complete
 	}
 	var reset []uint64
 	for _, p := range idx.order[from:] {
-		if id := idx.at(p).ID; id < firstNew && !cutShort(id) {
-			reset = append(reset, id)
+		if io := idx.at(p); io.ID < firstNew && !cutShort(io.ID) && io.Type != capture.RecvAdvert && io.Type != capture.RecvWithdraw {
+			reset = append(reset, io.ID)
 		}
 	}
 	for i, es := range edges {
 		edges[i] = slices.DeleteFunc(es, func(e hbg.Edge) bool { return cutShort(e.To) })
 	}
-	inc.cached.Apply(hbg.Batch{Nodes: suffix, Reset: reset, Edges: edges})
+	inc.cached.Apply(hbg.Batch{Nodes: suffix, Reset: reset, Edges: append(edges, paired)})
 	inc.lastID = lastIDOf(ios)
 	inc.Metrics.Timer("infer.incremental").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.suffix.ios").Add(int64(suffix.Len()))
@@ -403,15 +441,12 @@ func skewSlack(d time.Duration) time.Duration {
 // the cache, then evicts every event observed more than one look-back plus
 // twice the skew slack behind the newest one and moves the cached baseline
 // past them (CompactBaseline), so the graph keeps answering for retained
-// events as if the evicted prefix were still present. It returns the folded
-// graph (nil for an empty log) and the number of events evicted. extend
-// re-derives a tail event from candidates up to CrossWindow further back, so
-// 2·slack must be at least that (the default 1 s and verifyd's 400 ms are,
-// against 500 ms): otherwise a tail event's reach can dip below the floor and
-// is left un-replaced as incomplete. The floor trails the newest event's
-// observed time, so the log must be appended in observed time give or take
-// the skew slack, as a simulator's capture log and the stream daemon's merge
-// both are.
+// events as if the evicted prefix were still present; of the evicted prefix
+// the channel table keeps only the epochs it opened. It returns the folded
+// graph (nil for an empty log) and the number of events evicted. The floor
+// trails the newest event's observed time, so the log must be appended in
+// observed time give or take the skew slack, as a simulator's capture log
+// and the stream daemon's merge both are.
 func (inc *Incremental) Compact(log *capture.Log) (*hbg.Graph, int) {
 	win := log.View()
 	if win.Len() == 0 {
@@ -435,11 +470,11 @@ func (inc *Incremental) Compact(log *capture.Log) (*hbg.Graph, int) {
 }
 
 // index builds the shared index for one log generation: of all of ios, or
-// (extend) of the given positions and the sends from sendFloor on. Sorting
-// its positions is the only sort the whole inference pays.
-func (inc *Incremental) index(ios capture.View, order []int32, sendFloor netsim.VirtualTime) *Index {
+// (extend) of the given positions. Sorting its positions is the only sort
+// the whole inference pays.
+func (inc *Incremental) index(ios capture.View, order []int32) *Index {
 	start := time.Now()
-	idx := newIndex(ios, order, sendFloor)
+	idx := newIndex(ios, order)
 	inc.Metrics.Timer("hbr.infer.index.build").Observe(time.Since(start))
 	inc.Metrics.Counter("hbr.infer.index.builds").Inc()
 	inc.Metrics.Counter("hbr.infer.index.ios").Add(int64(idx.Len()))

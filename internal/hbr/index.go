@@ -1,11 +1,9 @@
 // Shared inference index: built once per log generation and shared by every
-// worker of a rule pass — event positions sorted once by observed time,
-// per-router event lists, and a keyed send table (sendTable) so
-// matchSendForRecv touches only the handful of candidates with the same
-// (sender, target, protocol, advert-kind, prefix|detail) signature.
+// worker of a rule pass — event positions sorted once by observed time and
+// per-router event lists.
 //
 // The index holds no copy of an event: it sorts int32 positions in the
-// caller's view, groups the events themselves by router and send key as
+// caller's view, groups the events themselves by router as
 // *capture.IO handles resolved once while indexing — so a rule's inner loop
 // reads a candidate through one pointer, wherever the view's segments lie —
 // rules emit (from, to) pairs, and the one place an event is copied is the
@@ -18,131 +16,15 @@ package hbr
 
 import (
 	"cmp"
-	"math"
-	"net/netip"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
-	"hbverify/internal/netsim"
-	"hbverify/internal/route"
 )
-
-// sendKey identifies a class of send events some recv could match: the
-// sending router, the target router, protocol, advert-vs-withdraw, and
-// either the prefix (route-carrying sends) or the Detail (prefix-less
-// LSAs). The prefix/detail split mirrors matchSendForRecv's predicate: a
-// prefix on either side forces prefix equality, otherwise Details must
-// agree.
-type sendKey struct {
-	sender   string
-	target   string
-	proto    route.Protocol
-	withdraw bool
-	prefix   netip.Prefix
-	detail   string
-}
-
-// keyFor builds the send-table key of a message io records: sent by sender
-// to target. A send files itself under (its router, its peer); a received
-// advert/withdraw looks up (its peer, its router).
-func keyFor(io *capture.IO, sender, target string) sendKey {
-	k := sendKey{
-		sender:   sender,
-		target:   target,
-		proto:    io.Proto,
-		withdraw: io.Type == capture.SendWithdraw || io.Type == capture.RecvWithdraw,
-	}
-	if io.HasPrefix() {
-		k.prefix = io.Prefix
-	} else {
-		k.detail = io.Detail
-	}
-	return k
-}
-
-// sendTable files sends by key, each list in observed-time order with IDs as
-// tie-breaker: the cross-router rule's one data structure, which an Index
-// matches receives against and Sends accounts them with.
-type sendTable map[sendKey][]*capture.IO
-
-func isSend(io *capture.IO) bool {
-	return io.Type == capture.SendAdvert || io.Type == capture.SendWithdraw
-}
-
-// file appends a send to its key's list; the caller keeps the lists ordered.
-func (t sendTable) file(send *capture.IO) {
-	k := keyFor(send, send.Router, send.Peer)
-	t[k] = append(t[k], send)
-}
-
-// within returns the sends a received message could have been: a send at
-// recv.Peer targeting recv.Router with recv's key, observed within window of
-// it either side (all of them for a zero window), in the table's order. The
-// list for recv's key is a time-sorted subsequence of the peer's events, so
-// the window's bounds are two binary searches.
-func (t sendTable) within(recv *capture.IO, window time.Duration) []*capture.IO {
-	cands := t[keyFor(recv, recv.Peer, recv.Router)]
-	if window <= 0 || len(cands) == 0 {
-		return cands
-	}
-	minT, maxT := recv.Time-netsim.VirtualTime(window), recv.Time+netsim.VirtualTime(window)
-	lo := sort.Search(len(cands), func(i int) bool { return cands[i].Time >= minT })
-	hi := sort.Search(len(cands), func(i int) bool { return cands[i].Time > maxT })
-	return cands[lo:hi]
-}
-
-// Sends is the cross-router rule without a graph: a view's send table, for
-// accounting a cut's receives by message (snapshot.ConsistentCut) where
-// inference would give each one its parents.
-type Sends struct {
-	table  sendTable
-	window time.Duration
-}
-
-// Sends files every send of v, read in place, under the rule's CrossWindow.
-func (r Rules) Sends(v capture.View) *Sends {
-	_, _, xw := r.windows()
-	s := &Sends{table: sendTable{}, window: xw}
-	for i := 0; i < v.Len(); i++ {
-		if io := v.At(i); isSend(io) {
-			s.table.file(io)
-		}
-	}
-	// The view is in append order, which observed times follow only up to
-	// clock skew.
-	for _, l := range s.table {
-		if !slices.IsSortedFunc(l, byTimeID) {
-			slices.SortStableFunc(l, byTimeID)
-		}
-	}
-	return s
-}
-
-// Earliest reports the observed time of the earliest send the cross-router
-// rule could match recv to, false when the view holds none. A cut that
-// collects recv gives it a send parent exactly when it also collects
-// recv.Peer's log through that time: the sends the rule can match all lie
-// on recv.Peer, and a cut collects a router's log by observed time.
-func (s *Sends) Earliest(recv *capture.IO) (netsim.VirtualTime, bool) {
-	if c := s.table.within(recv, s.window); len(c) > 0 {
-		return c[0].Time, true
-	}
-	return 0, false
-}
-
-func byTimeID(x, y *capture.IO) int {
-	if c := cmp.Compare(x.Time, y.Time); c != 0 {
-		return c
-	}
-	return cmp.Compare(x.ID, y.ID)
-}
 
 // Index organizes one log generation for inference. Every int32 is a
 // position in ios; every list is sorted by observed time with IDs as
@@ -154,19 +36,17 @@ type Index struct {
 	// where[p] locates ios.At(p) in its router's list, recorded while
 	// indexing so no rule has to search for the event it is matching.
 	where []struct{ list, rank int32 }
-	sends sendTable
 }
 
 // NewIndex indexes ios. The slice is retained and must not be modified
 // while the index is in use.
-func NewIndex(ios []capture.IO) *Index { return newIndex(capture.ViewOf(ios), nil, math.MinInt64) }
+func NewIndex(ios []capture.IO) *Index { return newIndex(capture.ViewOf(ios), nil) }
 
 // newIndex indexes the given positions of ios — nil for all of them; the
-// position slice is kept and sorted in place — and files into the send table
-// only the sends observed at or after sendFloor.
-// A rule run over a partial index is right for the events whose candidates
-// were all indexed; which those are is the caller's argument (extend, derive).
-func newIndex(ios capture.View, order []int32, sendFloor netsim.VirtualTime) *Index {
+// position slice is kept and sorted in place. A rule run over a partial
+// index is right for the events whose candidates were all indexed; which
+// those are is the caller's argument (extend).
+func newIndex(ios capture.View, order []int32) *Index {
 	if order == nil {
 		order = make([]int32, ios.Len())
 		for i := range order {
@@ -177,9 +57,11 @@ func newIndex(ios capture.View, order []int32, sendFloor netsim.VirtualTime) *In
 		ios:   ios,
 		order: order,
 		where: make([]struct{ list, rank int32 }, ios.Len()),
-		sends: sendTable{},
 	}
-	before := func(a, b int32) int { return byTimeID(ios.At(int(a)), ios.At(int(b))) }
+	before := func(a, b int32) int {
+		x, y := ios.At(int(a)), ios.At(int(b))
+		return cmp.Or(cmp.Compare(x.Time, y.Time), cmp.Compare(x.ID, y.ID))
+	}
 	// A capture log is appended in true-time order and observed times are
 	// that plus bounded skew: mostly sorted already, often entirely.
 	if !slices.IsSortedFunc(idx.order, before) {
@@ -197,9 +79,6 @@ func newIndex(ios capture.View, order []int32, sendFloor netsim.VirtualTime) *In
 		}
 		idx.where[p].list, idx.where[p].rank = l, count[l]
 		count[l]++
-		if isSend(io) && io.Time >= sendFloor {
-			idx.sends.file(io)
-		}
 	}
 	// The router lists share one array, laid out by the counts.
 	all := make([]*capture.IO, len(idx.order))
@@ -234,32 +113,6 @@ func (idx *Index) precedingOnRouter(p int32, window time.Duration, visit func(*c
 			return
 		}
 	}
-}
-
-// matchSendForRecv finds the sender-side event for a received
-// advertisement: of the sends within window of it (sendTable.within), the
-// nearest in |observed time|; nil when there is none. Clock skew is why this
-// uses absolute distance. The nearest-with-strictly-smaller-distance rule
-// over the time-ordered candidates reproduces the reference scan's
-// tie-breaking exactly.
-func (idx *Index) matchSendForRecv(recv *capture.IO, window time.Duration) *capture.IO {
-	var best *capture.IO
-	var bestDist time.Duration
-	bug := fault.On(fault.SwapSendMatch)
-	for _, cand := range idx.sends.within(recv, window) {
-		d := recv.Time.Sub(cand.Time)
-		if d < 0 {
-			d = -d
-		}
-		take := best == nil || d < bestDist
-		if bug {
-			take = best == nil || d >= bestDist
-		}
-		if take {
-			best, bestDist = cand, d
-		}
-	}
-	return best
 }
 
 // parallelMinEvents is the log size below which sharded inference is not
@@ -316,16 +169,6 @@ func (idx *Index) runFrom(rank int, fn rule) [][]hbg.Edge {
 	}
 	wg.Wait()
 	return bufs
-}
-
-// runAt applies fn to the events at the given positions only, in that order:
-// what run would have derived for them.
-func (idx *Index) runAt(positions []int32, fn rule) []hbg.Edge {
-	var out []hbg.Edge
-	for _, p := range positions {
-		out = fn(p, out)
-	}
-	return out
 }
 
 // graph assembles a full pass's output: every event of the view copied in

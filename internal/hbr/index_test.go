@@ -123,7 +123,7 @@ func TestFastMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, n := range []int{40, 700, 3 * parallelMinEvents} {
 			ios := synthLog(seed, n, 5)
-			for _, r := range []Rules{{}, {Window: 200 * time.Millisecond, ConfigWindow: 5 * time.Second, CrossWindow: 50 * time.Millisecond}} {
+			for _, r := range []Rules{{}, {Window: 200 * time.Millisecond, ConfigWindow: 5 * time.Second}} {
 				if d := diffGraphs(r.Infer(ios), ReferenceRules(r, ios)); d != "" {
 					t.Errorf("seed %d n %d rules %+v: %s", seed, n, r, d)
 				}
@@ -133,8 +133,9 @@ func TestFastMatchesReference(t *testing.T) {
 }
 
 // TestSwapSendMatchBugDiverges proves the injectable matcher bug produces
-// a detectable divergence: with two in-window candidate sends at different
-// distances, the bugged fast path must disagree with the reference.
+// a detectable divergence: with two unmatched sends queued on the channel,
+// the reference pairs the receive with the oldest and the bugged fast path
+// with the newest.
 func TestSwapSendMatchBugDiverges(t *testing.T) {
 	pfx := netip.MustParsePrefix("10.0.0.0/24")
 	addr := netip.MustParseAddr("10.255.0.1")
@@ -149,16 +150,16 @@ func TestSwapSendMatchBugDiverges(t *testing.T) {
 	}
 	r := Rules{}
 	want := ReferenceRules(r, ios)
-	if !slices.Contains(want.Parents(3), 2) {
-		t.Fatal("reference did not pick the nearest send")
+	if !slices.Contains(want.Parents(3), 1) {
+		t.Fatal("reference did not pair the receive with the oldest send")
 	}
 	defer fault.Inject(fault.SwapSendMatch)()
 	got := r.Infer(ios)
 	if d := diffGraphs(got, want); d == "" {
 		t.Fatal("swap-send-match bug produced no divergence")
 	}
-	if !slices.Contains(got.Parents(3), 1) {
-		t.Fatal("bugged matcher did not pick the furthest send")
+	if !slices.Contains(got.Parents(3), 2) {
+		t.Fatal("bugged table did not pair the receive with the newest send")
 	}
 }
 

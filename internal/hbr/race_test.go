@@ -21,12 +21,12 @@ func TestConcurrentStrategiesSharedIndex(t *testing.T) {
 	idx := NewIndex(ios)
 	var wg sync.WaitGroup
 	for round := 0; round < 3; round++ {
-		for _, r := range []Rules{{}, {Window: 100 * time.Millisecond, CrossWindow: 50 * time.Millisecond}} {
+		for _, r := range []Rules{{}, {Window: 100 * time.Millisecond, ConfigWindow: 5 * time.Second}} {
 			r := r
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if g := r.inferIndex(idx); g.NodeCount() != len(ios) {
+				if g := r.inferIndex(idx, nil); g.NodeCount() != len(ios) {
 					t.Errorf("rules %+v: %d nodes, want %d", r, g.NodeCount(), len(ios))
 				}
 			}()
@@ -34,10 +34,8 @@ func TestConcurrentStrategiesSharedIndex(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < idx.ios.Len(); i++ {
-				if io := idx.ios.At(i); io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw {
-					idx.matchSendForRecv(io, 0)
-				}
+			for p := int32(0); p < int32(idx.ios.Len()); p++ {
+				idx.precedingOnRouter(p, time.Second, func(io *capture.IO) bool { return io.ID != 0 })
 			}
 		}()
 	}

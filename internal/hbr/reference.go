@@ -56,45 +56,80 @@ func (idx *refIndex) precedingOnRouter(io capture.IO, window time.Duration, visi
 	}
 }
 
-// matchSendForRecv is the original matcher: a linear scan over every
-// event the peer router ever logged.
-func (idx *refIndex) matchSendForRecv(recv capture.IO, window time.Duration) (capture.IO, bool) {
-	var best capture.IO
-	var bestDist time.Duration
-	found := false
-	for _, cand := range idx.byRouter[recv.Peer] {
-		if !cand.Type.IsOutput() || !sameAdvertKind(cand.Type, recv.Type) {
-			continue
-		}
-		if cand.Proto != recv.Proto || cand.Peer != recv.Router {
-			continue
-		}
-		if recv.HasPrefix() || cand.HasPrefix() {
-			if cand.Prefix != recv.Prefix {
-				continue
-			}
-		} else if cand.Detail != recv.Detail {
-			continue
-		}
-		d := recv.Time.Sub(cand.Time)
-		if d < 0 {
-			d = -d
-		}
-		if window > 0 && d > window {
-			continue
-		}
-		if !found || d < bestDist {
-			best, bestDist, found = cand, d, true
+// refSends pairs every message of ios the plain way: each channel's
+// messages listed in log order, under the epoch their own router's log has
+// reached, then one pass per channel over a list of the unmatched ones, in
+// which each message takes the first of the other side's with its key and
+// drops those before it. It returns the send's ID by receive ID.
+func refSends(ios []capture.IO) map[uint64]uint64 {
+	type end struct {
+		router, peer string
+		bgp          bool
+	}
+	type key struct {
+		from, to string
+		proto    route.Protocol
+		epoch    int
+	}
+	isSend := func(io *capture.IO) bool { return io.Type == capture.SendAdvert || io.Type == capture.SendWithdraw }
+	epochs := map[end]int{}
+	chans := map[key][]capture.IO{}
+	for _, io := range ios {
+		at := epochs[end{io.Router, io.Peer, io.Proto == route.ProtoBGP}]
+		switch io.Type {
+		case capture.LinkDown:
+			epochs[end{io.Router, io.Peer, false}]++
+		case capture.SessionDown:
+			epochs[end{io.Router, io.Peer, true}]++
+		case capture.SendAdvert, capture.SendWithdraw:
+			k := key{io.Router, io.Peer, io.Proto, at}
+			chans[k] = append(chans[k], io)
+		case capture.RecvAdvert, capture.RecvWithdraw:
+			k := key{io.Peer, io.Router, io.Proto, at}
+			chans[k] = append(chans[k], io)
 		}
 	}
-	return best, found
+	out := map[uint64]uint64{}
+	for _, msgs := range chans {
+		var open []capture.IO
+	next:
+		for _, m := range msgs {
+			for len(open) > 0 && isSend(&open[0]) != isSend(&m) {
+				o := open[0]
+				open = open[1:]
+				if isSend(&m) && sameMessage(&m, &o) {
+					out[o.ID] = m.ID
+					continue next
+				}
+				if !isSend(&m) && sameMessage(&o, &m) {
+					out[m.ID] = o.ID
+					continue next
+				}
+			}
+			open = append(open, m)
+		}
+	}
+	return out
+}
+
+// sameMessage reports whether a send and a receive carry one message: the
+// same kind, and the same prefix — or, when neither has one, Detail.
+func sameMessage(send, recv *capture.IO) bool {
+	if !sameAdvertKind(send.Type, recv.Type) {
+		return false
+	}
+	if send.HasPrefix() || recv.HasPrefix() {
+		return send.Prefix == recv.Prefix
+	}
+	return send.Detail == recv.Detail
 }
 
 // ReferenceRules is r.Infer(ios) computed the original way: a full sorted
-// copy of the log and a linear scan of the peer's events per receive.
+// copy of the log, and a linear scan per channel.
 func ReferenceRules(r Rules, ios []capture.IO) *hbg.Graph {
-	w, cw, xw := r.windows()
+	w, cw := r.windows()
 	idx := buildRefIndex(ios)
+	sent := refSends(ios)
 	g := hbg.New()
 	for _, io := range ios {
 		g.AddNode(io)
@@ -146,10 +181,8 @@ func ReferenceRules(r Rules, ios []capture.IO) *hbg.Graph {
 				break
 			}
 		}
-		if io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw {
-			if send, ok := idx.matchSendForRecv(io, xw); ok {
-				g.AddEdge(send.ID, io.ID)
-			}
+		if send, ok := sent[io.ID]; ok {
+			g.AddEdge(send, io.ID)
 		}
 	}
 	return g

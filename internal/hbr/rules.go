@@ -1,5 +1,6 @@
 // Rule matching (§4.2): protocol-generic and protocol-specific rules from
-// §4.1 applied over the timestamp- and prefix-filtered I/O stream.
+// §4.1 applied over each router's timestamp- and prefix-filtered I/O
+// stream, and the channel table across routers.
 
 package hbr
 
@@ -12,8 +13,9 @@ import (
 )
 
 // Rules is the rule-matching strategy. Given an I/O that matches the
-// right-hand side of a rule, it searches the filtered stream for the
-// nearest I/O matching the left-hand side.
+// right-hand side of a same-router rule, it searches the router's filtered
+// stream for the nearest I/O matching the left-hand side; a receive's send
+// is its place on its channel (channels.go), with no window.
 type Rules struct {
 	// Window bounds same-router matches for route-driven events
 	// (default 500ms).
@@ -22,30 +24,28 @@ type Rules struct {
 	// precede their effects by tens of seconds (§7 measured 25s between
 	// the TTY change and the soft reconfiguration). Default 60s.
 	ConfigWindow time.Duration
-	// CrossWindow bounds cross-router send→recv matching (default 500ms).
+	// Deprecated: CrossWindow is read by nothing; a receive's send is its
+	// place on its channel.
 	CrossWindow time.Duration
 }
 
-func (r Rules) windows() (w, cw, xw time.Duration) {
-	w, cw, xw = r.Window, r.ConfigWindow, r.CrossWindow
+func (r Rules) windows() (w, cw time.Duration) {
+	w, cw = r.Window, r.ConfigWindow
 	if w == 0 {
 		w = 500 * time.Millisecond
 	}
 	if cw == 0 {
 		cw = 60 * time.Second
 	}
-	if xw == 0 {
-		xw = 500 * time.Millisecond
-	}
 	return
 }
 
-// LookbackWindow is the widest of the three rule windows: no rule reaches
+// LookbackWindow is the wider of the two rule windows: no rule reaches
 // further back in observed time (config matching reaches the furthest, §7's
 // 25 s TTY→soft-reconfig gap being the motivating case).
 func (r Rules) LookbackWindow() time.Duration {
-	w, cw, xw := r.windows()
-	return max(w, cw, xw)
+	w, cw := r.windows()
+	return max(w, cw)
 }
 
 // lhs is one left-hand-side pattern of a rule. An output's patterns form
@@ -62,7 +62,8 @@ const (
 	// would mis-attribute a reselection to a stale (but still in-window)
 	// receive when a soft reconfiguration happened in between.
 	// [R receive C advertisement for P] → [R install P in C RIB];
-	// withdrawals also trigger reselection.
+	// withdrawals also trigger reselection, and so does a link event or,
+	// for BGP, a session going down.
 	lhsRIBTrigger
 	// [R install P in the C RIB] → [R install P in the FIB], or a link event.
 	lhsFIBTrigger
@@ -77,6 +78,9 @@ const (
 var (
 	// [config change] → [soft reconfiguration].
 	tiersSoftReconfig = []lhs{lhsConfig}
+	// [link down] → [BGP session down], for a session over that link; a
+	// reset has no logged cause.
+	tiersSessionDown = []lhs{lhsLink}
 	// The second tier covers initial or direct configuration effects.
 	tiersRIB = []lhs{lhsRIBTrigger, lhsConfig}
 	tiersFIB = []lhs{lhsFIBTrigger, lhsConfig}
@@ -95,6 +99,8 @@ func tiersFor(io *capture.IO) []lhs {
 	switch io.Type {
 	case capture.SoftReconfig:
 		return tiersSoftReconfig
+	case capture.SessionDown:
+		return tiersSessionDown
 	case capture.RIBInstall, capture.RIBRemove:
 		return tiersRIB
 	case capture.FIBInstall, capture.FIBRemove:
@@ -122,6 +128,8 @@ func (l lhs) matches(io, c *capture.IO) bool {
 			return c.Proto == io.Proto && (c.Prefix == io.Prefix || !c.HasPrefix())
 		case capture.SoftReconfig, capture.LinkDown, capture.LinkUp:
 			return true
+		case capture.SessionDown:
+			return c.Proto == io.Proto
 		}
 		return false
 	case lhsFIBTrigger:
@@ -142,16 +150,24 @@ func (l lhs) matches(io, c *capture.IO) bool {
 	return false
 }
 
-// Infer matches the rules over ios.
-func (r Rules) Infer(ios []capture.IO) *hbg.Graph { return r.inferIndex(NewIndex(ios)) }
+// Infer matches the rules over ios and pairs its messages on their
+// channels.
+func (r Rules) Infer(ios []capture.IO) *hbg.Graph {
+	paired, _ := pairEdges(capture.ViewOf(ios))
+	return r.inferIndex(NewIndex(ios), paired)
+}
 
-// inferIndex is Infer over a pre-built index: per-event rule matching,
-// sharded across workers.
-func (r Rules) inferIndex(idx *Index) *hbg.Graph { return idx.graph(idx.run(r.rule(idx))) }
+// inferIndex is Infer over a pre-built index and the view's channel pairs:
+// per-event rule matching, sharded across workers, and the cross-router
+// rule, [R' send C advertisement for P] → [R receive C advertisement for P],
+// one edge per pair.
+func (r Rules) inferIndex(idx *Index, paired []hbg.Edge) *hbg.Graph {
+	return idx.graph(append(idx.run(r.rule(idx)), paired))
+}
 
-// rule applies the rule tables to one event.
+// rule applies the same-router rule tables to one event.
 func (r Rules) rule(idx *Index) rule {
-	w, cw, xw := r.windows()
+	w, cw := r.windows()
 	return func(p int32, out []hbg.Edge) []hbg.Edge {
 		io := idx.at(p)
 		edge := func(from *capture.IO) { out = append(out, hbg.Edge{From: from.ID, To: io.ID}) }
@@ -192,13 +208,6 @@ func (r Rules) rule(idx *Index) rule {
 			})
 			if found != len(out) {
 				break
-			}
-		}
-		if io.Type == capture.RecvAdvert || io.Type == capture.RecvWithdraw {
-			// Cross-router rule: [R' send C advertisement for P] →
-			// [R receive C advertisement for P].
-			if send := idx.matchSendForRecv(io, xw); send != nil {
-				edge(send)
 			}
 		}
 		return out

@@ -11,6 +11,7 @@ import (
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
+	"hbverify/internal/route"
 	"hbverify/internal/verify"
 )
 
@@ -285,5 +286,60 @@ func TestEventBudgetGuardsRunaway(t *testing.T) {
 	pn.Start()
 	if err := pn.Run(); err == nil {
 		t.Fatal("expected event-budget error")
+	}
+}
+
+// TestSessionsAreFIFO: however much jitter each message draws, every BGP
+// session and every link delivers in the order it sent — the ground-truth
+// send of each receive comes after the previous receive's on its channel —
+// while messages on different channels still overtake one another.
+func TestSessionsAreFIFO(t *testing.T) {
+	type channel struct {
+		from, to string
+		proto    route.Protocol
+	}
+	received, overtaken := 0, 0
+	for seed := int64(1); seed <= 4; seed++ {
+		pn, err := BuildPaper(seed, DefaultPaperOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		pn.BGPSessionJitter = 200 * time.Millisecond
+		for _, l := range pn.Topo.Links() {
+			l.Jitter = 200 * time.Millisecond
+		}
+		pn.Start()
+		if err := pn.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for lp := uint32(10); lp <= 50; lp += 10 {
+			if _, err := pn.UpdateConfig("r2", "uplink local-pref", func(c *config.Router) {
+				c.BGP.Neighbors[len(c.BGP.Neighbors)-1].LocalPref = lp
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := pn.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := map[channel]uint64{}  // the latest send received on each channel
+		newest := map[string]uint64{} // and across all of a receiver's channels
+		for _, io := range pn.Log.Snapshot() {
+			if io.Type != capture.RecvAdvert && io.Type != capture.RecvWithdraw || len(io.Causes) == 0 {
+				continue
+			}
+			send, ch := io.Causes[0], channel{io.Peer, io.Router, io.Proto}
+			if send < last[ch] {
+				t.Fatalf("seed %d: %v delivered send %d after send %d on its channel", seed, io, send, last[ch])
+			}
+			if send < newest[io.Router] {
+				overtaken++
+			}
+			last[ch], newest[io.Router] = send, max(newest[io.Router], send)
+			received++
+		}
+	}
+	if received < 100 || overtaken == 0 {
+		t.Fatalf("%d receives, %d overtaken across channels: the jitter reorders nothing", received, overtaken)
 	}
 }

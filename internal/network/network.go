@@ -62,6 +62,25 @@ type Network struct {
 	configEvents map[uint64]ConfigRef
 	started      bool
 	onLinkChange []func(a, b string, up bool)
+	// delivered holds, per channel, when its latest message is delivered.
+	delivered map[channel]netsim.VirtualTime
+}
+
+// channel is one direction of a link (router, interface) or one BGP session
+// (local, peer address): what delivers its messages in order.
+type channel struct {
+	router, iface string
+	local, peer   netip.Addr
+}
+
+// fifo turns a message's drawn delay into its delivery delay on ch: no
+// earlier than the message before it on ch, so sessions and links are FIFO,
+// as the TCP and the wire they model are. Jitter still reorders messages
+// across channels.
+func (n *Network) fifo(ch channel, delay time.Duration) time.Duration {
+	at := max(n.Sched.Now().Add(delay), n.delivered[ch])
+	n.delivered[ch] = at
+	return at.Sub(n.Sched.Now())
 }
 
 // bgpSessionDelay is the one-way latency for BGP messages between routers
@@ -87,6 +106,7 @@ func New(seed int64) *Network {
 		SoftReconfigDelay: 250 * time.Millisecond,
 		routers:           map[string]*Router{},
 		configEvents:      map[uint64]ConfigRef{},
+		delivered:         map[channel]netsim.VirtualTime{},
 	}
 }
 
@@ -214,7 +234,7 @@ func (n *Network) deliverIface(fromRouter, ifname string, deliver func(peer *Rou
 	if peer == nil {
 		return
 	}
-	delay := n.Sched.Jitter(iface.Link.Delay, iface.Link.Jitter)
+	delay := n.fifo(channel{router: fromRouter, iface: ifname}, n.Sched.Jitter(iface.Link.Delay, iface.Link.Jitter))
 	link := iface.Link
 	pi := peerIface.Name
 	n.Sched.After(delay, func() {
@@ -244,7 +264,7 @@ func (n *Network) deliverBGP(local, peer netip.Addr, msg bgp.Message, sendIO uin
 	if dst == nil || dst.BGP == nil {
 		return
 	}
-	n.Sched.After(delay, func() {
+	n.Sched.After(n.fifo(channel{local: local, peer: peer}, delay), func() {
 		if link != nil && !link.Up() {
 			return
 		}

@@ -138,12 +138,10 @@ const derivedCuts = 3
 // edge-identical to a fresh full inference over the same stripped log,
 // and then the same — plus the §5 verdict — for a few random cuts of it, each
 // of which the pipeline's strategy must answer from its cached graph
-// (hbr.Incremental's derive path) rather than by inferring again.
-// fault.StaleDerive skips the re-derivation a cut's graph needs, which the
-// comparison must catch. A whole round's suffix has no old event within a
-// cross window of it, so a second cache takes the same log in seeded
-// 1–64-event drips — boundaries between a send and its receive, inside SPF
-// bursts — and must agree too; fault.NarrowTail is what only it can see.
+// (hbr.Incremental's derive path) rather than by inferring again. A whole
+// round's suffix has every send's receive in it, so a second cache takes the
+// same log in seeded 1–64-event drips — boundaries between a send and its
+// receive, inside SPF bursts — and must agree too, with no channel desync.
 func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 	ios := h.w.net.Log.View().Stripped()
 	full := h.full.Infer(ios)
@@ -156,6 +154,13 @@ func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 	}
 	if d := graphDiffLabeled(h.drip.Infer(ios), full, "dripped", "full"); d != "" {
 		return &Failure{Oracle: OracleIncremental, Round: round, Detail: d}
+	}
+	// The simulator loses no log line and its sessions are FIFO, so the
+	// channel table must pass over no message: one it did was filed under
+	// the wrong channel or epoch.
+	if n := h.dripMetrics.Counter("hbr.channel_desync").Value(); n != 0 {
+		return &Failure{Oracle: OracleIncremental, Round: round, Detail: fmt.Sprintf(
+			"the channel table passed over %d messages of a complete log (hbr.channel_desync)", n)}
 	}
 
 	// Each cut hides the newest events of one router for certain and of
@@ -284,12 +289,11 @@ func compareEdges(a, b hbg.Edge) int {
 // §5): what makes it possible is closure under ground-truth happens-before,
 // so that is what is checked, with the simulator's causal tags;
 // (d) the same cut closed by message accounting — ConsistentCut over the
-// log's send table, and Pipeline.VerifySnapshot, which closes it so —
+// log's channel pairs, and Pipeline.VerifySnapshot, which closes it so —
 // reaches the same final cut, verdict, WaitFor, Missing IDs and waits as (b).
-// Every round's cut is recorded in Result.Cuts with, when it is called
-// consistent, whether it is closed under ground truth; that is not asserted
-// here, because one send matched to two receives still leaves some open
-// (ROADMAP item 1(b)).
+// A cut (b) calls consistent must be closed under ground-truth
+// happens-before (cutOpenAt), and by (d) so is the cut VerifySnapshot
+// verifies on. Every round's cut is recorded in Result.Cuts.
 // fault.SkipCutExtension verifies the first cut unextended, which (c) must
 // catch; fault.FIBAncestryOnly judges (b)'s graphs by the FIB updates'
 // inferred ancestry alone, which (d) must catch.
@@ -324,15 +328,17 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 				len(res.Missing), res.WaitFor)}
 		}
 	}
-	rec := SnapshotCut{Round: round, Consistent: res.Consistent, Waits: res.Waits}
+	h.cuts = append(h.cuts, SnapshotCut{Round: round, Consistent: res.Consistent, Waits: res.Waits})
 	if res.Consistent {
-		rec.Open = h.cutOpenAt(all, collected)
+		if open := h.cutOpenAt(all, collected); open != "" {
+			return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
+				"cut %v, extended to %v, is called consistent while open: %s", cut, final, open)}
+		}
 	}
-	h.cuts = append(h.cuts, rec)
 
 	// (d) message accounting reaches the graph's cut.
 	view := h.w.net.Log.View()
-	tFinal, tRes := snapshot.ConsistentCut(view, cut, h.full.Sends(view), h.w.isExternal)
+	tFinal, tRes := snapshot.ConsistentCut(view, cut, hbr.Pair(view), h.w.isExternal)
 	_, pRes := h.p.VerifySnapshot(cut, nil)
 	graph, table, pipe := verdict(final, res), verdict(tFinal, tRes), verdict(tFinal, pRes)
 	if table != graph || pipe != table {
@@ -394,10 +400,6 @@ type SnapshotCut struct {
 	Round      int
 	Consistent bool
 	Waits      int // horizons advanced to close it
-	// Open names an event a cut called consistent lacks from the
-	// ground-truth ancestry of a FIB event in it; empty when it has all of
-	// them, or when the cut stayed inconsistent.
-	Open string
 }
 
 // SnapshotLoop is one forwarding loop the snapshot oracle met in a collected

@@ -63,6 +63,7 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/fault"
 	"hbverify/internal/hbr"
+	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/serve"
 )
@@ -153,6 +154,10 @@ type Result struct {
 	Loops []SnapshotLoop
 	// Cuts lists the lagged cut the snapshot oracle closed in each round.
 	Cuts []SnapshotCut
+	// Desync is how many receives the channel table found out of step with
+	// their sends (hbr.channel_desync), counted once each by the dripped
+	// cache of the incremental-vs-full oracle.
+	Desync int64
 }
 
 // roundGap separates rounds (and the oracle-4 fault injection) in virtual
@@ -207,6 +212,7 @@ func Run(cfg Config) *Result {
 		}
 		f := h.checkRound(round)
 		res.Loops, res.Cuts = h.loops, h.cuts
+		res.Desync = h.dripMetrics.Counter("hbr.channel_desync").Value()
 		if f != nil {
 			res.Failure = f
 			break
@@ -249,20 +255,22 @@ type harness struct {
 	cuts  []SnapshotCut
 	// drip is fed the log in 1–64-event steps (dripped counts them), where
 	// the pipeline sees it a converged round at a time. Nothing invalidates
-	// it, so it extends across every round's repair rollback.
-	drip    *hbr.Incremental
-	dripped int
+	// it, so it extends across every round's repair rollback, and its
+	// metrics count each desync once.
+	drip        *hbr.Incremental
+	dripMetrics *metrics.Registry
+	dripped     int
 }
 
 func newHarness(cfg Config, w *world) *harness {
 	h := &harness{cfg: cfg, w: w, p: hbverify.NewPipeline(w.net, w.verifySources)}
 	h.p.External = w.isExternal
-	h.drip = hbr.NewIncremental(hbr.Rules{}, nil)
+	h.dripMetrics = metrics.NewRegistry()
+	h.drip = hbr.NewIncremental(hbr.Rules{}, h.dripMetrics)
 	// The compaction mirror needs rule windows small enough that churn
 	// rounds (roundGap apart) actually age past the retention floor, and a
 	// skew slack covering the worlds' ±20ms clock offsets twice over.
-	h.cRules = hbr.Rules{Window: 200 * time.Millisecond,
-		ConfigWindow: 500 * time.Millisecond, CrossWindow: 200 * time.Millisecond}
+	h.cRules = hbr.Rules{Window: 200 * time.Millisecond, ConfigWindow: 500 * time.Millisecond}
 	h.cinc = hbr.NewIncremental(h.cRules, nil)
 	h.cinc.SkewSlack = compactSlack
 	h.clog = capture.NewLog()

@@ -20,9 +20,10 @@
 // update depends on is an inference that can miss, whether a receive's
 // send is collected is not. That makes it the textbook consistent-cut
 // condition — no message received and not sent — accounted per message.
-// ConsistentCut accounts it over a send table (hbr.Sends) with no graph;
-// Check reads it off a graph inferred over the cut, and ConsistentCollect
-// extends a cut with one; both reach the same cut.
+// A receive's send is its place on its FIFO channel (hbr.Pair), so no
+// timestamp decides which send that is. ConsistentCut accounts it over those
+// pairs with no graph; Check reads it off a graph inferred over the cut,
+// and ConsistentCollect extends a cut with one; both reach the same cut.
 package snapshot
 
 import (
@@ -51,12 +52,9 @@ func (c Cut) Clone() Cut {
 }
 
 // Visible reports whether the cut collects io.
-func (c Cut) Visible(io *capture.IO) bool { return c.through(io.Router, io.Time) }
-
-// through reports whether the cut collects router's log through time t.
-func (c Cut) through(router string, t netsim.VirtualTime) bool {
-	horizon, limited := c[router]
-	return !limited || t <= horizon
+func (c Cut) Visible(io *capture.IO) bool {
+	horizon, limited := c[io.Router]
+	return !limited || io.Time <= horizon
 }
 
 // Collect returns the I/Os visible under the cut, preserving order.
@@ -226,45 +224,35 @@ func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(str
 	return collected, final, res
 }
 
-// Sends is what ConsistentCut accounts a receive against: hbr.Sends, which
-// this package cannot import because hbr's tests import it. Earliest
-// reports the observed time of the earliest send the receive could be
-// matched to, false when the log holds none. A cut that collects the
-// receive holds a send for it exactly when it collects the receive's peer
-// through that time.
-type Sends interface {
-	Earliest(recv *capture.IO) (netsim.VirtualTime, bool)
-}
-
 // ConsistentCut repeatedly extends an inconsistent cut of v — advancing the
 // logs of the routers the closure names, as the §7 prototype does ("the
 // verifier can wait until it receives the up-to-date HBG from R1") — until
 // the snapshot is consistent or no progress is possible. It judges a cut by
-// message accounting alone, no graph: each accounted receive of v is looked
-// up in sends once, and a cut is closed when it collects, for every
-// accounted receive it collects, the send found. That is the verdict Check
-// gives the graph inferred over the cut, so ConsistentCut and
-// ConsistentCollect reach the same cut. Nothing is copied out of v. It
-// returns the final cut and the last verdict.
-func ConsistentCut(v capture.View, cut Cut, sends Sends, external func(string) bool) (Cut, Result) {
-	type receipt struct {
-		recv *capture.IO
-		send netsim.VirtualTime
-		sent bool // the log holds a send recv can match, the earliest at send
-	}
+// message accounting alone, no graph: sendOf[i] is the position in v of the
+// send the receive at i is paired with, -1 for none (hbr.Pair, which this
+// package cannot call because hbr's tests import it), and a cut is closed
+// when it collects, for every accounted receive it collects, that send. A
+// receive with none leaves every cut open. That is the verdict Check gives
+// the graph inferred over the cut, so ConsistentCut and ConsistentCollect
+// reach the same cut. Nothing is copied out of v. It returns the final cut
+// and the last verdict.
+func ConsistentCut(v capture.View, cut Cut, sendOf []int32, external func(string) bool) (Cut, Result) {
+	type receipt struct{ recv, send *capture.IO }
 	var receipts []receipt
 	for i := 0; i < v.Len(); i++ {
 		if io := v.At(i); accounted(io, external) {
-			t, ok := sends.Earliest(io)
-			receipts = append(receipts, receipt{io, t, ok})
+			r := receipt{recv: io}
+			if s := sendOf[i]; s >= 0 {
+				r.send = v.At(int(s))
+			}
+			receipts = append(receipts, r)
 		}
 	}
 	return extend(v, cut, func(c Cut) Result {
 		var cl closure
-		for i := range receipts {
-			r := &receipts[i]
+		for _, r := range receipts {
 			if c.Visible(r.recv) {
-				cl.account(r.recv, r.sent && c.through(r.recv.Peer, r.send))
+				cl.account(r.recv, r.send != nil && c.Visible(r.send))
 			}
 		}
 		return cl.result()

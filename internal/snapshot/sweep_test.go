@@ -149,13 +149,13 @@ func ids(ios []capture.IO) []uint64 {
 // TestCheckMatchesSendTable runs the sweep's cuts again — every
 // single-router cut at every event boundary — closing each both ways:
 // ConsistentCollect with a graph per cut, judged by Check, and ConsistentCut
-// by message accounting over the log's send table. Both must reach the same
+// by message accounting over the log's channel pairs. Both must reach the same
 // final cut and the same verdict, Missing in the same order, WaitFor and
 // waits, with and without an external predicate. Every graph Check judges
 // must also find missing what the per-update formulation finds.
 func TestCheckMatchesSendTable(t *testing.T) {
 	_, ios := fig1Transition(t)
-	sends := hbr.Rules{}.Sends(capture.ViewOf(ios))
+	sendOf := hbr.Pair(capture.ViewOf(ios))
 	externals := map[string]func(string) bool{
 		"nil":         nil,
 		"e1 external": func(r string) bool { return r == "e1" },
@@ -186,7 +186,7 @@ func TestCheckMatchesSendTable(t *testing.T) {
 				}
 				cut := Cut{router: io.Time - 1}
 				_, gCut, g := ConsistentCollect(ios, cut, infer, external)
-				tCut, tab := ConsistentCut(capture.ViewOf(ios), cut, sends, external)
+				tCut, tab := ConsistentCut(capture.ViewOf(ios), cut, sendOf, external)
 				if !reflect.DeepEqual(gCut, tCut) || g.Consistent != tab.Consistent || !reflect.DeepEqual(g.WaitFor, tab.WaitFor) ||
 					!slices.Equal(ids(g.Missing), ids(tab.Missing)) || g.Waits != tab.Waits {
 					t.Fatalf("external=%s, cut %v:\ngraph %v %+v\ntable %v %+v", name, cut, gCut, g, tCut, tab)

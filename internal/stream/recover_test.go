@@ -10,11 +10,12 @@ import (
 	"time"
 
 	"hbverify/internal/hbg"
+	"hbverify/internal/hbr"
 	"hbverify/internal/wire/wiretest"
 )
 
 // smallCheckpointFile runs a two-router, two-wave daemon to its end and
-// returns the STRMCKP1 file its final compaction wrote.
+// returns the STRMCKP2 file its final compaction wrote.
 func smallCheckpointFile(t testing.TB) []byte {
 	t.Helper()
 	f := Fleet{Routers: 2, Waves: 2, Skew: 30 * time.Millisecond}
@@ -53,7 +54,8 @@ var (
 // file could hold.
 func hugeCounts() (retained, roots []byte) {
 	var buf bytes.Buffer
-	if err := encodeEnvelope(&buf, nil, &hbg.Checkpoint{}); err != nil {
+	cold := hbr.NewIncremental(hbr.Rules{}, nil)
+	if err := encodeEnvelope(&buf, nil, cold.AppendChannels(nil), &hbg.Checkpoint{}); err != nil {
 		panic(err)
 	}
 	empty := buf.Bytes() // ends in the inherited-root and retained counts, both 0
@@ -128,12 +130,12 @@ func TestRecoverCorruptFile(t *testing.T) {
 
 // recodeEnvelope decodes data and encodes the result again.
 func recodeEnvelope(data []byte) ([]byte, error) {
-	positions, cp, err := decodeEnvelope(data)
+	positions, ch, cp, err := decodeEnvelope(data)
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	err = encodeEnvelope(&buf, positions, cp)
+	err = encodeEnvelope(&buf, positions, ch.AppendTo(nil), cp)
 	return buf.Bytes(), err
 }
 

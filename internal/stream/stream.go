@@ -3,9 +3,9 @@
 // concurrently, merges them into one deterministic capture order, keeps
 // the happens-before graph current through incremental inference, and
 // bounds memory by periodically compacting the capture window into a
-// checkpoint (serialized pruned graph + retained event window + per-stream
-// resume positions). Reopening the checkpoint after a crash reproduces the
-// exact state of an uninterrupted run.
+// checkpoint (serialized pruned graph + retained event window + channel
+// table + per-stream resume positions). Reopening the checkpoint after a
+// crash reproduces the exact state of an uninterrupted run.
 //
 // Merge determinism is what makes crash recovery testable: buffered events
 // are released in (observed time, router) order via a k-way merge that
@@ -36,8 +36,9 @@ import (
 )
 
 // streamMagic heads the daemon checkpoint envelope; the per-stream resume
-// positions precede an embedded hbg checkpoint.
-const streamMagic = "STRMCKP1"
+// positions and the inference's channel table precede an embedded hbg
+// checkpoint. Version 1 carried no channel table.
+const streamMagic = "STRMCKP2"
 
 // Options configures a Daemon.
 type Options struct {
@@ -60,6 +61,12 @@ type Options struct {
 	CompactEvery uint64
 	// Resolve maps peer session addresses to router names for the parser.
 	Resolve ciscolog.Resolver
+	// Neighbor maps routers' interfaces to their links' far ends for the
+	// parser. Without it a logged link-down opens no epoch on its IGP
+	// channels: a message lost with the link counts as a channel desync
+	// (hbr.channel_desync) or, when a later message repeats its key, takes
+	// that message's receive.
+	Neighbor ciscolog.Neighbor
 }
 
 // defaultBufferCap bounds each stream's merge buffer; a full buffer blocks
@@ -143,7 +150,7 @@ func New(opts Options) (*Daemon, error) {
 // decoded and the window has been validated, so a corrupt file is an error
 // from New, never a daemon on half of it.
 func (d *Daemon) recover(data []byte) error {
-	positions, cp, err := decodeEnvelope(data)
+	positions, ch, cp, err := decodeEnvelope(data)
 	if err != nil {
 		return err
 	}
@@ -160,32 +167,34 @@ func (d *Daemon) recover(data []byte) error {
 		return err
 	}
 	d.log, d.recovered = log, positions
-	d.inc.SeedCheckpoint(cp.Graph, cp.FirstRetainedID, cp.LastID)
+	d.inc.SeedCheckpoint(cp.Graph, ch, cp.FirstRetainedID, cp.LastID)
 	return nil
 }
 
 // decodeEnvelope parses a checkpoint file — bytes a crash left behind —
 // through the bounded wire reader: the magic, the per-stream resume
-// positions, then the embedded hbg checkpoint, which must end the file.
-func decodeEnvelope(data []byte) (map[string]int, *hbg.Checkpoint, error) {
+// positions, the channel table, then the embedded hbg checkpoint, which must
+// end the file.
+func decodeEnvelope(data []byte) (map[string]int, *hbr.Channels, *hbg.Checkpoint, error) {
 	r := wire.NewReader(data)
 	if magic := r.Take(len(streamMagic)); string(magic) != streamMagic {
-		return nil, nil, fmt.Errorf("bad magic %q", magic)
+		return nil, nil, nil, fmt.Errorf("bad magic %q", magic)
 	}
 	positions := map[string]int{}
 	// A position is at least a name length and a count.
 	for i := r.Count("stream", 2); i > 0 && r.Err() == nil; i-- {
 		name, pos := r.Str(), r.Uvarint()
 		if pos > math.MaxInt {
-			return nil, nil, fmt.Errorf("stream %q: position %d does not fit an int", name, pos)
+			return nil, nil, nil, fmt.Errorf("stream %q: position %d does not fit an int", name, pos)
 		}
 		positions[name] = int(pos)
 	}
+	ch := hbr.ReadChannels(r)
 	if err := r.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	cp, err := hbg.DecodeCheckpoint(bytes.NewReader(r.Take(r.Len())))
-	return positions, cp, err
+	return positions, ch, cp, err
 }
 
 // Register adds a per-router stream. All registrations must complete
@@ -217,7 +226,7 @@ func (s *Stream) Consume(r io.Reader) error {
 		go d.merge()
 	})
 	p := ciscolog.NewParser(d.opts.Resolve)
-	p.Metrics = d.opts.Metrics
+	p.Neighbor, p.Metrics = d.opts.Neighbor, d.opts.Metrics
 	skip := s.skip
 	err := p.ParseReader(s.name, r, func(io capture.IO) error {
 		if skip > 0 {
@@ -418,7 +427,7 @@ func (d *Daemon) writeCheckpoint(g *hbg.Graph) error {
 	if err != nil {
 		return err
 	}
-	if err := encodeEnvelope(f, d.Positions(), cp); err != nil {
+	if err := encodeEnvelope(f, d.Positions(), d.inc.AppendChannels(nil), cp); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -442,8 +451,9 @@ func (d *Daemon) writeCheckpoint(g *hbg.Graph) error {
 	return nil
 }
 
-// encodeEnvelope is decodeEnvelope's inverse; names are written sorted.
-func encodeEnvelope(w io.Writer, positions map[string]int, cp *hbg.Checkpoint) error {
+// encodeEnvelope is decodeEnvelope's inverse; names are written sorted, and
+// channels is the encoded table (hbr.Incremental.AppendChannels).
+func encodeEnvelope(w io.Writer, positions map[string]int, channels []byte, cp *hbg.Checkpoint) error {
 	names := make([]string, 0, len(positions))
 	for name := range positions {
 		names = append(names, name)
@@ -454,7 +464,7 @@ func encodeEnvelope(w io.Writer, positions map[string]int, cp *hbg.Checkpoint) e
 		buf = wire.AppendString(buf, name)
 		buf = binary.AppendUvarint(buf, uint64(positions[name]))
 	}
-	if _, err := w.Write(buf); err != nil {
+	if _, err := w.Write(append(buf, channels...)); err != nil {
 		return err
 	}
 	return cp.Encode(w)

@@ -2,10 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,8 +26,7 @@ import (
 // testStrategy keeps rule windows small so compaction floors are reachable
 // inside short synthetic traces.
 func testStrategy() hbr.Rules {
-	return hbr.Rules{Window: 100 * time.Millisecond, ConfigWindow: 500 * time.Millisecond,
-		CrossWindow: 100 * time.Millisecond}
+	return hbr.Rules{Window: 100 * time.Millisecond, ConfigWindow: 500 * time.Millisecond}
 }
 
 func testFleet(waves int) Fleet {
@@ -358,11 +360,12 @@ func TestZeroStrategyCompactsAtDefaultRetention(t *testing.T) {
 	edgesEqual(t, g, want)
 }
 
-// TestDaemonLaterNearerSendReplacesEdge drives the stale-edge shape through
-// the daemon: r1's recv is folded (a compaction tick) while r0's first send
-// is the only candidate, then r0's second, nearer send arrives. The graph
-// must re-match the recv, not keep both sends as its parents.
-func TestDaemonLaterNearerSendReplacesEdge(t *testing.T) {
+// TestDaemonSendMergedAfterReceiveFillsIt drives a receive ahead of its
+// send through the daemon: r0's clock runs slow, so the merge releases r1's
+// receive first and a compaction tick folds it with no send to pair. r0's
+// send, merged after, must give it exactly that one edge, and r0's second
+// send is left for the next receive.
+func TestDaemonSendMergedAfterReceiveFillsIt(t *testing.T) {
 	f := Fleet{Routers: 2}
 	at := func(ms int) netsim.VirtualTime {
 		return netsim.VirtualTime(time.Second + time.Duration(ms)*time.Millisecond)
@@ -375,14 +378,33 @@ func TestDaemonLaterNearerSendReplacesEdge(t *testing.T) {
 		return append(ciscolog.AppendLine(nil, io), '\n')
 	}
 	logs := [][]byte{
-		append(line(0, capture.SendAdvert, 1, 0), line(0, capture.SendAdvert, 1, 150)...),
+		append(line(0, capture.SendAdvert, 1, 150), line(0, capture.SendAdvert, 1, 300)...),
 		line(1, capture.RecvAdvert, 0, 100),
 	}
-	d, err := New(Options{Strategy: hbr.Rules{}, Resolve: f.Resolver(), CompactEvery: 2})
+	reg := metrics.NewRegistry()
+	d, err := New(Options{Strategy: hbr.Rules{}, Resolve: f.Resolver(), CompactEvery: 1, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := []*Stream{d.Register(f.RouterName(0)), d.Register(f.RouterName(1))}
+	consumeLogs(t, d, []string{f.RouterName(0), f.RouterName(1)}, logs)
+	if n := reg.Counter("stream.compactions").Value(); n != 3 {
+		t.Fatalf("%d compactions, want one per event", n)
+	}
+	g := d.Graph()
+	edgesEqual(t, g, hbr.Rules{}.Infer(d.Log().Snapshot()))
+	if want := []hbg.Edge{{From: 2, To: 1}}; !reflect.DeepEqual(g.Edges(), want) {
+		t.Fatalf("edges = %v, want %v", g.Edges(), want)
+	}
+}
+
+// consumeLogs registers one stream per router, consumes each router's log
+// concurrently, and waits for the merge.
+func consumeLogs(t *testing.T, d *Daemon, routers []string, logs [][]byte) {
+	t.Helper()
+	streams := make([]*Stream, len(routers))
+	for i, r := range routers {
+		streams[i] = d.Register(r)
+	}
 	var wg sync.WaitGroup
 	for i := range streams {
 		wg.Add(1)
@@ -397,9 +419,117 @@ func TestDaemonLaterNearerSendReplacesEdge(t *testing.T) {
 	if err := d.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	g := d.Graph()
-	edgesEqual(t, g, hbr.Rules{}.Infer(d.Log().Snapshot()))
-	if want := []hbg.Edge{{From: 3, To: 2}}; !reflect.DeepEqual(g.Edges(), want) {
-		t.Fatalf("edges = %v, want %v", g.Edges(), want)
+}
+
+// TestParsedLinkDownOpensEpoch: a link's log line names only its interface.
+// With the daemon's Neighbor resolving it, the parsed link-down opens the
+// adjacency's next epoch at both ends, so a RIP advert and an OSPF LSA lost
+// with the link are left in the old one, and what is sent after the link
+// comes back pairs with its own receive, with no desync. Without Neighbor
+// the LSA lost is a desync and the re-sent advert's receive takes the lost
+// advert, which has its key.
+func TestParsedLinkDownOpensEpoch(t *testing.T) {
+	f := Fleet{Routers: 2}
+	at := func(ms int) netsim.VirtualTime {
+		return netsim.VirtualTime(time.Second + time.Duration(ms)*time.Millisecond)
 	}
+	line := func(router int, typ capture.Type, ms int) []byte {
+		io := capture.IO{Router: f.RouterName(router), Type: typ, Proto: route.ProtoRIP, Prefix: wavePrefix(0),
+			PeerAddr: f.Addr(1 - router), Time: at(ms)}
+		if typ == capture.LinkDown || typ == capture.LinkUp {
+			io = capture.IO{Router: io.Router, Type: typ, Detail: "eth-" + f.RouterName(1-router), Time: io.Time}
+		}
+		return append(ciscolog.AppendLine(nil, io), '\n')
+	}
+	lsa := func(router int, typ capture.Type, seq, ms int) []byte {
+		io := capture.IO{Router: f.RouterName(router), Type: typ, Proto: route.ProtoOSPF,
+			Detail: fmt.Sprintf("LSA origin=10.0.0.0 seq=%d links=1 stubs=0", seq), PeerAddr: f.Addr(1 - router), Time: at(ms)}
+		return append(ciscolog.AppendLine(nil, io), '\n')
+	}
+	logs := [][]byte{
+		slices.Concat(line(0, capture.SendAdvert, 100), lsa(0, capture.SendAdvert, 1, 110),
+			line(0, capture.SendAdvert, 200), lsa(0, capture.SendAdvert, 2, 200), // lost with the link
+			line(0, capture.LinkDown, 201), line(0, capture.LinkUp, 300),
+			line(0, capture.SendAdvert, 301), lsa(0, capture.SendAdvert, 3, 310)),
+		slices.Concat(line(1, capture.RecvAdvert, 102), lsa(1, capture.RecvAdvert, 1, 112),
+			line(1, capture.LinkDown, 201), line(1, capture.LinkUp, 300),
+			line(1, capture.RecvAdvert, 303), lsa(1, capture.RecvAdvert, 3, 312)),
+	}
+	neighbor := func(router, iface string) string { return strings.TrimPrefix(iface, "eth-") }
+	for _, c := range []struct {
+		neighbor ciscolog.Neighbor
+		sendMs   int   // the send the advert received at 303 ms pairs with
+		desync   int64 // passed over: the LSA lost, when it shares a channel with seq 3
+	}{{neighbor, 301, 0}, {nil, 200, 1}} {
+		reg := metrics.NewRegistry()
+		d, err := New(Options{Strategy: hbr.Rules{}, Resolve: f.Resolver(), Neighbor: c.neighbor, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		consumeLogs(t, d, []string{f.RouterName(0), f.RouterName(1)}, logs)
+		g := d.Graph()
+		id := func(router string, proto route.Protocol, ms int) uint64 {
+			for _, io := range d.Log().Snapshot() {
+				if io.Router == router && io.Proto == proto && io.Time == at(ms) {
+					return io.ID
+				}
+			}
+			t.Fatalf("no %v event of %s at %d ms", proto, router, ms)
+			return 0
+		}
+		if got, want := g.Parents(id("r1", route.ProtoRIP, 303)), []uint64{id("r0", route.ProtoRIP, c.sendMs)}; !slices.Equal(got, want) {
+			t.Fatalf("neighbor %v: advert's parents %v, want the send at %d ms %v", c.neighbor != nil, got, c.sendMs, want)
+		}
+		if got, want := g.Parents(id("r1", route.ProtoOSPF, 312)), []uint64{id("r0", route.ProtoOSPF, 310)}; !slices.Equal(got, want) {
+			t.Fatalf("neighbor %v: LSA's parents %v, want %v", c.neighbor != nil, got, want)
+		}
+		if n := reg.Counter("hbr.channel_desync").Value(); n != c.desync {
+			t.Fatalf("neighbor %v: %d desyncs, want %d", c.neighbor != nil, n, c.desync)
+		}
+	}
+}
+
+// TestCompactionBoundsChannelTable: r2's sends to r3, which logs nothing,
+// never meet a receive, and r0's send whose receive line r1 lost is passed
+// over by the next receive. Compaction forgets what falls below its floor,
+// so the table a checkpoint carries stays the size of the retained window —
+// four times the waves give less than twice the bytes, where an unbounded
+// table would grow fourfold — and the lost line costs one desync, not a
+// wedged channel: the compacting daemon's graph is the unbounded run's.
+func TestCompactionBoundsChannelTable(t *testing.T) {
+	run := func(waves, every int) (*Daemon, *hbg.Graph, int64) {
+		f := testFleet(waves)
+		routers := []string{f.RouterName(0), f.RouterName(1), f.RouterName(2)}
+		logs := make([][]byte, len(routers))
+		for i := range logs {
+			b, err := io.ReadAll(f.Reader(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs[i] = b
+		}
+		lines := bytes.SplitAfter(logs[1], []byte("\n"))
+		logs[1] = slices.Concat(slices.Delete(lines, 3*5, 3*5+1)...) // wave 5's receive
+		reg := metrics.NewRegistry()
+		d, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver(),
+			CompactEvery: uint64(every), Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		consumeLogs(t, d, routers, logs)
+		g := d.Graph()
+		return d, g, reg.Counter("hbr.channel_desync").Value()
+	}
+	small, _, _ := run(200, 64)
+	big, cg, desync := run(800, 64)
+	_, g, fullDesync := run(800, 0)
+	sb, bb := len(small.inc.AppendChannels(nil)), len(big.inc.AppendChannels(nil))
+	if bb >= 2*sb {
+		t.Fatalf("channel table: %d bytes after 200 waves, %d after 800", sb, bb)
+	}
+	if desync != 1 || fullDesync != 1 {
+		t.Fatalf("desyncs: %d compacting, %d unbounded, want 1", desync, fullDesync)
+	}
+	g.PruneBefore(cg.PrunedBelow())
+	edgesEqual(t, cg, g)
 }
