@@ -219,6 +219,21 @@ func appendNhOrSelf(dst []byte, a netip.Addr) []byte {
 	return a.AppendTo(dst)
 }
 
+// appendHopsOrSelf renders a FIB I/O's next hops: an ECMP set as its
+// members joined by "|", the form fib.Entry prints.
+func appendHopsOrSelf(dst []byte, io *capture.IO) []byte {
+	if len(io.NextHops) < 2 {
+		return appendNhOrSelf(dst, io.NextHop)
+	}
+	for i, h := range io.NextHops {
+		if i > 0 {
+			dst = append(dst, '|')
+		}
+		dst = h.AppendTo(dst)
+	}
+	return dst
+}
+
 func appendPathOrNone(dst []byte, a route.BGPAttrs) []byte {
 	if len(a.ASPath) == 0 {
 		return append(dst, "local"...)
@@ -338,7 +353,7 @@ func AppendLine(dst []byte, io capture.IO) []byte {
 		dst = append(dst, ": %FIB-6-INSTALL: "...)
 		dst = appendPrefix(dst, io.Prefix)
 		dst = append(dst, " via "...)
-		dst = appendNhOrSelf(dst, io.NextHop)
+		dst = appendHopsOrSelf(dst, &io)
 		dst = append(dst, " installed in FIB ("...)
 		dst = appendProto(dst, io.Proto)
 		return append(dst, ')')
@@ -462,6 +477,24 @@ func (p *Parser) parseAddr(b []byte) (netip.Addr, error) {
 	}
 	p.addrs[string(b)] = a
 	return a, nil
+}
+
+// parseHops parses a FIB line's next hops: one address, or an ECMP set
+// joined by "|", whose first member is also the next hop.
+func (p *Parser) parseHops(b []byte) (netip.Addr, []netip.Addr, error) {
+	if bytes.IndexByte(b, '|') < 0 {
+		a, err := p.parseAddr(b)
+		return a, nil, err
+	}
+	var hops []netip.Addr
+	for _, part := range bytes.Split(b, []byte{'|'}) {
+		a, err := p.parseAddr(part)
+		if err != nil {
+			return netip.Addr{}, nil, err
+		}
+		hops = append(hops, a)
+	}
+	return hops[0], hops, nil
 }
 
 // resolveAddr memoizes the Resolver per address (resolvers are assumed
@@ -603,7 +636,7 @@ func (p *Parser) parse(router string, line []byte) (capture.IO, error) {
 			return io, err
 		}
 		if nh := body[lo2:hi2]; string(nh) != "self" {
-			if io.NextHop, err = p.parseAddr(nh); err != nil {
+			if io.NextHop, io.NextHops, err = p.parseHops(nh); err != nil {
 				return io, err
 			}
 		}

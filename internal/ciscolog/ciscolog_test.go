@@ -231,6 +231,29 @@ func TestRoundTripPreservesStructure(t *testing.T) {
 	}
 }
 
+// An ECMP install's line carries the whole next-hop set, so a parsed log
+// replays to the FIB the router held, not to its lowest member alone.
+func TestFIBLineRoundTripsECMPSet(t *testing.T) {
+	hops := []netip.Addr{addr("10.0.0.2"), addr("10.0.1.2"), addr("10.0.2.2")}
+	io := capture.IO{Router: "r1", Type: capture.FIBInstall, Prefix: pfx("203.0.113.0/24"),
+		NextHop: hops[0], NextHops: hops, Proto: route.ProtoOSPF, Time: netsim.VirtualTime(time.Second)}
+	line := AppendLine(nil, io)
+	if !bytes.Contains(line, []byte(" via 10.0.0.2|10.0.1.2|10.0.2.2 installed")) {
+		t.Fatalf("line = %q", line)
+	}
+	got, err := NewParser(nil).parse("r1", line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NextHop != hops[0] || !slices.Equal(got.NextHops, hops) {
+		t.Fatalf("parsed %v via %v, want %v", got.NextHop, got.NextHops, hops)
+	}
+	ref, err := NewReferenceParser(nil).ParseLine("r1", string(line))
+	if err != nil || ref.NextHop != hops[0] || !slices.Equal(ref.NextHops, hops) {
+		t.Fatalf("reference parsed %v via %v (%v), want %v", ref.NextHop, ref.NextHops, err, hops)
+	}
+}
+
 // TestFig5Feasibility reproduces the paper's §7 experiment on our
 // substrate: Cisco-style logs with the measured latencies (25 s TTY→soft
 // reconfiguration, ~4 ms FIB install, ~8 ms propagation) are emitted,

@@ -32,6 +32,7 @@ func FuzzParse(f *testing.F) {
 		"*Nov  1 10:02:16.000: BGP(0): Revise route removing 203.0.113.0/24 from main IP table",
 		"*Nov  1 10:02:17.125: %FIB-6-INSTALL: 203.0.113.0/24 via 10.0.0.2 installed in FIB (bgp)",
 		"*Nov  1 10:02:17.125: %FIB-6-INSTALL: 10.255.0.1/32 via self installed in FIB (connected)",
+		"*Nov  1 10:02:17.125: %FIB-6-INSTALL: 203.0.113.0/24 via 10.0.0.2|10.0.1.2|10.0.2.2 installed in FIB (ospf)",
 		"*Nov  1 10:02:18.000: %FIB-6-REMOVE: 203.0.113.0/24 removed from FIB (bgp)",
 		"*Nov  1 10:03:00.001: OSPF: rcv. LSU router-lsa 10.255.1.1 seq 3 from 10.0.1.2",
 		"*Nov  1 10:03:00.001: OSPF: send LSU router-lsa 10.255.0.1 seq 4 to 10.0.1.1",

@@ -76,7 +76,15 @@ func ReferenceEmit(io capture.IO) string {
 	case capture.RIBRemove:
 		return fmt.Sprintf("%s: %s(0): Revise route removing %s from main IP table", ts, protoTag(io.Proto), io.Prefix)
 	case capture.FIBInstall:
-		return fmt.Sprintf("%s: %%FIB-6-INSTALL: %s via %s installed in FIB (%s)", ts, io.Prefix, nhOrSelf(io.NextHop), io.Proto)
+		nh := nhOrSelf(io.NextHop)
+		if len(io.NextHops) > 1 {
+			hops := make([]string, len(io.NextHops))
+			for i, h := range io.NextHops {
+				hops[i] = h.String()
+			}
+			nh = strings.Join(hops, "|")
+		}
+		return fmt.Sprintf("%s: %%FIB-6-INSTALL: %s via %s installed in FIB (%s)", ts, io.Prefix, nh, io.Proto)
 	case capture.FIBRemove:
 		return fmt.Sprintf("%s: %%FIB-6-REMOVE: %s removed from FIB (%s)", ts, io.Prefix, io.Proto)
 	default:
@@ -182,8 +190,17 @@ func (p *ReferenceParser) ParseLine(router, line string) (capture.IO, error) {
 			return io, err
 		}
 		if fields[2] != "self" {
-			if io.NextHop, err = netip.ParseAddr(fields[2]); err != nil {
-				return io, err
+			hops := strings.Split(fields[2], "|")
+			for _, h := range hops {
+				a, err := netip.ParseAddr(h)
+				if err != nil {
+					return io, err
+				}
+				io.NextHops = append(io.NextHops, a)
+			}
+			io.NextHop = io.NextHops[0]
+			if len(hops) == 1 {
+				io.NextHops = nil
 			}
 		}
 		io.Proto = refFibProto(rest)

@@ -31,6 +31,7 @@ import (
 	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/topology"
+	"hbverify/internal/trie"
 )
 
 // View resolves a destination to a FIB entry at one router. ok=false means
@@ -48,18 +49,11 @@ func TableView(tables map[string]*fib.Table) View {
 	}
 }
 
-// SnapshotView adapts static per-router FIB maps to a View, doing
-// longest-prefix match over the map contents.
-func SnapshotView(snap map[string]map[netip.Prefix]fib.Entry) View {
+// SnapshotView adapts static per-router FIBs to a View.
+func SnapshotView(snap map[string]*trie.Trie[fib.Entry]) View {
 	return func(router string, dst netip.Addr) (fib.Entry, bool) {
-		var best fib.Entry
-		bits := -1
-		for p, e := range snap[router] {
-			if p.Contains(dst) && p.Bits() > bits {
-				best, bits = e, p.Bits()
-			}
-		}
-		return best, bits >= 0
+		e, _, ok := snap[router].Lookup(dst)
+		return e, ok
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/topology"
+	"hbverify/internal/trie"
 )
 
 func startPaper(t *testing.T, opt network.PaperOpts) *network.PaperNet {
@@ -72,8 +73,8 @@ func TestLoopDetection(t *testing.T) {
 	// Hand-craft an inconsistent snapshot: r1 points at r2, r2 points at
 	// r1 (the Fig. 1c phantom loop).
 	snap := pn.FIBSnapshot()
-	snap["r1"][pn.P] = fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")}
-	snap["r2"][pn.P] = fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")}
+	_ = snap["r1"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")})
+	_ = snap["r2"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")})
 	w := NewWalker(pn.Topo, SnapshotView(snap))
 	walk := w.ForwardPrefix("r3", pn.P)
 	if walk.Outcome != Looped {
@@ -110,8 +111,8 @@ func TestStuckOnUnresolvableNextHop(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	snap := pn.FIBSnapshot()
 	// r3 points at an address nobody owns and no route covers.
-	snap["r3"][pn.P] = fib.Entry{Prefix: pn.P, NextHop: addr("99.99.99.99")}
-	delete(snap["r3"], pfx("0.0.0.0/0"))
+	_ = snap["r3"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("99.99.99.99")})
+	snap["r3"].Delete(pfx("0.0.0.0/0"))
 	w := NewWalker(pn.Topo, SnapshotView(snap))
 	walk := w.ForwardPrefix("r3", pn.P)
 	if walk.Outcome != Stuck {
@@ -120,13 +121,10 @@ func TestStuckOnUnresolvableNextHop(t *testing.T) {
 }
 
 func TestSnapshotViewLPM(t *testing.T) {
-	snap := map[string]map[netip.Prefix]fib.Entry{
-		"a": {
-			pfx("0.0.0.0/0"):  {Prefix: pfx("0.0.0.0/0"), NextHop: addr("1.1.1.1")},
-			pfx("10.0.0.0/8"): {Prefix: pfx("10.0.0.0/8"), NextHop: addr("2.2.2.2")},
-		},
-	}
-	v := SnapshotView(snap)
+	v := SnapshotView(triesOf(map[string][]fib.Entry{"a": {
+		{Prefix: pfx("0.0.0.0/0"), NextHop: addr("1.1.1.1")},
+		{Prefix: pfx("10.0.0.0/8"), NextHop: addr("2.2.2.2")},
+	}}))
 	if e, ok := v("a", addr("10.1.1.1")); !ok || e.NextHop != addr("2.2.2.2") {
 		t.Fatalf("lpm = %+v %v", e, ok)
 	}
@@ -316,13 +314,25 @@ func diamondWalker(t *testing.T) *Walker {
 	if _, err := topo.AddStub("d", "lan", addr("55.0.0.254"), p); err != nil {
 		t.Fatal(err)
 	}
-	snap := map[string]map[netip.Prefix]fib.Entry{
-		"s": {p: {Prefix: p, NextHop: addr("10.0.1.2"),
+	snap := triesOf(map[string][]fib.Entry{
+		"s": {{Prefix: p, NextHop: addr("10.0.1.2"),
 			NextHops: []netip.Addr{addr("10.0.1.2"), addr("10.0.2.2")}}},
-		"a": {p: {Prefix: p, NextHop: addr("10.0.3.2")}},
-		"b": {p: {Prefix: p, NextHop: addr("10.0.4.2")}},
-	}
+		"a": {{Prefix: p, NextHop: addr("10.0.3.2")}},
+		"b": {{Prefix: p, NextHop: addr("10.0.4.2")}},
+	})
 	return NewWalker(topo, SnapshotView(snap))
+}
+
+// triesOf builds per-router FIBs from each router's entries.
+func triesOf(entries map[string][]fib.Entry) map[string]*trie.Trie[fib.Entry] {
+	out := map[string]*trie.Trie[fib.Entry]{}
+	for r, es := range entries {
+		out[r] = trie.New[fib.Entry]()
+		for _, e := range es {
+			_ = out[r].Insert(e.Prefix, e)
+		}
+	}
+	return out
 }
 
 // TestConcretePathsMatchSymbolic checks the differential the oracle relies

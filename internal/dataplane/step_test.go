@@ -12,6 +12,7 @@ import (
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
 	"hbverify/internal/topology"
+	"hbverify/internal/trie"
 )
 
 func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
@@ -142,7 +143,7 @@ func TestStepTable(t *testing.T) {
 			dst := addr(tc.dst)
 
 			live := dataplane.NewWalker(topo, dataplane.TableView(map[string]*fib.Table{"x": table}))
-			frozen := dataplane.NewWalker(topo, dataplane.SnapshotView(map[string]map[netip.Prefix]fib.Entry{"x": snap}))
+			frozen := dataplane.NewWalker(topo, dataplane.SnapshotView(map[string]*trie.Trie[fib.Entry]{"x": snap}))
 			x := topo.Router("x")
 			node := dist.LocalView{Router: "x", Loopback: x.Loopback, Ifaces: dataplane.IfacesOf(x), FIB: snap}
 

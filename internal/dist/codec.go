@@ -92,9 +92,7 @@ func appendWalkBatch(b []byte, mt byte, batchID int, walks []WalkMsg) []byte {
 func appendEntry(b []byte, e fib.Entry) []byte {
 	b = wire.AppendPrefix(b, e.Prefix)
 	b = wire.AppendAddr(b, e.NextHop)
-	b = wire.AppendString(b, e.OutIface)
-	b = append(b, byte(e.Proto), e.AD)
-	b = binary.AppendUvarint(b, uint64(e.Metric))
+	b = append(b, byte(e.Proto))
 	// ECMP next-hop set; 0 marks a single-path entry.
 	return wire.AppendAddrs(b, e.NextHops)
 }
@@ -203,7 +201,7 @@ func appendLocalReport(b []byte, rep *LocalReport) []byte {
 
 const (
 	minWalkBytes  = 8
-	minEntryBytes = 7
+	minEntryBytes = 4
 	minIfaceBytes = 7
 )
 
@@ -250,10 +248,7 @@ func readEntry(r *wire.Reader) fib.Entry {
 	var e fib.Entry
 	e.Prefix = r.Prefix()
 	e.NextHop = r.Addr()
-	e.OutIface = r.Str()
 	e.Proto = route.Protocol(r.Byte())
-	e.AD = r.Byte()
-	e.Metric = uint32(r.Uvarint())
 	e.NextHops = r.Addrs()
 	return e
 }

@@ -14,6 +14,7 @@ import (
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
 	"hbverify/internal/topology"
+	"hbverify/internal/trie"
 )
 
 // ecmpWorld is one construction of the same tiny ECMP network: r1 forwards
@@ -73,7 +74,7 @@ func buildEcmpWorld(t *testing.T, hops []netip.Addr, linksReversed bool) ecmpWor
 		t.Fatal("ECMP static not installed")
 	}
 
-	fibs := map[string]map[netip.Prefix]fib.Entry{
+	fibs := map[string]*trie.Trie[fib.Entry]{
 		"r1": tables["r1"].Snapshot(),
 		"r2": tables["r2"].Snapshot(),
 		"r3": tables["r3"].Snapshot(),

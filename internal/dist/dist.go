@@ -29,7 +29,6 @@ import (
 	"hbverify/internal/localck"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
-	"hbverify/internal/route"
 	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 	"hbverify/internal/wire"
@@ -42,10 +41,7 @@ type LocalView struct {
 	Router   string
 	Loopback netip.Addr
 	Ifaces   []dataplane.Iface
-	FIB      map[netip.Prefix]fib.Entry
-
-	// lpmTrie indexes FIB for longest-prefix matching; built by Compile.
-	lpmTrie *trie.Trie[fib.Entry]
+	FIB      *trie.Trie[fib.Entry]
 }
 
 // LocalViewOf extracts a router's local view from a built network.
@@ -56,28 +52,14 @@ func LocalViewOf(r *network.Router) LocalView {
 	}
 }
 
-// Compile (re)builds the longest-prefix-match index over the FIB. It must
-// be called again after mutating FIB; views constructed by hand without
-// calling it are compiled lazily on first lookup.
-func (v *LocalView) Compile() {
-	t := trie.New[fib.Entry]()
-	for p, e := range v.FIB {
-		t.Insert(p, e)
-	}
-	v.lpmTrie = t
-}
-
-func (v *LocalView) lpm(dst netip.Addr) (fib.Entry, bool) {
-	if v.lpmTrie == nil {
-		v.Compile()
-	}
-	e, _, ok := v.lpmTrie.Lookup(dst)
+func (v LocalView) lpm(dst netip.Addr) (fib.Entry, bool) {
+	e, _, ok := v.FIB.Lookup(dst)
 	return e, ok
 }
 
 // step applies the shared forwarding step to dst using only node-local
 // knowledge: the view's own interfaces and an LPM over its own FIB.
-func (v *LocalView) step(dst netip.Addr) dataplane.Step {
+func (v LocalView) step(dst netip.Addr) dataplane.Step {
 	l := dataplane.Local{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, Lookup: v.lpm}
 	return l.Step(dst)
 }
@@ -85,7 +67,7 @@ func (v *LocalView) step(dst netip.Addr) dataplane.Step {
 // Expand computes this router's forwarding expansion for dst — the same
 // step the central dataplane.Walker.Expand applies, so a distributed
 // set-walk replays to the same result.
-func (v *LocalView) Expand(dst netip.Addr) dataplane.Expansion {
+func (v LocalView) Expand(dst netip.Addr) dataplane.Expansion {
 	return v.step(dst).Expansion
 }
 
@@ -169,9 +151,6 @@ type Node struct {
 // peer node addresses and resultTo is the coordinator's address.
 func StartNode(view LocalView, directory func(string) (string, bool), resultTo string) (*Node, error) {
 	n := &Node{View: view, directory: directory, resultTo: resultTo}
-	// Compile the LPM index up front: walk handlers run concurrently and
-	// must not race on the lazy build.
-	n.View.Compile()
 	if err := n.listen(n.handle); err != nil {
 		return nil, err
 	}
@@ -292,7 +271,7 @@ func (n *Node) sendWalks(addr string, result bool, walks []WalkMsg, batchID int)
 
 // applyViewDelta applies a coordinator-shipped view update: entry-level
 // FIB installs/removes (or a full replacement) and optionally new
-// interface state, then recompiles the LPM index.
+// interface state.
 func (n *Node) applyViewDelta(d viewDelta) {
 	if delay := n.applyDelay.Load(); delay > 0 {
 		time.Sleep(time.Duration(delay))
@@ -303,18 +282,17 @@ func (n *Node) applyViewDelta(d viewDelta) {
 		return
 	}
 	if d.Full || n.View.FIB == nil {
-		n.View.FIB = make(map[netip.Prefix]fib.Entry, len(d.Installs))
+		n.View.FIB = trie.New[fib.Entry]()
 	}
 	for _, e := range d.Installs {
-		n.View.FIB[e.Prefix] = e
+		_ = n.View.FIB.Insert(e.Prefix, e)
 	}
 	for _, p := range d.Removes {
-		delete(n.View.FIB, p)
+		n.View.FIB.Delete(p)
 	}
 	if d.HasIface {
 		n.View.Ifaces = d.Ifaces
 	}
-	n.View.Compile()
 	var rep *LocalReport
 	if d.Sync != 0 {
 		rep = n.runLocalChecks(d.Sync)
@@ -651,28 +629,6 @@ func (c *Coordinator) FleetWire(nodes map[string]*Node) (frames, bytes int64) {
 	return frames, bytes
 }
 
-// DiffFIB computes the entry-level delta from old to new: entries to
-// install (new or changed) and prefixes to remove. Both outputs are sorted
-// for deterministic frames.
-func DiffFIB(old, cur map[netip.Prefix]fib.Entry) (installs []fib.Entry, removes []netip.Prefix) {
-	for p, e := range cur {
-		if oe, ok := old[p]; !ok || !oe.Equal(e) {
-			installs = append(installs, e)
-		}
-	}
-	for p := range old {
-		if _, ok := cur[p]; !ok {
-			removes = append(removes, p)
-		}
-	}
-	slices.SortFunc(installs, entryOrder)
-	slices.SortFunc(removes, route.ComparePrefix)
-	return installs, removes
-}
-
-// entryOrder sorts FIB entries by prefix, the order delta frames carry.
-func entryOrder(a, b fib.Entry) int { return route.ComparePrefix(a.Prefix, b.Prefix) }
-
 // syncTimeout is how long SyncViews waits for the fleet to acknowledge its
 // view deltas.
 const syncTimeout = 5 * time.Second
@@ -706,19 +662,12 @@ func (c *Coordinator) SyncViews(nodes map[string]*Node, views map[string]LocalVi
 		c.mu.Lock()
 		old, had := c.lastView[r]
 		c.mu.Unlock()
-		d := viewDelta{Router: r}
-		if !had {
-			d.Full = true
-			for _, e := range v.FIB {
-				d.Installs = append(d.Installs, e)
-			}
-			slices.SortFunc(d.Installs, entryOrder)
+		// With nothing shipped yet, old is the zero view: the delta is the
+		// whole FIB.
+		d := viewDelta{Router: r, Full: !had}
+		d.Installs, d.Removes = fib.Diff(old.FIB, v.FIB)
+		if !had || !slices.Equal(old.Ifaces, v.Ifaces) {
 			d.HasIface, d.Ifaces = true, v.Ifaces
-		} else {
-			d.Installs, d.Removes = DiffFIB(old.FIB, v.FIB)
-			if !slices.Equal(old.Ifaces, v.Ifaces) {
-				d.HasIface, d.Ifaces = true, v.Ifaces
-			}
 		}
 		if len(d.Installs) == 0 && len(d.Removes) == 0 && !d.HasIface {
 			continue
@@ -800,7 +749,12 @@ func (c *Coordinator) NoteViews(views map[string]LocalView) {
 func CentralizedBytes(views map[string]LocalView) (int, error) {
 	total := 0
 	for _, v := range views {
-		b, err := json.Marshal(v.FIB)
+		var entries []fib.Entry
+		v.FIB.Walk(func(_ netip.Prefix, e fib.Entry) bool {
+			entries = append(entries, e)
+			return true
+		})
+		b, err := json.Marshal(entries)
 		if err != nil {
 			return 0, err
 		}

@@ -10,6 +10,7 @@ import (
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
+	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -116,9 +117,9 @@ func TestDistributedLoopDetection(t *testing.T) {
 		views[r.Name] = LocalViewOf(r)
 	}
 	v1 := views["r1"]
-	v1.FIB[pn.P] = fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")}
+	_ = v1.FIB.Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")})
 	v2 := views["r2"]
-	v2.FIB[pn.P] = fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")}
+	_ = v2.FIB.Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")})
 
 	coord, err := StartCoordinator()
 	if err != nil {
@@ -203,6 +204,23 @@ func viewsOf(n *network.Network) map[string]LocalView {
 	out := map[string]LocalView{}
 	for _, r := range n.Routers() {
 		out[r.Name] = LocalViewOf(r)
+	}
+	return out
+}
+
+// edited returns v with a copy of its FIB that holds the entries keep
+// accepts (all when keep is nil) plus extra.
+func edited(v LocalView, keep func(netip.Prefix) bool, extra ...fib.Entry) LocalView {
+	out := v
+	out.FIB = trie.New[fib.Entry]()
+	v.FIB.Walk(func(p netip.Prefix, e fib.Entry) bool {
+		if keep == nil || keep(p) {
+			_ = out.FIB.Insert(p, e)
+		}
+		return true
+	})
+	for _, e := range extra {
+		_ = out.FIB.Insert(e.Prefix, e)
 	}
 	return out
 }

@@ -29,7 +29,7 @@ import (
 // ClassState is the router's forwarding step at a class's representative,
 // over its own FIB and interfaces: local checks judge exactly the state a
 // symbolic walk would traverse.
-func (v *LocalView) ClassState(class netip.Prefix) dataplane.Step {
+func (v LocalView) ClassState(class netip.Prefix) dataplane.Step {
 	return v.step(dataplane.Representative(class))
 }
 
@@ -133,16 +133,12 @@ func (c *Coordinator) LabelEpoch() uint64 {
 // Exported for the scenario harness's differential oracle.
 func DeriveLabelsFromViews(views map[string]LocalView, classes []netip.Prefix, epoch uint64) *localck.LabelSet {
 	routers := make([]string, 0, len(views))
-	compiled := make(map[string]*LocalView, len(views))
 	for r := range views {
 		routers = append(routers, r)
-		v := views[r]
-		v.Compile()
-		compiled[r] = &v
 	}
 	sort.Strings(routers)
 	fwd := func(r string, class netip.Prefix) dataplane.Expansion {
-		return compiled[r].Expand(dataplane.Representative(class))
+		return views[r].Expand(dataplane.Representative(class))
 	}
 	return localck.Derive(routers, classes, fwd, epoch)
 }

@@ -117,12 +117,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	views := viewsOf(pn.Network)
 	rep := dataplane.Representative(pn.P)
 	v := views["r2"]
-	cut := LocalView{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, FIB: map[netip.Prefix]fib.Entry{}}
-	for p, e := range v.FIB {
-		if !p.Contains(rep) {
-			cut.FIB[p] = e
-		}
-	}
+	cut := edited(v, func(p netip.Prefix) bool { return !p.Contains(rep) })
 	views["r2"] = cut
 
 	res, err := coord.SyncViews(nodes, views, []string{"r2"})
@@ -223,11 +218,7 @@ func TestLocalCheckStaleEpochTaintsRound(t *testing.T) {
 	// epoch 0, which must read as stale.
 	views := viewsOf(pn.Network)
 	v := views["r1"]
-	grown := LocalView{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, FIB: map[netip.Prefix]fib.Entry{}}
-	for p, e := range v.FIB {
-		grown.FIB[p] = e
-	}
-	grown.FIB[pfx("192.0.2.0/28")] = fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback}
+	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback})
 	views["r1"] = grown
 	res, err := coord.SyncViews(nodes, views, []string{"r1"})
 	if err != nil {
@@ -329,12 +320,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 	for name, lv := range healthy {
 		broken[name] = lv
 	}
-	cut := LocalView{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, FIB: map[netip.Prefix]fib.Entry{}}
-	for p, e := range v.FIB {
-		if !p.Contains(rep) {
-			cut.FIB[p] = e
-		}
-	}
+	cut := edited(v, func(p netip.Prefix) bool { return !p.Contains(rep) })
 	broken["r2"] = cut
 
 	const iters = 8

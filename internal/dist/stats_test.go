@@ -66,11 +66,7 @@ func TestStatsWireAccounting(t *testing.T) {
 	}
 	views := viewsOf(pn.Network)
 	v := views["r2"]
-	grown := LocalView{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, FIB: map[netip.Prefix]fib.Entry{}}
-	for p, e := range v.FIB {
-		grown.FIB[p] = e
-	}
-	grown.FIB[pfx("192.0.2.0/28")] = fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback}
+	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback})
 	views["r2"] = grown
 	f4, b4 := coord.FleetWire(nodes)
 	res, err := coord.SyncViews(nodes, views, []string{"r2"})

@@ -51,8 +51,8 @@ func TestBinaryViewDeltaRoundTrip(t *testing.T) {
 	d := viewDelta{
 		Router: "r1",
 		Installs: []fib.Entry{
-			{Prefix: pfx("10.0.0.0/8"), NextHop: addr("192.168.1.2"), OutIface: "eth0", Proto: route.ProtoBGP, AD: 20, Metric: 100},
-			{Prefix: pfx("0.0.0.0/0"), OutIface: "eth1"},
+			{Prefix: pfx("10.0.0.0/8"), NextHop: addr("192.168.1.2"), Proto: route.ProtoBGP},
+			{Prefix: pfx("0.0.0.0/0")},
 		},
 		Removes:  []netip.Prefix{pfx("172.16.0.0/12")},
 		HasIface: true,

@@ -6,6 +6,7 @@ import (
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/eqclass"
+	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/serve"
 	"hbverify/internal/verify"
@@ -66,6 +67,7 @@ func TestFleetExecutorServesQueries(t *testing.T) {
 	e := serve.New(serve.Config{
 		Executor: coord.Executor(nodes, VerifyOpts{}), Cache: verify.NewWalkCache(),
 		Classes: eqclass.NewIncremental(nil), WhatIf: &whatif.Engine{}, Blueprint: pn.Blueprint(),
+		Metrics: metrics.NewRegistry(),
 	})
 	defer e.Close()
 

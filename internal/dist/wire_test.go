@@ -186,7 +186,7 @@ func fuzzSeeds() [][]byte {
 	}}
 	delta := viewDelta{
 		Router: "r1", Full: true, Sync: 9, HasIface: true, Removes: []netip.Prefix{p},
-		Installs: []fib.Entry{{Prefix: p, NextHop: a, OutIface: "eth0", Proto: route.ProtoBGP, AD: 20, Metric: 7, NextHops: []netip.Addr{a, a.Next()}}},
+		Installs: []fib.Entry{{Prefix: p, NextHop: a, Proto: route.ProtoBGP, NextHops: []netip.Addr{a, a.Next()}}},
 		Ifaces:   []dataplane.Iface{{Name: "eth0", Addr: a, Prefix: netip.PrefixFrom(a, 30).Masked(), PeerAddr: a.Next(), PeerName: "r2", Up: true}},
 	}
 	labels := localck.NodeLabels{Epoch: 3, Own: map[netip.Prefix]int{p: 2}, Peers: map[string]map[netip.Prefix]int{"r2": {p: 1}}}

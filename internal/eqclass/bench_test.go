@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hbverify/internal/fib"
+	"hbverify/internal/trie"
 )
 
 // syntheticFIBs builds per-router FIBs for nPrefixes destinations whose
@@ -15,13 +16,13 @@ import (
 // the enterprise-like structure behind the paper's "<15 classes for 100K
 // prefixes" observation. Group g sends every router's traffic toward the
 // group's exit next hop. The generated prefixes are 10.x.y.0/24.
-func syntheticFIBs(routers []string, nPrefixes, nGroups int) (map[string]map[netip.Prefix]fib.Entry, []netip.Prefix) {
+func syntheticFIBs(routers []string, nPrefixes, nGroups int) (map[string]*trie.Trie[fib.Entry], []netip.Prefix) {
 	if nGroups < 1 {
 		nGroups = 1
 	}
-	fibs := map[string]map[netip.Prefix]fib.Entry{}
+	fibs := map[string]*trie.Trie[fib.Entry]{}
 	for _, r := range routers {
-		fibs[r] = map[netip.Prefix]fib.Entry{}
+		fibs[r] = trie.New[fib.Entry]()
 	}
 	prefixes := make([]netip.Prefix, 0, nPrefixes)
 	for i := 0; i < nPrefixes; i++ {
@@ -33,7 +34,7 @@ func syntheticFIBs(routers []string, nPrefixes, nGroups int) (map[string]map[net
 			// hop; router identity shifts the hop so signatures differ
 			// between groups but not within one.
 			nh := netip.AddrFrom4([4]byte{192, 168, byte(group), byte(ri + 1)})
-			fibs[r][p] = fib.Entry{Prefix: p, NextHop: nh}
+			_ = fibs[r].Insert(p, fib.Entry{Prefix: p, NextHop: nh})
 		}
 	}
 	return fibs, prefixes

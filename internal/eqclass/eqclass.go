@@ -93,21 +93,22 @@ func fnv64(b []byte) uint64 {
 // Behaviour-vector encoding tags.
 const (
 	sigUnrouted = 0 // no matching route
-	sigDirect   = 1 // directly delivered; followed by len-prefixed iface
+	sigDirect   = 1 // directly delivered
 	sigNextHop  = 2 // followed by a count byte and count 16-byte next hops
 )
 
-// appendBehaviour encodes one router's forwarding verdict for a probe. The
-// encoding hashes the *full* next-hop set, so two prefixes forwarded over
-// different ECMP member sets (even sharing the lowest hop) land in
-// different classes — the invariant the per-class symbolic walk relies on.
+// appendBehaviour encodes one router's forwarding verdict for a probe:
+// exactly what dataplane.Local.Step reads of the entry — whether there is
+// one, and its next-hop set. The encoding hashes the *full* next-hop set, so
+// two prefixes forwarded over different ECMP member sets (even sharing the
+// lowest hop) land in different classes — the invariant the per-class
+// symbolic walk relies on.
 func appendBehaviour(dst []byte, e fib.Entry, ok bool) []byte {
 	switch {
 	case !ok:
 		return append(dst, sigUnrouted)
 	case e.HopCount() == 0:
-		dst = append(dst, sigDirect, byte(len(e.OutIface)))
-		return append(dst, e.OutIface...)
+		return append(dst, sigDirect)
 	default:
 		n := e.HopCount()
 		dst = append(dst, sigNextHop, byte(n))
@@ -119,31 +120,15 @@ func appendBehaviour(dst []byte, e fib.Entry, ok bool) []byte {
 	}
 }
 
-// lookupper is a compiled, trie-backed view of per-router FIBs so that
-// classifying P prefixes costs O(P · R · W) instead of O(P² · R). The
-// scratch buffer is reused across signings, so the steady-state cost of
-// signing a prefix is allocation-free.
+// lookupper signs prefixes over per-router FIBs, so that classifying P
+// prefixes costs O(P · R · W) instead of O(P² · R). The scratch buffer is
+// reused across signings, so the steady-state cost of signing a prefix is
+// allocation-free.
 type lookupper struct {
 	routers []string
 	tries   map[string]*trie.Trie[fib.Entry]
 	in      *interner
 	scratch []byte
-}
-
-func compile(fibs map[string]map[netip.Prefix]fib.Entry) *lookupper {
-	l := &lookupper{tries: map[string]*trie.Trie[fib.Entry]{}, in: newInterner()}
-	for r := range fibs {
-		l.routers = append(l.routers, r)
-	}
-	sort.Strings(l.routers)
-	for _, r := range l.routers {
-		tr := trie.New[fib.Entry]()
-		for p, e := range fibs[r] {
-			_ = tr.Insert(p, e)
-		}
-		l.tries[r] = tr
-	}
-	return l
 }
 
 // sign interns the forwarding behaviour of one prefix.
@@ -172,7 +157,7 @@ func (l *lookupper) render(probe netip.Addr) string {
 		case !ok:
 			b.WriteByte('-')
 		case e.HopCount() == 0:
-			b.WriteString("direct:" + e.OutIface)
+			b.WriteString("direct")
 		default:
 			for i := 0; i < e.HopCount(); i++ {
 				if i > 0 {
@@ -200,20 +185,25 @@ func sortClasses(out []Class) {
 // used, sorted by (address, length) so the derived class representatives
 // (Prefixes[0]) are stable across runs regardless of map iteration order.
 // Classes are returned largest-first (ties broken by signature).
-func Compute(fibs map[string]map[netip.Prefix]fib.Entry, prefixes []netip.Prefix) []Class {
+func Compute(fibs map[string]*trie.Trie[fib.Entry], prefixes []netip.Prefix) []Class {
+	l := &lookupper{tries: fibs, in: newInterner()}
+	for r := range fibs {
+		l.routers = append(l.routers, r)
+	}
+	sort.Strings(l.routers)
 	if prefixes == nil {
 		seen := map[netip.Prefix]bool{}
 		for _, table := range fibs {
-			for p := range table {
+			table.Walk(func(p netip.Prefix, _ fib.Entry) bool {
 				if !seen[p] {
 					seen[p] = true
 					prefixes = append(prefixes, p)
 				}
-			}
+				return true
+			})
 		}
 		slices.SortFunc(prefixes, route.ComparePrefix)
 	}
-	l := compile(fibs)
 	byID := map[sigID][]netip.Prefix{}
 	for _, p := range prefixes {
 		id := l.sign(p)

@@ -1,12 +1,15 @@
 package eqclass
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"testing/quick"
 
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
+	"hbverify/internal/route"
+	"hbverify/internal/trie"
 )
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s).Masked() }
@@ -60,7 +63,7 @@ func TestSyntheticECMPGrouping(t *testing.T) {
 	// class of its own: set membership, not just reachability, is part of
 	// the forwarding behaviour.
 	victim := prefixes[0]
-	e := fibs["b"][victim]
+	e, _ := fibs["b"].Exact(victim)
 	if len(e.NextHops) < 2 {
 		t.Fatalf("victim entry not multipath: %v", e)
 	}
@@ -69,7 +72,7 @@ func TestSyntheticECMPGrouping(t *testing.T) {
 		e.NextHops = nil
 	}
 	e.NextHop = e.Hop(0)
-	fibs["b"][victim] = e
+	_ = fibs["b"].Insert(victim, e)
 	after := Compute(fibs, prefixes)
 	if len(after) != 13 {
 		t.Fatalf("classes after withdraw-one-member = %d, want 13", len(after))
@@ -123,20 +126,30 @@ func TestComputeFromLiveNetwork(t *testing.T) {
 
 // signature renders one prefix's forwarding behaviour: the signature of the
 // one class Compute puts it in.
-func signature(fibs map[string]map[netip.Prefix]fib.Entry, p netip.Prefix) string {
+func signature(fibs map[string]*trie.Trie[fib.Entry], p netip.Prefix) string {
 	return Compute(fibs, []netip.Prefix{p})[0].Signature
 }
 
-func TestSignatureDistinguishesBehaviour(t *testing.T) {
-	fibs := map[string]map[netip.Prefix]fib.Entry{
-		"a": {
-			pfx("10.0.0.0/8"): {Prefix: pfx("10.0.0.0/8"), NextHop: addr("1.1.1.1")},
-			pfx("20.0.0.0/8"): {Prefix: pfx("20.0.0.0/8"), NextHop: addr("2.2.2.2")},
-		},
-		"b": {
-			pfx("0.0.0.0/0"): {Prefix: pfx("0.0.0.0/0"), NextHop: addr("3.3.3.3")},
-		},
+// triesOf builds per-router FIBs from each router's entries.
+func triesOf(entries map[string][]fib.Entry) map[string]*trie.Trie[fib.Entry] {
+	out := map[string]*trie.Trie[fib.Entry]{}
+	for r, es := range entries {
+		out[r] = trie.New[fib.Entry]()
+		for _, e := range es {
+			_ = out[r].Insert(e.Prefix, e)
+		}
 	}
+	return out
+}
+
+func TestSignatureDistinguishesBehaviour(t *testing.T) {
+	fibs := triesOf(map[string][]fib.Entry{
+		"a": {
+			{Prefix: pfx("10.0.0.0/8"), NextHop: addr("1.1.1.1")},
+			{Prefix: pfx("20.0.0.0/8"), NextHop: addr("2.2.2.2")},
+		},
+		"b": {{Prefix: pfx("0.0.0.0/0"), NextHop: addr("3.3.3.3")}},
+	})
 	s1 := signature(fibs, pfx("10.0.0.0/8"))
 	s2 := signature(fibs, pfx("20.0.0.0/8"))
 	if s1 == s2 {
@@ -146,18 +159,43 @@ func TestSignatureDistinguishesBehaviour(t *testing.T) {
 		t.Fatalf("signature = %q", s1)
 	}
 	// Unrouted prefix renders "-" everywhere it misses.
-	s3 := signature(map[string]map[netip.Prefix]fib.Entry{"a": {}}, pfx("99.0.0.0/8"))
+	s3 := signature(triesOf(map[string][]fib.Entry{"a": nil}), pfx("99.0.0.0/8"))
 	if s3 != "a=-" {
 		t.Fatalf("unrouted signature = %q", s3)
 	}
 }
 
 func TestDirectEntriesInSignature(t *testing.T) {
-	fibs := map[string]map[netip.Prefix]fib.Entry{
-		"a": {pfx("10.0.0.0/8"): {Prefix: pfx("10.0.0.0/8"), OutIface: "eth0"}},
-	}
-	if got := signature(fibs, pfx("10.0.0.0/8")); got != "a=direct:eth0" {
+	fibs := triesOf(map[string][]fib.Entry{"a": {{Prefix: pfx("10.0.0.0/8"), Proto: route.ProtoConnected}}})
+	if got := signature(fibs, pfx("10.0.0.0/8")); got != "a=direct" {
 		t.Fatalf("signature = %q", got)
+	}
+}
+
+// A signature encodes what the forwarding step reads of an entry, so two
+// stub LANs a router delivers directly forward alike: one class, however
+// their interfaces are named.
+func TestStubLANsOnOneRouterFormOneClass(t *testing.T) {
+	n := network.New(1)
+	if _, err := n.AddRouter("a", "9.9.9.1", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	lans := []netip.Prefix{pfx("172.16.0.0/24"), pfx("172.16.1.0/24")}
+	for i, lan := range lans {
+		if _, err := n.Topo.AddStub("a", fmt.Sprintf("lan%d", i), lan.Addr().Next(), lan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.Build(); err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	classes := Compute(n.FIBSnapshot(), lans)
+	if len(classes) != 1 || classes[0].Signature != "a=direct" {
+		t.Fatalf("classes = %v, want the two LANs in one class a=direct", classes)
 	}
 }
 
@@ -181,10 +219,10 @@ func TestQuickClassCountBounded(t *testing.T) {
 }
 
 func TestComputeNilPrefixesUsesFIBUnion(t *testing.T) {
-	fibs := map[string]map[netip.Prefix]fib.Entry{
-		"a": {pfx("10.0.0.0/8"): {Prefix: pfx("10.0.0.0/8"), NextHop: addr("1.1.1.1")}},
-		"b": {pfx("20.0.0.0/8"): {Prefix: pfx("20.0.0.0/8"), NextHop: addr("2.2.2.2")}},
-	}
+	fibs := triesOf(map[string][]fib.Entry{
+		"a": {{Prefix: pfx("10.0.0.0/8"), NextHop: addr("1.1.1.1")}},
+		"b": {{Prefix: pfx("20.0.0.0/8"), NextHop: addr("2.2.2.2")}},
+	})
 	classes := Compute(fibs, nil)
 	total := 0
 	for _, c := range classes {
@@ -202,16 +240,16 @@ func TestComputeNilPrefixesUsesFIBUnion(t *testing.T) {
 // member of a set moves its prefixes to a different class. The generated
 // prefixes are 100.x.y.0/24 with a 3-byte index, so they stay distinct
 // well past the 65K roll-over of SyntheticFIBs' scheme.
-func SyntheticECMPFIBs(routers []string, nPrefixes, nGroups, maxWidth int) (map[string]map[netip.Prefix]fib.Entry, []netip.Prefix) {
+func SyntheticECMPFIBs(routers []string, nPrefixes, nGroups, maxWidth int) (map[string]*trie.Trie[fib.Entry], []netip.Prefix) {
 	if nGroups < 1 {
 		nGroups = 1
 	}
 	if maxWidth < 2 {
 		maxWidth = 2
 	}
-	fibs := map[string]map[netip.Prefix]fib.Entry{}
+	fibs := map[string]*trie.Trie[fib.Entry]{}
 	for _, r := range routers {
-		fibs[r] = map[netip.Prefix]fib.Entry{}
+		fibs[r] = trie.New[fib.Entry]()
 	}
 	prefixes := make([]netip.Prefix, 0, nPrefixes)
 	for i := 0; i < nPrefixes; i++ {
@@ -232,7 +270,7 @@ func SyntheticECMPFIBs(routers []string, nPrefixes, nGroups, maxWidth int) (map[
 			if len(hops) > 1 {
 				e.NextHops = hops
 			}
-			fibs[r][p] = e
+			_ = fibs[r].Insert(p, e)
 		}
 	}
 	return fibs, prefixes

@@ -101,18 +101,18 @@ func (inc *Incremental) Watch(router string, t *fib.Table) {
 // Seed registers router with the given FIB contents without subscribing to
 // updates. Adding a router changes every signature (the behaviour vector
 // gains a column), so the whole universe is re-signed on the next flush.
-func (inc *Incremental) Seed(router string, entries map[netip.Prefix]fib.Entry) {
+func (inc *Incremental) Seed(router string, entries *trie.Trie[fib.Entry]) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	inc.addRouterLocked(router)
 	tr := inc.look.tries[router]
-	for p, e := range entries {
-		p = p.Masked()
+	entries.Walk(func(p netip.Prefix, e fib.Entry) bool {
 		if _, had := tr.Exact(p); !had {
 			inc.refLocked(p, +1)
 		}
 		_ = tr.Insert(p, e)
-	}
+		return true
+	})
 	inc.dirtyAll = true
 }
 

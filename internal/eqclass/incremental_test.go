@@ -10,31 +10,32 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
+	"hbverify/internal/trie"
 )
 
-// seedFrom registers every router's FIB map with the classifier.
-func seedFrom(inc *Incremental, fibs map[string]map[netip.Prefix]fib.Entry) {
+// seedFrom registers every router's FIB with the classifier.
+func seedFrom(inc *Incremental, fibs map[string]*trie.Trie[fib.Entry]) {
 	for r, table := range fibs {
 		inc.Seed(r, table)
 	}
 }
 
-// mutate applies one change to both the plain FIB maps (the full-path
+// mutate applies one change to both the plain FIBs (the full-path
 // ground truth) and the classifier (the delta path under test), keeping
 // the two views identical.
-func mutate(inc *Incremental, fibs map[string]map[netip.Prefix]fib.Entry, router string, e fib.Entry, install bool) {
+func mutate(inc *Incremental, fibs map[string]*trie.Trie[fib.Entry], router string, e fib.Entry, install bool) {
 	p := e.Prefix.Masked()
 	if install {
-		fibs[router][p] = e
+		_ = fibs[router].Insert(p, e)
 	} else {
-		delete(fibs[router], p)
+		fibs[router].Delete(p)
 	}
 	inc.Note(router, fib.Update{Entry: e, Install: install})
 }
 
 // requireParity asserts the incremental classification equals a
 // from-scratch Compute over the same FIBs.
-func requireParity(t *testing.T, inc *Incremental, fibs map[string]map[netip.Prefix]fib.Entry, step string) {
+func requireParity(t *testing.T, inc *Incremental, fibs map[string]*trie.Trie[fib.Entry], step string) {
 	t.Helper()
 	got := inc.Classes()
 	want := Compute(fibs, nil)
@@ -111,9 +112,7 @@ func TestIncrementalChurnParity(t *testing.T) {
 // stale class survived indefinitely).
 func TestIncrementalSingleFlushFullWithdrawal(t *testing.T) {
 	p := netip.MustParsePrefix("10.0.0.0/24")
-	fibs := map[string]map[netip.Prefix]fib.Entry{
-		"r1": {p: {Prefix: p, NextHop: netip.MustParseAddr("192.0.2.1")}},
-	}
+	fibs := triesOf(map[string][]fib.Entry{"r1": {{Prefix: p, NextHop: netip.MustParseAddr("192.0.2.1")}}})
 	inc := NewIncremental(nil)
 	seedFrom(inc, fibs)
 	requireParity(t, inc, fibs, "seed")
@@ -165,8 +164,8 @@ func TestIncrementalWatchLiveTable(t *testing.T) {
 	for r, tbl := range tables {
 		inc.Watch(r, tbl)
 	}
-	snap := func() map[string]map[netip.Prefix]fib.Entry {
-		out := map[string]map[netip.Prefix]fib.Entry{}
+	snap := func() map[string]*trie.Trie[fib.Entry] {
+		out := map[string]*trie.Trie[fib.Entry]{}
 		for r, tbl := range tables {
 			out[r] = tbl.Snapshot()
 		}

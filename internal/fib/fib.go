@@ -3,11 +3,16 @@
 // distance (then protocol metric), installs the winner, and records
 // fib-install / fib-remove I/Os through the router's capture recorder —
 // these are exactly the "FIB updates" the paper's verifier consumes.
+//
+// An entry is what its FIB I/O records, so replaying a router's FIB I/Os
+// rebuilds its table exactly. A FIB held outside a table — a snapshot, a
+// replay, a node's view — is a *trie.Trie[Entry]; Diff compares two.
 package fib
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 
@@ -16,20 +21,27 @@ import (
 	"hbverify/internal/trie"
 )
 
-// Entry is an installed forwarding entry. Multipath (ECMP) entries carry
-// the full equal-cost next-hop set in NextHops, sorted and deduplicated,
-// with NextHop aliasing the lowest member; single-path entries leave
-// NextHops nil.
+// Entry is an installed forwarding entry: exactly what its FIB I/O
+// records. Multipath (ECMP) entries carry the full equal-cost next-hop set
+// in NextHops, sorted and deduplicated, with NextHop aliasing the lowest
+// member; single-path entries leave NextHops nil.
 type Entry struct {
-	Prefix   netip.Prefix
-	NextHop  netip.Addr // invalid => directly delivered
-	OutIface string
-	Proto    route.Protocol
-	AD       uint8
-	Metric   uint32
+	Prefix  netip.Prefix
+	NextHop netip.Addr // invalid => directly delivered
 	// NextHops is the sorted equal-cost next-hop set for ECMP entries
 	// (len >= 2, NextHops[0] == NextHop); nil for single-path entries.
 	NextHops []netip.Addr
+	Proto    route.Protocol
+}
+
+// EntryOf is the entry a FIB install records: the inverse of the table's
+// emit.
+func EntryOf(io *capture.IO) Entry {
+	e := Entry{Prefix: io.Prefix, NextHop: io.NextHop, Proto: io.Proto}
+	if len(io.NextHops) > 1 {
+		e.NextHops = append([]netip.Addr(nil), io.NextHops...)
+	}
+	return e
 }
 
 func (e Entry) String() string {
@@ -83,17 +95,27 @@ func (e Entry) HopSet() []netip.Addr {
 // next-hop set. Entry is not comparable with == (NextHops is a slice);
 // every comparison site must go through Equal.
 func (e Entry) Equal(o Entry) bool {
-	if e.Prefix != o.Prefix || e.NextHop != o.NextHop || e.OutIface != o.OutIface ||
-		e.Proto != o.Proto || e.AD != o.AD || e.Metric != o.Metric ||
-		len(e.NextHops) != len(o.NextHops) {
-		return false
-	}
-	for i := range e.NextHops {
-		if e.NextHops[i] != o.NextHops[i] {
-			return false
+	return e.Prefix == o.Prefix && e.NextHop == o.NextHop && e.Proto == o.Proto &&
+		slices.Equal(e.NextHops, o.NextHops)
+}
+
+// Diff returns what turns FIB old into FIB cur: the entries of cur that old
+// lacks or holds differently, and the prefixes only old holds, both in
+// prefix order. Either FIB may be nil.
+func Diff(old, cur *trie.Trie[Entry]) (installs []Entry, removes []netip.Prefix) {
+	cur.Walk(func(p netip.Prefix, e Entry) bool {
+		if o, ok := old.Exact(p); !ok || !o.Equal(e) {
+			installs = append(installs, e)
 		}
-	}
-	return true
+		return true
+	})
+	old.Walk(func(p netip.Prefix, _ Entry) bool {
+		if _, ok := cur.Exact(p); !ok {
+			removes = append(removes, p)
+		}
+		return true
+	})
+	return installs, removes
 }
 
 // Update notifies a listener of a FIB change. IO is the recorded capture
@@ -137,7 +159,9 @@ func (t *Table) OnChange(fn func(Update)) {
 // Offer installs or replaces proto's candidate route for r.Prefix and
 // re-arbitrates. causes are the capture IDs (typically the protocol's
 // rib-install event) that ground-truth the resulting FIB I/O. It returns
-// the recorded FIB I/O and true when the installed entry changed.
+// the recorded FIB I/O and true when the installed entry changed; a winner
+// that differs from the installed entry in metric or distance alone
+// changes nothing.
 func (t *Table) Offer(r route.Route, causes ...uint64) (capture.IO, bool) {
 	r.Prefix = r.Prefix.Masked()
 	t.mu.Lock()
@@ -228,10 +252,7 @@ func (t *Table) reselectLocked(prefix netip.Prefix) (change, bool) {
 		t.lpm.Delete(prefix)
 		return change{entry: cur, install: false}, true
 	}
-	next := Entry{
-		Prefix: prefix, NextHop: best.NextHop, OutIface: best.OutIface,
-		Proto: best.Proto, AD: best.AdminDistance(), Metric: best.Metric,
-	}
+	next := Entry{Prefix: prefix, NextHop: best.NextHop, Proto: best.Proto}
 	if len(best.NextHops) > 1 {
 		next.NextHops = append([]netip.Addr(nil), best.NextHops...)
 	}
@@ -279,12 +300,12 @@ func (t *Table) Exact(prefix netip.Prefix) (Entry, bool) {
 	return t.lpm.Exact(prefix.Masked())
 }
 
-// Snapshot returns a copy of the FIB as a plain map, for verifiers.
-func (t *Table) Snapshot() map[netip.Prefix]Entry {
-	out := make(map[netip.Prefix]Entry)
+// Snapshot returns a copy of the FIB, for verifiers.
+func (t *Table) Snapshot() *trie.Trie[Entry] {
+	out := trie.New[Entry]()
 	t.mu.RLock()
 	t.lpm.Walk(func(p netip.Prefix, e Entry) bool {
-		out[p] = e
+		_ = out.Insert(p, e)
 		return true
 	})
 	t.mu.RUnlock()

@@ -2,11 +2,13 @@ package fib
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
+	"hbverify/internal/trie"
 )
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s).Masked() }
@@ -37,7 +39,7 @@ func TestOfferInstallsAndRecords(t *testing.T) {
 	e := newEnv()
 	e.tbl.Offer(bgpRoute("10.0.0.0/8", "192.0.2.1", false), 7)
 	got, ok := e.tbl.Exact(pfx("10.0.0.0/8"))
-	if !ok || got.NextHop != addr("192.0.2.1") || got.AD != 20 {
+	if !ok || got.NextHop != addr("192.0.2.1") || got.Proto != route.ProtoBGP {
 		t.Fatalf("entry = %+v ok=%v", got, ok)
 	}
 	ios := e.log.Snapshot()
@@ -91,6 +93,75 @@ func TestNoChurnWhenEntryUnchanged(t *testing.T) {
 	e.tbl.Offer(r) // identical re-offer
 	if e.log.Len() != n {
 		t.Fatal("identical re-offer produced FIB churn")
+	}
+}
+
+// A winner that differs from the installed entry in metric alone forwards
+// exactly as before: no FIB I/O is recorded and no listener hears of it.
+func TestMetricOnlyOfferIsNoChange(t *testing.T) {
+	e := newEnv()
+	var updates []Update
+	e.tbl.OnChange(func(u Update) { updates = append(updates, u) })
+	r := route.Route{Prefix: pfx("10.0.0.0/8"), NextHop: addr("1.1.1.1"), Proto: route.ProtoOSPF, Metric: 30}
+	e.tbl.Offer(r)
+	n := e.log.Len()
+	r.Metric = 10
+	if _, changed := e.tbl.Offer(r, 5); changed {
+		t.Fatal("metric-only offer reported a change")
+	}
+	if e.log.Len() != n || len(updates) != 1 {
+		t.Fatalf("metric-only offer recorded %d I/Os and fired %d updates", e.log.Len()-n, len(updates)-1)
+	}
+	// The candidate keeps the new metric for later arbitration.
+	if c := e.tbl.candidates[pfx("10.0.0.0/8")]; len(c) != 1 || c[0].Metric != 10 {
+		t.Fatalf("candidates = %+v", c)
+	}
+}
+
+// Replaying a table's FIB I/Os through EntryOf rebuilds it exactly.
+func TestEntryOfInvertsEmit(t *testing.T) {
+	e := newEnv()
+	e.tbl.Offer(bgpRoute("10.0.0.0/8", "1.1.1.1", false))
+	e.tbl.Offer(route.Route{Prefix: pfx("20.0.0.0/8"), Proto: route.ProtoOSPF}.WithNextHops(addr("3.3.3.3"), addr("2.2.2.2")))
+	e.tbl.Offer(route.Route{Prefix: pfx("30.0.0.0/8"), Proto: route.ProtoConnected})
+	e.tbl.Offer(route.Route{Prefix: pfx("40.0.0.0/8"), NextHop: addr("4.4.4.4"), Proto: route.ProtoStatic})
+	e.tbl.Withdraw(route.ProtoStatic, pfx("40.0.0.0/8"))
+	replayed := trie.New[Entry]()
+	for _, io := range e.log.Snapshot() {
+		if io.Type == capture.FIBInstall {
+			_ = replayed.Insert(io.Prefix, EntryOf(&io))
+		} else {
+			replayed.Delete(io.Prefix)
+		}
+	}
+	if installs, removes := Diff(e.tbl.Snapshot(), replayed); len(installs)+len(removes) != 0 || replayed.Len() != 3 {
+		t.Fatalf("replay differs from the table: installs %v, removes %v", installs, removes)
+	}
+}
+
+func TestDiffInPrefixOrder(t *testing.T) {
+	old, cur := trie.New[Entry](), trie.New[Entry]()
+	for _, s := range []string{"10.0.0.0/8", "10.0.0.0/16", "20.0.0.0/8", "30.0.0.0/8"} {
+		_ = old.Insert(pfx(s), Entry{Prefix: pfx(s), NextHop: addr("1.1.1.1"), Proto: route.ProtoStatic})
+	}
+	for _, s := range []string{"30.0.0.0/8", "10.1.0.0/16", "10.0.0.0/16", "5.0.0.0/8"} {
+		_ = cur.Insert(pfx(s), Entry{Prefix: pfx(s), NextHop: addr("1.1.1.1"), Proto: route.ProtoStatic})
+	}
+	_ = cur.Insert(pfx("10.0.0.0/16"), Entry{Prefix: pfx("10.0.0.0/16"), NextHop: addr("2.2.2.2"), Proto: route.ProtoStatic})
+	installs, removes := Diff(old, cur)
+	var got []string
+	for _, e := range installs {
+		got = append(got, e.String())
+	}
+	want := []string{"5.0.0.0/8 via 1.1.1.1 (static)", "10.0.0.0/16 via 2.2.2.2 (static)", "10.1.0.0/16 via 1.1.1.1 (static)"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("installs = %q, want %q", got, want)
+	}
+	if !reflect.DeepEqual(removes, []netip.Prefix{pfx("10.0.0.0/8"), pfx("20.0.0.0/8")}) {
+		t.Fatalf("removes = %v", removes)
+	}
+	if installs, removes := Diff(nil, cur); len(installs) != 4 || len(removes) != 0 {
+		t.Fatalf("Diff(nil, cur) = %v, %v", installs, removes)
 	}
 }
 
@@ -157,10 +228,10 @@ func TestEntriesAndSnapshot(t *testing.T) {
 	e.tbl.Offer(bgpRoute("20.0.0.0/8", "1.1.1.1", false))
 	e.tbl.Offer(bgpRoute("10.0.0.0/8", "1.1.1.1", false))
 	snap := e.tbl.Snapshot()
-	if len(snap) != 2 {
+	if snap.Len() != 2 {
 		t.Fatalf("snapshot = %v", snap)
 	}
-	snap[pfx("10.0.0.0/8")] = Entry{}
+	_ = snap.Insert(pfx("10.0.0.0/8"), Entry{})
 	if got, _ := e.tbl.Exact(pfx("10.0.0.0/8")); got.NextHop != addr("1.1.1.1") {
 		t.Fatal("snapshot aliases table")
 	}

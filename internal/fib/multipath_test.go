@@ -148,7 +148,8 @@ func TestMultipathTrieMatchesReference(t *testing.T) {
 				keep := append([]netip.Addr(nil), cur.NextHops...)
 				ix := rng.Intn(len(keep))
 				keep = append(keep[:ix], keep[ix+1:]...)
-				r := route.Route{Prefix: p, Proto: cur.Proto, Metric: cur.Metric}.
+				winner, _ := ref.best(p)
+				r := route.Route{Prefix: p, Proto: cur.Proto, Metric: winner.Metric}.
 					WithNextHops(keep...)
 				e.tbl.Offer(r)
 				ref.offer(r)

@@ -25,6 +25,7 @@ import (
 	"hbverify/internal/rip"
 	"hbverify/internal/route"
 	"hbverify/internal/topology"
+	"hbverify/internal/trie"
 )
 
 // Router bundles one router's protocol instances and capture recorder.
@@ -405,9 +406,7 @@ func (n *Network) Start() {
 			if i.Link != nil && !i.Link.Up() {
 				continue
 			}
-			r.FIB.Offer(route.Route{
-				Prefix: i.Prefix, Proto: route.ProtoConnected, OutIface: i.Name,
-			}, cause)
+			r.FIB.Offer(route.Route{Prefix: i.Prefix, Proto: route.ProtoConnected}, cause)
 		}
 		// Statics.
 		for _, st := range r.Cfg.Statics {
@@ -603,7 +602,7 @@ func (n *Network) SetLinkUp(a, b string, up bool) ([]capture.IO, error) {
 		ios = append(ios, io)
 		cause := io.ID
 		if up {
-			r.FIB.Offer(route.Route{Prefix: end.Prefix, Proto: route.ProtoConnected, OutIface: end.Name}, cause)
+			r.FIB.Offer(route.Route{Prefix: end.Prefix, Proto: route.ProtoConnected}, cause)
 		} else {
 			r.FIB.Withdraw(route.ProtoConnected, end.Prefix, cause)
 		}
@@ -681,9 +680,9 @@ func (n *Network) ResetBGPSession(a, b string) error {
 	return nil
 }
 
-// FIBSnapshot returns every router's FIB keyed by router name.
-func (n *Network) FIBSnapshot() map[string]map[netip.Prefix]fib.Entry {
-	out := make(map[string]map[netip.Prefix]fib.Entry, len(n.routers))
+// FIBSnapshot returns a copy of every router's FIB keyed by router name.
+func (n *Network) FIBSnapshot() map[string]*trie.Trie[fib.Entry] {
+	out := make(map[string]*trie.Trie[fib.Entry], len(n.routers))
 	for name, r := range n.routers {
 		out[name] = r.FIB.Snapshot()
 	}

@@ -217,7 +217,7 @@ func TestFIBSnapshotShape(t *testing.T) {
 	if len(snap) != 5 {
 		t.Fatalf("snapshot routers = %d", len(snap))
 	}
-	if _, ok := snap["r3"][PrefixP]; !ok {
+	if _, ok := snap["r3"].Exact(PrefixP); !ok {
 		t.Fatal("r3 snapshot missing P")
 	}
 }
@@ -265,8 +265,9 @@ func TestGridOSPFConverges(t *testing.T) {
 	}
 	// Corner g0-0 reaches opposite corner's loopback in 4 hops.
 	e, ok := n.Router("g0-0").FIB.Exact(pfx("9.2.2.1/32"))
-	if !ok || e.Metric != 4 {
-		t.Fatalf("corner route = %+v %v", e, ok)
+	cost, _ := n.Router("g0-0").OSPF.Metric(netip.MustParseAddr("9.2.2.1"))
+	if !ok || e.Proto != route.ProtoOSPF || cost != 4 {
+		t.Fatalf("corner route = %+v %v, cost %d", e, ok, cost)
 	}
 }
 
@@ -280,8 +281,12 @@ func TestChainRIPConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, ok := n.Router("c4").FIB.Exact(lan)
-	if !ok || e.Proto != route.ProtoRIP || e.Metric != 5 {
+	if !ok || e.Proto != route.ProtoRIP {
 		t.Fatalf("c4 lan route = %+v %v", e, ok)
+	}
+	// Five hops, counting the LAN's own router, as RIP's metric does.
+	if w := n.LiveWalker().ForwardPrefix("c4", lan); w.Outcome != dataplane.Delivered || len(w.Path) != 5 {
+		t.Fatalf("c4 to the lan: %v", w)
 	}
 }
 

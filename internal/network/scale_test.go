@@ -105,7 +105,7 @@ func TestLargerGridConvergence(t *testing.T) {
 	// All 36 routers know all 36 loopbacks.
 	for _, r := range n.Routers() {
 		count := 0
-		for p := range r.FIB.Snapshot() {
+		for _, p := range r.FIB.Snapshot().Prefixes() {
 			if p.Bits() == 32 {
 				count++
 			}
@@ -115,9 +115,9 @@ func TestLargerGridConvergence(t *testing.T) {
 		}
 	}
 	// Far-corner metric equals the Manhattan distance.
-	e, ok := n.Router("g0-0").FIB.Exact(netip.MustParsePrefix("9.5.5.1/32"))
-	if !ok || e.Metric != 10 {
-		t.Fatalf("corner metric = %+v %v", e, ok)
+	cost, ok := n.Router("g0-0").OSPF.Metric(netip.MustParseAddr("9.5.5.1"))
+	if !ok || cost != 10 {
+		t.Fatalf("corner metric = %d %v", cost, ok)
 	}
 }
 

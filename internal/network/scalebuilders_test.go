@@ -71,7 +71,7 @@ func TestScaleBuilders(t *testing.T) {
 	// 4 pods * 4 + 4 cores = 20 routers; each knows the other 19 loopbacks.
 	for _, r := range n.Routers() {
 		count := 0
-		for p := range r.FIB.Snapshot() {
+		for _, p := range r.FIB.Snapshot().Prefixes() {
 			if p.Bits() == 32 {
 				count++
 			}

@@ -305,11 +305,7 @@ func (o *Instance) runSPF(_ struct{}, causes []uint64) {
 		if exists && cost == cur.Metric {
 			r.LearnedFrom = cur.LearnedFrom // first (lowest-ID) owner stays
 		}
-		r = r.WithNextHops(addrs...)
-		if via := o.ifaceToward(r.NextHop); via != nil {
-			r.OutIface = via.Name
-		}
-		newRIB[prefix] = r
+		newRIB[prefix] = r.WithNextHops(addrs...)
 	}
 	owners := map[netip.Addr]netip.Addr{}
 	ids := make([]netip.Addr, 0, len(dist))
@@ -384,17 +380,6 @@ func mergeHops(a, b []*Iface) []*Iface {
 		}
 	}
 	return out
-}
-
-// ifaceToward returns the up, non-stub interface whose neighbor address is
-// nh (the interface a first hop exits through).
-func (o *Instance) ifaceToward(nh netip.Addr) *Iface {
-	for _, i := range o.ifaces {
-		if i.Up && !i.Stub && i.NeighborAddr == nh {
-			return i
-		}
-	}
-	return nil
 }
 
 // Metric reports the IGP cost to the router owning addr, for BGP next-hop

@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"net/netip"
 	"testing"
 
 	"hbverify/internal/capture"
@@ -9,6 +8,7 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/topology"
+	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -52,7 +52,7 @@ func NewPreInstall(n *network.Network, gate *Gate, policies []verify.Policy, sou
 	return pi
 }
 
-func (pi *PreInstall) violations(view map[string]map[netip.Prefix]fib.Entry) int {
+func (pi *PreInstall) violations(view map[string]*trie.Trie[fib.Entry]) int {
 	w := dataplane.NewWalker(pi.topo, dataplane.SnapshotView(view))
 	rep := verify.NewChecker(w, pi.sources).Check(pi.policies)
 	return len(rep.Violations)
@@ -63,13 +63,10 @@ func (pi *PreInstall) block(router string, u fib.Update) bool {
 	before := pi.gate.Snapshot()
 	base := pi.violations(before)
 	after := before
-	if after[router] == nil {
-		after[router] = map[netip.Prefix]fib.Entry{}
-	}
 	if u.Install {
-		after[router][u.Entry.Prefix] = u.Entry
+		_ = after[router].Insert(u.Entry.Prefix, u.Entry)
 	} else {
-		delete(after[router], u.Entry.Prefix)
+		after[router].Delete(u.Entry.Prefix)
 	}
 	next := pi.violations(after)
 	d := Decision{Router: router, Update: u, Allowed: next <= base,
@@ -210,7 +207,7 @@ func TestPreInstallBlocksViolatingUpdates(t *testing.T) {
 		t.Fatalf("post-repair violations: %v", rep.Violations)
 	}
 	live, _ := pn.Router("r3").FIB.Exact(pn.P)
-	shadow := gate.Snapshot()["r3"][pn.P]
+	shadow, _ := gate.Snapshot()["r3"].Exact(pn.P)
 	if live.NextHop != shadow.NextHop {
 		t.Fatalf("control/data divergence after repair: %v vs %v", live.NextHop, shadow.NextHop)
 	}

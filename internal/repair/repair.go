@@ -28,6 +28,7 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/network"
+	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -35,7 +36,7 @@ import (
 // selectively withhold updates from it. The control plane keeps believing
 // its updates were applied — exactly the inconsistency §2 warns about.
 type Gate struct {
-	shadow   map[string]map[netip.Prefix]fib.Entry
+	shadow   map[string]*trie.Trie[fib.Entry]
 	withheld []Withheld
 	blockFn  func(router string, u fib.Update) bool
 }
@@ -49,10 +50,10 @@ type Withheld struct {
 // NewGate attaches a gate to every router of n. Attach before Start so no
 // update escapes observation.
 func NewGate(n *network.Network) *Gate {
-	g := &Gate{shadow: map[string]map[netip.Prefix]fib.Entry{}}
+	g := &Gate{shadow: map[string]*trie.Trie[fib.Entry]{}}
 	for _, r := range n.Routers() {
 		r := r
-		g.shadow[r.Name] = map[netip.Prefix]fib.Entry{}
+		g.shadow[r.Name] = trie.New[fib.Entry]()
 		r.FIB.OnChange(func(u fib.Update) { g.observe(r.Name, u) })
 	}
 	return g
@@ -70,13 +71,10 @@ func (g *Gate) observe(router string, u fib.Update) {
 }
 
 func (g *Gate) apply(router string, u fib.Update) {
-	if g.shadow[router] == nil {
-		g.shadow[router] = map[netip.Prefix]fib.Entry{}
-	}
 	if u.Install {
-		g.shadow[router][u.Entry.Prefix] = u.Entry
+		_ = g.shadow[router].Insert(u.Entry.Prefix, u.Entry)
 	} else {
-		delete(g.shadow[router], u.Entry.Prefix)
+		g.shadow[router].Delete(u.Entry.Prefix)
 	}
 }
 

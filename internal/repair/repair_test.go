@@ -14,6 +14,7 @@ import (
 	"hbverify/internal/hbr"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
+	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -50,14 +51,15 @@ func (g *Gate) ReleaseAll() {
 }
 
 // Snapshot copies the shadow state.
-func (g *Gate) Snapshot() map[string]map[netip.Prefix]fib.Entry {
-	out := make(map[string]map[netip.Prefix]fib.Entry, len(g.shadow))
+func (g *Gate) Snapshot() map[string]*trie.Trie[fib.Entry] {
+	out := make(map[string]*trie.Trie[fib.Entry], len(g.shadow))
 	for r, t := range g.shadow {
-		m := make(map[netip.Prefix]fib.Entry, len(t))
-		for p, e := range t {
-			m[p] = e
-		}
-		out[r] = m
+		c := trie.New[fib.Entry]()
+		t.Walk(func(p netip.Prefix, e fib.Entry) bool {
+			_ = c.Insert(p, e)
+			return true
+		})
+		out[r] = c
 	}
 	return out
 }
@@ -106,8 +108,8 @@ func TestGateMirrorsFIBs(t *testing.T) {
 	snap := gate.Snapshot()
 	for _, r := range []string{"r1", "r2", "r3"} {
 		live, _ := pn.Router(r).FIB.Exact(pn.P)
-		if snap[r][pn.P].NextHop != live.NextHop {
-			t.Fatalf("%s shadow %v != live %v", r, snap[r][pn.P].NextHop, live.NextHop)
+		if shadow, _ := snap[r].Exact(pn.P); shadow.NextHop != live.NextHop {
+			t.Fatalf("%s shadow %v != live %v", r, shadow.NextHop, live.NextHop)
 		}
 	}
 }
@@ -224,7 +226,7 @@ func TestBlockingHazard(t *testing.T) {
 	if !ok || live.NextHop != addr("1.1.1.1") {
 		t.Fatalf("control-plane FIB = %+v %v", live, ok)
 	}
-	stale := gate.Snapshot()["r2"][pn.P]
+	stale, _ := gate.Snapshot()["r2"].Exact(pn.P)
 	if stale.NextHop != addr("10.0.5.2") {
 		t.Fatalf("shadow FIB = %+v, want stale uplink entry", stale)
 	}
@@ -264,10 +266,10 @@ func TestRepairAvoidsHazard(t *testing.T) {
 func TestBlackholedPrefixesCountsPartialBlackhole(t *testing.T) {
 	pn, _ := build(t)
 	snap := pn.FIBSnapshot()
-	e := snap["r3"][pn.P]
+	e, _ := snap["r3"].Exact(pn.P)
 	e.NextHop, e.NextHops = addr("1.1.1.1"), []netip.Addr{addr("1.1.1.1"), addr("2.2.2.2")}
-	snap["r3"][pn.P] = e
-	delete(snap["r1"], pn.P)
+	_ = snap["r3"].Insert(pn.P, e)
+	snap["r1"].Delete(pn.P)
 	w := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(snap))
 	if walk := w.ForwardPrefix("r3", pn.P); walk.Outcome != dataplane.PartialBlackhole {
 		t.Fatalf("walk = %v, want a partial blackhole", walk)
@@ -294,7 +296,7 @@ func TestGateReleaseAll(t *testing.T) {
 	// Shadow now matches the live FIBs.
 	for _, r := range []string{"r1", "r2", "r3"} {
 		live, _ := pn.Router(r).FIB.Exact(pn.P)
-		if gate.Snapshot()[r][pn.P].NextHop != live.NextHop {
+		if shadow, _ := gate.Snapshot()[r].Exact(pn.P); shadow.NextHop != live.NextHop {
 			t.Fatalf("%s shadow diverged after release", r)
 		}
 	}
@@ -345,9 +347,8 @@ func TestOutcomePredictorLearnsRepetition(t *testing.T) {
 			Attrs:  attrsWithLP(lp),
 		}
 	}
-	fibsHi := map[string]map[netip.Prefix]fib.Entry{
-		"r3": {netip.MustParsePrefix("10.0.0.0/24"): {NextHop: addr("2.2.2.2")}},
-	}
+	fibsHi := map[string]*trie.Trie[fib.Entry]{"r3": trie.New[fib.Entry]()}
+	_ = fibsHi["r3"].Insert(netip.MustParsePrefix("10.0.0.0/24"), fib.Entry{NextHop: addr("2.2.2.2")})
 	sigHi := eqclass.Compute(fibsHi, []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24")})[0].Signature
 	pred.Learn(mkInput(30, "10.0.0.0/24"), sigHi)
 	// Same input shape, different prefix: predicted identically.

@@ -184,13 +184,12 @@ func (a BGPAttrs) HasAS(asn uint32) bool {
 	return false
 }
 
-// Route is a protocol-agnostic candidate for FIB installation. NextHop may be
-// invalid (netip.Addr zero value) for locally originated/connected routes, in
-// which case OutIface names the delivery interface.
+// Route is a protocol-agnostic candidate for FIB installation. NextHop is
+// invalid (netip.Addr zero value) for locally originated/connected routes,
+// which are delivered directly.
 type Route struct {
 	Prefix   netip.Prefix
 	NextHop  netip.Addr
-	OutIface string
 	Proto    Protocol
 	PeerType PeerType // only meaningful for BGP
 	Metric   uint32   // protocol-internal metric (IGP cost, hop count, ...)

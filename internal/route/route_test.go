@@ -204,7 +204,7 @@ func TestCompareBGPPreferOldestQuirk(t *testing.T) {
 }
 
 func TestIsLocalAndString(t *testing.T) {
-	local := Route{Prefix: MustPrefix("10.0.0.0/24"), Proto: ProtoConnected, OutIface: "eth0"}
+	local := Route{Prefix: MustPrefix("10.0.0.0/24"), Proto: ProtoConnected}
 	if got := local.String(); got != "10.0.0.0/24 via direct [connected ad=0 metric=0]" {
 		t.Fatalf("String = %q", got)
 	}

@@ -9,7 +9,6 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
-	"slices"
 	"sort"
 	"time"
 
@@ -28,6 +27,7 @@ import (
 	"hbverify/internal/route"
 	"hbverify/internal/serve"
 	"hbverify/internal/snapshot"
+	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -302,9 +302,7 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 	stripped := capture.StripOracle(all)
 
 	// (a) full-log replay == live FIBs.
-	replayed := snapshot.BuildFIBs(stripped)
-	live := h.w.net.FIBSnapshot()
-	if detail := diffFIBs(replayed, live); detail != "" {
+	if detail := firstDifference(h.w.net.FIBSnapshot(), snapshot.BuildFIBs(stripped)); detail != "" {
 		return &Failure{Oracle: OracleSnapshot, Round: round,
 			Detail: "FIB replay diverges from live tables: " + detail}
 	}
@@ -473,42 +471,28 @@ func (h *harness) fibEventsTrueTime() []capture.IO {
 // router on the walk, the snapshot's covering entry for dst (including its
 // full next-hop set) matched the router's live covering entry at some
 // instant. It is the per-entry ground truth for loops in a snapshot.
-func (h *harness) entriesWereReal(snap map[string]map[netip.Prefix]fib.Entry, routers []string, dst netip.Addr) bool {
-	covering := func(table map[netip.Prefix]fib.Entry) (fib.Entry, bool) {
-		var best fib.Entry
-		bits := -1
-		for p, e := range table {
-			if p.Contains(dst) && p.Bits() > bits {
-				best, bits = e, p.Bits()
-			}
-		}
-		return best, bits >= 0
-	}
+func (h *harness) entriesWereReal(snap map[string]*trie.Trie[fib.Entry], routers []string, dst netip.Addr) bool {
 	need := map[string]fib.Entry{}
 	for _, r := range routers {
-		if e, ok := covering(snap[r]); ok {
+		if e, _, ok := snap[r].Lookup(dst); ok {
 			need[r] = e
 		}
 	}
-	fibs := map[string]map[netip.Prefix]fib.Entry{}
+	fibs := map[string]*trie.Trie[fib.Entry]{}
 	for _, r := range h.w.net.Routers() {
-		fibs[r.Name] = map[netip.Prefix]fib.Entry{}
+		fibs[r.Name] = trie.New[fib.Entry]()
 	}
 	for _, io := range h.fibEventsTrueTime() {
 		if io.Type == capture.FIBInstall {
-			e := fib.Entry{Prefix: io.Prefix, NextHop: io.NextHop, Proto: io.Proto}
-			if len(io.NextHops) > 1 {
-				e.NextHops = append([]netip.Addr(nil), io.NextHops...)
-			}
-			fibs[io.Router][io.Prefix] = e
+			_ = fibs[io.Router].Insert(io.Prefix, fib.EntryOf(&io))
 		} else {
-			delete(fibs[io.Router], io.Prefix)
+			fibs[io.Router].Delete(io.Prefix)
 		}
 		want, needed := need[io.Router]
 		if !needed || !io.Prefix.Contains(dst) {
 			continue
 		}
-		if got, ok := covering(fibs[io.Router]); ok && got.Equal(want) {
+		if got, _, ok := fibs[io.Router].Lookup(dst); ok && got.Equal(want) {
 			delete(need, io.Router)
 			if len(need) == 0 {
 				return true
@@ -518,28 +502,30 @@ func (h *harness) entriesWereReal(snap map[string]map[netip.Prefix]fib.Entry, ro
 	return len(need) == 0
 }
 
-// diffFIBs compares a replayed FIB set against the live tables on the
-// fields a FIB event carries (prefix, next hop, protocol).
-func diffFIBs(replayed map[string]map[netip.Prefix]fib.Entry, live map[string]map[netip.Prefix]fib.Entry) string {
-	for router, l := range live {
-		r := replayed[router]
-		if len(r) != len(l) {
-			return fmt.Sprintf("%s: %d replayed entries vs %d live", router, len(r), len(l))
-		}
-		for p, le := range l {
-			re, ok := r[p]
-			if !ok {
-				return fmt.Sprintf("%s: %s live but not replayed", router, p)
-			}
-			if re.NextHop != le.NextHop || re.Proto != le.Proto || !slices.Equal(re.NextHops, le.NextHops) {
-				return fmt.Sprintf("%s: %s replayed %v/%v vs live %v/%v",
-					router, p, re, re.Proto, le, le.Proto)
-			}
+// firstDifference describes one entry that differs under Entry.Equal
+// between want and got, at the first router by name whose FIBs differ;
+// "" when every router's FIBs are equal.
+func firstDifference(want, got map[string]*trie.Trie[fib.Entry]) string {
+	var routers []string
+	for r := range want {
+		routers = append(routers, r)
+	}
+	for r := range got {
+		if _, ok := want[r]; !ok {
+			routers = append(routers, r)
 		}
 	}
-	for router, r := range replayed {
-		if _, ok := live[router]; !ok && len(r) > 0 {
-			return fmt.Sprintf("%s: replayed but no live table", router)
+	sort.Strings(routers)
+	for _, r := range routers {
+		installs, removes := fib.Diff(want[r], got[r])
+		if len(removes) > 0 {
+			return fmt.Sprintf("%s: %s missing", r, removes[0])
+		}
+		if len(installs) > 0 {
+			if w, ok := want[r].Exact(installs[0].Prefix); ok {
+				return fmt.Sprintf("%s: %s, want %s", r, installs[0], w)
+			}
+			return fmt.Sprintf("%s: %s unexpected", r, installs[0])
 		}
 	}
 	return ""
@@ -740,13 +726,13 @@ func (h *harness) oracleLocalSuperset(round int) *Failure {
 		}
 		rep := dataplane.Representative(class)
 		v := views[victim]
-		cut := dist.LocalView{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, FIB: map[netip.Prefix]fib.Entry{}}
-		for p, e := range v.FIB {
-			if p.Contains(rep) {
-				continue
+		cut := dist.LocalView{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, FIB: trie.New[fib.Entry]()}
+		v.FIB.Walk(func(p netip.Prefix, e fib.Entry) bool {
+			if !p.Contains(rep) {
+				_ = cut.FIB.Insert(p, e)
 			}
-			cut.FIB[p] = e
-		}
+			return true
+		})
 		mutated := map[string]dist.LocalView{}
 		for r, mv := range views {
 			mutated[r] = mv
@@ -781,7 +767,7 @@ func (h *harness) localSuperset(round int, stage string, views map[string]dist.L
 		}
 	}
 
-	fibs := map[string]map[netip.Prefix]fib.Entry{}
+	fibs := map[string]*trie.Trie[fib.Entry]{}
 	for r, v := range views {
 		fibs[r] = v.FIB
 	}
@@ -824,7 +810,7 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 	for _, src := range h.w.verifySources {
 		// A router that owns P as a connected stub is immune to the fault:
 		// the connected route's distance 0 beats the static's 1.
-		if live[src][PrefixP].Proto == route.ProtoConnected {
+		if e, _ := live[src].Exact(PrefixP); e.Proto == route.ProtoConnected {
 			continue
 		}
 		if walker.ForwardPrefix(src, PrefixP).Outcome == dataplane.Delivered {
@@ -872,7 +858,7 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 	}
 
 	post := h.w.net.FIBSnapshot()
-	if detail := diffSnapshots(pre, post); detail != "" {
+	if detail := firstDifference(pre, post); detail != "" {
 		return &Failure{Oracle: OracleRepair, Round: round,
 			Detail: "data plane differs from pre-fault state after repair: " + detail}
 	}
@@ -962,26 +948,6 @@ func diffClasses(a, b []eqclass.Class) string {
 		if !reflect.DeepEqual(a[i].Prefixes, b[i].Prefixes) {
 			return fmt.Sprintf("class %d (%s): %d members vs %d (first incremental member %v)",
 				i, a[i].Signature, len(a[i].Prefixes), len(b[i].Prefixes), a[i].Prefixes[0])
-		}
-	}
-	return ""
-}
-
-// diffSnapshots compares two live FIB snapshots entry-for-entry.
-func diffSnapshots(a, b map[string]map[netip.Prefix]fib.Entry) string {
-	for router, at := range a {
-		bt := b[router]
-		if len(at) != len(bt) {
-			return fmt.Sprintf("%s: %d entries before vs %d after", router, len(at), len(bt))
-		}
-		for p, ae := range at {
-			be, ok := bt[p]
-			if !ok {
-				return fmt.Sprintf("%s: %s missing after repair", router, p)
-			}
-			if !ae.Equal(be) {
-				return fmt.Sprintf("%s: %s was %s, now %s", router, p, ae, be)
-			}
 		}
 	}
 	return ""

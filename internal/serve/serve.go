@@ -118,7 +118,7 @@ type Answer struct {
 }
 
 // Config assembles an engine from the state a Pipeline already maintains.
-// Every field but Metrics is required.
+// Every field is required.
 type Config struct {
 	// Executor runs the walks. The engine hands it one plan at a time, from
 	// as many goroutines as the window admits.
@@ -132,8 +132,7 @@ type Config struct {
 	// WhatIf runs hypothetical queries on copies of Blueprint.
 	WhatIf    *whatif.Engine
 	Blueprint *network.Blueprint
-	// Metrics receives serve.* instruments; nil allocates a private
-	// registry (Metrics() exposes it either way).
+	// Metrics receives serve.* instruments.
 	Metrics *metrics.Registry
 }
 
@@ -159,7 +158,6 @@ type flight struct {
 // use; Close shuts it down (in-flight queries finish or fail fast).
 type Engine struct {
 	cfg Config
-	reg *metrics.Registry
 
 	tokens chan struct{}
 	queued atomic.Int64
@@ -180,16 +178,12 @@ type Engine struct {
 
 // New builds an engine.
 func New(cfg Config) *Engine {
-	if cfg.Executor == nil || cfg.Cache == nil || cfg.Classes == nil || cfg.WhatIf == nil || cfg.Blueprint == nil {
+	if cfg.Executor == nil || cfg.Cache == nil || cfg.Classes == nil || cfg.WhatIf == nil || cfg.Blueprint == nil || cfg.Metrics == nil {
 		panic("serve: Config is missing a required field")
 	}
 	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	e := &Engine{
 		cfg:      cfg,
-		reg:      reg,
 		tokens:   make(chan struct{}, window),
 		closed:   make(chan struct{}),
 		flights:  map[planKey]*flight{},
@@ -211,7 +205,7 @@ func New(cfg Config) *Engine {
 }
 
 // Metrics returns the engine's registry (serve.* instruments).
-func (e *Engine) Metrics() *metrics.Registry { return e.reg }
+func (e *Engine) Metrics() *metrics.Registry { return e.cfg.Metrics }
 
 // Close shuts the engine down: queued and future queries fail with
 // ErrClosed; the walk a leader already started is allowed to finish.

@@ -12,6 +12,7 @@ import (
 	"hbverify/internal/eqclass"
 	"hbverify/internal/fault"
 	"hbverify/internal/fib"
+	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
 	"hbverify/internal/verify"
@@ -62,7 +63,7 @@ func (w *paperWorld) engine(cfg Config) *Engine {
 	if cfg.WhatIf == nil {
 		cfg.WhatIf = &whatif.Engine{Seed: 1, Sources: []string{"r1", "r2", "r3"}}
 	}
-	cfg.Cache, cfg.Classes, cfg.Blueprint = w.cache, w.eqc, w.pn.Blueprint()
+	cfg.Cache, cfg.Classes, cfg.Blueprint, cfg.Metrics = w.cache, w.eqc, w.pn.Blueprint(), metrics.NewRegistry()
 	return New(cfg)
 }
 

@@ -27,7 +27,6 @@
 package snapshot
 
 import (
-	"net/netip"
 	"slices"
 	"sort"
 
@@ -36,6 +35,7 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/netsim"
+	"hbverify/internal/trie"
 )
 
 // Cut maps each router to the observed-time horizon through which its log
@@ -81,14 +81,14 @@ func Collect(ios []capture.IO, cut Cut) []capture.IO {
 // install/remove events — exactly what a verifier fed by FIB update
 // streams would hold. Every router with a collected event appears, even
 // with an empty FIB.
-func BuildFIBs(ios []capture.IO) map[string]map[netip.Prefix]fib.Entry {
+func BuildFIBs(ios []capture.IO) map[string]*trie.Trie[fib.Entry] {
 	return ReplayFIBs(capture.ViewOf(ios), nil)
 }
 
 // ReplayFIBs is BuildFIBs over the events of v the cut collects (a nil cut
 // collects all), read in place.
-func ReplayFIBs(v capture.View, cut Cut) map[string]map[netip.Prefix]fib.Entry {
-	out := map[string]map[netip.Prefix]fib.Entry{}
+func ReplayFIBs(v capture.View, cut Cut) map[string]*trie.Trie[fib.Entry] {
+	out := map[string]*trie.Trie[fib.Entry]{}
 	for i := 0; i < v.Len(); i++ {
 		io := v.At(i)
 		if !cut.Visible(io) {
@@ -96,18 +96,14 @@ func ReplayFIBs(v capture.View, cut Cut) map[string]map[netip.Prefix]fib.Entry {
 		}
 		table := out[io.Router]
 		if table == nil {
-			table = map[netip.Prefix]fib.Entry{}
+			table = trie.New[fib.Entry]()
 			out[io.Router] = table
 		}
 		switch io.Type {
 		case capture.FIBInstall:
-			e := fib.Entry{Prefix: io.Prefix, NextHop: io.NextHop, Proto: io.Proto}
-			if len(io.NextHops) > 1 {
-				e.NextHops = append([]netip.Addr(nil), io.NextHops...)
-			}
-			table[io.Prefix] = e
+			_ = table.Insert(io.Prefix, fib.EntryOf(io))
 		case capture.FIBRemove:
-			delete(table, io.Prefix)
+			table.Delete(io.Prefix)
 		}
 	}
 	return out

@@ -7,6 +7,7 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
+	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/network"
@@ -159,11 +160,32 @@ func TestBuildFIBsReplaysRemoves(t *testing.T) {
 		{ID: 4, Router: "b", Type: capture.FIBRemove, Prefix: p},
 	}
 	fibs := BuildFIBs(ios)
-	if fibs["a"][p].NextHop != addr("2.2.2.2") {
-		t.Fatalf("a = %+v", fibs["a"][p])
+	if e, _ := fibs["a"].Exact(p); e.NextHop != addr("2.2.2.2") {
+		t.Fatalf("a = %+v", e)
 	}
-	if _, ok := fibs["b"][p]; ok {
+	if _, ok := fibs["b"].Exact(p); ok {
 		t.Fatal("b kept removed entry")
+	}
+}
+
+// Replaying the paper network's whole log rebuilds every router's live FIB
+// entry for entry: an entry is exactly what its FIB I/O records.
+func TestReplayEqualsLiveFIBs(t *testing.T) {
+	pn, _ := fig1Transition(t)
+	if _, err := pn.SetLinkUp("r1", "r2", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := pn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	replayed, live := ReplayFIBs(pn.Log.View(), nil), pn.FIBSnapshot()
+	if len(replayed) != len(live) {
+		t.Fatalf("%d routers replayed, %d live", len(replayed), len(live))
+	}
+	for r, table := range live {
+		if installs, removes := fib.Diff(table, replayed[r]); len(installs)+len(removes) != 0 {
+			t.Fatalf("%s: replay differs from the live FIB: %v, missing %v", r, installs, removes)
+		}
 	}
 }
 
@@ -217,7 +239,7 @@ func TestBuildFIBsKeepsRemoveOnlyRouter(t *testing.T) {
 		{ID: 1, Router: "a", Type: capture.FIBInstall, Prefix: p, NextHop: addr("1.1.1.1")},
 		{ID: 2, Router: "b", Type: capture.FIBRemove, Prefix: p},
 	})
-	if table, ok := fibs["b"]; !ok || len(table) != 0 {
+	if table, ok := fibs["b"]; !ok || table.Len() != 0 {
 		t.Fatalf("b = %v (present %v), want an empty FIB", table, ok)
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
+
+	"hbverify/internal/route"
 )
 
 // randPrefix4 draws from a deliberately clumped IPv4 prefix soup: a few
@@ -46,6 +49,11 @@ func checkAgree(t *testing.T, rng *rand.Rand, got *Trie[int], want *Reference[in
 	want.Walk(func(p netip.Prefix, _ int) bool { ww = append(ww, p); return true })
 	if fmt.Sprint(gw) != fmt.Sprint(ww) {
 		t.Fatalf("Walk order diverged:\ncompressed: %v\nreference:  %v", gw, ww)
+	}
+	// Within one family that order is (address, length) order, which
+	// fib.Diff and Prefixes rely on.
+	if !slices.IsSortedFunc(gw, route.ComparePrefix) {
+		t.Fatalf("Walk order is not prefix order: %v", gw)
 	}
 	for i := 0; i < 120; i++ {
 		a := randAddr4(rng)

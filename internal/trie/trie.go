@@ -20,10 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net/netip"
-	"slices"
 	"strings"
-
-	"hbverify/internal/route"
 )
 
 // key128 holds address bits MSB-first: bit 0 is the top bit of hi. IPv4
@@ -98,9 +95,9 @@ type node[V any] struct {
 	pfx   netip.Prefix // valid only when set
 }
 
-// Trie is a longest-prefix-match table. The zero value is empty and usable.
-// A single Trie must hold only one address family; mixing v4 and v6 prefixes
-// is rejected.
+// Trie is a longest-prefix-match table. The zero value is empty and usable,
+// and a nil *Trie reads as empty. A single Trie must hold only one address
+// family; mixing v4 and v6 prefixes is rejected.
 type Trie[V any] struct {
 	root node[V]
 	size int
@@ -112,7 +109,12 @@ type Trie[V any] struct {
 func New[V any]() *Trie[V] { return &Trie[V]{} }
 
 // Len reports the number of stored prefixes.
-func (t *Trie[V]) Len() int { return t.size }
+func (t *Trie[V]) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.size
+}
 
 func (t *Trie[V]) checkFamily(p netip.Prefix) error {
 	if !p.IsValid() {
@@ -240,7 +242,7 @@ func (t *Trie[V]) Delete(p netip.Prefix) bool {
 func (t *Trie[V]) Exact(p netip.Prefix) (V, bool) {
 	var zero V
 	p = p.Masked()
-	if !t.used || !p.IsValid() || p.Addr().Is6() != t.is6 {
+	if t == nil || !t.used || !p.IsValid() || p.Addr().Is6() != t.is6 {
 		return zero, false
 	}
 	k := keyOf(p.Addr())
@@ -266,7 +268,7 @@ func (t *Trie[V]) Exact(p netip.Prefix) (V, bool) {
 // addr. The walk is iterative and allocation-free.
 func (t *Trie[V]) Lookup(addr netip.Addr) (V, netip.Prefix, bool) {
 	var zero V
-	if !t.used || !addr.IsValid() || addr.Is6() != t.is6 {
+	if t == nil || !t.used || !addr.IsValid() || addr.Is6() != t.is6 {
 		return zero, netip.Prefix{}, false
 	}
 	k := keyOf(addr)
@@ -300,9 +302,13 @@ func (t *Trie[V]) descendBest(k key128, maxBits int) *node[V] {
 	}
 }
 
-// Walk visits every stored (prefix, value) pair in lexicographic bit order.
-// Returning false from fn stops the walk.
+// Walk visits every stored (prefix, value) pair in lexicographic bit order,
+// which within one address family is (address, length) order. Returning
+// false from fn stops the walk.
 func (t *Trie[V]) Walk(fn func(netip.Prefix, V) bool) {
+	if t == nil {
+		return
+	}
 	var rec func(n *node[V]) bool
 	rec = func(n *node[V]) bool {
 		if n == nil {
@@ -318,14 +324,13 @@ func (t *Trie[V]) Walk(fn func(netip.Prefix, V) bool) {
 	rec(&t.root)
 }
 
-// Prefixes returns all stored prefixes sorted by (address, length).
+// Prefixes returns all stored prefixes in Walk order: by (address, length).
 func (t *Trie[V]) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, t.size)
+	out := make([]netip.Prefix, 0, t.Len())
 	t.Walk(func(p netip.Prefix, _ V) bool {
 		out = append(out, p)
 		return true
 	})
-	slices.SortFunc(out, route.ComparePrefix)
 	return out
 }
 
@@ -335,7 +340,7 @@ func (t *Trie[V]) Prefixes() []netip.Prefix {
 func (t *Trie[V]) Subtree(p netip.Prefix) []netip.Prefix {
 	p = p.Masked()
 	var out []netip.Prefix
-	if !t.used || !p.IsValid() || p.Addr().Is6() != t.is6 {
+	if t == nil || !t.used || !p.IsValid() || p.Addr().Is6() != t.is6 {
 		return out
 	}
 	k := keyOf(p.Addr())

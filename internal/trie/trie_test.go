@@ -179,6 +179,20 @@ func TestWalkOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
+// A nil trie reads as empty, as a nil map does, so a FIB set can leave a
+// router out.
+func TestNilTrieReadsAsEmpty(t *testing.T) {
+	var tr *Trie[int]
+	if _, ok := tr.Exact(pfx("10.0.0.0/8")); ok || tr.Len() != 0 || len(tr.Prefixes()) != 0 ||
+		len(tr.Subtree(pfx("0.0.0.0/0"))) != 0 || tr.String() != "" {
+		t.Fatal("nil trie is not empty")
+	}
+	if _, _, ok := tr.Lookup(netip.MustParseAddr("10.0.0.1")); ok {
+		t.Fatal("nil trie matched")
+	}
+	tr.Walk(func(netip.Prefix, int) bool { t.Fatal("nil trie walked"); return false })
+}
+
 func TestSubtree(t *testing.T) {
 	tr := New[int]()
 	for i, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.1.0/24", "11.0.0.0/8"} {

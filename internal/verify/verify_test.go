@@ -121,8 +121,8 @@ func TestPhantomLoopOnInconsistentSnapshot(t *testing.T) {
 	snap := pn.FIBSnapshot()
 	// Fig. 1c: the verifier's copy of r2's FIB is stale (points at r1)
 	// while r1 already points at r2.
-	snap["r2"][pn.P] = fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")}
-	snap["r1"][pn.P] = fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")}
+	_ = snap["r2"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")})
+	_ = snap["r1"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")})
 	w := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(snap))
 	rep := NewChecker(w, []string{"r1", "r2", "r3"}).Check([]Policy{{Kind: NoLoop, Prefix: pn.P}})
 	if rep.OK() {

@@ -9,13 +9,14 @@ package whatif
 
 import (
 	"fmt"
-	"net/netip"
 	"slices"
 	"strings"
 
 	"hbverify/internal/config"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
+	"hbverify/internal/route"
+	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -47,7 +48,7 @@ type Result struct {
 	// Report is the verdict after the hypothetical changes converged.
 	Report verify.Report
 	// FIBs is the would-be data plane, for inspection and diffing.
-	FIBs map[string]map[netip.Prefix]fib.Entry
+	FIBs map[string]*trie.Trie[fib.Entry]
 	// Events counts the control-plane I/Os the hypothetical produced.
 	Events int
 }
@@ -118,34 +119,35 @@ func (e *Engine) check(n *network.Network) verify.Report {
 
 // Diff compares the hypothetical FIBs with the live network's, returning
 // "router prefix: old -> new" lines for every divergence in the next-hop
-// sets; an ECMP set prints as its members joined by "|".
-func Diff(live *network.Network, hypo map[string]map[netip.Prefix]fib.Entry) []string {
+// sets, in (router, prefix) order; an ECMP set prints as its members joined
+// by "|".
+func Diff(live *network.Network, hypo map[string]*trie.Trie[fib.Entry]) []string {
 	var out []string
 	for _, r := range live.Routers() {
-		liveFIB := r.FIB.Snapshot()
-		for p, e := range hypo[r.Name] {
-			if cur, ok := liveFIB[p]; !ok || !slices.Equal(cur.HopSet(), e.HopSet()) {
-				out = append(out, fmt.Sprintf("%s %s: %s -> %s", r.Name, p, nhString(liveFIB, p), hopString(e)))
-			}
+		cur := r.FIB.Snapshot()
+		installs, changed := fib.Diff(cur, hypo[r.Name])
+		for _, e := range installs {
+			changed = append(changed, e.Prefix)
 		}
-		for p := range liveFIB {
-			if _, still := hypo[r.Name][p]; !still {
-				out = append(out, fmt.Sprintf("%s %s: %s -> (removed)", r.Name, p, hopString(liveFIB[p])))
+		slices.SortFunc(changed, route.ComparePrefix)
+		for _, p := range changed {
+			was, had := cur.Exact(p)
+			now, has := hypo[r.Name].Exact(p)
+			if had && has && slices.Equal(was.HopSet(), now.HopSet()) {
+				continue
 			}
+			out = append(out, fmt.Sprintf("%s %s: %s -> %s", r.Name, p, hopString(was, had, "(none)"), hopString(now, has, "(removed)")))
 		}
 	}
 	return out
 }
 
-func nhString(fibs map[netip.Prefix]fib.Entry, p netip.Prefix) string {
-	e, ok := fibs[p]
+// hopString prints an entry's next-hop set, or absent when there is no
+// entry.
+func hopString(e fib.Entry, ok bool, absent string) string {
 	if !ok {
-		return "(none)"
+		return absent
 	}
-	return hopString(e)
-}
-
-func hopString(e fib.Entry) string {
 	hops := e.HopSet()
 	if len(hops) == 0 {
 		return "direct"

@@ -51,15 +51,9 @@ func TestBlueprintCopyReproducesState(t *testing.T) {
 	}
 	// The copy's FIBs match the original's, entry for entry.
 	for _, r := range pn.Routers() {
-		orig := r.FIB.Snapshot()
-		cp := copyNet.Router(r.Name).FIB.Snapshot()
-		if len(orig) != len(cp) {
-			t.Fatalf("%s: %d vs %d entries", r.Name, len(orig), len(cp))
-		}
-		for p, e := range orig {
-			if cp[p].NextHop != e.NextHop {
-				t.Fatalf("%s %s: %v vs %v", r.Name, p, e.NextHop, cp[p].NextHop)
-			}
+		installs, removes := fib.Diff(r.FIB.Snapshot(), copyNet.Router(r.Name).FIB.Snapshot())
+		if len(installs)+len(removes) != 0 {
+			t.Fatalf("%s: the copy holds %v and lacks %v", r.Name, installs, removes)
 		}
 	}
 	// The original was not perturbed (its log length is untouched by the
@@ -109,8 +103,8 @@ func TestWhatIfLinkFailureIsSafe(t *testing.T) {
 		t.Fatalf("failover should keep P reachable: %v", res.Report.Violations)
 	}
 	// The hypothetical data plane exits via r1.
-	if res.FIBs["r3"][pn.P].NextHop != addr("1.1.1.1") {
-		t.Fatalf("hypothetical r3 = %+v", res.FIBs["r3"][pn.P])
+	if e, _ := res.FIBs["r3"].Exact(pn.P); e.NextHop != addr("1.1.1.1") {
+		t.Fatalf("hypothetical r3 = %+v", e)
 	}
 	// The real network is untouched: r3 still exits via r2.
 	live, _ := pn.Router("r3").FIB.Exact(pn.P)
@@ -215,14 +209,14 @@ func TestDiffReportsECMPSetChanges(t *testing.T) {
 	pn.Router("r3").FIB.Offer(route.Route{Prefix: q, Proto: route.ProtoStatic}.WithNextHops(wide, narrow))
 
 	hypo := pn.FIBSnapshot()
-	live := hypo["r3"][pn.P]
+	live, _ := hypo["r3"].Exact(pn.P)
 	if live.HopCount() != 1 {
 		t.Fatalf("r3's live route to P is not single-path: %v", live)
 	}
 	grown := live
 	grown.NextHops = []netip.Addr{live.NextHop, addr("255.255.255.254")}
-	hypo["r3"][pn.P] = grown
-	hypo["r3"][q] = fib.Entry{Prefix: q, NextHop: wide, Proto: route.ProtoStatic}
+	_ = hypo["r3"].Insert(pn.P, grown)
+	_ = hypo["r3"].Insert(q, fib.Entry{Prefix: q, NextHop: wide, Proto: route.ProtoStatic})
 
 	diffs := Diff(pn.Network, hypo)
 	for _, want := range []string{
@@ -231,6 +225,30 @@ func TestDiffReportsECMPSetChanges(t *testing.T) {
 	} {
 		if !slices.Contains(diffs, want) {
 			t.Errorf("missing %q in %v", want, diffs)
+		}
+	}
+}
+
+// Diff lists one router's several changes in prefix order, the same on
+// every call.
+func TestDiffIsDeterministic(t *testing.T) {
+	pn := startPaper(t)
+	hypo := pn.FIBSnapshot()
+	live, _ := hypo["r3"].Exact(pn.P)
+	for _, s := range []string{"198.18.2.0/24", "198.18.0.0/24", "198.18.1.0/24"} {
+		q := netip.MustParsePrefix(s)
+		_ = hypo["r3"].Insert(q, fib.Entry{Prefix: q, NextHop: addr("2.2.2.2"), Proto: route.ProtoStatic})
+	}
+	hypo["r3"].Delete(pn.P)
+	want := []string{
+		"r3 198.18.0.0/24: (none) -> 2.2.2.2",
+		"r3 198.18.1.0/24: (none) -> 2.2.2.2",
+		"r3 198.18.2.0/24: (none) -> 2.2.2.2",
+		"r3 203.0.113.0/24: " + live.NextHop.String() + " -> (removed)",
+	}
+	for i := 0; i < 20; i++ {
+		if got := Diff(pn.Network, hypo); !slices.Equal(got, want) {
+			t.Fatalf("call %d: Diff = %q, want %q", i, got, want)
 		}
 	}
 }
