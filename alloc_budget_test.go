@@ -347,3 +347,78 @@ func benchInferLog(seed int64, n, nRouters int) []capture.IO {
 	}
 	return out[:n]
 }
+
+// TestInferenceCandidateBudget holds rule matching to the candidates that
+// can fit, as a count: on fault_loop's shape — a configuration change
+// re-routes every prefix, each router receives, installs in its RIB and FIB
+// and re-advertises all of them in turn — a full inference and an
+// extension visit a few candidates per evaluated event, and as few with 64
+// prefixes as with 8. A rule that scans its router's list passes every other
+// prefix's changes on the way to its own: a send looking for its RIB change
+// visits about three per prefix.
+func TestInferenceCandidateBudget(t *testing.T) {
+	const budget = 4 // candidates visited per evaluated event
+	for _, prefixes := range []int{8, 64} {
+		ios := burstLog(prefixes, 6, 40)
+		window := len(ios) * 9 / 10
+		reg := metrics.NewRegistry()
+		inc := hbr.NewIncremental(hbr.Rules{}, reg)
+		inc.Infer(ios[:window])
+		full := reg.Counter("hbr.infer.candidates").Value()
+		inc.Infer(ios)
+		ext := reg.Counter("hbr.infer.candidates").Value() - full
+		evaluated := reg.Counter("infer.evaluated.ios").Value()
+		if reg.Timer("infer.incremental").Count() != 1 || evaluated == 0 {
+			t.Fatalf("%d prefixes: %d extensions evaluating %d events, want one", prefixes, reg.Timer("infer.incremental").Count(), evaluated)
+		}
+		if full == 0 || ext == 0 {
+			t.Fatalf("%d prefixes: hbr.infer.candidates counted %d for the full inference and %d for the extension", prefixes, full, ext)
+		}
+		perFull, perExt := float64(full)/float64(window), float64(ext)/float64(evaluated)
+		if perFull > budget || perExt > budget {
+			t.Errorf("%d prefixes: %.1f candidates visited per event by a full inference and %.1f by an extension, budget %d",
+				prefixes, perFull, perExt, budget)
+		}
+		t.Logf("%d prefixes, %d events: candidates per event %.2f full, %.2f extension (%d evaluated)",
+			prefixes, len(ios), perFull, perExt, evaluated)
+	}
+}
+
+// burstLog generates fault_loop's shape of log: each of bursts configuration
+// changes on r0 re-routes every prefix, and down a line of routers each one
+// receives all of them (r0 excepted), installs each in its BGP RIB and FIB,
+// then advertises each to the next router, which receives them in order.
+// Bursts are a second apart, so no rule reaches from one into another.
+func burstLog(prefixes, routers, bursts int) []capture.IO {
+	pfx := make([]netip.Prefix, prefixes)
+	for i := range pfx {
+		pfx[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{198, 18, byte(i), 0}), 24)
+	}
+	var out []capture.IO
+	at := netsim.VirtualTime(int64(time.Hour))
+	add := func(r int, io capture.IO) {
+		at += netsim.VirtualTime(20 * time.Microsecond)
+		io.ID, io.Router, io.Time, io.Proto = uint64(len(out)+1), fmt.Sprintf("r%d", r), at, route.ProtoBGP
+		out = append(out, io)
+	}
+	for b := 0; b < bursts; b++ {
+		at += netsim.VirtualTime(time.Second)
+		add(0, capture.IO{Type: capture.ConfigChange, Detail: "set uplink local-pref"})
+		for r := 0; r < routers; r++ {
+			nh := netip.AddrFrom4([4]byte{10, 255, 0, byte(r + 1)})
+			for _, p := range pfx {
+				if r > 0 {
+					add(r, capture.IO{Type: capture.RecvAdvert, Prefix: p, Peer: fmt.Sprintf("r%d", r-1), NextHop: nh})
+				}
+				add(r, capture.IO{Type: capture.RIBInstall, Prefix: p, NextHop: nh})
+				add(r, capture.IO{Type: capture.FIBInstall, Prefix: p, NextHop: nh})
+			}
+			if r+1 < routers {
+				for _, p := range pfx {
+					add(r, capture.IO{Type: capture.SendAdvert, Prefix: p, Peer: fmt.Sprintf("r%d", r+1)})
+				}
+			}
+		}
+	}
+	return out
+}

@@ -33,17 +33,21 @@ import (
 	"sort"
 	"sync"
 
+	"hbverify/internal/capture"
 	"hbverify/internal/dataplane"
 	"hbverify/internal/dist"
 	"hbverify/internal/eqclass"
+	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
+	"hbverify/internal/netsim"
 	"hbverify/internal/network"
 	"hbverify/internal/repair"
 	"hbverify/internal/serve"
 	"hbverify/internal/snapshot"
+	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 	"hbverify/internal/whatif"
 )
@@ -85,6 +89,9 @@ type Pipeline struct {
 	// localRounds counts local-check rounds since the last full walk
 	// round; VerifyLocalChecks relabels when it reaches localRelabelEvery.
 	localRounds int
+
+	// frontier is what VerifySnapshot keeps of the log across verdicts.
+	frontier snapshotFrontier
 }
 
 // NewPipeline builds a pipeline with the incremental rule-matching strategy
@@ -366,14 +373,97 @@ func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 // The cut is a per-router horizon over a view of the log, and nothing is
 // copied out of it or inferred: the cut is closed by message accounting,
 // each receive against the send its place on its channel pairs it with
-// (snapshot.ConsistentCut, hbr.Pair), which reaches the cut the inferred
-// graph would, and the FIBs are replayed from the view under the final cut.
+// (snapshot.ConsistentCut over hbr.Pairing), which reaches the cut the
+// inferred graph would, and the FIBs are replayed from the view under the
+// final cut. Both are kept across verdicts (snapshotFrontier), so a verdict
+// reads the log's history only where a cut hides part of it. A compacted log
+// evicted FIB events no replay read: the verdict is inconsistent, names the
+// first retained ID in Result.EvictedBelow and verifies nothing.
 func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (verify.Report, snapshot.Result) {
 	log := p.Net.Log.View()
-	final, res := snapshot.ConsistentCut(log, cut, hbr.Pair(log), p.External)
+	first := p.Net.Log.FirstID()
+	if log.Len() > 0 {
+		first = log.At(0).ID
+	}
+	fibs, res := p.frontier.verdict(log, first, cut, p.External)
 	p.Metrics.Counter("snapshot.waits").Add(int64(res.Waits))
-	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(log, final)))
+	if res.EvictedBelow != 0 {
+		return verify.Report{}, res
+	}
+	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(fibs))
 	return p.checker(w).Check(policies), res
+}
+
+// snapshotFrontier is what VerifySnapshot keeps of the log across verdicts,
+// so that one reads only what arrived since the last:
+//
+//   - the channel pairing (hbr.Pairing), extended over the log's new
+//     suffix only;
+//   - each router's FIB, replayed through the first log position the last
+//     verdict's final cut hid. A verdict clones it and replays forward
+//     under its own final cut.
+//
+// When the view no longer extends what the frontier saw — the log was
+// compacted, the view is shorter than the replay, or the cut hides an event
+// the replay holds — the frontier starts again from the view's first event
+// through the same loop. A log's IDs start at 1 (capture.NewLog), so a view
+// that starts later holds no complete history to start from.
+type snapshotFrontier struct {
+	mu    sync.Mutex
+	first uint64 // ID of the event at position 0 of the views seen; 0 when none
+	pairs hbr.Pairing
+	// fibs is the replay of every event at a position below next; seen is,
+	// per router, the latest observed time among them.
+	fibs map[string]*trie.Trie[fib.Entry]
+	next int
+	seen map[string]netsim.VirtualTime
+}
+
+// verdict closes cut over v, whose first event has ID first (the log's
+// FirstID when v is empty), and returns the FIBs under the final cut with
+// the closure's result, or EvictedBelow set and no FIBs when v starts past
+// the log's first ID. It holds the frontier's lock throughout, external's
+// calls included: the closure reads the pairing a concurrent verdict may be
+// extending.
+func (f *snapshotFrontier) verdict(v capture.View, first uint64, cut snapshot.Cut, external func(string) bool) (map[string]*trie.Trie[fib.Entry], snapshot.Result) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if first != f.first {
+		f.first, f.pairs, f.fibs = first, hbr.Pairing{}, nil
+	}
+	if first > 1 {
+		return nil, snapshot.Result{EvictedBelow: first}
+	}
+	final, res := snapshot.ConsistentCut(v, cut, f.pairs.Extend(v), external)
+	if f.next > v.Len() || (f.behind(final) && !fault.On(fault.StaleFrontier)) {
+		f.fibs = nil
+	}
+	if f.fibs == nil {
+		f.fibs, f.next, f.seen = map[string]*trie.Trie[fib.Entry]{}, 0, map[string]netsim.VirtualTime{}
+	}
+	hid := f.next
+	for ; hid < v.Len() && final.Visible(v.At(hid)); hid++ {
+		io := v.At(hid)
+		f.seen[io.Router] = max(f.seen[io.Router], io.Time)
+	}
+	snapshot.Replay(f.fibs, v.Slice(f.next, hid), nil)
+	f.next = hid
+	fibs := make(map[string]*trie.Trie[fib.Entry], len(f.fibs))
+	for r, t := range f.fibs {
+		fibs[r] = t.Clone()
+	}
+	snapshot.Replay(fibs, v.Slice(hid, v.Len()), final)
+	return fibs, res
+}
+
+// behind reports whether cut hides an event the replay holds.
+func (f *snapshotFrontier) behind(cut snapshot.Cut) bool {
+	for r, horizon := range cut {
+		if t, ok := f.seen[r]; ok && t > horizon {
+			return true
+		}
+	}
+	return false
 }
 
 // Detect verifies (as Verify does) and, on violation, traces the

@@ -75,12 +75,17 @@ const (
 	// when inference does not tie its install to a FIB update either, the
 	// cut is called closed while it is open.
 	FIBAncestryOnly Bug = "fib-ancestry-only"
+	// StaleFrontier makes Pipeline.VerifySnapshot replay from its FIB
+	// checkpoint even when the cut hides an event the checkpoint holds — a
+	// frontier that forgets a cut can reach behind it, and verifies a
+	// snapshot with entries the cut never collected.
+	StaleFrontier Bug = "stale-frontier"
 )
 
 // Bugs lists every injectable defect.
 var Bugs = []Bug{StaleCache, SkipRollback, StaleEqclass, DropBatch, SwapSendMatch, SkipChannelEpoch,
 	SkipFold, DropEcmpBranch, InternAlias, StalePlan, SkipLocalCheck, SkipCutExtension,
-	FIBAncestryOnly}
+	FIBAncestryOnly, StaleFrontier}
 
 // Known reports whether b names an injectable defect.
 func Known(b Bug) bool { return slices.Contains(Bugs, b) }

@@ -50,7 +50,7 @@ type message struct {
 
 func messageOf(io *capture.IO) message {
 	m := message{withdraw: io.Type == capture.SendWithdraw || io.Type == capture.RecvWithdraw}
-	if io.HasPrefix() {
+	if io.Prefix.IsValid() {
 		m.prefix = io.Prefix
 	} else {
 		m.detail = io.Detail
@@ -170,12 +170,33 @@ func pairEdges(v capture.View) ([]hbg.Edge, *Channels) {
 // i, -1 for none and for every other event. snapshot.ConsistentCut checks a
 // cut against it.
 func Pair(v capture.View) []int32 {
-	out := make([]int32, v.Len())
-	for i := range out {
-		out[i] = -1
+	var p Pairing
+	return p.Extend(v)
+}
+
+// Pairing is Pair kept across a growing view: Extend feeds only the events
+// past those it has fed, on the table they left. Pairing is prefix-stable in
+// log order, so what it returns for a view is Pair of that view, except that
+// a receive may name a send past a shorter view's end — one logged after it —
+// which that view does not hold. The zero Pairing has fed nothing.
+type Pairing struct {
+	ch     *Channels
+	sendOf []int32
+}
+
+// Extend feeds v's events past those already fed, which must be v's first
+// ones, and returns the pairing of everything fed: Pair's answer, indexed
+// by position in v.
+func (p *Pairing) Extend(v capture.View) []int32 {
+	if p.ch == nil {
+		p.ch = newChannels()
 	}
-	pairView(v, func(i int) uint64 { return uint64(i) }, func(s, r uint64) { out[r] = int32(s) })
-	return out
+	pair := func(s, r uint64) { p.sendOf[r] = int32(s) }
+	for i := len(p.sendOf); i < v.Len(); i++ {
+		p.sendOf = append(p.sendOf, -1)
+		p.ch.feed(v.At(i), uint64(i), pair)
+	}
+	return p.sendOf
 }
 
 // forget drops, from an ID-keyed table, every queued message below id and

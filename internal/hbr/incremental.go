@@ -198,8 +198,9 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	// inference saw only the retained window, not the folded history.
 	start := time.Now()
 	paired, ch := pairEdges(ios)
-	g := inc.Rules.inferIndex(inc.index(ios, nil), paired)
+	g, visits := inc.Rules.inferIndex(inc.index(ios, nil), paired)
 	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
+	inc.Metrics.Counter("hbr.infer.candidates").Add(visits)
 	inc.Metrics.Counter("infer.cache.misses").Inc()
 	if inc.adoptableLocked(ios) {
 		inc.cached, inc.channels, inc.firstID, inc.lastID = g, ch, ios.At(0).ID, lastIDOf(ios)
@@ -401,7 +402,8 @@ func (inc *Incremental) extend(ios capture.View, sufStart int) *hbg.Graph {
 	inc.Metrics.Counter("hbr.channel_desync").Add(int64(inc.channels.desync - desync))
 
 	from := sort.Search(idx.Len(), func(i int) bool { return idx.at(idx.order[i]).Time >= tail })
-	edges := idx.runFrom(from, inc.Rules.rule(idx))
+	edges, visits := idx.runFrom(from, inc.Rules.rule(idx))
+	inc.Metrics.Counter("hbr.infer.candidates").Add(visits)
 
 	// An old event the rule ran for is replaced if its look-back is complete;
 	// one cut short keeps its cached edges. An old receive keeps its send.

@@ -26,7 +26,7 @@ func TestConcurrentStrategiesSharedIndex(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if g := r.inferIndex(idx, nil); g.NodeCount() != len(ios) {
+				if g, _ := r.inferIndex(idx, nil); g.NodeCount() != len(ios) {
 					t.Errorf("rules %+v: %d nodes, want %d", r, g.NodeCount(), len(ios))
 				}
 			}()

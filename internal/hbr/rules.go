@@ -125,7 +125,7 @@ func (l lhs) matches(io, c *capture.IO) bool {
 	case lhsRIBTrigger:
 		switch c.Type {
 		case capture.RecvAdvert, capture.RecvWithdraw:
-			return c.Proto == io.Proto && (c.Prefix == io.Prefix || !c.HasPrefix())
+			return c.Proto == io.Proto && (c.Prefix == io.Prefix || !c.Prefix.IsValid())
 		case capture.SoftReconfig, capture.LinkDown, capture.LinkUp:
 			return true
 		case capture.SessionDown:
@@ -154,21 +154,26 @@ func (l lhs) matches(io, c *capture.IO) bool {
 // channels.
 func (r Rules) Infer(ios []capture.IO) *hbg.Graph {
 	paired, _ := pairEdges(capture.ViewOf(ios))
-	return r.inferIndex(NewIndex(ios), paired)
+	g, _ := r.inferIndex(NewIndex(ios), paired)
+	return g
 }
 
 // inferIndex is Infer over a pre-built index and the view's channel pairs:
 // per-event rule matching, sharded across workers, and the cross-router
 // rule, [R' send C advertisement for P] → [R receive C advertisement for P],
-// one edge per pair.
-func (r Rules) inferIndex(idx *Index, paired []hbg.Edge) *hbg.Graph {
-	return idx.graph(append(idx.run(r.rule(idx)), paired))
+// one edge per pair. It also returns the candidates the rules visited.
+func (r Rules) inferIndex(idx *Index, paired []hbg.Edge) (*hbg.Graph, int64) {
+	edges, visits := idx.runFrom(0, r.rule(idx))
+	return idx.graph(append(edges, paired)), visits
 }
 
-// rule applies the same-router rule tables to one event.
+// rule applies the same-router rule tables to one event. A tier takes the
+// nearest candidate on the event's chains (Index.nearest); the two patterns
+// that are not a nearest match on them scan the router's list, bounded by
+// Window: an OSPF RIB change's collect-all and a sent LSA's re-flood.
 func (r Rules) rule(idx *Index) rule {
 	w, cw := r.windows()
-	return func(p int32, out []hbg.Edge) []hbg.Edge {
+	return func(p int32, out []hbg.Edge, visits *int) []hbg.Edge {
 		io := idx.at(p)
 		edge := func(from *capture.IO) { out = append(out, hbg.Edge{From: from.ID, To: io.ID}) }
 		tiers := tiersFor(io)
@@ -178,7 +183,7 @@ func (r Rules) rule(idx *Index) rule {
 		// configuration tier only when there is none.
 		if io.Proto == route.ProtoOSPF && (io.Type == capture.RIBInstall || io.Type == capture.RIBRemove) {
 			matched := len(out)
-			idx.precedingOnRouter(p, w, func(cand *capture.IO) bool {
+			*visits += idx.precedingOnRouter(p, w, func(cand *capture.IO) bool {
 				switch cand.Type {
 				case capture.RecvAdvert, capture.RecvWithdraw:
 					if cand.Proto == route.ProtoOSPF {
@@ -195,18 +200,25 @@ func (r Rules) rule(idx *Index) rule {
 			tiers = tiers[1:]
 		}
 		for _, t := range tiers {
-			window, found := w, len(out)
+			window := w
 			if t == lhsConfig {
 				window = cw
 			}
-			idx.precedingOnRouter(p, window, func(cand *capture.IO) bool {
-				if t.matches(io, cand) {
-					edge(cand)
-					return false
-				}
-				return true
-			})
-			if found != len(out) {
+			var cause *capture.IO
+			var n int
+			if t == lhsReflood {
+				n = idx.precedingOnRouter(p, window, func(cand *capture.IO) bool {
+					if t.matches(io, cand) {
+						cause = cand
+					}
+					return cause == nil
+				})
+			} else {
+				cause, n = idx.nearest(p, t, window)
+			}
+			*visits += n
+			if cause != nil {
+				edge(cause)
 				break
 			}
 		}

@@ -296,7 +296,8 @@ func compareEdges(a, b hbg.Edge) int {
 // verifies on. Every round's cut is recorded in Result.Cuts.
 // fault.SkipCutExtension verifies the first cut unextended, which (c) must
 // catch; fault.FIBAncestryOnly judges (b)'s graphs by the FIB updates'
-// inferred ancestry alone, which (d) must catch.
+// inferred ancestry alone, and fault.StaleFrontier keeps the pipeline's FIB
+// replay when a cut hides part of it, both of which (d) must catch.
 func (h *harness) oracleSnapshots(round int) *Failure {
 	all := h.w.net.Log.Snapshot()
 	stripped := capture.StripOracle(all)
@@ -334,15 +335,25 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 		}
 	}
 
-	// (d) message accounting reaches the graph's cut.
+	// (d) message accounting reaches the graph's cut, and the pipeline's
+	// frontier verifies what a cold replay under that cut does. A verdict on
+	// the whole log first moves the frontier's FIB replay to the log's end,
+	// so the lagged cut hides events the replay holds whenever it hides any.
 	view := h.w.net.Log.View()
 	tFinal, tRes := snapshot.ConsistentCut(view, cut, hbr.Pair(view), h.w.isExternal)
-	_, pRes := h.p.VerifySnapshot(cut, nil)
+	h.p.VerifySnapshot(snapshot.Cut{}, nil)
+	pRep, pRes := h.p.VerifySnapshot(cut, h.policies())
 	graph, table, pipe := verdict(final, res), verdict(tFinal, tRes), verdict(tFinal, pRes)
 	if table != graph || pipe != table {
 		return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
 			"cut %v closed by message accounting differs from the graph's: graph %s, table %s, Pipeline.VerifySnapshot %s",
 			cut, graph, table, pipe)}
+	}
+	cold := verify.NewChecker(dataplane.NewWalker(h.w.net.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(view, tFinal))), h.p.Sources)
+	if coldRep := cold.Check(h.policies()); !reflect.DeepEqual(pRep.Results(), coldRep.Results()) {
+		return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
+			"cut %v, closed to %v: Pipeline.VerifySnapshot (%s) walks otherwise than a cold replay of the cut (%s)",
+			cut, tFinal, pRep.Summary(), coldRep.Summary())}
 	}
 	if fault.On(fault.SkipCutExtension) {
 		collected = snapshot.Collect(stripped, cut)

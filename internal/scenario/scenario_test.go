@@ -217,6 +217,14 @@ func TestForcedFIBAncestryOnly(t *testing.T) {
 	forceBug(t, 3, fault.FIBAncestryOnly, OracleSnapshot)
 }
 
+// TestForcedStaleFrontier proves the snapshot oracle's part (d) catches a
+// snapshot frontier that keeps its FIB replay when a cut hides part of it:
+// after a verdict on the whole log, the lagged cut's snapshot holds entries
+// the cut never collected, and its walks differ from a cold replay's.
+func TestForcedStaleFrontier(t *testing.T) {
+	forceBug(t, 3, fault.StaleFrontier, OracleSnapshot)
+}
+
 // requireClosedCuts runs a scenario the snapshot oracle must pass — it
 // fails on any lagged cut ConsistentCollect and VerifySnapshot call
 // consistent that lacks part of the ground-truth ancestry of a FIB event in

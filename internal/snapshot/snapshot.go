@@ -88,16 +88,25 @@ func BuildFIBs(ios []capture.IO) map[string]*trie.Trie[fib.Entry] {
 // ReplayFIBs is BuildFIBs over the events of v the cut collects (a nil cut
 // collects all), read in place.
 func ReplayFIBs(v capture.View, cut Cut) map[string]*trie.Trie[fib.Entry] {
-	out := map[string]*trie.Trie[fib.Entry]{}
+	fibs := map[string]*trie.Trie[fib.Entry]{}
+	Replay(fibs, v, cut)
+	return fibs
+}
+
+// Replay continues a replay: it applies the FIB events of v the cut collects
+// to fibs, in order, and adds an empty table for every router with a
+// collected event that has none. Replaying a log's prefix and then the rest,
+// under cuts that collect the same events, is ReplayFIBs of the whole.
+func Replay(fibs map[string]*trie.Trie[fib.Entry], v capture.View, cut Cut) {
 	for i := 0; i < v.Len(); i++ {
 		io := v.At(i)
 		if !cut.Visible(io) {
 			continue
 		}
-		table := out[io.Router]
+		table := fibs[io.Router]
 		if table == nil {
 			table = trie.New[fib.Entry]()
-			out[io.Router] = table
+			fibs[io.Router] = table
 		}
 		switch io.Type {
 		case capture.FIBInstall:
@@ -106,7 +115,6 @@ func ReplayFIBs(v capture.View, cut Cut) map[string]*trie.Trie[fib.Entry] {
 			table.Delete(io.Prefix)
 		}
 	}
-	return out
 }
 
 // Result reports a consistency check.
@@ -121,6 +129,10 @@ type Result struct {
 	// Waits counts the horizons ConsistentCut or ConsistentCollect advanced
 	// on the way to this result, one per router per round of waiting.
 	Waits int
+	// EvictedBelow, when not zero, is the first ID a compacted log retains:
+	// the FIB events below it were evicted before any replay read them, so
+	// no snapshot of the log can be rebuilt and none was verified.
+	EvictedBelow uint64
 }
 
 // accounted reports whether the §5 condition covers io: a received
@@ -213,7 +225,7 @@ type Infer func([]capture.IO) *hbg.Graph
 // stripped, if infer strips. ios is only read.
 func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(string) bool) ([]capture.IO, Cut, Result) {
 	var collected []capture.IO
-	final, res := extend(capture.ViewOf(ios), cut, func(c Cut) Result {
+	final, res := extend(cut, hiddenTimes(capture.ViewOf(ios), cut), func(c Cut) Result {
 		collected = Collect(ios, c)
 		return Check(infer(collected), external)
 	})
@@ -232,19 +244,30 @@ func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(str
 // the graph inferred over the cut, so ConsistentCut and ConsistentCollect
 // reach the same cut. Nothing is copied out of v. It returns the final cut
 // and the last verdict.
+//
+// A receipt the first cut closes — it collects the receive and its send —
+// is closed in every cut after it, since extending a cut only lifts
+// horizons: it is settled once, and each round re-checks only the rest, in
+// ID order. A send at or past len(v) is one v does not hold (see
+// hbr.Pairing).
 func ConsistentCut(v capture.View, cut Cut, sendOf []int32, external func(string) bool) (Cut, Result) {
 	type receipt struct{ recv, send *capture.IO }
 	var receipts []receipt
+	hidden := map[string][]netsim.VirtualTime{}
 	for i := 0; i < v.Len(); i++ {
-		if io := v.At(i); accounted(io, external) {
+		io := v.At(i)
+		hide(hidden, io, cut)
+		if accounted(io, external) {
 			r := receipt{recv: io}
-			if s := sendOf[i]; s >= 0 {
+			if s := sendOf[i]; s >= 0 && int(s) < v.Len() {
 				r.send = v.At(int(s))
 			}
-			receipts = append(receipts, r)
+			if r.send == nil || !cut.Visible(r.recv) || !cut.Visible(r.send) {
+				receipts = append(receipts, r)
+			}
 		}
 	}
-	return extend(v, cut, func(c Cut) Result {
+	return extend(cut, hidden, func(c Cut) Result {
 		var cl closure
 		for _, r := range receipts {
 			if c.Visible(r.recv) {
@@ -255,14 +278,33 @@ func ConsistentCut(v capture.View, cut Cut, sendOf []int32, external func(string
 	})
 }
 
+// hiddenTimes returns, per router the cut limits, the observed times of its
+// events in v the cut hides: the only horizons extending the cut can reach.
+func hiddenTimes(v capture.View, cut Cut) map[string][]netsim.VirtualTime {
+	hidden := map[string][]netsim.VirtualTime{}
+	for i := 0; i < v.Len(); i++ {
+		hide(hidden, v.At(i), cut)
+	}
+	return hidden
+}
+
+// hide adds io's time to hidden when the cut hides io.
+func hide(hidden map[string][]netsim.VirtualTime, io *capture.IO, cut Cut) {
+	if horizon, limited := cut[io.Router]; limited && io.Time > horizon {
+		hidden[io.Router] = append(hidden[io.Router], io.Time)
+	}
+}
+
 // extend is the waiting loop both judges share: while check finds the cut
-// open, advance each router it waits for to that router's next event in v —
-// lifting the horizon once the log is exhausted — and check again.
-func extend(v capture.View, cut Cut, check func(Cut) Result) (Cut, Result) {
+// open, advance each router it waits for to that router's next event —
+// lifting the horizon once its log is exhausted — and check again. hidden
+// holds the times of the events the first cut hides (hiddenTimes); it is
+// sorted in place.
+func extend(cut Cut, hidden map[string][]netsim.VirtualTime, check func(Cut) Result) (Cut, Result) {
 	cur := cut.Clone()
-	// times holds, per router waited on so far, the observed times of its
-	// events in ascending order.
-	times := map[string][]netsim.VirtualTime{}
+	for _, ts := range hidden {
+		slices.Sort(ts)
+	}
 	waits := 0
 	for {
 		res := check(cur)
@@ -276,18 +318,9 @@ func extend(v capture.View, cut Cut, check func(Cut) Result) (Cut, Result) {
 			if !limited {
 				continue
 			}
-			ts, ok := times[router]
-			if !ok {
-				for i := 0; i < v.Len(); i++ {
-					if io := v.At(i); io.Router == router {
-						ts = append(ts, io.Time)
-					}
-				}
-				slices.Sort(ts)
-				times[router] = ts
-			}
 			// Advance to the router's earliest event after the horizon; with
 			// its log exhausted, lift the horizon entirely.
+			ts := hidden[router]
 			if i := sort.Search(len(ts), func(i int) bool { return ts[i] > horizon }); i < len(ts) {
 				cur[router] = ts[i]
 			} else {

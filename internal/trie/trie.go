@@ -108,6 +108,27 @@ type Trie[V any] struct {
 // New returns an empty trie.
 func New[V any]() *Trie[V] { return &Trie[V]{} }
 
+// Clone returns a copy of t that shares no node with it, so either can be
+// written without the other seeing it; values are copied as V copies (a
+// slice inside one is shared). A nil trie clones to an empty one.
+func (t *Trie[V]) Clone() *Trie[V] {
+	if t == nil {
+		return New[V]()
+	}
+	c := *t
+	c.root.child = [2]*node[V]{cloneNode(t.root.child[0]), cloneNode(t.root.child[1])}
+	return &c
+}
+
+func cloneNode[V any](n *node[V]) *node[V] {
+	if n == nil {
+		return nil
+	}
+	c := *n
+	c.child = [2]*node[V]{cloneNode(n.child[0]), cloneNode(n.child[1])}
+	return &c
+}
+
 // Len reports the number of stored prefixes.
 func (t *Trie[V]) Len() int {
 	if t == nil {

@@ -341,3 +341,58 @@ func (t *Trie[V]) LookupPrefix(p netip.Prefix) (V, netip.Prefix, bool) {
 	}
 	return best.val, best.pfx, true
 }
+
+// TestCloneIsIndependent: a clone holds what its source held, and writes to
+// either after the clone — inserts, replacements, deletes that splice nodes —
+// leave the other as it was.
+func TestCloneIsIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	random := func() netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rng.Intn(4)), byte(rng.Intn(256)), 0}), 8+rng.Intn(17)).Masked()
+	}
+	src := New[int]()
+	for i := 0; i < 300; i++ {
+		_ = src.Insert(random(), i)
+	}
+	contents := func(tr *Trie[int]) map[netip.Prefix]int {
+		m := map[netip.Prefix]int{}
+		tr.Walk(func(p netip.Prefix, v int) bool { m[p] = v; return true })
+		return m
+	}
+	same := func(a, b map[netip.Prefix]int) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for p, v := range a {
+			if w, ok := b[p]; !ok || w != v {
+				return false
+			}
+		}
+		return true
+	}
+	before := contents(src)
+	c := src.Clone()
+	if got := contents(c); !same(got, before) || c.Len() != src.Len() {
+		t.Fatalf("clone holds %d prefixes, source %d", len(got), len(before))
+	}
+	for i := 0; i < 300; i++ {
+		if p := random(); rng.Intn(2) == 0 {
+			_ = c.Insert(p, -i)
+		} else {
+			c.Delete(p)
+		}
+	}
+	if !same(contents(src), before) {
+		t.Fatal("writes to the clone reached its source")
+	}
+	after := contents(c)
+	for _, p := range src.Prefixes() {
+		src.Delete(p)
+	}
+	if !same(contents(c), after) {
+		t.Fatal("writes to the source reached its clone")
+	}
+	if (*Trie[int])(nil).Clone().Len() != 0 {
+		t.Fatal("a nil trie's clone is not empty")
+	}
+}
