@@ -26,13 +26,16 @@ import (
 // live FIBs. Run under -race in CI.
 func TestFleetRoundWaitsForViewAcks(t *testing.T) {
 	const k = 6
+	// relabelEvery is the fleet's relabel cadence (dist's localRelabelEvery):
+	// the round after relabelEvery-1 quiet ones must relabel.
+	const relabelEvery = 16
 	// quiet is how many rounds pass between two that sync and walk.
 	modes := map[string]struct {
 		round func(*Pipeline, []verify.Policy) (dist.Stats, error)
 		quiet int
 	}{
 		"VerifyDistributed": {(*Pipeline).VerifyDistributed, 0},
-		"VerifyLocalChecks": {(*Pipeline).VerifyLocalChecks, localRelabelEvery - 1},
+		"VerifyLocalChecks": {(*Pipeline).VerifyLocalChecks, relabelEvery - 1},
 	}
 	for name, mode := range modes {
 		t.Run(name, func(t *testing.T) {
@@ -64,9 +67,9 @@ func TestFleetRoundWaitsForViewAcks(t *testing.T) {
 			for _, e := range edges {
 				source[e] = true
 			}
-			for name, node := range p.distNodes {
-				if !source[name] {
-					node.SetApplyDelay(50 * time.Millisecond)
+			for _, r := range n.Routers() {
+				if !source[r.Name] {
+					p.fleet.Node(r.Name).SetApplyDelay(50 * time.Millisecond)
 				}
 			}
 			for flap := 0; flap < 4; flap++ {

@@ -373,23 +373,19 @@ func BenchmarkDistributedVerification(b *testing.B) {
 		w := dataplane.NewWalker(n.Topo, dataplane.TableView(tables))
 		repC := verify.NewChecker(w, sources).Check(policies)
 		centralTime := time.Since(startC)
-		views := map[string]dist.LocalView{}
-		for _, r := range n.Routers() {
-			views[r.Name] = dist.LocalViewOf(r)
-		}
-		centralBytes, err := dist.CentralizedBytes(views)
+		centralBytes, err := dist.CentralizedBytes(n)
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Distributed: TCP fleet.
-		coord, nodes, teardown, err := dist.BuildFleet(n)
+		fleet, err := dist.NewFleet(n, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		startD := time.Now()
-		stats, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, dist.VerifyOpts{})
+		stats, err := fleet.Verify(verify.NewChecker(nil, sources), policies)
 		distTime := time.Since(startD)
-		teardown()
+		fleet.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,15 +399,15 @@ func BenchmarkDistributedVerification(b *testing.B) {
 	// Timed loop: distributed verification on the paper network.
 	pn := mustPaper(b, 1, network.DefaultPaperOpts())
 	runNet(b, pn)
-	coord, nodes, teardown, err := dist.BuildFleet(pn.Network)
+	fleet, err := dist.NewFleet(pn.Network, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer teardown()
+	defer fleet.Close()
 	policies := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := coord.Round(verify.NewChecker(nil, internalSources), nodes, policies, dist.VerifyOpts{}); err != nil {
+		if _, err := fleet.Verify(verify.NewChecker(nil, internalSources), policies); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -446,19 +442,19 @@ func BenchmarkDistThroughput(b *testing.B) {
 	for _, r := range n.Routers() {
 		sources = append(sources, r.Name)
 	}
-	coord, nodes, teardown, err := dist.BuildFleet(n)
+	fleet, err := dist.NewFleet(n, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer teardown()
+	defer fleet.Close()
 	// Warm up once (the first round pays the dial costs).
-	if _, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, dist.VerifyOpts{}); err != nil {
+	if _, err := fleet.Verify(verify.NewChecker(nil, sources), policies); err != nil {
 		b.Fatal(err)
 	}
 	var walks, bytes int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, dist.VerifyOpts{})
+		stats, err := fleet.Verify(verify.NewChecker(nil, sources), policies)
 		if err != nil {
 			b.Fatal(err)
 		}

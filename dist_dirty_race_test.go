@@ -42,17 +42,17 @@ func TestFleetRoundKeepsMidRoundDirt(t *testing.T) {
 			if central := p.Verify(policies); central.OK() {
 				t.Fatal("test premise: without the static, q must not egress at r1")
 			}
-			coord := p.distCoord
+			fleet := p.fleet
 			for i := 0; i < 25; i++ {
 				r1.Offer(static)
-				base, _, _, _ := coord.Wire()
+				base, _ := fleet.Wire()
 				done := make(chan error, 1)
 				go func() {
 					_, err := round(p, policies)
 					done <- err
 				}()
 				for {
-					if f, _, _, _ := coord.Wire(); f > base {
+					if f, _ := fleet.Wire(); f > base {
 						break
 					}
 					runtime.Gosched()

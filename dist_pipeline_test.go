@@ -1,9 +1,11 @@
 package hbverify
 
 import (
+	"net/netip"
 	"testing"
 
 	"hbverify/internal/config"
+	"hbverify/internal/route"
 	"hbverify/internal/verify"
 )
 
@@ -98,4 +100,31 @@ func TestPipelineDistributedMatchesCentral(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("link-down")
+}
+
+// TestVerifyDistributedAccountsWholeRound: a round after a FIB change syncs
+// the changed router before it walks, and its Stats.Frames and Bytes are
+// the fleet's counters' delta around the whole call — view delta and report
+// included, as in VerifyLocalChecks — not around the walks alone.
+func TestVerifyDistributedAccountsWholeRound(t *testing.T) {
+	pn, p := startPaper(t)
+	defer p.Close()
+	policies := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
+	if _, err := p.VerifyDistributed(policies); err != nil {
+		t.Fatal(err)
+	}
+	r1 := pn.Router("r1")
+	r1.FIB.Offer(route.Route{Prefix: netip.MustParsePrefix("198.51.100.0/24"), Proto: route.ProtoStatic, NextHop: r1.Topo.Loopback})
+	f0, b0 := p.fleet.Wire()
+	stats, err := p.VerifyDistributed(policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, b1 := p.fleet.Wire()
+	if stats.Frames != int(f1-f0) || stats.Bytes != int(b1-b0) {
+		t.Fatalf("round reports %d frames, %d bytes; the fleet wrote %d frames, %d bytes", stats.Frames, stats.Bytes, f1-f0, b1-b0)
+	}
+	if stats.Report.Walks == 0 || !stats.Report.OK() {
+		t.Fatalf("r1's change re-walked nothing: %+v", stats.Report)
+	}
 }

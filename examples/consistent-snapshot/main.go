@@ -1,19 +1,20 @@
 // Fig. 1c end to end: a data-plane verifier that snapshots router FIBs at
-// slightly different times sees a forwarding loop that never existed. The
-// happens-before graph detects the inconsistent snapshot — R1's FIB change
-// depends on an advertisement whose send event is missing from R2's
-// collected log — and tells the verifier to wait for R2.
+// slightly different times sees a forwarding loop that never existed.
+// Message accounting judges the cut (snapshot.ConsistentCut over the
+// channel pairing hbr.Pair computes): R1's FIB change follows a receive
+// whose send — R2's advertisement — the cut does not collect, so the cut is
+// open until R2's log advances, and the verifier waits for R2.
 package main
 
 import (
 	"fmt"
 	"log"
 	"net/netip"
+	"sort"
 
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
-	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/network"
 	"hbverify/internal/snapshot"
@@ -40,43 +41,48 @@ func main() {
 	if err := pn.Run(); err != nil {
 		log.Fatal(err)
 	}
-	ios := pn.Log.Snapshot()
+	v := pn.Log.View()
 
 	// The unlucky collection cut: R2's log stops just before its FIB
 	// switched to the e2 uplink; everyone else is up to date.
-	var fibSwitch capture.IO
-	for _, io := range ios {
-		if io.Router == "r2" && io.Type == capture.FIBInstall && io.Prefix == pn.P &&
+	var fibSwitch *capture.IO
+	for i := 0; i < v.Len(); i++ {
+		if io := v.At(i); io.Router == "r2" && io.Type == capture.FIBInstall && io.Prefix == pn.P &&
 			io.NextHop == netip.MustParseAddr("10.0.5.2") {
 			fibSwitch = io
 		}
 	}
 	cut := snapshot.Cut{"r2": fibSwitch.Time - 1}
-
-	infer := func(ios []capture.IO) *hbg.Graph {
-		return hbr.Rules{}.Infer(capture.StripOracle(ios))
+	noLoop := []verify.Policy{{Kind: verify.NoLoop, Prefix: pn.P}}
+	verifyUnder := func(c snapshot.Cut) verify.Report {
+		w := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(v, c)))
+		return verify.NewChecker(w, []string{"r1", "r2", "r3"}).Check(noLoop)
 	}
 
 	// Naive verifier: walk the stale snapshot.
-	collected := snapshot.Collect(ios, cut)
-	fibs := snapshot.BuildFIBs(collected)
-	w := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(fibs))
-	rep := verify.NewChecker(w, []string{"r1", "r2", "r3"}).
-		Check([]verify.Policy{{Kind: verify.NoLoop, Prefix: pn.P}})
+	rep := verifyUnder(cut)
 	fmt.Println("naive snapshot verifier:", rep.Summary())
-	for _, v := range rep.Violations {
-		fmt.Println("  phantom:", v)
+	for _, viol := range rep.Violations {
+		fmt.Println("  phantom:", viol)
 	}
 
-	// HBG-gated verifier: detect the inconsistency, wait, verify cleanly.
-	res := snapshot.Check(infer(collected), nil)
-	fmt.Printf("consistency check: consistent=%v waitFor=%v\n", res.Consistent, res.WaitFor)
-
-	consistent, _, final := snapshot.ConsistentCollect(ios, cut, infer, nil)
-	fmt.Printf("after waiting: consistent=%v (%d I/Os collected)\n", final.Consistent, len(consistent))
-	fibs2 := snapshot.BuildFIBs(consistent)
-	w2 := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(fibs2))
-	rep2 := verify.NewChecker(w2, []string{"r1", "r2", "r3"}).
-		Check([]verify.Policy{{Kind: verify.NoLoop, Prefix: pn.P}})
-	fmt.Println("HBG-gated verifier:", rep2.Summary())
+	// Gated verifier: close the cut by message accounting, then verify.
+	final, res := snapshot.ConsistentCut(v, cut, hbr.Pair(v), nil)
+	var waited []string
+	for r, horizon := range cut {
+		if h, limited := final[r]; !limited || h != horizon {
+			waited = append(waited, r)
+		}
+	}
+	collected := 0
+	for i := 0; i < v.Len(); i++ {
+		if final.Visible(v.At(i)) {
+			collected++
+		}
+	}
+	sort.Strings(waited)
+	// A cut that needed no wait was consistent as collected.
+	fmt.Printf("consistency check: consistent=%v, waited for %v (%d waits)\n", res.Consistent && res.Waits == 0, waited, res.Waits)
+	fmt.Printf("after waiting: consistent=%v (%d I/Os collected)\n", res.Consistent, collected)
+	fmt.Println("gated verifier:", verifyUnder(final).Summary())
 }

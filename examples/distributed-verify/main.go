@@ -47,11 +47,7 @@ func main() {
 	fmt.Printf("  cost: %d walks, %d inter-node messages, %d frames, %d bytes on the wire\n",
 		cold.Walks, cold.Messages, cold.Frames, cold.Bytes)
 
-	views := map[string]dist.LocalView{}
-	for _, r := range pn.Routers() {
-		views[r.Name] = dist.LocalViewOf(r)
-	}
-	central, err := dist.CentralizedBytes(views)
+	central, err := dist.CentralizedBytes(pn.Network)
 	if err != nil {
 		log.Fatal(err)
 	}

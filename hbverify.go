@@ -29,8 +29,6 @@ package hbverify
 
 import (
 	"fmt"
-	"net/netip"
-	"sort"
 	"sync"
 
 	"hbverify/internal/capture"
@@ -78,17 +76,10 @@ type Pipeline struct {
 	walkCache *verify.WalkCache
 	live      *dataplane.Walker
 
-	// Lazily-built distributed verification fleet (§5), plus the set of
-	// routers whose forwarding state changed since the last distributed
-	// round — the view-delta and walk-reuse working set.
-	distMu       sync.Mutex
-	distCoord    *dist.Coordinator
-	distNodes    map[string]*dist.Node
-	distTeardown func()
-	distDirty    map[string]struct{}
-	// localRounds counts local-check rounds since the last full walk
-	// round; VerifyLocalChecks relabels when it reaches localRelabelEvery.
-	localRounds int
+	// fleet is the distributed verification fleet (§5), built on first use;
+	// the FIB and link hooks mark its dirty routers under fleetMu.
+	fleetMu sync.Mutex
+	fleet   *dist.Fleet
 
 	// frontier is what VerifySnapshot keeps of the log across verdicts.
 	frontier snapshotFrontier
@@ -105,13 +96,12 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 	p := &Pipeline{Net: n, Strategy: hbr.NewIncremental(hbr.Rules{}, reg), Sources: sources, Metrics: reg, live: n.LiveWalker()}
 	p.eqc = eqclass.NewIncremental(reg)
 	p.walkCache = verify.NewWalkCache()
-	p.distDirty = map[string]struct{}{}
 	for _, r := range n.Routers() {
 		name := r.Name
 		p.eqc.Watch(name, r.FIB)
 		r.FIB.OnChange(func(fib.Update) {
 			p.walkCache.InvalidateRouter(name)
-			p.noteDistDirty(name)
+			p.markDirty(name)
 		})
 	}
 	n.OnLinkChange(func(a, b string, up bool) {
@@ -119,16 +109,20 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 		// FIB entry moves (interface-up checks, statics over the link).
 		p.walkCache.InvalidateRouter(a)
 		p.walkCache.InvalidateRouter(b)
-		p.noteDistDirty(a)
-		p.noteDistDirty(b)
+		p.markDirty(a)
+		p.markDirty(b)
 	})
 	return p
 }
 
-func (p *Pipeline) noteDistDirty(router string) {
-	p.distMu.Lock()
-	p.distDirty[router] = struct{}{}
-	p.distMu.Unlock()
+// markDirty tells the fleet, once built, that router changed. A fleet
+// starts from the live views, so nothing before it is dirty.
+func (p *Pipeline) markDirty(router string) {
+	p.fleetMu.Lock()
+	if p.fleet != nil {
+		p.fleet.MarkDirty(router)
+	}
+	p.fleetMu.Unlock()
 }
 
 // Graph infers the happens-before graph over everything captured so far,
@@ -176,155 +170,50 @@ func (p *Pipeline) Verify(policies []verify.Policy) verify.Report {
 	return c.Check(policies)
 }
 
-// fleetRound is what one distributed round starts from: the lazily-built
-// fleet, the routers dirtied since the previous round (sorted), fresh views
-// of exactly those routers, and the local-check round counter.
-type fleetRound struct {
-	coord  *dist.Coordinator
-	nodes  map[string]*dist.Node
-	dirty  []string
-	views  map[string]dist.LocalView
-	rounds int
-}
-
-// beginFleetRound builds the fleet on first use and takes the dirty set,
-// leaving an empty one behind: a router dirtied while the round runs lands
-// in the new set and is synced by the next round, instead of being wiped
-// by a reset at the end of this one. endFleetRound puts the taken set back
-// if the round fails.
-func (p *Pipeline) beginFleetRound() (fleetRound, error) {
-	p.distMu.Lock()
-	if p.distCoord == nil {
-		coord, nodes, teardown, err := dist.BuildFleet(p.Net)
+// fleetChecker returns the fleet, building it on first use, and the
+// pipeline's checker over the shared walk cache for a fleet round.
+func (p *Pipeline) fleetChecker() (*dist.Fleet, *verify.Checker, error) {
+	p.fleetMu.Lock()
+	defer p.fleetMu.Unlock()
+	if p.fleet == nil {
+		f, err := dist.NewFleet(p.Net, p.Metrics)
 		if err != nil {
-			p.distMu.Unlock()
-			return fleetRound{}, err
+			return nil, nil, err
 		}
-		p.distCoord, p.distNodes, p.distTeardown = coord, nodes, teardown
-		// The fleet was just built from the live views: nothing is dirty.
-		p.distDirty = map[string]struct{}{}
-	}
-	r := fleetRound{coord: p.distCoord, nodes: p.distNodes, rounds: p.localRounds, views: map[string]dist.LocalView{}}
-	taken := p.distDirty
-	p.distDirty = map[string]struct{}{}
-	p.distMu.Unlock()
-
-	r.dirty = make([]string, 0, len(taken))
-	for name := range taken {
-		r.dirty = append(r.dirty, name)
-	}
-	sort.Strings(r.dirty)
-	for _, rt := range p.Net.Routers() {
-		if _, dirty := taken[rt.Name]; dirty && r.nodes[rt.Name] != nil {
-			r.views[rt.Name] = dist.LocalViewOf(rt)
-		}
-	}
-	return r, nil
-}
-
-// endFleetRound merges a failed round's dirty set back so its routers are
-// retried; a successful round has nothing to return.
-func (p *Pipeline) endFleetRound(r fleetRound, err error) {
-	if err == nil {
-		return
-	}
-	p.distMu.Lock()
-	for _, name := range r.dirty {
-		p.distDirty[name] = struct{}{}
-	}
-	p.distMu.Unlock()
-}
-
-// fleetCheck syncs the round's dirty views — every shipped delta is
-// acknowledged before any walk is dispatched — and runs the pipeline's
-// checker over the fleet executor, sharing the live walk cache with the
-// central path. With local set, the checker also gets the coordinator's
-// certificate as it stands after the sync's local-check reports.
-func (p *Pipeline) fleetCheck(r fleetRound, policies []verify.Policy, local bool) (dist.Stats, error) {
-	if _, err := r.coord.SyncViews(r.nodes, r.views, r.dirty); err != nil {
-		return dist.Stats{}, err
+		p.fleet = f
 	}
 	c := p.checker(nil)
 	c.Cache = p.walkCache
-	if local {
-		c.Certified = r.coord.Certificate()
-	}
-	return r.coord.Round(c, r.nodes, policies, dist.VerifyOpts{Metrics: p.Metrics})
+	return p.fleet, c, nil
 }
 
 // VerifyDistributed checks policies through a per-router TCP fleet (§5)
-// instead of the central walker. The fleet is built lazily on first call
-// and kept across calls; subsequent rounds ship binary FIB/interface
-// deltas only for the routers that changed (tracked from the same
-// OnChange/OnLinkChange hooks that drive the caches), and the checker
-// answers walks from the shared walk cache before anything touches the
-// wire. Metrics land in p.Metrics (dist.* counters, per-node latency
-// timers) and surface through Summary().
-func (p *Pipeline) VerifyDistributed(policies []verify.Policy) (stats dist.Stats, err error) {
-	r, err := p.beginFleetRound()
+// instead of the central walker. The fleet is built on first call and kept;
+// each round ships binary FIB/interface deltas for the routers changed
+// since the last (the same FIB and link hooks that drive the caches mark
+// them), and the checker answers walks from the shared walk cache before
+// anything touches the wire. Metrics land in p.Metrics (dist.* counters,
+// per-node latency timers) and surface through Summary().
+func (p *Pipeline) VerifyDistributed(policies []verify.Policy) (dist.Stats, error) {
+	f, c, err := p.fleetChecker()
 	if err != nil {
 		return dist.Stats{}, err
 	}
-	defer func() { p.endFleetRound(r, err) }()
-	return p.fleetCheck(r, policies, false)
+	return f.Verify(c, policies)
 }
 
-// localRelabelEvery bounds how many local-check rounds may run between
-// full walk rounds: VerifyLocalChecks re-walks everything and re-derives
-// the distance labels once the counter hits it (the periodic full round
-// of the hybrid loop).
-const localRelabelEvery = 16
-
-// VerifyLocalChecks runs the hybrid local-check loop over the same lazy
-// fleet VerifyDistributed maintains. Every round ships view deltas and
-// lets each node validate its own FIB changes against its label slice;
-// most rounds then hand the checker the resulting certificate, so every
-// quiet (policy, source) pair is answered without a single walk frame and
-// only violations or label staleness leave checks to the walk cache and
-// the fleet. Every localRelabelEvery-th round (and the first) runs without
-// the certificate and re-derives the distance labels from the state it
-// just walked, so label drift is bounded. Frames and Bytes in the returned
-// stats cover the whole call: view sync, local reports, label pushes, and
-// any walks.
-func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (stats dist.Stats, err error) {
-	r, err := p.beginFleetRound()
+// VerifyLocalChecks runs the hybrid local-check loop over the same fleet:
+// each round's nodes validate their own FIB changes against their label
+// slices, so a quiet (policy, source) pair is answered without a walk frame,
+// and only violations or label staleness leave checks to the walk cache and
+// the fleet. The first round, and every 16th, walks everything and
+// re-derives the labels (dist.Fleet.VerifyLocal).
+func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (dist.Stats, error) {
+	f, c, err := p.fleetChecker()
 	if err != nil {
 		return dist.Stats{}, err
 	}
-	defer func() { p.endFleetRound(r, err) }()
-	coord, nodes := r.coord, r.nodes
-
-	relabel := coord.LabelEpoch() == 0 || r.rounds >= localRelabelEvery
-	f0, b0 := coord.FleetWire(nodes)
-	if stats, err = p.fleetCheck(r, policies, !relabel); err != nil {
-		return stats, err
-	}
-	if relabel {
-		classes := make([]netip.Prefix, 0, len(policies))
-		seen := map[netip.Prefix]bool{}
-		for _, pol := range policies {
-			if !seen[pol.Prefix] {
-				seen[pol.Prefix] = true
-				classes = append(classes, pol.Prefix)
-			}
-		}
-		sort.Slice(classes, func(i, j int) bool { return classes[i].String() < classes[j].String() })
-		if _, err = coord.Relabel(nodes, classes); err != nil {
-			return stats, err
-		}
-		stats.Relabeled = true
-	}
-	f1, b1 := coord.FleetWire(nodes)
-	stats.Frames, stats.Bytes = int(f1-f0), int(b1-b0)
-
-	p.distMu.Lock()
-	if relabel {
-		p.localRounds = 1
-	} else {
-		p.localRounds++
-	}
-	p.distMu.Unlock()
-	return stats, nil
+	return f.VerifyLocal(c, policies)
 }
 
 // Close tears down resources the pipeline holds — currently the
@@ -332,14 +221,14 @@ func (p *Pipeline) VerifyLocalChecks(policies []verify.Policy) (stats dist.Stats
 // usable for local verification afterwards; a later VerifyDistributed
 // builds a fresh fleet.
 func (p *Pipeline) Close() error {
-	p.distMu.Lock()
-	teardown := p.distTeardown
-	p.distCoord, p.distNodes, p.distTeardown = nil, nil, nil
-	p.distMu.Unlock()
-	if teardown != nil {
-		teardown()
+	p.fleetMu.Lock()
+	f := p.fleet
+	p.fleet = nil
+	p.fleetMu.Unlock()
+	if f == nil {
+		return nil
 	}
-	return nil
+	return f.Close()
 }
 
 // Classes returns the current forwarding equivalence classes, maintained

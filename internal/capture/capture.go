@@ -88,9 +88,6 @@ type IO struct {
 	Causes []uint64
 }
 
-// HasPrefix reports whether the I/O carries a route prefix.
-func (io IO) HasPrefix() bool { return io.Prefix.IsValid() }
-
 // String renders the I/O in the paper's "[router action prefix]" style.
 func (io IO) String() string {
 	switch io.Type {

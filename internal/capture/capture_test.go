@@ -187,15 +187,6 @@ func TestStripOracle(t *testing.T) {
 	}
 }
 
-func TestHasPrefix(t *testing.T) {
-	if (IO{Type: ConfigChange}).HasPrefix() {
-		t.Fatal("config change has prefix")
-	}
-	if !(IO{Type: FIBInstall, Prefix: pfx("10.0.0.0/8")}).HasPrefix() {
-		t.Fatal("fib install lacks prefix")
-	}
-}
-
 // TestSnapshotSharedAndStable: a view shares the log's events and keeps
 // reading the same ones after later appends; a snapshot is a private copy.
 func TestSnapshotSharedAndStable(t *testing.T) {

@@ -34,11 +34,7 @@ func TestOneCheckerTwoExecutors(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	coord, nodes, teardown, err := BuildFleet(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, n)
 
 	var edges []string
 	var policies []verify.Policy
@@ -62,7 +58,7 @@ func TestOneCheckerTwoExecutors(t *testing.T) {
 
 	ck := verify.NewChecker(n.LiveWalker(), edges)
 	central := ck.Check(policies)
-	ck.Executor = coord.Executor(nodes, VerifyOpts{})
+	ck.Executor = f.executor()
 	fleet := ck.Check(policies)
 
 	if len(central.Violations) == 0 || central.Walks == 0 || central.Deduped == 0 {
@@ -88,17 +84,17 @@ func TestOneCheckerTwoExecutors(t *testing.T) {
 // three walks on the wire, not nine.
 func TestFleetRoundDedupsWalks(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
+	reg := metrics.NewRegistry()
+	f, err := NewFleet(pn.Network, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer teardown()
-	reg := metrics.NewRegistry()
-	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
+	defer f.Close()
+	stats, err := f.Verify(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), []verify.Policy{
 		{Kind: verify.Reachable, Prefix: pn.P},
 		{Kind: verify.NoLoop, Prefix: pn.P},
 		{Kind: verify.NoBlackhole, Prefix: pn.P},
-	}, VerifyOpts{Metrics: reg})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ type viewDelta struct {
 	HasIface bool
 	// Sync correlates the node's answer: after applying the delta it runs
 	// its local invariant checks and sends an mtLocalViolation report with
-	// this ID — the acknowledgement SyncViews waits for (empty violations
+	// this ID — the acknowledgement a sync waits for (empty violations
 	// = certificate). A frame with Sync 0 is applied and not answered.
 	Sync int
 }

@@ -14,11 +14,9 @@
 package dist
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,7 +25,6 @@ import (
 	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/localck"
-	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/trie"
 	"hbverify/internal/verify"
@@ -138,7 +135,7 @@ type Node struct {
 	resultTo  string                             // coordinator address
 
 	// viewMu guards View against concurrent walk handling and view-delta
-	// application. View must not be mutated externally after StartNode.
+	// application. View must not be mutated externally after startNode.
 	// It also guards checker: local checks run against the view they are
 	// shipped with, under the same lock.
 	viewMu  sync.RWMutex
@@ -147,9 +144,9 @@ type Node struct {
 	applyDelay atomic.Int64
 }
 
-// StartNode launches a node listening on 127.0.0.1. directory resolves
+// startNode launches a node listening on 127.0.0.1. directory resolves
 // peer node addresses and resultTo is the coordinator's address.
-func StartNode(view LocalView, directory func(string) (string, bool), resultTo string) (*Node, error) {
+func startNode(view LocalView, directory func(string) (string, bool), resultTo string) (*Node, error) {
 	n := &Node{View: view, directory: directory, resultTo: resultTo}
 	if err := n.listen(n.handle); err != nil {
 		return nil, err
@@ -253,9 +250,10 @@ func (n *Node) handleWalkBatch(batchID int, walks []WalkMsg) {
 	}
 }
 
-// sendWalks ships walks to addr as one binary batch frame. Transport
-// failures are counted in the node's wire stats; the coordinator's
-// deadline converts the lost walk into a reported error.
+// sendWalks ships walks to addr as one binary batch frame. Walks that
+// cannot be forwarded go back to the coordinator at once with Err set, as
+// the coordinator does with a batch it cannot submit; a result that cannot
+// reach the coordinator is lost, and its deadline reports it.
 func (n *Node) sendWalks(addr string, result bool, walks []WalkMsg, batchID int) {
 	if len(walks) == 0 {
 		return
@@ -264,9 +262,15 @@ func (n *Node) sendWalks(addr string, result bool, walks []WalkMsg, batchID int)
 	if result {
 		mt = mtResultBatch
 	}
-	_, _ = n.pool.send(addr, func(b []byte) []byte {
+	_, err := n.pool.send(addr, func(b []byte) []byte {
 		return appendWalkBatch(b, mt, batchID, walks)
 	})
+	if err != nil && !result {
+		for i := range walks {
+			walks[i].Err = err.Error()
+		}
+		n.sendWalks(n.resultTo, true, walks, batchID)
+	}
 }
 
 // applyViewDelta applies a coordinator-shipped view update: entry-level
@@ -325,8 +329,8 @@ type Coordinator struct {
 	taintAll   bool
 }
 
-// StartCoordinator launches the result sink.
-func StartCoordinator() (*Coordinator, error) {
+// startCoordinator launches the result sink.
+func startCoordinator() (*Coordinator, error) {
 	c := &Coordinator{
 		pending:    map[int]chan<- WalkMsg{},
 		lastView:   map[string]LocalView{},
@@ -380,7 +384,8 @@ type Stats struct {
 	// algorithm-level measure E9 tracks independent of transport framing.
 	Messages int
 	// Frames and Bytes count actual transport traffic across the fleet
-	// for this round (frames written and bytes on the wire).
+	// for the whole round (frames written and bytes on the wire): view
+	// sync, local reports, walks and label pushes.
 	Frames int
 	Bytes  int
 	// Batches is how many batch frames the coordinator submitted.
@@ -401,63 +406,12 @@ type Stats struct {
 	Report verify.Report
 }
 
-// VerifyOpts tunes the fleet executor.
-type VerifyOpts struct {
-	// Timeout bounds one ExecuteWalks batch; outstanding walks are failed
-	// with an error instead of hanging the round. Default 5s.
-	Timeout time.Duration
-	// Metrics optionally receives dist.* counters and per-node latency
-	// timers.
-	Metrics *metrics.Registry
-}
-
 // Round scheduling: walkWindow bounds in-flight walks (backpressure) and
 // walkBatchSize bounds walks per batch frame.
 const (
 	walkWindow    = 64
 	walkBatchSize = 16
 )
-
-// Round runs a copy of base over the fleet: the checker decides which
-// walks the policies need (its sources, class sharding, cache and
-// certificate all apply), the fleet executor runs them, and the round's
-// wire cost is the fleet counters' delta around the call. Checks whose
-// walk failed are reported as an error, never as a verdict.
-func (c *Coordinator) Round(base *verify.Checker, nodes map[string]*Node, policies []verify.Policy, opts VerifyOpts) (Stats, error) {
-	f0, b0 := c.FleetWire(nodes)
-	ex := c.Executor(nodes, opts)
-	ck := *base
-	ck.Executor = ex
-	rep := ck.Check(policies)
-	f1, b1 := c.FleetWire(nodes)
-
-	stats := Stats{
-		Report: rep, Walks: rep.Checked + rep.Errors,
-		Messages: int(ex.messages.Load()), Batches: int(ex.batches.Load()),
-		Frames: int(f1 - f0), Bytes: int(b1 - b0),
-	}
-	c.mu.Lock()
-	stats.LocalViolations = len(c.taint)
-	c.mu.Unlock()
-	if ck.Certified != nil {
-		stats.LocalCertified = rep.Certified
-		stats.Escalated = stats.Walks - rep.Certified
-	}
-	if m := opts.Metrics; m != nil {
-		m.Counter("dist.walks").Add(int64(rep.Walks))
-		m.Counter("dist.messages").Add(int64(stats.Messages))
-		m.Counter("dist.frames").Add(int64(stats.Frames))
-		m.Counter("dist.bytes").Add(int64(stats.Bytes))
-		m.Counter("dist.batches").Add(int64(stats.Batches))
-		m.Counter("dist.errors").Add(int64(rep.Errors))
-		m.Counter("dist.walks.local_certified").Add(int64(stats.LocalCertified))
-		m.Counter("dist.walks.escalated").Add(int64(stats.Escalated))
-	}
-	if rep.Errors > 0 {
-		return stats, fmt.Errorf("dist: %d of %d checks have no verdict: their walks failed", rep.Errors, stats.Walks)
-	}
-	return stats, nil
-}
 
 // FleetExecutor is the distributed verify.Executor: it runs a batch of
 // distinct walks through the node fleet (§5) instead of a central walker.
@@ -466,22 +420,16 @@ func (c *Coordinator) Round(base *verify.Checker, nodes map[string]*Node, polici
 // which walks to run and what they mean is the checker's business. Safe
 // for concurrent ExecuteWalks calls: correlation IDs isolate them.
 type FleetExecutor struct {
-	c     *Coordinator
-	nodes map[string]*Node
-	opts  VerifyOpts
+	f *Fleet
 
 	// Hop count and batch frames submitted, summed over every call.
 	messages atomic.Int64
 	batches  atomic.Int64
 }
 
-// Executor returns a fleet executor over the given nodes.
-func (c *Coordinator) Executor(nodes map[string]*Node, opts VerifyOpts) *FleetExecutor {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 5 * time.Second
-	}
-	return &FleetExecutor{c: c, nodes: nodes, opts: opts}
-}
+// executor returns a fresh fleet executor: its hop and batch counts are
+// one round's.
+func (f *Fleet) executor() *FleetExecutor { return &FleetExecutor{f: f} }
 
 // batchSubmit is one batch frame awaiting submission.
 type batchSubmit struct {
@@ -492,9 +440,9 @@ type batchSubmit struct {
 // ExecuteWalks implements verify.Executor. Walks are submitted as batch
 // frames to their source nodes under a bounded in-flight window and
 // matched back by correlation ID; a walk with no node at its source, a
-// failed submission, or no result within the deadline is an error.
+// failed submission or forward, or no result within walkTimeout is an error.
 func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, []error) {
-	c, opts := e.c, e.opts
+	c, reg := e.f.coord, e.f.metrics
 	walks := make([]dataplane.Walk, len(keys))
 	var errs []error
 	fail := func(i int, err error) {
@@ -510,7 +458,7 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 	open := map[string]int{} // src -> index of its open batch
 	c.mu.Lock()
 	for i, k := range keys {
-		if e.nodes[k.Source] == nil {
+		if e.f.Node(k.Source) == nil {
 			fail(i, fmt.Errorf("dist: no node for source %q", k.Source))
 			continue
 		}
@@ -535,7 +483,7 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 	var (
 		tokens   = make(chan struct{}, walkWindow)
 		abort    = make(chan struct{})
-		inflight = opts.Metrics.Gauge("dist.window.inflight")
+		inflight = reg.Gauge("dist.window.inflight")
 		submitAt sync.Map // WalkID -> time.Time
 	)
 	// The submitter stops at the end of the batches or when abort closes;
@@ -565,7 +513,7 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 			}
 			walks := b.walks
 			id := bi + 1
-			if _, err := c.pool.send(e.nodes[b.src].Addr(), func(buf []byte) []byte {
+			if _, err := c.pool.send(e.f.Node(b.src).Addr(), func(buf []byte) []byte {
 				return appendWalkBatch(buf, mtWalkBatch, id, walks)
 			}); err != nil {
 				// The whole batch failed to submit: every walk in it
@@ -578,16 +526,16 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 		}
 	}()
 
-	deadline := time.NewTimer(opts.Timeout)
+	deadline := time.NewTimer(walkTimeout)
 collect:
 	for len(index) > 0 {
 		select {
 		case w := <-resCh:
 			i := index[w.WalkID]
 			delete(index, w.WalkID)
-			if opts.Metrics != nil {
+			if reg != nil {
 				if t0, ok := submitAt.Load(w.WalkID); ok {
-					opts.Metrics.Timer("dist.node." + w.Source).Observe(time.Since(t0.(time.Time)))
+					reg.Timer("dist.node." + w.Source).Observe(time.Since(t0.(time.Time)))
 				}
 			}
 			if w.Err != "" {
@@ -613,196 +561,4 @@ collect:
 	}
 	c.mu.Unlock()
 	return walks, errs
-}
-
-// FleetWire sums the transport counters (frames and bytes written) across
-// the coordinator and the given nodes; Round takes before/after deltas for
-// per-round accounting. (Concurrent rounds overlap in the deltas but the
-// global totals stay exact.)
-func (c *Coordinator) FleetWire(nodes map[string]*Node) (frames, bytes int64) {
-	frames, bytes, _, _ = c.Wire()
-	for _, n := range nodes {
-		f, b, _, _ := n.Wire()
-		frames += f
-		bytes += b
-	}
-	return frames, bytes
-}
-
-// syncTimeout is how long SyncViews waits for the fleet to acknowledge its
-// view deltas.
-const syncTimeout = 5 * time.Second
-
-// SyncViews pushes router view changes to the fleet as binary delta
-// frames and waits for every node to acknowledge its delta. dirty lists
-// the routers whose state may have changed; only routers whose FIB or
-// interface state actually differs from what was last shipped get a
-// frame, and only the changed entries travel.
-// Each node applies its delta, validates the new state against its label
-// slice, and answers with a check report — the acknowledgement that makes
-// it safe to start walks: a walk dispatched after SyncViews returns cannot
-// reach a node before its delta did. Violations accumulate in the
-// coordinator's taint state until the next relabel. A delta that could not
-// be sent, or that no node acknowledged within syncTimeout, is an error:
-// the fleet's state is then unknown and the round must not produce a
-// verdict.
-func (c *Coordinator) SyncViews(nodes map[string]*Node, views map[string]LocalView, dirty []string) (LocalSyncResult, error) {
-	var res LocalSyncResult
-	// Sized to the worst case so deliverLocal never blocks; each sync ID is
-	// registered before its frame is sent.
-	ch := make(chan LocalReport, len(dirty))
-	var ids []int
-	var firstErr error
-	for _, r := range dirty {
-		v, ok := views[r]
-		node := nodes[r]
-		if !ok || node == nil {
-			continue
-		}
-		c.mu.Lock()
-		old, had := c.lastView[r]
-		c.mu.Unlock()
-		// With nothing shipped yet, old is the zero view: the delta is the
-		// whole FIB.
-		d := viewDelta{Router: r, Full: !had}
-		d.Installs, d.Removes = fib.Diff(old.FIB, v.FIB)
-		if !had || !slices.Equal(old.Ifaces, v.Ifaces) {
-			d.HasIface, d.Ifaces = true, v.Ifaces
-		}
-		if len(d.Installs) == 0 && len(d.Removes) == 0 && !d.HasIface {
-			continue
-		}
-		c.mu.Lock()
-		c.nextSync++
-		d.Sync = c.nextSync
-		c.pendingLoc[d.Sync] = ch
-		c.mu.Unlock()
-		if _, err := c.pool.send(node.Addr(), func(b []byte) []byte {
-			return appendViewDelta(b, &d)
-		}); err != nil {
-			c.mu.Lock()
-			delete(c.pendingLoc, d.Sync)
-			c.mu.Unlock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		res.Sent++
-		ids = append(ids, d.Sync)
-		c.mu.Lock()
-		c.lastView[r] = v
-		c.mu.Unlock()
-	}
-
-	epoch := c.LabelEpoch()
-	deadline := time.NewTimer(syncTimeout)
-	defer deadline.Stop()
-collect:
-	for len(res.Reports) < len(ids) {
-		select {
-		case rep := <-ch:
-			res.Reports = append(res.Reports, rep)
-			res.Checked += rep.Checked
-			if rep.Epoch != epoch || epoch == 0 {
-				res.Stale++
-			}
-			res.Violations = append(res.Violations, rep.Violations...)
-		case <-deadline.C:
-			break collect
-		}
-	}
-	unacked := 0
-	c.mu.Lock()
-	for _, id := range ids {
-		if _, still := c.pendingLoc[id]; still {
-			delete(c.pendingLoc, id)
-			unacked++
-		}
-	}
-	for _, v := range res.Violations {
-		c.taint[v.Prefix] = true
-	}
-	if res.Stale > 0 || unacked > 0 || firstErr != nil {
-		c.taintAll = true
-	}
-	c.mu.Unlock()
-	if firstErr == nil && unacked > 0 {
-		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged after %v", unacked, len(ids), syncTimeout)
-	}
-	return res, firstErr
-}
-
-// NoteViews records views as already in sync (used by BuildFleet, whose
-// nodes start with the views baked in), so the first SyncViews call ships
-// deltas rather than full FIBs.
-func (c *Coordinator) NoteViews(views map[string]LocalView) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for r, v := range views {
-		c.lastView[r] = v
-	}
-}
-
-// CentralizedBytes estimates the wire cost of the centralized alternative:
-// shipping every router's full FIB (as JSON) to one verifier.
-func CentralizedBytes(views map[string]LocalView) (int, error) {
-	total := 0
-	for _, v := range views {
-		var entries []fib.Entry
-		v.FIB.Walk(func(_ netip.Prefix, e fib.Entry) bool {
-			entries = append(entries, e)
-			return true
-		})
-		b, err := json.Marshal(entries)
-		if err != nil {
-			return 0, err
-		}
-		total += len(b) + 4
-	}
-	return total, nil
-}
-
-// BuildFleet starts one node per router plus a coordinator, and returns a
-// teardown function.
-func BuildFleet(n *network.Network) (*Coordinator, map[string]*Node, func(), error) {
-	coord, err := StartCoordinator()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	nodes := map[string]*Node{}
-	var mu sync.Mutex
-	directory := func(router string) (string, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		nd, ok := nodes[router]
-		if !ok {
-			return "", false
-		}
-		return nd.Addr(), true
-	}
-	views := map[string]LocalView{}
-	for _, r := range n.Routers() {
-		view := LocalViewOf(r)
-		node, err := StartNode(view, directory, coord.Addr())
-		if err != nil {
-			coord.Close()
-			for _, nd := range nodes {
-				nd.Close()
-			}
-			return nil, nil, nil, err
-		}
-		mu.Lock()
-		nodes[r.Name] = node
-		mu.Unlock()
-		views[r.Name] = view
-	}
-	coord.NoteViews(views)
-	teardown := func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-		coord.Close()
-	}
-	return coord, nodes, teardown, nil
 }

@@ -60,15 +60,11 @@ func TestLocalViewExpandMatchesCentralWalker(t *testing.T) {
 
 func TestDistributedVerifyHealthy(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
-	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
+	f := startFleet(t, pn.Network)
+	stats, err := f.Verify(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
 		{Kind: verify.NoLoop, Prefix: pn.P},
-	}, VerifyOpts{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +89,10 @@ func TestDistributedVerifyDetectsViolation(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
-	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
+	f := startFleet(t, pn.Network)
+	stats, err := f.Verify(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
-	}, VerifyOpts{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,40 +103,18 @@ func TestDistributedVerifyDetectsViolation(t *testing.T) {
 
 func TestDistributedLoopDetection(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	// Corrupt two views into a loop before starting nodes.
-	views := map[string]LocalView{}
-	for _, r := range pn.Routers() {
-		views[r.Name] = LocalViewOf(r)
-	}
-	v1 := views["r1"]
-	_ = v1.FIB.Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")})
-	v2 := views["r2"]
-	_ = v2.FIB.Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")})
-
-	coord, err := StartCoordinator()
-	if err != nil {
+	f := startFleet(t, pn.Network)
+	// Sync two views corrupted into a loop.
+	views := viewsOf(pn.Network)
+	if _, err := f.sync(map[string]LocalView{
+		"r1": edited(views["r1"], nil, fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")}),
+		"r2": edited(views["r2"], nil, fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")}),
+	}); err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	nodes := map[string]*Node{}
-	directory := func(r string) (string, bool) {
-		nd, ok := nodes[r]
-		if !ok {
-			return "", false
-		}
-		return nd.Addr(), true
-	}
-	for name, v := range views {
-		nd, err := StartNode(v, directory, coord.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer nd.Close()
-		nodes[name] = nd
-	}
-	stats, err := coord.Round(verify.NewChecker(nil, nil), nodes, []verify.Policy{
+	stats, err := f.Verify(verify.NewChecker(nil, nil), []verify.Policy{
 		{Kind: verify.NoLoop, Prefix: pn.P, Sources: []string{"r3"}},
-	}, VerifyOpts{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +135,11 @@ func TestGridScaleDistributed(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	coord, nodes, teardown, err := BuildFleet(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, n)
 	// Every router must reach the far corner's loopback.
-	stats, err := coord.Round(verify.NewChecker(nil, routerNames(n)), nodes, []verify.Policy{
+	stats, err := f.Verify(verify.NewChecker(nil, routerNames(n)), []verify.Policy{
 		{Kind: verify.Reachable, Prefix: pfx("9.2.2.1/32")},
-	}, VerifyOpts{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,13 +149,24 @@ func TestGridScaleDistributed(t *testing.T) {
 	if stats.Walks != 9 {
 		t.Fatalf("walks = %d", stats.Walks)
 	}
-	central, err := CentralizedBytes(viewsOf(n))
+	central, err := CentralizedBytes(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if central <= 0 || stats.Bytes < 0 {
 		t.Fatalf("byte accounting: central=%d dist=%d", central, stats.Bytes)
 	}
+}
+
+// startFleet builds a fleet over n that closes with the test.
+func startFleet(t *testing.T, n *network.Network) *Fleet {
+	t.Helper()
+	f, err := NewFleet(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
 }
 
 func routerNames(n *network.Network) []string {
@@ -225,16 +202,36 @@ func edited(v LocalView, keep func(netip.Prefix) bool, extra ...fib.Entry) Local
 	return out
 }
 
-func TestVerifyUnknownSourceFails(t *testing.T) {
+// TestFleetRecordSharesNoTrie: the coordinator's record of the views it
+// shipped and the nodes' views are separate tries from the start, so a
+// node applying a delta in place leaves the record as it was shipped.
+func TestFleetRecordSharesNoTrie(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
+	f := startFleet(t, pn.Network)
+	record := f.coord.lastView["r2"].FIB
+	v := viewsOf(pn.Network)["r2"]
+	extra := pfx("192.0.2.0/28")
+	if _, err := f.sync(map[string]LocalView{"r2": edited(v, nil, fib.Entry{Prefix: extra, NextHop: v.Loopback})}); err != nil {
 		t.Fatal(err)
 	}
-	defer teardown()
-	if _, err := coord.Round(verify.NewChecker(nil, []string{"ghost"}), nodes, []verify.Policy{
+	node := f.Node("r2")
+	node.viewMu.RLock()
+	_, applied := node.View.FIB.Exact(extra)
+	node.viewMu.RUnlock()
+	if !applied {
+		t.Fatal("the node did not apply its delta")
+	}
+	if _, ok := record.Exact(extra); ok {
+		t.Fatal("the node's delta landed in the coordinator's record of what it shipped")
+	}
+}
+
+func TestVerifyUnknownSourceFails(t *testing.T) {
+	pn := startPaper(t, network.DefaultPaperOpts())
+	f := startFleet(t, pn.Network)
+	if _, err := f.Verify(verify.NewChecker(nil, []string{"ghost"}), []verify.Policy{
 		{Kind: verify.NoLoop, Prefix: pn.P},
-	}, VerifyOpts{}); err == nil {
+	}); err == nil {
 		t.Fatal("unknown source accepted")
 	}
 }

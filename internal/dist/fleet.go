@@ -1,0 +1,355 @@
+// The fleet: a verification node per router of one network, and the
+// coordinator that syncs their views, seeds walks and collects results. A
+// round syncs the routers changed since the last round and runs the
+// caller's checker over the nodes.
+
+package dist
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/netip"
+	"slices"
+	"sort"
+	"strings"
+	"sync"
+	"time"
+
+	"hbverify/internal/fib"
+	"hbverify/internal/metrics"
+	"hbverify/internal/network"
+	"hbverify/internal/verify"
+)
+
+// syncTimeout is how long a sync waits for the fleet to acknowledge its
+// view deltas. walkTimeout bounds one ExecuteWalks call: a walk that cannot
+// be submitted or forwarded comes back with its error at once, and the
+// deadline is the backstop for a result lost after that.
+const (
+	syncTimeout = 5 * time.Second
+	walkTimeout = 5 * time.Second
+)
+
+// localRelabelEvery bounds how many local-check rounds run between full
+// walk rounds: VerifyLocal walks everything and re-derives the distance
+// labels on its first round and whenever the counter reaches it.
+const localRelabelEvery = 16
+
+// Fleet is §5's distributed verifier over one network: a node per router,
+// each holding that router's view, and the coordinator, which keeps its own
+// record of the views it shipped. Verify and VerifyLocal are its rounds;
+// MarkDirty names the routers the next round syncs.
+type Fleet struct {
+	net     *network.Network
+	coord   *Coordinator
+	metrics *metrics.Registry
+
+	mu sync.Mutex
+	// nodes has a node per router. NewFleet fills it under mu, which the
+	// nodes' directory takes because nodes serve walks on their own
+	// goroutines; once NewFleet has returned it is only read.
+	nodes  map[string]*Node
+	dirty  map[string]struct{} // routers changed since a round last took the set
+	rounds int                 // local-check rounds since the last relabel
+}
+
+// NewFleet starts the coordinator and a node per router of n, each with the
+// router's current view. reg receives the rounds' dist.* counters and
+// per-node latency timers; nil discards them.
+func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
+	coord, err := startCoordinator()
+	if err != nil {
+		return nil, err
+	}
+	f := &Fleet{net: n, coord: coord, metrics: reg, nodes: map[string]*Node{}, dirty: map[string]struct{}{}}
+	directory := func(router string) (string, bool) {
+		if nd := f.Node(router); nd != nil {
+			return nd.Addr(), true
+		}
+		return "", false
+	}
+	for _, r := range n.Routers() {
+		view := LocalViewOf(r)
+		node, err := startNode(view, directory, coord.Addr())
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		f.mu.Lock()
+		f.nodes[r.Name] = node
+		f.mu.Unlock()
+		// The node edits its trie in place as deltas land; the record of
+		// what was shipped keeps a copy.
+		view.FIB = view.FIB.Clone()
+		coord.lastView[r.Name] = view
+	}
+	return f, nil
+}
+
+// Close stops every node and the coordinator.
+func (f *Fleet) Close() error {
+	var errs []error
+	for _, nd := range f.nodes {
+		errs = append(errs, nd.Close())
+	}
+	return errors.Join(append(errs, f.coord.Close())...)
+}
+
+// Node returns router's node, or nil when the fleet has none.
+func (f *Fleet) Node(router string) *Node {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.nodes[router]
+}
+
+// MarkDirty records that router's FIB or links changed: the next round
+// syncs its view. A router marked while a round runs is synced by the
+// round after it.
+func (f *Fleet) MarkDirty(router string) {
+	f.mu.Lock()
+	f.dirty[router] = struct{}{}
+	f.mu.Unlock()
+}
+
+// Wire sums the transport counters, frames and bytes written, over the
+// coordinator and every node. A round reports their delta around the call;
+// concurrent rounds overlap in their deltas, but the totals stay exact.
+func (f *Fleet) Wire() (frames, bytes int64) {
+	frames, bytes, _, _ = f.coord.Wire()
+	for _, n := range f.nodes {
+		fr, b, _, _ := n.Wire()
+		frames += fr
+		bytes += b
+	}
+	return frames, bytes
+}
+
+// Verify is one distributed round: it syncs the dirty routers' views and
+// runs a copy of ck over the fleet. The checker decides which walks the
+// policies need (its sources, class sharding, cache and any certificate it
+// carries all apply) and the fleet executes them. Checks whose walk failed
+// are reported as an error, never as a verdict.
+func (f *Fleet) Verify(ck *verify.Checker, policies []verify.Policy) (Stats, error) {
+	return f.round(ck, policies, false)
+}
+
+// VerifyLocal is one round of the hybrid local-check loop. The sync lets
+// each dirty node validate its new state against its label slice, and the
+// checker gets the coordinator's certificate as it stands after the nodes'
+// reports, so a quiet check is answered without a walk. The first round,
+// and every localRelabelEvery-th, runs without the certificate and then
+// re-derives the labels from the state it walked.
+func (f *Fleet) VerifyLocal(ck *verify.Checker, policies []verify.Policy) (Stats, error) {
+	return f.round(ck, policies, true)
+}
+
+// round is Verify and VerifyLocal. It takes the dirty set, leaving an empty
+// one behind, and merges it back if the round fails, so a failed round's
+// routers are retried by the next.
+func (f *Fleet) round(base *verify.Checker, policies []verify.Policy, local bool) (stats Stats, err error) {
+	f.mu.Lock()
+	taken, rounds := f.dirty, f.rounds
+	f.dirty = map[string]struct{}{}
+	f.mu.Unlock()
+	defer func() {
+		if err != nil {
+			f.mu.Lock()
+			for r := range taken {
+				f.dirty[r] = struct{}{}
+			}
+			f.mu.Unlock()
+		}
+	}()
+	relabel := local && (rounds >= localRelabelEvery || f.coord.LabelEpoch() == 0)
+
+	views := make(map[string]LocalView, len(taken))
+	for r := range taken {
+		if rt := f.net.Router(r); rt != nil {
+			views[r] = LocalViewOf(rt)
+		}
+	}
+	f0, b0 := f.Wire()
+	if _, err := f.sync(views); err != nil {
+		return Stats{}, err
+	}
+	ex := f.executor()
+	ck := *base
+	ck.Executor = ex
+	if local && !relabel {
+		ck.Certified = f.coord.Certificate()
+	}
+	rep := ck.Check(policies)
+	stats = Stats{
+		Report: rep, Walks: rep.Checked + rep.Errors,
+		Messages: int(ex.messages.Load()), Batches: int(ex.batches.Load()),
+	}
+	f.coord.mu.Lock()
+	stats.LocalViolations = len(f.coord.taint)
+	f.coord.mu.Unlock()
+	if ck.Certified != nil {
+		stats.LocalCertified = rep.Certified
+		stats.Escalated = stats.Walks - rep.Certified
+	}
+	if rep.Errors > 0 {
+		err = fmt.Errorf("dist: %d of %d checks have no verdict: their walks failed", rep.Errors, stats.Walks)
+	} else if relabel {
+		if err = f.relabel(classesOf(policies)); err == nil {
+			stats.Relabeled = true
+		}
+	}
+	f1, b1 := f.Wire()
+	stats.Frames, stats.Bytes = int(f1-f0), int(b1-b0)
+	if m := f.metrics; m != nil {
+		m.Counter("dist.walks").Add(int64(rep.Walks))
+		m.Counter("dist.messages").Add(int64(stats.Messages))
+		m.Counter("dist.frames").Add(int64(stats.Frames))
+		m.Counter("dist.bytes").Add(int64(stats.Bytes))
+		m.Counter("dist.batches").Add(int64(stats.Batches))
+		m.Counter("dist.errors").Add(int64(rep.Errors))
+		m.Counter("dist.walks.local_certified").Add(int64(stats.LocalCertified))
+		m.Counter("dist.walks.escalated").Add(int64(stats.Escalated))
+	}
+	if err == nil && local {
+		f.mu.Lock()
+		if relabel {
+			f.rounds = 1
+		} else {
+			f.rounds++
+		}
+		f.mu.Unlock()
+	}
+	return stats, err
+}
+
+// classesOf returns the policies' prefixes, each once, sorted by String():
+// the order labels are derived in.
+func classesOf(policies []verify.Policy) []netip.Prefix {
+	classes := make([]netip.Prefix, len(policies))
+	for i, pol := range policies {
+		classes[i] = pol.Prefix
+	}
+	slices.SortFunc(classes, func(a, b netip.Prefix) int { return strings.Compare(a.String(), b.String()) })
+	return slices.Compact(classes)
+}
+
+// sync pushes views to the fleet as binary delta frames and waits for every
+// node to acknowledge its delta. Only a router whose FIB or interface state
+// differs from what was last shipped gets a frame, and only the changed
+// entries travel. Each node applies its delta, validates the new state
+// against its label slice, and answers with a check report — the
+// acknowledgement that makes it safe to start walks: a walk dispatched
+// after sync returns cannot reach a node before its delta did. Violations
+// accumulate in the coordinator's taint state until the next relabel. A
+// delta that could not be sent, or that no node acknowledged within
+// syncTimeout, is an error: the fleet's state is then unknown and the round
+// must not produce a verdict.
+func (f *Fleet) sync(views map[string]LocalView) (LocalSyncResult, error) {
+	c := f.coord
+	routers := make([]string, 0, len(views))
+	for r := range views {
+		routers = append(routers, r)
+	}
+	sort.Strings(routers)
+	var res LocalSyncResult
+	// Sized to the worst case so deliverLocal never blocks; each sync ID is
+	// registered before its frame is sent.
+	ch := make(chan LocalReport, len(routers))
+	var ids []int
+	var firstErr error
+	for _, r := range routers {
+		v := views[r]
+		node := f.Node(r)
+		if node == nil {
+			continue
+		}
+		c.mu.Lock()
+		old := c.lastView[r]
+		c.mu.Unlock()
+		d := viewDelta{Router: r}
+		d.Installs, d.Removes = fib.Diff(old.FIB, v.FIB)
+		if !slices.Equal(old.Ifaces, v.Ifaces) {
+			d.HasIface, d.Ifaces = true, v.Ifaces
+		}
+		if len(d.Installs) == 0 && len(d.Removes) == 0 && !d.HasIface {
+			continue
+		}
+		c.mu.Lock()
+		c.nextSync++
+		d.Sync = c.nextSync
+		c.pendingLoc[d.Sync] = ch
+		c.mu.Unlock()
+		if _, err := c.pool.send(node.Addr(), func(b []byte) []byte {
+			return appendViewDelta(b, &d)
+		}); err != nil {
+			c.mu.Lock()
+			delete(c.pendingLoc, d.Sync)
+			c.mu.Unlock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		res.Sent++
+		ids = append(ids, d.Sync)
+		c.mu.Lock()
+		c.lastView[r] = v
+		c.mu.Unlock()
+	}
+
+	epoch := c.LabelEpoch()
+	deadline := time.NewTimer(syncTimeout)
+	defer deadline.Stop()
+collect:
+	for len(res.Reports) < len(ids) {
+		select {
+		case rep := <-ch:
+			res.Reports = append(res.Reports, rep)
+			res.Checked += rep.Checked
+			if rep.Epoch != epoch || epoch == 0 {
+				res.Stale++
+			}
+			res.Violations = append(res.Violations, rep.Violations...)
+		case <-deadline.C:
+			break collect
+		}
+	}
+	unacked := 0
+	c.mu.Lock()
+	for _, id := range ids {
+		if _, still := c.pendingLoc[id]; still {
+			delete(c.pendingLoc, id)
+			unacked++
+		}
+	}
+	for _, v := range res.Violations {
+		c.taint[v.Prefix] = true
+	}
+	if res.Stale > 0 || unacked > 0 || firstErr != nil {
+		c.taintAll = true
+	}
+	c.mu.Unlock()
+	if firstErr == nil && unacked > 0 {
+		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged after %v", unacked, len(ids), syncTimeout)
+	}
+	return res, firstErr
+}
+
+// CentralizedBytes estimates the wire cost of the centralized alternative:
+// shipping every router's full FIB (as JSON) to one verifier.
+func CentralizedBytes(n *network.Network) (int, error) {
+	total := 0
+	for _, r := range n.Routers() {
+		var entries []fib.Entry
+		r.FIB.Snapshot().Walk(func(_ netip.Prefix, e fib.Entry) bool {
+			entries = append(entries, e)
+			return true
+		})
+		b, err := json.Marshal(entries)
+		if err != nil {
+			return 0, err
+		}
+		total += len(b) + 4
+	}
+	return total, nil
+}

@@ -1,7 +1,7 @@
 // Local-check verification mode. Instead of participating in per-walk
 // fleet rounds, each node holds a distance-to-egress label slice
 // (derived by the coordinator from the last full walk epoch) and
-// validates every SyncViews install/remove batch against the localck
+// validates every synced install/remove batch against the localck
 // invariants the moment it lands. Quiet updates are certified with a
 // fixed-size report frame; violations escalate as compact
 // mtLocalViolation frames carrying router, prefix, failed invariant,
@@ -14,6 +14,7 @@
 package dist
 
 import (
+	"maps"
 	"net/netip"
 	"sort"
 	"time"
@@ -31,6 +32,20 @@ import (
 // symbolic walk would traverse.
 func (v LocalView) ClassState(class netip.Prefix) dataplane.Step {
 	return v.step(dataplane.Representative(class))
+}
+
+// Labels is v's slice of ls: the router's own labels and those of the
+// routers at the other end of its interfaces.
+func (v LocalView) Labels(ls *localck.LabelSet) localck.NodeLabels {
+	var peers []string
+	seen := map[string]bool{}
+	for _, i := range v.Ifaces {
+		if i.PeerName != "" && i.PeerName != v.Router && !seen[i.PeerName] {
+			seen[i.PeerName] = true
+			peers = append(peers, i.PeerName)
+		}
+	}
+	return ls.Node(v.Router, peers)
 }
 
 // applyLabels installs a coordinator-pushed label slice; subsequent
@@ -72,7 +87,7 @@ func (n *Node) sendLocalReport(rep LocalReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator side: label derivation, the certificate, the hybrid loop.
+// Coordinator side: label derivation and push, the certificate.
 // ---------------------------------------------------------------------------
 
 // LocalReport is one node's answer to a synced view delta: how many
@@ -104,7 +119,7 @@ type LocalSyncResult struct {
 	Checked int
 }
 
-// deliverLocal routes a check report to the SyncViews call waiting on
+// deliverLocal routes a check report to the sync waiting on
 // its sync ID.
 func (c *Coordinator) deliverLocal(rep LocalReport) {
 	c.mu.Lock()
@@ -117,7 +132,7 @@ func (c *Coordinator) deliverLocal(rep LocalReport) {
 }
 
 // LabelEpoch reports the epoch of the labels last pushed to the fleet
-// (0 before the first Relabel).
+// (0 before the first relabel).
 func (c *Coordinator) LabelEpoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -143,75 +158,43 @@ func DeriveLabelsFromViews(views map[string]LocalView, classes []netip.Prefix, e
 	return localck.Derive(routers, classes, fwd, epoch)
 }
 
-// DeriveLabels derives fresh labels from the coordinator's record of
-// the views last shipped to the fleet, at the next label epoch.
-func (c *Coordinator) DeriveLabels(classes []netip.Prefix) *localck.LabelSet {
+// relabel derives fresh labels for classes from the coordinator's record
+// of the views last shipped, at the next label epoch, and pushes each node
+// its slice: the periodic full-round step of the hybrid loop, run right
+// after a full walk round so the labels describe a verified epoch. The
+// taint state resets, since a fresh epoch starts clean; a node the push
+// misses leaves the whole epoch uncertified.
+func (f *Fleet) relabel(classes []netip.Prefix) error {
+	c := f.coord
 	c.mu.Lock()
-	views := make(map[string]LocalView, len(c.lastView))
-	for r, v := range c.lastView {
-		views[r] = v
-	}
+	views := maps.Clone(c.lastView)
 	var epoch uint64 = 1
 	if c.labels != nil {
 		epoch = c.labels.Epoch + 1
 	}
 	c.mu.Unlock()
-	return DeriveLabelsFromViews(views, classes, epoch)
-}
-
-// PushLabels ships each node its slice of the label set — its own
-// labels plus those of its adjacent routers — and resets the taint
-// state: a fresh epoch starts clean.
-func (c *Coordinator) PushLabels(nodes map[string]*Node, ls *localck.LabelSet) (int, error) {
-	names := make([]string, 0, len(nodes))
-	for r := range nodes {
-		names = append(names, r)
+	ls := DeriveLabelsFromViews(views, classes, epoch)
+	routers := make([]string, 0, len(views))
+	for r := range views {
+		routers = append(routers, r)
 	}
-	sort.Strings(names)
-	sent := 0
+	sort.Strings(routers)
 	var firstErr error
-	for _, r := range names {
-		node := nodes[r]
-		c.mu.Lock()
-		v, ok := c.lastView[r]
-		c.mu.Unlock()
-		if !ok {
-			continue
-		}
-		var peers []string
-		seen := map[string]bool{}
-		for _, i := range v.Ifaces {
-			if i.PeerName != "" && i.PeerName != r && !seen[i.PeerName] {
-				seen[i.PeerName] = true
-				peers = append(peers, i.PeerName)
-			}
-		}
-		nl := ls.Node(r, peers)
+	for _, r := range routers {
+		nl := views[r].Labels(ls)
 		router := r
-		if _, err := c.pool.send(node.Addr(), func(b []byte) []byte {
+		if _, err := c.pool.send(f.Node(r).Addr(), func(b []byte) []byte {
 			return appendLabels(b, router, nl)
-		}); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		}); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		sent++
 	}
 	c.mu.Lock()
 	c.labels = ls
 	c.taint = map[netip.Prefix]bool{}
-	c.taintAll = firstErr != nil // a node without fresh labels cannot certify
+	c.taintAll = firstErr != nil
 	c.mu.Unlock()
-	return sent, firstErr
-}
-
-// Relabel derives fresh labels for the given classes from the current
-// fleet views and pushes them — the periodic full-round step of the
-// hybrid loop. Callers run it right after a full walk round so the
-// labels describe a verified epoch.
-func (c *Coordinator) Relabel(nodes map[string]*Node, classes []netip.Prefix) (int, error) {
-	return c.PushLabels(nodes, c.DeriveLabels(classes))
+	return firstErr
 }
 
 // Certificate snapshots the label set and taint state into the predicate

@@ -43,43 +43,35 @@ func localPolicies(p, q netip.Prefix) []verify.Policy {
 
 func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	policies := localPolicies(pn.P, qClass)
 	sources := []string{"r1", "r2", "r3"}
 
-	// Full walk round, then derive and push labels from the verified epoch.
-	full, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
+	// The first round walks everything, then derives and pushes labels
+	// from the verified epoch.
+	full, err := f.VerifyLocal(verify.NewChecker(nil, sources), policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !full.Report.OK() {
-		t.Fatalf("full round: %+v", full.Report)
+	if !full.Report.OK() || !full.Relabeled || full.LocalCertified != 0 {
+		t.Fatalf("full round: %+v", full)
 	}
-	if sent, err := coord.Relabel(nodes, []netip.Prefix{pn.P, qClass}); err != nil || sent != len(nodes) {
-		t.Fatalf("relabel sent %d err %v", sent, err)
-	}
-	if coord.LabelEpoch() != 1 {
-		t.Fatalf("epoch = %d", coord.LabelEpoch())
+	if f.coord.LabelEpoch() != 1 {
+		t.Fatalf("epoch = %d", f.coord.LabelEpoch())
 	}
 
-	// No churn: zero delta frames, every check certified locally, zero
-	// frames on the wire for the whole round.
-	res, err := coord.SyncViews(nodes, viewsOf(pn.Network), routerNames(pn.Network))
+	// No churn: every router is dirty but none differs from what was
+	// shipped, so no delta travels, every check is certified locally, and
+	// the whole round puts nothing on the wire.
+	for _, r := range routerNames(pn.Network) {
+		f.MarkDirty(r)
+	}
+	stats, err := f.VerifyLocal(verify.NewChecker(nil, sources), policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sent != 0 || res.Stale != 0 || len(res.Violations) != 0 {
-		t.Fatalf("quiet sync = %+v", res)
-	}
-	ck := verify.NewChecker(nil, sources)
-	ck.Certified = coord.Certificate()
-	stats, err := coord.Round(ck, nodes, policies, VerifyOpts{})
-	if err != nil {
-		t.Fatal(err)
+	if stats.Relabeled {
+		t.Fatalf("second round relabeled: %+v", stats)
 	}
 	want := len(policies) * len(sources)
 	if stats.LocalCertified != want || stats.Escalated != 0 {
@@ -98,29 +90,23 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 
 func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	policies := localPolicies(pn.P, qClass)
 	sources := []string{"r1", "r2", "r3"}
-	if _, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{}); err != nil {
+	if _, err := f.Verify(verify.NewChecker(nil, sources), policies); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Relabel(nodes, []netip.Prefix{pn.P, qClass}); err != nil {
+	if err := f.relabel([]netip.Prefix{pn.P, qClass}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Withdraw every P-covering entry from r2's view: an in-flight update
 	// that blackholes P at r2. The node's local check must flag it.
-	views := viewsOf(pn.Network)
 	rep := dataplane.Representative(pn.P)
-	v := views["r2"]
+	v := viewsOf(pn.Network)["r2"]
 	cut := edited(v, func(p netip.Prefix) bool { return !p.Contains(rep) })
-	views["r2"] = cut
 
-	res, err := coord.SyncViews(nodes, views, []string{"r2"})
+	res, err := f.sync(map[string]LocalView{"r2": cut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,15 +125,15 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	if !found {
 		t.Fatalf("no no-route violation for P: %+v", res.Violations)
 	}
-	if tc := tainted(coord); len(tc) != 1 || tc[0] != pn.P {
+	if tc := tainted(f.coord); len(tc) != 1 || tc[0] != pn.P {
 		t.Fatalf("tainted = %v", tc)
 	}
 
 	// The hybrid round certifies Q and escalates only P's checks, whose
 	// targeted walks now see the blackhole.
 	ck := verify.NewChecker(nil, sources)
-	ck.Certified = coord.Certificate()
-	stats, err := coord.Round(ck, nodes, policies, VerifyOpts{})
+	ck.Certified = f.coord.Certificate()
+	stats, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,26 +162,22 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	}
 
 	// A fresh relabel clears the taint.
-	if _, err := coord.Relabel(nodes, []netip.Prefix{pn.P, qClass}); err != nil {
+	if err := f.relabel([]netip.Prefix{pn.P, qClass}); err != nil {
 		t.Fatal(err)
 	}
-	if tc := tainted(coord); len(tc) != 0 {
+	if tc := tainted(f.coord); len(tc) != 0 {
 		t.Fatalf("taint survived relabel: %v", tc)
 	}
 }
 
 func TestLocalCheckWithoutLabelsEscalatesEverything(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	policies := localPolicies(pn.P, qClass)
 	sources := []string{"r1", "r2", "r3"}
 	ck := verify.NewChecker(nil, sources)
-	ck.Certified = coord.Certificate()
-	stats, err := coord.Round(ck, nodes, policies, VerifyOpts{})
+	ck.Certified = f.coord.Certificate()
+	stats, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,18 +191,12 @@ func TestLocalCheckWithoutLabelsEscalatesEverything(t *testing.T) {
 
 func TestLocalCheckStaleEpochTaintsRound(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	// Force a delta without ever pushing labels: nodes acknowledge at
 	// epoch 0, which must read as stale.
-	views := viewsOf(pn.Network)
-	v := views["r1"]
+	v := viewsOf(pn.Network)["r1"]
 	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback})
-	views["r1"] = grown
-	res, err := coord.SyncViews(nodes, views, []string{"r1"})
+	res, err := f.sync(map[string]LocalView{"r1": grown})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,18 +274,14 @@ func TestViewDeltaSyncFieldRoundTrip(t *testing.T) {
 // concurrently against one fleet.
 func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	policies := localPolicies(pn.P, qClass)
 	sources := []string{"r1", "r2", "r3"}
 	classes := []netip.Prefix{pn.P, qClass}
-	if _, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{}); err != nil {
+	if _, err := f.Verify(verify.NewChecker(nil, sources), policies); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Relabel(nodes, classes); err != nil {
+	if err := f.relabel(classes); err != nil {
 		t.Fatal(err)
 	}
 
@@ -333,7 +305,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 			if i%2 == 1 {
 				vs = broken
 			}
-			if _, err := coord.SyncViews(nodes, vs, []string{"r2"}); err != nil {
+			if _, err := f.sync(map[string]LocalView{"r2": vs["r2"]}); err != nil {
 				t.Errorf("sync: %v", err)
 				return
 			}
@@ -343,8 +315,8 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			ck := verify.NewChecker(nil, sources)
-			ck.Certified = coord.Certificate()
-			if _, err := coord.Round(ck, nodes, policies, VerifyOpts{}); err != nil {
+			ck.Certified = f.coord.Certificate()
+			if _, err := f.Verify(ck, policies); err != nil {
 				t.Errorf("verify local: %v", err)
 				return
 			}
@@ -353,7 +325,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters/2; i++ {
-			if _, err := coord.Relabel(nodes, classes); err != nil {
+			if err := f.relabel(classes); err != nil {
 				t.Errorf("relabel: %v", err)
 				return
 			}

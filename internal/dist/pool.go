@@ -122,7 +122,7 @@ func (p *pool) writeFrame(conn net.Conn, payload []byte) error {
 		return err
 	}
 	// Count the frame before its payload can reach the peer: the peer's reply,
-	// and any FleetWire sample taken after it, must already see this frame.
+	// and any Fleet.Wire sample taken after it, must already see this frame.
 	// A failed write takes the count back.
 	n := int64(len(payload) + 4)
 	p.stats.frames.Add(1)

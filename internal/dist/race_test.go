@@ -15,10 +15,7 @@ import (
 // return (success or reported error) — no hangs, no panics, no races.
 func TestConcurrentVerifyDuringShutdown(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := startFleet(t, pn.Network)
 	policies := []verify.Policy{
 		{Kind: verify.NoLoop, Prefix: pn.P},
 		{Kind: verify.Reachable, Prefix: pfx("1.1.1.1/32")},
@@ -39,14 +36,12 @@ func TestConcurrentVerifyDuringShutdown(t *testing.T) {
 				}
 				// Errors are expected once teardown starts; the only failure
 				// mode is not returning.
-				_, _ = coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{
-					Timeout: 500 * time.Millisecond,
-				})
+				_, _ = f.Verify(verify.NewChecker(nil, sources), policies)
 			}
 		}()
 	}
 	time.Sleep(50 * time.Millisecond)
-	teardown()
+	f.Close()
 	close(stop)
 
 	done := make(chan struct{})
@@ -76,10 +71,7 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 		WithNextHops(addr("10.0.1.2"))
 	r1.FIB.Offer(wide)
 
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := startFleet(t, pn.Network)
 	policies := []verify.Policy{
 		{Kind: verify.NoLoop, Prefix: ecmpPrefix},
 		{Kind: verify.NoLoop, Prefix: pn.P},
@@ -121,14 +113,12 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 					return
 				default:
 				}
-				_, _ = coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{
-					Timeout: 500 * time.Millisecond,
-				})
+				_, _ = f.Verify(verify.NewChecker(nil, sources), policies)
 			}
 		}()
 	}
 	time.Sleep(50 * time.Millisecond)
-	teardown()
+	f.Close()
 	close(stop)
 	mutWg.Wait()
 
@@ -148,11 +138,7 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 // rounds on one coordinator must each get their own complete result set.
 func TestConcurrentVerifyCalls(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	policies := []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
 		{Kind: verify.NoLoop, Prefix: pfx("1.1.1.1/32")},
@@ -166,7 +152,7 @@ func TestConcurrentVerifyCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
+			stats, err := f.Verify(verify.NewChecker(nil, sources), policies)
 			if err == nil && stats.Report.Checked != 6 {
 				err = errStats{stats.Report.Checked}
 			}

@@ -16,11 +16,7 @@ import (
 // transport counter delta across the call — no more, no less.
 func TestStatsWireAccounting(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	sources := []string{"r1", "r2", "r3"}
 	ck := verify.NewChecker(nil, sources)
 	ck.Cache = verify.NewWalkCache()
@@ -31,12 +27,12 @@ func TestStatsWireAccounting(t *testing.T) {
 
 	// Full round: every walk travels, and the reported Frames/Bytes are
 	// exactly the fleet wire delta observed around the call.
-	f0, b0 := coord.FleetWire(nodes)
-	full, err := coord.Round(ck, nodes, policies, VerifyOpts{})
+	f0, b0 := f.Wire()
+	full, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, b1 := coord.FleetWire(nodes)
+	f1, b1 := f.Wire()
 	if full.Frames != int(f1-f0) || full.Bytes != int(b1-b0) {
 		t.Fatalf("full round: stats frames/bytes %d/%d, wire delta %d/%d", full.Frames, full.Bytes, f1-f0, b1-b0)
 	}
@@ -46,11 +42,11 @@ func TestStatsWireAccounting(t *testing.T) {
 
 	// All-cache-hit round: the warm walk cache answers everything, zero
 	// frames and zero bytes on the wire.
-	warm, err := coord.Round(ck, nodes, policies, VerifyOpts{})
+	warm, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, b2 := coord.FleetWire(nodes)
+	f2, b2 := f.Wire()
 	if f2 != f1 || b2 != b1 {
 		t.Fatalf("cache-hit round touched the wire: %d frames, %d bytes", f2-f1, b2-b1)
 	}
@@ -61,19 +57,17 @@ func TestStatsWireAccounting(t *testing.T) {
 	// Local-check suppressed round: labels pushed, then a sync of one
 	// dirty router costs exactly two frames — the view delta out and
 	// the (empty-violation) local report back.
-	if _, err := coord.Relabel(nodes, []netip.Prefix{pn.P, qClass}); err != nil {
+	if err := f.relabel([]netip.Prefix{pn.P, qClass}); err != nil {
 		t.Fatal(err)
 	}
-	views := viewsOf(pn.Network)
-	v := views["r2"]
+	v := viewsOf(pn.Network)["r2"]
 	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback})
-	views["r2"] = grown
-	f4, b4 := coord.FleetWire(nodes)
-	res, err := coord.SyncViews(nodes, views, []string{"r2"})
+	f4, b4 := f.Wire()
+	res, err := f.sync(map[string]LocalView{"r2": grown})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f5, b5 := coord.FleetWire(nodes)
+	f5, b5 := f.Wire()
 	if res.Sent != 1 || len(res.Reports) != 1 || res.Stale != 0 || len(res.Violations) != 0 {
 		t.Fatalf("sync = %+v", res)
 	}
@@ -84,12 +78,12 @@ func TestStatsWireAccounting(t *testing.T) {
 	// Quiet local round: every pair certified locally, zero wire cost,
 	// and the stats still reconcile with the fleet counters.
 	lck := verify.NewChecker(nil, sources)
-	lck.Certified = coord.Certificate()
-	local, err := coord.Round(lck, nodes, policies, VerifyOpts{})
+	lck.Certified = f.coord.Certificate()
+	local, err := f.Verify(lck, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f6, b6 := coord.FleetWire(nodes)
+	f6, b6 := f.Wire()
 	if local.Frames != int(f6-f5) || local.Bytes != int(b6-b5) {
 		t.Fatalf("local round: stats frames/bytes %d/%d, wire delta %d/%d", local.Frames, local.Bytes, f6-f5, b6-b5)
 	}

@@ -86,21 +86,19 @@ func TestTruncatedBinaryFrameRejected(t *testing.T) {
 }
 
 // TestDeadNodeDegradesToError kills a node mid-fleet and requires Verify to
-// come back with reported errors within the deadline instead of hanging.
+// come back with reported errors well before the walk deadline: the dead
+// node's own walks fail to submit, and the walks its neighbours cannot
+// forward to it come back to the coordinator with the send error.
 func TestDeadNodeDegradesToError(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
-	if err := nodes["r2"].Close(); err != nil {
+	f := startFleet(t, pn.Network)
+	if err := f.Node("r2").Close(); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
+	stats, err := f.Verify(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
-	}, VerifyOpts{Timeout: 2 * time.Second})
+	})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dead node went unreported")
@@ -108,8 +106,8 @@ func TestDeadNodeDegradesToError(t *testing.T) {
 	if stats.Report.Errors == 0 || stats.Report.OK() {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("verify took %v, deadline not enforced", elapsed)
+	if elapsed > walkTimeout/2 {
+		t.Fatalf("verify took %v of the %v walk deadline: a walk was lost, not returned", elapsed, walkTimeout)
 	}
 	failed := 0
 	for _, r := range stats.Report.Results() {
@@ -126,24 +124,20 @@ func TestDeadNodeDegradesToError(t *testing.T) {
 // without any frames hitting the wire.
 func TestCacheSkippedWalks(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	cache := verify.NewWalkCache()
 	policies := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 	ck := verify.NewChecker(nil, []string{"r1", "r2", "r3"})
 	ck.Cache = cache
 
-	cold, err := coord.Round(ck, nodes, policies, VerifyOpts{})
+	cold, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Report.Cached != 0 || cold.Frames == 0 {
 		t.Fatalf("cold stats = %+v", cold)
 	}
-	warm, err := coord.Round(ck, nodes, policies, VerifyOpts{})
+	warm, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +149,7 @@ func TestCacheSkippedWalks(t *testing.T) {
 	}
 	// Invalidation makes the walks travel again.
 	cache.InvalidateRouter("r2")
-	third, err := coord.Round(ck, nodes, policies, VerifyOpts{})
+	third, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,24 +159,20 @@ func TestCacheSkippedWalks(t *testing.T) {
 }
 
 // TestSyncViewsShipsDeltas reconfigures the network and checks that a
-// SyncViews round brings the fleet's verdicts up to date, and that an
+// sync brings the fleet's verdicts up to date, and that an
 // unchanged fleet costs zero frames to sync.
 func TestSyncViewsShipsDeltas(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	policies := []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 	sources := []string{"r1", "r2", "r3"}
 
 	// In-sync fleet: syncing again ships nothing.
-	if res, err := coord.SyncViews(nodes, viewsOf(pn.Network), routerNames(pn.Network)); err != nil || res.Sent != 0 {
+	if res, err := f.sync(viewsOf(pn.Network)); err != nil || res.Sent != 0 {
 		t.Fatalf("no-op sync sent %d frames, err %v", res.Sent, err)
 	}
 
-	stats, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
+	stats, err := f.Verify(verify.NewChecker(nil, sources), policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +191,7 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 	}
 
 	// Nodes still hold the old views: the fleet still believes e2.
-	stale, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
+	stale, err := f.Verify(verify.NewChecker(nil, sources), policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +199,14 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 		t.Fatalf("unsynced fleet already sees the change: %+v", stale.Report)
 	}
 
-	res, err := coord.SyncViews(nodes, viewsOf(pn.Network), routerNames(pn.Network))
+	res, err := f.sync(viewsOf(pn.Network))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Sent == 0 || len(res.Reports) != res.Sent {
 		t.Fatal("no delta frames sent for a changed network")
 	}
-	fresh, err := coord.Round(verify.NewChecker(nil, sources), nodes, policies, VerifyOpts{})
+	fresh, err := f.Verify(verify.NewChecker(nil, sources), policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +221,11 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 // they diverge from the healthy run.
 func TestDropBatchFaultInjection(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	defer fault.Inject(fault.DropBatch)()
-	stats, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
+	stats, err := f.Verify(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
-	}, VerifyOpts{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,15 +247,15 @@ func TestDropBatchFaultInjection(t *testing.T) {
 // dist counters appear after a round.
 func TestPerNodeLatencyTimers(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
+	reg := metrics.NewRegistry()
+	f, err := NewFleet(pn.Network, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer teardown()
-	reg := metrics.NewRegistry()
-	if _, err := coord.Round(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), nodes, []verify.Policy{
+	defer f.Close()
+	if _, err := f.Verify(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), []verify.Policy{
 		{Kind: verify.NoLoop, Prefix: pn.P},
-	}, VerifyOpts{Metrics: reg}); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.String()

@@ -19,16 +19,12 @@ import (
 // isolate the overlapping rounds. Run under -race in CI.
 func TestConcurrentWalkRounds(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 
 	central := pn.LiveWalker()
 	dst := dataplane.Representative(pn.P)
 	sources := []string{"r1", "r2", "r3"}
-	exec := coord.Executor(nodes, VerifyOpts{})
+	exec := f.executor()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -59,13 +55,9 @@ func TestConcurrentWalkRounds(t *testing.T) {
 // as the central walker.
 func TestFleetExecutorServesQueries(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	e := serve.New(serve.Config{
-		Executor: coord.Executor(nodes, VerifyOpts{}), Cache: verify.NewWalkCache(),
+		Executor: f.executor(), Cache: verify.NewWalkCache(),
 		Classes: eqclass.NewIncremental(nil), WhatIf: &whatif.Engine{}, Blueprint: pn.Blueprint(),
 		Metrics: metrics.NewRegistry(),
 	})

@@ -84,24 +84,20 @@ func expectOnly[T any](t *testing.T, ch <-chan T, check func(T) bool) {
 
 func TestNodeDropsNonV1Frames(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	coord, nodes, teardown, err := BuildFleet(pn.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer teardown()
+	f := startFleet(t, pn.Network)
 	results := make(chan WalkMsg, 4)
-	coord.mu.Lock()
-	coord.pending[7], coord.pending[8] = results, results
-	coord.mu.Unlock()
+	f.coord.mu.Lock()
+	f.coord.pending[7], f.coord.pending[8] = results, results
+	f.coord.mu.Unlock()
 	valid := appendWalkBatch(nil, mtWalkBatch, 1, []WalkMsg{{
 		WalkID: 8, Source: "r1", Dst: dataplane.Representative(pn.P), Msgs: 1,
 	}})
-	sendRaw(t, nodes["r1"].Addr(), dropped(jsonWalk, valid)...)
+	sendRaw(t, f.Node("r1").Addr(), dropped(jsonWalk, valid)...)
 	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 && len(w.Exps) > 0 })
 }
 
 func TestCoordinatorDropsNonV1Frames(t *testing.T) {
-	coord, err := StartCoordinator()
+	coord, err := startCoordinator()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +132,11 @@ func TestConnSetRefusesAfterCloseAll(t *testing.T) {
 // client connection open so Close has a reader to unpark.
 func TestCloseIsIdempotent(t *testing.T) {
 	none := func(string) (string, bool) { return "", false }
-	node, err := StartNode(LocalView{Router: "r1"}, none, "")
+	node, err := startNode(LocalView{Router: "r1"}, none, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := StartCoordinator()
+	coord, err := startCoordinator()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func (p Prefix) Infer(ios []capture.IO) *hbg.Graph {
 		g.AddNode(io)
 	}
 	for _, io := range idx.all {
-		if !io.HasPrefix() {
+		if !io.Prefix.IsValid() {
 			continue
 		}
 		io := io
@@ -168,7 +168,7 @@ func (m Miner) Train(ref []capture.IO) *Model {
 		totals[totalKey{b.Type, b.Proto}]++
 		seen := map[pairKey]bool{}
 		idx.precedingOnRouter(b, window, func(a capture.IO) bool {
-			if a.HasPrefix() && b.HasPrefix() && a.Prefix != b.Prefix {
+			if a.Prefix.IsValid() && b.Prefix.IsValid() && a.Prefix != b.Prefix {
 				return true
 			}
 			k := pairKey{a.Type, a.Proto, b.Type, b.Proto, false}
@@ -225,7 +225,7 @@ func (p Patterns) Infer(ios []capture.IO) *hbg.Graph {
 		b := b
 		matched := map[pairKey]bool{}
 		idx.precedingOnRouter(b, p.Model.window, func(a capture.IO) bool {
-			if a.HasPrefix() && b.HasPrefix() && a.Prefix != b.Prefix {
+			if a.Prefix.IsValid() && b.Prefix.IsValid() && a.Prefix != b.Prefix {
 				return true
 			}
 			k := pairKey{a.Type, a.Proto, b.Type, b.Proto, false}

@@ -118,7 +118,7 @@ func sameMessage(send, recv *capture.IO) bool {
 	if !sameAdvertKind(send.Type, recv.Type) {
 		return false
 	}
-	if send.HasPrefix() || recv.HasPrefix() {
+	if send.Prefix.IsValid() || recv.Prefix.IsValid() {
 		return send.Prefix == recv.Prefix
 	}
 	return send.Detail == recv.Detail

@@ -668,18 +668,17 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 // makes the coordinator lose every batch bound for one node while still
 // reporting success, which this oracle must catch.
 func (h *harness) oracleDistVsCentral(round int) *Failure {
-	coord, nodes, teardown, err := dist.BuildFleet(h.w.net)
+	fleet, err := dist.NewFleet(h.w.net, nil)
 	if err != nil {
 		return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf("build fleet: %v", err)}
 	}
-	defer teardown()
+	defer fleet.Close()
 
 	ck := verify.NewChecker(h.liveWalker(), h.w.verifySources)
 	pols := h.policies()
 	want := ck.Check(pols).Results()
-	ck.Executor = coord.Executor(nodes, dist.VerifyOpts{})
-	got := ck.Check(pols).Results()
-	for i, g := range got {
+	stats, err := fleet.Verify(ck, pols)
+	for i, g := range stats.Report.Results() {
 		w := want[i]
 		if g.Err != nil {
 			return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf(
@@ -690,6 +689,9 @@ func (h *harness) oracleDistVsCentral(round int) *Failure {
 				"walk from %s diverges: distributed %v (egress %q, edges %v), central %v (egress %q, edges %v)",
 				g.Source, g.Walk, g.Walk.Egress, g.Walk.Edges, w.Walk, w.Walk.Egress, w.Walk.Edges)}
 		}
+	}
+	if err != nil {
+		return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf("fleet round: %v", err)}
 	}
 	return nil
 }
@@ -764,15 +766,7 @@ func (h *harness) localSuperset(round int, stage string, views map[string]dist.L
 	flagged := map[netip.Prefix]bool{}
 	for _, r := range routers {
 		v := views[r]
-		var peers []string
-		seen := map[string]bool{}
-		for _, i := range v.Ifaces {
-			if i.PeerName != "" && i.PeerName != r && !seen[i.PeerName] {
-				seen[i.PeerName] = true
-				peers = append(peers, i.PeerName)
-			}
-		}
-		ck := localck.Checker{Labels: ls.Node(r, peers)}
+		ck := localck.Checker{Labels: v.Labels(ls)}
 		for _, viol := range ck.Check(r, v.ClassState) {
 			flagged[viol.Prefix] = true
 		}
