@@ -11,6 +11,7 @@ import (
 
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
+	"hbverify/internal/eqclass"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
@@ -143,6 +144,49 @@ func TestExtensionWorkBudget(t *testing.T) {
 	}
 	t.Logf("scanned %d, indexed %d (budget %d), evaluated %d (budget %d), %d B per suffix event",
 		scanned, indexed, indexBudget, evaluated, evalBudget, int64(after.TotalAlloc-before.TotalAlloc)/suffix)
+}
+
+// TestClassifierMemoryBudget holds the equivalence classifier to what it
+// derives from the FIBs it watches — the prefix universe, the signatures
+// and the classes — measured as live heap after a GC around Watch and the
+// first Update on the converged k=8 fat tree (80 routers). A per-router
+// copy of the watched tables costs about 440 B per entry and breaks the
+// budget.
+func TestClassifierMemoryBudget(t *testing.T) {
+	const budget = 150 // bytes retained per watched FIB entry
+	n, err := network.BuildFatTree(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	if err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	entries := 0
+	for _, r := range n.Routers() {
+		entries += r.FIB.Snapshot().Len()
+	}
+	liveHeap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := liveHeap()
+	inc := eqclass.NewIncremental(nil)
+	for _, r := range n.Routers() {
+		inc.Watch(r.Name, r.FIB)
+	}
+	d := inc.Update()
+	retained := liveHeap() - before
+	if d.Resigned == 0 || inc.Len() == 0 {
+		t.Fatalf("the first flush re-signed %d prefixes into %d classes", d.Resigned, inc.Len())
+	}
+	perEntry := float64(retained) / float64(entries)
+	if perEntry > budget {
+		t.Errorf("the classifier retains %.0f B per watched FIB entry (%d B over %d entries), budget %d", perEntry, retained, entries, budget)
+	}
+	t.Logf("%d classes over %d entries on %d routers: %.0f B retained per entry", inc.Len(), entries, len(n.Routers()), perEntry)
 }
 
 // TestServedHitAllocationBudget holds a served plan-cache hit to what it

@@ -567,7 +567,7 @@ func BenchmarkWhatIf(b *testing.B) {
 	pn := mustPaper(b, 1, network.DefaultPaperOpts())
 	runNet(b, pn)
 	bp := pn.Blueprint()
-	eng := &whatif.Engine{Seed: 99, Sources: internalSources, Policies: []verify.Policy{
+	eng := &whatif.Engine{Sources: internalSources, Policies: []verify.Policy{
 		{Kind: verify.Reachable, Prefix: pn.P},
 		{Kind: verify.NoLoop, Prefix: pn.P},
 	}}
@@ -585,7 +585,7 @@ func BenchmarkWhatIf(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	egressEng := &whatif.Engine{Seed: 99, Sources: internalSources, Policies: []verify.Policy{
+	egressEng := &whatif.Engine{Sources: internalSources, Policies: []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
 	}}
 	cfgRes, err := egressEng.Ask(bp, whatif.ConfigUpdate("r2", "lp 10", func(c *config.Router) {

@@ -24,7 +24,6 @@ func main() {
 		log.Fatal(err)
 	}
 	eng := &whatif.Engine{
-		Seed:    99,
 		Sources: []string{"r1", "r2", "r3"},
 		Policies: []verify.Policy{
 			{Kind: verify.Reachable, Prefix: pn.P},

@@ -248,7 +248,7 @@ func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 		Executor:  serve.WalkerExecutor{W: p.live},
 		Cache:     p.walkCache,
 		Classes:   p.eqc,
-		WhatIf:    &whatif.Engine{Seed: 1, Sources: p.Sources, Policies: policies},
+		WhatIf:    &whatif.Engine{Sources: p.Sources, Policies: policies},
 		Blueprint: p.Net.Blueprint(),
 		Metrics:   p.Metrics,
 	})

@@ -112,7 +112,6 @@ func appendIface(b []byte, i dataplane.Iface) []byte {
 // (link flips change forwarding without touching the FIB).
 type viewDelta struct {
 	Router   string
-	Full     bool // replace the whole FIB with Installs
 	Installs []fib.Entry
 	Removes  []netip.Prefix
 	Ifaces   []dataplane.Iface // nil = leave interface state alone
@@ -127,7 +126,6 @@ type viewDelta struct {
 func appendViewDelta(b []byte, d *viewDelta) []byte {
 	b = append(b, frameV1, mtViewDelta)
 	b = wire.AppendString(b, d.Router)
-	b = wire.AppendBool(b, d.Full)
 	b = binary.AppendUvarint(b, uint64(len(d.Installs)))
 	for _, e := range d.Installs {
 		b = appendEntry(b, e)
@@ -268,7 +266,6 @@ func readIface(r *wire.Reader) dataplane.Iface {
 func readViewDelta(r *wire.Reader) viewDelta {
 	var d viewDelta
 	d.Router = r.Str()
-	d.Full = r.Bool()
 	n := r.Count("fib installs", minEntryBytes)
 	for i := 0; i < n; i++ {
 		d.Installs = append(d.Installs, readEntry(r))

@@ -274,8 +274,7 @@ func (n *Node) sendWalks(addr string, result bool, walks []WalkMsg, batchID int)
 }
 
 // applyViewDelta applies a coordinator-shipped view update: entry-level
-// FIB installs/removes (or a full replacement) and optionally new
-// interface state.
+// FIB installs/removes and optionally new interface state.
 func (n *Node) applyViewDelta(d viewDelta) {
 	if delay := n.applyDelay.Load(); delay > 0 {
 		time.Sleep(time.Duration(delay))
@@ -285,7 +284,7 @@ func (n *Node) applyViewDelta(d viewDelta) {
 		n.viewMu.Unlock()
 		return
 	}
-	if d.Full || n.View.FIB == nil {
+	if n.View.FIB == nil {
 		n.View.FIB = trie.New[fib.Entry]()
 	}
 	for _, e := range d.Installs {
@@ -437,10 +436,10 @@ type batchSubmit struct {
 	walks []WalkMsg
 }
 
-// ExecuteWalks implements verify.Executor. Walks are submitted as batch
-// frames to their source nodes under a bounded in-flight window and
-// matched back by correlation ID; a walk with no node at its source, a
-// failed submission or forward, or no result within walkTimeout is an error.
+// ExecuteWalks implements verify.Executor. Walks go as batch frames to their
+// source nodes under a bounded in-flight window and are matched back by
+// correlation ID; a walk with no node at its source, a failed submission or
+// forward, or no result by walkTimeout or the fleet's close is an error.
 func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, []error) {
 	c, reg := e.f.coord, e.f.metrics
 	walks := make([]dataplane.Walk, len(keys))
@@ -527,6 +526,7 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 	}()
 
 	deadline := time.NewTimer(walkTimeout)
+	lost := "no result within deadline"
 collect:
 	for len(index) > 0 {
 		select {
@@ -548,6 +548,9 @@ collect:
 			inflight.Set(int64(len(tokens)))
 		case <-deadline.C:
 			break collect
+		case <-c.closing:
+			lost = "fleet closed"
+			break collect
 		}
 	}
 	deadline.Stop()
@@ -557,7 +560,7 @@ collect:
 	c.mu.Lock()
 	for id, i := range index {
 		delete(c.pending, id)
-		fail(i, fmt.Errorf("dist: walk %s->%s: no result within deadline", keys[i].Source, keys[i].Dst))
+		fail(i, fmt.Errorf("dist: walk %s->%s: %s", keys[i].Source, keys[i].Dst, lost))
 	}
 	c.mu.Unlock()
 	return walks, errs

@@ -29,6 +29,7 @@ type endpoint struct {
 	conns *connSet
 	wg    sync.WaitGroup
 
+	closing   chan struct{} // closed when Close begins
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -43,7 +44,7 @@ func (e *endpoint) listen(handle func(mt byte, body *wire.Reader)) error {
 	if err != nil {
 		return err
 	}
-	e.ln, e.conns, e.pool = ln, newConnSet(), newPool(&e.stats)
+	e.ln, e.conns, e.pool, e.closing = ln, newConnSet(), newPool(&e.stats), make(chan struct{})
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -86,13 +87,14 @@ func (e *endpoint) Wire() (frames, bytes, retries, errors int64) {
 	return e.stats.frames.Load(), e.stats.bytes.Load(), e.stats.retries.Load(), e.stats.errors.Load()
 }
 
-// Close shuts the endpoint down: the listener stops, accepted connections
-// are closed (unparking readers blocked on persistent peers) and the set
-// refuses any connection accepted after that, pooled outbound connections
-// are torn down, and all serving goroutines are joined. Later calls wait
-// for the first and return its result.
+// Close shuts the endpoint down: closing is closed, the listener stops,
+// accepted connections are closed (unparking readers blocked on persistent
+// peers) and the set refuses any connection accepted after that, pooled
+// outbound connections are torn down, and all serving goroutines are
+// joined. Later calls wait for the first and return its result.
 func (e *endpoint) Close() error {
 	e.closeOnce.Do(func() {
+		close(e.closing)
 		e.closeErr = e.ln.Close()
 		e.conns.closeAll()
 		e.pool.closeAll()

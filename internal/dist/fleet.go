@@ -87,13 +87,13 @@ func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
 	return f, nil
 }
 
-// Close stops every node and the coordinator.
+// Close stops the coordinator, failing waiting rounds at once, then nodes.
 func (f *Fleet) Close() error {
-	var errs []error
+	errs := []error{f.coord.Close()}
 	for _, nd := range f.nodes {
 		errs = append(errs, nd.Close())
 	}
-	return errors.Join(append(errs, f.coord.Close())...)
+	return errors.Join(errs...)
 }
 
 // Node returns router's node, or nil when the fleet has none.
@@ -242,8 +242,8 @@ func classesOf(policies []verify.Policy) []netip.Prefix {
 // after sync returns cannot reach a node before its delta did. Violations
 // accumulate in the coordinator's taint state until the next relabel. A
 // delta that could not be sent, or that no node acknowledged within
-// syncTimeout, is an error: the fleet's state is then unknown and the round
-// must not produce a verdict.
+// syncTimeout or before the fleet closed, is an error: the fleet's state is
+// then unknown and the round must not produce a verdict.
 func (f *Fleet) sync(views map[string]LocalView) (LocalSyncResult, error) {
 	c := f.coord
 	routers := make([]string, 0, len(views))
@@ -300,6 +300,7 @@ func (f *Fleet) sync(views map[string]LocalView) (LocalSyncResult, error) {
 	epoch := c.LabelEpoch()
 	deadline := time.NewTimer(syncTimeout)
 	defer deadline.Stop()
+	waited := "after " + syncTimeout.String()
 collect:
 	for len(res.Reports) < len(ids) {
 		select {
@@ -311,6 +312,9 @@ collect:
 			}
 			res.Violations = append(res.Violations, rep.Violations...)
 		case <-deadline.C:
+			break collect
+		case <-c.closing:
+			waited = "when the fleet closed"
 			break collect
 		}
 	}
@@ -330,7 +334,7 @@ collect:
 	}
 	c.mu.Unlock()
 	if firstErr == nil && unacked > 0 {
-		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged after %v", unacked, len(ids), syncTimeout)
+		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged %s", unacked, len(ids), waited)
 	}
 	return res, firstErr
 }

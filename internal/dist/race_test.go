@@ -12,7 +12,9 @@ import (
 
 // TestConcurrentVerifyDuringShutdown hammers the coordinator with batch
 // submissions while the fleet tears down underneath it. Every call must
-// return (success or reported error) — no hangs, no panics, no races.
+// return (success or reported error) within walkTimeout/2 of Close: a walk
+// in flight fails when the fleet closes, not at its deadline. No hangs, no
+// panics, no races.
 func TestConcurrentVerifyDuringShutdown(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	f := startFleet(t, pn.Network)
@@ -41,6 +43,7 @@ func TestConcurrentVerifyDuringShutdown(t *testing.T) {
 		}()
 	}
 	time.Sleep(50 * time.Millisecond)
+	bound := time.After(walkTimeout / 2)
 	f.Close()
 	close(stop)
 
@@ -51,8 +54,8 @@ func TestConcurrentVerifyDuringShutdown(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("verify calls failed to return after shutdown")
+	case <-bound:
+		t.Fatalf("verify calls still running %v after Close began", walkTimeout/2)
 	}
 }
 
@@ -60,7 +63,8 @@ func TestConcurrentVerifyDuringShutdown(t *testing.T) {
 // shutdown hammer: the verified prefix resolves through an ECMP static on
 // r1 whose membership a mutator churns (2 members <-> 1 <-> withdrawn), so
 // the distributed walk batches carry branching set walks while the fleet
-// tears down. Every call must return; no hangs, no panics, no races.
+// tears down. Every call must return within walkTimeout/2 of Close; no
+// hangs, no panics, no races.
 func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	ecmpPrefix := pfx("77.0.0.0/24")
@@ -118,6 +122,7 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 		}()
 	}
 	time.Sleep(50 * time.Millisecond)
+	bound := time.After(walkTimeout / 2)
 	f.Close()
 	close(stop)
 	mutWg.Wait()
@@ -129,8 +134,8 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("set-walk verify calls failed to return after shutdown")
+	case <-bound:
+		t.Fatalf("set-walk verify calls still running %v after Close began", walkTimeout/2)
 	}
 }
 

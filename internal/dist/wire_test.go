@@ -181,7 +181,7 @@ func fuzzSeeds() [][]byte {
 		Exps:     []ExpMsg{{Router: "r1", Expansion: dataplane.Expansion{Delivered: true, Stuck: true, Nexts: []string{"r2", "r3"}}}},
 	}}
 	delta := viewDelta{
-		Router: "r1", Full: true, Sync: 9, HasIface: true, Removes: []netip.Prefix{p},
+		Router: "r1", Sync: 9, HasIface: true, Removes: []netip.Prefix{p},
 		Installs: []fib.Entry{{Prefix: p, NextHop: a, Proto: route.ProtoBGP, NextHops: []netip.Addr{a, a.Next()}}},
 		Ifaces:   []dataplane.Iface{{Name: "eth0", Addr: a, Prefix: netip.PrefixFrom(a, 30).Masked(), PeerAddr: a.Next(), PeerName: "r2", Up: true}},
 	}

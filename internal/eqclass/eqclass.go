@@ -11,7 +11,7 @@
 // handful of strings (one per distinct class) instead of one per prefix.
 // Compute is the from-scratch path; Incremental maintains the same
 // classification across FIB generations, re-signing only prefixes a delta
-// can affect.
+// can affect. Both read each router's FIB where it lives and copy none.
 package eqclass
 
 import (
@@ -120,50 +120,106 @@ func appendBehaviour(dst []byte, e fib.Entry, ok bool) []byte {
 	}
 }
 
+// table is one router's FIB, read where it lives: a watched router's live
+// *fib.Table (each call under its read lock) or a caller's trie (trieTable).
+type table interface {
+	Lookup(dst netip.Addr) (fib.Entry, bool)
+	Exact(p netip.Prefix) (fib.Entry, bool)
+	Walk(fn func(netip.Prefix, fib.Entry) bool)
+}
+
+// trieTable reads a caller's trie in place; a nil trie reads as empty.
+type trieTable struct{ *trie.Trie[fib.Entry] }
+
+func (t trieTable) Lookup(dst netip.Addr) (fib.Entry, bool) {
+	e, _, ok := t.Trie.Lookup(dst)
+	return e, ok
+}
+
+// lookup is one router's verdict for a probe.
+type lookup struct {
+	e  fib.Entry
+	ok bool
+}
+
 // lookupper signs prefixes over per-router FIBs, so that classifying P
-// prefixes costs O(P · R · W) instead of O(P² · R). The scratch buffer is
+// prefixes costs O(P · R · W) instead of O(P² · R). The scratch buffers are
 // reused across signings, so the steady-state cost of signing a prefix is
 // allocation-free.
 type lookupper struct {
-	routers []string
-	tries   map[string]*trie.Trie[fib.Entry]
+	routers []string // sorted
+	tables  map[string]table
 	in      *interner
 	scratch []byte
+	hits    []lookup // the last signing's lookups, in router order
 }
 
-// sign interns the forwarding behaviour of one prefix.
+// add registers router's table, replacing any it had.
+func (l *lookupper) add(router string, t table) {
+	if _, had := l.tables[router]; !had {
+		l.routers = append(l.routers, router)
+		sort.Strings(l.routers)
+	}
+	l.tables[router] = t
+}
+
+// installed reports whether any table holds an entry for exactly p.
+func (l *lookupper) installed(p netip.Prefix) bool {
+	for _, t := range l.tables {
+		if _, ok := t.Exact(p); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// universe returns every prefix installed in at least one table.
+func (l *lookupper) universe() *trie.Trie[struct{}] {
+	u := trie.New[struct{}]()
+	for _, t := range l.tables {
+		t.Walk(func(p netip.Prefix, _ fib.Entry) bool {
+			_ = u.Insert(p, struct{}{})
+			return true
+		})
+	}
+	return u
+}
+
+// sign interns the forwarding behaviour of one prefix. Each table is read
+// once, and a new signature is rendered from those same lookups: a writer
+// racing the signing cannot give a key another key's string.
 func (l *lookupper) sign(p netip.Prefix) sigID {
 	probe := dataplane.Representative(p)
-	l.scratch = l.scratch[:0]
+	l.scratch, l.hits = l.scratch[:0], l.hits[:0]
 	for _, r := range l.routers {
-		e, _, ok := l.tries[r].Lookup(probe)
+		e, ok := l.tables[r].Lookup(probe)
+		l.hits = append(l.hits, lookup{e, ok})
 		l.scratch = appendBehaviour(l.scratch, e, ok)
 	}
-	return l.in.intern(l.scratch, func() string { return l.render(probe) })
+	return l.in.intern(l.scratch, l.render)
 }
 
-// render builds the human-readable signature for a probe; called once per
-// distinct interned signature.
-func (l *lookupper) render(probe netip.Addr) string {
+// render builds the human-readable signature from the last signing's
+// lookups; called once per distinct interned signature.
+func (l *lookupper) render() string {
 	var b strings.Builder
-	for i, r := range l.routers {
+	for i, h := range l.hits {
 		if i > 0 {
 			b.WriteByte(';')
 		}
-		b.WriteString(r)
+		b.WriteString(l.routers[i])
 		b.WriteByte('=')
-		e, _, ok := l.tries[r].Lookup(probe)
 		switch {
-		case !ok:
+		case !h.ok:
 			b.WriteByte('-')
-		case e.HopCount() == 0:
+		case h.e.HopCount() == 0:
 			b.WriteString("direct")
 		default:
-			for i := 0; i < e.HopCount(); i++ {
-				if i > 0 {
+			for j := 0; j < h.e.HopCount(); j++ {
+				if j > 0 {
 					b.WriteByte('|')
 				}
-				b.WriteString(e.Hop(i).String())
+				b.WriteString(h.e.Hop(j).String())
 			}
 		}
 	}
@@ -181,28 +237,19 @@ func sortClasses(out []Class) {
 }
 
 // Compute groups the given prefixes into equivalence classes under the
-// supplied FIBs. When prefixes is nil, the union of all FIB prefixes is
-// used, sorted by (address, length) so the derived class representatives
-// (Prefixes[0]) are stable across runs regardless of map iteration order.
-// Classes are returned largest-first (ties broken by signature).
+// supplied FIBs, which it reads in place: it seeds a fresh classifier with
+// them and signs through its lookupper. When prefixes is nil, the union of
+// all FIB prefixes is used, in (address, length) order, so the derived class
+// representatives (Prefixes[0]) are stable across runs. Classes are
+// returned largest-first (ties broken by signature).
 func Compute(fibs map[string]*trie.Trie[fib.Entry], prefixes []netip.Prefix) []Class {
-	l := &lookupper{tries: fibs, in: newInterner()}
-	for r := range fibs {
-		l.routers = append(l.routers, r)
+	inc := NewIncremental(nil)
+	for r, t := range fibs {
+		inc.Seed(r, t)
 	}
-	sort.Strings(l.routers)
+	l := inc.look
 	if prefixes == nil {
-		seen := map[netip.Prefix]bool{}
-		for _, table := range fibs {
-			table.Walk(func(p netip.Prefix, _ fib.Entry) bool {
-				if !seen[p] {
-					seen[p] = true
-					prefixes = append(prefixes, p)
-				}
-				return true
-			})
-		}
-		slices.SortFunc(prefixes, route.ComparePrefix)
+		prefixes = l.universe().Prefixes()
 	}
 	byID := map[sigID][]netip.Prefix{}
 	for _, p := range prefixes {

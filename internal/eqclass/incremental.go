@@ -1,14 +1,13 @@
 // The stateful, delta-driven side of equivalence-class computation: an
 // Incremental classifier subscribed to FIB updates that re-signs only the
-// prefixes a batch of deltas can affect, instead of rebuilding per-router
-// tries and re-signing the whole prefix universe on every tick.
+// prefixes a batch of deltas can affect, instead of re-signing the whole
+// prefix universe on every tick.
 
 package eqclass
 
 import (
 	"net/netip"
 	"slices"
-	"sort"
 	"sync"
 
 	"hbverify/internal/dataplane"
@@ -26,47 +25,33 @@ type Delta struct {
 	// Moves counts class-membership changes: a prefix changing class,
 	// arriving in the universe, or leaving it.
 	Moves int
-	// Routers lists (sorted, deduplicated) the routers whose FIBs changed
-	// in the flushed batch — the invalidation set for downstream caches.
-	Routers []string
-}
-
-// pendingKey identifies the FIB entry a queued update is for. Only the last
-// update for a key changes a router's trie, and the prefixes it can affect
-// depend on the prefix alone, so the queue keeps one update per key: a
-// classifier nobody reads holds at most one per installed entry, however
-// long the churn.
-type pendingKey struct {
-	router string
-	prefix netip.Prefix
-}
-
-type pendingUpdate struct {
-	entry   fib.Entry
-	install bool
 }
 
 // Incremental maintains forwarding equivalence classes across FIB
-// generations. It keeps one trie per router, mirrored from the live FIBs
-// via fib.Table.OnChange, and a classification of the prefix universe
-// (every prefix installed in at least one FIB — the same universe
-// Compute(fibs, nil) derives). On each flush, only prefixes whose
+// generations. It reads each router's FIB where it lives and keeps only
+// what it derives from them: the prefix universe (every prefix installed in
+// at least one FIB — the same universe Compute(fibs, nil) derives), the
+// signatures and the classes. On each flush, only prefixes whose
 // longest-prefix match could have changed — those whose representative
-// probe address lies inside an inserted or removed entry — are re-signed
-// and moved between classes.
+// probe address lies inside a noted prefix — are re-signed and moved
+// between classes.
 //
 // All methods are safe for concurrent use; FIB change notifications are
-// queued and applied lazily on the next Classes/Update/ClassOf
-// call, so a burst of updates is classified once.
+// queued and applied lazily on the next Classes/Update/ClassOf call, so a
+// burst of updates is classified once. Lock order: the classifier's lock,
+// then a table's read lock. A fib.Table calls its listeners outside its own
+// lock, so Note never holds a table lock.
 type Incremental struct {
 	mu       sync.Mutex
 	reg      *metrics.Registry
 	look     *lookupper
-	universe *trie.Trie[int] // prefix -> count of routers with it installed
+	universe *trie.Trie[struct{}]
 	sigOf    map[netip.Prefix]sigID
 	members  map[sigID]map[netip.Prefix]struct{}
 	reps     map[sigID]netip.Prefix // smallest (addr, bits) member per class
-	pending  map[pendingKey]pendingUpdate
+	// pending holds the prefixes noted since the last flush: at most one
+	// per installed entry, however long the churn between reads.
+	pending  map[netip.Prefix]struct{}
 	dirtyAll bool
 }
 
@@ -77,80 +62,52 @@ type Incremental struct {
 func NewIncremental(reg *metrics.Registry) *Incremental {
 	return &Incremental{
 		reg:      reg,
-		look:     &lookupper{tries: map[string]*trie.Trie[fib.Entry]{}, in: newInterner()},
-		universe: trie.New[int](),
+		look:     &lookupper{tables: map[string]table{}, in: newInterner()},
+		universe: trie.New[struct{}](),
 		sigOf:    map[netip.Prefix]sigID{},
 		members:  map[sigID]map[netip.Prefix]struct{}{},
 		reps:     map[sigID]netip.Prefix{},
+		pending:  map[netip.Prefix]struct{}{},
 	}
 }
 
-// Watch seeds the classifier with router's current FIB contents and
-// subscribes to its changes. This is the production entry point; use Seed
-// to register contents without the subscription.
+// Watch registers router's live table and subscribes to its changes. This
+// is the production entry point; use Seed to register contents without the
+// subscription.
 //
-// The subscription is registered before the snapshot is taken, so an
-// update landing in between is both queued and reflected in the seed; the
-// flush path tolerates the replay (installs are idempotent, removals only
-// decrement the universe refcount when the trie actually held the entry).
+// The subscription comes first, so an update landing in between is both
+// queued and visible in the table; re-reading it changes nothing.
 func (inc *Incremental) Watch(router string, t *fib.Table) {
 	t.OnChange(func(u fib.Update) { inc.Note(router, u) })
-	inc.Seed(router, t.Snapshot())
+	inc.add(router, t)
 }
 
-// Seed registers router with the given FIB contents without subscribing to
-// updates. Adding a router changes every signature (the behaviour vector
-// gains a column), so the whole universe is re-signed on the next flush.
+// Seed registers router's FIB contents, read in place and unsubscribed: a
+// caller that changes entries afterwards must Note each change.
 func (inc *Incremental) Seed(router string, entries *trie.Trie[fib.Entry]) {
+	inc.add(router, trieTable{entries})
+}
+
+// add registers (or replaces) router's table, which can change any
+// signature: the next flush re-derives the universe and re-signs it all.
+func (inc *Incremental) add(router string, t table) {
 	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	inc.addRouterLocked(router)
-	tr := inc.look.tries[router]
-	entries.Walk(func(p netip.Prefix, e fib.Entry) bool {
-		if _, had := tr.Exact(p); !had {
-			inc.refLocked(p, +1)
-		}
-		_ = tr.Insert(p, e)
-		return true
-	})
+	inc.look.add(router, t)
 	inc.dirtyAll = true
+	inc.mu.Unlock()
 }
 
-func (inc *Incremental) addRouterLocked(router string) {
-	if _, ok := inc.look.tries[router]; ok {
-		return
-	}
-	inc.look.routers = append(inc.look.routers, router)
-	sort.Strings(inc.look.routers)
-	inc.look.tries[router] = trie.New[fib.Entry]()
-	inc.dirtyAll = true
-}
-
-// Note queues one FIB delta for the next flush, replacing any queued for the
-// same router and prefix. Watch wires this to fib.Table.OnChange; callers
-// driving the classifier from a snapshot diff may call it directly.
+// Note queues the prefix of one FIB delta for the next flush. Watch wires
+// this to fib.Table.OnChange; callers driving the classifier from a
+// snapshot diff may call it directly. router must be registered: its table
+// is read where it lives, so only the prefix is queued.
 func (inc *Incremental) Note(router string, u fib.Update) {
 	if fault.On(fault.StaleEqclass) {
 		return
 	}
 	inc.mu.Lock()
-	if inc.pending == nil {
-		inc.pending = map[pendingKey]pendingUpdate{}
-	}
-	inc.pending[pendingKey{router, u.Entry.Prefix.Masked()}] = pendingUpdate{entry: u.Entry, install: u.Install}
+	inc.pending[u.Entry.Prefix.Masked()] = struct{}{}
 	inc.mu.Unlock()
-}
-
-// refLocked adjusts a prefix's universe refcount (how many routers have it
-// installed), inserting or dropping the universe entry at the boundaries.
-func (inc *Incremental) refLocked(p netip.Prefix, d int) {
-	v, _ := inc.universe.Exact(p)
-	v += d
-	if v <= 0 {
-		inc.universe.Delete(p)
-		return
-	}
-	_ = inc.universe.Insert(p, v)
 }
 
 // affectedLocked collects the universe prefixes whose longest-prefix match
@@ -173,52 +130,41 @@ func (inc *Incremental) affectedLocked(pp netip.Prefix, set map[netip.Prefix]str
 	}
 }
 
-// flushLocked applies queued deltas to the per-router tries, re-signs the
-// affected prefixes, and moves them between classes.
+// flushLocked re-reads the queued prefixes' universe membership, re-signs
+// the affected prefixes, and moves them between classes. Membership is read
+// from the tables, not counted from the notes, so the flush is idempotent:
+// the order in which notes arrive cannot skew it.
 func (inc *Incremental) flushLocked() Delta {
 	var d Delta
 	if len(inc.pending) == 0 && !inc.dirtyAll {
 		return d
 	}
 	affected := map[netip.Prefix]struct{}{}
-	routers := map[string]struct{}{}
-	for k, pu := range inc.pending {
-		inc.addRouterLocked(k.router) // unknown router: register (forces full re-sign)
-		tr := inc.look.tries[k.router]
-		pp := k.prefix
-		if pu.install {
-			if _, had := tr.Exact(pp); !had {
-				inc.refLocked(pp, +1)
-			}
-			_ = tr.Insert(pp, pu.entry)
-		} else {
-			if tr.Delete(pp) {
-				inc.refLocked(pp, -1)
-			}
-		}
-		routers[k.router] = struct{}{}
-		// The touched prefix itself is always affected. affectedLocked finds
-		// it via universe.Subtree only while it is still in the universe; a
-		// withdrawal from the last router carrying it has already dropped it,
-		// and the re-sign loop's not-in-universe branch is what retires its
-		// stale classification — so add it unconditionally.
-		affected[pp] = struct{}{}
-		inc.affectedLocked(pp, affected)
-	}
-	inc.pending = nil // not clear: that costs every bucket a link flap grew
 	if inc.dirtyAll {
 		inc.dirtyAll = false
-		affected = map[netip.Prefix]struct{}{}
-		inc.universe.Walk(func(p netip.Prefix, _ int) bool {
+		inc.universe = inc.look.universe()
+		for _, p := range inc.universe.Prefixes() {
 			affected[p] = struct{}{}
-			return true
-		})
-		// Stale classifications of prefixes that left the universe while
-		// dirty must go too.
+		}
+		// Prefixes that left the universe lose their classes too.
 		for p := range inc.sigOf {
 			affected[p] = struct{}{}
 		}
+	} else {
+		for pp := range inc.pending {
+			if inc.look.installed(pp) {
+				_ = inc.universe.Insert(pp, struct{}{})
+			} else {
+				inc.universe.Delete(pp)
+			}
+			// The noted prefix is always affected: withdrawn from the last
+			// table carrying it, it has left the universe, and only the
+			// re-sign loop's not-in-universe branch retires its class.
+			affected[pp] = struct{}{}
+			inc.affectedLocked(pp, affected)
+		}
 	}
+	inc.pending = map[netip.Prefix]struct{}{} // not clear: that costs every bucket a link flap grew
 
 	for p := range affected {
 		if _, inUniverse := inc.universe.Exact(p); !inUniverse {
@@ -241,11 +187,6 @@ func (inc *Incremental) flushLocked() Delta {
 		d.Moves++
 	}
 
-	d.Routers = make([]string, 0, len(routers))
-	for r := range routers {
-		d.Routers = append(d.Routers, r)
-	}
-	sort.Strings(d.Routers)
 	inc.reg.Counter("eqclass.resigned").Add(int64(d.Resigned))
 	inc.reg.Counter("eqclass.moves").Add(int64(d.Moves))
 	return d
@@ -288,8 +229,8 @@ func (inc *Incremental) removeMemberLocked(p netip.Prefix, id sigID) {
 }
 
 // Update flushes queued FIB deltas and reports what changed. Use this on
-// the hot path when the caller only needs the invalidation set; Classes
-// materializes the full classification.
+// the hot path when the caller only needs the counts; Classes materializes
+// the full classification.
 func (inc *Incremental) Update() Delta {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()

@@ -300,14 +300,20 @@ func (t *Table) Exact(prefix netip.Prefix) (Entry, bool) {
 	return t.lpm.Exact(prefix.Masked())
 }
 
+// Walk visits every installed entry in prefix order under the read lock, so
+// fn must not call back into the table. Returning false stops the walk.
+func (t *Table) Walk(fn func(netip.Prefix, Entry) bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.lpm.Walk(fn)
+}
+
 // Snapshot returns a copy of the FIB, for verifiers.
 func (t *Table) Snapshot() *trie.Trie[Entry] {
 	out := trie.New[Entry]()
-	t.mu.RLock()
-	t.lpm.Walk(func(p netip.Prefix, e Entry) bool {
+	t.Walk(func(p netip.Prefix, e Entry) bool {
 		_ = out.Insert(p, e)
 		return true
 	})
-	t.mu.RUnlock()
 	return out
 }

@@ -61,7 +61,7 @@ func (w *paperWorld) engine(cfg Config) *Engine {
 		cfg.Executor = WalkerExecutor{W: w.walker}
 	}
 	if cfg.WhatIf == nil {
-		cfg.WhatIf = &whatif.Engine{Seed: 1, Sources: []string{"r1", "r2", "r3"}}
+		cfg.WhatIf = &whatif.Engine{Sources: []string{"r1", "r2", "r3"}}
 	}
 	cfg.Cache, cfg.Classes, cfg.Blueprint, cfg.Metrics = w.cache, w.eqc, w.pn.Blueprint(), metrics.NewRegistry()
 	return New(cfg)
@@ -335,7 +335,7 @@ func TestWhatIfQueries(t *testing.T) {
 		{Kind: verify.NoLoop, Prefix: w.pn.P},
 	}
 	e := w.engine(Config{
-		WhatIf: &whatif.Engine{Seed: 7, Sources: []string{"r1", "r2", "r3"}, Policies: policies},
+		WhatIf: &whatif.Engine{Sources: []string{"r1", "r2", "r3"}, Policies: policies},
 	})
 	defer e.Close()
 

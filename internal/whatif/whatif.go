@@ -77,10 +77,11 @@ func (r Result) NewViolations() []verify.Violation {
 	return out
 }
 
+// seed drives every emulated copy's event interleaving.
+const seed = 1
+
 // Engine answers what-if questions for one network.
 type Engine struct {
-	// Seed drives the emulated copy's event interleaving.
-	Seed     int64
 	Sources  []string
 	Policies []verify.Policy
 }
@@ -89,7 +90,7 @@ type Engine struct {
 // the changes, re-converges, and verifies again.
 func (e *Engine) Ask(bp *network.Blueprint, changes ...Change) (Result, error) {
 	var res Result
-	n, err := bp.Instantiate(e.Seed)
+	n, err := bp.Instantiate(seed)
 	if err != nil {
 		return res, fmt.Errorf("whatif: instantiate: %w", err)
 	}

@@ -29,7 +29,6 @@ func startPaper(t *testing.T) *network.PaperNet {
 
 func engine(pn *network.PaperNet) *Engine {
 	return &Engine{
-		Seed:    99,
 		Sources: []string{"r1", "r2", "r3"},
 		Policies: []verify.Policy{
 			{Kind: verify.Reachable, Prefix: pn.P},
