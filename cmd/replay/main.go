@@ -24,7 +24,6 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/ciscolog"
 	"hbverify/internal/config"
-	"hbverify/internal/fault"
 	"hbverify/internal/hbr"
 	"hbverify/internal/network"
 	"hbverify/internal/scenario"
@@ -39,7 +38,6 @@ func main() {
 		shape    = flag.String("shape", "", "override the scenario topology shape (ring|mesh|fattree|fattree-k4|isp-rr)")
 		mix      = flag.String("mix", "", "override the scenario protocol mix (ospf+bgp|ospf|rip|eigrp)")
 		rounds   = flag.Int("rounds", 0, "override the scenario churn-round count")
-		bug      = flag.String("bug", "", "inject a known bug (e.g. drop-ecmp-branch) so an oracle must catch it")
 		schedule = flag.String("schedule", "", "replay a scenario failure artifact (JSON) exactly")
 	)
 	flag.Parse()
@@ -51,11 +49,7 @@ func main() {
 		return
 	}
 	if *seed != 0 || *schedule != "" {
-		if b := fault.Bug(*bug); b != "" && !fault.Known(b) {
-			fmt.Fprintf(os.Stderr, "replay: unknown -bug %q; known bugs: %v\n", b, fault.Bugs)
-			os.Exit(2)
-		}
-		cfg := scenario.Config{Seed: *seed, Shape: *shape, Mix: *mix, Rounds: *rounds, Bug: fault.Bug(*bug)}
+		cfg := scenario.Config{Seed: *seed, Shape: *shape, Mix: *mix, Rounds: *rounds}
 		failed, err := runScenario(cfg, *schedule, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "replay:", err)

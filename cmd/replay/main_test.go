@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"hbverify/internal/fault"
 	"hbverify/internal/scenario"
 )
 
@@ -59,41 +58,39 @@ func TestRunScenarioSeed(t *testing.T) {
 	}
 }
 
-// TestRunScenarioSchedule writes a forced-failure artifact and replays it
-// through the exact path the printed repro command uses.
+// TestRunScenarioSchedule writes a run's artifact and replays it through
+// the exact path the printed repro command uses: the replay is the same run,
+// down to the capture log's digest. Failing artifacts are replayed by
+// .github/mutate.go, which builds replay with a known defect planted.
 func TestRunScenarioSchedule(t *testing.T) {
-	cfg, err := scenario.Materialize(scenario.Config{Seed: 3, Bug: fault.SkipRollback})
+	cfg, err := scenario.Materialize(scenario.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
-	}
-	res := scenario.Run(cfg)
-	if res.Failure == nil {
-		t.Fatal("forced bug did not fail")
 	}
 	path := filepath.Join(t.TempDir(), "artifact.json")
-	if err := scenario.WriteArtifact(path, scenario.Artifact{Config: res.Config, Failure: *res.Failure}); err != nil {
+	if err := scenario.WriteArtifact(path, scenario.Artifact{Config: cfg}); err != nil {
 		t.Fatal(err)
 	}
-
-	var b strings.Builder
-	failed, err := runScenario(scenario.Config{}, path, &b)
-	if err != nil {
-		t.Fatal(err)
+	var direct, replayed strings.Builder
+	if failed, err := runScenario(cfg, "", &direct); err != nil || failed {
+		t.Fatalf("seed 3: failed=%v err=%v\n%s", failed, err, direct.String())
 	}
-	if !failed {
-		t.Fatalf("artifact replay did not reproduce the failure:\n%s", b.String())
+	failed, err := runScenario(scenario.Config{}, path, &replayed)
+	if err != nil || failed {
+		t.Fatalf("artifact replay: failed=%v err=%v\n%s", failed, err, replayed.String())
 	}
-	if !strings.Contains(b.String(), res.Failure.Oracle) {
-		t.Fatalf("replay output does not name oracle %q:\n%s", res.Failure.Oracle, b.String())
+	if got, want := replayed.String(), direct.String(); !strings.HasPrefix(got, "replaying artifact "+path) || !strings.HasSuffix(got, want) {
+		t.Fatalf("artifact replay printed\n%s\nwant the direct run's output\n%s", got, want)
 	}
 }
 
-// TestUnknownBugIsAUsageError: a mistyped -bug must not run a healthy
-// scenario and exit 0; it exits 2 and names the bugs there are. The test
-// binary re-runs itself as replay to see main's exit code.
+// TestUnknownBugIsAUsageError: replay injects no bug — a defect is planted
+// in the source by .github/mutate.go — so a -bug left in a script is a
+// usage error, exit 2, and not a healthy run that exits 0. The test binary
+// re-runs itself as replay to see main's exit code.
 func TestUnknownBugIsAUsageError(t *testing.T) {
 	if os.Getenv("REPLAY_TEST_MAIN") == "1" {
-		os.Args = []string{"replay", "-seed", "3", "-bug", "no-such-bug"}
+		os.Args = []string{"replay", "-seed", "3", "-bug", "skip-rollback"}
 		main()
 		return
 	}
@@ -103,12 +100,10 @@ func TestUnknownBugIsAUsageError(t *testing.T) {
 	cmd.Stderr = &stderr
 	var exit *exec.ExitError
 	if err := cmd.Run(); !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("replay -bug no-such-bug: %v, want exit status 2\nstderr:\n%s", err, stderr.String())
+		t.Fatalf("replay -bug skip-rollback: %v, want exit status 2\nstderr:\n%s", err, stderr.String())
 	}
-	for _, b := range fault.Bugs {
-		if !strings.Contains(stderr.String(), string(b)) {
-			t.Fatalf("stderr does not list bug %q:\n%s", b, stderr.String())
-		}
+	if !strings.Contains(stderr.String(), "flag provided but not defined: -bug") {
+		t.Fatalf("stderr does not name the flag:\n%s", stderr.String())
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"hbverify/internal/dataplane"
 	"hbverify/internal/dist"
 	"hbverify/internal/eqclass"
-	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
@@ -324,7 +323,7 @@ func (f *snapshotFrontier) verdict(v capture.View, first uint64, cut snapshot.Cu
 		return nil, snapshot.Result{EvictedBelow: first}
 	}
 	final, res := snapshot.ConsistentCut(v, cut, f.pairs.Extend(v), external)
-	if f.next > v.Len() || (f.behind(final) && !fault.On(fault.StaleFrontier)) {
+	if f.next > v.Len() || f.behind(final) {
 		f.fibs = nil
 	}
 	if f.fibs == nil {

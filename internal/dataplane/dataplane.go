@@ -28,7 +28,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/topology"
 	"hbverify/internal/trie"
@@ -427,11 +426,7 @@ func (w *Walker) Expand(router string, dst netip.Addr) Expansion {
 // single-path FIBs degrade to exactly the classic hop-by-hop walk.
 func (w *Walker) Forward(src string, dst netip.Addr) Walk {
 	return SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {
-		ex := w.Expand(r, dst)
-		if len(ex.Nexts) > 1 && fault.On(fault.DropEcmpBranch) {
-			ex.Nexts = ex.Nexts[:len(ex.Nexts)-1]
-		}
-		return ex
+		return w.Expand(r, dst)
 	})
 }
 

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"hbverify/internal/dataplane"
-	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/localck"
 	"hbverify/internal/network"
@@ -501,14 +500,6 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 			now := time.Now()
 			for _, w := range b.walks {
 				submitAt.Store(w.WalkID, now)
-			}
-			if b.src == batches[0].src && fault.On(fault.DropBatch) {
-				// Lost on the wire, reported as returned: the walks come back
-				// with nothing collected.
-				for _, w := range b.walks {
-					c.deliver(w)
-				}
-				continue
 			}
 			walks := b.walks
 			id := bi + 1

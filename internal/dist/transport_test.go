@@ -8,7 +8,6 @@ import (
 
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
-	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
@@ -215,31 +214,26 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 	}
 }
 
-// TestDropBatchFaultInjection proves the injected drop-batch fault actually
-// loses work: the first batch's source gets its walks back with nothing
-// collected, so the coordinator replays them as stuck at that source, and
-// they diverge from the healthy run.
+// TestDropBatchFaultInjection: every walk of a fleet round comes back with
+// what its nodes collected, so none replays as stuck at its source and the
+// round's report is clean. The drop-batch mutation in .github/mutate.go
+// loses the batches bound for one node while reporting them returned.
 func TestDropBatchFaultInjection(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	f := startFleet(t, pn.Network)
-	defer fault.Inject(fault.DropBatch)()
 	stats, err := f.Verify(verify.NewChecker(nil, []string{"r1", "r2", "r3"}), []verify.Policy{
 		{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped := map[string]int{}
 	for _, r := range stats.Report.Results() {
 		if r.Walk.Outcome == dataplane.Stuck && reflect.DeepEqual(r.Walk.Path, []string{r.Source}) {
-			dropped[r.Source]++
+			t.Fatalf("walk from %s stuck at its source: %+v", r.Source, r.Walk)
 		}
 	}
-	if len(dropped) != 1 {
-		t.Fatalf("drop-batch left walks stuck at sources %v, want exactly one source: %+v", dropped, stats.Report.Results())
-	}
-	if stats.Report.OK() {
-		t.Fatalf("dropped batch produced a clean report: %+v", stats.Report)
+	if !stats.Report.OK() {
+		t.Fatalf("round report = %+v, want clean", stats.Report)
 	}
 }
 

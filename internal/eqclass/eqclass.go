@@ -6,16 +6,15 @@
 // plane outcomes for new inputs — tractable.
 //
 // Classification is signature-based: each prefix's per-router forwarding
-// behaviour is encoded into a byte vector and interned to a collision-
-// checked 64-bit signature ID, so classifying 100K prefixes allocates a
-// handful of strings (one per distinct class) instead of one per prefix.
+// behaviour is encoded into a byte vector and interned to a signature ID,
+// so classifying 100K prefixes allocates a handful of strings (one per
+// distinct class) instead of one per prefix.
 // Compute is the from-scratch path; Incremental maintains the same
 // classification across FIB generations, re-signing only prefixes a delta
 // can affect. Both read each router's FIB where it lives and copy none.
 package eqclass
 
 import (
-	"bytes"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -40,55 +39,50 @@ func (c Class) String() string {
 	return fmt.Sprintf("class[%d prefixes] %s", len(c.Prefixes), c.Signature)
 }
 
-// sigID identifies one interned forwarding signature. IDs are meaningful
-// only within the interner that produced them; cross-run comparisons must
-// use the rendered Signature string.
+// sigID identifies one interned forwarding signature. IDs are handed out in
+// order of first sight and mean nothing outside the interner that produced
+// them; cross-run comparisons must use the rendered Signature string.
 type sigID uint64
 
 type sigInfo struct {
-	key []byte // encoded per-router behaviour vector
+	key string // encoded per-router behaviour vector
 	str string // rendered "router=nexthop;..." form
 }
 
-// interner maps behaviour vectors to stable 64-bit IDs. The ID is an
-// FNV-1a hash of the vector; a hash collision (distinct vectors, same
-// hash) is resolved by linear probing over the ID space, with the stored
-// vector compared byte-for-byte, so distinct behaviours never share an ID.
+// interner maps behaviour vectors to IDs. A signature is forgotten when its
+// class empties, so it holds the live classes' signatures and no others.
 type interner struct {
-	byID map[sigID]*sigInfo
+	ids  map[string]sigID
+	byID map[sigID]sigInfo
+	next sigID
 }
 
-func newInterner() *interner { return &interner{byID: map[sigID]*sigInfo{}} }
+func newInterner() *interner {
+	return &interner{ids: map[string]sigID{}, byID: map[sigID]sigInfo{}}
+}
 
 // intern returns the ID for key, registering it (with render() as its
-// human-readable form) on first sight. render runs at most once per
-// distinct signature.
+// human-readable form) on first sight. render runs once per signature
+// interned.
 func (in *interner) intern(key []byte, render func() string) sigID {
-	id := sigID(fnv64(key))
-	for {
-		info, ok := in.byID[id]
-		if !ok {
-			in.byID[id] = &sigInfo{key: append([]byte(nil), key...), str: render()}
-			return id
-		}
-		if bytes.Equal(info.key, key) {
-			return id
-		}
-		id++ // collision: probe the next ID
+	if id, ok := in.ids[string(key)]; ok {
+		return id
 	}
+	id := in.next
+	in.next++
+	info := sigInfo{key: string(key), str: render()}
+	in.ids[info.key], in.byID[id] = id, info
+	return id
+}
+
+// forget drops an interned ID; its signature gets a new ID if seen again.
+func (in *interner) forget(id sigID) {
+	delete(in.ids, in.byID[id].key)
+	delete(in.byID, id)
 }
 
 // str returns the rendered signature for an interned ID.
 func (in *interner) str(id sigID) string { return in.byID[id].str }
-
-func fnv64(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
 
 // Behaviour-vector encoding tags.
 const (

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"hbverify/internal/dataplane"
-	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/metrics"
 	"hbverify/internal/route"
@@ -102,9 +101,6 @@ func (inc *Incremental) add(router string, t table) {
 // snapshot diff may call it directly. router must be registered: its table
 // is read where it lives, so only the prefix is queued.
 func (inc *Incremental) Note(router string, u fib.Update) {
-	if fault.On(fault.StaleEqclass) {
-		return
-	}
 	inc.mu.Lock()
 	inc.pending[u.Entry.Prefix.Masked()] = struct{}{}
 	inc.mu.Unlock()
@@ -210,8 +206,11 @@ func (inc *Incremental) removeMemberLocked(p netip.Prefix, id sigID) {
 	delete(set, p)
 	delete(inc.sigOf, p)
 	if len(set) == 0 {
+		// Every ID a flush interns gets a member in that flush, so with
+		// this the interner holds exactly the live classes' signatures.
 		delete(inc.members, id)
 		delete(inc.reps, id)
+		inc.look.in.forget(id)
 		return
 	}
 	if inc.reps[id] == p {

@@ -2,6 +2,7 @@ package eqclass
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -217,25 +218,39 @@ func TestIncrementalRepresentatives(t *testing.T) {
 	}
 }
 
-// TestInternerCollision drives the linear-probing path directly: two
-// distinct keys forced onto the same ID must intern to different IDs with
-// their own renderings.
-func TestInternerCollision(t *testing.T) {
-	in := newInterner()
-	k1 := []byte{1, 2, 3}
-	id1 := in.intern(k1, func() string { return "one" })
-	// Occupy nothing else; intern a key whose natural slot we usurp.
-	k2 := []byte{9, 9, 9}
-	in.byID[sigID(fnv64(k2))] = in.byID[id1] // simulate a hash collision
-	id2 := in.intern(k2, func() string { return "two" })
-	if id2 == sigID(fnv64(k2)) {
-		t.Fatal("collision not probed past")
+// TestInternerForgetsDeadSignatures: random next hops for 16 prefixes on 4
+// tables over 20,000 flushes. Each flush interns the signatures of the
+// prefixes it moves and forgets those of the classes it empties, so the
+// interner holds exactly the live classes' signatures — an interner that
+// never forgets keeps every transient behaviour ever seen — and the classes
+// equal a from-scratch Compute throughout.
+func TestInternerForgetsDeadSignatures(t *testing.T) {
+	routers := []string{"r1", "r2", "r3", "r4"}
+	fibs := map[string]*trie.Trie[fib.Entry]{}
+	var prefixes []netip.Prefix
+	for i := 0; i < 16; i++ {
+		prefixes = append(prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 24))
 	}
-	if in.str(id2) != "two" {
-		t.Fatalf("collided key rendered %q, want %q", in.str(id2), "two")
+	for _, r := range routers {
+		fibs[r] = trie.New[fib.Entry]()
 	}
-	if id1 == id2 {
-		t.Fatal("distinct keys share an ID")
+	inc := NewIncremental(nil)
+	seedFrom(inc, fibs)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		r, p := routers[rng.Intn(len(routers))], prefixes[rng.Intn(len(prefixes))]
+		if hop := rng.Intn(5); hop == 4 {
+			mutate(inc, fibs, r, fib.Entry{Prefix: p}, false)
+		} else {
+			mutate(inc, fibs, r, fib.Entry{Prefix: p, NextHop: netip.AddrFrom4([4]byte{192, 0, 2, byte(1 + hop)})}, true)
+		}
+		inc.Update()
+		if in := inc.look.in; len(in.byID) != inc.Len() || len(in.ids) != len(in.byID) {
+			t.Fatalf("flush %d: %d signatures interned (%d keys) for %d live classes", i, len(in.byID), len(in.ids), inc.Len())
+		}
+		if i%1000 == 999 {
+			requireParity(t, inc, fibs, fmt.Sprintf("flush %d", i))
+		}
 	}
 }
 

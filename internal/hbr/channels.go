@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 	"hbverify/internal/route"
 	"hbverify/internal/wire"
@@ -103,9 +102,7 @@ func (c *Channels) feed(io *capture.IO, h uint64, pair func(send, recv uint64)) 
 	ch := channel{io.Peer, io.Router, io.Proto, c.epochs[side{io.Router, io.Peer, io.Proto == route.ProtoBGP}]}
 	switch {
 	case io.Type == capture.LinkDown || io.Type == capture.SessionDown:
-		if !fault.On(fault.SkipChannelEpoch) {
-			c.epochs[side{io.Router, io.Peer, io.Type == capture.SessionDown}]++
-		}
+		c.epochs[side{io.Router, io.Peer, io.Type == capture.SessionDown}]++
 		return
 	case send:
 		ch.from, ch.to = io.Router, io.Peer
@@ -115,12 +112,8 @@ func (c *Channels) feed(io *capture.IO, h uint64, pair func(send, recv uint64)) 
 	q := c.queue(ch)
 	m := messageOf(io)
 	for len(q.items) > 0 && q.sends != send {
-		var o pending
-		if !send && fault.On(fault.SwapSendMatch) {
-			o, q.items = q.items[len(q.items)-1], q.items[:len(q.items)-1]
-		} else {
-			o, q.items = q.items[0], q.items[1:]
-		}
+		o := q.items[0]
+		q.items = q.items[1:]
 		if o.msg == m {
 			if send {
 				pair(h, o.h)

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 	"hbverify/internal/metrics"
 	"hbverify/internal/netsim"
@@ -176,9 +175,6 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 		return inc.cached
 	}
 	if inc.cached != nil {
-		if fault.On(fault.StaleCache) {
-			return inc.cached
-		}
 		// Append-only growth of the covered window?
 		if sufStart, ok := inc.extensionStartLocked(ios); ok {
 			return inc.extend(ios, sufStart)
@@ -454,10 +450,7 @@ func (inc *Incremental) Compact(log *capture.Log) (*hbg.Graph, int) {
 	if win.Len() == 0 {
 		return nil, 0
 	}
-	var g *hbg.Graph
-	if !fault.On(fault.SkipFold) {
-		g = inc.InferView(win)
-	}
+	g := inc.InferView(win)
 	retain := inc.Rules.LookbackWindow() + 2*skewSlack(inc.SkewSlack)
 	floor := win.At(win.Len()-1).Time - netsim.VirtualTime(retain)
 	cut := 0

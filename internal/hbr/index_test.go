@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
@@ -132,10 +131,10 @@ func TestFastMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSwapSendMatchBugDiverges proves the injectable matcher bug produces
-// a detectable divergence: with two unmatched sends queued on the channel,
-// the reference pairs the receive with the oldest and the bugged fast path
-// with the newest.
+// TestSwapSendMatchBugDiverges: with two unmatched sends queued on the
+// channel, the reference and the fast path both pair the receive with the
+// oldest. The swap-send-match mutation in .github/mutate.go pairs it with
+// the newest, a divergence the infer-fast-vs-reference oracle catches.
 func TestSwapSendMatchBugDiverges(t *testing.T) {
 	pfx := netip.MustParsePrefix("10.0.0.0/24")
 	addr := netip.MustParseAddr("10.255.0.1")
@@ -153,13 +152,8 @@ func TestSwapSendMatchBugDiverges(t *testing.T) {
 	if !slices.Contains(want.Parents(3), 1) {
 		t.Fatal("reference did not pair the receive with the oldest send")
 	}
-	defer fault.Inject(fault.SwapSendMatch)()
-	got := r.Infer(ios)
-	if d := diffGraphs(got, want); d == "" {
-		t.Fatal("swap-send-match bug produced no divergence")
-	}
-	if !slices.Contains(got.Parents(3), 2) {
-		t.Fatal("bugged table did not pair the receive with the newest send")
+	if d := diffGraphs(r.Infer(ios), want); d != "" {
+		t.Fatalf("fast path diverges from the reference: %s", d)
 	}
 }
 

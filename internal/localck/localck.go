@@ -26,7 +26,6 @@ import (
 	"slices"
 
 	"hbverify/internal/dataplane"
-	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/route"
 )
@@ -283,7 +282,7 @@ func (c *Checker) Check(router string, state StateFn) []Violation {
 // flags. Unlabeled routers flag as stale the moment they carry any
 // forwarding state for the class, since labels cannot vouch for them.
 func (c *Checker) CheckClass(router string, class netip.Prefix, st dataplane.Step) []Violation {
-	if !c.Enabled() || fault.On(fault.SkipLocalCheck) {
+	if !c.Enabled() {
 		return nil
 	}
 	own := c.Labels.OwnLabel(class)

@@ -18,8 +18,6 @@ package route
 import (
 	"net/netip"
 	"sync"
-
-	"hbverify/internal/fault"
 )
 
 // internEntry is one canonical attribute set plus its refcount. Entries are
@@ -114,11 +112,7 @@ func hashAttrs(a BGPAttrs) uint64 {
 	mix32(a.MED)
 	mix32(uint32(a.Origin))
 	mix32(uint32(len(a.ASPath)))
-	alias := fault.On(fault.InternAlias)
-	for i, as := range a.ASPath {
-		if i == 0 && alias {
-			as = 0 // first AS hashed as a wildcard
-		}
+	for _, as := range a.ASPath {
 		mix32(as)
 	}
 	mix32(uint32(len(a.Communities)))
@@ -150,11 +144,7 @@ func attrsEqualForIntern(a, b BGPAttrs) bool {
 		len(a.ClusterList) != len(b.ClusterList) {
 		return false
 	}
-	alias := fault.On(fault.InternAlias)
 	for i := range a.ASPath {
-		if i == 0 && alias {
-			continue // first AS treated as don't-care
-		}
 		if a.ASPath[i] != b.ASPath[i] {
 			return false
 		}

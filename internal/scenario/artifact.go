@@ -5,6 +5,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -26,15 +27,22 @@ func WriteArtifact(path string, a Artifact) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadArtifact loads an artifact written by WriteArtifact.
+// ReadArtifact loads an artifact written by WriteArtifact. A field this
+// version does not know is an error: a run it configured cannot be
+// reproduced, so replaying without it would report on another run.
 func ReadArtifact(path string) (Artifact, error) {
 	var a Artifact
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return a, err
 	}
-	if err := json.Unmarshal(data, &a); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&a); err != nil {
 		return a, fmt.Errorf("artifact %s: %w", path, err)
+	}
+	if dec.More() {
+		return a, fmt.Errorf("artifact %s: data after the artifact", path)
 	}
 	return a, nil
 }
@@ -46,9 +54,6 @@ func FailureReport(a Artifact, path string) string {
 	fmt.Fprintf(&b, "scenario failure: %s\n", a.Failure.Error())
 	fmt.Fprintf(&b, "  seed=%d shape=%s mix=%s routers=%d rounds=%d",
 		a.Config.Seed, a.Config.Shape, a.Config.Mix, a.Config.Routers, a.Config.Rounds)
-	if a.Config.Bug != "" {
-		fmt.Fprintf(&b, " bug=%s", a.Config.Bug)
-	}
 	fmt.Fprintf(&b, "\n  minimized schedule (%d events):\n", len(a.Config.Schedule))
 	for _, ev := range a.Config.Schedule {
 		fmt.Fprintf(&b, "    %s\n", ev)

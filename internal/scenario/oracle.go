@@ -17,13 +17,11 @@ import (
 	"hbverify/internal/dataplane"
 	"hbverify/internal/dist"
 	"hbverify/internal/eqclass"
-	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/localck"
 	"hbverify/internal/netsim"
-	"hbverify/internal/repair"
 	"hbverify/internal/route"
 	"hbverify/internal/serve"
 	"hbverify/internal/snapshot"
@@ -51,8 +49,9 @@ const (
 // every path a speaker retains must carry attributes exactly equal to some
 // recorded recv-advert from that (router, peer, prefix). The recv I/O is
 // captured before the attributes are interned, so a canonical table that
-// aliases distinct attribute sets (fault.InternAlias) leaves the speaker
-// holding attributes no wire message ever carried.
+// aliases distinct attribute sets (the intern-alias mutation in
+// .github/mutate.go) leaves the speaker holding attributes no wire message
+// ever carried.
 func (h *harness) oracleInternVsCopy(round int) *Failure {
 	type recvKey struct {
 		router string
@@ -218,8 +217,8 @@ const compactRootSample = 128
 // worst clock skew behind the newest capture, are evicted with their edges
 // compacted into the cache baseline. The cached graph must stay node-,
 // edge-, and root-cause identical to a fresh full inference
-// over the complete log pruned at the same floor. fault.SkipFold evicts
-// without folding first — a compactor that trims the log ahead of its
+// over the complete log pruned at the same floor. The skip-fold mutation
+// evicts without folding first — a compactor that trims the log ahead of its
 // inference tick — which this oracle must catch.
 func (h *harness) oracleCompactionVsFull(round int) *Failure {
 	all := h.w.net.Log.View().Stripped()
@@ -294,10 +293,11 @@ func compareEdges(a, b hbg.Edge) int {
 // A cut (b) calls consistent must be closed under ground-truth
 // happens-before (cutOpenAt), and by (d) so is the cut VerifySnapshot
 // verifies on. Every round's cut is recorded in Result.Cuts.
-// fault.SkipCutExtension verifies the first cut unextended, which (c) must
-// catch; fault.FIBAncestryOnly judges (b)'s graphs by the FIB updates'
-// inferred ancestry alone, and fault.StaleFrontier keeps the pipeline's FIB
-// replay when a cut hides part of it, both of which (d) must catch.
+// Of the mutations in .github/mutate.go, skip-cut-extension verifies the
+// first cut unextended, which (c) must catch; fib-ancestry-only judges (b)'s
+// graphs by the FIB updates' inferred ancestry alone, and stale-frontier
+// keeps the pipeline's FIB replay when a cut hides part of it, both of which
+// (d) must catch.
 func (h *harness) oracleSnapshots(round int) *Failure {
 	all := h.w.net.Log.Snapshot()
 	stripped := capture.StripOracle(all)
@@ -354,9 +354,6 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 		return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
 			"cut %v, closed to %v: Pipeline.VerifySnapshot (%s) walks otherwise than a cold replay of the cut (%s)",
 			cut, tFinal, pRep.Summary(), coldRep.Summary())}
-	}
-	if fault.On(fault.SkipCutExtension) {
-		collected = snapshot.Collect(stripped, cut)
 	}
 
 	// (c) no phantom loops. A concrete (unbranched) loop is phantom if the
@@ -594,8 +591,8 @@ const probeEnumLimit = 1024
 // walker, aggregates those per-path outcomes independently, and requires
 // the aggregate to reproduce the symbolic walk's outcome and egress set —
 // and every probe to traverse only edges the symbolic DAG recorded.
-// fault.DropEcmpBranch makes the symbolic side silently skip the last member
-// of each multi-way branch, which the edge-coverage check must catch.
+// The drop-ecmp-branch mutation makes the symbolic side silently skip the
+// last member of each multi-way branch, which the edge-coverage check must catch.
 func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 	walker := h.liveWalker()
 	for _, p := range []netip.Prefix{PrefixP, PrefixQ} {
@@ -664,9 +661,9 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 // central executor and over the fleet executor — and asserts every check
 // was answered by the same walk, field for field: the coordinator's replay
 // of the collected expansions must reproduce the central DFS's outcome,
-// path, egresses, edges and branch count. fault.DropBatch
-// makes the coordinator lose every batch bound for one node while still
-// reporting success, which this oracle must catch.
+// path, egresses, edges and branch count. The drop-batch mutation makes the
+// coordinator lose every batch bound for one node while still reporting
+// success, which this oracle must catch.
 func (h *harness) oracleDistVsCentral(round int) *Failure {
 	fleet, err := dist.NewFleet(h.w.net, nil)
 	if err != nil {
@@ -706,8 +703,8 @@ func (h *harness) oracleDistVsCentral(round int) *Failure {
 // update-in-flight snapshots where one delivering router's covering
 // entries are withdrawn while the labels stay at the pre-update epoch —
 // exactly the state a node validates mid-churn, before any relabel.
-// fault.SkipLocalCheck silences every local checker while leaving the
-// labels intact, which the in-flight phase must catch.
+// The skip-local-check mutation silences every local checker while leaving
+// the labels intact, which the in-flight phase must catch.
 func (h *harness) oracleLocalSuperset(round int) *Failure {
 	classes := []netip.Prefix{PrefixP, PrefixQ}
 	views := map[string]dist.LocalView{}
@@ -801,8 +798,8 @@ var faultNextHop = netip.MustParseAddr("192.0.2.254")
 // that can currently reach P, lets the pipeline detect the violation, trace
 // it through the HBG and roll back the root-cause config version, and
 // asserts the network reconverges to the exact pre-fault data plane.
-// fault.SkipRollback detects without repairing, which the data-plane
-// comparison must catch.
+// The skip-rollback mutation reports a rollback it never applies, which the
+// data-plane comparison must catch.
 func (h *harness) oracleRepairRollback(round int) *Failure {
 	// Let the round's churn age out of the 500ms rule window so the fault's
 	// FIB update can only be attributed to the fault config change.
@@ -838,14 +835,7 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 	}
 
 	pols := []verify.Policy{{Kind: verify.NoBlackhole, Prefix: PrefixP, Sources: []string{victim}}}
-	skip := fault.On(fault.SkipRollback)
-	var d *repair.Diagnosis
-	var err error
-	if skip {
-		d = h.p.Detect(pols)
-	} else {
-		d, err = h.p.DetectAndRepair(pols)
-	}
+	d, err := h.p.DetectAndRepair(pols)
 	if d.Report.OK() {
 		return &Failure{Oracle: OracleRepair, Round: round,
 			Detail: fmt.Sprintf("injected blackhole on %s not detected", victim)}
@@ -854,7 +844,7 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 		return &Failure{Oracle: OracleRepair, Round: round, Detail: fmt.Sprintf(
 			"repair failed on %s: %v (fault=%s, %d roots)", victim, err, d.Fault, len(d.Roots))}
 	}
-	if !skip && (!d.RolledBack || d.RollbackRouter != victim) {
+	if !d.RolledBack || d.RollbackRouter != victim {
 		return &Failure{Oracle: OracleRepair, Round: round,
 			Detail: fmt.Sprintf("rollback targeted %q, want %q", d.RollbackRouter, victim)}
 	}
@@ -903,11 +893,11 @@ func (h *harness) oracleEqclassDelta(round int) *Failure {
 // checks, the engine's verdict must match a cold Checker's over the same
 // live state, and the walk backing the verdict must be byte-identical —
 // path, outcome, egress — to the cold walker's, however the plan was
-// obtained (shared-cache hit, coalesced flight, pinned bug walk, or fresh
-// execution). The engine persists across rounds, so plans cached in
-// earlier rounds must have been invalidated by the interleaving churn;
-// fault.StalePlan pins each plan's first walk forever, which this oracle must
-// catch as soon as a queried plan's forwarding actually changes.
+// obtained (shared-cache hit, coalesced flight, or fresh execution). The
+// engine persists across rounds, so plans cached in earlier rounds must have
+// been invalidated by the interleaving churn; the stale-plan mutation pins
+// each plan's first walk forever, which this oracle must catch as soon as a
+// queried plan's forwarding actually changes.
 func (h *harness) oracleServeVsBatch(round int) *Failure {
 	pols := h.policies()
 	coldRep := verify.NewChecker(h.liveWalker(), h.w.verifySources).Check(pols)

@@ -2,8 +2,8 @@
 // seeded deterministic networks, drives them through churn schedules, and
 // checks twelve differential oracles after every convergence round. The
 // stack under test is the production one — one hbverify.Pipeline and the
-// query engine it builds — and Config.Bug injects one of the internal/fault
-// defects to prove an oracle can fail. The oracles —
+// query engine it builds — and .github/mutate.go proves each oracle can fail
+// by building it with a known defect planted in the source. The oracles —
 //
 //  0. infer-fast-vs-reference: the shared-index rule matcher produces
 //     node- and edge-identical graphs to the preserved pre-index
@@ -41,8 +41,8 @@
 //     wire — the hash-consed canonical table never aliases distinct sets;
 //  10. serve-vs-batch: every answer the pipeline's query engine gives —
 //     verdict and walk — is identical to a fresh batch check over the
-//     same live state, however the plan was obtained (cache hit, pinned
-//     plan, coalesced flight, or fresh execution);
+//     same live state, however the plan was obtained (cache hit,
+//     coalesced flight, or fresh execution);
 //  11. localcheck-superset: per-router local invariant checks over
 //     distance labels flag a superset of the central walker's
 //     violations — on converged views and on update-in-flight snapshots
@@ -61,7 +61,6 @@ import (
 
 	"hbverify"
 	"hbverify/internal/capture"
-	"hbverify/internal/fault"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
@@ -73,13 +72,12 @@ import (
 // generated from Seed, while a non-nil (even empty) Schedule is replayed
 // verbatim — that distinction is what makes shrunk artifacts exact.
 type Config struct {
-	Seed     int64     `json:"seed"`
-	Shape    string    `json:"shape,omitempty"`
-	Mix      string    `json:"mix,omitempty"`
-	Routers  int       `json:"routers,omitempty"`
-	Rounds   int       `json:"rounds,omitempty"`
-	Bug      fault.Bug `json:"bug,omitempty"`
-	Schedule []Event   `json:"schedule,omitempty"`
+	Seed     int64   `json:"seed"`
+	Shape    string  `json:"shape,omitempty"`
+	Mix      string  `json:"mix,omitempty"`
+	Routers  int     `json:"routers,omitempty"`
+	Rounds   int     `json:"rounds,omitempty"`
+	Schedule []Event `json:"schedule,omitempty"`
 }
 
 // Normalize fills unset fields deterministically from Seed.
@@ -176,11 +174,6 @@ func Run(cfg Config) *Result {
 		}
 		return res
 	}
-
-	if cfg.Bug != "" && !fault.Known(cfg.Bug) {
-		return fail("harness", -1, "unknown bug %q (known: %v)", cfg.Bug, fault.Bugs)
-	}
-	defer fault.Inject(cfg.Bug)()
 
 	w, err := buildWorld(cfg)
 	if err != nil {

@@ -1,14 +1,15 @@
 package scenario
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 )
 
@@ -57,172 +58,6 @@ func TestScenarioDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a.Config.Schedule, b.Config.Schedule) {
 		t.Fatal("materialized schedules diverge between runs")
 	}
-}
-
-// forceBug runs a seeded scenario with a known bug injected and requires
-// the named oracle (or oracles) to catch it, the shrink to produce a
-// reproducible artifact, and the artifact to reproduce the failure. The
-// seed picks a schedule whose churn actually exposes the bug.
-func forceBug(t *testing.T, seed int64, bug fault.Bug, oracles ...string) {
-	t.Helper()
-	forceBugCfg(t, Config{Seed: seed, Bug: bug}, oracles...)
-}
-
-func forceBugCfg(t *testing.T, cfg Config, oracles ...string) {
-	t.Helper()
-	res := Run(cfg)
-	if res.Failure == nil {
-		t.Fatalf("bug %q not caught by any oracle", cfg.Bug)
-	}
-	found := false
-	for _, o := range oracles {
-		if res.Failure.Oracle == o {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("bug %q caught by oracle %q, want one of %v", cfg.Bug, res.Failure.Oracle, oracles)
-	}
-
-	a, report := ReportFailure(res.Config, *res.Failure, t.TempDir())
-	t.Logf("forced-bug report:\n%s", report)
-	if len(a.Config.Schedule) > len(res.Config.Schedule) {
-		t.Fatalf("shrink grew the schedule: %d > %d", len(a.Config.Schedule), len(res.Config.Schedule))
-	}
-
-	// The artifact must reproduce: round-trip through JSON and re-run.
-	data, err := json.Marshal(a.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Config
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Schedule == nil {
-		back.Schedule = []Event{}
-	}
-	rerun := Run(back)
-	if rerun.Failure == nil {
-		t.Fatal("minimized artifact no longer fails")
-	}
-	if rerun.Failure.Oracle != a.Failure.Oracle {
-		t.Fatalf("artifact fails oracle %q, original failed %q", rerun.Failure.Oracle, a.Failure.Oracle)
-	}
-}
-
-// TestForcedStaleCache proves the incremental-vs-full oracle catches a
-// cache that never refreshes. (With the frozen graph the repair engine can
-// also trip first on round 0, before the cache visibly diverges.)
-func TestForcedStaleCache(t *testing.T) {
-	forceBug(t, 3, fault.StaleCache, OracleIncremental, OracleRepair)
-}
-
-// TestForcedSkipRollback proves the repair-rollback oracle catches a
-// repair engine that never applies its rollback.
-func TestForcedSkipRollback(t *testing.T) {
-	forceBug(t, 3, fault.SkipRollback, OracleRepair)
-}
-
-// TestForcedStaleEqclass proves the eqclass-delta-vs-full oracle catches a
-// delta pipeline whose FIB change feed is disconnected: the frozen
-// classifier diverges from full Compute as soon as churn (or the round's
-// fault injection) moves a FIB entry.
-func TestForcedStaleEqclass(t *testing.T) {
-	forceBug(t, 3, fault.StaleEqclass, OracleEqclassDelta)
-}
-
-// TestForcedDropBatch proves the dist-vs-central oracle catches a
-// transport that loses walk batches while reporting the round complete:
-// the victim node's walks come back empty and diverge from the central
-// walker immediately.
-func TestForcedDropBatch(t *testing.T) {
-	forceBug(t, 3, fault.DropBatch, OracleDist)
-}
-
-// TestForcedSwapSendMatch proves the infer-fast-vs-reference oracle
-// catches a channel table read from the wrong end: with several sends
-// queued ahead of their receives, the bugged fast path pairs a receive with
-// the newest and diverges from the reference's scan. (The same wrong edges
-// can also surface first through the repair engine's root-cause walk.)
-func TestForcedSwapSendMatch(t *testing.T) {
-	forceBug(t, 4, fault.SwapSendMatch, OracleInferRef, OracleRepair)
-}
-
-// TestForcedSkipChannelEpoch proves the incremental-vs-full oracle catches
-// a channel table whose epochs never advance: the LSA a link failure lost
-// stays queued in the one epoch, and the next receive on that adjacency
-// passes over it — a desync on a log that lost no line.
-func TestForcedSkipChannelEpoch(t *testing.T) {
-	forceBugCfg(t, Config{Seed: 2, Bug: fault.SkipChannelEpoch}, OracleIncremental)
-}
-
-// TestForcedSkipFold proves the compaction-vs-full oracle catches a
-// compactor that evicts capture events before folding their edges into
-// the cached graph: once the round's history ages past the retention
-// floor, the unfolded events' nodes and edges are simply gone from the
-// window graph while the pruned full inference still has them.
-func TestForcedSkipFold(t *testing.T) {
-	forceBug(t, 3, fault.SkipFold, OracleCompaction)
-}
-
-// TestForcedDropEcmpBranch proves the symbolic-vs-probe oracle catches a
-// set-walker that silently skips an ECMP branch. The fat-tree OSPF world
-// guarantees equal-cost fan-out (every edge router is dual-homed to both
-// cores), so concrete probe enumeration finds paths through the branch the
-// bugged symbolic walk never recorded.
-func TestForcedDropEcmpBranch(t *testing.T) {
-	forceBugCfg(t, Config{Seed: 3, Shape: "fattree", Mix: "ospf", Routers: 6, Bug: fault.DropEcmpBranch},
-		OracleSymbolic)
-}
-
-// TestForcedInternAlias proves the intern-vs-copy oracle catches a canonical
-// attribute table that aliases distinct sets. The BGP mix has e1 (AS 100)
-// and e2 (AS 200) announcing the multi-homed prefix P with single-AS paths
-// differing only in that AS, exactly what the wildcarded first-AS hash
-// collapses; some speaker then retains an AS path no wire message carried.
-func TestForcedInternAlias(t *testing.T) {
-	forceBugCfg(t, Config{Seed: 3, Mix: "ospf+bgp", Bug: fault.InternAlias}, OracleInternCopy)
-}
-
-// TestForcedStalePlan proves the serve-vs-batch oracle catches a query
-// engine whose plan cache stops hearing invalidations: the first round's
-// walks are pinned, the next round's churn moves forwarding for a queried
-// plan, and the pinned answer diverges from the fresh batch check.
-func TestForcedStalePlan(t *testing.T) {
-	forceBug(t, 3, fault.StalePlan, OracleServe)
-}
-
-// TestForcedSkipLocalCheck proves the localcheck-superset oracle catches
-// a local-check mode whose per-router checkers are silenced: on the
-// oracle's update-in-flight snapshot a labeled router loses its covering
-// route, the central walker fails the class, and with no local flag (and
-// fresh labels vouching for the source) the superset property breaks.
-func TestForcedSkipLocalCheck(t *testing.T) {
-	forceBug(t, 3, fault.SkipLocalCheck, OracleLocalCheck)
-}
-
-// TestForcedSkipCutExtension proves the snapshot oracle catches a verifier
-// that takes the first lagged cut as it comes: the loop it shows sits in a
-// cut that lacks the send behind a collected receive.
-func TestForcedSkipCutExtension(t *testing.T) {
-	forceBugCfg(t, Config{Seed: 1, Shape: "ring", Rounds: 5, Bug: fault.SkipCutExtension}, OracleSnapshot)
-}
-
-// TestForcedFIBAncestryOnly proves the snapshot oracle's part (d) catches a
-// consistency check that examines only the receives in the collected FIB
-// updates' inferred ancestry: the graph-driven cut stops short of the one
-// message accounting reaches.
-func TestForcedFIBAncestryOnly(t *testing.T) {
-	forceBug(t, 3, fault.FIBAncestryOnly, OracleSnapshot)
-}
-
-// TestForcedStaleFrontier proves the snapshot oracle's part (d) catches a
-// snapshot frontier that keeps its FIB replay when a cut hides part of it:
-// after a verdict on the whole log, the lagged cut's snapshot holds entries
-// the cut never collected, and its walks differ from a cold replay's.
-func TestForcedStaleFrontier(t *testing.T) {
-	forceBug(t, 3, fault.StaleFrontier, OracleSnapshot)
 }
 
 // requireClosedCuts runs a scenario the snapshot oracle must pass — it
@@ -283,8 +118,6 @@ func TestCutClosedISPRRSeed21(t *testing.T) {
 	requireClosedCuts(t, Config{Seed: 21, Shape: "isp-rr", Rounds: 25})
 }
 
-// TestUnknownBugFailsTheHarness: a bug name the fault package does not know
-// is a harness failure, not a healthy run with nothing injected.
 // TestGraphDiffNamesLowestDifference: a failure's detail names its two
 // sides by the labels given and the lowest node, else edge, only one side
 // has — the same one on every run, so an artifact's detail is reproducible.
@@ -316,13 +149,6 @@ func TestGraphDiffNamesLowestDifference(t *testing.T) {
 		if got := graphDiffLabeled(tc.got, tc.want, tc.gl, tc.wl); got != tc.detail {
 			t.Errorf("graphDiffLabeled(%s, %s) = %q, want %q", tc.gl, tc.wl, got, tc.detail)
 		}
-	}
-}
-
-func TestUnknownBugFailsTheHarness(t *testing.T) {
-	res := Run(Config{Seed: 3, Bug: "typo"})
-	if res.Failure == nil || res.Failure.Oracle != "harness" {
-		t.Fatalf("failure = %v, want a harness failure", res.Failure)
 	}
 }
 
@@ -443,20 +269,59 @@ func TestISPRRScheduleKinds(t *testing.T) {
 	}
 }
 
-// TestShrinkPreservesFailure checks the shrinker's contract directly on a
-// forced failure: the minimized config still fails the same oracle.
-func TestShrinkPreservesFailure(t *testing.T) {
-	cfg, err := Materialize(Config{Seed: 5, Bug: fault.SkipRollback})
+// TestReadArtifactRejectsUnknownFields: an artifact naming a setting this
+// version does not have — here the injected bug that artifacts once carried —
+// is an error naming the field, not a replay of some other, healthy run.
+func TestReadArtifactRejectsUnknownFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "artifact.json")
+	data := `{"config": {"seed": 3, "bug": "skip-rollback", "schedule": []}, "failure": {"oracle": "repair-rollback"}}`
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadArtifact(path); err == nil || !strings.Contains(err.Error(), `unknown field "bug"`) {
+		t.Fatalf("ReadArtifact = %v, want an error naming the unknown field \"bug\"", err)
+	}
+	cfg, err := Materialize(Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := WriteArtifact(path, Artifact{Config: cfg}); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := ReadArtifact(path); err != nil || !reflect.DeepEqual(a.Config, cfg) {
+		t.Fatalf("round trip: %v, config equal %v", err, err == nil && reflect.DeepEqual(a.Config, cfg))
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"config": {"seed": 4}}`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if _, err := ReadArtifact(path); err == nil {
+		t.Fatal("an artifact followed by a second one was accepted")
+	}
+}
+
+// TestShrinkPreservesFailure checks the shrinker's contract directly: the
+// minimized config still fails the same oracle, with no more events. A world
+// that cannot be built fails every run as a harness failure, whatever its
+// schedule, so every event drops. Shrinks of oracle failures are checked by
+// .github/mutate.go, whose failing runs each shrink and replay an artifact.
+func TestShrinkPreservesFailure(t *testing.T) {
+	cfg, err := Materialize(Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Shape = "no-such-shape"
 	res := Run(cfg)
-	if res.Failure == nil {
-		t.Fatal("forced bug did not fail")
+	if res.Failure == nil || res.Failure.Oracle != "harness" || len(cfg.Schedule) == 0 {
+		t.Fatalf("failure = %v with %d events, want a harness failure with a schedule", res.Failure, len(cfg.Schedule))
 	}
 	small := Shrink(cfg, *res.Failure, 0)
-	if len(small.Schedule) > len(cfg.Schedule) {
-		t.Fatal("shrink grew the schedule")
+	if len(small.Schedule) != 0 {
+		t.Fatalf("shrink kept %d of %d events, want none", len(small.Schedule), len(cfg.Schedule))
 	}
 	again := Run(small)
 	if again.Failure == nil || again.Failure.Oracle != res.Failure.Oracle {

@@ -37,7 +37,6 @@ import (
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/eqclass"
-	"hbverify/internal/fault"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/verify"
@@ -168,7 +167,6 @@ type Engine struct {
 	mu       sync.Mutex
 	flights  map[planKey]*flight
 	wflights map[string]*flight
-	bugWalks map[planKey]dataplane.Walk // fault.StalePlan's pinned plans
 
 	latency  *metrics.Histogram
 	inflight *metrics.Gauge
@@ -197,9 +195,6 @@ func New(cfg Config) *Engine {
 		executed:  reg.Counter("serve.plan.executed"),
 		rejected:  reg.Counter("serve.rejected"),
 		whatifs:   reg.Counter("serve.whatif"),
-	}
-	if fault.On(fault.StalePlan) {
-		e.bugWalks = map[planKey]dataplane.Walk{}
 	}
 	return e
 }
@@ -314,19 +309,10 @@ const (
 	planExecuted
 )
 
-// planWalk resolves the plan's walk: pinned bug walk, cache hit, joined
-// flight, or a fresh execution under admission.
+// planWalk resolves the plan's walk: cache hit, joined flight, or a fresh
+// execution under admission.
 func (e *Engine) planWalk(k planKey) (dataplane.Walk, planSource, error) {
-	if e.bugWalks != nil {
-		e.mu.Lock()
-		w, ok := e.bugWalks[k]
-		e.mu.Unlock()
-		if ok {
-			return w, planHit, nil
-		}
-	}
 	if w, ok := e.cfg.Cache.Lookup(k.Source, k.Dst); ok {
-		e.pinBugWalk(k, w)
 		return w, planHit, nil
 	}
 	e.mu.Lock()
@@ -368,22 +354,7 @@ func (e *Engine) execute(k planKey, epoch uint64) (dataplane.Walk, error) {
 	}
 	w := walks[0]
 	e.cfg.Cache.Store(k.Source, k.Dst, w, epoch)
-	e.pinBugWalk(k, w)
 	return w, nil
-}
-
-// pinBugWalk records the first walk a plan resolved to — whether executed
-// or read from the shared cache — as its answer forever. Only active when
-// the engine was built with fault.StalePlan injected.
-func (e *Engine) pinBugWalk(k planKey, w dataplane.Walk) {
-	if e.bugWalks == nil {
-		return
-	}
-	e.mu.Lock()
-	if _, ok := e.bugWalks[k]; !ok {
-		e.bugWalks[k] = w
-	}
-	e.mu.Unlock()
 }
 
 // acquire takes an admission token, shedding when too many leaders are

@@ -31,7 +31,6 @@ import (
 	"sort"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/fault"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/netsim"
@@ -186,18 +185,8 @@ func (c *closure) result() Result {
 // inferred graph need not connect the install it causes to the FIB update
 // that ground truth says depends on it, so an ancestry walk can pass over it.
 func Check(g *hbg.Graph, external func(string) bool) Result {
-	refs := g.Refs()
-	if fault.On(fault.FIBAncestryOnly) {
-		var fibs []uint64
-		for _, io := range refs {
-			if io.Type == capture.FIBInstall || io.Type == capture.FIBRemove {
-				fibs = append(fibs, io.ID)
-			}
-		}
-		refs = g.Ancestry(fibs)
-	}
 	var c closure
-	for _, io := range refs {
+	for _, io := range g.Refs() {
 		if !accounted(io, external) {
 			continue
 		}

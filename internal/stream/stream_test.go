@@ -15,7 +15,6 @@ import (
 
 	"hbverify/internal/capture"
 	"hbverify/internal/ciscolog"
-	"hbverify/internal/fault"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
@@ -292,17 +291,18 @@ func TestRecoveryFromFinalCheckpoint(t *testing.T) {
 	edgesEqual(t, second.Graph(), first.Graph())
 }
 
-// TestForcedSkipFold injects the evict-without-fold bug: compaction that
-// drops events before folding their edges into the cached graph must be
-// caught by the compaction-vs-full differential.
+// TestForcedSkipFold: a daemon that compacts every 64 events keeps every
+// edge an unbounded daemon infers above its pruning floor, because
+// compaction folds events into the cached graph before evicting them. The
+// skip-fold mutation in .github/mutate.go evicts without folding, which
+// loses edges here.
 func TestForcedSkipFold(t *testing.T) {
 	f := testFleet(120)
-	buggy, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver(), CompactEvery: 64})
+	bounded, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver(), CompactEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fault.Inject(fault.SkipFold)() // the unbounded control below never compacts
-	runDaemon(t, buggy, f)
+	runDaemon(t, bounded, f)
 
 	full, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver()})
 	if err != nil {
@@ -310,7 +310,10 @@ func TestForcedSkipFold(t *testing.T) {
 	}
 	runDaemon(t, full, f)
 
-	bg := buggy.Graph()
+	bg := bounded.Graph()
+	if bg.PrunedBelow() == 0 {
+		t.Fatal("the bounded daemon never compacted")
+	}
 	fg := full.Graph()
 	fg.PruneBefore(bg.PrunedBelow())
 	lost := 0
@@ -319,8 +322,8 @@ func TestForcedSkipFold(t *testing.T) {
 			lost++
 		}
 	}
-	if lost == 0 {
-		t.Fatal("skip-fold bug produced a complete graph; the differential oracle has no teeth")
+	if lost != 0 {
+		t.Fatalf("compaction lost %d of %d edges", lost, fg.EdgeCount())
 	}
 }
 
