@@ -111,9 +111,15 @@ type Walk struct {
 	// for symbolic walks that branched.
 	Egresses []string
 	// Edges lists the explored forwarding DAG's edges in discovery order,
-	// set for symbolic walks that branched. Waypoint evaluation uses it to
-	// check that *every* member path traverses the waypoint.
+	// set for symbolic walks that branched.
 	Edges [][2]string
+	// Through lists the routers that lie on every source→terminal
+	// trajectory of a walk that branched, source first; a terminal is a
+	// router with no edge out, the hop budget's unexplored leaves included.
+	// Nil when the walk did not branch (Path is then its one trajectory)
+	// and when no trajectory terminates (every branch loops), in which case
+	// any router lies vacuously on all of them.
+	Through []string
 	// Branches counts the routers whose next-hop set fanned out during the
 	// exploration; 0 means the walk was a single concrete path.
 	Branches int
@@ -186,28 +192,28 @@ type ExpandFunc func(router string) Expansion
 func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Walk {
 	w := Walk{Dst: dst}
 	var (
-		anyDelivered, anyDropped, anyStuck bool
-		loopFound                          bool
-		loopClose                          string
-		egress                             = map[string]bool{}
-		visited                            = map[string]bool{}
-		onPath                             = map[string]bool{}
+		anyDropped, anyStuck bool
+		loopFound            bool
+		loopClose            string
+		// number maps each explored router to its DFS pre-order position,
+		// which indexes both Path and nodes. The arrays hold a walk of a few
+		// dozen routers on the stack.
+		number  = map[string]int32{}
+		nodeBuf [64]dagNode
+		edgeBuf [128][2]int32
+		nodes   = nodeBuf[:0]
+		edges   = edgeBuf[:0] // the DAG's edges by number, in discovery order
+		cut     []cutEdge     // the edges the hop budget did not follow
 	)
-	var dfs func(r string, depth int)
-	dfs = func(r string, depth int) {
-		visited[r], onPath[r] = true, true
+	var dfs func(r string, parent int32, depth int)
+	dfs = func(r string, parent int32, depth int) {
+		u := int32(len(nodes))
+		number[r] = u
 		w.Path = append(w.Path, r)
 		ex := expand(r)
-		if ex.Delivered {
-			anyDelivered = true
-			egress[r] = true
-		}
-		if ex.Dropped {
-			anyDropped = true
-		}
-		if ex.Stuck {
-			anyStuck = true
-		}
+		nodes = append(nodes, dagNode{idom: parent, onPath: true, delivered: ex.Delivered, terminal: len(ex.Nexts) == 0})
+		anyDropped = anyDropped || ex.Dropped
+		anyStuck = anyStuck || ex.Stuck
 		// A branch point is any router with more than one concrete option —
 		// multiple next hops, or a terminal flag alongside a forward.
 		opts := len(ex.Nexts)
@@ -221,63 +227,161 @@ func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Wa
 		}
 		for _, nx := range ex.Nexts {
 			w.Edges = append(w.Edges, [2]string{r, nx})
+			v, seen := number[nx]
 			switch {
-			case onPath[nx]:
+			case seen && nodes[v].onPath:
 				// Back edge: a concrete member path revisits nx.
 				if !loopFound {
 					loopFound, loopClose = true, nx
 				}
-			case visited[nx]:
+				edges = append(edges, [2]int32{u, v})
+			case seen:
 				// Cross edge into an already-explored subgraph: no new
 				// work, and (DFS back-edge theorem) no new cycle.
+				edges = append(edges, [2]int32{u, v})
 			case depth >= maxHops:
 				// Hop budget exhausted: treat as a forwarding loop, as the
 				// concrete walker always has.
 				loopFound = true
+				cut = append(cut, cutEdge{u, nx})
 			default:
-				dfs(nx, depth+1)
+				edges = append(edges, [2]int32{u, int32(len(nodes))})
+				dfs(nx, u, depth+1)
 			}
 		}
-		onPath[r] = false
+		nodes[u].onPath = false
 	}
-	dfs(src, 1)
+	dfs(src, 0, 1)
 
+	delivering, egress := 0, 0
+	for i, n := range nodes {
+		if n.delivered {
+			delivering, egress = delivering+1, i
+		}
+	}
 	switch {
 	case loopFound:
 		w.Outcome = Looped
-		if loopClose != "" {
-			w.Path = append(w.Path, loopClose)
-		}
-	case anyDelivered && (anyDropped || anyStuck):
+	case delivering > 0 && (anyDropped || anyStuck):
 		w.Outcome = PartialBlackhole
 	case anyStuck:
 		w.Outcome = Stuck
 	case anyDropped:
 		w.Outcome = Dropped
-	case len(egress) > 1:
+	case delivering > 1:
 		w.Outcome = DivergentEgress
-	case len(egress) == 1:
+	case delivering == 1:
 		w.Outcome = Delivered
-		for r := range egress {
-			w.Egress = r
-		}
+		w.Egress = w.Path[egress]
 	default:
 		// Unreachable: every DFS leaf is terminal or closes a cycle.
 		w.Outcome = Stuck
 	}
-	if w.Branches > 0 {
-		w.Egresses = make([]string, 0, len(egress))
-		for r := range egress {
-			w.Egresses = append(w.Egresses, r)
+	if w.Branches == 0 {
+		// Concrete path: keep the legacy single-path representation
+		// (Egresses/Edges/Through nil) so unbranched walks are
+		// byte-identical to the pre-ECMP walker's.
+		w.Edges = nil
+	} else {
+		w.Egresses = make([]string, 0, delivering)
+		for i, n := range nodes {
+			if n.delivered {
+				w.Egresses = append(w.Egresses, w.Path[i])
+			}
 		}
 		sort.Strings(w.Egresses)
-	} else {
-		// Concrete path: keep the legacy single-path representation
-		// (Egresses/Edges nil) so unbranched walks are byte-identical to
-		// the pre-ECMP walker's.
-		w.Edges = nil
+		// A router only the hop budget reached ends its trajectories
+		// unexplored; it is numbered after the explored ones.
+		names := w.Path
+		for _, c := range cut {
+			v, ok := number[c.to]
+			if !ok {
+				v = int32(len(nodes))
+				number[c.to] = v
+				nodes = append(nodes, dagNode{idom: c.from, terminal: true})
+				names = append(names[:v:v], c.to)
+			}
+			edges = append(edges, [2]int32{c.from, v})
+		}
+		w.Through = through(names, nodes, edges)
+	}
+	if loopClose != "" {
+		w.Path = append(w.Path, loopClose)
 	}
 	return w
+}
+
+// dagNode is one router of a symbolic walk's DAG, at its DFS pre-order
+// number.
+type dagNode struct {
+	// idom is the router's immediate dominator: its DFS parent until
+	// through refines it. Every dominator is a DFS ancestor, so idom
+	// numbers below the router (the source is its own).
+	idom      int32
+	onPath    bool // on the DFS stack
+	delivered bool
+	terminal  bool // a trajectory can end here
+}
+
+// cutEdge is an edge the hop budget did not follow.
+type cutEdge struct {
+	from int32
+	to   string
+}
+
+// through returns the routers on every source→terminal trajectory of the
+// DAG, source first: the dominators of a virtual exit that every terminal
+// feeds, or nil when no trajectory terminates. names[i] is router i. The
+// dominators come from Cooper, Harvey and Kennedy's iteration ("A Simple,
+// Fast Dominance Algorithm", 2001), seeded with the DFS tree and run over
+// the pre-order numbers: each pass intersects every edge's head's dominator
+// chain with its tail's, until no chain moves.
+func through(names []string, nodes []dagNode, edges [][2]int32) []string {
+	intersect := func(a, b int32) int32 {
+		for a != b {
+			for a > b {
+				a = nodes[a].idom
+			}
+			for b > a {
+				b = nodes[b].idom
+			}
+		}
+		return a
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, e := range edges {
+			if v := e[1]; v != 0 {
+				if d := intersect(e[0], nodes[v].idom); d != nodes[v].idom {
+					nodes[v].idom, changed = d, true
+				}
+			}
+		}
+	}
+	exit := int32(-1) // the virtual exit's immediate dominator
+	for i, n := range nodes {
+		if !n.terminal {
+			continue
+		}
+		if exit < 0 {
+			exit = int32(i)
+		} else {
+			exit = intersect(exit, int32(i))
+		}
+	}
+	if exit < 0 {
+		return nil
+	}
+	depth := 1
+	for r := exit; r != 0; r = nodes[r].idom {
+		depth++
+	}
+	out := make([]string, depth)
+	for r := exit; depth > 0; r = nodes[r].idom {
+		depth--
+		out[depth] = names[r]
+	}
+	return out
 }
 
 // AggregateProbes folds per-path probe outcomes into the symbolic

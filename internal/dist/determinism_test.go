@@ -132,7 +132,7 @@ func TestNextHopSetOrderingEndToEnd(t *testing.T) {
 	want := dataplane.Walk{
 		Dst: addr("55.0.0.1"), Outcome: dataplane.DivergentEgress,
 		Path: []string{"r1", "r2", "r3"}, Egresses: []string{"r2", "r3"},
-		Edges: [][2]string{{"r1", "r2"}, {"r1", "r3"}}, Branches: 1,
+		Edges: [][2]string{{"r1", "r2"}, {"r1", "r3"}}, Through: []string{"r1"}, Branches: 1,
 	}
 	if !reflect.DeepEqual(a.walk, want) {
 		t.Fatalf("walk DAG not in canonical order:\n  got  %+v\n  want %+v", a.walk, want)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -444,28 +445,22 @@ func Evaluate(p Policy, src string, walk dataplane.Walk) (Violation, bool) {
 	case Waypoint:
 		if walk.Branches > 0 {
 			// Symbolic walk: Path lists every visited router, so membership
-			// only proves SOME branch hits the waypoint. Walk the DAG from
-			// the source with the waypoint removed; reaching any terminal
-			// means one equal-cost trajectory completes without it.
-			if bypassesWaypoint(walk, p.Expect) {
+			// only proves SOME branch hits the waypoint; Through lists the
+			// routers on every trajectory (nil when none terminates).
+			if walk.Through != nil && !slices.Contains(walk.Through, p.Expect) {
 				return fail("waypoint " + p.Expect + " bypassed on an equal-cost branch")
 			}
 			return Violation{}, false
 		}
-		for _, r := range walk.Path {
-			if r == p.Expect {
-				return Violation{}, false
-			}
+		if !slices.Contains(walk.Path, p.Expect) {
+			return fail("waypoint " + p.Expect + " bypassed")
 		}
-		return fail("waypoint " + p.Expect + " bypassed")
 	case Avoid:
 		// Path holds every visited router even for symbolic walks, and every
 		// visited router lies on some concrete trajectory, so a membership
 		// scan is exact for Avoid.
-		for _, r := range walk.Path {
-			if r == p.Expect {
-				return fail("traversed avoided router " + p.Expect)
-			}
+		if slices.Contains(walk.Path, p.Expect) {
+			return fail("traversed avoided router " + p.Expect)
 		}
 	case EcmpConsistent:
 		switch walk.Outcome {
@@ -474,84 +469,4 @@ func Evaluate(p Policy, src string, walk dataplane.Walk) (Violation, bool) {
 		}
 	}
 	return Violation{}, false
-}
-
-// bypassesWaypoint reports whether the symbolic walk's DAG contains a
-// source→terminal trajectory that never traverses the waypoint. Terminals
-// are routers with no outgoing edge in the DAG — delivery, drop, and stuck
-// endpoints alike; a trajectory ending anywhere without the waypoint
-// bypassed it.
-//
-// Routers are numbered in the order the walk names them, so a router's
-// number is its first Walk.Path position (an edge may also name a router a
-// hop budget left unexplored, numbered after Path's). Each router's
-// out-edges are chained through head and link, and the search runs over
-// those numbers. The arrays hold a walk of a few dozen routers on the
-// stack, so a check over one allocates nothing.
-func bypassesWaypoint(walk dataplane.Walk, waypoint string) bool {
-	path, edges := walk.Path, walk.Edges
-	if len(path) == 0 || path[0] == waypoint {
-		return false
-	}
-	var (
-		slotBuf           [256]int32
-		nameBuf           [64]string
-		headBuf, stackBuf [64]int32
-		seenBuf           [64]bool
-		toBuf, linkBuf    [128]int32
-	)
-	// slots is an open-addressed table of 1 + a router's number, at least
-	// twice as large as the routers the walk can name.
-	slots := slotBuf[:]
-	if want := 2 * (len(path) + 2*len(edges) + 1); want > len(slots) {
-		n := len(slots)
-		for n < want {
-			n *= 2
-		}
-		slots = make([]int32, n)
-	}
-	names, head, seen := nameBuf[:0], headBuf[:0], seenBuf[:0]
-	number := func(r string) int32 {
-		h := uint32(2166136261) // FNV-1a
-		for i := 0; i < len(r); i++ {
-			h = (h ^ uint32(r[i])) * 16777619
-		}
-		mask := uint32(len(slots) - 1)
-		for i := h & mask; ; i = (i + 1) & mask {
-			if s := slots[i]; s == 0 {
-				slots[i] = int32(len(names)) + 1
-				names, head, seen = append(names, r), append(head, -1), append(seen, false)
-				return int32(len(names)) - 1
-			} else if names[s-1] == r {
-				return s - 1
-			}
-		}
-	}
-	for _, r := range path {
-		number(r)
-	}
-	to, link := toBuf[:0], linkBuf[:0]
-	for i, e := range edges {
-		u, v := number(e[0]), number(e[1])
-		to, link = append(to, v), append(link, head[u])
-		head[u] = int32(i)
-	}
-	wp := number(waypoint) // an absent waypoint numbers a router no edge reaches
-
-	seen[0] = true
-	stack := append(stackBuf[:0], 0)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if head[u] < 0 {
-			return true // terminal reached without the waypoint
-		}
-		for i := head[u]; i >= 0; i = link[i] {
-			if v := to[i]; v != wp && !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
-		}
-	}
-	return false
 }

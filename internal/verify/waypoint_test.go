@@ -10,7 +10,7 @@ import (
 	"hbverify/internal/network"
 )
 
-// bypassesWaypointMaps is the map-based evaluation bypassesWaypoint
+// bypassesWaypointMaps is the map-based evaluation the walk's Through list
 // replaced, kept as its reference: an adjacency map from the walk's edges
 // and a seen-set, searched from the source with the waypoint removed.
 func bypassesWaypointMaps(walk dataplane.Walk, waypoint string) bool {
@@ -89,11 +89,18 @@ func randomWalk(rng *rand.Rand, n int, funnel bool) dataplane.Walk {
 	return dataplane.SymbolicWalk(name(0), netip.MustParseAddr("10.0.0.1"), hops, func(r string) dataplane.Expansion { return exp[r] })
 }
 
-// TestWaypointMatchesMapReference: over random walks with fan-out, back
-// and cross edges, terminal and stuck leaves, hop-budget cuts and a few
-// walks too large for the stack arrays, the position-indexed evaluation
-// answers exactly as the map-based one, for a waypoint that is the source,
-// is absent, is any explored router, or funnels every trajectory.
+// bypasses evaluates a Waypoint policy on a walk.
+func bypasses(walk dataplane.Walk, waypoint string) bool {
+	_, bad := Evaluate(Policy{Kind: Waypoint, Expect: waypoint}, walk.Path[0], walk)
+	return bad
+}
+
+// TestWaypointMatchesMapReference: over random branched walks with fan-out,
+// back and cross edges, terminal and stuck leaves, hop-budget cuts and a
+// few walks too large for the walk's stack arrays, evaluation over the
+// walk's Through list answers exactly as the map-based search, for a
+// waypoint that is the source, is absent, is any explored router, or
+// funnels every trajectory.
 func TestWaypointMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var branched, held, heldLong, bypassed int
@@ -104,9 +111,10 @@ func TestWaypointMatchesMapReference(t *testing.T) {
 		}
 		funnel := rng.Intn(3) == 0
 		walk := randomWalk(rng, n, funnel)
-		if walk.Branches > 0 {
-			branched++
+		if walk.Branches == 0 {
+			continue // one trajectory, Path: the reference reads only Edges
 		}
+		branched++
 		waypoints := []string{walk.Path[0], "absent"}
 		waypoints = append(waypoints, walk.Path[rng.Intn(len(walk.Path))])
 		if funnel {
@@ -114,7 +122,7 @@ func TestWaypointMatchesMapReference(t *testing.T) {
 		}
 		for _, wp := range waypoints {
 			want := bypassesWaypointMaps(walk, wp)
-			if got := bypassesWaypoint(walk, wp); got != want {
+			if got := bypasses(walk, wp); got != want {
 				t.Fatalf("walk %d, waypoint %s: bypassed = %v, reference %v\npath %v\nedges %v", i, wp, got, want, walk.Path, walk.Edges)
 			}
 			if want {
@@ -154,7 +162,7 @@ func TestWaypointEvaluationAllocatesNothing(t *testing.T) {
 		via      string
 		bypassed bool
 	}{{"p1e0", false}, {"p1a0", true}} {
-		if got := bypassesWaypoint(walk, tc.via); got != tc.bypassed {
+		if got := bypasses(walk, tc.via); got != tc.bypassed {
 			t.Fatalf("waypoint %s: bypassed = %v, want %v", tc.via, got, tc.bypassed)
 		}
 	}
