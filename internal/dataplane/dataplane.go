@@ -114,8 +114,10 @@ type Walk struct {
 	// set for symbolic walks that branched.
 	Edges [][2]string
 	// Through lists the routers that lie on every source→terminal
-	// trajectory of a walk that branched, source first; a terminal is a
-	// router with no edge out, the hop budget's unexplored leaves included.
+	// trajectory of a walk that branched, source first. A trajectory ends
+	// at a router that delivers, drops or is stuck, forward as it may on
+	// its other branches, or that has no edge out, the hop budget's
+	// unexplored leaves included.
 	// Nil when the walk did not branch (Path is then its one trajectory)
 	// and when no trajectory terminates (every branch loops), in which case
 	// any router lies vacuously on all of them.
@@ -211,7 +213,10 @@ func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Wa
 		number[r] = u
 		w.Path = append(w.Path, r)
 		ex := expand(r)
-		nodes = append(nodes, dagNode{idom: parent, onPath: true, delivered: ex.Delivered, terminal: len(ex.Nexts) == 0})
+		// Some flows end here when the router has a terminal branch, even
+		// where others forward on.
+		terminal := ex.Delivered || ex.Dropped || ex.Stuck || len(ex.Nexts) == 0
+		nodes = append(nodes, dagNode{idom: parent, onPath: true, delivered: ex.Delivered, terminal: terminal})
 		anyDropped = anyDropped || ex.Dropped
 		anyStuck = anyStuck || ex.Stuck
 		// A branch point is any router with more than one concrete option —

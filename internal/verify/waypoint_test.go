@@ -12,8 +12,10 @@ import (
 
 // bypassesWaypointMaps is the map-based evaluation the walk's Through list
 // replaced, kept as its reference: an adjacency map from the walk's edges
-// and a seen-set, searched from the source with the waypoint removed.
-func bypassesWaypointMaps(walk dataplane.Walk, waypoint string) bool {
+// and a seen-set, searched from the source with the waypoint removed. A
+// trajectory ends at a router with no edge out or, read off expand, with a
+// terminal branch beside its forwards.
+func bypassesWaypointMaps(walk dataplane.Walk, expand dataplane.ExpandFunc, waypoint string) bool {
 	if len(walk.Path) == 0 {
 		return false
 	}
@@ -31,7 +33,7 @@ func bypassesWaypointMaps(walk dataplane.Walk, waypoint string) bool {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		outs := next[r]
-		if len(outs) == 0 {
+		if ex := expand(r); len(outs) == 0 || ex.Delivered || ex.Dropped || ex.Stuck {
 			return true // terminal reached without the waypoint
 		}
 		for _, nr := range outs {
@@ -51,8 +53,8 @@ func bypassesWaypointMaps(walk dataplane.Walk, waypoint string) bool {
 // set, routers r0..r(n/2-1) never terminate and forward only among
 // themselves or to r(n/2), which then sits on every trajectory that
 // terminates. A small hop budget leaves some edges pointing at unexplored
-// routers.
-func randomWalk(rng *rand.Rand, n int, funnel bool) dataplane.Walk {
+// routers. It returns the walk and the expansions it was made from.
+func randomWalk(rng *rand.Rand, n int, funnel bool) (dataplane.Walk, dataplane.ExpandFunc) {
 	name := func(i int) string { return fmt.Sprintf("r%d", i) }
 	f := n / 2
 	exp := make(map[string]dataplane.Expansion, n)
@@ -86,7 +88,8 @@ func randomWalk(rng *rand.Rand, n int, funnel bool) dataplane.Walk {
 	if rng.Intn(4) == 0 {
 		hops = 1 + rng.Intn(6)
 	}
-	return dataplane.SymbolicWalk(name(0), netip.MustParseAddr("10.0.0.1"), hops, func(r string) dataplane.Expansion { return exp[r] })
+	expand := func(r string) dataplane.Expansion { return exp[r] }
+	return dataplane.SymbolicWalk(name(0), netip.MustParseAddr("10.0.0.1"), hops, expand), expand
 }
 
 // bypasses evaluates a Waypoint policy on a walk.
@@ -110,7 +113,7 @@ func TestWaypointMatchesMapReference(t *testing.T) {
 			n = 70 + rng.Intn(30) // past the evaluation's stack arrays
 		}
 		funnel := rng.Intn(3) == 0
-		walk := randomWalk(rng, n, funnel)
+		walk, expand := randomWalk(rng, n, funnel)
 		if walk.Branches == 0 {
 			continue // one trajectory, Path: the reference reads only Edges
 		}
@@ -121,7 +124,7 @@ func TestWaypointMatchesMapReference(t *testing.T) {
 			waypoints = append(waypoints, fmt.Sprintf("r%d", n/2))
 		}
 		for _, wp := range waypoints {
-			want := bypassesWaypointMaps(walk, wp)
+			want := bypassesWaypointMaps(walk, expand, wp)
 			if got := bypasses(walk, wp); got != want {
 				t.Fatalf("walk %d, waypoint %s: bypassed = %v, reference %v\npath %v\nedges %v", i, wp, got, want, walk.Path, walk.Edges)
 			}
@@ -138,6 +141,29 @@ func TestWaypointMatchesMapReference(t *testing.T) {
 	if branched < 500 || held < 200 || heldLong < 20 || bypassed < 500 {
 		t.Fatalf("generator too narrow: %d branched walks, %d held (%d on paths over 15 routers) and %d bypassed waypoints",
 			branched, held, heldLong, bypassed)
+	}
+}
+
+// TestWaypointTerminalThatForwards: a router that both ends a branch and
+// forwards ends a trajectory. From S, X delivers some flows and forwards
+// the rest to W, which delivers them; some flows never traverse W. The
+// same holds when X's terminal branch is stuck.
+func TestWaypointTerminalThatForwards(t *testing.T) {
+	for _, x := range []dataplane.Expansion{
+		{Delivered: true, Nexts: []string{"W"}},
+		{Stuck: true, Nexts: []string{"W"}},
+	} {
+		exp := map[string]dataplane.Expansion{"S": {Nexts: []string{"X"}}, "X": x, "W": {Delivered: true}}
+		walk := dataplane.SymbolicWalk("S", netip.MustParseAddr("10.0.0.1"), dataplane.MaxHops,
+			func(r string) dataplane.Expansion { return exp[r] })
+		for _, tc := range []struct {
+			via      string
+			bypassed bool
+		}{{"S", false}, {"X", false}, {"W", true}} {
+			if got := bypasses(walk, tc.via); got != tc.bypassed {
+				t.Errorf("X %+v, waypoint %s: bypassed = %v, want %v (walk %v)", x, tc.via, got, tc.bypassed, walk)
+			}
+		}
 	}
 }
 
