@@ -9,6 +9,7 @@ import (
 	"net/netip"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -586,16 +587,20 @@ func (h *harness) oracleCheckerDeterminism(round int) *Failure {
 const probeEnumLimit = 1024
 
 // oracleSymbolicVsProbe is the set-vs-probe differential: for every
-// (source, destination) the harness verifies, it enumerates every concrete
+// (source, destination) the harness verifies, and toward every prefix an
+// ECMP-static event may install, it enumerates every concrete
 // single-next-hop path through the symbolic walk's ECMP DAG with the probe
 // walker, aggregates those per-path outcomes independently, and requires
 // the aggregate to reproduce the symbolic walk's outcome and egress set —
-// and every probe to traverse only edges the symbolic DAG recorded.
-// The drop-ecmp-branch mutation makes the symbolic side silently skip the
-// last member of each multi-way branch, which the edge-coverage check must catch.
+// and every probe to traverse only edges the symbolic DAG recorded, and,
+// when no probe loops, the routers all probes share to be the walk's
+// Through list. The drop-ecmp-branch mutation makes the symbolic side
+// silently skip the last member of each multi-way branch, which the
+// edge-coverage check must catch; waypoint-one-terminal makes Through the
+// routers on the trajectories to one terminal alone.
 func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 	walker := h.liveWalker()
-	for _, p := range []netip.Prefix{PrefixP, PrefixQ} {
+	for _, p := range append([]netip.Prefix{PrefixP, PrefixQ}, ecmpStaticPrefixes...) {
 		dst := dataplane.Representative(p)
 		for _, src := range h.w.verifySources {
 			w := walker.Forward(src, dst)
@@ -643,6 +648,17 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 								src, dst, path, path[i], path[i+1], len(w.Edges), w.Branches)}
 						}
 					}
+				}
+				var shared []string
+				for _, r := range probes[0].Walk.Path {
+					if !slices.ContainsFunc(probes, func(pw dataplane.ProbeWalk) bool { return !slices.Contains(pw.Walk.Path, r) }) {
+						shared = append(shared, r)
+					}
+				}
+				if w.Outcome != dataplane.Looped && !reflect.DeepEqual(shared, w.Through) {
+					return &Failure{Oracle: OracleSymbolic, Round: round, Detail: fmt.Sprintf(
+						"%s->%s: symbolic walk puts %v on every trajectory, but its %d concrete probes share %v",
+						src, dst, w.Through, len(probes), shared)}
 				}
 			} else if len(probes) == 1 && w.Outcome != dataplane.Looped &&
 				!reflect.DeepEqual(probes[0].Walk.Path, w.Path) {

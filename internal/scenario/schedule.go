@@ -183,7 +183,7 @@ func generateSchedule(cfg Config, w *world) []Event {
 				ev := Event{
 					Round: round, At: rng.Int63n(int64(200 * time.Millisecond)),
 					Kind: KindEcmpStatic, A: router,
-					Prefix:   fmt.Sprintf("198.19.%d.0/24", rng.Intn(4)),
+					Prefix:   ecmpStaticPrefixes[rng.Intn(len(ecmpStaticPrefixes))].String(),
 					NextHops: hops,
 				}
 				evs = append(evs, ev)
@@ -192,6 +192,15 @@ func generateSchedule(cfg Config, w *world) []Event {
 		}
 	}
 	return evs
+}
+
+// ecmpStaticPrefixes are the destinations ECMP-static events install. No
+// protocol carries a static, so a fan-out to neighbours is a DAG whose
+// branches each end at a router without a route, which the
+// symbolic-vs-probe oracle walks as well.
+var ecmpStaticPrefixes = []netip.Prefix{
+	netip.MustParsePrefix("198.19.0.0/24"), netip.MustParsePrefix("198.19.1.0/24"),
+	netip.MustParsePrefix("198.19.2.0/24"), netip.MustParsePrefix("198.19.3.0/24"),
 }
 
 // pickKind draws the next event kind from the kinds the world supports.
