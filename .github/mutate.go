@@ -83,13 +83,11 @@ var rows = []row{
 	{"drop-ecmp-branch", "symbolic-vs-probe", "-seed 3 -shape fattree -mix ospf", []edit{{"internal/dataplane/dataplane.go",
 		"\treturn SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {\n\t\treturn w.Expand(r, dst)\n",
 		"\treturn SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {\n\t\tex := w.Expand(r, dst)\n\t\tif len(ex.Nexts) > 1 {\n\t\t\tex.Nexts = ex.Nexts[:len(ex.Nexts)-1]\n\t\t}\n\t\treturn ex\n"}}},
-	// A dominator pass that folds only the first terminal into the virtual
-	// exit: Through lists the routers on the trajectories to that terminal
-	// alone, which the probes toward an ECMP static's dropped branches do
-	// not share.
+	// A dominator pass that folds only the first terminal into the exit:
+	// Through lists the routers on the trajectories to that terminal alone.
 	{"waypoint-one-terminal", "symbolic-vs-probe", "-seed 1", []edit{{"internal/dataplane/dataplane.go",
 		"\t\t\texit = intersect(exit, int32(i))\n",
-		"\t\t\tcontinue\n"}}},
+		"\t\t\tif exit < 0 {\n\t\t\t\texit = int32(i)\n\t\t\t}\n"}}},
 	// A hash-consing table whose hash and equality treat the first AS as a
 	// wildcard: e1's and e2's single-AS paths for P collapse onto one entry,
 	// and a speaker retains a path no wire message carried.

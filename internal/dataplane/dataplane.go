@@ -113,14 +113,12 @@ type Walk struct {
 	// Edges lists the explored forwarding DAG's edges in discovery order,
 	// set for symbolic walks that branched.
 	Edges [][2]string
-	// Through lists the routers that lie on every source→terminal
-	// trajectory of a walk that branched, source first. A trajectory ends
-	// at a router that delivers, drops or is stuck, forward as it may on
-	// its other branches, or that has no edge out, the hop budget's
-	// unexplored leaves included.
-	// Nil when the walk did not branch (Path is then its one trajectory)
-	// and when no trajectory terminates (every branch loops), in which case
-	// any router lies vacuously on all of them.
+	// Through lists, source first, the routers on every trajectory of a
+	// walk that branched. A trajectory ends at a router that delivers, drops
+	// or is stuck (even one that also forwards) or has no edge out, the hop
+	// budget's unexplored leaves included. Nil when the walk did not branch
+	// (Path is its one trajectory) or no trajectory ends (every router then
+	// lies vacuously on all of them).
 	Through []string
 	// Branches counts the routers whose next-hop set fanned out during the
 	// exploration; 0 means the walk was a single concrete path.
@@ -197,15 +195,15 @@ func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Wa
 		anyDropped, anyStuck bool
 		loopFound            bool
 		loopClose            string
+		delivering, egress   int32 // egress: the last delivering router
 		// number maps each explored router to its DFS pre-order position,
-		// which indexes both Path and nodes. The arrays hold a walk of a few
-		// dozen routers on the stack.
+		// which indexes both Path and nodes; edges[i] is Edges[i] by number.
+		// The arrays hold a walk of a few dozen routers on the stack.
 		number  = map[string]int32{}
 		nodeBuf [64]dagNode
 		edgeBuf [128][2]int32
 		nodes   = nodeBuf[:0]
-		edges   = edgeBuf[:0] // the DAG's edges by number, in discovery order
-		cut     []cutEdge     // the edges the hop budget did not follow
+		edges   = edgeBuf[:0]
 	)
 	var dfs func(r string, parent int32, depth int)
 	dfs = func(r string, parent int32, depth int) {
@@ -219,6 +217,9 @@ func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Wa
 		nodes = append(nodes, dagNode{idom: parent, onPath: true, delivered: ex.Delivered, terminal: terminal})
 		anyDropped = anyDropped || ex.Dropped
 		anyStuck = anyStuck || ex.Stuck
+		if ex.Delivered {
+			delivering, egress = delivering+1, u
+		}
 		// A branch point is any router with more than one concrete option —
 		// multiple next hops, or a terminal flag alongside a forward.
 		opts := len(ex.Nexts)
@@ -234,21 +235,21 @@ func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Wa
 			w.Edges = append(w.Edges, [2]string{r, nx})
 			v, seen := number[nx]
 			switch {
-			case seen && nodes[v].onPath:
-				// Back edge: a concrete member path revisits nx.
-				if !loopFound {
+			case seen:
+				// A back edge (nx is on the DFS stack): a concrete member
+				// path revisits nx. Otherwise a cross edge into an
+				// already-explored subgraph: no new work, and (DFS back-edge
+				// theorem) no new cycle.
+				if nodes[v].onPath && !loopFound {
 					loopFound, loopClose = true, nx
 				}
 				edges = append(edges, [2]int32{u, v})
-			case seen:
-				// Cross edge into an already-explored subgraph: no new
-				// work, and (DFS back-edge theorem) no new cycle.
-				edges = append(edges, [2]int32{u, v})
 			case depth >= maxHops:
 				// Hop budget exhausted: treat as a forwarding loop, as the
-				// concrete walker always has.
+				// concrete walker always has. nx is numbered once the walk
+				// ends, if no other branch explores it.
 				loopFound = true
-				cut = append(cut, cutEdge{u, nx})
+				edges = append(edges, [2]int32{u, -1})
 			default:
 				edges = append(edges, [2]int32{u, int32(len(nodes))})
 				dfs(nx, u, depth+1)
@@ -258,12 +259,6 @@ func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Wa
 	}
 	dfs(src, 0, 1)
 
-	delivering, egress := 0, 0
-	for i, n := range nodes {
-		if n.delivered {
-			delivering, egress = delivering+1, i
-		}
-	}
 	switch {
 	case loopFound:
 		w.Outcome = Looped
@@ -298,15 +293,19 @@ func SymbolicWalk(src string, dst netip.Addr, maxHops int, expand ExpandFunc) Wa
 		// A router only the hop budget reached ends its trajectories
 		// unexplored; it is numbered after the explored ones.
 		names := w.Path
-		for _, c := range cut {
-			v, ok := number[c.to]
+		for i, e := range edges {
+			if e[1] >= 0 {
+				continue
+			}
+			nx := w.Edges[i][1]
+			v, ok := number[nx]
 			if !ok {
 				v = int32(len(nodes))
-				number[c.to] = v
-				nodes = append(nodes, dagNode{idom: c.from, terminal: true})
-				names = append(names[:v:v], c.to)
+				number[nx] = v
+				nodes = append(nodes, dagNode{idom: e[0], terminal: true})
+				names = append(names[:v:v], nx)
 			}
-			edges = append(edges, [2]int32{c.from, v})
+			edges[i][1] = v
 		}
 		w.Through = through(names, nodes, edges)
 	}
@@ -328,12 +327,6 @@ type dagNode struct {
 	terminal  bool // a trajectory can end here
 }
 
-// cutEdge is an edge the hop budget did not follow.
-type cutEdge struct {
-	from int32
-	to   string
-}
-
 // through returns the routers on every source→terminal trajectory of the
 // DAG, source first: the dominators of a virtual exit that every terminal
 // feeds, or nil when no trajectory terminates. names[i] is router i. The
@@ -343,6 +336,9 @@ type cutEdge struct {
 // chain with its tail's, until no chain moves.
 func through(names []string, nodes []dagNode, edges [][2]int32) []string {
 	intersect := func(a, b int32) int32 {
+		if a < 0 {
+			return b
+		}
 		for a != b {
 			for a > b {
 				a = nodes[a].idom
@@ -356,21 +352,14 @@ func through(names []string, nodes []dagNode, edges [][2]int32) []string {
 	for changed := true; changed; {
 		changed = false
 		for _, e := range edges {
-			if v := e[1]; v != 0 {
-				if d := intersect(e[0], nodes[v].idom); d != nodes[v].idom {
-					nodes[v].idom, changed = d, true
-				}
+			if d := intersect(e[0], nodes[e[1]].idom); d != nodes[e[1]].idom {
+				nodes[e[1]].idom, changed = d, true
 			}
 		}
 	}
 	exit := int32(-1) // the virtual exit's immediate dominator
 	for i, n := range nodes {
-		if !n.terminal {
-			continue
-		}
-		if exit < 0 {
-			exit = int32(i)
-		} else {
+		if n.terminal {
 			exit = intersect(exit, int32(i))
 		}
 	}
@@ -539,65 +528,51 @@ func (w *Walker) Forward(src string, dst netip.Addr) Walk {
 	})
 }
 
-// ProbeWalk couples one enumerated concrete path with the branch choices
-// that select it, so a probe walker can re-execute exactly that path.
-type ProbeWalk struct {
-	Walk    Walk
-	Choices []int
-}
-
 // ConcretePaths enumerates every concrete single-next-hop path through the
 // symbolic walk's DAG (per-path loop detection, same hop budget), up to
 // limit paths (0 = no limit). The enumeration is independent of
 // SymbolicWalk's traversal — it branches per path rather than exploring
 // the DAG once — which is what makes the symbolic-vs-probe comparison a
 // real differential.
-func (w *Walker) ConcretePaths(src string, dst netip.Addr, limit int) []ProbeWalk {
-	var out []ProbeWalk
+func (w *Walker) ConcretePaths(src string, dst netip.Addr, limit int) []Walk {
+	var out []Walk
 	full := func() bool { return limit > 0 && len(out) >= limit }
-	emit := func(path []string, choices []int, outcome Outcome, egress string) {
+	emit := func(path []string, outcome Outcome, egress string) {
 		if full() {
 			return
 		}
-		out = append(out, ProbeWalk{
-			Walk: Walk{
-				Dst: dst, Outcome: outcome, Egress: egress,
-				Path: append([]string(nil), path...),
-			},
-			Choices: append([]int(nil), choices...),
+		out = append(out, Walk{
+			Dst: dst, Outcome: outcome, Egress: egress,
+			Path: append([]string(nil), path...),
 		})
 	}
-	var rec func(cur string, path []string, visited map[string]bool, choices []int)
-	rec = func(cur string, path []string, visited map[string]bool, choices []int) {
+	var rec func(cur string, path []string, visited map[string]bool)
+	rec = func(cur string, path []string, visited map[string]bool) {
 		if full() {
 			return
 		}
 		if len(path) > MaxHops {
-			emit(path, choices, Looped, "")
+			emit(path, Looped, "")
 			return
 		}
 		opts := w.Expand(cur, dst).options()
 		if len(opts) == 0 {
-			emit(path, choices, Stuck, "")
+			emit(path, Stuck, "")
 			return
 		}
-		for i, o := range opts {
-			c := choices
-			if len(opts) > 1 {
-				c = append(choices, i)
-			}
+		for _, o := range opts {
 			switch {
 			case o.terminal:
 				eg := ""
 				if o.outcome == Delivered {
 					eg = cur
 				}
-				emit(path, c, o.outcome, eg)
+				emit(path, o.outcome, eg)
 			case visited[o.next]:
-				emit(append(path, o.next), c, Looped, "")
+				emit(append(path, o.next), Looped, "")
 			default:
 				visited[o.next] = true
-				rec(o.next, append(path, o.next), visited, c)
+				rec(o.next, append(path, o.next), visited)
 				delete(visited, o.next)
 			}
 			if full() {
@@ -605,7 +580,7 @@ func (w *Walker) ConcretePaths(src string, dst netip.Addr, limit int) []ProbeWal
 			}
 		}
 	}
-	rec(src, []string{src}, map[string]bool{src: true}, nil)
+	rec(src, []string{src}, map[string]bool{src: true})
 	return out
 }
 

@@ -336,8 +336,8 @@ func triesOf(entries map[string][]fib.Entry) map[string]*trie.Trie[fib.Entry] {
 
 // TestConcretePathsMatchSymbolic checks the differential the oracle relies
 // on, at unit scale: enumerating every concrete path through the diamond
-// and aggregating reproduces the symbolic walk's outcome, and each
-// enumerated choice vector replays to the identical concrete walk.
+// and aggregating reproduces the symbolic walk's outcome, and the choice
+// vector each enumerated path takes replays to the identical concrete walk.
 func TestConcretePathsMatchSymbolic(t *testing.T) {
 	w := diamondWalker(t)
 	dst := addr("55.0.0.1")
@@ -349,15 +349,14 @@ func TestConcretePathsMatchSymbolic(t *testing.T) {
 	if len(probes) != 2 {
 		t.Fatalf("paths = %d, want 2 (one per ECMP member)", len(probes))
 	}
-	walks := make([]Walk, len(probes))
-	for i, pw := range probes {
-		walks[i] = pw.Walk
-		replayed := w.ForwardChoices("s", dst, pw.Choices)
-		if !reflect.DeepEqual(replayed.Path, pw.Walk.Path) || replayed.Outcome != pw.Walk.Outcome {
-			t.Fatalf("choices %v replay to %+v, enumerated %+v", pw.Choices, replayed, pw.Walk)
+	for _, pw := range probes {
+		choices := w.ChoicesOf(pw)
+		replayed := w.ForwardChoices("s", dst, choices)
+		if !reflect.DeepEqual(replayed.Path, pw.Path) || replayed.Outcome != pw.Outcome {
+			t.Fatalf("choices %v replay to %+v, enumerated %+v", choices, replayed, pw)
 		}
 	}
-	agg, egresses := AggregateProbes(walks)
+	agg, egresses := AggregateProbes(probes)
 	if agg != sym.Outcome || !reflect.DeepEqual(egresses, sym.Egresses) {
 		t.Fatalf("aggregate = %v %v, symbolic = %v %v", agg, egresses, sym.Outcome, sym.Egresses)
 	}

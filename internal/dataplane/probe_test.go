@@ -51,3 +51,25 @@ func (w *Walker) ForwardChoices(src string, dst netip.Addr, choices []int) Walk 
 	walk.Outcome = Looped // exceeded hop budget: treat as a forwarding loop
 	return walk
 }
+
+// ChoicesOf derives the choice vector that selects the enumerated path p:
+// at each router with more than one option, the index of the option p
+// takes — the forward to p's next router or, at its last, p's outcome. A
+// step no option explains adds no choice, so its replay diverges.
+func (w *Walker) ChoicesOf(p Walk) []int {
+	var out []int
+	for i, r := range p.Path {
+		opts := w.Expand(r, p.Dst).options()
+		if len(opts) < 2 {
+			continue
+		}
+		for j, o := range opts {
+			last := i+1 == len(p.Path)
+			if last && o.terminal && o.outcome == p.Outcome || !last && !o.terminal && o.next == p.Path[i+1] {
+				out = append(out, j)
+				break
+			}
+		}
+	}
+	return out
+}

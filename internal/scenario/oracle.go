@@ -594,7 +594,9 @@ const probeEnumLimit = 1024
 // the aggregate to reproduce the symbolic walk's outcome and egress set —
 // and every probe to traverse only edges the symbolic DAG recorded, and,
 // when no probe loops, the routers all probes share to be the walk's
-// Through list. The drop-ecmp-branch mutation makes the symbolic side
+// Through list. No protocol carries a static, so an ECMP static's fan-out
+// ends in one dropped branch per neighbour: the DAGs with several
+// terminals. The drop-ecmp-branch mutation makes the symbolic side
 // silently skip the last member of each multi-way branch, which the
 // edge-coverage check must catch; waypoint-one-terminal makes Through the
 // routers on the trajectories to one terminal alone.
@@ -608,11 +610,7 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 			if len(probes) >= probeEnumLimit {
 				continue // truncated enumeration: aggregate would be partial
 			}
-			walks := make([]dataplane.Walk, len(probes))
-			for i := range probes {
-				walks[i] = probes[i].Walk
-			}
-			aggOut, aggEgress := dataplane.AggregateProbes(walks)
+			aggOut, aggEgress := dataplane.AggregateProbes(probes)
 			if aggOut != w.Outcome {
 				return &Failure{Oracle: OracleSymbolic, Round: round, Detail: fmt.Sprintf(
 					"%s->%s: symbolic outcome %s, but %d concrete probes aggregate to %s",
@@ -640,7 +638,7 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 					edges[e] = true
 				}
 				for _, pw := range probes {
-					path := pw.Walk.Path
+					path := pw.Path
 					for i := 0; i+1 < len(path); i++ {
 						if !edges[[2]string{path[i], path[i+1]}] {
 							return &Failure{Oracle: OracleSymbolic, Round: round, Detail: fmt.Sprintf(
@@ -649,11 +647,9 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 						}
 					}
 				}
-				var shared []string
-				for _, r := range probes[0].Walk.Path {
-					if !slices.ContainsFunc(probes, func(pw dataplane.ProbeWalk) bool { return !slices.Contains(pw.Walk.Path, r) }) {
-						shared = append(shared, r)
-					}
+				shared := slices.Clone(probes[0].Path)
+				for _, pw := range probes[1:] {
+					shared = slices.DeleteFunc(shared, func(r string) bool { return !slices.Contains(pw.Path, r) })
 				}
 				if w.Outcome != dataplane.Looped && !reflect.DeepEqual(shared, w.Through) {
 					return &Failure{Oracle: OracleSymbolic, Round: round, Detail: fmt.Sprintf(
@@ -661,10 +657,10 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 						src, dst, w.Through, len(probes), shared)}
 				}
 			} else if len(probes) == 1 && w.Outcome != dataplane.Looped &&
-				!reflect.DeepEqual(probes[0].Walk.Path, w.Path) {
+				!reflect.DeepEqual(probes[0].Path, w.Path) {
 				return &Failure{Oracle: OracleSymbolic, Round: round, Detail: fmt.Sprintf(
 					"%s->%s: unbranched symbolic path %v differs from concrete probe %v",
-					src, dst, w.Path, probes[0].Walk.Path)}
+					src, dst, w.Path, probes[0].Path)}
 			}
 		}
 	}

@@ -194,10 +194,7 @@ func generateSchedule(cfg Config, w *world) []Event {
 	return evs
 }
 
-// ecmpStaticPrefixes are the destinations ECMP-static events install. No
-// protocol carries a static, so a fan-out to neighbours is a DAG whose
-// branches each end at a router without a route, which the
-// symbolic-vs-probe oracle walks as well.
+// ecmpStaticPrefixes are the destinations ECMP-static events install.
 var ecmpStaticPrefixes = []netip.Prefix{
 	netip.MustParsePrefix("198.19.0.0/24"), netip.MustParsePrefix("198.19.1.0/24"),
 	netip.MustParsePrefix("198.19.2.0/24"), netip.MustParsePrefix("198.19.3.0/24"),

@@ -443,17 +443,14 @@ func Evaluate(p Policy, src string, walk dataplane.Walk) (Violation, bool) {
 			return fail(fmt.Sprintf("egress %s, want %s", walk.Egress, p.Expect))
 		}
 	case Waypoint:
-		if walk.Branches > 0 {
-			// Symbolic walk: Path lists every visited router, so membership
-			// only proves SOME branch hits the waypoint; Through lists the
-			// routers on every trajectory (nil when none terminates).
-			if walk.Through != nil && !slices.Contains(walk.Through, p.Expect) {
-				return fail("waypoint " + p.Expect + " bypassed on an equal-cost branch")
-			}
-			return Violation{}, false
-		}
-		if !slices.Contains(walk.Path, p.Expect) {
+		// A branched walk's Path lists every router it visits, so membership
+		// there proves only that SOME branch hits the waypoint; Through
+		// lists the routers on every trajectory (nil when none ends).
+		switch {
+		case walk.Branches == 0 && !slices.Contains(walk.Path, p.Expect):
 			return fail("waypoint " + p.Expect + " bypassed")
+		case walk.Through != nil && !slices.Contains(walk.Through, p.Expect):
+			return fail("waypoint " + p.Expect + " bypassed on an equal-cost branch")
 		}
 	case Avoid:
 		// Path holds every visited router even for symbolic walks, and every

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"hbverify/internal/dataplane"
@@ -167,10 +168,11 @@ func TestWaypointTerminalThatForwards(t *testing.T) {
 	}
 }
 
-// TestWaypointEvaluationAllocatesNothing: evaluating a Waypoint policy on
-// a branched walk across a k=4 fat tree — four equal-cost trajectories
-// through two aggregation and four core routers — allocates nothing.
-func TestWaypointEvaluationAllocatesNothing(t *testing.T) {
+// fatTreeWalk walks from p0e0 toward p1e0's loopback on a converged k=4
+// fat tree: four equal-cost trajectories through two aggregation and four
+// core routers.
+func fatTreeWalk(t *testing.T) (*dataplane.Walker, netip.Prefix, dataplane.Walk) {
+	t.Helper()
 	n, err := network.BuildFatTree(1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +182,18 @@ func TestWaypointEvaluationAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := netip.MustParsePrefix("9.1.1.1/32") // p1e0's loopback
-	walk := n.LiveWalker().ForwardPrefix("p0e0", dst)
+	w := n.LiveWalker()
+	walk := w.ForwardPrefix("p0e0", dst)
 	if walk.Outcome != dataplane.Delivered || walk.Branches == 0 || len(walk.Edges) < 8 {
 		t.Fatalf("want a branched delivered walk, got %v with %d branches, %d edges", walk, walk.Branches, len(walk.Edges))
 	}
+	return w, dst, walk
+}
+
+// TestWaypointEvaluationAllocatesNothing: evaluating a Waypoint policy on
+// a branched walk across a k=4 fat tree allocates nothing.
+func TestWaypointEvaluationAllocatesNothing(t *testing.T) {
+	_, dst, walk := fatTreeWalk(t)
 	for _, tc := range []struct {
 		via      string
 		bypassed bool
@@ -199,5 +209,22 @@ func TestWaypointEvaluationAllocatesNothing(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("Evaluate(Waypoint) on a branched walk: %v allocations, want 0", allocs)
+	}
+}
+
+// TestSymbolicWalkAllocationBudget: computing a branched walk's Through
+// list costs the walk at most one allocation, the list itself. Every
+// walk pays it, including the ones no waypoint policy reads (the
+// churn_reverify workload's). The walker's router cache is warm, as on a
+// served miss or a re-verification.
+func TestSymbolicWalkAllocationBudget(t *testing.T) {
+	w, dst, walk := fatTreeWalk(t)
+	if want := []string{"p0e0", "p1e0"}; !slices.Equal(walk.Through, want) {
+		t.Fatalf("through %v, want %v", walk.Through, want)
+	}
+	// The walk allocated 29 times before it computed Through.
+	const budget = 29 + 1
+	if allocs := testing.AllocsPerRun(100, func() { w.ForwardPrefix("p0e0", dst) }); allocs > budget {
+		t.Errorf("a branched fat-tree walk allocates %v times, budget %d", allocs, budget)
 	}
 }
