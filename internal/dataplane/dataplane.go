@@ -111,7 +111,8 @@ type Walk struct {
 	// for symbolic walks that branched.
 	Egresses []string
 	// Edges lists the explored forwarding DAG's edges in discovery order,
-	// set for symbolic walks that branched.
+	// set for symbolic walks that branched; the symbolic-vs-probe oracle
+	// checks every probe's hops against it.
 	Edges [][2]string
 	// Through lists, source first, the routers on every trajectory of a
 	// walk that branched. A trajectory ends at a router that delivers, drops

@@ -456,8 +456,10 @@ func Evaluate(p Policy, src string, walk dataplane.Walk) (Violation, bool) {
 		// Path holds every visited router even for symbolic walks, and every
 		// visited router lies on some concrete trajectory, so a membership
 		// scan is exact for Avoid.
-		if slices.Contains(walk.Path, p.Expect) {
-			return fail("traversed avoided router " + p.Expect)
+		for _, r := range walk.Path {
+			if r == p.Expect {
+				return fail("traversed avoided router " + p.Expect)
+			}
 		}
 	case EcmpConsistent:
 		switch walk.Outcome {
