@@ -60,6 +60,12 @@ var rows = []row{
 	{"drop-batch", "dist-vs-central", "-seed 3", []edit{{"internal/dist/dist.go",
 		"\t\t\twalks := b.walks\n",
 		"\t\t\tif b.src == batches[0].src {\n\t\t\t\tfor _, w := range b.walks {\n\t\t\t\t\tc.deliver(w)\n\t\t\t\t}\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\twalks := b.walks\n"}}},
+	// A view sync that ships installs only: a node keeps every entry its
+	// router removed, and a fleet walk follows a static the central walker
+	// no longer sees.
+	{"fleet-drops-removes", "dist-vs-central", "-seed 4 -shape ring", []edit{{"internal/dist/fleet.go",
+		"\t\t\t} else {\n\t\t\t\td.Removes = append(d.Removes, p)\n\t\t\t}\n",
+		"\t\t\t}\n"}}},
 	// A channel queue read from the wrong end: a receive pairs with the
 	// newest unmatched send, where the reference's scan takes the oldest.
 	{"swap-send-match", "infer-fast-vs-reference", "-seed 4", []edit{{"internal/hbr/channels.go",

@@ -11,14 +11,14 @@ import (
 )
 
 // TestFleetRoundKeepsMidRoundDirt is the regression for the lost update in
-// the fleet rounds' dirty-set handling: a router dirtied after a round has
-// read the dirty set but before the round ends must still be synced by the
-// next round. Each iteration offers a static on r1 (dirtying it), starts a
-// round, and withdraws the static as soon as the round's view delta is on
-// the wire — i.e. after the round took its dirty set. The following round
-// must ship r1's withdrawal to the fleet and agree with the central walker;
-// a round that wipes the dirty set when it finishes instead re-answers from
-// r1's stale view. Run under -race in CI.
+// the fleet rounds' handling of their notes: a prefix noted after a round
+// has taken the notes but before the round ends must still be shipped by
+// the next round. Each iteration offers a static on r1 (noting its prefix),
+// starts a round, and withdraws the static as soon as the round's view
+// delta is on the wire — i.e. after the round took its notes. The
+// following round must ship r1's withdrawal to the fleet and agree with the
+// central walker; a round that wipes the notes when it finishes instead
+// re-answers from r1's stale view. Run under -race in CI.
 func TestFleetRoundKeepsMidRoundDirt(t *testing.T) {
 	rounds := map[string]func(*Pipeline, []verify.Policy) (dist.Stats, error){
 		"VerifyDistributed": (*Pipeline).VerifyDistributed,

@@ -76,7 +76,7 @@ type Pipeline struct {
 	live      *dataplane.Walker
 
 	// fleet is the distributed verification fleet (§5), built on first use;
-	// the FIB and link hooks mark its dirty routers under fleetMu.
+	// the FIB and link hooks tell it what changed under fleetMu.
 	fleetMu sync.Mutex
 	fleet   *dist.Fleet
 
@@ -87,7 +87,7 @@ type Pipeline struct {
 // NewPipeline builds a pipeline with the incremental rule-matching strategy
 // and the delta verification path: every router FIB feeds the incremental
 // equivalence classifier, the walk cache's per-router invalidation and the
-// fleet's dirty set, and link flips reach both endpoint routers. A repair
+// fleet's notes, and link flips reach both endpoint routers. A repair
 // rollback is one more configuration change: its reconvergence reaches all
 // three through the same feeds as any other FIB update.
 func NewPipeline(n *network.Network, sources []string) *Pipeline {
@@ -98,9 +98,9 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 	for _, r := range n.Routers() {
 		name := r.Name
 		p.eqc.Watch(name, r.FIB)
-		r.FIB.OnChange(func(fib.Update) {
+		r.FIB.OnChange(func(u fib.Update) {
 			p.walkCache.InvalidateRouter(name)
-			p.markDirty(name)
+			p.toFleet(func(f *dist.Fleet) { f.Note(name, u) })
 		})
 	}
 	n.OnLinkChange(func(a, b string, up bool) {
@@ -108,18 +108,20 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 		// FIB entry moves (interface-up checks, statics over the link).
 		p.walkCache.InvalidateRouter(a)
 		p.walkCache.InvalidateRouter(b)
-		p.markDirty(a)
-		p.markDirty(b)
+		p.toFleet(func(f *dist.Fleet) {
+			f.NoteLinks(a)
+			f.NoteLinks(b)
+		})
 	})
 	return p
 }
 
-// markDirty tells the fleet, once built, that router changed. A fleet
-// starts from the live views, so nothing before it is dirty.
-func (p *Pipeline) markDirty(router string) {
+// toFleet tells the fleet, once built, what changed. A fleet starts from
+// the live views, so nothing before it needs telling.
+func (p *Pipeline) toFleet(tell func(*dist.Fleet)) {
 	p.fleetMu.Lock()
 	if p.fleet != nil {
-		p.fleet.MarkDirty(router)
+		tell(p.fleet)
 	}
 	p.fleetMu.Unlock()
 }
@@ -244,12 +246,12 @@ func (p *Pipeline) Classes() []eqclass.Class { return p.eqc.Classes() }
 // The caller owns the engine's lifecycle (Close it when done).
 func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 	return serve.New(serve.Config{
-		Executor:  serve.WalkerExecutor{W: p.live},
-		Cache:     p.walkCache,
-		Classes:   p.eqc,
-		WhatIf:    &whatif.Engine{Sources: p.Sources, Policies: policies},
-		Blueprint: p.Net.Blueprint(),
-		Metrics:   p.Metrics,
+		Executor: serve.WalkerExecutor{W: p.live},
+		Cache:    p.walkCache,
+		Classes:  p.eqc,
+		WhatIf:   &whatif.Engine{Sources: p.Sources, Policies: policies},
+		Network:  p.Net,
+		Metrics:  p.Metrics,
 	})
 }
 

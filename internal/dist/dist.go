@@ -312,10 +312,9 @@ func (n *Node) applyViewDelta(d viewDelta) {
 type Coordinator struct {
 	endpoint
 
-	mu       sync.Mutex
-	nextID   int
-	pending  map[int]chan<- WalkMsg
-	lastView map[string]LocalView // views last shipped to each node
+	mu      sync.Mutex
+	nextID  int
+	pending map[int]chan<- WalkMsg
 
 	// Local-check mode state (also under mu): sync-correlated pending
 	// check reports, the label set last pushed to the fleet, and the
@@ -331,7 +330,6 @@ type Coordinator struct {
 func startCoordinator() (*Coordinator, error) {
 	c := &Coordinator{
 		pending:    map[int]chan<- WalkMsg{},
-		lastView:   map[string]LocalView{},
 		pendingLoc: map[int]chan<- LocalReport{},
 		taint:      map[netip.Prefix]bool{},
 	}

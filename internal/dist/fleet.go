@@ -16,9 +16,11 @@ import (
 	"sync"
 	"time"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
+	"hbverify/internal/route"
 	"hbverify/internal/verify"
 )
 
@@ -37,9 +39,10 @@ const (
 const localRelabelEvery = 16
 
 // Fleet is §5's distributed verifier over one network: a node per router,
-// each holding that router's view, and the coordinator, which keeps its own
-// record of the views it shipped. Verify and VerifyLocal are its rounds;
-// MarkDirty names the routers the next round syncs.
+// each holding that router's view. The fleet keeps no copy of any view: it
+// is told what changed (Note, NoteLinks), and a round reads the noted
+// entries and interfaces from the live network and ships them. Verify and
+// VerifyLocal are its rounds.
 type Fleet struct {
 	net     *network.Network
 	coord   *Coordinator
@@ -49,9 +52,12 @@ type Fleet struct {
 	// nodes has a node per router. NewFleet fills it under mu, which the
 	// nodes' directory takes because nodes serve walks on their own
 	// goroutines; once NewFleet has returned it is only read.
-	nodes  map[string]*Node
-	dirty  map[string]struct{} // routers changed since a round last took the set
-	rounds int                 // local-check rounds since the last relabel
+	nodes map[string]*Node
+	// noted holds, per router, what changed since a round last took it:
+	// the prefixes of its FIB updates, and the zero prefix, which no entry
+	// has, when a link of its flipped.
+	noted  map[string]map[netip.Prefix]struct{}
+	rounds int // local-check rounds since the last relabel
 }
 
 // NewFleet starts the coordinator and a node per router of n, each with the
@@ -62,7 +68,7 @@ func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{net: n, coord: coord, metrics: reg, nodes: map[string]*Node{}, dirty: map[string]struct{}{}}
+	f := &Fleet{net: n, coord: coord, metrics: reg, nodes: map[string]*Node{}, noted: map[string]map[netip.Prefix]struct{}{}}
 	directory := func(router string) (string, bool) {
 		if nd := f.Node(router); nd != nil {
 			return nd.Addr(), true
@@ -70,8 +76,7 @@ func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
 		return "", false
 	}
 	for _, r := range n.Routers() {
-		view := LocalViewOf(r)
-		node, err := startNode(view, directory, coord.Addr())
+		node, err := startNode(LocalViewOf(r), directory, coord.Addr())
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -79,10 +84,6 @@ func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
 		f.mu.Lock()
 		f.nodes[r.Name] = node
 		f.mu.Unlock()
-		// The node edits its trie in place as deltas land; the record of
-		// what was shipped keeps a copy.
-		view.FIB = view.FIB.Clone()
-		coord.lastView[r.Name] = view
 	}
 	return f, nil
 }
@@ -103,13 +104,22 @@ func (f *Fleet) Node(router string) *Node {
 	return f.nodes[router]
 }
 
-// MarkDirty records that router's FIB or links changed: the next round
-// syncs its view. A router marked while a round runs is synced by the
-// round after it.
-func (f *Fleet) MarkDirty(router string) {
+// Note queues the prefix of one of router's FIB updates: the next round
+// ships the entry router's table holds for it then, or its removal. A
+// prefix noted while a round runs is shipped by the round after it.
+func (f *Fleet) Note(router string, u fib.Update) { f.note(router, u.Entry.Prefix) }
+
+// NoteLinks records that a link of router's flipped: the next round ships
+// its interfaces.
+func (f *Fleet) NoteLinks(router string) { f.note(router, netip.Prefix{}) }
+
+func (f *Fleet) note(router string, p netip.Prefix) {
 	f.mu.Lock()
-	f.dirty[router] = struct{}{}
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	if f.noted[router] == nil {
+		f.noted[router] = map[netip.Prefix]struct{}{}
+	}
+	f.noted[router][p] = struct{}{}
 }
 
 // Wire sums the transport counters, frames and bytes written, over the
@@ -125,8 +135,7 @@ func (f *Fleet) Wire() (frames, bytes int64) {
 	return frames, bytes
 }
 
-// Verify is one distributed round: it syncs the dirty routers' views and
-// runs a copy of ck over the fleet. The checker decides which walks the
+// Verify is one distributed round: it ships the noted changes and runs a copy of ck over the fleet. The checker decides which walks the
 // policies need (its sources, class sharding, cache and any certificate it
 // carries all apply) and the fleet executes them. Checks whose walk failed
 // are reported as an error, never as a verdict.
@@ -135,7 +144,7 @@ func (f *Fleet) Verify(ck *verify.Checker, policies []verify.Policy) (Stats, err
 }
 
 // VerifyLocal is one round of the hybrid local-check loop. The sync lets
-// each dirty node validate its new state against its label slice, and the
+// each noted router's node validate its new state against its label slice, and the
 // checker gets the coordinator's certificate as it stands after the nodes'
 // reports, so a quiet check is answered without a walk. The first round,
 // and every localRelabelEvery-th, runs without the certificate and then
@@ -144,33 +153,27 @@ func (f *Fleet) VerifyLocal(ck *verify.Checker, policies []verify.Policy) (Stats
 	return f.round(ck, policies, true)
 }
 
-// round is Verify and VerifyLocal. It takes the dirty set, leaving an empty
-// one behind, and merges it back if the round fails, so a failed round's
-// routers are retried by the next.
+// round is Verify and VerifyLocal. It takes the notes, leaving none
+// behind, and puts them back if the round fails, so the next round reads
+// a failed round's routers again.
 func (f *Fleet) round(base *verify.Checker, policies []verify.Policy, local bool) (stats Stats, err error) {
 	f.mu.Lock()
-	taken, rounds := f.dirty, f.rounds
-	f.dirty = map[string]struct{}{}
+	taken, rounds := f.noted, f.rounds
+	f.noted = map[string]map[netip.Prefix]struct{}{}
 	f.mu.Unlock()
 	defer func() {
 		if err != nil {
-			f.mu.Lock()
-			for r := range taken {
-				f.dirty[r] = struct{}{}
+			for r, noted := range taken {
+				for p := range noted {
+					f.note(r, p)
+				}
 			}
-			f.mu.Unlock()
 		}
 	}()
 	relabel := local && (rounds >= localRelabelEvery || f.coord.LabelEpoch() == 0)
 
-	views := make(map[string]LocalView, len(taken))
-	for r := range taken {
-		if rt := f.net.Router(r); rt != nil {
-			views[r] = LocalViewOf(rt)
-		}
-	}
 	f0, b0 := f.Wire()
-	if _, err := f.sync(views); err != nil {
+	if err := f.sync(f.deltas(taken)); err != nil {
 		return Stats{}, err
 	}
 	ex := f.executor()
@@ -233,54 +236,70 @@ func classesOf(policies []verify.Policy) []netip.Prefix {
 	return slices.Compact(classes)
 }
 
-// sync pushes views to the fleet as binary delta frames and waits for every
-// node to acknowledge its delta. Only a router whose FIB or interface state
-// differs from what was last shipped gets a frame, and only the changed
-// entries travel. Each node applies its delta, validates the new state
-// against its label slice, and answers with a check report — the
-// acknowledgement that makes it safe to start walks: a walk dispatched
-// after sync returns cannot reach a node before its delta did. Violations
-// accumulate in the coordinator's taint state until the next relabel. A
-// delta that could not be sent, or that no node acknowledged within
-// syncTimeout or before the fleet closed, is an error: the fleet's state is
-// then unknown and the round must not produce a verdict.
-func (f *Fleet) sync(views map[string]LocalView) (LocalSyncResult, error) {
-	c := f.coord
-	routers := make([]string, 0, len(views))
-	for r := range views {
+// deltas reads each noted router's live state into the view delta the
+// round ships it, in router order: for each noted prefix, in prefix order,
+// the entry the router's table holds, or the prefix's removal when it holds
+// none; and the interfaces when a link flipped.
+func (f *Fleet) deltas(taken map[string]map[netip.Prefix]struct{}) []viewDelta {
+	routers := make([]string, 0, len(taken))
+	for r := range taken {
 		routers = append(routers, r)
 	}
 	sort.Strings(routers)
-	var res LocalSyncResult
+	var out []viewDelta
+	for _, r := range routers {
+		rt := f.net.Router(r)
+		if rt == nil {
+			continue
+		}
+		prefixes := make([]netip.Prefix, 0, len(taken[r]))
+		for p := range taken[r] {
+			prefixes = append(prefixes, p)
+		}
+		slices.SortFunc(prefixes, route.ComparePrefix)
+		d := viewDelta{Router: r}
+		for _, p := range prefixes {
+			if !p.IsValid() {
+				d.HasIface, d.Ifaces = true, dataplane.IfacesOf(rt.Topo)
+			} else if e, ok := rt.FIB.Exact(p); ok {
+				d.Installs = append(d.Installs, e)
+			} else {
+				d.Removes = append(d.Removes, p)
+			}
+		}
+		if len(d.Installs) > 0 || len(d.Removes) > 0 || d.HasIface {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// sync ships each delta to its router's node as a binary frame and waits
+// for every node to acknowledge. Each node applies its delta, validates
+// the new state against its label slice, and answers with a check report
+// — the acknowledgement that makes it safe to start walks: a walk
+// dispatched after sync returns cannot reach a node before its delta did.
+// Violations taint their classes in the coordinator until the next
+// relabel, and so does a report at another label epoch, for every class.
+// A delta that could not be sent, or that no node acknowledged within
+// syncTimeout or before the fleet closed, is an error: the fleet's state
+// is then unknown and the round must not produce a verdict.
+func (f *Fleet) sync(deltas []viewDelta) error {
+	c := f.coord
 	// Sized to the worst case so deliverLocal never blocks; each sync ID is
 	// registered before its frame is sent.
-	ch := make(chan LocalReport, len(routers))
+	ch := make(chan LocalReport, len(deltas))
 	var ids []int
 	var firstErr error
-	for _, r := range routers {
-		v := views[r]
-		node := f.Node(r)
-		if node == nil {
-			continue
-		}
-		c.mu.Lock()
-		old := c.lastView[r]
-		c.mu.Unlock()
-		d := viewDelta{Router: r}
-		d.Installs, d.Removes = fib.Diff(old.FIB, v.FIB)
-		if !slices.Equal(old.Ifaces, v.Ifaces) {
-			d.HasIface, d.Ifaces = true, v.Ifaces
-		}
-		if len(d.Installs) == 0 && len(d.Removes) == 0 && !d.HasIface {
-			continue
-		}
+	for i := range deltas {
+		d := &deltas[i]
 		c.mu.Lock()
 		c.nextSync++
 		d.Sync = c.nextSync
 		c.pendingLoc[d.Sync] = ch
 		c.mu.Unlock()
-		if _, err := c.pool.send(node.Addr(), func(b []byte) []byte {
-			return appendViewDelta(b, &d)
+		if _, err := c.pool.send(f.Node(d.Router).Addr(), func(b []byte) []byte {
+			return appendViewDelta(b, d)
 		}); err != nil {
 			c.mu.Lock()
 			delete(c.pendingLoc, d.Sync)
@@ -290,27 +309,27 @@ func (f *Fleet) sync(views map[string]LocalView) (LocalSyncResult, error) {
 			}
 			continue
 		}
-		res.Sent++
 		ids = append(ids, d.Sync)
-		c.mu.Lock()
-		c.lastView[r] = v
-		c.mu.Unlock()
 	}
 
 	epoch := c.LabelEpoch()
 	deadline := time.NewTimer(syncTimeout)
 	defer deadline.Stop()
 	waited := "after " + syncTimeout.String()
+	acked := 0
 collect:
-	for len(res.Reports) < len(ids) {
+	for acked < len(ids) {
 		select {
 		case rep := <-ch:
-			res.Reports = append(res.Reports, rep)
-			res.Checked += rep.Checked
-			if rep.Epoch != epoch || epoch == 0 {
-				res.Stale++
+			acked++
+			c.mu.Lock()
+			for _, v := range rep.Violations {
+				c.taint[v.Prefix] = true
 			}
-			res.Violations = append(res.Violations, rep.Violations...)
+			if rep.Epoch != epoch || epoch == 0 {
+				c.taintAll = true
+			}
+			c.mu.Unlock()
 		case <-deadline.C:
 			break collect
 		case <-c.closing:
@@ -326,17 +345,14 @@ collect:
 			unacked++
 		}
 	}
-	for _, v := range res.Violations {
-		c.taint[v.Prefix] = true
-	}
-	if res.Stale > 0 || unacked > 0 || firstErr != nil {
+	if unacked > 0 || firstErr != nil {
 		c.taintAll = true
 	}
 	c.mu.Unlock()
 	if firstErr == nil && unacked > 0 {
 		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged %s", unacked, len(ids), waited)
 	}
-	return res, firstErr
+	return firstErr
 }
 
 // CentralizedBytes estimates the wire cost of the centralized alternative:

@@ -14,9 +14,7 @@
 package dist
 
 import (
-	"maps"
 	"net/netip"
-	"sort"
 	"time"
 
 	"hbverify/internal/dataplane"
@@ -102,23 +100,6 @@ type LocalReport struct {
 	Violations []localck.Violation
 }
 
-// LocalSyncResult aggregates one view sync.
-type LocalSyncResult struct {
-	// Sent is the number of delta frames shipped (unchanged routers cost
-	// nothing).
-	Sent int
-	// Reports holds the per-node check reports, in report arrival order.
-	Reports []LocalReport
-	// Violations flattens every violation across the reports.
-	Violations []localck.Violation
-	// Stale counts nodes that answered at a different label epoch than
-	// the coordinator's (including label-less nodes); any staleness taints
-	// the whole round. A node that does not answer at all fails the sync.
-	Stale int
-	// Checked sums the classes validated across the fleet.
-	Checked int
-}
-
 // deliverLocal routes a check report to the sync waiting on
 // its sync ID.
 func (c *Coordinator) deliverLocal(rep LocalReport) {
@@ -142,48 +123,35 @@ func (c *Coordinator) LabelEpoch() uint64 {
 	return c.labels.Epoch
 }
 
-// DeriveLabelsFromViews computes a distance-to-egress label set for the
-// given classes over a set of router views, using each view's own
-// expansion semantics (the exact state local checks will later judge).
-// Exported for the scenario harness's differential oracle.
-func DeriveLabelsFromViews(views map[string]LocalView, classes []netip.Prefix, epoch uint64) *localck.LabelSet {
-	routers := make([]string, 0, len(views))
-	for r := range views {
-		routers = append(routers, r)
-	}
-	sort.Strings(routers)
-	fwd := func(r string, class netip.Prefix) dataplane.Expansion {
-		return views[r].Expand(dataplane.Representative(class))
-	}
-	return localck.Derive(routers, classes, fwd, epoch)
-}
-
-// relabel derives fresh labels for classes from the coordinator's record
-// of the views last shipped, at the next label epoch, and pushes each node
-// its slice: the periodic full-round step of the hybrid loop, run right
-// after a full walk round so the labels describe a verified epoch. The
-// taint state resets, since a fresh epoch starts clean; a node the push
-// misses leaves the whole epoch uncertified.
+// relabel derives fresh labels for classes from the live network, at the
+// next label epoch, and pushes each node its slice: the periodic
+// full-round step of the hybrid loop, run right after a full walk round so
+// the labels describe a verified epoch. A router whose node has not yet
+// been shipped its live state has notes pending, and the next sync checks
+// them against these labels. The taint state resets, since a fresh epoch
+// starts clean; a node the push misses leaves the whole epoch uncertified.
 func (f *Fleet) relabel(classes []netip.Prefix) error {
 	c := f.coord
 	c.mu.Lock()
-	views := maps.Clone(c.lastView)
 	var epoch uint64 = 1
 	if c.labels != nil {
 		epoch = c.labels.Epoch + 1
 	}
 	c.mu.Unlock()
-	ls := DeriveLabelsFromViews(views, classes, epoch)
-	routers := make([]string, 0, len(views))
-	for r := range views {
-		routers = append(routers, r)
+	rts := f.net.Routers()
+	routers := make([]string, len(rts))
+	for i, rt := range rts {
+		routers[i] = rt.Name
 	}
-	sort.Strings(routers)
+	live := f.net.LiveWalker()
+	ls := localck.Derive(routers, classes, func(r string, class netip.Prefix) dataplane.Expansion {
+		return live.Expand(r, dataplane.Representative(class))
+	}, epoch)
 	var firstErr error
-	for _, r := range routers {
-		nl := views[r].Labels(ls)
-		router := r
-		if _, err := c.pool.send(f.Node(r).Addr(), func(b []byte) []byte {
+	for _, rt := range rts {
+		nl := LocalView{Router: rt.Name, Ifaces: dataplane.IfacesOf(rt.Topo)}.Labels(ls)
+		router := rt.Name
+		if _, err := c.pool.send(f.Node(router).Addr(), func(b []byte) []byte {
 			return appendLabels(b, router, nl)
 		}); err != nil && firstErr == nil {
 			firstErr = err

@@ -15,15 +15,16 @@ import (
 )
 
 // tainted returns the classes local violations have flagged since the last
-// relabel.
-func tainted(c *Coordinator) []netip.Prefix {
+// relabel, and whether every class is tainted (a report at another label
+// epoch, or a delta no node acknowledged).
+func tainted(c *Coordinator) ([]netip.Prefix, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]netip.Prefix, 0, len(c.taint))
 	for p := range c.taint {
 		out = append(out, p)
 	}
-	return out
+	return out, c.taintAll
 }
 
 // qClass is a second forwarding class for the paper net: r3's loopback,
@@ -60,12 +61,8 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 		t.Fatalf("epoch = %d", f.coord.LabelEpoch())
 	}
 
-	// No churn: every router is dirty but none differs from what was
-	// shipped, so no delta travels, every check is certified locally, and
-	// the whole round puts nothing on the wire.
-	for _, r := range routerNames(pn.Network) {
-		f.MarkDirty(r)
-	}
+	// No churn: nothing is noted, so no delta travels, every check is
+	// certified locally, and the whole round puts nothing on the wire.
 	stats, err := f.VerifyLocal(verify.NewChecker(nil, sources), policies)
 	if err != nil {
 		t.Fatal(err)
@@ -106,27 +103,16 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	v := viewsOf(pn.Network)["r2"]
 	cut := edited(v, func(p netip.Prefix) bool { return !p.Contains(rep) })
 
-	res, err := f.sync(map[string]LocalView{"r2": cut})
-	if err != nil {
+	f0, _ := f.Wire()
+	if err := ship(f, map[string]LocalView{"r2": cut}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Sent != 1 || len(res.Reports) != 1 || res.Stale != 0 {
-		t.Fatalf("sync = %+v", res)
+	if f1, _ := f.Wire(); f1-f0 != 2 {
+		t.Fatalf("sync of r2 cost %d frames, want 2: the delta and its report", f1-f0)
 	}
-	found := false
-	for _, viol := range res.Violations {
-		if viol.Router == "r2" && viol.Prefix == pn.P && viol.Invariant == localck.InvNoRoute {
-			found = true
-		}
-		if viol.Prefix == qClass {
-			t.Fatalf("quiet class flagged: %v", viol)
-		}
-	}
-	if !found {
-		t.Fatalf("no no-route violation for P: %+v", res.Violations)
-	}
-	if tc := tainted(f.coord); len(tc) != 1 || tc[0] != pn.P {
-		t.Fatalf("tainted = %v", tc)
+	// P alone is flagged: the quiet class Q is not.
+	if tc, all := tainted(f.coord); len(tc) != 1 || tc[0] != pn.P || all {
+		t.Fatalf("tainted = %v (all: %v)", tc, all)
 	}
 
 	// The hybrid round certifies Q and escalates only P's checks, whose
@@ -165,8 +151,8 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	if err := f.relabel([]netip.Prefix{pn.P, qClass}); err != nil {
 		t.Fatal(err)
 	}
-	if tc := tainted(f.coord); len(tc) != 0 {
-		t.Fatalf("taint survived relabel: %v", tc)
+	if tc, all := tainted(f.coord); len(tc) != 0 || all {
+		t.Fatalf("taint survived relabel: %v (all: %v)", tc, all)
 	}
 }
 
@@ -196,12 +182,15 @@ func TestLocalCheckStaleEpochTaintsRound(t *testing.T) {
 	// epoch 0, which must read as stale.
 	v := viewsOf(pn.Network)["r1"]
 	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback})
-	res, err := f.sync(map[string]LocalView{"r1": grown})
-	if err != nil {
+	f0, _ := f.Wire()
+	if err := ship(f, map[string]LocalView{"r1": grown}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Sent != 1 || res.Stale != 1 {
-		t.Fatalf("sync = %+v", res)
+	if f1, _ := f.Wire(); f1-f0 != 2 {
+		t.Fatalf("sync of r1 cost %d frames, want 2: the delta and its report", f1-f0)
+	}
+	if _, all := tainted(f.coord); !all {
+		t.Fatal("a report at epoch 0 left the round untainted")
 	}
 }
 
@@ -305,7 +294,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 			if i%2 == 1 {
 				vs = broken
 			}
-			if _, err := f.sync(map[string]LocalView{"r2": vs["r2"]}); err != nil {
+			if err := ship(f, map[string]LocalView{"r2": vs["r2"]}); err != nil {
 				t.Errorf("sync: %v", err)
 				return
 			}

@@ -55,7 +55,7 @@ func TestStatsWireAccounting(t *testing.T) {
 	}
 
 	// Local-check suppressed round: labels pushed, then a sync of one
-	// dirty router costs exactly two frames — the view delta out and
+	// changed router costs exactly two frames — the view delta out and
 	// the (empty-violation) local report back.
 	if err := f.relabel([]netip.Prefix{pn.P, qClass}); err != nil {
 		t.Fatal(err)
@@ -63,16 +63,15 @@ func TestStatsWireAccounting(t *testing.T) {
 	v := viewsOf(pn.Network)["r2"]
 	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback})
 	f4, b4 := f.Wire()
-	res, err := f.sync(map[string]LocalView{"r2": grown})
-	if err != nil {
+	if err := ship(f, map[string]LocalView{"r2": grown}); err != nil {
 		t.Fatal(err)
 	}
 	f5, b5 := f.Wire()
-	if res.Sent != 1 || len(res.Reports) != 1 || res.Stale != 0 || len(res.Violations) != 0 {
-		t.Fatalf("sync = %+v", res)
+	if classes, all := tainted(f.coord); len(classes) != 0 || all {
+		t.Fatalf("quiet sync tainted %v (all: %v)", classes, all)
 	}
 	if f5-f4 != 2 {
-		t.Fatalf("sync of one dirty router cost %d frames (want 2: delta + report), %d bytes", f5-f4, b5-b4)
+		t.Fatalf("sync of one changed router cost %d frames (want 2: delta + report), %d bytes", f5-f4, b5-b4)
 	}
 
 	// Quiet local round: every pair certified locally, zero wire cost,

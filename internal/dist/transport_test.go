@@ -167,8 +167,12 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 	sources := []string{"r1", "r2", "r3"}
 
 	// In-sync fleet: syncing again ships nothing.
-	if res, err := f.sync(viewsOf(pn.Network)); err != nil || res.Sent != 0 {
-		t.Fatalf("no-op sync sent %d frames, err %v", res.Sent, err)
+	f0, _ := f.Wire()
+	if err := ship(f, viewsOf(pn.Network)); err != nil {
+		t.Fatal(err)
+	}
+	if f1, _ := f.Wire(); f1 != f0 {
+		t.Fatalf("no-op sync sent %d frames", f1-f0)
 	}
 
 	stats, err := f.Verify(verify.NewChecker(nil, sources), policies)
@@ -198,12 +202,12 @@ func TestSyncViewsShipsDeltas(t *testing.T) {
 		t.Fatalf("unsynced fleet already sees the change: %+v", stale.Report)
 	}
 
-	res, err := f.sync(viewsOf(pn.Network))
-	if err != nil {
+	f2, _ := f.Wire()
+	if err := ship(f, viewsOf(pn.Network)); err != nil {
 		t.Fatal(err)
 	}
-	if res.Sent == 0 || len(res.Reports) != res.Sent {
-		t.Fatal("no delta frames sent for a changed network")
+	if f3, _ := f.Wire(); f3 == f2 || (f3-f2)%2 != 0 {
+		t.Fatalf("sync of a changed network cost %d frames, want a delta and a report per changed router", f3-f2)
 	}
 	fresh, err := f.Verify(verify.NewChecker(nil, sources), policies)
 	if err != nil {

@@ -58,7 +58,7 @@ func TestFleetExecutorServesQueries(t *testing.T) {
 	f := startFleet(t, pn.Network)
 	e := serve.New(serve.Config{
 		Executor: f.executor(), Cache: verify.NewWalkCache(),
-		Classes: eqclass.NewIncremental(nil), WhatIf: &whatif.Engine{}, Blueprint: pn.Blueprint(),
+		Classes: eqclass.NewIncremental(nil), WhatIf: &whatif.Engine{}, Network: pn.Network,
 		Metrics: metrics.NewRegistry(),
 	})
 	defer e.Close()

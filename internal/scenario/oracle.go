@@ -667,26 +667,26 @@ func (h *harness) oracleSymbolicVsProbe(round int) *Failure {
 	return nil
 }
 
-// oracleDistVsCentral builds a distributed verification fleet over the
-// live network (every router, externals included, so walks traverse the
-// same graph the central walker sees), runs one checker twice — over the
-// central executor and over the fleet executor — and asserts every check
-// was answered by the same walk, field for field: the coordinator's replay
-// of the collected expansions must reproduce the central DFS's outcome,
-// path, egresses, edges and branch count. The drop-batch mutation makes the
-// coordinator lose every batch bound for one node while still reporting
-// success, which this oracle must catch.
+// oracleDistVsCentral runs one checker twice — over the central executor
+// and over the harness's fleet, a node per router, externals included, so
+// walks traverse the same graph the central walker sees — and asserts every
+// check was answered by the same walk, field for field: the coordinator's
+// replay of the collected expansions must reproduce the central DFS's
+// outcome, path, egresses, edges and branch count. The fleet lives for the
+// whole run, so each round's nodes hold what the view syncs shipped them;
+// the ECMP-static prefixes, whose walks fan out to several terminals and
+// whose statics come and go, are checked for reachability beside P and Q.
+// The drop-batch mutation makes the coordinator lose every batch bound for
+// one node while still reporting success, and fleet-drops-removes ships
+// installs only, both of which this oracle must catch.
 func (h *harness) oracleDistVsCentral(round int) *Failure {
-	fleet, err := dist.NewFleet(h.w.net, nil)
-	if err != nil {
-		return &Failure{Oracle: OracleDist, Round: round, Detail: fmt.Sprintf("build fleet: %v", err)}
-	}
-	defer fleet.Close()
-
 	ck := verify.NewChecker(h.liveWalker(), h.w.verifySources)
 	pols := h.policies()
+	for _, p := range ecmpStaticPrefixes {
+		pols = append(pols, verify.Policy{Kind: verify.Reachable, Prefix: p})
+	}
 	want := ck.Check(pols).Results()
-	stats, err := fleet.Verify(ck, pols)
+	stats, err := h.fleet.Verify(ck, pols)
 	for i, g := range stats.Report.Results() {
 		w := want[i]
 		if g.Err != nil {
@@ -725,8 +725,9 @@ func (h *harness) oracleLocalSuperset(round int) *Failure {
 		views[r.Name] = dist.LocalViewOf(r)
 		routers = append(routers, r.Name)
 	}
-	sort.Strings(routers)
-	ls := dist.DeriveLabelsFromViews(views, classes, uint64(round)+1)
+	ls := localck.Derive(routers, classes, func(r string, class netip.Prefix) dataplane.Expansion {
+		return views[r].Expand(dataplane.Representative(class))
+	}, uint64(round)+1)
 
 	if f := h.localSuperset(round, "converged", views, routers, ls); f != nil {
 		return f

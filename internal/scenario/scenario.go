@@ -23,9 +23,10 @@
 //     happens-before or through an entry its router never held;
 //  4. checker-determinism: verify.Checker verdicts are identical across
 //     worker counts and repeated runs;
-//  5. dist-vs-central: the distributed TCP fleet's walks are
+//  5. dist-vs-central: the walks of a distributed TCP fleet that lives
+//     for the whole run, its nodes kept current by view syncs, are
 //     byte-identical — path, outcome, egress — to the central walker's
-//     over the same FIBs;
+//     over the live FIBs;
 //  6. repair-rollback: after injecting a faulty config and repairing it
 //     via the pipeline's HBG root-cause rollback, the network reconverges
 //     to the exact pre-fault data plane;
@@ -61,6 +62,8 @@ import (
 
 	"hbverify"
 	"hbverify/internal/capture"
+	"hbverify/internal/dist"
+	"hbverify/internal/fib"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
@@ -188,8 +191,12 @@ func Run(cfg Config) *Result {
 		return fail("convergence", -1, "initial convergence: %v", err)
 	}
 
-	h := newHarness(cfg, w)
+	h, err := newHarness(cfg, w)
+	if err != nil {
+		return fail("harness", -1, "build: %v", err)
+	}
 	defer h.serve.Close()
+	defer h.fleet.Close()
 	byRound := map[int][]Event{}
 	for _, ev := range cfg.Schedule {
 		byRound[ev.Round] = append(byRound[ev.Round], ev)
@@ -229,11 +236,14 @@ func logDigest(v capture.View) uint64 {
 
 // harness holds the pipeline under test — hbverify.Pipeline as production
 // wires it, and its query engine — plus what the oracles compare it against.
+// The fleet lives for the whole run and is told every FIB update and link
+// flip, as the pipeline's is, so view syncs keep its nodes up to date.
 type harness struct {
 	cfg   Config
 	w     *world
 	p     *hbverify.Pipeline
 	serve *serve.Engine
+	fleet *dist.Fleet
 	full  hbr.Rules
 	// The windowed-compaction mirror for the compaction-vs-full oracle: clog
 	// is a second capture log, fed the live log's new events stripped (both
@@ -255,8 +265,20 @@ type harness struct {
 	dripped     int
 }
 
-func newHarness(cfg Config, w *world) *harness {
-	h := &harness{cfg: cfg, w: w, p: hbverify.NewPipeline(w.net, w.verifySources)}
+func newHarness(cfg Config, w *world) (*harness, error) {
+	fleet, err := dist.NewFleet(w.net, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range w.net.Routers() {
+		name := r.Name
+		r.FIB.OnChange(func(u fib.Update) { fleet.Note(name, u) })
+	}
+	w.net.OnLinkChange(func(a, b string, _ bool) {
+		fleet.NoteLinks(a)
+		fleet.NoteLinks(b)
+	})
+	h := &harness{cfg: cfg, w: w, p: hbverify.NewPipeline(w.net, w.verifySources), fleet: fleet}
 	h.p.External = w.isExternal
 	h.dripMetrics = metrics.NewRegistry()
 	h.drip = hbr.NewIncremental(hbr.Rules{}, h.dripMetrics)
@@ -268,7 +290,7 @@ func newHarness(cfg Config, w *world) *harness {
 	h.cinc.SkewSlack = compactSlack
 	h.clog = capture.NewLog()
 	h.serve = h.p.ServeEngine(h.policies())
-	return h
+	return h, nil
 }
 
 // checkRound runs the twelve oracles in order and returns the first

@@ -128,9 +128,10 @@ type Config struct {
 	// Classes canonicalizes query prefixes onto equivalence-class
 	// representatives.
 	Classes *eqclass.Incremental
-	// WhatIf runs hypothetical queries on copies of Blueprint.
-	WhatIf    *whatif.Engine
-	Blueprint *network.Blueprint
+	// WhatIf runs hypothetical queries on a copy of Network, taken when
+	// each is asked.
+	WhatIf  *whatif.Engine
+	Network *network.Network
 	// Metrics receives serve.* instruments.
 	Metrics *metrics.Registry
 }
@@ -176,7 +177,7 @@ type Engine struct {
 
 // New builds an engine.
 func New(cfg Config) *Engine {
-	if cfg.Executor == nil || cfg.Cache == nil || cfg.Classes == nil || cfg.WhatIf == nil || cfg.Blueprint == nil || cfg.Metrics == nil {
+	if cfg.Executor == nil || cfg.Cache == nil || cfg.Classes == nil || cfg.WhatIf == nil || cfg.Network == nil || cfg.Metrics == nil {
 		panic("serve: Config is missing a required field")
 	}
 	reg := cfg.Metrics
@@ -384,8 +385,7 @@ func (e *Engine) release() {
 // key — never cached, since the hypothetical's baseline is the live state
 // at ask time.
 func (e *Engine) whatIf(q Query, start time.Time) (Answer, error) {
-	var f *flight
-	lead := false
+	f := &flight{done: make(chan struct{})}
 	if q.Key != "" {
 		e.mu.Lock()
 		if exist, ok := e.wflights[q.Key]; ok {
@@ -397,41 +397,23 @@ func (e *Engine) whatIf(q Query, start time.Time) (Answer, error) {
 				return Answer{}, ErrClosed
 			}
 		}
-		f = &flight{done: make(chan struct{})}
 		e.wflights[q.Key] = f
-		lead = true
 		e.mu.Unlock()
-	} else {
-		f = &flight{done: make(chan struct{})}
-		lead = true
 	}
-	if lead {
-		if err := e.acquire(); err != nil {
-			if errors.Is(err, ErrOverloaded) {
-				e.rejected.Inc()
-			}
-			if q.Key != "" {
-				e.mu.Lock()
-				delete(e.wflights, q.Key)
-				e.mu.Unlock()
-			}
-			f.err = err
-			close(f.done)
-			return Answer{}, err
-		}
-		res, err := e.cfg.WhatIf.Ask(e.cfg.Blueprint, q.WhatIf...)
+	err := e.acquire()
+	if err == nil {
+		f.res, err = e.cfg.WhatIf.Ask(e.cfg.Network.Blueprint(), q.WhatIf...)
 		e.release()
-		f.err = err
-		if err == nil {
-			f.res = res
-		}
-		if q.Key != "" {
-			e.mu.Lock()
-			delete(e.wflights, q.Key)
-			e.mu.Unlock()
-		}
-		close(f.done)
+	} else if errors.Is(err, ErrOverloaded) {
+		e.rejected.Inc()
 	}
+	f.err = err
+	if q.Key != "" {
+		e.mu.Lock()
+		delete(e.wflights, q.Key)
+		e.mu.Unlock()
+	}
+	close(f.done)
 	return e.whatIfAnswer(f, q, start, false)
 }
 

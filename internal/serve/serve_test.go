@@ -62,7 +62,7 @@ func (w *paperWorld) engine(cfg Config) *Engine {
 	if cfg.WhatIf == nil {
 		cfg.WhatIf = &whatif.Engine{Sources: []string{"r1", "r2", "r3"}}
 	}
-	cfg.Cache, cfg.Classes, cfg.Blueprint, cfg.Metrics = w.cache, w.eqc, w.pn.Blueprint(), metrics.NewRegistry()
+	cfg.Cache, cfg.Classes, cfg.Network, cfg.Metrics = w.cache, w.eqc, w.pn.Network, metrics.NewRegistry()
 	return New(cfg)
 }
 
@@ -357,6 +357,39 @@ func TestWhatIfQueries(t *testing.T) {
 	}
 	if st := e.Stats(); st.WhatIfs != 2 {
 		t.Errorf("stats.WhatIfs = %d, want 2", st.WhatIfs)
+	}
+}
+
+// TestWhatIfJudgesLiveState: a hypothetical's baseline is the network as
+// it is when asked, not as it was when the engine was built. With r2–e2
+// already down live, failing it again changes nothing, so the served answer
+// must match whatif.Engine.Ask on the live blueprint: no introduced
+// violation. An engine holding a blueprint from before the failure judges
+// the failure new and reports every source's egress at e2 broken.
+func TestWhatIfJudgesLiveState(t *testing.T) {
+	w := startPaper(t)
+	wi := &whatif.Engine{Sources: []string{"r1", "r2", "r3"}, Policies: []verify.Policy{
+		{Kind: verify.Egress, Prefix: w.pn.P, Expect: "e2"},
+	}}
+	e := w.engine(Config{WhatIf: wi})
+	defer e.Close()
+	if _, err := w.pn.SetLinkUp("r2", "e2", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.pn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	direct, err := wi.Ask(w.pn.Blueprint(), whatif.LinkFailure("r2", "e2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := e.Query(WhatIf("fail-r2-e2", whatif.LinkFailure("r2", "e2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if intro := direct.NewViolations(); len(ans.Violations) != len(intro) || len(intro) != 0 {
+		t.Fatalf("served what-if introduces %d violations, Ask on the live blueprint %d: %v",
+			len(ans.Violations), len(intro), ans.Violations)
 	}
 }
 
