@@ -42,11 +42,6 @@ var allowlist = map[string]bool{
 	// No binary runs a grid, and E9's byte and message rows depend on
 	// exactly this topology, so the tests of three packages share it here.
 	"internal/network.BuildGridOSPF": true,
-	// The root barrier test (TestFleetRoundWaitsForViewAcks) makes a node
-	// sit on its view deltas so a round must wait for their acks. Only the
-	// node's own apply path can be slowed, and the test runs a Pipeline,
-	// which the dist package's tests cannot import.
-	"internal/dist.(*Node).SetApplyDelay": true,
 	// The interning counters: the route tests and network's
 	// TestScaleInternRatio read them to measure attribute sharing. No binary
 	// reports them, and the ratio test needs network's builders, which the

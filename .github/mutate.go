@@ -59,7 +59,7 @@ var rows = []row{
 	// replay as stuck at their sources.
 	{"drop-batch", "dist-vs-central", "-seed 3", []edit{{"internal/dist/dist.go",
 		"\t\t\twalks := b.walks\n",
-		"\t\t\tif b.src == batches[0].src {\n\t\t\t\tfor _, w := range b.walks {\n\t\t\t\t\tc.deliver(w)\n\t\t\t\t}\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\twalks := b.walks\n"}}},
+		"\t\t\tif b.src == batches[0].src {\n\t\t\t\tfor _, w := range b.walks {\n\t\t\t\t\tdeliver(f, w.WalkID, w)\n\t\t\t\t}\n\t\t\t\tcontinue\n\t\t\t}\n\t\t\twalks := b.walks\n"}}},
 	// A view sync that ships installs only: a node keeps every entry its
 	// router removed, and a fleet walk follows a static the central walker
 	// no longer sees.

@@ -1,7 +1,7 @@
 // Distributed verification (§5): every router runs a small TCP
 // verification node holding only its own FIB and local link knowledge.
 // Walks hop between nodes exactly as packets would hop between routers;
-// the coordinator only seeds walks and collects verdicts. No FIB ever
+// the fleet only seeds walks and collects verdicts. No FIB ever
 // leaves its router.
 //
 // One pipeline drives the fleet: a cold round (every walk travels), a warm

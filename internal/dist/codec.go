@@ -34,7 +34,7 @@ const (
 	mtViewDelta   byte = 4 // body: viewDelta (FIB installs/removes + ifaces)
 	// 5 and 6 are unassigned (retired provenance-trace frames); a server
 	// drops them like any type it does not know.
-	// Local-check mode (coordinator <-> node):
+	// Local-check mode (fleet <-> node):
 	mtLocalViolation byte = 7 // body: LocalReport (per-sync local check result)
 	mtLabels         byte = 8 // body: per-node distance-label slice
 )

@@ -83,7 +83,7 @@ func buildEcmpWorld(t *testing.T, hops []netip.Addr, linksReversed bool) ecmpWor
 	walk := walker.Forward("r1", dataplane.Representative(p))
 
 	// The result frame the last node would send: every explored router's
-	// expansion, which the coordinator's replay must turn back into walk.
+	// expansion, which the fleet's replay must turn back into walk.
 	msg := WalkMsg{WalkID: 1, Source: "r1", Dst: walk.Dst}
 	for _, r := range walk.Path {
 		msg.Exps = append(msg.Exps, ExpMsg{Router: r, Expansion: walker.Expand(r, walk.Dst)})

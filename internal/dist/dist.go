@@ -87,7 +87,7 @@ type ExpMsg struct {
 // carries the frontier of routers still to expand plus every expansion
 // collected so far, and each node forwards it to the next unexpanded
 // frontier router. When the frontier drains the message goes back to the
-// coordinator, whose Walk replays dataplane.SymbolicWalk over the collected
+// fleet, whose Walk replays dataplane.SymbolicWalk over the collected
 // expansions, so the distributed result is identical to the central
 // walker's by construction, with O(routers) messages per walk instead of
 // O(concrete paths).
@@ -105,7 +105,7 @@ type WalkMsg struct {
 	// Exps collects per-router expansions in DFS discovery order.
 	Exps []ExpMsg
 	// Err carries a transport failure (dead peer, timeout) back to the
-	// coordinator instead of losing the walk silently.
+	// fleet instead of losing the walk silently.
 	Err string
 }
 
@@ -131,7 +131,7 @@ type Node struct {
 	View LocalView
 
 	directory func(router string) (string, bool) // router -> node address
-	resultTo  string                             // coordinator address
+	resultTo  string                             // the fleet's address
 
 	// viewMu guards View against concurrent walk handling and view-delta
 	// application. View must not be mutated externally after startNode.
@@ -139,12 +139,14 @@ type Node struct {
 	// shipped with, under the same lock.
 	viewMu  sync.RWMutex
 	checker localck.Checker
-	// applyDelay (ns) is SetApplyDelay's test hook.
+	// applyDelay (ns) makes the node sit on every view delta that long
+	// before applying it, the way a busy router would, while walks arriving
+	// over other connections are served at once. Only tests set it.
 	applyDelay atomic.Int64
 }
 
 // startNode launches a node listening on 127.0.0.1. directory resolves
-// peer node addresses and resultTo is the coordinator's address.
+// peer node addresses and resultTo is the fleet's address.
 func startNode(view LocalView, directory func(string) (string, bool), resultTo string) (*Node, error) {
 	n := &Node{View: view, directory: directory, resultTo: resultTo}
 	if err := n.listen(n.handle); err != nil {
@@ -181,7 +183,7 @@ func (n *Node) handle(mt byte, r *wire.Reader) {
 // central DFS's pre-order exactly), and forwards the walk to the next
 // unexpanded frontier router. It returns the advanced walk, the next
 // node's address when the walk continues, and whether the frontier
-// drained — the walk then returns to the coordinator, which replays it.
+// drained — the walk then returns to the fleet, which replays it.
 func (n *Node) stepWalk(w WalkMsg) (WalkMsg, string, bool) {
 	n.viewMu.RLock()
 	defer n.viewMu.RUnlock()
@@ -227,7 +229,7 @@ func (n *Node) stepWalk(w WalkMsg) (WalkMsg, string, bool) {
 
 // handleWalkBatch applies the local transfer step to every walk in the
 // batch, then sends one frame per destination: finished walks to the
-// coordinator, continuing walks grouped by next-hop node.
+// fleet, continuing walks grouped by next-hop node.
 func (n *Node) handleWalkBatch(batchID int, walks []WalkMsg) {
 	var results []WalkMsg
 	forwards := map[string][]WalkMsg{}
@@ -250,9 +252,9 @@ func (n *Node) handleWalkBatch(batchID int, walks []WalkMsg) {
 }
 
 // sendWalks ships walks to addr as one binary batch frame. Walks that
-// cannot be forwarded go back to the coordinator at once with Err set, as
-// the coordinator does with a batch it cannot submit; a result that cannot
-// reach the coordinator is lost, and its deadline reports it.
+// cannot be forwarded go back to the fleet at once with Err set, as the
+// fleet does with a batch it cannot submit; a result that cannot reach the
+// fleet is lost, and its deadline reports it.
 func (n *Node) sendWalks(addr string, result bool, walks []WalkMsg, batchID int) {
 	if len(walks) == 0 {
 		return
@@ -272,7 +274,7 @@ func (n *Node) sendWalks(addr string, result bool, walks []WalkMsg, batchID int)
 	}
 }
 
-// applyViewDelta applies a coordinator-shipped view update: entry-level
+// applyViewDelta applies a fleet-shipped view update: entry-level
 // FIB installs/removes and optionally new interface state.
 func (n *Node) applyViewDelta(d viewDelta) {
 	if delay := n.applyDelay.Load(); delay > 0 {
@@ -307,69 +309,6 @@ func (n *Node) applyViewDelta(d viewDelta) {
 	}
 }
 
-// Coordinator seeds walks and collects results. Results are routed to the
-// submitting ExecuteWalks call by WalkID, so concurrent rounds are safe.
-type Coordinator struct {
-	endpoint
-
-	mu      sync.Mutex
-	nextID  int
-	pending map[int]chan<- WalkMsg
-
-	// Local-check mode state (also under mu): sync-correlated pending
-	// check reports, the label set last pushed to the fleet, and the
-	// classes tainted by violations since the last relabel.
-	nextSync   int
-	pendingLoc map[int]chan<- LocalReport
-	labels     *localck.LabelSet
-	taint      map[netip.Prefix]bool
-	taintAll   bool
-}
-
-// startCoordinator launches the result sink.
-func startCoordinator() (*Coordinator, error) {
-	c := &Coordinator{
-		pending:    map[int]chan<- WalkMsg{},
-		pendingLoc: map[int]chan<- LocalReport{},
-		taint:      map[netip.Prefix]bool{},
-	}
-	if err := c.listen(c.handle); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c *Coordinator) handle(mt byte, r *wire.Reader) {
-	switch mt {
-	case mtResultBatch:
-		_, walks := readWalkBatch(r)
-		if r.Err() != nil {
-			return
-		}
-		for _, w := range walks {
-			c.deliver(w)
-		}
-	case mtLocalViolation:
-		rep := readLocalReport(r)
-		if r.Err() == nil {
-			c.deliverLocal(rep)
-		}
-	}
-}
-
-// deliver routes one result to the Verify call waiting on its WalkID.
-// Unknown IDs (duplicates, results arriving after a timeout reclaimed the
-// walk) are dropped.
-func (c *Coordinator) deliver(w WalkMsg) {
-	c.mu.Lock()
-	ch := c.pending[w.WalkID]
-	delete(c.pending, w.WalkID)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- w // buffered to the caller's walk count; never blocks
-	}
-}
-
 // Stats aggregates one verification round over the fleet: the checker's
 // report plus what the round cost on the wire.
 type Stats struct {
@@ -384,7 +323,7 @@ type Stats struct {
 	// sync, local reports, walks and label pushes.
 	Frames int
 	Bytes  int
-	// Batches is how many batch frames the coordinator submitted.
+	// Batches is how many batch frames the fleet submitted.
 	Batches int
 	// LocalCertified checks were answered by node-local invariant
 	// certificates in local-check mode: zero walk frames on the wire.
@@ -438,7 +377,7 @@ type batchSubmit struct {
 // correlation ID; a walk with no node at its source, a failed submission or
 // forward, or no result by walkTimeout or the fleet's close is an error.
 func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, []error) {
-	c, reg := e.f.coord, e.f.metrics
+	f, reg := e.f, e.f.metrics
 	walks := make([]dataplane.Walk, len(keys))
 	var errs []error
 	fail := func(i int, err error) {
@@ -451,15 +390,15 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 	// Assign correlation IDs and build per-source batches in key order.
 	index := make(map[int]int, len(keys)) // WalkID -> key index, for walks still out
 	var batches []batchSubmit
-	open := map[string]int{} // src -> index of its open batch
-	c.mu.Lock()
+	open := map[string]int{}               // src -> index of its open batch
+	resCh := make(chan WalkMsg, len(keys)) // a slot per walk: deliver never blocks
+	f.mu.Lock()
 	for i, k := range keys {
-		if e.f.Node(k.Source) == nil {
+		if f.nodes[k.Source] == nil {
 			fail(i, fmt.Errorf("dist: no node for source %q", k.Source))
 			continue
 		}
-		c.nextID++
-		id := c.nextID
+		id := expect(f, resCh)
 		index[id] = i
 		ix, ok := open[k.Source]
 		if !ok || len(batches[ix].walks) >= walkBatchSize {
@@ -469,11 +408,7 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 		}
 		batches[ix].walks = append(batches[ix].walks, WalkMsg{WalkID: id, Source: k.Source, Dst: k.Dst, Msgs: 1})
 	}
-	resCh := make(chan WalkMsg, len(index)) // one slot per walk: deliver never blocks
-	for id := range index {
-		c.pending[id] = resCh
-	}
-	c.mu.Unlock()
+	f.mu.Unlock()
 	e.batches.Add(int64(len(batches)))
 
 	var (
@@ -501,56 +436,37 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 			}
 			walks := b.walks
 			id := bi + 1
-			if _, err := c.pool.send(e.f.Node(b.src).Addr(), func(buf []byte) []byte {
+			if _, err := f.pool.send(f.Node(b.src).Addr(), func(buf []byte) []byte {
 				return appendWalkBatch(buf, mtWalkBatch, id, walks)
 			}); err != nil {
 				// The whole batch failed to submit: every walk in it
 				// degrades to a reported error.
 				for _, w := range walks {
 					w.Err = err.Error()
-					c.deliver(w)
+					deliver(f, w.WalkID, w)
 				}
 			}
 		}
 	}()
 
-	deadline := time.NewTimer(walkTimeout)
-	lost := "no result within deadline"
-collect:
-	for len(index) > 0 {
-		select {
-		case w := <-resCh:
-			i := index[w.WalkID]
-			delete(index, w.WalkID)
-			if reg != nil {
-				if t0, ok := submitAt.Load(w.WalkID); ok {
-					reg.Timer("dist.node." + w.Source).Observe(time.Since(t0.(time.Time)))
-				}
+	why := wait(f, resCh, index, func(w WalkMsg) int { return w.WalkID }, walkTimeout, func(i int, w WalkMsg) {
+		if reg != nil {
+			if t0, ok := submitAt.Load(w.WalkID); ok {
+				reg.Timer("dist.node." + w.Source).Observe(time.Since(t0.(time.Time)))
 			}
-			if w.Err != "" {
-				fail(i, errors.New(w.Err))
-			} else {
-				walks[i] = w.Walk()
-				e.messages.Add(int64(w.Msgs))
-			}
-			<-tokens
-			inflight.Set(int64(len(tokens)))
-		case <-deadline.C:
-			break collect
-		case <-c.closing:
-			lost = "fleet closed"
-			break collect
 		}
-	}
-	deadline.Stop()
+		if w.Err != "" {
+			fail(i, errors.New(w.Err))
+		} else {
+			walks[i] = w.Walk()
+			e.messages.Add(int64(w.Msgs))
+		}
+		<-tokens
+		inflight.Set(int64(len(tokens)))
+	})
 	close(abort)
-	// Reclaim walks that never came back so a late result is dropped
-	// rather than delivered to a reused channel.
-	c.mu.Lock()
-	for id, i := range index {
-		delete(c.pending, id)
-		fail(i, fmt.Errorf("dist: walk %s->%s: %s", keys[i].Source, keys[i].Dst, lost))
+	for _, i := range index {
+		fail(i, fmt.Errorf("dist: walk %s->%s: no result %s", keys[i].Source, keys[i].Dst, why))
 	}
-	c.mu.Unlock()
 	return walks, errs
 }

@@ -1,4 +1,4 @@
-// The one TCP server of the dist plane. Node and Coordinator each embed an
+// The one TCP server of the dist plane. Node and Fleet each embed an
 // endpoint and differ only in the handler they give it.
 
 package dist

@@ -1,7 +1,7 @@
-// The fleet: a verification node per router of one network, and the
-// coordinator that syncs their views, seeds walks and collects results. A
-// round syncs the routers changed since the last round and runs the
-// caller's checker over the nodes.
+// The fleet: a verification node per router of one network, and its own
+// endpoint, over which it syncs their views, seeds walks and collects
+// results. A round syncs the routers changed since the last round and runs
+// the caller's checker over the nodes.
 
 package dist
 
@@ -18,10 +18,12 @@ import (
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
+	"hbverify/internal/localck"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
 	"hbverify/internal/verify"
+	"hbverify/internal/wire"
 )
 
 // syncTimeout is how long a sync waits for the fleet to acknowledge its
@@ -42,10 +44,11 @@ const localRelabelEvery = 16
 // each holding that router's view. The fleet keeps no copy of any view: it
 // is told what changed (Note, NoteLinks), and a round reads the noted
 // entries and interfaces from the live network and ships them. Verify and
-// VerifyLocal are its rounds.
+// VerifyLocal are its rounds. Its own endpoint receives the nodes' walk
+// results and check reports, each routed by ID to the call waiting on it.
 type Fleet struct {
+	endpoint
 	net     *network.Network
-	coord   *Coordinator
 	metrics *metrics.Registry
 
 	mu sync.Mutex
@@ -58,17 +61,29 @@ type Fleet struct {
 	// has, when a link of its flipped.
 	noted  map[string]map[netip.Prefix]struct{}
 	rounds int // local-check rounds since the last relabel
+	// nextID numbers walks and view deltas alike; waiting holds, by ID, the
+	// reply channel of each request still out (a chan<- WalkMsg or a
+	// chan<- LocalReport).
+	nextID  int
+	waiting map[int]any
+	// The label set last pushed to the nodes, and the classes local
+	// violations have tainted since (taintAll: every class).
+	labels   *localck.LabelSet
+	taint    map[netip.Prefix]bool
+	taintAll bool
 }
 
-// NewFleet starts the coordinator and a node per router of n, each with the
-// router's current view. reg receives the rounds' dist.* counters and
-// per-node latency timers; nil discards them.
+// NewFleet starts the fleet's endpoint and a node per router of n, each
+// with the router's current view. reg receives the rounds' dist.* counters
+// and per-node latency timers; nil discards them.
 func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
-	coord, err := startCoordinator()
-	if err != nil {
+	f := &Fleet{
+		net: n, metrics: reg, nodes: map[string]*Node{}, noted: map[string]map[netip.Prefix]struct{}{},
+		waiting: map[int]any{}, taint: map[netip.Prefix]bool{},
+	}
+	if err := f.listen(f.handle); err != nil {
 		return nil, err
 	}
-	f := &Fleet{net: n, coord: coord, metrics: reg, nodes: map[string]*Node{}, noted: map[string]map[netip.Prefix]struct{}{}}
 	directory := func(router string) (string, bool) {
 		if nd := f.Node(router); nd != nil {
 			return nd.Addr(), true
@@ -76,7 +91,7 @@ func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
 		return "", false
 	}
 	for _, r := range n.Routers() {
-		node, err := startNode(LocalViewOf(r), directory, coord.Addr())
+		node, err := startNode(LocalViewOf(r), directory, f.Addr())
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -88,13 +103,88 @@ func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
 	return f, nil
 }
 
-// Close stops the coordinator, failing waiting rounds at once, then nodes.
+// Close stops the fleet's endpoint, failing every wait at once, then the
+// nodes.
 func (f *Fleet) Close() error {
-	errs := []error{f.coord.Close()}
+	errs := []error{f.endpoint.Close()}
 	for _, nd := range f.nodes {
 		errs = append(errs, nd.Close())
 	}
 	return errors.Join(errs...)
+}
+
+// handle receives the nodes' replies: walk results and check reports.
+func (f *Fleet) handle(mt byte, r *wire.Reader) {
+	switch mt {
+	case mtResultBatch:
+		_, walks := readWalkBatch(r)
+		if r.Err() != nil {
+			return
+		}
+		for _, w := range walks {
+			deliver(f, w.WalkID, w)
+		}
+	case mtLocalViolation:
+		rep := readLocalReport(r)
+		if r.Err() == nil {
+			deliver(f, rep.Sync, rep)
+		}
+	}
+}
+
+// expect numbers a request whose reply goes to ch. The caller holds f.mu
+// and sends the request after registering it.
+func expect[T any](f *Fleet, ch chan<- T) int {
+	f.nextID++
+	f.waiting[f.nextID] = ch
+	return f.nextID
+}
+
+// deliver routes one reply to the call waiting on its ID. A reply nobody
+// waits for (a duplicate, a reply after its deadline reclaimed the request,
+// or one of another kind than the request's) is dropped.
+func deliver[T any](f *Fleet, id int, v T) {
+	f.mu.Lock()
+	ch, ok := f.waiting[id].(chan<- T)
+	if ok {
+		delete(f.waiting, id)
+	}
+	f.mu.Unlock()
+	if ok {
+		ch <- v // buffered to the caller's request count; never blocks
+	}
+}
+
+// wait collects from ch the replies to the requests in out (ID -> the
+// caller's index), handing each to take with its index, until all have
+// come, timeout passes or the fleet closes. It then reclaims the requests
+// still out, so a late reply is dropped; they stay in out, and wait says
+// when they lapsed: "after" the timeout or "when the fleet closed".
+func wait[T any](f *Fleet, ch <-chan T, out map[int]int, id func(T) int, timeout time.Duration, take func(i int, v T)) string {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	why := "after " + timeout.String()
+collect:
+	for len(out) > 0 {
+		select {
+		case v := <-ch:
+			k := id(v)
+			i := out[k]
+			delete(out, k)
+			take(i, v)
+		case <-deadline.C:
+			break collect
+		case <-f.closing:
+			why = "when the fleet closed"
+			break collect
+		}
+	}
+	f.mu.Lock()
+	for k := range out {
+		delete(f.waiting, k)
+	}
+	f.mu.Unlock()
+	return why
 }
 
 // Node returns router's node, or nil when the fleet has none.
@@ -123,10 +213,10 @@ func (f *Fleet) note(router string, p netip.Prefix) {
 }
 
 // Wire sums the transport counters, frames and bytes written, over the
-// coordinator and every node. A round reports their delta around the call;
+// fleet's endpoint and every node. A round reports their delta around the call;
 // concurrent rounds overlap in their deltas, but the totals stay exact.
 func (f *Fleet) Wire() (frames, bytes int64) {
-	frames, bytes, _, _ = f.coord.Wire()
+	frames, bytes, _, _ = f.endpoint.Wire()
 	for _, n := range f.nodes {
 		fr, b, _, _ := n.Wire()
 		frames += fr
@@ -145,7 +235,7 @@ func (f *Fleet) Verify(ck *verify.Checker, policies []verify.Policy) (Stats, err
 
 // VerifyLocal is one round of the hybrid local-check loop. The sync lets
 // each noted router's node validate its new state against its label slice, and the
-// checker gets the coordinator's certificate as it stands after the nodes'
+// checker gets the fleet's certificate as it stands after the nodes'
 // reports, so a quiet check is answered without a walk. The first round,
 // and every localRelabelEvery-th, runs without the certificate and then
 // re-derives the labels from the state it walked.
@@ -170,7 +260,7 @@ func (f *Fleet) round(base *verify.Checker, policies []verify.Policy, local bool
 			}
 		}
 	}()
-	relabel := local && (rounds >= localRelabelEvery || f.coord.LabelEpoch() == 0)
+	relabel := local && (rounds >= localRelabelEvery || f.labelEpoch() == 0)
 
 	f0, b0 := f.Wire()
 	if err := f.sync(f.deltas(taken)); err != nil {
@@ -180,16 +270,16 @@ func (f *Fleet) round(base *verify.Checker, policies []verify.Policy, local bool
 	ck := *base
 	ck.Executor = ex
 	if local && !relabel {
-		ck.Certified = f.coord.Certificate()
+		ck.Certified = f.certificate()
 	}
 	rep := ck.Check(policies)
 	stats = Stats{
 		Report: rep, Walks: rep.Checked + rep.Errors,
 		Messages: int(ex.messages.Load()), Batches: int(ex.batches.Load()),
 	}
-	f.coord.mu.Lock()
-	stats.LocalViolations = len(f.coord.taint)
-	f.coord.mu.Unlock()
+	f.mu.Lock()
+	stats.LocalViolations = len(f.taint)
+	f.mu.Unlock()
 	if ck.Certified != nil {
 		stats.LocalCertified = rep.Certified
 		stats.Escalated = stats.Walks - rep.Certified
@@ -279,78 +369,54 @@ func (f *Fleet) deltas(taken map[string]map[netip.Prefix]struct{}) []viewDelta {
 // the new state against its label slice, and answers with a check report
 // — the acknowledgement that makes it safe to start walks: a walk
 // dispatched after sync returns cannot reach a node before its delta did.
-// Violations taint their classes in the coordinator until the next
-// relabel, and so does a report at another label epoch, for every class.
-// A delta that could not be sent, or that no node acknowledged within
-// syncTimeout or before the fleet closed, is an error: the fleet's state
-// is then unknown and the round must not produce a verdict.
+// Violations taint their classes in the fleet until the next relabel,
+// and so does a report at another label epoch, for every class. A delta
+// that could not be sent, or that no node acknowledged within syncTimeout
+// or before the fleet closed, is an error: the fleet's state is then
+// unknown and the round must not produce a verdict.
 func (f *Fleet) sync(deltas []viewDelta) error {
-	c := f.coord
-	// Sized to the worst case so deliverLocal never blocks; each sync ID is
+	// Sized to the worst case so deliver never blocks; each delta is
 	// registered before its frame is sent.
 	ch := make(chan LocalReport, len(deltas))
-	var ids []int
+	out := make(map[int]int, len(deltas)) // sync ID -> delta index
 	var firstErr error
 	for i := range deltas {
 		d := &deltas[i]
-		c.mu.Lock()
-		c.nextSync++
-		d.Sync = c.nextSync
-		c.pendingLoc[d.Sync] = ch
-		c.mu.Unlock()
-		if _, err := c.pool.send(f.Node(d.Router).Addr(), func(b []byte) []byte {
+		f.mu.Lock()
+		d.Sync = expect(f, ch)
+		f.mu.Unlock()
+		if _, err := f.pool.send(f.Node(d.Router).Addr(), func(b []byte) []byte {
 			return appendViewDelta(b, d)
 		}); err != nil {
-			c.mu.Lock()
-			delete(c.pendingLoc, d.Sync)
-			c.mu.Unlock()
+			f.mu.Lock()
+			delete(f.waiting, d.Sync)
+			f.mu.Unlock()
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		ids = append(ids, d.Sync)
+		out[d.Sync] = i
 	}
 
-	epoch := c.LabelEpoch()
-	deadline := time.NewTimer(syncTimeout)
-	defer deadline.Stop()
-	waited := "after " + syncTimeout.String()
-	acked := 0
-collect:
-	for acked < len(ids) {
-		select {
-		case rep := <-ch:
-			acked++
-			c.mu.Lock()
-			for _, v := range rep.Violations {
-				c.taint[v.Prefix] = true
-			}
-			if rep.Epoch != epoch || epoch == 0 {
-				c.taintAll = true
-			}
-			c.mu.Unlock()
-		case <-deadline.C:
-			break collect
-		case <-c.closing:
-			waited = "when the fleet closed"
-			break collect
+	epoch, sent := f.labelEpoch(), len(out)
+	why := wait(f, ch, out, func(rep LocalReport) int { return rep.Sync }, syncTimeout, func(_ int, rep LocalReport) {
+		f.mu.Lock()
+		for _, v := range rep.Violations {
+			f.taint[v.Prefix] = true
 		}
-	}
-	unacked := 0
-	c.mu.Lock()
-	for _, id := range ids {
-		if _, still := c.pendingLoc[id]; still {
-			delete(c.pendingLoc, id)
-			unacked++
+		if rep.Epoch != epoch || epoch == 0 {
+			f.taintAll = true
 		}
+		f.mu.Unlock()
+	})
+	if len(out) > 0 || firstErr != nil {
+		f.mu.Lock()
+		f.taintAll = true
+		f.mu.Unlock()
 	}
-	if unacked > 0 || firstErr != nil {
-		c.taintAll = true
-	}
-	c.mu.Unlock()
-	if firstErr == nil && unacked > 0 {
-		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged %s", unacked, len(ids), waited)
+	if firstErr == nil && len(out) > 0 {
+		firstErr = fmt.Errorf("dist: %d of %d view deltas unacknowledged %s", len(out), sent, why)
 	}
 	return firstErr
 }

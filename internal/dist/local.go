@@ -1,11 +1,11 @@
 // Local-check verification mode. Instead of participating in per-walk
 // fleet rounds, each node holds a distance-to-egress label slice
-// (derived by the coordinator from the last full walk epoch) and
+// (derived by the fleet from the last full walk epoch) and
 // validates every synced install/remove batch against the localck
 // invariants the moment it lands. Quiet updates are certified with a
 // fixed-size report frame; violations escalate as compact
 // mtLocalViolation frames carrying router, prefix, failed invariant,
-// and suspect hop set. The coordinator turns labels and taint into the
+// and suspect hop set. The fleet turns labels and taint into the
 // certificate the one checker consults: certified checks are answered
 // with zero walk frames, everything else goes through the checker's
 // walk cache and the fleet executor like any other round, and a periodic
@@ -15,7 +15,6 @@ package dist
 
 import (
 	"net/netip"
-	"time"
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/localck"
@@ -46,7 +45,7 @@ func (v LocalView) Labels(ls *localck.LabelSet) localck.NodeLabels {
 	return ls.Node(v.Router, peers)
 }
 
-// applyLabels installs a coordinator-pushed label slice; subsequent
+// applyLabels installs a fleet-pushed label slice; subsequent
 // synced view deltas are checked against it.
 func (n *Node) applyLabels(router string, nl localck.NodeLabels) {
 	n.viewMu.Lock()
@@ -57,15 +56,9 @@ func (n *Node) applyLabels(router string, nl localck.NodeLabels) {
 	n.checker.Labels = nl
 }
 
-// SetApplyDelay is a test hook: the node sits on every view delta for d
-// before applying it, the way a busy router would, while walks arriving
-// over other connections are served at once. A round that starts walks
-// before the delta is acknowledged then reads the node's stale view.
-func (n *Node) SetApplyDelay(d time.Duration) { n.applyDelay.Store(int64(d)) }
-
 // runLocalChecks executes the invariants for every labeled class under
 // viewMu and builds the report frame body. A disabled checker still
-// acknowledges (Epoch 0, Checked 0) so the coordinator can tell
+// acknowledges (Epoch 0, Checked 0) so the fleet can tell
 // label-less nodes from lost frames.
 func (n *Node) runLocalChecks(sync int) *LocalReport {
 	rep := &LocalReport{Sync: sync, Router: n.View.Router, Epoch: n.checker.Labels.Epoch}
@@ -85,12 +78,12 @@ func (n *Node) sendLocalReport(rep LocalReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator side: label derivation and push, the certificate.
+// Fleet side: label derivation and push, the certificate.
 // ---------------------------------------------------------------------------
 
 // LocalReport is one node's answer to a synced view delta: how many
 // classes its checker validated and the invariant violations it found.
-// An empty violation list at the coordinator's label epoch is the
+// An empty violation list at the fleet's label epoch is the
 // certificate that lets the round skip that node's walks.
 type LocalReport struct {
 	Sync       int
@@ -100,27 +93,15 @@ type LocalReport struct {
 	Violations []localck.Violation
 }
 
-// deliverLocal routes a check report to the sync waiting on
-// its sync ID.
-func (c *Coordinator) deliverLocal(rep LocalReport) {
-	c.mu.Lock()
-	ch := c.pendingLoc[rep.Sync]
-	delete(c.pendingLoc, rep.Sync)
-	c.mu.Unlock()
-	if ch != nil {
-		ch <- rep // buffered to the sync's frame count; never blocks
-	}
-}
-
-// LabelEpoch reports the epoch of the labels last pushed to the fleet
-// (0 before the first relabel).
-func (c *Coordinator) LabelEpoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.labels == nil {
+// labelEpoch is the epoch of the labels last pushed to the fleet (0
+// before the first relabel).
+func (f *Fleet) labelEpoch() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.labels == nil {
 		return 0
 	}
-	return c.labels.Epoch
+	return f.labels.Epoch
 }
 
 // relabel derives fresh labels for classes from the live network, at the
@@ -131,13 +112,7 @@ func (c *Coordinator) LabelEpoch() uint64 {
 // them against these labels. The taint state resets, since a fresh epoch
 // starts clean; a node the push misses leaves the whole epoch uncertified.
 func (f *Fleet) relabel(classes []netip.Prefix) error {
-	c := f.coord
-	c.mu.Lock()
-	var epoch uint64 = 1
-	if c.labels != nil {
-		epoch = c.labels.Epoch + 1
-	}
-	c.mu.Unlock()
+	epoch := f.labelEpoch() + 1
 	rts := f.net.Routers()
 	routers := make([]string, len(rts))
 	for i, rt := range rts {
@@ -151,36 +126,36 @@ func (f *Fleet) relabel(classes []netip.Prefix) error {
 	for _, rt := range rts {
 		nl := LocalView{Router: rt.Name, Ifaces: dataplane.IfacesOf(rt.Topo)}.Labels(ls)
 		router := rt.Name
-		if _, err := c.pool.send(f.Node(router).Addr(), func(b []byte) []byte {
+		if _, err := f.pool.send(f.Node(router).Addr(), func(b []byte) []byte {
 			return appendLabels(b, router, nl)
 		}); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	c.mu.Lock()
-	c.labels = ls
-	c.taint = map[netip.Prefix]bool{}
-	c.taintAll = firstErr != nil
-	c.mu.Unlock()
+	f.mu.Lock()
+	f.labels = ls
+	f.taint = map[netip.Prefix]bool{}
+	f.taintAll = firstErr != nil
+	f.mu.Unlock()
 	return firstErr
 }
 
-// Certificate snapshots the label set and taint state into the predicate
+// certificate snapshots the label set and taint state into the predicate
 // a checker consults before asking for a walk: forwarding from source
 // toward prefix is certified when the labels are in sync across the fleet,
 // no node has reported a local violation for the class since the last
 // relabel, and the source was labeled reachable at the label epoch. A
 // certificate answers a check instead of a round trip; everything it
 // declines goes through the checker's cache and executor as usual.
-func (c *Coordinator) Certificate() func(source string, prefix netip.Prefix) bool {
-	c.mu.Lock()
-	ls := c.labels
-	taintAll := c.taintAll
-	taint := make(map[netip.Prefix]bool, len(c.taint))
-	for p := range c.taint {
+func (f *Fleet) certificate() func(source string, prefix netip.Prefix) bool {
+	f.mu.Lock()
+	ls := f.labels
+	taintAll := f.taintAll
+	taint := make(map[netip.Prefix]bool, len(f.taint))
+	for p := range f.taint {
 		taint[p] = true
 	}
-	c.mu.Unlock()
+	f.mu.Unlock()
 	return func(source string, prefix netip.Prefix) bool {
 		if ls == nil || taintAll || taint[prefix] {
 			return false

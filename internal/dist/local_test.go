@@ -17,14 +17,14 @@ import (
 // tainted returns the classes local violations have flagged since the last
 // relabel, and whether every class is tainted (a report at another label
 // epoch, or a delta no node acknowledged).
-func tainted(c *Coordinator) ([]netip.Prefix, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]netip.Prefix, 0, len(c.taint))
-	for p := range c.taint {
+func tainted(f *Fleet) ([]netip.Prefix, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([]netip.Prefix, 0, len(f.taint))
+	for p := range f.taint {
 		out = append(out, p)
 	}
-	return out, c.taintAll
+	return out, f.taintAll
 }
 
 // qClass is a second forwarding class for the paper net: r3's loopback,
@@ -57,8 +57,8 @@ func TestLocalCheckQuietRoundCertifiesWithoutFrames(t *testing.T) {
 	if !full.Report.OK() || !full.Relabeled || full.LocalCertified != 0 {
 		t.Fatalf("full round: %+v", full)
 	}
-	if f.coord.LabelEpoch() != 1 {
-		t.Fatalf("epoch = %d", f.coord.LabelEpoch())
+	if f.labelEpoch() != 1 {
+		t.Fatalf("epoch = %d", f.labelEpoch())
 	}
 
 	// No churn: nothing is noted, so no delta travels, every check is
@@ -111,14 +111,14 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 		t.Fatalf("sync of r2 cost %d frames, want 2: the delta and its report", f1-f0)
 	}
 	// P alone is flagged: the quiet class Q is not.
-	if tc, all := tainted(f.coord); len(tc) != 1 || tc[0] != pn.P || all {
+	if tc, all := tainted(f); len(tc) != 1 || tc[0] != pn.P || all {
 		t.Fatalf("tainted = %v (all: %v)", tc, all)
 	}
 
 	// The hybrid round certifies Q and escalates only P's checks, whose
 	// targeted walks now see the blackhole.
 	ck := verify.NewChecker(nil, sources)
-	ck.Certified = f.coord.Certificate()
+	ck.Certified = f.certificate()
 	stats, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	if err := f.relabel([]netip.Prefix{pn.P, qClass}); err != nil {
 		t.Fatal(err)
 	}
-	if tc, all := tainted(f.coord); len(tc) != 0 || all {
+	if tc, all := tainted(f); len(tc) != 0 || all {
 		t.Fatalf("taint survived relabel: %v (all: %v)", tc, all)
 	}
 }
@@ -162,7 +162,7 @@ func TestLocalCheckWithoutLabelsEscalatesEverything(t *testing.T) {
 	policies := localPolicies(pn.P, qClass)
 	sources := []string{"r1", "r2", "r3"}
 	ck := verify.NewChecker(nil, sources)
-	ck.Certified = f.coord.Certificate()
+	ck.Certified = f.certificate()
 	stats, err := f.Verify(ck, policies)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestLocalCheckStaleEpochTaintsRound(t *testing.T) {
 	if f1, _ := f.Wire(); f1-f0 != 2 {
 		t.Fatalf("sync of r1 cost %d frames, want 2: the delta and its report", f1-f0)
 	}
-	if _, all := tainted(f.coord); !all {
+	if _, all := tainted(f); !all {
 		t.Fatal("a report at epoch 0 left the round untainted")
 	}
 }
@@ -304,7 +304,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			ck := verify.NewChecker(nil, sources)
-			ck.Certified = f.coord.Certificate()
+			ck.Certified = f.certificate()
 			if _, err := f.Verify(ck, policies); err != nil {
 				t.Errorf("verify local: %v", err)
 				return

@@ -77,7 +77,7 @@ func TestLinkFlipBackShipsUnchangedInterfaces(t *testing.T) {
 
 // TestFleetMemoryBudget holds a fleet to its nodes' views: on the
 // converged k=6 fat tree, the heap a fleet retains after one round is at
-// most 1.25 times one set of the routers' views. A coordinator that keeps
+// most 1.25 times one set of the routers' views. A fleet that keeps
 // its own copy of every view holds two sets and breaks the budget.
 func TestFleetMemoryBudget(t *testing.T) {
 	const budget = 1.25 // retained heap over one set of views

@@ -10,7 +10,7 @@ import (
 	"hbverify/internal/verify"
 )
 
-// TestConcurrentVerifyDuringShutdown hammers the coordinator with batch
+// TestConcurrentVerifyDuringShutdown hammers the fleet with batch
 // submissions while the fleet tears down underneath it. Every call must
 // return (success or reported error) within walkTimeout/2 of Close: a walk
 // in flight fails when the fleet closes, not at its deadline. No hangs, no
@@ -140,7 +140,7 @@ func TestSetWalkBatchesDuringShutdown(t *testing.T) {
 }
 
 // TestConcurrentVerifyCalls checks correlation-ID routing: overlapping
-// rounds on one coordinator must each get their own complete result set.
+// rounds on one fleet must each get their own complete result set.
 func TestConcurrentVerifyCalls(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	f := startFleet(t, pn.Network)

@@ -67,7 +67,7 @@ func TestStatsWireAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	f5, b5 := f.Wire()
-	if classes, all := tainted(f.coord); len(classes) != 0 || all {
+	if classes, all := tainted(f); len(classes) != 0 || all {
 		t.Fatalf("quiet sync tainted %v (all: %v)", classes, all)
 	}
 	if f5-f4 != 2 {
@@ -77,7 +77,7 @@ func TestStatsWireAccounting(t *testing.T) {
 	// Quiet local round: every pair certified locally, zero wire cost,
 	// and the stats still reconcile with the fleet counters.
 	lck := verify.NewChecker(nil, sources)
-	lck.Certified = f.coord.Certificate()
+	lck.Certified = f.certificate()
 	local, err := f.Verify(lck, policies)
 	if err != nil {
 		t.Fatal(err)

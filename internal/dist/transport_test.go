@@ -87,7 +87,7 @@ func TestTruncatedBinaryFrameRejected(t *testing.T) {
 // TestDeadNodeDegradesToError kills a node mid-fleet and requires Verify to
 // come back with reported errors well before the walk deadline: the dead
 // node's own walks fail to submit, and the walks its neighbours cannot
-// forward to it come back to the coordinator with the send error.
+// forward to it come back to the fleet with the send error.
 func TestDeadNodeDegradesToError(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	f := startFleet(t, pn.Network)

@@ -86,9 +86,7 @@ func TestNodeDropsNonV1Frames(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	f := startFleet(t, pn.Network)
 	results := make(chan WalkMsg, 4)
-	f.coord.mu.Lock()
-	f.coord.pending[7], f.coord.pending[8] = results, results
-	f.coord.mu.Unlock()
+	expectIDs(f, results, 7, 8)
 	valid := appendWalkBatch(nil, mtWalkBatch, 1, []WalkMsg{{
 		WalkID: 8, Source: "r1", Dst: dataplane.Representative(pn.P), Msgs: 1,
 	}})
@@ -96,19 +94,65 @@ func TestNodeDropsNonV1Frames(t *testing.T) {
 	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 && len(w.Exps) > 0 })
 }
 
-func TestCoordinatorDropsNonV1Frames(t *testing.T) {
-	coord, err := startCoordinator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+func TestFleetDropsNonV1Frames(t *testing.T) {
+	f := startFleet(t, startPaper(t, network.DefaultPaperOpts()).Network)
 	results := make(chan WalkMsg, 4)
-	coord.mu.Lock()
-	coord.pending[7], coord.pending[8] = results, results
-	coord.mu.Unlock()
+	expectIDs(f, results, 7, 8)
 	valid := appendWalkBatch(nil, mtResultBatch, 1, []WalkMsg{{WalkID: 8}})
-	sendRaw(t, coord.Addr(), dropped(jsonResult, valid)...)
+	sendRaw(t, f.Addr(), dropped(jsonResult, valid)...)
 	expectOnly(t, results, func(w WalkMsg) bool { return w.WalkID == 8 })
+}
+
+// expectIDs registers ids as requests whose replies go to ch.
+func expectIDs[T any](f *Fleet, ch chan<- T, ids ...int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, id := range ids {
+		f.waiting[id] = ch
+	}
+}
+
+// TestFleetDropsUnawaitedReplies: the fleet's one reply path drops a walk
+// result and a check report whose ID nobody waits for — never registered,
+// reclaimed after a deadline, or registered for the other kind of reply —
+// without blocking the connection they came on, and delivers the
+// registered reply of each kind sent behind them.
+func TestFleetDropsUnawaitedReplies(t *testing.T) {
+	f := startFleet(t, startPaper(t, network.DefaultPaperOpts()).Network)
+	walks := make(chan WalkMsg, 4)
+	reports := make(chan LocalReport, 4)
+	expectIDs(f, walks, 3, 5)
+	expectIDs(f, reports, 4, 6)
+	// 5 and 6 lapse: their waits reclaim them.
+	walkID := func(w WalkMsg) int { return w.WalkID }
+	syncID := func(r LocalReport) int { return r.Sync }
+	if why := wait(f, walks, map[int]int{5: 0}, walkID, time.Millisecond, func(int, WalkMsg) {}); why != "after 1ms" {
+		t.Fatalf("walk wait with no reply: %q", why)
+	}
+	if why := wait(f, reports, map[int]int{6: 0}, syncID, time.Millisecond, func(int, LocalReport) {}); why != "after 1ms" {
+		t.Fatalf("report wait with no reply: %q", why)
+	}
+	// 9 was never registered, 5 and 6 lapsed, and 4 and 3 await the other
+	// kind of reply.
+	var unawaited []WalkMsg
+	for _, id := range []int{9, 5, 4} {
+		unawaited = append(unawaited, WalkMsg{WalkID: id})
+	}
+	frames := [][]byte{appendWalkBatch(nil, mtResultBatch, 1, unawaited)}
+	for _, sync := range []int{9, 6, 3} {
+		frames = append(frames, appendLocalReport(nil, &LocalReport{Sync: sync, Router: "r1"}))
+	}
+	frames = append(frames,
+		appendWalkBatch(nil, mtResultBatch, 2, []WalkMsg{{WalkID: 3}}),
+		appendLocalReport(nil, &LocalReport{Sync: 4, Router: "r1"}))
+	sendRaw(t, f.Addr(), frames...)
+	expectOnly(t, walks, func(w WalkMsg) bool { return w.WalkID == 3 })
+	expectOnly(t, reports, func(r LocalReport) bool { return r.Sync == 4 })
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.waiting) != 0 {
+		t.Fatalf("requests still waiting: %v", f.waiting)
+	}
 }
 
 // TestConnSetRefusesAfterCloseAll: a connection accepted between the
@@ -128,22 +172,22 @@ func TestConnSetRefusesAfterCloseAll(t *testing.T) {
 	}
 }
 
-// TestCloseIsIdempotent: every server closes twice without error, with a
-// client connection open so Close has a reader to unpark.
+// TestCloseIsIdempotent: a node and a fleet each close twice without
+// error, with a client connection open so Close has a reader to unpark.
 func TestCloseIsIdempotent(t *testing.T) {
 	none := func(string) (string, bool) { return "", false }
 	node, err := startNode(LocalView{Router: "r1"}, none, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := startCoordinator()
+	fleet, err := NewFleet(startPaper(t, network.DefaultPaperOpts()).Network, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, srv := range map[string]interface {
 		Addr() string
 		Close() error
-	}{"Node": node, "Coordinator": coord} {
+	}{"Node": node, "Fleet": fleet} {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,7 @@
 // router that delivers a class locally gets label 0, and a router whose
 // resolved next routers are all labeled gets 1 + max over them. Routers
 // on broken state at derivation time (loops, drops, stuck resolution)
-// stay unlabeled and can never certify — the coordinator escalates
+// stay unlabeled and can never certify — the fleet escalates
 // their classes to a real symbolic walk instead. The checks are
 // deliberately conservative: a check may flag a state the central
 // walker would pass (the escalation walk then clears it), but a state
@@ -79,7 +79,7 @@ func (i Invariant) String() string {
 
 // Violation reports one failed local check: the router and forwarding
 // class it happened on, the invariant that failed, and the configured
-// next hops implicated (the coordinator uses those to scope repair).
+// next hops implicated (the fleet uses those to scope repair).
 type Violation struct {
 	Router    string
 	Prefix    netip.Prefix
