@@ -154,6 +154,13 @@ func (e *Engine) unpinnedWalk(k planKey) (dataplane.Walk, planSource, error) {
 	{"fib-ancestry-only", "snapshot-consistency", "-seed 3", []edit{{"internal/snapshot/snapshot.go",
 		"\tfor _, io := range g.Refs() {\n",
 		"\tvar fibs []uint64\n\tfor _, io := range g.Refs() {\n\t\tif io.Type == capture.FIBInstall || io.Type == capture.FIBRemove {\n\t\t\tfibs = append(fibs, io.ID)\n\t\t}\n\t}\n\tfor _, io := range g.Ancestry(fibs) {\n"}}},
+	// A consistency check that lists each open receive as captured: the
+	// graph's vertices point at the log's events, so Missing hands out the
+	// simulator's ground truth (TrueTime, Causes), and a derived cut's verdict
+	// no longer equals the one over a stripped copy of the log.
+	{"missing-keeps-oracle", "incremental-vs-full", "-seed 1", []edit{{"internal/snapshot/snapshot.go",
+		"\tc.res.Missing = append(c.res.Missing, recv.Stripped())\n",
+		"\tc.res.Missing = append(c.res.Missing, *recv)\n"}}},
 	// A snapshot frontier that keeps its FIB replay when a cut hides part of
 	// it: the lagged cut's snapshot holds entries the cut never collected.
 	{"stale-frontier", "snapshot-consistency", "-seed 3", []edit{{"hbverify.go",

@@ -25,11 +25,12 @@ import (
 
 // TestInferenceAllocationBudget holds the property the inference kernel is
 // built around, as bytes rather than a timing: one pass over the log
-// allocates words per event plus the one copy the graph owns, and a
-// consistency check allocates words per vertex. A by-value helper or a
-// second copy of the log anywhere on the path — an event is 320 bytes —
-// breaks the first bound; a per-FIB-update provenance query or a Nodes()
-// call breaks the second.
+// allocates words per event — the index, the edges and a vertex that points
+// at its event, about 210 B — and a consistency check allocates words per
+// vertex. A copy of the events anywhere on the path — in a by-value helper,
+// a second copy of the log or a vertex that holds its event, each 320 bytes
+// an event — breaks the first bound; a per-FIB-update provenance query or a
+// Nodes() call breaks the second.
 func TestInferenceAllocationBudget(t *testing.T) {
 	const eventBytes = 320
 	// r0's log stops halfway, so the check below has missing sends to find.
@@ -41,7 +42,7 @@ func TestInferenceAllocationBudget(t *testing.T) {
 			g = hbr.Rules{}.Infer(ios)
 		}
 	})
-	if got, budget := infer.AllocedBytesPerOp()/int64(len(ios)), int64(2*eventBytes); got > budget {
+	if got, budget := infer.AllocedBytesPerOp()/int64(len(ios)), int64(eventBytes); got > budget {
 		t.Errorf("Rules inference allocates %d B per event, budget %d", got, budget)
 	}
 	if g.NodeCount() != len(ios) || g.EdgeCount() < len(ios)/2 {
@@ -67,7 +68,7 @@ func TestInferenceAllocationBudget(t *testing.T) {
 // answering a collected cut of the cached log allocates an index's words per
 // event, a pointer per vertex and copies of the few vertices the cut touches
 // — never a copy of the log or of the graph (an event is 320 bytes, a vertex
-// 384).
+// 80).
 func TestDerivedGraphAllocationBudget(t *testing.T) {
 	all := benchInferLog(42, 20_000, 12)
 	inc := hbr.NewIncremental(hbr.Rules{}, nil)
@@ -95,10 +96,11 @@ func TestDerivedGraphAllocationBudget(t *testing.T) {
 // counts and bytes: admitting a 4 K-event suffix to a default-Rules window of
 // over 50 K events evaluates the suffix plus what lies within the cross
 // window of it, indexes the suffix plus cross + near of history plus the
-// window's config changes, and allocates per SUFFIX event — the graph's copy
-// of it, its edges, and 8 index bytes per scanned event. An extension that
-// indexes or evaluates the window again fails the counts by an order of
-// magnitude and the bytes by half.
+// window's config changes, and allocates per SUFFIX event — its vertex,
+// which points at the event, its edges, and 8 index bytes per scanned event,
+// about 480 B. An extension that indexes or evaluates the window again fails
+// the counts by an order of magnitude, and one that copies each suffix event
+// (320 bytes) fails the bytes.
 func TestExtensionWorkBudget(t *testing.T) {
 	const window, suffix = 54_000, 4_000
 	ios := benchInferLog(42, window+suffix, 12)
@@ -139,11 +141,42 @@ func TestExtensionWorkBudget(t *testing.T) {
 	if indexed > indexBudget || indexed > scanned/4 {
 		t.Errorf("extension indexed %d events, budget %d (suffix + cross + near + config changes) and a quarter of the %d scanned", indexed, indexBudget, scanned)
 	}
-	if got, budget := int64(after.TotalAlloc-before.TotalAlloc)/suffix, int64(1024); got > budget {
+	if got, budget := int64(after.TotalAlloc-before.TotalAlloc)/suffix, int64(640); got > budget {
 		t.Errorf("extension allocates %d B per suffix event, budget %d", got, budget)
 	}
 	t.Logf("scanned %d, indexed %d (budget %d), evaluated %d (budget %d), %d B per suffix event",
 		scanned, indexed, indexBudget, evaluated, evalBudget, int64(after.TotalAlloc-before.TotalAlloc)/suffix)
+}
+
+// TestInferredGraphMemoryBudget holds an inferred graph to its adjacency,
+// measured as live heap after a GC with the log it was inferred over kept
+// alive: a vertex — a pointer to its event where the log holds it, a
+// generation and two ID lists — plus its slot in the ID-ordered store and
+// its edges, about 110 B. A vertex that holds a copy of its 320-byte event
+// retains about 415 B and breaks the budget.
+func TestInferredGraphMemoryBudget(t *testing.T) {
+	const budget = 128 // bytes retained per vertex
+	ios := benchInferLog(42, 20_000, 12)
+	before := liveHeap()
+	g := hbr.Rules{}.Infer(ios)
+	retained := liveHeap() - before
+	if g.NodeCount() != len(ios) || g.EdgeCount() < len(ios)/2 {
+		t.Fatalf("inferred %d nodes and %d edges over %d events", g.NodeCount(), g.EdgeCount(), len(ios))
+	}
+	runtime.KeepAlive(ios)
+	perVertex := float64(retained) / float64(g.NodeCount())
+	if perVertex > budget {
+		t.Errorf("the graph retains %.0f B per vertex (%d B over %d vertices), budget %d", perVertex, retained, g.NodeCount(), budget)
+	}
+	t.Logf("%d vertices, %d edges: %.0f B retained per vertex", g.NodeCount(), g.EdgeCount(), perVertex)
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }
 
 // TestClassifierMemoryBudget holds the equivalence classifier to what it
@@ -165,12 +198,6 @@ func TestClassifierMemoryBudget(t *testing.T) {
 	entries := 0
 	for _, r := range n.Routers() {
 		entries += r.FIB.Snapshot().Len()
-	}
-	liveHeap := func() int64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
 	}
 	before := liveHeap()
 	inc := eqclass.NewIncremental(nil)
@@ -233,38 +260,50 @@ func TestServedHitAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestDerivedGraphsPinNothing: a derived graph shares the cached graph's
-// vertices, so anything that kept one — a mirror, a memo of the last cut —
-// would keep the cached graph's memory past the two places the pipeline
-// frees it: compaction and the invalidation after a rollback. Every vertex
-// gets a finalizer, a cut's graph is derived, and every vertex the pipeline
-// then drops must be collected.
+// TestDerivedGraphsPinNothing: the cached graph's vertices point into the
+// capture log's segments and a derived graph shares them, so anything that
+// kept either graph — a mirror, a memo of the last cut — would keep memory
+// past the two places the pipeline frees it. Compaction must release every
+// log segment it evicts, and the invalidation after a rollback must release
+// the cached graph and every graph derived from it.
 func TestDerivedGraphsPinNothing(t *testing.T) {
+	// segLen is capture.Log's segment length. A log never compacted holds
+	// the event with ID 1+k·segLen first in its k-th segment, so a pointer to
+	// it is the segment's allocation; SetFinalizer panics on any other.
+	const segLen = 4096
 	policies := func(pn *network.PaperNet) []verify.Policy {
 		return []verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
 	}
-	// derivedGraph ages the converged paper network past any retention
-	// floor, misconfigures r2, watches every vertex of the inferred graph and
-	// derives the graph of a cut that lags r1 at its first new FIB install
-	// (Fig. 1c) through the strategy, as a collected slice.
-	derivedGraph := func(t *testing.T, rules hbr.Rules) (pn *network.PaperNet, p *Pipeline, vertices int, collected *atomic.Int64) {
+	// derivedGraph churns the converged paper network past two log
+	// segments, ages it past any retention floor, misconfigures r2 and
+	// derives, through the strategy and as a collected slice, the graph of a
+	// cut that lags r1 at its first new FIB install (Fig. 1c). It watches the
+	// cached graph and the derived one.
+	derivedGraph := func(t *testing.T, rules hbr.Rules) (pn *network.PaperNet, p *Pipeline, collected *atomic.Int64) {
 		pn, p = startPaper(t)
 		inc := hbr.NewIncremental(rules, p.Metrics)
 		inc.SkewSlack = 10 * time.Millisecond
 		p.Strategy = inc
+		setLP := func(lp uint32) {
+			if _, err := pn.UpdateConfig("r2", fmt.Sprintf("lp %d", lp), func(c *config.Router) {
+				c.BGP.Neighbors[len(c.BGP.Neighbors)-1].LocalPref = lp
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := pn.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pn.Log.Len() <= 2*segLen {
+			setLP(10)
+			setLP(300)
+		}
 		pn.Sched.After(5*time.Second, func() {})
 		if err := pn.Run(); err != nil {
 			t.Fatal(err)
 		}
 		mark := pn.Log.Len()
-		if _, err := pn.UpdateConfig("r2", "lp 10", func(c *config.Router) {
-			c.BGP.Neighbors[len(c.BGP.Neighbors)-1].LocalPref = 10
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := pn.Run(); err != nil {
-			t.Fatal(err)
-		}
+		setLP(10)
 		cut := snapshot.Cut{}
 		for _, io := range pn.Log.Snapshot()[mark:] {
 			if io.Router == "r1" && io.Type == capture.FIBInstall {
@@ -273,19 +312,19 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 			}
 		}
 		collected = new(atomic.Int64)
-		for _, ref := range p.Graph().Refs() {
-			vertices++
-			// A vertex starts with its I/O, so this is the vertex's allocation.
-			runtime.SetFinalizer(ref, func(*capture.IO) { collected.Add(1) })
-		}
+		watch := func(g *hbg.Graph) { runtime.SetFinalizer(g, func(*hbg.Graph) { collected.Add(1) }) }
+		g := p.Graph()
+		watch(g)
 		visible := snapshot.Collect(pn.Log.Snapshot(), cut)
-		if g := p.Strategy.Infer(visible); g.NodeCount() != len(visible) || len(visible) == vertices {
-			t.Fatalf("the cut's graph has %d of %d vertices, %d visible", g.NodeCount(), vertices, len(visible))
+		if d := p.Strategy.Infer(visible); d.NodeCount() != len(visible) || len(visible) == g.NodeCount() {
+			t.Fatalf("the cut's graph has %d of %d vertices, %d visible", d.NodeCount(), g.NodeCount(), len(visible))
+		} else {
+			watch(d)
 		}
 		if p.Metrics.Timer("infer.derived").Count() == 0 {
 			t.Fatal("the cut's graph was not derived: the test no longer exercises the path")
 		}
-		return pn, p, vertices, collected
+		return pn, p, collected
 	}
 	settle := func() {
 		for i := 0; i < 3; i++ {
@@ -295,27 +334,44 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 	}
 
 	t.Run("CompactLog", func(t *testing.T) {
-		// Windows short enough that the initial convergence ages out.
-		_, p, _, collected := derivedGraph(t, hbr.Rules{Window: 50 * time.Millisecond,
+		// Windows short enough that the churn ages out.
+		_, p, _ := derivedGraph(t, hbr.Rules{Window: 50 * time.Millisecond,
 			ConfigWindow: 100 * time.Millisecond})
-		_, evicted := p.Strategy.Compact(p.Net.Log)
-		if evicted == 0 {
+		segments, released := 0, new(atomic.Int64)
+		v := p.Net.Log.View()
+		if v.At(0).ID != 1 {
+			t.Fatalf("the log starts at ID %d: it was compacted before the test", v.At(0).ID)
+		}
+		for i := 0; i < v.Len(); i += segLen {
+			runtime.SetFinalizer(v.At(i), func(*capture.IO) { released.Add(1) })
+			segments++
+		}
+		v = capture.View{}
+		if _, evicted := p.Strategy.Compact(p.Net.Log); evicted == 0 {
 			t.Fatal("Compact evicted nothing")
 		}
 		settle()
-		if got := collected.Load(); got < int64(evicted) {
-			t.Errorf("%d of %d compacted vertices collected", got, evicted)
+		// Segment k holds IDs 1+k·segLen through (k+1)·segLen.
+		gone := int64((p.Net.Log.FirstID() - 1) / segLen)
+		if gone == 0 {
+			t.Fatalf("Compact evicted no whole segment of %d (first retained ID %d)", segments, p.Net.Log.FirstID())
+		}
+		if got := released.Load(); got != gone {
+			t.Errorf("%d of the %d evicted log segments collected (%d segments)", got, gone, segments)
 		}
 	})
 	t.Run("rollback", func(t *testing.T) {
-		pn, p, vertices, collected := derivedGraph(t, hbr.Rules{})
+		pn, p, collected := derivedGraph(t, hbr.Rules{})
 		if d, err := p.DetectAndRepair(policies(pn)); err != nil || !d.RolledBack {
 			t.Fatalf("no rollback: %v, %v", d, err)
 		}
 		settle()
-		if got := collected.Load(); got != int64(vertices) {
-			t.Errorf("%d of %d vertices collected after the rollback invalidated the cache", got, vertices)
+		if got := collected.Load(); got != 2 {
+			t.Errorf("%d of the cached and the derived graph collected after the rollback invalidated the cache", got)
 		}
+		// The pipeline must outlive the check, or everything it holds is
+		// collected with it.
+		runtime.KeepAlive(p)
 	})
 }
 

@@ -176,7 +176,7 @@ func runServe(w io.Writer, o serveOpts) error {
 		d.Log().Len(), d.Log().FirstID(), reg.Counter("stream.compactions").Value(),
 		reg.Counter("stream.checkpoints").Value())
 	fmt.Fprintf(w, "serve: graph %d nodes, %d edges, pruned below ID %d\n",
-		g.NodeCount(), len(g.Edges()), g.PrunedBelow())
+		g.NodeCount(), g.EdgeCount(), g.PrunedBelow())
 	if o.checkpoint != "" {
 		fmt.Fprintf(w, "serve: checkpoint written to %s — restart with the same flag to resume\n", o.checkpoint)
 	}

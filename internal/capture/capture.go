@@ -88,6 +88,14 @@ type IO struct {
 	Causes []uint64
 }
 
+// Stripped returns a copy of io with the oracle fields (TrueTime, Causes)
+// cleared: what a router could have logged.
+func (io *IO) Stripped() IO {
+	out := *io
+	out.Causes, out.TrueTime = nil, 0
+	return out
+}
+
 // String renders the I/O in the paper's "[router action prefix]" style.
 func (io IO) String() string {
 	switch io.Type {
@@ -200,8 +208,7 @@ func (v View) Stripped() []IO {
 		r := v.run(i)
 		i += len(r)
 		for k := range r {
-			out = append(out, r[k])
-			out[len(out)-1].Causes, out[len(out)-1].TrueTime = nil, 0
+			out = append(out, r[k].Stripped())
 		}
 	}
 	return out

@@ -64,12 +64,15 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	g.mu.RLock()
 	buf = binary.AppendUvarint(buf, g.prunedBelow)
 
+	// A vertex's event is as captured, and AppendIO writes the oracle
+	// fields too: the file holds the event stripped, as it leaves the graph.
 	buf = binary.AppendUvarint(buf, uint64(g.nodes))
 	for _, v := range g.verts {
 		if !v.known {
 			continue
 		}
-		buf = capture.AppendIO(buf, &v.io)
+		io := v.io.Stripped()
+		buf = capture.AppendIO(buf, &io)
 		if len(buf) > 1<<16 {
 			if _, err := bw.Write(buf); err != nil {
 				g.mu.RUnlock()
@@ -151,6 +154,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	c.FirstRetainedID = rd.Uvarint()
 	g.prunedBelow = rd.Uvarint()
 
+	// Each vertex points at its own decoded event.
 	for i := rd.Count("node", capture.MinIOBytes); i > 0 && rd.Err() == nil; i-- {
 		io := capture.ReadIO(rd)
 		g.addNodeLocked(&io)

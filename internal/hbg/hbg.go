@@ -9,6 +9,13 @@
 // (FromGroundTruth in this package's tests). Both have the same structure,
 // so every downstream consumer (repair, visualization) works with either.
 //
+// A vertex points at its event where the event already lives — the capture
+// log's segment or the slice inference read, a decoded checkpoint's event —
+// instead of holding a copy, so a graph over a log costs its adjacency, not
+// a second copy of the window. Those events are as captured, so the
+// simulator's oracle fields (Causes, TrueTime) are stripped from every event
+// that leaves the graph by value: no graph hands out ground truth.
+//
 // A Graph is safe for concurrent use: the incremental inference cache
 // merges new edges into a shared graph while the parallel verifier and
 // root-cause tracer may still be reading it, so every accessor takes the
@@ -31,12 +38,14 @@ import (
 // Edge is a happens-before pair: From happens before To.
 type Edge struct{ From, To uint64 }
 
-// vertex is one captured I/O with its adjacency. io is never written once
-// the vertex is in Graph.verts — a replacement is a new vertex — so a pointer
-// to it stays valid outside the lock; in and out change under the writer lock,
-// and only through Graph.own.
+// vertex is one captured I/O with its adjacency. io points at the event
+// where it lives: a capture.Log segment or the caller's slice for an inferred
+// graph, the decoded event for a checkpoint's, and an event of its own for
+// AddNode and a placeholder. Nobody writes through io — a replacement is a
+// new vertex — so it stays valid outside the lock; in and out change under
+// the writer lock, and only through Graph.own.
 type vertex struct {
-	io capture.IO
+	io *capture.IO
 	// known is false for a placeholder, the endpoint of an edge whose
 	// AddNode has not arrived: it carries edges but is never reported.
 	known bool
@@ -59,8 +68,9 @@ type Graph struct {
 	// verts holds every vertex once, behind a pointer, in ascending ID
 	// order. Capture IDs are dense and append-ordered, so insertion is an
 	// append, lookup a guess corrected across any gaps, and Nodes a walk.
-	// Each vertex is copied in: one that pointed into a capture.Log segment
-	// would pin the segments CompactBefore drops in order to free them.
+	// A vertex that points into a capture.Log segment pins it; compaction
+	// prunes the graph in step with the log's CompactBefore (PruneBefore),
+	// so no kept vertex points into an evicted segment.
 	verts []*vertex
 	nodes int // known vertices
 	edges int
@@ -125,19 +135,19 @@ func (g *Graph) own(i int) *vertex {
 func (g *Graph) slot(id uint64) *vertex {
 	i, ok := g.pos(id)
 	if !ok {
-		g.verts = slices.Insert(g.verts, i, &vertex{io: capture.IO{ID: id}, gen: g.gen})
+		g.verts = slices.Insert(g.verts, i, &vertex{io: &capture.IO{ID: id}, gen: g.gen})
 	}
 	return g.own(i)
 }
 
-// AddNode inserts (or replaces) a vertex.
+// AddNode inserts (or replaces) a vertex, which points at its own copy of io.
 func (g *Graph) AddNode(io capture.IO) {
 	g.mu.Lock()
 	g.addNodeLocked(&io)
 	g.mu.Unlock()
 }
 
-// addNodesLocked copies the view's events in as vertices.
+// addNodesLocked adds the view's events as vertices that point at them.
 func (g *Graph) addNodesLocked(ios capture.View) {
 	g.verts = slices.Grow(g.verts, ios.Len())
 	for i := 0; i < ios.Len(); i++ {
@@ -145,15 +155,12 @@ func (g *Graph) addNodesLocked(ios capture.View) {
 	}
 }
 
-// addNodeLocked copies io in as a vertex, less the simulator's oracle fields
-// (Causes, TrueTime): a vertex holds what a router could have logged, so no
-// graph carries ground truth, however its events were read. An ID above
-// every present one — the order a capture log produces — appends; any other
-// shifts the pointers above it.
+// addNodeLocked adds a vertex that points at io, which nobody may write
+// while the graph is in use. An ID above every present one — the order a
+// capture log produces — appends; any other shifts the pointers above it.
 func (g *Graph) addNodeLocked(io *capture.IO) {
-	v := &vertex{io: *io, known: true, gen: g.gen}
-	v.io.Causes, v.io.TrueTime = nil, 0
-	j, ok := g.pos(v.io.ID)
+	v := &vertex{io: io, known: true, gen: g.gen}
+	j, ok := g.pos(io.ID)
 	if !ok {
 		g.verts = slices.Insert(g.verts, j, v)
 		g.nodes++
@@ -191,7 +198,8 @@ func (g *Graph) addEdgeLocked(from, to uint64) {
 // Batch is one bulk mutation, applied under a single acquisition of the
 // writer lock so readers see the graph before it or after it.
 type Batch struct {
-	// Nodes are copied in as vertices (replacing same-ID ones).
+	// Nodes become vertices that point at the view's events (replacing
+	// same-ID ones); nobody may write them while the graph is in use.
 	Nodes capture.View
 	// Reset names vertices that lose their in-edges before Edges are
 	// added: afterwards their parents are exactly what Edges gives them.
@@ -288,7 +296,7 @@ func (g *Graph) Node(id uint64) (capture.IO, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if v := g.find(id); v != nil && v.known {
-		return v.io, true
+		return v.io.Stripped(), true
 	}
 	return capture.IO{}, false
 }
@@ -300,22 +308,22 @@ func (g *Graph) Nodes() []capture.IO {
 	out := make([]capture.IO, 0, g.nodes)
 	for _, v := range g.verts {
 		if v.known {
-			out = append(out, v.io)
+			out = append(out, v.io.Stripped())
 		}
 	}
 	return out
 }
 
-// Refs is Nodes without the copies: a pointer to every vertex, sorted by
-// ID. The graph never modifies a vertex it has handed out, and neither may
-// the caller.
+// Refs is Nodes without the copies: a pointer to every vertex's event,
+// sorted by ID. It is the event as captured, so a caller must not read its
+// oracle fields (Causes, TrueTime), and nobody may write it.
 func (g *Graph) Refs() []*capture.IO {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := make([]*capture.IO, 0, g.nodes)
 	for _, v := range g.verts {
 		if v.known {
-			out = append(out, &v.io)
+			out = append(out, v.io)
 		}
 	}
 	return out
@@ -325,19 +333,20 @@ func (g *Graph) Refs() []*capture.IO {
 func (g *Graph) refsAt(out []*capture.IO, at []int32) []*capture.IO {
 	for _, p := range at {
 		if v := g.verts[p]; v.known {
-			out = append(out, &v.io)
+			out = append(out, v.io)
 		}
 	}
 	return out
 }
 
+// deref copies the events out of the graph, less the oracle fields.
 func deref(refs []*capture.IO) []capture.IO {
 	if len(refs) == 0 {
 		return nil
 	}
 	out := make([]capture.IO, len(refs))
 	for i, r := range refs {
-		out[i] = *r
+		out[i] = r.Stripped()
 	}
 	return out
 }
@@ -453,7 +462,7 @@ func (g *Graph) RootCauses(id uint64) []capture.IO {
 	roots, ancestors, _ := g.rootsLocked(id, make([]bool, len(g.verts)), nil)
 	if ancestors == 0 && len(roots) == 0 {
 		if v := g.find(id); v != nil && v.known {
-			return []capture.IO{v.io}
+			return []capture.IO{v.io.Stripped()}
 		}
 	}
 	return roots
@@ -461,8 +470,10 @@ func (g *Graph) RootCauses(id uint64) []capture.IO {
 
 // rootsLocked collects id's root causes, sorted by ID: its own inherited
 // set, each ancestor's (the walk continues through any parents such an
-// ancestor still has) and every ancestor without parents. It also counts
-// id's known ancestors and returns the positions it marked in seen.
+// ancestor still has) and every ancestor without parents, stripped. An
+// inherited set is made of stripped events too (PruneBefore), so a root set
+// carries no oracle field. It also counts id's known ancestors and returns
+// the positions it marked in seen.
 func (g *Graph) rootsLocked(id uint64, seen []bool, reached []int32) ([]capture.IO, int, []int32) {
 	roots := append([]capture.IO(nil), g.inherited[id]...)
 	ancestors := 0
@@ -477,7 +488,7 @@ func (g *Graph) rootsLocked(id uint64, seen []bool, reached []int32) ([]capture.
 			if inh := g.inherited[v.io.ID]; len(inh) > 0 {
 				roots = append(roots, inh...)
 			} else if len(v.in) == 0 {
-				roots = append(roots, v.io)
+				roots = append(roots, v.io.Stripped())
 			}
 		}
 	}
@@ -524,7 +535,7 @@ func (g *Graph) PruneBefore(id uint64) {
 			seen[p] = false
 		}
 		if len(roots) == 0 && v.known {
-			roots = []capture.IO{v.io}
+			roots = []capture.IO{v.io.Stripped()}
 		}
 		folds = append(folds, fold{v.io.ID, roots})
 	}

@@ -233,22 +233,30 @@ func TestApplyResetReplacesInEdges(t *testing.T) {
 	}
 }
 
-// TestGraphOwnsItsVertices: a graph copies what it is given, and a pointer
-// it hands out outlives a replacement of that vertex unchanged.
-func TestGraphOwnsItsVertices(t *testing.T) {
+// TestGraphPointsAtItsEvents: a batch's vertices are the caller's events,
+// not copies; they leave the graph by value without the oracle fields they
+// hold; and a pointer the graph hands out outlives a replacement of its
+// vertex unchanged.
+func TestGraphPointsAtItsEvents(t *testing.T) {
 	ios := []capture.IO{fixtureIO(1), fixtureIO(2)}
+	ios[0].TrueTime, ios[0].Causes = 7, []uint64{2}
 	g := New()
 	g.Apply(Batch{Nodes: capture.ViewOf(ios)})
-	ios[0].Router, ios[1].Detail = "mutated", "mutated"
-	if got := g.Nodes(); !reflect.DeepEqual(got, []capture.IO{fixtureIO(1), fixtureIO(2)}) {
-		t.Fatalf("mutating the caller's slice changed the graph: %+v", got)
+	refs := g.Refs()
+	if len(refs) != 2 || refs[0] != &ios[0] || refs[1] != &ios[1] {
+		t.Fatalf("Refs = %p, want the batch's own events %p %p", refs, &ios[0], &ios[1])
 	}
-	ref := g.Refs()[0]
+	if got := g.Nodes(); !reflect.DeepEqual(got, []capture.IO{fixtureIO(1), fixtureIO(2)}) {
+		t.Fatalf("Nodes = %+v, want the events less their oracle fields", got)
+	}
+	if io, _ := g.Node(1); io.TrueTime != 0 || io.Causes != nil {
+		t.Fatalf("Node(1) carries oracle fields: %+v", io)
+	}
 	replacement := fixtureIO(1)
 	replacement.Detail = "replaced"
 	g.AddNode(replacement)
-	if ref.Detail != fixtureIO(1).Detail {
-		t.Fatalf("a handed-out vertex was overwritten: %q", ref.Detail)
+	if refs[0].Detail != fixtureIO(1).Detail {
+		t.Fatalf("a handed-out vertex was overwritten: %q", refs[0].Detail)
 	}
 	if io, _ := g.Node(1); io.Detail != "replaced" || g.NodeCount() != 2 {
 		t.Fatalf("AddNode did not replace: %+v, %d nodes", io, g.NodeCount())

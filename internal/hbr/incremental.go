@@ -161,11 +161,14 @@ func (inc *Incremental) CompactBaseline(firstRetainedID uint64) {
 	inc.Metrics.Counter("infer.cache.compactions").Inc()
 }
 
-// Infer is InferView over a slice.
+// Infer is InferView over a slice, which the same contract covers.
 func (inc *Incremental) Infer(ios []capture.IO) *hbg.Graph { return inc.InferView(capture.ViewOf(ios)) }
 
 // InferView is Infer over a view, read in place: the case a log's own
-// window takes (stream.Daemon, Pipeline).
+// window takes (stream.Daemon, Pipeline). The graph's vertices point into
+// ios — a cached graph's, into every view that extended it — so nobody may
+// write ios while the graph, or a cache that adopted it, is in use; a log's
+// segments are written once per slot, so its views qualify.
 func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()

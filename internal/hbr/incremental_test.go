@@ -511,24 +511,41 @@ func TestIncrementalSendAfterReceiveFillsIt(t *testing.T) {
 	}
 }
 
-// TestInferredGraphOwnsItsVertices: inference reads the caller's slice by
-// handle, but the graph it returns must not — the log may be compacted or,
-// here, overwritten afterwards.
-func TestInferredGraphOwnsItsVertices(t *testing.T) {
-	snaps := grow(t, 1)
-	ios := append([]capture.IO(nil), snaps[len(snaps)-1]...)
-	for _, s := range hbr.Baselines(ios, 0) {
-		g := s.Infer(ios)
-		want := g.Nodes()
-		if !reflect.DeepEqual(want, snaps[len(snaps)-1]) {
-			t.Fatalf("%s: vertices differ from the log inferred over", s.Name)
+// TestInferredGraphPointsIntoItsLog: an inferred graph's vertices are the
+// events it was inferred over, not copies — a full inference's, the caller's
+// slice; a cache's, every view of the log that extended it — and each
+// leaves the graph by value as the event less its oracle fields.
+func TestInferredGraphPointsIntoItsLog(t *testing.T) {
+	ios := poisonedLog(t, 3)
+	log, err := capture.RestoreLog(ios, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := log.View()
+	reg := metrics.NewRegistry()
+	inc := hbr.NewIncremental(hbr.Rules{}, reg)
+	inc.InferView(view.Slice(0, view.Len()/2))
+	extended := inc.InferView(view)
+	if n := reg.Timer("infer.incremental").Count(); n != 1 {
+		t.Fatalf("%d extensions, want the second inference to extend the first", n)
+	}
+	for name, c := range map[string]struct {
+		g  *hbg.Graph
+		at func(int) *capture.IO
+	}{
+		"full":   {hbr.Rules{}.Infer(ios), func(i int) *capture.IO { return &ios[i] }},
+		"extend": {extended, view.At},
+	} {
+		refs, nodes := c.g.Refs(), c.g.Nodes()
+		if len(refs) != len(ios) || len(nodes) != len(ios) {
+			t.Fatalf("%s: %d refs and %d nodes over %d events", name, len(refs), len(nodes), len(ios))
 		}
-		for i := range ios {
-			ios[i] = capture.IO{ID: ios[i].ID, Router: "overwritten"}
+		for i, ref := range refs {
+			if ev := c.at(i); ref != ev {
+				t.Fatalf("%s: vertex %d is a copy of its event, not the event", name, ref.ID)
+			} else if !reflect.DeepEqual(nodes[i], ev.Stripped()) {
+				t.Fatalf("%s: Nodes()[%d] = %+v, want %+v", name, i, nodes[i], ev.Stripped())
+			}
 		}
-		if !reflect.DeepEqual(g.Nodes(), want) {
-			t.Fatalf("%s: overwriting the inferred-over slice changed the graph's vertices", s.Name)
-		}
-		copy(ios, snaps[len(snaps)-1])
 	}
 }

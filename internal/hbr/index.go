@@ -283,9 +283,9 @@ func (idx *Index) runFrom(rank int, fn rule) ([][]hbg.Edge, int64) {
 	return bufs, visited.Load()
 }
 
-// graph assembles a full pass's output: every event of the view copied in
-// as a vertex the graph owns, then the edges in chunk order, under one lock.
-// Only an index of every position has a graph.
+// graph assembles a full pass's output: a vertex pointing at every event of
+// the view, then the edges in chunk order, under one lock. Only an index of
+// every position has a graph.
 func (idx *Index) graph(edges [][]hbg.Edge) *hbg.Graph {
 	g := hbg.New()
 	g.Apply(hbg.Batch{Nodes: idx.ios, Edges: edges})

@@ -1,6 +1,8 @@
 package hbr_test
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -54,14 +56,59 @@ func poisonedLog(t *testing.T, seed int64) []capture.IO {
 	return log
 }
 
-// requireNoOracle fails if any vertex of g carries an oracle field.
+// requireNoOracle fails if any event g hands out carries an oracle field:
+// its vertices, a sample of them one by one with their provenance and root
+// causes, the same after a prune of a graph sharing g's vertices folds root
+// sets into inherited ones, the receives snapshot.Check finds missing, and
+// the events a checkpoint of that pruned graph holds. A graph's vertices
+// point at the events as captured, so each of these is a copy the graph
+// must strip.
 func requireNoOracle(t *testing.T, g *hbg.Graph) {
 	t.Helper()
-	for _, io := range g.Nodes() {
-		if io.Causes != nil || io.TrueTime != 0 {
-			t.Fatalf("vertex %d carries oracle fields: causes %v, true time %v", io.ID, io.Causes, io.TrueTime)
+	check := func(what string, ios []capture.IO) {
+		t.Helper()
+		for _, io := range ios {
+			if io.Causes != nil || io.TrueTime != 0 {
+				t.Fatalf("%s: event %d carries oracle fields: causes %v, true time %v", what, io.ID, io.Causes, io.TrueTime)
+			}
 		}
 	}
+	nodes := g.Nodes()
+	check("Nodes", nodes)
+	check("snapshot.Check Missing", snapshot.Check(g, nil).Missing)
+	sample := func(what string, g *hbg.Graph, from int) {
+		t.Helper()
+		for i := from; i < len(nodes); i += max(1, (len(nodes)-from)/16) {
+			id := nodes[i].ID
+			io, _ := g.Node(id)
+			check(fmt.Sprintf("%s Node(%d)", what, id), []capture.IO{io})
+			check(fmt.Sprintf("%s Provenance(%d)", what, id), g.Provenance(id))
+			check(fmt.Sprintf("%s RootCauses(%d)", what, id), g.RootCauses(id))
+		}
+	}
+	sample("graph", g, 0)
+	if len(nodes) < 2 {
+		return
+	}
+
+	pruned := g.Without(nil)
+	pruned.PruneBefore(nodes[len(nodes)/2].ID)
+	sample("pruned", pruned, len(nodes)/2)
+	var buf bytes.Buffer
+	if err := (&hbg.Checkpoint{Graph: pruned}).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := hbg.DecodeCheckpoint(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The decoded vertices are the file's events, read as they were written.
+	var decoded []capture.IO
+	for _, ref := range c.Graph.Refs() {
+		decoded = append(decoded, *ref)
+	}
+	check("checkpoint", decoded)
+	sample("decoded", c.Graph, len(nodes)/2)
 }
 
 // TestInferenceIgnoresOracleFields: inference may read only what a router

@@ -151,7 +151,8 @@ func (l lhs) matches(io, c *capture.IO) bool {
 }
 
 // Infer matches the rules over ios and pairs its messages on their
-// channels.
+// channels. The graph's vertices point into ios, so nobody may write ios
+// while the graph is in use.
 func (r Rules) Infer(ios []capture.IO) *hbg.Graph {
 	paired, _ := pairEdges(capture.ViewOf(ios))
 	g, _ := r.inferIndex(NewIndex(ios), paired)

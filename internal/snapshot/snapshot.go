@@ -152,12 +152,13 @@ type closure struct {
 }
 
 // account records one accounted receive; sent reports whether the cut holds
-// a send it matches.
+// a send it matches. recv is the event as captured, read in place from a log
+// or a graph, so Missing keeps a copy less the oracle fields.
 func (c *closure) account(recv *capture.IO, sent bool) {
 	if sent {
 		return
 	}
-	c.res.Missing = append(c.res.Missing, *recv)
+	c.res.Missing = append(c.res.Missing, recv.Stripped())
 	if recv.Peer != "" {
 		if c.wait == nil {
 			c.wait = map[string]bool{}
@@ -204,14 +205,15 @@ func Check(g *hbg.Graph, external func(string) bool) Result {
 
 // Infer is the graph constructor ConsistentCollect uses; callers supply
 // their HBR strategy (typically hbr.Rules). The slice it is called with is
-// the callee's: a fresh copy nothing else reads until Infer returns, whose
-// events it may modify in place — strip of oracle fields, say.
+// a fresh copy nothing else writes: the graph it returns may point into it
+// (hbg.Graph's vertices do), so nobody writes the slice while the graph is
+// in use.
 type Infer func([]capture.IO) *hbg.Graph
 
 // ConsistentCollect is ConsistentCut with a graph per cut: each cut is
-// collected into a new slice that infer owns for the call (see Infer) and
-// judged by Check. It returns the last of these, as infer left it —
-// stripped, if infer strips. ios is only read.
+// collected into a new slice given to infer (see Infer) and judged by
+// Check. It returns the last of these, which the caller may then write:
+// the graph judged over it is dropped. ios is only read.
 func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(string) bool) ([]capture.IO, Cut, Result) {
 	var collected []capture.IO
 	final, res := extend(cut, hiddenTimes(capture.ViewOf(ios), cut), func(c Cut) Result {
