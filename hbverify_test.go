@@ -183,8 +183,8 @@ func TestPipelineCompactLog(t *testing.T) {
 	last := pn.Log.Snapshot()[pn.Log.Len()-1].Time
 	for i := 0; i < 40; i++ {
 		last += netsim.VirtualTime(50 * time.Millisecond)
-		pn.Log.Append(capture.IO{Router: "r1", Type: capture.ConfigChange,
-			Detail: fmt.Sprintf("drip %d", i), Time: last, TrueTime: last})
+		pn.Log.AppendBatch([]capture.IO{{Router: "r1", Type: capture.ConfigChange,
+			Detail: fmt.Sprintf("drip %d", i), Time: last, TrueTime: last}})
 	}
 	total := pn.Log.Len()
 	all := capture.StripOracle(pn.Log.Snapshot())

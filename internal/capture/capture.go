@@ -290,12 +290,7 @@ func (l *Log) viewLocked(i, j int) View {
 	return View{segs: l.segs[:len(l.segs):len(l.segs)], off: l.floor, n: l.n}.Slice(i, j)
 }
 
-// Append records one externally-sourced I/O (e.g. a parsed log line),
-// assigning the next dense ID. Recorder-driven capture goes through the
-// typed helpers below; Append is the ingestion entry point for events that
-// arrive already formed.
-func (l *Log) Append(io IO) IO { return l.append(io) }
-
+// append records io under the next dense ID and returns it so numbered.
 func (l *Log) append(io IO) IO {
 	l.mu.Lock()
 	io.ID = l.nextID

@@ -206,7 +206,7 @@ func TestCompactLeavesRoomToRefill(t *testing.T) {
 	}
 	kept := l.View()
 	for i := 0; i < drop; i++ {
-		l.Append(IO{Type: SendAdvert, Time: 2})
+		l.AppendBatch([]IO{{Type: SendAdvert, Time: 2}})
 	}
 	after := l.View()
 	if after.Len() != 100 || after.At(0) != kept.At(0) {
@@ -237,7 +237,7 @@ func TestCompactLeavesRoomToRefill(t *testing.T) {
 func TestSegmentBoundaries(t *testing.T) {
 	appendEach := func(l *Log, n int) {
 		for i := 0; i < n; i++ {
-			l.Append(IO{Type: RIBInstall})
+			l.AppendBatch([]IO{{Type: RIBInstall}})
 		}
 	}
 	for _, tc := range []struct {
@@ -318,7 +318,7 @@ func TestSegmentBoundaries(t *testing.T) {
 			}
 			// The next append lands after the window, in place.
 			head := v.At(0)
-			l.Append(IO{Type: FIBInstall})
+			l.AppendBatch([]IO{{Type: FIBInstall}})
 			if w := l.View(); w.At(0) != head || w.At(tc.n).ID != uint64(tc.first+tc.n) {
 				t.Fatal("an append moved the window or misnumbered the new event")
 			}

@@ -303,9 +303,10 @@ func (inc *Incremental) derive(hidden []uint64) *hbg.Graph {
 }
 
 // adoptableLocked reports whether a full inference over ios may replace the
-// cached baseline.
+// cached baseline. IDs are dense, so a view with holes (a snapshot cut)
+// spans more IDs than it holds: its graph does not cover its own span.
 func (inc *Incremental) adoptableLocked(ios capture.View) bool {
-	if ios.Len() == 0 {
+	if ios.Len() == 0 || lastIDOf(ios)-ios.At(0).ID+1 != uint64(ios.Len()) {
 		return false
 	}
 	if inc.cached == nil {

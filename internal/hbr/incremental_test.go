@@ -253,6 +253,35 @@ func TestDeriveFallsBack(t *testing.T) {
 	}
 }
 
+// TestColdCacheRefusesHoleyView: a cold cache's first inference is of a
+// snapshot cut that hides r1's events from its median time on, so the view
+// it sees has holes. Adopting that graph as the window from the view's first
+// ID to its last would answer the whole log from it, without the hidden
+// events (71 vertices and 79 edges); the cache must refuse it and answer
+// the whole log with a full inference's graph.
+func TestColdCacheRefusesHoleyView(t *testing.T) {
+	ios := grow(t, 0)[0]
+	var times []netsim.VirtualTime
+	for _, io := range ios {
+		if io.Router == "r1" {
+			times = append(times, io.Time)
+		}
+	}
+	slices.Sort(times)
+	visible := snapshot.Collect(ios, snapshot.Cut{"r1": times[len(times)/2] - 1})
+	if last := visible[len(visible)-1].ID; int(last-visible[0].ID+1) == len(visible) {
+		t.Fatal("the cut hides nothing inside its view; the test is vacuous")
+	}
+	inc := hbr.NewIncremental(hbr.Rules{}, nil)
+	sameGraph(t, inc.Infer(visible), hbr.Rules{}.Infer(visible))
+	got, want := inc.Infer(ios), hbr.Rules{}.Infer(ios)
+	if want.NodeCount() != 88 || want.EdgeCount() != 110 {
+		t.Fatalf("the converged paper net infers %d vertices and %d edges, want 88 and 110",
+			want.NodeCount(), want.EdgeCount())
+	}
+	sameGraph(t, got, want)
+}
+
 // TestIncrementalLookbackWindows pins the windows the look-back slice is
 // derived from.
 func TestIncrementalLookbackWindows(t *testing.T) {
@@ -398,9 +427,7 @@ func TestIncrementalCompact(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			log := capture.NewLog()
-			for _, io := range tc.ios {
-				log.Append(io)
-			}
+			log.AppendBatch(tc.ios)
 			all := log.Snapshot()
 			inc := hbr.NewIncremental(rules, nil)
 			inc.SkewSlack = slack

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -59,8 +60,9 @@ func poisonedLog(t *testing.T, seed int64) []capture.IO {
 // requireNoOracle fails if any event g hands out carries an oracle field:
 // its vertices, a sample of them one by one with their provenance and root
 // causes, the same after a prune of a graph sharing g's vertices folds root
-// sets into inherited ones, the receives snapshot.Check finds missing, and
-// the events a checkpoint of that pruned graph holds. A graph's vertices
+// sets into inherited ones, a vertex the prune makes its own root, the
+// receives snapshot.Check finds missing, and the events a checkpoint of that
+// pruned graph holds. A graph's vertices
 // point at the events as captured, so each of these is a copy the graph
 // must strip.
 func requireNoOracle(t *testing.T, g *hbg.Graph) {
@@ -87,6 +89,27 @@ func requireNoOracle(t *testing.T, g *hbg.Graph) {
 		}
 	}
 	sample("graph", g, 0)
+
+	// Inference makes no placeholders, so no graph above reaches the
+	// prune's own-root fold: a vertex whose pruned parents are all
+	// placeholders has no ancestor to take roots from and becomes its own
+	// root, a copy of its event. Build one over g's first event that
+	// carries oracle fields.
+	refs := g.Refs()
+	if i := slices.IndexFunc(refs, func(io *capture.IO) bool {
+		return io.ID > 1 && (io.Causes != nil || io.TrueTime != 0)
+	}); i >= 0 {
+		io := refs[i]
+		lone := hbg.New()
+		lone.AddNode(*io)
+		lone.AddEdge(io.ID-1, io.ID) // the parent is a placeholder
+		lone.PruneBefore(io.ID)
+		roots := lone.RootCauses(io.ID)
+		if len(roots) != 1 || roots[0].ID != io.ID {
+			t.Fatalf("RootCauses(%d) after its placeholder parent's prune = %v, want the event itself", io.ID, roots)
+		}
+		check(fmt.Sprintf("own root RootCauses(%d)", io.ID), roots)
+	}
 	if len(nodes) < 2 {
 		return
 	}

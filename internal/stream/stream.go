@@ -23,7 +23,9 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,6 +75,15 @@ type Options struct {
 // that stream's reader until the merger drains it.
 const defaultBufferCap = 1024
 
+// Events cross each hand-off in runs: a reader parses up to batchCap events
+// before it pushes them, and the merger moves up to runCap events into the
+// log per append. Neither changes the merge order, only how often the
+// daemon's locks are taken.
+const (
+	batchCap = 256
+	runCap   = 1024
+)
+
 // Stream is one registered per-router log source.
 type Stream struct {
 	d      *Daemon
@@ -82,9 +93,11 @@ type Stream struct {
 	closed bool
 	// consumed counts parsed events accepted from this stream since its
 	// very first byte ever — including events skipped on resume — so it is
-	// directly comparable across restarts.
+	// directly comparable across restarts. It counts only events already in
+	// the log, so a checkpoint never resumes past what it holds.
 	consumed int
 	skip     int // events to discard on resume (already in the checkpoint)
+	run      int // events in the merger's current run, not yet in the log
 }
 
 // Daemon ingests router log streams into a windowed capture log with
@@ -98,8 +111,7 @@ type Daemon struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	streams map[string]*Stream
-	order   []string
+	streams []*Stream // sorted by name: the merge's tie-break order
 	started bool
 	err     error
 
@@ -119,7 +131,6 @@ func New(opts Options) (*Daemon, error) {
 	d := &Daemon{
 		opts:       opts,
 		bufferCap:  defaultBufferCap,
-		streams:    map[string]*Stream{},
 		mergerDone: make(chan struct{}),
 	}
 	d.cond = sync.NewCond(&d.mu)
@@ -203,17 +214,19 @@ func decodeEnvelope(data []byte) (map[string]int, *hbr.Channels, *hbg.Checkpoint
 func (d *Daemon) Register(router string) *Stream {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if s, ok := d.streams[router]; ok {
-		return s
+	i, ok := slices.BinarySearchFunc(d.streams, router, func(s *Stream, name string) int {
+		return strings.Compare(s.name, name)
+	})
+	if ok {
+		return d.streams[i]
 	}
 	s := &Stream{d: d, name: router, skip: d.recovered[router], consumed: d.recovered[router]}
-	d.streams[router] = s
-	d.order = append(d.order, router)
-	sort.Strings(d.order)
+	d.streams = slices.Insert(d.streams, i, s)
 	return s
 }
 
-// Consume parses r as the stream's router log and feeds it into the merge.
+// Consume parses r as the stream's router log and feeds it into the merge,
+// a batch at a time: what each read of r yields, batchCap events at most.
 // On resume, events already covered by the recovered checkpoint are parsed
 // and discarded. Consume blocks until the reader is exhausted (or errors)
 // and is typically run in its own goroutine, one per stream.
@@ -228,13 +241,22 @@ func (s *Stream) Consume(r io.Reader) error {
 	p := ciscolog.NewParser(d.opts.Resolve)
 	p.Neighbor, p.Metrics = d.opts.Neighbor, d.opts.Metrics
 	skip := s.skip
-	err := p.ParseReader(s.name, r, func(io capture.IO) error {
+	batch := make([]capture.IO, 0, batchCap)
+	flush := func() {
+		s.push(batch)
+		batch = batch[:0]
+	}
+	err := p.ParseReader(s.name, flushingReader{r, flush}, func(io capture.IO) error {
 		if skip > 0 {
 			skip--
 			return nil
 		}
-		return s.push(io)
+		if batch = append(batch, io); len(batch) == batchCap {
+			flush()
+		}
+		return nil
 	})
+	flush()
 	d.mu.Lock()
 	s.closed = true
 	if s.head == len(s.buf) {
@@ -248,24 +270,46 @@ func (s *Stream) Consume(r io.Reader) error {
 	return err
 }
 
-func (s *Stream) push(io capture.IO) error {
+// flushingReader pushes the stream's pending batch before each read of its
+// source: on a live log a read can block, and what was parsed must not wait
+// for it, or the merge waits too.
+type flushingReader struct {
+	r     io.Reader
+	flush func()
+}
+
+func (f flushingReader) Read(p []byte) (int, error) {
+	f.flush()
+	return f.r.Read(p)
+}
+
+// push moves batch into the stream's buffer under one hold of d.mu, in
+// chunks of the room left: a full buffer blocks it until the merger drains
+// some, so bufferCap bounds what the stream has waiting.
+func (s *Stream) push(batch []capture.IO) {
+	if len(batch) == 0 {
+		return
+	}
 	d := s.d
 	d.mu.Lock()
-	for len(s.buf)-s.head >= d.bufferCap {
-		d.cond.Wait()
+	for len(batch) > 0 {
+		for len(s.buf)-s.head >= d.bufferCap {
+			d.cond.Wait()
+		}
+		n := min(len(batch), d.bufferCap-(len(s.buf)-s.head))
+		if s.head > 0 && len(s.buf)+n > cap(s.buf) {
+			// Reclaim the consumed prefix instead of growing: without this
+			// the backing array pins every event ever pushed, because with
+			// concurrent producers the buffer almost never drains to empty.
+			k := copy(s.buf, s.buf[s.head:])
+			clear(s.buf[k:])
+			s.buf, s.head = s.buf[:k], 0
+		}
+		s.buf = append(s.buf, batch[:n]...)
+		batch = batch[n:]
+		d.cond.Broadcast()
 	}
-	if s.head > 0 && len(s.buf) == cap(s.buf) {
-		// Reclaim the consumed prefix instead of growing: without this
-		// the backing array pins every event ever pushed, because with
-		// concurrent producers the buffer almost never drains to empty.
-		n := copy(s.buf, s.buf[s.head:])
-		clear(s.buf[n:])
-		s.buf, s.head = s.buf[:n], 0
-	}
-	s.buf = append(s.buf, io)
-	d.cond.Broadcast()
 	d.mu.Unlock()
-	return nil
 }
 
 // pickLocked selects the next stream to pop from: the one whose head event
@@ -278,8 +322,7 @@ func (d *Daemon) pickLocked() (best *Stream, done bool) {
 		return nil, false
 	}
 	done = true
-	for _, name := range d.order {
-		s := d.streams[name]
+	for _, s := range d.streams {
 		if s.head == len(s.buf) {
 			if !s.closed {
 				return nil, false
@@ -291,51 +334,80 @@ func (d *Daemon) pickLocked() (best *Stream, done bool) {
 			best = s
 			continue
 		}
-		h, bh := s.buf[s.head], best.buf[best.head]
-		if h.Time < bh.Time || (h.Time == bh.Time && s.name < best.name) {
+		// Streams are sorted by name, so the earlier one wins a tie.
+		if s.buf[s.head].Time < best.buf[best.head].Time {
 			best = s
 		}
 	}
 	return best, done
 }
 
-// merge is the single appender: it releases buffered events in
-// deterministic order, appends them to the capture log, and triggers
-// compaction at CompactEvery boundaries.
-func (d *Daemon) merge() {
-	defer close(d.mergerDone)
-	for {
-		d.mu.Lock()
-		var s *Stream
-		for {
-			best, done := d.pickLocked()
-			if done {
-				d.mu.Unlock()
-				return
-			}
-			if best != nil {
-				s = best
-				break
-			}
-			d.cond.Wait()
+// popRunLocked appends to run, in merge order, every event the
+// low-watermark rule releases, up to limit events. It returns done=true
+// once every stream is closed and drained.
+func (d *Daemon) popRunLocked(run []capture.IO, limit int) ([]capture.IO, bool) {
+	for len(run) < limit {
+		s, done := d.pickLocked()
+		if s == nil {
+			return run, done
 		}
-		io := s.buf[s.head]
+		run = append(run, s.buf[s.head])
 		s.buf[s.head] = capture.IO{}
 		s.head++
+		s.run++
 		if s.head == len(s.buf) {
 			s.buf, s.head = s.buf[:0], 0
 			if s.closed {
 				s.buf = nil // a finished stream keeps no buffer
 			}
 		}
-		s.consumed++
-		d.cond.Broadcast()
+	}
+	return run, false
+}
+
+// merge is the single appender: it releases buffered events in
+// deterministic order, appends them to the capture log a run at a time, and
+// triggers compaction at CompactEvery boundaries. A run ends where a
+// boundary falls, so compaction sees the log at the same event counts as
+// if events were appended one by one.
+func (d *Daemon) merge() {
+	defer close(d.mergerDone)
+	ingested := d.opts.Metrics.Counter("stream.ingested")
+	every := d.opts.CompactEvery
+	total := d.log.TotalAppended()
+	run := make([]capture.IO, 0, runCap)
+	for {
+		limit := runCap
+		if every > 0 {
+			limit = int(min(uint64(limit), every-total%every))
+		}
+		d.mu.Lock()
+		var done bool
+		for {
+			run, done = d.popRunLocked(run[:0], limit)
+			if len(run) > 0 || done {
+				break
+			}
+			d.cond.Wait()
+		}
+		d.cond.Broadcast() // the run freed buffer room
 		d.mu.Unlock()
+		if len(run) == 0 {
+			return
+		}
 
 		d.opMu.Lock()
-		d.log.Append(io)
-		d.opts.Metrics.Counter("stream.ingested").Inc()
-		if every := d.opts.CompactEvery; every > 0 && d.log.TotalAppended()%every == 0 {
+		d.log.AppendBatch(run)
+		total += uint64(len(run))
+		ingested.Add(int64(len(run)))
+		// Positions advance only now that the run is in the log, and under
+		// opMu, so no checkpoint sees one without the other.
+		d.mu.Lock()
+		for _, s := range d.streams {
+			s.consumed, s.run = s.consumed+s.run, 0
+		}
+		d.mu.Unlock()
+		if every > 0 && total%every == 0 {
 			if err := d.compact(); err != nil {
 				d.mu.Lock()
 				if d.err == nil {
@@ -345,6 +417,9 @@ func (d *Daemon) merge() {
 			}
 		}
 		d.opMu.Unlock()
+		if done {
+			return
+		}
 	}
 }
 
@@ -377,8 +452,8 @@ func (d *Daemon) Positions() map[string]int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make(map[string]int, len(d.streams))
-	for name, s := range d.streams {
-		out[name] = s.consumed
+	for _, s := range d.streams {
+		out[s.name] = s.consumed
 	}
 	return out
 }

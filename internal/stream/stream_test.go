@@ -2,8 +2,11 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -80,68 +83,129 @@ func edgesEqual(t *testing.T, got, want *hbg.Graph) {
 	}
 }
 
-// TestMergeDeterministic: the merged capture order must be a pure function
-// of the stream contents, independent of goroutine scheduling.
-func TestMergeDeterministic(t *testing.T) {
-	f := testFleet(60)
-	run := func() []capture.IO {
-		d, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver()})
+// Where a run or a batch ends must not show in what the daemon builds, so
+// the merge tests run at each bufferCap in bufferCaps and each CompactEvery
+// in compactEverys: one event at a time, odd sizes, and the production
+// sizes.
+var (
+	bufferCaps    = []int{1, 7, defaultBufferCap}
+	compactEverys = []uint64{1, 7, 4096}
+)
+
+// shortFirstLogs renders f's logs with r0's cut short at an odd line count,
+// so one stream ends mid-batch while the others go on.
+func shortFirstLogs(t *testing.T, f Fleet) (routers []string, logs [][]byte) {
+	t.Helper()
+	for i := 0; i < f.Routers; i++ {
+		b, err := io.ReadAll(f.Reader(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.bufferCap = 7 // keep every reader blocked on backpressure most of the time
-		runDaemon(t, d, f)
-		return d.Log().Snapshot()
+		routers, logs = append(routers, f.RouterName(i)), append(logs, b)
 	}
-	a, b := run(), run()
-	if len(a) != f.TotalEvents() {
-		t.Fatalf("merged %d events, fleet generates %d", len(a), f.TotalEvents())
+	lines := bytes.SplitAfter(logs[0], []byte("\n"))
+	logs[0] = slices.Concat(lines[:len(lines)*3/4+1]...)
+	return routers, logs
+}
+
+// TestMergeDeterministic: the merged capture order must be a pure function
+// of the stream contents, independent of goroutine scheduling, of what a
+// stream may buffer and of where compaction cuts the merger's runs. Each
+// daemon's retained window must be the tail of one reference order, and it
+// must compact exactly once per CompactEvery events.
+func TestMergeDeterministic(t *testing.T) {
+	f := testFleet(500)
+	routers, logs := shortFirstLogs(t, f)
+	run := func(bufferCap int, every uint64) (*Daemon, *metrics.Registry) {
+		reg := metrics.NewRegistry()
+		d, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver(),
+			CompactEvery: every, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.bufferCap = bufferCap // small caps keep every reader blocked on backpressure most of the time
+		consumeLogs(t, d, routers, logs)
+		return d, reg
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two runs merged the same streams differently")
+	ref, _ := run(defaultBufferCap, 0)
+	want := ref.Log().Snapshot()
+	if n := bytes.Count(slices.Concat(logs...), []byte("\n")); len(want) != n {
+		t.Fatalf("merged %d events, the logs hold %d", len(want), n)
 	}
-	for i := 1; i < len(a); i++ {
-		if a[i].Time < a[i-1].Time {
-			t.Fatalf("merge emitted out of time order at %d: %v after %v", i, a[i].Time, a[i-1].Time)
+	for i := 1; i < len(want); i++ {
+		if want[i].Time < want[i-1].Time {
+			t.Fatalf("merge emitted out of time order at %d: %v after %v", i, want[i].Time, want[i-1].Time)
+		}
+	}
+	for _, bufferCap := range bufferCaps {
+		for _, every := range append([]uint64{0}, compactEverys...) {
+			t.Run(fmt.Sprintf("buffer%d/every%d", bufferCap, every), func(t *testing.T) {
+				d, reg := run(bufferCap, every)
+				got := d.Log().Snapshot()
+				if total := d.Log().TotalAppended(); total != uint64(len(want)) {
+					t.Fatalf("merged %d events, the reference %d", total, len(want))
+				}
+				if !reflect.DeepEqual(got, want[len(want)-len(got):]) {
+					t.Fatal("the retained window is not the tail of the reference merge order")
+				}
+				var compactions int64
+				if every > 0 {
+					compactions = int64(uint64(len(want)) / every)
+				}
+				if n := reg.Counter("stream.compactions").Value(); n != compactions {
+					t.Fatalf("%d compactions, want %d", n, compactions)
+				}
+			})
 		}
 	}
 }
 
-// TestCompactionMatchesFull: a daemon compacting every 64 events must end
-// with the same graph as an unbounded daemon, modulo the prune floor.
+// TestCompactionMatchesFull: a compacting daemon must end with the same
+// graph as an unbounded daemon, modulo the prune floor, at every buffer size
+// and compaction cadence.
 func TestCompactionMatchesFull(t *testing.T) {
-	f := testFleet(120)
-	reg := metrics.NewRegistry()
-	comp, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver(),
-		CompactEvery: 64, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDaemon(t, comp, f)
+	f := testFleet(500)
+	routers, logs := shortFirstLogs(t, f)
+	for _, bufferCap := range bufferCaps {
+		for _, every := range compactEverys {
+			t.Run(fmt.Sprintf("buffer%d/every%d", bufferCap, every), func(t *testing.T) {
+				reg := metrics.NewRegistry()
+				comp, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver(),
+					CompactEvery: every, Metrics: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				comp.bufferCap = bufferCap
+				consumeLogs(t, comp, routers, logs)
+				full, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				consumeLogs(t, full, routers, logs)
 
-	full, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runDaemon(t, full, f)
+				cg := comp.Graph()
+				if cg.PrunedBelow() == 0 {
+					t.Fatalf("compaction never pruned (evicted=%d); windows too wide for the trace",
+						reg.Counter("stream.compact.evicted").Value())
+				}
+				if comp.Log().Len() >= full.Log().Len() {
+					t.Fatalf("compaction did not shrink the window: %d vs %d", comp.Log().Len(), full.Log().Len())
+				}
+				if got, want := reg.Counter("stream.compactions").Value(), int64(comp.Log().TotalAppended()/every); got != want {
+					t.Fatalf("%d compactions, want %d", got, want)
+				}
+				fg := full.Graph()
+				fg.PruneBefore(cg.PrunedBelow())
+				edgesEqual(t, cg, fg)
 
-	cg := comp.Graph()
-	if cg.PrunedBelow() == 0 {
-		t.Fatalf("compaction never pruned (evicted=%d); windows too wide for the trace",
-			reg.Counter("stream.compact.evicted").Value())
-	}
-	if comp.Log().Len() >= full.Log().Len() {
-		t.Fatalf("compaction did not shrink the window: %d vs %d", comp.Log().Len(), full.Log().Len())
-	}
-	fg := full.Graph()
-	fg.PruneBefore(cg.PrunedBelow())
-	edgesEqual(t, cg, fg)
-
-	// Root causes survive compaction: every retained event must answer
-	// identically to the unbounded run.
-	for _, io := range comp.Log().Snapshot() {
-		if got, want := cg.RootCauses(io.ID), fg.RootCauses(io.ID); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RootCauses(%d) diverged:\n got %+v\nwant %+v", io.ID, got, want)
+				// Root causes survive compaction: every retained event must
+				// answer identically to the unbounded run.
+				for _, io := range comp.Log().Snapshot() {
+					if got, want := cg.RootCauses(io.ID), fg.RootCauses(io.ID); !reflect.DeepEqual(got, want) {
+						t.Fatalf("RootCauses(%d) diverged:\n got %+v\nwant %+v", io.ID, got, want)
+					}
+				}
+			})
 		}
 	}
 }
@@ -258,6 +322,110 @@ func TestRecoveryEqualsUninterrupted(t *testing.T) {
 	if !reflect.DeepEqual(second.Positions(), control.Positions()) {
 		t.Fatalf("stream positions diverge: %v vs %v", second.Positions(), control.Positions())
 	}
+}
+
+// TestCompactDuringIngestionKeepsPositionsOnLog: Compact may run at any
+// moment of ingestion. Each checkpoint it writes must resume every stream
+// exactly where the log it holds ends — the positions sum to its last ID —
+// or a restart would skip the events in between. Each log reaches the
+// daemon in eight parts, the next one only once a checkpoint has been
+// checked mid-stream, so the merger and Compact overlap however fast the
+// merge is.
+func TestCompactDuringIngestionKeepsPositionsOnLog(t *testing.T) {
+	const parts = 8
+	f := testFleet(400)
+	path := filepath.Join(t.TempDir(), "daemon.ckpt")
+	d, err := New(Options{Strategy: testStrategy(), SkewSlack: 60 * time.Millisecond, Resolve: f.Resolver(), CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gates := make([]chan struct{}, parts-1)
+	for i := range gates {
+		gates[i] = make(chan struct{})
+	}
+	routers, readers := make([]string, f.Routers), make([]io.Reader, f.Routers)
+	for i := range readers {
+		log, err := io.ReadAll(f.Reader(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(log, []byte("\n"))
+		chunks := []io.Reader{}
+		for p := 0; p < parts; p++ {
+			part := bytes.NewReader(slices.Concat(lines[p*len(lines)/parts : (p+1)*len(lines)/parts]...))
+			if p == 0 {
+				chunks = append(chunks, part)
+			} else {
+				chunks = append(chunks, gatedReader{gates[p-1], part})
+			}
+		}
+		routers[i], readers[i] = f.RouterName(i), io.MultiReader(chunks...)
+	}
+
+	stop := make(chan struct{})
+	compactorDone := make(chan struct{})
+	go func() {
+		defer close(compactorDone)
+		checked := 0
+		defer func() { // a failed check must not leave the readers waiting
+			for _, g := range gates[min(checked, len(gates)):] {
+				close(g)
+			}
+		}()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := d.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+			data, err := os.ReadFile(path)
+			if errors.Is(err, fs.ErrNotExist) {
+				continue // nothing merged yet: Compact wrote no file
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			positions, _, cp, err := decodeEnvelope(data)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sum := 0
+			for _, p := range positions {
+				sum += p
+			}
+			if uint64(sum) != cp.LastID {
+				t.Errorf("checkpoint positions %v sum to %d, its log ends at %d", positions, sum, cp.LastID)
+				return
+			}
+			if cp.LastID > 0 && cp.LastID < uint64(f.TotalEvents()) && checked < len(gates) {
+				close(gates[checked])
+				checked++
+			}
+		}
+	}()
+	consumeReaders(t, d, routers, readers)
+	close(stop)
+	<-compactorDone
+	if got := d.Log().TotalAppended(); got != uint64(f.TotalEvents()) {
+		t.Fatalf("merged %d events, fleet generates %d", got, f.TotalEvents())
+	}
+}
+
+// gatedReader reads r once gate is closed.
+type gatedReader struct {
+	gate <-chan struct{}
+	r    io.Reader
+}
+
+func (g gatedReader) Read(p []byte) (int, error) {
+	<-g.gate
+	return g.r.Read(p)
 }
 
 // TestRecoveryFromFinalCheckpoint: recovering a checkpoint written after
@@ -404,6 +572,16 @@ func TestDaemonSendMergedAfterReceiveFillsIt(t *testing.T) {
 // concurrently, and waits for the merge.
 func consumeLogs(t *testing.T, d *Daemon, routers []string, logs [][]byte) {
 	t.Helper()
+	readers := make([]io.Reader, len(logs))
+	for i, log := range logs {
+		readers[i] = bytes.NewReader(log)
+	}
+	consumeReaders(t, d, routers, readers)
+}
+
+// consumeReaders is consumeLogs over readers.
+func consumeReaders(t *testing.T, d *Daemon, routers []string, readers []io.Reader) {
+	t.Helper()
 	streams := make([]*Stream, len(routers))
 	for i, r := range routers {
 		streams[i] = d.Register(r)
@@ -413,7 +591,7 @@ func consumeLogs(t *testing.T, d *Daemon, routers []string, logs [][]byte) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := streams[i].Consume(bytes.NewReader(logs[i])); err != nil {
+			if err := streams[i].Consume(readers[i]); err != nil {
 				t.Error(err)
 			}
 		}()
