@@ -164,8 +164,14 @@ func (e *Engine) unpinnedWalk(k planKey) (dataplane.Walk, planSource, error) {
 	// A snapshot frontier that keeps its FIB replay when a cut hides part of
 	// it: the lagged cut's snapshot holds entries the cut never collected.
 	{"stale-frontier", "snapshot-consistency", "-seed 3", []edit{{"hbverify.go",
-		"\tif f.next > v.Len() || f.behind(final) {\n",
-		"\tif f.next > v.Len() {\n"}}},
+		"\tif f.fibs == nil || f.next > v.Len() || f.behind(cut) {\n",
+		"\tif f.fibs == nil || f.next > v.Len() {\n"}}},
+	// An arena that carves a batch's adjacency lists without capping them:
+	// an edge a later batch adds to a vertex overwrites the next vertex's
+	// list, and the dripped graph's edges leave the full inference's.
+	{"uncapped-carve", "incremental-vs-full", "-seed 3", []edit{{"internal/hbg/hbg.go",
+		"\ts := (*a)[:0:n]\n",
+		"\ts := (*a)[:0]\n"}}},
 }
 
 // What a failing replay prints: its failure, and the artifact it wrote.

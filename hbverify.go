@@ -29,6 +29,7 @@ package hbverify
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"hbverify/internal/capture"
@@ -291,7 +292,11 @@ func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (v
 //     suffix only;
 //   - each router's FIB, replayed through the first log position the last
 //     verdict's final cut hid. A verdict clones it and replays forward
-//     under its own final cut.
+//     under its own final cut;
+//   - the receives below that position whose send is not below it too. A
+//     cut that hides nothing the replay holds collects every event there,
+//     and so does every cut the closure extends it to, so the closure reads
+//     below it only those receives (snapshot.ConsistentCutFrom).
 //
 // When the view no longer extends what the frontier saw — the log was
 // compacted, the view is shorter than the replay, or the cut hides an event
@@ -303,10 +308,12 @@ type snapshotFrontier struct {
 	first uint64 // ID of the event at position 0 of the views seen; 0 when none
 	pairs hbr.Pairing
 	// fibs is the replay of every event at a position below next; seen is,
-	// per router, the latest observed time among them.
+	// per router, the latest observed time among them, and open lists,
+	// ascending, the receives among them whose send is not among them.
 	fibs map[string]*trie.Trie[fib.Entry]
 	next int
 	seen map[string]netsim.VirtualTime
+	open []int32
 }
 
 // verdict closes cut over v, whose first event has ID first (the log's
@@ -324,17 +331,25 @@ func (f *snapshotFrontier) verdict(v capture.View, first uint64, cut snapshot.Cu
 	if first > 1 {
 		return nil, snapshot.Result{EvictedBelow: first}
 	}
-	final, res := snapshot.ConsistentCut(v, cut, f.pairs.Extend(v), external)
-	if f.next > v.Len() || f.behind(final) {
-		f.fibs = nil
+	sendOf := f.pairs.Extend(v)
+	// The closure only lifts the cut's horizons, so a final cut hides an
+	// event the replay holds only if the first one does; testing the first
+	// lets the closure skip what the replay holds.
+	if f.fibs == nil || f.next > v.Len() || f.behind(cut) {
+		f.fibs, f.next, f.seen, f.open = map[string]*trie.Trie[fib.Entry]{}, 0, map[string]netsim.VirtualTime{}, nil
 	}
-	if f.fibs == nil {
-		f.fibs, f.next, f.seen = map[string]*trie.Trie[fib.Entry]{}, 0, map[string]netsim.VirtualTime{}
-	}
+	final, res := snapshot.ConsistentCutFrom(v, f.next, f.open, cut, sendOf, external)
 	hid := f.next
 	for ; hid < v.Len() && final.Visible(v.At(hid)); hid++ {
 		io := v.At(hid)
 		f.seen[io.Router] = max(f.seen[io.Router], io.Time)
+	}
+	settled := func(i int32) bool { return sendOf[i] >= 0 && int(sendOf[i]) < hid }
+	f.open = slices.DeleteFunc(f.open, settled)
+	for i := int32(f.next); int(i) < hid; i++ {
+		if t := v.At(int(i)).Type; (t == capture.RecvAdvert || t == capture.RecvWithdraw) && !settled(i) {
+			f.open = append(f.open, i)
+		}
 	}
 	snapshot.Replay(f.fibs, v.Slice(f.next, hid), nil)
 	f.next = hid

@@ -43,7 +43,10 @@ type Edge struct{ From, To uint64 }
 // graph, the decoded event for a checkpoint's, and an event of its own for
 // AddNode and a placeholder. Nobody writes through io — a replacement is a
 // new vertex — so it stays valid outside the lock; in and out change under
-// the writer lock, and only through Graph.own.
+// the writer lock, and only through Graph.own. A batch's vertices share one
+// slab and their lists one arena (Apply), which live while any of them is
+// reachable, so a vertex its graph owns is zeroed when it is pruned or
+// replaced: a dead slot pins no event.
 type vertex struct {
 	io *capture.IO
 	// known is false for a placeholder, the endpoint of an edge whose
@@ -147,31 +150,95 @@ func (g *Graph) AddNode(io capture.IO) {
 	g.mu.Unlock()
 }
 
-// addNodesLocked adds the view's events as vertices that point at them.
-func (g *Graph) addNodesLocked(ios capture.View) {
+// addNodesLocked adds the view's events as vertices that point at them, all
+// from one slab. It returns the index in verts from which on every vertex is
+// new in this batch, in ID order, with no edges yet: the events that landed
+// above every present ID, the order a capture log produces. An event that
+// landed below one shifts the vertices above it, so then it returns
+// len(verts) and names none.
+func (g *Graph) addNodesLocked(ios capture.View) int {
 	g.verts = slices.Grow(g.verts, ios.Len())
-	for i := 0; i < ios.Len(); i++ {
-		g.addNodeLocked(ios.At(i))
+	fresh, shifted := len(g.verts), false
+	slab := make([]vertex, ios.Len())
+	for i := range slab {
+		slab[i] = vertex{io: ios.At(i), known: true, gen: g.gen}
+		shifted = g.putLocked(&slab[i]) || shifted
 	}
+	if shifted {
+		return len(g.verts)
+	}
+	return fresh
 }
 
 // addNodeLocked adds a vertex that points at io, which nobody may write
-// while the graph is in use. An ID above every present one — the order a
-// capture log produces — appends; any other shifts the pointers above it.
+// while the graph is in use.
 func (g *Graph) addNodeLocked(io *capture.IO) {
-	v := &vertex{io: io, known: true, gen: g.gen}
-	j, ok := g.pos(io.ID)
+	g.putLocked(&vertex{io: io, known: true, gen: g.gen})
+}
+
+// putLocked adds v, or replaces the vertex with its ID, which hands v its
+// edges. An ID above every present one appends; any other shifts the
+// pointers above it, which putLocked reports.
+func (g *Graph) putLocked(v *vertex) (shifted bool) {
+	j, ok := g.pos(v.io.ID)
 	if !ok {
 		g.verts = slices.Insert(g.verts, j, v)
 		g.nodes++
-		return
+		return j < len(g.verts)-1
 	}
 	old := g.own(j)
 	if !old.known {
 		g.nodes++
 	}
 	v.in, v.out = old.in, old.out
+	*old = vertex{} // owned, so no other graph reads it; it may share a slab
 	g.verts[j] = v
+	return false
+}
+
+// carveLocked gives the vertices from verts[fresh] on, new in this batch,
+// their in- and out-lists from one arena sized by the batch's edges that
+// reach them; no other edge is counted.
+func (g *Graph) carveLocked(fresh int, edges [][]Edge) {
+	n := len(g.verts) - fresh
+	if n == 0 {
+		return
+	}
+	deg := make([]int32, 2*n) // in, out per new vertex
+	total := 0
+	count := func(id uint64, side int) {
+		if i, ok := g.pos(id); ok && i >= fresh {
+			deg[2*(i-fresh)+side]++
+			total++
+		}
+	}
+	for _, es := range edges {
+		for _, e := range es {
+			if e.From != e.To && e.From != 0 && e.To != 0 {
+				count(e.To, 0)
+				count(e.From, 1)
+			}
+		}
+	}
+	a := make(arena, total)
+	for k, v := range g.verts[fresh:] {
+		v.in, v.out = a.carve(int(deg[2*k])), a.carve(int(deg[2*k+1]))
+	}
+}
+
+// arena hands out ID lists from one allocation.
+type arena []uint64
+
+// carve returns an empty list with room for n IDs, nil for none. Its
+// capacity is n, so an append past that moves the list out of the arena
+// instead of overwriting the next one.
+func (a *arena) carve(n int) []uint64 {
+	if n == 0 {
+		return nil
+	}
+	s := (*a)[:0:n]
+	*a = (*a)[n:]
+	return s
 }
 
 // AddEdge inserts a happens-before edge. Unknown endpoints are tolerated
@@ -216,7 +283,7 @@ func (g *Graph) Apply(b Batch) {
 }
 
 func (g *Graph) applyLocked(b Batch) {
-	g.addNodesLocked(b.Nodes)
+	g.carveLocked(g.addNodesLocked(b.Nodes), b.Edges)
 	for _, id := range b.Reset {
 		i, ok := g.pos(id)
 		if !ok || len(g.verts[i].in) == 0 {
@@ -544,24 +611,55 @@ func (g *Graph) PruneBefore(id uint64) {
 	}
 	// Drop pruned vertices, their edges, and their inherited sets. A reslice
 	// would keep them reachable through the backing array: copy the survivors.
+	// A pruned vertex this graph owns is zeroed (see vertex); one it may
+	// share is left for the other graph, and the kept vertices move off its
+	// slab (rehomeLocked).
 	for _, v := range g.verts[:k] {
 		if v.known {
 			g.nodes--
 		}
 		g.edges -= len(v.in)
 		delete(g.inherited, v.io.ID)
+		if v.gen == g.gen {
+			*v = vertex{}
+		}
 	}
 	g.verts = append(make([]*vertex, 0, len(g.verts)-k), g.verts[k:]...)
-	for i, v := range g.verts {
+	g.rehomeLocked()
+	for _, v := range g.verts { // all this graph's own now
 		if !slices.ContainsFunc(v.in, below) && !slices.ContainsFunc(v.out, below) {
 			continue
 		}
-		v = g.own(i)
 		n := len(v.in)
 		v.in, v.out = slices.DeleteFunc(v.in, below), slices.DeleteFunc(v.out, below)
 		g.edges -= n - len(v.in)
 	}
 	g.prunedBelow = id
+}
+
+// rehomeLocked gives the graph its own copy of every vertex it may share
+// with another (Without), all in one slab with their lists in one arena. A
+// pruned vertex another graph may still read cannot be zeroed, so until
+// then every kept vertex of its slab would pin it, and through it its event.
+func (g *Graph) rehomeLocked() {
+	n, total := 0, 0
+	for _, v := range g.verts {
+		if v.gen != g.gen {
+			n++
+			total += len(v.in) + len(v.out)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	slab, a := make([]vertex, 0, n), make(arena, total)
+	for i, v := range g.verts {
+		if v.gen != g.gen {
+			slab = append(slab, vertex{io: v.io, known: v.known, gen: g.gen,
+				in: append(a.carve(len(v.in)), v.in...), out: append(a.carve(len(v.out)), v.out...)})
+			g.verts[i] = &slab[len(slab)-1]
+		}
+	}
 }
 
 // mergeRootSets unions two ID-sorted root sets, deduplicating by ID.

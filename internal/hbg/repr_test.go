@@ -233,6 +233,58 @@ func TestApplyResetReplacesInEdges(t *testing.T) {
 	}
 }
 
+// TestApplyAllocatesPerBatch: a batch's new vertices come from one slab and
+// their lists from one arena, so applying 10 K vertices with their edges
+// allocates a few times, where a vertex and two lists each would be three
+// allocations a vertex. A later batch's edges into those vertices move
+// their lists out of the arena: the graph then equals one built edge by
+// edge, and a list that overwrote its neighbour in the arena would not.
+func TestApplyAllocatesPerBatch(t *testing.T) {
+	const n = 10_000
+	nodes := make([]capture.IO, n)
+	var first, later []Edge
+	for i := range nodes {
+		id := uint64(i + 1)
+		nodes[i] = fixtureIO(id)
+		if id > 1 {
+			first = append(first, Edge{id - 1, id})
+		}
+		if id > 7 && id%3 == 0 {
+			first = append(first, Edge{id - 7, id})
+		}
+		if id > 9 {
+			later = append(later, Edge{id - 9, id})
+		}
+	}
+	b := Batch{Nodes: capture.ViewOf(nodes), Edges: [][]Edge{first}}
+	allocs := testing.AllocsPerRun(5, func() { New().Apply(b) })
+	if allocs > 8 {
+		t.Errorf("a new graph and a batch of %d vertices and %d edges allocate %v times, budget 8", n, len(first), allocs)
+	}
+	t.Logf("%v allocations for %d vertices and %d edges", allocs, n, len(first))
+
+	g, want := New(), New()
+	g.Apply(b)
+	g.Apply(Batch{Nodes: capture.ViewOf([]capture.IO{fixtureIO(n + 1)}), Edges: [][]Edge{later, {{n, n + 1}}}})
+	for i := range nodes {
+		want.AddNode(nodes[i])
+	}
+	want.AddNode(fixtureIO(n + 1))
+	for _, es := range [][]Edge{first, later, {{n, n + 1}}} {
+		for _, e := range es {
+			want.AddEdge(e.From, e.To)
+		}
+	}
+	if g.EdgeCount() != want.EdgeCount() || !reflect.DeepEqual(g.Edges(), want.Edges()) {
+		t.Fatalf("batched graph has %d edges, edge by edge %d, or they differ", g.EdgeCount(), want.EdgeCount())
+	}
+	for id := uint64(1); id <= n+1; id++ {
+		if got, w := g.Parents(id), want.Parents(id); !reflect.DeepEqual(got, w) {
+			t.Fatalf("Parents(%d) = %v, want %v", id, got, w)
+		}
+	}
+}
+
 // TestGraphPointsAtItsEvents: a batch's vertices are the caller's events,
 // not copies; they leave the graph by value without the oracle fields they
 // hold; and a pointer the graph hands out outlives a replacement of its

@@ -196,8 +196,7 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	// the cache. A checkpointed cache is never replaced here: the full
 	// inference saw only the retained window, not the folded history.
 	start := time.Now()
-	paired, ch := pairEdges(ios)
-	g, visits := inc.Rules.inferIndex(inc.index(ios, nil), paired)
+	g, ch, visits := inc.Rules.infer(ios, inc.index)
 	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
 	inc.Metrics.Counter("hbr.infer.candidates").Add(visits)
 	inc.Metrics.Counter("infer.cache.misses").Inc()

@@ -83,10 +83,6 @@ func chained(io *capture.IO) bool {
 	return false
 }
 
-// NewIndex indexes ios. The slice is retained and must not be modified
-// while the index is in use.
-func NewIndex(ios []capture.IO) *Index { return newIndex(capture.ViewOf(ios), nil) }
-
 // newIndex indexes the given positions of ios — nil for all of them; the
 // position slice is kept and sorted in place. A rule run over a partial
 // index is right for the events whose candidates were all indexed; which

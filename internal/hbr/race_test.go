@@ -18,7 +18,7 @@ import (
 // internally.
 func TestConcurrentStrategiesSharedIndex(t *testing.T) {
 	ios := synthLog(11, 2*parallelMinEvents, 6)
-	idx := NewIndex(ios)
+	idx := newIndex(capture.ViewOf(ios), nil)
 	var wg sync.WaitGroup
 	for round := 0; round < 3; round++ {
 		for _, r := range []Rules{{}, {Window: 100 * time.Millisecond, ConfigWindow: 5 * time.Second}} {
@@ -26,7 +26,8 @@ func TestConcurrentStrategiesSharedIndex(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if g, _ := r.inferIndex(idx, nil); g.NodeCount() != len(ios) {
+				edges, _ := idx.runFrom(0, r.rule(idx))
+				if g := idx.graph(edges); g.NodeCount() != len(ios) {
 					t.Errorf("rules %+v: %d nodes, want %d", r, g.NodeCount(), len(ios))
 				}
 			}()

@@ -154,18 +154,34 @@ func (l lhs) matches(io, c *capture.IO) bool {
 // channels. The graph's vertices point into ios, so nobody may write ios
 // while the graph is in use.
 func (r Rules) Infer(ios []capture.IO) *hbg.Graph {
-	paired, _ := pairEdges(capture.ViewOf(ios))
-	g, _ := r.inferIndex(NewIndex(ios), paired)
+	g, _, _ := r.infer(capture.ViewOf(ios), newIndex)
 	return g
 }
 
-// inferIndex is Infer over a pre-built index and the view's channel pairs:
-// per-event rule matching, sharded across workers, and the cross-router
-// rule, [R' send C advertisement for P] → [R receive C advertisement for P],
-// one edge per pair. It also returns the candidates the rules visited.
-func (r Rules) inferIndex(idx *Index, paired []hbg.Edge) (*hbg.Graph, int64) {
+// infer is the one full inference over ios: per-event rule matching over the
+// index that index builds of all of it, sharded across workers, and the
+// cross-router rule, [R' send C advertisement for P] → [R receive C
+// advertisement for P], one edge per pair on the channels. Both only read
+// the view, so past parallelMinEvents the pairing runs on its own goroutine
+// beside the index and the rules. It returns the graph, the channel table
+// as the view leaves it and the candidates the rules visited.
+func (r Rules) infer(ios capture.View, index func(capture.View, []int32) *Index) (*hbg.Graph, *Channels, int64) {
+	var paired []hbg.Edge
+	var ch *Channels
+	done := make(chan struct{})
+	pair := func() {
+		paired, ch = pairEdges(ios)
+		close(done)
+	}
+	if ios.Len() < parallelMinEvents {
+		pair()
+	} else {
+		go pair()
+	}
+	idx := index(ios, nil)
 	edges, visits := idx.runFrom(0, r.rule(idx))
-	return idx.graph(append(edges, paired)), visits
+	<-done
+	return idx.graph(append(edges, paired)), ch, visits
 }
 
 // rule applies the same-router rule tables to one event. A tier takes the

@@ -242,21 +242,37 @@ func ConsistentCollect(ios []capture.IO, cut Cut, infer Infer, external func(str
 // ID order. A send at or past len(v) is one v does not hold (see
 // hbr.Pairing).
 func ConsistentCut(v capture.View, cut Cut, sendOf []int32, external func(string) bool) (Cut, Result) {
+	return ConsistentCutFrom(v, 0, nil, cut, sendOf, external)
+}
+
+// ConsistentCutFrom is ConsistentCut for a caller that has read v below
+// position from: the cut collects every event there, and so does every cut
+// extending it, and open lists, ascending, the positions below from of the
+// receives whose send is not there too (none, or at or past from). Below
+// from it reads only open's receives; it answers as ConsistentCut.
+func ConsistentCutFrom(v capture.View, from int, open []int32, cut Cut, sendOf []int32, external func(string) bool) (Cut, Result) {
 	type receipt struct{ recv, send *capture.IO }
 	var receipts []receipt
-	hidden := map[string][]netsim.VirtualTime{}
-	for i := 0; i < v.Len(); i++ {
+	add := func(i int) {
 		io := v.At(i)
-		hide(hidden, io, cut)
-		if accounted(io, external) {
-			r := receipt{recv: io}
-			if s := sendOf[i]; s >= 0 && int(s) < v.Len() {
-				r.send = v.At(int(s))
-			}
-			if r.send == nil || !cut.Visible(r.recv) || !cut.Visible(r.send) {
-				receipts = append(receipts, r)
-			}
+		if !accounted(io, external) {
+			return
 		}
+		r := receipt{recv: io}
+		if s := sendOf[i]; s >= 0 && int(s) < v.Len() {
+			r.send = v.At(int(s))
+		}
+		if r.send == nil || !cut.Visible(r.recv) || !cut.Visible(r.send) {
+			receipts = append(receipts, r)
+		}
+	}
+	for _, i := range open {
+		add(int(i))
+	}
+	hidden := map[string][]netsim.VirtualTime{}
+	for i := from; i < v.Len(); i++ {
+		hide(hidden, v.At(i), cut)
+		add(i)
 	}
 	return extend(cut, hidden, func(c Cut) Result {
 		var cl closure

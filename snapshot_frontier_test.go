@@ -131,3 +131,59 @@ func TestVerifySnapshotConcurrentCuts(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifySnapshotKeepsOpenReceipts: a receive whose send was never logged
+// leaves every cut open. The first verdict replays past it, so the later
+// ones read it only from the receives the frontier keeps open; churn that
+// follows may pair it with a send logged after it. Every answer must be the
+// cold one.
+func TestVerifySnapshotKeepsOpenReceipts(t *testing.T) {
+	pn, p := startPaper(t)
+	p.External = func(r string) bool { return !pn.Internal(r) }
+	policies := []verify.Policy{{Kind: verify.Reachable, Prefix: pn.P}, {Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}}
+	log := pn.Log.Snapshot()
+	var lost capture.IO
+	for _, io := range log {
+		if io.Type == capture.RecvAdvert && pn.Internal(io.Peer) {
+			lost = io
+		}
+	}
+	if lost.ID == 0 {
+		t.Fatal("the converged log holds no receive from inside the domain")
+	}
+	lost.ID, lost.Time = 0, log[len(log)-1].Time+1
+	pn.Log.AppendBatch([]capture.IO{lost})
+	check := func(step string, cuts ...snapshot.Cut) {
+		t.Helper()
+		for _, c := range cuts {
+			results, res := p.VerifySnapshot(c, policies)
+			wantResults, want := coldSnapshot(p, c, policies)
+			if !reflect.DeepEqual(res, want) || !reflect.DeepEqual(results.Results(), wantResults) {
+				t.Fatalf("%s, cut %v: verdict %+v, sequential cold %+v", step, c, res, want)
+			}
+			if res.Consistent {
+				t.Fatalf("%s, cut %v: consistent with a receive whose send was never logged", step, c)
+			}
+		}
+	}
+	check("after the lost line", snapshot.Cut{}, snapshot.Cut{})
+	mark := pn.Log.Len()
+	for _, lp := range []uint32{10, 200} {
+		if _, err := pn.UpdateConfig("r2", fmt.Sprintf("set uplink local-pref %d", lp), func(c *config.Router) {
+			c.BGP.Neighbors[len(c.BGP.Neighbors)-1].LocalPref = lp
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := pn.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cuts := []snapshot.Cut{{}}
+	for _, io := range pn.Log.Snapshot()[mark:] {
+		if io.Type == capture.FIBInstall {
+			cuts = append(cuts, snapshot.Cut{io.Router: io.Time})
+		}
+	}
+	check("after churn", cuts...)
+	check("again", snapshot.Cut{})
+}
