@@ -69,8 +69,8 @@ var rows = []row{
 	// A channel queue read from the wrong end: a receive pairs with the
 	// newest unmatched send, where the reference's scan takes the oldest.
 	{"swap-send-match", "infer-fast-vs-reference", "-seed 4", []edit{{"internal/hbr/channels.go",
-		"\t\to := q.items[0]\n\t\tq.items = q.items[1:]\n",
-		"\t\to := q.items[0]\n\t\tif !send {\n\t\t\to = q.items[len(q.items)-1]\n\t\t\tq.items = q.items[:len(q.items)-1]\n\t\t} else {\n\t\t\tq.items = q.items[1:]\n\t\t}\n"}}},
+		"\t\to := q.items[0]\n\t\tif len(q.items) == 1 {\n",
+		"\t\to := q.items[0]\n\t\tif !send {\n\t\t\to = q.items[len(q.items)-1]\n\t\t\tq.items = q.items[:len(q.items)-1]\n\t\t} else if len(q.items) == 1 {\n"}}},
 	// Channel epochs that never advance: the LSA a link failure lost stays
 	// queued, and the next receive on that adjacency passes over it — a
 	// desync on a log that lost no line.
@@ -87,8 +87,8 @@ var rows = []row{
 	// last member of every multi-way ECMP branch, which probe enumeration
 	// still finds (every fat-tree edge router is dual-homed).
 	{"drop-ecmp-branch", "symbolic-vs-probe", "-seed 3 -shape fattree -mix ospf", []edit{{"internal/dataplane/dataplane.go",
-		"\treturn SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {\n\t\treturn w.Expand(r, dst)\n",
-		"\treturn SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {\n\t\tex := w.Expand(r, dst)\n\t\tif len(ex.Nexts) > 1 {\n\t\t\tex.Nexts = ex.Nexts[:len(ex.Nexts)-1]\n\t\t}\n\t\treturn ex\n"}}},
+		"\treturn SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {\n\t\treturn Expand(w.fwd, r, dst)\n",
+		"\treturn SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {\n\t\tex := Expand(w.fwd, r, dst)\n\t\tif len(ex.Nexts) > 1 {\n\t\t\tex.Nexts = ex.Nexts[:len(ex.Nexts)-1]\n\t\t}\n\t\treturn ex\n"}}},
 	// A dominator pass that folds only the first terminal into the exit:
 	// Through lists the routers on the trajectories to that terminal alone.
 	{"waypoint-one-terminal", "symbolic-vs-probe", "-seed 1", []edit{{"internal/dataplane/dataplane.go",
@@ -164,8 +164,14 @@ func (e *Engine) unpinnedWalk(k planKey) (dataplane.Walk, planSource, error) {
 	// A snapshot frontier that keeps its FIB replay when a cut hides part of
 	// it: the lagged cut's snapshot holds entries the cut never collected.
 	{"stale-frontier", "snapshot-consistency", "-seed 3", []edit{{"hbverify.go",
-		"\tif f.fibs == nil || f.next > v.Len() || f.behind(cut) {\n",
-		"\tif f.fibs == nil || f.next > v.Len() {\n"}}},
+		"\tif f.snap == nil || f.next > v.Len() || f.behind(cut) {\n",
+		"\tif f.snap == nil || f.next > v.Len() {\n"}}},
+	// A snapshot frontier that ignores link events: the verdict walks the
+	// cut's FIBs over the links as they are now, so a cut that hides a link
+	// flip reads blackholes it does not hold, or misses ones it does.
+	{"frontier-ignores-links", "snapshot-consistency", "-seed 7 -shape ring -rounds 25", []edit{{"hbverify.go",
+		"\treturn snap, res\n",
+		"\treturn dataplane.SnapshotView(snap.FIBs()), res\n"}}},
 	// An arena that carves a batch's adjacency lists without capping them:
 	// an edge a later batch adds to a vertex overwrites the next vertex's
 	// list, and the dripped graph's edges leave the full inference's.

@@ -45,6 +45,11 @@ func TestInferenceAllocationBudget(t *testing.T) {
 	if got, budget := infer.AllocedBytesPerOp()/int64(len(ios)), int64(eventBytes); got > budget {
 		t.Errorf("Rules inference allocates %d B per event, budget %d", got, budget)
 	}
+	// A channel queue that empties keeps its array for the next message; one
+	// that drops it allocates again on every message after a drain.
+	if got, budget := infer.AllocsPerOp(), int64(2_500); got > budget {
+		t.Errorf("Rules inference makes %d allocations, budget %d", got, budget)
+	}
 	if g.NodeCount() != len(ios) || g.EdgeCount() < len(ios)/2 {
 		t.Fatalf("inferred %d nodes and %d edges over %d events", g.NodeCount(), g.EdgeCount(), len(ios))
 	}

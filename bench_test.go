@@ -363,22 +363,20 @@ func BenchmarkDistributedVerification(b *testing.B) {
 		corner := route.MustPrefix(fmt.Sprintf("9.%d.%d.1/32", g-1, g-1))
 		policies := []verify.Policy{{Kind: verify.Reachable, Prefix: corner}}
 		var sources []string
-		tables := map[string]*fib.Table{}
 		for _, r := range n.Routers() {
 			sources = append(sources, r.Name)
-			tables[r.Name] = r.FIB
 		}
 		// Centralized: walk locally over the assembled FIBs.
 		startC := time.Now()
-		w := dataplane.NewWalker(n.Topo, dataplane.TableView(tables))
+		w := dataplane.NewWalker(n.Topo, n.Live())
 		repC := verify.NewChecker(w, sources).Check(policies)
 		centralTime := time.Since(startC)
-		centralBytes, err := dist.CentralizedBytes(n)
+		centralBytes, err := dist.CentralizedBytes(n.Live())
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Distributed: TCP fleet.
-		fleet, err := dist.NewFleet(n, nil)
+		fleet, err := dist.NewFleet(n.Live(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -399,7 +397,7 @@ func BenchmarkDistributedVerification(b *testing.B) {
 	// Timed loop: distributed verification on the paper network.
 	pn := mustPaper(b, 1, network.DefaultPaperOpts())
 	runNet(b, pn)
-	fleet, err := dist.NewFleet(pn.Network, nil)
+	fleet, err := dist.NewFleet(pn.Live(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,7 +440,7 @@ func BenchmarkDistThroughput(b *testing.B) {
 	for _, r := range n.Routers() {
 		sources = append(sources, r.Name)
 	}
-	fleet, err := dist.NewFleet(n, nil)
+	fleet, err := dist.NewFleet(n.Live(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func main() {
 	cut := snapshot.Cut{"r2": fibSwitch.Time - 1}
 	noLoop := []verify.Policy{{Kind: verify.NoLoop, Prefix: pn.P}}
 	verifyUnder := func(c snapshot.Cut) verify.Report {
-		w := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(v, c)))
+		w := dataplane.NewWalker(pn.Topo, snapshot.ReplayState(pn.Topo, v, c))
 		return verify.NewChecker(w, []string{"r1", "r2", "r3"}).Check(noLoop)
 	}
 

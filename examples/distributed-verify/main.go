@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("  cost: %d walks, %d inter-node messages, %d frames, %d bytes on the wire\n",
 		cold.Walks, cold.Messages, cold.Frames, cold.Bytes)
 
-	central, err := dist.CentralizedBytes(pn.Network)
+	central, err := dist.CentralizedBytes(pn.Live())
 	if err != nil {
 		log.Fatal(err)
 	}

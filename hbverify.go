@@ -45,7 +45,7 @@ import (
 	"hbverify/internal/repair"
 	"hbverify/internal/serve"
 	"hbverify/internal/snapshot"
-	"hbverify/internal/trie"
+	"hbverify/internal/topology"
 	"hbverify/internal/verify"
 	"hbverify/internal/whatif"
 )
@@ -68,10 +68,12 @@ type Pipeline struct {
 	// walk counts, latencies).
 	Metrics *metrics.Registry
 
-	// eqc incrementally tracks forwarding equivalence classes off the live
-	// FIBs; walkCache keeps data-plane walks over the live FIBs across
-	// calls — central and fleet alike — with FIB deltas and link flips
-	// invalidating only the affected routers.
+	// fwd is the network's live forwarding state, which the walker and
+	// the fleet read; eqc incrementally tracks forwarding equivalence
+	// classes off the live FIBs; walkCache keeps data-plane walks over the
+	// live FIBs across calls — central and fleet alike — with FIB deltas
+	// and link flips invalidating only the affected routers.
+	fwd       *dataplane.Live
 	eqc       *eqclass.Incremental
 	walkCache *verify.WalkCache
 	live      *dataplane.Walker
@@ -93,7 +95,8 @@ type Pipeline struct {
 // three through the same feeds as any other FIB update.
 func NewPipeline(n *network.Network, sources []string) *Pipeline {
 	reg := metrics.NewRegistry()
-	p := &Pipeline{Net: n, Strategy: hbr.NewIncremental(hbr.Rules{}, reg), Sources: sources, Metrics: reg, live: n.LiveWalker()}
+	p := &Pipeline{Net: n, Strategy: hbr.NewIncremental(hbr.Rules{}, reg), Sources: sources, Metrics: reg, fwd: n.Live()}
+	p.live = dataplane.NewWalker(n.Topo, p.fwd)
 	p.eqc = eqclass.NewIncremental(reg)
 	p.walkCache = verify.NewWalkCache()
 	for _, r := range n.Routers() {
@@ -118,7 +121,7 @@ func NewPipeline(n *network.Network, sources []string) *Pipeline {
 }
 
 // toFleet tells the fleet, once built, what changed. A fleet starts from
-// the live views, so nothing before it needs telling.
+// the live state, so nothing before it needs telling.
 func (p *Pipeline) toFleet(tell func(*dist.Fleet)) {
 	p.fleetMu.Lock()
 	if p.fleet != nil {
@@ -178,7 +181,7 @@ func (p *Pipeline) fleetChecker() (*dist.Fleet, *verify.Checker, error) {
 	p.fleetMu.Lock()
 	defer p.fleetMu.Unlock()
 	if p.fleet == nil {
-		f, err := dist.NewFleet(p.Net, p.Metrics)
+		f, err := dist.NewFleet(p.fwd, p.Metrics)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -265,8 +268,9 @@ func (p *Pipeline) ServeEngine(policies []verify.Policy) *serve.Engine {
 // copied out of it or inferred: the cut is closed by message accounting,
 // each receive against the send its place on its channel pairs it with
 // (snapshot.ConsistentCut over hbr.Pairing), which reaches the cut the
-// inferred graph would, and the FIBs are replayed from the view under the
-// final cut. Both are kept across verdicts (snapshotFrontier), so a verdict
+// inferred graph would, and each router's FIB and interface link states are
+// replayed from the view under the final cut, so the walk reads no state
+// from outside it. Both are kept across verdicts (snapshotFrontier), so a verdict
 // reads the log's history only where a cut hides part of it. A compacted log
 // evicted FIB events no replay read: the verdict is inconsistent, names the
 // first retained ID in Result.EvictedBelow and verifies nothing.
@@ -276,13 +280,12 @@ func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (v
 	if log.Len() > 0 {
 		first = log.At(0).ID
 	}
-	fibs, res := p.frontier.verdict(log, first, cut, p.External)
+	snap, res := p.frontier.verdict(p.Net.Topo, log, first, cut, p.External)
 	p.Metrics.Counter("snapshot.waits").Add(int64(res.Waits))
 	if res.EvictedBelow != 0 {
 		return verify.Report{}, res
 	}
-	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(fibs))
-	return p.checker(w).Check(policies), res
+	return p.checker(dataplane.NewWalker(p.Net.Topo, snap)).Check(policies), res
 }
 
 // snapshotFrontier is what VerifySnapshot keeps of the log across verdicts,
@@ -290,9 +293,10 @@ func (p *Pipeline) VerifySnapshot(cut snapshot.Cut, policies []verify.Policy) (v
 //
 //   - the channel pairing (hbr.Pairing), extended over the log's new
 //     suffix only;
-//   - each router's FIB, replayed through the first log position the last
-//     verdict's final cut hid. A verdict clones it and replays forward
-//     under its own final cut;
+//   - each router's FIB and interface link states, replayed from the
+//     topology as built through the first log position the last verdict's
+//     final cut hid. A verdict clones it and replays forward under its own
+//     final cut;
 //   - the receives below that position whose send is not below it too. A
 //     cut that hides nothing the replay holds collects every event there,
 //     and so does every cut the closure extends it to, so the closure reads
@@ -307,26 +311,26 @@ type snapshotFrontier struct {
 	mu    sync.Mutex
 	first uint64 // ID of the event at position 0 of the views seen; 0 when none
 	pairs hbr.Pairing
-	// fibs is the replay of every event at a position below next; seen is,
+	// snap is the replay of every event at a position below next; seen is,
 	// per router, the latest observed time among them, and open lists,
 	// ascending, the receives among them whose send is not among them.
-	fibs map[string]*trie.Trie[fib.Entry]
+	snap *dataplane.Snapshot
 	next int
 	seen map[string]netsim.VirtualTime
 	open []int32
 }
 
 // verdict closes cut over v, whose first event has ID first (the log's
-// FirstID when v is empty), and returns the FIBs under the final cut with
-// the closure's result, or EvictedBelow set and no FIBs when v starts past
-// the log's first ID. It holds the frontier's lock throughout, external's
-// calls included: the closure reads the pairing a concurrent verdict may be
-// extending.
-func (f *snapshotFrontier) verdict(v capture.View, first uint64, cut snapshot.Cut, external func(string) bool) (map[string]*trie.Trie[fib.Entry], snapshot.Result) {
+// FirstID when v is empty), and returns topo's forwarding state under the
+// final cut with the closure's result, or EvictedBelow set and no state
+// when v starts past the log's first ID. It holds the frontier's lock
+// throughout, external's calls included: the closure reads the pairing a
+// concurrent verdict may be extending.
+func (f *snapshotFrontier) verdict(topo *topology.Topology, v capture.View, first uint64, cut snapshot.Cut, external func(string) bool) (dataplane.Forwarding, snapshot.Result) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if first != f.first {
-		f.first, f.pairs, f.fibs = first, hbr.Pairing{}, nil
+		f.first, f.pairs, f.snap = first, hbr.Pairing{}, nil
 	}
 	if first > 1 {
 		return nil, snapshot.Result{EvictedBelow: first}
@@ -335,8 +339,8 @@ func (f *snapshotFrontier) verdict(v capture.View, first uint64, cut snapshot.Cu
 	// The closure only lifts the cut's horizons, so a final cut hides an
 	// event the replay holds only if the first one does; testing the first
 	// lets the closure skip what the replay holds.
-	if f.fibs == nil || f.next > v.Len() || f.behind(cut) {
-		f.fibs, f.next, f.seen, f.open = map[string]*trie.Trie[fib.Entry]{}, 0, map[string]netsim.VirtualTime{}, nil
+	if f.snap == nil || f.next > v.Len() || f.behind(cut) {
+		f.snap, f.next, f.seen, f.open = dataplane.NewSnapshot(topo), 0, map[string]netsim.VirtualTime{}, nil
 	}
 	final, res := snapshot.ConsistentCutFrom(v, f.next, f.open, cut, sendOf, external)
 	hid := f.next
@@ -351,14 +355,11 @@ func (f *snapshotFrontier) verdict(v capture.View, first uint64, cut snapshot.Cu
 			f.open = append(f.open, i)
 		}
 	}
-	snapshot.Replay(f.fibs, v.Slice(f.next, hid), nil)
+	snapshot.Replay(f.snap, v.Slice(f.next, hid), nil)
 	f.next = hid
-	fibs := make(map[string]*trie.Trie[fib.Entry], len(f.fibs))
-	for r, t := range f.fibs {
-		fibs[r] = t.Clone()
-	}
-	snapshot.Replay(fibs, v.Slice(hid, v.Len()), final)
-	return fibs, res
+	snap := dataplane.Freeze(f.snap)
+	snapshot.Replay(snap, v.Slice(hid, v.Len()), final)
+	return snap, res
 }
 
 // behind reports whether cut hides an event the replay holds.

@@ -13,11 +13,15 @@
 // routers) and PartialBlackhole (some members deliver while others drop or
 // get stuck — the partial-LAG failure mode).
 //
-// The walker is deliberately decoupled from live fib.Tables: it reads FIBs
-// through a View function, so verifiers can walk a *snapshot* — including
-// an inconsistent one, which is the whole point of the paper's Fig. 1c —
-// and repair engines can walk a gated view that differs from what the
-// control plane believes.
+// Every reader of forwarding state reads it through one seam: a router's
+// State (loopback, interfaces with their link state, Lookup, Exact, Walk)
+// and a network's Forwarding, which has two implementations. Live is the
+// running network, each fib.Table read where it lives and each router's
+// interfaces from the topology. Snapshot holds them by value: a replay of
+// the log under a cut, FIBs and link state alike, so a verifier can walk an
+// inconsistent snapshot — the whole point of the paper's Fig. 1c — or a
+// consistent one without today's links; a copy for a fleet node; or a
+// gated shadow that differs from what the control plane believes.
 package dataplane
 
 import (
@@ -25,36 +29,9 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"hbverify/internal/fib"
 	"hbverify/internal/topology"
-	"hbverify/internal/trie"
 )
-
-// View resolves a destination to a FIB entry at one router. ok=false means
-// no matching route.
-type View func(router string, dst netip.Addr) (fib.Entry, bool)
-
-// TableView adapts live fib.Tables (keyed by router) to a View.
-func TableView(tables map[string]*fib.Table) View {
-	return func(router string, dst netip.Addr) (fib.Entry, bool) {
-		t := tables[router]
-		if t == nil {
-			return fib.Entry{}, false
-		}
-		return t.Lookup(dst)
-	}
-}
-
-// SnapshotView adapts static per-router FIBs to a View.
-func SnapshotView(snap map[string]*trie.Trie[fib.Entry]) View {
-	return func(router string, dst netip.Addr) (fib.Entry, bool) {
-		e, _, ok := snap[router].Lookup(dst)
-		return e, ok
-	}
-}
 
 // Outcome classifies a walk.
 type Outcome uint8
@@ -426,98 +403,16 @@ func AggregateProbes(walks []Walk) (Outcome, []string) {
 // and probe walks alike. Deeper paths are reported as forwarding loops.
 const MaxHops = 64
 
-// Walker forwards packets over a topology using a FIB view. Concurrent
-// walks are safe: the walker's only state is its per-router cache, which
-// readers consult without a lock.
-type Walker struct {
-	Topo *topology.Topology
-	View View
+// Walker forwards packets over a network's forwarding state. Concurrent
+// walks are safe when reading the state is: the live network's is, and so
+// is a snapshot nobody writes while it is walked.
+type Walker struct{ fwd Forwarding }
 
-	// locals maps a router to its slot in the cache of what the router
-	// knows (its Local), stamped with the topology generation it was built
-	// at. The map is replaced, never written, so a read needs no lock; mu
-	// serializes adding a router to it.
-	locals atomic.Pointer[map[string]*localSlot]
-	mu     sync.Mutex
-}
-
-// localSlot holds one router's latest cached Local.
-type localSlot struct{ cur atomic.Pointer[cachedLocal] }
-
-// cachedLocal is a router's Local as of one topology generation.
-type cachedLocal struct {
-	gen uint64
-	Local
-}
-
-// NewWalker builds a walker over the live tables of a topology.
-func NewWalker(topo *topology.Topology, view View) *Walker {
-	return &Walker{Topo: topo, View: view}
-}
-
-// local returns what router knows — its sorted interfaces with their link
-// state, and a FIB lookup bound to it — or nil for an unknown router. The
-// entry is reused until the topology's generation moves; the generation is
-// read before the interfaces are, so a change racing a rebuild leaves the
-// entry stamped stale.
-func (w *Walker) local(router string) *Local {
-	gen := w.Topo.Generation()
-	slot := w.slot(router)
-	if slot == nil {
-		return nil
-	}
-	if c := slot.cur.Load(); c != nil && c.gen == gen {
-		return &c.Local
-	}
-	r := w.Topo.Router(router)
-	c := &cachedLocal{gen: gen, Local: Local{
-		Router: router, Loopback: r.Loopback, Ifaces: IfacesOf(r),
-		Lookup: func(a netip.Addr) (fib.Entry, bool) { return w.View(router, a) },
-	}}
-	slot.cur.Store(c)
-	return &c.Local
-}
-
-// slot returns router's cache slot, adding an empty one (by copying the
-// slot map) the first time a router the topology knows is expanded; nil
-// for an unknown router.
-func (w *Walker) slot(router string) *localSlot {
-	if m := w.locals.Load(); m != nil {
-		if slot := (*m)[router]; slot != nil {
-			return slot
-		}
-	}
-	if w.Topo.Router(router) == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var old map[string]*localSlot
-	if m := w.locals.Load(); m != nil {
-		old = *m
-	}
-	if slot := old[router]; slot != nil {
-		return slot
-	}
-	m := make(map[string]*localSlot, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	slot := &localSlot{}
-	m[router] = slot
-	w.locals.Store(&m)
-	return slot
-}
-
-// Expand computes router's forwarding expansion for dst: the shared
-// forwarding step (Local.Step) applied to what the topology and the FIB
-// view say that router knows. An unknown router is a stuck branch.
-func (w *Walker) Expand(router string, dst netip.Addr) Expansion {
-	l := w.local(router)
-	if l == nil {
-		return Expansion{Stuck: true}
-	}
-	return l.Step(dst).Expansion
+// NewWalker builds a walker over fwd on topo. A snapshot made by
+// SnapshotView takes its routers' loopbacks and interfaces from topo,
+// copied once here; every other forwarding state holds its own.
+func NewWalker(topo *topology.Topology, fwd Forwarding) *Walker {
+	return &Walker{fwd: fwd.over(topo)}
 }
 
 // Forward walks a packet for dst starting at source router src. FIBs with
@@ -525,7 +420,7 @@ func (w *Walker) Expand(router string, dst netip.Addr) Expansion {
 // single-path FIBs degrade to exactly the classic hop-by-hop walk.
 func (w *Walker) Forward(src string, dst netip.Addr) Walk {
 	return SymbolicWalk(src, dst, MaxHops, func(r string) Expansion {
-		return w.Expand(r, dst)
+		return Expand(w.fwd, r, dst)
 	})
 }
 
@@ -556,7 +451,7 @@ func (w *Walker) ConcretePaths(src string, dst netip.Addr, limit int) []Walk {
 			emit(path, Looped, "")
 			return
 		}
-		opts := w.Expand(cur, dst).options()
+		opts := Expand(w.fwd, cur, dst).options()
 		if len(opts) == 0 {
 			emit(path, Stuck, "")
 			return

@@ -7,9 +7,12 @@ import (
 
 	// Dot import: network now builds walkers, so these tests cannot live in
 	// package dataplane without an import cycle.
+	"hbverify/internal/capture"
 	. "hbverify/internal/dataplane"
 	"hbverify/internal/fib"
+	"hbverify/internal/netsim"
 	"hbverify/internal/network"
+	"hbverify/internal/route"
 	"hbverify/internal/topology"
 	"hbverify/internal/trie"
 )
@@ -27,7 +30,7 @@ func startPaper(t *testing.T, opt network.PaperOpts) *network.PaperNet {
 	return pn
 }
 
-func liveWalker(pn *network.PaperNet) *Walker { return pn.LiveWalker() }
+func liveWalker(pn *network.PaperNet) *Walker { return NewWalker(pn.Topo, pn.Live()) }
 
 func TestDeliveryViaPreferredExit(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
@@ -124,14 +127,14 @@ func TestSnapshotViewLPM(t *testing.T) {
 		{Prefix: pfx("0.0.0.0/0"), NextHop: addr("1.1.1.1")},
 		{Prefix: pfx("10.0.0.0/8"), NextHop: addr("2.2.2.2")},
 	}}))
-	if e, ok := v("a", addr("10.1.1.1")); !ok || e.NextHop != addr("2.2.2.2") {
+	if e, ok := v.State("a").Lookup(addr("10.1.1.1")); !ok || e.NextHop != addr("2.2.2.2") {
 		t.Fatalf("lpm = %+v %v", e, ok)
 	}
-	if e, ok := v("a", addr("8.8.8.8")); !ok || e.NextHop != addr("1.1.1.1") {
+	if e, ok := v.State("a").Lookup(addr("8.8.8.8")); !ok || e.NextHop != addr("1.1.1.1") {
 		t.Fatalf("default = %+v %v", e, ok)
 	}
-	if _, ok := v("zzz", addr("8.8.8.8")); ok {
-		t.Fatal("unknown router matched")
+	if v.State("zzz") != nil {
+		t.Fatal("unknown router held")
 	}
 }
 
@@ -280,10 +283,10 @@ func TestSymbolicWalkUnbranchedLegacyShape(t *testing.T) {
 	}
 }
 
-// diamondWalker builds a live four-router diamond (s fans out to a and b,
-// both converge on d, which owns the destination as a stub LAN) with a
-// multipath FIB entry at s, returning the walker.
-func diamondWalker(t *testing.T) *Walker {
+// diamond builds a four-router diamond (s fans out to a and b, both
+// converge on d, which owns the destination as a stub LAN) with a
+// multipath FIB entry at s, returning its topology and each router's FIB.
+func diamond(t *testing.T) (*topology.Topology, map[string][]fib.Entry) {
 	t.Helper()
 	p := pfx("55.0.0.0/24")
 	topo := topology.New()
@@ -313,13 +316,34 @@ func diamondWalker(t *testing.T) *Walker {
 	if _, err := topo.AddStub("d", "lan", addr("55.0.0.254"), p); err != nil {
 		t.Fatal(err)
 	}
-	snap := triesOf(map[string][]fib.Entry{
+	return topo, map[string][]fib.Entry{
 		"s": {{Prefix: p, NextHop: addr("10.0.1.2"),
 			NextHops: []netip.Addr{addr("10.0.1.2"), addr("10.0.2.2")}}},
 		"a": {{Prefix: p, NextHop: addr("10.0.3.2")}},
 		"b": {{Prefix: p, NextHop: addr("10.0.4.2")}},
-	})
-	return NewWalker(topo, SnapshotView(snap))
+		"d": nil,
+	}
+}
+
+// diamondWalker returns a walker over a snapshot of the diamond.
+func diamondWalker(t *testing.T) *Walker {
+	topo, entries := diamond(t)
+	return NewWalker(topo, SnapshotView(triesOf(entries)))
+}
+
+// diamondLive returns a walker over the diamond's live state — a fib.Table
+// per router, and each router's interfaces read from the topology as it
+// changes — and the topology.
+func diamondLive(t *testing.T) (*Walker, *topology.Topology) {
+	topo, entries := diamond(t)
+	tables := map[string]*fib.Table{}
+	for r, es := range entries {
+		tables[r] = fib.NewTable(capture.NewRecorder(capture.NewLog(), r, netsim.NewScheduler(1), nil))
+		for _, e := range es {
+			tables[r].Offer(route.Route{Prefix: e.Prefix, Proto: route.ProtoStatic}.WithNextHops(e.HopSet()...))
+		}
+	}
+	return NewWalker(topo, NewLive(topo, tables)), topo
 }
 
 // triesOf builds per-router FIBs from each router's entries.

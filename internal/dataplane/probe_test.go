@@ -2,6 +2,12 @@ package dataplane
 
 import "net/netip"
 
+// WalkerExpand is router's expansion for dst in the forwarding state w
+// walks, for the package's external tests.
+func WalkerExpand(w *Walker, router string, dst netip.Addr) Expansion {
+	return Expand(w.fwd, router, dst)
+}
+
 // ForwardChoices walks one *concrete* path: at every router whose
 // expansion offers more than one branch, the next entry of choices picks
 // the branch (out-of-range indexes clamp; exhausted choices pick the first
@@ -13,7 +19,7 @@ func (w *Walker) ForwardChoices(src string, dst netip.Addr, choices []int) Walk 
 	cur := src
 	ci := 0
 	for hop := 0; hop < MaxHops; hop++ {
-		opts := w.Expand(cur, dst).options()
+		opts := Expand(w.fwd, cur, dst).options()
 		if len(opts) == 0 {
 			walk.Outcome = Stuck
 			return walk
@@ -59,7 +65,7 @@ func (w *Walker) ForwardChoices(src string, dst netip.Addr, choices []int) Walk 
 func (w *Walker) ChoicesOf(p Walk) []int {
 	var out []int
 	for i, r := range p.Path {
-		opts := w.Expand(r, p.Dst).options()
+		opts := Expand(w.fwd, r, p.Dst).options()
 		if len(opts) < 2 {
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"hbverify/internal/fib"
-	"hbverify/internal/topology"
 )
 
 // Iface is one interface as the router that owns it sees it: its own
@@ -19,34 +18,6 @@ type Iface struct {
 	Up       bool
 	// Stub marks a LAN attachment with no modelled peer; stubs never go down.
 	Stub bool
-}
-
-// IfacesOf lists a topology router's interfaces, sorted by name, with the
-// link state they have right now.
-func IfacesOf(r *topology.Router) []Iface {
-	tis := r.Interfaces()
-	out := make([]Iface, len(tis))
-	for k, i := range tis {
-		out[k] = Iface{Name: i.Name, Addr: i.Addr, Prefix: i.Prefix, Stub: i.Link == nil, Up: true}
-		if i.Link != nil {
-			out[k].Up = i.Link.Up()
-			out[k].PeerAddr = i.Peer().Addr
-			out[k].PeerName = i.Peer().Router
-		}
-	}
-	return out
-}
-
-// Local is everything a single router knows when it forwards a packet: who
-// it is, its interfaces, and a longest-prefix match over its own FIB. The
-// forwarding step is written against this and nothing else, so the central
-// walker (Walker.Expand over a live or snapshot View) and a fleet node
-// (dist.LocalView) cannot disagree about what a router does.
-type Local struct {
-	Router   string
-	Loopback netip.Addr
-	Ifaces   []Iface
-	Lookup   func(dst netip.Addr) (fib.Entry, bool)
 }
 
 // Step is one router's forwarding decision for a destination.
@@ -69,13 +40,16 @@ type Step struct {
 // off pathologically long acyclic chains.
 const maxResolveDepth = 4
 
-// Step applies the router's forwarding behaviour to dst: delivery on a
-// connected interface or the loopback, then longest-prefix match, then
-// every ECMP member of the match resolved to the adjacent router it hands
-// the packet to. Nexts is sorted and deduplicated; a member that resolves
-// back to this router records local delivery.
-func (l *Local) Step(dst netip.Addr) Step {
-	for _, i := range l.Ifaces {
+// StepOf applies the forwarding behaviour of router state s to dst:
+// delivery on a connected interface or the loopback, then longest-prefix
+// match, then every ECMP member of the match resolved to the adjacent
+// router it hands the packet to. Every reader of a router's forwarding —
+// the walker, a fleet node, a local check — takes this one step, so none
+// can disagree about what a router does. Nexts is sorted and deduplicated;
+// a member that resolves back to this router records local delivery.
+func StepOf(s State, dst netip.Addr) Step {
+	ifaces := s.Ifaces()
+	for _, i := range ifaces {
 		// A stub LAN delivers every host in its subnet. A point-to-point
 		// link delivers only its two interface addresses; any other address
 		// in the subnet falls through to the FIB.
@@ -83,85 +57,93 @@ func (l *Local) Step(dst netip.Addr) Step {
 			return Step{Expansion: Expansion{Delivered: true}}
 		}
 	}
-	if dst == l.Loopback {
+	if dst == s.Loopback() {
 		return Step{Expansion: Expansion{Delivered: true}}
 	}
-	e, ok := l.Lookup(dst)
+	e, ok := s.Lookup(dst)
 	if !ok {
 		return Step{Expansion: Expansion{Dropped: true}}
 	}
-	s := Step{Entry: e, HasRoute: true}
+	st := Step{Entry: e, HasRoute: true}
 	if e.HopCount() == 0 {
 		// Connected/attached route: delivered out of this router.
-		s.Delivered = true
-		return s
+		st.Delivered = true
+		return st
 	}
 	var chain [maxResolveDepth]netip.Addr
+	r := resolver{s, ifaces}
 	for k := 0; k < e.HopCount(); k++ {
-		l.resolve(e.Hop(k), chain[:0], &s)
+		r.resolve(e.Hop(k), chain[:0], &st)
 	}
-	slices.Sort(s.Nexts)
-	s.Nexts = slices.Compact(s.Nexts)
-	return s
+	slices.Sort(st.Nexts)
+	st.Nexts = slices.Compact(st.Nexts)
+	return st
 }
 
-// adjacent reports the router next hop nh is directly handed to: the peer
-// when nh is the far end of an up link, this router when nh is one of its
-// own addresses or lies in a stub subnet (the local delivery domain). Only
-// what is up counts: a down interface neither reaches its peer nor makes
-// its own address local.
-func (l *Local) adjacent(nh netip.Addr) (router string, ok bool) {
-	for _, i := range l.Ifaces {
+// resolver is one router's state with its interfaces read once.
+type resolver struct {
+	s      State
+	ifaces []Iface
+}
+
+// adjacent reports whom next hop nh is directly handed to: the peer when
+// nh is the far end of an up link, this router (local) when nh is one of
+// its own addresses or lies in a stub subnet (the local delivery domain).
+// Only what is up counts: a down interface neither reaches its peer nor
+// makes its own address local.
+func (r resolver) adjacent(nh netip.Addr) (peer string, local, ok bool) {
+	for _, i := range r.ifaces {
 		if !i.Up {
 			continue
 		}
 		switch {
 		case i.Addr == nh:
-			return l.Router, true
+			return "", true, true
 		case !i.Prefix.Contains(nh):
 		case i.PeerAddr == nh:
-			return i.PeerName, true
+			return i.PeerName, false, true
 		case i.Stub:
-			return l.Router, true
+			return "", true, true
 		}
 	}
-	return l.Router, nh == l.Loopback
+	local = nh == r.s.Loopback()
+	return "", local, local
 }
 
 // resolve maps next hop nh to the adjacent routers the packet may be handed
-// to and records them in s. A next hop that is not on a connected subnet is
-// looked up in the FIB in turn (the recursive resolution iBGP relies on),
-// fanning out through every member of a multipath entry. chain holds the
-// next hops already being resolved above this one. Every call either adds
-// a branch to s or marks it Stuck, so a routed Step is never empty.
-func (l *Local) resolve(nh netip.Addr, chain []netip.Addr, s *Step) {
-	if router, ok := l.adjacent(nh); ok {
-		if router == l.Router {
-			s.Delivered = true
+// to and records them in st. A next hop that is not on a connected subnet
+// is looked up in the FIB in turn (the recursive resolution iBGP relies
+// on), fanning out through every member of a multipath entry. chain holds
+// the next hops already being resolved above this one. Every call either
+// adds a branch to st or marks it Stuck, so a routed Step is never empty.
+func (r resolver) resolve(nh netip.Addr, chain []netip.Addr, st *Step) {
+	if peer, local, ok := r.adjacent(nh); ok {
+		if local {
+			st.Delivered = true
 		} else {
-			s.Nexts = append(s.Nexts, router)
+			st.Nexts = append(st.Nexts, peer)
 		}
 		return
 	}
 	for _, seen := range chain {
 		if seen == nh {
-			s.Stuck, s.Cycle = true, true
+			st.Stuck, st.Cycle = true, true
 			return
 		}
 	}
 	if len(chain) == maxResolveDepth {
-		s.Stuck = true
+		st.Stuck = true
 		return
 	}
-	e, ok := l.Lookup(nh)
+	e, ok := r.s.Lookup(nh)
 	if !ok || e.HopCount() == 0 {
 		// No route — or a connected route although no up interface claimed
 		// nh above, which means its link is down or nh is nobody's address.
-		s.Stuck = true
+		st.Stuck = true
 		return
 	}
 	chain = append(chain, nh)
 	for k := 0; k < e.HopCount(); k++ {
-		l.resolve(e.Hop(k), chain, s)
+		r.resolve(e.Hop(k), chain, st)
 	}
 }

@@ -34,9 +34,10 @@ func via(prefix string, hops ...string) route.Route {
 }
 
 // TestStepTable pins the forwarding step — the one place forwarding
-// semantics live — case by case, through each of its adaptors: the central
-// walker over live tables and over a snapshot, and a fleet node's
-// LocalView (whose ClassState is the whole Step, resolution-cycle flag included).
+// semantics live — case by case, through each implementation of the
+// forwarding state: the live network, a snapshot over the router's trie,
+// and a frozen copy of the live router, as a fleet node holds it (whose
+// ClassState is the whole Step, resolution-cycle flag included).
 //
 // Router x has loopback 9.9.9.1, link eth0 to y (10.0.0.1 <-> 10.0.0.2),
 // link eth1 to z (10.0.1.1 <-> 10.0.1.2, down when the case says so) and a
@@ -142,16 +143,15 @@ func TestStepTable(t *testing.T) {
 			snap := table.Snapshot()
 			dst := addr(tc.dst)
 
-			live := dataplane.NewWalker(topo, dataplane.TableView(map[string]*fib.Table{"x": table}))
-			frozen := dataplane.NewWalker(topo, dataplane.SnapshotView(map[string]*trie.Trie[fib.Entry]{"x": snap}))
-			x := topo.Router("x")
-			node := dist.LocalView{Router: "x", Loopback: x.Loopback, Ifaces: dataplane.IfacesOf(x), FIB: snap}
+			live := dataplane.NewLive(topo, map[string]*fib.Table{"x": table})
+			bare := dataplane.SnapshotView(map[string]*trie.Trie[fib.Entry]{"x": snap})
+			node := dataplane.Freeze(live).Router("x")
 
 			wantEx := dataplane.Expansion{Delivered: tc.want.delivered, Dropped: tc.want.dropped, Stuck: tc.want.stuck, Nexts: tc.want.nexts}
 			for name, got := range map[string]dataplane.Expansion{
-				"TableView":    live.Expand("x", dst),
-				"SnapshotView": frozen.Expand("x", dst),
-				"LocalView":    node.Expand(dst),
+				"Live":         dataplane.Expand(live, "x", dst),
+				"SnapshotView": dataplane.WalkerExpand(dataplane.NewWalker(topo, bare), "x", dst),
+				"Frozen":       dataplane.StepOf(node, dst).Expansion,
 			} {
 				if !reflect.DeepEqual(got, wantEx) {
 					t.Errorf("%s: expansion %+v, want %+v", name, got, wantEx)
@@ -159,7 +159,7 @@ func TestStepTable(t *testing.T) {
 			}
 			// ClassState judges a class by its representative; a host class
 			// makes that exactly dst.
-			st := node.ClassState(netip.PrefixFrom(dst, dst.BitLen()))
+			st := dist.ClassState(node)(netip.PrefixFrom(dst, dst.BitLen()))
 			if !reflect.DeepEqual(st.Expansion, wantEx) || st.Cycle != tc.want.cycle {
 				t.Errorf("ClassState %+v, want %+v cycle=%v", st, wantEx, tc.want.cycle)
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/verify"
@@ -81,7 +82,7 @@ func TestFleetRoundWaitsForViewAcks(t *testing.T) {
 			}
 			// One long-lived live walker, as a pipeline's: its router cache
 			// must follow the flaps.
-			central := verify.NewChecker(n.LiveWalker(), edges)
+			central := verify.NewChecker(dataplane.NewWalker(n.Topo, n.Live()), edges)
 			for flap := 0; flap < 4; flap++ {
 				for i := 0; i < mode.quiet; i++ {
 					if stats, err := round(); err != nil || stats.Relabeled || !stats.Report.OK() {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/metrics"
 	"hbverify/internal/network"
 	"hbverify/internal/verify"
@@ -56,7 +57,7 @@ func TestOneCheckerTwoExecutors(t *testing.T) {
 	// An unroutable prefix: walks that end Dropped.
 	policies = append(policies, verify.Policy{Kind: verify.NoBlackhole, Prefix: netip.MustParsePrefix("203.0.113.0/24")})
 
-	ck := verify.NewChecker(n.LiveWalker(), edges)
+	ck := verify.NewChecker(dataplane.NewWalker(n.Topo, n.Live()), edges)
 	central := ck.Check(policies)
 	ck.Executor = f.executor()
 	fleet := ck.Check(policies)
@@ -85,7 +86,7 @@ func TestOneCheckerTwoExecutors(t *testing.T) {
 func TestFleetRoundDedupsWalks(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	reg := metrics.NewRegistry()
-	f, err := NewFleet(pn.Network, reg)
+	f, err := NewFleet(pn.Live(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func appendIface(b []byte, i dataplane.Iface) []byte {
 	return wire.AppendBool(b, i.Stub)
 }
 
-// viewDelta updates a node's LocalView in place: FIB installs and removals
+// viewDelta updates a node's view in place: FIB installs and removals
 // (entry-level deltas), and optionally a full interface-state replacement
 // (link flips change forwarding without touching the FIB).
 type viewDelta struct {

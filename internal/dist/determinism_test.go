@@ -79,14 +79,14 @@ func buildEcmpWorld(t *testing.T, hops []netip.Addr, linksReversed bool) ecmpWor
 		"r2": tables["r2"].Snapshot(),
 		"r3": tables["r3"].Snapshot(),
 	}
-	walker := dataplane.NewWalker(topo, dataplane.TableView(tables))
-	walk := walker.Forward("r1", dataplane.Representative(p))
+	live := dataplane.NewLive(topo, tables)
+	walk := dataplane.NewWalker(topo, live).Forward("r1", dataplane.Representative(p))
 
 	// The result frame the last node would send: every explored router's
 	// expansion, which the fleet's replay must turn back into walk.
 	msg := WalkMsg{WalkID: 1, Source: "r1", Dst: walk.Dst}
 	for _, r := range walk.Path {
-		msg.Exps = append(msg.Exps, ExpMsg{Router: r, Expansion: walker.Expand(r, walk.Dst)})
+		msg.Exps = append(msg.Exps, ExpMsg{Router: r, Expansion: dataplane.Expand(live, r, walk.Dst)})
 	}
 	if got := msg.Walk(); !reflect.DeepEqual(got, walk) {
 		t.Fatalf("replayed result frame diverges from the walk:\n  %+v\n  %+v", got, walk)

@@ -22,50 +22,10 @@ import (
 	"time"
 
 	"hbverify/internal/dataplane"
-	"hbverify/internal/fib"
 	"hbverify/internal/localck"
-	"hbverify/internal/network"
-	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 	"hbverify/internal/wire"
 )
-
-// LocalView is everything one verification node needs: identity, local
-// links (the node-local slice of topology a router legitimately knows: its
-// own interfaces and who is on the other end), and the local FIB.
-type LocalView struct {
-	Router   string
-	Loopback netip.Addr
-	Ifaces   []dataplane.Iface
-	FIB      *trie.Trie[fib.Entry]
-}
-
-// LocalViewOf extracts a router's local view from a built network.
-func LocalViewOf(r *network.Router) LocalView {
-	return LocalView{
-		Router: r.Name, Loopback: r.Topo.Loopback,
-		Ifaces: dataplane.IfacesOf(r.Topo), FIB: r.FIB.Snapshot(),
-	}
-}
-
-func (v LocalView) lpm(dst netip.Addr) (fib.Entry, bool) {
-	e, _, ok := v.FIB.Lookup(dst)
-	return e, ok
-}
-
-// step applies the shared forwarding step to dst using only node-local
-// knowledge: the view's own interfaces and an LPM over its own FIB.
-func (v LocalView) step(dst netip.Addr) dataplane.Step {
-	l := dataplane.Local{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, Lookup: v.lpm}
-	return l.Step(dst)
-}
-
-// Expand computes this router's forwarding expansion for dst — the same
-// step the central dataplane.Walker.Expand applies, so a distributed
-// set-walk replays to the same result.
-func (v LocalView) Expand(dst netip.Addr) dataplane.Expansion {
-	return v.step(dst).Expansion
-}
 
 // FrontierHop is one pending stop of a travelling set-walk: a router to
 // expand and the DFS depth it was discovered at.
@@ -125,10 +85,14 @@ func (w WalkMsg) Walk() dataplane.Walk {
 	})
 }
 
-// Node is one router's verification server.
+// Node is one router's verification server. Its view is everything the
+// node knows: the router's own FIB and interfaces (the node-local slice of
+// topology a router legitimately knows: its own interfaces and who is on
+// the other end), held by value and kept in step by the fleet's deltas.
 type Node struct {
 	endpoint
-	View LocalView
+	Router string
+	View   *dataplane.Frozen
 
 	directory func(router string) (string, bool) // router -> node address
 	resultTo  string                             // the fleet's address
@@ -145,10 +109,11 @@ type Node struct {
 	applyDelay atomic.Int64
 }
 
-// startNode launches a node listening on 127.0.0.1. directory resolves
-// peer node addresses and resultTo is the fleet's address.
-func startNode(view LocalView, directory func(string) (string, bool), resultTo string) (*Node, error) {
-	n := &Node{View: view, directory: directory, resultTo: resultTo}
+// startNode launches router's node, holding view, listening on 127.0.0.1.
+// directory resolves peer node addresses and resultTo is the fleet's
+// address.
+func startNode(router string, view *dataplane.Frozen, directory func(string) (string, bool), resultTo string) (*Node, error) {
+	n := &Node{Router: router, View: view, directory: directory, resultTo: resultTo}
 	if err := n.listen(n.handle); err != nil {
 		return nil, err
 	}
@@ -191,13 +156,13 @@ func (n *Node) stepWalk(w WalkMsg) (WalkMsg, string, bool) {
 	for _, e := range w.Exps {
 		expanded[e.Router] = true
 	}
-	cur := n.View.Router
+	cur := n.Router
 	depth := w.Hops
 	if depth <= 0 {
 		depth = 1 // seed: the source router is at DFS depth 1
 	}
 	if !expanded[cur] {
-		ex := n.View.Expand(w.Dst)
+		ex := dataplane.StepOf(n.View, w.Dst).Expansion
 		w.Exps = append(w.Exps, ExpMsg{Router: cur, Expansion: ex})
 		expanded[cur] = true
 		if depth < dataplane.MaxHops {
@@ -281,21 +246,18 @@ func (n *Node) applyViewDelta(d viewDelta) {
 		time.Sleep(time.Duration(delay))
 	}
 	n.viewMu.Lock()
-	if d.Router != "" && d.Router != n.View.Router {
+	if d.Router != "" && d.Router != n.Router {
 		n.viewMu.Unlock()
 		return
 	}
-	if n.View.FIB == nil {
-		n.View.FIB = trie.New[fib.Entry]()
-	}
 	for _, e := range d.Installs {
-		_ = n.View.FIB.Insert(e.Prefix, e)
+		n.View.Install(e)
 	}
 	for _, p := range d.Removes {
-		n.View.FIB.Delete(p)
+		n.View.Remove(p)
 	}
 	if d.HasIface {
-		n.View.Ifaces = d.Ifaces
+		n.View.SetIfaces(d.Ifaces)
 	}
 	var rep *LocalReport
 	if d.Sync != 0 {

@@ -12,7 +12,7 @@ import (
 	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
-	"hbverify/internal/trie"
+	"hbverify/internal/snapshot"
 	"hbverify/internal/verify"
 )
 
@@ -32,17 +32,16 @@ func startPaper(t *testing.T, opt network.PaperOpts) *network.PaperNet {
 	return pn
 }
 
-// TestLocalViewExpandMatchesCentralWalker pins the two adaptors of the
-// shared forwarding step against each other on a live network: a node's
-// view of itself and the central walker's view of that router expand every
-// probe address identically.
+// TestLocalViewExpandMatchesCentralWalker pins the implementations of the
+// forwarding state against each other on a live network. A node's view,
+// frozen from the live state, expands every probe address as the live
+// state does. After a link flap and quiescence, a replay of the whole log
+// agrees with the live state on every router's loopback, interfaces,
+// Lookup, Exact, Walk and expansions; a replay under a cut that hides the
+// flap differs from it at the flap's two ends and nowhere else.
 func TestLocalViewExpandMatchesCentralWalker(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	tables := map[string]*fib.Table{}
-	for _, r := range pn.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	central := dataplane.NewWalker(pn.Topo, dataplane.TableView(tables))
+	live := pn.Live()
 	probes := []netip.Addr{dataplane.Representative(pn.P), addr("203.0.113.9")}
 	for _, r := range pn.Routers() {
 		probes = append(probes, r.Topo.Loopback)
@@ -50,14 +49,71 @@ func TestLocalViewExpandMatchesCentralWalker(t *testing.T) {
 			probes = append(probes, i.Addr)
 		}
 	}
-	for _, r := range pn.Routers() {
-		v := LocalViewOf(r)
+	views := viewsOf(pn.Network)
+	for _, r := range live.Routers() {
 		for _, dst := range probes {
-			if got, want := v.Expand(dst), central.Expand(r.Name, dst); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s -> %s: local view %+v, central %+v", r.Name, dst, got, want)
+			if got, want := dataplane.StepOf(views[r], dst).Expansion, dataplane.Expand(live, r, dst); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s -> %s: node view %+v, live %+v", r, dst, got, want)
 			}
 		}
 	}
+
+	flap, err := pn.SetLinkUp("r2", "e2", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	log := pn.Log.View()
+	if diff := differing(live, snapshot.ReplayState(pn.Topo, log, nil), probes); len(diff) != 0 {
+		t.Fatalf("a replay of the whole log differs from the live state at %v", diff)
+	}
+	hidden := snapshot.Cut{}
+	for _, io := range flap {
+		hidden[io.Router] = io.Time - 1
+	}
+	if diff := differing(live, snapshot.ReplayState(pn.Topo, log, hidden), probes); !slices.Equal(diff, []string{"e2", "r2"}) {
+		t.Fatalf("a replay under a cut hiding the flap differs from the live state at %v, want [e2 r2]", diff)
+	}
+}
+
+// differing lists, sorted, the routers whose state differs between a and b
+// in its loopback, its interfaces, its entries (Walk, and Exact at each),
+// or its lookups and expansions at the probes.
+func differing(a, b dataplane.Forwarding, probes []netip.Addr) []string {
+	entries := func(s dataplane.State) []fib.Entry {
+		var out []fib.Entry
+		s.Walk(func(p netip.Prefix, e fib.Entry) bool {
+			if x, ok := s.Exact(p); !ok || !x.Equal(e) {
+				out = append(out, fib.Entry{}) // Exact disagrees with Walk
+			}
+			out = append(out, e)
+			return true
+		})
+		return out
+	}
+	var out []string
+	for _, r := range a.Routers() {
+		sa, sb := a.State(r), b.State(r)
+		if sb == nil {
+			out = append(out, r)
+			continue
+		}
+		same := sa.Loopback() == sb.Loopback() &&
+			slices.Equal(sa.Ifaces(), sb.Ifaces()) &&
+			slices.EqualFunc(entries(sa), entries(sb), fib.Entry.Equal)
+		for _, dst := range probes {
+			ea, oka := sa.Lookup(dst)
+			eb, okb := sb.Lookup(dst)
+			same = same && oka == okb && ea.Equal(eb) &&
+				reflect.DeepEqual(dataplane.Expand(a, r, dst), dataplane.Expand(b, r, dst))
+		}
+		if !same {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func TestDistributedVerifyHealthy(t *testing.T) {
@@ -108,7 +164,7 @@ func TestDistributedLoopDetection(t *testing.T) {
 	f := startFleet(t, pn.Network)
 	// Sync two views corrupted into a loop.
 	views := viewsOf(pn.Network)
-	if err := ship(f, map[string]LocalView{
+	if err := ship(f, map[string]*dataplane.Frozen{
 		"r1": edited(views["r1"], nil, fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")}),
 		"r2": edited(views["r2"], nil, fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")}),
 	}); err != nil {
@@ -151,7 +207,7 @@ func TestGridScaleDistributed(t *testing.T) {
 	if stats.Walks != 9 {
 		t.Fatalf("walks = %d", stats.Walks)
 	}
-	central, err := CentralizedBytes(n)
+	central, err := CentralizedBytes(n.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +219,7 @@ func TestGridScaleDistributed(t *testing.T) {
 // startFleet builds a fleet over n that closes with the test.
 func startFleet(t *testing.T, n *network.Network) *Fleet {
 	t.Helper()
-	f, err := NewFleet(n, nil)
+	f, err := NewFleet(n.Live(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,18 +235,20 @@ func routerNames(n *network.Network) []string {
 	return out
 }
 
-func viewsOf(n *network.Network) map[string]LocalView {
-	out := map[string]LocalView{}
-	for _, r := range n.Routers() {
-		out[r.Name] = LocalViewOf(r)
+// viewsOf returns a copy of each router's live state, as a node holds it.
+func viewsOf(n *network.Network) map[string]*dataplane.Frozen {
+	snap := dataplane.Freeze(n.Live())
+	out := map[string]*dataplane.Frozen{}
+	for _, r := range snap.Routers() {
+		out[r] = snap.Router(r)
 	}
 	return out
 }
 
 // ship syncs the fleet to made-up views: each router's delta is what
-// turns its node's view into the target (fib.Diff), with the target's
-// interfaces when they differ. A view its node already holds ships nothing.
-func ship(f *Fleet, views map[string]LocalView) error {
+// turns its node's view into the target, with the target's interfaces
+// when they differ. A view its node already holds ships nothing.
+func ship(f *Fleet, views map[string]*dataplane.Frozen) error {
 	routers := make([]string, 0, len(views))
 	for r := range views {
 		routers = append(routers, r)
@@ -201,9 +259,20 @@ func ship(f *Fleet, views map[string]LocalView) error {
 		v, nd := views[r], f.Node(r)
 		d := viewDelta{Router: r}
 		nd.viewMu.RLock()
-		d.Installs, d.Removes = fib.Diff(nd.View.FIB, v.FIB)
-		if !slices.Equal(nd.View.Ifaces, v.Ifaces) {
-			d.HasIface, d.Ifaces = true, v.Ifaces
+		v.Walk(func(p netip.Prefix, e fib.Entry) bool {
+			if old, ok := nd.View.Exact(p); !ok || !old.Equal(e) {
+				d.Installs = append(d.Installs, e)
+			}
+			return true
+		})
+		nd.View.Walk(func(p netip.Prefix, _ fib.Entry) bool {
+			if _, ok := v.Exact(p); !ok {
+				d.Removes = append(d.Removes, p)
+			}
+			return true
+		})
+		if !slices.Equal(nd.View.Ifaces(), v.Ifaces()) {
+			d.HasIface, d.Ifaces = true, v.Ifaces()
 		}
 		nd.viewMu.RUnlock()
 		if len(d.Installs) > 0 || len(d.Removes) > 0 || d.HasIface {
@@ -213,19 +282,18 @@ func ship(f *Fleet, views map[string]LocalView) error {
 	return f.sync(deltas)
 }
 
-// edited returns v with a copy of its FIB that holds the entries keep
-// accepts (all when keep is nil) plus extra.
-func edited(v LocalView, keep func(netip.Prefix) bool, extra ...fib.Entry) LocalView {
-	out := v
-	out.FIB = trie.New[fib.Entry]()
-	v.FIB.Walk(func(p netip.Prefix, e fib.Entry) bool {
+// edited returns a copy of v whose FIB holds the entries keep accepts (all
+// when keep is nil) plus extra.
+func edited(v *dataplane.Frozen, keep func(netip.Prefix) bool, extra ...fib.Entry) *dataplane.Frozen {
+	out := dataplane.NewFrozen(v.Loopback(), v.Ifaces(), nil)
+	v.Walk(func(p netip.Prefix, e fib.Entry) bool {
 		if keep == nil || keep(p) {
-			_ = out.FIB.Insert(p, e)
+			out.Install(e)
 		}
 		return true
 	})
 	for _, e := range extra {
-		_ = out.FIB.Insert(e.Prefix, e)
+		out.Install(e)
 	}
 	return out
 }

@@ -20,7 +20,6 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/localck"
 	"hbverify/internal/metrics"
-	"hbverify/internal/network"
 	"hbverify/internal/route"
 	"hbverify/internal/verify"
 	"hbverify/internal/wire"
@@ -43,12 +42,13 @@ const localRelabelEvery = 16
 // Fleet is §5's distributed verifier over one network: a node per router,
 // each holding that router's view. The fleet keeps no copy of any view: it
 // is told what changed (Note, NoteLinks), and a round reads the noted
-// entries and interfaces from the live network and ships them. Verify and
+// entries and interfaces from the forwarding state it was built on and
+// ships them. Verify and
 // VerifyLocal are its rounds. Its own endpoint receives the nodes' walk
 // results and check reports, each routed by ID to the call waiting on it.
 type Fleet struct {
 	endpoint
-	net     *network.Network
+	fwd     dataplane.Forwarding
 	metrics *metrics.Registry
 
 	mu sync.Mutex
@@ -73,12 +73,13 @@ type Fleet struct {
 	taintAll bool
 }
 
-// NewFleet starts the fleet's endpoint and a node per router of n, each
-// with the router's current view. reg receives the rounds' dist.* counters
-// and per-node latency timers; nil discards them.
-func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
+// NewFleet starts the fleet's endpoint and a node per router of fwd, each
+// with a copy of the router's state as its first view; every round reads
+// fwd again. reg receives the rounds' dist.* counters and per-node latency
+// timers; nil discards them.
+func NewFleet(fwd dataplane.Forwarding, reg *metrics.Registry) (*Fleet, error) {
 	f := &Fleet{
-		net: n, metrics: reg, nodes: map[string]*Node{}, noted: map[string]map[netip.Prefix]struct{}{},
+		fwd: fwd, metrics: reg, nodes: map[string]*Node{}, noted: map[string]map[netip.Prefix]struct{}{},
 		waiting: map[int]any{}, taint: map[netip.Prefix]bool{},
 	}
 	if err := f.listen(f.handle); err != nil {
@@ -90,14 +91,15 @@ func NewFleet(n *network.Network, reg *metrics.Registry) (*Fleet, error) {
 		}
 		return "", false
 	}
-	for _, r := range n.Routers() {
-		node, err := startNode(LocalViewOf(r), directory, f.Addr())
+	views := dataplane.Freeze(fwd)
+	for _, r := range views.Routers() {
+		node, err := startNode(r, views.Router(r), directory, f.Addr())
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
 		f.mu.Lock()
-		f.nodes[r.Name] = node
+		f.nodes[r] = node
 		f.mu.Unlock()
 	}
 	return f, nil
@@ -326,8 +328,8 @@ func classesOf(policies []verify.Policy) []netip.Prefix {
 	return slices.Compact(classes)
 }
 
-// deltas reads each noted router's live state into the view delta the
-// round ships it, in router order: for each noted prefix, in prefix order,
+// deltas reads each noted router's state into the view delta the round
+// ships it, in router order: for each noted prefix, in prefix order,
 // the entry the router's table holds, or the prefix's removal when it holds
 // none; and the interfaces when a link flipped.
 func (f *Fleet) deltas(taken map[string]map[netip.Prefix]struct{}) []viewDelta {
@@ -338,8 +340,8 @@ func (f *Fleet) deltas(taken map[string]map[netip.Prefix]struct{}) []viewDelta {
 	sort.Strings(routers)
 	var out []viewDelta
 	for _, r := range routers {
-		rt := f.net.Router(r)
-		if rt == nil {
+		st := f.fwd.State(r)
+		if st == nil {
 			continue
 		}
 		prefixes := make([]netip.Prefix, 0, len(taken[r]))
@@ -350,8 +352,8 @@ func (f *Fleet) deltas(taken map[string]map[netip.Prefix]struct{}) []viewDelta {
 		d := viewDelta{Router: r}
 		for _, p := range prefixes {
 			if !p.IsValid() {
-				d.HasIface, d.Ifaces = true, dataplane.IfacesOf(rt.Topo)
-			} else if e, ok := rt.FIB.Exact(p); ok {
+				d.HasIface, d.Ifaces = true, st.Ifaces()
+			} else if e, ok := st.Exact(p); ok {
 				d.Installs = append(d.Installs, e)
 			} else {
 				d.Removes = append(d.Removes, p)
@@ -423,11 +425,11 @@ func (f *Fleet) sync(deltas []viewDelta) error {
 
 // CentralizedBytes estimates the wire cost of the centralized alternative:
 // shipping every router's full FIB (as JSON) to one verifier.
-func CentralizedBytes(n *network.Network) (int, error) {
+func CentralizedBytes(fwd dataplane.Forwarding) (int, error) {
 	total := 0
-	for _, r := range n.Routers() {
+	for _, r := range fwd.Routers() {
 		var entries []fib.Entry
-		r.FIB.Snapshot().Walk(func(_ netip.Prefix, e fib.Entry) bool {
+		fwd.State(r).Walk(func(_ netip.Prefix, e fib.Entry) bool {
 			entries = append(entries, e)
 			return true
 		})

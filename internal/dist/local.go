@@ -24,25 +24,27 @@ import (
 // Node side: class state, labels, per-delta checks.
 // ---------------------------------------------------------------------------
 
-// ClassState is the router's forwarding step at a class's representative,
-// over its own FIB and interfaces: local checks judge exactly the state a
-// symbolic walk would traverse.
-func (v LocalView) ClassState(class netip.Prefix) dataplane.Step {
-	return v.step(dataplane.Representative(class))
+// ClassState is the forwarding step of router state s at a class's
+// representative, over its own FIB and interfaces: local checks judge
+// exactly the state a symbolic walk would traverse.
+func ClassState(s dataplane.State) localck.StateFn {
+	return func(class netip.Prefix) dataplane.Step {
+		return dataplane.StepOf(s, dataplane.Representative(class))
+	}
 }
 
-// Labels is v's slice of ls: the router's own labels and those of the
-// routers at the other end of its interfaces.
-func (v LocalView) Labels(ls *localck.LabelSet) localck.NodeLabels {
+// Labels is router's slice of ls: its own labels and those of the routers
+// at the other end of its interfaces in s.
+func Labels(router string, s dataplane.State, ls *localck.LabelSet) localck.NodeLabels {
 	var peers []string
 	seen := map[string]bool{}
-	for _, i := range v.Ifaces {
-		if i.PeerName != "" && i.PeerName != v.Router && !seen[i.PeerName] {
+	for _, i := range s.Ifaces() {
+		if i.PeerName != "" && i.PeerName != router && !seen[i.PeerName] {
 			seen[i.PeerName] = true
 			peers = append(peers, i.PeerName)
 		}
 	}
-	return ls.Node(v.Router, peers)
+	return ls.Node(router, peers)
 }
 
 // applyLabels installs a fleet-pushed label slice; subsequent
@@ -50,7 +52,7 @@ func (v LocalView) Labels(ls *localck.LabelSet) localck.NodeLabels {
 func (n *Node) applyLabels(router string, nl localck.NodeLabels) {
 	n.viewMu.Lock()
 	defer n.viewMu.Unlock()
-	if router != "" && router != n.View.Router {
+	if router != "" && router != n.Router {
 		return
 	}
 	n.checker.Labels = nl
@@ -61,13 +63,13 @@ func (n *Node) applyLabels(router string, nl localck.NodeLabels) {
 // acknowledges (Epoch 0, Checked 0) so the fleet can tell
 // label-less nodes from lost frames.
 func (n *Node) runLocalChecks(sync int) *LocalReport {
-	rep := &LocalReport{Sync: sync, Router: n.View.Router, Epoch: n.checker.Labels.Epoch}
+	rep := &LocalReport{Sync: sync, Router: n.Router, Epoch: n.checker.Labels.Epoch}
 	if !n.checker.Enabled() {
 		return rep
 	}
 	classes := n.checker.Labels.Classes()
 	rep.Checked = len(classes)
-	rep.Violations = n.checker.Check(n.View.Router, n.View.ClassState)
+	rep.Violations = n.checker.Check(n.Router, ClassState(n.View))
 	return rep
 }
 
@@ -104,8 +106,8 @@ func (f *Fleet) labelEpoch() uint64 {
 	return f.labels.Epoch
 }
 
-// relabel derives fresh labels for classes from the live network, at the
-// next label epoch, and pushes each node its slice: the periodic
+// relabel derives fresh labels for classes from the forwarding state the
+// fleet reads, at the next label epoch, and pushes each node its slice: the periodic
 // full-round step of the hybrid loop, run right after a full walk round so
 // the labels describe a verified epoch. A router whose node has not yet
 // been shipped its live state has notes pending, and the next sync checks
@@ -113,19 +115,13 @@ func (f *Fleet) labelEpoch() uint64 {
 // starts clean; a node the push misses leaves the whole epoch uncertified.
 func (f *Fleet) relabel(classes []netip.Prefix) error {
 	epoch := f.labelEpoch() + 1
-	rts := f.net.Routers()
-	routers := make([]string, len(rts))
-	for i, rt := range rts {
-		routers[i] = rt.Name
-	}
-	live := f.net.LiveWalker()
+	routers := f.fwd.Routers()
 	ls := localck.Derive(routers, classes, func(r string, class netip.Prefix) dataplane.Expansion {
-		return live.Expand(r, dataplane.Representative(class))
+		return dataplane.Expand(f.fwd, r, dataplane.Representative(class))
 	}, epoch)
 	var firstErr error
-	for _, rt := range rts {
-		nl := LocalView{Router: rt.Name, Ifaces: dataplane.IfacesOf(rt.Topo)}.Labels(ls)
-		router := rt.Name
+	for _, router := range routers {
+		nl := Labels(router, f.fwd.State(router), ls)
 		if _, err := f.pool.send(f.Node(router).Addr(), func(b []byte) []byte {
 			return appendLabels(b, router, nl)
 		}); err != nil && firstErr == nil {

@@ -104,7 +104,7 @@ func TestLocalCheckViolationEscalatesTargetedWalks(t *testing.T) {
 	cut := edited(v, func(p netip.Prefix) bool { return !p.Contains(rep) })
 
 	f0, _ := f.Wire()
-	if err := ship(f, map[string]LocalView{"r2": cut}); err != nil {
+	if err := ship(f, map[string]*dataplane.Frozen{"r2": cut}); err != nil {
 		t.Fatal(err)
 	}
 	if f1, _ := f.Wire(); f1-f0 != 2 {
@@ -181,9 +181,9 @@ func TestLocalCheckStaleEpochTaintsRound(t *testing.T) {
 	// Force a delta without ever pushing labels: nodes acknowledge at
 	// epoch 0, which must read as stale.
 	v := viewsOf(pn.Network)["r1"]
-	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback})
+	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback()})
 	f0, _ := f.Wire()
-	if err := ship(f, map[string]LocalView{"r1": grown}); err != nil {
+	if err := ship(f, map[string]*dataplane.Frozen{"r1": grown}); err != nil {
 		t.Fatal(err)
 	}
 	if f1, _ := f.Wire(); f1-f0 != 2 {
@@ -277,7 +277,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 	healthy := viewsOf(pn.Network)
 	rep := dataplane.Representative(pn.P)
 	v := healthy["r2"]
-	broken := make(map[string]LocalView, len(healthy))
+	broken := make(map[string]*dataplane.Frozen, len(healthy))
 	for name, lv := range healthy {
 		broken[name] = lv
 	}
@@ -294,7 +294,7 @@ func TestConcurrentLocalChecksSyncAndEscalation(t *testing.T) {
 			if i%2 == 1 {
 				vs = broken
 			}
-			if err := ship(f, map[string]LocalView{"r2": vs["r2"]}); err != nil {
+			if err := ship(f, map[string]*dataplane.Frozen{"r2": vs["r2"]}); err != nil {
 				t.Errorf("sync: %v", err)
 				return
 			}

@@ -60,7 +60,7 @@ func TestLinkFlipBackShipsUnchangedInterfaces(t *testing.T) {
 	for _, d := range deltas {
 		nd := f.Node(d.Router)
 		nd.viewMu.RLock()
-		same := slices.Equal(d.Ifaces, nd.View.Ifaces)
+		same := slices.Equal(d.Ifaces, nd.View.Ifaces())
 		nd.viewMu.RUnlock()
 		if !d.HasIface || !same || len(d.Installs) != 0 || len(d.Removes) != 0 {
 			t.Fatalf("%s's delta %+v, want its node's interfaces and no entries", d.Router, d)
@@ -100,7 +100,10 @@ func TestFleetMemoryBudget(t *testing.T) {
 	oneSet := liveHeap() - before
 	entries := 0
 	for _, v := range views {
-		entries += v.FIB.Len()
+		v.Walk(func(netip.Prefix, fib.Entry) bool {
+			entries++
+			return true
+		})
 	}
 	views = nil
 

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/verify"
@@ -61,9 +62,9 @@ func TestStatsWireAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := viewsOf(pn.Network)["r2"]
-	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback})
+	grown := edited(v, nil, fib.Entry{Prefix: pfx("192.0.2.0/28"), NextHop: v.Loopback()})
 	f4, b4 := f.Wire()
-	if err := ship(f, map[string]LocalView{"r2": grown}); err != nil {
+	if err := ship(f, map[string]*dataplane.Frozen{"r2": grown}); err != nil {
 		t.Fatal(err)
 	}
 	f5, b5 := f.Wire()

@@ -246,7 +246,7 @@ func TestDropBatchFaultInjection(t *testing.T) {
 func TestPerNodeLatencyTimers(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	reg := metrics.NewRegistry()
-	f, err := NewFleet(pn.Network, reg)
+	f, err := NewFleet(pn.Live(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}

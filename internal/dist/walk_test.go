@@ -21,7 +21,7 @@ func TestConcurrentWalkRounds(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	f := startFleet(t, pn.Network)
 
-	central := pn.LiveWalker()
+	central := dataplane.NewWalker(pn.Topo, pn.Live())
 	dst := dataplane.Representative(pn.P)
 	sources := []string{"r1", "r2", "r3"}
 	exec := f.executor()
@@ -80,7 +80,7 @@ func TestFleetExecutorServesQueries(t *testing.T) {
 		}(i, q)
 	}
 	wg.Wait()
-	checker := verify.NewChecker(pn.LiveWalker(), []string{"r1", "r2", "r3"})
+	checker := verify.NewChecker(dataplane.NewWalker(pn.Topo, pn.Live()), []string{"r1", "r2", "r3"})
 	for i, q := range queries {
 		if errs[i] != nil {
 			t.Fatalf("%v: %v", q.Policy, errs[i])

@@ -176,11 +176,11 @@ func TestConnSetRefusesAfterCloseAll(t *testing.T) {
 // error, with a client connection open so Close has a reader to unpark.
 func TestCloseIsIdempotent(t *testing.T) {
 	none := func(string) (string, bool) { return "", false }
-	node, err := startNode(LocalView{Router: "r1"}, none, "")
+	node, err := startNode("r1", dataplane.NewFrozen(netip.Addr{}, nil, nil), none, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := NewFleet(startPaper(t, network.DefaultPaperOpts()).Network, nil)
+	fleet, err := NewFleet(startPaper(t, network.DefaultPaperOpts()).Live(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ const (
 )
 
 // appendBehaviour encodes one router's forwarding verdict for a probe:
-// exactly what dataplane.Local.Step reads of the entry — whether there is
+// exactly what dataplane.StepOf reads of the entry — whether there is
 // one, and its next-hop set. The encoding hashes the *full* next-hop set, so
 // two prefixes forwarded over different ECMP member sets (even sharing the
 // lowest hop) land in different classes — the invariant the per-class
@@ -114,22 +114,6 @@ func appendBehaviour(dst []byte, e fib.Entry, ok bool) []byte {
 	}
 }
 
-// table is one router's FIB, read where it lives: a watched router's live
-// *fib.Table (each call under its read lock) or a caller's trie (trieTable).
-type table interface {
-	Lookup(dst netip.Addr) (fib.Entry, bool)
-	Exact(p netip.Prefix) (fib.Entry, bool)
-	Walk(fn func(netip.Prefix, fib.Entry) bool)
-}
-
-// trieTable reads a caller's trie in place; a nil trie reads as empty.
-type trieTable struct{ *trie.Trie[fib.Entry] }
-
-func (t trieTable) Lookup(dst netip.Addr) (fib.Entry, bool) {
-	e, _, ok := t.Trie.Lookup(dst)
-	return e, ok
-}
-
 // lookup is one router's verdict for a probe.
 type lookup struct {
 	e  fib.Entry
@@ -142,14 +126,17 @@ type lookup struct {
 // allocation-free.
 type lookupper struct {
 	routers []string // sorted
-	tables  map[string]table
+	// tables holds each router's FIB, read where it lives: a watched
+	// router's live *fib.Table (each call under its read lock) or a seeded
+	// router's trie.
+	tables  map[string]dataplane.FIB
 	in      *interner
 	scratch []byte
 	hits    []lookup // the last signing's lookups, in router order
 }
 
 // add registers router's table, replacing any it had.
-func (l *lookupper) add(router string, t table) {
+func (l *lookupper) add(router string, t dataplane.FIB) {
 	if _, had := l.tables[router]; !had {
 		l.routers = append(l.routers, router)
 		sort.Strings(l.routers)

@@ -61,7 +61,7 @@ type Incremental struct {
 func NewIncremental(reg *metrics.Registry) *Incremental {
 	return &Incremental{
 		reg:      reg,
-		look:     &lookupper{tables: map[string]table{}, in: newInterner()},
+		look:     &lookupper{tables: map[string]dataplane.FIB{}, in: newInterner()},
 		universe: trie.New[struct{}](),
 		sigOf:    map[netip.Prefix]sigID{},
 		members:  map[sigID]map[netip.Prefix]struct{}{},
@@ -84,12 +84,12 @@ func (inc *Incremental) Watch(router string, t *fib.Table) {
 // Seed registers router's FIB contents, read in place and unsubscribed: a
 // caller that changes entries afterwards must Note each change.
 func (inc *Incremental) Seed(router string, entries *trie.Trie[fib.Entry]) {
-	inc.add(router, trieTable{entries})
+	inc.add(router, dataplane.NewFrozen(netip.Addr{}, nil, entries))
 }
 
 // add registers (or replaces) router's table, which can change any
 // signature: the next flush re-derives the universe and re-signs it all.
-func (inc *Incremental) add(router string, t table) {
+func (inc *Incremental) add(router string, t dataplane.FIB) {
 	inc.mu.Lock()
 	inc.look.add(router, t)
 	inc.dirtyAll = true

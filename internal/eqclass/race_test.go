@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
@@ -102,7 +103,7 @@ func TestIncrementalLiveTablesUnderRacingWriters(t *testing.T) {
 // flipTable answers each Lookup with the other of two entries, as a table
 // that a writer changes between any two reads would.
 type flipTable struct {
-	trieTable
+	dataplane.FIB
 	entries [2]fib.Entry
 	reads   int
 }
@@ -118,7 +119,7 @@ func (f *flipTable) Lookup(netip.Addr) (fib.Entry, bool) {
 // have changed in between.
 func TestIncrementalSignatureRenderedFromItsOwnLookups(t *testing.T) {
 	p := netip.MustParsePrefix("10.0.0.0/24")
-	l := &lookupper{tables: map[string]table{}, in: newInterner()}
+	l := &lookupper{tables: map[string]dataplane.FIB{}, in: newInterner()}
 	l.add("r1", &flipTable{entries: [2]fib.Entry{entry("10.0.0.0/24", "192.0.2.1"), entry("10.0.0.0/24", "192.0.2.2")}})
 	for _, want := range []string{"r1=192.0.2.2", "r1=192.0.2.1"} {
 		if got := l.in.str(l.sign(p)); got != want {

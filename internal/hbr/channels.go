@@ -113,7 +113,11 @@ func (c *Channels) feed(io *capture.IO, h uint64, pair func(send, recv uint64)) 
 	m := messageOf(io)
 	for len(q.items) > 0 && q.sends != send {
 		o := q.items[0]
-		q.items = q.items[1:]
+		if len(q.items) == 1 {
+			q.items = q.items[:0] // emptied: the next message reuses the array
+		} else {
+			q.items = q.items[1:]
+		}
 		if o.msg == m {
 			if send {
 				pair(h, o.h)

@@ -180,8 +180,8 @@ func (nl NodeLabels) PeerLabel(peer string, class netip.Prefix) int {
 
 // Derive computes distance-to-egress labels for every router and class
 // from a converged forwarding snapshot, read through fwd: one router's
-// forwarding expansion for a class, backed by a LocalView, a central
-// walker, or a test fixture. A router that delivers a class
+// forwarding expansion for a class, over a dataplane.Forwarding (live or
+// a snapshot) or a test fixture. A router that delivers a class
 // locally and forwards nowhere else gets label 0; a router whose next
 // routers are all labeled gets 1 + the maximum over them (a reverse
 // topological order, so every forwarding edge strictly decreases the

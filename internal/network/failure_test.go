@@ -10,18 +10,13 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
-	"hbverify/internal/fib"
 	"hbverify/internal/route"
 	"hbverify/internal/verify"
 )
 
 // walkP walks the destination prefix from src over the live FIBs.
 func walkP(pn *PaperNet, src string) dataplane.Walk {
-	tables := map[string]*fib.Table{}
-	for _, r := range pn.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	w := dataplane.NewWalker(pn.Topo, dataplane.TableView(tables))
+	w := dataplane.NewWalker(pn.Topo, pn.Live())
 	return w.ForwardPrefix(src, pn.P)
 }
 
@@ -150,13 +145,11 @@ func TestGridLinkFailureKeepsReachability(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tables := map[string]*fib.Table{}
 	var sources []string
 	for _, r := range n.Routers() {
-		tables[r.Name] = r.FIB
 		sources = append(sources, r.Name)
 	}
-	w := dataplane.NewWalker(n.Topo, dataplane.TableView(tables))
+	w := dataplane.NewWalker(n.Topo, n.Live())
 	// All loopbacks still reachable from everywhere.
 	var policies []verify.Policy
 	for _, r := range n.Routers() {

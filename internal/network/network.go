@@ -401,9 +401,11 @@ func (n *Network) Start() {
 		})
 		n.configEvents[cc.ID] = ConfigRef{Router: r.Name, Version: v}
 		cause := cc.ID
-		// Connected routes.
+		// Connected routes. A link built down is logged down at both
+		// ends, so a replay of the log knows it is.
 		for _, i := range r.Topo.Interfaces() {
 			if i.Link != nil && !i.Link.Up() {
+				r.Rec.Record(capture.IO{Type: capture.LinkDown, Detail: i.Name, Peer: i.Peer().Router})
 				continue
 			}
 			r.FIB.Offer(route.Route{Prefix: i.Prefix, Proto: route.ProtoConnected}, cause)
@@ -689,12 +691,13 @@ func (n *Network) FIBSnapshot() map[string]*trie.Trie[fib.Entry] {
 	return out
 }
 
-// LiveWalker returns a data-plane walker over every router's live FIB
-// table: it sees each install and withdraw the moment it lands.
-func (n *Network) LiveWalker() *dataplane.Walker {
+// Live returns the network's live forwarding state: every router's FIB
+// table, read where it lives, so it sees each install and withdraw the
+// moment it lands, and its interfaces with their link state now.
+func (n *Network) Live() *dataplane.Live {
 	tables := make(map[string]*fib.Table, len(n.routers))
 	for name, r := range n.routers {
 		tables[name] = r.FIB
 	}
-	return dataplane.NewWalker(n.Topo, dataplane.TableView(tables))
+	return dataplane.NewLive(n.Topo, tables)
 }

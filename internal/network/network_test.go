@@ -9,7 +9,6 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
-	"hbverify/internal/fib"
 	"hbverify/internal/hbr"
 	"hbverify/internal/route"
 )
@@ -285,7 +284,7 @@ func TestChainRIPConverges(t *testing.T) {
 		t.Fatalf("c4 lan route = %+v %v", e, ok)
 	}
 	// Five hops, counting the LAN's own router, as RIP's metric does.
-	if w := n.LiveWalker().ForwardPrefix("c4", lan); w.Outcome != dataplane.Delivered || len(w.Path) != 5 {
+	if w := dataplane.NewWalker(n.Topo, n.Live()).ForwardPrefix("c4", lan); w.Outcome != dataplane.Delivered || len(w.Path) != 5 {
 		t.Fatalf("c4 to the lan: %v", w)
 	}
 }
@@ -425,11 +424,7 @@ func TestStarRouteReflection(t *testing.T) {
 		}
 	}
 	// The data plane delivers end-to-end (c3 -> rr -> c0 -> ext).
-	tables := map[string]*fib.Table{}
-	for _, r := range n.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	w := dataplane.NewWalker(n.Topo, dataplane.TableView(tables))
+	w := dataplane.NewWalker(n.Topo, n.Live())
 	walk := w.ForwardPrefix("c3", PrefixP)
 	if walk.Outcome != dataplane.Delivered || walk.Egress != "ext" {
 		t.Fatalf("walk = %v", walk)

@@ -155,7 +155,7 @@ func BenchmarkPreInstallGate(b *testing.B) {
 	// Contrast: without the gate the data plane violates.
 	pn := converged(b, 2, network.DefaultPaperOpts(), nil)
 	misconfigR2(pn)
-	ungated := verify.NewChecker(pn.LiveWalker(), sources).Check([]verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}})
+	ungated := verify.NewChecker(dataplane.NewWalker(pn.Topo, pn.Live()), sources).Check([]verify.Policy{{Kind: verify.Egress, Prefix: pn.P, Expect: "e2"}})
 	e13Table.Do(func() {
 		fmt.Println("\n[E13/§8] verify-before-install: Fig. 2 misconfiguration")
 		fmt.Printf("  %-28s %-22s %-18s\n", "mode", "data-plane violations", "updates withheld")

@@ -78,8 +78,9 @@ func (g *Gate) apply(router string, u fib.Update) {
 	}
 }
 
-// View exposes the shadow data plane for walking.
-func (g *Gate) View() dataplane.View {
+// View exposes the shadow data plane for walking: the shadow FIBs, read in
+// place, on the links a walker's topology has when it walks.
+func (g *Gate) View() *dataplane.Live {
 	return dataplane.SnapshotView(g.shadow)
 }
 

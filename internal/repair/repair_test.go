@@ -81,7 +81,7 @@ func misconfigure(t *testing.T, pn *network.PaperNet) capture.IO {
 // liveCheck is a cold central checker over the live FIBs from the internal
 // routers: the verdict under diagnosis.
 func liveCheck(pn *network.PaperNet) func([]verify.Policy) verify.Report {
-	return verify.NewChecker(pn.LiveWalker(), []string{"r1", "r2", "r3"}).Check
+	return verify.NewChecker(dataplane.NewWalker(pn.Topo, pn.Live()), []string{"r1", "r2", "r3"}).Check
 }
 
 // detect diagnoses the live verdict over a full inference of the log.

@@ -354,7 +354,8 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 			"cut %v closed by message accounting differs from the graph's: graph %s, table %s, Pipeline.VerifySnapshot %s",
 			cut, graph, table, pipe)}
 	}
-	cold := verify.NewChecker(dataplane.NewWalker(h.w.net.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(view, tFinal))), h.p.Sources)
+	topo := h.w.net.Topo
+	cold := verify.NewChecker(dataplane.NewWalker(topo, snapshot.ReplayState(topo, view, tFinal)), h.p.Sources)
 	if coldRep := cold.Check(h.policies()); !reflect.DeepEqual(pRep.Results(), coldRep.Results()) {
 		return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
 			"cut %v, closed to %v: Pipeline.VerifySnapshot (%s) walks otherwise than a cold replay of the cut (%s)",
@@ -559,7 +560,7 @@ func (h *harness) policies() []verify.Policy {
 	return out
 }
 
-func (h *harness) liveWalker() *dataplane.Walker { return h.w.net.LiveWalker() }
+func (h *harness) liveWalker() *dataplane.Walker { return dataplane.NewWalker(h.w.net.Topo, h.live) }
 
 // oracleCheckerDeterminism asserts verify.Checker reports identical
 // violation lists for 1 worker, GOMAXPROCS workers, and a repeated run.
@@ -723,14 +724,10 @@ func (h *harness) oracleDistVsCentral(round int) *Failure {
 // the labels intact, which the in-flight phase must catch.
 func (h *harness) oracleLocalSuperset(round int) *Failure {
 	classes := []netip.Prefix{PrefixP, PrefixQ}
-	views := map[string]dist.LocalView{}
-	var routers []string
-	for _, r := range h.w.net.Routers() {
-		views[r.Name] = dist.LocalViewOf(r)
-		routers = append(routers, r.Name)
-	}
+	views := dataplane.Freeze(h.live)
+	routers := views.Routers()
 	ls := localck.Derive(routers, classes, func(r string, class netip.Prefix) dataplane.Expansion {
-		return views[r].Expand(dataplane.Representative(class))
+		return dataplane.Expand(views, r, dataplane.Representative(class))
 	}, uint64(round)+1)
 
 	if f := h.localSuperset(round, "converged", views, routers, ls); f != nil {
@@ -752,19 +749,18 @@ func (h *harness) oracleLocalSuperset(round int) *Failure {
 			continue // class delivered locally or unreachable everywhere: no in-flight state to model
 		}
 		rep := dataplane.Representative(class)
-		v := views[victim]
-		cut := dist.LocalView{Router: v.Router, Loopback: v.Loopback, Ifaces: v.Ifaces, FIB: trie.New[fib.Entry]()}
-		v.FIB.Walk(func(p netip.Prefix, e fib.Entry) bool {
-			if !p.Contains(rep) {
-				_ = cut.FIB.Insert(p, e)
+		mutated := dataplane.Freeze(views)
+		v := mutated.Router(victim)
+		var covering []netip.Prefix
+		v.Walk(func(p netip.Prefix, _ fib.Entry) bool {
+			if p.Contains(rep) {
+				covering = append(covering, p)
 			}
 			return true
 		})
-		mutated := map[string]dist.LocalView{}
-		for r, mv := range views {
-			mutated[r] = mv
+		for _, p := range covering {
+			v.Remove(p)
 		}
-		mutated[victim] = cut
 		stage := fmt.Sprintf("in-flight %s@%s", class, victim)
 		if f := h.localSuperset(round, stage, mutated, routers, ls); f != nil {
 			return f
@@ -776,21 +772,17 @@ func (h *harness) oracleLocalSuperset(round int) *Failure {
 // localSuperset checks the superset property for one set of views against
 // one label epoch: flagged classes from per-router local checks must
 // cover every central violation whose source the labels vouch for.
-func (h *harness) localSuperset(round int, stage string, views map[string]dist.LocalView, routers []string, ls *localck.LabelSet) *Failure {
+func (h *harness) localSuperset(round int, stage string, views *dataplane.Snapshot, routers []string, ls *localck.LabelSet) *Failure {
 	flagged := map[netip.Prefix]bool{}
 	for _, r := range routers {
-		v := views[r]
-		ck := localck.Checker{Labels: v.Labels(ls)}
-		for _, viol := range ck.Check(r, v.ClassState) {
+		v := views.State(r)
+		ck := localck.Checker{Labels: dist.Labels(r, v, ls)}
+		for _, viol := range ck.Check(r, dist.ClassState(v)) {
 			flagged[viol.Prefix] = true
 		}
 	}
 
-	fibs := map[string]*trie.Trie[fib.Entry]{}
-	for r, v := range views {
-		fibs[r] = v.FIB
-	}
-	walker := dataplane.NewWalker(h.w.net.Topo, dataplane.SnapshotView(fibs))
+	walker := dataplane.NewWalker(h.w.net.Topo, views)
 	rep := verify.NewChecker(walker, h.w.verifySources).Check(h.policies())
 	for _, viol := range rep.Violations {
 		class := viol.Policy.Prefix

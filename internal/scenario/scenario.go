@@ -62,6 +62,7 @@ import (
 
 	"hbverify"
 	"hbverify/internal/capture"
+	"hbverify/internal/dataplane"
 	"hbverify/internal/dist"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbr"
@@ -237,13 +238,15 @@ func logDigest(v capture.View) uint64 {
 // harness holds the pipeline under test — hbverify.Pipeline as production
 // wires it, and its query engine — plus what the oracles compare it against.
 // The fleet lives for the whole run and is told every FIB update and link
-// flip, as the pipeline's is, so view syncs keep its nodes up to date.
+// flip, as the pipeline's is, so view syncs keep its nodes up to date. It
+// reads live, the network's forwarding state, as the oracles' live walks do.
 type harness struct {
 	cfg   Config
 	w     *world
 	p     *hbverify.Pipeline
 	serve *serve.Engine
 	fleet *dist.Fleet
+	live  *dataplane.Live
 	full  hbr.Rules
 	// The windowed-compaction mirror for the compaction-vs-full oracle: clog
 	// is a second capture log, fed the live log's new events stripped (both
@@ -266,7 +269,8 @@ type harness struct {
 }
 
 func newHarness(cfg Config, w *world) (*harness, error) {
-	fleet, err := dist.NewFleet(w.net, nil)
+	live := w.net.Live()
+	fleet, err := dist.NewFleet(live, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +282,7 @@ func newHarness(cfg Config, w *world) (*harness, error) {
 		fleet.NoteLinks(a)
 		fleet.NoteLinks(b)
 	})
-	h := &harness{cfg: cfg, w: w, p: hbverify.NewPipeline(w.net, w.verifySources), fleet: fleet}
+	h := &harness{cfg: cfg, w: w, p: hbverify.NewPipeline(w.net, w.verifySources), fleet: fleet, live: live}
 	h.p.External = w.isExternal
 	h.dripMetrics = metrics.NewRegistry()
 	h.drip = hbr.NewIncremental(hbr.Rules{}, h.dripMetrics)

@@ -51,7 +51,7 @@ func startPaper(t testing.TB) *paperWorld {
 		w.eqc.Watch(name, r.FIB)
 		r.FIB.OnChange(func(fib.Update) { w.cache.InvalidateRouter(name) })
 	}
-	w.walker = dataplane.NewWalker(pn.Topo, dataplane.TableView(w.tables))
+	w.walker = dataplane.NewWalker(pn.Topo, dataplane.NewLive(pn.Topo, w.tables))
 	return w
 }
 

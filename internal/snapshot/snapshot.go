@@ -31,9 +31,11 @@ import (
 	"sort"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/netsim"
+	"hbverify/internal/topology"
 	"hbverify/internal/trie"
 )
 
@@ -81,37 +83,40 @@ func Collect(ios []capture.IO, cut Cut) []capture.IO {
 // streams would hold. Every router with a collected event appears, even
 // with an empty FIB.
 func BuildFIBs(ios []capture.IO) map[string]*trie.Trie[fib.Entry] {
-	return ReplayFIBs(capture.ViewOf(ios), nil)
+	return ReplayState(nil, capture.ViewOf(ios), nil).FIBs()
 }
 
-// ReplayFIBs is BuildFIBs over the events of v the cut collects (a nil cut
-// collects all), read in place.
-func ReplayFIBs(v capture.View, cut Cut) map[string]*trie.Trie[fib.Entry] {
-	fibs := map[string]*trie.Trie[fib.Entry]{}
-	Replay(fibs, v, cut)
-	return fibs
+// ReplayState replays the events of v the cut collects (a nil cut collects
+// all), read in place, over topo's routers as built
+// (dataplane.NewSnapshot): each router's FIB and the link state of each of
+// its interfaces, under one cut.
+func ReplayState(topo *topology.Topology, v capture.View, cut Cut) *dataplane.Snapshot {
+	s := dataplane.NewSnapshot(topo)
+	Replay(s, v, cut)
+	return s
 }
 
-// Replay continues a replay: it applies the FIB events of v the cut collects
-// to fibs, in order, and adds an empty table for every router with a
-// collected event that has none. Replaying a log's prefix and then the rest,
-// under cuts that collect the same events, is ReplayFIBs of the whole.
-func Replay(fibs map[string]*trie.Trie[fib.Entry], v capture.View, cut Cut) {
+// Replay continues a replay: it applies the FIB and link events of v the
+// cut collects to s, in order, and adds a router with an empty FIB for
+// every router with a collected event that s lacks. A link event sets its
+// own end's interface (Detail) alone: each router holds the link state its
+// own log records, as a router knows only its own end. Replaying a log's
+// prefix and then the rest, under cuts that collect the same events, is
+// ReplayState of the whole.
+func Replay(s *dataplane.Snapshot, v capture.View, cut Cut) {
 	for i := 0; i < v.Len(); i++ {
 		io := v.At(i)
 		if !cut.Visible(io) {
 			continue
 		}
-		table := fibs[io.Router]
-		if table == nil {
-			table = trie.New[fib.Entry]()
-			fibs[io.Router] = table
-		}
+		r := s.Router(io.Router)
 		switch io.Type {
 		case capture.FIBInstall:
-			_ = table.Insert(io.Prefix, fib.EntryOf(io))
+			r.Install(fib.EntryOf(io))
 		case capture.FIBRemove:
-			table.Delete(io.Prefix)
+			r.Remove(io.Prefix)
+		case capture.LinkDown, capture.LinkUp:
+			r.SetLinkUp(io.Detail, io.Type == capture.LinkUp)
 		}
 	}
 }

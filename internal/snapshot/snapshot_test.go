@@ -178,7 +178,7 @@ func TestReplayEqualsLiveFIBs(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	replayed, live := ReplayFIBs(pn.Log.View(), nil), pn.FIBSnapshot()
+	replayed, live := ReplayState(nil, pn.Log.View(), nil).FIBs(), pn.FIBSnapshot()
 	if len(replayed) != len(live) {
 		t.Fatalf("%d routers replayed, %d live", len(replayed), len(live))
 	}

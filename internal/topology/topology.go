@@ -157,6 +157,16 @@ func (t *Topology) AddRouter(name string, loopback netip.Addr) (*Router, error) 
 // Router returns the named router, or nil.
 func (t *Topology) Router(name string) *Router { return t.routers[name] }
 
+// Routers returns every router sorted by name.
+func (t *Topology) Routers() []*Router {
+	out := make([]*Router, 0, len(t.routers))
+	for _, r := range t.routers {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	return out
+}
+
 // Links returns all links in creation order.
 func (t *Topology) Links() []*Link { return t.links }
 

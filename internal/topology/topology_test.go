@@ -30,16 +30,6 @@ func (r *Router) ConnectedPrefixes() map[netip.Prefix]string {
 	return out
 }
 
-// Routers returns all routers sorted by name.
-func (t *Topology) Routers() []*Router {
-	out := make([]*Router, 0, len(t.routers))
-	for _, r := range t.routers {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Neighbors returns the names of routers adjacent to r over up links,
 // sorted and deduplicated.
 func (t *Topology) Neighbors(r string) []string {

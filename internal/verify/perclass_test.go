@@ -6,7 +6,6 @@ import (
 
 	"hbverify/internal/dataplane"
 	"hbverify/internal/eqclass"
-	"hbverify/internal/fib"
 	"hbverify/internal/network"
 )
 
@@ -31,11 +30,7 @@ func TestPerClassVerificationCoversAllPrefixes(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tables := map[string]*fib.Table{}
-	for _, r := range pn.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	w := dataplane.NewWalker(pn.Topo, dataplane.TableView(tables))
+	w := dataplane.NewWalker(pn.Topo, pn.Live())
 	checker := NewChecker(w, []string{"r1", "r2", "r3"})
 
 	full := make([]Policy, 0, len(prefixes))

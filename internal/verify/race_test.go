@@ -30,7 +30,7 @@ func TestParallelCheckUnderFIBChurn(t *testing.T) {
 	for _, r := range pn.Routers() {
 		tables[r.Name] = r.FIB
 	}
-	w := dataplane.NewWalker(pn.Topo, dataplane.TableView(tables))
+	w := dataplane.NewWalker(pn.Topo, pn.Live())
 	checker := NewChecker(w, []string{"r1", "r2", "r3"})
 	checker.Workers = 8
 	checker.Metrics = metrics.NewRegistry()
@@ -104,11 +104,7 @@ func TestCachedCheckUnderInvalidation(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	tables := map[string]*fib.Table{}
-	for _, r := range pn.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	w := dataplane.NewWalker(pn.Topo, dataplane.TableView(tables))
+	w := dataplane.NewWalker(pn.Topo, pn.Live())
 	checker := NewChecker(w, []string{"r1", "r2", "r3"})
 	checker.Workers = 8
 	checker.Metrics = metrics.NewRegistry()
@@ -184,7 +180,7 @@ func TestSymbolicWalksUnderSetChurn(t *testing.T) {
 	for _, r := range pn.Routers() {
 		tables[r.Name] = r.FIB
 	}
-	w := dataplane.NewWalker(pn.Topo, dataplane.TableView(tables))
+	w := dataplane.NewWalker(pn.Topo, pn.Live())
 	checker := NewChecker(w, []string{"r1", "r2", "r3"})
 	checker.Workers = 8
 	checker.Cache = NewWalkCache()

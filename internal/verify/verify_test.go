@@ -26,11 +26,7 @@ func startPaper(t *testing.T, opt network.PaperOpts) *network.PaperNet {
 }
 
 func checker(pn *network.PaperNet) *Checker {
-	tables := map[string]*fib.Table{}
-	for _, r := range pn.Routers() {
-		tables[r.Name] = r.FIB
-	}
-	w := dataplane.NewWalker(pn.Topo, dataplane.TableView(tables))
+	w := dataplane.NewWalker(pn.Topo, pn.Live())
 	return NewChecker(w, []string{"r1", "r2", "r3"})
 }
 

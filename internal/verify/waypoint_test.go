@@ -182,7 +182,7 @@ func fatTreeWalk(t *testing.T) (*dataplane.Walker, netip.Prefix, dataplane.Walk)
 		t.Fatal(err)
 	}
 	dst := netip.MustParsePrefix("9.1.1.1/32") // p1e0's loopback
-	w := n.LiveWalker()
+	w := dataplane.NewWalker(n.Topo, n.Live())
 	walk := w.ForwardPrefix("p0e0", dst)
 	if walk.Outcome != dataplane.Delivered || walk.Branches == 0 || len(walk.Edges) < 8 {
 		t.Fatalf("want a branched delivered walk, got %v with %d branches, %d edges", walk, walk.Branches, len(walk.Edges))

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"hbverify/internal/config"
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
@@ -115,7 +116,7 @@ func (e *Engine) Ask(bp *network.Blueprint, changes ...Change) (Result, error) {
 }
 
 func (e *Engine) check(n *network.Network) verify.Report {
-	return verify.NewChecker(n.LiveWalker(), e.Sources).Check(e.Policies)
+	return verify.NewChecker(dataplane.NewWalker(n.Topo, n.Live()), e.Sources).Check(e.Policies)
 }
 
 // Diff compares the hypothetical FIBs with the live network's, returning

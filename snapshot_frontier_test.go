@@ -12,15 +12,57 @@ import (
 	"hbverify/internal/hbr"
 	"hbverify/internal/snapshot"
 	"hbverify/internal/verify"
+
+	"time"
 )
 
 // coldSnapshot is VerifySnapshot with nothing kept: the cut closed over a
-// fresh pairing of the whole view and the FIBs replayed from its first event.
+// fresh pairing of the whole view, and the FIBs and link states replayed
+// from its first event.
 func coldSnapshot(p *Pipeline, cut snapshot.Cut, policies []verify.Policy) ([]verify.Result, snapshot.Result) {
 	view := p.Net.Log.View()
 	final, res := snapshot.ConsistentCut(view, cut, hbr.Pair(view), p.External)
-	w := dataplane.NewWalker(p.Net.Topo, dataplane.SnapshotView(snapshot.ReplayFIBs(view, final)))
+	w := dataplane.NewWalker(p.Net.Topo, snapshot.ReplayState(p.Net.Topo, view, final))
 	return verify.NewChecker(w, p.Sources).Check(policies).Results(), res
+}
+
+// TestPipelineVerifySnapshotKeepsTheCutsLinks: a consistent cut of the
+// converged Fig. 2 network, at every router's last event, stays clean after
+// the r2–e2 uplink fails a second later and the network runs on. The cut
+// holds the link up at both ends, as every log under it says; walking its
+// FIBs over the links as they are now instead finds phantom blackholes
+// behind the dead uplink.
+func TestPipelineVerifySnapshotKeepsTheCutsLinks(t *testing.T) {
+	pn, p := startPaper(t)
+	cut := snapshot.Cut{}
+	for _, io := range pn.Log.Snapshot() {
+		cut[io.Router] = max(cut[io.Router], io.Time)
+	}
+	pn.Sched.At(pn.Sched.Now().Add(time.Second), func() {})
+	if err := pn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	policies := []verify.Policy{
+		{Kind: verify.Reachable, Prefix: pn.P},
+		{Kind: verify.NoBlackhole, Prefix: pn.P},
+		{Kind: verify.NoLoop, Prefix: pn.P},
+	}
+	if rep, res := p.VerifySnapshot(cut, policies); !res.Consistent || !rep.OK() {
+		t.Fatalf("the converged cut: %s, %+v", rep.Summary(), res)
+	}
+	if _, err := pn.SetLinkUp("r2", "e2", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := pn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rep, res := p.VerifySnapshot(cut, policies)
+	if !res.Consistent || !rep.OK() {
+		t.Fatalf("the same cut after r2-e2 failed: %s, %+v", rep.Summary(), res)
+	}
+	if cold, _ := coldSnapshot(p, cut, policies); !reflect.DeepEqual(cold, rep.Results()) {
+		t.Fatalf("the frontier's verdict %s differs from a cold replay's", rep.Summary())
+	}
 }
 
 // TestVerifySnapshotOnCompactedLog: compaction evicts FIB events, and a
