@@ -146,8 +146,8 @@ func (e *Engine) unpinnedWalk(k planKey) (dataplane.Walk, planSource, error) {
 	// loop it shows sits in a cut that lacks the send behind a collected
 	// receive.
 	{"skip-cut-extension", "snapshot-consistency", "-seed 1 -shape ring -rounds 5", []edit{{"internal/scenario/oracle.go",
-		"\tfibs := snapshot.BuildFIBs(collected)\n",
-		"\tcollected = snapshot.Collect(stripped, cut)\n\tfibs := snapshot.BuildFIBs(collected)\n"}}},
+		"\tstate := snapshot.ReplayState(topo, capture.ViewOf(collected), nil)\n",
+		"\tcollected = snapshot.Collect(stripped, cut)\n\tstate := snapshot.ReplayState(topo, capture.ViewOf(collected), nil)\n"}}},
 	// A consistency check that examines only the receives in the collected
 	// FIB updates' inferred ancestry: the graph's cut stops short of the one
 	// message accounting reaches.
@@ -172,6 +172,13 @@ func (e *Engine) unpinnedWalk(k planKey) (dataplane.Walk, planSource, error) {
 	{"frontier-ignores-links", "snapshot-consistency", "-seed 7 -shape ring -rounds 25", []edit{{"hbverify.go",
 		"\treturn snap, res\n",
 		"\treturn dataplane.SnapshotView(snap.FIBs()), res\n"}}},
+	// A replay that takes every link event for a failure: a link that came
+	// back up stays down in every replayed state, which only the comparison
+	// of a whole-log replay with the live state can see, since both sides of
+	// the cold-vs-frontier check replay alike.
+	{"replay-links-stay-down", "snapshot-consistency", "-seed 2 -shape ring", []edit{{"internal/snapshot/snapshot.go",
+		"\t\t\tr.SetLinkUp(io.Detail, io.Type == capture.LinkUp)\n",
+		"\t\t\tr.SetLinkUp(io.Detail, false)\n"}}},
 	// An arena that carves a batch's adjacency lists without capping them:
 	// an edge a later batch adds to a vertex overwrites the next vertex's
 	// list, and the dripped graph's edges leave the full inference's.

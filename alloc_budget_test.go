@@ -12,6 +12,7 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/eqclass"
+	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/hbr"
 	"hbverify/internal/metrics"
@@ -133,8 +134,8 @@ func TestExtensionWorkBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	g := inc.Infer(ios)
 	runtime.ReadMemStats(&after)
-	if g.NodeCount() != len(ios) || reg.Timer("infer.incremental").Count() != 1 {
-		t.Fatalf("%d nodes over %d events after %d extensions, want one extension", g.NodeCount(), len(ios), reg.Timer("infer.incremental").Count())
+	if g.NodeCount() != len(ios) || reg.Histogram("infer.incremental").Count() != 1 {
+		t.Fatalf("%d nodes over %d events after %d extensions, want one extension", g.NodeCount(), len(ios), reg.Histogram("infer.incremental").Count())
 	}
 	scanned := reg.Counter("infer.window.ios").Value()
 	evaluated, indexed := reg.Counter("infer.evaluated.ios").Value(), reg.Counter("infer.indexed.ios").Value()
@@ -204,7 +205,10 @@ func TestClassifierMemoryBudget(t *testing.T) {
 	}
 	entries := 0
 	for _, r := range n.Routers() {
-		entries += r.FIB.Snapshot().Len()
+		r.FIB.Walk(func(netip.Prefix, fib.Entry) bool {
+			entries++
+			return true
+		})
 	}
 	before := liveHeap()
 	inc := eqclass.NewIncremental(nil)
@@ -328,7 +332,7 @@ func TestDerivedGraphsPinNothing(t *testing.T) {
 		} else {
 			watch(d)
 		}
-		if p.Metrics.Timer("infer.derived").Count() == 0 {
+		if p.Metrics.Histogram("infer.derived").Count() == 0 {
 			t.Fatal("the cut's graph was not derived: the test no longer exercises the path")
 		}
 		return pn, p, collected
@@ -475,8 +479,8 @@ func TestInferenceCandidateBudget(t *testing.T) {
 		inc.Infer(ios)
 		ext := reg.Counter("hbr.infer.candidates").Value() - full
 		evaluated := reg.Counter("infer.evaluated.ios").Value()
-		if reg.Timer("infer.incremental").Count() != 1 || evaluated == 0 {
-			t.Fatalf("%d prefixes: %d extensions evaluating %d events, want one", prefixes, reg.Timer("infer.incremental").Count(), evaluated)
+		if reg.Histogram("infer.incremental").Count() != 1 || evaluated == 0 {
+			t.Fatalf("%d prefixes: %d extensions evaluating %d events, want one", prefixes, reg.Histogram("infer.incremental").Count(), evaluated)
 		}
 		if full == 0 || ext == 0 {
 			t.Fatalf("%d prefixes: hbr.infer.candidates counted %d for the full inference and %d for the extension", prefixes, full, ext)

@@ -83,8 +83,9 @@ func run(scenario string, seed int64, dot, text, doRepair bool) error {
 
 	fmt.Println("== state ==")
 	fmt.Println(pipe.Summary())
+	live := pn.Live()
 	for _, r := range []string{"r1", "r2", "r3"} {
-		if e, ok := pn.Router(r).FIB.Exact(pn.P); ok {
+		if e, ok := live.State(r).Exact(pn.P); ok {
 			fmt.Printf("  %s: %s\n", r, e)
 		} else {
 			fmt.Printf("  %s: no route for %s\n", r, pn.P)

@@ -54,7 +54,7 @@ func TestPipelineVerifyUsesWalkCache(t *testing.T) {
 // classifier against a from-scratch Compute, before and after churn.
 func TestPipelineClassesMatchCompute(t *testing.T) {
 	pn, p := startPaper(t)
-	want := eqclass.Compute(pn.FIBSnapshot(), nil)
+	want := eqclass.Compute(pn.Live(), nil)
 	if got := p.Classes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("classes = %v, want %v", got, want)
 	}
@@ -65,7 +65,7 @@ func TestPipelineClassesMatchCompute(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want = eqclass.Compute(pn.FIBSnapshot(), nil)
+	want = eqclass.Compute(pn.Live(), nil)
 	if got := p.Classes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("classes after link-down = %v, want %v", got, want)
 	}
@@ -103,7 +103,7 @@ func TestPipelineRollbackIsOrdinaryDeltas(t *testing.T) {
 	if rep := p.Verify(policies); !rep.OK() {
 		t.Fatalf("cached verify stale after rollback: %v", rep.Violations)
 	}
-	want := eqclass.Compute(pn.FIBSnapshot(), nil)
+	want := eqclass.Compute(pn.Live(), nil)
 	if got := p.Classes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("classes stale after rollback: %v, want %v", got, want)
 	}

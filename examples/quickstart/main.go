@@ -26,8 +26,9 @@ func main() {
 
 	// 2. Inspect the converged FIBs.
 	fmt.Println("converged FIB entries for", pn.P)
+	live := pn.Live()
 	for _, name := range []string{"r1", "r2", "r3"} {
-		e, ok := pn.Router(name).FIB.Exact(pn.P)
+		e, ok := live.State(name).Exact(pn.P)
 		if !ok {
 			log.Fatalf("%s has no route", name)
 		}

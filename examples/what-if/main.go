@@ -39,7 +39,7 @@ func main() {
 	}
 	fmt.Printf("what if r2-e2 fails?   baseline=%s  after=%s\n",
 		res.Baseline.Summary(), res.Report.Summary())
-	for _, d := range whatif.Diff(pn.Network, res.FIBs) {
+	for _, d := range whatif.Diff(pn.Live(), res.FIBs) {
 		fmt.Println("   would change:", d)
 	}
 
@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("what if we set LP 10?  verdict: %s (%s)\n", verdict, res.Report.Summary())
 
 	// The live network was never perturbed.
-	live, _ := pn.Router("r3").FIB.Exact(pn.P)
+	live, _ := pn.Live().State("r3").Exact(pn.P)
 	fmt.Printf("live r3 still forwards P via %v; r2 config history has %d version(s)\n",
 		live.NextHop, len(pn.Store.History("r2")))
 }

@@ -152,13 +152,13 @@ func TestVerifySnapshotInfersNothing(t *testing.T) {
 		}
 		before := make([]int64, len(kinds))
 		for i, k := range kinds {
-			before[i] = p.Metrics.Timer(k).Count()
+			before[i] = p.Metrics.Histogram(k).Count()
 		}
 		if _, res := p.VerifySnapshot(cut, []verify.Policy{{Kind: verify.NoLoop, Prefix: pn.P}}); !res.Consistent || res.Waits == 0 {
 			t.Fatalf("warm=%v: %+v", warm, res)
 		}
 		for i, k := range kinds {
-			if got := p.Metrics.Timer(k).Count(); got != before[i] {
+			if got := p.Metrics.Histogram(k).Count(); got != before[i] {
 				t.Errorf("warm=%v: VerifySnapshot ran %s %d times", warm, k, got-before[i])
 			}
 		}

@@ -856,7 +856,7 @@ func (p *Parser) ParseReader(router string, r io.Reader, fn func(capture.IO) err
 	if err != nil {
 		p.Metrics.Counter("ciscolog.parse.errors").Inc()
 	}
-	p.Metrics.Timer("ciscolog.parse").Observe(time.Since(start))
+	p.Metrics.Histogram("ciscolog.parse").Observe(time.Since(start))
 	return err
 }
 

@@ -556,7 +556,7 @@ func TestParseReader(t *testing.T) {
 	if n := reg.Counter("ciscolog.parse.errors").Value(); n != 0 {
 		t.Fatalf("ciscolog.parse.errors = %d, want 0", n)
 	}
-	if reg.Timer("ciscolog.parse").Count() == 0 {
+	if reg.Histogram("ciscolog.parse").Count() == 0 {
 		t.Fatal("ciscolog.parse timer never observed")
 	}
 

@@ -74,10 +74,10 @@ func TestLoopDetection(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
 	// Hand-craft an inconsistent snapshot: r1 points at r2, r2 points at
 	// r1 (the Fig. 1c phantom loop).
-	snap := pn.FIBSnapshot()
-	_ = snap["r1"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")})
-	_ = snap["r2"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")})
-	w := NewWalker(pn.Topo, SnapshotView(snap))
+	snap := Freeze(pn.Live())
+	snap.Router("r1").Install(fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")})
+	snap.Router("r2").Install(fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")})
+	w := NewWalker(pn.Topo, snap)
 	walk := w.ForwardPrefix("r3", pn.P)
 	if walk.Outcome != Looped {
 		t.Fatalf("walk = %v, want looped", walk)
@@ -111,14 +111,60 @@ func TestLoopbackDelivery(t *testing.T) {
 
 func TestStuckOnUnresolvableNextHop(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	snap := pn.FIBSnapshot()
+	snap := Freeze(pn.Live())
 	// r3 points at an address nobody owns and no route covers.
-	_ = snap["r3"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("99.99.99.99")})
-	snap["r3"].Delete(pfx("0.0.0.0/0"))
-	w := NewWalker(pn.Topo, SnapshotView(snap))
+	snap.Router("r3").Install(fib.Entry{Prefix: pn.P, NextHop: addr("99.99.99.99")})
+	snap.Router("r3").Remove(pfx("0.0.0.0/0"))
+	w := NewWalker(pn.Topo, snap)
 	walk := w.ForwardPrefix("r3", pn.P)
 	if walk.Outcome != Stuck {
 		t.Fatalf("walk = %v, want stuck", walk)
+	}
+}
+
+// A frozen copy shares nothing with what it was frozen from: a write to
+// the copy leaves the live network as it was, a change to the live network
+// leaves the copy as it was, and a copy of the copy is a copy too.
+func TestFreezeSharesNothing(t *testing.T) {
+	pn := startPaper(t, network.DefaultPaperOpts())
+	live := pn.Live()
+	snap := Freeze(live)
+	was, _ := live.State("r2").Exact(pn.P)
+	uplink := func(s State) Iface {
+		for _, i := range s.Ifaces() {
+			if i.PeerName == "e2" {
+				return i
+			}
+		}
+		t.Fatal("r2 has no interface to e2")
+		return Iface{}
+	}
+
+	r2 := snap.Router("r2")
+	r2.Install(fib.Entry{Prefix: pn.P, NextHop: addr("9.9.9.9")})
+	r2.SetLinkUp(uplink(r2).Name, false)
+	if e, _ := live.State("r2").Exact(pn.P); !e.Equal(was) || !uplink(live.State("r2")).Up {
+		t.Fatalf("a write to the copy reached the live network: %v, uplink up=%v", e, uplink(live.State("r2")).Up)
+	}
+
+	again := Freeze(snap)
+	again.Router("r2").Remove(pn.P)
+	if e, ok := r2.Exact(pn.P); !ok || e.NextHop != addr("9.9.9.9") {
+		t.Fatalf("a write to the copy's copy reached the copy: %v %v", e, ok)
+	}
+
+	fresh := Freeze(live)
+	if _, err := pn.SetLinkUp("r2", "e2", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := pn.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := live.State("r2").Exact(pn.P); now.Equal(was) {
+		t.Fatal("the uplink failure moved nothing in r2's FIB")
+	}
+	if e, _ := fresh.State("r2").Exact(pn.P); !e.Equal(was) || !uplink(fresh.State("r2")).Up {
+		t.Fatalf("a live change reached the copy: %v, uplink up=%v", e, uplink(fresh.State("r2")).Up)
 	}
 }
 

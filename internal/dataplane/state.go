@@ -11,21 +11,13 @@ import (
 	"hbverify/internal/trie"
 )
 
-// FIB is the table half of a router's forwarding state: longest-prefix
-// match, exact match, and a walk of every entry in prefix order. A live
-// *fib.Table is one, read under its own lock, and so is a Frozen router.
-type FIB interface {
-	Lookup(dst netip.Addr) (fib.Entry, bool)
-	Exact(p netip.Prefix) (fib.Entry, bool)
-	Walk(fn func(netip.Prefix, fib.Entry) bool)
-}
-
 // State is one router's forwarding state: everything the router knows when
-// it forwards a packet, and all that StepOf reads. It has two
-// implementations: a router of the live network (Live), read where it
-// lives, and a Frozen router, held by value.
+// it forwards a packet, and all that StepOf reads. Its table half is a
+// fib.Reader: a live *fib.Table, read under its own lock, or a Frozen
+// router's trie. It has two implementations: a router of the live network
+// (Live), read where it lives, and a Frozen router, held by value.
 type State interface {
-	FIB
+	fib.Reader
 	Loopback() netip.Addr
 	// Ifaces lists the router's interfaces sorted by name, with their link
 	// state. The slice is shared: callers must not write it.
@@ -70,7 +62,7 @@ type Live struct {
 // NewLive returns the live state of topo's routers, each reading its
 // table in tables; a router without one has an empty FIB.
 func NewLive(topo *topology.Topology, tables map[string]*fib.Table) *Live {
-	return bindLive(topo, func(router string) FIB {
+	return bindLive(topo, func(router string) fib.Reader {
 		if t := tables[router]; t != nil {
 			return t
 		}
@@ -81,25 +73,26 @@ func NewLive(topo *topology.Topology, tables map[string]*fib.Table) *Live {
 // SnapshotView returns the live state of caller-kept per-router FIB tries,
 // read in place. A walker built on it gives every router of its topology
 // the loopback and the interfaces the topology has when walked; a router
-// without a trie has an empty FIB.
+// without a trie has an empty FIB. Only the benchmark module (bench/)
+// calls it; ROADMAP item 6 deletes it for a Snapshot.
 func SnapshotView(tries map[string]*trie.Trie[fib.Entry]) *Live {
 	l := &Live{}
 	for name, t := range tries {
-		l.add(name, &liveState{FIB: NewFrozen(netip.Addr{}, nil, t)})
+		l.add(name, &liveState{Reader: NewFrozen(netip.Addr{}, nil, t)})
 	}
 	return l
 }
 
 // bindLive returns the live state of topo's routers, each reading the FIB
 // fibOf gives it, or an empty one for nil.
-func bindLive(topo *topology.Topology, fibOf func(router string) FIB) *Live {
+func bindLive(topo *topology.Topology, fibOf func(router string) fib.Reader) *Live {
 	l := &Live{topo: topo}
 	for _, r := range topo.Routers() {
 		f := fibOf(r.Name)
 		if f == nil {
 			f = NewFrozen(netip.Addr{}, nil, nil)
 		}
-		l.add(r.Name, &liveState{FIB: f, topo: topo, r: r})
+		l.add(r.Name, &liveState{Reader: f, topo: topo, r: r})
 	}
 	return l
 }
@@ -108,9 +101,9 @@ func (l *Live) over(topo *topology.Topology) Forwarding {
 	if l.topo != nil {
 		return l
 	}
-	return bindLive(topo, func(router string) FIB {
+	return bindLive(topo, func(router string) fib.Reader {
 		if s, ok := l.states[router]; ok {
-			return s.FIB
+			return s.Reader
 		}
 		return nil
 	})
@@ -147,7 +140,7 @@ func (rs *routerSet[S]) add(router string, s S) {
 // interfaces as of one topology generation. A SnapshotView's router has no
 // topology until a walker binds one.
 type liveState struct {
-	FIB
+	fib.Reader
 	topo *topology.Topology
 	r    *topology.Router
 	cur  atomic.Pointer[liveIfaces]
@@ -303,7 +296,7 @@ func (s *Snapshot) Router(router string) *Frozen {
 	return st
 }
 
-// FIBs returns each router's FIB trie, shared with s.
+// FIBs returns each router's FIB trie, shared with s, for BuildFIBs alone.
 func (s *Snapshot) FIBs() map[string]*trie.Trie[fib.Entry] {
 	out := make(map[string]*trie.Trie[fib.Entry], len(s.states))
 	for r, st := range s.states {

@@ -12,7 +12,6 @@ import (
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
 	"hbverify/internal/topology"
-	"hbverify/internal/trie"
 )
 
 func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
@@ -140,12 +139,12 @@ func TestStepTable(t *testing.T) {
 			for _, r := range tc.routes {
 				table.Offer(r)
 			}
-			snap := table.Snapshot()
 			dst := addr(tc.dst)
 
 			live := dataplane.NewLive(topo, map[string]*fib.Table{"x": table})
-			bare := dataplane.SnapshotView(map[string]*trie.Trie[fib.Entry]{"x": snap})
-			node := dataplane.Freeze(live).Router("x")
+			frozen := dataplane.Freeze(live)
+			bare := dataplane.SnapshotView(frozen.FIBs())
+			node := frozen.Router("x")
 
 			wantEx := dataplane.Expansion{Delivered: tc.want.delivered, Dropped: tc.want.dropped, Stuck: tc.want.stuck, Nexts: tc.want.nexts}
 			for name, got := range map[string]dataplane.Expansion{

@@ -107,7 +107,7 @@ func TestFleetRoundDedupsWalks(t *testing.T) {
 	}
 	var timed int64
 	for _, src := range []string{"r1", "r2", "r3"} {
-		timed += reg.Timer("dist.node." + src).Count()
+		timed += reg.Histogram("dist.node." + src).Count()
 	}
 	if timed != 3 || stats.Batches != 3 {
 		t.Fatalf("%d results timed, %d batches, want 3 and 3", timed, stats.Batches)

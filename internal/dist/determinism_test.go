@@ -14,7 +14,6 @@ import (
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
 	"hbverify/internal/topology"
-	"hbverify/internal/trie"
 )
 
 // ecmpWorld is one construction of the same tiny ECMP network: r1 forwards
@@ -74,11 +73,6 @@ func buildEcmpWorld(t *testing.T, hops []netip.Addr, linksReversed bool) ecmpWor
 		t.Fatal("ECMP static not installed")
 	}
 
-	fibs := map[string]*trie.Trie[fib.Entry]{
-		"r1": tables["r1"].Snapshot(),
-		"r2": tables["r2"].Snapshot(),
-		"r3": tables["r3"].Snapshot(),
-	}
 	live := dataplane.NewLive(topo, tables)
 	walk := dataplane.NewWalker(topo, live).Forward("r1", dataplane.Representative(p))
 
@@ -93,7 +87,7 @@ func buildEcmpWorld(t *testing.T, hops []netip.Addr, linksReversed bool) ecmpWor
 	}
 	return ecmpWorld{
 		entry:  entry,
-		sig:    eqclass.Compute(fibs, []netip.Prefix{p})[0].Signature,
+		sig:    eqclass.Compute(live, []netip.Prefix{p})[0].Signature,
 		walk:   walk,
 		frame:  appendWalkBatch(nil, mtResultBatch, 7, []WalkMsg{msg}),
 		efib:   appendEntry(nil, entry),

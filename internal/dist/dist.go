@@ -414,7 +414,7 @@ func (e *FleetExecutor) ExecuteWalks(keys []verify.WalkKey) ([]dataplane.Walk, [
 	why := wait(f, resCh, index, func(w WalkMsg) int { return w.WalkID }, walkTimeout, func(i int, w WalkMsg) {
 		if reg != nil {
 			if t0, ok := submitAt.Load(w.WalkID); ok {
-				reg.Timer("dist.node." + w.Source).Observe(time.Since(t0.(time.Time)))
+				reg.Histogram("dist.node." + w.Source).Observe(time.Since(t0.(time.Time)))
 			}
 		}
 		if w.Err != "" {

@@ -262,7 +262,7 @@ func TestPerNodeLatencyTimers(t *testing.T) {
 	}
 	timed := int64(0)
 	for _, src := range []string{"r1", "r2", "r3"} {
-		timed += reg.Timer("dist.node." + src).Count()
+		timed += reg.Histogram("dist.node." + src).Count()
 	}
 	if timed != 3 {
 		t.Fatalf("per-node timer observations = %d, want 3 (%v)", timed, snap)

@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
-	"hbverify/internal/trie"
 )
 
 // syntheticFIBs builds per-router FIBs for nPrefixes destinations whose
@@ -16,13 +16,13 @@ import (
 // the enterprise-like structure behind the paper's "<15 classes for 100K
 // prefixes" observation. Group g sends every router's traffic toward the
 // group's exit next hop. The generated prefixes are 10.x.y.0/24.
-func syntheticFIBs(routers []string, nPrefixes, nGroups int) (map[string]*trie.Trie[fib.Entry], []netip.Prefix) {
+func syntheticFIBs(routers []string, nPrefixes, nGroups int) (*dataplane.Snapshot, []netip.Prefix) {
 	if nGroups < 1 {
 		nGroups = 1
 	}
-	fibs := map[string]*trie.Trie[fib.Entry]{}
+	fibs := &dataplane.Snapshot{}
 	for _, r := range routers {
-		fibs[r] = trie.New[fib.Entry]()
+		fibs.Router(r)
 	}
 	prefixes := make([]netip.Prefix, 0, nPrefixes)
 	for i := 0; i < nPrefixes; i++ {
@@ -34,7 +34,7 @@ func syntheticFIBs(routers []string, nPrefixes, nGroups int) (map[string]*trie.T
 			// hop; router identity shifts the hop so signatures differ
 			// between groups but not within one.
 			nh := netip.AddrFrom4([4]byte{192, 168, byte(group), byte(ri + 1)})
-			_ = fibs[r].Insert(p, fib.Entry{Prefix: p, NextHop: nh})
+			fibs.Router(r).Install(fib.Entry{Prefix: p, NextHop: nh})
 		}
 	}
 	return fibs, prefixes

@@ -5,9 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/route"
-	"hbverify/internal/trie"
 )
 
 // TestComputeDerivedPrefixListDeterministic is the regression test for the
@@ -36,10 +36,9 @@ func TestComputeDerivedPrefixListDeterministic(t *testing.T) {
 
 	// Same property on a handcrafted multi-length table: a /16 and /24
 	// sharing an address must order by length.
-	mixed := map[string]*trie.Trie[fib.Entry]{"r1": trie.New[fib.Entry]()}
+	mixed := &dataplane.Snapshot{}
 	for _, s := range []string{"10.0.0.0/24", "10.0.0.0/16", "10.0.1.0/24"} {
-		p := netip.MustParsePrefix(s)
-		_ = mixed["r1"].Insert(p, fib.Entry{Prefix: p, NextHop: netip.MustParseAddr("192.0.2.1")})
+		mixed.Router("r1").Install(fib.Entry{Prefix: netip.MustParsePrefix(s), NextHop: netip.MustParseAddr("192.0.2.1")})
 	}
 	classes := Compute(mixed, nil)
 	var all []netip.Prefix

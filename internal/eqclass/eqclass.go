@@ -127,16 +127,16 @@ type lookup struct {
 type lookupper struct {
 	routers []string // sorted
 	// tables holds each router's FIB, read where it lives: a watched
-	// router's live *fib.Table (each call under its read lock) or a seeded
-	// router's trie.
-	tables  map[string]dataplane.FIB
+	// router's live *fib.Table (each call under its read lock) or the state
+	// Compute was given.
+	tables  map[string]fib.Reader
 	in      *interner
 	scratch []byte
 	hits    []lookup // the last signing's lookups, in router order
 }
 
 // add registers router's table, replacing any it had.
-func (l *lookupper) add(router string, t dataplane.FIB) {
+func (l *lookupper) add(router string, t fib.Reader) {
 	if _, had := l.tables[router]; !had {
 		l.routers = append(l.routers, router)
 		sort.Strings(l.routers)
@@ -218,15 +218,16 @@ func sortClasses(out []Class) {
 }
 
 // Compute groups the given prefixes into equivalence classes under the
-// supplied FIBs, which it reads in place: it seeds a fresh classifier with
-// them and signs through its lookupper. When prefixes is nil, the union of
-// all FIB prefixes is used, in (address, length) order, so the derived class
-// representatives (Prefixes[0]) are stable across runs. Classes are
-// returned largest-first (ties broken by signature).
-func Compute(fibs map[string]*trie.Trie[fib.Entry], prefixes []netip.Prefix) []Class {
+// FIBs of fwd, which it reads in place: it registers each router's state
+// with a fresh classifier and signs through its lookupper. When prefixes
+// is nil, the union of all FIB prefixes is used, in (address, length)
+// order, so the derived class representatives (Prefixes[0]) are stable
+// across runs. Classes are returned largest-first (ties broken by
+// signature).
+func Compute(fwd dataplane.Forwarding, prefixes []netip.Prefix) []Class {
 	inc := NewIncremental(nil)
-	for r, t := range fibs {
-		inc.Seed(r, t)
+	for _, r := range fwd.Routers() {
+		inc.add(r, fwd.State(r))
 	}
 	l := inc.look
 	if prefixes == nil {

@@ -6,10 +6,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
-	"hbverify/internal/trie"
 )
 
 func pfx(s string) netip.Prefix { return netip.MustParsePrefix(s).Masked() }
@@ -63,7 +63,7 @@ func TestSyntheticECMPGrouping(t *testing.T) {
 	// class of its own: set membership, not just reachability, is part of
 	// the forwarding behaviour.
 	victim := prefixes[0]
-	e, _ := fibs["b"].Exact(victim)
+	e, _ := fibs.State("b").Exact(victim)
 	if len(e.NextHops) < 2 {
 		t.Fatalf("victim entry not multipath: %v", e)
 	}
@@ -72,7 +72,7 @@ func TestSyntheticECMPGrouping(t *testing.T) {
 		e.NextHops = nil
 	}
 	e.NextHop = e.Hop(0)
-	_ = fibs["b"].Insert(victim, e)
+	fibs.Router("b").Install(e)
 	after := Compute(fibs, prefixes)
 	if len(after) != 13 {
 		t.Fatalf("classes after withdraw-one-member = %d, want 13", len(after))
@@ -100,8 +100,7 @@ func TestComputeFromLiveNetwork(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	fibs := pn.FIBSnapshot()
-	classes := Compute(fibs, nil)
+	classes := Compute(pn.Live(), nil)
 	if len(classes) == 0 {
 		t.Fatal("no classes")
 	}
@@ -126,17 +125,17 @@ func TestComputeFromLiveNetwork(t *testing.T) {
 
 // signature renders one prefix's forwarding behaviour: the signature of the
 // one class Compute puts it in.
-func signature(fibs map[string]*trie.Trie[fib.Entry], p netip.Prefix) string {
+func signature(fibs *dataplane.Snapshot, p netip.Prefix) string {
 	return Compute(fibs, []netip.Prefix{p})[0].Signature
 }
 
 // triesOf builds per-router FIBs from each router's entries.
-func triesOf(entries map[string][]fib.Entry) map[string]*trie.Trie[fib.Entry] {
-	out := map[string]*trie.Trie[fib.Entry]{}
+func triesOf(entries map[string][]fib.Entry) *dataplane.Snapshot {
+	out := &dataplane.Snapshot{}
 	for r, es := range entries {
-		out[r] = trie.New[fib.Entry]()
+		s := out.Router(r)
 		for _, e := range es {
-			_ = out[r].Insert(e.Prefix, e)
+			s.Install(e)
 		}
 	}
 	return out
@@ -193,7 +192,7 @@ func TestStubLANsOnOneRouterFormOneClass(t *testing.T) {
 	if err := n.Run(); err != nil {
 		t.Fatal(err)
 	}
-	classes := Compute(n.FIBSnapshot(), lans)
+	classes := Compute(n.Live(), lans)
 	if len(classes) != 1 || classes[0].Signature != "a=direct" {
 		t.Fatalf("classes = %v, want the two LANs in one class a=direct", classes)
 	}
@@ -240,16 +239,16 @@ func TestComputeNilPrefixesUsesFIBUnion(t *testing.T) {
 // member of a set moves its prefixes to a different class. The generated
 // prefixes are 100.x.y.0/24 with a 3-byte index, so they stay distinct
 // well past the 65K roll-over of SyntheticFIBs' scheme.
-func SyntheticECMPFIBs(routers []string, nPrefixes, nGroups, maxWidth int) (map[string]*trie.Trie[fib.Entry], []netip.Prefix) {
+func SyntheticECMPFIBs(routers []string, nPrefixes, nGroups, maxWidth int) (*dataplane.Snapshot, []netip.Prefix) {
 	if nGroups < 1 {
 		nGroups = 1
 	}
 	if maxWidth < 2 {
 		maxWidth = 2
 	}
-	fibs := map[string]*trie.Trie[fib.Entry]{}
+	fibs := &dataplane.Snapshot{}
 	for _, r := range routers {
-		fibs[r] = trie.New[fib.Entry]()
+		fibs.Router(r)
 	}
 	prefixes := make([]netip.Prefix, 0, nPrefixes)
 	for i := 0; i < nPrefixes; i++ {
@@ -270,7 +269,7 @@ func SyntheticECMPFIBs(routers []string, nPrefixes, nGroups, maxWidth int) (map[
 			if len(hops) > 1 {
 				e.NextHops = hops
 			}
-			_ = fibs[r].Insert(p, e)
+			fibs.Router(r).Install(e)
 		}
 	}
 	return fibs, prefixes

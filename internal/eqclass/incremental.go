@@ -55,13 +55,12 @@ type Incremental struct {
 }
 
 // NewIncremental returns an empty classifier. Register routers with Watch
-// (live tables) or Seed (static contents) before the first flush. reg may
-// be nil; when set, flushes bump the eqclass.resigned and eqclass.moves
-// counters.
+// before the first flush. reg may be nil; when set, flushes bump the
+// eqclass.resigned and eqclass.moves counters.
 func NewIncremental(reg *metrics.Registry) *Incremental {
 	return &Incremental{
 		reg:      reg,
-		look:     &lookupper{tables: map[string]dataplane.FIB{}, in: newInterner()},
+		look:     &lookupper{tables: map[string]fib.Reader{}, in: newInterner()},
 		universe: trie.New[struct{}](),
 		sigOf:    map[netip.Prefix]sigID{},
 		members:  map[sigID]map[netip.Prefix]struct{}{},
@@ -70,9 +69,7 @@ func NewIncremental(reg *metrics.Registry) *Incremental {
 	}
 }
 
-// Watch registers router's live table and subscribes to its changes. This
-// is the production entry point; use Seed to register contents without the
-// subscription.
+// Watch registers router's live table and subscribes to its changes.
 //
 // The subscription comes first, so an update landing in between is both
 // queued and visible in the table; re-reading it changes nothing.
@@ -81,15 +78,9 @@ func (inc *Incremental) Watch(router string, t *fib.Table) {
 	inc.add(router, t)
 }
 
-// Seed registers router's FIB contents, read in place and unsubscribed: a
-// caller that changes entries afterwards must Note each change.
-func (inc *Incremental) Seed(router string, entries *trie.Trie[fib.Entry]) {
-	inc.add(router, dataplane.NewFrozen(netip.Addr{}, nil, entries))
-}
-
 // add registers (or replaces) router's table, which can change any
 // signature: the next flush re-derives the universe and re-signs it all.
-func (inc *Incremental) add(router string, t dataplane.FIB) {
+func (inc *Incremental) add(router string, t fib.Reader) {
 	inc.mu.Lock()
 	inc.look.add(router, t)
 	inc.dirtyAll = true

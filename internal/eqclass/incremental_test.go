@@ -8,35 +8,48 @@ import (
 	"testing"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
-	"hbverify/internal/trie"
 )
 
-// seedFrom registers every router's FIB with the classifier.
-func seedFrom(inc *Incremental, fibs map[string]*trie.Trie[fib.Entry]) {
-	for r, table := range fibs {
-		inc.Seed(r, table)
+// seedFrom registers every router's FIB with the classifier, read in place
+// and unsubscribed: each later change must be noted.
+func seedFrom(inc *Incremental, fibs *dataplane.Snapshot) {
+	for _, r := range fibs.Routers() {
+		inc.add(r, fibs.State(r))
 	}
+}
+
+// snapshotOf copies tables into a snapshot.
+func snapshotOf(tables map[string]*fib.Table) *dataplane.Snapshot {
+	out := &dataplane.Snapshot{}
+	for r, tbl := range tables {
+		s := out.Router(r)
+		tbl.Walk(func(_ netip.Prefix, e fib.Entry) bool {
+			s.Install(e)
+			return true
+		})
+	}
+	return out
 }
 
 // mutate applies one change to both the plain FIBs (the full-path
 // ground truth) and the classifier (the delta path under test), keeping
 // the two views identical.
-func mutate(inc *Incremental, fibs map[string]*trie.Trie[fib.Entry], router string, e fib.Entry, install bool) {
-	p := e.Prefix.Masked()
+func mutate(inc *Incremental, fibs *dataplane.Snapshot, router string, e fib.Entry, install bool) {
 	if install {
-		_ = fibs[router].Insert(p, e)
+		fibs.Router(router).Install(e)
 	} else {
-		fibs[router].Delete(p)
+		fibs.Router(router).Remove(e.Prefix)
 	}
 	inc.Note(router, fib.Update{Entry: e, Install: install})
 }
 
 // requireParity asserts the incremental classification equals a
 // from-scratch Compute over the same FIBs.
-func requireParity(t *testing.T, inc *Incremental, fibs map[string]*trie.Trie[fib.Entry], step string) {
+func requireParity(t *testing.T, inc *Incremental, fibs *dataplane.Snapshot, step string) {
 	t.Helper()
 	got := inc.Classes()
 	want := Compute(fibs, nil)
@@ -162,26 +175,19 @@ func TestIncrementalWatchLiveTable(t *testing.T) {
 	for r, tbl := range tables {
 		inc.Watch(r, tbl)
 	}
-	snap := func() map[string]*trie.Trie[fib.Entry] {
-		out := map[string]*trie.Trie[fib.Entry]{}
-		for r, tbl := range tables {
-			out[r] = tbl.Snapshot()
-		}
-		return out
-	}
-	requireParity(t, inc, snap(), "after watch")
+	requireParity(t, inc, snapshotOf(tables), "after watch")
 
 	// Updates flow through OnChange without further plumbing.
 	tables["r2"].Offer(route.Route{Prefix: netip.MustParsePrefix("10.1.0.0/16"), NextHop: netip.MustParseAddr("192.0.2.9"), Proto: route.ProtoOSPF})
 	tables["r1"].Offer(route.Route{Prefix: netip.MustParsePrefix("10.2.0.0/16"), NextHop: netip.MustParseAddr("192.0.2.1"), Proto: route.ProtoBGP, PeerType: route.PeerEBGP})
-	requireParity(t, inc, snap(), "after offers")
+	requireParity(t, inc, snapshotOf(tables), "after offers")
 
 	tables["r1"].Withdraw(route.ProtoOSPF, netip.MustParsePrefix("10.1.0.0/16"))
-	requireParity(t, inc, snap(), "after withdraw")
+	requireParity(t, inc, snapshotOf(tables), "after withdraw")
 
 	// Arbitration no-ops (losing route offered) must not disturb parity.
 	tables["r2"].Offer(route.Route{Prefix: netip.MustParsePrefix("10.1.0.0/16"), NextHop: netip.MustParseAddr("192.0.2.50"), Proto: route.ProtoRIP, Metric: 5})
-	requireParity(t, inc, snap(), "after losing offer")
+	requireParity(t, inc, snapshotOf(tables), "after losing offer")
 }
 
 // TestIncrementalQueueKeepsLastUpdatePerEntry flaps one prefix 10,000 times
@@ -226,13 +232,13 @@ func TestIncrementalRepresentatives(t *testing.T) {
 // equal a from-scratch Compute throughout.
 func TestInternerForgetsDeadSignatures(t *testing.T) {
 	routers := []string{"r1", "r2", "r3", "r4"}
-	fibs := map[string]*trie.Trie[fib.Entry]{}
+	fibs := &dataplane.Snapshot{}
 	var prefixes []netip.Prefix
 	for i := 0; i < 16; i++ {
 		prefixes = append(prefixes, netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 24))
 	}
 	for _, r := range routers {
-		fibs[r] = trie.New[fib.Entry]()
+		fibs.Router(r)
 	}
 	inc := NewIncremental(nil)
 	seedFrom(inc, fibs)

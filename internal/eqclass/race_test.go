@@ -8,11 +8,9 @@ import (
 	"testing"
 
 	"hbverify/internal/capture"
-	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
-	"hbverify/internal/trie"
 )
 
 // TestIncrementalLiveTablesUnderRacingWriters: writers Offer and Withdraw
@@ -84,11 +82,7 @@ func TestIncrementalLiveTablesUnderRacingWriters(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	snap := map[string]*trie.Trie[fib.Entry]{}
-	for r, tbl := range tables {
-		snap[r] = tbl.Snapshot()
-	}
-	got, want := inc.Classes(), Compute(snap, nil)
+	got, want := inc.Classes(), Compute(snapshotOf(tables), nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the writers stopped, incremental diverges from Compute:\n got %v\nwant %v", got, want)
 	}
@@ -103,7 +97,7 @@ func TestIncrementalLiveTablesUnderRacingWriters(t *testing.T) {
 // flipTable answers each Lookup with the other of two entries, as a table
 // that a writer changes between any two reads would.
 type flipTable struct {
-	dataplane.FIB
+	fib.Reader
 	entries [2]fib.Entry
 	reads   int
 }
@@ -119,7 +113,7 @@ func (f *flipTable) Lookup(netip.Addr) (fib.Entry, bool) {
 // have changed in between.
 func TestIncrementalSignatureRenderedFromItsOwnLookups(t *testing.T) {
 	p := netip.MustParsePrefix("10.0.0.0/24")
-	l := &lookupper{tables: map[string]dataplane.FIB{}, in: newInterner()}
+	l := &lookupper{tables: map[string]fib.Reader{}, in: newInterner()}
 	l.add("r1", &flipTable{entries: [2]fib.Entry{entry("10.0.0.0/24", "192.0.2.1"), entry("10.0.0.0/24", "192.0.2.2")}})
 	for _, want := range []string{"r1=192.0.2.2", "r1=192.0.2.1"} {
 		if got := l.in.str(l.sign(p)); got != want {

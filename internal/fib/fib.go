@@ -5,8 +5,9 @@
 // these are exactly the "FIB updates" the paper's verifier consumes.
 //
 // An entry is what its FIB I/O records, so replaying a router's FIB I/Os
-// rebuilds its table exactly. A FIB held outside a table — a snapshot, a
-// replay, a node's view — is a *trie.Trie[Entry]; Diff compares two.
+// rebuilds its table exactly. A Table is one Reader; a FIB held by value
+// (a snapshot, a replay, a node's view) is another, and Diff compares any
+// two in place.
 package fib
 
 import (
@@ -99,10 +100,18 @@ func (e Entry) Equal(o Entry) bool {
 		slices.Equal(e.NextHops, o.NextHops)
 }
 
-// Diff returns what turns FIB old into FIB cur: the entries of cur that old
-// lacks or holds differently, and the prefixes only old holds, both in
-// prefix order. Either FIB may be nil.
-func Diff(old, cur *trie.Trie[Entry]) (installs []Entry, removes []netip.Prefix) {
+// Reader is a FIB read in place: longest-prefix match, exact match, and a
+// walk of every entry in prefix order.
+type Reader interface {
+	Lookup(dst netip.Addr) (Entry, bool)
+	Exact(p netip.Prefix) (Entry, bool)
+	Walk(fn func(netip.Prefix, Entry) bool)
+}
+
+// Diff returns what turns FIB old into FIB cur, both read in place: the
+// entries of cur that old lacks or holds differently, and the prefixes only
+// old holds, both in prefix order.
+func Diff(old, cur Reader) (installs []Entry, removes []netip.Prefix) {
 	cur.Walk(func(p netip.Prefix, e Entry) bool {
 		if o, ok := old.Exact(p); !ok || !o.Equal(e) {
 			installs = append(installs, e)
@@ -306,14 +315,4 @@ func (t *Table) Walk(fn func(netip.Prefix, Entry) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	t.lpm.Walk(fn)
-}
-
-// Snapshot returns a copy of the FIB, for verifiers.
-func (t *Table) Snapshot() *trie.Trie[Entry] {
-	out := trie.New[Entry]()
-	t.Walk(func(p netip.Prefix, e Entry) bool {
-		_ = out.Insert(p, e)
-		return true
-	})
-	return out
 }

@@ -134,9 +134,17 @@ func TestEntryOfInvertsEmit(t *testing.T) {
 			replayed.Delete(io.Prefix)
 		}
 	}
-	if installs, removes := Diff(e.tbl.Snapshot(), replayed); len(installs)+len(removes) != 0 || replayed.Len() != 3 {
+	if installs, removes := Diff(e.tbl, trieFIB{replayed}); len(installs)+len(removes) != 0 || replayed.Len() != 3 {
 		t.Fatalf("replay differs from the table: installs %v, removes %v", installs, removes)
 	}
+}
+
+// trieFIB reads a trie of entries as a FIB.
+type trieFIB struct{ *trie.Trie[Entry] }
+
+func (t trieFIB) Lookup(dst netip.Addr) (Entry, bool) {
+	e, _, ok := t.Trie.Lookup(dst)
+	return e, ok
 }
 
 func TestDiffInPrefixOrder(t *testing.T) {
@@ -148,7 +156,7 @@ func TestDiffInPrefixOrder(t *testing.T) {
 		_ = cur.Insert(pfx(s), Entry{Prefix: pfx(s), NextHop: addr("1.1.1.1"), Proto: route.ProtoStatic})
 	}
 	_ = cur.Insert(pfx("10.0.0.0/16"), Entry{Prefix: pfx("10.0.0.0/16"), NextHop: addr("2.2.2.2"), Proto: route.ProtoStatic})
-	installs, removes := Diff(old, cur)
+	installs, removes := Diff(trieFIB{old}, trieFIB{cur})
 	var got []string
 	for _, e := range installs {
 		got = append(got, e.String())
@@ -160,8 +168,8 @@ func TestDiffInPrefixOrder(t *testing.T) {
 	if !reflect.DeepEqual(removes, []netip.Prefix{pfx("10.0.0.0/8"), pfx("20.0.0.0/8")}) {
 		t.Fatalf("removes = %v", removes)
 	}
-	if installs, removes := Diff(nil, cur); len(installs) != 4 || len(removes) != 0 {
-		t.Fatalf("Diff(nil, cur) = %v, %v", installs, removes)
+	if installs, removes := Diff(trieFIB{trie.New[Entry]()}, trieFIB{cur}); len(installs) != 4 || len(removes) != 0 {
+		t.Fatalf("Diff(empty, cur) = %v, %v", installs, removes)
 	}
 }
 
@@ -220,20 +228,6 @@ func TestLookupLPM(t *testing.T) {
 	}
 	if got, ok := e.tbl.Lookup(addr("8.8.8.8")); !ok || got.NextHop != addr("1.1.1.1") {
 		t.Fatalf("default = %+v %v", got, ok)
-	}
-}
-
-func TestEntriesAndSnapshot(t *testing.T) {
-	e := newEnv()
-	e.tbl.Offer(bgpRoute("20.0.0.0/8", "1.1.1.1", false))
-	e.tbl.Offer(bgpRoute("10.0.0.0/8", "1.1.1.1", false))
-	snap := e.tbl.Snapshot()
-	if snap.Len() != 2 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	_ = snap.Insert(pfx("10.0.0.0/8"), Entry{})
-	if got, _ := e.tbl.Exact(pfx("10.0.0.0/8")); got.NextHop != addr("1.1.1.1") {
-		t.Fatal("snapshot aliases table")
 	}
 }
 

@@ -197,7 +197,7 @@ func (inc *Incremental) InferView(ios capture.View) *hbg.Graph {
 	// inference saw only the retained window, not the folded history.
 	start := time.Now()
 	g, ch, visits := inc.Rules.infer(ios, inc.index)
-	inc.Metrics.Timer("infer.full").Observe(time.Since(start))
+	inc.Metrics.Histogram("infer.full").Observe(time.Since(start))
 	inc.Metrics.Counter("hbr.infer.candidates").Add(visits)
 	inc.Metrics.Counter("infer.cache.misses").Inc()
 	if inc.adoptableLocked(ios) {
@@ -297,7 +297,7 @@ func (inc *Incremental) cutLocked(ios capture.View, hidden []uint64) bool {
 func (inc *Incremental) derive(hidden []uint64) *hbg.Graph {
 	start := time.Now()
 	g := inc.cached.Without(hidden)
-	inc.Metrics.Timer("infer.derived").Observe(time.Since(start))
+	inc.Metrics.Histogram("infer.derived").Observe(time.Since(start))
 	return g
 }
 
@@ -421,7 +421,7 @@ func (inc *Incremental) extend(ios capture.View, sufStart int) *hbg.Graph {
 	}
 	inc.cached.Apply(hbg.Batch{Nodes: suffix, Reset: reset, Edges: append(edges, paired)})
 	inc.lastID = lastIDOf(ios)
-	inc.Metrics.Timer("infer.incremental").Observe(time.Since(start))
+	inc.Metrics.Histogram("infer.incremental").Observe(time.Since(start))
 	inc.Metrics.Counter("infer.suffix.ios").Add(int64(suffix.Len()))
 	inc.Metrics.Counter("infer.window.ios").Add(int64(window.Len()))
 	inc.Metrics.Counter("infer.indexed.ios").Add(int64(idx.Len()))
@@ -473,7 +473,7 @@ func (inc *Incremental) Compact(log *capture.Log) (*hbg.Graph, int) {
 func (inc *Incremental) index(ios capture.View, order []int32) *Index {
 	start := time.Now()
 	idx := newIndex(ios, order)
-	inc.Metrics.Timer("hbr.infer.index.build").Observe(time.Since(start))
+	inc.Metrics.Histogram("hbr.infer.index.build").Observe(time.Since(start))
 	inc.Metrics.Counter("hbr.infer.index.builds").Inc()
 	inc.Metrics.Counter("hbr.infer.index.ios").Add(int64(idx.Len()))
 	return idx

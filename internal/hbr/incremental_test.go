@@ -134,8 +134,8 @@ func TestIncrementalCacheBehaviour(t *testing.T) {
 	mid := snaps[2][len(snaps[2])/2]
 	subset := snapshot.Collect(snaps[2], snapshot.Cut{mid.Router: mid.Time - 1})
 	derived := inc.Infer(subset)
-	if full() != 1 || reg.Timer("infer.derived").Count() != 1 {
-		t.Fatalf("subset must be derived: full=%d derived=%d, want 1 and 1", full(), reg.Timer("infer.derived").Count())
+	if full() != 1 || reg.Histogram("infer.derived").Count() != 1 {
+		t.Fatalf("subset must be derived: full=%d derived=%d, want 1 and 1", full(), reg.Histogram("infer.derived").Count())
 	}
 	sameGraph(t, derived, hbr.Rules{}.Infer(subset))
 	if g := inc.Infer(snaps[2]); g != cached || hits() != 3 {
@@ -219,7 +219,7 @@ func TestDerivedCutsMatchFull(t *testing.T) {
 		sameGraph(t, inc.Infer(visible), hbr.Rules{}.Infer(visible))
 		compared++
 	}
-	if n := reg.Timer("infer.derived").Count(); compared < 50 || n != int64(compared) {
+	if n := reg.Histogram("infer.derived").Count(); compared < 50 || n != int64(compared) {
 		t.Fatalf("%d derivations for %d cuts compared", n, compared)
 	}
 	if n := reg.Counter("infer.cache.misses").Value(); n != 1 {
@@ -241,14 +241,14 @@ func TestDeriveFallsBack(t *testing.T) {
 	compacted.Infer(ios)
 	compacted.CompactBaseline(3)
 	compacted.Infer(subset[2:])
-	if n := reg.Timer("infer.derived").Count(); n != 0 {
+	if n := reg.Histogram("infer.derived").Count(); n != 0 {
 		t.Fatalf("%d derivations from a checkpointed cache, want 0", n)
 	}
 
 	inc := hbr.NewIncremental(hbr.Rules{}, reg)
 	inc.Infer(ios)
 	sameGraph(t, inc.Infer(subset), hbr.Rules{}.Infer(subset))
-	if n := reg.Timer("infer.derived").Count(); n != 0 {
+	if n := reg.Histogram("infer.derived").Count(); n != 0 {
 		t.Fatalf("%d derivations of a slice that is no cut, want 0", n)
 	}
 }
@@ -553,7 +553,7 @@ func TestInferredGraphPointsIntoItsLog(t *testing.T) {
 	inc := hbr.NewIncremental(hbr.Rules{}, reg)
 	inc.InferView(view.Slice(0, view.Len()/2))
 	extended := inc.InferView(view)
-	if n := reg.Timer("infer.incremental").Count(); n != 1 {
+	if n := reg.Histogram("infer.incremental").Count(); n != 1 {
 		t.Fatalf("%d extensions, want the second inference to extend the first", n)
 	}
 	for name, c := range map[string]struct {

@@ -164,7 +164,7 @@ func TestInferenceIgnoresOracleFields(t *testing.T) {
 			got = inc.InferView(capture.ViewOf(log))
 			requireNoOracle(t, got)
 			sameGraph(t, got, want)
-			if n := reg.Timer("infer.incremental").Count(); n != 1 {
+			if n := reg.Histogram("infer.incremental").Count(); n != 1 {
 				t.Fatalf("%d extensions, want the second inference to extend the first", n)
 			}
 			for i, r := range []string{"r1", "r2", "r3", "e1"} {
@@ -177,7 +177,7 @@ func TestInferenceIgnoresOracleFields(t *testing.T) {
 				requireNoOracle(t, got)
 				sameGraph(t, got, s.Infer(snapshot.Collect(stripped, cut)))
 			}
-			if n := reg.Timer("infer.derived").Count(); n != 4 {
+			if n := reg.Histogram("infer.derived").Count(); n != 4 {
 				t.Fatalf("%d of 4 cuts were derived", n)
 			}
 		})

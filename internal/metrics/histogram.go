@@ -1,6 +1,6 @@
-// Histogram: bounded-memory latency quantiles for the serving path. The
-// existing Timer only accumulates count/total/max, which cannot express a
-// p99 target; the query engine needs tail latency. Buckets are log-linear
+// Histogram: bounded-memory latency quantiles, for every timed path. A
+// count and a total cannot express a p99 target; the query engine needs
+// tail latency. Buckets are log-linear
 // (HDR-style): each power-of-two range is split into 2^histSubBits linear
 // sub-buckets, giving ≤12.5% relative error on any reported quantile with
 // a fixed 512-slot footprint — no per-observation allocation, safe for
@@ -26,6 +26,7 @@ const (
 // observations and reports zeros.
 type Histogram struct {
 	count   atomic.Int64
+	total   atomic.Int64 // nanoseconds
 	max     atomic.Int64 // nanoseconds
 	buckets [histBuckets]atomic.Int64
 }
@@ -73,6 +74,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	v := int64(d)
 	h.buckets[histIndex(v)].Add(1)
 	h.count.Add(1)
+	h.total.Add(v)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -87,6 +89,14 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.count.Load()
+}
+
+// Total returns the summed duration; 0 for a nil histogram.
+func (h *Histogram) Total() time.Duration {
+	if h == nil {
+		return 0
+	}
+	return time.Duration(h.total.Load())
 }
 
 // Quantile returns the q-quantile (q in [0,1]) of everything observed so

@@ -71,7 +71,7 @@ func TestHistogramBucketMonotone(t *testing.T) {
 func TestHistogramZeroAndNil(t *testing.T) {
 	var h *Histogram
 	h.Observe(time.Second) // must not panic
-	if h.Count() != 0 || h.Quantile(0.99) != 0 {
+	if h.Count() != 0 || h.Total() != 0 || h.Quantile(0.99) != 0 {
 		t.Errorf("nil histogram should report zeros")
 	}
 	z := &Histogram{}

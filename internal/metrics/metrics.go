@@ -1,4 +1,4 @@
-// Package metrics is a lightweight counter/timer layer for the hot paths
+// Package metrics is a lightweight counter/histogram layer for the hot paths
 // of the control-plane verification loop: inference cache hits and misses,
 // incremental versus full inference time, data-plane walks executed and
 // deduplicated, and per-policy verification latency. The paper's position
@@ -45,47 +45,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Timer accumulates durations: observation count and total. The zero value
-// is usable; a nil Timer discards observations.
-type Timer struct {
-	count atomic.Int64
-	total atomic.Int64 // nanoseconds
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.count.Add(1)
-	t.total.Add(int64(d))
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// Total returns the summed duration.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.total.Load())
-}
-
-// Mean returns the average observation, 0 when empty.
-func (t *Timer) Mean() time.Duration {
-	n := t.Count()
-	if n == 0 {
-		return 0
-	}
-	return t.Total() / time.Duration(n)
-}
-
 // Gauge tracks a current value and its high-water mark — e.g. the in-flight
 // window occupancy of the dist dispatch scheduler. The zero value is usable;
 // a nil Gauge discards updates.
@@ -124,20 +83,19 @@ func (g *Gauge) Max() int64 {
 	return g.max.Load()
 }
 
-// Registry hands out named counters, timers, and gauges. Instruments are
+// Registry hands out named counters, gauges, and histograms. Instruments are
 // created on first use and shared by name. A nil Registry hands out nil
 // instruments.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	timers   map[string]*Timer
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{counters: map[string]*Counter{}, timers: map[string]*Timer{}, gauges: map[string]*Gauge{}, hists: map[string]*Histogram{}}
+	return &Registry{counters: map[string]*Counter{}, gauges: map[string]*Gauge{}, hists: map[string]*Histogram{}}
 }
 
 // Counter returns the named counter, creating it if needed.
@@ -153,21 +111,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Timer returns the named timer, creating it if needed.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Gauge returns the named gauge, creating it if needed.
@@ -200,19 +143,20 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// Timer returns the named histogram, under the name the benchmark module
+// (bench/) still reads; ROADMAP item 6 deletes it.
+func (r *Registry) Timer(name string) *Histogram { return r.Histogram(name) }
+
 // String renders the registry as "name=value ..." sorted by name, with
-// timers shown as count/total/mean. Empty instruments are included so the
-// output shape is stable.
+// histograms shown as quantiles and count. Empty instruments are included
+// so the output shape is stable.
 func (r *Registry) String() string {
 	if r == nil {
 		return ""
 	}
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.timers)+len(r.gauges)+len(r.hists))
+	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.timers {
 		names = append(names, n)
 	}
 	for n := range r.gauges {
@@ -224,10 +168,6 @@ func (r *Registry) String() string {
 	counters := make(map[string]*Counter, len(r.counters))
 	for n, c := range r.counters {
 		counters[n] = c
-	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for n, t := range r.timers {
-		timers[n] = t
 	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for n, g := range r.gauges {
@@ -246,9 +186,6 @@ func (r *Registry) String() string {
 		}
 		if c, ok := counters[n]; ok {
 			fmt.Fprintf(&b, "%s=%d", n, c.Value())
-		} else if t, ok := timers[n]; ok {
-			fmt.Fprintf(&b, "%s=%dx/%v(avg %v)", n, t.Count(),
-				t.Total().Round(time.Microsecond), t.Mean().Round(time.Microsecond))
 		} else if g, ok := gauges[n]; ok {
 			fmt.Fprintf(&b, "%s=%d(max %d)", n, g.Value(), g.Max())
 		} else if h, ok := hists[n]; ok {

@@ -29,17 +29,18 @@ func TestCountersAndTimers(t *testing.T) {
 	if got := r.Counter("hits").Value(); got != 4 {
 		t.Fatalf("hits = %d, want 4", got)
 	}
+	// A timer is the histogram of its name.
 	tm := r.Timer("infer")
+	if tm != r.Histogram("infer") {
+		t.Fatal("Timer and Histogram hand out different instruments for one name")
+	}
 	tm.Observe(2 * time.Millisecond)
 	tm.Observe(6 * time.Millisecond)
 	if tm.Count() != 2 || tm.Total() != 8*time.Millisecond {
 		t.Fatalf("timer count=%d total=%v", tm.Count(), tm.Total())
 	}
-	if tm.Mean() != 4*time.Millisecond {
-		t.Fatalf("timer mean=%v", tm.Mean())
-	}
 	s := r.String()
-	if !strings.Contains(s, "hits=4") || !strings.Contains(s, "infer=2x") {
+	if !strings.Contains(s, "hits=4") || !strings.Contains(s, "infer=p50:") || !strings.Contains(s, "(n=2)") {
 		t.Fatalf("string = %q", s)
 	}
 }
@@ -63,5 +64,8 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if got := r.Timer("t").Count(); got != 8000 {
 		t.Fatalf("t.count = %d, want 8000", got)
+	}
+	if got := r.Timer("t").Total(); got != 8000*time.Microsecond {
+		t.Fatalf("t.total = %v, want 8ms", got)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"hbverify/internal/rip"
 	"hbverify/internal/route"
 	"hbverify/internal/topology"
-	"hbverify/internal/trie"
 )
 
 // Router bundles one router's protocol instances and capture recorder.
@@ -680,15 +679,6 @@ func (n *Network) ResetBGPSession(a, b string) error {
 		rb.BGP.PeerUp(sb.PeerAddr)
 	})
 	return nil
-}
-
-// FIBSnapshot returns a copy of every router's FIB keyed by router name.
-func (n *Network) FIBSnapshot() map[string]*trie.Trie[fib.Entry] {
-	out := make(map[string]*trie.Trie[fib.Entry], len(n.routers))
-	for name, r := range n.routers {
-		out[name] = r.FIB.Snapshot()
-	}
-	return out
 }
 
 // Live returns the network's live forwarding state: every router's FIB

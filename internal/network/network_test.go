@@ -210,14 +210,14 @@ func TestInternalLinkFailureReroutesIGP(t *testing.T) {
 	}
 }
 
-func TestFIBSnapshotShape(t *testing.T) {
+func TestLiveShape(t *testing.T) {
 	pn := startPaper(t, DefaultPaperOpts())
-	snap := pn.FIBSnapshot()
-	if len(snap) != 5 {
-		t.Fatalf("snapshot routers = %d", len(snap))
+	live := pn.Live()
+	if n := len(live.Routers()); n != 5 {
+		t.Fatalf("live routers = %d", n)
 	}
-	if _, ok := snap["r3"].Exact(PrefixP); !ok {
-		t.Fatal("r3 snapshot missing P")
+	if _, ok := live.State("r3").Exact(PrefixP); !ok {
+		t.Fatal("r3 live state missing P")
 	}
 }
 

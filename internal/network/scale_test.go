@@ -7,6 +7,7 @@ import (
 
 	"hbverify/internal/capture"
 	"hbverify/internal/eqclass"
+	"hbverify/internal/fib"
 )
 
 // manyPrefixPaper builds the paper topology with both providers
@@ -52,7 +53,7 @@ func TestHundredPrefixConvergence(t *testing.T) {
 	// 200 prefixes, 2 forwarding behaviours: the §6 structure emerges
 	// from the real control plane, not just the synthetic generator.
 	all := append(append([]netip.Prefix(nil), fromE1...), fromE2...)
-	classes := eqclass.Compute(pn.FIBSnapshot(), all)
+	classes := eqclass.Compute(pn.Live(), all)
 	if len(classes) != 2 {
 		t.Fatalf("classes = %d, want 2", len(classes))
 	}
@@ -105,11 +106,12 @@ func TestLargerGridConvergence(t *testing.T) {
 	// All 36 routers know all 36 loopbacks.
 	for _, r := range n.Routers() {
 		count := 0
-		for _, p := range r.FIB.Snapshot().Prefixes() {
+		r.FIB.Walk(func(p netip.Prefix, _ fib.Entry) bool {
 			if p.Bits() == 32 {
 				count++
 			}
-		}
+			return true
+		})
 		if count != 35 {
 			t.Fatalf("%s has %d loopback routes, want 35", r.Name, count)
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/fib"
 	"hbverify/internal/route"
 )
 
@@ -71,11 +72,12 @@ func TestScaleBuilders(t *testing.T) {
 	// 4 pods * 4 + 4 cores = 20 routers; each knows the other 19 loopbacks.
 	for _, r := range n.Routers() {
 		count := 0
-		for _, p := range r.FIB.Snapshot().Prefixes() {
+		r.FIB.Walk(func(p netip.Prefix, _ fib.Entry) bool {
 			if p.Bits() == 32 {
 				count++
 			}
-		}
+			return true
+		})
 		if count != 19 {
 			t.Fatalf("%s has %d loopbacks, want 19", r.Name, count)
 		}

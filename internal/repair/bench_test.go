@@ -57,9 +57,8 @@ func BenchmarkEarlyPrediction(b *testing.B) {
 		pn.Router("e2").Cfg.BGP.Networks = groupE2
 	})
 
-	fibs := pn.FIBSnapshot()
 	all := append(append([]netip.Prefix(nil), groupE1...), groupE2...)
-	classes := eqclass.Compute(fibs, all)
+	classes := eqclass.Compute(pn.Live(), all)
 	signature := map[netip.Prefix]string{}
 	for _, c := range classes {
 		for _, p := range c.Prefixes {

@@ -8,7 +8,6 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/topology"
-	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -52,8 +51,8 @@ func NewPreInstall(n *network.Network, gate *Gate, policies []verify.Policy, sou
 	return pi
 }
 
-func (pi *PreInstall) violations(view map[string]*trie.Trie[fib.Entry]) int {
-	w := dataplane.NewWalker(pi.topo, dataplane.SnapshotView(view))
+func (pi *PreInstall) violations(view *dataplane.Snapshot) int {
+	w := dataplane.NewWalker(pi.topo, view)
 	rep := verify.NewChecker(w, pi.sources).Check(pi.policies)
 	return len(rep.Violations)
 }
@@ -64,9 +63,9 @@ func (pi *PreInstall) block(router string, u fib.Update) bool {
 	base := pi.violations(before)
 	after := before
 	if u.Install {
-		_ = after[router].Insert(u.Entry.Prefix, u.Entry)
+		after.Router(router).Install(u.Entry)
 	} else {
-		after[router].Delete(u.Entry.Prefix)
+		after.Router(router).Remove(u.Entry.Prefix)
 	}
 	next := pi.violations(after)
 	d := Decision{Router: router, Update: u, Allowed: next <= base,
@@ -207,7 +206,7 @@ func TestPreInstallBlocksViolatingUpdates(t *testing.T) {
 		t.Fatalf("post-repair violations: %v", rep.Violations)
 	}
 	live, _ := pn.Router("r3").FIB.Exact(pn.P)
-	shadow, _ := gate.Snapshot()["r3"].Exact(pn.P)
+	shadow, _ := gate.Snapshot().State("r3").Exact(pn.P)
 	if live.NextHop != shadow.NextHop {
 		t.Fatalf("control/data divergence after repair: %v vs %v", live.NextHop, shadow.NextHop)
 	}

@@ -28,15 +28,15 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/hbg"
 	"hbverify/internal/network"
-	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
 // Gate mirrors every router's FIB into a shadow data plane and can
 // selectively withhold updates from it. The control plane keeps believing
 // its updates were applied — exactly the inconsistency §2 warns about.
+// Links are physical: the shadow's interfaces follow every flip.
 type Gate struct {
-	shadow   map[string]*trie.Trie[fib.Entry]
+	shadow   *dataplane.Snapshot
 	withheld []Withheld
 	blockFn  func(router string, u fib.Update) bool
 }
@@ -50,12 +50,17 @@ type Withheld struct {
 // NewGate attaches a gate to every router of n. Attach before Start so no
 // update escapes observation.
 func NewGate(n *network.Network) *Gate {
-	g := &Gate{shadow: map[string]*trie.Trie[fib.Entry]{}}
+	live := n.Live()
+	g := &Gate{shadow: dataplane.Freeze(live)}
 	for _, r := range n.Routers() {
 		r := r
-		g.shadow[r.Name] = trie.New[fib.Entry]()
 		r.FIB.OnChange(func(u fib.Update) { g.observe(r.Name, u) })
 	}
+	n.OnLinkChange(func(a, b string, _ bool) {
+		for _, r := range []string{a, b} {
+			g.shadow.Router(r).SetIfaces(slices.Clone(live.State(r).Ifaces()))
+		}
+	})
 	return g
 }
 
@@ -72,17 +77,14 @@ func (g *Gate) observe(router string, u fib.Update) {
 
 func (g *Gate) apply(router string, u fib.Update) {
 	if u.Install {
-		_ = g.shadow[router].Insert(u.Entry.Prefix, u.Entry)
+		g.shadow.Router(router).Install(u.Entry)
 	} else {
-		g.shadow[router].Delete(u.Entry.Prefix)
+		g.shadow.Router(router).Remove(u.Entry.Prefix)
 	}
 }
 
-// View exposes the shadow data plane for walking: the shadow FIBs, read in
-// place, on the links a walker's topology has when it walks.
-func (g *Gate) View() *dataplane.Live {
-	return dataplane.SnapshotView(g.shadow)
-}
+// View exposes the shadow data plane for walking, read in place.
+func (g *Gate) View() *dataplane.Snapshot { return g.shadow }
 
 // Diagnosis reports one detect-trace-repair pass.
 type Diagnosis struct {

@@ -14,7 +14,6 @@ import (
 	"hbverify/internal/hbr"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
-	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -51,18 +50,7 @@ func (g *Gate) ReleaseAll() {
 }
 
 // Snapshot copies the shadow state.
-func (g *Gate) Snapshot() map[string]*trie.Trie[fib.Entry] {
-	out := make(map[string]*trie.Trie[fib.Entry], len(g.shadow))
-	for r, t := range g.shadow {
-		c := trie.New[fib.Entry]()
-		t.Walk(func(p netip.Prefix, e fib.Entry) bool {
-			_ = c.Insert(p, e)
-			return true
-		})
-		out[r] = c
-	}
-	return out
-}
+func (g *Gate) Snapshot() *dataplane.Snapshot { return dataplane.Freeze(g.shadow) }
 
 func misconfigure(t *testing.T, pn *network.PaperNet) capture.IO {
 	t.Helper()
@@ -108,7 +96,7 @@ func TestGateMirrorsFIBs(t *testing.T) {
 	snap := gate.Snapshot()
 	for _, r := range []string{"r1", "r2", "r3"} {
 		live, _ := pn.Router(r).FIB.Exact(pn.P)
-		if shadow, _ := snap[r].Exact(pn.P); shadow.NextHop != live.NextHop {
+		if shadow, _ := snap.State(r).Exact(pn.P); shadow.NextHop != live.NextHop {
 			t.Fatalf("%s shadow %v != live %v", r, shadow.NextHop, live.NextHop)
 		}
 	}
@@ -226,7 +214,7 @@ func TestBlockingHazard(t *testing.T) {
 	if !ok || live.NextHop != addr("1.1.1.1") {
 		t.Fatalf("control-plane FIB = %+v %v", live, ok)
 	}
-	stale, _ := gate.Snapshot()["r2"].Exact(pn.P)
+	stale, _ := gate.Snapshot().State("r2").Exact(pn.P)
 	if stale.NextHop != addr("10.0.5.2") {
 		t.Fatalf("shadow FIB = %+v, want stale uplink entry", stale)
 	}
@@ -265,12 +253,12 @@ func TestRepairAvoidsHazard(t *testing.T) {
 // drops on the other, as verify's NoBlackhole does.
 func TestBlackholedPrefixesCountsPartialBlackhole(t *testing.T) {
 	pn, _ := build(t)
-	snap := pn.FIBSnapshot()
-	e, _ := snap["r3"].Exact(pn.P)
+	snap := dataplane.Freeze(pn.Live())
+	e, _ := snap.State("r3").Exact(pn.P)
 	e.NextHop, e.NextHops = addr("1.1.1.1"), []netip.Addr{addr("1.1.1.1"), addr("2.2.2.2")}
-	_ = snap["r3"].Insert(pn.P, e)
-	snap["r1"].Delete(pn.P)
-	w := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(snap))
+	snap.Router("r3").Install(e)
+	snap.Router("r1").Remove(pn.P)
+	w := dataplane.NewWalker(pn.Topo, snap)
 	if walk := w.ForwardPrefix("r3", pn.P); walk.Outcome != dataplane.PartialBlackhole {
 		t.Fatalf("walk = %v, want a partial blackhole", walk)
 	}
@@ -296,7 +284,7 @@ func TestGateReleaseAll(t *testing.T) {
 	// Shadow now matches the live FIBs.
 	for _, r := range []string{"r1", "r2", "r3"} {
 		live, _ := pn.Router(r).FIB.Exact(pn.P)
-		if shadow, _ := gate.Snapshot()[r].Exact(pn.P); shadow.NextHop != live.NextHop {
+		if shadow, _ := gate.Snapshot().State(r).Exact(pn.P); shadow.NextHop != live.NextHop {
 			t.Fatalf("%s shadow diverged after release", r)
 		}
 	}
@@ -347,8 +335,8 @@ func TestOutcomePredictorLearnsRepetition(t *testing.T) {
 			Attrs:  attrsWithLP(lp),
 		}
 	}
-	fibsHi := map[string]*trie.Trie[fib.Entry]{"r3": trie.New[fib.Entry]()}
-	_ = fibsHi["r3"].Insert(netip.MustParsePrefix("10.0.0.0/24"), fib.Entry{NextHop: addr("2.2.2.2")})
+	fibsHi := &dataplane.Snapshot{}
+	fibsHi.Router("r3").Install(fib.Entry{Prefix: netip.MustParsePrefix("10.0.0.0/24"), NextHop: addr("2.2.2.2")})
 	sigHi := eqclass.Compute(fibsHi, []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24")})[0].Signature
 	pred.Learn(mkInput(30, "10.0.0.0/24"), sigHi)
 	// Same input shape, different prefix: predicted identically.

@@ -26,7 +26,6 @@ import (
 	"hbverify/internal/route"
 	"hbverify/internal/serve"
 	"hbverify/internal/snapshot"
-	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -187,13 +186,13 @@ func (h *harness) oracleIncrementalVsFull(round int) *Failure {
 		if len(visible) == len(ios) {
 			continue
 		}
-		derived := h.p.Metrics.Timer("infer.derived").Count()
+		derived := h.p.Metrics.Histogram("infer.derived").Count()
 		got, want := h.p.Strategy.Infer(visible), h.full.Infer(visible)
 		d := graphDiffLabeled(got, want, "derived", "full")
 		if d == "" && !reflect.DeepEqual(snapshot.Check(got, h.w.isExternal), snapshot.Check(want, h.w.isExternal)) {
 			d = "snapshot.Check verdicts differ"
 		}
-		if d == "" && h.p.Metrics.Timer("infer.derived").Count() == derived {
+		if d == "" && h.p.Metrics.Histogram("infer.derived").Count() == derived {
 			d = "answered by a full inference, not derived from the cached graph"
 		}
 		if d != "" {
@@ -282,16 +281,18 @@ func compareEdges(a, b hbg.Edge) int {
 }
 
 // oracleSnapshots checks the §5 snapshot machinery four ways:
-// (a) replaying every captured FIB event reproduces the live FIBs exactly
-// (no mixed-generation entries can survive a faithful replay);
+// (a) replaying the whole log reproduces the live forwarding state exactly
+// — every FIB entry, and the link state of every interface (no
+// mixed-generation entries can survive a faithful replay);
 // (b) a randomly lagged collection cut, extended by ConsistentCollect over a
 // graph inferred per cut, reaches consistency whenever full-log inference
 // itself is consistent;
-// (c) any forwarding loop visible in the collected snapshot is a state the
-// network could have been in — phantom loops are forbidden. §5 promises of a
-// consistent cut a *possible* state, not an *instantaneous* one (DESIGN.md
-// §5): what makes it possible is closure under ground-truth happens-before,
-// so that is what is checked, with the simulator's causal tags;
+// (c) any forwarding loop visible in the collected snapshot — the collected
+// events' FIBs and link state — is a state the network could have been in:
+// phantom loops are forbidden. §5 promises of a consistent cut a *possible*
+// state, not an *instantaneous* one (DESIGN.md §5): what makes it possible
+// is closure under ground-truth happens-before, so that is what is
+// checked, with the simulator's causal tags;
 // (d) the same cut closed by message accounting — ConsistentCut over the
 // log's channel pairs, and Pipeline.VerifySnapshot, which closes it so —
 // reaches the same final cut, verdict, WaitFor, Missing IDs and waits as (b).
@@ -306,11 +307,12 @@ func compareEdges(a, b hbg.Edge) int {
 func (h *harness) oracleSnapshots(round int) *Failure {
 	all := h.w.net.Log.Snapshot()
 	stripped := capture.StripOracle(all)
+	topo, view := h.w.net.Topo, h.w.net.Log.View()
 
-	// (a) full-log replay == live FIBs.
-	if detail := firstDifference(h.w.net.FIBSnapshot(), snapshot.BuildFIBs(stripped)); detail != "" {
+	// (a) full-log replay == live forwarding state.
+	if detail := firstDifference(h.live, snapshot.ReplayState(topo, view, nil)); detail != "" {
 		return &Failure{Oracle: OracleSnapshot, Round: round,
-			Detail: "FIB replay diverges from live tables: " + detail}
+			Detail: "replay diverges from the live state: " + detail}
 	}
 
 	// (b) lagged-cut collection reaches consistency.
@@ -344,7 +346,6 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 	// frontier verifies what a cold replay under that cut does. A verdict on
 	// the whole log first moves the frontier's FIB replay to the log's end,
 	// so the lagged cut hides events the replay holds whenever it hides any.
-	view := h.w.net.Log.View()
 	tFinal, tRes := snapshot.ConsistentCut(view, cut, hbr.Pair(view), h.w.isExternal)
 	h.p.VerifySnapshot(snapshot.Cut{}, nil)
 	pRep, pRes := h.p.VerifySnapshot(cut, h.policies())
@@ -354,7 +355,6 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 			"cut %v closed by message accounting differs from the graph's: graph %s, table %s, Pipeline.VerifySnapshot %s",
 			cut, graph, table, pipe)}
 	}
-	topo := h.w.net.Topo
 	cold := verify.NewChecker(dataplane.NewWalker(topo, snapshot.ReplayState(topo, view, tFinal)), h.p.Sources)
 	if coldRep := cold.Check(h.policies()); !reflect.DeepEqual(pRep.Results(), coldRep.Results()) {
 		return &Failure{Oracle: OracleSnapshot, Round: round, Detail: fmt.Sprintf(
@@ -370,8 +370,8 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 	// snapshot legitimately combine per-router states from
 	// causally-independent events (OSPF floods an LSA before its debounced
 	// SPF updates the FIB, so apply-before-advertise does not order them).
-	fibs := snapshot.BuildFIBs(collected)
-	w := dataplane.NewWalker(h.w.net.Topo, dataplane.SnapshotView(fibs))
+	state := snapshot.ReplayState(topo, capture.ViewOf(collected), nil)
+	w := dataplane.NewWalker(topo, state)
 	for _, src := range h.w.verifySources {
 		for _, p := range []netip.Prefix{PrefixP, PrefixQ} {
 			walk := w.ForwardPrefix(src, p)
@@ -379,7 +379,7 @@ func (h *harness) oracleSnapshots(round int) *Failure {
 				continue
 			}
 			loop := SnapshotLoop{Round: round, Source: src, Prefix: p, Concrete: walk.Branches == 0,
-				EntriesReal: h.entriesWereReal(fibs, walk.Path, dataplane.Representative(p))}
+				EntriesReal: h.entriesWereReal(state, walk.Path, dataplane.Representative(p))}
 			if loop.Concrete {
 				loop.Open = h.cutOpenAt(all, collected)
 			}
@@ -485,28 +485,26 @@ func (h *harness) fibEventsTrueTime() []capture.IO {
 // router on the walk, the snapshot's covering entry for dst (including its
 // full next-hop set) matched the router's live covering entry at some
 // instant. It is the per-entry ground truth for loops in a snapshot.
-func (h *harness) entriesWereReal(snap map[string]*trie.Trie[fib.Entry], routers []string, dst netip.Addr) bool {
+func (h *harness) entriesWereReal(snap dataplane.Forwarding, routers []string, dst netip.Addr) bool {
 	need := map[string]fib.Entry{}
 	for _, r := range routers {
-		if e, _, ok := snap[r].Lookup(dst); ok {
+		if e, ok := snap.State(r).Lookup(dst); ok {
 			need[r] = e
 		}
 	}
-	fibs := map[string]*trie.Trie[fib.Entry]{}
-	for _, r := range h.w.net.Routers() {
-		fibs[r.Name] = trie.New[fib.Entry]()
-	}
+	var truth dataplane.Snapshot
 	for _, io := range h.fibEventsTrueTime() {
+		r := truth.Router(io.Router)
 		if io.Type == capture.FIBInstall {
-			_ = fibs[io.Router].Insert(io.Prefix, fib.EntryOf(&io))
+			r.Install(fib.EntryOf(&io))
 		} else {
-			fibs[io.Router].Delete(io.Prefix)
+			r.Remove(io.Prefix)
 		}
 		want, needed := need[io.Router]
 		if !needed || !io.Prefix.Contains(dst) {
 			continue
 		}
-		if got, _, ok := fibs[io.Router].Lookup(dst); ok && got.Equal(want) {
+		if got, ok := r.Lookup(dst); ok && got.Equal(want) {
 			delete(need, io.Router)
 			if len(need) == 0 {
 				return true
@@ -516,28 +514,42 @@ func (h *harness) entriesWereReal(snap map[string]*trie.Trie[fib.Entry], routers
 	return len(need) == 0
 }
 
-// firstDifference describes one entry that differs under Entry.Equal
-// between want and got, at the first router by name whose FIBs differ;
-// "" when every router's FIBs are equal.
-func firstDifference(want, got map[string]*trie.Trie[fib.Entry]) string {
-	var routers []string
-	for r := range want {
-		routers = append(routers, r)
-	}
-	for r := range got {
-		if _, ok := want[r]; !ok {
+// firstDifference describes how got differs from want at the first router
+// by name where they differ: a router only one holds, its loopback, its
+// interfaces with their link state, or one FIB entry under Entry.Equal;
+// "" when the two states are equal.
+func firstDifference(want, got dataplane.Forwarding) string {
+	routers := slices.Clone(want.Routers())
+	for _, r := range got.Routers() {
+		if want.State(r) == nil {
 			routers = append(routers, r)
 		}
 	}
-	sort.Strings(routers)
+	slices.Sort(routers)
 	for _, r := range routers {
-		installs, removes := fib.Diff(want[r], got[r])
+		w, g := want.State(r), got.State(r)
+		switch {
+		case g == nil:
+			return r + " missing"
+		case w == nil:
+			return r + " unexpected"
+		case g.Loopback() != w.Loopback():
+			return fmt.Sprintf("%s: loopback %s, want %s", r, g.Loopback(), w.Loopback())
+		}
+		if wi, gi := w.Ifaces(), g.Ifaces(); !slices.Equal(wi, gi) {
+			k := 0
+			for k < min(len(wi), len(gi)) && wi[k] == gi[k] {
+				k++
+			}
+			return fmt.Sprintf("%s: interfaces %+v, want %+v", r, gi[k:], wi[k:])
+		}
+		installs, removes := fib.Diff(w, g)
 		if len(removes) > 0 {
 			return fmt.Sprintf("%s: %s missing", r, removes[0])
 		}
 		if len(installs) > 0 {
-			if w, ok := want[r].Exact(installs[0].Prefix); ok {
-				return fmt.Sprintf("%s: %s, want %s", r, installs[0], w)
+			if e, ok := w.Exact(installs[0].Prefix); ok {
+				return fmt.Sprintf("%s: %s, want %s", r, installs[0], e)
 			}
 			return fmt.Sprintf("%s: %s unexpected", r, installs[0])
 		}
@@ -816,12 +828,11 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 		return &Failure{Oracle: OracleRepair, Round: round, Detail: fmt.Sprintf("advance: %v", err)}
 	}
 	walker := h.liveWalker()
-	live := h.w.net.FIBSnapshot()
 	victim := ""
 	for _, src := range h.w.verifySources {
 		// A router that owns P as a connected stub is immune to the fault:
 		// the connected route's distance 0 beats the static's 1.
-		if e, _ := live[src].Exact(PrefixP); e.Proto == route.ProtoConnected {
+		if e, _ := h.live.State(src).Exact(PrefixP); e.Proto == route.ProtoConnected {
 			continue
 		}
 		if walker.ForwardPrefix(src, PrefixP).Outcome == dataplane.Delivered {
@@ -833,7 +844,7 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 		return nil // P unreachable everywhere (e.g. shrink stranded a partition): nothing to repair
 	}
 
-	pre := h.w.net.FIBSnapshot()
+	pre := dataplane.Freeze(h.live)
 	if _, err := h.w.net.UpdateConfig(victim, "inject faulty static for P", func(c *config.Router) {
 		c.Statics = append(c.Statics, config.StaticRoute{Prefix: PrefixP, NextHop: faultNextHop})
 	}); err != nil {
@@ -861,8 +872,7 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 		return &Failure{Oracle: OracleRepair, Round: round, Detail: fmt.Sprintf("repair convergence: %v", err)}
 	}
 
-	post := h.w.net.FIBSnapshot()
-	if detail := firstDifference(pre, post); detail != "" {
+	if detail := firstDifference(pre, h.live); detail != "" {
 		return &Failure{Oracle: OracleRepair, Round: round,
 			Detail: "data plane differs from pre-fault state after repair: " + detail}
 	}
@@ -880,7 +890,7 @@ func (h *harness) oracleRepairRollback(round int) *Failure {
 // must report the identical violation list to a cold checker with no cache.
 func (h *harness) oracleEqclassDelta(round int) *Failure {
 	incClasses := h.p.Classes()
-	fullClasses := eqclass.Compute(h.w.net.FIBSnapshot(), nil)
+	fullClasses := eqclass.Compute(h.live, nil)
 	if d := diffClasses(incClasses, fullClasses); d != "" {
 		return &Failure{Oracle: OracleEqclassDelta, Round: round,
 			Detail: "incremental classes diverge from full Compute: " + d}

@@ -81,7 +81,8 @@ func Collect(ios []capture.IO, cut Cut) []capture.IO {
 // BuildFIBs reconstructs each router's FIB by replaying the collected FIB
 // install/remove events — exactly what a verifier fed by FIB update
 // streams would hold. Every router with a collected event appears, even
-// with an empty FIB.
+// with an empty FIB. Only the benchmark module (bench/) calls it; ROADMAP
+// item 6 deletes it for ReplayState.
 func BuildFIBs(ios []capture.IO) map[string]*trie.Trie[fib.Entry] {
 	return ReplayState(nil, capture.ViewOf(ios), nil).FIBs()
 }

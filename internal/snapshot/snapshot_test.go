@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"hbverify/internal/capture"
@@ -169,7 +170,8 @@ func TestBuildFIBsReplaysRemoves(t *testing.T) {
 }
 
 // Replaying the paper network's whole log rebuilds every router's live FIB
-// entry for entry: an entry is exactly what its FIB I/O records.
+// entry for entry — an entry is exactly what its FIB I/O records — and the
+// link state of its interfaces.
 func TestReplayEqualsLiveFIBs(t *testing.T) {
 	pn, _ := fig1Transition(t)
 	if _, err := pn.SetLinkUp("r1", "r2", false); err != nil {
@@ -178,13 +180,16 @@ func TestReplayEqualsLiveFIBs(t *testing.T) {
 	if err := pn.Run(); err != nil {
 		t.Fatal(err)
 	}
-	replayed, live := ReplayState(nil, pn.Log.View(), nil).FIBs(), pn.FIBSnapshot()
-	if len(replayed) != len(live) {
-		t.Fatalf("%d routers replayed, %d live", len(replayed), len(live))
+	replayed, live := ReplayState(pn.Topo, pn.Log.View(), nil), pn.Live()
+	if !slices.Equal(replayed.Routers(), live.Routers()) {
+		t.Fatalf("routers replayed %v, live %v", replayed.Routers(), live.Routers())
 	}
-	for r, table := range live {
-		if installs, removes := fib.Diff(table, replayed[r]); len(installs)+len(removes) != 0 {
+	for _, r := range live.Routers() {
+		if installs, removes := fib.Diff(live.State(r), replayed.State(r)); len(installs)+len(removes) != 0 {
 			t.Fatalf("%s: replay differs from the live FIB: %v, missing %v", r, installs, removes)
+		}
+		if got, want := replayed.State(r).Ifaces(), live.State(r).Ifaces(); !slices.Equal(got, want) {
+			t.Fatalf("%s: replayed interfaces %+v, live %+v", r, got, want)
 		}
 	}
 }

@@ -39,7 +39,7 @@ func TestPerClassVerificationCoversAllPrefixes(t *testing.T) {
 	}
 	fullRep := checker.Check(full)
 
-	classes := eqclass.Compute(pn.FIBSnapshot(), prefixes)
+	classes := eqclass.Compute(pn.Live(), prefixes)
 	perClass := make([]Policy, 0, len(classes))
 	for _, c := range classes {
 		perClass = append(perClass, Policy{Kind: Reachable, Prefix: c.Prefixes[0]})
@@ -61,7 +61,7 @@ func TestPerClassVerificationCoversAllPrefixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	fullRep = checker.Check(full)
-	classes = eqclass.Compute(pn.FIBSnapshot(), prefixes)
+	classes = eqclass.Compute(pn.Live(), prefixes)
 	perClass = perClass[:0]
 	for _, c := range classes {
 		perClass = append(perClass, Policy{Kind: Reachable, Prefix: c.Prefixes[0]})

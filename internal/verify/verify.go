@@ -399,12 +399,12 @@ func (c *Checker) Check(policies []Policy) Report {
 		m.Counter("verify.walks.cached").Add(int64(rep.Cached))
 		m.Counter("verify.walks.deduped").Add(int64(rep.Deduped))
 		m.Counter("verify.violations").Add(int64(len(rep.Violations)))
-		m.Timer("verify.check").Observe(time.Since(start))
+		m.Histogram("verify.check").Observe(time.Since(start))
 		for k, n := range kindChecks {
 			if n == 0 {
 				continue
 			}
-			m.Timer("verify.policy." + Kind(k).String()).Observe(kindDur[k])
+			m.Histogram("verify.policy." + Kind(k).String()).Observe(kindDur[k])
 			m.Counter("verify.policy." + Kind(k).String() + ".checks").Add(n)
 		}
 	}

@@ -114,12 +114,12 @@ func TestFallbackPolicyWhenPrimaryDown(t *testing.T) {
 
 func TestPhantomLoopOnInconsistentSnapshot(t *testing.T) {
 	pn := startPaper(t, network.DefaultPaperOpts())
-	snap := pn.FIBSnapshot()
+	snap := dataplane.Freeze(pn.Live())
 	// Fig. 1c: the verifier's copy of r2's FIB is stale (points at r1)
 	// while r1 already points at r2.
-	_ = snap["r2"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")})
-	_ = snap["r1"].Insert(pn.P, fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")})
-	w := dataplane.NewWalker(pn.Topo, dataplane.SnapshotView(snap))
+	snap.Router("r2").Install(fib.Entry{Prefix: pn.P, NextHop: addr("1.1.1.1")})
+	snap.Router("r1").Install(fib.Entry{Prefix: pn.P, NextHop: addr("2.2.2.2")})
+	w := dataplane.NewWalker(pn.Topo, snap)
 	rep := NewChecker(w, []string{"r1", "r2", "r3"}).Check([]Policy{{Kind: NoLoop, Prefix: pn.P}})
 	if rep.OK() {
 		t.Fatal("phantom loop not reported — the Fig. 1c hazard is gone?")

@@ -17,7 +17,6 @@ import (
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
-	"hbverify/internal/trie"
 	"hbverify/internal/verify"
 )
 
@@ -48,8 +47,8 @@ type Result struct {
 	Baseline verify.Report
 	// Report is the verdict after the hypothetical changes converged.
 	Report verify.Report
-	// FIBs is the would-be data plane, for inspection and diffing.
-	FIBs map[string]*trie.Trie[fib.Entry]
+	// FIBs is the would-be forwarding state, for inspection and diffing.
+	FIBs *dataplane.Snapshot
 	// Events counts the control-plane I/Os the hypothetical produced.
 	Events int
 }
@@ -110,7 +109,7 @@ func (e *Engine) Ask(bp *network.Blueprint, changes ...Change) (Result, error) {
 		}
 	}
 	res.Report = e.check(n)
-	res.FIBs = n.FIBSnapshot()
+	res.FIBs = dataplane.Freeze(n.Live())
 	res.Events = n.Log.Len() - mark
 	return res, nil
 }
@@ -119,26 +118,27 @@ func (e *Engine) check(n *network.Network) verify.Report {
 	return verify.NewChecker(dataplane.NewWalker(n.Topo, n.Live()), e.Sources).Check(e.Policies)
 }
 
-// Diff compares the hypothetical FIBs with the live network's, returning
-// "router prefix: old -> new" lines for every divergence in the next-hop
-// sets, in (router, prefix) order; an ECMP set prints as its members joined
-// by "|".
-func Diff(live *network.Network, hypo map[string]*trie.Trie[fib.Entry]) []string {
+// Diff compares the hypothetical FIBs with the live ones, both read in
+// place, returning "router prefix: old -> new" lines for every divergence
+// in the next-hop sets, in (router, prefix) order; an ECMP set prints as
+// its members joined by "|". hypo holds every router live does, as a
+// copy from the live network's blueprint does.
+func Diff(live, hypo dataplane.Forwarding) []string {
 	var out []string
 	for _, r := range live.Routers() {
-		cur := r.FIB.Snapshot()
-		installs, changed := fib.Diff(cur, hypo[r.Name])
+		cur, next := live.State(r), hypo.State(r)
+		installs, changed := fib.Diff(cur, next)
 		for _, e := range installs {
 			changed = append(changed, e.Prefix)
 		}
 		slices.SortFunc(changed, route.ComparePrefix)
 		for _, p := range changed {
 			was, had := cur.Exact(p)
-			now, has := hypo[r.Name].Exact(p)
+			now, has := next.Exact(p)
 			if had && has && slices.Equal(was.HopSet(), now.HopSet()) {
 				continue
 			}
-			out = append(out, fmt.Sprintf("%s %s: %s -> %s", r.Name, p, hopString(was, had, "(none)"), hopString(now, has, "(removed)")))
+			out = append(out, fmt.Sprintf("%s %s: %s -> %s", r, p, hopString(was, had, "(none)"), hopString(now, has, "(removed)")))
 		}
 	}
 	return out

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hbverify/internal/config"
+	"hbverify/internal/dataplane"
 	"hbverify/internal/fib"
 	"hbverify/internal/network"
 	"hbverify/internal/route"
@@ -50,7 +51,7 @@ func TestBlueprintCopyReproducesState(t *testing.T) {
 	}
 	// The copy's FIBs match the original's, entry for entry.
 	for _, r := range pn.Routers() {
-		installs, removes := fib.Diff(r.FIB.Snapshot(), copyNet.Router(r.Name).FIB.Snapshot())
+		installs, removes := fib.Diff(r.FIB, copyNet.Router(r.Name).FIB)
 		if len(installs)+len(removes) != 0 {
 			t.Fatalf("%s: the copy holds %v and lacks %v", r.Name, installs, removes)
 		}
@@ -102,7 +103,7 @@ func TestWhatIfLinkFailureIsSafe(t *testing.T) {
 		t.Fatalf("failover should keep P reachable: %v", res.Report.Violations)
 	}
 	// The hypothetical data plane exits via r1.
-	if e, _ := res.FIBs["r3"].Exact(pn.P); e.NextHop != addr("1.1.1.1") {
+	if e, _ := res.FIBs.State("r3").Exact(pn.P); e.NextHop != addr("1.1.1.1") {
 		t.Fatalf("hypothetical r3 = %+v", e)
 	}
 	// The real network is untouched: r3 still exits via r2.
@@ -144,7 +145,7 @@ func TestWhatIfConfigChangePredictsViolation(t *testing.T) {
 		t.Fatal("the LP-10 change should be predicted to violate the policy")
 	}
 	// And the operator can see exactly what would move.
-	diffs := Diff(pn.Network, res.FIBs)
+	diffs := Diff(pn.Live(), res.FIBs)
 	if len(diffs) == 0 {
 		t.Fatal("no FIB diffs reported")
 	}
@@ -186,7 +187,7 @@ func TestDiffFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs := Diff(pn.Network, res.FIBs)
+	diffs := Diff(pn.Live(), res.FIBs)
 	found := false
 	for _, d := range diffs {
 		if d == "r3 203.0.113.0/24: 2.2.2.2 -> 1.1.1.1" {
@@ -207,17 +208,18 @@ func TestDiffReportsECMPSetChanges(t *testing.T) {
 	q := netip.MustParsePrefix("198.18.0.0/24")
 	pn.Router("r3").FIB.Offer(route.Route{Prefix: q, Proto: route.ProtoStatic}.WithNextHops(wide, narrow))
 
-	hypo := pn.FIBSnapshot()
-	live, _ := hypo["r3"].Exact(pn.P)
+	hypo := dataplane.Freeze(pn.Live())
+	r3 := hypo.Router("r3")
+	live, _ := r3.Exact(pn.P)
 	if live.HopCount() != 1 {
 		t.Fatalf("r3's live route to P is not single-path: %v", live)
 	}
 	grown := live
 	grown.NextHops = []netip.Addr{live.NextHop, addr("255.255.255.254")}
-	_ = hypo["r3"].Insert(pn.P, grown)
-	_ = hypo["r3"].Insert(q, fib.Entry{Prefix: q, NextHop: wide, Proto: route.ProtoStatic})
+	r3.Install(grown)
+	r3.Install(fib.Entry{Prefix: q, NextHop: wide, Proto: route.ProtoStatic})
 
-	diffs := Diff(pn.Network, hypo)
+	diffs := Diff(pn.Live(), hypo)
 	for _, want := range []string{
 		"r3 203.0.113.0/24: " + live.NextHop.String() + " -> " + live.NextHop.String() + "|255.255.255.254",
 		"r3 198.18.0.0/24: 2.2.2.2|9.9.9.9 -> 2.2.2.2",
@@ -232,13 +234,13 @@ func TestDiffReportsECMPSetChanges(t *testing.T) {
 // every call.
 func TestDiffIsDeterministic(t *testing.T) {
 	pn := startPaper(t)
-	hypo := pn.FIBSnapshot()
-	live, _ := hypo["r3"].Exact(pn.P)
+	hypo := dataplane.Freeze(pn.Live())
+	r3 := hypo.Router("r3")
+	live, _ := r3.Exact(pn.P)
 	for _, s := range []string{"198.18.2.0/24", "198.18.0.0/24", "198.18.1.0/24"} {
-		q := netip.MustParsePrefix(s)
-		_ = hypo["r3"].Insert(q, fib.Entry{Prefix: q, NextHop: addr("2.2.2.2"), Proto: route.ProtoStatic})
+		r3.Install(fib.Entry{Prefix: netip.MustParsePrefix(s), NextHop: addr("2.2.2.2"), Proto: route.ProtoStatic})
 	}
-	hypo["r3"].Delete(pn.P)
+	r3.Remove(pn.P)
 	want := []string{
 		"r3 198.18.0.0/24: (none) -> 2.2.2.2",
 		"r3 198.18.1.0/24: (none) -> 2.2.2.2",
@@ -246,7 +248,7 @@ func TestDiffIsDeterministic(t *testing.T) {
 		"r3 203.0.113.0/24: " + live.NextHop.String() + " -> (removed)",
 	}
 	for i := 0; i < 20; i++ {
-		if got := Diff(pn.Network, hypo); !slices.Equal(got, want) {
+		if got := Diff(pn.Live(), hypo); !slices.Equal(got, want) {
 			t.Fatalf("call %d: Diff = %q, want %q", i, got, want)
 		}
 	}
