@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"strings"
 	"sync"
 
 	"hbverify/internal/capture"
@@ -46,18 +45,7 @@ func EntryOf(io *capture.IO) Entry {
 }
 
 func (e Entry) String() string {
-	nh := "direct"
-	switch {
-	case len(e.NextHops) > 1:
-		parts := make([]string, len(e.NextHops))
-		for i, h := range e.NextHops {
-			parts[i] = h.String()
-		}
-		nh = strings.Join(parts, "|")
-	case e.NextHop.IsValid():
-		nh = e.NextHop.String()
-	}
-	return fmt.Sprintf("%s via %s (%s)", e.Prefix, nh, e.Proto)
+	return fmt.Sprintf("%s via %s (%s)", e.Prefix, route.HopString(e.HopSet()), e.Proto)
 }
 
 // HopCount returns the number of next hops the entry forwards over (0 for

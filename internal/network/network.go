@@ -18,6 +18,7 @@ import (
 	"hbverify/internal/capture"
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
+	"hbverify/internal/dv"
 	"hbverify/internal/eigrp"
 	"hbverify/internal/fib"
 	"hbverify/internal/netsim"
@@ -29,17 +30,18 @@ import (
 
 // Router bundles one router's protocol instances and capture recorder.
 type Router struct {
-	Name  string
-	Topo  *topology.Router
-	Cfg   *config.Router
-	Rec   *capture.Recorder
-	FIB   *fib.Table
-	BGP   *bgp.Speaker
-	OSPF  *ospf.Instance
-	RIP   *rip.Instance
-	EIGRP *eigrp.Instance
+	Name string
+	Topo *topology.Router
+	Cfg  *config.Router
+	Rec  *capture.Recorder
+	FIB  *fib.Table
+	BGP  *bgp.Speaker
+	OSPF *ospf.Instance
 
 	net *Network
+	// dv holds the distance-vector speakers the router runs, in
+	// dvProtocols order.
+	dv []dvSpeaker
 	// appliedStatics tracks the static routes currently offered to the
 	// FIB, so config changes can be diffed.
 	appliedStatics []config.StaticRoute
@@ -192,30 +194,43 @@ func (e routerEnv) DeliverOSPF(fromRouter, ifname string, lsa ospf.LSA, sendIO u
 	})
 }
 
-func (e routerEnv) DeliverRIP(fromRouter, ifname string, msg rip.Message, sendIO uint64) {
+func (e routerEnv) DeliverDV(proto route.Protocol, fromRouter, ifname string, msg dv.Message, sendIO uint64) {
 	from := e.r.Topo.Interface(ifname)
 	if from == nil {
 		return
 	}
 	addr := from.Addr
 	e.r.net.deliverIface(fromRouter, ifname, func(peer *Router, _ string) {
-		if peer.RIP != nil {
-			peer.RIP.HandleUpdate(addr, msg, sendIO)
+		for _, s := range peer.dv {
+			if s.Protocol() == proto {
+				s.HandleUpdate(addr, msg, sendIO)
+			}
 		}
 	})
 }
 
-func (e routerEnv) DeliverEIGRP(fromRouter, ifname string, msg eigrp.Message, sendIO uint64) {
-	from := e.r.Topo.Interface(ifname)
-	if from == nil {
-		return
-	}
-	addr := from.Addr
-	e.r.net.deliverIface(fromRouter, ifname, func(peer *Router, _ string) {
-		if peer.EIGRP != nil {
-			peer.EIGRP.HandleUpdate(addr, msg, sendIO)
-		}
-	})
+// dvSpeaker is a distance-vector process as the network drives it: the
+// shared dv core, and the protocol's own route choice behind it.
+type dvSpeaker interface {
+	Protocol() route.Protocol
+	AddNeighbor(dv.Neighbor)
+	Originate(p netip.Prefix, cause ...uint64)
+	NeighborUp(addr netip.Addr, cause ...uint64)
+	NeighborDown(addr netip.Addr, cause ...uint64)
+	HandleUpdate(from netip.Addr, msg dv.Message, sendIO uint64)
+}
+
+// dvProtocols are the distance-vector protocols a router may run, in the
+// order it runs them: RIP before EIGRP, which fixes capture IDs. conf
+// reads whether a configuration enables one and on which interfaces.
+var dvProtocols = []struct {
+	conf    func(*config.Router) (on bool, ifaces []string)
+	speaker func(*Router) dvSpeaker
+}{
+	{func(c *config.Router) (bool, []string) { return c.RIP.Enabled, c.RIP.Interfaces },
+		func(r *Router) dvSpeaker { return rip.New(r.Name, r.Rec, r.net.Sched, r.FIB, routerEnv{r}) }},
+	{func(c *config.Router) (bool, []string) { return c.EIGRP.Enabled, c.EIGRP.Interfaces },
+		func(r *Router) dvSpeaker { return eigrp.New(r.Name, r.Rec, r.net.Sched, r.FIB, routerEnv{r}) }},
 }
 
 // deliverIface schedules delivery over the link attached to (router,
@@ -328,35 +343,27 @@ func (n *Network) Build() error {
 				r.OSPF.AddIface(oi)
 			}
 		}
-		if cfg.RIP.Enabled {
-			r.RIP = rip.New(r.Name, r.Rec, n.Sched, r.FIB, env)
-			for _, i := range r.Topo.Interfaces() {
-				if !ifaceSelected(cfg.RIP.Interfaces, i.Name) || i.Link == nil {
-					continue
-				}
-				peer := n.routers[i.Peer().Router]
-				if peer == nil || !peer.Cfg.RIP.Enabled {
-					continue
-				}
-				r.RIP.AddNeighbor(rip.Neighbor{
-					Name: peer.Name, Addr: i.Peer().Addr, LocalAddr: i.Addr,
-					Iface: i.Name, Up: i.Link.Up(),
-				})
+		for _, proto := range dvProtocols {
+			on, ifaces := proto.conf(cfg)
+			if !on {
+				continue
 			}
-		}
-		if cfg.EIGRP.Enabled {
-			r.EIGRP = eigrp.New(r.Name, r.Rec, n.Sched, r.FIB, env)
+			s := proto.speaker(r)
+			r.dv = append(r.dv, s)
 			for _, i := range r.Topo.Interfaces() {
-				if !ifaceSelected(cfg.EIGRP.Interfaces, i.Name) || i.Link == nil {
+				if !ifaceSelected(ifaces, i.Name) || i.Link == nil {
 					continue
 				}
 				peer := n.routers[i.Peer().Router]
-				if peer == nil || !peer.Cfg.EIGRP.Enabled {
+				if peer == nil {
 					continue
 				}
-				r.EIGRP.AddNeighbor(eigrp.Neighbor{
-					Name: peer.Name, Addr: i.Peer().Addr, LocalAddr: i.Addr,
-					Iface: i.Name, Cost: i.Link.Cost, Up: i.Link.Up(),
+				if on, _ := proto.conf(peer.Cfg); !on {
+					continue
+				}
+				s.AddNeighbor(dv.Neighbor{
+					Name: peer.Name, Addr: i.Peer().Addr, Iface: i.Name,
+					Cost: i.Link.Cost, Up: i.Link.Up(),
 				})
 			}
 		}
@@ -417,14 +424,9 @@ func (n *Network) Start() {
 		if r.OSPF != nil {
 			r.OSPF.Start(cause)
 		}
-		if r.RIP != nil {
+		for _, s := range r.dv {
 			for _, p := range connectedPrefixes(r) {
-				r.RIP.Originate(p, cause)
-			}
-		}
-		if r.EIGRP != nil {
-			for _, p := range connectedPrefixes(r) {
-				r.EIGRP.Originate(p, cause)
+				s.Originate(p, cause)
 			}
 		}
 		if r.BGP != nil {
@@ -610,20 +612,12 @@ func (n *Network) SetLinkUp(a, b string, up bool) ([]capture.IO, error) {
 		if r.OSPF != nil {
 			r.OSPF.SetIfaceUp(end.Name, up, cause)
 		}
-		if r.RIP != nil {
+		for _, s := range r.dv {
 			if up {
-				r.RIP.Originate(end.Prefix, cause)
-				r.RIP.NeighborUp(end.Peer().Addr, cause)
+				s.Originate(end.Prefix, cause)
+				s.NeighborUp(end.Peer().Addr, cause)
 			} else {
-				r.RIP.NeighborDown(end.Peer().Addr, cause)
-			}
-		}
-		if r.EIGRP != nil {
-			if up {
-				r.EIGRP.Originate(end.Prefix, cause)
-				r.EIGRP.NeighborUp(end.Peer().Addr, cause)
-			} else {
-				r.EIGRP.NeighborDown(end.Peer().Addr, cause)
+				s.NeighborDown(end.Peer().Addr, cause)
 			}
 		}
 		if r.BGP != nil {

@@ -229,7 +229,7 @@ func TestConnectedAndStaticRoutes(t *testing.T) {
 	if _, err := n.AddRouter("b", "2.2.2.2", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Topo.AddLink(LinkSpecOf("a", "b", "10.0.0.0/30", addr("10.0.0.1"), addr("10.0.0.2"))); err != nil {
+	if _, err := n.Topo.AddLink(LinkSpecOf("a", "b", "10.0.0.0/30")); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Configure("a", &config.Router{
@@ -352,7 +352,7 @@ func TestStaticRouteLiveUpdate(t *testing.T) {
 	if _, err := n.AddRouter("b", "2.2.2.2", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Topo.AddLink(LinkSpecOf("a", "b", "10.0.0.0/30", addr("10.0.0.1"), addr("10.0.0.2"))); err != nil {
+	if _, err := n.Topo.AddLink(LinkSpecOf("a", "b", "10.0.0.0/30")); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Configure("a", &config.Router{
@@ -501,11 +501,7 @@ func BuildChainRIP(seed int64, k int) (*Network, netip.Prefix, error) {
 	}
 	for i := 0; i+1 < k; i++ {
 		subnet := fmt.Sprintf("10.9.%d.0/30", i)
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		aAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 1})
-		bAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 2})
-		if _, err := n.Topo.AddLink(LinkSpecOf(fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1), subnet, aAddr, bAddr)); err != nil {
+		if _, err := n.Topo.AddLink(LinkSpecOf(fmt.Sprintf("c%d", i), fmt.Sprintf("c%d", i+1), subnet)); err != nil {
 			return nil, lan, err
 		}
 	}
@@ -538,12 +534,7 @@ func BuildStarRR(seed int64, k int, advertise bool) (*Network, error) {
 		return nil, err
 	}
 	addLink := func(a, b string, idx int) error {
-		subnet := fmt.Sprintf("10.8.%d.0/30", idx)
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		aa := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 1})
-		ba := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 2})
-		_, err := n.Topo.AddLink(LinkSpecOf(a, b, subnet, aa, ba))
+		_, err := n.Topo.AddLink(LinkSpecOf(a, b, fmt.Sprintf("10.8.%d.0/30", idx)))
 		return err
 	}
 	for i := 0; i < k; i++ {

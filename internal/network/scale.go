@@ -11,6 +11,7 @@ import (
 	"net/netip"
 
 	"hbverify/internal/config"
+	"hbverify/internal/topology"
 )
 
 // BuildFatTree constructs a k-ary fat-tree running OSPF everywhere: k pods
@@ -62,11 +63,7 @@ func LayoutFatTree(seed int64, k int) (*Network, error) {
 	addLink := func(a, b string) error {
 		subnet := fmt.Sprintf("10.%d.%d.0/30", link/250, link%250)
 		link++
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		aAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 1})
-		bAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 2})
-		_, err := n.Topo.AddLink(LinkSpecOf(a, b, subnet, aAddr, bAddr))
+		_, err := n.Topo.AddLink(LinkSpecOf(a, b, subnet))
 		return err
 	}
 	for p := 0; p < k; p++ {
@@ -124,30 +121,26 @@ func LayoutISPRR(seed int64, mids, leaves int, prefixes []netip.Prefix) (*Networ
 		return nil, err
 	}
 	link := 0
-	addLink := func(a, b string) (netip.Addr, netip.Addr, error) {
+	addLink := func(a, b string) (*topology.Link, error) {
 		subnet := fmt.Sprintf("10.%d.%d.0/30", link/250, link%250)
 		link++
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		aAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 1})
-		bAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 2})
-		_, err := n.Topo.AddLink(LinkSpecOf(a, b, subnet, aAddr, bAddr))
-		return aAddr, bAddr, err
+		return n.Topo.AddLink(LinkSpecOf(a, b, subnet))
 	}
 	for i := 0; i < mids; i++ {
-		if _, _, err := addLink("top", fmt.Sprintf("mid%d", i)); err != nil {
+		if _, err := addLink("top", fmt.Sprintf("mid%d", i)); err != nil {
 			return nil, err
 		}
 		for j := 0; j < leaves; j++ {
-			if _, _, err := addLink(fmt.Sprintf("mid%d", i), peName(i, j)); err != nil {
+			if _, err := addLink(fmt.Sprintf("mid%d", i), peName(i, j)); err != nil {
 				return nil, err
 			}
 		}
 	}
-	peAddr, extAddr, err := addLink(peName(0, 0), "ext")
+	extLink, err := addLink(peName(0, 0), "ext")
 	if err != nil {
 		return nil, err
 	}
+	peAddr, extAddr := extLink.A.Addr, extLink.B.Addr
 
 	topNbrs := make([]config.Neighbor, 0, mids)
 	for i := 0; i < mids; i++ {

@@ -88,7 +88,7 @@ func BuildPaper(seed int64, opt PaperOpts) (*PaperNet, error) {
 		return netip.AddrFrom4(a)
 	}
 	for _, l := range links {
-		if _, err := n.Topo.AddLink(LinkSpecOf(l.a, l.b, l.subnet, addrInSubnet(l.subnet, 1), addrInSubnet(l.subnet, 2))); err != nil {
+		if _, err := n.Topo.AddLink(LinkSpecOf(l.a, l.b, l.subnet)); err != nil {
 			return nil, err
 		}
 	}
@@ -180,13 +180,15 @@ func BuildPaper(seed int64, opt PaperOpts) (*PaperNet, error) {
 	return &PaperNet{Network: n, P: PrefixP}, nil
 }
 
-// LinkSpecOf builds a topology.LinkSpec with conventional interface names
-// ("eth-<peer>") and a 1ms delay.
-func LinkSpecOf(a, b, subnet string, aAddr, bAddr netip.Addr) topology.LinkSpec {
+// LinkSpecOf builds a topology.LinkSpec over subnet with conventional
+// interface names ("eth-<peer>"), the subnet's first host address on a and
+// its second on b, and a 1ms delay.
+func LinkSpecOf(a, b, subnet string) topology.LinkSpec {
+	p := netip.MustParsePrefix(subnet)
 	return topology.LinkSpec{
-		ARouter: a, AIface: "eth-" + b, AAddr: aAddr,
-		BRouter: b, BIface: "eth-" + a, BAddr: bAddr,
-		Prefix: netip.MustParsePrefix(subnet),
+		ARouter: a, AIface: "eth-" + b, AAddr: p.Addr().Next(),
+		BRouter: b, BIface: "eth-" + a, BAddr: p.Addr().Next().Next(),
+		Prefix: p,
 		Delay:  time.Millisecond,
 	}
 }
@@ -212,12 +214,7 @@ func BuildGridOSPF(seed int64, rows, cols int) (*Network, error) {
 	link := 0
 	addLink := func(a, b string) error {
 		link++
-		subnet := fmt.Sprintf("10.%d.%d.0/30", link/250, link%250)
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		aAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 1})
-		bAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 2})
-		_, err := n.Topo.AddLink(LinkSpecOf(a, b, subnet, aAddr, bAddr))
+		_, err := n.Topo.AddLink(LinkSpecOf(a, b, fmt.Sprintf("10.%d.%d.0/30", link/250, link%250)))
 		return err
 	}
 	for r := 0; r < rows; r++ {

@@ -2,10 +2,12 @@ package rip
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
 	"hbverify/internal/capture"
+	"hbverify/internal/dv"
 	"hbverify/internal/fib"
 	"hbverify/internal/netsim"
 	"hbverify/internal/route"
@@ -17,10 +19,10 @@ func addr(s string) netip.Addr  { return netip.MustParseAddr(s) }
 // WithdrawLocal removes a locally originated prefix.
 func (r *Instance) WithdrawLocal(p netip.Prefix, cause ...uint64) {
 	p = p.Masked()
-	if !r.local[p] {
+	if !r.Local[p] {
 		return
 	}
-	delete(r.local, p)
+	delete(r.Local, p)
 	r.remove(p, cause)
 }
 
@@ -44,7 +46,7 @@ func newHarness() *harness {
 	}
 }
 
-func (h *harness) DeliverRIP(fromRouter, ifname string, msg Message, sendIO uint64) {
+func (h *harness) DeliverDV(_ route.Protocol, fromRouter, ifname string, msg dv.Message, sendIO uint64) {
 	dest, ok := h.wires[fromRouter+":"+ifname]
 	if !ok {
 		return
@@ -70,8 +72,8 @@ func (h *harness) wire(a, b string, n int) {
 	aAddr := netip.AddrFrom4([4]byte{10, 0, byte(n), 1})
 	bAddr := netip.AddrFrom4([4]byte{10, 0, byte(n), 2})
 	ifA, ifB := "to-"+b, "to-"+a
-	h.insts[a].AddNeighbor(Neighbor{Name: b, Addr: bAddr, LocalAddr: aAddr, Iface: ifA, Up: true})
-	h.insts[b].AddNeighbor(Neighbor{Name: a, Addr: aAddr, LocalAddr: bAddr, Iface: ifB, Up: true})
+	h.insts[a].AddNeighbor(dv.Neighbor{Name: b, Addr: bAddr, Iface: ifA, Up: true})
+	h.insts[b].AddNeighbor(dv.Neighbor{Name: a, Addr: aAddr, Iface: ifB, Up: true})
 	h.wires[a+":"+ifA] = [2]string{b, ifB}
 	h.wires[b+":"+ifB] = [2]string{a, ifA}
 	h.addrs[a+":"+ifA] = aAddr
@@ -235,7 +237,7 @@ func TestInfinityCapsMetric(t *testing.T) {
 	// Deliver an update at metric 15: b computes 16 => unreachable, not
 	// installed.
 	h.sched.After(time.Millisecond, func() {
-		h.insts["b"].HandleUpdate(addr("10.0.1.1"), Message{Prefix: lan, Metric: 15}, 0)
+		h.insts["b"].HandleUpdate(addr("10.0.1.1"), dv.Message{Prefix: lan, Metric: 15}, 0)
 	})
 	h.run(t)
 	if _, ok := h.insts["b"].table[lan]; ok {
@@ -254,7 +256,7 @@ func TestPoisonFromNonNextHopIgnored(t *testing.T) {
 	h.run(t)
 	// c (not b's next hop for lan) poisons the route; b must keep it.
 	h.sched.After(time.Millisecond, func() {
-		h.insts["b"].HandleUpdate(addr("10.0.2.1"), Message{Prefix: lan, Metric: Infinity}, 0)
+		h.insts["b"].HandleUpdate(addr("10.0.2.1"), dv.Message{Prefix: lan, Metric: Infinity}, 0)
 	})
 	h.run(t)
 	if _, ok := h.insts["b"].table[lan]; !ok {
@@ -272,7 +274,7 @@ func TestUpdateFromCurrentNextHopAlwaysAccepted(t *testing.T) {
 	// a's metric worsens (e.g. internal topology change): b must follow
 	// even though the new metric is worse.
 	h.sched.After(time.Millisecond, func() {
-		h.insts["b"].HandleUpdate(addr("10.0.1.1"), Message{Prefix: lan, Metric: 5}, 0)
+		h.insts["b"].HandleUpdate(addr("10.0.1.1"), dv.Message{Prefix: lan, Metric: 5}, 0)
 	})
 	h.run(t)
 	if r := h.insts["b"].table[lan]; r.metric != 6 {
@@ -310,5 +312,67 @@ func TestRecvIOCausality(t *testing.T) {
 	sendCause := byID(cause.Causes[0])
 	if sendCause.Router != "a" || sendCause.Type != capture.SendAdvert {
 		t.Fatalf("send cause = %+v", sendCause)
+	}
+}
+
+// TestNeighborUpReadvertisesTable pins the revival path: after both ends
+// of a link go down and come back up, each end re-advertises its whole
+// table to the other through the advert debounce, advertDelay after the
+// up, and every such send names the up as its cause.
+func TestNeighborUpReadvertisesTable(t *testing.T) {
+	h := newHarness()
+	for _, n := range []string{"a", "b", "c"} {
+		h.addRouter(n)
+	}
+	h.wire("a", "b", 1)
+	h.wire("b", "c", 2)
+	lanB, lanC := pfx("172.16.1.0/24"), pfx("172.16.2.0/24")
+	h.insts["a"].Originate(lan)
+	h.insts["b"].Originate(lanB)
+	h.insts["c"].Originate(lanC)
+	h.run(t)
+	bAddr, cAddr := addr("10.0.2.1"), addr("10.0.2.2")
+	h.insts["b"].NeighborDown(cAddr)
+	h.insts["c"].NeighborDown(bAddr)
+	h.run(t)
+	if _, ok := h.insts["c"].table[lan]; ok {
+		t.Fatal("c kept a's route with its only neighbour down")
+	}
+
+	const upCause = 1 << 40
+	var upT netsim.VirtualTime
+	var want []netip.Prefix
+	h.sched.After(time.Millisecond, func() {
+		upT = h.sched.Now()
+		for p := range h.insts["b"].table {
+			want = append(want, p)
+		}
+		h.insts["b"].NeighborUp(cAddr, upCause)
+		h.insts["c"].NeighborUp(bAddr, upCause+1)
+	})
+	h.run(t)
+
+	var got []netip.Prefix
+	for _, io := range h.log.ForRouter("b") {
+		if io.Peer != "c" || io.TrueTime < upT || io.TrueTime > upT.Add(advertDelay) ||
+			(io.Type != capture.SendAdvert && io.Type != capture.SendWithdraw) {
+			continue
+		}
+		if io.Type != capture.SendAdvert || io.TrueTime != upT.Add(advertDelay) ||
+			len(io.Causes) != 1 || io.Causes[0] != upCause {
+			t.Fatalf("revival send %+v: want an advert at %v caused by the up", io, upT.Add(advertDelay))
+		}
+		got = append(got, io.Prefix)
+	}
+	slices.SortFunc(want, route.ComparePrefix)
+	slices.SortFunc(got, route.ComparePrefix)
+	if len(want) != 2 || !slices.Equal(got, want) {
+		t.Fatalf("b re-advertised %v to c, want its table %v", got, want)
+	}
+	if r := h.insts["c"].table[lan]; r.metric != 3 || r.nextHop != bAddr {
+		t.Fatalf("c relearned a's route as %+v", r)
+	}
+	if r := h.insts["b"].table[lanC]; r.metric != 2 || r.nextHop != cAddr {
+		t.Fatalf("b relearned c's route as %+v", r)
 	}
 }

@@ -276,18 +276,20 @@ func (r Route) AdminDistance() uint8 {
 }
 
 func (r Route) String() string {
-	nh := "direct"
-	switch {
-	case len(r.NextHops) > 1:
-		parts := make([]string, len(r.NextHops))
-		for i, h := range r.NextHops {
-			parts[i] = h.String()
-		}
-		nh = strings.Join(parts, "|")
-	case r.NextHop.IsValid():
-		nh = r.NextHop.String()
+	return fmt.Sprintf("%s via %s [%s ad=%d metric=%d]", r.Prefix, HopString(r.HopSet()), r.Proto, r.AdminDistance(), r.Metric)
+}
+
+// HopString prints a next-hop set: its members joined by "|", or "direct"
+// when it is empty.
+func HopString(hops []netip.Addr) string {
+	if len(hops) == 0 {
+		return "direct"
 	}
-	return fmt.Sprintf("%s via %s [%s ad=%d metric=%d]", r.Prefix, nh, r.Proto, r.AdminDistance(), r.Metric)
+	parts := make([]string, len(hops))
+	for i, h := range hops {
+		parts[i] = h.String()
+	}
+	return strings.Join(parts, "|")
 }
 
 // ComparePrefix orders prefixes by address, then length: the canonical

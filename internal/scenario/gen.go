@@ -144,11 +144,7 @@ func buildWorld(cfg Config) (*world, error) {
 	addLink := func(a, b string) error {
 		subnet := fmt.Sprintf("10.%d.%d.0/30", linkIdx/250, linkIdx%250)
 		linkIdx++
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		aAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 1})
-		bAddr := netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + 2})
-		_, err := net.Topo.AddLink(network.LinkSpecOf(a, b, subnet, aAddr, bAddr))
+		_, err := net.Topo.AddLink(network.LinkSpecOf(a, b, subnet))
 		return err
 	}
 	for _, pr := range pairs {
@@ -272,12 +268,6 @@ func buildBGPMix(cfg Config, w *world) error {
 		{"e1", "100.0.0.1", 100, w.internals[0], "10.200.0.0/30", []netip.Prefix{PrefixP, PrefixQ}, 20},
 		{"e2", "200.0.0.1", 200, mid, "10.200.1.0/30", []netip.Prefix{PrefixP}, 30},
 	}
-	addrIn := func(subnet string, host byte) netip.Addr {
-		p := netip.MustParsePrefix(subnet)
-		a4 := p.Addr().As4()
-		return netip.AddrFrom4([4]byte{a4[0], a4[1], a4[2], a4[3] + host})
-	}
-
 	type uplink struct {
 		extAddr netip.Addr
 		asn     uint32
@@ -289,10 +279,11 @@ func buildBGPMix(cfg Config, w *world) error {
 			return err
 		}
 		w.external[e.name] = true
-		intAddr, extAddr := addrIn(e.subnet, 1), addrIn(e.subnet, 2)
-		if _, err := n.Topo.AddLink(network.LinkSpecOf(e.attach, e.name, e.subnet, intAddr, extAddr)); err != nil {
+		l, err := n.Topo.AddLink(network.LinkSpecOf(e.attach, e.name, e.subnet))
+		if err != nil {
 			return err
 		}
+		intAddr, extAddr := l.A.Addr, l.B.Addr
 		// The provider owns the prefixes it originates as stub LANs.
 		for j, p := range e.networks {
 			a4 := p.Addr().As4()

@@ -10,7 +10,6 @@ package whatif
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"hbverify/internal/config"
 	"hbverify/internal/dataplane"
@@ -150,13 +149,5 @@ func hopString(e fib.Entry, ok bool, absent string) string {
 	if !ok {
 		return absent
 	}
-	hops := e.HopSet()
-	if len(hops) == 0 {
-		return "direct"
-	}
-	parts := make([]string, len(hops))
-	for i, h := range hops {
-		parts[i] = h.String()
-	}
-	return strings.Join(parts, "|")
+	return route.HopString(e.HopSet())
 }
